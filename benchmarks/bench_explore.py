@@ -4,8 +4,8 @@ The explorer's usefulness is bounded by how many scheduler states it can
 visit per second and by how few runs a reduction needs for full deadlock
 coverage: a deadlock that needs 10^4 interleavings to manifest is only
 testable if the engine sustains that within CI budgets.  This benchmark
-drives every reduction strategy (unreduced DFS, sleep sets, source-DPOR)
-plus the random-walk mode over the canonical scenarios under both
+drives both strategies (unreduced DFS, source-DPOR) plus the
+random-walk mode over the canonical scenarios under both
 ``NullBackend`` and a forked Dimmunix backend, reporting
 ``runs_explored``, interleavings/sec, and states/sec (one state = one
 scheduler step) per strategy — the reduction story is the ratio of
@@ -84,7 +84,7 @@ def run_benchmark(max_runs: int = MAX_RUNS, random_runs: int = RANDOM_RUNS,
     for name, scenario in _scenarios():
         for backend_name, factory in (("null", _null_factory(scenario)),
                                       ("dimmunix", _dimmunix_factory(scenario))):
-            for strategy in ("dfs", "sleep", "dpor"):
+            for strategy in ("dfs", "dpor"):
                 result = Explorer(factory, name=name, max_runs=max_runs,
                                   strategy=strategy).explore()
                 rows.append(_row(name, backend_name, strategy, result))

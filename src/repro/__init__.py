@@ -38,9 +38,8 @@ from .instrument import (AioCondition, AioLock, AioRWLock, AioSemaphore,
                          AsyncioRuntime, DimmunixBoundedSemaphore,
                          DimmunixCondition, DimmunixLock, DimmunixRLock,
                          DimmunixRWLock, DimmunixSemaphore, ImmunityHandle,
-                         immunize, immunize_asyncio, install, install_asyncio,
-                         patched, patched_asyncio, uninstall,
-                         uninstall_asyncio)
+                         immunize, install, install_asyncio, patched,
+                         patched_asyncio, uninstall, uninstall_asyncio)
 
 __version__ = "0.1.0"
 
@@ -74,7 +73,6 @@ __all__ = [
     "WEAK_IMMUNITY",
     "__version__",
     "immunize",
-    "immunize_asyncio",
     "install",
     "install_asyncio",
     "patched",

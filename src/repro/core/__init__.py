@@ -24,7 +24,7 @@ from .events import (Event, EventType, acquired_event, allow_event, cancel_event
 from .history import History
 from .monitor import MonitorCore, MonitorThread
 from .porting import CodeMapping, PortingReport, port_history, port_signature
-from .rag import LockState, ResourceAllocationGraph, ResourceState, ThreadState
+from .rag import ResourceAllocationGraph, ResourceState, ThreadState
 from .runtime_api import RuntimeCore, ThreadParker
 from .sigindex import SignatureIndex
 from .signature import DEADLOCK, EXCLUSIVE, SHARED, STARVATION, Signature
@@ -54,7 +54,6 @@ __all__ = [
     "HistoryError",
     "HistoryFormatError",
     "InstrumentationError",
-    "LockState",
     "MODE_FULL",
     "MODE_INSTRUMENTATION_ONLY",
     "MODE_UPDATES_ONLY",

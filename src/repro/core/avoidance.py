@@ -117,7 +117,7 @@ class AvoidanceEngine:
     """Makes GO/YIELD decisions and keeps the avoidance cache up to date."""
 
     def __init__(self, history: History, config: Optional[DimmunixConfig] = None,
-                 event_queue: Optional[object] = None,  # EventBus or EventQueue
+                 event_queue: Optional[EventBus] = None,
                  clock: Optional[Clock] = None,
                  stats: Optional[EngineStats] = None,
                  calibrator=None,
@@ -127,9 +127,8 @@ class AvoidanceEngine:
         self.config = (config or DimmunixConfig()).validate()
         self.history = history
         self.cache = AvoidanceCache()
-        #: The monitor-facing event channel.  Defaults to the per-thread
-        #: ring-buffer bus; a legacy :class:`EventQueue` may still be
-        #: injected (its ``emit`` decodes eagerly into Event objects).
+        #: The monitor-facing event channel: the per-thread ring-buffer
+        #: bus (tests and benchmarks inject one to read it themselves).
         self.events = (event_queue if event_queue is not None
                        else EventBus(
                            ring_capacity=self.config.event_ring_size,

@@ -99,16 +99,12 @@ class _ThreadSlot:
 class AvoidanceCache:
     """Always-current synchronization state used by the request method."""
 
-    def __init__(self, use_peterson: bool = False, peterson_capacity: int = 0,
-                 stripes: int = DEFAULT_STRIPES):
-        # The paper uses a generalized Peterson algorithm to avoid locking;
-        # under the GIL striped mutexes are cheaper and equally correct, so
-        # they are the default.  ``use_peterson`` is accepted for fidelity
-        # and simply documents intent.
+    def __init__(self, stripes: int = DEFAULT_STRIPES):
+        # The paper avoids locking here with a generalized Peterson
+        # algorithm; under the GIL striped mutexes are cheaper and equally
+        # correct.
         if stripes < 1:
             raise AvoidanceError("stripe count must be >= 1")
-        self._use_peterson = use_peterson
-        self._peterson_capacity = peterson_capacity
         #: When False, the per-stack Allowed-set index (the stripes'
         #: ``allowed`` maps) is not maintained.  The index exists solely
         #: for :meth:`candidates_matching`, which the engine only calls

@@ -66,9 +66,6 @@ class DimmunixConfig:
         their signatures saved.  Used for the "instrumented but ignore all
         yield decisions" configuration of section 7.1.1 and for overhead
         breakdown measurements.
-    record_statistics:
-        Maintain counters (yields, go decisions, deadlocks, starvation
-        breaks, false positives) accessible through ``Dimmunix.stats``.
     external_synchronization:
         Names of synchronization routines that Dimmunix is *not* aware of;
         requests whose innermost frame matches one of these names always
@@ -88,10 +85,6 @@ class DimmunixConfig:
         microseconds; the timeout only fires when an emitting thread was
         killed mid-emission, so the monitor cannot wedge on it.  See
         ``docs/architecture.md`` ("The memory model").
-    thread_name_stacks:
-        When True, captured stacks include the thread name as the outermost
-        frame; useful for debugging, disabled by default because it makes
-        signatures less portable.
     lazy_capture:
         When True (the default), the lock runtimes capture only the
         caller's top frame on the acquire path and defer the full stack
@@ -99,13 +92,6 @@ class DimmunixConfig:
         event matters (YIELD, blocking, deadlock archival).  Histories and
         signatures are byte-identical to eager capture; disable only to
         debug the capture layer itself or to compare overheads.
-    adaptive_capture_depth:
-        When True, eager stack captures bound their frame walk at the
-        deepest matching depth any indexed signature currently uses
-        (``SignatureIndex.max_depth()``) instead of ``max_stack_depth``.
-        Cheaper walks, but archived stacks may then be shorter than a
-        default-depth run would record — histories are no longer
-        byte-identical across the toggle — so it is off by default.
     """
 
     history_path: Optional[str] = None
@@ -119,14 +105,11 @@ class DimmunixConfig:
     yield_timeout: Optional[float] = None
     auto_disable_abort_threshold: Optional[int] = 32
     detection_only: bool = False
-    record_statistics: bool = True
     external_synchronization: Sequence[str] = field(default_factory=tuple)
     fp_window: int = 64
-    thread_name_stacks: bool = False
     event_ring_size: int = 65536
     event_gap_timeout: float = 0.05
     lazy_capture: bool = True
-    adaptive_capture_depth: bool = False
 
     def validate(self) -> "DimmunixConfig":
         """Check parameter ranges and return ``self`` for chaining."""

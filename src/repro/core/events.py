@@ -17,8 +17,8 @@ Two representations exist:
   dominated the per-acquire cost; the monitor decodes to :class:`Event`
   only when a consumer actually needs one (:meth:`EventBus.drain`).
 
-:class:`EventBus` replaces the single shared MPSC queue with per-OS-thread
-bounded ring buffers: each emitting thread appends to its own ring without
+:class:`EventBus` is per-OS-thread bounded ring buffers, not one shared
+MPSC queue: each emitting thread appends to its own ring without
 contending with other producers (which matters on free-threaded builds,
 where a shared deque serializes on its per-object lock), and the monitor
 merges the rings by the bus's ``seq`` so the paper's section 5.2 partial
@@ -225,7 +225,7 @@ class _Ring:
     the monitor — single producer, single consumer, opposite ends — so
     both operations are safe without a ring-level lock on GIL and
     free-threaded builds alike.  The bound is enforced by the producer
-    (drop-newest with a counter), mirroring :class:`~repro.util.eventqueue.EventQueue`.
+    (drop-newest with a counter).
 
     ``owner`` is a weak reference to the producing :class:`threading.Thread`;
     the drain uses it to retire rings whose thread has terminated, so a
@@ -374,7 +374,7 @@ class EventBus:
         return True
 
     def put(self, event: Event) -> bool:
-        """Enqueue a prebuilt :class:`Event` (compat with the queue API).
+        """Enqueue a prebuilt :class:`Event`.
 
         The record is re-stamped with a fresh bus seq — the bus owns its
         sequence domain; the event's own ``seq`` (allocated at whatever
@@ -493,7 +493,7 @@ class EventBus:
         """Remove and return decoded :class:`Event` objects in ``seq`` order."""
         return [decode_event(record) for record in self.drain_raw(limit)]
 
-    # -- introspection (EventQueue-compatible surface) -----------------------------------
+    # -- introspection -----------------------------------------------------------------
 
     def peek_size(self) -> int:
         """Number of appended-but-undrained records.

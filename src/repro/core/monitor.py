@@ -109,23 +109,15 @@ class MonitorCore:
                 pass
         with self._mutex:
             self.stats.bump("monitor_wakeups")
-            # Ring-buffer buses hand over encoded records that the RAG
-            # consumes field by field — no per-event decode on the standard
-            # pipeline.  Legacy queues still deliver Event objects.
-            # _mutex also enforces the bus's single-consumer contract:
-            # drain_raw must never run concurrently with itself, and the
-            # RAG (not thread-safe) is only ever touched under it.
-            drain_raw = getattr(self.engine.events, "drain_raw", None)
-            if drain_raw is not None:
-                records = drain_raw()
-                if records:
-                    self.rag.apply_encoded(records)
-                    self.stats.bump("events_processed", len(records))
-            else:
-                events = self.engine.events.drain()
-                if events:
-                    self.rag.apply_batch(events)
-                    self.stats.bump("events_processed", len(events))
+            # The bus hands over encoded records that the RAG consumes
+            # field by field — no per-event decode.  _mutex also enforces
+            # the bus's single-consumer contract: drain_raw must never run
+            # concurrently with itself, and the RAG (not thread-safe) is
+            # only ever touched under it.
+            records = self.engine.events.drain_raw()
+            if records:
+                self.rag.apply_encoded(records)
+                self.stats.bump("events_processed", len(records))
             new_conditions: List[DetectedCycle] = []
 
             roots = self.rag.dirty_threads or None

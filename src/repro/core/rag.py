@@ -102,30 +102,6 @@ class ResourceState:
     #: Threads with an allow edge on this resource.
     waiters: Set[int] = field(default_factory=set)
 
-    # -- legacy single-holder view -------------------------------------------------------
-
-    @property
-    def owner(self) -> Optional[int]:
-        """The sole holder thread when exactly one thread holds, else None.
-
-        Plain mutexes always have at most one holder, so this matches the
-        historical ``LockState.owner`` semantics exactly.
-        """
-        holders = self.holder_ids()
-        return holders[0] if len(holders) == 1 else None
-
-    @property
-    def held(self) -> bool:
-        """True when some thread holds the resource."""
-        return bool(self.edges)
-
-    @property
-    def hold_stacks(self) -> List[CallStack]:
-        """All hold-edge stacks, in acquisition order."""
-        return [stack for _tid, stack, _mode in self.edges]
-
-    # -- multi-holder queries --------------------------------------------------------------
-
     def holder_ids(self) -> List[int]:
         """Distinct holder thread ids, in first-acquisition order."""
         seen: List[int] = []
@@ -179,10 +155,6 @@ class ResourceState:
             return [(tid, stack, m) for tid, stack, m in others
                     if m == EXCLUSIVE]
         return []
-
-
-#: Backwards-compatible alias: the single-holder name the RAG grew out of.
-LockState = ResourceState
 
 
 class ResourceAllocationGraph:
@@ -265,8 +237,8 @@ class ResourceAllocationGraph:
 
     def holder_of(self, lock_id: int) -> Optional[int]:
         """The sole thread holding ``lock_id`` (None if free/shared/unknown)."""
-        state = self._locks.get(lock_id)
-        return state.owner if state is not None else None
+        holders = self.holders_of(lock_id)
+        return holders[0] if len(holders) == 1 else None
 
     def holders_of(self, lock_id: int) -> List[int]:
         """All threads currently holding ``lock_id`` (empty if free/unknown)."""
@@ -453,7 +425,6 @@ class ResourceAllocationGraph:
             },
             "locks": {
                 lid: {
-                    "owner": state.owner,
                     "holders": state.holder_ids(),
                     "capacity": state.capacity,
                     "shared": state.shared_capable,

@@ -18,6 +18,12 @@ that glue into one place:
   futures; the simulator "parks" by flipping a thread's scheduler state,
   registering a waker that marks it runnable again.
 
+* :func:`acquisition` — the avoidance protocol of one acquisition,
+  written once as a sans-IO generator that the thread and asyncio
+  runtimes drive; :class:`HoldLedger` — the who-holds-what bookkeeping
+  and grant rules of their multi-holder primitives; and
+  :class:`LockRuntime` — the stack capture and id allocation they share.
+
 The engine itself never blocks: a YIELD outcome tells the *runtime* to
 park, and a wake tells it to retry the request — the core codifies that
 contract once for all three worlds.  "Thread" in this API means a unit
@@ -29,11 +35,12 @@ inspects the identity — any stable integer works.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from .avoidance import RequestOutcome
+from ..util.atomics import atomic_counter
+from .avoidance import Decision, RequestOutcome
 from .callstack import CallStack
-from .signature import EXCLUSIVE, Signature
+from .signature import EXCLUSIVE, SHARED, Signature
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .dimmunix import Dimmunix
@@ -237,3 +244,223 @@ class RuntimeCore:
         self.dimmunix.engine.forget_thread(thread_id)
         self.parker.forget(thread_id)
         self.dimmunix.unregister_waker(thread_id)
+
+
+# ---------------------------------------------------------------------------
+# The acquisition protocol
+# ---------------------------------------------------------------------------
+
+#: The three things only a runtime can do; :func:`acquisition` yields
+#: ``(step, timeout)`` and is sent back whether the step succeeded.
+PARK = "park"
+TRY_NATIVE = "try-native"
+WAIT_NATIVE = "wait-native"
+
+_TRY_NATIVE_STEP = (TRY_NATIVE, None)
+
+
+def acquisition(core: RuntimeCore, thread_id: int, lock_id: int,
+                stack: CallStack, mode: str, capacity: int, blocking: bool,
+                deadline: Optional[float], now: Callable[[], float]):
+    """The avoidance protocol of one acquisition, as a sans-IO generator.
+
+    Makes every engine call itself and yields to its driver only what a
+    runtime alone can do:
+
+    * ``(PARK, t)`` — the engine answered YIELD: park the thread for at
+      most ``t`` seconds (``None``: until woken); send back whether it was
+      woken.  An unwoken park under a configured yield bound aborts the
+      yield (section 5.7), and the request is retried either way.
+    * ``(TRY_NATIVE, None)`` — the engine answered GO: try to take the
+      native primitive without blocking; send back whether that worked.
+    * ``(WAIT_NATIVE, t)`` — it did not: wait on the native primitive for
+      at most ``t`` seconds; send back whether it was taken.  Repeated
+      until taken or until ``deadline`` (a reading of ``now``) has passed,
+      so a wait that ends early is re-checked, never reported as failure.
+
+    Returns True after ``acquired``, False for a refused trylock or an
+    expired deadline.  Every exit without ``acquired`` — those two, an
+    exception the driver throws in, or ``close()`` when the driver itself
+    failed or its task was cancelled — rolls the request back with
+    ``cancel`` (the pthreads trylock/timed-lock extension), here and
+    nowhere else.
+    """
+    settled = False
+    try:
+        while True:
+            core.prepare_wait(thread_id)
+            outcome = core.request(thread_id, lock_id, stack, mode, capacity)
+            if outcome.decision is Decision.GO:
+                break
+            if not blocking:
+                return False
+            bound = wait_for = core.config.yield_timeout
+            if deadline is not None:
+                remaining = deadline - now()
+                if remaining <= 0:
+                    return False
+                wait_for = remaining if bound is None else min(bound, remaining)
+            woken = yield PARK, wait_for
+            if not woken and bound is not None:
+                core.abort_yield(thread_id)
+        taken = yield _TRY_NATIVE_STEP
+        if not taken and blocking:
+            # Only now, off the uncontended path: materialize the lazily
+            # captured stacks a blocked thread may contribute to a signature.
+            core.note_blocked(thread_id)
+            while not taken:
+                remaining = None
+                if deadline is not None:
+                    remaining = deadline - now()
+                    if remaining <= 0:
+                        break
+                taken = yield WAIT_NATIVE, remaining
+        if taken:
+            settled = True
+            core.acquired(thread_id, lock_id, stack, mode, capacity)
+        return taken
+    finally:
+        if not settled:
+            core.cancel(thread_id, lock_id)
+
+
+class HoldLedger:
+    """Who holds one multi-holder resource, and what may be granted next.
+
+    With a ``capacity`` it is a permit pool (semaphore): EXCLUSIVE holds
+    are permits, a thread may hold several, and none is reentrant.
+    Without one it is a reader-writer resource: SHARED holds coexist, an
+    EXCLUSIVE hold needs every other thread gone (a sole reader may
+    upgrade), and both are reentrant — the writer's depth is its
+    EXCLUSIVE count.  The same rules as ``SimSemaphore``/``SimRWLock``,
+    which stay separate as the model the explorer proves; tests pin the
+    two together.  Not synchronized: thread primitives guard it with the
+    lock they already own.
+    """
+
+    __slots__ = ("capacity", "_holders", "_readers")
+
+    def __init__(self, capacity: Optional[int] = None):
+        self.capacity = capacity
+        #: thread id -> EXCLUSIVE holds (permits, or the writer's depth).
+        self._holders: Dict[int, int] = {}
+        #: thread id -> reentrant SHARED holds.
+        self._readers: Dict[int, int] = {}
+
+    def _grantable(self, thread_id: int, mode: str) -> bool:
+        holders = self._holders
+        if self.capacity is not None:
+            return sum(holders.values()) < self.capacity
+        # "Nobody else holds", spelled without a generator per table: this
+        # runs once per reader-writer acquisition.
+        if holders and (len(holders) > 1 or thread_id not in holders):
+            return False
+        readers = self._readers
+        return (mode == SHARED or not readers
+                or (len(readers) == 1 and thread_id in readers))
+
+    def grant(self, thread_id: int, mode: str = EXCLUSIVE) -> None:
+        """Record one more hold of ``thread_id``."""
+        table = self._readers if mode == SHARED else self._holders
+        table[thread_id] = table.get(thread_id, 0) + 1
+
+    def take(self, thread_id: int, mode: str = EXCLUSIVE) -> bool:
+        """Grant one more hold if the rules allow it right now."""
+        if not self._grantable(thread_id, mode):
+            return False
+        # grant(), inlined: this runs once per reader-writer acquisition.
+        table = self._readers if mode == SHARED else self._holders
+        table[thread_id] = table.get(thread_id, 0) + 1
+        return True
+
+    def release(self, thread_id: Optional[int],
+                mode: str = EXCLUSIVE) -> Optional[int]:
+        """Drop one hold; the thread it was recorded under, None if there is none.
+
+        Permits may be returned by a thread that holds none (hand-off
+        usage): the release is then attributed to a thread that does, so
+        the engine still sees a permit freed.  Reader-writer holds belong
+        to their thread.
+        """
+        table = self._readers if mode == SHARED else self._holders
+        if thread_id not in table:
+            if self.capacity is None or not table:
+                return None
+            thread_id = next(iter(table))
+        if table[thread_id] == 1:
+            del table[thread_id]
+        else:
+            table[thread_id] -= 1
+        return thread_id
+
+    def permits_held(self) -> int:
+        """Total EXCLUSIVE holds currently recorded."""
+        return sum(self._holders.values())
+
+    def reader_count(self) -> int:
+        """Number of distinct threads holding SHARED."""
+        return len(self._readers)
+
+    @property
+    def writer(self) -> Optional[int]:
+        """The thread holding EXCLUSIVE on a reader-writer resource, if any."""
+        return next(iter(self._holders), None)
+
+
+class LockRuntime:
+    """What the thread and asyncio runtimes share around one Dimmunix instance.
+
+    Subclasses add unit-of-execution identity (threads, tasks) and the
+    parker that suspends one; lock wrappers reach the engine only through
+    :attr:`core`.
+    """
+
+    def __init__(self, dimmunix: "Dimmunix", parker: ThreadParker):
+        self.dimmunix = dimmunix
+        #: The unified engine-driving layer; lock wrappers go through this.
+        self.core = RuntimeCore(dimmunix, parker=parker)
+        self._next_lock_id = atomic_counter(1).next
+
+    def new_lock_id(self) -> int:
+        """Allocate an id for a newly created lock wrapper."""
+        return self._next_lock_id()
+
+    def capture_stack(self) -> CallStack:
+        """Capture the caller's stack, bounded by the configured depth.
+
+        With ``lazy_capture`` (the default) only the caller's top frame is
+        recorded here — one interned frame, no walk — and the deep stack
+        materializes later, if ever: behind the signature index's
+        top-frame filter, or in :meth:`RuntimeCore.note_blocked` just
+        before the unit suspends, the last moment a task's coroutine
+        frames are reachable from its OS thread (see
+        :class:`~repro.core.callstack.LazyCallStack`).  With the knob off,
+        the eager per-call-site capture cache is used.  Either way,
+        histories and signatures come out byte-identical; Dimmunix's own
+        frames are dropped as internal.
+        """
+        config = self.dimmunix.config
+        if config.lazy_capture:
+            stack = CallStack.capture_lazy(
+                skip=1, limit=config.max_stack_depth, stats=self.dimmunix.stats)
+        else:
+            stack = CallStack.capture_cached(skip=1, limit=config.max_stack_depth)
+        if not stack:
+            # Degenerate case (interactive shell, C callback): synthesize a
+            # one-frame stack so signatures remain well formed.
+            stack = CallStack.from_labels([f"<toplevel-{self._unit_name()}>:0"])
+        return stack
+
+    def _unit_name(self) -> str:
+        """Name of the running thread/task, for the synthesized frame."""
+        raise NotImplementedError
+
+    @property
+    def engine(self):
+        """The avoidance engine of the attached Dimmunix instance."""
+        return self.dimmunix.engine
+
+    @property
+    def config(self):
+        """The configuration of the attached Dimmunix instance."""
+        return self.dimmunix.config

@@ -137,20 +137,6 @@ class SignatureIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def max_depth(self) -> int:
-        """The deepest matching depth any indexed signature currently uses.
-
-        Lock-free and incremental: the bucket dictionary is keyed by depth
-        and published copy-on-write, so one ``max`` over its (at most a
-        handful of) keys reflects every add/remove/recalibration without a
-        history scan.  Capture sites use this to bound their frame walks
-        when ``adaptive_capture_depth`` is enabled — frames deeper than
-        the deepest indexed suffix can never influence a match.  Returns
-        0 for an empty index.
-        """
-        buckets = self._buckets
-        return max(buckets) if buckets else 0
-
     def indexed_depth_of(self, fingerprint: str) -> Optional[int]:
         """The depth a signature is currently indexed under, or ``None``."""
         return self._depths.get(fingerprint)

@@ -71,8 +71,10 @@ def run_broker_workload(runtime: InstrumentationRuntime, threads: int = 8,
                 operations[index] += broker.produce_consume_cycle(
                     queue_name, messages=messages_per_cycle)
                 if cycle % 2 == 0:
-                    operations[index] += shared.enqueue({"cycle": cycle,
-                                                         "worker": index})
+                    # One operation per enqueue; its return value is the
+                    # queue length, which grows with the run.
+                    shared.enqueue({"cycle": cycle, "worker": index})
+                    operations[index] += 1
             except Exception:
                 errors[index] += 1
 
@@ -116,8 +118,8 @@ def run_aiobroker_workload(runtime: AsyncioRuntime, tasks: int = 8,
                 operations[index] += await broker.produce_consume_cycle(
                     queue_name, messages=messages_per_cycle)
                 if cycle % 2 == 0:
-                    operations[index] += await shared.enqueue(
-                        {"cycle": cycle, "worker": index})
+                    await shared.enqueue({"cycle": cycle, "worker": index})
+                    operations[index] += 1
             except Exception:
                 errors[index] += 1
 

@@ -29,7 +29,7 @@ class ExplorationRow:
     """One scenario's verdict in the exploration matrix."""
 
     scenario: str
-    #: Concrete reduction strategy the checker ran ("dfs"/"sleep"/"dpor").
+    #: Concrete reduction strategy the checker ran ("dfs"/"dpor").
     strategy: str
     interleavings: int
     states: int

@@ -18,7 +18,7 @@ from .patching import install, uninstall, patched
 from .aio import (AioCondition, AioLock, AioRWLock, AioSemaphore,
                   AsyncioParker, AsyncioRuntime, TaskRegistry,
                   asyncio_installed, get_default_aio_runtime,
-                  immunize_asyncio, install_asyncio, patched_asyncio,
+                  install_asyncio, patched_asyncio,
                   reset_default_aio_runtime, set_default_aio_runtime,
                   uninstall_asyncio)
 from .entry import ImmunityHandle, immunize
@@ -51,7 +51,6 @@ __all__ = [
     "get_default_aio_runtime",
     "get_default_dimmunix",
     "immunize",
-    "immunize_asyncio",
     "install",
     "install_asyncio",
     "patched",

@@ -20,8 +20,9 @@ execution is an asyncio *task*:
   cross-thread wakes are delivered with ``call_soon_threadsafe``,
 * :class:`AioLock` / :class:`AioCondition` / :class:`AioSemaphore` are
   drop-in replacements for ``asyncio.Lock`` / ``Condition`` /
-  ``Semaphore``, and :func:`immunize_asyncio` monkey-patches the
-  ``asyncio`` factories so existing code gains immunity unmodified.
+  ``Semaphore``, and :func:`install_asyncio` monkey-patches the
+  ``asyncio`` factories so existing code gains immunity unmodified
+  (``repro.immunize(runtime="asyncio")`` is the one-call form).
 
 The deadlock story mirrors the thread runtime end to end: requests are
 recorded before the task blocks on the native primitive, so a cyclic
@@ -40,16 +41,15 @@ import contextlib
 import itertools
 import sys
 import threading
-import warnings
 from collections import deque
 from typing import Coroutine, Deque, Dict, Optional, Set, Tuple
 
 from ..core.callstack import CallStack
 from ..core.config import DimmunixConfig
 from ..core.dimmunix import Dimmunix
-from ..core.avoidance import Decision
 from ..core.errors import InstrumentationError
-from ..core.runtime_api import RuntimeCore, ThreadParker
+from ..core.runtime_api import (PARK, TRY_NATIVE, HoldLedger, LockRuntime,
+                                ThreadParker, acquisition)
 from ..core.signature import EXCLUSIVE, SHARED
 
 #: Original asyncio factories, captured at import time so Dimmunix's own
@@ -58,6 +58,26 @@ from ..core.signature import EXCLUSIVE, SHARED
 _original_lock = asyncio.Lock
 _original_condition = asyncio.Condition
 _original_semaphore = asyncio.Semaphore
+
+
+async def _wait_future(future: "asyncio.Future[bool]",
+                       timeout: Optional[float]) -> bool:
+    """Await a bare future for at most ``timeout``; False when it expired.
+
+    Every suspension in this module goes through here.  Dimmunix cannot
+    ``await asyncio.wait_for(native.acquire(), t)``: on Python ≤ 3.11
+    ``wait_for`` wraps a *coroutine* in a new task, which would record
+    engine events under a throwaway wrapper's identity.  Waiting on a
+    plain future never creates a task.
+    """
+    if timeout is None:
+        await future
+        return True
+    try:
+        await asyncio.wait_for(future, timeout)
+        return True
+    except asyncio.TimeoutError:
+        return False
 
 
 class TaskRegistry:
@@ -143,7 +163,7 @@ class AsyncioParker(ThreadParker):
         path — where the future is armed but never awaited — every request
         after the first is a dict read with no allocation.  Reusing an
         unresolved future is safe: a stale wake scheduled against it can
-        only cause a spurious wakeup, and the avoidance gate re-requests
+        only cause a spurious wakeup, and the acquisition protocol re-requests
         after every wake.
 
         Audited for free-threaded builds: the lock-free fast path reads
@@ -188,15 +208,7 @@ class AsyncioParker(ThreadParker):
             entry = self._futures.get(task_id)
         if entry is None:  # no prepare (defensive): treat as woken
             return True
-        _loop, future = entry
-        if timeout is None:
-            await future
-            return True
-        try:
-            await asyncio.wait_for(future, timeout)
-            return True
-        except asyncio.TimeoutError:
-            return False
+        return await _wait_future(entry[1], timeout)
 
     def forget(self, task_id: int) -> None:
         """Drop parking state of a finished task."""
@@ -231,7 +243,7 @@ class AsyncioParker(ThreadParker):
                 pass
 
 
-class AsyncioRuntime:
+class AsyncioRuntime(LockRuntime):
     """Bundles a Dimmunix instance with task identity and the runtime core.
 
     The asyncio analogue of
@@ -242,80 +254,26 @@ class AsyncioRuntime:
 
     def __init__(self, dimmunix: Dimmunix,
                  loop: Optional[asyncio.AbstractEventLoop] = None):
-        self.dimmunix = dimmunix
         self.parker = AsyncioParker(dimmunix)
-        #: The unified engine-driving layer; aio primitives go through this.
-        self.core = RuntimeCore(dimmunix, parker=self.parker)
+        super().__init__(dimmunix, self.parker)
         # Finished tasks drop their engine slots, wake futures, and wakers
         # automatically through the task's done callback.
         self.tasks = TaskRegistry(on_task_done=self.core.forget_thread)
         #: Optional loop this runtime primarily serves.  Wake delivery is
         #: per-task and already loop-aware, so this is informational (it
-        #: is recorded by :func:`immunize_asyncio` for diagnostics).
+        #: is recorded by ``repro.immunize(loop=...)`` for diagnostics).
         self.loop = loop
-        self._lock_ids = itertools.count(1)
-        self._lock_id_mutex = threading.Lock()
-
-    # -- id allocation -----------------------------------------------------------------
 
     def current_task_id(self) -> int:
         """Stable id of the running task."""
         return self.tasks.current_task_id()
 
-    def new_lock_id(self) -> int:
-        """Allocate an id for a newly created aio primitive."""
-        with self._lock_id_mutex:
-            return next(self._lock_ids)
-
-    # -- stack capture ------------------------------------------------------------------
-
-    def capture_stack(self) -> CallStack:
-        """Capture the running task's coroutine stack, bounded by config depth.
-
-        While a task runs, its coroutine frames (and those of the
-        coroutines it awaits) are live on the interpreter stack, so the
-        same frame capture as the thread runtime applies; Dimmunix's own
-        frames are dropped as internal.  With ``lazy_capture`` (the
-        default) only the caller's top frame is recorded here; the deep
-        coroutine stack materializes behind the signature index's
-        top-frame filter, or in :meth:`RuntimeCore.note_blocked` just
-        before the task suspends — the last moment its frames are still
-        reachable from this OS thread.  With the knob off, the eager
-        per-call-site cache (:meth:`CallStack.capture_cached`) is used —
-        the ROADMAP measured per-acquire capture as the dominant ~70µs/op
-        cost of the aio fast path.
-        """
-        config = self.dimmunix.config
-        limit = config.max_stack_depth
-        if config.adaptive_capture_depth:
-            indexed = self.dimmunix.engine.index.max_depth()
-            if indexed:
-                limit = min(limit, indexed)
-        if config.lazy_capture:
-            stack = CallStack.capture_lazy(
-                skip=1, limit=limit, stats=self.dimmunix.stats)
-        else:
-            stack = CallStack.capture_cached(skip=1, limit=limit)
-        if not stack:
-            try:
-                task = asyncio.current_task()
-            except RuntimeError:
-                task = None
-            label = task.get_name() if task is not None else "aiotask"
-            stack = CallStack.from_labels([f"<toplevel-{label}>:0"])
-        return stack
-
-    # -- engine passthroughs ---------------------------------------------------------------
-
-    @property
-    def engine(self):
-        """The avoidance engine of the attached Dimmunix instance."""
-        return self.dimmunix.engine
-
-    @property
-    def config(self):
-        """The configuration of the attached Dimmunix instance."""
-        return self.dimmunix.config
+    def _unit_name(self) -> str:
+        try:
+            task = asyncio.current_task()
+        except RuntimeError:
+            task = None
+        return task.get_name() if task is not None else "aiotask"
 
 
 # ---------------------------------------------------------------------------
@@ -325,15 +283,11 @@ class AsyncioRuntime:
 class _PermitQueue:
     """The waiter half of ``asyncio.Lock``/``Semaphore`` on bare futures.
 
-    Dimmunix cannot simply ``await asyncio.wait_for(native.acquire(), t)``:
-    on Python ≤ 3.11 ``wait_for`` wraps the coroutine in a *new task*,
-    which would corrupt task identity (engine events recorded under a
-    throwaway wrapper task).  This queue mirrors CPython's
-    ``asyncio.Semaphore`` waiter logic — FIFO futures, grant-time permit
-    accounting, cancellation hand-over — but waits with ``wait_for`` on a
-    plain future only, which never creates a task, so the whole
-    acquisition runs in the caller's task.  One permit makes it a lock;
-    N permits make it a counting semaphore.
+    Mirrors CPython's ``asyncio.Semaphore`` waiter logic — FIFO futures,
+    grant-time permit accounting, cancellation hand-over — but waits
+    through :func:`_wait_future`, so the whole acquisition runs in the
+    caller's task.  One permit makes it a lock; N permits make it a
+    counting semaphore.
     """
 
     def __init__(self, value: int = 1) -> None:
@@ -344,40 +298,24 @@ class _PermitQueue:
         """Whether no permits are currently available."""
         return self._value == 0
 
-    def would_block(self) -> bool:
-        """Whether :meth:`acquire` would suspend rather than grant at once.
-
-        Mirrors the fast-path condition of :meth:`acquire`; callers use it
-        to run pre-suspension work (``RuntimeCore.note_blocked``) only on
-        the contended path.  Single-threaded event loop: no await between
-        this check and the acquire, so the answer cannot go stale.
-        """
-        return not (self._value > 0
-                    and not any(not w.done() for w in self._waiters))
-
-    async def acquire(self, timeout: Optional[float]) -> bool:
-        """Wait for a permit; False on timeout, FIFO fair."""
+    def try_acquire(self) -> bool:
+        """Take a permit if that needs no waiting (FIFO: nobody queued)."""
         if self._value > 0 and not any(not w.done() for w in self._waiters):
             self._value -= 1
             return True
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
+        return False
+
+    async def acquire(self, timeout: Optional[float]) -> bool:
+        """Wait for a permit; False on timeout, FIFO fair."""
+        if self.try_acquire():
+            return True
+        future = asyncio.get_running_loop().create_future()
         self._waiters.append(future)
-        granted = False
         try:
             try:
-                if timeout is None:
-                    await future
-                    granted = True
-                else:
-                    try:
-                        await asyncio.wait_for(future, timeout)
-                        granted = True
-                    except asyncio.TimeoutError:
-                        granted = False
+                granted = await _wait_future(future, timeout)
             finally:
-                if future in self._waiters:
-                    self._waiters.remove(future)
+                self._waiters.remove(future)
         except asyncio.CancelledError:
             # Mirror asyncio: if the grant raced our cancellation, put
             # the permit back and pass it on so the hand-over is not lost.
@@ -385,12 +323,11 @@ class _PermitQueue:
                 self._value += 1
                 self.wake_next()
             raise
-        if granted:
-            return True
-        # Timed out: a release may have freed a permit that our (now
-        # cancelled) future could not consume — hand it over.
-        self.wake_next()
-        return False
+        if not granted:
+            # Timed out: a release may have freed a permit that our (now
+            # cancelled) future could not consume — hand it over.
+            self.wake_next()
+        return granted
 
     def release(self) -> None:
         """Return a permit and grant it to the first live waiter."""
@@ -408,51 +345,67 @@ class _PermitQueue:
                 return
 
 
-async def _avoidance_gate(core, task_id: int, lock_id: int, stack: CallStack,
-                          deadline: Optional[float],
-                          loop: asyncio.AbstractEventLoop,
-                          mode: str = EXCLUSIVE, capacity: int = 1) -> bool:
-    """Run the request/park avoidance loop until GO; False on deadline.
+def _caller_identity(runtime: AsyncioRuntime) -> Tuple[Optional[int], CallStack]:
+    """The calling task's id and stack, taken *before* any coroutine runs.
 
-    The shared front half of every aio acquisition: request a GO/YIELD
-    decision, park the task on YIELD and retry when woken, abort the
-    yield when the configured yield bound expires (section 5.7).  Task
-    cancellation rolls the pending request back before propagating.
-    ``mode``/``capacity`` carry the resource semantics (shared reader
-    holds, multi-permit semaphores) through to the engine.
+    Every ``acquire`` is a plain method returning a coroutine and calls
+    this first, in the caller, so the standard ``await
+    asyncio.wait_for(lock.acquire(), t)`` idiom works even on Pythons
+    whose ``wait_for`` runs the coroutine in a throwaway wrapper task
+    (≤ 3.11) — engine events always carry the logical caller's identity,
+    never the wrapper's.  The id is None outside a task and resolved at
+    await time.
     """
-    while True:
-        core.prepare_wait(task_id)
-        outcome = core.request(task_id, lock_id, stack,
-                               mode=mode, capacity=capacity)
-        if outcome.decision is Decision.GO:
-            return True
-        wait_for = core.config.yield_timeout
-        if deadline is not None:
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                core.cancel(task_id, lock_id)
-                return False
-            wait_for = remaining if wait_for is None else min(wait_for,
-                                                              remaining)
-        try:
-            woken = await core.park_async(task_id, wait_for)
-        except asyncio.CancelledError:
-            core.cancel(task_id, lock_id)
-            raise
-        if not woken and core.config.yield_timeout is not None:
-            core.abort_yield(task_id)
+    try:
+        task_id: Optional[int] = runtime.current_task_id()
+    except InstrumentationError:
+        task_id = None
+    return task_id, runtime.capture_stack()
+
+
+async def _acquire(lock, task_id: Optional[int], stack: CallStack,
+                   mode: str, capacity: int, timeout: Optional[float]) -> bool:
+    """Drive the acquisition protocol for the running task.
+
+    ``lock`` supplies the native half: ``_try_native(task_id, mode)`` and
+    the coroutine ``_wait_native(task_id, mode, timeout)``.  ``timeout``
+    bounds the whole acquisition (avoidance parking plus native wait).
+    Task cancellation surfaces at one of the awaits; closing the protocol
+    on the way out rolls the pending request back.
+    """
+    runtime = lock._runtime
+    core = runtime.core
+    if task_id is None:
+        task_id = runtime.current_task_id()
+    now = asyncio.get_running_loop().time
+    deadline = None if timeout is None else now() + timeout
+    steps = acquisition(core, task_id, lock._lock_id, stack, mode, capacity,
+                        True, deadline, now)
+    reply = None
+    try:
+        while True:
+            step, wait = steps.send(reply)
+            if step is TRY_NATIVE:
+                reply = lock._try_native(task_id, mode)
+            elif step is PARK:
+                reply = await core.park_async(task_id, wait)
+            else:
+                reply = await lock._wait_native(task_id, mode, wait)
+    except StopIteration as done:
+        return done.value
+    except BaseException:
+        steps.close()  # rolls the pending request back, in the protocol
+        raise
 
 
 class AioLock:
     """A drop-in ``asyncio.Lock`` protected by deadlock immunity.
 
-    Every acquisition runs the avoidance protocol: capture the coroutine
-    stack, ``request`` a GO/YIELD decision, park the *task* on YIELD and
-    retry when woken, then join the lock's FIFO wait queue — the request
-    is recorded before the native wait, so cyclic stalls are visible to
-    the monitor.  Releases notify the engine first (the paper's required
-    partial ordering) and then hand the lock over.
+    Every acquisition runs the avoidance protocol
+    (:func:`repro.core.runtime_api.acquisition`): the request is recorded
+    before the task joins the lock's FIFO wait queue, so cyclic stalls
+    are visible to the monitor.  Releases notify the engine first (the
+    paper's required partial ordering) and then hand the lock over.
     """
 
     def __init__(self, runtime: Optional[AsyncioRuntime] = None,
@@ -468,56 +421,28 @@ class AioLock:
     def acquire(self, timeout: Optional[float] = None) -> "Coroutine":
         """Acquire the lock, running the Dimmunix avoidance protocol first.
 
-        ``timeout`` bounds the whole acquisition (avoidance parking plus
-        native wait) and the returned coroutine yields False on expiry —
-        the recovery valve the miniature apps and the quickstart use
-        instead of an external restart.  Task cancellation rolls the
-        pending request back before propagating.
-
-        This is deliberately a plain method returning a coroutine: the
-        calling task's identity and stack are captured *here*, in the
-        caller, so the standard ``await asyncio.wait_for(lock.acquire(),
-        t)`` idiom works even on Pythons whose ``wait_for`` runs the
-        coroutine in a throwaway wrapper task (≤ 3.11) — engine events
-        always carry the logical caller's identity, never the wrapper's.
+        ``timeout`` bounds the whole acquisition and the returned
+        coroutine yields False on expiry — the recovery valve the
+        miniature apps and the quickstart use instead of an external
+        restart.  Task cancellation rolls the pending request back before
+        propagating.  See :func:`_caller_identity` for why this is a
+        plain method returning a coroutine.
         """
-        runtime = self._runtime
-        try:
-            task_id: Optional[int] = runtime.current_task_id()
-        except InstrumentationError:
-            task_id = None  # created outside a task; resolved at await time
-        return self._acquire(task_id, runtime.capture_stack(), timeout)
+        return _acquire(self, *_caller_identity(self._runtime), EXCLUSIVE, 1,
+                        timeout)
 
-    async def _acquire(self, task_id: Optional[int], stack: CallStack,
-                       timeout: Optional[float]) -> bool:
-        runtime = self._runtime
-        core = runtime.core
-        if task_id is None:
-            task_id = runtime.current_task_id()
-        loop = asyncio.get_running_loop()
-        deadline = None if timeout is None else loop.time() + timeout
+    def _try_native(self, task_id: int, mode: str) -> bool:
+        if self._permits.try_acquire():
+            self._owner = task_id
+            return True
+        return False
 
-        if not await _avoidance_gate(core, task_id, self._lock_id, stack,
-                                     deadline, loop):
-            return False
-        native_timeout = None
-        if deadline is not None:
-            native_timeout = max(0.0, deadline - loop.time())
-        if self._permits.would_block():
-            # Last moment this task's coroutine frames are reachable from
-            # the loop's OS thread: materialize lazy stacks before parking.
-            core.note_blocked(task_id)
-        try:
-            got = await self._permits.acquire(native_timeout)
-        except asyncio.CancelledError:
-            core.cancel(task_id, self._lock_id)
-            raise
-        if not got:
-            core.cancel(task_id, self._lock_id)
-            return False
-        self._owner = task_id
-        core.acquired(task_id, self._lock_id, stack)
-        return True
+    async def _wait_native(self, task_id: int, mode: str,
+                           timeout: Optional[float]) -> bool:
+        if await self._permits.acquire(timeout):
+            self._owner = task_id
+            return True
+        return False
 
     def release(self) -> None:
         """Release the lock and wake any tasks whose yield causes dissolved.
@@ -597,58 +522,32 @@ class AioSemaphore:
         self._capacity = value
         #: Zero-permit semaphores are signaling primitives, not resources.
         self._engine_tracked = value >= 1
-        #: task id -> number of outstanding permits held by that task.
-        self._holders: Dict[int, int] = {}
+        #: Which task holds how many outstanding permits.
+        self._ledger = HoldLedger(value)
 
     def acquire(self, timeout: Optional[float] = None) -> "Coroutine":
-        """Acquire one permit; binary semaphores run the avoidance protocol.
+        """Acquire one permit, running the avoidance protocol first.
 
-        Like :meth:`AioLock.acquire`, identity and stack are captured in
-        the caller so ``asyncio.wait_for(semaphore.acquire(), t)`` works
-        on wrapper-task Pythons (≤ 3.11).
+        Like :meth:`AioLock.acquire`, a plain method returning a
+        coroutine (see :func:`_caller_identity`).
         """
-        runtime = self._runtime
-        try:
-            task_id: Optional[int] = runtime.current_task_id()
-        except InstrumentationError:
-            task_id = None
-        return self._acquire(task_id, runtime.capture_stack(), timeout)
+        if not self._engine_tracked:
+            return self._permits.acquire(timeout)
+        return _acquire(self, *_caller_identity(self._runtime), EXCLUSIVE,
+                        self._capacity, timeout)
 
-    async def _acquire(self, task_id: Optional[int], stack: CallStack,
-                       timeout: Optional[float]) -> bool:
-        runtime = self._runtime
-        core = runtime.core
-        if task_id is None:
-            task_id = runtime.current_task_id()
-        loop = asyncio.get_running_loop()
-        deadline = None if timeout is None else loop.time() + timeout
+    def _try_native(self, task_id: int, mode: str) -> bool:
+        if self._permits.try_acquire():
+            self._ledger.grant(task_id)
+            return True
+        return False
 
-        if self._engine_tracked:
-            if not await _avoidance_gate(core, task_id, self._lock_id, stack,
-                                         deadline, loop,
-                                         capacity=self._capacity):
-                return False
-
-        native_timeout = None
-        if deadline is not None:
-            native_timeout = max(0.0, deadline - loop.time())
-        if self._engine_tracked and self._permits.would_block():
-            core.note_blocked(task_id)
-        try:
-            got = await self._permits.acquire(native_timeout)
-        except asyncio.CancelledError:
-            if self._engine_tracked:
-                core.cancel(task_id, self._lock_id)
-            raise
-        if not got:
-            if self._engine_tracked:
-                core.cancel(task_id, self._lock_id)
-            return False
-        if self._engine_tracked:
-            self._holders[task_id] = self._holders.get(task_id, 0) + 1
-            core.acquired(task_id, self._lock_id, stack,
-                          capacity=self._capacity)
-        return True
+    async def _wait_native(self, task_id: int, mode: str,
+                           timeout: Optional[float]) -> bool:
+        if await self._permits.acquire(timeout):
+            self._ledger.grant(task_id)
+            return True
+        return False
 
     def release(self) -> None:
         """Release one permit (from any task, like ``asyncio.Semaphore``).
@@ -661,19 +560,14 @@ class AioSemaphore:
         trading hold-accuracy for graceful degradation instead of
         corrupting the permit bookkeeping.
         """
-        if self._engine_tracked and self._holders:
+        if self._engine_tracked:
             try:
-                task_id = self._runtime.current_task_id()
+                caller = self._runtime.current_task_id()
             except InstrumentationError:
-                task_id = None
-            owner = (task_id if task_id in self._holders
-                     else next(iter(self._holders)))
-            count = self._holders[owner]
-            if count == 1:
-                del self._holders[owner]
-            else:
-                self._holders[owner] = count - 1
-            self._runtime.core.release(owner, self._lock_id)
+                caller = None
+            owner = self._ledger.release(caller)
+            if owner is not None:
+                self._runtime.core.release(owner, self._lock_id)
         self._permits.release()
 
     def locked(self) -> bool:
@@ -724,36 +618,20 @@ class AioRWLock:
         self._runtime = runtime if runtime is not None else get_default_aio_runtime()
         self._lock_id = self._runtime.new_lock_id()
         self._name = name or f"aiorw-{self._lock_id}"
-        #: task id -> reentrant read-hold count.
-        self._readers: Dict[int, int] = {}
-        self._writer: Optional[int] = None
-        self._writer_depth = 0
+        #: Readers, the writer and the grant rule.
+        self._ledger = HoldLedger()
         self._waiters: Deque["asyncio.Future[bool]"] = deque()
-
-    # -- grant rules -----------------------------------------------------------------------
-
-    def _grantable(self, task_id: int, mode: str) -> bool:
-        if mode == SHARED:
-            return self._writer is None or self._writer == task_id
-        if self._writer is not None and self._writer != task_id:
-            return False
-        return all(tid == task_id for tid in self._readers)
-
-    def _wake_waiters(self) -> None:
-        for future in self._waiters:
-            if not future.done():
-                future.set_result(True)
 
     # -- acquisition -----------------------------------------------------------------------
 
     def acquire_read(self, timeout: Optional[float] = None) -> "Coroutine":
         """Take a SHARED hold; the coroutine yields False on timeout.
 
-        Like :meth:`AioLock.acquire`, identity and stack are captured in
-        the caller so ``asyncio.wait_for(rw.acquire_read(), t)`` keeps
-        the logical caller's identity on wrapper-task Pythons (≤ 3.11).
+        Like :meth:`AioLock.acquire`, a plain method returning a
+        coroutine (see :func:`_caller_identity`).
         """
-        return self._acquire(SHARED, timeout)
+        return _acquire(self, *_caller_identity(self._runtime), SHARED, 1,
+                        timeout)
 
     def acquire_write(self, timeout: Optional[float] = None) -> "Coroutine":
         """Take the EXCLUSIVE hold; the coroutine yields False on timeout.
@@ -763,88 +641,44 @@ class AioRWLock:
         leave, and two concurrent upgraders deadlock — the pattern the
         engine learns once and avoids afterwards.
         """
-        return self._acquire(EXCLUSIVE, timeout)
+        return _acquire(self, *_caller_identity(self._runtime), EXCLUSIVE, 1,
+                        timeout)
 
-    def _acquire(self, mode: str, timeout: Optional[float]) -> "Coroutine":
-        runtime = self._runtime
+    def _try_native(self, task_id: int, mode: str) -> bool:
+        return self._ledger.take(task_id, mode)
+
+    async def _wait_native(self, task_id: int, mode: str,
+                           timeout: Optional[float]) -> bool:
+        future = asyncio.get_running_loop().create_future()
+        self._waiters.append(future)
         try:
-            task_id: Optional[int] = runtime.current_task_id()
-        except InstrumentationError:
-            task_id = None  # created outside a task; resolved at await time
-        return self._acquire_impl(task_id, runtime.capture_stack(), mode,
-                                  timeout)
-
-    async def _acquire_impl(self, task_id: Optional[int], stack: CallStack,
-                            mode: str, timeout: Optional[float]) -> bool:
-        runtime = self._runtime
-        core = runtime.core
-        if task_id is None:
-            task_id = runtime.current_task_id()
-        loop = asyncio.get_running_loop()
-        deadline = None if timeout is None else loop.time() + timeout
-
-        if not await _avoidance_gate(core, task_id, self._lock_id, stack,
-                                     deadline, loop, mode=mode):
-            return False
-        while not self._grantable(task_id, mode):
-            if deadline is not None and loop.time() >= deadline:
-                core.cancel(task_id, self._lock_id)
-                return False
-            core.note_blocked(task_id)
-            future = loop.create_future()
-            self._waiters.append(future)
-            try:
-                if deadline is None:
-                    await future
-                else:
-                    try:
-                        await asyncio.wait_for(
-                            future, max(0.0, deadline - loop.time()))
-                    except asyncio.TimeoutError:
-                        core.cancel(task_id, self._lock_id)
-                        return False
-            except asyncio.CancelledError:
-                core.cancel(task_id, self._lock_id)
-                raise
-            finally:
-                if future in self._waiters:
-                    self._waiters.remove(future)
-        if mode == SHARED:
-            self._readers[task_id] = self._readers.get(task_id, 0) + 1
-        else:
-            self._writer = task_id
-            self._writer_depth += 1
-        core.acquired(task_id, self._lock_id, stack, mode=mode)
-        return True
+            await _wait_future(future, timeout)
+        finally:
+            self._waiters.remove(future)
+        # Whatever ended the wait, the ledger decides.
+        return self._ledger.take(task_id, mode)
 
     # -- release ---------------------------------------------------------------------------
 
     def release_read(self) -> None:
         """Drop one SHARED hold; wakes waiting writers when the last leaves."""
-        task_id = self._runtime.current_task_id()
-        count = self._readers.get(task_id, 0)
-        if count == 0:
-            raise InstrumentationError(
-                f"{self._name}: task {task_id} holds no read lock")
-        # Engine release first (the event precedes the availability).
-        self._runtime.core.release(task_id, self._lock_id)
-        if count == 1:
-            del self._readers[task_id]
-        else:
-            self._readers[task_id] = count - 1
-        self._wake_waiters()
+        self._release(SHARED, "read")
 
     def release_write(self) -> None:
         """Drop the EXCLUSIVE hold; wakes waiting readers and writers."""
+        self._release(EXCLUSIVE, "write")
+
+    def _release(self, mode: str, what: str) -> None:
         task_id = self._runtime.current_task_id()
-        if self._writer != task_id or self._writer_depth == 0:
+        if self._ledger.release(task_id, mode) is None:
             raise InstrumentationError(
-                f"{self._name}: task {task_id} holds no write lock")
+                f"{self._name}: task {task_id} holds no {what} lock")
+        # No await since the ledger changed, so the engine still hears of
+        # the release before any waiter can be granted what it freed.
         self._runtime.core.release(task_id, self._lock_id)
-        self._writer_depth -= 1
-        if self._writer_depth == 0:
-            self._writer = None
-        self._wake_waiters()
+        for future in self._waiters:
+            if not future.done():
+                future.set_result(True)
 
     # -- context-manager helpers -----------------------------------------------------------
 
@@ -884,16 +718,16 @@ class AioRWLock:
 
     def reader_count(self) -> int:
         """Number of distinct tasks currently holding read locks."""
-        return len(self._readers)
+        return self._ledger.reader_count()
 
     @property
     def writer(self) -> Optional[int]:
         """The Dimmunix task id of the current writer, if any."""
-        return self._writer
+        return self._ledger.writer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<AioRWLock {self._name} readers={len(self._readers)} "
-                f"writer={self._writer}>")
+        return (f"<AioRWLock {self._name} readers={self.reader_count()} "
+                f"writer={self.writer}>")
 
 
 class AioCondition:
@@ -966,8 +800,9 @@ class AioCondition:
             cancelled = None
             while True:
                 try:
-                    await self._lock._acquire(
-                        owner, self._runtime.capture_stack(), None)
+                    await _acquire(self._lock, owner,
+                                   self._runtime.capture_stack(),
+                                   EXCLUSIVE, 1, None)
                     break
                 except asyncio.CancelledError as exc:
                     cancelled = exc
@@ -1168,43 +1003,3 @@ def patched_asyncio(dimmunix: Optional[Dimmunix] = None,
     finally:
         runtime.dimmunix.stop()
         uninstall_asyncio()
-
-
-def immunize_asyncio(config: Optional[DimmunixConfig] = None,
-                     history_path: Optional[str] = None,
-                     loop: Optional[asyncio.AbstractEventLoop] = None,
-                     share=None) -> AsyncioRuntime:
-    """Deprecated alias: use ``repro.immunize(runtime="asyncio", ...)``.
-
-    Kept functional for one release (it predates the unified entry
-    point); emits a :class:`DeprecationWarning` and still returns the
-    historical :class:`AsyncioRuntime`::
-
-        import repro
-
-        repro.immunize_asyncio(history_path="myapp.history")  # old
-        repro.immunize(runtime="asyncio", history_path=...)   # new
-        asyncio.run(main())
-
-    ``loop`` optionally records the loop this runtime primarily serves
-    (informational — wake futures are bound to each parked task's own
-    running loop, so any number of loops is supported either way).
-
-    ``share`` joins a cross-process signature pool exactly like
-    :func:`repro.immunize` does (see :mod:`repro.share`): a spec string
-    or channel.  The pool's channel I/O runs on the monitor thread, never
-    on the event loop, so sharing adds no latency to task scheduling.
-    """
-    warnings.warn(
-        "immunize_asyncio() is deprecated; use "
-        'repro.immunize(runtime="asyncio", ...) instead',
-        DeprecationWarning, stacklevel=2)
-    if config is None:
-        config = DimmunixConfig(history_path=history_path)
-    elif history_path is not None:
-        config = config.with_overrides(history_path=history_path)
-    dimmunix = Dimmunix(config=config, share=share)
-    runtime = install_asyncio(dimmunix=dimmunix)
-    runtime.loop = loop
-    dimmunix.start()
-    return runtime

@@ -1,10 +1,8 @@
 """The unified one-call entry point: ``repro.immunize(runtime=...)``.
 
-Historically thread programs called ``repro.immunize()`` and asyncio
-programs called ``repro.immunize_asyncio()`` — two names for the same
-idea, and no way to immunize a program that mixes both models (a web
-server running sync workers next to an event loop).  This module folds
-them into one front door::
+Thread programs, event-loop programs and programs that mix both models
+(a web server running sync workers next to an event loop) share one
+front door::
 
     handle = repro.immunize()                       # threads (default)
     handle = repro.immunize(runtime="asyncio")      # event-loop programs

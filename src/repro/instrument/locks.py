@@ -7,14 +7,12 @@ for ``threading.Lock`` and ``threading.RLock``;
 permits* (a counting semaphore is an N-permit resource, so permit
 exhaustion cycles are avoidable); :class:`DimmunixRWLock` adds a
 reader-writer lock whose readers take SHARED holds and whose writer takes
-the EXCLUSIVE permit.  Every acquisition runs the avoidance protocol:
-
-1. capture the call stack,
-2. call ``request``; on YIELD park on the per-thread wake event and retry
-   (aborting the yield when the configured yield timeout expires),
-3. on GO, block on the underlying native primitive,
-4. on success call ``acquired``; on trylock/timed-lock failure call
-   ``cancel`` (the paper's pthreads extension).
+the EXCLUSIVE permit.  Every acquisition runs the avoidance protocol of
+:func:`repro.core.runtime_api.acquisition` — ``request``, park and retry
+on YIELD, the native primitive on GO, then ``acquired``, or ``cancel``
+when a trylock or timed lock gives up (the paper's pthreads extension).
+This module only drives it: :func:`_acquire` parks real threads, and each
+primitive says how to try and how to wait on its native half.
 
 Releases notify the engine first (the paper's required partial ordering:
 the release event precedes the unlock) and then wake any threads whose
@@ -26,45 +24,43 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import Dict, Optional
+from typing import Optional
 
-from ..core.avoidance import Decision
 from ..core.errors import InstrumentationError
+from ..core.runtime_api import PARK, TRY_NATIVE, HoldLedger, acquisition
 from ..core.signature import EXCLUSIVE, SHARED
 from .runtime import InstrumentationRuntime, get_default_dimmunix
 
 
-def _avoidance_gate(core, thread_id: int, lock_id: int, stack,
-                    blocking: bool, deadline: Optional[float],
-                    mode: str = EXCLUSIVE, capacity: int = 1) -> bool:
-    """Run the request/park loop until GO; False on trylock/deadline failure.
+def _acquire(lock, thread_id: int, stack, mode: str, capacity: int,
+             blocking: bool, timeout: Optional[float]) -> bool:
+    """Drive the acquisition protocol for the calling thread.
 
-    The shared front half of every thread-runtime acquisition: request a
-    GO/YIELD decision, park the thread on YIELD and retry when woken,
-    abort the yield when the configured yield bound expires (section 5.7).
+    ``lock`` supplies the native half: ``_try_native(thread_id, mode)``
+    and ``_wait_native(thread_id, mode, timeout)``, both answering
+    whether the primitive was taken.
     """
-    while True:
-        core.prepare_wait(thread_id)
-        outcome = core.request(thread_id, lock_id, stack,
-                               mode=mode, capacity=capacity)
-        if outcome.decision is Decision.GO:
-            return True
-        if not blocking:
-            # Trylock semantics: never park; roll the request back.
-            core.cancel(thread_id, lock_id)
-            return False
-        wait_for = core.config.yield_timeout
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                core.cancel(thread_id, lock_id)
-                return False
-            wait_for = remaining if wait_for is None else min(wait_for, remaining)
-        woken = core.park(thread_id, wait_for)
-        if not woken and core.config.yield_timeout is not None:
-            # Yield bound expired (section 5.7): abort the avoidance and
-            # let the thread proceed on its next request.
-            core.abort_yield(thread_id)
+    if timeout is not None and not blocking:
+        raise ValueError("can't specify a timeout for a non-blocking call")
+    core = lock._runtime.core
+    deadline = None if timeout is None else time.monotonic() + timeout
+    steps = acquisition(core, thread_id, lock._lock_id, stack, mode, capacity,
+                        blocking, deadline, time.monotonic)
+    reply = None
+    try:
+        while True:
+            step, wait = steps.send(reply)
+            if step is TRY_NATIVE:
+                reply = lock._try_native(thread_id, mode)
+            elif step is PARK:
+                reply = core.park(thread_id, wait)
+            else:
+                reply = lock._wait_native(thread_id, mode, wait)
+    except StopIteration as done:
+        return done.value
+    except BaseException:
+        steps.close()  # rolls the pending request back, in the protocol
+        raise
 
 
 class DimmunixLock:
@@ -100,33 +96,22 @@ class DimmunixLock:
             core.acquired(thread_id, self._lock_id, runtime.capture_stack())
             return True
 
-        stack = runtime.capture_stack()
-        deadline = None
-        if timeout is not None and timeout >= 0:
-            deadline = time.monotonic() + timeout
-
-        if not _avoidance_gate(core, thread_id, self._lock_id, stack,
-                               blocking, deadline):
-            return False
-
-        # Non-blocking first: the uncontended case never blocks, so the
-        # about-to-block hook (which materializes lazily captured stacks)
-        # stays entirely off the fast path.
-        got = self._native.acquire(False)
-        if not got and blocking:
-            core.note_blocked(thread_id)
-            if deadline is not None:
-                got = self._native.acquire(True,
-                                           max(0.0, deadline - time.monotonic()))
-            else:
-                got = self._native.acquire()
-        if not got:
-            core.cancel(thread_id, self._lock_id)
+        # threading spells "no timeout" -1; the protocol spells it None.
+        if timeout is not None and timeout < 0:
+            timeout = None
+        if not _acquire(self, thread_id, runtime.capture_stack(), EXCLUSIVE, 1,
+                        blocking, timeout):
             return False
         self._owner = thread_id
         self._count += 1
-        core.acquired(thread_id, self._lock_id, stack)
         return True
+
+    def _try_native(self, thread_id: int, mode: str) -> bool:
+        return self._native.acquire(False)
+
+    def _wait_native(self, thread_id: int, mode: str,
+                     timeout: Optional[float]) -> bool:
+        return self._native.acquire(True, -1 if timeout is None else timeout)
 
     def release(self) -> None:
         """Release the lock and wake any threads whose yield causes dissolved."""
@@ -249,9 +234,9 @@ class DimmunixSemaphore:
         self._engine_tracked = value >= 1
         self._lock_id = self._runtime.new_lock_id()
         self._name = name or f"sem-{self._lock_id}"
-        #: thread id -> number of permits held (engine-tracked only).
-        self._holders: Dict[int, int] = {}
-        self._holders_mutex = threading.Lock()
+        #: Which thread holds how many permits (engine-tracked only).
+        self._ledger = HoldLedger(value)
+        self._ledger_mutex = threading.Lock()
 
     def _make_native(self, value: int):
         return threading.Semaphore(value)
@@ -261,40 +246,24 @@ class DimmunixSemaphore:
     def acquire(self, blocking: bool = True,
                 timeout: Optional[float] = None) -> bool:
         """Acquire one permit, running the avoidance protocol first."""
-        if not blocking and timeout is not None:
-            raise ValueError("can't specify timeout for non-blocking acquire")
+        if not self._engine_tracked:
+            # A signaling primitive, not a resource: nothing to avoid.
+            return self._native.acquire(blocking, timeout)
         runtime = self._runtime
-        core = runtime.core
         thread_id = runtime.current_thread_id()
-        stack = runtime.capture_stack()
-        deadline = time.monotonic() + timeout if timeout is not None else None
-
-        if self._engine_tracked:
-            if not _avoidance_gate(core, thread_id, self._lock_id, stack,
-                                   blocking, deadline,
-                                   capacity=self._capacity):
-                return False
-        # Non-blocking first, so note_blocked (stack materialization for
-        # lazily captured stacks) only runs when the pool is exhausted.
-        got = self._native.acquire(False)
-        if not got and (blocking or deadline is not None):
-            if self._engine_tracked:
-                core.note_blocked(thread_id)
-            if deadline is not None:
-                got = self._native.acquire(True,
-                                           max(0.0, deadline - time.monotonic()))
-            else:
-                got = self._native.acquire(True)
-        if not got:
-            if self._engine_tracked:
-                core.cancel(thread_id, self._lock_id)
+        if not _acquire(self, thread_id, runtime.capture_stack(), EXCLUSIVE,
+                        self._capacity, blocking, timeout):
             return False
-        if self._engine_tracked:
-            with self._holders_mutex:
-                self._holders[thread_id] = self._holders.get(thread_id, 0) + 1
-            core.acquired(thread_id, self._lock_id, stack,
-                          capacity=self._capacity)
+        with self._ledger_mutex:
+            self._ledger.grant(thread_id)
         return True
+
+    def _try_native(self, thread_id: int, mode: str) -> bool:
+        return self._native.acquire(False)
+
+    def _wait_native(self, thread_id: int, mode: str,
+                     timeout: Optional[float]) -> bool:
+        return self._native.acquire(True, timeout)
 
     def release(self, n: int = 1) -> None:
         """Return ``n`` permits and wake threads whose yield causes dissolved."""
@@ -305,20 +274,12 @@ class DimmunixSemaphore:
 
     def _release_one(self) -> None:
         if self._engine_tracked:
-            owner = None
-            with self._holders_mutex:
-                if self._holders:
-                    try:
-                        caller = self._runtime.current_thread_id()
-                    except InstrumentationError:  # pragma: no cover - defensive
-                        caller = None
-                    owner = (caller if caller in self._holders
-                             else next(iter(self._holders)))
-                    count = self._holders[owner]
-                    if count == 1:
-                        del self._holders[owner]
-                    else:
-                        self._holders[owner] = count - 1
+            try:
+                caller = self._runtime.current_thread_id()
+            except InstrumentationError:  # pragma: no cover - defensive
+                caller = None
+            with self._ledger_mutex:
+                owner = self._ledger.release(caller)
             if owner is not None:
                 # Engine release first: the event must precede the permit
                 # becoming available (the paper's partial ordering).
@@ -353,8 +314,8 @@ class DimmunixSemaphore:
 
     def permits_held(self) -> int:
         """Total recorded permits currently held (engine-tracked only)."""
-        with self._holders_mutex:
-            return sum(self._holders.values())
+        with self._ledger_mutex:
+            return self._ledger.permits_held()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} {self._name} "
@@ -415,65 +376,20 @@ class DimmunixRWLock:
         self._runtime = runtime if runtime is not None else get_default_dimmunix()
         self._lock_id = self._runtime.new_lock_id()
         self._name = name or f"rwlock-{self._lock_id}"
-        self._cond = threading.Condition()
-        #: thread id -> reentrant read-hold count.
-        self._readers: Dict[int, int] = {}
-        self._writer: Optional[int] = None
-        self._writer_depth = 0
+        # The condition's own lock, entered directly: Condition.__enter__
+        # is a Python-level hop, and every acquire and release takes it.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
+        #: Readers, the writer and the grant rule; guarded by ``_mutex``.
+        self._ledger = HoldLedger()
 
-    # -- internal native wait --------------------------------------------------------------
-
-    def _wait(self, deadline: Optional[float]) -> bool:
-        """One bounded wait on the condition; False when the deadline passed."""
-        if deadline is None:
-            self._cond.wait()
-            return True
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            return False
-        self._cond.wait(remaining)
-        return deadline - time.monotonic() > 0
-
-    # -- read side -------------------------------------------------------------------------
+    # -- acquisition -----------------------------------------------------------------------
 
     def acquire_read(self, timeout: Optional[float] = None) -> bool:
         """Take a SHARED hold; False on timeout."""
         runtime = self._runtime
-        core = runtime.core
-        thread_id = runtime.current_thread_id()
-        stack = runtime.capture_stack()
-        deadline = time.monotonic() + timeout if timeout is not None else None
-
-        if not _avoidance_gate(core, thread_id, self._lock_id, stack,
-                               True, deadline, mode=SHARED):
-            return False
-        with self._cond:
-            while self._writer is not None and self._writer != thread_id:
-                core.note_blocked(thread_id)
-                if not self._wait(deadline):
-                    core.cancel(thread_id, self._lock_id)
-                    return False
-            self._readers[thread_id] = self._readers.get(thread_id, 0) + 1
-            core.acquired(thread_id, self._lock_id, stack, mode=SHARED)
-        return True
-
-    def release_read(self) -> None:
-        """Drop one SHARED hold and wake waiting writers when the last leaves."""
-        thread_id = self._runtime.current_thread_id()
-        with self._cond:
-            count = self._readers.get(thread_id, 0)
-            if count == 0:
-                raise InstrumentationError(
-                    f"{self._name}: thread {thread_id} holds no read lock")
-            # Engine release first (the event precedes the availability).
-            self._runtime.core.release(thread_id, self._lock_id)
-            if count == 1:
-                del self._readers[thread_id]
-            else:
-                self._readers[thread_id] = count - 1
-            self._cond.notify_all()
-
-    # -- write side ------------------------------------------------------------------------
+        return _acquire(self, runtime.current_thread_id(),
+                        runtime.capture_stack(), SHARED, 1, True, timeout)
 
     def acquire_write(self, timeout: Optional[float] = None) -> bool:
         """Take the EXCLUSIVE hold; False on timeout.
@@ -484,41 +400,41 @@ class DimmunixRWLock:
         engine learns and avoids on subsequent runs.
         """
         runtime = self._runtime
-        core = runtime.core
-        thread_id = runtime.current_thread_id()
-        stack = runtime.capture_stack()
-        deadline = time.monotonic() + timeout if timeout is not None else None
+        return _acquire(self, runtime.current_thread_id(),
+                        runtime.capture_stack(), EXCLUSIVE, 1, True, timeout)
 
-        if not _avoidance_gate(core, thread_id, self._lock_id, stack,
-                               True, deadline, mode=EXCLUSIVE):
-            return False
-        with self._cond:
-            while not self._write_grantable(thread_id):
-                core.note_blocked(thread_id)
-                if not self._wait(deadline):
-                    core.cancel(thread_id, self._lock_id)
-                    return False
-            self._writer = thread_id
-            self._writer_depth += 1
-            core.acquired(thread_id, self._lock_id, stack, mode=EXCLUSIVE)
-        return True
+    def _try_native(self, thread_id: int, mode: str) -> bool:
+        with self._mutex:
+            return self._ledger.take(thread_id, mode)
 
-    def _write_grantable(self, thread_id: int) -> bool:
-        if self._writer is not None and self._writer != thread_id:
-            return False
-        return all(tid == thread_id for tid in self._readers)
+    def _wait_native(self, thread_id: int, mode: str,
+                     timeout: Optional[float]) -> bool:
+        with self._mutex:
+            if self._ledger.take(thread_id, mode):
+                return True
+            self._cond.wait(timeout)
+            # Whatever ended the wait, the ledger decides.
+            return self._ledger.take(thread_id, mode)
+
+    # -- release ---------------------------------------------------------------------------
+
+    def release_read(self) -> None:
+        """Drop one SHARED hold and wake waiting writers when the last leaves."""
+        self._release(SHARED, "read")
 
     def release_write(self) -> None:
         """Drop the EXCLUSIVE hold and wake waiting readers/writers."""
+        self._release(EXCLUSIVE, "write")
+
+    def _release(self, mode: str, what: str) -> None:
         thread_id = self._runtime.current_thread_id()
-        with self._cond:
-            if self._writer != thread_id or self._writer_depth == 0:
+        with self._mutex:
+            if self._ledger.release(thread_id, mode) is None:
                 raise InstrumentationError(
-                    f"{self._name}: thread {thread_id} holds no write lock")
+                    f"{self._name}: thread {thread_id} holds no {what} lock")
+            # Still under the mutex, so the engine hears of the release
+            # before any waiter can be granted what it freed.
             self._runtime.core.release(thread_id, self._lock_id)
-            self._writer_depth -= 1
-            if self._writer_depth == 0:
-                self._writer = None
             self._cond.notify_all()
 
     # -- context-manager helpers -----------------------------------------------------------
@@ -557,17 +473,17 @@ class DimmunixRWLock:
 
     def reader_count(self) -> int:
         """Number of distinct threads currently holding read locks."""
-        with self._cond:
-            return len(self._readers)
+        with self._mutex:
+            return self._ledger.reader_count()
 
     @property
     def writer(self) -> Optional[int]:
         """The Dimmunix thread id of the current writer, if any."""
-        return self._writer
+        return self._ledger.writer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<DimmunixRWLock {self._name} readers={len(self._readers)} "
-                f"writer={self._writer}>")
+        return (f"<DimmunixRWLock {self._name} "
+                f"readers={self._ledger.reader_count()} writer={self.writer}>")
 
 
 # ---------------------------------------------------------------------------

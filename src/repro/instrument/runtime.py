@@ -23,10 +23,9 @@ import itertools
 import threading
 from typing import Dict, Optional
 
-from ..core.callstack import CallStack
 from ..core.dimmunix import Dimmunix
 from ..core.errors import InstrumentationError
-from ..core.runtime_api import RuntimeCore, ThreadParker
+from ..core.runtime_api import LockRuntime, ThreadParker
 
 
 class _DeathToken:
@@ -139,17 +138,6 @@ class YieldManager(ThreadParker):
         """Park the calling thread until woken or until ``timeout`` expires."""
         return self.event_for(thread_id).wait(timeout)
 
-    # Backwards-compatible aliases for the pre-RuntimeCore method names.
-    prepare_wait = prepare
-    wait = park
-
-    def wake(self, thread_ids) -> None:
-        """Wake the given threads (used directly by lock release paths)."""
-        for thread_id in thread_ids:
-            event = self._events.get(thread_id)
-            if event is not None:
-                event.set()
-
     def forget(self, thread_id: int) -> None:
         """Drop the wake event of a terminated thread."""
         with self._lock:
@@ -157,80 +145,23 @@ class YieldManager(ThreadParker):
         self._dimmunix.unregister_waker(thread_id)
 
 
-class InstrumentationRuntime:
+class InstrumentationRuntime(LockRuntime):
     """Bundles a Dimmunix instance with the thread registry and runtime core."""
 
     def __init__(self, dimmunix: Dimmunix):
-        self.dimmunix = dimmunix
         self.yields = YieldManager(dimmunix)
-        #: The unified engine-driving layer; lock wrappers go through this.
-        self.core = RuntimeCore(dimmunix, parker=self.yields)
+        super().__init__(dimmunix, self.yields)
         # Terminated threads drop their engine slots, wake events, and
         # wakers automatically (see _DeathToken), so servers with
         # short-lived threads do not accumulate per-thread state.
         self.threads = ThreadRegistry(on_thread_death=self.core.forget_thread)
-        self._lock_ids = itertools.count(1)
-        self._lock_id_lock = threading.Lock()
-
-    # -- id allocation -----------------------------------------------------------------
 
     def current_thread_id(self) -> int:
         """Stable id of the calling thread."""
         return self.threads.current_thread_id()
 
-    def new_lock_id(self) -> int:
-        """Allocate an id for a newly created lock wrapper."""
-        with self._lock_id_lock:
-            return next(self._lock_ids)
-
-    # -- stack capture ------------------------------------------------------------------
-
-    def capture_stack(self) -> CallStack:
-        """Capture the calling thread's stack, bounded by the configured depth.
-
-        With ``lazy_capture`` (the default) only the caller's top frame is
-        recorded here — one interned frame, no walk — and the deep stack
-        materializes later, if ever, behind the signature index's
-        top-frame filter (see :class:`~repro.core.callstack.LazyCallStack`
-        and the hot-path section of ``docs/architecture.md``).  With the
-        knob off, the eager per-call-site capture cache
-        (:meth:`CallStack.capture_cached`) is used: repeated acquisitions
-        from the same call path reuse one memoized stack instead of
-        rebuilding and rehashing it.  Either way, histories and signatures
-        come out byte-identical.
-        """
-        config = self.dimmunix.config
-        limit = config.max_stack_depth
-        if config.adaptive_capture_depth:
-            # Frames deeper than the deepest indexed suffix can never
-            # influence a match; archived stacks get shorter too, which is
-            # why this is opt-in (see config.py).
-            indexed = self.dimmunix.engine.index.max_depth()
-            if indexed:
-                limit = min(limit, indexed)
-        if config.lazy_capture:
-            stack = CallStack.capture_lazy(
-                skip=1, limit=limit, stats=self.dimmunix.stats)
-        else:
-            stack = CallStack.capture_cached(skip=1, limit=limit)
-        if not stack:
-            # Degenerate case (interactive shell, C callback): synthesize a
-            # one-frame stack so signatures remain well formed.
-            thread_name = threading.current_thread().name
-            stack = CallStack.from_labels([f"<toplevel-{thread_name}>:0"])
-        return stack
-
-    # -- engine passthroughs ---------------------------------------------------------------
-
-    @property
-    def engine(self):
-        """The avoidance engine of the attached Dimmunix instance."""
-        return self.dimmunix.engine
-
-    @property
-    def config(self):
-        """The configuration of the attached Dimmunix instance."""
-        return self.dimmunix.config
+    def _unit_name(self) -> str:
+        return threading.current_thread().name
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,10 @@ testable by exploring the scheduler's choice tree:
 
 Reductions and soundness.  Local steps (``Compute``/``Log``/thread exit)
 commute with everything, so they are executed eagerly without branching
-(``visible_only``).  Sleep sets use per-lock footprints as the
-independence relation, which is exact for the pure-mutex semantics of
-``NullBackend`` but not for engine-backed backends (a request on one lock
-can change the avoidance decision on another), so sleep sets default to
-*on* only for ``NullBackend`` scenarios.  A preemption bound, when set,
+(``visible_only``).  Sleep sets — per-lock footprints as the
+independence relation — survive only inside source-DPOR, which seeds
+each branch with its explored siblings (:mod:`repro.sim.dpor`).  A
+preemption bound, when set,
 restricts the search to schedules with at most that many preemptive
 context switches (CHESS-style iterative context bounding) and is reported
 as such — the search is then complete only w.r.t. the bound.
@@ -129,18 +128,11 @@ class FrontierNode:
         return cls.from_dict(json.loads(data))
 
 
-#: Backward-compatible private alias (pre-parallel name).
-_Node = FrontierNode
-
-
 @dataclass
 class _ChoiceRecord:
     """A free choice point observed during a DFS run (branching data)."""
 
-    position: int
     taken_before: List[int]
-    chosen_slot: int
-    chosen_lock: Optional[int]
     #: Branchable alternatives (slot, lock footprint), ascending slot order.
     alternatives: List[Tuple[int, Optional[int]]]
     prev_slot: Optional[int]
@@ -153,7 +145,7 @@ class _DfsPolicy(SchedulePolicy):
 
     name = "dfs"
 
-    def __init__(self, node: _Node, max_depth: Optional[int],
+    def __init__(self, node: FrontierNode, max_depth: Optional[int],
                  visible_only: bool, sleep_enabled: bool,
                  observation: Optional[RunObservation] = None):
         self.forced = node.choices
@@ -237,10 +229,7 @@ class _DfsPolicy(SchedulePolicy):
         alternatives = [(s, by_slot[s][1]) for s in branchable if s != chosen]
         if alternatives:
             self.records.append(_ChoiceRecord(
-                position=position,
                 taken_before=list(self.taken),
-                chosen_slot=chosen,
-                chosen_lock=by_slot[chosen][1],
                 alternatives=alternatives,
                 prev_slot=self.prev_slot,
                 prev_runnable=self.prev_slot in by_slot,
@@ -353,7 +342,7 @@ class ExplorationResult:
 
     mode: str
     #: Reduction strategy that produced this result ("dfs" = unreduced,
-    #: "sleep", "dpor", "random"; parallel runs append "+parallel-N").
+    #: "dpor", "random"; parallel runs append "+parallel-N").
     strategy: str = "dfs"
     runs: int = 0
     steps: int = 0
@@ -436,7 +425,7 @@ class ExplorationResult:
 
 
 #: Recognized exploration strategies (see :meth:`Explorer.resolve_strategy`).
-STRATEGIES = ("dfs", "sleep", "dpor")
+STRATEGIES = ("dfs", "dpor")
 
 
 class Explorer:
@@ -450,10 +439,8 @@ class Explorer:
 
     * ``"dfs"`` — unreduced exhaustive DFS (every alternative at every
       free choice point);
-    * ``"sleep"`` — DFS with sleep-set pruning (per-resource footprints);
     * ``"dpor"`` — source-DPOR race reversal (:mod:`repro.sim.dpor`),
-      the default: strictly stronger pruning than sleep sets and — unlike
-      them — applied to *engine-backed* exploration too, with the
+      the default: applied to *engine-backed* exploration too, with the
       equivalence of its deadlock coverage re-proven per scenario by the
       differential suite (``tests/explore/``);
     * ``None``/``"auto"`` — ``"dpor"``, unless a ``preemption_bound`` is
@@ -463,9 +450,7 @@ class Explorer:
       branch may be skipped while the pruned one was within it (CHESS
       likewise bounds without reduction).
 
-    The legacy ``sleep_sets`` flag maps onto strategies (``True`` →
-    ``"sleep"``, ``False`` → ``"dfs"``) and is overridden by an explicit
-    ``strategy``.  Other bounds: ``max_runs`` caps the number of
+    Other bounds: ``max_runs`` caps the number of
     executions, ``max_depth`` the choice points per run,
     ``preemption_bound`` the preemptive context switches per schedule
     (``None`` = unbounded; switches counted at visible lock operations
@@ -476,7 +461,6 @@ class Explorer:
                  max_runs: int = 10_000, max_depth: Optional[int] = None,
                  preemption_bound: Optional[int] = None,
                  visible_only: bool = True,
-                 sleep_sets: Optional[bool] = None,
                  strategy: Optional[str] = None):
         self.scenario = scenario
         self.name = name
@@ -484,7 +468,6 @@ class Explorer:
         self.max_depth = max_depth
         self.preemption_bound = preemption_bound
         self.visible_only = visible_only
-        self.sleep_sets = sleep_sets
         if strategy is not None and strategy != "auto" \
                 and strategy not in STRATEGIES:
             raise SimulationError(
@@ -501,19 +484,13 @@ class Explorer:
 
     def resolve_strategy(self) -> str:
         """The concrete strategy this explorer will run (never "auto")."""
-        requested = self.strategy
-        if requested is None or requested == "auto":
-            if self.sleep_sets is True:
-                requested = "sleep"
-            elif self.sleep_sets is False:
-                requested = "dfs"
-            else:
-                requested = "dpor"
         if self.preemption_bound is not None:
             # No reduction composes with preemption bounding (see class
             # docstring); bounded search always runs the plain DFS.
             return "dfs"
-        return requested
+        if self.strategy is None or self.strategy == "auto":
+            return "dpor"
+        return self.strategy
 
     def _run_node(self, node: FrontierNode, sleep_enabled: bool,
                   collect: bool = False):
@@ -555,15 +532,14 @@ class Explorer:
     def explore(self, stop_on_first_deadlock: bool = False) -> ExplorationResult:
         """Systematic enumeration of the bounded schedule tree.
 
-        Dispatches on :meth:`resolve_strategy`: plain or sleep-set DFS
-        over a stack frontier, or wave-based source-DPOR.
+        Dispatches on :meth:`resolve_strategy`: plain DFS over a stack
+        frontier, or wave-based source-DPOR.
         """
-        strategy = self.resolve_strategy()
-        if strategy == "dpor":
+        if self.resolve_strategy() == "dpor":
             return self._explore_dpor(stop_on_first_deadlock)
-        return self._explore_dfs(strategy, stop_on_first_deadlock)
+        return self._explore_dfs(stop_on_first_deadlock)
 
-    def _explore_dfs(self, strategy: str, stop_on_first_deadlock: bool,
+    def _explore_dfs(self, stop_on_first_deadlock: bool,
                      initial: Optional[List[FrontierNode]] = None,
                      stop_at_width: Optional[int] = None,
                      ) -> ExplorationResult:
@@ -574,8 +550,7 @@ class Explorer:
         and the unprocessed frontier is left in ``result`` via the second
         element of the internal return — :meth:`expand` exposes it.
         """
-        res = ExplorationResult(mode="dfs", strategy=strategy)
-        sleep_enabled = strategy == "sleep"
+        res = ExplorationResult(mode="dfs", strategy="dfs")
         seen: set = set()
         started = time.perf_counter()
         if initial is None:
@@ -593,16 +568,13 @@ class Explorer:
             if stop_at_width is not None and len(frontier) >= stop_at_width:
                 break
             node = frontier.pop()
-            scheduler, result, cut, policy = self._run_node(node,
-                                                            sleep_enabled)
+            scheduler, result, cut, policy = self._run_node(
+                node, sleep_enabled=False)
             res.runs += 1
-            if cut is not None:
+            if cut is not None:  # without sleep sets only "depth" cuts a run
                 res.steps += scheduler.result.steps
-                if cut == "depth":
-                    res.cut_depth += 1
-                    exhausted = False
-                else:
-                    res.pruned_sleep += 1
+                res.cut_depth += 1
+                exhausted = False
             if result is not None:
                 self._record_outcome(res, scheduler, result, seen)
             # Push the unexplored siblings of every free choice taken in
@@ -610,8 +582,6 @@ class Explorer:
             # of the deepest record ends up on top (depth-first order).
             for record in policy.records:
                 pushes: List[FrontierNode] = []
-                asleep: List[Tuple[int, Optional[int]]] = [
-                    (record.chosen_slot, record.chosen_lock)]
                 for alt_slot, alt_lock in record.alternatives:
                     if self.preemption_bound is not None:
                         # Mirror _DfsPolicy._take: only a visible (lock)
@@ -625,13 +595,9 @@ class Explorer:
                                 > self.preemption_bound:
                             res.skipped_preemption += 1
                             continue
-                    sleep_at = dict(node.sleep_at)
-                    if sleep_enabled:
-                        sleep_at[record.position] = tuple(asleep)
                     pushes.append(FrontierNode(
                         choices=tuple(record.taken_before) + (alt_slot,),
-                        sleep_at=sleep_at))
-                    asleep.append((alt_slot, alt_lock))
+                        sleep_at={}))
                 frontier.extend(reversed(pushes))
             if stop_on_first_deadlock and res.deadlocks:
                 exhausted = not frontier
@@ -651,13 +617,12 @@ class Explorer:
         completion) continues exactly where the serial DFS would have —
         this is the deterministic split point the parallel explorer
         distributes across workers.  Only meaningful for the stack
-        strategies ("dfs"/"sleep"); DPOR parallelizes by waves instead.
+        strategy ("dfs"); DPOR parallelizes by waves instead.
         """
-        strategy = strategy or self.resolve_strategy()
-        if strategy == "dpor":
+        if (strategy or self.resolve_strategy()) == "dpor":
             raise SimulationError(
                 "expand() splits a DFS stack; DPOR parallelizes by waves")
-        res = self._explore_dfs(strategy, stop_on_first_deadlock=False,
+        res = self._explore_dfs(stop_on_first_deadlock=False,
                                 stop_at_width=min_nodes)
         return res, self._paused_frontier
 
@@ -670,13 +635,11 @@ class Explorer:
         node lists explore disjoint run sets and the per-node results can
         be merged deterministically regardless of which process ran them.
         """
-        strategy = strategy or self.resolve_strategy()
-        if strategy == "dpor":
+        if (strategy or self.resolve_strategy()) == "dpor":
             raise SimulationError(
                 "explore_frontier() runs DFS subtrees; DPOR parallelizes "
                 "by waves")
-        return self._explore_dfs(strategy, stop_on_first_deadlock=False,
-                                 initial=nodes)
+        return self._explore_dfs(stop_on_first_deadlock=False, initial=nodes)
 
     # -- source-DPOR (wave-based race reversal) --------------------------------------------
 

@@ -114,15 +114,6 @@ class SimSemaphore(SimLock):
         #: thread id -> number of permits held.
         self.permits: Dict[int, int] = {}
 
-    # The mutex-flavoured owner/count attributes are kept in sync for
-    # introspection: owner is the sole permit holder (or None), count the
-    # number of permits in use.
-
-    def _sync_legacy_view(self) -> None:
-        holders = [tid for tid, n in self.permits.items() if n > 0]
-        self.owner = holders[0] if len(holders) == 1 else None
-        self.count = sum(self.permits.values())
-
     def can_grant(self, thread_id: int, mode: str = EXCLUSIVE) -> bool:
         return sum(self.permits.values()) < self.capacity
 
@@ -130,7 +121,6 @@ class SimSemaphore(SimLock):
         if not self.can_grant(thread_id, mode):
             raise RuntimeError(f"{self.name}: no free permit for {thread_id}")
         self.permits[thread_id] = self.permits.get(thread_id, 0) + 1
-        self._sync_legacy_view()
 
     def release(self, thread_id: int) -> bool:
         held = self.permits.get(thread_id, 0)
@@ -141,7 +131,6 @@ class SimSemaphore(SimLock):
             del self.permits[thread_id]
         else:
             self.permits[thread_id] = held - 1
-        self._sync_legacy_view()
         # A permit came free: a hand-over check is always warranted.
         return True
 
@@ -176,11 +165,6 @@ class SimRWLock(SimLock):
         #: thread id -> LIFO stack of hold modes.
         self.holds: Dict[int, List[str]] = {}
 
-    def _sync_legacy_view(self) -> None:
-        holders = list(self.holds)
-        self.owner = holders[0] if len(holders) == 1 else None
-        self.count = sum(len(modes) for modes in self.holds.values())
-
     def can_grant(self, thread_id: int, mode: str = EXCLUSIVE) -> bool:
         if mode == SHARED:
             return all(EXCLUSIVE not in modes
@@ -194,7 +178,6 @@ class SimRWLock(SimLock):
                 f"{self.name}: cannot grant {mode} to {thread_id}, "
                 f"held by {list(self.holds)}")
         self.holds.setdefault(thread_id, []).append(mode)
-        self._sync_legacy_view()
 
     def release(self, thread_id: int) -> bool:
         modes = self.holds.get(thread_id)
@@ -204,7 +187,6 @@ class SimRWLock(SimLock):
         modes.pop()
         if not modes:
             del self.holds[thread_id]
-        self._sync_legacy_view()
         # Readers leaving or a writer unwinding can unblock waiters.
         return True
 

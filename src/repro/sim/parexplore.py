@@ -30,7 +30,7 @@ still gets its own forked backend, exactly as in serial exploration.
 
 Two parallel modes mirror the two serial strategy families:
 
-* **subtree mode** (``dfs`` / ``sleep``) — the parent expands the DFS
+* **subtree mode** (``dfs``) — the parent expands the DFS
   until the frontier holds enough subtree roots, publishes each root as
   one task, and workers pull roots and explore them to completion.
   Results are merged in the roots' processing order, which is exactly

@@ -8,9 +8,9 @@ reduction/scaling claims to executable evidence:
   deadlock-signature set full DFS finds, on every scenario in the
   :data:`repro.sim.explore.SCENARIOS` registry (thread, asyncio, and
   multi-holder alike, engine-backed included), while running no more —
-  and on contended trees strictly fewer — runs than sleep sets; and
-  parallel exploration is byte-identical to serial for every worker
-  count and transport.
+  and on contended trees strictly fewer — runs; and parallel
+  exploration is byte-identical to serial for every worker count and
+  transport.
 * ``test_frontier_properties`` — hypothesis-driven invariants of the
   machinery those guarantees ride on: schedule-trace prefixes and
   frontier nodes serialize byte-stably, and a frontier split/merge

@@ -7,12 +7,12 @@ criteria of the "Explorer at scale" change:
   (stall footprints — who waits on what) equals full DFS's, with both
   trees fully enumerated.  Registry parameterization means a new
   scenario is covered the moment it is registered.
-* DPOR never runs more executions than sleep sets, and on the
-  philosophers-3 full (eat-time-zero) tree it runs strictly fewer than
-  sleep's 107-of-1239 — the reduction is real, not a relabeling.
-* Engine-backed (Dimmunix) exploration, where sleep sets historically
-  did not apply, gets the same guarantee: the immunity claim holds
-  under DPOR with fewer runs than unreduced search.
+* On the philosophers-3 full (eat-time-zero) tree DPOR runs strictly
+  fewer than the 107-of-1239 the retired stand-alone sleep-set strategy
+  needed — the reduction is real, not a relabeling.
+* Engine-backed (Dimmunix) exploration, where sleep sets never applied,
+  gets the same guarantee: the immunity claim holds under DPOR with
+  fewer runs than unreduced search.
 * Parallel exploration produces a byte-identical
   :meth:`~repro.sim.explore.ExplorationResult.canonical` form to
   serial — over the deterministic in-process transport for every
@@ -75,34 +75,22 @@ class TestDporEqualsDfs:
         assert dpor.unique_deadlocks == dfs.unique_deadlocks, scenario
         assert dpor.runs <= dfs.runs, scenario
 
-    @pytest.mark.parametrize("scenario", scenario_params())
-    def test_dpor_never_worse_than_sleep_sets(self, scenario):
-        """The race-reversal frontier is a subset of the sleep-set one."""
-        sleep = explore(scenario, "sleep")
-        dpor = explore(scenario, "dpor")
-        assert sleep.exhausted and dpor.exhausted, scenario
-        assert dpor.runs <= sleep.runs, (scenario, dpor.runs, sleep.runs)
-        assert signature_set(dpor) == signature_set(sleep), scenario
-
 
 class TestPhilosophersFullTree:
     """The headline reduction numbers, pinned exactly (always on)."""
 
     def test_dpor_strictly_beats_sleep_sets_on_the_full_tree(self):
         dfs = explore("philosophers-3-eat0", "dfs")
-        sleep = explore("philosophers-3-eat0", "sleep")
         dpor = explore("philosophers-3-eat0", "dpor")
-        assert dfs.exhausted and sleep.exhausted and dpor.exhausted
+        assert dfs.exhausted and dpor.exhausted
         # The unreduced tree: 1239 runs, one unique deadlock signature.
         assert dfs.runs == 1239
         assert dfs.unique_deadlocks == 1
-        # Sleep sets needed 107 (< 131); DPOR must be strictly better.
-        assert sleep.runs < 131
-        assert dpor.runs < sleep.runs, (dpor.runs, sleep.runs)
-        assert dpor.runs < 131
+        # Stand-alone sleep sets needed 107 before that strategy was
+        # retired; DPOR must stay strictly better.
+        assert dpor.runs < 107
         # ... while finding the identical deadlock-signature set.
         assert signature_set(dpor) == signature_set(dfs)
-        assert signature_set(sleep) == signature_set(dfs)
 
 
 class TestEngineBackedDpor:
@@ -134,7 +122,7 @@ class TestEngineBackedDpor:
 
 
 class TestParallelEqualsSerial:
-    @pytest.mark.parametrize("strategy", ["dfs", "sleep", "dpor"])
+    @pytest.mark.parametrize("strategy", ["dfs", "dpor"])
     @pytest.mark.parametrize("workers", [1, 3])
     def test_memory_transport_is_byte_identical(self, strategy, workers):
         """Worker count and the split/claim/merge path change nothing."""

@@ -93,12 +93,11 @@ class TestFrontierNodeSerialization:
 
 class TestFrontierSplitMerge:
     @given(scenario=st.sampled_from(["two-lock-inversion", "philosophers-3"]),
-           strategy=st.sampled_from(["dfs", "sleep"]),
            width=st.integers(min_value=1, max_value=9))
     @settings(max_examples=25, **COMMON)
-    def test_split_then_merge_reproduces_serial(self, scenario, strategy,
-                                                width):
+    def test_split_then_merge_reproduces_serial(self, scenario, width):
         """No subtree is lost or duplicated, for any split width."""
+        strategy = "dfs"  # the one stack strategy; DPOR splits by waves
         factory = lambda: SCENARIOS[scenario](NullBackend())  # noqa: E731
         serial = Explorer(factory, name=scenario,
                           strategy=strategy).explore()

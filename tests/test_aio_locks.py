@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+import repro
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.errors import InstrumentationError
@@ -550,11 +551,11 @@ class TestMonkeyPatching:
 
     def test_immunize_asyncio_one_call(self, tmp_path):
         history_path = str(tmp_path / "aio.history")
-        runtime = raio.immunize_asyncio(history_path=history_path)
+        handle = repro.immunize(runtime="asyncio", history_path=history_path)
         try:
             assert raio.asyncio_installed()
-            assert runtime.dimmunix.running
-            assert runtime.config.history_path == history_path
+            assert handle.dimmunix.running
+            assert handle.config.history_path == history_path
 
             async def main():
                 lock = asyncio.Lock()
@@ -563,8 +564,8 @@ class TestMonkeyPatching:
 
             asyncio.run(main())
         finally:
-            runtime.dimmunix.stop()
-            raio.uninstall_asyncio()
+            handle.stop()
+        assert not raio.asyncio_installed()
 
 
 class TestTaskRegistry:

@@ -319,20 +319,6 @@ class TestLegacyQueueCompat:
         assert first.capacity == 3
         assert second.type is EventType.CANCEL
 
-    def test_engine_accepts_legacy_queue(self):
-        queue = EventQueue()
-        engine = AvoidanceEngine(History(path=None, autosave=False),
-                                 DimmunixConfig.for_testing(),
-                                 event_queue=queue)
-        s = stack()
-        engine.request(1, 10, s)
-        engine.acquired(1, 10, s)
-        engine.release(1, 10)
-        types = [e.type for e in queue.drain()]
-        # Granted fast-path requests publish only the superseding ALLOW.
-        assert types == [EventType.ALLOW,
-                         EventType.ACQUIRED, EventType.RELEASE]
-
 
 class TestEngineRingPath:
     def test_engine_default_bus_is_ring_buffered(self):

@@ -131,7 +131,7 @@ class TestDfsExploration:
             built.append(scheduler)
             return scheduler
 
-        result = Explorer(scenario, sleep_sets=False).explore()
+        result = Explorer(scenario, strategy="dfs").explore()
         assert result.exhausted
         orders = {tuple(s.order) for s in built if len(s.order) == 3}
         # Three writers contending on one lock: all 3! = 6 acquisition
@@ -151,7 +151,7 @@ class TestDfsExploration:
         factory = lambda: build_philosophers(NullBackend(), seats=3,  # noqa: E731
                                              eat_time=0.0)
         pruned = Explorer(factory, max_runs=50_000).explore()
-        full = Explorer(factory, max_runs=50_000, sleep_sets=False).explore()
+        full = Explorer(factory, max_runs=50_000, strategy="dfs").explore()
         assert pruned.exhausted and full.exhausted
         assert pruned.runs < full.runs
         assert pruned.unique_deadlocks == full.unique_deadlocks == 1
@@ -187,7 +187,7 @@ class TestDfsExploration:
     def test_max_runs_budget_is_respected(self):
         factory = lambda: build_philosophers(NullBackend(), seats=3,  # noqa: E731
                                              eat_time=0.0)
-        result = Explorer(factory, sleep_sets=False, max_runs=5).explore()
+        result = Explorer(factory, strategy="dfs", max_runs=5).explore()
         assert result.runs == 5
         assert not result.exhausted
 
@@ -234,7 +234,7 @@ class TestDfsExploration:
             built.append(scheduler)
             return scheduler
 
-        explorer = Explorer(recording_scenario, sleep_sets=False)
+        explorer = Explorer(recording_scenario, strategy="dfs")
         result = explorer.explore()
         assert result.exhausted
         observations = set()

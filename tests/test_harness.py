@@ -6,11 +6,13 @@ import pytest
 
 from repro.core.dimmunix import Dimmunix
 from repro.harness.ablation import run_allow_edge_ablation
-from repro.harness.appworkloads import run_broker_workload, run_jdbc_workload
+from repro.harness.appworkloads import (run_aiobroker_workload,
+                                        run_broker_workload, run_jdbc_workload)
 from repro.harness.effectiveness import run_table1, run_table2
 from repro.harness.falsepos import run_figure9, run_gate_lock_comparison
 from repro.harness.report import format_key_values, format_table
 from repro.harness.resources import run_resource_utilization
+from repro.instrument.aio import AsyncioRuntime
 from repro.instrument.runtime import InstrumentationRuntime
 from repro.workloads.exploits import TABLE1_EXPLOITS, TABLE2_EXPLOITS
 
@@ -50,6 +52,22 @@ class TestAppWorkloads:
         assert result.operations > 0
         assert result.errors == 0
         assert result.throughput > 0
+
+    @pytest.mark.parametrize("cycles", [2, 4, 8])
+    def test_broker_operations_are_linear_in_cycles(self, runtime, cycles):
+        """One per ack plus one per shared enqueue — never the queue length."""
+        result = run_broker_workload(runtime, threads=2, cycles=cycles,
+                                     messages_per_cycle=3)
+        assert result.errors == 0
+        assert result.operations == 2 * (cycles * 3 + cycles // 2)
+
+    @pytest.mark.parametrize("cycles", [2, 4, 8])
+    def test_aiobroker_operations_are_linear_in_cycles(self, config, cycles):
+        runtime = AsyncioRuntime(Dimmunix(config=config))
+        result = run_aiobroker_workload(runtime, tasks=2, cycles=cycles,
+                                        messages_per_cycle=3)
+        assert result.errors == 0
+        assert result.operations == 2 * (cycles * 3 + cycles // 2)
 
     def test_jdbc_workload_produces_operations(self, runtime):
         result = run_jdbc_workload(runtime, threads=2, transactions=3, pool_size=2)

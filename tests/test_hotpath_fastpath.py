@@ -69,9 +69,10 @@ class TestPooledThreadParker:
         assert first is second
 
     def test_event_is_reset_after_a_wake(self):
-        yields = YieldManager(Dimmunix(config=DimmunixConfig.for_testing()))
+        dimmunix = Dimmunix(config=DimmunixConfig.for_testing())
+        yields = YieldManager(dimmunix)
         event = yields.prepare(1)
-        yields.wake([1])
+        dimmunix.wake([1])
         assert event.is_set()
         again = yields.prepare(1)
         assert again is event

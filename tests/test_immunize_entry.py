@@ -1,8 +1,7 @@
 """Tests for the unified entry point: repro.immunize(runtime=...).
 
 One front door covers thread programs, asyncio programs, and mixed
-programs — always against a single shared engine — and the historical
-``immunize_asyncio`` survives as a deprecated but functional alias.
+programs — always against a single shared engine.
 """
 
 from __future__ import annotations
@@ -82,16 +81,6 @@ class TestImmunizeAsyncio:
         finally:
             handle.stop()
         assert not raio.asyncio_installed()
-
-    def test_immunize_asyncio_is_deprecated_but_works(self):
-        with pytest.warns(DeprecationWarning, match="immunize_asyncio"):
-            runtime = repro.immunize_asyncio()
-        try:
-            assert raio.asyncio_installed()
-            assert runtime.dimmunix.running
-        finally:
-            runtime.dimmunix.stop()
-            raio.uninstall_asyncio()
 
 
 class TestImmunizeBoth:

@@ -36,6 +36,18 @@ class TestDimmunixLock:
             assert lock.locked()
         assert not lock.locked()
 
+    def test_timeout_with_nonblocking_is_rejected_like_threading(self, runtime):
+        lock = DimmunixLock(runtime=runtime)
+        with pytest.raises(ValueError):
+            threading.Lock().acquire(False, 1)
+        with pytest.raises(ValueError):
+            lock.acquire(blocking=False, timeout=1)
+        assert not lock.locked()
+        assert runtime.engine.stats.snapshot()["requests"] == 0
+        # threading's own spelling of "no timeout" stays accepted.
+        assert lock.acquire(blocking=False, timeout=-1)
+        lock.release()
+
     def test_trylock_fails_when_held_elsewhere(self, runtime):
         lock = DimmunixLock(runtime=runtime)
         lock.acquire()
@@ -209,12 +221,9 @@ class TestRuntimeHelpers:
     def test_yield_manager_wake(self, config):
         dimmunix = Dimmunix(config=config)
         manager = YieldManager(dimmunix)
-        event = manager.prepare_wait(5)
+        event = manager.prepare(5)
         assert not event.is_set()
-        manager.wake([5])
-        assert event.is_set()
-        # Wakers registered with the facade also reach the event.
-        event.clear()
+        # Wakes arrive through the waker the manager registered with the facade.
         dimmunix.wake([5])
         assert event.is_set()
         manager.forget(5)

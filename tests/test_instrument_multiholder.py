@@ -153,6 +153,38 @@ class TestDimmunixRWLockBasics:
         with rwlock.read_lock():
             assert runtime.engine.is_multiholder(rwlock.lock_id)
 
+    @pytest.mark.parametrize("side", ["read", "write"])
+    def test_timed_acquire_woken_at_the_deadline_rechecks_before_failing(
+            self, runtime, monkeypatch, side):
+        """The holder leaves exactly as the deadline passes: granted, not timed out."""
+        from types import SimpleNamespace
+
+        from repro.instrument import locks as locks_module
+
+        clock = [100.0]
+        monkeypatch.setattr(locks_module, "time",
+                            SimpleNamespace(monotonic=lambda: clock[0]))
+        rwlock = DimmunixRWLock(runtime=runtime)
+        holder = threading.Thread(target=rwlock.acquire_write)
+        holder.start()
+        holder.join(5)
+        writer = rwlock.writer
+        assert writer is not None
+
+        def wait(timeout):
+            # What the holder's release_write does, minus its notify: the
+            # waiter comes back because its time is up, not because it
+            # was told anything.
+            assert timeout == 1.0
+            rwlock._ledger.release(writer)
+            clock[0] += timeout
+
+        rwlock._cond.wait = wait
+        acquire = rwlock.acquire_read if side == "read" else rwlock.acquire_write
+        assert acquire(timeout=1.0) is True
+        assert runtime.engine.stats.snapshot()["cancels"] == 0
+
+
 
 def _run_thread_sem_trial(history):
     """Two workers, a 2-permit pool, each worker needs both permits."""

@@ -19,7 +19,7 @@ from repro.core.cycles import find_deadlock_cycles
 from repro.core.errors import AvoidanceError
 from repro.core.events import acquired_event, allow_event, release_event
 from repro.core.history import History
-from repro.core.rag import ResourceAllocationGraph, ResourceState, LockState
+from repro.core.rag import ResourceAllocationGraph
 from repro.core.signature import DEADLOCK, EXCLUSIVE, SHARED, Signature
 from repro.sim.backends import DimmunixBackend, NullBackend
 from repro.sim.explore import (ImmunityChecker, build_rwlock_upgrade_inversion,
@@ -37,9 +37,6 @@ S3 = stack("take:0", "pool:c", "main:0")
 
 
 class TestRagMultiHolder:
-    def test_lockstate_alias_preserved(self):
-        assert LockState is ResourceState
-
     def test_semaphore_tracks_multiple_holders(self):
         rag = ResourceAllocationGraph()
         rag.apply(acquired_event(1, 10, S1, capacity=2))
@@ -48,7 +45,7 @@ class TestRagMultiHolder:
         assert resource.holder_ids() == [1, 2]
         assert rag.holders_of(10) == [1, 2]
         assert resource.capacity == 2
-        assert resource.owner is None  # no *sole* holder
+        assert rag.holder_of(10) is None  # no *sole* holder
         assert rag.hold_stack(10, 1) == S1
         assert rag.hold_stack(10, 2) == S2
 

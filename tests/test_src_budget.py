@@ -1,0 +1,42 @@
+"""``src/`` line count is a tracked metric (ROADMAP aim 2) and only ratchets down.
+
+The numbers are ``wc -l`` over ``src/repro/**/*.py`` — comments, docstrings
+and blank lines included, so stripping those is not a way under the bar.
+A change that grows ``src/`` must raise the number here, in its own diff,
+where a reviewer sees it next to the reason.
+"""
+
+from __future__ import annotations
+
+import os
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "repro")
+
+#: Lines after PR 12 (one acquisition protocol; legacy paths deleted).
+TOTAL_BUDGET = 20_674
+#: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
+#: written once per runtime (2,691 before PR 12).
+PRIMITIVES_BUDGET = 2_312
+
+
+def count_lines(*roots: str) -> int:
+    total = 0
+    for root in roots:
+        paths = [root] if os.path.isfile(root) else [
+            os.path.join(directory, name)
+            for directory, _, names in os.walk(root)
+            for name in names if name.endswith(".py")]
+        for path in paths:
+            with open(path, "rb") as handle:
+                total += handle.read().count(b"\n")
+    return total
+
+
+def test_src_total_stays_within_budget():
+    assert count_lines(SRC) <= TOTAL_BUDGET
+
+
+def test_primitives_stay_within_budget():
+    assert count_lines(os.path.join(SRC, "instrument"),
+                       os.path.join(SRC, "sim", "locks.py")) <= PRIMITIVES_BUDGET

@@ -105,7 +105,7 @@ class TestConcurrentStress:
             assert thread.allow is None, thread
             assert thread.request is None, thread
         for lock in rag.locks():
-            assert lock.owner is None, lock
+            assert lock.holder_ids() == [], lock
             assert lock.waiters == set(), lock
 
     @pytest.mark.parametrize("with_signatures", [False, True])
