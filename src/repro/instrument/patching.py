@@ -129,29 +129,3 @@ def patched(dimmunix: Optional[Dimmunix] = None,
     finally:
         runtime.dimmunix.stop()
         uninstall()
-
-
-def immunize(config: Optional[DimmunixConfig] = None,
-             history_path: Optional[str] = None,
-             share=None) -> InstrumentationRuntime:
-    """One-call setup: create, start, and install a Dimmunix instance.
-
-    This is the "just make my program immune" entry point::
-
-        import repro
-        repro.immunize(history_path="myapp.history")
-
-    Pass ``share`` (a spec string such as ``unix:///run/app/pool.sock``,
-    ``tcp://host:port`` or ``file:///shared/pool.sig``, or a
-    :class:`~repro.share.channel.HistoryChannel`) to join a cross-process
-    signature pool: deadlocks experienced by any worker immunize this one
-    live, and vice versa (see :mod:`repro.share`).
-    """
-    if config is None:
-        config = DimmunixConfig(history_path=history_path)
-    elif history_path is not None:
-        config = config.with_overrides(history_path=history_path)
-    dimmunix = Dimmunix(config=config, share=share)
-    runtime = install(dimmunix=dimmunix)
-    dimmunix.start()
-    return runtime

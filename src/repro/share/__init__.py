@@ -24,6 +24,9 @@ a registry of interchangeable transports:
   shared signature log with advisory locking and compaction;
 * :class:`MemoryHub` / :class:`MemoryChannel` — the deterministic
   in-process transport used by the simulator and tests;
+* :class:`PoolState` — the replicated value every transport above
+  carries (signature records plus standing controls) and the only
+  place its merge rules are written;
 * :class:`SignaturePool` — binds a channel to a local
   :class:`~repro.core.history.History` and the monitor's cadence, with
   publish coalescing, a bounded outbound queue, and the fleet-control
@@ -44,14 +47,15 @@ multi-process proof.
 """
 
 from .channel import (HistoryChannel, SignatureSink, SignatureSource,
-                      make_control, open_channel, parse_share_spec,
-                      register_transport, transports, unregister_transport)
+                      open_channel, parse_share_spec, register_transport,
+                      transports, unregister_transport)
 from .client import SocketChannel
 from .filechannel import FileChannel
 from .gossip import GossipChannel
 from .memory import MemoryChannel, MemoryHub, memory_hub, reset_memory_hubs
 from .pool import SignaturePool
 from .server import HistoryServer
+from .state import PoolState, make_control
 
 __all__ = [
     "FileChannel",
@@ -60,6 +64,7 @@ __all__ = [
     "HistoryServer",
     "MemoryChannel",
     "MemoryHub",
+    "PoolState",
     "SignaturePool",
     "SignatureSink",
     "SignatureSource",

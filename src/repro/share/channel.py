@@ -40,10 +40,11 @@ duplicate entries).
 
 Channels deduplicate by fingerprint in both directions: a signature that
 arrived from the pool is never published back into it, and a signature
-published locally is never redelivered by ``poll``.  Control records are
-deduplicated by their full identity ``(action, fingerprint, clock,
-origin)`` instead — the same fingerprint may legitimately be disabled,
-re-enabled, and disabled again.
+published locally is never redelivered by ``poll``.  Control records
+cross a channel only when they are newer, under the merge order of
+:mod:`repro.share.state`, than the newest one the channel has carried
+for their fingerprint — the same fingerprint may legitimately be
+disabled, re-enabled, and disabled again.
 """
 
 from __future__ import annotations
@@ -53,43 +54,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.errors import ShareError
 from ..core.signature import Signature
-
-#: Actions a control record may carry across the pool.
-CONTROL_ACTIONS = ("disable", "enable", "remove")
-
-
-def make_control(action: str, fingerprint: str, clock: int = 0,
-                 origin: str = "") -> Dict:
-    """Build (and validate) one control record.
-
-    Control records are the fleet-wide management plane: ``disable``
-    stops every worker from avoiding a fingerprint (section 5.7 at fleet
-    scale), ``enable`` reverses that, ``remove`` deletes it outright.
-    ``clock`` is a Lamport timestamp and ``origin`` a tie-breaking node
-    name; together they give last-writer-wins merge semantics on
-    channels with no delivery-order guarantee (gossip).
-    """
-    if action not in CONTROL_ACTIONS:
-        raise ShareError(f"unknown control action {action!r} "
-                         f"(known: {', '.join(CONTROL_ACTIONS)})")
-    if not fingerprint:
-        raise ShareError("control record needs a fingerprint")
-    return {"action": action, "fingerprint": str(fingerprint),
-            "clock": int(clock), "origin": str(origin)}
-
-
-def control_key(control: Dict) -> Tuple:
-    """The dedup identity of a control record."""
-    return (control.get("action"), control.get("fingerprint"),
-            control.get("clock"), control.get("origin"))
-
-
-def valid_control(record) -> bool:
-    """True when ``record`` looks like a well-formed control record."""
-    return (isinstance(record, dict)
-            and record.get("action") in CONTROL_ACTIONS
-            and bool(record.get("fingerprint")))
-
+from .state import Control, parse_control
 
 class SignatureSink:
     """Accepts locally learned signatures for distribution."""
@@ -115,11 +80,10 @@ class HistoryChannel(SignatureSink, SignatureSource):
     """A bidirectional connection to a signature pool.
 
     Subclasses implement ``publish``/``poll``/``snapshot``/``close`` and
-    may use the inherited fingerprint bookkeeping: :meth:`_mark_seen`
-    records fingerprints that must not cross the channel again (already
-    published, or already delivered), and :meth:`_filter_unseen` applies
-    the set while updating it.  The bookkeeping is thread-safe — the
-    monitor thread publishes while the pool pump polls.
+    use the inherited bookkeeping of what has already crossed the
+    channel in either direction: :meth:`_fresh` for signatures,
+    :meth:`_fresh_controls` for control records.  The bookkeeping is
+    thread-safe — the monitor thread publishes while the pool pump polls.
 
     Transports that can carry the control plane additionally override
     ``publish_control``/``poll_controls`` and set ``supports_controls``;
@@ -132,21 +96,14 @@ class HistoryChannel(SignatureSink, SignatureSource):
 
     def __init__(self) -> None:
         self._seen: Set[str] = set()
-        self._seen_controls: Set[Tuple] = set()
+        #: The newest control carried so far, per fingerprint.
+        self._carried: Dict[str, Control] = {}
         self._seen_lock = threading.Lock()
         self._closed = False
 
-    # -- fingerprint bookkeeping -------------------------------------------------------
+    # -- bookkeeping -------------------------------------------------------------------
 
-    def _mark_seen(self, fingerprint: str) -> bool:
-        """Record a fingerprint; returns True when it was new."""
-        with self._seen_lock:
-            if fingerprint in self._seen:
-                return False
-            self._seen.add(fingerprint)
-            return True
-
-    def _filter_unseen(self, signatures: List[Signature]) -> List[Signature]:
+    def _fresh(self, signatures: List[Signature]) -> List[Signature]:
         """Keep (and mark) only signatures not seen on this channel before."""
         fresh = []
         with self._seen_lock:
@@ -156,24 +113,22 @@ class HistoryChannel(SignatureSink, SignatureSource):
                     fresh.append(signature)
         return fresh
 
-    def _mark_control_seen(self, control: Dict) -> bool:
-        """Record a control's identity; returns True when it was new."""
-        key = control_key(control)
-        with self._seen_lock:
-            if key in self._seen_controls:
-                return False
-            self._seen_controls.add(key)
-            return True
+    def _fresh_controls(self, controls: List[Dict]) -> List[Dict]:
+        """Keep (and mark) only controls newer than any carried before.
 
-    def _filter_unseen_controls(self, controls: List[Dict]) -> List[Dict]:
-        """Keep (and mark) only control records not seen on this channel."""
+        An unreadable record passes: a carrier does not judge what it
+        cannot read, the pool state at the far end rejects and counts it.
+        """
         fresh = []
         with self._seen_lock:
-            for control in controls:
-                key = control_key(control)
-                if key not in self._seen_controls:
-                    self._seen_controls.add(key)
-                    fresh.append(control)
+            for raw in controls:
+                control = parse_control(raw)
+                if control is not None:
+                    carried = self._carried.get(control.fingerprint)
+                    if carried is not None and control <= carried:
+                        continue
+                    self._carried[control.fingerprint] = control
+                fresh.append(raw)
         return fresh
 
     # -- control plane (optional) ------------------------------------------------------

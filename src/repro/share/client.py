@@ -18,7 +18,6 @@ on timeout instead, because their callers need the truth.
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
@@ -27,7 +26,9 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import ShareError
 from ..core.signature import Signature
-from .channel import HistoryChannel, valid_control
+from . import wire
+from .channel import HistoryChannel
+from .state import parse_signatures
 
 #: Address forms accepted by :class:`SocketChannel`.
 Address = Tuple
@@ -133,10 +134,9 @@ class SocketChannel(HistoryChannel):
         sock = self._sock
         if sock is None or not self._connected.is_set():
             return False
-        data = (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
         try:
             with self._write_lock:
-                sock.sendall(data)
+                wire.send(sock, message)
             return True
         except OSError:
             self.io_errors += 1
@@ -148,30 +148,16 @@ class SocketChannel(HistoryChannel):
         sock = self._sock
         self._sock = None
         if sock is not None:
-            # Shutdown before close so a reader thread blocked in
-            # readline() wakes with EOF instead of lingering on the fd.
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            wire.hang_up(sock)
 
     def _reader_loop(self, sock: socket.socket) -> None:
-        reader = sock.makefile("r", encoding="utf-8", newline="\n")
         try:
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
+            for line in wire.reader(sock):
                 try:
-                    message = json.loads(line)
-                except json.JSONDecodeError:
+                    message = wire.decode(line)
+                except ValueError:
                     continue
-                if isinstance(message, dict):
-                    self._handle(message)
+                self._handle(message)
         except (OSError, ValueError):
             # ValueError: the makefile was closed under us during shutdown.
             pass
@@ -187,10 +173,8 @@ class SocketChannel(HistoryChannel):
                 with self._pending_lock:
                     self._pending.append(record)
         elif op == "snapshot":
-            records = [r for r in message.get("signatures", [])
-                       if isinstance(r, dict)]
-            controls = [c for c in message.get("controls", [])
-                        if valid_control(c)]
+            records = wire.dicts(message.get("signatures"))
+            controls = wire.dicts(message.get("controls"))
             with self._pending_lock:
                 self._pending.extend(records)
                 self._pending_controls.extend(controls)
@@ -199,7 +183,7 @@ class SocketChannel(HistoryChannel):
             self._synced.set()
         elif op == "control":
             control = message.get("control")
-            if valid_control(control):
+            if isinstance(control, dict):
                 with self._pending_lock:
                     self._pending_controls.append(control)
         elif op == "status":
@@ -210,9 +194,7 @@ class SocketChannel(HistoryChannel):
     # -- HistoryChannel protocol -------------------------------------------------------
 
     def publish(self, signature: Signature) -> None:
-        if self._closed:
-            return
-        if not self._mark_seen(signature.fingerprint):
+        if self._closed or not self._fresh([signature]):
             return
         self._maybe_reconnect()
         self._send({"op": "publish", "signature": signature.to_dict()})
@@ -224,18 +206,10 @@ class SocketChannel(HistoryChannel):
         with self._pending_lock:
             records = list(self._pending)
             self._pending.clear()
-        signatures = []
-        for record in records:
-            try:
-                signatures.append(Signature.from_dict(record))
-            except Exception:
-                continue
-        return self._filter_unseen(signatures)
+        return self._fresh(parse_signatures(records))
 
     def publish_control(self, control: dict) -> None:
-        if self._closed:
-            return
-        if not self._mark_control_seen(control):
+        if self._closed or not self._fresh_controls([control]):
             return
         self._maybe_reconnect()
         self._send({"op": "control", "control": control})
@@ -247,7 +221,7 @@ class SocketChannel(HistoryChannel):
         with self._pending_lock:
             controls = list(self._pending_controls)
             self._pending_controls.clear()
-        return self._filter_unseen_controls(controls)
+        return self._fresh_controls(controls)
 
     def snapshot(self, timeout: float = 5.0) -> List[Signature]:
         if self._closed:
@@ -259,14 +233,8 @@ class SocketChannel(HistoryChannel):
         if not self._snapshot_event.wait(timeout):
             raise ShareError(
                 f"no snapshot from {self.describe()} within {timeout}s")
-        records = self._snapshot_payload or []
-        signatures = []
-        for record in records:
-            try:
-                signatures.append(Signature.from_dict(record))
-            except Exception:
-                continue
-        self._filter_unseen(signatures)
+        signatures = parse_signatures(self._snapshot_payload or [])
+        self._fresh(signatures)
         return signatures
 
     def status(self, timeout: float = 5.0) -> Dict:

@@ -10,9 +10,11 @@ through a single file.  The format is a JSON-lines log::
     {"control": {"action": "disable", "fingerprint": "...", ...}}
 
 ``control`` lines are the fleet-management plane (disable / enable /
-remove a fingerprint on every attached worker); compaction keeps only
-the latest control per fingerprint (by Lamport clock) so a long-lived
-log does not replay an entire enable/disable history to late joiners.
+remove a fingerprint on every attached worker).  The log is a journal of
+one :class:`~repro.share.state.PoolState`: compaction merges every line
+into that state and writes the state back, so a long-lived log keeps
+one line per fingerprint and one per standing control instead of
+replaying an entire enable/disable history to late joiners.
 
 Appends happen under an exclusive advisory lock on a sidecar file
 (``<path>.lock``); reads take the shared lock.  Locking the sidecar
@@ -30,22 +32,64 @@ sizes involved); the daemon transport is the better choice there.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import ShareError
 from ..core.signature import Signature
 from ..util.filelock import locked_file
-from .channel import HistoryChannel, valid_control
+from . import wire
+from .channel import HistoryChannel
+from .state import PoolState, parse_signatures
 
 _LOG_MAGIC = "dimmunix-share"
 _FORMAT_VERSION = 2
 
 
-def _new_generation() -> str:
-    return os.urandom(8).hex()
+def _new_header() -> str:
+    """A header line under a fresh generation token."""
+    return wire.encode({"log": _LOG_MAGIC, "format_version": _FORMAT_VERSION,
+                        "generation": os.urandom(8).hex()})
+
+
+def _header(line: str) -> Optional[dict]:
+    """The share-log header on ``line``, or None when it is not one."""
+    try:
+        header = wire.decode(line)
+    except ValueError:
+        return None
+    return header if header.get("log") == _LOG_MAGIC else None
+
+
+def _lines(handle) -> Iterator[Tuple[Optional[dict], int]]:
+    """(decoded line or None, offset after it) from the handle's position.
+
+    Stops at the first line without a terminator: a writer is mid-append
+    (no fcntl platform) and the partial line is re-read next time.
+    """
+    while True:
+        # Explicit readline(): iterating the handle would disable tell().
+        line = handle.readline()
+        if not line.endswith("\n"):
+            return
+        try:
+            yield wire.decode(line), handle.tell()
+        except ValueError:
+            yield None, handle.tell()
+
+
+def _split(lines: Iterable[Optional[dict]]) -> Tuple[List[dict], List[dict]]:
+    """Decoded log lines sorted into (signature records, control records)."""
+    records, controls = [], []
+    for line in lines:
+        if line is None:
+            continue
+        if isinstance(line.get("signature"), dict):
+            records.append(line["signature"])
+        elif isinstance(line.get("control"), dict):
+            controls.append(line["control"])
+    return records, controls
 
 
 class FileChannel(HistoryChannel):
@@ -67,10 +111,10 @@ class FileChannel(HistoryChannel):
         # otherwise get signature lines appended to a JSON document,
         # corrupting their immune memory.  Absent or empty files are fine
         # (the header is written on first publish).
-        self._check_is_share_log(must_exist=False)
-        #: Auto-compact once the log carries this many redundant records.
+        self._check_is_share_log()
+        #: Auto-compact once the log carries this many redundant lines.
         self._compact_slack = max(1, compact_slack)
-        #: Publishes between redundancy checks (compaction is amortized).
+        #: Appends between redundancy checks (compaction is amortized).
         self._check_interval = max(1, check_interval)
         self._appends_since_check = 0
         self._generation: Optional[str] = None
@@ -84,24 +128,16 @@ class FileChannel(HistoryChannel):
         """Path of the shared signature log."""
         return self._path
 
-    def _check_is_share_log(self, must_exist: bool) -> None:
+    def _check_is_share_log(self) -> None:
         """Raise :class:`ShareError` when the path holds a non-share file."""
         try:
             with open(self._path, "r", encoding="utf-8") as handle:
                 first = handle.readline()
         except FileNotFoundError:
-            if must_exist:
-                raise ShareError(f"{self._path} does not exist")
             return
         except OSError as exc:
             raise ShareError(f"cannot read {self._path}: {exc}") from exc
-        if not first.strip():
-            return
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError:
-            header = None
-        if not (isinstance(header, dict) and header.get("log") == _LOG_MAGIC):
+        if first.strip() and _header(first) is None:
             raise ShareError(
                 f"{self._path} exists but is not a dimmunix share log "
                 "(refusing to append to a foreign file)")
@@ -111,16 +147,13 @@ class FileChannel(HistoryChannel):
 
     # -- reading -----------------------------------------------------------------------
 
-    def _read_from_offset(self, handle) -> List[dict]:
-        """Advance past the header if needed, then read new records."""
+    def _read_from_offset(self, handle) -> None:
+        """Advance past the header if needed, then buffer the new lines."""
         header_line = handle.readline()
         if not header_line:
-            return []
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError:
-            raise ShareError(f"{self._path} is not a dimmunix share log")
-        if not isinstance(header, dict) or header.get("log") != _LOG_MAGIC:
+            return
+        header = _header(header_line)
+        if header is None:
             raise ShareError(f"{self._path} is not a dimmunix share log")
         generation = header.get("generation")
         if generation != self._generation:
@@ -129,205 +162,127 @@ class FileChannel(HistoryChannel):
             self._generation = generation
             self._offset = handle.tell()
         handle.seek(self._offset)
-        records = []
-        while True:
-            # Explicit readline(): iterating the handle would disable
-            # tell(), which the offset bookkeeping depends on.
-            line = handle.readline()
-            if not line:
-                break
-            if not line.endswith("\n"):
-                # A writer is mid-append (no fcntl platform); re-read the
-                # partial line on the next poll.
-                break
-            self._offset = handle.tell()
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and "signature" in record:
-                records.append(record)
-            elif isinstance(record, dict) and valid_control(record.get("control")):
-                self._pending_controls.append(record["control"])
-        return records
+        fresh = list(_lines(handle))
+        if fresh:
+            self._offset = fresh[-1][1]
+            records, controls = _split(line for line, _ in fresh)
+            self._pending_records.extend(records)
+            self._pending_controls.extend(controls)
 
-    def _load_new_records(self) -> List[dict]:
+    def _refresh(self) -> None:
+        """Pull new lines into the pending buffers (both record kinds)."""
         try:
             with locked_file(self._path, exclusive=False):
                 try:
                     with open(self._path, "r", encoding="utf-8") as handle:
-                        return self._read_from_offset(handle)
+                        self._read_from_offset(handle)
                 except FileNotFoundError:
-                    return []
+                    pass
         except OSError:
             self.io_errors += 1
-            return []
-
-    def _refresh(self) -> None:
-        """Pull new lines into the pending buffers (both record kinds)."""
-        self._pending_records.extend(self._load_new_records())
 
     def poll(self) -> List[Signature]:
         if self._closed:
             return []
         self._refresh()
         records, self._pending_records = self._pending_records, []
-        signatures = []
-        for record in records:
-            try:
-                signatures.append(Signature.from_dict(record["signature"]))
-            except Exception:
-                continue
-        return self._filter_unseen(signatures)
+        return self._fresh(parse_signatures(records))
 
     def poll_controls(self) -> List[dict]:
         if self._closed:
             return []
         self._refresh()
         controls, self._pending_controls = self._pending_controls, []
-        return self._filter_unseen_controls(controls)
+        return self._fresh_controls(controls)
 
     def snapshot(self) -> List[Signature]:
         if self._closed:
             return []
         self._generation = None  # force a rescan from the top
-        self._offset = 0
-        by_fingerprint: Dict[str, Signature] = {}
-        for record in self._load_new_records():
-            try:
-                signature = Signature.from_dict(record["signature"])
-            except Exception:
-                continue
-            by_fingerprint.setdefault(signature.fingerprint, signature)
-        signatures = list(by_fingerprint.values())
-        self._filter_unseen(signatures)
+        self._refresh()
+        records, self._pending_records = self._pending_records, []
+        # The controls stay pending for ``poll_controls``; here they only
+        # decide which records are visible.
+        state = PoolState()
+        state.absorb(records, self._pending_controls)
+        signatures = parse_signatures(state.visible())
+        self._fresh(signatures)
         return signatures
 
     # -- writing -----------------------------------------------------------------------
 
     def publish(self, signature: Signature) -> None:
-        if self._closed:
-            return
-        if not self._mark_seen(signature.fingerprint):
-            return
-        line = json.dumps({"signature": signature.to_dict()}, sort_keys=True)
+        if not self._closed and self._fresh([signature]):
+            self._append({"signature": signature.to_dict()})
+
+    def publish_control(self, control: dict) -> None:
+        if not self._closed and self._fresh_controls([control]):
+            self._append({"control": control})
+
+    def _append(self, record: dict) -> None:
         try:
             with locked_file(self._path, exclusive=True):
                 # Re-validate under the lock: the path may have been
                 # replaced with a foreign file since construction.
-                self._check_is_share_log(must_exist=False)
-                self._ensure_header_locked()
+                self._check_is_share_log()
+                try:
+                    empty = os.path.getsize(self._path) == 0
+                except OSError:
+                    empty = True
                 with open(self._path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
+                    if empty:
+                        handle.write(_new_header())
+                    handle.write(wire.encode(record))
                 self._appends_since_check += 1
                 if self._appends_since_check >= self._check_interval:
                     self._appends_since_check = 0
-                    self._maybe_compact_locked()
+                    self._compact_locked(self._compact_slack)
         except OSError:
             self.io_errors += 1
-
-    def publish_control(self, control: dict) -> None:
-        if self._closed:
-            return
-        if not self._mark_control_seen(control):
-            return
-        line = json.dumps({"control": control}, sort_keys=True)
-        try:
-            with locked_file(self._path, exclusive=True):
-                self._check_is_share_log(must_exist=False)
-                self._ensure_header_locked()
-                with open(self._path, "a", encoding="utf-8") as handle:
-                    handle.write(line + "\n")
-        except OSError:
-            self.io_errors += 1
-
-    def _ensure_header_locked(self) -> None:
-        """Create the log with a header when absent (caller holds the lock)."""
-        try:
-            if os.path.getsize(self._path) > 0:
-                return
-        except OSError:
-            pass
-        header = {"log": _LOG_MAGIC, "format_version": _FORMAT_VERSION,
-                  "generation": _new_generation()}
-        with open(self._path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
 
     # -- compaction --------------------------------------------------------------------
 
-    def _scan_all_locked(self) -> Tuple[List[dict], List[dict], int]:
-        """(unique signature records, kept control records, total count).
-
-        Control records survive compaction too, reduced to the latest
-        control per fingerprint by ``(clock, origin)`` — a late joiner
-        must still learn "this fingerprint is disabled" from a compacted
-        log, but not replay the whole enable/disable history.
-        """
-        unique: Dict[str, dict] = {}
-        latest_controls: Dict[str, dict] = {}
-        total = 0
+    def _scan_locked(self) -> Tuple[PoolState, int]:
+        """(the log merged into one state, how many lines that took)."""
+        lines: List[Optional[dict]] = []
         try:
             with open(self._path, "r", encoding="utf-8") as handle:
                 handle.readline()  # header
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        total += 1
-                        continue
-                    if isinstance(record, dict) and "signature" in record:
-                        total += 1
-                        fingerprint = record["signature"].get("fingerprint")
-                        if fingerprint and fingerprint not in unique:
-                            unique[fingerprint] = record
-                    elif (isinstance(record, dict)
-                          and valid_control(record.get("control"))):
-                        total += 1
-                        control = record["control"]
-                        fingerprint = control["fingerprint"]
-                        stamp = (control.get("clock", 0),
-                                 str(control.get("origin", "")))
-                        held = latest_controls.get(fingerprint)
-                        if held is None or stamp >= (
-                                held["control"].get("clock", 0),
-                                str(held["control"].get("origin", ""))):
-                            latest_controls[fingerprint] = record
+                lines = [line for line, _ in _lines(handle)]
         except OSError:
-            return [], [], 0
-        return list(unique.values()), list(latest_controls.values()), total
+            pass
+        state = PoolState()
+        state.absorb(*_split(lines))
+        return state, len(lines)
 
-    def _maybe_compact_locked(self) -> None:
-        unique, controls, total = self._scan_all_locked()
-        if total - len(unique) - len(controls) >= self._compact_slack:
-            self._rewrite_locked(unique + controls)
+    def _compact_locked(self, slack: int) -> int:
+        """Rewrite the log as its merged state if that drops >= ``slack`` lines.
 
-    def _rewrite_locked(self, records: List[dict]) -> None:
-        directory = os.path.dirname(os.path.abspath(self._path)) or "."
-        header = {"log": _LOG_MAGIC, "format_version": _FORMAT_VERSION,
-                  "generation": _new_generation()}
-        fd, temp_name = tempfile.mkstemp(prefix=".dimmunix-share-",
-                                         dir=directory)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        os.replace(temp_name, self._path)
+        Every held record survives (a removed one too: ``remove`` hides,
+        it does not delete) and so does the standing control per
+        fingerprint — a late joiner must still learn "this fingerprint
+        is disabled" from a compacted log.
+        """
+        state, total = self._scan_locked()
+        dropped = total - len(state.records) - len(state.controls)
+        if dropped >= slack:
+            directory = os.path.dirname(os.path.abspath(self._path)) or "."
+            fd, temp_name = tempfile.mkstemp(prefix=".dimmunix-share-",
+                                             dir=directory)
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(_new_header())
+                for record in state.records.values():
+                    handle.write(wire.encode({"signature": record}))
+                for control in state.controls.values():
+                    handle.write(wire.encode({"control": control.to_dict()}))
+            os.replace(temp_name, self._path)
+        return dropped
 
     def compact(self) -> int:
-        """Deduplicate the log now; returns the number of records dropped."""
+        """Deduplicate the log now; returns the number of lines dropped."""
         try:
             with locked_file(self._path, exclusive=True):
-                unique, controls, total = self._scan_all_locked()
-                dropped = total - len(unique) - len(controls)
-                if dropped > 0:
-                    self._rewrite_locked(unique + controls)
-                return dropped
+                return self._compact_locked(1)
         except OSError as exc:
             raise ShareError(f"cannot compact {self._path}: {exc}") from exc
 
@@ -337,16 +292,12 @@ class FileChannel(HistoryChannel):
         """Counts for ``histctl pool-status``: records, unique, size."""
         try:
             with locked_file(self._path, exclusive=False):
-                unique, controls, total = self._scan_all_locked()
+                state, total = self._scan_locked()
                 try:
                     size = os.path.getsize(self._path)
                 except OSError:
                     size = 0
         except OSError as exc:
             raise ShareError(f"cannot read {self._path}: {exc}") from exc
-        disabled = sum(1 for record in controls
-                       if record["control"].get("action") == "disable")
-        return {"transport": "file", "path": self._path,
-                "signatures": len(unique), "records": total,
-                "controls": len(controls), "disabled_fingerprints": disabled,
-                "bytes": size, "io_errors": self.io_errors}
+        return {"transport": "file", "path": self._path, **state.counts(),
+                "records": total, "bytes": size, "io_errors": self.io_errors}

@@ -3,11 +3,14 @@
 Daemons and shared files both centralize: one socket, one volume, one
 thing to keep alive.  At multi-host scale the ROADMAP wants immunity
 with *no single point of failure* — which is exactly what the immune
-memory's shape already affords.  A signature pool is a grow-only set
-keyed by fingerprint, and the fleet-control plane is a last-writer-wins
-register per fingerprint (Lamport ``clock`` + ``origin`` tie-break), so
-state merges commutatively in any order: classic CRDT territory, and the
-reason plain epidemic gossip converges here without coordination.
+memory's shape already affords.  A node's state is one
+:class:`~repro.share.state.PoolState`: a grow-only set of records keyed
+by fingerprint, plus per fingerprint the greatest control under the
+total order ``(clock, origin, action)``, with ``remove`` hiding a record
+rather than deleting it.  That merge is a join, so any two nodes that
+have seen the same records and controls — in whatever order, however
+often — hold the same state: classic CRDT territory, and the reason
+plain epidemic gossip converges here without coordination.
 
 Every ``gossip://BIND?peers=...`` channel is a full mesh node:
 
@@ -49,18 +52,18 @@ with, e.g. one per host) can be run standalone::
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import random
 import socket
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import ShareError
 from ..core.signature import Signature
-from .channel import HistoryChannel, split_spec_params, valid_control
+from . import wire
+from .channel import HistoryChannel, split_spec_params
+from .state import PoolState, parse_signatures
 
 #: Wire protocol identifier (first field of every ``syn``).
 PROTOCOL = "dimmunix-gossip/1"
@@ -100,10 +103,6 @@ def parse_gossip_params(rest: str, spec: str) -> Dict:
     return result
 
 
-def _control_stamp(control: Dict) -> Tuple[int, str]:
-    return (int(control.get("clock", 0)), str(control.get("origin", "")))
-
-
 class GossipChannel(HistoryChannel):
     """One node of a daemonless anti-entropy mesh."""
 
@@ -120,11 +119,9 @@ class GossipChannel(HistoryChannel):
         self._interval = max(0.01, interval)
         self._connect_timeout = connect_timeout
         self._node_name = node_name or f"gossip-{id(self):x}"
-        #: CRDT state: grow-only signature records by fingerprint plus the
-        #: latest (LWW) control per fingerprint.  ``_lock`` guards both and
-        #: the inbound pending buffers; it is never held across network I/O.
-        self._records: Dict[str, dict] = {}
-        self._controls: Dict[str, dict] = {}
+        #: ``_lock`` guards the replicated state and the inbound pending
+        #: buffers; it is never held across network I/O.
+        self._state = PoolState()
         self._pending_records: List[dict] = []
         self._pending_controls: List[dict] = []
         self._lock = threading.Lock()
@@ -180,107 +177,38 @@ class GossipChannel(HistoryChannel):
             return f"gossip://{self.bind}?peers={','.join(self._peers)}"
         return f"gossip://{self.bind}"
 
-    # -- CRDT state --------------------------------------------------------------------
-
-    def _state_digest(self) -> str:
-        digest = hashlib.sha256()
-        with self._lock:
-            fingerprints = sorted(self._records)
-            controls = sorted(
-                (fp, control.get("action"), _control_stamp(control))
-                for fp, control in self._controls.items())
-        for fingerprint in fingerprints:
-            digest.update(fingerprint.encode("utf-8"))
-            digest.update(b"\x00")
-        digest.update(b"\x01")
-        for item in controls:
-            digest.update(repr(item).encode("utf-8"))
-            digest.update(b"\x00")
-        return digest.hexdigest()
-
-    def _state_summary(self) -> Tuple[List[str], Dict[str, list]]:
-        """(fingerprints, control stamps) — what ``ack`` advertises."""
-        with self._lock:
-            fingerprints = sorted(self._records)
-            stamps = {fp: [int(c.get("clock", 0)), str(c.get("origin", ""))]
-                      for fp, c in self._controls.items()}
-        return fingerprints, stamps
-
-    def _merge_record(self, record: dict, remote: bool) -> bool:
-        """Add one signature record; True when it was new to this node."""
-        fingerprint = record.get("fingerprint")
-        if not fingerprint:
-            return False
-        with self._lock:
-            if fingerprint in self._records:
-                return False
-            held = self._controls.get(fingerprint)
-            if held is not None and held.get("action") == "remove":
-                # The fleet removed this fingerprint; do not resurrect it.
-                return False
-            self._records[fingerprint] = dict(record)
-            if remote:
-                self._pending_records.append(dict(record))
-        return True
-
-    def _merge_control(self, control: dict, remote: bool) -> bool:
-        """LWW-merge one control record; True when it won."""
-        if not valid_control(control):
-            return False
-        fingerprint = control["fingerprint"]
-        stamp = _control_stamp(control)
-        with self._lock:
-            held = self._controls.get(fingerprint)
-            if held is not None:
-                held_stamp = _control_stamp(held)
-                if stamp < held_stamp:
-                    return False
-                if stamp == held_stamp and held.get("action") == control.get(
-                        "action"):
-                    return False
-            self._controls[fingerprint] = dict(control)
-            if remote:
-                self._pending_controls.append(dict(control))
-        return True
-
     # -- HistoryChannel protocol -------------------------------------------------------
 
     def publish(self, signature: Signature) -> None:
-        if self._closed:
-            return
-        if not self._mark_seen(signature.fingerprint):
+        if self._closed or not self._fresh([signature]):
             return
         record = signature.to_dict()
-        if self._merge_record(record, remote=False):
+        with self._lock:
+            new = self._state.admit(record)
+        if new:
             self._push({"signatures": [record]})
 
     def publish_control(self, control: Dict) -> None:
-        if self._closed:
+        if self._closed or not self._fresh_controls([control]):
             return
-        if not self._mark_control_seen(control):
-            return
-        if self._merge_control(control, remote=False):
-            self._push({"controls": [dict(control)]})
+        with self._lock:
+            _, won = self._state.absorb(controls=[control])
+        if won:
+            self._push({"controls": [won[0].to_dict()]})
 
     def poll(self) -> List[Signature]:
         if self._closed:
             return []
         with self._lock:
             records, self._pending_records = self._pending_records, []
-        signatures = []
-        for record in records:
-            try:
-                signatures.append(Signature.from_dict(record))
-            except Exception:
-                continue
-        return self._filter_unseen(signatures)
+        return self._fresh(parse_signatures(records))
 
     def poll_controls(self) -> List[Dict]:
         if self._closed:
             return []
         with self._lock:
             controls, self._pending_controls = self._pending_controls, []
-        return self._filter_unseen_controls(controls)
+        return self._fresh_controls(controls)
 
     def snapshot(self) -> List[Signature]:
         """Pull from every peer synchronously, then return all records.
@@ -294,14 +222,9 @@ class GossipChannel(HistoryChannel):
         for peer in list(self._peers):
             self._exchange(peer)
         with self._lock:
-            records = list(self._records.values())
-        signatures = []
-        for record in records:
-            try:
-                signatures.append(Signature.from_dict(record))
-            except Exception:
-                continue
-        self._filter_unseen(signatures)
+            records = self._state.visible()
+        signatures = parse_signatures(records)
+        self._fresh(signatures)
         return signatures
 
     def close(self) -> None:
@@ -329,12 +252,10 @@ class GossipChannel(HistoryChannel):
     def _send_one(self, peer: str, message: Dict) -> bool:
         try:
             with self._connect(peer) as sock:
-                sock.sendall(
-                    (json.dumps(message, sort_keys=True) + "\n")
-                    .encode("utf-8"))
+                wire.send(sock, message)
                 # Wait for the one-byte-ish ack so the payload is known
                 # to have been read, not merely buffered by the kernel.
-                sock.makefile("r", encoding="utf-8").readline()
+                wire.reader(sock).readline()
             return True
         except OSError:
             return False
@@ -371,83 +292,40 @@ class GossipChannel(HistoryChannel):
         """Digest-first push-pull with ``peer``; True on success."""
         try:
             with self._connect(peer) as sock:
-                reader = sock.makefile("r", encoding="utf-8", newline="\n")
-
-                def send(message: Dict) -> None:
-                    sock.sendall(
-                        (json.dumps(message, sort_keys=True) + "\n")
-                        .encode("utf-8"))
-
-                def recv() -> Optional[Dict]:
-                    line = reader.readline()
-                    if not line:
-                        return None
-                    try:
-                        message = json.loads(line)
-                    except json.JSONDecodeError:
-                        return None
-                    return message if isinstance(message, dict) else None
-
-                send({"op": "syn", "protocol": PROTOCOL,
-                      "digest": self._state_digest(), "from": self.bind})
-                ack = recv()
+                lines = wire.reader(sock)
+                with self._lock:
+                    digest = self._state.digest()
+                wire.send(sock, {"op": "syn", "protocol": PROTOCOL,
+                                 "digest": digest, "from": self.bind})
+                ack = wire.recv(lines)
                 if ack is None or ack.get("op") != "ack":
                     return False
-                if ack.get("match"):
-                    self._peer_last_success[peer] = time.monotonic()
-                    return True
-                their_fps = set(ack.get("fingerprints", []))
-                their_stamps = ack.get("control_stamps", {})
-                if not isinstance(their_stamps, dict):
-                    their_stamps = {}
-                with self._lock:
-                    send_sigs = [dict(record) for fp, record
-                                 in self._records.items()
-                                 if fp not in their_fps]
-                    want = [fp for fp in their_fps
-                            if fp not in self._records]
-                    send_ctls, want_ctls = self._control_diff_locked(
-                        their_stamps)
-                send({"op": "data", "signatures": send_sigs,
-                      "controls": send_ctls, "want": want,
-                      "want_controls": want_ctls})
-                data = recv()
-                if data is None or data.get("op") != "data":
-                    return False
-                self._merge_payload(data)
+                if not ack.get("match"):
+                    with self._lock:
+                        signatures, controls, want, want_controls = (
+                            self._state.diff(ack.get("fingerprints", []),
+                                             ack.get("control_stamps", {})))
+                    wire.send(sock, {"op": "data", "signatures": signatures,
+                                     "controls": controls, "want": want,
+                                     "want_controls": want_controls})
+                    data = wire.recv(lines)
+                    if data is None or data.get("op") != "data":
+                        return False
+                    self._merge_payload(data)
                 self._peer_last_success[peer] = time.monotonic()
                 return True
-        except OSError:
+        except (OSError, ValueError):
+            # ValueError: a reply that is not a JSON object, or an ack
+            # whose summary is malformed.
             return False
 
-    def _control_diff_locked(self, their_stamps: Dict[str, list]
-                             ) -> Tuple[List[dict], List[str]]:
-        """(controls to send, fingerprints whose controls to request)."""
-        send_ctls = []
-        for fp, control in self._controls.items():
-            theirs = their_stamps.get(fp)
-            if theirs is None or _control_stamp(control) > (
-                    int(theirs[0]), str(theirs[1])):
-                send_ctls.append(dict(control))
-        want_ctls = []
-        for fp, theirs in their_stamps.items():
-            held = self._controls.get(fp)
-            if held is None or (int(theirs[0]), str(theirs[1])
-                                ) > _control_stamp(held):
-                want_ctls.append(fp)
-        return send_ctls, want_ctls
-
     def _merge_payload(self, message: Dict) -> None:
-        signatures = message.get("signatures", [])
-        if isinstance(signatures, list):
-            for record in signatures:
-                if isinstance(record, dict):
-                    self._merge_record(record, remote=True)
-        controls = message.get("controls", [])
-        if isinstance(controls, list):
-            for control in controls:
-                if isinstance(control, dict):
-                    self._merge_control(control, remote=True)
+        with self._lock:
+            records, controls = self._state.absorb(
+                message.get("signatures", ()), message.get("controls", ()))
+            self._pending_records.extend(records)
+            self._pending_controls.extend(
+                control.to_dict() for control in controls)
 
     # -- inbound -----------------------------------------------------------------------
 
@@ -464,62 +342,42 @@ class GossipChannel(HistoryChannel):
     def _serve_connection(self, sock: socket.socket) -> None:
         try:
             sock.settimeout(self._connect_timeout * 5)
-            reader = sock.makefile("r", encoding="utf-8", newline="\n")
-
-            def send(message: Dict) -> None:
-                sock.sendall(
-                    (json.dumps(message, sort_keys=True) + "\n")
-                    .encode("utf-8"))
-
-            line = reader.readline()
-            if not line:
-                return
-            try:
-                message = json.loads(line)
-            except json.JSONDecodeError:
-                self.io_errors += 1
-                return
-            if not isinstance(message, dict):
-                self.io_errors += 1
+            lines = wire.reader(sock)
+            message = wire.recv(lines)
+            if message is None:
                 return
             op = message.get("op")
             if op == "push":
                 self._merge_payload(message)
-                send({"op": "ok"})
+                wire.send(sock, {"op": "ok"})
             elif op == "syn":
-                if message.get("digest") == self._state_digest():
-                    send({"op": "ack", "match": True})
+                with self._lock:
+                    summary = (None
+                               if message.get("digest") == self._state.digest()
+                               else self._state.summary())
+                if summary is None:
+                    wire.send(sock, {"op": "ack", "match": True})
                     return
-                fingerprints, stamps = self._state_summary()
-                send({"op": "ack", "match": False,
-                      "fingerprints": fingerprints,
-                      "control_stamps": stamps})
-                line = reader.readline()
-                if not line:
+                wire.send(sock, {"op": "ack", "match": False,
+                                 "fingerprints": summary[0],
+                                 "control_stamps": summary[1]})
+                data = wire.recv(lines)
+                if data is None:
                     return
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    self.io_errors += 1
-                    return
-                if not isinstance(data, dict) or data.get("op") != "data":
+                if data.get("op") != "data":
                     self.io_errors += 1
                     return
                 self._merge_payload(data)
-                want = data.get("want", [])
-                want_ctls = data.get("want_controls", [])
                 with self._lock:
-                    signatures = [dict(self._records[fp]) for fp in want
-                                  if isinstance(fp, str)
-                                  and fp in self._records]
-                    controls = [dict(self._controls[fp]) for fp in want_ctls
-                                if isinstance(fp, str)
-                                and fp in self._controls]
-                send({"op": "data", "signatures": signatures,
-                      "controls": controls})
+                    signatures, controls = self._state.pick(
+                        data.get("want", ()), data.get("want_controls", ()))
+                wire.send(sock, {"op": "data", "signatures": signatures,
+                                 "controls": controls})
             else:
-                send({"op": "error", "error": f"unknown op {op!r}"})
+                wire.send(sock, {"op": "error",
+                                 "error": f"unknown op {op!r}"})
         except (OSError, ValueError):
+            # ValueError: a line that is not a JSON object.
             self.io_errors += 1
         finally:
             try:
@@ -533,10 +391,7 @@ class GossipChannel(HistoryChannel):
         """Mesh counters for ``histctl pool-status``."""
         now = time.monotonic()
         with self._lock:
-            signatures = len(self._records)
-            controls = len(self._controls)
-            disabled = sum(1 for c in self._controls.values()
-                           if c.get("action") == "disable")
+            counts = self._state.counts()
         peer_lag = {}
         for peer in self._peers:
             seen = self._peer_last_success.get(peer)
@@ -546,9 +401,7 @@ class GossipChannel(HistoryChannel):
                     else round(now - self._last_round_at, 3))
         return {"transport": "gossip", "bind": self.bind,
                 "node": self._node_name, "peers": list(self._peers),
-                "signatures": signatures, "controls": controls,
-                "disabled_fingerprints": disabled,
-                "rounds": self.rounds,
+                **counts, "rounds": self.rounds,
                 "round_failures": self.round_failures,
                 "last_round_age": last_age, "peer_lag": peer_lag,
                 "pushes": self.pushes, "io_errors": self.io_errors}

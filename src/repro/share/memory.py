@@ -1,9 +1,9 @@
 """In-process signature hub — the deterministic sharing transport.
 
-A :class:`MemoryHub` is the pool reduced to its essence: an append-only,
-fingerprint-deduplicated list of signature records shared by N
-:class:`MemoryChannel` endpoints in one process.  It exists for two
-consumers:
+A :class:`MemoryHub` is the pool reduced to its essence: one
+:class:`~repro.share.state.PoolState` plus the order in which its
+records and controls arrived, shared by N :class:`MemoryChannel`
+endpoints in one process.  It exists for two consumers:
 
 * **the simulator / deterministic tests** — several engine instances
   (e.g. two :class:`~repro.core.dimmunix.Dimmunix` objects standing in
@@ -15,63 +15,62 @@ consumers:
   name, mirroring how real workers find each other through a socket
   path.
 
-Delivery order is the hub's append order, and every channel observes the
-same order — determinism that the socket transport cannot promise.
+Delivery order is the hub's arrival order, and every channel observes
+the same order — determinism that the socket transport cannot promise.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..core.signature import Signature
-from .channel import HistoryChannel, control_key
+from .channel import HistoryChannel
+from .state import PoolState, parse_signatures
 
 
 class MemoryHub:
-    """A shared, deduplicated, append-only signature log in process memory."""
+    """A shared pool state in process memory, with its arrival order."""
 
     def __init__(self, name: Optional[str] = None):
         self.name = name
+        self._state = PoolState()
+        #: What channels deliver, in order: the records that were new and
+        #: visible on arrival, and the controls that won their merge.
         self._records: List[dict] = []
-        self._fingerprints: set = set()
         self._controls: List[dict] = []
-        self._control_keys: set = set()
         self._lock = threading.Lock()
 
     def append(self, signature: Signature) -> bool:
         """Add a signature record to the hub; True when it was new."""
         record = signature.to_dict()
         with self._lock:
-            if record["fingerprint"] in self._fingerprints:
+            if not self._state.admit(record):
                 return False
-            self._fingerprints.add(record["fingerprint"])
             self._records.append(record)
             return True
 
     def append_control(self, control: dict) -> bool:
-        """Add a control record to the hub; True when it was new.
-
-        Controls dedup by their full identity, not by fingerprint — the
-        same fingerprint may be disabled, enabled, and disabled again.
-        """
-        key = control_key(control)
+        """Merge a control record into the hub; True when it won."""
         with self._lock:
-            if key in self._control_keys:
-                return False
-            self._control_keys.add(key)
-            self._controls.append(dict(control))
-            return True
+            _, won = self._state.absorb(controls=[control])
+            self._controls.extend(winner.to_dict() for winner in won)
+            return bool(won)
 
     def records_from(self, cursor: int) -> List[dict]:
-        """All records appended at or after ``cursor`` (a plain index)."""
+        """All records delivered at or after ``cursor`` (a plain index)."""
         with self._lock:
-            return list(self._records[cursor:])
+            return self._records[cursor:]
 
     def controls_from(self, cursor: int) -> List[dict]:
-        """All control records appended at or after ``cursor``."""
+        """All control records delivered at or after ``cursor``."""
         with self._lock:
-            return list(self._controls[cursor:])
+            return self._controls[cursor:]
+
+    def snapshot(self) -> Tuple[List[dict], int]:
+        """(the visible records, the record cursor they are current to)."""
+        with self._lock:
+            return self._state.visible(), len(self._records)
 
     def __len__(self) -> int:
         with self._lock:
@@ -99,9 +98,7 @@ class MemoryChannel(HistoryChannel):
         return self._hub
 
     def publish(self, signature: Signature) -> None:
-        if self._closed:
-            return
-        if self._mark_seen(signature.fingerprint):
+        if not self._closed and self._fresh([signature]):
             self._hub.append(signature)
 
     def poll(self) -> List[Signature]:
@@ -109,25 +106,22 @@ class MemoryChannel(HistoryChannel):
             return []
         records = self._hub.records_from(self._cursor)
         self._cursor += len(records)
-        return self._filter_unseen(
-            [Signature.from_dict(record) for record in records])
+        return self._fresh(parse_signatures(records))
 
     def snapshot(self) -> List[Signature]:
         if self._closed:
             return []
-        records = self._hub.records_from(0)
-        signatures = [Signature.from_dict(record) for record in records]
-        self._filter_unseen(signatures)
         # Advance by what was actually read — not by len(hub), which may
         # already include records appended after the read and would make
         # poll() skip them forever.
-        self._cursor = max(self._cursor, len(records))
+        records, cursor = self._hub.snapshot()
+        self._cursor = max(self._cursor, cursor)
+        signatures = parse_signatures(records)
+        self._fresh(signatures)
         return signatures
 
     def publish_control(self, control) -> None:
-        if self._closed:
-            return
-        if self._mark_control_seen(control):
+        if not self._closed and self._fresh_controls([control]):
             self._hub.append_control(control)
 
     def poll_controls(self):
@@ -135,7 +129,7 @@ class MemoryChannel(HistoryChannel):
             return []
         controls = self._hub.controls_from(self._control_cursor)
         self._control_cursor += len(controls)
-        return self._filter_unseen_controls(controls)
+        return self._fresh_controls(controls)
 
     def describe(self) -> str:
         name = self._hub.name or "<anonymous>"

@@ -28,8 +28,9 @@ ever delayed, never lost locally.
 **The control plane.**  The pool is also a history *observer*: a local
 ``disable``/``enable``/``remove`` (e.g. from ``histctl``) originates a
 control record — Lamport-clocked, origin-stamped — onto the channel,
-and :meth:`pump` applies inbound control records to the local history
-with last-writer-wins semantics.  Applying a remote "disable" fires the
+and :meth:`pump` merges inbound control records into the pool's
+:class:`~repro.share.state.PoolState` and applies the ones that win to
+the local history.  Applying a remote "disable" fires the
 history's observer hooks, the signature index drops its buckets, and a
 *live* worker stops avoiding the fingerprint without restarting —
 fleet-wide retraction of a bad signature (section 5.7 at fleet scale).
@@ -53,11 +54,12 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional
 
 from ..core.history import History
 from ..core.signature import Signature
-from .channel import HistoryChannel, make_control, valid_control
+from .channel import HistoryChannel
+from .state import Control, PoolState, apply_control, install, parse_control
 
 
 def _default_origin() -> str:
@@ -83,12 +85,12 @@ class SignaturePool:
         self._outbound: Deque[Signature] = deque()
         self._outbound_lock = threading.Lock()
         self._first_queued_at: Optional[float] = None
-        #: Control-plane state: Lamport clock, origin stamp, and the
-        #: latest applied control per fingerprint (stamp + action).
+        #: Control-plane state: the origin stamp and the standing control
+        #: per fingerprint (whose highest clock is the Lamport clock).
+        #: The records themselves live in the history.
         self._origin = origin or _default_origin()
-        self._clock = 0
         self._control_lock = threading.Lock()
-        self._applied_controls: Dict[str, Tuple[int, str, str]] = {}
+        self._state = PoolState()
         #: Counters surfaced in reports and ``pool-status``.
         self.published = 0
         self.installed = 0
@@ -176,14 +178,11 @@ class SignaturePool:
         if not getattr(self._channel, "supports_controls", False):
             return
         with self._control_lock:
-            self._clock += 1
-            clock = self._clock
-            self._applied_controls[fingerprint] = (
-                clock, self._origin, action)
+            control = Control(self._state.clock + 1, self._origin,
+                              action, fingerprint)
+            self._state.merge_control(control)
         try:
-            control = make_control(action, fingerprint,
-                                   clock=clock, origin=self._origin)
-            self._channel.publish_control(control)
+            self._channel.publish_control(control.to_dict())
             self.controls_published += 1
         except Exception:
             self.control_errors += 1
@@ -207,17 +206,7 @@ class SignaturePool:
             return 0
         self._installing.active = True
         try:
-            added = self._history.merge(signatures)
-            # Controls beat signatures: a fingerprint the fleet disabled
-            # or removed stays that way even when its record arrives late.
-            for signature in signatures:
-                held = self._applied_controls.get(signature.fingerprint)
-                if held is None:
-                    continue
-                if held[2] == "disable":
-                    self._history.disable(signature.fingerprint)
-                elif held[2] == "remove":
-                    self._history.remove(signature.fingerprint)
+            added = install(self._history, self._state, signatures)
         finally:
             self._installing.active = False
         self.installed += added
@@ -225,28 +214,18 @@ class SignaturePool:
 
     def _apply_controls(self, controls) -> int:
         applied = 0
-        for control in controls:
-            if not valid_control(control):
+        for raw in controls:
+            control = parse_control(raw)
+            if control is None:
+                self.control_errors += 1
                 continue
-            fingerprint = control["fingerprint"]
-            action = control["action"]
-            stamp = (int(control.get("clock", 0)),
-                     str(control.get("origin", "")))
             with self._control_lock:
-                self._clock = max(self._clock, stamp[0])
-                held = self._applied_controls.get(fingerprint)
-                if held is not None and stamp <= held[:2]:
-                    continue
-                self._applied_controls[fingerprint] = (
-                    stamp[0], stamp[1], action)
+                won = self._state.merge_control(control)
+            if not won:
+                continue
             self._installing.active = True
             try:
-                if action == "disable":
-                    self._history.disable(fingerprint)
-                elif action == "enable":
-                    self._history.enable(fingerprint)
-                elif action == "remove":
-                    self._history.remove(fingerprint)
+                apply_control(self._history, control)
             finally:
                 self._installing.active = False
             applied += 1

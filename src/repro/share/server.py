@@ -31,9 +31,9 @@ upstream.  Upstream links reuse :class:`SocketChannel` semantics
 repopulates every leaf automatically.
 
 Signature payloads are plain ``Signature.to_dict()`` records — the same
-v1/v2 format as history files (``docs/signature-format.md``) — and all
-merging goes through :meth:`History.merge` semantics, so the daemon
-deduplicates exactly like a local history does.
+v1/v2 format as history files (``docs/signature-format.md``).  What the
+pool holds and how it merges is a :class:`~repro.share.state.PoolState`;
+the master history is its persistent, queryable mirror.
 
 Run it standalone with either front end::
 
@@ -44,7 +44,6 @@ Run it standalone with either front end::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import socket
 import sys
@@ -55,7 +54,9 @@ from typing import Dict, List, Optional, Sequence
 from ..core.errors import ShareError, SignatureError
 from ..core.history import History
 from ..core.signature import Signature
-from .channel import control_key, valid_control
+from . import wire
+from .state import (Control, PoolState, apply_control, install,
+                    parse_control)
 
 #: Protocol identifier sent in ``welcome`` messages.
 PROTOCOL = "dimmunix-share/1"
@@ -72,7 +73,7 @@ class _ClientConnection:
             _ClientConnection._ids += 1
             self.client_id = _ClientConnection._ids
         self.sock = sock
-        self.reader = sock.makefile("r", encoding="utf-8", newline="\n")
+        self.reader = wire.reader(sock)
         self.subscribed = False
         self.name = f"client-{self.client_id}"
         self._write_lock = threading.Lock()
@@ -80,10 +81,9 @@ class _ClientConnection:
 
     def send(self, message: Dict) -> bool:
         """Serialize and send one message; False when the peer is gone."""
-        data = (json.dumps(message, sort_keys=True) + "\n").encode("utf-8")
         try:
             with self._write_lock:
-                self.sock.sendall(data)
+                wire.send(self.sock, message)
             return True
         except OSError:
             self.alive = False
@@ -91,20 +91,14 @@ class _ClientConnection:
 
     def close(self) -> None:
         self.alive = False
-        # Shutdown FIRST: it wakes a handler thread blocked in readline()
-        # with EOF.  Closing the buffered reader while that thread still
-        # blocks inside it would deadlock on the io buffer lock.
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
+        # Hang up FIRST: the shutdown wakes a handler thread blocked in
+        # readline() with EOF.  Closing the buffered reader while that
+        # thread still blocks inside it would deadlock on the io buffer
+        # lock.
+        wire.hang_up(self.sock)
         try:
             self.reader.close()
         except (OSError, ValueError):
-            pass
-        try:
-            self.sock.close()
-        except OSError:
             pass
 
 
@@ -132,13 +126,15 @@ class HistoryServer:
         self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self._published = 0
-        self._broadcast = 0
-        # -- fleet-control state: the latest control per fingerprint, so
-        # late subscribers learn "this fingerprint is disabled" from the
+        self._broadcast_count = 0
+        # -- the replicated pool state, seeded from a persisted history.
+        # It carries the standing control per fingerprint, so late
+        # subscribers learn "this fingerprint is disabled" from the
         # snapshot instead of replaying history.
-        self._controls: Dict[str, dict] = {}
-        self._controls_lock = threading.Lock()
-        self._controls_applied = 0
+        self._state = PoolState()
+        self._state_lock = threading.Lock()
+        self._state.absorb([signature.to_dict()
+                            for signature in self.history.signatures()])
         # -- federation state
         self._upstream_specs: List[str] = list(upstreams or [])
         self._federation_interval = max(0.01, federation_interval)
@@ -192,18 +188,10 @@ class HistoryServer:
             except Exception:
                 pass
         if self._listener is not None:
-            # Shutdown before close: close() alone leaves the acceptor
-            # thread blocked inside accept() holding the kernel's open
-            # file description, so the port would keep listening (and a
-            # reconnecting client could be "served" by a stopped daemon).
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            # Not a bare close(): the acceptor thread would keep the port
+            # listening, and a reconnecting client could be "served" by a
+            # stopped daemon.
+            wire.hang_up(self._listener)
             self._listener = None
         if self._unix_path is not None:
             try:
@@ -272,16 +260,13 @@ class HistoryServer:
     def _serve_client(self, client: _ClientConnection) -> None:
         try:
             for line in client.reader:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
                 try:
-                    message = json.loads(line)
-                except json.JSONDecodeError:
-                    client.send({"op": "error", "error": "not JSON"})
-                    continue
-                if not isinstance(message, dict):
-                    client.send({"op": "error", "error": "not an object"})
+                    message = wire.decode(line)
+                except ValueError:
+                    client.send({"op": "error",
+                                 "error": "not a JSON object"})
                     continue
                 if not self._dispatch(client, message):
                     return
@@ -327,12 +312,10 @@ class HistoryServer:
         return True
 
     def _snapshot_message(self) -> Dict:
-        with self._controls_lock:
-            controls = [dict(c) for c in self._controls.values()]
+        with self._state_lock:
+            records, controls = self._state.snapshot()
         return {"op": "snapshot", "format_version": 2,
-                "signatures": [sig.to_dict()
-                               for sig in self.history.signatures()],
-                "controls": controls}
+                "signatures": records, "controls": controls}
 
     def _handle_publish(self, client: _ClientConnection, message: Dict) -> None:
         record = message.get("signature")
@@ -345,85 +328,47 @@ class HistoryServer:
             client.send({"op": "error", "error": f"bad signature: {exc}"})
             return
         self._published += 1
-        if self._admit_signature(signature):
-            self._broadcast_signature(signature, exclude=client)
-            self._forward_upstream_signature(signature)
+        if self._admit(signature, exclude=client):
+            self._forward_upstream("publish", signature)
 
-    def _admit_signature(self, signature: Signature) -> bool:
-        """Merge one signature, honoring any control already on file."""
-        held = self._held_control(signature.fingerprint)
-        if held is not None and held.get("action") == "remove":
-            # A removed fingerprint stays removed fleet-wide: re-adding it
-            # here would resurrect it on every subscriber.
-            return False
-        if not self.history.add(signature):
-            return False
-        if held is not None and held.get("action") == "disable":
-            self.history.disable(signature.fingerprint)
+    def _admit(self, signature: Signature,
+               exclude: Optional[_ClientConnection]) -> bool:
+        """Merge one signature; when new and visible, install and broadcast."""
+        record = signature.to_dict()
+        with self._state_lock:
+            if not self._state.admit(record):
+                return False
+        install(self.history, self._state, [signature])
+        self._broadcast({"op": "signature", "signature": record}, exclude)
         return True
 
-    def _handle_control(self, client: Optional[_ClientConnection],
+    def _handle_control(self, client: _ClientConnection,
                         message: Dict) -> None:
-        control = message.get("control")
-        if not valid_control(control):
-            if client is not None:
-                client.send({"op": "error", "error": "bad control record"})
-            return
-        if self._apply_control(control):
-            self._broadcast_control(control, exclude=client)
-            self._forward_upstream_control(control)
+        control = parse_control(message.get("control"))
+        if control is None:
+            client.send({"op": "error", "error": "bad control record"})
+        elif self._enact_control(control, exclude=client):
+            self._forward_upstream("publish_control", control.to_dict())
 
-    def _held_control(self, fingerprint: str) -> Optional[dict]:
-        with self._controls_lock:
-            held = self._controls.get(fingerprint)
-            return dict(held) if held is not None else None
-
-    @staticmethod
-    def _control_stamp(control: dict) -> tuple:
-        return (int(control.get("clock", 0)), str(control.get("origin", "")))
-
-    def _apply_control(self, control: dict) -> bool:
-        """Apply one control to the master history; True when it won LWW."""
-        fingerprint = control["fingerprint"]
-        with self._controls_lock:
-            held = self._controls.get(fingerprint)
-            if held is not None:
-                if control_key(control) == control_key(held):
-                    return False
-                if self._control_stamp(control) < self._control_stamp(held):
-                    return False
-            self._controls[fingerprint] = dict(control)
-        action = control["action"]
-        if action == "disable":
-            self.history.disable(fingerprint)
-        elif action == "enable":
-            self.history.enable(fingerprint)
-        elif action == "remove":
-            self.history.remove(fingerprint)
-        self._controls_applied += 1
+    def _enact_control(self, control: Control,
+                       exclude: Optional[_ClientConnection]) -> bool:
+        """Merge one control; when it wins, apply and broadcast it."""
+        with self._state_lock:
+            if not self._state.merge_control(control):
+                return False
+        apply_control(self.history, control)
+        self._broadcast({"op": "control", "control": control.to_dict()},
+                        exclude)
         return True
 
-    def _broadcast_signature(self, signature: Signature,
-                             exclude: Optional[_ClientConnection]) -> None:
-        message = {"op": "signature", "signature": signature.to_dict()}
+    def _broadcast(self, message: Dict,
+                   exclude: Optional[_ClientConnection]) -> None:
         with self._clients_lock:
             targets = [c for c in self._clients
                        if c.subscribed and c is not exclude]
         for target in targets:
             if target.send(message):
-                self._broadcast += 1
-            else:
-                self._drop_client(target)
-
-    def _broadcast_control(self, control: dict,
-                           exclude: Optional[_ClientConnection]) -> None:
-        message = {"op": "control", "control": dict(control)}
-        with self._clients_lock:
-            targets = [c for c in self._clients
-                       if c.subscribed and c is not exclude]
-        for target in targets:
-            if target.send(message):
-                self._broadcast += 1
+                self._broadcast_count += 1
             else:
                 self._drop_client(target)
 
@@ -483,32 +428,20 @@ class HistoryServer:
                 continue
             for signature in signatures:
                 self._federated_in += 1
-                if self._admit_signature(signature):
-                    self._broadcast_signature(signature, exclude=None)
-            for control in controls:
+                self._admit(signature, exclude=None)
+            for raw in controls:
                 self._federated_in += 1
-                if self._apply_control(control):
-                    self._broadcast_control(control, exclude=None)
-                    self._forward_upstream_control(control, skip=spec)
+                control = parse_control(raw)
+                if control is not None and self._enact_control(
+                        control, exclude=None):
+                    self._forward_upstream("publish_control",
+                                           control.to_dict(), skip=spec)
         self._federation_rounds += 1
         self._last_round_at = time.monotonic()
 
-    def _forward_upstream_signature(self, signature: Signature) -> None:
-        for spec in self._upstream_specs:
-            channel = self._upstream_channel(spec)
-            if channel is None:
-                continue
-            try:
-                # Per-channel fingerprint dedup suppresses echo: anything
-                # this link delivered via poll() is already marked seen.
-                channel.publish(signature)
-                self._federated_out += 1
-            except Exception:
-                self._federation_errors += 1
-                self._drop_upstream(spec)
-
-    def _forward_upstream_control(self, control: dict,
-                                  skip: Optional[str] = None) -> None:
+    def _forward_upstream(self, send: str, payload,
+                          skip: Optional[str] = None) -> None:
+        """Call ``channel.<send>(payload)`` on every upstream but ``skip``."""
         for spec in self._upstream_specs:
             if spec == skip:
                 continue
@@ -516,7 +449,9 @@ class HistoryServer:
             if channel is None:
                 continue
             try:
-                channel.publish_control(control)
+                # Per-channel dedup suppresses echo: anything this link
+                # delivered via poll() is already marked as carried.
+                getattr(channel, send)(payload)
                 self._federated_out += 1
             except Exception:
                 self._federation_errors += 1
@@ -529,15 +464,12 @@ class HistoryServer:
         with self._clients_lock:
             clients = len(self._clients)
             subscribed = sum(1 for c in self._clients if c.subscribed)
-        with self._controls_lock:
-            controls = len(self._controls)
-            disabled = sum(1 for c in self._controls.values()
-                           if c.get("action") == "disable")
+        with self._state_lock:
+            counts = self._state.counts()
         status = {"op": "status", "transport": "daemon", "spec": self.spec,
-                  "signatures": len(self.history), "clients": clients,
+                  **counts, "clients": clients,
                   "subscribers": subscribed, "publishes": self._published,
-                  "broadcasts": self._broadcast,
-                  "controls": controls, "disabled_fingerprints": disabled,
+                  "broadcasts": self._broadcast_count,
                   "history_path": self.history.path}
         if self._upstream_specs:
             with self._upstream_lock:

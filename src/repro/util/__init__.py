@@ -1,15 +1,9 @@
-"""Utility subpackage: event queue, Peterson lock, clocks, id allocation."""
+"""Utility subpackage: clocks, atomics, file locking, slot helpers."""
 
-from .eventqueue import EventQueue
-from .idalloc import IdAllocator
 from .clock import Clock, WallClock, VirtualClock
-from .peterson import PetersonLock
 
 __all__ = [
-    "EventQueue",
-    "IdAllocator",
     "Clock",
     "WallClock",
     "VirtualClock",
-    "PetersonLock",
 ]

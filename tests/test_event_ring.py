@@ -20,7 +20,6 @@ from repro.core.events import (EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE,
                                cancel_event, decode_event, encode_event,
                                release_event, request_event, yield_event)
 from repro.core.history import History
-from repro.util.eventqueue import EventQueue
 
 
 def stack():
@@ -303,21 +302,6 @@ class TestEventBus:
         assert bus.dropped == 10
         assert bus.total_drained == 20
         assert bus.high_water_mark == 20  # 5 rings x high-water 4
-
-
-class TestLegacyQueueCompat:
-    def test_eventqueue_emit_delivers_event_objects(self):
-        queue = EventQueue()
-        s = stack()
-        queue.emit(EV_REQUEST, 5, 6, s, (), 1.25, "shared", 3)
-        queue.emit(EV_CANCEL, 5, 6)
-        first, second = queue.drain()
-        assert first.type is EventType.REQUEST
-        assert (first.thread_id, first.lock_id) == (5, 6)
-        assert first.timestamp == 1.25
-        assert first.mode == "shared"
-        assert first.capacity == 3
-        assert second.type is EventType.CANCEL
 
 
 class TestEngineRingPath:

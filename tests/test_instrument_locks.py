@@ -196,13 +196,15 @@ class TestFactoriesAndPatching:
         assert not runtime.dimmunix.running
 
     def test_immunize_returns_started_runtime(self, tmp_path):
-        runtime = patching.immunize(history_path=str(tmp_path / "h.json"))
+        import repro
+        handle = repro.immunize(history_path=str(tmp_path / "h.json"))
         try:
-            assert runtime.dimmunix.running
-            assert runtime.dimmunix.config.history_path is not None
+            assert patching.installed()
+            assert handle.dimmunix.running
+            assert handle.dimmunix.config.history_path is not None
         finally:
-            runtime.dimmunix.stop()
-            patching.uninstall()
+            handle.stop()
+        assert not patching.installed()
 
 
 class TestRuntimeHelpers:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import time
 
 import pytest
@@ -460,6 +461,48 @@ class TestControlRecords:
         controls = late.poll_controls()
         assert [c["fingerprint"] for c in controls] == ["fp-held"]
         early.close(), late.close()
+
+    def test_daemon_refuses_a_poisoned_control(self, server):
+        """An unreadable clock is answered with ``error``: not stored, not
+        broadcast, and later controls for that fingerprint still work."""
+        watcher = SocketChannel(("unix", server._unix_path))
+        assert watcher.wait_synced(5)
+        poisoned = {"action": "disable", "fingerprint": "ab", "clock": "zzz"}
+        good = make_control("enable", "ab", clock=2, origin="raw")
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(5)
+            sock.connect(server._unix_path)
+            replies = sock.makefile("r", encoding="utf-8")
+            for message in ({"op": "control", "control": poisoned},
+                            {"op": "control", "control": good},
+                            {"op": "ping"}):
+                sock.sendall(json.dumps(message).encode() + b"\n")
+            assert json.loads(replies.readline())["op"] == "error"
+            # The sender was not dropped: its next requests are served.
+            assert json.loads(replies.readline())["op"] == "pong"
+        got = []
+        assert wait_until(lambda: got.extend(watcher.poll_controls()) or got)
+        assert got == [good]
+        assert server.status()["controls"] == 1
+        late = SocketChannel(("unix", server._unix_path))
+        assert late.wait_synced(5)
+        assert late.poll_controls() == [good]
+        watcher.close(), late.close()
+
+    def test_control_dedup_keeps_one_stamp_per_fingerprint(self):
+        """Toggling one fingerprint forever must not grow the channel."""
+        hub = MemoryHub()
+        a, b = hub.channel(), hub.channel()
+        for clock in range(1, 201):
+            action = "disable" if clock % 2 else "enable"
+            a.publish_control(make_control(action, "fp-toggle",
+                                           clock=clock, origin="a"))
+            assert len(b.poll_controls()) == 1
+        assert len(a._carried) == len(b._carried) == 1
+        # Older than what already crossed: nothing new to say.
+        a.publish_control(make_control("disable", "fp-toggle",
+                                       clock=7, origin="a"))
+        assert b.poll_controls() == []
 
     def test_base_channel_refuses_duplicate_controls(self):
         hub = MemoryHub()

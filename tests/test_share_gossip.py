@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from repro.core.errors import ShareError
 from repro.core.signature import Signature
 from repro.share import GossipChannel, make_control, open_channel, parse_share_spec
 from repro.share.gossip import parse_gossip_params
+from repro.share.state import Control
 
 
 def make_signature(label: str) -> Signature:
@@ -112,7 +114,7 @@ class TestGossipConvergence:
         a, b = mesh
         # Inject state into `a` only, bypassing the push path, as if the
         # rumor had been lost to a partition.
-        a._merge_record(make_signature("lost").to_dict(), remote=False)
+        assert a._state.admit(make_signature("lost").to_dict())
         b.run_round()
         assert wait_until(lambda: len(b.poll()) == 1 or False)
         assert b.rounds == 1
@@ -122,7 +124,7 @@ class TestGossipConvergence:
         a.publish(make_signature("one"))
         b.publish(make_signature("two"))
         assert wait_until(
-            lambda: a._state_digest() == b._state_digest(), timeout=5.0)
+            lambda: a._state.digest() == b._state.digest(), timeout=5.0)
         # A synchronized round costs the 2-message fast path and succeeds.
         before = a.rounds
         a.run_round()
@@ -156,32 +158,87 @@ class TestGossipControls:
     def test_higher_clock_wins(self, mesh):
         a, b = mesh
         fp = "fp-lww"
-        b._merge_control(make_control("disable", fp, clock=5, origin="b"),
-                         remote=False)
+        b._state.merge_control(Control(5, "b", "disable", fp))
         a.publish_control(make_control("enable", fp, clock=9, origin="a"))
         assert wait_until(
-            lambda: b._controls.get(fp, {}).get("action") == "enable")
+            lambda: b._state.controls[fp].action == "enable")
 
     def test_lower_clock_loses(self, mesh):
         a, b = mesh
         fp = "fp-stale"
-        b._merge_control(make_control("enable", fp, clock=9, origin="b"),
-                         remote=False)
+        b._state.merge_control(Control(9, "b", "enable", fp))
         a.publish_control(make_control("disable", fp, clock=2, origin="a"))
         time.sleep(0.2)
-        assert b._controls[fp]["action"] == "enable"
+        assert b._state.controls[fp].action == "enable"
         assert b.poll_controls() == []
 
     def test_remove_tombstone_blocks_resurrection(self, mesh):
         a, b = mesh
         signature = make_signature("zombie")
         fp = signature.fingerprint
-        b._merge_control(make_control("remove", fp, clock=3, origin="ctl"),
-                         remote=False)
+        b._state.merge_control(Control(3, "ctl", "remove", fp))
         a.publish(signature)
         time.sleep(0.2)
         assert b.poll() == []
-        assert fp not in b._records
+        assert b._state.hidden(fp)
+        assert b._state.visible() == []
+
+
+def push(node: GossipChannel, **payload) -> None:
+    """Deliver one rumor to ``node`` the way a peer would."""
+    host, _, port = node.bind.rpartition(":")
+    with socket.create_connection((host, int(port)), timeout=2) as sock:
+        sock.sendall(json.dumps({"op": "push", **payload}).encode() + b"\n")
+        assert json.loads(sock.makefile("r").readline()) == {"op": "ok"}
+
+
+class TestGossipOrderIndependence:
+    """The same rumors in opposite orders must leave two nodes equal."""
+
+    @pytest.fixture
+    def strangers(self):
+        a = GossipChannel("127.0.0.1", 0, interval=60.0, node_name="a")
+        b = GossipChannel("127.0.0.1", 0, interval=60.0, node_name="b")
+        yield a, b
+        a.close(), b.close()
+
+    def assert_converged(self, a, b):
+        for key in ("signatures", "controls", "disabled_fingerprints"):
+            assert a.status()[key] == b.status()[key]
+        assert a._state == b._state
+        assert a._state.digest() == b._state.digest()
+        # Equal digests: a round between them is the 2-message fast path.
+        a.add_peer(b.bind)
+        a.run_round()
+        assert (a.rounds, a.round_failures) == (1, 0)
+
+    def test_equal_stamps_with_different_actions(self, strangers):
+        a, b = strangers
+        disable = make_control("disable", "fp-tie", clock=1, origin="o")
+        enable = make_control("enable", "fp-tie", clock=1, origin="o")
+        push(a, controls=[disable]), push(a, controls=[enable])
+        push(b, controls=[enable]), push(b, controls=[disable])
+        self.assert_converged(a, b)
+        assert a.status()["disabled_fingerprints"] == 0   # enable > disable
+
+    def test_remove_before_and_after_its_record(self, strangers):
+        a, b = strangers
+        signature = make_signature("reordered")
+        remove = make_control("remove", signature.fingerprint, clock=3,
+                              origin="ctl")
+        push(a, signatures=[signature.to_dict()]), push(a, controls=[remove])
+        push(b, controls=[remove]), push(b, signatures=[signature.to_dict()])
+        self.assert_converged(a, b)
+        assert a.status()["signatures"] == 0
+        assert a.snapshot() == b.snapshot() == []
+
+    def test_a_tie_held_on_either_side_is_repaired_by_one_round(self, mesh):
+        a, b = mesh
+        a._state.merge_control(Control(1, "o", "disable", "fp-tie"))
+        b._state.merge_control(Control(1, "o", "enable", "fp-tie"))
+        a.run_round()
+        assert a._state == b._state
+        assert a._state.controls["fp-tie"].action == "enable"
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +272,38 @@ class TestGossipDegradation:
         # The node still gossips normally afterwards.
         b.publish(make_signature("after-poison"))
         assert wait_until(lambda: len(a.poll()) == 1 or False)
+
+    def test_poisoned_ack_is_a_counted_round_failure(self):
+        """A peer advertising an unreadable control stamp costs one failed
+        round — the anti-entropy thread must outlive it."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def poisoned_peer():
+            while True:
+                try:
+                    sock, _ = listener.accept()
+                except OSError:
+                    return
+                with sock:
+                    sock.makefile("r").readline()
+                    sock.sendall(json.dumps({
+                        "op": "ack", "match": False, "fingerprints": [],
+                        "control_stamps": {"ff": []}}).encode() + b"\n")
+
+        threading.Thread(target=poisoned_peer, daemon=True).start()
+        port = listener.getsockname()[1]
+        node = GossipChannel("127.0.0.1", 0, peers=[f"127.0.0.1:{port}"],
+                             interval=0.02)
+        try:
+            node.publish_control(make_control("disable", "ff", 1, "n"))
+            node.run_round()                       # must not raise
+            assert node.round_failures >= 1
+            assert wait_until(lambda: node.round_failures >= 3)
+            assert node._round_thread.is_alive()
+            assert node.rounds == 0
+        finally:
+            node.close()
+            listener.close()
 
     def test_unknown_op_gets_an_error_reply(self, mesh):
         a, _ = mesh

@@ -14,6 +14,7 @@ Proves the tentpole properties without any worker processes:
 
 from __future__ import annotations
 
+import json
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.core.dimmunix import Dimmunix
 from repro.core.errors import MonitorError
 from repro.core.history import History
 from repro.core.signature import Signature
-from repro.share import MemoryHub, SignaturePool, make_control
+from repro.share import FileChannel, MemoryHub, SignaturePool, make_control
 from repro.share.channel import HistoryChannel
 
 
@@ -339,7 +340,9 @@ class TestPoolControlPlane:
         # pool_b disabled its local history, but must not re-originate
         # that as a fresh control record.
         assert pool_b.controls_published == 0
-        assert len(hub._controls) == 1       # nothing new after the first
+        # Nothing new after the first: one standing control, delivered once.
+        assert hub._state.counts()["controls"] == 1
+        assert len(hub.channel().poll_controls()) == 1
 
     def test_stale_controls_lose_last_writer_wins(self):
         hub, (history_a, pool_a), (history_b, pool_b) = self.make_wired_pair()
@@ -352,11 +355,15 @@ class TestPoolControlPlane:
         pool_b.pump()
         assert [s.fingerprint for s in history_b.enabled_signatures()] == \
             [signature.fingerprint]
-        # Replay the stale disable directly: it must not win.
+        # Replay the stale disable from a fresh endpoint: it must not win,
+        # neither in the pool's state nor in the history.
         stale = make_control("disable", signature.fingerprint,
                              clock=1, origin="worker-b")
-        applied = pool_b._apply_controls([stale])
-        assert applied == 0
+        applied = pool_b.controls_applied
+        hub.channel().publish_control(stale)
+        pool_b.pump()
+        assert pool_b.controls_applied == applied
+        assert pool_b._state.controls[signature.fingerprint].action == "enable"
         assert history_b.enabled_signatures() != []
 
     def test_remove_control_blocks_late_arrivals(self):
@@ -373,6 +380,34 @@ class TestPoolControlPlane:
         probe.publish(make_signature("tombstone"))
         pool_b.pump()
         assert len(history_b) == 0
+
+    @pytest.mark.parametrize("clock", ["zzz", None])
+    def test_poisoned_control_in_a_share_log_is_counted_not_raised(
+            self, tmp_path, clock):
+        """A control line nobody can read must not take ``sync`` down, nor
+        the valid controls polled in the same batch."""
+        path = str(tmp_path / "pool.sig")
+        writer = FileChannel(path)
+        signature = make_signature("poisoned-log")
+        writer.publish(signature)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"control": {
+                "action": "disable", "fingerprint": "ab",
+                "clock": clock}}) + "\n")
+        writer.publish_control(make_control(
+            "disable", signature.fingerprint, clock=1, origin="operator"))
+        history = History(path=None, autosave=False)
+        pool = SignaturePool(history, FileChannel(path))
+        assert pool.sync() == 1
+        assert pool.pump() == 0
+        assert pool.control_errors == 1
+        assert pool.controls_applied == 1          # the later, valid one
+        assert len(history) == 1 and history.enabled_signatures() == []
+        # The same log through the front door a program uses.
+        dim = Dimmunix(DimmunixConfig.for_testing(), share=path)
+        assert dim.report()["share"]["control_errors"] == 1
+        assert dim.history.enabled_signatures() == []
+        dim.stop()
 
     def test_control_failures_degrade_not_raise(self):
         history = History(path=None, autosave=False)

@@ -13,11 +13,16 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lines after PR 12 (one acquisition protocol; legacy paths deleted).
-TOTAL_BUDGET = 20_674
+#: Lines after PR 13 (one replicated pool state; the last unreferenced
+#: ``util/`` modules deleted).  20,674 after PR 12.
+TOTAL_BUDGET = 20_359
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12).
 PRIMITIVES_BUDGET = 2_312
+#: ``share/``: five transports around one ``PoolState`` (``state.py`` and
+#: ``wire.py`` included).  3,469 before PR 13, when each transport carried
+#: its own merge rules; the 3,300 that PR aimed for was not reached.
+SHARE_BUDGET = 3_475
 
 
 def count_lines(*roots: str) -> int:
@@ -40,3 +45,7 @@ def test_src_total_stays_within_budget():
 def test_primitives_stay_within_budget():
     assert count_lines(os.path.join(SRC, "instrument"),
                        os.path.join(SRC, "sim", "locks.py")) <= PRIMITIVES_BUDGET
+
+
+def test_share_stays_within_budget():
+    assert count_lines(os.path.join(SRC, "share")) <= SHARE_BUDGET

@@ -1,103 +1,10 @@
-"""Unit tests for the utility subpackage (queue, ids, clocks, Peterson lock)."""
+"""Unit tests for the utility subpackage (clocks) and the engine stats."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
 from repro.util.clock import VirtualClock, WallClock
-from repro.util.eventqueue import EventQueue
-from repro.util.idalloc import IdAllocator
-from repro.util.peterson import PetersonLock
-
-
-class TestEventQueue:
-    def test_fifo_order(self):
-        queue = EventQueue()
-        for i in range(5):
-            queue.put(i)
-        assert queue.drain() == [0, 1, 2, 3, 4]
-        assert queue.drain() == []
-
-    def test_bounded_queue_drops(self):
-        queue = EventQueue(maxsize=2)
-        assert queue.put(1)
-        assert queue.put(2)
-        assert not queue.put(3)
-        assert queue.dropped == 1
-        assert len(queue) == 2
-
-    def test_invalid_maxsize(self):
-        with pytest.raises(ValueError):
-            EventQueue(maxsize=0)
-
-    def test_drain_limit(self):
-        queue = EventQueue()
-        queue.extend(range(10))
-        assert queue.drain(limit=3) == [0, 1, 2]
-        assert len(queue) == 7
-
-    def test_high_water_and_totals(self):
-        queue = EventQueue()
-        queue.extend(range(4))
-        queue.drain()
-        queue.put(99)
-        assert queue.high_water_mark == 4
-        assert queue.total_enqueued == 5
-
-    def test_concurrent_producers(self):
-        queue = EventQueue()
-
-        def producer(base):
-            for i in range(200):
-                queue.put(base + i)
-
-        threads = [threading.Thread(target=producer, args=(k * 1000,))
-                   for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        items = queue.drain()
-        assert len(items) == 800
-        assert len(set(items)) == 800
-
-    def test_clear(self):
-        queue = EventQueue()
-        queue.extend(range(3))
-        queue.clear()
-        assert not queue
-
-
-class TestIdAllocator:
-    def test_stable_ids(self):
-        alloc = IdAllocator()
-        first = alloc.get("x")
-        assert alloc.get("x") == first
-        assert alloc.get("y") == first + 1
-
-    def test_lookup_and_key_of(self):
-        alloc = IdAllocator(start=10)
-        ident = alloc.get("x")
-        assert ident == 10
-        assert alloc.lookup("x") == 10
-        assert alloc.lookup("missing") is None
-        assert alloc.key_of(10) == "x"
-
-    def test_release(self):
-        alloc = IdAllocator()
-        ident = alloc.get("x")
-        alloc.release("x")
-        assert alloc.lookup("x") is None
-        assert alloc.key_of(ident) is None
-        assert "x" not in alloc
-
-    def test_len(self):
-        alloc = IdAllocator()
-        alloc.get("a")
-        alloc.get("b")
-        assert len(alloc) == 2
 
 
 class TestClocks:
@@ -118,74 +25,6 @@ class TestClocks:
     def test_virtual_clock_rejects_negative(self):
         with pytest.raises(ValueError):
             VirtualClock().advance(-1)
-
-
-class TestPetersonLock:
-    def test_mutual_exclusion_two_threads(self):
-        lock = PetersonLock(capacity=2)
-        counter = {"value": 0}
-
-        def worker(key):
-            for _ in range(300):
-                lock.acquire(key)
-                current = counter["value"]
-                counter["value"] = current + 1
-                lock.release(key)
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert counter["value"] == 600
-
-    def test_mutual_exclusion_four_threads(self):
-        lock = PetersonLock(capacity=4)
-        inside = []
-        violations = []
-
-        def worker(key):
-            for _ in range(50):
-                lock.acquire(key)
-                inside.append(key)
-                if len(inside) > 1:
-                    violations.append(tuple(inside))
-                inside.pop()
-                lock.release(key)
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert violations == []
-
-    def test_release_by_non_owner_raises(self):
-        lock = PetersonLock(capacity=2)
-        lock.acquire(1)
-        with pytest.raises(RuntimeError):
-            lock.release(2)
-        lock.release(1)
-
-    def test_capacity_exhaustion(self):
-        lock = PetersonLock(capacity=1, auto_register=True)
-        lock.acquire(7)
-        lock.release(7)
-        with pytest.raises(RuntimeError):
-            lock.register(8)
-
-    def test_unregistered_thread_rejected_when_auto_off(self):
-        lock = PetersonLock(capacity=2, auto_register=False)
-        with pytest.raises(RuntimeError):
-            lock.acquire(1)
-
-    def test_holding_context_manager(self):
-        lock = PetersonLock(capacity=2)
-        with lock.holding(1):
-            pass
-        with lock.holding(2):
-            pass
-        assert lock.capacity == 2
 
 
 class TestEngineStats:
