@@ -203,15 +203,11 @@ class AvoidanceEngine:
         slot = self._slot(thread_id)
         history_empty = len(self.history) == 0
         if self.cache.track_allowed is history_empty:
-            # The Allowed-set stack index only feeds the exact-cover
-            # search, which never runs while the history is empty — so
-            # its maintenance is switched off until the first signature
-            # arrives.  Write the shared flag only on the transition, so
-            # the hot path never ping-pongs the cache line.  On the
-            # empty->non-empty transition, re-index the bindings taken
-            # while tracking was off: a hold predating a mid-run archive
-            # (or a remote install from the sharing pool) must be visible
-            # to the cover search immediately, without a restart.
+            # The Allowed sets only feed the cover search, which never
+            # runs on an empty history, so they are maintained only while
+            # there are signatures.  The shared flag is written on the
+            # transition alone (no cache-line ping-pong on the hot path);
+            # on empty->non-empty the live bindings are re-indexed.
             self.cache.track_allowed = not history_empty
             if not history_empty:
                 self.cache.rebuild_allowed()
@@ -352,34 +348,41 @@ class AvoidanceEngine:
         rwlocks), where several bindings on one resource are distinct
         permits of the same pool, exactly the shape of a permit-exhaustion
         cycle.
+
+        Pruned by vacancy before anything is allocated: only the request
+        can cover a stack at whose call site no binding stands, so two
+        vacant positions rule the signature out and one is the only
+        position the request may take.
         """
-        candidate_indices = [index for index, sig_stack in enumerate(signature.stacks)
-                             if sig_stack.matches(stack, depth)]
-        if not candidate_indices:
-            return None
-        indices = list(range(len(signature.stacks)))
+        stacks = signature.stacks
+        vacant = self.cache.vacant
+        forced = None
+        for index, sig_stack in enumerate(stacks):
+            if vacant(sig_stack):
+                if forced is not None:
+                    return None
+                forced = index
+        coverable = signature.matching_stacks(stack, depth)
+        if forced is not None:
+            coverable = [forced] if forced in coverable else []
         used_locks = set() if lock_id in self._multiholder else {lock_id}
-        for chosen in candidate_indices:
-            remaining = [index for index in indices if index != chosen]
-            assignment = self._cover(signature, remaining, depth,
-                                     used_threads={thread_id},
-                                     used_locks=used_locks)
-            if assignment is not None:
-                return [(thread_id, lock_id, stack)] + assignment
+        for chosen in coverable:
+            rest = self._cover(stacks[:chosen] + stacks[chosen + 1:], depth,
+                               {thread_id}, used_locks)
+            if rest is not None:
+                return [(thread_id, lock_id, stack)] + rest
         return None
 
-    def _cover(self, signature: Signature, remaining: List[int], depth: int,
+    def _cover(self, sig_stacks: Tuple[CallStack, ...], depth: int,
                used_threads: Set[int], used_locks: Set[int]) -> Optional[List[Binding]]:
-        if not remaining:
+        """Bindings standing at ``sig_stacks``, one each, in order; ``None`` if none do."""
+        if not sig_stacks:
             return []
-        index = remaining[0]
-        candidates = self.cache.candidates_matching(
-            signature.stacks[index], depth, used_threads, used_locks)
-        for thread_id, lock_id, stack in candidates:
+        for thread_id, lock_id, stack in self.cache.candidates_matching(
+                sig_stacks[0], depth, used_threads, used_locks):
             next_locks = (used_locks if lock_id in self._multiholder
                           else used_locks | {lock_id})
-            rest = self._cover(signature, remaining[1:], depth,
-                               used_threads | {thread_id},
+            rest = self._cover(sig_stacks[1:], depth, used_threads | {thread_id},
                                next_locks)
             if rest is not None:
                 return [(thread_id, lock_id, stack)] + rest
@@ -461,27 +464,23 @@ class AvoidanceEngine:
         now = self.clock.now()
         fully, stack = self.cache.release_hold(thread_id, lock_id)
         self.stats.bump("releases")
-        self.events.emit(EV_RELEASE, thread_id, lock_id,
-                         stack if stack is not None else CallStack(()),
-                         (), now)
+        self.events.emit(EV_RELEASE, thread_id, lock_id, stack, (), now)
         if self.calibrator is not None:
             self.calibrator.on_lock_released(thread_id, lock_id)
         if not fully and lock_id not in self._multiholder:
             # A reentrant partial release of a mutex frees nothing.  A
             # multi-holder resource, however, frees a permit on *every*
             # release, so its wake scan runs regardless.
-            if stack is not None:
-                stack.discard_origin()
+            stack.discard_origin()
             return []
         woken = self.cache.threads_to_wake(thread_id, lock_id, stack)
-        if stack is not None:
-            # The hold is gone; this stack can no longer enter a signature
-            # (archives only read stacks of *current* holds and waits), so
-            # stop pinning the interpreter frame it was captured from.  A
-            # late materialization — e.g. the monitor decoding old ring
-            # records — falls back to the one-frame stack, which is benign
-            # by the matching contract.
-            stack.discard_origin()
+        # The hold is gone; this stack can no longer enter a signature
+        # (archives only read stacks of *current* holds and waits), so stop
+        # pinning the interpreter frame it was captured from.  A late
+        # materialization — e.g. the monitor decoding old ring records —
+        # falls back to the one-frame stack, which is benign by the
+        # matching contract.
+        stack.discard_origin()
         return woken
 
     # ----------------------------------------------------------------------- cancel --
@@ -536,14 +535,6 @@ class AvoidanceEngine:
         """Threads currently parked by an avoidance decision."""
         return [tid for tid, slot in self._slots.items()
                 if slot.yield_state is not None]
-
-    def yield_state_of(self, thread_id: int) -> Optional[Tuple[Signature, float]]:
-        """The (signature, since) pair for a yielding thread, if any."""
-        slot = self._slots.peek(thread_id)
-        state = slot.yield_state if slot is not None else None
-        if state is None:
-            return None
-        return state.signature, state.since
 
     def last_avoided_signature(self) -> Optional[Signature]:
         """The signature involved in the most recent yield, if any.

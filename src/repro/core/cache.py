@@ -5,21 +5,24 @@ avoidance code, however, needs an always-current view of who holds what
 and who is allowed to wait for what in order to make correct GO/YIELD
 decisions (paper section 5.1).  This module provides that cache:
 
-* *Allowed sets*: for every distinct acquisition call stack, the set of
-  (thread, lock) pairs that currently hold — or are allowed to wait
-  for — a lock with that stack (section 5.6).
+* *Allowed sets*: for every acquisition *call site* (the innermost frame
+  of the acquisition stack), the (thread, lock, stack) bindings that
+  currently hold — or are allowed to wait for — a lock acquired there
+  (section 5.6).  Stacks that match at any depth share their innermost
+  frame, so one hash probe of a signature stack's site reaches every
+  binding that could cover it; a site without bindings is *vacant*.
 * holders / waiters: the lock-to-owner map, sharded by lock id.
 * per-thread state: the holds multiset, the allowed-wait edge, and the
   yield causes of each thread, owned by that thread's slot.
 
-Earlier versions serialized every operation through one global mutex.
-The cache is now striped the way the paper's generalized-Peterson design
-intends: Allowed sets are sharded by stack hash, holder records by lock
-id, and per-thread state lives in per-thread slots that are written
-almost exclusively by their owning thread — so unrelated lock operations
-never contend.  Cross-structure atomicity is *not* provided here; the
-engine serializes the signature-matching slow path itself and treats the
-monitor's detection pass as the safety net, exactly as the paper does.
+Nothing here is memoized; all of it is current state.  The cache is
+striped the way the paper's generalized-Peterson design intends: Allowed
+sets are sharded by site hash, holder records by lock id, and per-thread
+state lives in per-thread slots that are written almost exclusively by
+their owning thread — so unrelated lock operations never contend.
+Cross-structure atomicity is *not* provided here; the engine serializes
+the signature-matching slow path itself and treats the monitor's
+detection pass as the safety net, exactly as the paper does.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .callstack import CallStack
+from .callstack import CallStack, Frame
 from .errors import AvoidanceError
 from .signature import EXCLUSIVE, SHARED
 from ..util.slots import SlotRegistry
@@ -36,8 +39,8 @@ from ..util.slots import SlotRegistry
 #: A (thread_id, lock_id, stack) binding, as used in signature instances.
 Binding = Tuple[int, int, CallStack]
 
-#: Default number of stripes for the allowed-set and holder shards.
-DEFAULT_STRIPES = 16
+#: Number of stripes of the allowed-set and holder shards.
+STRIPES = 16
 
 
 @dataclass
@@ -75,8 +78,8 @@ class _Stripe:
 
     def __init__(self):
         self.mutex = threading.Lock()
-        #: stack -> set of (thread, lock) pairs allowed to wait / holding.
-        self.allowed: Dict[CallStack, Set[Tuple[int, int]]] = {}
+        #: call site (``None``: empty stack) -> bindings holding / allowed to wait there.
+        self.allowed: Dict[Optional[Frame], Set[Binding]] = {}
         #: lock -> holder record (locks whose id maps to this stripe).
         self.holders: Dict[int, HolderRecord] = {}
 
@@ -99,20 +102,15 @@ class _ThreadSlot:
 class AvoidanceCache:
     """Always-current synchronization state used by the request method."""
 
-    def __init__(self, stripes: int = DEFAULT_STRIPES):
+    def __init__(self):
         # The paper avoids locking here with a generalized Peterson
         # algorithm; under the GIL striped mutexes are cheaper and equally
         # correct.
-        if stripes < 1:
-            raise AvoidanceError("stripe count must be >= 1")
-        #: When False, the per-stack Allowed-set index (the stripes'
-        #: ``allowed`` maps) is not maintained.  The index exists solely
-        #: for :meth:`candidates_matching`, which the engine only calls
-        #: while its history is non-empty — so the engine clears this
-        #: flag while there are no signatures and restores it when the
-        #: first one arrives.  Waiting/hold bookkeeping is unaffected.
+        #: When False the Allowed sets are not maintained (the hold/wait
+        #: ledger is): only the cover search reads them, so the engine
+        #: clears this while its history is empty; :meth:`rebuild_allowed`.
         self.track_allowed = True
-        self._stripes: List[_Stripe] = [_Stripe() for _ in range(stripes)]
+        self._stripes: List[_Stripe] = [_Stripe() for _ in range(STRIPES)]
         self._slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
         #: Slots of currently yielding threads only, so release-side wake
         #: scans stay O(yielders) instead of O(threads ever seen).
@@ -120,9 +118,6 @@ class AvoidanceCache:
         self._yielding_lock = threading.Lock()
 
     # -- stripe / slot addressing ----------------------------------------------------
-
-    def _stack_stripe(self, stack: CallStack) -> _Stripe:
-        return self._stripes[hash(stack) % len(self._stripes)]
 
     def _lock_stripe(self, lock_id: int) -> _Stripe:
         return self._stripes[lock_id % len(self._stripes)]
@@ -136,9 +131,9 @@ class AvoidanceCache:
         """Record that ``thread_id`` is allowed to block waiting for ``lock_id``."""
         slot = self._slot(thread_id)
         previous = slot.waiting
-        if previous is not None:
-            self._discard_allowed(previous[1], thread_id, previous[0])
         slot.waiting = (lock_id, stack)
+        if previous is not None:
+            self._retire(slot, thread_id, previous[0], previous[1])
         self._add_allowed(stack, thread_id, lock_id)
 
     def remove_allow(self, thread_id: int) -> Optional[Tuple[int, CallStack]]:
@@ -147,7 +142,7 @@ class AvoidanceCache:
         previous = slot.waiting
         slot.waiting = None
         if previous is not None:
-            self._discard_allowed(previous[1], thread_id, previous[0])
+            self._retire(slot, thread_id, previous[0], previous[1])
         return previous
 
     def waiting_of(self, thread_id: int) -> Optional[Tuple[int, CallStack]]:
@@ -168,12 +163,12 @@ class AvoidanceCache:
         slot = self._slot(thread_id)
         waiting = slot.waiting
         if waiting is not None and waiting[0] == lock_id:
-            # Promote the allow edge: the (thread, lock) pair stays in
-            # the Allowed set for the stack it waited with, and the hold
-            # is recorded with the acquisition stack.
+            # Promote the allow edge: the binding stays in the Allowed
+            # set of the site it waited at, and the hold is recorded with
+            # the acquisition stack.
             slot.waiting = None
             if waiting[1] != stack:
-                self._discard_allowed(waiting[1], thread_id, lock_id)
+                self._retire(slot, thread_id, lock_id, waiting[1])
                 self._add_allowed(stack, thread_id, lock_id)
         else:
             self._add_allowed(stack, thread_id, lock_id)
@@ -195,7 +190,7 @@ class AvoidanceCache:
         slot.holds.setdefault(lock_id, []).append(stack)
         return count
 
-    def release_hold(self, thread_id: int, lock_id: int) -> Tuple[bool, Optional[CallStack]]:
+    def release_hold(self, thread_id: int, lock_id: int) -> Tuple[bool, CallStack]:
         """Record a release.
 
         Returns ``(fully_released, stack)`` where ``stack`` is the
@@ -223,8 +218,7 @@ class AvoidanceCache:
             stacks.pop()
             if not stacks:
                 del slot.holds[lock_id]
-        if fully:
-            self._discard_allowed(stack, thread_id, lock_id)
+        self._retire(slot, thread_id, lock_id, stack)
         return fully, stack
 
     def holder_of(self, lock_id: int) -> Optional[int]:
@@ -316,7 +310,7 @@ class AvoidanceCache:
                 if slot.yield_cause]
 
     def threads_to_wake(self, thread_id: int, lock_id: int,
-                        stack: Optional[CallStack]) -> List[int]:
+                        stack: CallStack) -> List[int]:
         """Threads whose yield cause dissolves when ``thread_id`` releases ``lock_id``.
 
         A cause matches when its thread and lock agree; the stack is
@@ -329,7 +323,7 @@ class AvoidanceCache:
             for cause_thread, cause_lock, cause_stack in slot.yield_cause:
                 if cause_thread != thread_id or cause_lock != lock_id:
                     continue
-                if stack is not None and cause_stack and stack != cause_stack \
+                if cause_stack and stack != cause_stack \
                         and self.hold_count(thread_id, lock_id) > 0:
                     # The released hold edge is not the one named by the
                     # cause and the causing hold is still in place.
@@ -340,56 +334,62 @@ class AvoidanceCache:
 
     # -- candidate enumeration for signature matching ----------------------------------------
 
+    def vacant(self, signature_stack: CallStack) -> bool:
+        """True when no binding stands at ``signature_stack``'s call site.
+
+        Nothing can then cover it: ``matches`` at any depth >= 1 needs
+        equal innermost frames.  One lock-free probe; a racing add may be
+        missed, a missed match (docs/architecture.md, "The memory model").
+        """
+        site = signature_stack.top()
+        return not self._stripes[hash(site) % STRIPES].allowed.get(site)
+
     def candidates_matching(self, signature_stack: CallStack, depth: int,
                             exclude_threads: Set[int],
                             exclude_locks: Set[int]) -> List[Binding]:
         """All current bindings whose stack matches ``signature_stack`` at ``depth``.
 
-        Bindings for excluded threads/locks are omitted so the exact-cover
-        search can enforce the "distinct threads and locks" requirement.
+        Only the bindings at its call site are examined: a vacant site
+        takes no mutex, otherwise the site's set is copied under its
+        stripe's mutex and matched outside it (matching may materialize
+        another thread's lazy stack).  Bindings for excluded threads/locks
+        are omitted so the exact-cover search can enforce the "distinct
+        threads and locks" requirement.
         """
-        results: List[Binding] = []
-        for stripe in self._stripes:
-            with stripe.mutex:
-                for stack, pairs in stripe.allowed.items():
-                    if not signature_stack.matches(stack, depth):
-                        continue
-                    for thread_id, lock_id in pairs:
-                        if thread_id in exclude_threads or lock_id in exclude_locks:
-                            continue
-                        results.append((thread_id, lock_id, stack))
-        return results
+        site = signature_stack.top()
+        stripe = self._stripes[hash(site) % STRIPES]
+        if not stripe.allowed.get(site):
+            return []
+        with stripe.mutex:
+            bindings = tuple(stripe.allowed.get(site, ()))
+        return [binding for binding in bindings
+                if binding[0] not in exclude_threads
+                and binding[1] not in exclude_locks
+                and signature_stack.matches(binding[2], depth)]
 
     def allowed_set_sizes(self) -> Dict[CallStack, int]:
-        """Size of every Allowed set (used by resource-utilization reports)."""
+        """Indexed bindings per distinct stack; sums to the live hold and wait edges."""
         sizes: Dict[CallStack, int] = {}
         for stripe in self._stripes:
             with stripe.mutex:
-                for stack, pairs in stripe.allowed.items():
-                    sizes[stack] = len(pairs)
+                for bindings in stripe.allowed.values():
+                    for _thread_id, _lock_id, stack in bindings:
+                        sizes[stack] = sizes.get(stack, 0) + 1
         return sizes
 
     # -- maintenance ------------------------------------------------------------------------------
 
     def forget_thread(self, thread_id: int) -> None:
         """Drop all state of a terminated thread."""
-        slot = self._slots.pop(thread_id)
+        slot = self._slots.peek(thread_id)
+        if slot is not None:
+            self.remove_allow(thread_id)
+            for lock_id in list(slot.holds):
+                while lock_id in slot.holds:
+                    self.release_hold(thread_id, lock_id)
+            self._slots.pop(thread_id)
         with self._yielding_lock:
             self._yielding.pop(thread_id, None)
-        if slot is None:
-            return
-        if slot.waiting is not None:
-            self._discard_allowed(slot.waiting[1], thread_id, slot.waiting[0])
-        for lock_id, stacks in slot.holds.items():
-            stripe = self._lock_stripe(lock_id)
-            with stripe.mutex:
-                record = stripe.holders.get(lock_id)
-                if record is not None and thread_id in record.stacks:
-                    del record.stacks[thread_id]
-                    if not record.stacks:
-                        del stripe.holders[lock_id]
-            for stack in stacks:
-                self._discard_allowed(stack, thread_id, lock_id)
 
     def clear(self) -> None:
         """Reset the cache entirely (used between experiment trials)."""
@@ -406,7 +406,7 @@ class AvoidanceCache:
 
         The engine calls this when its history transitions from empty to
         non-empty mid-run (first local archive, or a signature installed
-        by the sharing pool): while the history was empty the per-stack
+        by the sharing pool): while the history was empty the per-site
         index was not maintained, yet the cover search must see bindings
         that predate the transition — a hold taken before a remote
         install is exactly the binding the installed signature needs.
@@ -426,38 +426,49 @@ class AvoidanceCache:
     def _add_allowed(self, stack: CallStack, thread_id: int, lock_id: int) -> None:
         if not self.track_allowed:
             return
-        stripe = self._stack_stripe(stack)
+        site = stack.top()
+        stripe = self._stripes[hash(site) % STRIPES]
         with stripe.mutex:
-            stripe.allowed.setdefault(stack, set()).add((thread_id, lock_id))
+            stripe.allowed.setdefault(site, set()).add((thread_id, lock_id, stack))
 
-    def _discard_allowed(self, stack: CallStack, thread_id: int, lock_id: int) -> None:
-        # Runs even when tracking is off: entries indexed while tracking
-        # was on must still be retired, and discarding a never-indexed
-        # binding is a tolerated no-op.  Stale survivors are harmless
-        # anyway — the engine re-validates every instantiation with
-        # ``binding_live`` before parking a thread on it.
-        stripe = self._stack_stripe(stack)
-        with stripe.mutex:
-            pairs = stripe.allowed.get(stack)
-            if pairs is None:
+    def _retire(self, slot: _ThreadSlot, thread_id: int, lock_id: int,
+                stack: CallStack) -> None:
+        """Un-index the binding of an edge just removed from ``slot``.
+
+        Unless an equal stack still backs another edge of the thread on
+        that lock (a reentrant hold, a second permit requested where the
+        first was): the set holds the binding once.  "Equal" as in the set,
+        same hash then ``==``, so lazy captures are not compared by content.
+        """
+        waiting = slot.waiting
+        if waiting is not None and waiting[0] == lock_id \
+                and hash(waiting[1]) == hash(stack) and waiting[1] == stack:
+            return
+        for other in slot.holds.get(lock_id, ()):
+            if hash(other) == hash(stack) and other == stack:
                 return
-            pairs.discard((thread_id, lock_id))
-            if not pairs:
-                del stripe.allowed[stack]
+        # Runs even when tracking is off: what was indexed while it was on
+        # must still go, and a never-indexed binding is a tolerated no-op.
+        site = stack.top()
+        stripe = self._stripes[hash(site) % STRIPES]
+        with stripe.mutex:
+            bindings = stripe.allowed.get(site)
+            if bindings is not None:
+                bindings.discard((thread_id, lock_id, stack))
+                if not bindings:
+                    del stripe.allowed[site]
 
     # -- introspection ----------------------------------------------------------------------------
 
     def snapshot(self) -> Dict:
         """A JSON-friendly snapshot (debugging and reports)."""
         holders: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-        distinct_stacks = 0
         for stripe in self._stripes:
             with stripe.mutex:
                 for lock, rec in stripe.holders.items():
                     sole = rec.thread_id
                     holders[lock] = (sole if sole is not None
                                      else tuple(rec.stacks), rec.count)
-                distinct_stacks += len(stripe.allowed)
         waiting = {}
         yielding = {}
         for tid, slot in self._slots.items():
@@ -469,5 +480,5 @@ class AvoidanceCache:
             "holders": holders,
             "waiting": waiting,
             "yielding": yielding,
-            "distinct_stacks": distinct_stacks,
+            "distinct_stacks": len(self.allowed_set_sizes()),
         }

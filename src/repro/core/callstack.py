@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 #: Module-path prefixes whose frames are dropped when capturing live stacks.
 #: The instrumentation and engine frames are implementation detail and must
@@ -39,9 +38,13 @@ _INTERNAL_PREFIXES = (
 )
 
 
-@dataclass(frozen=True, order=True)
-class Frame:
-    """One stack frame: function name, file name, and line number."""
+class Frame(NamedTuple):
+    """One stack frame: function name, file name, and line number.
+
+    A tuple, so hashing and equality run in C: a frame is a dict key on
+    every request (the index's top-frame filter and bucket keys, the
+    Allowed sets' call sites).
+    """
 
     function: str
     filename: str
@@ -331,10 +334,6 @@ class CallStack:
             return mine[:1] == theirs[:1]
         return False
 
-    def truncate(self, limit: int) -> "CallStack":
-        """Alias of :meth:`suffix`, used when enforcing ``max_stack_depth``."""
-        return self.suffix(limit)
-
     # -- laziness hooks (no-ops on eager stacks) ---------------------------------
 
     def materialize(self) -> "CallStack":
@@ -606,11 +605,6 @@ def set_capture_cache_enabled(enabled: bool) -> bool:
         _short_name_cache.clear()
         _top_frame_cache.clear()
     return previous
-
-
-def capture_cache_size() -> int:
-    """Number of distinct call paths currently memoized."""
-    return len(_capture_cache)
 
 
 def _is_int(text: str) -> bool:

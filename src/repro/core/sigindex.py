@@ -118,13 +118,10 @@ class SignatureIndex:
         top = stack.top()
         if (top if top is not None else _EMPTY_TOP) not in self._top_filter:
             return []
-        buckets = self._buckets
-        if not buckets:
-            return []
         frames = stack.frames
         found: List[Signature] = []
         seen = set()
-        for depth, bucket in buckets.items():
+        for depth, bucket in self._buckets.items():
             entries = bucket.get(frames[:depth])
             if not entries:
                 continue

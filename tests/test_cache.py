@@ -130,6 +130,28 @@ class TestCandidates:
         assert snap["distinct_stacks"] == 2
         assert sum(cache.allowed_set_sizes().values()) == 2
 
+    def test_sizes_total_is_the_live_hold_and_wait_bindings(self, cache):
+        """What ``harness.resources`` sizes: stack -> bindings, nothing stale in it."""
+        cache.add_hold(1, 10, SA)
+        cache.add_hold(1, 10, SB)  # reentrant, from another position
+        cache.add_hold(2, 11, SA)
+        cache.add_allow(3, 10, SA)
+        assert cache.allowed_set_sizes() == {SA: 3, SB: 1}
+        cache.release_hold(1, 10)  # the inner hold goes, and its stack with it
+        assert cache.allowed_set_sizes() == {SA: 3}
+        cache.remove_allow(3)
+        cache.release_hold(1, 10)
+        cache.release_hold(2, 11)
+        assert cache.allowed_set_sizes() == {}
+
+    def test_a_binding_stays_while_an_equal_stack_backs_another_edge(self, cache):
+        cache.add_hold(1, 10, SA)
+        cache.add_hold(1, 10, stack("a:1", "x:9"))  # reentrant, same position
+        cache.release_hold(1, 10)
+        assert cache.candidates_matching(SA, 2, set(), set()) == [(1, 10, SA)]
+        cache.release_hold(1, 10)
+        assert cache.candidates_matching(SA, 2, set(), set()) == []
+
     def test_clear(self, cache):
         cache.add_hold(1, 10, SA)
         cache.clear()

@@ -165,6 +165,52 @@ class TestTopFrameMissFilter:
         assert outcome is GO_OUTCOME
 
 
+class _CountingMutex:
+    """Stands in for a stripe mutex and records every entry."""
+
+    def __init__(self, mutex, entries):
+        self._mutex = mutex
+        self._entries = entries
+
+    def __enter__(self):
+        self._entries.append(self._mutex)
+        return self._mutex.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._mutex.__exit__(*exc_info)
+
+
+class TestVacantSitesOnTheHitPath:
+    def test_candidates_with_vacant_other_sites_cost_no_mutex_and_no_foreign_stack(self):
+        """Fig. 4's case: k signatures hit, nobody stands at their other stacks.
+
+        The search must learn that from k lock-free probes — no stripe
+        mutex, and no look at (let alone deep walk of) the stacks other
+        threads hold elsewhere.
+        """
+        k = 5
+        wanted = stack(("take:1", "m:0"))
+        history = History(path=None, autosave=False)
+        for index in range(k):
+            history.add(Signature([wanted, stack((f"never{index}:1", "m:0"))],
+                                  matching_depth=2))
+        stats = EngineStats()
+        engine = AvoidanceEngine(history, DimmunixConfig.for_testing(), stats=stats)
+        bystander = CallStack.capture_lazy(skip=0, stats=stats)
+        assert engine.request(2, 20, bystander) is GO_OUTCOME
+        engine.acquired(2, 20, bystander)
+        entries = []
+        for stripe in engine.cache._stripes:
+            stripe.mutex = _CountingMutex(stripe.mutex, entries)
+
+        candidates = engine.index.candidates(wanted)
+        assert len(candidates) == k
+        assert engine._match_candidates(candidates, 1, 10, wanted) is None
+        assert entries == []
+        assert not bystander.materialized()
+        assert stats.capture_materialized == 0
+
+
 class TestShardedStats:
     def test_concurrent_bumps_sum_exactly(self):
         stats = EngineStats()
