@@ -39,7 +39,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import itertools
-import sys
 import threading
 from collections import deque
 from typing import Coroutine, Deque, Dict, Optional, Set, Tuple
@@ -51,6 +50,7 @@ from ..core.errors import InstrumentationError
 from ..core.runtime_api import (PARK, TRY_NATIVE, HoldLedger, LockRuntime,
                                 ThreadParker, acquisition)
 from ..core.signature import EXCLUSIVE, SHARED
+from .patching import _caller_needs_native_lock
 
 #: Original asyncio factories, captured at import time so Dimmunix's own
 #: plumbing (and the patched factories' native fallback) can always reach
@@ -904,23 +904,9 @@ def reset_default_aio_runtime() -> None:
 
 _installed_runtime: Optional[AsyncioRuntime] = None
 
-#: Path fragments identifying callers that must always receive *native*
-#: primitives even while the patch is installed: the asyncio machinery
-#: itself, the ``threading`` module, and this library.
-_NATIVE_CALLERS = ("asyncio/", "asyncio\\", "threading.py",
-                   "repro/core", "repro/instrument", "repro/util",
-                   "repro\\core", "repro\\instrument", "repro\\util")
-
-
-def _caller_needs_native_lock() -> bool:
-    """True when the primitive is created by asyncio internals or Dimmunix."""
-    try:
-        frame = sys._getframe(2)
-    except ValueError:  # pragma: no cover - extremely shallow stacks
-        return False
-    filename = frame.f_code.co_filename.replace("\\", "/")
-    return any(fragment.replace("\\", "/") in filename
-               for fragment in _NATIVE_CALLERS)
+#: Callers that, beyond :data:`.patching._NATIVE_CALLERS`, must always
+#: receive *native* primitives: the asyncio machinery itself.
+_ASYNCIO_CALLERS = ("asyncio/",)
 
 
 def install_asyncio(dimmunix: Optional[Dimmunix] = None,
@@ -941,7 +927,7 @@ def install_asyncio(dimmunix: Optional[Dimmunix] = None,
     runtime = set_default_aio_runtime(dimmunix)
 
     def _lock_factory(*args, **kwargs):
-        if _caller_needs_native_lock():
+        if _caller_needs_native_lock(_ASYNCIO_CALLERS):
             return _original_lock(*args, **kwargs)
         return AioLock(runtime=runtime)
 
@@ -949,13 +935,13 @@ def install_asyncio(dimmunix: Optional[Dimmunix] = None,
         # A condition over a pre-existing *native* lock (created before
         # install) cannot be instrumented; degrade to native behaviour
         # rather than breaking previously working code.
-        if _caller_needs_native_lock() or (lock is not None
+        if _caller_needs_native_lock(_ASYNCIO_CALLERS) or (lock is not None
                                            and not isinstance(lock, AioLock)):
             return _original_condition(lock, *args, **kwargs)
         return AioCondition(lock=lock, runtime=runtime)
 
     def _semaphore_factory(value=1, *args, **kwargs):
-        if _caller_needs_native_lock():
+        if _caller_needs_native_lock(_ASYNCIO_CALLERS):
             return _original_semaphore(value, *args, **kwargs)
         return AioSemaphore(value, runtime=runtime)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import sys
 import threading
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..core.config import DimmunixConfig
 from ..core.dimmunix import Dimmunix
@@ -40,15 +40,19 @@ _NATIVE_CALLERS = ("threading.py", "repro/core", "repro/instrument", "repro/util
                    "repro\\core", "repro\\instrument", "repro\\util")
 
 
-def _caller_needs_native_lock() -> bool:
-    """True when the lock is being created by threading internals or by Dimmunix."""
+def _caller_needs_native_lock(also: Tuple[str, ...] = ()) -> bool:
+    """True when the lock is being created by threading internals or by Dimmunix.
+
+    ``also`` names further native callers (the asyncio patch adds the
+    asyncio machinery itself).
+    """
     try:
         frame = sys._getframe(2)
     except ValueError:  # pragma: no cover - extremely shallow stacks
         return False
     filename = frame.f_code.co_filename.replace("\\", "/")
     return any(fragment.replace("\\", "/") in filename
-               for fragment in _NATIVE_CALLERS)
+               for fragment in _NATIVE_CALLERS + also)
 
 
 def install(dimmunix: Optional[Dimmunix] = None,

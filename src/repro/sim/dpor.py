@@ -39,7 +39,7 @@ DPOR's deadlock-signature set equals the unreduced full-DFS set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.signature import SHARED
 
@@ -87,6 +87,29 @@ class RunObservation:
     choices_at: Dict[int, Tuple[int, Tuple[Tuple[int, Optional[int]], ...]]] = \
         field(default_factory=dict)
     taken: List[int] = field(default_factory=list)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-data payload; ``taken`` travels as the run's schedule."""
+        return {
+            "events": [list(event) for event in self.events],
+            "choices_at": {
+                str(position): [chosen, [list(pair) for pair in candidates]]
+                for position, (chosen, candidates) in self.choices_at.items()},
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any],
+                  taken: List[int]) -> "RunObservation":
+        """Inverse of :meth:`to_dict` (raises on a malformed shape)."""
+        return cls(
+            events=[(slot, lock, position, kind, mode)
+                    for slot, lock, position, kind, mode in payload["events"]],
+            choices_at={
+                int(position): (chosen, tuple((slot, lock)
+                                              for slot, lock in candidates))
+                for position, (chosen, candidates)
+                in payload["choices_at"].items()},
+            taken=taken)
 
 
 def dependent(kind_a: str, mode_a: str, kind_b: str, mode_b: str) -> bool:
@@ -220,9 +243,9 @@ class BacktrackBook:
 
     ``mark_taken`` records that some run continued ``prefix`` with
     ``slot`` (the branch has been initiated; its interior is covered by
-    that run's own race analysis).  ``admit`` filters a deterministic
-    seed stream against the book, marks every admitted seed, and attaches
-    the previously explored branches of its prefix as a sleep set.
+    that run's own race analysis).  :func:`admit_wave` filters each
+    wave's seed stream against the book, marks every admitted seed, and
+    attaches the previously explored branches as sleep sets.
     """
 
     def __init__(self) -> None:
@@ -243,24 +266,6 @@ class BacktrackBook:
     def explored_at(self, prefix: Tuple[int, ...]) -> Dict[int, Optional[int]]:
         """Branches explored from ``prefix`` so far (slot -> footprint)."""
         return dict(self._done.get(prefix, {}))
-
-    def admit(self, seeds: List[Seed]) -> List[Tuple[Seed, Tuple[Tuple[int, Optional[int]], ...]]]:
-        """Filter ``seeds`` to the fresh ones, in order, with sleep sets.
-
-        Returns ``(seed, sleep_entries)`` pairs; ``sleep_entries`` are the
-        ``(slot, lock)`` branches already explored from the seed's prefix
-        at admission time (including seeds admitted earlier in this very
-        call — left-to-right sibling sleep, exactly like the DFS push).
-        """
-        fresh: List[Tuple[Seed, Tuple[Tuple[int, Optional[int]], ...]]] = []
-        for seed in seeds:
-            done = self._done.setdefault(seed.prefix, {})
-            if seed.slot in done:
-                continue
-            sleep = tuple(sorted(done.items()))
-            done[seed.slot] = seed.lock
-            fresh.append((seed, sleep))
-        return fresh
 
 
 #: Sleep-insertion map of a frontier node: position -> ((slot, lock), ...).

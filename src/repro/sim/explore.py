@@ -5,13 +5,19 @@ One seeded run samples a single interleaving; the paper's immunity claim
 it") quantifies over *all* interleavings.  This module makes that claim
 testable by exploring the scheduler's choice tree:
 
-* :class:`Explorer` — bounded exhaustive DFS over scheduling choices
-  (with preemption bounding, invisible-move reduction, and sleep-set
-  pruning), plus a swarm/random-walk mode for programs too large to
-  enumerate.  Each run re-drives a forced prefix of choices through a
-  fresh scheduler built by a *scenario factory*, then branches at the
-  first free choice points — stateless model checking in the style of
-  VeriSoft/CHESS.
+* :class:`Explorer` — bounded exhaustive search over scheduling choices,
+  plus a swarm/random-walk mode for programs too large to enumerate.
+  Each run re-drives a forced prefix of choices through a fresh scheduler
+  built by a *scenario factory*, then takes default choices — stateless
+  model checking in the style of VeriSoft/CHESS.  There is one search
+  loop (:meth:`Explorer._search`): it runs a *wave* of
+  :class:`FrontierNode` objects, folds each finished run (a plain-data
+  :class:`RunRecord`) into the :class:`ExplorationResult`, and asks the
+  strategy's *admission rule* for the next wave.  ``"dfs"`` admits every
+  untaken sibling of every free choice point (unreduced enumeration, the
+  ground truth); ``"dpor"`` admits the race reversals of
+  :mod:`repro.sim.dpor`.  Who executes a wave — this process, or worker
+  processes (:mod:`repro.sim.parexplore`) — is the loop's other argument.
 * Record/replay — every run yields a serializable
   :class:`~repro.sim.schedule.ScheduleTrace`; :meth:`Explorer.replay`
   re-drives one step-for-step (byte-identical when re-recorded).
@@ -25,7 +31,7 @@ testable by exploring the scheduler's choice tree:
 Reductions and soundness.  Local steps (``Compute``/``Log``/thread exit)
 commute with everything, so they are executed eagerly without branching
 (``visible_only``).  Sleep sets — per-lock footprints as the
-independence relation — survive only inside source-DPOR, which seeds
+independence relation — exist only inside source-DPOR, which seeds
 each branch with its explored siblings (:mod:`repro.sim.dpor`).  A
 preemption bound, when set,
 restricts the search to schedules with at most that many preemptive
@@ -37,8 +43,10 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple)
 
 from ..core.errors import ReplayDivergenceError, SimulationError
 from .actions import Acquire, TryAcquire, action_footprint
@@ -76,14 +84,13 @@ class _CutRun(Exception):
 class FrontierNode:
     """One frontier entry: a forced choice prefix plus sleep insertions.
 
-    A node is a *subtree root*: re-driving its ``choices`` through a fresh
-    scenario instance reaches the exact scheduler state the node denotes,
-    and exploration branches at the first free choice point after the
-    prefix.  Nodes serialize to a stable JSON form (:meth:`to_dict` /
-    :meth:`dumps`) so the parallel explorer can hand subtrees to OS worker
-    processes as plain records — the payload is a
+    Re-driving its ``choices`` through a fresh scenario instance reaches
+    the exact scheduler state the node denotes; the run then continues
+    with default choices.  Nodes serialize to a stable JSON form
+    (:meth:`to_dict` / :meth:`dumps`) so the parallel explorer can hand
+    them to OS worker processes as plain records — the payload is a
     :class:`~repro.sim.schedule.ScheduleTrace` prefix plus the sleep
-    entries that travel with it.
+    entries that travel with it (always empty under ``"dfs"``).
     """
 
     choices: Tuple[int, ...]
@@ -128,16 +135,85 @@ class FrontierNode:
         return cls.from_dict(json.loads(data))
 
 
-@dataclass
-class _ChoiceRecord:
-    """A free choice point observed during a DFS run (branching data)."""
+class Branch(NamedTuple):
+    """A free choice point of one run: what the ``"dfs"`` rule admits from.
 
-    taken_before: List[int]
-    #: Branchable alternatives (slot, lock footprint), ascending slot order.
-    alternatives: List[Tuple[int, Optional[int]]]
+    The prefix that re-drives the run up to this point is the run's
+    ``schedule[:position]``.
+    """
+
+    position: int
+    #: Untaken alternatives (slot, lock footprint), ascending slot order.
+    alternatives: Tuple[Tuple[int, Optional[int]], ...]
     prev_slot: Optional[int]
     prev_runnable: bool
     preemptions: int
+
+
+@dataclass
+class RunRecord:
+    """One finished run as plain data — all the search loop ever sees of it.
+
+    The serial runner hands these over directly; a worker process sends
+    them through :meth:`to_dict` / :meth:`from_dict`.  ``result`` (the
+    full :class:`SimResult`) is the one field that does not cross the
+    process boundary; replaying ``schedule`` reconstructs it.
+    """
+
+    steps: int
+    #: ``None``, or why the run was abandoned (see :class:`_CutRun`).
+    cut: Optional[str]
+    completed: bool
+    #: Slot taken at every choice point, i.e. the trace that replays the run.
+    schedule: List[int]
+    backend: str
+    #: Sorted (slot, lock slot) wait pairs of the stall; ``None`` = no deadlock.
+    footprint: Optional[Tuple[Tuple[int, int], ...]] = None
+    #: What the strategy's admission rule reads: free choice points for
+    #: ``"dfs"``, the visible events for ``"dpor"``.
+    branches: List[Branch] = field(default_factory=list)
+    observation: Optional[RunObservation] = None
+    result: Optional[SimResult] = field(default=None, compare=False)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain-data payload (``result`` stays behind)."""
+        return {
+            "steps": self.steps, "cut": self.cut, "completed": self.completed,
+            "schedule": self.schedule, "backend": self.backend,
+            "footprint": (None if self.footprint is None
+                          else [list(pair) for pair in self.footprint]),
+            "branches": [list(branch) for branch in self.branches],
+            "observation": (None if self.observation is None
+                            else self.observation.to_dict()),
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "RunRecord":
+        """Inverse of :meth:`to_dict`; validates the shape."""
+        try:
+            schedule = [int(slot) for slot in payload["schedule"]]
+            footprint = payload["footprint"]
+            observation = payload["observation"]
+            if payload["cut"] not in (None, "sleep", "depth"):
+                raise ValueError(payload["cut"])
+            return cls(
+                steps=int(payload["steps"]), cut=payload["cut"],
+                completed=bool(payload["completed"]), schedule=schedule,
+                backend=str(payload["backend"]),
+                footprint=None if footprint is None else tuple(
+                    (int(slot), int(lock)) for slot, lock in footprint),
+                branches=[
+                    Branch(int(position),
+                           tuple((int(slot), lock) for slot, lock in alts),
+                           prev_slot, bool(prev_runnable), int(preemptions))
+                    for position, alts, prev_slot, prev_runnable, preemptions
+                    in payload["branches"]],
+                observation=(None if observation is None
+                             else RunObservation.from_dict(observation,
+                                                           taken=schedule)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SimulationError(
+                f"malformed run-record payload: {payload!r}") from exc
 
 
 class _DfsPolicy(SchedulePolicy):
@@ -146,19 +222,18 @@ class _DfsPolicy(SchedulePolicy):
     name = "dfs"
 
     def __init__(self, node: FrontierNode, max_depth: Optional[int],
-                 visible_only: bool, sleep_enabled: bool,
+                 visible_only: bool,
                  observation: Optional[RunObservation] = None):
         self.forced = node.choices
         self.sleep_in = node.sleep_at
         self.max_depth = max_depth
         self.visible_only = visible_only
-        self.sleep_enabled = sleep_enabled
         self.observation = observation
         self.sleep: Dict[int, Optional[int]] = {}
         self.taken: List[int] = []
         if observation is not None:
             observation.taken = self.taken  # shared: grows with the run
-        self.records: List[_ChoiceRecord] = []
+        self.branches: List[Branch] = []
         self.position = 0
         self.prev_slot: Optional[int] = None
         self.preemptions = 0
@@ -183,9 +258,8 @@ class _DfsPolicy(SchedulePolicy):
         self.position += 1
         if self.max_depth is not None and position >= self.max_depth:
             raise _CutRun("depth")
-        if self.sleep_enabled:
-            for slot, lock in self.sleep_in.get(position, ()):
-                self.sleep[slot] = lock
+        for slot, lock in self.sleep_in.get(position, ()):
+            self.sleep[slot] = lock
         by_slot = {}
         for thread in candidates:
             slot = scheduler.slot_of(thread.thread_id)
@@ -226,11 +300,11 @@ class _DfsPolicy(SchedulePolicy):
             raise _CutRun("sleep")
         chosen = self.prev_slot if self.prev_slot in branchable else branchable[0]
         self._note_choice(position, chosen, by_slot, slots)
-        alternatives = [(s, by_slot[s][1]) for s in branchable if s != chosen]
-        if alternatives:
-            self.records.append(_ChoiceRecord(
-                taken_before=list(self.taken),
-                alternatives=alternatives,
+        if self.observation is None and len(branchable) > 1:
+            self.branches.append(Branch(
+                position=position,
+                alternatives=tuple((s, by_slot[s][1])
+                                   for s in branchable if s != chosen),
                 prev_slot=self.prev_slot,
                 prev_runnable=self.prev_slot in by_slot,
                 preemptions=self.preemptions))
@@ -273,7 +347,7 @@ class _DfsPolicy(SchedulePolicy):
                     kind = RELEASE
                 self.observation.events.append(
                     (slot, lock, position, kind, mode))
-        if not self.sleep_enabled or not self.sleep:
+        if not self.sleep:
             return
         # A sleep entry dissolves when a dependent step executes: any step
         # touching the same lock, or the sleeping thread itself moving.
@@ -319,6 +393,30 @@ class _DfsPolicy(SchedulePolicy):
                                            last[4])
 
 
+def _record(scheduler: SimScheduler, result: SimResult,
+            cut: Optional[str] = None,
+            policy: Optional[_DfsPolicy] = None) -> RunRecord:
+    """The plain-data record of a run that just ended on ``scheduler``.
+
+    ``result`` is the scheduler's result; with ``cut`` set the run was
+    abandoned mid-way and only its steps and schedule count.
+    """
+    record = RunRecord(steps=result.steps, cut=cut,
+                       completed=cut is None and result.completed,
+                       schedule=result.schedule,
+                       backend=scheduler.backend.name)
+    if cut is None:
+        record.result = result
+        if result.deadlocked and result.stall is not None:
+            record.footprint = tuple(sorted(
+                (scheduler.slot_of(thread_id), scheduler.lock_slot_of(lock_id))
+                for thread_id, lock_id in result.stall.waiting.items()))
+    if policy is not None:
+        record.branches = policy.branches
+        record.observation = policy.observation
+    return record
+
+
 @dataclass
 class DeadlockFinding:
     """One deadlocking interleaving discovered by the explorer.
@@ -338,7 +436,11 @@ class DeadlockFinding:
 
 @dataclass
 class ExplorationResult:
-    """Aggregate outcome of one exploration (DFS or random walk)."""
+    """Aggregate outcome of one exploration.
+
+    ``mode`` is ``"dfs"`` for a systematic search (either strategy) and
+    ``"random"`` for a random walk.
+    """
 
     mode: str
     #: Reduction strategy that produced this result ("dfs" = unreduced,
@@ -361,6 +463,31 @@ class ExplorationResult:
     #: counted against exhaustiveness of the *bounded* space).
     exhausted: bool = False
     elapsed: float = 0.0
+    _footprints: set = field(default_factory=set, repr=False, compare=False)
+
+    def fold(self, record: RunRecord, scenario: str) -> None:
+        """Account for one finished run — the only place a run becomes
+        counters and a :class:`DeadlockFinding`."""
+        self.runs += 1
+        self.steps += record.steps
+        if record.cut == "depth":
+            self.cut_depth += 1
+            self.exhausted = False
+        elif record.cut == "sleep":
+            self.pruned_sleep += 1
+        if record.footprint is not None:
+            trace = ScheduleTrace(record.schedule, meta={
+                "scenario": scenario,
+                "backend": record.backend,
+                "outcome": "deadlock",
+            })
+            self.deadlocks.append(
+                DeadlockFinding(trace, record.result, record.footprint))
+            if record.footprint not in self._footprints:
+                self._footprints.add(record.footprint)
+                self.unique_deadlocks += 1
+        elif record.completed:
+            self.completed += 1
 
     @property
     def deadlock_count(self) -> int:
@@ -427,6 +554,14 @@ class ExplorationResult:
 #: Recognized exploration strategies (see :meth:`Explorer.resolve_strategy`).
 STRATEGIES = ("dfs", "dpor")
 
+#: The two arguments of the search loop.  An admission rule turns the
+#: records of one whole wave (and the result so far, for its skip
+#: counters) into the next wave; a wave runner turns a wave into one
+#: record per node, in node order.
+AdmissionRule = Callable[[List[RunRecord], ExplorationResult],
+                         Iterable[FrontierNode]]
+WaveRunner = Callable[[List[FrontierNode]], Iterable[RunRecord]]
+
 
 class Explorer:
     """Bounded systematic exploration of a scenario's schedule tree.
@@ -437,8 +572,9 @@ class Explorer:
 
     ``strategy`` selects the reduction:
 
-    * ``"dfs"`` — unreduced exhaustive DFS (every alternative at every
-      free choice point);
+    * ``"dfs"`` — unreduced enumeration (every alternative at every
+      free choice point), visited wave by wave: the ground truth the
+      reduction is checked against;
     * ``"dpor"`` — source-DPOR race reversal (:mod:`repro.sim.dpor`),
       the default: applied to *engine-backed* exploration too, with the
       equivalence of its deadlock coverage re-proven per scenario by the
@@ -486,212 +622,114 @@ class Explorer:
         """The concrete strategy this explorer will run (never "auto")."""
         if self.preemption_bound is not None:
             # No reduction composes with preemption bounding (see class
-            # docstring); bounded search always runs the plain DFS.
+            # docstring); bounded search always enumerates unreduced.
             return "dfs"
         if self.strategy is None or self.strategy == "auto":
             return "dpor"
         return self.strategy
 
-    def _run_node(self, node: FrontierNode, sleep_enabled: bool,
-                  collect: bool = False):
-        """Execute one frontier node; returns (scheduler, result, cut, policy)."""
-        scheduler = self.scenario()
-        observation = RunObservation() if collect else None
+    def _run_node(self, node: FrontierNode) -> RunRecord:
+        """Execute one frontier node to its end (or its cut)."""
+        collect = self.resolve_strategy() == "dpor"
         policy = _DfsPolicy(node, self.max_depth, self.visible_only,
-                            sleep_enabled, observation)
-        scheduler.policy = policy
+                            RunObservation() if collect else None)
+        scheduler = self._build(policy)
         try:
-            result = scheduler.run()
-            cut = None
+            return _record(scheduler, scheduler.run(), policy=policy)
         except _CutRun as cut_run:
-            result = None
-            cut = cut_run.reason
-        return scheduler, result, cut, policy
+            return _record(scheduler, scheduler.result, cut=cut_run.reason,
+                           policy=policy)
 
-    def _record_outcome(self, res: ExplorationResult, scheduler: SimScheduler,
-                        result: SimResult, seen: set) -> None:
-        res.steps += result.steps
-        if result.deadlocked and result.stall is not None:
-            footprint = tuple(sorted(
-                (scheduler.slot_of(thread_id), scheduler.lock_slot_of(lock_id))
-                for thread_id, lock_id in result.stall.waiting.items()))
-            trace = ScheduleTrace(list(result.schedule), meta={
-                "scenario": self.name,
-                "backend": scheduler.backend.name,
-                "outcome": "deadlock",
-            })
-            res.deadlocks.append(DeadlockFinding(trace, result, footprint))
-            if footprint not in seen:
-                seen.add(footprint)
-                res.unique_deadlocks += 1
-        elif result.completed:
-            res.completed += 1
+    def _run_wave(self, wave: List[FrontierNode]) -> Iterable[RunRecord]:
+        """The serial wave runner: each node's record, lazily, in node order.
 
-    # -- bounded exhaustive DFS ------------------------------------------------------------
+        Lazily, so a search that stops mid-wave never executes the rest.
+        """
+        return map(self._run_node, wave)
+
+    # -- the search loop -------------------------------------------------------------------
 
     def explore(self, stop_on_first_deadlock: bool = False) -> ExplorationResult:
-        """Systematic enumeration of the bounded schedule tree.
+        """Systematic enumeration of the bounded schedule tree."""
+        return self._search(self._admission(), self._run_wave,
+                            stop_on_first_deadlock)
 
-        Dispatches on :meth:`resolve_strategy`: plain DFS over a stack
-        frontier, or wave-based source-DPOR.
+    def _search(self, admit: AdmissionRule, run_wave: WaveRunner,
+                stop_on_first_deadlock: bool = False) -> ExplorationResult:
+        """The search loop: run a wave, fold its records, admit the next.
+
+        ``run_wave`` yields one :class:`RunRecord` per node, in node
+        order; ``admit`` turns the records of a *whole* wave into the
+        next wave's nodes.  Admission only ever sees complete waves and
+        the records arrive in node order whoever executed them, so what
+        is explored — and in what order — does not depend on the runner.
+        A wave never holds more nodes than the run budget still allows.
         """
-        if self.resolve_strategy() == "dpor":
-            return self._explore_dpor(stop_on_first_deadlock)
-        return self._explore_dfs(stop_on_first_deadlock)
-
-    def _explore_dfs(self, stop_on_first_deadlock: bool,
-                     initial: Optional[List[FrontierNode]] = None,
-                     stop_at_width: Optional[int] = None,
-                     ) -> ExplorationResult:
-        """Stack-DFS over ``initial`` (default: the root), optionally pausing.
-
-        Returns the result; when ``stop_at_width`` is set the loop stops
-        *before* popping once the frontier holds at least that many nodes,
-        and the unprocessed frontier is left in ``result`` via the second
-        element of the internal return — :meth:`expand` exposes it.
-        """
-        res = ExplorationResult(mode="dfs", strategy="dfs")
-        seen: set = set()
+        res = ExplorationResult(mode="dfs", strategy=self.resolve_strategy(),
+                                exhausted=True)
         started = time.perf_counter()
-        if initial is None:
-            frontier: List[FrontierNode] = [FrontierNode(choices=(),
-                                                         sleep_at={})]
-        else:
-            # Process the given subtree roots in the given order: the
-            # stack pops from the end, so push them reversed.
-            frontier = list(reversed(initial))
-        exhausted = True
-        while frontier:
-            if res.runs >= self.max_runs:
-                exhausted = False
-                break
-            if stop_at_width is not None and len(frontier) >= stop_at_width:
-                break
-            node = frontier.pop()
-            scheduler, result, cut, policy = self._run_node(
-                node, sleep_enabled=False)
-            res.runs += 1
-            if cut is not None:  # without sleep sets only "depth" cuts a run
-                res.steps += scheduler.result.steps
-                res.cut_depth += 1
-                exhausted = False
-            if result is not None:
-                self._record_outcome(res, scheduler, result, seen)
-            # Push the unexplored siblings of every free choice taken in
-            # this run; reversed-within-record so the leftmost alternative
-            # of the deepest record ends up on top (depth-first order).
-            for record in policy.records:
-                pushes: List[FrontierNode] = []
-                for alt_slot, alt_lock in record.alternatives:
+
+        def within_budget(admitted: Iterable[FrontierNode]) -> List[FrontierNode]:
+            admitted = iter(admitted)
+            wave = list(islice(admitted, max(0, self.max_runs - res.runs)))
+            if next(admitted, None) is not None:
+                res.exhausted = False
+            return wave
+
+        wave = within_budget([FrontierNode(choices=(), sleep_at={})])
+        try:
+            while wave:
+                records: List[RunRecord] = []
+                for record in run_wave(wave):
+                    res.fold(record, self.name)
+                    if stop_on_first_deadlock and res.deadlocks:
+                        res.exhausted = False
+                        return res
+                    records.append(record)
+                if len(records) != len(wave):
+                    raise SimulationError(
+                        f"the wave runner returned {len(records)} records "
+                        f"for {len(wave)} nodes")
+                wave = within_budget(admit(records, res))
+            return res
+        finally:
+            res.elapsed = time.perf_counter() - started
+
+    def _admission(self) -> AdmissionRule:
+        """The resolved strategy's admission rule (fresh state per search)."""
+        if self.resolve_strategy() == "dfs":
+            return self._admit_siblings
+        book = BacktrackBook()
+        return lambda records, _res: (
+            FrontierNode(choices=choices, sleep_at=sleep_at)
+            for choices, sleep_at in admit_wave(
+                book, [record.observation for record in records]))
+
+    def _admit_siblings(self, records: List[RunRecord],
+                        res: ExplorationResult) -> Iterable[FrontierNode]:
+        """``"dfs"``: every untaken sibling of every free choice point.
+
+        A generator, so the loop's budget check stops it from building
+        nodes the search will never run.
+        """
+        for record in records:
+            for branch in record.branches:
+                prefix = tuple(record.schedule[:branch.position])
+                for alt_slot, alt_lock in branch.alternatives:
                     if self.preemption_bound is not None:
                         # Mirror _DfsPolicy._take: only a visible (lock)
                         # move away from a still-runnable previous thread
                         # counts against the bound.
                         preemptive = (alt_lock is not None
-                                      and record.prev_runnable
-                                      and record.prev_slot is not None
-                                      and alt_slot != record.prev_slot)
-                        if record.preemptions + (1 if preemptive else 0) \
+                                      and branch.prev_runnable
+                                      and branch.prev_slot is not None
+                                      and alt_slot != branch.prev_slot)
+                        if branch.preemptions + preemptive \
                                 > self.preemption_bound:
                             res.skipped_preemption += 1
                             continue
-                    pushes.append(FrontierNode(
-                        choices=tuple(record.taken_before) + (alt_slot,),
-                        sleep_at={}))
-                frontier.extend(reversed(pushes))
-            if stop_on_first_deadlock and res.deadlocks:
-                exhausted = not frontier
-                break
-        res.exhausted = exhausted and not frontier
-        res.elapsed = time.perf_counter() - started
-        self._paused_frontier = list(reversed(frontier))
-        return res
-
-    def expand(self, min_nodes: int,
-               strategy: Optional[str] = None,
-               ) -> Tuple[ExplorationResult, List[FrontierNode]]:
-        """Run the DFS until the frontier holds ``min_nodes`` subtree roots.
-
-        Returns the partial result plus the pending subtree roots **in
-        processing order**: exploring them sequentially (each to
-        completion) continues exactly where the serial DFS would have —
-        this is the deterministic split point the parallel explorer
-        distributes across workers.  Only meaningful for the stack
-        strategy ("dfs"); DPOR parallelizes by waves instead.
-        """
-        if (strategy or self.resolve_strategy()) == "dpor":
-            raise SimulationError(
-                "expand() splits a DFS stack; DPOR parallelizes by waves")
-        res = self._explore_dfs(stop_on_first_deadlock=False,
-                                stop_at_width=min_nodes)
-        return res, self._paused_frontier
-
-    def explore_frontier(self, nodes: List[FrontierNode],
-                         strategy: Optional[str] = None) -> ExplorationResult:
-        """Explore the subtrees rooted at ``nodes`` (in order) to completion.
-
-        This is the worker half of :meth:`expand`: sibling pushes during a
-        subtree run always extend that subtree's own prefix, so disjoint
-        node lists explore disjoint run sets and the per-node results can
-        be merged deterministically regardless of which process ran them.
-        """
-        if (strategy or self.resolve_strategy()) == "dpor":
-            raise SimulationError(
-                "explore_frontier() runs DFS subtrees; DPOR parallelizes "
-                "by waves")
-        return self._explore_dfs(stop_on_first_deadlock=False, initial=nodes)
-
-    # -- source-DPOR (wave-based race reversal) --------------------------------------------
-
-    def _explore_dpor(self, stop_on_first_deadlock: bool = False,
-                      ) -> ExplorationResult:
-        """Source-DPOR by deterministic waves (see :mod:`repro.sim.dpor`).
-
-        Each wave runs every frontier node (collecting visible events),
-        then — after the whole wave — marks the explored branches and
-        admits the discovered race reversals in run/event order.  The
-        wave barrier makes the explored set a pure fixpoint: the parallel
-        explorer distributes a wave across OS processes and merges to a
-        byte-identical :meth:`ExplorationResult.canonical`.
-        """
-        res = ExplorationResult(mode="dfs", strategy="dpor")
-        seen: set = set()
-        started = time.perf_counter()
-        book = BacktrackBook()
-        wave: List[FrontierNode] = [FrontierNode(choices=(), sleep_at={})]
-        exhausted = True
-        stopped = False
-        while wave and not stopped:
-            observations: List[RunObservation] = []
-            for node in wave:
-                if res.runs >= self.max_runs:
-                    exhausted = False
-                    stopped = True
-                    break
-                scheduler, result, cut, policy = self._run_node(
-                    node, sleep_enabled=True, collect=True)
-                res.runs += 1
-                if cut is not None:
-                    res.steps += scheduler.result.steps
-                    if cut == "depth":
-                        res.cut_depth += 1
-                        exhausted = False
-                    else:
-                        res.pruned_sleep += 1
-                if result is not None:
-                    self._record_outcome(res, scheduler, result, seen)
-                observations.append(policy.observation)
-                if stop_on_first_deadlock and res.deadlocks:
-                    exhausted = False
-                    stopped = True
-                    break
-            if stopped:
-                break
-            wave = [FrontierNode(choices=choices, sleep_at=dict(sleep_at))
-                    for choices, sleep_at in admit_wave(book, observations)]
-        res.exhausted = exhausted and not wave
-        res.elapsed = time.perf_counter() - started
-        return res
+                    yield FrontierNode(choices=prefix + (alt_slot,),
+                                       sleep_at={})
 
     # -- swarm / random walk ------------------------------------------------------------------
 
@@ -699,13 +737,10 @@ class Explorer:
                     stop_on_first_deadlock: bool = False) -> ExplorationResult:
         """Sample ``runs`` random schedules (for trees too large to enumerate)."""
         res = ExplorationResult(mode="random")
-        seen: set = set()
         started = time.perf_counter()
         for index in range(runs):
             scheduler = self._build(RandomPolicy(seed=seed * 1_000_003 + index))
-            result = scheduler.run()
-            res.runs += 1
-            self._record_outcome(res, scheduler, result, seen)
+            res.fold(_record(scheduler, scheduler.run()), self.name)
             if stop_on_first_deadlock and res.deadlocks:
                 break
         res.elapsed = time.perf_counter() - started

@@ -1,11 +1,13 @@
 """Parallel schedule exploration across OS worker processes.
 
-The DFS frontier is already a work queue: every
-:class:`~repro.sim.explore.FrontierNode` is a subtree root, and sibling
-pushes during a subtree run always extend that subtree's own prefix, so
-disjoint node lists explore disjoint run sets.  This module distributes
-those subtrees over worker processes and merges the partial results back
-into an :class:`~repro.sim.explore.ExplorationResult` whose
+The search loop lives in :class:`~repro.sim.explore.Explorer` and takes
+the *wave runner* as an argument: something that turns a wave of
+:class:`~repro.sim.explore.FrontierNode` objects into one
+:class:`~repro.sim.explore.RunRecord` per node, in node order.  This
+module supplies a runner that publishes contiguous slices of the wave as
+tasks, lets worker processes execute them, and yields the returned
+records back in node order.  Admission, accounting and the run budget
+stay in the one loop, so for either strategy the
 :meth:`~repro.sim.explore.ExplorationResult.canonical` form is
 *byte-identical* to the serial one — worker count is an implementation
 detail, not an observable.
@@ -15,7 +17,7 @@ Coordination follows the ``share`` package's channel idiom (PR 5): a
 results, with two transports —
 
 * :class:`MemoryTaskBoard` — in-process, deterministic; workers drain it
-  inline.  Used by tests to exercise the split/claim/merge protocol
+  inline.  Used by tests to exercise the slice/claim/reassemble protocol
   without process scheduling noise (the analogue of
   :class:`repro.share.memory.MemoryHub`).
 * :class:`FileTaskBoard` — a spool directory; tasks are claimed by
@@ -27,20 +29,6 @@ Scenarios cross the process boundary as plain data: a name from the
 :data:`~repro.sim.explore.SCENARIOS` registry plus a backend spec
 (:func:`~repro.sim.backends.backend_spec`).  Each run inside a worker
 still gets its own forked backend, exactly as in serial exploration.
-
-Two parallel modes mirror the two serial strategy families:
-
-* **subtree mode** (``dfs``) — the parent expands the DFS
-  until the frontier holds enough subtree roots, publishes each root as
-  one task, and workers pull roots and explore them to completion.
-  Results are merged in the roots' processing order, which is exactly
-  the order the serial DFS would have explored them.
-* **wave mode** (``dpor``) — source-DPOR admits backtrack points only
-  at wave barriers (:func:`repro.sim.dpor.admit_wave`), so the parent
-  distributes each wave's nodes as tasks, reassembles the runs'
-  observations in node order, and performs the admission itself.  The
-  admitted set is a pure function of the wave's observations, so the
-  exploration is the same one the serial loop performs.
 """
 
 from __future__ import annotations
@@ -48,107 +36,25 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from itertools import count
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 from .backends import backend_from_spec, backend_spec
-from .dpor import BacktrackBook, RunObservation, admit_wave
-from .explore import (STRATEGIES, DeadlockFinding, ExplorationResult,
-                      Explorer, FrontierNode, SCENARIOS)
-from .schedule import ScheduleTrace
-
-#: Minimum frontier width (beyond the worker count) before the subtree
-#: split happens.  Kept small deliberately: ``expand`` pauses the first
-#: time the stack is at least this wide, and a DFS stack's width can
-#: stay *bounded* (pushes ≈ pops), so demanding a large multiple of the
-#: worker count risks the expansion running the whole tree serially
-#: before ever pausing.  The stack typically jumps well past this after
-#: the first run, and dynamic pulling balances uneven subtree sizes.
-SPLIT_MARGIN = 1
+from .explore import (ExplorationResult, Explorer, FrontierNode, RunRecord,
+                      SCENARIOS)
 
 _POLL_INTERVAL = 0.002
 
-
-# ---------------------------------------------------------------------------
-# Result serialization (worker -> parent)
-# ---------------------------------------------------------------------------
-
-def result_to_payload(result: ExplorationResult) -> Dict[str, Any]:
-    """The plain-data fields of a partial result that travel to the parent.
-
-    Timing (``elapsed``) deliberately does not travel: the merged
-    result's clock is the parent's wall clock for the whole parallel
-    operation.  Deadlock findings travel as trace choices + footprint —
-    the full :class:`~repro.sim.result.SimResult` stays in the worker
-    (replaying the trace reconstructs it).
-    """
-    return {
-        "runs": result.runs,
-        "steps": result.steps,
-        "completed": result.completed,
-        "pruned_sleep": result.pruned_sleep,
-        "cut_depth": result.cut_depth,
-        "skipped_preemption": result.skipped_preemption,
-        "exhausted": result.exhausted,
-        "deadlocks": [
-            {"choices": list(finding.trace.choices),
-             "meta": dict(finding.trace.meta),
-             "footprint": [list(pair) for pair in finding.footprint]}
-            for finding in result.deadlocks],
-    }
-
-
-def _findings_from_payload(records: List[Dict]) -> List[DeadlockFinding]:
-    return [
-        DeadlockFinding(
-            trace=ScheduleTrace(record["choices"], meta=record.get("meta")),
-            result=None,
-            footprint=tuple(tuple(pair) for pair in record["footprint"]))
-        for record in records
-    ]
-
-
-def merge_results(parts: List[Dict[str, Any]], *, mode: str, strategy: str,
-                  max_runs: int) -> ExplorationResult:
-    """Fold partial-result payloads (in processing order) into one result.
-
-    Counters sum; deadlock findings concatenate in order, and the unique
-    count is recomputed by scanning that merged order — the same
-    first-seen scan the serial loop performs.  The merged tree is
-    exhausted only if every part was and the combined run count stayed
-    within budget (the serial loop would have stopped otherwise).
-    """
-    merged = ExplorationResult(mode=mode, strategy=strategy)
-    for part in parts:
-        merged.runs += part["runs"]
-        merged.steps += part["steps"]
-        merged.completed += part["completed"]
-        merged.pruned_sleep += part["pruned_sleep"]
-        merged.cut_depth += part["cut_depth"]
-        merged.skipped_preemption += part["skipped_preemption"]
-        merged.deadlocks.extend(_findings_from_payload(part["deadlocks"]))
-    seen: set = set()
-    for finding in merged.deadlocks:
-        if finding.footprint not in seen:
-            seen.add(finding.footprint)
-            merged.unique_deadlocks += 1
-    merged.exhausted = (all(part["exhausted"] for part in parts)
-                        and merged.runs <= max_runs)
-    return merged
-
-
-def _observation_from_payload(payload: Dict[str, Any]) -> RunObservation:
-    return RunObservation(
-        events=[(event[0], event[1], event[2], event[3], event[4])
-                for event in payload["events"]],
-        choices_at={
-            int(position): (entry[0],
-                            tuple((slot, lock) for slot, lock in entry[1]))
-            for position, entry in payload["choices_at"].items()},
-        taken=list(payload["taken"]))
+#: A wave is cut into at most this many slices per worker: enough that an
+#: uneven slice does not idle the pool, few enough that the task traffic
+#: of a wave grows with the worker count and not with the wave.
+_SLICES_PER_WORKER = 4
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +67,7 @@ class TaskBoard:
     Tasks are ``(task_id, payload)`` pairs; each is claimed by exactly
     one worker.  ``close()`` announces that no further tasks will ever be
     published, which is how workers distinguish "queue momentarily
-    empty" (keep polling — wave mode publishes in rounds) from "done".
+    empty" (keep polling — tasks are published wave by wave) from "done".
     """
 
     def publish(self, task_id: int, payload: Dict) -> None:
@@ -173,7 +79,12 @@ class TaskBoard:
     def finish(self, task_id: int, payload: Dict) -> None:
         raise NotImplementedError
 
+    def result(self, task_id: int) -> Optional[Dict]:
+        """The finished result of one task, or ``None`` while it is pending."""
+        raise NotImplementedError
+
     def results(self) -> Dict[int, Dict]:
+        """Every finished result so far (a whole-board read)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -205,6 +116,10 @@ class MemoryTaskBoard(TaskBoard):
     def finish(self, task_id: int, payload: Dict) -> None:
         with self._lock:
             self._results[task_id] = payload
+
+    def result(self, task_id: int) -> Optional[Dict]:
+        with self._lock:
+            return self._results.get(task_id)
 
     def results(self) -> Dict[int, Dict]:
         with self._lock:
@@ -285,6 +200,14 @@ class FileTaskBoard(TaskBoard):
     def finish(self, task_id: int, payload: Dict) -> None:
         self._write_json(self._results, f"{task_id:08d}.json", payload)
 
+    def result(self, task_id: int) -> Optional[Dict]:
+        try:
+            with open(os.path.join(self._results, f"{task_id:08d}.json"),
+                      encoding="utf-8") as stream:
+                return json.load(stream)
+        except FileNotFoundError:
+            return None
+
     def results(self) -> Dict[int, Dict]:
         collected: Dict[int, Dict] = {}
         for name in sorted(os.listdir(self._results)):
@@ -309,7 +232,9 @@ class FileTaskBoard(TaskBoard):
 def _worker_explorer(spec: Dict) -> Explorer:
     scenario = spec["scenario"]
     if scenario not in SCENARIOS:
-        raise SimulationError(f"unknown scenario {scenario!r}")
+        raise SimulationError(
+            f"unknown scenario {scenario!r} (parallel exploration ships "
+            f"scenarios by registry name; known: {sorted(SCENARIOS)})")
     prototype = backend_from_spec(spec.get("backend"))
     factory = lambda: SCENARIOS[scenario](prototype.fork())  # noqa: E731
     return Explorer(factory, name=scenario,
@@ -319,42 +244,17 @@ def _worker_explorer(spec: Dict) -> Explorer:
                     strategy=spec.get("strategy"))
 
 
-def _run_subtree_task(explorer: Explorer, spec: Dict, task: Dict) -> Dict:
-    node = FrontierNode.from_dict(task["node"])
-    partial = explorer.explore_frontier([node], strategy=spec["strategy"])
-    return result_to_payload(partial)
-
-
-def _run_collect_task(explorer: Explorer, spec: Dict, task: Dict) -> Dict:
-    """Run one frontier node with event collection (DPOR wave mode)."""
-    node = FrontierNode.from_dict(task["node"])
-    scheduler, result, cut, policy = explorer._run_node(
-        node, sleep_enabled=True, collect=True)
-    observation = policy.observation
-    payload: Dict[str, Any] = {
-        "cut": cut,
-        "steps": (scheduler.result.steps if result is None
-                  else result.steps),
-        "completed": bool(result is not None and result.completed),
-        "deadlocked": bool(result is not None and result.deadlocked
-                           and result.stall is not None),
-        "schedule": list(result.schedule) if result is not None else [],
-        "backend_name": scheduler.backend.name,
-        "footprint": None,
-        "observation": {
-            "events": [list(event) for event in observation.events],
-            "choices_at": {
-                str(position): [entry[0],
-                                [list(pair) for pair in entry[1]]]
-                for position, entry in observation.choices_at.items()},
-            "taken": list(observation.taken),
-        },
-    }
-    if payload["deadlocked"]:
-        payload["footprint"] = [
-            [scheduler.slot_of(thread_id), scheduler.lock_slot_of(lock_id)]
-            for thread_id, lock_id in result.stall.waiting.items()]
-    return payload
+def _run_slice(explorer: Explorer, task: Dict) -> Dict:
+    """Run a slice of a wave; a failing node ends it with an error record."""
+    records = []
+    for payload in task["nodes"]:
+        node = FrontierNode.from_dict(payload)
+        try:
+            records.append(explorer._run_node(node).to_dict())
+        except Exception as exc:  # the parent re-raises it, naming the node
+            return {"error": {"type": type(exc).__name__, "message": str(exc),
+                              "choices": list(node.choices)}}
+    return {"records": records}
 
 
 def run_worker(board: TaskBoard, spec: Dict,
@@ -362,11 +262,9 @@ def run_worker(board: TaskBoard, spec: Dict,
                drain: bool = False) -> int:
     """Pull tasks from ``board`` until it is closed; returns tasks done.
 
-    The loop services both modes — each task record carries its own
-    ``mode`` — so one worker pool can serve a DPOR exploration whose
-    waves arrive in rounds.  With ``drain=True`` the loop instead stops
-    at the first empty poll (the inline memory-transport execution,
-    where nobody refills the board while the worker holds the thread).
+    With ``drain=True`` the loop instead stops at the first empty poll
+    (the inline memory-transport execution, where nobody refills the
+    board while the worker holds the thread).
     """
     explorer = _worker_explorer(spec)
     done = 0
@@ -378,11 +276,7 @@ def run_worker(board: TaskBoard, spec: Dict,
             time.sleep(poll_interval)
             continue
         task_id, task = item
-        if task.get("mode") == "collect":
-            payload = _run_collect_task(explorer, spec, task)
-        else:
-            payload = _run_subtree_task(explorer, spec, task)
-        board.finish(task_id, payload)
+        board.finish(task_id, _run_slice(explorer, task))
         done += 1
 
 
@@ -408,10 +302,9 @@ class ParallelExplorer:
     ``workers`` OS processes around a :class:`FileTaskBoard` spool;
     ``"memory"`` runs the same protocol inline on a
     :class:`MemoryTaskBoard` — no parallelism, but the identical
-    split/claim/merge path, which is what the equivalence tests pin.
+    slice/claim/reassemble path, which is what the equivalence tests pin.
 
-    The contract: for a fully enumerated tree (no budget or depth
-    truncation), :meth:`explore`'s result has the same
+    The contract: :meth:`explore`'s result has the same
     :meth:`~repro.sim.explore.ExplorationResult.canonical` form as
     ``Explorer(...).explore()`` with the same strategy and bounds,
     for every worker count.
@@ -421,84 +314,55 @@ class ParallelExplorer:
                  strategy: Optional[str] = None, max_runs: int = 10_000,
                  max_depth: Optional[int] = None, visible_only: bool = True,
                  transport: str = "file", spool_dir: Optional[str] = None):
-        if scenario not in SCENARIOS:
-            raise SimulationError(
-                f"unknown scenario {scenario!r} (parallel exploration ships "
-                f"scenarios by registry name; known: {sorted(SCENARIOS)})")
-        if strategy is not None and strategy != "auto" \
-                and strategy not in STRATEGIES:
-            raise SimulationError(
-                f"unknown exploration strategy {strategy!r} "
-                f"(expected one of {STRATEGIES} or 'auto')")
         if transport not in ("file", "memory"):
             raise SimulationError(
                 f"unknown transport {transport!r} (expected 'file' or 'memory')")
         if workers < 1:
             raise SimulationError("workers must be >= 1")
-        self.scenario = scenario
-        if backend is None or isinstance(backend, dict):
-            self.backend_spec = backend
-        else:
-            self.backend_spec = backend_spec(backend)
+        if backend is not None and not isinstance(backend, dict):
+            backend = backend_spec(backend)
         self.workers = workers
-        self.strategy = strategy
-        self.max_runs = max_runs
-        self.max_depth = max_depth
-        self.visible_only = visible_only
         self.transport = transport
         self.spool_dir = spool_dir
+        #: What a worker needs to rebuild the explorer in its own process.
+        self.spec = {"scenario": scenario, "backend": backend,
+                     "strategy": strategy, "max_runs": max_runs,
+                     "max_depth": max_depth, "visible_only": visible_only}
+        #: The parent's own copy: it owns the search loop and validates
+        #: scenario and strategy exactly as a serial explorer would.
+        self.explorer = _worker_explorer(self.spec)
 
-    # -- shared plumbing -------------------------------------------------------------------
+    @contextmanager
+    def _board(self) -> Iterator[Tuple[TaskBoard, Callable[[int], Dict]]]:
+        """Open a board with its workers; yields ``(board, wait)``.
 
-    def resolve_strategy(self) -> str:
-        """The concrete strategy (same resolution as the serial explorer)."""
-        if self.strategy is None or self.strategy == "auto":
-            return "dpor"
-        return self.strategy
-
-    def _spec(self, strategy: str) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "backend": self.backend_spec,
-            "strategy": strategy,
-            "max_runs": self.max_runs,
-            "max_depth": self.max_depth,
-            "visible_only": self.visible_only,
-        }
-
-    def _local_explorer(self, strategy: str) -> Explorer:
-        return _worker_explorer(self._spec(strategy))
-
-    def _label(self, strategy: str) -> str:
-        return f"{strategy}+parallel-{self.workers}"
-
-    def _with_board(self, spec: Dict, drive):
-        """Run ``drive(board, pump)`` with transport-appropriate workers.
-
-        ``pump(expected)`` blocks until ``expected`` results exist and
-        returns them; with the memory transport it first drains the board
-        inline (the deterministic execution of the same protocol).
+        ``wait(task_id)`` blocks until that task's result exists and
+        returns it, reading it once; with the memory transport it first
+        drains the board inline (the deterministic execution of the same
+        protocol).
         """
         if self.transport == "memory":
-            board = MemoryTaskBoard()
+            board: TaskBoard = MemoryTaskBoard()
 
-            def pump(expected: int) -> Dict[int, Dict]:
-                run_worker(board, spec, drain=True)
-                results = board.results()
-                if len(results) < expected:
+            def wait(task_id: int) -> Dict:
+                payload = board.result(task_id)
+                if payload is None:
+                    run_worker(board, self.spec, drain=True)
+                    payload = board.result(task_id)
+                if payload is None:
                     raise SimulationError(
-                        "task board lost results: expected "
-                        f"{expected}, found {len(results)}")
-                return results
+                        f"task board lost the result of task {task_id}")
+                return payload
 
             try:
-                return drive(board, pump)
+                yield board, wait
             finally:
                 board.close()
+            return
 
         root = self.spool_dir or tempfile.mkdtemp(prefix="parexplore-")
         board = FileTaskBoard(root)
-        board.write_spec(spec)
+        board.write_spec(self.spec)
         context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else "spawn")
@@ -509,137 +373,60 @@ class ParallelExplorer:
         for process in processes:
             process.start()
 
-        def pump(expected: int) -> Dict[int, Dict]:
+        def wait(task_id: int) -> Dict:
             while True:
-                results = board.results()
-                if len(results) >= expected:
-                    return results
-                if all(process.exitcode is not None
-                       for process in processes) and not board.closed():
+                payload = board.result(task_id)
+                if payload is not None:
+                    return payload
+                codes = [process.exitcode for process in processes]
+                if any(codes) or None not in codes:
                     raise SimulationError(
-                        "all exploration workers exited before finishing "
-                        f"({len(results)}/{expected} results)")
+                        f"exploration workers exited (exit codes {codes}) "
+                        f"with task {task_id} outstanding")
                 time.sleep(_POLL_INTERVAL)
 
         try:
-            return drive(board, pump)
+            yield board, wait
         finally:
             board.close()
             for process in processes:
                 process.join(timeout=10.0)
                 if process.is_alive():  # pragma: no cover - hung worker
                     process.terminate()
-
-    # -- exploration ----------------------------------------------------------------------
+            if self.spool_dir is None:
+                shutil.rmtree(root, ignore_errors=True)
 
     def explore(self) -> ExplorationResult:
         """Explore the scenario's bounded tree across the worker pool."""
-        strategy = self.resolve_strategy()
         started = time.perf_counter()
-        if strategy == "dpor":
-            result = self._explore_waves(strategy)
-        else:
-            result = self._explore_subtrees(strategy)
-        result.strategy = self._label(strategy)
+        task_ids = count()
+        with self._board() as (board, wait):
+
+            def run_wave(wave: List[FrontierNode]) -> Iterator[RunRecord]:
+                size = -(-len(wave) // (_SLICES_PER_WORKER * self.workers))
+                published = []
+                for start in range(0, len(wave), size):
+                    published.append(next(task_ids))
+                    board.publish(published[-1], {"nodes": [
+                        node.to_dict() for node in wave[start:start + size]]})
+                for task_id in published:
+                    yield from _slice_records(wait(task_id))
+
+            result = self.explorer._search(self.explorer._admission(),
+                                           run_wave)
+        result.strategy = f"{result.strategy}+parallel-{self.workers}"
         result.elapsed = time.perf_counter() - started
         return result
 
-    def _explore_subtrees(self, strategy: str) -> ExplorationResult:
-        serial = self._local_explorer(strategy)
-        prefix, frontier = serial.expand(self.workers + SPLIT_MARGIN,
-                                         strategy=strategy)
-        if not frontier:
-            return prefix  # the tree was smaller than one split's worth
 
-        spec = self._spec(strategy)
-        prefix_payload = result_to_payload(prefix)
-        # ``expand`` reports exhausted=False because its frontier was
-        # non-empty *at the split*; modulo that frontier (which the
-        # workers are about to drain) the prefix is exhausted unless it
-        # was itself truncated.
-        prefix_payload["exhausted"] = (prefix.cut_depth == 0
-                                       and prefix.runs < self.max_runs)
-
-        def drive(board: TaskBoard, pump) -> ExplorationResult:
-            for index, node in enumerate(frontier):
-                board.publish(index, {"mode": "subtree",
-                                      "node": node.to_dict()})
-            board.close()
-            results = pump(len(frontier))
-            ordered = [results[index] for index in range(len(frontier))]
-            return merge_results(
-                [prefix_payload] + ordered,
-                mode=prefix.mode, strategy=strategy, max_runs=self.max_runs)
-
-        merged = self._with_board(spec, drive)
-        # The prefix findings carried full SimResults; restore them so a
-        # parallel run is no less informative than the prefix alone.
-        for index, finding in enumerate(prefix.deadlocks):
-            merged.deadlocks[index] = finding
-        return merged
-
-    def _explore_waves(self, strategy: str) -> ExplorationResult:
-        spec = dict(self._spec(strategy))
-        # Workers run single nodes with collection; reduction happens in
-        # the parent's admission, not in the worker's policy dispatch.
-        spec["strategy"] = None
-
-        def drive(board: TaskBoard, pump) -> ExplorationResult:
-            res = ExplorationResult(mode="dfs", strategy=strategy)
-            seen: set = set()
-            book = BacktrackBook()
-            wave: List[FrontierNode] = [FrontierNode(choices=(), sleep_at={})]
-            next_task = 0
-            exhausted = True
-            stopped = False
-            while wave and not stopped:
-                first = next_task
-                for node in wave:
-                    board.publish(next_task, {"mode": "collect",
-                                              "node": node.to_dict()})
-                    next_task += 1
-                results = pump(next_task)
-                observations: List[RunObservation] = []
-                for task_id in range(first, next_task):
-                    if res.runs >= self.max_runs:
-                        exhausted = False
-                        stopped = True
-                        break
-                    payload = results[task_id]
-                    res.runs += 1
-                    res.steps += payload["steps"]
-                    if payload["cut"] is not None:
-                        if payload["cut"] == "depth":
-                            res.cut_depth += 1
-                            exhausted = False
-                        else:
-                            res.pruned_sleep += 1
-                    if payload["deadlocked"]:
-                        footprint = tuple(sorted(
-                            tuple(pair) for pair in payload["footprint"]))
-                        trace = ScheduleTrace(payload["schedule"], meta={
-                            "scenario": self.scenario,
-                            "backend": payload["backend_name"],
-                            "outcome": "deadlock",
-                        })
-                        res.deadlocks.append(
-                            DeadlockFinding(trace, None, footprint))
-                        if footprint not in seen:
-                            seen.add(footprint)
-                            res.unique_deadlocks += 1
-                    elif payload["completed"]:
-                        res.completed += 1
-                    observations.append(
-                        _observation_from_payload(payload["observation"]))
-                if stopped:
-                    break
-                wave = [FrontierNode(choices=choices, sleep_at=dict(sleep_at))
-                        for choices, sleep_at
-                        in admit_wave(book, observations)]
-            res.exhausted = exhausted and not wave
-            return res
-
-        return self._with_board(spec, drive)
+def _slice_records(payload: Dict) -> List[RunRecord]:
+    """A slice's result as records; raises what the worker reported."""
+    error = payload.get("error")
+    if error is not None:
+        raise SimulationError(
+            f"exploration worker failed on node {error['choices']}: "
+            f"{error['type']}: {error['message']}")
+    return [RunRecord.from_dict(record) for record in payload["records"]]
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -652,7 +439,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="exploration worker: pull subtree tasks from a spool "
+        description="exploration worker: pull wave-slice tasks from a spool "
                     "directory until the board is closed")
     parser.add_argument("root", help="spool directory (see FileTaskBoard)")
     options = parser.parse_args(argv)

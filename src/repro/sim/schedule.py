@@ -127,8 +127,8 @@ class ScheduleTrace:
     def prefix(self, length: int) -> "ScheduleTrace":
         """The first ``length`` choices as a new trace (meta is copied).
 
-        Subtree roots handed to parallel workers are exactly trace
-        prefixes; keeping the metadata lets a worker know which scenario
+        Frontier nodes handed to parallel workers are exactly trace
+        prefixes; keeping the metadata lets a reader know which scenario
         the prefix belongs to without a side channel.
         """
         if length < 0:

@@ -13,8 +13,11 @@ reduction/scaling claims to executable evidence:
   transport.
 * ``test_frontier_properties`` — hypothesis-driven invariants of the
   machinery those guarantees ride on: schedule-trace prefixes and
-  frontier nodes serialize byte-stably, and a frontier split/merge
-  never loses or duplicates a subtree.
+  frontier nodes serialize byte-stably, and cutting a wave into slices
+  never loses or duplicates a run.
+* ``test_parallel_runner`` — a failing or dying worker fails the
+  exploration instead of hanging it, and a spool directory the explorer
+  created does not outlive it.
 
 Tier-1 runs a two-scenario smoke slice; ``EXPLORE_NIGHTLY=1`` unlocks
 the full registry sweep (the nightly CI job).

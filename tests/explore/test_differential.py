@@ -3,6 +3,11 @@
 The claims pinned here (see the package docstring) are the acceptance
 criteria of the "Explorer at scale" change:
 
+* The unreduced ``"dfs"`` enumeration — the ground truth everything
+  below is compared against — visits a pinned multiset of runs on every
+  registered scenario; the figures were derived from the stack-ordered
+  loop before it was replaced by wave order, so they also show that the
+  visiting order does not matter.
 * On every registered scenario, source-DPOR's deadlock-*signature* set
   (stall footprints — who waits on what) equals full DFS's, with both
   trees fully enumerated.  Registry parameterization means a new
@@ -25,6 +30,8 @@ sweeps the whole registry.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -63,6 +70,46 @@ def signature_set(result):
     return {finding.footprint for finding in result.deadlocks}
 
 
+#: (scenario, preemption_bound) -> (runs, steps, completed, deadlocks,
+#: skipped_preemption, digest of the sorted deadlock schedules), under
+#: ``NullBackend``, as enumerated by the stack DFS of commit 79c1269.
+UNREDUCED = {
+    ("two-lock-inversion", None): (14, 184, 10, 4, 0, "4cb833e28028"),
+    ("two-lock-inversion", 1): (8, 108, 6, 2, 6, "610df807efbf"),
+    ("aio-two-lock-inversion", None): (14, 184, 10, 4, 0, "4cb833e28028"),
+    ("aio-two-lock-inversion", 1): (8, 108, 6, 2, 6, "610df807efbf"),
+    ("philosophers-3", None): (36, 432, 0, 36, 0, "8b7adbee2c98"),
+    ("philosophers-3", 1): (36, 432, 0, 36, 0, "8b7adbee2c98"),
+    ("aio-philosophers-3", None): (36, 324, 0, 36, 0, "fe581d549429"),
+    ("aio-philosophers-3", 1): (36, 324, 0, 36, 0, "fe581d549429"),
+    ("philosophers-3-eat0", None): (1239, 29160, 1191, 48, 0, "361cf3d9fb4e"),
+    ("philosophers-3-eat0", 1): (78, 1836, 75, 3, 165, "5cb1ec718ece"),
+    ("sem-exhaustion-cycle", None): (14, 136, 10, 4, 0, "42b311cbfdeb"),
+    ("sem-exhaustion-cycle", 1): (8, 80, 6, 2, 6, "f0a5064a74e6"),
+    ("rwlock-upgrade-inversion", None): (14, 136, 10, 4, 0, "42b311cbfdeb"),
+    ("rwlock-upgrade-inversion", 1): (8, 80, 6, 2, 6, "f0a5064a74e6"),
+}
+
+
+class TestUnreducedEnumerationIsOrderIndependent:
+    def test_table_covers_the_registry(self):
+        assert {name for name, _bound in UNREDUCED} == set(SCENARIOS)
+
+    @pytest.mark.parametrize("scenario,bound", sorted(
+        UNREDUCED, key=lambda key: (key[0], key[1] or 0)))
+    def test_dfs_visits_the_pinned_multiset_of_runs(self, scenario, bound):
+        result = Explorer(lambda: SCENARIOS[scenario](NullBackend()),
+                          name=scenario, strategy="dfs", max_runs=20_000,
+                          preemption_bound=bound).explore()
+        assert result.exhausted
+        digest = hashlib.sha256(json.dumps(sorted(
+            list(finding.trace.choices) for finding in result.deadlocks
+        )).encode()).hexdigest()[:12]
+        assert (result.runs, result.steps, result.completed,
+                result.deadlock_count, result.skipped_preemption,
+                digest) == UNREDUCED[scenario, bound]
+
+
 class TestDporEqualsDfs:
     @pytest.mark.parametrize("scenario", scenario_params())
     def test_deadlock_signature_sets_equal(self, scenario):
@@ -87,8 +134,9 @@ class TestPhilosophersFullTree:
         assert dfs.runs == 1239
         assert dfs.unique_deadlocks == 1
         # Stand-alone sleep sets needed 107 before that strategy was
-        # retired; DPOR must stay strictly better.
-        assert dpor.runs < 107
+        # retired; DPOR must stay strictly better — and explore exactly
+        # the runs it did before the search loops were merged.
+        assert dpor.runs == 90 < 107
         # ... while finding the identical deadlock-signature set.
         assert signature_set(dpor) == signature_set(dfs)
 

@@ -191,6 +191,39 @@ class TestDfsExploration:
         assert result.runs == 5
         assert not result.exhausted
 
+    @pytest.mark.parametrize("strategy", ["dfs", "dpor"])
+    def test_truncated_search_admits_no_more_nodes_than_its_budget(
+            self, strategy):
+        explorer = Explorer(lambda: build_philosophers(NullBackend(), seats=3,
+                                                       eat_time=0.0),
+                            strategy=strategy, max_runs=17)
+        waves = []
+
+        def run_wave(wave):
+            waves.append(len(wave))
+            return explorer._run_wave(wave)
+
+        result = explorer._search(explorer._admission(), run_wave)
+        assert result.runs == sum(waves) == 17
+        assert not result.exhausted
+
+    @pytest.mark.parametrize("strategy", ["dfs", "dpor"])
+    def test_stop_on_first_deadlock_leaves_the_rest_of_the_wave_unrun(
+            self, strategy):
+        built = []
+
+        def scenario():
+            built.append(None)
+            return build_philosophers(NullBackend(), seats=3, eat_time=0.0)
+
+        full = Explorer(scenario, strategy=strategy).explore()
+        del built[:]
+        result = Explorer(scenario, strategy=strategy).explore(
+            stop_on_first_deadlock=True)
+        assert result.deadlock_count == 1
+        assert len(built) == result.runs < full.runs
+        assert not result.exhausted
+
     def test_max_depth_cuts_runs(self):
         factory = lambda: build_philosophers(NullBackend(), seats=3)  # noqa: E731
         result = Explorer(factory, max_depth=4).explore()
