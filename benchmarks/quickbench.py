@@ -10,22 +10,22 @@ built on this helper::
 
 ``--quick`` selects a reduced parameter set (seconds, not minutes); the
 result rows are written as ``BENCH_<name>.json`` so CI can upload every
-benchmark's numbers as artifacts and the perf trajectory stays visible
-per-PR.  The JSON payload is self-describing: benchmark name, quick
-flag, wall-clock seconds, interpreter version, and the raw result rows.
+benchmark's numbers as artifacts.  The JSON payload is self-describing:
+benchmark name, quick flag, wall-clock seconds, interpreter version,
+``gil_enabled``, and the raw result rows.  These files record a run;
+nothing compares them.  Performance is judged by ``benchmarks/e2e/``
+alone, and ``benchmarks/gate.py`` is what CI blocks on.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
 import json
-import os
 import platform
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 
 def _gil_enabled() -> bool:
@@ -34,31 +34,10 @@ def _gil_enabled() -> bool:
     ``sys._is_gil_enabled`` only exists on 3.13+; older interpreters are
     by definition GIL builds.  Free-threaded numbers are not comparable
     to GIL-build numbers (the whole point of the scaling benchmarks is
-    that they differ), so every payload carries this tag and
-    :func:`compare_dirs` refuses to diff across it.
+    that they differ), so every payload carries this tag.
     """
     probe = getattr(sys, "_is_gil_enabled", None)
     return bool(probe()) if callable(probe) else True
-
-
-def deferral_fields(stats_snapshot: Dict[str, int]) -> Dict[str, Any]:
-    """Lazy-capture observability fields for a benchmark result row.
-
-    Every overhead benchmark reports how many acquire-path captures
-    deferred the deep stack walk (``capture_deferred``), how many were
-    later forced to materialize (``capture_materialized``), and the
-    resulting deferral ratio.  A workload with no capture sites at all —
-    the engine-direct hot-path benchmark runs on symbolic stacks — has
-    zero deferrals and reports a ``None`` ratio rather than a fake 1.0.
-    """
-    deferred = int(stats_snapshot.get("capture_deferred", 0))
-    materialized = int(stats_snapshot.get("capture_materialized", 0))
-    ratio = (1.0 - materialized / deferred) if deferred else None
-    return {
-        "capture_deferred": deferred,
-        "capture_materialized": materialized,
-        "capture_deferral_ratio": ratio,
-    }
 
 
 def jsonable(value: Any) -> Any:
@@ -124,154 +103,3 @@ def bench_main(name: str, full: Callable[[], Any],
               f"({elapsed:.1f}s{', quick' if args.quick else ''})",
               file=sys.stderr)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Baseline comparison (``python quickbench.py compare``)
-# ---------------------------------------------------------------------------
-
-#: Metric-name fragments that mean "higher is better" / "lower is better".
-#: Numeric leaves matching neither are ignored (grid parameters, counts).
-_HIGHER_BETTER = ("ops_per_sec", "per_sec", "throughput", "speedup",
-                  "efficiency")
-_LOWER_BETTER = ("elapsed", "overhead", "latency", "_us", "_ms", "seconds")
-
-
-def _flatten(value: Any, prefix: str = "") -> Dict[str, float]:
-    """Numeric leaves of a result tree as ``dotted.path -> float``."""
-    leaves: Dict[str, float] = {}
-    if isinstance(value, bool):
-        return leaves
-    if isinstance(value, (int, float)):
-        leaves[prefix or "value"] = float(value)
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            leaves.update(_flatten(item, path))
-    elif isinstance(value, list):
-        for index, item in enumerate(value):
-            path = f"{prefix}[{index}]"
-            leaves.update(_flatten(item, path))
-    return leaves
-
-
-def _direction(path: str) -> int:
-    """+1 when larger is better, -1 when smaller is better, 0 when unjudged."""
-    lowered = path.lower()
-    if any(hint in lowered for hint in _HIGHER_BETTER):
-        return 1
-    if any(hint in lowered for hint in _LOWER_BETTER):
-        return -1
-    return 0
-
-
-def compare_payloads(baseline: Dict, fresh: Dict,
-                     threshold: float) -> Tuple[List[str], List[str]]:
-    """Compare two ``BENCH_<name>.json`` payloads.
-
-    Returns ``(lines, regressions)``: human-readable per-metric deltas
-    for every judged metric shared by both payloads, and the subset whose
-    change is a regression worse than ``threshold`` percent.
-    """
-    base_leaves = _flatten(baseline.get("results"))
-    fresh_leaves = _flatten(fresh.get("results"))
-    lines: List[str] = []
-    regressions: List[str] = []
-    for path in sorted(base_leaves):
-        direction = _direction(path)
-        if direction == 0 or path not in fresh_leaves:
-            continue
-        before, after = base_leaves[path], fresh_leaves[path]
-        if before == 0:
-            continue
-        # Positive percentage == improvement, in either direction.
-        delta = (after - before) / abs(before) * 100.0 * direction
-        line = f"{path}: {before:.6g} -> {after:.6g} ({delta:+.1f}%)"
-        lines.append("  " + line)
-        if delta < -threshold:
-            regressions.append(line)
-    return lines, regressions
-
-
-def compare_dirs(baseline_dir: str, fresh_dir: str, threshold: float,
-                 verbose: bool = False) -> Tuple[int, int, int]:
-    """Diff every ``BENCH_*.json`` common to two directories.
-
-    Prints a per-benchmark report; returns ``(benchmarks_compared,
-    regression_count, refused_count)``.  A pair whose ``gil_enabled``
-    tags disagree is *refused*, not compared: free-threaded and
-    GIL-build numbers live on different performance planets and a diff
-    between them is noise at best and a fabricated regression at worst.
-    Payloads predating the tag count as GIL builds.
-    """
-    compared = regressed = refused = 0
-    baseline_files = sorted(glob.glob(os.path.join(baseline_dir,
-                                                   "BENCH_*.json")))
-    if not baseline_files:
-        print(f"no BENCH_*.json baselines under {baseline_dir}")
-        return 0, 0, 0
-    for baseline_path in baseline_files:
-        name = os.path.basename(baseline_path)
-        fresh_path = os.path.join(fresh_dir, name)
-        if not os.path.exists(fresh_path):
-            print(f"-- {name}: no fresh run, skipped")
-            continue
-        with open(baseline_path, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        with open(fresh_path, "r", encoding="utf-8") as handle:
-            fresh = json.load(handle)
-        base_gil = bool(baseline.get("gil_enabled", True))
-        fresh_gil = bool(fresh.get("gil_enabled", True))
-        if base_gil != fresh_gil:
-            refused += 1
-            print(f"-- {name}: REFUSED — baseline is a "
-                  f"{'GIL' if base_gil else 'free-threaded'} run, fresh is a "
-                  f"{'GIL' if fresh_gil else 'free-threaded'} run; "
-                  f"regenerate a matching baseline instead of comparing "
-                  f"across builds")
-            continue
-        lines, regressions = compare_payloads(baseline, fresh, threshold)
-        compared += 1
-        regressed += len(regressions)
-        status = (f"{len(regressions)} regression(s) past {threshold:.0f}%"
-                  if regressions else "ok")
-        print(f"-- {name}: {len(lines)} metric(s), {status}")
-        shown = lines if verbose else ["  " + line for line in regressions]
-        for line in shown:
-            print(line)
-    print(f"compared {compared} benchmark(s), "
-          f"{regressed} regression(s) past {threshold:.0f}%, "
-          f"{refused} cross-build comparison(s) refused")
-    return compared, regressed, refused
-
-
-def _compare_cli(argv: Optional[list] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="quickbench",
-        description="Compare fresh --quick benchmark runs against "
-                    "committed baselines.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    compare = sub.add_parser(
-        "compare", help="diff BENCH_*.json files between two directories")
-    compare.add_argument("--baseline", default="benchmarks/results",
-                         help="directory of committed baseline JSON files")
-    compare.add_argument("--fresh", default=".",
-                         help="directory containing the fresh BENCH_*.json")
-    compare.add_argument("--threshold", type=float, default=15.0,
-                         help="regression warning threshold in percent")
-    compare.add_argument("--verbose", action="store_true",
-                         help="print every judged metric, not just "
-                              "regressions")
-    compare.add_argument("--strict", action="store_true",
-                         help="exit non-zero when regressions are found or "
-                              "a cross-build comparison is refused (the CI "
-                              "report step stays non-blocking)")
-    args = parser.parse_args(argv)
-    _, regressed, refused = compare_dirs(args.baseline, args.fresh,
-                                         args.threshold,
-                                         verbose=args.verbose)
-    return 1 if (args.strict and (regressed or refused)) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(_compare_cli())

@@ -18,8 +18,8 @@ the same loop, a deadlocked pair quietly wedges whatever shares locks
 with it.  The broker otherwise behaves like a small but real async
 pub/sub system (enqueue, dispatch, acknowledge), so throughput
 workloads can run against it (see
-:func:`repro.harness.appworkloads.run_aiobroker_workload` and
-``benchmarks/bench_asyncio_overhead.py``).
+:func:`repro.harness.appworkloads.run_aiobroker_workload` and the
+``aio_miss`` workload of ``benchmarks/e2e/``).
 """
 
 from __future__ import annotations

@@ -149,14 +149,9 @@ class CallStack:
 
         Semantics are identical to ``capture(skip, limit)`` with
         ``skip_internal=True`` (internality is per code object and cached
-        too).  Cache growth is bounded: it is cleared wholesale past
-        ``_CAPTURE_CACHE_LIMIT`` distinct call paths.  Disable with
-        :func:`set_capture_cache_enabled` (benchmarks use this to measure
-        the uncached baseline).
+        too).  Cache growth is bounded: the oldest half is evicted past
+        ``_CAPTURE_CACHE_LIMIT`` distinct call paths.
         """
-        if not _capture_cache_enabled:
-            stack = cls.capture(skip + 1, limit)
-            return stack
         try:
             frame = sys._getframe(skip + 1)
         except ValueError:  # not enough frames
@@ -166,16 +161,7 @@ class CallStack:
         collected = 0
         while frame is not None and collected < limit:
             code = frame.f_code
-            internal = _internal_code_cache.get(code)
-            if internal is None:
-                internal = _is_internal(code.co_filename)
-                if len(_internal_code_cache) >= _CAPTURE_CACHE_LIMIT:
-                    # Bound the per-code-object caches too: dynamically
-                    # generated code (exec, reloads) must not pin code
-                    # objects forever.
-                    _evict_half(_internal_code_cache)
-                _internal_code_cache[code] = internal
-            if not internal:
+            if not _internal_code[code]:
                 key.append(code)
                 key.append(frame.f_lasti)
                 raw.append((code, frame.f_lineno))
@@ -217,24 +203,11 @@ class CallStack:
         and a ``capture_materialized`` bump if/when the deep walk happens,
         so the deferral ratio is observable.
         """
-        if not _capture_cache_enabled:
-            # Cache toggle off means "measure/behave uncached": fall back
-            # to a plain eager capture so no interning dicts are touched.
-            return cls.capture(skip + 1, limit)
         try:
             frame = sys._getframe(skip + 1)
         except ValueError:  # not enough frames
             return EMPTY_STACK
-        while frame is not None:
-            code = frame.f_code
-            internal = _internal_code_cache.get(code)
-            if internal is None:
-                internal = _is_internal(code.co_filename)
-                if len(_internal_code_cache) >= _CAPTURE_CACHE_LIMIT:
-                    _evict_half(_internal_code_cache)
-                _internal_code_cache[code] = internal
-            if not internal:
-                break
+        while frame is not None and _internal_code[frame.f_code]:
             frame = frame.f_back
         if frame is None:
             return EMPTY_STACK
@@ -501,32 +474,24 @@ class LazyCallStack(CallStack):
         frame = origin.f_back
         while frame is not None and collected < limit:
             code = frame.f_code
-            internal = _internal_code_cache.get(code)
-            if internal is None:
-                internal = _is_internal(code.co_filename)
-                if len(_internal_code_cache) >= _CAPTURE_CACHE_LIMIT:
-                    _evict_half(_internal_code_cache)
-                _internal_code_cache[code] = internal
-            if not internal:
+            if not _internal_code[code]:
                 key.append(code)
                 key.append(frame.f_lasti)
                 raw.append((code, frame.f_lineno))
                 collected += 1
             frame = frame.f_back
-        if _capture_cache_enabled:
-            hit = _capture_cache.get(tuple(key))
-            if hit is not None:
-                return hit.frames
+        hit = _capture_cache.get(tuple(key))
+        if hit is not None:
+            return hit.frames
         frames = [top]
         for code, lineno in raw:
             frames.append(Frame(function=code.co_name,
                                 filename=_short_name_of(code),
                                 lineno=lineno))
         result = tuple(frames)
-        if _capture_cache_enabled:
-            if len(_capture_cache) >= _CAPTURE_CACHE_LIMIT:
-                _evict_half(_capture_cache)
-            _capture_cache[tuple(key)] = CallStack(result)
+        if len(_capture_cache) >= _CAPTURE_CACHE_LIMIT:
+            _evict_half(_capture_cache)
+        _capture_cache[tuple(key)] = CallStack(result)
         return result
 
 
@@ -539,13 +504,11 @@ EMPTY_STACK = CallStack(())
 #: are atomic, and a rare duplicate build on a race is harmless (the two
 #: CallStacks are equal).
 _capture_cache: dict = {}
-_internal_code_cache: dict = {}
 _short_name_cache: dict = {}
 #: Interned top frames for lazy capture, keyed by (code object, f_lasti).
 #: f_lineno is a pure function of f_lasti, so the cached Frame is exact.
 _top_frame_cache: dict = {}
 _CAPTURE_CACHE_LIMIT = 8192
-_capture_cache_enabled = True
 
 
 def _evict_half(cache: dict) -> None:
@@ -577,6 +540,26 @@ def _evict_half(cache: dict) -> None:
         cache.clear()
 
 
+class _InternalCodeMemo(dict):
+    """``code object -> is it implementation-internal``, filled on first ask.
+
+    The three stack walks subscript this once per frame.  A hit stays a
+    plain C dict lookup; only a code object seen for the first time pays
+    the filename match.  Bounded like the other capture caches, so
+    dynamically generated code (exec, reloads) is not pinned forever.
+    """
+
+    def __missing__(self, code) -> bool:
+        internal = _is_internal(code.co_filename)
+        if len(self) >= _CAPTURE_CACHE_LIMIT:
+            _evict_half(self)
+        self[code] = internal
+        return internal
+
+
+_internal_code = _InternalCodeMemo()
+
+
 def _short_name_of(code) -> str:
     """The shortened filename for a code object, memoized per code object."""
     short = _short_name_cache.get(code)
@@ -586,25 +569,6 @@ def _short_name_of(code) -> str:
             _evict_half(_short_name_cache)
         _short_name_cache[code] = short
     return short
-
-
-def set_capture_cache_enabled(enabled: bool) -> bool:
-    """Toggle the per-call-site capture cache; returns the previous state.
-
-    Used by benchmarks to measure the uncached baseline and by tests to
-    pin down behaviour; production code leaves it on.  Disabling releases
-    every cache, including the per-code-object ones, so no code objects
-    stay pinned.
-    """
-    global _capture_cache_enabled
-    previous = _capture_cache_enabled
-    _capture_cache_enabled = enabled
-    if not enabled:
-        _capture_cache.clear()
-        _internal_code_cache.clear()
-        _short_name_cache.clear()
-        _top_frame_cache.clear()
-    return previous
 
 
 def _is_int(text: str) -> bool:

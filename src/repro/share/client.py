@@ -79,7 +79,7 @@ class SocketChannel(HistoryChannel):
                 sock.settimeout(self._connect_timeout)
                 sock.connect(self._address[1])
             else:
-                sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sock = wire.no_delay(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
                 sock.settimeout(self._connect_timeout)
                 sock.connect((self._address[1], self._address[2]))
         except OSError as exc:

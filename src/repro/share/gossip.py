@@ -232,10 +232,7 @@ class GossipChannel(HistoryChannel):
             return
         super().close()
         self._stopping.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        wire.hang_up(self._listener)
 
     # -- outbound: rumor push ----------------------------------------------------------
 
@@ -262,7 +259,7 @@ class GossipChannel(HistoryChannel):
 
     def _connect(self, peer: str) -> socket.socket:
         host, _, port = peer.rpartition(":")
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock = wire.no_delay(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
         sock.settimeout(self._connect_timeout)
         try:
             sock.connect((host, int(port)))
@@ -336,11 +333,13 @@ class GossipChannel(HistoryChannel):
             except OSError:
                 return
             threading.Thread(
-                target=self._serve_connection, args=(sock,),
+                target=self._serve_connection, args=(wire.no_delay(sock),),
                 name="dimmunix-gossip-serve", daemon=True).start()
 
     def _serve_connection(self, sock: socket.socket) -> None:
         try:
+            if self._stopping.is_set():  # accepted as close() ran
+                return
             sock.settimeout(self._connect_timeout * 5)
             lines = wire.reader(sock)
             message = wire.recv(lines)
@@ -380,10 +379,7 @@ class GossipChannel(HistoryChannel):
             # ValueError: a line that is not a JSON object.
             self.io_errors += 1
         finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            wire.hang_up(sock)
 
     # -- introspection -----------------------------------------------------------------
 

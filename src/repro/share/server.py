@@ -240,12 +240,9 @@ class HistoryServer:
                 # stop() ran while we were blocked in accept(): do not
                 # hand this connection to a handler thread of a daemon
                 # that is already gone.
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                wire.hang_up(sock)
                 return
-            client = _ClientConnection(sock)
+            client = _ClientConnection(wire.no_delay(sock))
             with self._clients_lock:
                 self._clients.append(client)
             # Handler threads are daemons tied to their connection's

@@ -19,10 +19,10 @@ import pytest
 from repro.core.callstack import CallStack
 from repro.core.errors import ShareError
 from repro.core.signature import Signature
-from repro.share import (FileChannel, HistoryServer, MemoryHub, SocketChannel,
-                         make_control, memory_hub, open_channel,
+from repro.share import (FileChannel, GossipChannel, HistoryServer, MemoryHub,
+                         SocketChannel, make_control, memory_hub, open_channel,
                          parse_share_spec, register_transport,
-                         reset_memory_hubs, transports, unregister_transport)
+                         reset_memory_hubs, transports, unregister_transport, wire)
 
 
 def make_signature(label: str) -> Signature:
@@ -344,6 +344,52 @@ class TestSocketChannel:
             late.close()
         finally:
             revived.stop()
+
+
+# ---------------------------------------------------------------------------
+# TCP_NODELAY: one small line per message, answered before the next
+# ---------------------------------------------------------------------------
+
+
+def nodelay(sock: socket.socket) -> bool:
+    return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+
+class TestNoDelay:
+    def test_both_ends_of_a_daemon_link(self):
+        server = HistoryServer(host="127.0.0.1", port=0).start()
+        try:
+            channel = SocketChannel(("tcp", "127.0.0.1", server.port))
+            assert channel.wait_synced(5)
+            assert nodelay(channel._sock)
+            with server._clients_lock:
+                accepted = [client.sock for client in server._clients]
+            assert accepted and all(nodelay(sock) for sock in accepted)
+            channel.close()
+        finally:
+            server.stop()
+
+    def test_both_ends_of_a_gossip_exchange(self, monkeypatch):
+        seen = {}
+        real_send = wire.send
+
+        def spy(sock, message):
+            seen[message["op"]] = nodelay(sock)
+            real_send(sock, message)
+
+        monkeypatch.setattr(wire, "send", spy)
+        a = GossipChannel("127.0.0.1", 0, interval=60.0)
+        b = GossipChannel("127.0.0.1", 0, peers=[a.bind], interval=60.0)
+        try:
+            b.publish(make_signature("rumor"))     # b pushes, a answers "ok"
+            assert seen == {"push": True, "ok": True}
+        finally:
+            a.close(), b.close()
+
+    def test_unix_sockets_are_left_alone(self):
+        ours, theirs = socket.socketpair(socket.AF_UNIX)
+        with ours, theirs:
+            assert wire.no_delay(ours) is ours
 
 
 # ---------------------------------------------------------------------------

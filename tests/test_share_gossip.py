@@ -329,6 +329,30 @@ class TestGossipDegradation:
         assert node.snapshot() == []
         node.close()                                     # idempotent
 
+    def test_close_hangs_the_listener_up(self):
+        node = GossipChannel("127.0.0.1", 0, interval=60.0)
+        port = int(node.bind.rpartition(":")[2])
+        node.close()
+        node._accept_thread.join(1.0)
+        assert not node._accept_thread.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=1).close()
+        GossipChannel("127.0.0.1", port, interval=60.0).close()   # re-bindable
+
+    def test_closed_node_merges_and_acks_nothing(self):
+        """A connection accepted as ``close()`` ran is hung up unserved."""
+        node = GossipChannel("127.0.0.1", 0, interval=60.0)
+        node.close()
+        ours, theirs = socket.socketpair()
+        with ours:
+            ours.sendall(json.dumps({
+                "op": "push",
+                "signatures": [make_signature("late").to_dict()]}).encode()
+                + b"\n")
+            node._serve_connection(theirs)
+        assert theirs.fileno() == -1
+        assert node.status()["signatures"] == 0
+
 
 class TestGossipStatus:
     def test_status_fields(self, mesh):
