@@ -17,15 +17,16 @@ causes, aborted yields and forced-GO overrides used to break starvation.
 
 Concurrency design (the paper's section 5.6 fast path): engine state is
 striped rather than guarded by one global mutex.  Per-thread yield and
-forced-GO state lives in per-thread slots owned by their thread; the
-:class:`~repro.core.cache.AvoidanceCache` is lock-striped; and the
-signature history is consulted through a read-mostly incremental
-:class:`~repro.core.sigindex.SignatureIndex`.  A request whose stack
-suffix hits no index bucket — the common case — completes without taking
-any engine-wide lock.  Only requests that could instantiate a signature
-serialize on a single match mutex, which keeps the exact-cover search and
-the publication of the resulting yield state atomic with respect to other
-potential matches.
+forced-GO state lives in the thread's one slot, the cache's, which each
+entry point fetches once; the :class:`~repro.core.cache.AvoidanceCache`
+is lock-striped; and the signature history is consulted through a
+read-mostly incremental :class:`~repro.core.sigindex.SignatureIndex`.  A
+request whose call site no signature names — the common case — is decided
+by one probe of the index's ``sites``: no engine-wide lock, and no
+Allowed-set entry in the cache, which is handed the same set.  Only
+requests that could instantiate a signature serialize on a single match
+mutex, which keeps the exact-cover search and the publication of the
+resulting yield state atomic with respect to other potential matches.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .sigindex import SignatureIndex
 from .signature import EXCLUSIVE, SHARED, Signature
 from .stats import EngineStats
 from ..util.clock import Clock, WallClock
-from ..util.slots import SlotRegistry
 
 
 class Decision(Enum):
@@ -98,21 +98,6 @@ class _YieldState:
     since: float = 0.0
 
 
-class _ThreadSlot:
-    """Per-thread engine state, owned by its thread.
-
-    Attribute assignments are atomic under the GIL, so the owning thread
-    reads and writes its slot without locking; the monitor only ever flips
-    ``forced_go`` and clears ``yield_state``, both single assignments.
-    """
-
-    __slots__ = ("yield_state", "forced_go")
-
-    def __init__(self):
-        self.yield_state: Optional[_YieldState] = None
-        self.forced_go = False
-
-
 class AvoidanceEngine:
     """Makes GO/YIELD decisions and keeps the avoidance cache up to date."""
 
@@ -148,7 +133,6 @@ class AvoidanceEngine:
         #: Serializes only the matching slow path: requests whose stack
         #: suffix hits at least one index bucket.
         self._match_mutex = threading.Lock()
-        self._slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
         #: Fingerprint of the most recently avoided signature (section 5.7
         #: "disable the last avoided signature" semantics).
         self._last_avoided_fp: Optional[str] = None
@@ -162,11 +146,8 @@ class AvoidanceEngine:
         #: are distinct permits, not one lock counted twice.
         self._multiholder: Set[int] = set()
 
-    def _slot(self, thread_id: int) -> _ThreadSlot:
-        return self._slots.get(thread_id)
-
     def _learn_spec(self, lock_id: int, mode: str, capacity: int) -> None:
-        """Record a resource's permit semantics (lazily, from call sites)."""
+        """Record a multi-holder resource's permit semantics (lazily, from call sites)."""
         if capacity > 1:
             if self._capacities.get(lock_id, 1) < capacity:
                 self._capacities[lock_id] = capacity
@@ -199,30 +180,28 @@ class AvoidanceEngine:
             return GO_OUTCOME
         now = self.clock.now()
         self.stats.bump("requests")
-        self._learn_spec(lock_id, mode, capacity)
-        slot = self._slot(thread_id)
-        history_empty = len(self.history) == 0
-        if self.cache.track_allowed is history_empty:
-            # The Allowed sets only feed the cover search, which never
-            # runs on an empty history, so they are maintained only while
-            # there are signatures.  The shared flag is written on the
-            # transition alone (no cache-line ping-pong on the hot path);
-            # on empty->non-empty the live bindings are re-indexed.
-            self.cache.track_allowed = not history_empty
-            if not history_empty:
-                self.cache.rebuild_allowed()
-
-        if self._should_bypass(slot, thread_id, lock_id, stack, history_empty):
-            return self._grant(slot, thread_id, lock_id, stack, now,
-                               mode=mode, capacity=capacity)
+        if capacity > 1 or mode == SHARED:
+            self._learn_spec(lock_id, mode, capacity)
+        cache = self.cache
+        slot = cache.slots.get(thread_id)
+        sites = self.index.sites
+        if cache.sites is not sites:
+            # The index republished its filter (a signature archived, installed
+            # by the pool, removed, re-enabled).  The Allowed sets only feed the
+            # cover search, which probes the sites a signature names, so the
+            # cache keeps them there alone: told on a republication only (no
+            # cache-line ping-pong), *before* the rebuild indexes what predates it.
+            cache.sites = sites
+            cache.rebuild_allowed()
 
         # Fast path: no signature has a stack whose depth-d suffix equals
         # this request's suffix, so no instance can involve this binding —
-        # grant without any engine-wide synchronization.
+        # grant without any engine-wide synchronization, or index entry.
+        if self._should_bypass(slot, lock_id, stack, sites):
+            return self._grant(slot, thread_id, lock_id, stack, now, mode, capacity)
         candidates = self.index.candidates(stack)
         if not candidates:
-            return self._grant(slot, thread_id, lock_id, stack, now,
-                               mode=mode, capacity=capacity)
+            return self._grant(slot, thread_id, lock_id, stack, now, mode, capacity)
 
         # The request is entering the cover search and may park, so now —
         # and only now — publish the REQUEST edge.  On the granted fast
@@ -237,12 +216,12 @@ class AvoidanceEngine:
                 match = self._match_candidates(candidates, thread_id, lock_id, stack)
                 if match is None:
                     return self._grant(slot, thread_id, lock_id, stack, now,
-                                       mode=mode, capacity=capacity)
+                                       mode, capacity)
                 signature, instance = match
                 causes = tuple(binding for binding in instance
                                if binding[0] != thread_id)
-                self.cache.remove_allow(thread_id)
-                self.cache.set_yield_cause(thread_id, causes)
+                cache.remove_allow(thread_id, slot)
+                cache.set_yield_cause(thread_id, causes)
                 if not all(self.cache.binding_live(tid, lid)
                            for tid, lid, _stack in causes):
                     # A concurrent release or cancel dissolved the instance
@@ -277,8 +256,8 @@ class AvoidanceEngine:
                 return RequestOutcome(Decision.YIELD, signature=signature,
                                       causes=causes)
 
-    def _should_bypass(self, slot: _ThreadSlot, thread_id: int, lock_id: int,
-                       stack: CallStack, history_empty: bool) -> bool:
+    def _should_bypass(self, slot, lock_id: int, stack: CallStack,
+                       sites: frozenset) -> bool:
         """Cases in which no history matching is performed."""
         if self.mode == MODE_UPDATES_ONLY or self.config.detection_only:
             return True
@@ -286,27 +265,26 @@ class AvoidanceEngine:
             slot.forced_go = False
             self.stats.bump("forced_go")
             return True
-        if lock_id not in self._multiholder \
-                and self.cache.hold_count(thread_id, lock_id) > 0:
+        if lock_id in slot.holds and lock_id not in self._multiholder:
             # Reentrant re-acquisition of a plain mutex can never deadlock
             # on its own.  Multi-holder resources do NOT get this bypass:
             # taking a second semaphore permit, or upgrading a read hold
             # to a write hold, can absolutely complete a cycle.
             return True
-        if history_empty:
-            return True
         top = stack.top()
-        if top is not None and top.function in self._external_names:
-            # Foreign synchronization routine: ignore the avoidance decision
-            # (section 5.7).
+        if top not in sites:
+            # The miss filter, the paper's 99.99% case: no signature names
+            # this call site (none names any while the history is empty).
             return True
-        return False
+        # Foreign synchronization routine: ignore the avoidance decision
+        # (section 5.7).
+        return top is not None and top.function in self._external_names
 
-    def _grant(self, slot: _ThreadSlot, thread_id: int, lock_id: int,
-               stack: CallStack, now: float, mode: str = EXCLUSIVE,
-               capacity: int = 1) -> RequestOutcome:
-        self.cache.add_allow(thread_id, lock_id, stack)
-        self.cache.clear_yield_cause(thread_id)
+    def _grant(self, slot, thread_id: int, lock_id: int, stack: CallStack,
+               now: float, mode: str, capacity: int) -> RequestOutcome:
+        self.cache.add_allow(thread_id, lock_id, stack, slot)
+        if slot.yield_cause:
+            self.cache.clear_yield_cause(thread_id)
         slot.yield_state = None
         # No go_decisions bump: every request ends in a grant or a YIELD,
         # so EngineStats derives go_decisions = requests - yield_decisions
@@ -440,20 +418,23 @@ class AvoidanceEngine:
         if self.mode == MODE_INSTRUMENTATION_ONLY:
             return
         now = self.clock.now()
-        self._learn_spec(lock_id, mode, capacity)
+        if capacity > 1 or mode == SHARED:
+            self._learn_spec(lock_id, mode, capacity)
+        slot = self.cache.slots.get(thread_id)
         if stack is None:
-            waiting = self.cache.waiting_of(thread_id)
+            waiting = slot.waiting
             stack = waiting[1] if waiting is not None else CallStack(())
-        held_before = (tuple(self.cache.locks_held_by(thread_id))
-                       if self.calibrator is not None else ())
-        self.cache.add_hold(thread_id, lock_id, stack, mode=mode,
-                            capacity=capacity)
-        self._slot(thread_id).yield_state = None
+        # Episodes open only after a YIELD; without one nothing is reported.
+        calibrator = self.calibrator
+        watching = calibrator is not None and calibrator.watching()
+        held_before = tuple(slot.holds) if watching else ()
+        self.cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
+        slot.yield_state = None
         self.stats.bump("acquisitions")
         self.events.emit(EV_ACQUIRED, thread_id, lock_id, stack, (), now,
                          mode, capacity)
-        if self.calibrator is not None:
-            self.calibrator.on_lock_acquired(thread_id, lock_id, held_before, stack)
+        if watching:
+            calibrator.on_lock_acquired(thread_id, lock_id, held_before, stack)
 
     # ---------------------------------------------------------------------- release --
 
@@ -465,8 +446,9 @@ class AvoidanceEngine:
         fully, stack = self.cache.release_hold(thread_id, lock_id)
         self.stats.bump("releases")
         self.events.emit(EV_RELEASE, thread_id, lock_id, stack, (), now)
-        if self.calibrator is not None:
-            self.calibrator.on_lock_released(thread_id, lock_id)
+        calibrator = self.calibrator
+        if calibrator is not None and calibrator.watching():
+            calibrator.on_lock_released(thread_id, lock_id)
         if not fully and lock_id not in self._multiholder:
             # A reentrant partial release of a mutex frees nothing.  A
             # multi-holder resource, however, frees a permit on *every*
@@ -490,9 +472,11 @@ class AvoidanceEngine:
         if self.mode == MODE_INSTRUMENTATION_ONLY:
             return
         now = self.clock.now()
-        previous = self.cache.remove_allow(thread_id)
-        self.cache.clear_yield_cause(thread_id)
-        self._slot(thread_id).yield_state = None
+        slot = self.cache.slots.get(thread_id)
+        previous = self.cache.remove_allow(thread_id, slot)
+        if slot.yield_cause:
+            self.cache.clear_yield_cause(thread_id)
+        slot.yield_state = None
         self.stats.bump("cancels")
         self.events.emit(EV_CANCEL, thread_id, lock_id, timestamp=now)
         if previous is not None:
@@ -509,7 +493,7 @@ class AvoidanceEngine:
         (section 5.7), arranges for the thread's next request to be answered
         with GO, and returns the signature involved.
         """
-        slot = self._slot(thread_id)
+        slot = self.cache.slots.get(thread_id)
         state = slot.yield_state
         slot.yield_state = None
         self.cache.clear_yield_cause(thread_id)
@@ -526,14 +510,14 @@ class AvoidanceEngine:
 
     def force_go(self, thread_id: int) -> None:
         """Force the thread's next request to be granted (starvation breaking)."""
-        slot = self._slot(thread_id)
+        slot = self.cache.slots.get(thread_id)
         slot.yield_state = None
         self.cache.clear_yield_cause(thread_id)
         slot.forced_go = True
 
     def yielding_threads(self) -> List[int]:
         """Threads currently parked by an avoidance decision."""
-        return [tid for tid, slot in self._slots.items()
+        return [tid for tid, slot in self.cache.slots.items()
                 if slot.yield_state is not None]
 
     def last_avoided_signature(self) -> Optional[Signature]:
@@ -546,7 +530,7 @@ class AvoidanceEngine:
         *often* avoided one).
         """
         latest: Optional[_YieldState] = None
-        for slot in self._slots.values():
+        for _thread_id, slot in self.cache.slots.items():
             state = slot.yield_state
             if state is not None and (latest is None or state.since > latest.since):
                 latest = state
@@ -561,10 +545,8 @@ class AvoidanceEngine:
     def forget_thread(self, thread_id: int) -> None:
         """Drop all engine state about a terminated thread."""
         self.cache.forget_thread(thread_id)
-        self._slots.pop(thread_id)
 
     def reset(self) -> None:
         """Clear all runtime state (cache, yields, queue) but keep the history."""
         self.cache.clear()
-        self._slots.clear()
         self.events.clear()

@@ -6,14 +6,16 @@ and who is allowed to wait for what in order to make correct GO/YIELD
 decisions (paper section 5.1).  This module provides that cache:
 
 * *Allowed sets*: for every acquisition *call site* (the innermost frame
-  of the acquisition stack), the (thread, lock, stack) bindings that
-  currently hold — or are allowed to wait for — a lock acquired there
-  (section 5.6).  Stacks that match at any depth share their innermost
-  frame, so one hash probe of a signature stack's site reaches every
-  binding that could cover it; a site without bindings is *vacant*.
+  of the acquisition stack) that a signature names, the (thread, lock,
+  stack) bindings that currently hold — or are allowed to wait for — a
+  lock acquired there (section 5.6).  Stacks that match at any depth share
+  their innermost frame, so one hash probe of a signature stack's site
+  reaches every binding that could cover it; a site without bindings is
+  *vacant*.  Only signature stacks are ever probed with, so a binding at
+  any other site could not be found and is not indexed (``sites``).
 * holders / waiters: the lock-to-owner map, sharded by lock id.
-* per-thread state: the holds multiset, the allowed-wait edge, and the
-  yield causes of each thread, owned by that thread's slot.
+* per-thread state: the holds multiset, the allowed-wait edge, the yield
+  causes and the engine's yield / forced-GO state, in the thread's one slot.
 
 Nothing here is memoized; all of it is current state.  The cache is
 striped the way the paper's generalized-Peterson design intends: Allowed
@@ -28,7 +30,7 @@ detection pass as the safety net, exactly as the paper does.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .callstack import CallStack, Frame
@@ -56,7 +58,7 @@ class HolderRecord:
     """
 
     #: thread id -> LIFO acquisition stacks of that thread's hold edges.
-    stacks: Dict[int, List[CallStack]] = field(default_factory=dict)
+    stacks: Dict[int, List[CallStack]]
     multiholder: bool = False
 
     @property
@@ -85,11 +87,19 @@ class _Stripe:
 
 
 class _ThreadSlot:
-    """Per-thread cache state, written (almost) only by its owning thread."""
+    """Per-thread cache and engine state, written (almost) only by its owning thread:
+    without locking, and the monitor only flips ``forced_go`` and clears ``yield_state``.
 
-    __slots__ = ("waiting", "yield_cause", "holds")
+    The engine looks a thread's slot up once per entry point and hands it on.
+    """
+
+    __slots__ = ("waiting", "yield_cause", "holds", "yield_state", "forced_go")
 
     def __init__(self):
+        #: The engine's record of the avoidance decision parking the thread.
+        self.yield_state = None
+        #: Set by an aborted yield or the monitor: the next request gets GO.
+        self.forced_go = False
         #: (lock, stack) the thread is allowed to wait for, or None.
         self.waiting: Optional[Tuple[int, CallStack]] = None
         #: Immutable snapshot of the cause bindings it is yielding on;
@@ -106,39 +116,38 @@ class AvoidanceCache:
         # The paper avoids locking here with a generalized Peterson
         # algorithm; under the GIL striped mutexes are cheaper and equally
         # correct.
-        #: When False the Allowed sets are not maintained (the hold/wait
-        #: ledger is): only the cover search reads them, so the engine
-        #: clears this while its history is empty; :meth:`rebuild_allowed`.
-        self.track_allowed = True
+        #: The call sites Allowed sets are kept at; ``None`` is every site.
+        #: State, not a setting: the engine stores its index's republished
+        #: ``sites`` here *before* it calls :meth:`rebuild_allowed`.
+        self.sites: Optional[frozenset] = None
         self._stripes: List[_Stripe] = [_Stripe() for _ in range(STRIPES)]
-        self._slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
+        self.slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
         #: Slots of currently yielding threads only, so release-side wake
         #: scans stay O(yielders) instead of O(threads ever seen).
         self._yielding: Dict[int, _ThreadSlot] = {}
         self._yielding_lock = threading.Lock()
 
-    # -- stripe / slot addressing ----------------------------------------------------
-
-    def _lock_stripe(self, lock_id: int) -> _Stripe:
-        return self._stripes[lock_id % len(self._stripes)]
-
-    def _slot(self, thread_id: int) -> _ThreadSlot:
-        return self._slots.get(thread_id)
-
     # -- allow / wait edges -------------------------------------------------------------
 
-    def add_allow(self, thread_id: int, lock_id: int, stack: CallStack) -> None:
-        """Record that ``thread_id`` is allowed to block waiting for ``lock_id``."""
-        slot = self._slot(thread_id)
+    def add_allow(self, thread_id: int, lock_id: int, stack: CallStack,
+                  slot: Optional[_ThreadSlot] = None) -> None:
+        """Record that ``thread_id`` is allowed to block waiting for ``lock_id``.
+
+        The edge enters the slot (``slot``, when the caller has it) *before*
+        ``_add_allowed`` reads :attr:`sites`: a filter republished later is
+        followed by a rebuild whose scan finds the edge, an earlier one is seen.
+        """
+        slot = slot or self.slots.get(thread_id)
         previous = slot.waiting
         slot.waiting = (lock_id, stack)
         if previous is not None:
             self._retire(slot, thread_id, previous[0], previous[1])
         self._add_allowed(stack, thread_id, lock_id)
 
-    def remove_allow(self, thread_id: int) -> Optional[Tuple[int, CallStack]]:
+    def remove_allow(self, thread_id: int, slot: Optional[_ThreadSlot] = None
+                     ) -> Optional[Tuple[int, CallStack]]:
         """Drop the thread's allow edge (cancel / yield); returns what it was."""
-        slot = self._slot(thread_id)
+        slot = slot or self.slots.get(thread_id)
         previous = slot.waiting
         slot.waiting = None
         if previous is not None:
@@ -147,48 +156,57 @@ class AvoidanceCache:
 
     def waiting_of(self, thread_id: int) -> Optional[Tuple[int, CallStack]]:
         """The (lock, stack) the thread is allowed to wait for, if any."""
-        slot = self._slots.peek(thread_id)
+        slot = self.slots.peek(thread_id)
         return slot.waiting if slot is not None else None
 
     # -- hold edges ------------------------------------------------------------------------
 
     def add_hold(self, thread_id: int, lock_id: int, stack: CallStack,
-                 mode: str = EXCLUSIVE, capacity: int = 1) -> int:
+                 mode: str = EXCLUSIVE, capacity: int = 1,
+                 slot: Optional[_ThreadSlot] = None) -> int:
         """Record an acquisition; returns the new reentrancy count.
 
         ``mode``/``capacity`` describe the resource semantics: concurrent
         holders are legal for resources with more than one permit or any
-        SHARED usage; a second holder on a plain mutex still raises.
+        SHARED usage; a second holder on a plain mutex still raises (and
+        changes nothing).  Ordered as :meth:`add_allow`: the hold enters the
+        slot before the allow edge it promotes leaves and before
+        :attr:`sites` is read, so a rebuild's scan finds one of the two.
         """
-        slot = self._slot(thread_id)
+        slot = slot or self.slots.get(thread_id)
+        multiholder = capacity > 1 or mode == SHARED
+        stripe = self._stripes[lock_id % STRIPES]
+        with stripe.mutex:
+            record = stripe.holders.get(lock_id)
+            if record is None:
+                stripe.holders[lock_id] = HolderRecord({thread_id: [stack]}, multiholder)
+            else:
+                if multiholder:
+                    record.multiholder = True
+                mine = record.stacks.get(thread_id)
+                if mine is None:
+                    if not record.multiholder and record.stacks:
+                        raise AvoidanceError(
+                            f"lock {lock_id} acquired by thread {thread_id} while "
+                            f"held by thread {next(iter(record.stacks))}")
+                    mine = record.stacks[thread_id] = []
+                mine.append(stack)
+        held = slot.holds.get(lock_id)
+        if held is None:
+            held = slot.holds[lock_id] = [stack]
+        else:
+            held.append(stack)
         waiting = slot.waiting
         if waiting is not None and waiting[0] == lock_id:
             # Promote the allow edge: the binding stays in the Allowed
             # set of the site it waited at, and the hold is recorded with
             # the acquisition stack.
             slot.waiting = None
-            if waiting[1] != stack:
-                self._retire(slot, thread_id, lock_id, waiting[1])
-                self._add_allowed(stack, thread_id, lock_id)
-        else:
-            self._add_allowed(stack, thread_id, lock_id)
-        stripe = self._lock_stripe(lock_id)
-        with stripe.mutex:
-            record = stripe.holders.get(lock_id)
-            if record is None:
-                record = HolderRecord()
-                stripe.holders[lock_id] = record
-            if capacity > 1 or mode == SHARED:
-                record.multiholder = True
-            if (not record.multiholder and record.stacks
-                    and thread_id not in record.stacks):
-                raise AvoidanceError(
-                    f"lock {lock_id} acquired by thread {thread_id} while held "
-                    f"by thread {next(iter(record.stacks))}")
-            record.stacks.setdefault(thread_id, []).append(stack)
-            count = len(record.stacks[thread_id])
-        slot.holds.setdefault(lock_id, []).append(stack)
-        return count
+            if waiting[1] is stack or waiting[1] == stack:
+                return len(held)
+            self._retire(slot, thread_id, lock_id, waiting[1])
+        self._add_allowed(stack, thread_id, lock_id)
+        return len(held)
 
     def release_hold(self, thread_id: int, lock_id: int) -> Tuple[bool, CallStack]:
         """Record a release.
@@ -199,7 +217,7 @@ class AvoidanceCache:
         edge on the resource (for a mutex that is exactly "the lock became
         available"; for multi-holder resources other holders may remain).
         """
-        stripe = self._lock_stripe(lock_id)
+        stripe = self._stripes[lock_id % STRIPES]
         with stripe.mutex:
             record = stripe.holders.get(lock_id)
             stacks = record.stacks.get(thread_id) if record is not None else None
@@ -212,7 +230,7 @@ class AvoidanceCache:
                 del record.stacks[thread_id]
                 if not record.stacks:
                     del stripe.holders[lock_id]
-        slot = self._slot(thread_id)
+        slot = self.slots.get(thread_id)
         stacks = slot.holds.get(lock_id)
         if stacks:
             stacks.pop()
@@ -223,26 +241,26 @@ class AvoidanceCache:
 
     def holder_of(self, lock_id: int) -> Optional[int]:
         """The sole thread holding ``lock_id``, or ``None`` (free or shared)."""
-        record = self._lock_stripe(lock_id).holders.get(lock_id)
+        record = self._stripes[lock_id % STRIPES].holders.get(lock_id)
         return record.thread_id if record is not None else None
 
     def holders_of(self, lock_id: int) -> List[int]:
         """All threads currently holding ``lock_id``."""
-        stripe = self._lock_stripe(lock_id)
+        stripe = self._stripes[lock_id % STRIPES]
         with stripe.mutex:
             record = stripe.holders.get(lock_id)
             return list(record.stacks) if record is not None else []
 
     def hold_count(self, thread_id: int, lock_id: int) -> int:
         """How many times ``thread_id`` currently holds ``lock_id``."""
-        slot = self._slots.peek(thread_id)
+        slot = self.slots.peek(thread_id)
         if slot is None:
             return 0
         return len(slot.holds.get(lock_id, ()))
 
     def locks_held_by(self, thread_id: int) -> List[int]:
         """The locks currently held by ``thread_id`` (each listed once)."""
-        slot = self._slots.peek(thread_id)
+        slot = self.slots.peek(thread_id)
         return list(slot.holds) if slot is not None else []
 
     def held_stacks(self, thread_id: int) -> List[CallStack]:
@@ -254,7 +272,7 @@ class AvoidanceCache:
         signature would archive, so none of them may still be deferred
         once the thread can no longer walk its own frames.
         """
-        slot = self._slots.peek(thread_id)
+        slot = self.slots.peek(thread_id)
         if slot is None:
             return []
         return [stack for stacks in list(slot.holds.values())
@@ -262,7 +280,7 @@ class AvoidanceCache:
 
     def total_holds(self, thread_id: int) -> int:
         """Number of hold edges of ``thread_id`` (reentrant holds counted)."""
-        slot = self._slots.peek(thread_id)
+        slot = self.slots.peek(thread_id)
         if slot is None:
             return 0
         return sum(len(stacks) for stacks in list(slot.holds.values()))
@@ -283,7 +301,7 @@ class AvoidanceCache:
 
     def set_yield_cause(self, thread_id: int, causes: Iterable[Binding]) -> None:
         """Record why ``thread_id`` is yielding."""
-        slot = self._slot(thread_id)
+        slot = self.slots.get(thread_id)
         slot.yield_cause = frozenset(causes)
         with self._yielding_lock:
             if slot.yield_cause:
@@ -293,7 +311,7 @@ class AvoidanceCache:
 
     def clear_yield_cause(self, thread_id: int) -> None:
         """Forget the thread's yield causes (it got GO, aborted, or was forced)."""
-        slot = self._slots.peek(thread_id)
+        slot = self.slots.peek(thread_id)
         if slot is not None and slot.yield_cause:
             slot.yield_cause = frozenset()
             with self._yielding_lock:
@@ -301,7 +319,7 @@ class AvoidanceCache:
 
     def yield_cause_of(self, thread_id: int) -> Set[Binding]:
         """The thread's current yield causes (empty set when not yielding)."""
-        slot = self._slots.peek(thread_id)
+        slot = self.slots.peek(thread_id)
         return set(slot.yield_cause) if slot is not None else set()
 
     def yielding_threads(self) -> List[int]:
@@ -368,7 +386,7 @@ class AvoidanceCache:
                 and signature_stack.matches(binding[2], depth)]
 
     def allowed_set_sizes(self) -> Dict[CallStack, int]:
-        """Indexed bindings per distinct stack; sums to the live hold and wait edges."""
+        """Indexed bindings per distinct stack; sums to the live bindings at named sites."""
         sizes: Dict[CallStack, int] = {}
         for stripe in self._stripes:
             with stripe.mutex:
@@ -381,13 +399,13 @@ class AvoidanceCache:
 
     def forget_thread(self, thread_id: int) -> None:
         """Drop all state of a terminated thread."""
-        slot = self._slots.peek(thread_id)
+        slot = self.slots.peek(thread_id)
         if slot is not None:
             self.remove_allow(thread_id)
             for lock_id in list(slot.holds):
                 while lock_id in slot.holds:
                     self.release_hold(thread_id, lock_id)
-            self._slots.pop(thread_id)
+            self.slots.pop(thread_id)
         with self._yielding_lock:
             self._yielding.pop(thread_id, None)
 
@@ -397,39 +415,39 @@ class AvoidanceCache:
             with stripe.mutex:
                 stripe.allowed.clear()
                 stripe.holders.clear()
-        self._slots.clear()
+        self.slots.clear()
         with self._yielding_lock:
             self._yielding.clear()
 
     def rebuild_allowed(self) -> None:
-        """Re-index every live waiting/hold binding into the Allowed sets.
+        """Index every live waiting/hold binding whose site :attr:`sites` names.
 
-        The engine calls this when its history transitions from empty to
-        non-empty mid-run (first local archive, or a signature installed
-        by the sharing pool): while the history was empty the per-site
-        index was not maintained, yet the cover search must see bindings
-        that predate the transition — a hold taken before a remote
-        install is exactly the binding the installed signature needs.
-        Racing releases can leave a just-released binding indexed; the
-        engine re-validates every instantiation with ``binding_live``
-        before parking a thread, so a stale entry costs one wasted
-        candidate, never a wrong yield.
+        The engine calls this each time it stores a republished filter
+        (first local archive, a signature installed by the sharing pool,
+        one re-enabled): a binding taken while no signature named its site
+        was not indexed, yet a hold taken before a remote install is
+        exactly the binding the installed signature needs.  An owner that
+        drops an edge between the snapshot and the insert found nothing to
+        un-index, so every insert is followed by the owner's own check
+        (:meth:`_retire`).  Bindings at sites no longer named stay until released.
         """
-        for thread_id, slot in self._slots.items():
+        for thread_id, slot in self.slots.items():
             waiting = slot.waiting
-            if waiting is not None:
-                self._add_allowed(waiting[1], thread_id, waiting[0])
+            edges = [] if waiting is None else [waiting]
             for lock_id, stacks in list(slot.holds.items()):
-                for stack in list(stacks):
-                    self._add_allowed(stack, thread_id, lock_id)
+                edges.extend((lock_id, stack) for stack in list(stacks))
+            for lock_id, stack in edges:
+                self._add_allowed(stack, thread_id, lock_id)
+                self._retire(slot, thread_id, lock_id, stack)
 
     def _add_allowed(self, stack: CallStack, thread_id: int, lock_id: int) -> None:
-        if not self.track_allowed:
-            return
+        """Index the binding of an edge *already written* to its slot, at a named site."""
         site = stack.top()
-        stripe = self._stripes[hash(site) % STRIPES]
-        with stripe.mutex:
-            stripe.allowed.setdefault(site, set()).add((thread_id, lock_id, stack))
+        sites = self.sites
+        if sites is None or site in sites:
+            stripe = self._stripes[hash(site) % STRIPES]
+            with stripe.mutex:
+                stripe.allowed.setdefault(site, set()).add((thread_id, lock_id, stack))
 
     def _retire(self, slot: _ThreadSlot, thread_id: int, lock_id: int,
                 stack: CallStack) -> None:
@@ -440,6 +458,12 @@ class AvoidanceCache:
         first was): the set holds the binding once.  "Equal" as in the set,
         same hash then ``==``, so lazy captures are not compared by content.
         """
+        site = stack.top()
+        stripe = self._stripes[hash(site) % STRIPES]
+        if site not in stripe.allowed:
+            # Nothing is indexed here (the common case: no signature names
+            # the site).  One lock-free probe; no scan and no mutex.
+            return
         waiting = slot.waiting
         if waiting is not None and waiting[0] == lock_id \
                 and hash(waiting[1]) == hash(stack) and waiting[1] == stack:
@@ -447,10 +471,6 @@ class AvoidanceCache:
         for other in slot.holds.get(lock_id, ()):
             if hash(other) == hash(stack) and other == stack:
                 return
-        # Runs even when tracking is off: what was indexed while it was on
-        # must still go, and a never-indexed binding is a tolerated no-op.
-        site = stack.top()
-        stripe = self._stripes[hash(site) % STRIPES]
         with stripe.mutex:
             bindings = stripe.allowed.get(site)
             if bindings is not None:
@@ -471,7 +491,7 @@ class AvoidanceCache:
                                      else tuple(rec.stacks), rec.count)
         waiting = {}
         yielding = {}
-        for tid, slot in self._slots.items():
+        for tid, slot in self.slots.items():
             if slot.waiting is not None:
                 waiting[tid] = slot.waiting[0]
             if slot.yield_cause:

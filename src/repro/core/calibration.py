@@ -126,6 +126,10 @@ class Calibrator:
 
     # -- engine hooks ------------------------------------------------------------------
 
+    def watching(self) -> bool:
+        """Is an episode open?  Only then does the engine report acquisitions and releases."""
+        return bool(self._episodes)
+
     def on_avoidance(self, signature: Signature, thread_id: int, lock_id: int,
                      stack: CallStack, causes: Sequence, deeper_depths: Sequence[int]
                      ) -> Optional[int]:
@@ -159,9 +163,7 @@ class Calibrator:
 
     def on_lock_acquired(self, thread_id: int, lock_id: int,
                          held_before: Tuple[int, ...], stack: CallStack) -> None:
-        """Called by the engine after every successful acquisition."""
-        if not self.config.calibration_enabled:
-            return
+        """Called by the engine after a successful acquisition, while :meth:`watching`."""
         with self._mutex:
             op = LockOp(thread_id=thread_id, lock_id=lock_id, held_before=held_before)
             for episode in self._episodes:
@@ -174,14 +176,12 @@ class Calibrator:
                     self._close_episode(episode)
 
     def on_lock_released(self, thread_id: int, lock_id: int) -> None:
-        """Called by the engine after every release.
+        """Called by the engine after a release, while :meth:`watching`.
 
         An episode closes once the yielded thread has resumed, acquired and
         then released a lock — by then its critical section completed and
         we know whether a deadlock danger (lock inversion) materialized.
         """
-        if not self.config.calibration_enabled:
-            return
         with self._mutex:
             for episode in self._episodes:
                 if episode.closed:

@@ -15,7 +15,7 @@ descriptions (used by the deterministic simulator and by tests).
 from __future__ import annotations
 
 import sys
-import threading
+from threading import get_ident as _get_ident
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 #: Module-path prefixes whose frames are dropped when capturing live stacks.
@@ -224,8 +224,7 @@ class CallStack:
             _top_frame_cache[top_key] = top
         if stats is not None:
             stats.bump("capture_deferred")
-        return LazyCallStack(top, frame, lasti, threading.get_ident(),
-                             limit, stats)
+        return LazyCallStack(top, frame, lasti, _get_ident(), limit, stats)
 
     # -- sequence protocol ---------------------------------------------------------
 
@@ -343,9 +342,9 @@ class LazyCallStack(CallStack):
 
     Built by :meth:`CallStack.capture_lazy` on the lock-acquisition hot
     path.  Until something reads ``frames`` (or any API that needs them),
-    the object holds only the interned top :class:`Frame`, the captured
-    ``f_lasti``/``f_lineno`` of the originating frame, a strong reference
-    to that live frame object, and the OS thread ident it was captured on.
+    the object holds only the interned top :class:`Frame` (with the captured
+    ``f_lineno``), the captured ``f_lasti`` of the originating frame, a strong
+    reference to that live frame object, and the OS thread ident it was captured on.
     The first read triggers :meth:`materialize`, which rebuilds the exact
     frame tuple an eager ``capture_cached`` would have produced — provided
     the originating *invocation* is still on its thread's stack.
@@ -368,7 +367,7 @@ class LazyCallStack(CallStack):
     match *fail* (a benign false negative, same contract as the top-frame
     miss filter's publication order).
 
-    Hashing is by object identity, fixed at construction and never
+    Hashing is by object identity (``object.__hash__``, in C) and never
     revisited by :meth:`materialize`: the engine's caches key holds and
     allowed-sets by the very object they inserted, and a hash that changed
     upon materialization would corrupt those dicts.  Content-equality
@@ -378,8 +377,9 @@ class LazyCallStack(CallStack):
     (fingerprints, ``matches``), never dict-lookup-based, so this is safe.
     """
 
-    __slots__ = ("_top", "_origin", "_origin_lasti", "_origin_lineno",
-                 "_origin_thread", "_limit", "_stats")
+    __slots__ = ("_top", "_origin", "_origin_lasti", "_origin_thread",
+                 "_limit", "_stats")
+    __hash__ = object.__hash__
 
     def __init__(self, top: Frame, origin, lasti: int, thread_ident: int,
                  limit: int, stats=None):
@@ -388,11 +388,9 @@ class LazyCallStack(CallStack):
         self._top = top
         self._origin = origin
         self._origin_lasti = lasti
-        self._origin_lineno = top.lineno
         self._origin_thread = thread_ident
         self._limit = limit
         self._stats = stats
-        self._hash = object.__hash__(self)
 
     def __getattr__(self, name):
         # Only ever fires for slot names that are still unset — i.e. for
@@ -454,7 +452,7 @@ class LazyCallStack(CallStack):
             return (top,)
         # Liveness check: the origin invocation must still be on its
         # capturing thread's stack, else parent f_lasti values are stale.
-        if threading.get_ident() == self._origin_thread:
+        if _get_ident() == self._origin_thread:
             probe = sys._getframe()
         else:
             probe = sys._current_frames().get(self._origin_thread)

@@ -334,14 +334,12 @@ class EventBus:
         self._stragglers = 0
         self._seq_gaps_skipped = 0
 
-    def _ring(self) -> _Ring:
-        ring = getattr(self._local, "ring", None)
-        if ring is None:
-            ring = _Ring(self._capacity,
-                         owner=weakref.ref(threading.current_thread()))
-            with self._mutex:
-                self._rings[next(self._ring_ids)] = ring
-            self._local.ring = ring
+    def _new_ring(self) -> _Ring:
+        ring = _Ring(self._capacity,
+                     owner=weakref.ref(threading.current_thread()))
+        with self._mutex:
+            self._rings[next(self._ring_ids)] = ring
+        self._local.ring = ring
         return ring
 
     # -- producer side ------------------------------------------------------------------
@@ -357,7 +355,10 @@ class EventBus:
         Drops are decided *before* a seq is allocated, so a rejected emit
         never leaves a hole in the bus's sequence space.
         """
-        ring = self._ring()
+        try:
+            ring = self._local.ring
+        except AttributeError:  # the thread's first emit
+            ring = self._new_ring()
         items = ring.items
         if len(items) >= ring.capacity:
             ring.dropped += 1

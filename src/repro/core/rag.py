@@ -194,9 +194,6 @@ class ResourceAllocationGraph:
             self._locks[lock_id] = state
         return state
 
-    #: Alias emphasizing the generalized vocabulary.
-    resource = lock
-
     def threads(self) -> List[ThreadState]:
         """All known thread states."""
         return list(self._threads.values())
@@ -322,13 +319,20 @@ class ResourceAllocationGraph:
         thread.request_mode = mode
         self._learn_spec_fields(lock_id, mode, capacity)
 
+    # ALLOW, ACQUIRED and RELEASE run once per lock operation each, in GIL time taken from
+    # the clients: no helper call once their two states exist, no spec or yield set to update.
+
     def _on_allow(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self.thread(thread_id)
+        thread = self._threads.get(thread_id) or self.thread(thread_id)
         thread.request = None
         thread.allow = (lock_id, stack)
         thread.allow_mode = mode
-        thread.yields.clear()
-        self._learn_spec_fields(lock_id, mode, capacity).waiters.add(thread_id)
+        if thread.yields:
+            thread.yields.clear()
+        resource = (self._learn_spec_fields(lock_id, mode, capacity)
+                    if capacity > 1 or mode == SHARED
+                    else self._locks.get(lock_id) or self.lock(lock_id))
+        resource.waiters.add(thread_id)
 
     def _on_yield(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
         thread = self.thread(thread_id)
@@ -342,20 +346,24 @@ class ResourceAllocationGraph:
         self._learn_spec_fields(lock_id, mode, capacity)
 
     def _on_acquired(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self.thread(thread_id)
-        resource = self._learn_spec_fields(lock_id, mode, capacity)
+        thread = self._threads.get(thread_id) or self.thread(thread_id)
+        resource = (self._learn_spec_fields(lock_id, mode, capacity)
+                    if capacity > 1 or mode == SHARED
+                    else self._locks.get(lock_id) or self.lock(lock_id))
         if thread.allow is not None and thread.allow[0] == lock_id:
             thread.allow = None
         if thread.request is not None and thread.request[0] == lock_id:
             thread.request = None
         resource.waiters.discard(thread_id)
-        thread.yields.clear()
+        if thread.yields:
+            thread.yields.clear()
+        edges = resource.edges
         single_holder = (resource.capacity == 1
                          and not resource.shared_capable
                          and mode == EXCLUSIVE)
-        if single_holder and resource.edges \
-                and any(tid != thread_id
-                        for tid, _s, _m in resource.edges):
+        if single_holder and edges \
+                and (len(edges) > 1 or edges[0][0] != thread_id) \
+                and any(tid != thread_id for tid, _s, _m in edges):
             # A release event from the previous owner has not been processed
             # yet.  The partial-ordering argument of section 5.2 guarantees
             # the release precedes this acquired in the queue, so reaching
@@ -370,13 +378,13 @@ class ResourceAllocationGraph:
                 previous = self._threads.get(tid)
                 if previous is not None:
                     previous.holds.pop(lock_id, None)
-            resource.edges.clear()
-        resource.edges.append((thread_id, stack, mode))
+            edges.clear()
+        edges.append((thread_id, stack, mode))
         thread.holds.setdefault(lock_id, []).append(stack)
 
     def _on_release(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self.thread(thread_id)
-        resource = self.lock(lock_id)
+        thread = self._threads.get(thread_id) or self.thread(thread_id)
+        resource = self._locks.get(lock_id) or self.lock(lock_id)
         stacks = thread.holds.get(lock_id)
         if not stacks:
             if self._strict:

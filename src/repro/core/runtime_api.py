@@ -164,15 +164,13 @@ class RuntimeCore:
         permits (mutexes, semaphore permits) vs shared reader holds, and
         the resource's permit count.  Defaults are plain mutex semantics.
         """
-        return self.dimmunix.engine.request(thread_id, lock_id, stack,
-                                            mode=mode, capacity=capacity)
+        return self.dimmunix.engine.request(thread_id, lock_id, stack, mode, capacity)
 
     def acquired(self, thread_id: int, lock_id: int,
                  stack: Optional[CallStack] = None, mode: str = EXCLUSIVE,
                  capacity: int = 1) -> None:
         """Record that the thread actually obtained the lock."""
-        self.dimmunix.engine.acquired(thread_id, lock_id, stack,
-                                      mode=mode, capacity=capacity)
+        self.dimmunix.engine.acquired(thread_id, lock_id, stack, mode, capacity)
 
     def release(self, thread_id: int, lock_id: int) -> List[int]:
         """Record a release and wake every thread whose yield cause dissolved.
@@ -441,8 +439,8 @@ class LockRuntime:
         """
         config = self.dimmunix.config
         if config.lazy_capture:
-            stack = CallStack.capture_lazy(
-                skip=1, limit=config.max_stack_depth, stats=self.dimmunix.stats)
+            stack = CallStack.capture_lazy(1, config.max_stack_depth,
+                                           self.dimmunix.stats)
         else:
             stack = CallStack.capture_cached(skip=1, limit=config.max_stack_depth)
         if not stack:

@@ -32,9 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: depth -> stack-suffix key -> signatures whose stacks carry that suffix.
 Buckets = Dict[int, Dict[Tuple, Tuple[Signature, ...]]]
 
-#: Filter probe used for the degenerate empty suffix key (empty stacks).
-_EMPTY_TOP = object()
-
 
 def _stack_depth(sig_stack: CallStack, depth: int) -> int:
     """The bucket depth a signature stack is indexed under.
@@ -54,7 +51,7 @@ class SignatureIndex:
 
     **Publication contract** (audited for free-threaded builds; see
     ``docs/architecture.md``, "The memory model").  Writers mutate under
-    ``_mutex`` and publish copy-on-write: ``_top_filter`` and ``_buckets``
+    ``_mutex`` and publish copy-on-write: ``sites`` and ``_buckets``
     are each replaced wholesale with immutable/never-again-mutated
     objects, never edited in place after publication.  Readers
     (:meth:`candidates`) are lock-free and read *filter first, buckets
@@ -75,13 +72,15 @@ class SignatureIndex:
     def __init__(self, history: Optional["History"] = None):
         self._mutex = threading.Lock()
         self._buckets: Buckets = {}
-        #: Miss fast path (the paper's 99.99% case): the set of innermost
-        #: frames appearing in any bucket key, published copy-on-write.  A
-        #: request whose call site is not in this set cannot hit any bucket
-        #: at any depth — every suffix key shares its innermost frame with
-        #: the stacks it matches — so ``candidates()`` answers with one set
-        #: probe instead of a per-depth slice-hash-lookup.
-        self._top_filter: frozenset = frozenset()
+        #: Miss fast path (the paper's 99.99% case): the call sites a
+        #: signature names — the innermost frame of every bucket key
+        #: (``None`` for an empty stack), published copy-on-write.  A
+        #: request elsewhere cannot hit any bucket at any depth (a suffix key
+        #: shares its innermost frame with the stacks it matches), so
+        #: ``stack.top() in sites`` is the whole test.  The engine also hands
+        #: this object to its cache, which keeps Allowed sets at these sites
+        #: only, and notices a republication by identity.
+        self.sites: frozenset = frozenset()
         #: Refcounts behind the filter: innermost frame -> number of bucket
         #: keys starting with it (mutated only under ``_mutex``).
         self._top_counts: Dict[object, int] = {}
@@ -115,8 +114,7 @@ class SignatureIndex:
         miss path never pays the deep stack walk.  Only a filter hit — the
         paper's rare case — forces the full frame tuple into existence.
         """
-        top = stack.top()
-        if (top if top is not None else _EMPTY_TOP) not in self._top_filter:
+        if stack.top() not in self.sites:
             return []
         frames = stack.frames
         found: List[Signature] = []
@@ -203,11 +201,11 @@ class SignatureIndex:
                     existing = bucket.get(key, ())
                     if signature not in existing:
                         if not existing:
-                            top = key[0] if key else _EMPTY_TOP
+                            top = key[0] if key else None
                             top_counts[top] = top_counts.get(top, 0) + 1
                         bucket[key] = existing + (signature,)
             self._top_counts = top_counts
-            self._top_filter = frozenset(top_counts)
+            self.sites = frozenset(top_counts)
             self._buckets = buckets
             self._entries = entries
             self._depths = depths
@@ -233,7 +231,7 @@ class SignatureIndex:
             self._entries = {}
             self._depths = {}
             self._top_counts = {}
-            self._top_filter = frozenset()
+            self.sites = frozenset()
             self.updates += 1
 
     # -- internals (callers hold self._mutex) ---------------------------------------------
@@ -253,12 +251,12 @@ class SignatureIndex:
             existing = bucket.get(key, ())
             if signature not in existing:
                 if not existing:
-                    top = key[0] if key else _EMPTY_TOP
+                    top = key[0] if key else None
                     self._top_counts[top] = self._top_counts.get(top, 0) + 1
                 bucket[key] = existing + (signature,)
         # Publish the filter before the buckets: a racing reader must never
         # see a bucket key whose top frame the filter would reject.
-        self._top_filter = frozenset(self._top_counts)
+        self.sites = frozenset(self._top_counts)
         self._buckets = new_buckets
         self._entries[signature.fingerprint] = signature
         self._depths[signature.fingerprint] = depth
@@ -286,7 +284,7 @@ class SignatureIndex:
                 bucket[key] = remaining
             else:
                 del bucket[key]
-                top = key[0] if key else _EMPTY_TOP
+                top = key[0] if key else None
                 count = self._top_counts.get(top, 0) - 1
                 if count > 0:
                     self._top_counts[top] = count
@@ -301,7 +299,7 @@ class SignatureIndex:
         # may briefly pass a stale filter and find no candidates, never the
         # reverse.
         self._buckets = new_buckets
-        self._top_filter = frozenset(self._top_counts)
+        self.sites = frozenset(self._top_counts)
 
     # -- equivalence checking (tests, doctor tooling) ---------------------------------------
 
@@ -320,10 +318,10 @@ class SignatureIndex:
         expected: Dict[object, int] = {}
         for bucket in self._buckets.values():
             for key in bucket:
-                top = key[0] if key else _EMPTY_TOP
+                top = key[0] if key else None
                 expected[top] = expected.get(top, 0) + 1
         return (expected == self._top_counts
-                and frozenset(expected) == self._top_filter)
+                and frozenset(expected) == self.sites)
 
     def equivalent_to_rebuild(self) -> bool:
         """Does the incremental state match a from-scratch rebuild?"""

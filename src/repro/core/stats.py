@@ -90,19 +90,19 @@ class EngineStats:
         #: incremented, under _lock.
         self._epoch = 0
 
-    def _shard(self) -> _StatShard:
-        try:
-            return self._local.shard
-        except AttributeError:
-            shard = _StatShard(self._epoch)
-            with self._lock:
-                self._shards.append(shard)
-            self._local.shard = shard
-            return shard
+    def _new_shard(self) -> _StatShard:
+        shard = _StatShard(self._epoch)
+        with self._lock:
+            self._shards.append(shard)
+        self._local.shard = shard
+        return shard
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment the counter ``name`` on the calling thread's shard."""
-        shard = self._shard()
+        try:
+            shard = self._local.shard
+        except AttributeError:  # the thread's first bump
+            shard = self._new_shard()
         epoch = self._epoch
         if shard.epoch != epoch:
             # First bump after a reset: start a fresh dict for the new

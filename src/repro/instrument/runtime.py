@@ -62,15 +62,16 @@ class ThreadRegistry:
 
     def current_thread_id(self) -> int:
         """The stable id of the calling thread (allocated on first use)."""
-        ident = getattr(self._local, "thread_id", None)
-        if ident is None:
+        try:
+            return self._local.thread_id
+        except AttributeError:  # the thread's first lock operation
             with self._lock:
                 ident = next(self._counter)
                 self._names[ident] = threading.current_thread().name
             self._local.thread_id = ident
             if self._on_thread_death is not None:
                 self._local.death_token = _DeathToken(ident, self._on_thread_death)
-        return ident
+            return ident
 
     def name_of(self, thread_id: int) -> Optional[str]:
         """The Python thread name recorded for ``thread_id``."""
@@ -155,10 +156,9 @@ class InstrumentationRuntime(LockRuntime):
         # wakers automatically (see _DeathToken), so servers with
         # short-lived threads do not accumulate per-thread state.
         self.threads = ThreadRegistry(on_thread_death=self.core.forget_thread)
-
-    def current_thread_id(self) -> int:
-        """Stable id of the calling thread."""
-        return self.threads.current_thread_id()
+        #: Stable id of the calling thread: asked twice per lock operation,
+        #: so the registry's own method, not a forwarding frame.
+        self.current_thread_id = self.threads.current_thread_id
 
     def _unit_name(self) -> str:
         return threading.current_thread().name

@@ -31,15 +31,13 @@ FREE_THREADED_BUILD = bool(sysconfig.get_config_var("Py_GIL_DISABLED"))
 
 
 class _CountingCounter:
-    """GIL-build implementation: ``next(itertools.count())`` is atomic."""
+    """GIL-build implementation: ``next`` *is* ``itertools.count().__next__``,
+    atomic, and no Python frame per number."""
 
-    __slots__ = ("_count",)
+    __slots__ = ("next",)
 
     def __init__(self, start: int):
-        self._count = itertools.count(start)
-
-    def next(self) -> int:
-        return next(self._count)
+        self.next = itertools.count(start).__next__
 
 
 class _LockedCounter:

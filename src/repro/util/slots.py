@@ -1,10 +1,10 @@
 """A tiny concurrent registry of per-key slot objects.
 
-Both the avoidance engine and the avoidance cache keep per-thread state in
+The avoidance cache keeps per-thread state — its own and the engine's — in
 slot objects that are created on a thread's first lock operation and then
 accessed without locking (attribute reads/writes are atomic under the
-GIL).  This helper centralizes the double-checked-locking creation and the
-snapshot/removal plumbing so the two registries cannot drift apart.
+GIL).  This helper holds the double-checked-locking creation and the
+snapshot/removal plumbing.
 """
 
 from __future__ import annotations
@@ -46,10 +46,6 @@ class SlotRegistry(Generic[T]):
     def items(self) -> List[Tuple[int, T]]:
         """A point-in-time snapshot of (key, slot) pairs."""
         return list(self._slots.items())
-
-    def values(self) -> List[T]:
-        """A point-in-time snapshot of the slots."""
-        return list(self._slots.values())
 
     def clear(self) -> None:
         """Drop every slot."""

@@ -11,6 +11,10 @@ one invariant that a publication race would break:
 * ``test_sigindex_races`` — the COW top-filter/bucket publication order
   only ever produces benign false negatives, never false positives or
   torn reads;
+* ``test_allowed_sites_races`` — the Allowed sets kept only at named
+  sites: a filter republished while holds stand, a request or a release
+  racing the rebuild, never leave a live binding at a named site
+  unindexed or a dead one indexed;
 * ``test_rag_consistency`` — the end-to-end §5.2 oracle: genuine lock
   hand-offs replayed through bus + RAG never show a release/acquire
   inversion (``rag.order_violations == 0``).

@@ -114,6 +114,35 @@ class GatedSeq:
         return seq
 
 
+class Trap:
+    """Parks one chosen thread at one chosen point of the code under test.
+
+    A proxy standing in for something that code touches calls
+    :meth:`here` at the point.  Calls made by other threads pass, and so
+    do the first ``skip`` calls of a thread whose name contains ``trap``;
+    its next call sets ``reached`` and blocks until the test, having
+    driven the other side of the race to completion, sets ``release``.
+    """
+
+    def __init__(self, trap: str, skip: int = 0):
+        self._trap = trap
+        self._skip = skip
+        self._armed = True
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def here(self) -> None:
+        if not self._armed or self._trap not in threading.current_thread().name:
+            return
+        if self._skip:
+            self._skip -= 1
+            return
+        self._armed = False
+        self.reached.set()
+        if not self.release.wait(30.0):
+            raise AssertionError("Trap never released")
+
+
 class GatedDict(dict):
     """Counter-dict proxy that parks one chosen ``get`` mid-bump.
 

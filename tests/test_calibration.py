@@ -177,3 +177,41 @@ class TestCalibrationWithEngine:
         outcome = engine.request(2, 11, stack("lock:1", "f:1", "main:0"))
         assert outcome.is_yield
         assert calibrator.open_episodes() == 1
+
+    def test_an_open_episode_still_sees_every_acquisition_and_release(self):
+        """The engine consults the calibrator only while it is ``watching()``: then, always."""
+        from repro.core.avoidance import AvoidanceEngine
+        from repro.core.history import History
+
+        config = DimmunixConfig.for_testing(calibration_enabled=True,
+                                            calibration_na=2, matching_depth=1,
+                                            max_stack_depth=3)
+        history = History()
+        signature = Signature([stack("lock:1", "f:1"), stack("lock:2", "g:1")],
+                              matching_depth=2)
+        history.add(signature)
+        calibrator = Calibrator(config)
+        engine = AvoidanceEngine(history, config, calibrator=calibrator)
+        held, wants = stack("lock:2", "g:1", "main:0"), stack("lock:1", "f:1", "main:0")
+        other = stack("other:9", "main:0")
+        engine.request(1, 10, held)
+        engine.acquired(1, 10, held)
+        assert not calibrator.watching()  # nothing was avoided yet: nothing to log
+        assert engine.request(2, 11, wants).is_yield
+        assert calibrator.watching()
+        episode = calibrator._episodes[0]
+
+        engine.request(1, 12, other)  # a participant, while it holds lock 10
+        engine.acquired(1, 12, other)
+        engine.request(3, 13, other)  # a bystander
+        engine.acquired(3, 13, other)
+        assert [(op.thread_id, op.lock_id, op.held_before) for op in episode.ops] \
+            == [(1, 12, (10,))]
+        engine.release(1, 12)
+        engine.release(1, 10)
+        assert engine.request(2, 11, wants).is_go
+        engine.acquired(2, 11, wants)
+        assert episode.yielded_thread_resumed and not episode.closed
+        engine.release(2, 11)  # the yielded thread's critical section is over
+        assert episode.closed and not calibrator.watching()
+        assert calibrator.verdicts == [(signature.fingerprint, 1, True)]

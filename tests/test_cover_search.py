@@ -15,16 +15,23 @@ The states are built from real interpreter frames so that lazy stacks —
 unmaterialized with their frame still live, and degraded to one frame
 after it returned — take part next to eager, single-frame and empty
 ones.
+
+The Allowed sets are also kept only at the call sites a signature names.
+That must not change the answer either, so every state is built twice, op
+by op: in an engine as shipped and in one whose cache refuses the filter
+and indexes every site, the behaviour the reference was copied from.  The
+op vocabulary includes the history changing underneath them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.avoidance import AvoidanceEngine, Decision
+from repro.core.cache import AvoidanceCache
 from repro.core.callstack import CallStack, Frame, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
@@ -121,81 +128,180 @@ class Op:
     form: str
 
 
-ops_strategy = st.lists(
-    st.builds(Op,
-              kind=st.sampled_from(("hold", "hold", "hold", "wait", "release", "cancel")),
-              thread=st.sampled_from(THREADS), lock=st.sampled_from(sorted(LOCKS)),
-              site=st.sampled_from((site_a, site_b, site_c)),
-              via=st.sampled_from((via_x, via_y)), form=st.sampled_from(FORMS)),
-    min_size=2, max_size=12)
+@dataclass(frozen=True)
+class Edit:
+    """The history changes: a signature over two bound positions, or one it has, by index."""
+
+    kind: str  # add | disable | enable | remove
+    first: int
+    second: int
+    keep: int
+    depth: int
 
 
-def make_engine() -> AvoidanceEngine:
-    """An engine whose history is non-empty (the index is maintained) but matches nothing."""
-    history = History(path=None, autosave=False)
-    history.add(Signature([FOREIGN, CallStack.from_labels(["elsewhere:3", "nobody:4"])]))
-    return AvoidanceEngine(history, DimmunixConfig.for_testing())
+lock_ops = st.builds(Op,
+                     kind=st.sampled_from(("hold", "hold", "hold", "wait", "release", "cancel")),
+                     thread=st.sampled_from(THREADS), lock=st.sampled_from(sorted(LOCKS)),
+                     site=st.sampled_from((site_a, site_b, site_c)),
+                     via=st.sampled_from((via_x, via_y)), form=st.sampled_from(FORMS))
+edits = st.builds(Edit, kind=st.sampled_from(("add", "add", "disable", "enable", "remove")),
+                  first=st.integers(0, 11), second=st.integers(0, 11),
+                  keep=st.sampled_from((10, 10, 1, 2, 3)), depth=st.integers(1, 4))
+ops_strategy = st.lists(st.one_of(lock_ops, lock_ops, lock_ops, edits), min_size=2, max_size=12)
 
 
-def apply(engine: AvoidanceEngine, op: Op, stack: Optional[CallStack] = None) -> None:
-    """Drive one operation through the engine's entry points, if it is legal now."""
-    cache = engine.cache
+class AllSitesCache(AvoidanceCache):
+    """Refuses the engine's filter, so it keeps an Allowed set at every site.
+
+    (The engine then finds ``sites`` unequal to its index's on every
+    request and rebuilds each time, which must change nothing.)
+    """
+
+    sites = property(lambda self: None, lambda self, value: None)
+
+
+def make_engine(all_sites: bool = False, history: Optional[History] = None) -> AvoidanceEngine:
+    """An engine whose history is non-empty but matches nothing (until an ``Edit`` adds to it)."""
+    if history is None:
+        history = History(path=None, autosave=False)
+        history.add(Signature([FOREIGN, CallStack.from_labels(["elsewhere:3", "nobody:4"])]))
+    engine = AvoidanceEngine(history, DimmunixConfig.for_testing())
+    if all_sites:
+        engine.cache = AllSitesCache()
+    return engine
+
+
+def make_pair() -> Tuple[AvoidanceEngine, AvoidanceEngine]:
+    """The engine as shipped and the all-sites one, on one history."""
+    gated = make_engine()
+    return gated, make_engine(all_sites=True, history=gated.history)
+
+
+def site_of(binding) -> Optional[Frame]:
+    return binding[2].top()
+
+
+def assert_same_index(gated: AvoidanceEngine, reference: AvoidanceEngine) -> None:
+    """The gated index is the all-sites one, cut down to the sites its cache was told of.
+
+    Both hold live bindings only; the gated one may also keep what a site
+    named until a signature went away still holds, until that is released.
+    """
+    sites = gated.cache.sites
+    everything = set(indexed_bindings(reference.cache))
+    assert everything == set(live_bindings(reference.cache)) == set(live_bindings(gated.cache))
+    mine = set(indexed_bindings(gated.cache))
+    assert mine <= everything
+    assert {binding for binding in everything
+            if sites is None or site_of(binding) in sites} <= mine
+
+
+def apply(engines: Sequence[AvoidanceEngine], op: Op,
+          stack: Optional[CallStack] = None) -> None:
+    """Drive one operation through every engine's entry points, if it is legal now.
+
+    The engines share the stack objects, so they are asked back to back and
+    must answer alike; a YIELD names causes the exhaustive scan also finds.
+    """
+    cache = engines[0].cache
     mode, capacity = LOCKS[op.lock]
     if op.kind == "release":
         if cache.hold_count(op.thread, op.lock):
-            engine.release(op.thread, op.lock)
+            for engine in engines:
+                engine.release(op.thread, op.lock)
     elif op.kind == "cancel":
         waiting = cache.waiting_of(op.thread)
         if waiting is not None:
-            engine.cancel(op.thread, waiting[0])
+            for engine in engines:
+                engine.cancel(op.thread, waiting[0])
     elif op.kind == "wait" or (mode, capacity) != (EXCLUSIVE, 1) \
             or cache.holder_of(op.lock) in (None, op.thread):  # not a mutex somebody else holds
-        assert engine.request(op.thread, op.lock, stack, mode, capacity).is_go
-        if op.kind == "hold":
-            engine.acquired(op.thread, op.lock, stack, mode, capacity)
+        outcomes = [engine.request(op.thread, op.lock, stack, mode, capacity)
+                    for engine in engines]
+        assert len({outcome.decision for outcome in outcomes}) == 1
+        for outcome in outcomes:
+            if outcome.is_yield:
+                signature = outcome.signature
+                assert [(op.thread, op.lock, stack)] + list(outcome.causes) in list(
+                    oracle_instances(engines[-1], signature, op.thread, op.lock, stack,
+                                     signature.matching_depth))
+        if op.kind == "hold" and outcomes[0].is_go:
+            for engine in engines:
+                engine.acquired(op.thread, op.lock, stack, mode, capacity)
 
 
-def build(engine, ops, pool, done):
+def edit(history: History, op: Edit, pool) -> None:
+    known = [frames for frames in pool if frames]
+    if op.kind == "add":
+        if known:
+            history.add(Signature([CallStack(known[index % len(known)][:op.keep])
+                                   for index in (op.first, op.second)],
+                                  matching_depth=op.depth))
+        return
+    fingerprints = sorted(signature.fingerprint for signature in history.signatures())
+    if fingerprints:
+        getattr(history, op.kind)(fingerprints[op.first % len(fingerprints)])
+
+
+def build(engines, ops, pool, done):
     """Apply ``ops`` from nested frames, so every live capture stays live, then ``done()``.
 
     ``pool`` collects the frame tuple each captured position *will* read
     as once materialized — taken from its eager twin, never from the lazy
-    stack, which must reach the search untouched.
+    stack, which must reach the search untouched.  With two engines, the
+    gated one and the all-sites one, their indexes are compared after
+    every op.
     """
+    if len(engines) == 2:
+        assert_same_index(*engines)
     if not ops:
         return done()
     op, rest = ops[0], ops[1:]
+    if isinstance(op, Edit):
+        edit(engines[0].history, op, pool)
+        return build(engines, rest, pool, done)
     if op.kind in ("release", "cancel"):
-        apply(engine, op)
-        return build(engine, rest, pool, done)
+        apply(engines, op)
+        return build(engines, rest, pool, done)
     if op.form == "degraded":
         lazy, twin = op.via(op.site, True, lambda lazy, twin: (lazy, twin))
         pool.append(twin.frames[:1])
-        apply(engine, op, lazy)  # its frame has returned: one frame is all it keeps
-        return build(engine, rest, pool, done)
+        apply(engines, op, lazy)  # its frame has returned: one frame is all it keeps
+        return build(engines, rest, pool, done)
 
     def inside(lazy, twin):
         pool.append(twin.frames)
         stack = {"eager": twin, "lazy": lazy, "one-frame": CallStack(twin.frames[:1]),
                  "empty": CallStack(())}[op.form]
-        apply(engine, op, stack)
-        return build(engine, rest, pool, done)
+        apply(engines, op, stack)
+        return build(engines, rest, pool, done)
 
     return op.via(op.site, op.form == "lazy", inside)
+
+
+def hand_over_the_filter(engine: AvoidanceEngine) -> None:
+    """What any next request does first: a republished filter reaches the cache.
+
+    For the tests that call ``_find_instance`` themselves; a thread, a lock
+    and a call site nothing else here uses, and nothing is left behind.
+    """
+    assert engine.request(99, 99, CallStack.from_labels(["syncer:1"])).is_go
+    engine.cancel(99, 99)
+    engine.forget_thread(99)
 
 
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
     @given(ops=ops_strategy, data=st.data())
     def test_find_instance_agrees_with_the_exhaustive_scan(self, ops, data):
-        engine = make_engine()
+        gated, reference = engines = make_pair()
         pool: List[Tuple[Frame, ...]] = []
 
         def check():
             # Drawn so that instantiations are common: positions are stacks that were
             # bound, mostly cut no shorter than the depth, and the request usually
             # stands on one of them as a thread and a lock nobody else is.
-            depth = data.draw(st.integers(1, engine.config.max_stack_depth))
+            depth = data.draw(st.integers(1, gated.config.max_stack_depth))
             known = [frames for frames in pool if frames] + [FOREIGN.frames]
             position = st.builds(lambda frames, keep: CallStack(frames[:keep]),
                                  st.sampled_from(known),
@@ -205,35 +311,50 @@ class TestDifferential:
                                         st.just(CallStack(()))))
             thread_id = data.draw(st.sampled_from((9, 9, 9) + THREADS))
             lock_id = data.draw(st.sampled_from([14, 14, 14] + sorted(LOCKS)))
-            engine._learn_spec(lock_id, *LOCKS.get(lock_id, (EXCLUSIVE, 1)))
+            # The search looks where a signature of the history stands: enter this one
+            # (or wake the equal one an Edit put to sleep), as the bindings stand now.
+            gated.history.add(signature)
+            gated.history.enable(signature.fingerprint)
+            for engine in engines:
+                engine._learn_spec(lock_id, *LOCKS.get(lock_id, (EXCLUSIVE, 1)))
+                hand_over_the_filter(engine)
+            assert gated.cache.sites is gated.index.sites
+            assert_same_index(gated, reference)
 
-            found = engine._find_instance(signature, thread_id, lock_id, stack, depth)
-            instances = list(oracle_instances(engine, signature, thread_id, lock_id,
+            instances = list(oracle_instances(reference, signature, thread_id, lock_id,
                                               stack, depth))
-            assert (found is None) == (not instances)
-            assert found is None or found in instances
+            for engine in engines:
+                found = engine._find_instance(signature, thread_id, lock_id, stack, depth)
+                assert (found is None) == (not instances)
+                assert found is None or found in instances
 
-        build(engine, ops, pool, check)
+        build(engines, ops, pool, check)
 
     @settings(max_examples=150, deadline=None)
     @given(ops=ops_strategy, data=st.data())
     def test_candidates_matching_agrees_with_the_exhaustive_scan(self, ops, data):
-        engine = make_engine()
+        gated, reference = engines = make_pair()
         pool: List[Tuple[Frame, ...]] = []
 
         def check():
             frames = data.draw(st.sampled_from(pool + [FOREIGN.frames, ()]))
             probe = CallStack(frames[:data.draw(st.integers(1, 10))])
-            depth = data.draw(st.integers(1, engine.config.max_stack_depth))
+            depth = data.draw(st.integers(1, gated.config.max_stack_depth))
             exclude_threads = data.draw(st.sets(st.sampled_from(THREADS)))
             exclude_locks = data.draw(st.sets(st.sampled_from(sorted(LOCKS))))
-            got = engine.cache.candidates_matching(probe, depth, exclude_threads,
-                                                   exclude_locks)
-            want = oracle_candidates(engine.cache, probe, depth, exclude_threads,
+            want = oracle_candidates(reference.cache, probe, depth, exclude_threads,
                                      exclude_locks)
+            got = reference.cache.candidates_matching(probe, depth, exclude_threads,
+                                                      exclude_locks)
             assert len(got) == len(want) and set(got) == set(want)
+            # The gated cache answers for the probes the search makes: signature stacks.
+            hand_over_the_filter(gated)
+            if probe.top() in gated.index.sites:
+                got = gated.cache.candidates_matching(probe, depth, exclude_threads,
+                                                      exclude_locks)
+                assert len(got) == len(want) and set(got) == set(want)
 
-        build(engine, ops, pool, check)
+        build(engines, ops, pool, check)
 
 
 class TestLaziness:
@@ -248,7 +369,12 @@ class TestLaziness:
             def held_at_b(lazy_b, twin_b):
                 engine.request(2, 11, lazy_b)
                 engine.acquired(2, 11, lazy_b)
+                # Registered, so that its sites are probed: nobody looks for a
+                # binding at a call site no signature of the history names.
                 signature = Signature([twin_a, FOREIGN], matching_depth=4)
+                engine.history.add(signature)
+                hand_over_the_filter(engine)
+                assert not lazy_a.materialized()  # indexed by its top frame alone
                 found = engine._find_instance(signature, 3, 12, FOREIGN, 4)
                 assert found == [(3, 12, FOREIGN), (1, 10, twin_a)]
                 assert isinstance(lazy_b, LazyCallStack) and not lazy_b.materialized()
@@ -265,7 +391,7 @@ class TestLaziness:
 def live_bindings(cache):
     """(thread, lock, stack) of every hold and wait edge, from the per-thread ledger."""
     live = []
-    for thread_id, slot in cache._slots.items():
+    for thread_id, slot in cache.slots.items():
         if slot.waiting is not None:
             live.append((thread_id, slot.waiting[0], slot.waiting[1]))
         for lock_id, stacks in slot.holds.items():
@@ -277,14 +403,26 @@ class TestIndexIsTheLiveBindings:
     @settings(max_examples=150, deadline=None)
     @given(ops=ops_strategy)
     def test_no_binding_outlives_its_edge(self, ops):
-        engine = make_engine()
+        """Index == live bindings at named sites; at every site for a ``sites = None`` cache."""
+        gated, reference = engines = make_pair()
+        # One of the three sites is named from the start, Edits name and un-name others.
+        gated.history.add(Signature([via_x(site_a, False, lambda lazy, twin: twin), FOREIGN]))
 
         def check():
-            live = set(live_bindings(engine.cache))
-            assert set(indexed_bindings(engine.cache)) == live
-            assert sum(engine.cache.allowed_set_sizes().values()) == len(live)
+            live = set(live_bindings(reference.cache))
+            assert set(indexed_bindings(reference.cache)) == live
+            assert sum(reference.cache.allowed_set_sizes().values()) == len(live)
+            hand_over_the_filter(gated)
+            named = {binding for binding in live_bindings(gated.cache)
+                     if site_of(binding) in gated.index.sites}
+            indexed = set(indexed_bindings(gated.cache))
+            assert named <= indexed <= live
+            # Beyond those it keeps only what stands at a site that was named once.
+            assert indexed == named or any(
+                isinstance(op, Edit) and op.kind in ("disable", "remove") for op in ops)
+            assert sum(gated.cache.allowed_set_sizes().values()) == len(indexed)
 
-        build(engine, ops, [], check)
+        build(engines, ops, [], check)
 
     def test_reentrant_reacquisition_leaves_nothing_indexed(self):
         history = History(path=None, autosave=False)

@@ -11,18 +11,22 @@ from __future__ import annotations
 import asyncio
 import threading
 
+import pytest
+
 from repro.core.avoidance import (AvoidanceEngine, Decision, GO_OUTCOME,
                                   MODE_INSTRUMENTATION_ONLY)
+from repro.core.calibration import Calibrator
 from repro.core.callstack import CallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
-from repro.core.events import EventBus
+from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_RELEASE, EventBus
 from repro.core.history import History
 from repro.core.sigindex import SignatureIndex
 from repro.core.signature import Signature
 from repro.core.stats import EngineStats
 from repro.instrument.aio import AsyncioParker
 from repro.instrument.runtime import YieldManager
+from repro.share import MemoryHub, SignaturePool
 from repro.sim.backends import DimmunixBackend
 
 
@@ -209,6 +213,102 @@ class TestVacantSitesOnTheHitPath:
         assert entries == []
         assert not bystander.materialized()
         assert stats.capture_materialized == 0
+
+
+class _CountingSlots:
+    """Stands in for the cache's slot registry and records every lookup."""
+
+    def __init__(self, slots, lookups):
+        self._slots = slots
+        self._lookups = lookups
+
+    def get(self, key):
+        self._lookups.append(key)
+        return self._slots.get(key)
+
+    def peek(self, key):
+        self._lookups.append(key)
+        return self._slots.peek(key)
+
+    def __getattr__(self, name):
+        return getattr(self._slots, name)
+
+
+class _CountingCalibrator(Calibrator):
+    """Records the acquisitions and releases the engine reports."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.reported = []
+
+    def on_lock_acquired(self, thread_id, lock_id, held_before, stack):
+        self.reported.append(("acquired", thread_id, lock_id, held_before))
+        super().on_lock_acquired(thread_id, lock_id, held_before, stack)
+
+    def on_lock_released(self, thread_id, lock_id):
+        self.reported.append(("released", thread_id, lock_id))
+        super().on_lock_released(thread_id, lock_id)
+
+
+class TestTheMissFilterDecidesOnce:
+    """A request at a call site no signature names pays for nothing it cannot need."""
+
+    def test_a_miss_triple_enters_two_mutexes_looks_its_slot_up_thrice_and_reports_to_nobody(self):
+        history = History(path=None, autosave=False)
+        history.add(Signature([stack(("a:1", "m:0")), stack(("b:2", "m:0"))],
+                              matching_depth=2))
+        config = DimmunixConfig.for_testing()
+        calibrator = _CountingCalibrator(config)
+        bus = EventBus()
+        engine = AvoidanceEngine(history, config, event_queue=bus, calibrator=calibrator)
+        elsewhere = stack(("elsewhere:5", "m:0"))
+        entries, lookups = [], []
+        for stripe in engine.cache._stripes:
+            stripe.mutex = _CountingMutex(stripe.mutex, entries)
+        engine.cache.slots = _CountingSlots(engine.cache.slots, lookups)
+
+        assert engine.request(1, 10, elsewhere) is GO_OUTCOME
+        engine.acquired(1, 10, elsewhere)
+        engine.release(1, 10)
+        # The holder record, written and erased (with its double-acquire check);
+        # no Allowed set is entered for a site the cover search can never probe.
+        assert len(entries) == 2
+        assert engine.cache.allowed_set_sizes() == {}
+        assert lookups == [1, 1, 1]  # one per engine entry
+        assert calibrator.reported == []  # no episode is open
+        assert [record[1] for record in bus.drain_raw()] == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
+
+    @pytest.mark.parametrize("way", ["added", "installed-by-the-pool", "re-enabled"])
+    def test_a_hold_taken_at_an_unnamed_site_is_found_once_a_signature_names_it(self, way):
+        """The engine notices the republished filter and indexes what predates it.
+
+        The history is not empty before, so no empty -> non-empty transition helps.
+        """
+        held = stack(("held:1", "caller:5", "main:0"))
+        wants = stack(("wants:2", "caller:6", "main:0"))
+        signature = Signature([held, wants], matching_depth=2)
+        history = History(path=None, autosave=False)
+        history.add(Signature([stack(("a:1", "m:0")), stack(("b:2", "m:0"))]))
+        if way == "re-enabled":
+            history.add(signature)
+            history.disable(signature.fingerprint)
+        engine = make_engine(history)
+        assert engine.request(1, 10, held) is GO_OUTCOME
+        engine.acquired(1, 10, held)
+        assert engine.cache.allowed_set_sizes() == {}
+
+        if way == "added":
+            history.add(signature)
+        elif way == "installed-by-the-pool":
+            hub = MemoryHub()
+            pool = SignaturePool(history, hub.channel())
+            hub.channel().publish(signature)
+            assert pool.pump() == 1
+        else:
+            history.enable(signature.fingerprint)
+        outcome = engine.request(2, 11, wants)
+        assert outcome.is_yield and outcome.causes == ((1, 10, held),)
+        assert engine.cache.allowed_set_sizes() == {held: 1}
 
 
 class TestShardedStats:

@@ -13,9 +13,10 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lines after PR 16 (the capture-cache toggle deleted).  20,169 after
-#: PR 15, 20,352 after PR 14, 20,359 after PR 13, 20,674 after PR 12.
-TOTAL_BUDGET = 20_137
+#: Lines after PR 19 (one thread slot, Allowed sets at named sites only).
+#: 20,137 after PR 16, 20,169 after PR 15, 20,352 after PR 14, 20,359
+#: after PR 13, 20,674 after PR 12.
+TOTAL_BUDGET = 20_136
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).

@@ -239,8 +239,7 @@ class TestPerThreadStateLifecycle:
             thread.join()
         gc.collect()
         engine = dimmunix.engine
-        assert len(engine._slots) == 0
-        assert len(engine.cache._slots) == 0
+        assert len(engine.cache.slots) == 0  # the one registry: engine and cache state
         for thread_id in seen_ids:
             assert engine.cache.hold_count(thread_id, lock.lock_id) == 0
 
