@@ -22,11 +22,12 @@ entry point fetches once; the :class:`~repro.core.cache.AvoidanceCache`
 is lock-striped; and the signature history is consulted through a
 read-mostly incremental :class:`~repro.core.sigindex.SignatureIndex`.  A
 request whose call site no signature names — the common case — is decided
-by one probe of the index's ``sites``: no engine-wide lock, and no
-Allowed-set entry in the cache, which is handed the same set.  Only
-requests that could instantiate a signature serialize on a single match
-mutex, which keeps the exact-cover search and the publication of the
-resulting yield state atomic with respect to other potential matches.
+by one probe of the index's ``sites``, the capture's, whose verdict holds
+for that filter object: no engine-wide lock, and no Allowed-set entry in
+the cache, which is handed the same set.  Only requests that could
+instantiate a signature serialize on a single match mutex, which keeps the
+exact-cover search and the publication of the resulting yield state atomic
+with respect to other potential matches.
 """
 
 from __future__ import annotations
@@ -271,6 +272,8 @@ class AvoidanceEngine:
             # taking a second semaphore permit, or upgrading a read hold
             # to a write hold, can absolutely complete a cycle.
             return True
+        if stack.absent_from is sites:
+            return True  # the capture probed this very object, and a frozenset never changes
         top = stack.top()
         if top not in sites:
             # The miss filter, the paper's 99.99% case: no signature names
@@ -340,9 +343,10 @@ class AvoidanceEngine:
                 if forced is not None:
                     return None
                 forced = index
-        coverable = signature.matching_stacks(stack, depth)
-        if forced is not None:
-            coverable = [forced] if forced in coverable else []
+        if forced is None:
+            coverable = signature.matching_stacks(stack, depth)
+        else:
+            coverable = [forced] if stacks[forced].matches(stack, depth) else []
         used_locks = set() if lock_id in self._multiholder else {lock_id}
         for chosen in coverable:
             rest = self._cover(stacks[:chosen] + stacks[chosen + 1:], depth,

@@ -442,8 +442,10 @@ class AvoidanceCache:
 
     def _add_allowed(self, stack: CallStack, thread_id: int, lock_id: int) -> None:
         """Index the binding of an edge *already written* to its slot, at a named site."""
-        site = stack.top()
         sites = self.sites
+        if sites is not None and stack.absent_from is sites:
+            return  # the capture's verdict, on this very filter object
+        site = stack.top()
         if sites is None or site in sites:
             stripe = self._stripes[hash(site) % STRIPES]
             with stripe.mutex:

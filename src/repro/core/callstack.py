@@ -31,10 +31,6 @@ _INTERNAL_PREFIXES = (
     "repro/util/",
     "repro/apps/base.py",
     "contextlib.py",
-    "repro\\core\\",
-    "repro\\instrument\\",
-    "repro\\util\\",
-    "repro\\apps\\base.py",
 )
 
 
@@ -88,6 +84,9 @@ class CallStack:
     """Immutable, hashable call stack (innermost frame first)."""
 
     __slots__ = ("_frames", "_hash")
+    #: The published ``sites`` filter a deferred capture found its call site
+    #: absent from (:meth:`capture_lazy`); eager stacks carry no verdict.
+    absent_from: Optional[frozenset] = None
 
     def __init__(self, frames: Iterable[Frame]):
         self._frames: Tuple[Frame, ...] = tuple(frames)
@@ -134,18 +133,15 @@ class CallStack:
 
     @classmethod
     def capture_cached(cls, skip: int = 1, limit: int = 10) -> "CallStack":
-        """Capture the current stack through the per-call-site cache.
+        """Capture the current stack eagerly: skip the internal frames, then :func:`_walk`.
 
-        Two captures from the same sequence of bytecode positions produce
-        the same :class:`CallStack`, so the result is memoized under a key
-        of ``(code object, f_lasti)`` pairs — identity of the code objects
-        plus the exact call site inside each.  On a hit, Frame
-        construction, path shortening, internal-frame string matching and
-        stack hashing are all skipped; the raw frame walk (which is
-        unavoidable — the key *is* the stack) remains.  This is the hot
-        path of both lock runtimes: the ROADMAP measured per-acquire
-        capture at ~70µs/op, dominated by exactly the work the hit path
-        skips.
+        The ``lazy_capture=False`` path of both lock runtimes, and the
+        reference the lazy captures are tested against.  Two captures from
+        the same sequence of bytecode positions produce the same
+        :class:`CallStack`, so the result is memoized under a key of
+        ``(code object, f_lasti)`` pairs — identity of the code objects
+        plus the exact call site inside each; on a hit only the raw frame
+        walk (unavoidable — the key *is* the stack) remains.
 
         Semantics are identical to ``capture(skip, limit)`` with
         ``skip_internal=True`` (internality is per code object and cached
@@ -155,53 +151,37 @@ class CallStack:
         try:
             frame = sys._getframe(skip + 1)
         except ValueError:  # not enough frames
-            return cls(())
-        key: list = []
-        raw: list = []
-        collected = 0
-        while frame is not None and collected < limit:
-            code = frame.f_code
-            if not _internal_code[code]:
-                key.append(code)
-                key.append(frame.f_lasti)
-                raw.append((code, frame.f_lineno))
-                collected += 1
+            return EMPTY_STACK
+        while frame is not None and _internal_code[frame.f_code]:
             frame = frame.f_back
-        cache_key = tuple(key)
-        hit = _capture_cache.get(cache_key)
-        if hit is not None:
-            return hit
-        frames = []
-        for code, lineno in raw:
-            frames.append(Frame(function=code.co_name,
-                                filename=_short_name_of(code),
-                                lineno=lineno))
-        stack = cls(frames)
-        if len(_capture_cache) >= _CAPTURE_CACHE_LIMIT:
-            _evict_half(_capture_cache)
-        _capture_cache[cache_key] = stack
-        return stack
+        if frame is None or limit < 1:
+            return EMPTY_STACK
+        return _walk(frame, frame.f_lasti, None, limit)
 
     @classmethod
-    def capture_lazy(cls, skip: int = 1, limit: int = 10,
-                     stats=None) -> "CallStack":
-        """Capture only the caller's top application frame, deferring the walk.
+    def capture_lazy(cls, skip: int = 1, limit: int = 10, stats=None,
+                     sites: Optional[frozenset] = None) -> "CallStack":
+        """Capture the caller's top application frame; walk on only where it pays.
 
         The hot path of both lock runtimes throws away almost every stack
         it captures: in the paper's 99.99% production case the request
         misses the signature index's top-frame filter and the engine
         decides GO without ever reading ``frames[1:]``.  This constructor
         therefore records just the innermost non-internal frame — one
-        interned :class:`Frame` keyed by ``(code object, f_lasti)`` — plus
-        a strong reference to the live frame object so the rest of the
-        stack can be reconstructed *later*, on demand, by
-        :meth:`LazyCallStack.materialize`.
+        interned :class:`Frame` keyed by ``(code object, f_lasti)`` — and,
+        handed the index's published ``sites``, probes the filter here,
+        once, while the frame in hand is live by construction.  A named
+        site is walked on at once (:func:`_walk`) and comes back as the
+        memoized eager stack :meth:`capture_cached` returns for the path.
+        Any other (every one, without ``sites``) becomes a
+        :class:`LazyCallStack`: it keeps the live frame so the rest can be
+        rebuilt *later*, on demand (:meth:`LazyCallStack.materialize`), and
+        remembers in ``absent_from`` which filter object said no.
 
-        Returns a :class:`LazyCallStack` (or an eager empty stack when no
-        application frame is on the stack, mirroring :meth:`capture`).
-        ``stats``, when given, receives a ``capture_deferred`` bump here
-        and a ``capture_materialized`` bump if/when the deep walk happens,
-        so the deferral ratio is observable.
+        No application frame on the stack gives the eager empty stack,
+        mirroring :meth:`capture`.  ``stats``, when given, counts every
+        capture taken here (``capture_deferred``) and every deep walk, here
+        or later (``capture_materialized``): the deferral ratio.
         """
         try:
             frame = sys._getframe(skip + 1)
@@ -211,20 +191,19 @@ class CallStack:
             frame = frame.f_back
         if frame is None:
             return EMPTY_STACK
-        code = frame.f_code
         lasti = frame.f_lasti
-        top_key = (code, lasti)
+        top_key = (frame.f_code, lasti)
         top = _top_frame_cache.get(top_key)
         if top is None:
-            top = Frame(function=code.co_name,
-                        filename=_short_name_of(code),
-                        lineno=frame.f_lineno)
-            if len(_top_frame_cache) >= _CAPTURE_CACHE_LIMIT:
-                _evict_half(_top_frame_cache)
-            _top_frame_cache[top_key] = top
+            top = _frame_of(frame)
+            _remember(_top_frame_cache, top_key, top)
         if stats is not None:
             stats.bump("capture_deferred")
-        return LazyCallStack(top, frame, lasti, _get_ident(), limit, stats)
+        if sites is not None and top in sites:
+            if stats is not None:
+                stats.bump("capture_materialized")
+            return _walk(frame, lasti, top, limit)
+        return LazyCallStack(top, frame, lasti, _get_ident(), limit, stats, sites)
 
     # -- sequence protocol ---------------------------------------------------------
 
@@ -340,17 +319,19 @@ class CallStack:
 class LazyCallStack(CallStack):
     """A call stack captured as one top frame plus a deferred deep walk.
 
-    Built by :meth:`CallStack.capture_lazy` on the lock-acquisition hot
-    path.  Until something reads ``frames`` (or any API that needs them),
-    the object holds only the interned top :class:`Frame` (with the captured
-    ``f_lineno``), the captured ``f_lasti`` of the originating frame, a strong
-    reference to that live frame object, and the OS thread ident it was captured on.
-    The first read triggers :meth:`materialize`, which rebuilds the exact
-    frame tuple an eager ``capture_cached`` would have produced — provided
-    the originating *invocation* is still on its thread's stack.
+    Built by :meth:`CallStack.capture_lazy` where no signature names the
+    call site (a named one is walked at capture, its frame live for free).
+    Until something reads ``frames`` (or any API that needs them), the
+    object holds only the interned top :class:`Frame`, the captured
+    ``f_lasti`` of the originating frame, a strong reference to that live
+    frame object, the OS thread ident it was captured on, and the filter
+    that did not name it (``absent_from``).  The first read triggers
+    :meth:`materialize`, which rebuilds the exact frame tuple an eager
+    ``capture_cached`` would have produced — provided the originating
+    *invocation* is still on its thread's stack.
 
-    Liveness is decided by scanning the owning thread's live frame chain
-    for the origin frame object (in-thread via ``sys._getframe``, cross-
+    A late reader has to prove that: it scans the owning thread's live frame
+    chain for the origin frame object (in-thread via ``sys._getframe``, cross-
     thread via ``sys._current_frames``).  While the invocation is live,
     every parent frame is suspended at the very call instruction it was at
     when the capture happened, so walking ``f_back`` now is faithful to a
@@ -380,9 +361,10 @@ class LazyCallStack(CallStack):
     __slots__ = ("_top", "_origin", "_origin_lasti", "_origin_thread",
                  "_limit", "_stats")
     __hash__ = object.__hash__
+    absent_from = CallStack._hash  # in the slot identity hashing leaves unused: a ninth is 16 B each
 
     def __init__(self, top: Frame, origin, lasti: int, thread_ident: int,
-                 limit: int, stats=None):
+                 limit: int, stats=None, absent_from: Optional[frozenset] = None):
         # No super().__init__: the _frames slot stays unset until
         # materialize(); any read of it routes through __getattr__.
         self._top = top
@@ -391,6 +373,7 @@ class LazyCallStack(CallStack):
         self._origin_thread = thread_ident
         self._limit = limit
         self._stats = stats
+        self.absent_from = absent_from
 
     def __getattr__(self, name):
         # Only ever fires for slot names that are still unset — i.e. for
@@ -435,62 +418,67 @@ class LazyCallStack(CallStack):
             return self
         except AttributeError:
             pass
-        frames = self._deep_frames(origin)
-        self._frames = frames
+        self._frames = self._deep_frames(origin)
         self._origin = None
-        stats = self._stats
-        if stats is not None:
-            stats.bump("capture_materialized")
+        if self._stats is not None:
+            self._stats.bump("capture_materialized")
         return self
 
     def discard_origin(self) -> None:
         self._origin = None
 
     def _deep_frames(self, origin) -> Tuple[Frame, ...]:
-        top = self._top
-        if origin is None:
-            return (top,)
-        # Liveness check: the origin invocation must still be on its
-        # capturing thread's stack, else parent f_lasti values are stale.
-        if _get_ident() == self._origin_thread:
-            probe = sys._getframe()
-        else:
-            probe = sys._current_frames().get(self._origin_thread)
-        while probe is not None and probe is not origin:
-            probe = probe.f_back
-        if probe is None:
-            return (top,)
-        # The invocation is live: parents sit suspended at the same call
-        # instructions as at capture time.  Build the same interleaved
-        # (code, f_lasti) key capture_cached would have built — captured
-        # lasti for the origin (it may have advanced since), current lasti
-        # for the parents — so both capture paths share one memo entry.
-        limit = self._limit
-        key = [origin.f_code, self._origin_lasti]
-        raw = []
-        collected = 1
-        frame = origin.f_back
-        while frame is not None and collected < limit:
-            code = frame.f_code
-            if not _internal_code[code]:
-                key.append(code)
-                key.append(frame.f_lasti)
-                raw.append((code, frame.f_lineno))
-                collected += 1
-            frame = frame.f_back
-        hit = _capture_cache.get(tuple(key))
-        if hit is not None:
-            return hit.frames
-        frames = [top]
-        for code, lineno in raw:
-            frames.append(Frame(function=code.co_name,
-                                filename=_short_name_of(code),
-                                lineno=lineno))
-        result = tuple(frames)
-        if len(_capture_cache) >= _CAPTURE_CACHE_LIMIT:
-            _evict_half(_capture_cache)
-        _capture_cache[tuple(key)] = CallStack(result)
-        return result
+        if origin is not None:
+            # Liveness: off its capturing thread's stack, the parents' f_lasti are stale.
+            if _get_ident() == self._origin_thread:
+                probe = sys._getframe()
+            else:
+                probe = sys._current_frames().get(self._origin_thread)
+            while probe is not None and probe is not origin:
+                probe = probe.f_back
+            if probe is not None:
+                return _walk(origin, self._origin_lasti, self._top, self._limit).frames
+        return (self._top,)
+
+
+def _walk(origin, lasti: int, top: Optional[Frame], limit: int) -> CallStack:
+    """The memoized eager stack of the call path through live application frame ``origin``.
+
+    The one walk behind every deep capture — eager, at a named site, a
+    lazy stack materializing later — so they share one memo entry and
+    come out byte-identical.  ``origin`` stands at ``lasti`` with interned
+    frame ``top`` (``None``: the capture's own caller, read here); up to
+    ``limit`` application frames are taken.  Building the key reads only
+    ``f_code``, ``f_lasti`` and ``f_back``: line numbers (a linear decode
+    of the line table), names and short paths are paid on a miss alone.
+    """
+    key = [origin.f_code, lasti]
+    parents = []
+    collected = 1
+    frame = origin.f_back
+    while frame is not None and collected < limit:
+        code = frame.f_code
+        if not _internal_code[code]:
+            key.append(code)
+            key.append(frame.f_lasti)
+            parents.append(frame)
+            collected += 1
+        frame = frame.f_back
+    cache_key = tuple(key)
+    hit = _capture_cache.get(cache_key)
+    if hit is not None:
+        return hit
+    stack = CallStack([top or _frame_of(origin)] + [_frame_of(frame) for frame in parents])
+    # A cross-thread materialization does not stop the thread it walks: memoize
+    # only if its parents still stand where the key says the line numbers belong.
+    if [frame.f_lasti for frame in parents] == key[3::2]:
+        _remember(_capture_cache, cache_key, stack)
+    return stack
+
+
+def _frame_of(frame) -> Frame:
+    code = frame.f_code
+    return Frame(code.co_name, _short_name_of(code), frame.f_lineno)
 
 
 EMPTY_STACK = CallStack(())
@@ -538,10 +526,17 @@ def _evict_half(cache: dict) -> None:
         cache.clear()
 
 
+def _remember(cache: dict, key, value) -> None:
+    """Insert into a bounded capture cache, shedding its oldest half first when full."""
+    if len(cache) >= _CAPTURE_CACHE_LIMIT:
+        _evict_half(cache)
+    cache[key] = value
+
+
 class _InternalCodeMemo(dict):
     """``code object -> is it implementation-internal``, filled on first ask.
 
-    The three stack walks subscript this once per frame.  A hit stays a
+    The stack walks subscript this once per frame.  A hit stays a
     plain C dict lookup; only a code object seen for the first time pays
     the filename match.  Bounded like the other capture caches, so
     dynamically generated code (exec, reloads) is not pinned forever.
@@ -549,9 +544,7 @@ class _InternalCodeMemo(dict):
 
     def __missing__(self, code) -> bool:
         internal = _is_internal(code.co_filename)
-        if len(self) >= _CAPTURE_CACHE_LIMIT:
-            _evict_half(self)
-        self[code] = internal
+        _remember(self, code, internal)
         return internal
 
 
@@ -563,9 +556,7 @@ def _short_name_of(code) -> str:
     short = _short_name_cache.get(code)
     if short is None:
         short = _shorten(code.co_filename)
-        if len(_short_name_cache) >= _CAPTURE_CACHE_LIMIT:
-            _evict_half(_short_name_cache)
-        _short_name_cache[code] = short
+        _remember(_short_name_cache, code, short)
     return short
 
 
@@ -578,8 +569,9 @@ def _is_int(text: str) -> bool:
 
 
 def _is_internal(filename: str) -> bool:
-    normalized = filename.replace("\\", "/")
-    return any(prefix.replace("\\", "/") in normalized for prefix in _INTERNAL_PREFIXES)
+    """Does a prefix start the path or one of its components (never mid-name)?"""
+    normalized = "/" + filename.replace("\\", "/")
+    return any("/" + prefix in normalized for prefix in _INTERNAL_PREFIXES)
 
 
 def _shorten(filename: str) -> str:

@@ -426,21 +426,23 @@ class LockRuntime:
     def capture_stack(self) -> CallStack:
         """Capture the caller's stack, bounded by the configured depth.
 
-        With ``lazy_capture`` (the default) only the caller's top frame is
-        recorded here — one interned frame, no walk — and the deep stack
-        materializes later, if ever: behind the signature index's
-        top-frame filter, or in :meth:`RuntimeCore.note_blocked` just
-        before the unit suspends, the last moment a task's coroutine
-        frames are reachable from its OS thread (see
-        :class:`~repro.core.callstack.LazyCallStack`).  With the knob off,
-        the eager per-call-site capture cache is used.  Either way,
-        histories and signatures come out byte-identical; Dimmunix's own
-        frames are dropped as internal.
+        With ``lazy_capture`` (the default) the caller's top frame is
+        interned and the index's published ``sites`` probed with it, once.
+        At a site a signature names the walk goes on right here, where the
+        frame is live for free (inside ``asyncio.wait_for``'s wrapper task
+        it no longer is); anywhere else the stack is deferred, carries the
+        verdict, and materializes later, if ever: after a republished
+        filter, or in :meth:`RuntimeCore.note_blocked` just before the unit
+        suspends (see :class:`~repro.core.callstack.LazyCallStack`).  With
+        the knob off every capture walks, through the same call-path memo.
+        Either way, histories and signatures come out byte-identical;
+        Dimmunix's own frames are dropped as internal.
         """
-        config = self.dimmunix.config
+        dimmunix = self.dimmunix
+        config = dimmunix.config
         if config.lazy_capture:
-            stack = CallStack.capture_lazy(1, config.max_stack_depth,
-                                           self.dimmunix.stats)
+            stack = CallStack.capture_lazy(1, config.max_stack_depth, dimmunix.stats,
+                                           dimmunix.engine.index.sites)
         else:
             stack = CallStack.capture_cached(skip=1, limit=config.max_stack_depth)
         if not stack:

@@ -19,10 +19,14 @@ import threading
 import pytest
 
 from repro.core.avoidance import AvoidanceEngine
-from repro.core.callstack import CallStack
+from repro.core.callstack import CallStack, LazyCallStack
 from repro.core.config import DimmunixConfig
+from repro.core.dimmunix import Dimmunix
+from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_RELEASE, EV_REQUEST
 from repro.core.history import History
 from repro.core.signature import Signature
+from repro.instrument.locks import DimmunixLock
+from repro.instrument.runtime import InstrumentationRuntime
 
 from .harness import Trap, preemption_pressure, run_threads
 
@@ -143,6 +147,74 @@ class TestRequestRacesThePublication:
         assert indexed(engine) == live_at_named_sites(engine) == 1, found_by
         outcome = engine.request(2, 11, WANTS)
         assert outcome.is_yield and outcome.causes == ((1, 10, held),)
+
+
+class TestTheFilterMovesBetweenCaptureAndRequest:
+    """The capture's verdict holds for the filter object it probed, and for no other.
+
+    A real lock's acquisition is parked between ``capture_stack`` and the engine's
+    ``request`` while the history republishes the filter; the engine and the cache must
+    then probe for themselves, whichever way the verdict went stale.
+    """
+
+    def _acquire_parked_after_capture(self, dimmunix, meanwhile=None):
+        """Acquire + release on a fresh thread; returns what it saw while it held the lock.
+
+        With ``meanwhile`` the thread is parked after its capture until that has run.
+        """
+        runtime = InstrumentationRuntime(dimmunix)
+        lock = DimmunixLock(runtime=runtime)
+        trap = Trap("trapped")
+        prepare_wait = runtime.core.prepare_wait
+        runtime.core.prepare_wait = lambda thread_id: (trap.here(), prepare_wait(thread_id))
+        seen = {}
+
+        def body():
+            lock.acquire()
+            seen["held"], = dimmunix.engine.cache.held_stacks(runtime.current_thread_id())
+            seen["frames"] = seen["held"].frames
+            seen["indexed"] = indexed(dimmunix.engine)
+            lock.release()
+
+        thread = threading.Thread(target=body, name="trapped-acquirer" if meanwhile else "learner")
+        thread.start()
+        if meanwhile:
+            assert trap.reached.wait(10.0)
+            # Captured, not yet requested.
+            assert all(slot.waiting is None for _id, slot in dimmunix.engine.cache.slots.items())
+            meanwhile()
+            trap.release.set()
+        thread.join(10.0)
+        assert not thread.is_alive()
+        seen["kinds"] = [record[1] for record in dimmunix.engine.events.drain_raw()]
+        return seen
+
+    def _world_that_learned_its_own_site(self):
+        dimmunix = Dimmunix(config=DimmunixConfig.for_testing())
+        learned = self._acquire_parked_after_capture(dimmunix)
+        assert len(learned["frames"]) > 1
+        return dimmunix, Signature([CallStack(learned["frames"]), ELSEWHERE])
+
+    def test_a_site_named_after_the_capture_is_still_matched_deep_and_indexed(self):
+        dimmunix, signature = self._world_that_learned_its_own_site()
+        seen = self._acquire_parked_after_capture(
+            dimmunix, lambda: dimmunix.history.add(signature))
+        held = seen["held"]
+        assert isinstance(held, LazyCallStack)
+        assert held.absent_from is not None and held.absent_from is not dimmunix.engine.index.sites
+        assert seen["frames"] in [stack.frames for stack in signature.stacks]
+        assert seen["kinds"] == [EV_REQUEST, EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
+        assert seen["indexed"] == 1 and indexed(dimmunix.engine) == 0
+
+    def test_a_site_unnamed_after_the_capture_is_granted_and_not_indexed(self):
+        dimmunix, signature = self._world_that_learned_its_own_site()
+        dimmunix.history.add(signature)
+        seen = self._acquire_parked_after_capture(
+            dimmunix, lambda: dimmunix.history.remove(signature.fingerprint))
+        assert type(seen["held"]) is CallStack and seen["held"].absent_from is None
+        assert seen["frames"] in [stack.frames for stack in signature.stacks]
+        assert seen["kinds"] == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
+        assert seen["indexed"] == 0 and indexed(dimmunix.engine) == 0
 
 
 class TestReleaseRacesTheRebuild:

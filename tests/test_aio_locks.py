@@ -14,10 +14,13 @@ import threading
 import pytest
 
 import repro
+from repro.core.avoidance import Decision
+from repro.core.callstack import CallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.errors import InstrumentationError
 from repro.core.history import History
+from repro.core.signature import Signature
 from repro.instrument import aio as raio
 from repro.instrument.aio import (AioCondition, AioLock, AioSemaphore,
                                   AsyncioRuntime)
@@ -186,6 +189,63 @@ class TestAioLockBasics:
         runtime.dimmunix.stop()
         assert not second["deadlocked"]
         assert second["completed"] == 2
+
+    def test_wait_for_wrapped_acquire_is_matched_at_full_depth(self):
+        """A signature over the caller's path fires through ``wait_for`` as it does without.
+
+        On Python ≤ 3.11 the request runs in ``wait_for``'s wrapper task, where the
+        capturing frame is not on the stack: a capture deferred until then degraded to
+        one frame, hit no depth-4 bucket, and the known deadlock was answered GO.  A
+        site a signature names is walked at capture, in the caller.
+        """
+        foreign = CallStack.from_labels(["foreign:1", "f:2", "f:3", "f:4", "f:5"])
+
+        async def inner(lock, through_wait_for):
+            acquiring = lock.acquire(timeout=0.3)  # the call site, one for both spellings
+            taken = await (asyncio.wait_for(acquiring, 5.0) if through_wait_for else acquiring)
+            if taken:
+                lock.release()
+            return taken
+
+        async def outer_a(lock, through_wait_for):
+            return await inner(lock, through_wait_for)
+
+        async def outer_b(lock, through_wait_for):
+            return await inner(lock, through_wait_for)
+
+        def run(history, outer, through_wait_for, **overrides):
+            runtime = _make_runtime(history=history, start=False, **overrides)
+            engine = runtime.dimmunix.engine
+            request, requests = engine.request, []
+
+            def recording_request(thread_id, lock_id, stack, *rest):
+                outcome = request(thread_id, lock_id, stack, *rest)
+                requests.append((stack.frames, outcome.decision))
+                return outcome
+
+            engine.request = recording_request
+            # Another unit holds a lock it took at the signature's other stack.
+            assert request(999, 12345, foreign).is_go
+            engine.acquired(999, 12345, foreign)
+            taken = asyncio.run(outer(AioLock(runtime=runtime), through_wait_for))
+            return taken, requests, runtime.dimmunix.stats.yield_decisions
+
+        history = History(path=None, autosave=False)
+        taken, ((frames, _),), _ = run(history, outer_a, False, lazy_capture=False)
+        assert taken and len(frames) > 4
+        history.add(Signature([CallStack(frames), foreign]))
+        seen = []
+        for through_wait_for in (False, True):
+            taken, requests, yields = run(history, outer_a, through_wait_for)
+            assert not taken and yields >= 1
+            assert requests[0][1] is Decision.YIELD and requests[0][0][:4] == frames[:4]
+            seen.append(requests[0][0])
+            # Same call site, another caller: no match at depth 4.
+            taken, requests, yields = run(history, outer_b, through_wait_for)
+            assert taken and yields == 0
+            assert [decision for _, decision in requests] == [Decision.GO]
+            assert requests[0][0][0] == frames[0] and requests[0][0][:4] != frames[:4]
+        assert seen[0] == seen[1] and len(seen[0]) == len(frames)
 
     def test_contended_handover_is_fifo(self):
         runtime = _make_runtime(start=False)

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.callstack import CallStack, EMPTY_STACK, Frame
+from repro.core.callstack import (CallStack, EMPTY_STACK, Frame, LazyCallStack,
+                                  _is_internal)
+from repro.core.stats import EngineStats
 
 
 class TestFrame:
@@ -127,6 +129,68 @@ class TestCallStack:
         a = CallStack.from_labels(["a:1"])
         b = CallStack.from_labels(["b:1"])
         assert sorted([b, a]) == [a, b]
+
+
+class TestInternalFrames:
+    """Internal means a path *component* starts with a prefix, never a substring mid-name."""
+
+    @pytest.mark.parametrize("filename", [
+        "/home/u/myrepro/core/engine.py",
+        "/srv/app/xrepro/util/x.py",
+        "/srv/app/asyncontextlib.py",
+    ])
+    def test_an_application_under_a_lookalike_path_keeps_its_frames(self, filename):
+        assert not _is_internal(filename)
+
+    @pytest.mark.parametrize("filename", [
+        "/opt/venv/lib/python3.11/site-packages/repro/core/cache.py",
+        "C:\\Users\\u\\venv\\Lib\\site-packages\\repro\\instrument\\locks.py",
+        "/usr/lib/python3.11/contextlib.py",
+        "/checkout/src/repro/apps/base.py",
+        "repro/util/slots.py",
+    ])
+    def test_the_implementation_stays_internal(self, filename):
+        assert _is_internal(filename)
+
+
+class TestFilterAtCapture:
+    """``capture_lazy`` handed the published ``sites``: named -> walked here, unnamed -> deferred."""
+
+    @staticmethod
+    def _from_one_call_path(*captures):
+        """Run each capture (``skip=1``: its own lambda) from one and the same call instruction."""
+        def site(capture):
+            return capture()
+        return [site(capture) for capture in captures]
+
+    def test_a_named_site_is_walked_in_place_through_the_shared_memo(self):
+        stats = EngineStats()
+        lazy, = self._from_one_call_path(lambda: CallStack.capture_lazy(1, 10, stats))
+        sites = frozenset({lazy.top()})
+        stats.reset()
+        named, eager, lazy, reference = self._from_one_call_path(
+            lambda: CallStack.capture_lazy(1, 10, stats, sites),
+            lambda: CallStack.capture_cached(1, 10),
+            lambda: CallStack.capture_lazy(1, 10).materialize(),
+            lambda: CallStack.capture(skip=1, limit=10))
+        assert named is eager
+        assert type(named) is CallStack and named.absent_from is None
+        assert len(named.frames) > 1 and named.top().function == "site"
+        assert named.frames == lazy.frames == reference.frames
+        assert stats.capture_deferred == 1 and stats.capture_materialized == 1
+
+    def test_an_unnamed_site_is_deferred_with_the_verdict(self):
+        stats = EngineStats()
+        sites = frozenset({Frame("elsewhere", "x.py", 1)})
+        unnamed, = self._from_one_call_path(lambda: CallStack.capture_lazy(1, 10, stats, sites))
+        assert isinstance(unnamed, LazyCallStack) and not unnamed.materialized()
+        assert unnamed.absent_from is sites
+        assert stats.capture_deferred == 1 and stats.capture_materialized == 0
+
+    def test_without_sites_no_verdict_is_carried(self):
+        lazy, = self._from_one_call_path(lambda: CallStack.capture_lazy(1, 10, EngineStats()))
+        assert isinstance(lazy, LazyCallStack) and lazy.absent_from is None
+        assert CallStack.from_labels(["a:1"]).absent_from is None
 
 
 class TestCaptureCacheEviction:

@@ -16,16 +16,17 @@ import pytest
 from repro.core.avoidance import (AvoidanceEngine, Decision, GO_OUTCOME,
                                   MODE_INSTRUMENTATION_ONLY)
 from repro.core.calibration import Calibrator
-from repro.core.callstack import CallStack
+from repro.core.callstack import CallStack, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
-from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_RELEASE, EventBus
+from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_RELEASE, EV_REQUEST, EventBus
 from repro.core.history import History
 from repro.core.sigindex import SignatureIndex
 from repro.core.signature import Signature
 from repro.core.stats import EngineStats
 from repro.instrument.aio import AsyncioParker
-from repro.instrument.runtime import YieldManager
+from repro.instrument.locks import DimmunixLock
+from repro.instrument.runtime import InstrumentationRuntime, YieldManager
 from repro.share import MemoryHub, SignaturePool
 from repro.sim.backends import DimmunixBackend
 
@@ -309,6 +310,74 @@ class TestTheMissFilterDecidesOnce:
         outcome = engine.request(2, 11, wants)
         assert outcome.is_yield and outcome.causes == ((1, 10, held),)
         assert engine.cache.allowed_set_sizes() == {held: 1}
+
+
+class _CountingSites(frozenset):
+    """Stands in for the index's published filter and counts the probes made of it."""
+
+    probes = 0
+
+    def __contains__(self, site):
+        self.probes += 1
+        return super().__contains__(site)
+
+
+class TestTheCaptureAsksTheFilterOnce:
+    """``runtime.capture_stack`` probes the filter; the engine and the cache reuse the verdict."""
+
+    @staticmethod
+    def _world():
+        history = History(path=None, autosave=False)
+        history.add(Signature([stack(("a:1", "m:0")), stack(("b:2", "m:0"))], matching_depth=2))
+        dimmunix = Dimmunix(config=DimmunixConfig.for_testing(), history=history)
+        runtime = InstrumentationRuntime(dimmunix)
+        return dimmunix, runtime, DimmunixLock(runtime=runtime)
+
+    @staticmethod
+    def _kinds(dimmunix):
+        return [record[1] for record in dimmunix.engine.events.drain_raw()]
+
+    def test_a_miss_path_acquisition_probes_the_filter_once(self):
+        dimmunix, _runtime, lock = self._world()
+        index = dimmunix.engine.index
+        index.sites = _CountingSites(index.sites)
+        lock.acquire()
+        lock.release()
+        # The capture's probe; the engine's and the cache's were the second and third.
+        assert index.sites.probes == 1
+        assert self._kinds(dimmunix) == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
+        assert dimmunix.engine.cache.allowed_set_sizes() == {}
+
+    def test_a_named_site_is_walked_at_capture_and_never_scanned_for_liveness(self, monkeypatch):
+        dimmunix, runtime, lock = self._world()
+        engine, stats = dimmunix.engine, dimmunix.stats
+        scans = []
+        deep_frames = LazyCallStack._deep_frames
+        monkeypatch.setattr(LazyCallStack, "_deep_frames",
+                            lambda self, origin: scans.append(self) or deep_frames(self, origin))
+
+        def name_this_site():
+            held, = engine.cache.held_stacks(runtime.current_thread_id())
+            assert isinstance(held, LazyCallStack)
+            dimmunix.history.add(Signature([CallStack(held.frames), stack(("never:1", "m:0"))]))
+            assert scans == [held] and len(held.frames) > 4
+
+        def check_it_was_walked_in_place():
+            held, = engine.cache.held_stacks(runtime.current_thread_id())
+            assert type(held) is CallStack and engine.cache.allowed_set_sizes() == {held: 1}
+            assert engine.index.candidates(held)
+
+        for between in (name_this_site, check_it_was_walked_in_place):
+            self._kinds(dimmunix)
+            stats.reset()
+            del scans[:]
+            lock.acquire()  # one call instruction: both rounds share their call path
+            between()
+            lock.release()
+        assert scans == []
+        assert stats.capture_deferred == stats.capture_materialized == 1
+        assert self._kinds(dimmunix) == [EV_REQUEST, EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
+        assert engine.cache.allowed_set_sizes() == {}
 
 
 class TestShardedStats:

@@ -6,7 +6,9 @@ request might park (filter hit), when a thread is about to block
 (``note_blocked``), or when the monitor archives a deadlock.  These
 tests prove the deferral is semantically invisible where it must be —
 archived signatures and serialized histories are byte-identical between
-the two capture modes on real-runtime deadlocks, and schedule-trace
+the two capture modes on real-runtime deadlocks (and a third leg, in
+which a seeded signature names every site the exploit acquires at, so
+each capture is walked in place at the named site), and schedule-trace
 replays in the simulator are unaffected — and they pin the one place the
 modes are *allowed* to diverge: a hold whose acquiring frame returned
 before any materialization archives a degraded one-frame stack, which
@@ -25,6 +27,7 @@ from repro.core.callstack import CallStack, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.history import History
+from repro.core.signature import Signature
 from repro.instrument.runtime import InstrumentationRuntime
 from repro.sim import DimmunixBackend, ReplayPolicy, ScheduleTrace
 from repro.sim.explore import SCENARIOS
@@ -39,12 +42,17 @@ FAST_CONFIG = dict(monitor_interval=0.02, yield_timeout=None,
 BRACKET_EXPLOITS = ["mysql-37080", "jdbc-2147", "jdk-vector"]
 
 
-def _run_detection_trial(name: str, lazy: bool):
-    """One deterministic deadlock-detection trial; returns its history."""
+def _run_detection_trial(name: str, lazy: bool, prepare=None):
+    """One deterministic deadlock-detection trial; returns its history.
+
+    ``prepare``, when given, is handed the Dimmunix instance before it starts.
+    """
     history = History(path=None, autosave=False)
     config = DimmunixConfig(detection_only=True, lazy_capture=lazy,
                             **FAST_CONFIG)
     dimmunix = Dimmunix(config=config, history=history)
+    if prepare is not None:
+        prepare(dimmunix)
     dimmunix.start()
     runtime = InstrumentationRuntime(dimmunix)
     try:
@@ -85,6 +93,36 @@ class TestRealRuntimeDifferential:
         assert eager_outcome.deadlocked and lazy_outcome.deadlocked
         assert len(eager_history) >= 1
         assert _serialized(lazy_history) == _serialized(eager_history)
+
+    @pytest.mark.parametrize("name", BRACKET_EXPLOITS)
+    def test_named_site_captures_archive_the_same_bytes(self, name):
+        # The third leg: a seeded signature names every call site the exploit
+        # acquires at, so each capture is walked in place (no LazyCallStack).
+        sites, worlds = set(), []
+
+        def record_sites(dimmunix):
+            request = dimmunix.engine.request
+
+            def recording_request(thread_id, lock_id, stack, *rest):
+                sites.add(stack.top())
+                return request(thread_id, lock_id, stack, *rest)
+
+            dimmunix.engine.request = recording_request
+
+        _, eager_history = _run_detection_trial(name, lazy=False, prepare=record_sites)
+        _, lazy_history = _run_detection_trial(name, lazy=True)
+        seed = Signature([CallStack([site]) for site in sites])
+
+        def name_every_site(dimmunix):
+            dimmunix.history.add(seed)
+            worlds.append(dimmunix)
+
+        outcome, named_history = _run_detection_trial(name, lazy=True, prepare=name_every_site)
+        stats = worlds[0].stats
+        assert outcome.deadlocked
+        assert stats.capture_materialized == stats.capture_deferred > 0
+        named_history.remove(seed.fingerprint)
+        assert _serialized(named_history) == _serialized(eager_history) == _serialized(lazy_history)
 
     @pytest.mark.parametrize("name", BRACKET_EXPLOITS)
     def test_signature_fingerprints_identical(self, name):

@@ -13,9 +13,11 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lines after PR 19 (one thread slot, Allowed sets at named sites only).
-#: 20,137 after PR 16, 20,169 after PR 15, 20,352 after PR 14, 20,359
-#: after PR 13, 20,674 after PR 12.
+#: Lines after PR 20 (filter at capture: the verdict rides on the stack, one
+#: call-path walker where there were three) — the same count as after PR 19
+#: (one thread slot, Allowed sets at named sites only).  20,137 after PR 16,
+#: 20,169 after PR 15, 20,352 after PR 14, 20,359 after PR 13, 20,674 after
+#: PR 12.
 TOTAL_BUDGET = 20_136
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
