@@ -906,7 +906,7 @@ _installed_runtime: Optional[AsyncioRuntime] = None
 
 #: Callers that, beyond :data:`.patching._NATIVE_CALLERS`, must always
 #: receive *native* primitives: the asyncio machinery itself.
-_ASYNCIO_CALLERS = ("asyncio/",)
+_ASYNCIO_CALLERS = ("/asyncio/",)
 
 
 def install_asyncio(dimmunix: Optional[Dimmunix] = None,

@@ -32,12 +32,12 @@ _original_semaphore = threading.Semaphore
 _original_bounded_semaphore = threading.BoundedSemaphore
 _installed_runtime: Optional[InstrumentationRuntime] = None
 
-#: Path fragments identifying callers that must always receive *native*
-#: locks even while the patch is installed: the ``threading`` module itself
-#: (Event, Condition, Barrier and friends build on RLock) and this library
-#: (the engine's own bookkeeping must never be routed through the engine).
-_NATIVE_CALLERS = ("threading.py", "repro/core", "repro/instrument", "repro/util",
-                   "repro\\core", "repro\\instrument", "repro\\util")
+#: Callers that must always receive *native* locks even while the patch is
+#: installed: the ``threading`` module itself (Event, Condition, Barrier and
+#: friends build on RLock) and this library (the engine's own bookkeeping
+#: must never be routed through the engine).  Whole path components, never
+#: substrings: ``dir/`` anywhere in the path, ``file.py`` at its end.
+_NATIVE_CALLERS = ("/threading.py", "/repro/core/", "/repro/instrument/", "/repro/util/")
 
 
 def _caller_needs_native_lock(also: Tuple[str, ...] = ()) -> bool:
@@ -50,8 +50,8 @@ def _caller_needs_native_lock(also: Tuple[str, ...] = ()) -> bool:
         frame = sys._getframe(2)
     except ValueError:  # pragma: no cover - extremely shallow stacks
         return False
-    filename = frame.f_code.co_filename.replace("\\", "/")
-    return any(fragment.replace("\\", "/") in filename
+    filename = "/" + frame.f_code.co_filename.replace("\\", "/")
+    return any(fragment in filename if fragment[-1] == "/" else filename.endswith(fragment)
                for fragment in _NATIVE_CALLERS + also)
 
 

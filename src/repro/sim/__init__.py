@@ -32,7 +32,6 @@ from .explore import (DeadlockFinding, ExplorationResult, Explorer,
                       SCENARIOS, STRATEGIES, build_philosophers,
                       build_two_lock_inversion)
 from .locks import SimLock, SimRWLock, SimSemaphore
-from .parexplore import ParallelExplorer
 from .result import SimResult
 from .schedule import (FirstReadyPolicy, RandomPolicy, ReplayPolicy,
                        SchedulePolicy, ScheduleTrace)
@@ -55,7 +54,6 @@ __all__ = [
     "ImmunityReport",
     "Log",
     "NullBackend",
-    "ParallelExplorer",
     "RandomPolicy",
     "Release",
     "ReplayPolicy",

@@ -19,10 +19,9 @@ from typing import Dict, List, Optional
 from ..core.callstack import CallStack
 from ..core.config import DimmunixConfig
 from ..core.dimmunix import Dimmunix
-from ..core.errors import SimulationError
 from ..core.history import History
 from ..core.runtime_api import RuntimeCore
-from ..core.signature import EXCLUSIVE, Signature
+from ..core.signature import EXCLUSIVE
 from ..util.clock import VirtualClock
 from .result import StallRecord
 
@@ -202,53 +201,3 @@ class DimmunixBackend(SchedulerBackend):
     def history(self) -> History:
         """The signature history accumulated by this backend."""
         return self.dimmunix.history
-
-
-# ---------------------------------------------------------------------------
-# Plain-data backend specs (cross-process scenario shipping)
-# ---------------------------------------------------------------------------
-
-def backend_spec(backend: SchedulerBackend) -> Dict:
-    """A plain-data description of ``backend``, reconstructible elsewhere.
-
-    The parallel explorer ships a scenario to OS worker processes as a
-    registry name plus a backend spec: closures and engine objects do not
-    cross process boundaries, but a config dictionary and a list of
-    signature records do.  ``backend_from_spec`` is the inverse; the
-    round trip produces a backend whose :meth:`SchedulerBackend.fork`
-    yields runs indistinguishable from forks of the original.
-    """
-    if isinstance(backend, DimmunixBackend):
-        return {
-            "kind": "dimmunix",
-            "config": backend.dimmunix.config.to_dict(),
-            "history": [signature.to_dict()
-                        for signature in backend.history.signatures()],
-        }
-    if isinstance(backend, NullBackend):
-        return {"kind": "null"}
-    raise SimulationError(
-        f"backend {backend.name!r} has no plain-data spec; parallel "
-        "exploration supports NullBackend and DimmunixBackend")
-
-
-def backend_from_spec(spec: Optional[Dict]) -> SchedulerBackend:
-    """Rebuild a backend prototype from :func:`backend_spec` output.
-
-    ``None`` means "no avoidance" and yields a :class:`NullBackend`, so
-    callers can pass a spec straight from an optional config field.
-    """
-    if spec is None:
-        return NullBackend()
-    kind = spec.get("kind")
-    if kind == "null":
-        return NullBackend()
-    if kind == "dimmunix":
-        config = (DimmunixConfig.from_dict(spec["config"])
-                  if spec.get("config") is not None
-                  else DimmunixConfig.for_testing())
-        history = History()
-        for record in spec.get("history", []):
-            history.add(Signature.from_dict(record))
-        return DimmunixBackend(config=config, history=history)
-    raise SimulationError(f"unknown backend spec kind {kind!r}")

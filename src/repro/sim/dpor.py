@@ -19,10 +19,11 @@ thread — and every admitted branch carries the previously explored
 branches as a sleep set, so redundant recombinations are cut early.
 Exploration proceeds in deterministic **waves** (run every frontier node,
 *then* admit all discovered reversals in run/event order), which makes
-the explored set a pure fixpoint of the seeding relation: the same
-scenario explores the same runs in the same order no matter how the wave
-is executed — serially or split across OS worker processes
-(:mod:`repro.sim.parexplore`).
+the explored set a pure fixpoint of the seeding relation: a reversal is
+checked against the branches of *every* run in its wave, not only the
+runs before it, so what is admitted depends on the set of runs in the
+wave and the same scenario explores the same runs in the same order
+every time.
 
 Dependence relation.  Two visible steps are *dependent* iff they touch
 the same resource slot and they are not both SHARED-mode acquisitions
@@ -39,7 +40,7 @@ DPOR's deadlock-signature set equals the unreduced full-DFS set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.signature import SHARED
 
@@ -87,29 +88,6 @@ class RunObservation:
     choices_at: Dict[int, Tuple[int, Tuple[Tuple[int, Optional[int]], ...]]] = \
         field(default_factory=dict)
     taken: List[int] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data payload; ``taken`` travels as the run's schedule."""
-        return {
-            "events": [list(event) for event in self.events],
-            "choices_at": {
-                str(position): [chosen, [list(pair) for pair in candidates]]
-                for position, (chosen, candidates) in self.choices_at.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any],
-                  taken: List[int]) -> "RunObservation":
-        """Inverse of :meth:`to_dict` (raises on a malformed shape)."""
-        return cls(
-            events=[(slot, lock, position, kind, mode)
-                    for slot, lock, position, kind, mode in payload["events"]],
-            choices_at={
-                int(position): (chosen, tuple((slot, lock)
-                                              for slot, lock in candidates))
-                for position, (chosen, candidates)
-                in payload["choices_at"].items()},
-            taken=taken)
 
 
 def dependent(kind_a: str, mode_a: str, kind_b: str, mode_b: str) -> bool:
@@ -278,9 +256,9 @@ def admit_wave(book: BacktrackBook,
     """One wave step: mark every run, then admit its races in order.
 
     The two-pass shape (mark *all* runs before admitting *any* seed) is
-    what makes the wave a barrier: admission decisions depend only on the
-    set of runs in the wave, never on the order they executed — so a
-    parallel wave admits exactly what the serial one does.
+    what makes the wave a barrier: a reversal whose branch some run of
+    the same wave already took is never admitted, wherever in the wave
+    that run sits.
 
     Each admitted reversal becomes a frontier payload ``(choices,
     sleep_at)``.  The sleep insertions carry, for *every* seedable choice

@@ -11,13 +11,13 @@ testable by exploring the scheduler's choice tree:
   built by a *scenario factory*, then takes default choices — stateless
   model checking in the style of VeriSoft/CHESS.  There is one search
   loop (:meth:`Explorer._search`): it runs a *wave* of
-  :class:`FrontierNode` objects, folds each finished run (a plain-data
+  :class:`FrontierNode` objects, folds each finished run (a
   :class:`RunRecord`) into the :class:`ExplorationResult`, and asks the
   strategy's *admission rule* for the next wave.  ``"dfs"`` admits every
   untaken sibling of every free choice point (unreduced enumeration, the
   ground truth); ``"dpor"`` admits the race reversals of
-  :mod:`repro.sim.dpor`.  Who executes a wave — this process, or worker
-  processes (:mod:`repro.sim.parexplore`) — is the loop's other argument.
+  :mod:`repro.sim.dpor`, whose explored set is a fixpoint because
+  admission sees whole waves.
 * Record/replay — every run yields a serializable
   :class:`~repro.sim.schedule.ScheduleTrace`; :meth:`Explorer.replay`
   re-drives one step-for-step (byte-identical when re-recorded).
@@ -41,11 +41,10 @@ as such — the search is then complete only w.r.t. the bound.
 
 from __future__ import annotations
 
-import json
 import time
 from itertools import islice
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional,
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
 from ..core.errors import ReplayDivergenceError, SimulationError
@@ -86,53 +85,14 @@ class FrontierNode:
 
     Re-driving its ``choices`` through a fresh scenario instance reaches
     the exact scheduler state the node denotes; the run then continues
-    with default choices.  Nodes serialize to a stable JSON form
-    (:meth:`to_dict` / :meth:`dumps`) so the parallel explorer can hand
-    them to OS worker processes as plain records — the payload is a
-    :class:`~repro.sim.schedule.ScheduleTrace` prefix plus the sleep
-    entries that travel with it (always empty under ``"dfs"``).
+    with default choices.  The sleep entries travel with the prefix
+    (always empty under ``"dfs"``).
     """
 
     choices: Tuple[int, ...]
     #: choice-point position -> sleep entries ((slot, lock footprint), ...)
     #: inserted when the replay reaches that position.
     sleep_at: Dict[int, Tuple[Tuple[int, Optional[int]], ...]]
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data payload; equal nodes produce equal payloads."""
-        return {
-            "choices": list(self.choices),
-            "sleep_at": {
-                str(position): [[slot, lock] for slot, lock in entries]
-                for position, entries in sorted(self.sleep_at.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FrontierNode":
-        """Inverse of :meth:`to_dict`; validates the shape."""
-        try:
-            choices = tuple(int(c) for c in payload["choices"])
-            sleep_at = {
-                int(position): tuple((int(slot),
-                                      None if lock is None else int(lock))
-                                     for slot, lock in entries)
-                for position, entries in payload.get("sleep_at", {}).items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SimulationError(
-                f"malformed frontier-node payload: {payload!r}") from exc
-        return cls(choices=choices, sleep_at=sleep_at)
-
-    def dumps(self) -> str:
-        """Stable JSON encoding: equal nodes serialize to equal bytes."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
-
-    @classmethod
-    def loads(cls, data: str) -> "FrontierNode":
-        """Inverse of :meth:`dumps`."""
-        return cls.from_dict(json.loads(data))
 
 
 class Branch(NamedTuple):
@@ -152,13 +112,7 @@ class Branch(NamedTuple):
 
 @dataclass
 class RunRecord:
-    """One finished run as plain data — all the search loop ever sees of it.
-
-    The serial runner hands these over directly; a worker process sends
-    them through :meth:`to_dict` / :meth:`from_dict`.  ``result`` (the
-    full :class:`SimResult`) is the one field that does not cross the
-    process boundary; replaying ``schedule`` reconstructs it.
-    """
+    """One finished run — all the search loop ever sees of it."""
 
     steps: int
     #: ``None``, or why the run was abandoned (see :class:`_CutRun`).
@@ -174,46 +128,6 @@ class RunRecord:
     branches: List[Branch] = field(default_factory=list)
     observation: Optional[RunObservation] = None
     result: Optional[SimResult] = field(default=None, compare=False)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data payload (``result`` stays behind)."""
-        return {
-            "steps": self.steps, "cut": self.cut, "completed": self.completed,
-            "schedule": self.schedule, "backend": self.backend,
-            "footprint": (None if self.footprint is None
-                          else [list(pair) for pair in self.footprint]),
-            "branches": [list(branch) for branch in self.branches],
-            "observation": (None if self.observation is None
-                            else self.observation.to_dict()),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "RunRecord":
-        """Inverse of :meth:`to_dict`; validates the shape."""
-        try:
-            schedule = [int(slot) for slot in payload["schedule"]]
-            footprint = payload["footprint"]
-            observation = payload["observation"]
-            if payload["cut"] not in (None, "sleep", "depth"):
-                raise ValueError(payload["cut"])
-            return cls(
-                steps=int(payload["steps"]), cut=payload["cut"],
-                completed=bool(payload["completed"]), schedule=schedule,
-                backend=str(payload["backend"]),
-                footprint=None if footprint is None else tuple(
-                    (int(slot), int(lock)) for slot, lock in footprint),
-                branches=[
-                    Branch(int(position),
-                           tuple((int(slot), lock) for slot, lock in alts),
-                           prev_slot, bool(prev_runnable), int(preemptions))
-                    for position, alts, prev_slot, prev_runnable, preemptions
-                    in payload["branches"]],
-                observation=(None if observation is None
-                             else RunObservation.from_dict(observation,
-                                                           taken=schedule)))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise SimulationError(
-                f"malformed run-record payload: {payload!r}") from exc
 
 
 class _DfsPolicy(SchedulePolicy):
@@ -419,18 +333,13 @@ def _record(scheduler: SimScheduler, result: SimResult,
 
 @dataclass
 class DeadlockFinding:
-    """One deadlocking interleaving discovered by the explorer.
-
-    ``result`` is ``None`` for findings merged back from a parallel
-    worker process — the full :class:`SimResult` does not travel across
-    the process boundary; replaying ``trace`` reconstructs it.
-    """
+    """One deadlocking interleaving discovered by the explorer."""
 
     trace: ScheduleTrace
-    result: Optional[SimResult]
+    result: SimResult
     #: Sorted (slot, lock slot) wait pairs of the stall — the
     #: deduplication key and the deadlock's *signature* for differential
-    #: equivalence checks (stable across runs and processes).
+    #: equivalence checks (stable across runs).
     footprint: Tuple[Tuple[int, int], ...]
 
 
@@ -444,7 +353,7 @@ class ExplorationResult:
 
     mode: str
     #: Reduction strategy that produced this result ("dfs" = unreduced,
-    #: "dpor", "random"; parallel runs append "+parallel-N").
+    #: "dpor", "random").
     strategy: str = "dfs"
     runs: int = 0
     steps: int = 0
@@ -501,37 +410,6 @@ class ExplorationResult:
             return 0.0
         return self.steps / self.elapsed
 
-    def canonical(self) -> Dict:
-        """Timing-free, process-independent view of the exploration.
-
-        Two explorations of the same scenario with the same strategy and
-        bounds must produce *identical* canonical forms — this is the
-        contract the parallel explorer is tested against (worker count
-        must not change what was explored, in what order, or what was
-        found).  Wall-clock fields (``elapsed``, ``states_per_second``)
-        and the strategy label are deliberately excluded.
-        """
-        return {
-            "mode": self.mode,
-            "runs": self.runs,
-            "steps": self.steps,
-            "completed": self.completed,
-            "deadlocks": [
-                {"choices": list(finding.trace.choices),
-                 "footprint": [list(pair) for pair in finding.footprint]}
-                for finding in self.deadlocks],
-            "unique_deadlocks": self.unique_deadlocks,
-            "pruned_sleep": self.pruned_sleep,
-            "cut_depth": self.cut_depth,
-            "skipped_preemption": self.skipped_preemption,
-            "exhausted": self.exhausted,
-        }
-
-    def canonical_bytes(self) -> str:
-        """Stable serialization of :meth:`canonical` (byte-equality checks)."""
-        return json.dumps(self.canonical(), sort_keys=True,
-                          separators=(",", ":"))
-
     def summary(self) -> Dict:
         """Flat dictionary of all counters (for printing and reports)."""
         return {
@@ -554,13 +432,11 @@ class ExplorationResult:
 #: Recognized exploration strategies (see :meth:`Explorer.resolve_strategy`).
 STRATEGIES = ("dfs", "dpor")
 
-#: The two arguments of the search loop.  An admission rule turns the
-#: records of one whole wave (and the result so far, for its skip
-#: counters) into the next wave; a wave runner turns a wave into one
-#: record per node, in node order.
+#: The search loop's argument: an admission rule turns the records of one
+#: whole wave (and the result so far, for its skip counters) into the
+#: next wave.
 AdmissionRule = Callable[[List[RunRecord], ExplorationResult],
                          Iterable[FrontierNode]]
-WaveRunner = Callable[[List[FrontierNode]], Iterable[RunRecord]]
 
 
 class Explorer:
@@ -640,30 +516,20 @@ class Explorer:
             return _record(scheduler, scheduler.result, cut=cut_run.reason,
                            policy=policy)
 
-    def _run_wave(self, wave: List[FrontierNode]) -> Iterable[RunRecord]:
-        """The serial wave runner: each node's record, lazily, in node order.
-
-        Lazily, so a search that stops mid-wave never executes the rest.
-        """
-        return map(self._run_node, wave)
-
     # -- the search loop -------------------------------------------------------------------
 
     def explore(self, stop_on_first_deadlock: bool = False) -> ExplorationResult:
         """Systematic enumeration of the bounded schedule tree."""
-        return self._search(self._admission(), self._run_wave,
-                            stop_on_first_deadlock)
+        return self._search(self._admission(), stop_on_first_deadlock)
 
-    def _search(self, admit: AdmissionRule, run_wave: WaveRunner,
+    def _search(self, admit: AdmissionRule,
                 stop_on_first_deadlock: bool = False) -> ExplorationResult:
         """The search loop: run a wave, fold its records, admit the next.
 
-        ``run_wave`` yields one :class:`RunRecord` per node, in node
-        order; ``admit`` turns the records of a *whole* wave into the
-        next wave's nodes.  Admission only ever sees complete waves and
-        the records arrive in node order whoever executed them, so what
-        is explored — and in what order — does not depend on the runner.
-        A wave never holds more nodes than the run budget still allows.
+        The nodes of a wave run one at a time, in node order (so a search
+        that stops mid-wave never executes the rest); ``admit`` turns the
+        records of the *whole* wave into the next wave's nodes.  A wave
+        never holds more nodes than the run budget still allows.
         """
         res = ExplorationResult(mode="dfs", strategy=self.resolve_strategy(),
                                 exhausted=True)
@@ -680,16 +546,12 @@ class Explorer:
         try:
             while wave:
                 records: List[RunRecord] = []
-                for record in run_wave(wave):
+                for record in map(self._run_node, wave):
                     res.fold(record, self.name)
                     if stop_on_first_deadlock and res.deadlocks:
                         res.exhausted = False
                         return res
                     records.append(record)
-                if len(records) != len(wave):
-                    raise SimulationError(
-                        f"the wave runner returned {len(records)} records "
-                        f"for {len(wave)} nodes")
                 wave = within_budget(admit(records, res))
             return res
         finally:

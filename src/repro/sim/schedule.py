@@ -124,17 +124,6 @@ class ScheduleTrace:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ScheduleTrace {self.choices!r}>"
 
-    def prefix(self, length: int) -> "ScheduleTrace":
-        """The first ``length`` choices as a new trace (meta is copied).
-
-        Frontier nodes handed to parallel workers are exactly trace
-        prefixes; keeping the metadata lets a reader know which scenario
-        the prefix belongs to without a side channel.
-        """
-        if length < 0:
-            raise SimulationError("trace prefix length must be non-negative")
-        return ScheduleTrace(self.choices[:length], meta=dict(self.meta))
-
     # -- serialization -------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

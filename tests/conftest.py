@@ -53,6 +53,20 @@ def _clean_instrumentation():
     instrument_aio.reset_default_aio_runtime()
 
 
+@pytest.fixture
+def evaluate_at():
+    """``evaluate_at(path, expression)``: evaluate ``expression`` in a
+    function whose code object says it lives at ``path`` — what the
+    patched factories see of a caller."""
+    def evaluate(path: str, expression: str):
+        namespace: dict = {}
+        exec(compile("import asyncio, threading\n"
+                     f"def make():\n    return {expression}\n", path, "exec"),
+             namespace)
+        return namespace["make"]()
+    return evaluate
+
+
 def stack(*labels: str) -> CallStack:
     """Shorthand for building symbolic call stacks in tests."""
     return CallStack.from_labels(list(labels))

@@ -603,6 +603,32 @@ class TestMonkeyPatching:
         assert isinstance(asyncio.Lock(), raio._original_lock)
         assert runtime.dimmunix is not None
 
+    def test_native_callers_are_path_components_not_substrings(
+            self, evaluate_at):
+        with raio.patched_asyncio(config=DimmunixConfig.for_testing()):
+            for path in ("/srv/myasyncio/app.py", "/srv/myrepro/core/app.py"):
+                assert isinstance(evaluate_at(path, "asyncio.Lock()"), AioLock)
+                assert isinstance(evaluate_at(path, "asyncio.Semaphore(2)"),
+                                  AioSemaphore)
+            for path in ("/usr/lib/python3.11/asyncio/streams.py",
+                         "asyncio/locks.py",
+                         "C:\\Python311\\Lib\\asyncio\\queues.py"):
+                assert isinstance(evaluate_at(path, "asyncio.Lock()"),
+                                  raio._original_lock)
+            # The asyncio machinery's own primitives: a native condition
+            # makes its lock inside asyncio/locks.py, and a queue works.
+            condition = raio._original_condition()
+            assert isinstance(condition._lock, raio._original_lock)
+
+            async def main():
+                queue = asyncio.Queue()
+                await queue.put(1)
+                assert await queue.get() == 1
+                queue.task_done()
+                await queue.join()
+
+            asyncio.run(main())
+
     def test_patched_asyncio_context_manager(self):
         with raio.patched_asyncio(config=DimmunixConfig.for_testing()) as runtime:
             assert raio.asyncio_installed()

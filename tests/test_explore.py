@@ -194,17 +194,14 @@ class TestDfsExploration:
     @pytest.mark.parametrize("strategy", ["dfs", "dpor"])
     def test_truncated_search_admits_no_more_nodes_than_its_budget(
             self, strategy):
-        explorer = Explorer(lambda: build_philosophers(NullBackend(), seats=3,
-                                                       eat_time=0.0),
-                            strategy=strategy, max_runs=17)
-        waves = []
+        built = []
 
-        def run_wave(wave):
-            waves.append(len(wave))
-            return explorer._run_wave(wave)
+        def scenario():
+            built.append(None)
+            return build_philosophers(NullBackend(), seats=3, eat_time=0.0)
 
-        result = explorer._search(explorer._admission(), run_wave)
-        assert result.runs == sum(waves) == 17
+        result = Explorer(scenario, strategy=strategy, max_runs=17).explore()
+        assert result.runs == len(built) == 17
         assert not result.exhausted
 
     @pytest.mark.parametrize("strategy", ["dfs", "dpor"])

@@ -39,6 +39,39 @@ class TestImmunizeThreads:
             handle.stop()
         assert threading.Lock().__class__.__module__ == "_thread"
 
+    @pytest.mark.parametrize("path", [
+        "/srv/myrepro/core/app.py",         # "repro/core" inside a longer name
+        "/srv/myrepro/instrument/app.py",
+        "/srv/repro/utilities/app.py",      # "repro/util" starting a longer one
+        "/srv/app_threading.py",            # "threading.py" ending a longer one
+        "/srv/threading.py/app.py",         # ... or naming a directory
+    ])
+    def test_application_paths_that_contain_a_native_fragment_are_immunized(
+            self, evaluate_at, path):
+        with repro.immunize():
+            assert type(evaluate_at(path, "threading.Lock()")).__module__ \
+                == "repro.instrument.locks"
+            assert type(evaluate_at(path, "threading.Semaphore(2)")).__module__ \
+                == "repro.instrument.locks"
+
+    @pytest.mark.parametrize("path", [
+        "/usr/lib/python3.11/threading.py",
+        "threading.py",
+        "/site-packages/repro/core/monitor.py",
+        "repro/util/clock.py",
+        "C:\\venv\\Lib\\site-packages\\repro\\instrument\\locks.py",
+    ])
+    def test_threading_and_library_callers_stay_native(self, evaluate_at, path):
+        with repro.immunize():
+            assert type(evaluate_at(path, "threading.Lock()")).__module__ \
+                == "_thread"
+
+    def test_threading_primitives_still_build_on_native_locks(self):
+        with repro.immunize():
+            event, condition = threading.Event(), threading.Condition()
+        assert type(event._cond._lock).__module__ == "_thread"
+        assert type(condition._lock).__module__ == "_thread"
+
     def test_handle_delegates_to_the_runtime(self):
         handle = repro.immunize(history_path=None)
         try:

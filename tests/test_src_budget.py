@@ -13,12 +13,11 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lines after PR 20 (filter at capture: the verdict rides on the stack, one
-#: call-path walker where there were three) — the same count as after PR 19
-#: (one thread slot, Allowed sets at named sites only).  20,137 after PR 16,
-#: 20,169 after PR 15, 20,352 after PR 14, 20,359 after PR 13, 20,674 after
-#: PR 12.
-TOTAL_BUDGET = 20_136
+#: Lines after PR 23 (the explorer is one process: the parallel wave runner,
+#: its task boards, worker CLI and wire formats are gone).  20,136 after
+#: PRs 19 and 20, 20,137 after PR 16, 20,169 after PR 15, 20,352 after
+#: PR 14, 20,359 after PR 13, 20,674 after PR 12.
+TOTAL_BUDGET = 19_461
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).
@@ -31,8 +30,9 @@ PRIMITIVES_BUDGET = 2_276
 #: into ``wire.hang_up`` (the ``GossipChannel.close()`` fix) gave back 8.
 SHARE_BUDGET = 3_479
 #: ``sim/``: scheduler, primitives and the explorer.  3,854 before PR 15,
-#: when ``explore.py`` + ``parexplore.py`` carried four search loops.
-SIM_BUDGET = 3_681
+#: when ``explore.py`` + ``parexplore.py`` carried four search loops;
+#: 3,681 until PR 23 deleted ``parexplore.py`` and what only fed it.
+SIM_BUDGET = 3_006
 
 
 def count_lines(*roots: str) -> int:
