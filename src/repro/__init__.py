@@ -38,8 +38,7 @@ from .instrument import (AioCondition, AioLock, AioRWLock, AioSemaphore,
                          AsyncioRuntime, DimmunixBoundedSemaphore,
                          DimmunixCondition, DimmunixLock, DimmunixRLock,
                          DimmunixRWLock, DimmunixSemaphore, ImmunityHandle,
-                         immunize, install, install_asyncio, patched,
-                         patched_asyncio, uninstall, uninstall_asyncio)
+                         immunize)
 
 __version__ = "0.1.0"
 
@@ -73,10 +72,4 @@ __all__ = [
     "WEAK_IMMUNITY",
     "__version__",
     "immunize",
-    "install",
-    "install_asyncio",
-    "patched",
-    "patched_asyncio",
-    "uninstall",
-    "uninstall_asyncio",
 ]

@@ -30,7 +30,8 @@ from collections import deque
 from contextlib import asynccontextmanager
 from typing import Awaitable, Callable, Deque, Dict, List, Optional
 
-from ..instrument.aio import AioLock, AsyncioRuntime, get_default_aio_runtime
+from ..instrument.aio import AioLock, AsyncioRuntime
+from ..instrument.patching import default_runtime
 from .base import AppLockTimeout
 
 #: Type of the optional async interleaving hook threaded through methods.
@@ -51,7 +52,7 @@ class AioApp:
 
     def __init__(self, runtime: Optional[AsyncioRuntime] = None,
                  acquire_timeout: Optional[float] = None):
-        self.runtime = runtime if runtime is not None else get_default_aio_runtime()
+        self.runtime = runtime if runtime is not None else default_runtime("asyncio")
         if acquire_timeout is not None:
             self.acquire_timeout = acquire_timeout
 

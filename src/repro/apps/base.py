@@ -19,7 +19,8 @@ from typing import Callable, Optional
 
 from ..core.errors import DimmunixError
 from ..instrument.locks import DimmunixLock, DimmunixRLock
-from ..instrument.runtime import InstrumentationRuntime, get_default_dimmunix
+from ..instrument.patching import default_runtime
+from ..instrument.runtime import InstrumentationRuntime
 
 #: Type of the optional interleaving hook threaded through app methods.
 PauseHook = Optional[Callable[[], None]]
@@ -48,7 +49,7 @@ class MiniApp:
 
     def __init__(self, runtime: Optional[InstrumentationRuntime] = None,
                  acquire_timeout: Optional[float] = None):
-        self.runtime = runtime if runtime is not None else get_default_dimmunix()
+        self.runtime = runtime if runtime is not None else default_runtime("threads")
         if acquire_timeout is not None:
             self.acquire_timeout = acquire_timeout
 

@@ -7,7 +7,7 @@ and the matching-depth calibrator.
 """
 
 from .avoidance import (AvoidanceEngine, Decision, RequestOutcome, MODE_FULL,
-                        MODE_INSTRUMENTATION_ONLY, MODE_UPDATES_ONLY)
+                        MODE_INSTRUMENTATION_ONLY)
 from .cache import AvoidanceCache
 from .calibration import Calibrator, find_lock_inversion
 from .callstack import CallStack, Frame, EMPTY_STACK
@@ -56,7 +56,6 @@ __all__ = [
     "InstrumentationError",
     "MODE_FULL",
     "MODE_INSTRUMENTATION_ONLY",
-    "MODE_UPDATES_ONLY",
     "MonitorCore",
     "MonitorError",
     "MonitorThread",

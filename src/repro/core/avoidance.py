@@ -59,10 +59,9 @@ class Decision(Enum):
 
 #: Engine modes used by the overhead-breakdown experiment (Figure 8).
 MODE_FULL = "full"
-MODE_UPDATES_ONLY = "updates_only"
 MODE_INSTRUMENTATION_ONLY = "instrumentation_only"
 
-_VALID_MODES = (MODE_FULL, MODE_UPDATES_ONLY, MODE_INSTRUMENTATION_ONLY)
+_VALID_MODES = (MODE_FULL, MODE_INSTRUMENTATION_ONLY)
 
 
 @dataclass(frozen=True)
@@ -260,7 +259,7 @@ class AvoidanceEngine:
     def _should_bypass(self, slot, lock_id: int, stack: CallStack,
                        sites: frozenset) -> bool:
         """Cases in which no history matching is performed."""
-        if self.mode == MODE_UPDATES_ONLY or self.config.detection_only:
+        if self.config.detection_only:
             return True
         if slot.forced_go:
             slot.forced_go = False

@@ -18,14 +18,15 @@ import sys
 from threading import get_ident as _get_ident
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
-#: Module-path prefixes whose frames are dropped when capturing live stacks.
-#: The instrumentation and engine frames are implementation detail and must
-#: not appear in signatures, otherwise the signatures would not be portable
-#: across library versions.  ``contextlib`` and the app helper layer are
-#: filtered for the same reason: they sit between the lock call and the
-#: application code on every acquisition, so keeping them would waste most
-#: of the matching depth on frames that never differ.
-_INTERNAL_PREFIXES = (
+#: Path fragments whose frames are dropped when capturing live stacks
+#: (matched by :func:`path_has_component`).  The instrumentation and engine
+#: frames are implementation detail and must not appear in signatures,
+#: otherwise the signatures would not be portable across library versions.
+#: ``contextlib`` and the app helper layer are filtered for the same reason:
+#: they sit between the lock call and the application code on every
+#: acquisition, so keeping them would waste most of the matching depth on
+#: frames that never differ.
+_INTERNAL_FRAGMENTS = (
     "repro/core/",
     "repro/instrument/",
     "repro/util/",
@@ -568,10 +569,23 @@ def _is_int(text: str) -> bool:
     return True
 
 
+def path_has_component(filename: str, fragments: Tuple[str, ...]) -> bool:
+    """Does ``filename`` hold one of ``fragments`` as whole path components?
+
+    A ``dir/`` fragment matches wherever those directories appear, a
+    ``file.py`` fragment only as the end of the path (an application
+    directory may be *named* ``contextlib.py``); neither matches inside a
+    longer name.  The one rule behind "whose frames are internal" (here)
+    and "whose locks stay native" (:mod:`repro.instrument.patching`).
+    """
+    path = "/" + filename.replace("\\", "/")
+    return any("/" + fragment in path if fragment[-1] == "/"
+               else path.endswith("/" + fragment) for fragment in fragments)
+
+
 def _is_internal(filename: str) -> bool:
-    """Does a prefix start the path or one of its components (never mid-name)?"""
-    normalized = "/" + filename.replace("\\", "/")
-    return any("/" + prefix in normalized for prefix in _INTERNAL_PREFIXES)
+    """Is this the file of a frame that captured stacks leave out?"""
+    return path_has_component(filename, _INTERNAL_FRAGMENTS)
 
 
 def _shorten(filename: str) -> str:

@@ -408,9 +408,9 @@ class HoldLedger:
 class LockRuntime:
     """What the thread and asyncio runtimes share around one Dimmunix instance.
 
-    Subclasses add unit-of-execution identity (threads, tasks) and the
-    parker that suspends one; lock wrappers reach the engine only through
-    :attr:`core`.
+    Subclasses add unit-of-execution identity (``current_id()``: the
+    calling thread's, the running task's) and the parker that suspends
+    one; lock wrappers reach the engine only through :attr:`core`.
     """
 
     def __init__(self, dimmunix: "Dimmunix", parker: ThreadParker):

@@ -20,9 +20,13 @@ execution is an asyncio *task*:
   cross-thread wakes are delivered with ``call_soon_threadsafe``,
 * :class:`AioLock` / :class:`AioCondition` / :class:`AioSemaphore` are
   drop-in replacements for ``asyncio.Lock`` / ``Condition`` /
-  ``Semaphore``, and :func:`install_asyncio` monkey-patches the
-  ``asyncio`` factories so existing code gains immunity unmodified
-  (``repro.immunize(runtime="asyncio")`` is the one-call form).
+  ``Semaphore``; ``repro.immunize(runtime="asyncio")`` patches them over
+  the ``asyncio`` factories (:mod:`.patching` holds the table) so
+  existing code gains immunity unmodified.
+
+What the primitives share with their thread twins — identity, the
+semaphore's and the reader-writer lock's release — is inherited from
+:mod:`.skeleton`; this module is the half that awaits.
 
 The deadlock story mirrors the thread runtime end to end: requests are
 recorded before the task blocks on the native primitive, so a cyclic
@@ -44,20 +48,12 @@ from collections import deque
 from typing import Coroutine, Deque, Dict, Optional, Set, Tuple
 
 from ..core.callstack import CallStack
-from ..core.config import DimmunixConfig
 from ..core.dimmunix import Dimmunix
 from ..core.errors import InstrumentationError
-from ..core.runtime_api import (PARK, TRY_NATIVE, HoldLedger, LockRuntime,
-                                ThreadParker, acquisition)
+from ..core.runtime_api import (PARK, TRY_NATIVE, LockRuntime, ThreadParker,
+                                acquisition)
 from ..core.signature import EXCLUSIVE, SHARED
-from .patching import _caller_needs_native_lock
-
-#: Original asyncio factories, captured at import time so Dimmunix's own
-#: plumbing (and the patched factories' native fallback) can always reach
-#: the uninstrumented primitives.
-_original_lock = asyncio.Lock
-_original_condition = asyncio.Condition
-_original_semaphore = asyncio.Semaphore
+from .skeleton import MutexSkeleton, RWLockSkeleton, SemaphoreSkeleton
 
 
 async def _wait_future(future: "asyncio.Future[bool]",
@@ -252,21 +248,15 @@ class AsyncioRuntime(LockRuntime):
     process (task ids are process-global, wake futures are loop-bound).
     """
 
-    def __init__(self, dimmunix: Dimmunix,
-                 loop: Optional[asyncio.AbstractEventLoop] = None):
+    def __init__(self, dimmunix: Dimmunix):
         self.parker = AsyncioParker(dimmunix)
         super().__init__(dimmunix, self.parker)
         # Finished tasks drop their engine slots, wake futures, and wakers
         # automatically through the task's done callback.
         self.tasks = TaskRegistry(on_task_done=self.core.forget_thread)
-        #: Optional loop this runtime primarily serves.  Wake delivery is
-        #: per-task and already loop-aware, so this is informational (it
-        #: is recorded by ``repro.immunize(loop=...)`` for diagnostics).
-        self.loop = loop
-
-    def current_task_id(self) -> int:
-        """Stable id of the running task."""
-        return self.tasks.current_task_id()
+        #: Stable id of the running task (raises outside one): the
+        #: registry's own method, not a forwarding frame.
+        self.current_id = self.current_task_id = self.tasks.current_task_id
 
     def _unit_name(self) -> str:
         try:
@@ -398,7 +388,7 @@ async def _acquire(lock, task_id: Optional[int], stack: CallStack,
         raise
 
 
-class AioLock:
+class AioLock(MutexSkeleton):
     """A drop-in ``asyncio.Lock`` protected by deadlock immunity.
 
     Every acquisition runs the avoidance protocol
@@ -408,13 +398,8 @@ class AioLock:
     paper's required partial ordering) and then hand the lock over.
     """
 
-    def __init__(self, runtime: Optional[AsyncioRuntime] = None,
-                 name: Optional[str] = None):
-        self._runtime = runtime if runtime is not None else get_default_aio_runtime()
-        self._permits = _PermitQueue(1)
-        self._lock_id = self._runtime.new_lock_id()
-        self._name = name or f"aiolock-{self._lock_id}"
-        self._owner: Optional[int] = None
+    _kind, _prefix = "asyncio", "aiolock"
+    _make_native = _PermitQueue  # of one permit
 
     # -- public lock protocol -----------------------------------------------------------
 
@@ -432,14 +417,14 @@ class AioLock:
                         timeout)
 
     def _try_native(self, task_id: int, mode: str) -> bool:
-        if self._permits.try_acquire():
+        if self._native.try_acquire():
             self._owner = task_id
             return True
         return False
 
     async def _wait_native(self, task_id: int, mode: str,
                            timeout: Optional[float]) -> bool:
-        if await self._permits.acquire(timeout):
+        if await self._native.acquire(timeout):
             self._owner = task_id
             return True
         return False
@@ -453,15 +438,15 @@ class AioLock:
         raises.
         """
         owner = self._owner
-        if owner is None or not self._permits.locked():
+        if owner is None or not self._native.locked():
             raise InstrumentationError(f"{self._name} is not acquired")
         self._owner = None
         self._runtime.core.release(owner, self._lock_id)
-        self._permits.release()
+        self._native.release()
 
     def locked(self) -> bool:
         """Whether the lock is currently held."""
-        return self._permits.locked()
+        return self._native.locked()
 
     # -- context manager ------------------------------------------------------------------
 
@@ -472,29 +457,8 @@ class AioLock:
         self.release()
         return False
 
-    # -- introspection --------------------------------------------------------------------------
 
-    @property
-    def lock_id(self) -> int:
-        """The engine-level identifier of this lock."""
-        return self._lock_id
-
-    @property
-    def name(self) -> str:
-        """Human readable name (used in diagnostics)."""
-        return self._name
-
-    @property
-    def owner(self) -> Optional[int]:
-        """The Dimmunix task id of the current owner, if any."""
-        return self._owner
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "locked" if self.locked() else "unlocked"
-        return f"<{type(self).__name__} {self._name} ({state})>"
-
-
-class AioSemaphore:
+class AioSemaphore(SemaphoreSkeleton):
     """A drop-in ``asyncio.Semaphore`` with engine-tracked permits.
 
     Since the engine's resource model became capacity aware, *every*
@@ -502,28 +466,14 @@ class AioSemaphore:
     exact mutex, and a counting semaphore (``value > 1``) is an N-permit
     multi-holder resource — a requester blocked on an exhausted pool
     waits on all current permit holders, so permit-exhaustion cycles are
-    detectable, archivable, and avoided on subsequent runs.  Semaphores
-    created with ``value == 0`` are pure signaling primitives and pass
-    through untracked.  Releases are expected from the task that
-    acquired (the ``async with`` idiom); a release by a task holding no
-    recorded permit only returns the permit, with the engine release
-    recorded under a task that does hold one.
+    detectable, archivable, and avoided on subsequent runs.  What a
+    zero-permit semaphore is, and ``release()`` — from any task, like
+    ``asyncio.Semaphore`` — are inherited: see
+    :class:`~repro.instrument.skeleton.SemaphoreSkeleton`.
     """
 
-    def __init__(self, value: int = 1,
-                 runtime: Optional[AsyncioRuntime] = None,
-                 name: Optional[str] = None):
-        if value < 0:
-            raise ValueError("Semaphore initial value must be >= 0")
-        self._runtime = runtime if runtime is not None else get_default_aio_runtime()
-        self._permits = _PermitQueue(value)
-        self._lock_id = self._runtime.new_lock_id()
-        self._name = name or f"aiosem-{self._lock_id}"
-        self._capacity = value
-        #: Zero-permit semaphores are signaling primitives, not resources.
-        self._engine_tracked = value >= 1
-        #: Which task holds how many outstanding permits.
-        self._ledger = HoldLedger(value)
+    _kind, _prefix = "asyncio", "aiosem"
+    _make_native = _PermitQueue
 
     def acquire(self, timeout: Optional[float] = None) -> "Coroutine":
         """Acquire one permit, running the avoidance protocol first.
@@ -532,47 +482,26 @@ class AioSemaphore:
         coroutine (see :func:`_caller_identity`).
         """
         if not self._engine_tracked:
-            return self._permits.acquire(timeout)
+            return self._native.acquire(timeout)
         return _acquire(self, *_caller_identity(self._runtime), EXCLUSIVE,
                         self._capacity, timeout)
 
     def _try_native(self, task_id: int, mode: str) -> bool:
-        if self._permits.try_acquire():
+        if self._native.try_acquire():
             self._ledger.grant(task_id)
             return True
         return False
 
     async def _wait_native(self, task_id: int, mode: str,
                            timeout: Optional[float]) -> bool:
-        if await self._permits.acquire(timeout):
+        if await self._native.acquire(timeout):
             self._ledger.grant(task_id)
             return True
         return False
 
-    def release(self) -> None:
-        """Release one permit (from any task, like ``asyncio.Semaphore``).
-
-        For engine-tracked semaphores the engine release is recorded
-        under a task that holds a recorded permit, preferring the calling
-        task when it is a holder.  This mirrors :meth:`AioLock.release`:
-        paired acquire/release usage is exact; an unpaired release
-        transfers one recorded hold (the engine sees a permit freed),
-        trading hold-accuracy for graceful degradation instead of
-        corrupting the permit bookkeeping.
-        """
-        if self._engine_tracked:
-            try:
-                caller = self._runtime.current_task_id()
-            except InstrumentationError:
-                caller = None
-            owner = self._ledger.release(caller)
-            if owner is not None:
-                self._runtime.core.release(owner, self._lock_id)
-        self._permits.release()
-
     def locked(self) -> bool:
         """Whether no permits are currently available."""
-        return self._permits.locked()
+        return self._native.locked()
 
     async def __aenter__(self) -> None:
         await self.acquire()
@@ -581,45 +510,23 @@ class AioSemaphore:
         self.release()
         return False
 
-    @property
-    def lock_id(self) -> int:
-        """The engine-level identifier of this semaphore."""
-        return self._lock_id
 
-    @property
-    def name(self) -> str:
-        """Human readable name (used in diagnostics)."""
-        return self._name
-
-    @property
-    def capacity(self) -> int:
-        """The permit count this semaphore was created with."""
-        return self._capacity
-
-
-class AioRWLock:
+class AioRWLock(RWLockSkeleton):
     """A reader-writer lock for asyncio tasks, protected by deadlock immunity.
 
-    Readers take SHARED holds on the engine-level resource; the writer
-    takes the EXCLUSIVE permit, so a blocked writer is modelled as
-    waiting on *every* current reader — upgrade inversions (two readers
-    both upgrading) and writer-vs-reader cycles become detectable,
-    archivable, and avoidable like any other deadlock pattern.
-
-    The native implementation is reader-preference and fully
-    cooperative: blocked acquisitions wait on plain loop futures in the
-    caller's task (never a wrapper task), releases wake every waiter and
-    each re-checks grantability.  Reads are reentrant per task; the
-    writer may reenter ``acquire_write``.
+    The grant rules, the release order and what the engine sees of
+    readers and writers: see
+    :class:`~repro.instrument.skeleton.RWLockSkeleton`.  The native half
+    is fully cooperative: blocked acquisitions wait on plain loop futures
+    in the caller's task (never a wrapper task), and a release resolves
+    every one of them.
     """
+
+    _kind, _prefix = "asyncio", "aiorw"
 
     def __init__(self, runtime: Optional[AsyncioRuntime] = None,
                  name: Optional[str] = None):
-        self._runtime = runtime if runtime is not None else get_default_aio_runtime()
-        self._lock_id = self._runtime.new_lock_id()
-        self._name = name or f"aiorw-{self._lock_id}"
-        #: Readers, the writer and the grant rule.
-        self._ledger = HoldLedger()
+        super().__init__(runtime, name)
         self._waiters: Deque["asyncio.Future[bool]"] = deque()
 
     # -- acquisition -----------------------------------------------------------------------
@@ -645,6 +552,8 @@ class AioRWLock:
                         timeout)
 
     def _try_native(self, task_id: int, mode: str) -> bool:
+        # No mutex: tasks of one loop never interleave inside the ledger;
+        # the skeleton's is there for the thread twin.
         return self._ledger.take(task_id, mode)
 
     async def _wait_native(self, task_id: int, mode: str,
@@ -658,24 +567,7 @@ class AioRWLock:
         # Whatever ended the wait, the ledger decides.
         return self._ledger.take(task_id, mode)
 
-    # -- release ---------------------------------------------------------------------------
-
-    def release_read(self) -> None:
-        """Drop one SHARED hold; wakes waiting writers when the last leaves."""
-        self._release(SHARED, "read")
-
-    def release_write(self) -> None:
-        """Drop the EXCLUSIVE hold; wakes waiting readers and writers."""
-        self._release(EXCLUSIVE, "write")
-
-    def _release(self, mode: str, what: str) -> None:
-        task_id = self._runtime.current_task_id()
-        if self._ledger.release(task_id, mode) is None:
-            raise InstrumentationError(
-                f"{self._name}: task {task_id} holds no {what} lock")
-        # No await since the ledger changed, so the engine still hears of
-        # the release before any waiter can be granted what it freed.
-        self._runtime.core.release(task_id, self._lock_id)
+    def _wake_waiters(self) -> None:
         for future in self._waiters:
             if not future.done():
                 future.set_result(True)
@@ -703,31 +595,6 @@ class AioRWLock:
             yield self
         finally:
             self.release_write()
-
-    # -- introspection ---------------------------------------------------------------------
-
-    @property
-    def lock_id(self) -> int:
-        """The engine-level identifier of this rwlock."""
-        return self._lock_id
-
-    @property
-    def name(self) -> str:
-        """Human readable name (used in diagnostics)."""
-        return self._name
-
-    def reader_count(self) -> int:
-        """Number of distinct tasks currently holding read locks."""
-        return self._ledger.reader_count()
-
-    @property
-    def writer(self) -> Optional[int]:
-        """The Dimmunix task id of the current writer, if any."""
-        return self._ledger.writer
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<AioRWLock {self._name} readers={self.reader_count()} "
-                f"writer={self.writer}>")
 
 
 class AioCondition:
@@ -832,160 +699,3 @@ class AioCondition:
     def notify_all(self) -> None:
         """Wake every waiting task (the lock must be held)."""
         self.notify(len(self._waiters))
-
-
-# ---------------------------------------------------------------------------
-# Factory helpers mirroring the ``asyncio`` API
-# ---------------------------------------------------------------------------
-
-def Lock(runtime: Optional[AsyncioRuntime] = None,
-         name: Optional[str] = None) -> AioLock:
-    """Create a Dimmunix-protected aio mutex (drop-in for ``asyncio.Lock``)."""
-    return AioLock(runtime=runtime, name=name)
-
-
-def Condition(lock: Optional[AioLock] = None,
-              runtime: Optional[AsyncioRuntime] = None) -> AioCondition:
-    """Create a condition variable whose lock is protected by Dimmunix."""
-    return AioCondition(lock=lock, runtime=runtime)
-
-
-def Semaphore(value: int = 1, runtime: Optional[AsyncioRuntime] = None,
-              name: Optional[str] = None) -> AioSemaphore:
-    """Create a Dimmunix-protected semaphore (drop-in for ``asyncio.Semaphore``)."""
-    return AioSemaphore(value, runtime=runtime, name=name)
-
-
-def RWLock(runtime: Optional[AsyncioRuntime] = None,
-           name: Optional[str] = None) -> AioRWLock:
-    """Create a reader-writer lock for asyncio tasks with deadlock immunity."""
-    return AioRWLock(runtime=runtime, name=name)
-
-
-# ---------------------------------------------------------------------------
-# Process-wide default instance
-# ---------------------------------------------------------------------------
-
-_default_runtime: Optional[AsyncioRuntime] = None
-_default_mutex = threading.Lock()
-
-
-def set_default_aio_runtime(dimmunix: Dimmunix) -> AsyncioRuntime:
-    """Install ``dimmunix`` as the process-wide asyncio default runtime."""
-    global _default_runtime
-    with _default_mutex:
-        _default_runtime = AsyncioRuntime(dimmunix)
-        return _default_runtime
-
-
-def get_default_aio_runtime(create: bool = True) -> AsyncioRuntime:
-    """Return the default asyncio runtime, creating one if needed."""
-    global _default_runtime
-    if _default_runtime is None:
-        if not create:
-            raise InstrumentationError(
-                "no default asyncio Dimmunix runtime configured")
-        with _default_mutex:
-            if _default_runtime is None:
-                _default_runtime = AsyncioRuntime(Dimmunix())
-    return _default_runtime
-
-
-def reset_default_aio_runtime() -> None:
-    """Drop the default asyncio runtime (mainly for tests)."""
-    global _default_runtime
-    with _default_mutex:
-        _default_runtime = None
-
-
-# ---------------------------------------------------------------------------
-# Monkey-patching of the ``asyncio`` factories
-# ---------------------------------------------------------------------------
-
-_installed_runtime: Optional[AsyncioRuntime] = None
-
-#: Callers that, beyond :data:`.patching._NATIVE_CALLERS`, must always
-#: receive *native* primitives: the asyncio machinery itself.
-_ASYNCIO_CALLERS = ("/asyncio/",)
-
-
-def install_asyncio(dimmunix: Optional[Dimmunix] = None,
-                    config: Optional[DimmunixConfig] = None) -> AsyncioRuntime:
-    """Patch ``asyncio.Lock``/``Condition``/``Semaphore`` to Dimmunix types.
-
-    Returns the asyncio runtime bound to the (possibly newly created)
-    Dimmunix instance.  Calling :func:`install_asyncio` twice without an
-    intervening :func:`uninstall_asyncio` raises, to avoid silently
-    stacking patches.
-    """
-    global _installed_runtime
-    if _installed_runtime is not None:
-        raise InstrumentationError(
-            "asyncio is already instrumented; call uninstall_asyncio() first")
-    if dimmunix is None:
-        dimmunix = Dimmunix(config=config)
-    runtime = set_default_aio_runtime(dimmunix)
-
-    def _lock_factory(*args, **kwargs):
-        if _caller_needs_native_lock(_ASYNCIO_CALLERS):
-            return _original_lock(*args, **kwargs)
-        return AioLock(runtime=runtime)
-
-    def _condition_factory(lock=None, *args, **kwargs):
-        # A condition over a pre-existing *native* lock (created before
-        # install) cannot be instrumented; degrade to native behaviour
-        # rather than breaking previously working code.
-        if _caller_needs_native_lock(_ASYNCIO_CALLERS) or (lock is not None
-                                           and not isinstance(lock, AioLock)):
-            return _original_condition(lock, *args, **kwargs)
-        return AioCondition(lock=lock, runtime=runtime)
-
-    def _semaphore_factory(value=1, *args, **kwargs):
-        if _caller_needs_native_lock(_ASYNCIO_CALLERS):
-            return _original_semaphore(value, *args, **kwargs)
-        return AioSemaphore(value, runtime=runtime)
-
-    asyncio.Lock = _lock_factory  # type: ignore[assignment]
-    asyncio.Condition = _condition_factory  # type: ignore[assignment]
-    asyncio.Semaphore = _semaphore_factory  # type: ignore[assignment]
-    asyncio.locks.Lock = _lock_factory  # type: ignore[assignment]
-    asyncio.locks.Condition = _condition_factory  # type: ignore[assignment]
-    asyncio.locks.Semaphore = _semaphore_factory  # type: ignore[assignment]
-    _installed_runtime = runtime
-    return runtime
-
-
-def uninstall_asyncio() -> None:
-    """Restore the original ``asyncio`` synchronization factories."""
-    global _installed_runtime
-    asyncio.Lock = _original_lock  # type: ignore[assignment]
-    asyncio.Condition = _original_condition  # type: ignore[assignment]
-    asyncio.Semaphore = _original_semaphore  # type: ignore[assignment]
-    asyncio.locks.Lock = _original_lock  # type: ignore[assignment]
-    asyncio.locks.Condition = _original_condition  # type: ignore[assignment]
-    asyncio.locks.Semaphore = _original_semaphore  # type: ignore[assignment]
-    _installed_runtime = None
-
-
-def asyncio_installed() -> bool:
-    """True while :func:`install_asyncio` is in effect."""
-    return _installed_runtime is not None
-
-
-@contextlib.contextmanager
-def patched_asyncio(dimmunix: Optional[Dimmunix] = None,
-                    config: Optional[DimmunixConfig] = None):
-    """Context manager combining :func:`install_asyncio`/:func:`uninstall_asyncio`.
-
-    The Dimmunix monitor is started on entry and stopped on exit::
-
-        with patched_asyncio(config=DimmunixConfig(history_path="app.history")):
-            asyncio.run(serve())
-    """
-    runtime = install_asyncio(dimmunix=dimmunix, config=config)
-    runtime.dimmunix.start()
-    try:
-        yield runtime
-    finally:
-        runtime.dimmunix.stop()
-        uninstall_asyncio()

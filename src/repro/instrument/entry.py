@@ -28,6 +28,7 @@ from typing import Optional
 from ..core.config import DimmunixConfig
 from ..core.dimmunix import Dimmunix
 from ..core.errors import DimmunixError
+from .patching import _install, _uninstall
 
 #: Accepted values for ``immunize(runtime=...)``.
 RUNTIMES = ("threads", "asyncio", "both")
@@ -56,12 +57,9 @@ class ImmunityHandle:
             return
         self._stopped = True
         self.dimmunix.stop()
-        if self.threads is not None:
-            from . import patching
-            patching.uninstall()
-        if self.aio is not None:
-            from . import aio as _aio
-            _aio.uninstall_asyncio()
+        for kind, runtime in (("threads", self.threads), ("asyncio", self.aio)):
+            if runtime is not None:
+                _uninstall(kind)
 
     @property
     def stopped(self) -> bool:
@@ -101,7 +99,7 @@ def immunize(runtime: str = "threads",
              config: Optional[DimmunixConfig] = None,
              history_path: Optional[str] = None,
              share=None,
-             loop=None) -> ImmunityHandle:
+             dimmunix: Optional[Dimmunix] = None) -> ImmunityHandle:
     """Create, start, and install deadlock immunity in one call.
 
     ``runtime`` selects what gets instrumented: ``"threads"`` patches the
@@ -114,8 +112,11 @@ def immunize(runtime: str = "threads",
     ``gossip://0.0.0.0:7400?peers=host:7400`` — or an open
     :class:`~repro.share.channel.HistoryChannel`.
 
-    ``loop`` is informational for the asyncio runtime (wake futures bind
-    to each parked task's own running loop regardless).
+    ``dimmunix`` immunizes with an engine the caller built — the way
+    custom deadlock/restart handlers, a clock or a pre-loaded history
+    reach a patched program — instead of one made from ``config``,
+    ``history_path`` and ``share``, which must then be left out.  The
+    handle starts and stops it like its own.
 
     Returns an :class:`ImmunityHandle`; call ``handle.stop()`` (or use it
     as a context manager) to undo everything.
@@ -123,30 +124,24 @@ def immunize(runtime: str = "threads",
     if runtime not in RUNTIMES:
         raise DimmunixError(
             f"unknown runtime {runtime!r} (known: {', '.join(RUNTIMES)})")
-    if config is None:
-        config = DimmunixConfig(history_path=history_path)
-    elif history_path is not None:
-        config = config.with_overrides(history_path=history_path)
-    dimmunix = Dimmunix(config=config, share=share)
-    threads_runtime = None
-    aio_runtime = None
+    if dimmunix is None:
+        if config is None:
+            config = DimmunixConfig(history_path=history_path)
+        elif history_path is not None:
+            config = config.with_overrides(history_path=history_path)
+        dimmunix = Dimmunix(config=config, share=share)
+    elif not (config is None and history_path is None and share is None):
+        raise DimmunixError("immunize(dimmunix=...) takes its config, history "
+                            "and share channel from that engine")
+    installed = {}
     try:
-        if runtime in ("threads", "both"):
-            from . import patching
-            threads_runtime = patching.install(dimmunix=dimmunix)
-        if runtime in ("asyncio", "both"):
-            from . import aio as _aio
-            aio_runtime = _aio.install_asyncio(dimmunix=dimmunix)
-            aio_runtime.loop = loop
+        for kind in ("threads", "asyncio") if runtime == "both" else (runtime,):
+            installed[kind] = _install(kind, dimmunix)
         dimmunix.start()
     except Exception:
-        if threads_runtime is not None:
-            from . import patching
-            patching.uninstall()
-        if aio_runtime is not None:
-            from . import aio as _aio
-            _aio.uninstall_asyncio()
+        for kind in installed:
+            _uninstall(kind)
         dimmunix.stop()
         raise
-    return ImmunityHandle(dimmunix, threads=threads_runtime,
-                          aio=aio_runtime)
+    return ImmunityHandle(dimmunix, threads=installed.get("threads"),
+                          aio=installed.get("asyncio"))

@@ -12,7 +12,9 @@ the EXCLUSIVE permit.  Every acquisition runs the avoidance protocol of
 on YIELD, the native primitive on GO, then ``acquired``, or ``cancel``
 when a trylock or timed lock gives up (the paper's pthreads extension).
 This module only drives it: :func:`_acquire` parks real threads, and each
-primitive says how to try and how to wait on its native half.
+primitive says how to try and how to wait on its native half; what the
+primitives share with their asyncio twins (identity, the semaphore's and
+the reader-writer lock's release) is inherited from :mod:`.skeleton`.
 
 Releases notify the engine first (the paper's required partial ordering:
 the release event precedes the unlock) and then wake any threads whose
@@ -27,9 +29,10 @@ import time
 from typing import Optional
 
 from ..core.errors import InstrumentationError
-from ..core.runtime_api import PARK, TRY_NATIVE, HoldLedger, acquisition
+from ..core.runtime_api import PARK, TRY_NATIVE, acquisition
 from ..core.signature import EXCLUSIVE, SHARED
-from .runtime import InstrumentationRuntime, get_default_dimmunix
+from .runtime import InstrumentationRuntime
+from .skeleton import MutexSkeleton, RWLockSkeleton, SemaphoreSkeleton
 
 
 def _acquire(lock, thread_id: int, stack, mode: str, capacity: int,
@@ -63,18 +66,15 @@ def _acquire(lock, thread_id: int, stack, mode: str, capacity: int,
         raise
 
 
-class DimmunixLock:
+class DimmunixLock(MutexSkeleton):
     """A non-reentrant mutex protected by deadlock immunity."""
 
+    _kind, _prefix = "threads", "lock"
     _reentrant = False
 
     def __init__(self, runtime: Optional[InstrumentationRuntime] = None,
                  name: Optional[str] = None):
-        self._runtime = runtime if runtime is not None else get_default_dimmunix()
-        self._native = self._make_native()
-        self._lock_id = self._runtime.new_lock_id()
-        self._name = name or f"lock-{self._lock_id}"
-        self._owner: Optional[int] = None
+        super().__init__(runtime, name)
         self._count = 0
 
     def _make_native(self):
@@ -158,27 +158,6 @@ class DimmunixLock:
         for _ in range(count):
             self.acquire()
 
-    # -- introspection --------------------------------------------------------------------------
-
-    @property
-    def lock_id(self) -> int:
-        """The engine-level identifier of this lock."""
-        return self._lock_id
-
-    @property
-    def name(self) -> str:
-        """Human readable name (used in diagnostics)."""
-        return self._name
-
-    @property
-    def owner(self) -> Optional[int]:
-        """The Dimmunix thread id of the current owner, if any."""
-        return self._owner
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "locked" if self.locked() else "unlocked"
-        return f"<{type(self).__name__} {self._name} ({state})>"
-
 
 class DimmunixRLock(DimmunixLock):
     """A reentrant mutex protected by deadlock immunity."""
@@ -205,7 +184,7 @@ class DimmunixCondition(threading.Condition):
         super().__init__(lock)
 
 
-class DimmunixSemaphore:
+class DimmunixSemaphore(SemaphoreSkeleton):
     """A drop-in ``threading.Semaphore`` with engine-tracked permits.
 
     Every permit acquisition runs the avoidance protocol with the
@@ -213,30 +192,11 @@ class DimmunixSemaphore:
     resource: a requester blocked on an exhausted pool waits on *all*
     current permit holders, which is what makes permit-exhaustion cycles
     detectable, their signatures archivable, and future runs immune.
-    Semaphores created with ``value == 0`` are pure signaling primitives
-    (no holder to wait on at creation time) and pass through untracked.
-
-    Releases may come from any thread, like ``threading.Semaphore``; the
-    engine release is recorded under a thread that actually holds a
-    recorded permit (preferring the caller), so hold bookkeeping stays
-    consistent under the paired acquire/release idiom and degrades
-    gracefully under hand-off usage.
+    What a zero-permit semaphore is and how releases from any thread are
+    attributed: see :class:`~repro.instrument.skeleton.SemaphoreSkeleton`.
     """
 
-    def __init__(self, value: int = 1,
-                 runtime: Optional[InstrumentationRuntime] = None,
-                 name: Optional[str] = None):
-        if value < 0:
-            raise ValueError("semaphore initial value must be >= 0")
-        self._runtime = runtime if runtime is not None else get_default_dimmunix()
-        self._native = self._make_native(value)
-        self._capacity = value
-        self._engine_tracked = value >= 1
-        self._lock_id = self._runtime.new_lock_id()
-        self._name = name or f"sem-{self._lock_id}"
-        #: Which thread holds how many permits (engine-tracked only).
-        self._ledger = HoldLedger(value)
-        self._ledger_mutex = threading.Lock()
+    _kind, _prefix = "threads", "sem"
 
     def _make_native(self, value: int):
         return threading.Semaphore(value)
@@ -265,26 +225,15 @@ class DimmunixSemaphore:
                      timeout: Optional[float]) -> bool:
         return self._native.acquire(True, timeout)
 
+    #: One permit, in the skeleton's order; ``release`` returns ``n`` of them.
+    _release_one = SemaphoreSkeleton.release
+
     def release(self, n: int = 1) -> None:
         """Return ``n`` permits and wake threads whose yield causes dissolved."""
         if n < 1:
             raise ValueError("n must be one or more")
         for _ in range(n):
             self._release_one()
-
-    def _release_one(self) -> None:
-        if self._engine_tracked:
-            try:
-                caller = self._runtime.current_thread_id()
-            except InstrumentationError:  # pragma: no cover - defensive
-                caller = None
-            with self._ledger_mutex:
-                owner = self._ledger.release(caller)
-            if owner is not None:
-                # Engine release first: the event must precede the permit
-                # becoming available (the paper's partial ordering).
-                self._runtime.core.release(owner, self._lock_id)
-        self._native.release()
 
     # -- context manager -------------------------------------------------------------------
 
@@ -294,32 +243,6 @@ class DimmunixSemaphore:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.release()
         return False
-
-    # -- introspection ---------------------------------------------------------------------
-
-    @property
-    def lock_id(self) -> int:
-        """The engine-level identifier of this semaphore."""
-        return self._lock_id
-
-    @property
-    def name(self) -> str:
-        """Human readable name (used in diagnostics)."""
-        return self._name
-
-    @property
-    def capacity(self) -> int:
-        """The permit count this semaphore was created with."""
-        return self._capacity
-
-    def permits_held(self) -> int:
-        """Total recorded permits currently held (engine-tracked only)."""
-        with self._ledger_mutex:
-            return self._ledger.permits_held()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<{type(self).__name__} {self._name} "
-                f"capacity={self._capacity} held={self.permits_held()}>")
 
 
 class DimmunixBoundedSemaphore(DimmunixSemaphore):
@@ -357,31 +280,24 @@ class DimmunixBoundedSemaphore(DimmunixSemaphore):
         super()._release_one()
 
 
-class DimmunixRWLock:
+class DimmunixRWLock(RWLockSkeleton):
     """A reader-writer lock protected by deadlock immunity.
 
-    Readers take SHARED holds on the engine-level resource; the writer
-    takes the EXCLUSIVE permit.  The engine therefore sees a blocked
-    writer waiting on *every* current reader, which is what makes
-    upgrade inversions (two readers both upgrading to write) and
-    writer-vs-reader cycles detectable and, once archived, avoidable.
-
-    The native implementation is reader-preference: writers wait until
-    every reader (and any previous writer) has left; reads are reentrant
-    per thread, and the writer may reenter ``acquire_write``.
+    The grant rules, the release order and what the engine sees of
+    readers and writers: see
+    :class:`~repro.instrument.skeleton.RWLockSkeleton`.  Blocked threads
+    wait on a condition over the skeleton's mutex.
     """
+
+    _kind, _prefix = "threads", "rwlock"
 
     def __init__(self, runtime: Optional[InstrumentationRuntime] = None,
                  name: Optional[str] = None):
-        self._runtime = runtime if runtime is not None else get_default_dimmunix()
-        self._lock_id = self._runtime.new_lock_id()
-        self._name = name or f"rwlock-{self._lock_id}"
-        # The condition's own lock, entered directly: Condition.__enter__
+        super().__init__(runtime, name)
+        # Over the ledger's own mutex, entered directly: Condition.__enter__
         # is a Python-level hop, and every acquire and release takes it.
-        self._mutex = threading.Lock()
         self._cond = threading.Condition(self._mutex)
-        #: Readers, the writer and the grant rule; guarded by ``_mutex``.
-        self._ledger = HoldLedger()
+        self._wake_waiters = self._cond.notify_all
 
     # -- acquisition -----------------------------------------------------------------------
 
@@ -416,27 +332,6 @@ class DimmunixRWLock:
             # Whatever ended the wait, the ledger decides.
             return self._ledger.take(thread_id, mode)
 
-    # -- release ---------------------------------------------------------------------------
-
-    def release_read(self) -> None:
-        """Drop one SHARED hold and wake waiting writers when the last leaves."""
-        self._release(SHARED, "read")
-
-    def release_write(self) -> None:
-        """Drop the EXCLUSIVE hold and wake waiting readers/writers."""
-        self._release(EXCLUSIVE, "write")
-
-    def _release(self, mode: str, what: str) -> None:
-        thread_id = self._runtime.current_thread_id()
-        with self._mutex:
-            if self._ledger.release(thread_id, mode) is None:
-                raise InstrumentationError(
-                    f"{self._name}: thread {thread_id} holds no {what} lock")
-            # Still under the mutex, so the engine hears of the release
-            # before any waiter can be granted what it freed.
-            self._runtime.core.release(thread_id, self._lock_id)
-            self._cond.notify_all()
-
     # -- context-manager helpers -----------------------------------------------------------
 
     @contextlib.contextmanager
@@ -459,71 +354,8 @@ class DimmunixRWLock:
         finally:
             self.release_write()
 
-    # -- introspection ---------------------------------------------------------------------
 
-    @property
-    def lock_id(self) -> int:
-        """The engine-level identifier of this rwlock."""
-        return self._lock_id
-
-    @property
-    def name(self) -> str:
-        """Human readable name (used in diagnostics)."""
-        return self._name
-
-    def reader_count(self) -> int:
-        """Number of distinct threads currently holding read locks."""
-        with self._mutex:
-            return self._ledger.reader_count()
-
-    @property
-    def writer(self) -> Optional[int]:
-        """The Dimmunix thread id of the current writer, if any."""
-        return self._ledger.writer
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<DimmunixRWLock {self._name} "
-                f"readers={self._ledger.reader_count()} writer={self.writer}>")
-
-
-# ---------------------------------------------------------------------------
-# Factory helpers mirroring the ``threading`` API
-# ---------------------------------------------------------------------------
-
-def Lock(runtime: Optional[InstrumentationRuntime] = None,
-         name: Optional[str] = None) -> DimmunixLock:
-    """Create a Dimmunix-protected mutex (drop-in for ``threading.Lock``)."""
-    return DimmunixLock(runtime=runtime, name=name)
-
-
-def RLock(runtime: Optional[InstrumentationRuntime] = None,
-          name: Optional[str] = None) -> DimmunixRLock:
-    """Create a Dimmunix-protected reentrant mutex (drop-in for ``threading.RLock``)."""
-    return DimmunixRLock(runtime=runtime, name=name)
-
-
-def Condition(lock: Optional[DimmunixLock] = None,
-              runtime: Optional[InstrumentationRuntime] = None) -> DimmunixCondition:
-    """Create a condition variable whose lock is protected by Dimmunix."""
-    return DimmunixCondition(lock=lock, runtime=runtime)
-
-
-def Semaphore(value: int = 1,
-              runtime: Optional[InstrumentationRuntime] = None,
-              name: Optional[str] = None) -> DimmunixSemaphore:
-    """Create an engine-tracked semaphore (drop-in for ``threading.Semaphore``)."""
-    return DimmunixSemaphore(value, runtime=runtime, name=name)
-
-
-def BoundedSemaphore(value: int = 1,
-                     runtime: Optional[InstrumentationRuntime] = None,
-                     name: Optional[str] = None) -> DimmunixBoundedSemaphore:
-    """Create an engine-tracked bounded semaphore (drop-in for
-    ``threading.BoundedSemaphore``)."""
-    return DimmunixBoundedSemaphore(value, runtime=runtime, name=name)
-
-
-def RWLock(runtime: Optional[InstrumentationRuntime] = None,
-           name: Optional[str] = None) -> DimmunixRWLock:
-    """Create a reader-writer lock protected by deadlock immunity."""
-    return DimmunixRWLock(runtime=runtime, name=name)
+#: The ``threading`` spellings: ``from repro.instrument.locks import Lock``.
+Lock, RLock, Condition = DimmunixLock, DimmunixRLock, DimmunixCondition
+Semaphore, BoundedSemaphore, RWLock = (DimmunixSemaphore, DimmunixBoundedSemaphore,
+                                       DimmunixRWLock)

@@ -1,10 +1,22 @@
-"""Monkey-patching of the ``threading`` module.
+"""How a runtime is installed: the patch table, its installer, the default runtimes.
 
 The paper's Java implementation weaves avoidance aspects into the target
 bytecode; the pthreads implementations ship modified thread libraries.
-The Python analogue is to replace ``threading.Lock`` and
-``threading.RLock`` with factories returning Dimmunix-aware locks, so
-existing code gains immunity without being modified.
+The Python analogue is to replace the public lock factories of
+``threading`` and ``asyncio`` with ones returning Dimmunix-aware
+primitives, so existing code gains immunity without being modified.  This
+module is the one place that knows how, for both runtimes:
+
+* :data:`_TABLE` — per runtime kind, the runtime class and one
+  ``(module, attribute, native factory, immune class)`` row per patched
+  name,
+* :func:`_factory` — what a patched name becomes: the native object for
+  callers that must keep one, the immune class for everybody else,
+* :func:`_install` / :func:`_uninstall` — driven by
+  :func:`repro.immunize` and its handle, the only public way in and out,
+* :func:`default_runtime` — the process-wide runtime per kind that a
+  primitive made without ``runtime=`` binds to; installing sets it,
+  uninstalling clears it.
 
 Only the public factory names are replaced — the interpreter-internal
 ``_thread.allocate_lock`` primitive is left untouched, because the
@@ -14,122 +26,117 @@ on it and must never be routed through the avoidance engine.
 
 from __future__ import annotations
 
-import contextlib
+import asyncio
 import sys
 import threading
-from typing import Optional, Tuple
+from typing import Dict, Tuple
 
-from ..core.config import DimmunixConfig
+from ..core.callstack import path_has_component
 from ..core.dimmunix import Dimmunix
 from ..core.errors import InstrumentationError
+from ..core.runtime_api import LockRuntime
+from .aio import AioCondition, AioLock, AioSemaphore, AsyncioRuntime
 from .locks import (DimmunixBoundedSemaphore, DimmunixLock, DimmunixRLock,
                     DimmunixSemaphore)
-from .runtime import InstrumentationRuntime, set_default_dimmunix
+from .runtime import InstrumentationRuntime
 
-_original_lock = threading.Lock
-_original_rlock = threading.RLock
-_original_semaphore = threading.Semaphore
-_original_bounded_semaphore = threading.BoundedSemaphore
-_installed_runtime: Optional[InstrumentationRuntime] = None
-
-#: Callers that must always receive *native* locks even while the patch is
+#: Callers that must always receive *native* locks even while a patch is
 #: installed: the ``threading`` module itself (Event, Condition, Barrier and
 #: friends build on RLock) and this library (the engine's own bookkeeping
-#: must never be routed through the engine).  Whole path components, never
-#: substrings: ``dir/`` anywhere in the path, ``file.py`` at its end.
-_NATIVE_CALLERS = ("/threading.py", "/repro/core/", "/repro/instrument/", "/repro/util/")
+#: must never be routed through the engine).  Whole path components, see
+#: :func:`~repro.core.callstack.path_has_component`.
+_NATIVE_CALLERS = ("threading.py", "repro/core/", "repro/instrument/", "repro/util/")
+
+#: kind -> (runtime class, native callers beyond the ones above — the
+#: asyncio machinery itself — and the rows).  Native factories are the ones
+#: found at import time, so Dimmunix's own plumbing and the factories'
+#: native fallback always reach the uninstrumented primitives.
+_TABLE = {
+    "threads": (InstrumentationRuntime, (), (
+        (threading, "Lock", threading.Lock, DimmunixLock),
+        (threading, "RLock", threading.RLock, DimmunixRLock),
+        (threading, "Semaphore", threading.Semaphore, DimmunixSemaphore),
+        (threading, "BoundedSemaphore", threading.BoundedSemaphore,
+         DimmunixBoundedSemaphore),
+    )),
+    "asyncio": (AsyncioRuntime, ("asyncio/",), tuple(
+        (module, attribute, getattr(module, attribute), immune)
+        for module in (asyncio, asyncio.locks)
+        for attribute, immune in (("Lock", AioLock), ("Condition", AioCondition),
+                                  ("Semaphore", AioSemaphore)))),
+}
+
+#: kind -> the process-wide default runtime; ``_installed`` says which of
+#: them are patched in.  Both change under ``_registry_mutex`` only.
+_defaults: Dict[str, LockRuntime] = {}
+_installed: set = set()
+_registry_mutex = threading.Lock()
 
 
-def _caller_needs_native_lock(also: Tuple[str, ...] = ()) -> bool:
-    """True when the lock is being created by threading internals or by Dimmunix.
+def _factory(native, immune, runtime: LockRuntime, native_callers: Tuple[str, ...]):
+    """What ``module.attribute`` is while ``runtime`` is installed."""
+    def factory(*args, **kwargs):
+        filename = sys._getframe(1).f_code.co_filename
+        if path_has_component(filename, native_callers):
+            return native(*args, **kwargs)
+        if immune is AioCondition:
+            # A condition over a pre-existing *native* lock (created before
+            # the install) cannot be instrumented; degrade to native
+            # behaviour rather than breaking previously working code.
+            lock = args[0] if args else kwargs.get("lock")
+            if lock is not None and not isinstance(lock, AioLock):
+                return native(*args, **kwargs)
+        return immune(*args, runtime=runtime, **kwargs)
+    return factory
 
-    ``also`` names further native callers (the asyncio patch adds the
-    asyncio machinery itself).
+
+def _install(kind: str, dimmunix: Dimmunix) -> LockRuntime:
+    """Patch every row of ``kind`` to a new runtime over ``dimmunix``; return it.
+
+    The runtime becomes the kind's default.  Installing a kind twice
+    without an :func:`_uninstall` in between raises, to avoid silently
+    stacking patches.
     """
-    try:
-        frame = sys._getframe(2)
-    except ValueError:  # pragma: no cover - extremely shallow stacks
-        return False
-    filename = "/" + frame.f_code.co_filename.replace("\\", "/")
-    return any(fragment in filename if fragment[-1] == "/" else filename.endswith(fragment)
-               for fragment in _NATIVE_CALLERS + also)
-
-
-def install(dimmunix: Optional[Dimmunix] = None,
-            config: Optional[DimmunixConfig] = None) -> InstrumentationRuntime:
-    """Patch the ``threading`` synchronization factories to Dimmunix types.
-
-    Replaces ``threading.Lock``, ``RLock``, ``Semaphore`` and
-    ``BoundedSemaphore`` (counting semaphores become engine-tracked
-    multi-permit resources).  Returns the instrumentation runtime bound
-    to the (possibly newly created) Dimmunix instance.  Calling
-    :func:`install` twice without an intervening :func:`uninstall`
-    raises, to avoid silently stacking patches.
-    """
-    global _installed_runtime
-    if _installed_runtime is not None:
-        raise InstrumentationError("threading is already instrumented; call uninstall() first")
-    if dimmunix is None:
-        dimmunix = Dimmunix(config=config)
-    runtime = set_default_dimmunix(dimmunix)
-
-    def _lock_factory(*args, **kwargs):
-        if _caller_needs_native_lock():
-            return _original_lock()
-        return DimmunixLock(runtime=runtime)
-
-    def _rlock_factory(*args, **kwargs):
-        if _caller_needs_native_lock():
-            return _original_rlock()
-        return DimmunixRLock(runtime=runtime)
-
-    def _semaphore_factory(value=1, *args, **kwargs):
-        if _caller_needs_native_lock():
-            return _original_semaphore(value, *args, **kwargs)
-        return DimmunixSemaphore(value, runtime=runtime)
-
-    def _bounded_semaphore_factory(value=1, *args, **kwargs):
-        if _caller_needs_native_lock():
-            return _original_bounded_semaphore(value, *args, **kwargs)
-        return DimmunixBoundedSemaphore(value, runtime=runtime)
-
-    threading.Lock = _lock_factory  # type: ignore[assignment]
-    threading.RLock = _rlock_factory  # type: ignore[assignment]
-    threading.Semaphore = _semaphore_factory  # type: ignore[assignment]
-    threading.BoundedSemaphore = _bounded_semaphore_factory  # type: ignore[assignment]
-    _installed_runtime = runtime
+    runtime_class, further_callers, rows = _TABLE[kind]
+    with _registry_mutex:
+        if kind in _installed:
+            raise InstrumentationError(
+                f"{kind!r} is already immunized; stop() the live handle first")
+        runtime = _defaults[kind] = runtime_class(dimmunix)
+        _installed.add(kind)
+    native_callers = _NATIVE_CALLERS + further_callers
+    for module, attribute, native, immune in rows:
+        setattr(module, attribute, _factory(native, immune, runtime, native_callers))
     return runtime
 
 
-def uninstall() -> None:
-    """Restore the original ``threading`` synchronization factories."""
-    global _installed_runtime
-    threading.Lock = _original_lock  # type: ignore[assignment]
-    threading.RLock = _original_rlock  # type: ignore[assignment]
-    threading.Semaphore = _original_semaphore  # type: ignore[assignment]
-    threading.BoundedSemaphore = _original_bounded_semaphore  # type: ignore[assignment]
-    _installed_runtime = None
+def _uninstall(kind: str) -> None:
+    """Restore the native factories of ``kind`` and drop its default runtime."""
+    _, _, rows = _TABLE[kind]
+    for module, attribute, native, _ in rows:
+        setattr(module, attribute, native)
+    with _registry_mutex:
+        _installed.discard(kind)
+        _defaults.pop(kind, None)
 
 
-def installed() -> bool:
-    """True while :func:`install` is in effect."""
-    return _installed_runtime is not None
+def default_runtime(kind: str) -> LockRuntime:
+    """The process-wide runtime of ``kind`` (``"threads"`` or ``"asyncio"``).
 
-
-@contextlib.contextmanager
-def patched(dimmunix: Optional[Dimmunix] = None,
-            config: Optional[DimmunixConfig] = None):
-    """Context manager combining :func:`install`/:func:`uninstall`.
-
-    The Dimmunix monitor is started on entry and stopped on exit::
-
-        with patched(config=DimmunixConfig(history_path="app.history")) as runtime:
-            run_the_application()
+    The installed one while :func:`repro.immunize` is in effect;
+    otherwise one over a default-configured engine, created on first use.
     """
-    runtime = install(dimmunix=dimmunix, config=config)
-    runtime.dimmunix.start()
-    try:
-        yield runtime
-    finally:
-        runtime.dimmunix.stop()
-        uninstall()
+    runtime = _defaults.get(kind)
+    if runtime is None:
+        with _registry_mutex:
+            runtime = _defaults.get(kind)
+            if runtime is None:
+                runtime_class, _, _ = _TABLE[kind]
+                runtime = _defaults[kind] = runtime_class(Dimmunix())
+    return runtime
+
+
+def reset_default_runtimes() -> None:
+    """Drop every default runtime (mainly for tests)."""
+    with _registry_mutex:
+        _defaults.clear()

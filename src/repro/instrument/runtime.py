@@ -6,10 +6,10 @@ Responsibilities:
 * park and wake threads that received a YIELD decision (the paper uses a
   per-thread ``yieldLock[T]`` object and ``wait``/``notifyAll``; we use a
   per-thread :class:`threading.Event` plugged into the shared
-  :class:`~repro.core.runtime_api.RuntimeCore` as its parker),
-* manage the process-wide default :class:`~repro.core.dimmunix.Dimmunix`
-  instance used by the ``Lock()``/``RLock()`` factories and by
-  monkey-patching.
+  :class:`~repro.core.runtime_api.RuntimeCore` as its parker).
+
+The process-wide default runtime that ``DimmunixLock()`` without a
+``runtime=`` binds to lives in :mod:`.patching`, beside its asyncio twin.
 
 The engine itself is driven exclusively through the
 :class:`~repro.core.runtime_api.RuntimeCore` protocol — the same layer the
@@ -24,7 +24,6 @@ import threading
 from typing import Dict, Optional
 
 from ..core.dimmunix import Dimmunix
-from ..core.errors import InstrumentationError
 from ..core.runtime_api import LockRuntime, ThreadParker
 
 
@@ -158,42 +157,7 @@ class InstrumentationRuntime(LockRuntime):
         self.threads = ThreadRegistry(on_thread_death=self.core.forget_thread)
         #: Stable id of the calling thread: asked twice per lock operation,
         #: so the registry's own method, not a forwarding frame.
-        self.current_thread_id = self.threads.current_thread_id
+        self.current_id = self.current_thread_id = self.threads.current_thread_id
 
     def _unit_name(self) -> str:
         return threading.current_thread().name
-
-
-# ---------------------------------------------------------------------------
-# Process-wide default instance
-# ---------------------------------------------------------------------------
-
-_default_runtime: Optional[InstrumentationRuntime] = None
-_default_lock = threading.Lock()
-
-
-def set_default_dimmunix(dimmunix: Dimmunix) -> InstrumentationRuntime:
-    """Install ``dimmunix`` as the process-wide default and return its runtime."""
-    global _default_runtime
-    with _default_lock:
-        _default_runtime = InstrumentationRuntime(dimmunix)
-        return _default_runtime
-
-
-def get_default_dimmunix(create: bool = True) -> InstrumentationRuntime:
-    """Return the default runtime, creating one (with default config) if needed."""
-    global _default_runtime
-    if _default_runtime is None:
-        if not create:
-            raise InstrumentationError("no default Dimmunix instance configured")
-        with _default_lock:
-            if _default_runtime is None:
-                _default_runtime = InstrumentationRuntime(Dimmunix())
-    return _default_runtime
-
-
-def reset_default_dimmunix() -> None:
-    """Drop the default instance (mainly for tests)."""
-    global _default_runtime
-    with _default_lock:
-        _default_runtime = None

@@ -151,9 +151,8 @@ def _build_runtime(config: MicrobenchConfig) -> Optional[InstrumentationRuntime]
     detection_only = False
     if config.mode == "instrumentation_only":
         engine_mode = "instrumentation_only"
-    elif config.mode == "updates_only":
-        engine_mode = "updates_only"
-    elif config.mode == "detection_only":
+    elif config.mode in ("updates_only", "detection_only"):
+        # Figure 8's "updates_only" stage is the engine that never yields.
         detection_only = True
     elif config.mode != "full":
         raise ValueError(f"unknown microbenchmark mode {config.mode!r}")

@@ -9,8 +9,7 @@ from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.history import History
 from repro.core.signature import Signature
-from repro.instrument import aio as instrument_aio
-from repro.instrument import patching, runtime as instrument_runtime
+from repro.instrument import patching
 
 
 @pytest.fixture
@@ -45,26 +44,39 @@ def _clean_instrumentation():
     """Ensure tests never leak patched ``threading``/``asyncio`` modules
     or default runtimes."""
     yield
-    if patching.installed():
-        patching.uninstall()
-    instrument_runtime.reset_default_dimmunix()
-    if instrument_aio.asyncio_installed():
-        instrument_aio.uninstall_asyncio()
-    instrument_aio.reset_default_aio_runtime()
+    for kind in list(patching._installed):
+        patching._uninstall(kind)
+    patching.reset_default_runtimes()
 
 
 @pytest.fixture
 def evaluate_at():
-    """``evaluate_at(path, expression)``: evaluate ``expression`` in a
-    function whose code object says it lives at ``path`` — what the
-    patched factories see of a caller."""
-    def evaluate(path: str, expression: str):
-        namespace: dict = {}
+    """``evaluate_at(path, expression, **names)``: evaluate ``expression``
+    (over ``asyncio``, ``threading`` and ``names``) in a function ``make``
+    whose code object says it lives at ``path`` — what the patched
+    factories and the stack captures see of a caller."""
+    def evaluate(path: str, expression: str, **names):
+        namespace: dict = dict(names)
         exec(compile("import asyncio, threading\n"
                      f"def make():\n    return {expression}\n", path, "exec"),
              namespace)
         return namespace["make"]()
     return evaluate
+
+
+@pytest.fixture(scope="session")
+def hand_over_the_filter():
+    """``hand_over_the_filter(engine)``: what any next request does first —
+    a republished filter reaches the cache, which rebuilds its Allowed sets.
+
+    For tests that look at the cache themselves: a request by a thread, for
+    a lock and from a call site nothing else uses, and nothing left behind.
+    """
+    def hand_over(engine, thread_id: int = 99) -> None:
+        assert engine.request(thread_id, 99, CallStack.from_labels(["syncer:1"])).is_go
+        engine.cancel(thread_id, 99)
+        engine.forget_thread(thread_id)
+    return hand_over
 
 
 def stack(*labels: str) -> CallStack:

@@ -83,37 +83,6 @@ def run_threads(thunks: Sequence[Callable[[], None]],
         raise failures[0]
 
 
-class GatedSeq:
-    """Seq-allocator proxy that parks one chosen allocation mid-window.
-
-    Installed in place of ``EventBus._next_seq``.  The first allocation
-    made by a thread whose name contains ``trap`` returns its number but
-    blocks *before* returning control to ``emit`` — i.e. after the seq
-    exists, before the record is appended — which is exactly the
-    publication window the drain's hold-back must tolerate.  The test
-    observes ``allocated`` to know the window is open and sets
-    ``release`` to let the emit complete.
-    """
-
-    def __init__(self, inner: Callable[[], int], trap: str):
-        self._inner = inner
-        self._trap = trap
-        self._armed = True
-        self.allocated = threading.Event()
-        self.release = threading.Event()
-        self.trapped_seq: int = -1
-
-    def __call__(self) -> int:
-        seq = self._inner()
-        if self._armed and self._trap in threading.current_thread().name:
-            self._armed = False
-            self.trapped_seq = seq
-            self.allocated.set()
-            if not self.release.wait(30.0):
-                raise AssertionError("GatedSeq never released")
-        return seq
-
-
 class Trap:
     """Parks one chosen thread at one chosen point of the code under test.
 
@@ -143,28 +112,47 @@ class Trap:
             raise AssertionError("Trap never released")
 
 
+class GatedSeq:
+    """Seq-allocator proxy that parks one chosen allocation mid-window.
+
+    Installed in place of ``EventBus._next_seq``.  The first allocation
+    made by a thread whose name contains ``trap`` returns its number but
+    blocks *before* returning control to ``emit`` — i.e. after the seq
+    exists, before the record is appended — which is exactly the
+    publication window the drain's hold-back must tolerate.  The test
+    observes ``allocated`` to know the window is open and sets
+    ``release`` to let the emit complete.
+    """
+
+    def __init__(self, inner: Callable[[], int], trap: str):
+        self._inner = inner
+        self._trap = Trap(trap)
+        self.allocated, self.release = self._trap.reached, self._trap.release
+
+    def __call__(self) -> int:
+        seq = self._inner()
+        self._trap.here()
+        return seq
+
+
 class GatedDict(dict):
     """Counter-dict proxy that parks one chosen ``get`` mid-bump.
 
     Installed as a stats shard's counts storage.  ``bump`` reads the old
     value with ``get`` and stores ``old + amount`` afterwards; parking
-    inside ``get`` holds the bump in exactly the read-modify-write
-    window a concurrent ``reset`` races with.
+    inside ``get`` (the first one, whichever thread makes it) holds the
+    bump in exactly the read-modify-write window a concurrent ``reset``
+    races with.
     """
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self._armed = True
+        self._trap = Trap("")  # the empty name is part of every thread's
+        self.entered, self.release = self._trap.reached, self._trap.release
 
     def get(self, key, default=None):
         value = super().get(key, default)
-        if self._armed:
-            self._armed = False
-            self.entered.set()
-            if not self.release.wait(30.0):
-                raise AssertionError("GatedDict never released")
+        self._trap.here()
         return value
 
 

@@ -49,12 +49,6 @@ def names_held() -> Signature:
     return Signature([HELD, WANTS], matching_depth=2)
 
 
-def pass_by(engine: AvoidanceEngine, thread_id: int = 3) -> None:
-    """Any request hands a republished filter to the cache and rebuilds; this one leaves nothing."""
-    assert engine.request(thread_id, 30, ELSEWHERE).is_go
-    engine.cancel(thread_id, 30)
-
-
 def indexed(engine: AvoidanceEngine) -> int:
     return sum(engine.cache.allowed_set_sizes().values())
 
@@ -123,7 +117,8 @@ class TestRequestRacesThePublication:
         (0, "the requester, which reads the new filter after writing its edge"),
         (1, "the rebuild, whose scan follows the requester's slot write"),
     ])
-    def test_either_order_leaves_the_binding_indexed(self, parked_at, found_by):
+    def test_either_order_leaves_the_binding_indexed(self, hand_over_the_filter, parked_at,
+                                                     found_by):
         engine = make_engine()
         # top() is read by the engine's miss filter (before the edge is written) and
         # then by the cache (after the edge is written and ``cache.sites`` was read).
@@ -138,7 +133,7 @@ class TestRequestRacesThePublication:
         assert (waiting is None) if parked_at == 0 else (waiting == (10, held))
 
         engine.history.add(names_held())
-        pass_by(engine)  # cache.sites = the new filter, then the rebuild
+        hand_over_the_filter(engine)  # cache.sites = the new filter, then the rebuild
         assert indexed(engine) == parked_at, found_by
 
         trap.release.set()
@@ -220,7 +215,7 @@ class TestTheFilterMovesBetweenCaptureAndRequest:
 class TestReleaseRacesTheRebuild:
     @pytest.mark.parametrize("order", ["release-inside-the-rebuild", "release-first",
                                        "rebuild-first"])
-    def test_the_index_equals_the_live_bindings_at_named_sites(self, order):
+    def test_the_index_equals_the_live_bindings_at_named_sites(self, hand_over_the_filter, order):
         engine = make_engine()
         engine.request(1, 10, HELD)
         engine.acquired(1, 10, HELD)
@@ -233,7 +228,8 @@ class TestReleaseRacesTheRebuild:
         trap = Trap("trapped")
         for stripe in engine.cache._stripes:
             stripe.mutex = GatedMutex(stripe.mutex, trap)
-        rebuilder = threading.Thread(target=lambda: pass_by(engine), name="trapped-rebuilder")
+        rebuilder = threading.Thread(target=lambda: hand_over_the_filter(engine),
+                                     name="trapped-rebuilder")
         rebuilder.start()
         if order == "release-inside-the-rebuild":
             # Scanned, not yet indexed: the owner's release finds nothing to un-index.
@@ -252,7 +248,7 @@ class TestReleaseRacesTheRebuild:
 
 
 class TestChurningFilterStorm:
-    def test_no_binding_is_stranded_or_left_behind(self):
+    def test_no_binding_is_stranded_or_left_behind(self, hand_over_the_filter):
         """Seeded stress: holds come and go while signatures name and un-name their sites."""
         engine = make_engine()
         history = engine.history
@@ -290,7 +286,7 @@ class TestChurningFilterStorm:
         with preemption_pressure():
             run_threads([churner] + [lambda tid=tid: worker(tid)
                                      for tid in range(1, workers + 1)])
-        pass_by(engine, thread_id=99)
+        hand_over_the_filter(engine)
         # Quiescent: every worker stands on one hold at a named site, and nothing else is live.
         assert engine.cache.allowed_set_sizes() == {final[tid]: 1 for tid in final}
         assert indexed(engine) == live_at_named_sites(engine) == workers

@@ -21,7 +21,7 @@ from repro.core.dimmunix import Dimmunix
 from repro.core.errors import InstrumentationError
 from repro.core.history import History
 from repro.core.signature import Signature
-from repro.instrument import aio as raio
+from repro.instrument import patching
 from repro.instrument.aio import (AioCondition, AioLock, AioSemaphore,
                                   AsyncioRuntime)
 
@@ -360,7 +360,7 @@ class TestAioSemaphoreAndCondition:
     def test_condition_rejects_native_lock(self):
         runtime = _make_runtime(start=False)
         with pytest.raises(InstrumentationError):
-            AioCondition(lock=raio._original_lock(), runtime=runtime)
+            AioCondition(lock=asyncio.Lock(), runtime=runtime)
 
     def test_semaphore_release_by_non_holder_keeps_engine_consistent(self):
         """A release from another task transfers the recorded hold (like
@@ -580,13 +580,17 @@ class TestCancellation:
 
 class TestMonkeyPatching:
     def test_install_uninstall_roundtrip(self):
-        runtime = raio.install_asyncio(
-            Dimmunix(config=DimmunixConfig.for_testing()))
+        native = asyncio.Lock
+        engine = Dimmunix(config=DimmunixConfig.for_testing())
+        handle = repro.immunize(runtime="asyncio", dimmunix=engine)
         try:
-            assert raio.asyncio_installed()
+            assert patching._installed == {"asyncio"}
             assert isinstance(asyncio.Lock(), AioLock)
             assert isinstance(asyncio.Semaphore(3), AioSemaphore)
             assert isinstance(asyncio.Condition(), AioCondition)
+            # A condition over a lock made before the install stays native.
+            assert not isinstance(asyncio.Condition(native()), AioCondition)
+            assert not isinstance(asyncio.Condition(lock=native()), AioCondition)
 
             async def main():
                 lock = asyncio.Lock()
@@ -595,17 +599,17 @@ class TestMonkeyPatching:
 
             asyncio.run(main())
             with pytest.raises(InstrumentationError):
-                raio.install_asyncio()
+                repro.immunize(runtime="asyncio")
         finally:
-            raio.uninstall_asyncio()
-        assert not raio.asyncio_installed()
-        assert asyncio.Lock is raio._original_lock
-        assert isinstance(asyncio.Lock(), raio._original_lock)
-        assert runtime.dimmunix is not None
+            handle.stop()
+        assert not patching._installed
+        assert asyncio.Lock is asyncio.locks.Lock is native
+        assert handle.aio.dimmunix is engine
 
     def test_native_callers_are_path_components_not_substrings(
             self, evaluate_at):
-        with raio.patched_asyncio(config=DimmunixConfig.for_testing()):
+        native_lock, native_condition = asyncio.Lock, asyncio.Condition
+        with repro.immunize(runtime="asyncio", config=DimmunixConfig.for_testing()):
             for path in ("/srv/myasyncio/app.py", "/srv/myrepro/core/app.py"):
                 assert isinstance(evaluate_at(path, "asyncio.Lock()"), AioLock)
                 assert isinstance(evaluate_at(path, "asyncio.Semaphore(2)"),
@@ -613,12 +617,11 @@ class TestMonkeyPatching:
             for path in ("/usr/lib/python3.11/asyncio/streams.py",
                          "asyncio/locks.py",
                          "C:\\Python311\\Lib\\asyncio\\queues.py"):
-                assert isinstance(evaluate_at(path, "asyncio.Lock()"),
-                                  raio._original_lock)
+                assert isinstance(evaluate_at(path, "asyncio.Lock()"), native_lock)
             # The asyncio machinery's own primitives: a native condition
             # makes its lock inside asyncio/locks.py, and a queue works.
-            condition = raio._original_condition()
-            assert isinstance(condition._lock, raio._original_lock)
+            condition = native_condition()
+            assert isinstance(condition._lock, native_lock)
 
             async def main():
                 queue = asyncio.Queue()
@@ -630,16 +633,18 @@ class TestMonkeyPatching:
             asyncio.run(main())
 
     def test_patched_asyncio_context_manager(self):
-        with raio.patched_asyncio(config=DimmunixConfig.for_testing()) as runtime:
-            assert raio.asyncio_installed()
-            assert runtime.dimmunix.running
-        assert not raio.asyncio_installed()
+        with repro.immunize(runtime="asyncio",
+                            config=DimmunixConfig.for_testing()) as handle:
+            assert patching._installed == {"asyncio"}
+            assert handle.dimmunix.running
+        assert not patching._installed
+        assert not handle.dimmunix.running
 
     def test_immunize_asyncio_one_call(self, tmp_path):
         history_path = str(tmp_path / "aio.history")
         handle = repro.immunize(runtime="asyncio", history_path=history_path)
         try:
-            assert raio.asyncio_installed()
+            assert patching._installed == {"asyncio"}
             assert handle.dimmunix.running
             assert handle.config.history_path == history_path
 
@@ -651,7 +656,7 @@ class TestMonkeyPatching:
             asyncio.run(main())
         finally:
             handle.stop()
-        assert not raio.asyncio_installed()
+        assert not patching._installed
 
 
 class TestTaskRegistry:

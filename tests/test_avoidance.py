@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.avoidance import (AvoidanceEngine, Decision, MODE_INSTRUMENTATION_ONLY,
-                                  MODE_UPDATES_ONLY)
+from repro.core.avoidance import AvoidanceEngine, Decision, MODE_INSTRUMENTATION_ONLY
 from repro.core.callstack import CallStack
 from repro.core.config import DimmunixConfig
 from repro.core.errors import AvoidanceError
@@ -233,12 +232,13 @@ class TestBypasses:
     def test_updates_only_mode_never_matches(self):
         history = History(path=None, autosave=False)
         history.add(paper_signature())
-        engine = AvoidanceEngine(history, DimmunixConfig.for_testing(),
-                                 mode=MODE_UPDATES_ONLY)
+        # Figure 8's "updates only" stage: no matching, every structure kept.
+        engine = AvoidanceEngine(history, DimmunixConfig.for_testing(detection_only=True))
         engine.request(1, 2, S2)
         engine.acquired(1, 2, S2)
         assert engine.request(2, 1, S1).is_go
         assert engine.cache.holder_of(2) == 1
+        assert len(engine.events) > 0  # the monitor still hears of everything
 
     def test_instrumentation_only_mode_does_nothing(self):
         history = History(path=None, autosave=False)

@@ -152,6 +152,27 @@ class TestInternalFrames:
     def test_the_implementation_stays_internal(self, filename):
         assert _is_internal(filename)
 
+    @pytest.mark.parametrize("path, kept", [
+        ("/srv/app/contextlib.py/handlers.py", True),   # a directory *named* like a file
+        ("/srv/repro/apps/base.py/x.py", True),
+        ("/usr/lib/python3.11/contextlib.py", False),
+        ("/opt/venv/site-packages/repro/core/x.py", False),
+    ])
+    @pytest.mark.parametrize("capture", [
+        "CallStack.capture(skip=0)",
+        "CallStack.capture_cached(skip=0)",
+        "CallStack.capture_lazy(0, 10, stats, frozenset()).frames",
+    ])
+    def test_a_frame_is_dropped_for_its_files_components_only(self, evaluate_at, capture,
+                                                              path, kept):
+        # The path rides in the code's constants: code objects compare without their
+        # file name, and internality is remembered per code object.
+        stack = evaluate_at(path, f"({capture}, {path!r})[0]", CallStack=CallStack,
+                            stats=EngineStats())
+        functions = [frame.function for frame in CallStack(stack)]
+        assert ("make" in functions) == kept
+        assert functions[0] == ("make" if kept else "evaluate")
+
 
 class TestFilterAtCapture:
     """``capture_lazy`` handed the published ``sites``: named -> walked here, unnamed -> deferred."""

@@ -279,21 +279,10 @@ def build(engines, ops, pool, done):
     return op.via(op.site, op.form == "lazy", inside)
 
 
-def hand_over_the_filter(engine: AvoidanceEngine) -> None:
-    """What any next request does first: a republished filter reaches the cache.
-
-    For the tests that call ``_find_instance`` themselves; a thread, a lock
-    and a call site nothing else here uses, and nothing is left behind.
-    """
-    assert engine.request(99, 99, CallStack.from_labels(["syncer:1"])).is_go
-    engine.cancel(99, 99)
-    engine.forget_thread(99)
-
-
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
     @given(ops=ops_strategy, data=st.data())
-    def test_find_instance_agrees_with_the_exhaustive_scan(self, ops, data):
+    def test_find_instance_agrees_with_the_exhaustive_scan(self, hand_over_the_filter, ops, data):
         gated, reference = engines = make_pair()
         pool: List[Tuple[Frame, ...]] = []
 
@@ -332,7 +321,8 @@ class TestDifferential:
 
     @settings(max_examples=150, deadline=None)
     @given(ops=ops_strategy, data=st.data())
-    def test_candidates_matching_agrees_with_the_exhaustive_scan(self, ops, data):
+    def test_candidates_matching_agrees_with_the_exhaustive_scan(self, hand_over_the_filter,
+                                                                 ops, data):
         gated, reference = engines = make_pair()
         pool: List[Tuple[Frame, ...]] = []
 
@@ -358,7 +348,8 @@ class TestDifferential:
 
 
 class TestLaziness:
-    def test_a_probed_lazy_stack_is_matched_deep_and_others_are_left_alone(self):
+    def test_a_probed_lazy_stack_is_matched_deep_and_others_are_left_alone(
+            self, hand_over_the_filter):
         """Only the bindings at a probed site are read; the scan read every one."""
         engine = make_engine()
 
@@ -402,7 +393,7 @@ def live_bindings(cache):
 class TestIndexIsTheLiveBindings:
     @settings(max_examples=150, deadline=None)
     @given(ops=ops_strategy)
-    def test_no_binding_outlives_its_edge(self, ops):
+    def test_no_binding_outlives_its_edge(self, hand_over_the_filter, ops):
         """Index == live bindings at named sites; at every site for a ``sites = None`` cache."""
         gated, reference = engines = make_pair()
         # One of the three sites is named from the start, Edits name and un-name others.

@@ -396,15 +396,15 @@ class TestBackendForking:
         assert fork.dimmunix is not dimmunix
 
     def test_runtime_core_fork_preserves_mode_and_handlers(self):
-        from repro.core.avoidance import MODE_UPDATES_ONLY
+        from repro.core.avoidance import MODE_INSTRUMENTATION_ONLY
         from repro.core.dimmunix import Dimmunix
 
         handler = lambda signature, cycle: None  # noqa: E731
         dimmunix = Dimmunix(config=DimmunixConfig.for_testing(),
                             restart_handler=handler,
-                            engine_mode=MODE_UPDATES_ONLY)
+                            engine_mode=MODE_INSTRUMENTATION_ONLY)
         fork = dimmunix.runtime_core.fork()
-        assert fork.dimmunix.engine.mode == MODE_UPDATES_ONLY
+        assert fork.dimmunix.engine.mode == MODE_INSTRUMENTATION_ONLY
         assert fork.dimmunix.monitor.restart_handler is handler
 
 

@@ -12,17 +12,15 @@ import threading
 import pytest
 
 import repro
-from repro.core.errors import DimmunixError
-from repro.instrument import aio as raio
+from repro.core.dimmunix import Dimmunix
+from repro.core.errors import DimmunixError, InstrumentationError
 from repro.instrument import patching
 from repro.instrument.entry import ImmunityHandle, RUNTIMES
 
-
-@pytest.fixture(autouse=True)
-def clean_patches():
-    yield
-    patching.uninstall()
-    raio.uninstall_asyncio()
+#: What each ``runtime=`` value installs, in the patch table's kinds.
+KINDS = {"threads": {"threads"}, "asyncio": {"asyncio"}, "both": {"threads", "asyncio"}}
+ROWS = [pytest.param(kind, row, id=f"{row[0].__name__}.{row[1]}")
+        for kind, (_, _, rows) in patching._TABLE.items() for row in rows]
 
 
 class TestImmunizeThreads:
@@ -104,7 +102,7 @@ class TestImmunizeAsyncio:
         try:
             assert handle.threads is None
             assert handle.aio is not None
-            assert raio.asyncio_installed()
+            assert patching._installed == {"asyncio"}
             assert threading.Lock().__class__.__module__ == "_thread"
 
             async def probe():
@@ -113,7 +111,7 @@ class TestImmunizeAsyncio:
             assert asyncio.run(probe()) == "AioLock"
         finally:
             handle.stop()
-        assert not raio.asyncio_installed()
+        assert not patching._installed
 
 
 class TestImmunizeBoth:
@@ -126,11 +124,11 @@ class TestImmunizeBoth:
             # thread immunizes the event loop too.
             assert handle.threads.dimmunix is handle.aio.dimmunix
             assert handle.threads.dimmunix is handle.dimmunix
-            assert raio.asyncio_installed()
+            assert patching._installed == {"threads", "asyncio"}
             assert threading.Lock().__class__.__module__.startswith("repro")
         finally:
             handle.stop()
-        assert not raio.asyncio_installed()
+        assert not patching._installed
         assert threading.Lock().__class__.__module__ == "_thread"
 
     def test_repr_names_the_runtimes(self):
@@ -151,7 +149,7 @@ class TestImmunizeValidation:
             assert runtime in str(err.value)
         # Nothing was left half-installed.
         assert threading.Lock().__class__.__module__ == "_thread"
-        assert not raio.asyncio_installed()
+        assert not patching._installed
 
     def test_share_spec_reaches_the_engine(self):
         from repro.share import memory_hub, reset_memory_hubs
@@ -173,3 +171,82 @@ class TestImmunizeValidation:
             assert handle.dimmunix.config.history_path == path
         finally:
             handle.stop()
+
+    def test_a_callers_engine_comes_with_its_own_configuration(self, config):
+        engine = Dimmunix(config=config)
+        with repro.immunize(runtime="both", dimmunix=engine) as handle:
+            assert handle.dimmunix is engine and engine.running
+            assert handle.threads.dimmunix is handle.aio.dimmunix is engine
+        assert not engine.running
+        with pytest.raises(DimmunixError):
+            repro.immunize(dimmunix=engine, history_path="ignored.history")
+        assert not patching._installed
+
+
+class TestThePatchTable:
+    """Every ``(module, attribute, native factory, immune class)`` row, in and out."""
+
+    @pytest.mark.parametrize("kind, row", ROWS)
+    def test_a_row_is_patched_for_applications_only_and_restored(self, evaluate_at, kind, row):
+        module, attribute, native, immune = row
+        before = getattr(module, attribute)
+        assert before is native
+        name = f"{module.__name__}.{attribute}"
+        own = "/site-packages/asyncio/x.py" if kind == "asyncio" else "/lib/threading.py"
+        with repro.immunize(runtime=kind) as handle:
+            made = evaluate_at("/srv/app/handlers.py", f"{name}()")
+            assert type(made) is immune
+            assert made._runtime is (handle.threads if kind == "threads" else handle.aio)
+            for path in (own, "/site-packages/repro/core/monitor.py"):
+                assert type(evaluate_at(path, f"{name}()")) is type(native())
+        assert getattr(module, attribute) is before
+
+    @pytest.mark.parametrize("live", RUNTIMES)
+    @pytest.mark.parametrize("second", RUNTIMES)
+    def test_a_second_immunize_raises_and_leaves_the_first_as_it_was(self, live, second):
+        with repro.immunize(runtime=live) as handle:
+            patched = {(module, attribute): getattr(module, attribute)
+                       for _, _, rows in patching._TABLE.values()
+                       for module, attribute, _, _ in rows}
+            defaults = dict(patching._defaults)
+            if KINDS[live] & KINDS[second]:
+                with pytest.raises(InstrumentationError):
+                    repro.immunize(runtime=second)
+            else:
+                repro.immunize(runtime=second).stop()
+            # Nothing half-installed, nothing of the live handle undone.
+            assert patching._installed == KINDS[live]
+            assert patching._defaults == defaults
+            assert all(getattr(module, attribute) is factory
+                       for (module, attribute), factory in patched.items())
+            assert not handle.stopped and handle.dimmunix.running
+        assert not patching._installed
+
+
+class TestStopClearsTheDefaults:
+    """A stopped handle leaves no live default behind (both survived ``stop()`` once)."""
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_no_default_runtime_outlives_its_engine(self, runtime):
+        handle = repro.immunize(runtime=runtime)
+        assert {kind for kind, default in patching._defaults.items()
+                if default.dimmunix is handle.dimmunix} == KINDS[runtime]
+        handle.stop()
+        assert not patching._defaults
+        for kind in sorted(KINDS[runtime]):
+            # A primitive made now binds to a fresh engine, not the stopped one.
+            assert patching.default_runtime(kind).dimmunix is not handle.dimmunix
+        with repro.immunize(runtime=runtime) as later:
+            assert later.dimmunix is not handle.dimmunix
+            for kind in KINDS[runtime]:
+                assert patching.default_runtime(kind).dimmunix is later.dimmunix
+
+    def test_a_failed_immunize_clears_what_it_installed(self, monkeypatch):
+        def refuse(self):
+            raise RuntimeError("no monitor thread today")
+
+        monkeypatch.setattr(Dimmunix, "start", refuse)
+        with pytest.raises(RuntimeError):
+            repro.immunize(runtime="both")
+        assert not patching._installed and not patching._defaults
+        assert threading.Lock().__class__.__module__ == "_thread"

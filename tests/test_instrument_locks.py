@@ -6,15 +6,16 @@ import threading
 
 import pytest
 
+import repro
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.errors import InstrumentationError
 from repro.instrument import patching
 from repro.instrument.locks import (Condition, DimmunixCondition, DimmunixLock,
                                     DimmunixRLock, Lock, RLock)
+from repro.instrument.patching import default_runtime, reset_default_runtimes
 from repro.instrument.runtime import (InstrumentationRuntime, ThreadRegistry,
-                                      YieldManager, get_default_dimmunix,
-                                      reset_default_dimmunix, set_default_dimmunix)
+                                      YieldManager)
 
 
 @pytest.fixture
@@ -150,61 +151,58 @@ class TestDimmunixRLock:
 
 class TestFactoriesAndPatching:
     def test_factories_use_default_runtime(self, config):
-        reset_default_dimmunix()
-        set_default_dimmunix(Dimmunix(config=config))
-        lock = Lock()
-        rlock = RLock()
-        condition = Condition()
+        with repro.immunize(dimmunix=Dimmunix(config=config)) as handle:
+            lock, rlock, condition = Lock(), RLock(), Condition()
+            assert default_runtime("threads") is handle.threads
+            assert lock._runtime is rlock._runtime is handle.threads
         assert isinstance(lock, DimmunixLock)
         assert isinstance(rlock, DimmunixRLock)
         assert isinstance(condition, DimmunixCondition)
 
     def test_get_default_creates_lazily(self):
-        reset_default_dimmunix()
-        runtime = get_default_dimmunix()
-        assert runtime is get_default_dimmunix()
+        reset_default_runtimes()
+        runtime = default_runtime("threads")
+        assert runtime is default_runtime("threads")
+        assert DimmunixLock()._runtime is runtime
 
     def test_install_patches_threading(self, config):
-        patching.install(Dimmunix(config=config))
-        try:
+        engine = Dimmunix(config=config)
+        with repro.immunize(dimmunix=engine) as handle:
             lock = threading.Lock()
             assert isinstance(lock, DimmunixLock)
+            assert lock._runtime.dimmunix is engine
             rlock = threading.RLock()
             assert isinstance(rlock, DimmunixRLock)
-            assert patching.installed()
-        finally:
-            patching.uninstall()
-        assert not patching.installed()
+            assert patching._installed == {"threads"}
+        assert handle.stopped and not patching._installed
         assert not isinstance(threading.Lock(), DimmunixLock)
 
     def test_double_install_rejected(self, config):
-        patching.install(Dimmunix(config=config))
-        try:
+        with repro.immunize(dimmunix=Dimmunix(config=config)):
             with pytest.raises(InstrumentationError):
-                patching.install(Dimmunix(config=config))
-        finally:
-            patching.uninstall()
+                repro.immunize(dimmunix=Dimmunix(config=config))
+            # The live handle's patch is not the failed call's to undo.
+            assert isinstance(threading.Lock(), DimmunixLock)
 
     def test_patched_context_manager(self, config):
-        with patching.patched(config=config) as runtime:
-            assert patching.installed()
-            assert runtime.dimmunix.running
+        with repro.immunize(config=config) as handle:
+            assert patching._installed == {"threads"}
+            assert handle.dimmunix.running
             lock = threading.Lock()
             with lock:
                 pass
-        assert not patching.installed()
-        assert not runtime.dimmunix.running
+        assert not patching._installed
+        assert not handle.dimmunix.running
 
     def test_immunize_returns_started_runtime(self, tmp_path):
-        import repro
         handle = repro.immunize(history_path=str(tmp_path / "h.json"))
         try:
-            assert patching.installed()
+            assert patching._installed == {"threads"}
             assert handle.dimmunix.running
             assert handle.dimmunix.config.history_path is not None
         finally:
             handle.stop()
-        assert not patching.installed()
+        assert not patching._installed
 
 
 class TestRuntimeHelpers:
@@ -241,7 +239,7 @@ class TestRuntimeHelpers:
         def run_once():
             config = DimmunixConfig(history_path=history_path,
                                     monitor_interval=0.02)
-            with patching.patched(config=config) as runtime:
+            with repro.immunize(config=config) as runtime:
                 lock_a = threading.Lock()
                 lock_b = threading.Lock()
                 ready = [threading.Event(), threading.Event()]

@@ -14,11 +14,11 @@ import time
 
 import pytest
 
+import repro
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.history import History
 from repro.core.signature import SHARED
-from repro.instrument import patching
 from repro.instrument.aio import AioRWLock, AioSemaphore, AsyncioRuntime
 from repro.instrument.locks import (DimmunixBoundedSemaphore, DimmunixRWLock,
                                     DimmunixSemaphore)
@@ -275,26 +275,23 @@ class TestThreadRunTwiceImmunity:
 
 class TestPatchingCoversSemaphores:
     def test_install_patches_semaphore_factories(self, config):
-        patching.install(config=config)
-        try:
+        native = threading.Semaphore
+        with repro.immunize(config=config):
             sem = threading.Semaphore(3)
-            bounded = threading.BoundedSemaphore(2)
+            bounded = threading.BoundedSemaphore(value=2)
             assert isinstance(sem, DimmunixSemaphore)
             assert isinstance(bounded, DimmunixBoundedSemaphore)
-            assert sem.capacity == 3
-        finally:
-            patching.uninstall()
-        assert threading.Semaphore is patching._original_semaphore
+            assert sem.capacity == 3 and bounded.capacity == 2
+        assert threading.Semaphore is native
 
-    def test_internal_callers_keep_native_semaphores(self, config):
-        patching.install(config=config)
-        try:
+    def test_internal_callers_keep_native_semaphores(self, config, evaluate_at):
+        native = threading.Semaphore
+        with repro.immunize(config=config):
+            assert threading.Semaphore is not native
             # concurrent.futures builds semaphores from library code paths;
             # simplest probe: a caller inside repro.* gets native types.
-            from repro.instrument.patching import _original_semaphore
-            assert threading.Semaphore is not _original_semaphore
-        finally:
-            patching.uninstall()
+            made = evaluate_at("/site-packages/repro/core/pool.py", "threading.Semaphore(2)")
+            assert isinstance(made, native)
 
 
 def _run_aio_sem_trial(history):
