@@ -13,15 +13,17 @@ decisions (paper section 5.1).  This module provides that cache:
   reaches every binding that could cover it; a site without bindings is
   *vacant*.  Only signature stacks are ever probed with, so a binding at
   any other site could not be found and is not indexed (``sites``).
-* holders / waiters: the lock-to-owner map, sharded by lock id.
 * per-thread state: the holds multiset, the allowed-wait edge, the yield
   causes and the engine's yield / forced-GO state, in the thread's one slot.
+  The slots are the only hold ledger; beside them one owner map names the
+  thread holding each single-holder resource, for the double-acquire check.
 
 Nothing here is memoized; all of it is current state.  The cache is
 striped the way the paper's generalized-Peterson design intends: Allowed
-sets are sharded by site hash, holder records by lock id, and per-thread
-state lives in per-thread slots that are written almost exclusively by
-their owning thread — so unrelated lock operations never contend.
+sets are sharded by site hash, and per-thread state lives in per-thread
+slots that are written almost exclusively by their owning thread — so
+unrelated lock operations never contend, and a hold at a site no
+signature names takes no mutex at all.
 Cross-structure atomicity is *not* provided here; the engine serializes
 the signature-matching slow path itself and treats the monitor's
 detection pass as the safety net, exactly as the paper does.
@@ -30,7 +32,6 @@ detection pass as the safety net, exactly as the paper does.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .callstack import CallStack, Frame
@@ -41,49 +42,19 @@ from ..util.slots import SlotRegistry
 #: A (thread_id, lock_id, stack) binding, as used in signature instances.
 Binding = Tuple[int, int, CallStack]
 
-#: Number of stripes of the allowed-set and holder shards.
+#: Number of Allowed-set stripes (sharded by call-site hash).
 STRIPES = 16
 
 
-@dataclass
-class HolderRecord:
-    """Ownership record of one resource (multi-holder, reentrant).
-
-    Plain mutexes have exactly one entry in ``stacks``' key set; counting
-    semaphores one entry per permit-holding thread; rwlocks one entry per
-    reader (plus the writer).  ``multiholder`` latches once the resource
-    has been used with a capacity above one or in SHARED mode — only then
-    are concurrent holders legal, so mutex double-acquire bugs still
-    raise.
-    """
-
-    #: thread id -> LIFO acquisition stacks of that thread's hold edges.
-    stacks: Dict[int, List[CallStack]]
-    multiholder: bool = False
-
-    @property
-    def count(self) -> int:
-        return sum(len(stacks) for stacks in self.stacks.values())
-
-    @property
-    def thread_id(self) -> Optional[int]:
-        """The sole holder when exactly one thread holds, else ``None``."""
-        if len(self.stacks) == 1:
-            return next(iter(self.stacks))
-        return None
-
-
 class _Stripe:
-    """One shard: a mutex plus the allowed-set and holder maps it guards."""
+    """One shard: a mutex plus the Allowed sets it guards."""
 
-    __slots__ = ("mutex", "allowed", "holders")
+    __slots__ = ("mutex", "allowed")
 
     def __init__(self):
         self.mutex = threading.Lock()
         #: call site (``None``: empty stack) -> bindings holding / allowed to wait there.
         self.allowed: Dict[Optional[Frame], Set[Binding]] = {}
-        #: lock -> holder record (locks whose id maps to this stripe).
-        self.holders: Dict[int, HolderRecord] = {}
 
 
 class _ThreadSlot:
@@ -113,9 +84,8 @@ class AvoidanceCache:
     """Always-current synchronization state used by the request method."""
 
     def __init__(self):
-        # The paper avoids locking here with a generalized Peterson
-        # algorithm; under the GIL striped mutexes are cheaper and equally
-        # correct.
+        # The paper avoids locking here with a generalized Peterson algorithm;
+        # here holds take no mutex and the Allowed sets striped ones.
         #: The call sites Allowed sets are kept at; ``None`` is every site.
         #: State, not a setting: the engine stores its index's republished
         #: ``sites`` here *before* it calls :meth:`rebuild_allowed`.
@@ -126,6 +96,10 @@ class AvoidanceCache:
         #: scans stay O(yielders) instead of O(threads ever seen).
         self._yielding: Dict[int, _ThreadSlot] = {}
         self._yielding_lock = threading.Lock()
+        #: lock -> the thread holding it, for single-holder holds only (one
+        #: EXCLUSIVE permit): the double-acquire check.  No mutex; see
+        #: :meth:`add_hold`.
+        self._owners: Dict[int, int] = {}
 
     # -- allow / wait edges -------------------------------------------------------------
 
@@ -166,33 +140,26 @@ class AvoidanceCache:
                  slot: Optional[_ThreadSlot] = None) -> int:
         """Record an acquisition; returns the new reentrancy count.
 
-        ``mode``/``capacity`` describe the resource semantics: concurrent
-        holders are legal for resources with more than one permit or any
-        SHARED usage; a second holder on a plain mutex still raises (and
-        changes nothing).  Ordered as :meth:`add_allow`: the hold enters the
+        ``mode``/``capacity`` describe the resource semantics.  A thread's
+        first hold of a one-permit resource taken EXCLUSIVE enters the owner
+        map, and a second such holder raises (and changes nothing); concurrent
+        holders are legal, and unchecked, with more than one permit or in
+        SHARED mode.  Ordered as :meth:`add_allow`: the hold enters the
         slot before the allow edge it promotes leaves and before
         :attr:`sites` is read, so a rebuild's scan finds one of the two.
         """
         slot = slot or self.slots.get(thread_id)
-        multiholder = capacity > 1 or mode == SHARED
-        stripe = self._stripes[lock_id % STRIPES]
-        with stripe.mutex:
-            record = stripe.holders.get(lock_id)
-            if record is None:
-                stripe.holders[lock_id] = HolderRecord({thread_id: [stack]}, multiholder)
-            else:
-                if multiholder:
-                    record.multiholder = True
-                mine = record.stacks.get(thread_id)
-                if mine is None:
-                    if not record.multiholder and record.stacks:
-                        raise AvoidanceError(
-                            f"lock {lock_id} acquired by thread {thread_id} while "
-                            f"held by thread {next(iter(record.stacks))}")
-                    mine = record.stacks[thread_id] = []
-                mine.append(stack)
         held = slot.holds.get(lock_id)
         if held is None:
+            if capacity == 1 and mode != SHARED:
+                # Atomic on GIL and free-threaded builds.  The previous owner's
+                # release_hold ran before its native release, this runs after
+                # our native acquire: the primitive itself orders the two.
+                owner = self._owners.setdefault(lock_id, thread_id)
+                if owner != thread_id:
+                    raise AvoidanceError(
+                        f"lock {lock_id} acquired by thread {thread_id} while "
+                        f"held by thread {owner}")
             held = slot.holds[lock_id] = [stack]
         else:
             held.append(stack)
@@ -217,46 +184,34 @@ class AvoidanceCache:
         edge on the resource (for a mutex that is exactly "the lock became
         available"; for multi-holder resources other holders may remain).
         """
-        stripe = self._stripes[lock_id % STRIPES]
-        with stripe.mutex:
-            record = stripe.holders.get(lock_id)
-            stacks = record.stacks.get(thread_id) if record is not None else None
-            if not stacks:
-                raise AvoidanceError(
-                    f"thread {thread_id} released lock {lock_id} it does not hold")
-            stack = stacks.pop()
-            fully = not stacks
-            if fully:
-                del record.stacks[thread_id]
-                if not record.stacks:
-                    del stripe.holders[lock_id]
-        slot = self.slots.get(thread_id)
-        stacks = slot.holds.get(lock_id)
-        if stacks:
-            stacks.pop()
-            if not stacks:
-                del slot.holds[lock_id]
+        slot = self.slots.peek(thread_id)
+        stacks = slot.holds.get(lock_id) if slot is not None else None
+        if not stacks:
+            raise AvoidanceError(
+                f"thread {thread_id} released lock {lock_id} it does not hold")
+        stack = stacks.pop()
+        fully = not stacks
+        if fully:
+            del slot.holds[lock_id]
+            if self._owners.get(lock_id) == thread_id:
+                self._owners.pop(lock_id, None)
         self._retire(slot, thread_id, lock_id, stack)
         return fully, stack
 
     def holder_of(self, lock_id: int) -> Optional[int]:
         """The sole thread holding ``lock_id``, or ``None`` (free or shared)."""
-        record = self._stripes[lock_id % STRIPES].holders.get(lock_id)
-        return record.thread_id if record is not None else None
+        holders = self.holders_of(lock_id)
+        return holders[0] if len(holders) == 1 else None
 
     def holders_of(self, lock_id: int) -> List[int]:
-        """All threads currently holding ``lock_id``."""
-        stripe = self._stripes[lock_id % STRIPES]
-        with stripe.mutex:
-            record = stripe.holders.get(lock_id)
-            return list(record.stacks) if record is not None else []
+        """All threads currently holding ``lock_id``, by id (a scan of the slots)."""
+        return [thread_id for thread_id, slot in sorted(self.slots.items())
+                if slot.holds.get(lock_id)]
 
     def hold_count(self, thread_id: int, lock_id: int) -> int:
         """How many times ``thread_id`` currently holds ``lock_id``."""
         slot = self.slots.peek(thread_id)
-        if slot is None:
-            return 0
-        return len(slot.holds.get(lock_id, ()))
+        return len(slot.holds.get(lock_id, ())) if slot is not None else 0
 
     def locks_held_by(self, thread_id: int) -> List[int]:
         """The locks currently held by ``thread_id`` (each listed once)."""
@@ -273,17 +228,13 @@ class AvoidanceCache:
         once the thread can no longer walk its own frames.
         """
         slot = self.slots.peek(thread_id)
-        if slot is None:
-            return []
         return [stack for stacks in list(slot.holds.values())
-                for stack in list(stacks)]
+                for stack in list(stacks)] if slot is not None else []
 
     def total_holds(self, thread_id: int) -> int:
         """Number of hold edges of ``thread_id`` (reentrant holds counted)."""
         slot = self.slots.peek(thread_id)
-        if slot is None:
-            return 0
-        return sum(len(stacks) for stacks in list(slot.holds.values()))
+        return sum(map(len, list(slot.holds.values()))) if slot is not None else 0
 
     def binding_live(self, thread_id: int, lock_id: int) -> bool:
         """Is the (thread, lock) binding still backed by a hold or allow edge?
@@ -336,6 +287,8 @@ class AvoidanceCache:
         remove a different reentrant hold edge than the one recorded in the
         cause.
         """
+        if not self._yielding:
+            return []  # the same lock-free read as the copy below
         woken: List[int] = []
         for tid, slot in list(self._yielding.items()):
             for cause_thread, cause_lock, cause_stack in slot.yield_cause:
@@ -414,8 +367,8 @@ class AvoidanceCache:
         for stripe in self._stripes:
             with stripe.mutex:
                 stripe.allowed.clear()
-                stripe.holders.clear()
         self.slots.clear()
+        self._owners.clear()
         with self._yielding_lock:
             self._yielding.clear()
 
@@ -484,13 +437,12 @@ class AvoidanceCache:
 
     def snapshot(self) -> Dict:
         """A JSON-friendly snapshot (debugging and reports)."""
-        holders: Dict[int, Tuple[Tuple[int, ...], int]] = {}
-        for stripe in self._stripes:
-            with stripe.mutex:
-                for lock, rec in stripe.holders.items():
-                    sole = rec.thread_id
-                    holders[lock] = (sole if sole is not None
-                                     else tuple(rec.stacks), rec.count)
+        held: Dict[int, Dict[int, int]] = {}
+        for tid, slot in sorted(self.slots.items()):
+            for lock, stacks in list(slot.holds.items()):
+                held.setdefault(lock, {})[tid] = len(stacks)
+        holders = {lock: (next(iter(counts)) if len(counts) == 1 else tuple(counts),
+                          sum(counts.values())) for lock, counts in held.items()}
         waiting = {}
         yielding = {}
         for tid, slot in self.slots.items():

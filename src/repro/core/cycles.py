@@ -214,8 +214,9 @@ def find_starvation(rag: ResourceAllocationGraph) -> List[DetectedCycle]:
             if state.is_yielding:
                 # A parked thread is woken (and its signature instance
                 # dissolves) as soon as any of its causes releases a lock,
-                # which requires that cause to make progress.
-                if any(cause_thread in can_progress
+                # which requires that cause to make progress — or to have
+                # ended holding nothing, which the RAG then forgot.
+                if any(cause_thread in can_progress or cause_thread not in states
                        for cause_thread, _lock, _stack in state.yields):
                     can_progress.add(tid)
                     changed = True

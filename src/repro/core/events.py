@@ -560,6 +560,11 @@ class EventBus:
                 ring.total for ring in self._rings.values())
 
     @property
+    def held_back(self) -> int:
+        """Records the last drain kept for later, behind a missing seq (consumer-side)."""
+        return len(self._pending)
+
+    @property
     def total_drained(self) -> int:
         """Records handed to the consumer over the bus's lifetime."""
         return self._total_drained

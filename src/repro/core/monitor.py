@@ -25,13 +25,14 @@ from then on.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from typing import Callable, List, Optional, Set, Tuple
 
 from .avoidance import AvoidanceEngine
 from .config import DimmunixConfig
 from .cycles import (DetectedCycle, find_deadlock_cycles, find_starvation,
                      pick_starvation_victim)
-from .errors import RestartRequired
+from .errors import RAGError, RestartRequired
 from .history import History
 from .rag import ResourceAllocationGraph
 from .signature import Signature
@@ -79,6 +80,9 @@ class MonitorCore:
         self._reported_starvations: Set[Tuple[int, ...]] = set()
         #: All cycles detected over the monitor's lifetime (for reports).
         self.detected: List[DetectedCycle] = []
+        #: Ids of ended threads/tasks whose RAG state is still to go
+        #: (appended from any thread, consumed under _mutex).
+        self._departed: deque = deque()
 
     # -- process hooks (history sharing and other per-pass work) --------------------------
 
@@ -93,6 +97,13 @@ class MonitorCore:
         fresh objects on every attribute access, so ``is`` never matches.
         """
         self._process_hooks = [h for h in self._process_hooks if h != hook]
+
+    def forget_thread(self, thread_id: int) -> None:
+        """A thread or task has ended; its RAG state goes at the first pass finding it empty.
+
+        One that ended holding a resource keeps its edges.  Any thread may call this.
+        """
+        self._departed.append(thread_id)
 
     # -- main entry point ----------------------------------------------------------------
 
@@ -109,6 +120,9 @@ class MonitorCore:
                 pass
         with self._mutex:
             self.stats.bump("monitor_wakeups")
+            # Every record of a thread queued as departed by now is in the
+            # rings the drain below collects; one held back may be its own.
+            departed = len(self._departed)
             # The bus hands over encoded records that the RAG consumes
             # field by field — no per-event decode.  _mutex also enforces
             # the bus's single-consumer contract: drain_raw must never run
@@ -118,6 +132,13 @@ class MonitorCore:
             if records:
                 self.rag.apply_encoded(records)
                 self.stats.bump("events_processed", len(records))
+            if departed and not self.engine.events.held_back:
+                for _ in range(departed):
+                    thread_id = self._departed.popleft()
+                    try:
+                        self.rag.forget_thread(thread_id)
+                    except RAGError:  # it ended holding, or waiting for, a resource
+                        self._departed.append(thread_id)
             new_conditions: List[DetectedCycle] = []
 
             roots = self.rag.dirty_threads or None
@@ -154,7 +175,10 @@ class MonitorCore:
 
     def _still_blocked(self, key: Tuple[int, ...]) -> bool:
         """Are all threads of a previously reported deadlock still waiting?"""
+        known = self.rag.thread_ids()  # an ended thread is forgotten, not re-created
         for thread_id in key:
+            if thread_id not in known:
+                return False
             state = self.rag.thread(thread_id)
             if state.allow is None and state.request is None:
                 return False

@@ -238,10 +238,11 @@ class RuntimeCore:
         self.dimmunix.unregister_waker(thread_id)
 
     def forget_thread(self, thread_id: int) -> None:
-        """Drop engine, parker, and waker state of a terminated thread."""
+        """Drop engine, parker, waker and (at a later pass) RAG state of a terminated thread."""
         self.dimmunix.engine.forget_thread(thread_id)
         self.parker.forget(thread_id)
         self.dimmunix.unregister_waker(thread_id)
+        self.dimmunix.monitor.forget_thread(thread_id)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,17 @@ counted, never resurrected.  The publication order writers must follow is
 *counts dict before epoch* (see ``docs/architecture.md``, "The memory
 model"): a reader that sees the new epoch then always sees the fresh
 dict, so no post-reset increment can be missed.
+
+A shard whose thread has ended is *retired* the way :class:`EventBus`
+rings are: its counts are folded into per-epoch retired totals, so a
+server churning short-lived threads keeps O(live threads) shards while
+every total stays what it was.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict
 
 #: Names of all counters, used by snapshot()/reset() and attribute reads.
@@ -58,14 +64,15 @@ class _StatShard:
     reset generation those counts belong to.  The owner replaces both on
     its first bump after a reset, writing ``counts`` *before* ``epoch``
     so readers filtering by epoch never see a stale dict behind a fresh
-    epoch number.
+    epoch number.  ``owner`` is a weak reference to that thread.
     """
 
-    __slots__ = ("counts", "epoch")
+    __slots__ = ("counts", "epoch", "owner")
 
     def __init__(self, epoch: int):
         self.counts: Dict[str, int] = {}
         self.epoch = epoch
+        self.owner = weakref.ref(threading.current_thread())
 
 
 class EngineStats:
@@ -77,25 +84,50 @@ class EngineStats:
     worst a few increments stale while they are still running.
     """
 
-    __slots__ = ("_lock", "_local", "_shards", "_epoch")
+    __slots__ = ("_lock", "_local", "_shards", "_epoch", "_retired", "_retire_at")
 
     def __init__(self):
         self._lock = threading.Lock()
         self._local = threading.local()
-        #: All per-thread shards ever created; appended under _lock,
-        #: iterated lock-free by readers (list append is atomic).
+        #: The shards of threads not yet seen dead.  Replaced, never changed
+        #: in place, under _lock, together with _retired: a reader that takes
+        #: both under _lock counts every shard exactly once.
         self._shards = []
         #: Reset generation.  Writers compare their shard's epoch to this
         #: and readers skip shards from older generations.  Only ever
         #: incremented, under _lock.
         self._epoch = 0
+        #: Counts of this epoch's retired shards (a new epoch starts empty).
+        self._retired: Dict[str, int] = {}
+        #: Shard count at which a new shard first retires dead ones: twice
+        #: the survivors of the last retirement, so a thread start costs O(1).
+        self._retire_at = 8
 
     def _new_shard(self) -> _StatShard:
         shard = _StatShard(self._epoch)
         with self._lock:
-            self._shards.append(shard)
+            shards = self._shards
+            if len(shards) >= self._retire_at:
+                shards = self._retire(shards)
+            self._shards = shards + [shard]
         self._local.shard = shard
         return shard
+
+    def _retire(self, shards):
+        """Fold the shards of ended threads into ``_retired``; the rest (under _lock)."""
+        retired = dict(self._retired)
+        live = []
+        for shard in shards:
+            # Owner dead first, counts second: dead means its last bump is in.
+            thread = shard.owner()
+            if thread is not None and thread.is_alive():
+                live.append(shard)
+            elif shard.epoch == self._epoch:
+                for name, value in shard.counts.items():
+                    retired[name] = retired.get(name, 0) + value
+        self._retired = retired
+        self._retire_at = max(8, 2 * len(live))
+        return live
 
     def bump(self, name: str, amount: int = 1) -> None:
         """Increment the counter ``name`` on the calling thread's shard."""
@@ -118,20 +150,7 @@ class EngineStats:
         """The aggregated value of one counter across all thread shards."""
         if name not in _COUNTER_SET:
             raise KeyError(name)
-        if name == "go_decisions":
-            # Derived, not bumped: every request ends in a grant or a
-            # YIELD, so the engine skips a per-grant shard write on the
-            # hot path and the value is reconstructed here.  The max()
-            # only matters mid-flight, when the two underlying counters
-            # are read a few increments apart.
-            return max(0, self.value_of("requests")
-                       - self.value_of("yield_decisions"))
-        epoch = self._epoch
-        total = 0
-        for shard in self._shards:
-            if shard.epoch == epoch:
-                total += shard.counts.get(name, 0)
-        return total
+        return self.snapshot()[name]
 
     def __getattr__(self, name: str) -> int:
         # Only fires for names not found via __slots__, i.e. the counters.
@@ -142,16 +161,18 @@ class EngineStats:
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy of all counters (aggregated over shards)."""
-        totals = {name: 0 for name in _COUNTER_NAMES}
-        epoch = self._epoch
-        with self._lock:
-            shards = list(self._shards)
+        with self._lock:  # one consistent view: each shard live or retired
+            epoch, shards, retired = self._epoch, self._shards, self._retired
+        totals = {name: retired.get(name, 0) for name in _COUNTER_NAMES}
         for shard in shards:
             if shard.epoch != epoch:
                 continue
             for name, value in list(shard.counts.items()):
                 totals[name] += value
-        # go_decisions is derived (see value_of): grants do not bump it.
+        # Derived, not bumped: every request ends in a grant or a YIELD, so
+        # the engine skips a per-grant shard write on the hot path.  The
+        # max() only matters mid-flight, when the two counters are read a
+        # few increments apart.
         totals["go_decisions"] = max(
             0, totals["requests"] - totals["yield_decisions"])
         return totals
@@ -167,6 +188,7 @@ class EngineStats:
         """
         with self._lock:
             self._epoch += 1
+            self._retired = {}
 
     @property
     def yield_rate(self) -> float:

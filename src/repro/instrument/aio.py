@@ -102,10 +102,10 @@ class TaskRegistry:
             raise InstrumentationError(
                 "Dimmunix asyncio primitives must be used from within a task")
         key = id(task)
-        with self._mutex:
-            ident = self._ids.get(key)
-            if ident is not None:
-                return ident
+        ident = self._ids.get(key)  # lock-free: asked on every lock operation
+        if ident is not None:
+            return ident
+        with self._mutex:  # only the task itself asks, so this is its first use
             ident = next(self._counter)
             self._ids[key] = ident
             self._names[ident] = task.get_name()
@@ -290,7 +290,7 @@ class _PermitQueue:
 
     def try_acquire(self) -> bool:
         """Take a permit if that needs no waiting (FIFO: nobody queued)."""
-        if self._value > 0 and not any(not w.done() for w in self._waiters):
+        if self._value > 0 and (not self._waiters or all(w.done() for w in self._waiters)):
             self._value -= 1
             return True
         return False

@@ -50,7 +50,7 @@ class _DeathToken:
 
 
 class ThreadRegistry:
-    """Assigns stable small integer ids to live Python threads."""
+    """Stable small integer ids for live Python threads; with ``on_thread_death``, names go too."""
 
     def __init__(self, on_thread_death=None):
         self._local = threading.local()
@@ -69,15 +69,20 @@ class ThreadRegistry:
                 self._names[ident] = threading.current_thread().name
             self._local.thread_id = ident
             if self._on_thread_death is not None:
-                self._local.death_token = _DeathToken(ident, self._on_thread_death)
+                self._local.death_token = _DeathToken(ident, self._thread_died)
             return ident
+
+    def _thread_died(self, thread_id: int) -> None:
+        with self._lock:
+            self._names.pop(thread_id, None)
+        self._on_thread_death(thread_id)
 
     def name_of(self, thread_id: int) -> Optional[str]:
         """The Python thread name recorded for ``thread_id``."""
         return self._names.get(thread_id)
 
     def known_threads(self) -> Dict[int, str]:
-        """Mapping of all ids ever assigned to their thread names."""
+        """Thread names by id: of live threads, or (no death callback) of all ever seen."""
         with self._lock:
             return dict(self._names)
 

@@ -70,13 +70,6 @@ class SimLock:
             return self.waiters.popleft()
         return None
 
-    def remove_waiter(self, thread_id: int) -> None:
-        """Remove a specific thread from the wait queue (cancel)."""
-        try:
-            self.waiters.remove(thread_id)
-        except ValueError:
-            pass
-
     def reset(self) -> None:
         """Clear all runtime state (used when replaying a lock across runs)."""
         self.owner = None

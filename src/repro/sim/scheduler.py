@@ -145,7 +145,6 @@ class SimScheduler:
         #: thread id -> slot (registration index); slots are what schedule
         #: traces record, because thread ids are process-global.
         self._slots: Dict[int, int] = {}
-        self._by_slot: List[SimThread] = []
         #: lock id -> slot; used to compare stalls across runs, since lock
         #: ids are process-global too.
         self._lock_slots: Dict[int, int] = {}
@@ -159,7 +158,6 @@ class SimScheduler:
         """Register a simulated thread; ``program`` is a generator factory."""
         thread = SimThread(program, name=name)
         self._slots[thread.thread_id] = len(self.threads)
-        self._by_slot.append(thread)
         self.threads[thread.thread_id] = thread
         if self._attached:
             self.backend.on_thread_added(thread.thread_id)
@@ -183,12 +181,6 @@ class SimScheduler:
     def slot_of(self, thread_id: int) -> int:
         """Registration index of a thread (stable across processes)."""
         return self._slots[thread_id]
-
-    def thread_at_slot(self, slot: int) -> SimThread:
-        """The thread registered at position ``slot`` (trace debugging)."""
-        if 0 <= slot < len(self._by_slot):
-            return self._by_slot[slot]
-        raise SimulationError(f"no thread registered at slot {slot}")
 
     def lock_slot_of(self, lock_id: int) -> int:
         """Registration index of a lock (stable across runs/processes)."""

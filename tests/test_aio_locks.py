@@ -23,7 +23,7 @@ from repro.core.history import History
 from repro.core.signature import Signature
 from repro.instrument import patching
 from repro.instrument.aio import (AioCondition, AioLock, AioSemaphore,
-                                  AsyncioRuntime)
+                                  AsyncioRuntime, _PermitQueue)
 
 
 def _make_runtime(history=None, start=True, **overrides) -> AsyncioRuntime:
@@ -691,3 +691,39 @@ class TestTaskRegistry:
         assert task_id not in runtime.tasks._ids.values()
         assert task_id not in runtime.tasks._names
         assert task_id not in runtime.parker._futures
+
+    def test_every_new_task_gets_a_fresh_id(self):
+        runtime = _make_runtime(start=False)
+
+        async def main():
+            async def worker():
+                return runtime.current_task_id(), runtime.current_task_id()
+
+            ids = []
+            for _ in range(3):
+                ids.extend(await asyncio.ensure_future(worker()))
+                await asyncio.sleep(0)  # the done callback forgets the task
+            return ids
+
+        ids = asyncio.run(main())
+        assert ids[0::2] == ids[1::2]  # stable within a task
+        assert len(set(ids)) == 3  # never reused
+
+
+class TestPermitQueue:
+    def test_only_settled_waiters_left_behind_do_not_hold_a_grant_back(self):
+        async def main():
+            queue = _PermitQueue(1)
+            loop = asyncio.get_running_loop()
+            done, cancelled = loop.create_future(), loop.create_future()
+            done.set_result(True)
+            cancelled.cancel()
+            queue._waiters.extend([done, cancelled])
+            assert queue.try_acquire()
+            assert not queue.try_acquire()  # no permit left
+            queue.release()
+            waiting = loop.create_future()
+            queue._waiters.append(waiting)
+            assert not queue.try_acquire()  # FIFO: a live waiter goes first
+
+        asyncio.run(main())

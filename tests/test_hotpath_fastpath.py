@@ -254,7 +254,7 @@ class _CountingCalibrator(Calibrator):
 class TestTheMissFilterDecidesOnce:
     """A request at a call site no signature names pays for nothing it cannot need."""
 
-    def test_a_miss_triple_enters_two_mutexes_looks_its_slot_up_thrice_and_reports_to_nobody(self):
+    def test_a_miss_triple_enters_no_mutex_looks_its_slot_up_thrice_and_reports_to_nobody(self):
         history = History(path=None, autosave=False)
         history.add(Signature([stack(("a:1", "m:0")), stack(("b:2", "m:0"))],
                               matching_depth=2))
@@ -271,9 +271,11 @@ class TestTheMissFilterDecidesOnce:
         assert engine.request(1, 10, elsewhere) is GO_OUTCOME
         engine.acquired(1, 10, elsewhere)
         engine.release(1, 10)
-        # The holder record, written and erased (with its double-acquire check);
-        # no Allowed set is entered for a site the cover search can never probe.
-        assert len(entries) == 2
+        # The hold lives in the slot (its double-acquire check in the owner map,
+        # without a mutex); no Allowed set is entered for a site the cover
+        # search can never probe.
+        assert entries == []
+        assert engine.cache._owners == {}
         assert engine.cache.allowed_set_sizes() == {}
         assert lookups == [1, 1, 1]  # one per engine entry
         assert calibrator.reported == []  # no episode is open
