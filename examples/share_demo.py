@@ -1,9 +1,9 @@
 """The cross-deployment immunity proof: N real processes, one deadlock.
 
-This module is both the CI smoke workload and a runnable demo of the
+This script is both the CI smoke workload and a runnable demo of the
 paper's section 6 story.  The orchestrator
 
-1. stands up a signature pool (history daemon subprocess for the
+1. stands up a signature pool (a ``histctl serve`` daemon for the
    ``unix``/``tcp`` transports, a shared log file for ``file``),
 2. runs **worker A** — a fresh process with an empty history executing a
    deadlock-prone two-lock program.  A deadlocks; its monitor detects
@@ -16,33 +16,32 @@ paper's section 6 story.  The orchestrator
 5. asserts that exactly one process (A) ever deadlocked and that every
    worker's history converged to the same pooled signature set.
 
-Run it yourself::
+Run it yourself (bare, it runs the ``run`` story over the daemon with
+three workers)::
 
-    PYTHONPATH=src python -m repro.share.demo run --transport unix --workers 4
-    PYTHONPATH=src python -m repro.share.demo run --transport file --workers 4
+    PYTHONPATH=src python examples/share_demo.py
+    PYTHONPATH=src python examples/share_demo.py run --transport file --workers 4
 
 **Fleet mode** scales the same story to multiple simulated "hosts" — a
-host being a group of workers behind one local pool endpoint — over
-either distributed topology::
+host being a group of workers behind one local pool endpoint — over the
+gossip mesh::
 
-    PYTHONPATH=src python -m repro.share.demo fleet --topology gossip \\
+    PYTHONPATH=src python examples/share_demo.py fleet \\
         --workers 50 --hosts 3 --timeline timeline.json
-    PYTHONPATH=src python -m repro.share.demo fleet --topology federation \\
-        --workers 50 --hosts 3
 
-``gossip`` stands up one long-lived seed node per host (fully meshed);
-every worker binds an ephemeral gossip port peered with its host's
-seed.  ``federation`` stands up a spine daemon plus one leaf daemon per
-host, each leaf federating upstream; workers connect to their host's
-leaf.  Worker A deadlocks on host 0, the signature crosses hosts, and
-every other worker — most on hosts that never saw the deadlock — is
-immune on its first run.  The finale proves fleet-wide *retraction*: a
-long-lived sentinel worker watches the pool while the orchestrator
-issues ``histctl disable --share``, and the sentinel observes its own
-live history disable the signature without restarting.  ``--timeline``
-writes a convergence-timeline JSON artifact (who learned what, when).
+It stands up one long-lived seed node per host (``histctl serve
+gossip://...``, fully meshed); every worker binds an ephemeral gossip
+port peered with its host's seed.  Worker A deadlocks on host 0, the
+signature crosses hosts, and every other worker — most on hosts that
+never saw the deadlock — is immune on its first run.  The finale proves
+fleet-wide *retraction*: a long-lived sentinel worker watches the pool
+while the orchestrator issues ``histctl disable --share``, and the
+sentinel observes its own live history disable the signature without
+restarting.  ``--timeline`` writes a convergence-timeline JSON artifact
+(who learned what, when).
 
-Exit code 0 means the immunity story held end to end.
+Worker and sentinel processes are this script again, spawned through
+its own path.  Exit code 0 means the immunity story held end to end.
 """
 
 from __future__ import annotations
@@ -56,19 +55,21 @@ import sys
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from ..core.config import DimmunixConfig
-from ..core.dimmunix import Dimmunix
-from ..instrument.locks import DimmunixLock
-from ..instrument.runtime import InstrumentationRuntime
-from .channel import open_channel
+from repro import Dimmunix, DimmunixConfig
+from repro.instrument.locks import DimmunixLock
+from repro.instrument.runtime import InstrumentationRuntime
+from repro.share import open_channel
+from repro.tools import histctl
 
 #: How long a worker waits on each lock before declaring itself deadlocked
 #: (stands in for the restart a production deployment would perform).
 LOCK_TIMEOUT = 1.5
 #: Overlap window forcing the two threads to interleave dangerously.
 PROVOKE_DELAY = 0.3
+#: This script, which worker and sentinel processes run again.
+SCRIPT = os.path.abspath(__file__)
 
 
 def _deadlock_prone_program(runtime: InstrumentationRuntime) -> Dict:
@@ -188,14 +189,18 @@ def run_sentinel(share: str, worker_id: str = "sentinel",
 # ---------------------------------------------------------------------------
 
 
+def _spawn(role: str, share: str, worker_id: str,
+           *flags: str) -> subprocess.Popen:
+    """This script again, as a ``worker`` or ``sentinel`` process."""
+    return subprocess.Popen(
+        [sys.executable, SCRIPT, role, "--share", share, "--id", worker_id,
+         *flags], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
 def _spawn_worker(share: str, worker_id: str,
                   expect_immunity: bool) -> subprocess.Popen:
-    command = [sys.executable, "-m", "repro.share.demo", "worker",
-               "--share", share, "--id", worker_id]
-    if expect_immunity:
-        command.append("--expect-immunity")
-    return subprocess.Popen(command, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+    return _spawn("worker", share, worker_id,
+                  *(["--expect-immunity"] if expect_immunity else []))
 
 
 def _collect(process: subprocess.Popen, worker_id: str,
@@ -211,6 +216,29 @@ def _collect(process: subprocess.Popen, worker_id: str,
     return json.loads(stdout.strip().splitlines()[-1])
 
 
+def _serve(spec: str) -> Tuple[subprocess.Popen, str]:
+    """A ``histctl serve SPEC`` process, once reachable, and the spec it serves."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.tools.histctl", "serve", spec],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    served = process.stdout.readline().split()
+    if served[:1] != ["serving"]:
+        process.kill()
+        raise SystemExit(f"histctl serve {spec} failed: "
+                         f"{process.communicate()[1]}")
+    return process, served[1]
+
+
+def _stop(processes: List[subprocess.Popen]) -> None:
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        try:
+            process.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
+
+
 def _free_tcp_port() -> int:
     probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     probe.bind(("127.0.0.1", 0))
@@ -219,18 +247,18 @@ def _free_tcp_port() -> int:
     return port
 
 
-def _wait_for_pool(share: str, minimum: int, timeout: float) -> int:
-    """Block until the pool holds at least ``minimum`` signatures."""
+def _wait_for_pool(share: str, minimum: int, timeout: float) -> str:
+    """Block until the pool holds ``minimum`` signatures; returns one fingerprint."""
     channel = open_channel(share)
     try:
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             try:
-                count = len(channel.snapshot())
+                records = channel.snapshot()[0]
             except Exception:
-                count = 0
-            if count >= minimum:
-                return count
+                records = []
+            if len(records) >= minimum:
+                return records[0]["fingerprint"]
             time.sleep(0.05)
         raise SystemExit(
             f"pool at {share} never reached {minimum} signature(s)")
@@ -246,23 +274,15 @@ def run_demo(transport: str, workers: int, workdir: str,
         if verbose:
             print(message, flush=True)
 
-    daemon: Optional[subprocess.Popen] = None
+    daemons: List[subprocess.Popen] = []
     if transport == "file":
         share = "file://" + os.path.join(workdir, "pool.sig")
     elif transport in ("unix", "tcp"):
-        if transport == "unix":
-            sock_path = os.path.join(workdir, "pool.sock")
-            share = f"unix://{sock_path}"
-            daemon_args = ["--unix", sock_path]
-        else:
-            port = _free_tcp_port()
-            share = f"tcp://127.0.0.1:{port}"
-            daemon_args = ["--tcp", f"127.0.0.1:{port}"]
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro.share.server"] + daemon_args,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        say(f"[demo] history daemon starting at {share}")
-        _wait_for_daemon(share, daemon)
+        daemon, share = _serve(
+            "unix://" + os.path.join(workdir, "pool.sock")
+            if transport == "unix" else "tcp://127.0.0.1:0")
+        daemons.append(daemon)
+        say(f"[demo] history daemon serving {share}")
     else:
         raise SystemExit(f"unknown transport {transport!r}")
 
@@ -272,8 +292,8 @@ def run_demo(transport: str, workers: int, workdir: str,
         result_a = _collect(_spawn_worker(share, "A", False), "A")
         say(f"[demo]   -> deadlocked={result_a['deadlocked']} "
             f"signatures={result_a['signatures']}")
-        pooled = _wait_for_pool(share, minimum=1, timeout=10.0)
-        say(f"[demo] pool converged: {pooled} signature(s)")
+        _wait_for_pool(share, minimum=1, timeout=10.0)
+        say("[demo] pool converged")
 
         names = [chr(ord("B") + index) for index in range(workers - 1)]
         say(f"[demo] workers {', '.join(names)}: fresh processes, "
@@ -282,9 +302,7 @@ def run_demo(transport: str, workers: int, workdir: str,
         results = [result_a] + [_collect(proc, name)
                                 for name, proc in spawned]
     finally:
-        if daemon is not None:
-            daemon.terminate()
-            daemon.wait(timeout=10.0)
+        _stop(daemons)
 
     deadlocked = [r["worker"] for r in results if r["deadlocked"]]
     immune = [r for r in results if not r["deadlocked"]]
@@ -312,101 +330,17 @@ def run_demo(transport: str, workers: int, workdir: str,
     return {"transport": transport, "workers": workers, "results": results}
 
 
-def _wait_for_daemon(share: str, daemon: subprocess.Popen,
-                     timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if daemon.poll() is not None:
-            _, stderr = daemon.communicate()
-            raise SystemExit(f"daemon exited early: {stderr}")
-        try:
-            channel = open_channel(share)
-            channel.close()
-            return
-        except Exception:
-            time.sleep(0.05)
-    raise SystemExit(f"daemon at {share} never became reachable")
-
-
 # ---------------------------------------------------------------------------
-# Fleet mode: N workers x M simulated hosts, gossip or federation
+# Fleet mode: N workers x M simulated hosts on a gossip mesh
 # ---------------------------------------------------------------------------
 
 
-def _wait_for_port(port: int, process: subprocess.Popen, what: str,
-                   timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            _, stderr = process.communicate()
-            raise SystemExit(f"{what} exited early: {stderr}")
-        try:
-            probe = socket.create_connection(("127.0.0.1", port),
-                                             timeout=0.2)
-            probe.close()
-            return
-        except OSError:
-            time.sleep(0.05)
-    raise SystemExit(f"{what} on port {port} never became reachable")
-
-
-def _spawn_infra(command: List[str]) -> subprocess.Popen:
-    return subprocess.Popen(command, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
-
-
-def _stand_up_gossip(hosts: int) -> Dict:
-    """One fully meshed seed node per host; workers peer with their seed."""
-    ports = [_free_tcp_port() for _ in range(hosts)]
-    processes = []
-    for index, port in enumerate(ports):
-        peers = ",".join(f"127.0.0.1:{peer}"
-                         for j, peer in enumerate(ports) if j != index)
-        command = [sys.executable, "-m", "repro.share.gossip",
-                   "--bind", f"127.0.0.1:{port}", "--interval", "0.1"]
-        if peers:
-            command += ["--peers", peers]
-        processes.append(_spawn_infra(command))
-    for index, (port, process) in enumerate(zip(ports, processes)):
-        _wait_for_port(port, process, f"gossip seed {index}")
-    host_specs = [
-        f"gossip://127.0.0.1:0?peers=127.0.0.1:{port}&interval=0.2"
-        for port in ports]
-    return {"processes": processes, "host_specs": host_specs,
-            "control_spec": host_specs[0],
-            "describe": [f"seed 127.0.0.1:{port}" for port in ports]}
-
-
-def _stand_up_federation(hosts: int) -> Dict:
-    """A spine daemon plus one leaf daemon per host, federated upstream."""
-    spine_port = _free_tcp_port()
-    spine = _spawn_infra([sys.executable, "-m", "repro.share.server",
-                          "--tcp", f"127.0.0.1:{spine_port}"])
-    _wait_for_port(spine_port, spine, "spine daemon")
-    processes = [spine]
-    leaf_ports = []
-    for index in range(hosts):
-        port = _free_tcp_port()
-        leaf_ports.append(port)
-        leaf = _spawn_infra([sys.executable, "-m", "repro.share.server",
-                             "--tcp", f"127.0.0.1:{port}",
-                             "--upstream", f"tcp://127.0.0.1:{spine_port}"])
-        processes.append(leaf)
-    for index, (port, process) in enumerate(zip(leaf_ports, processes[1:])):
-        _wait_for_port(port, process, f"leaf daemon {index}")
-    return {"processes": processes,
-            "host_specs": [f"tcp://127.0.0.1:{port}" for port in leaf_ports],
-            "control_spec": f"tcp://127.0.0.1:{spine_port}",
-            "describe": [f"spine 127.0.0.1:{spine_port}"]
-            + [f"leaf 127.0.0.1:{port}" for port in leaf_ports]}
-
-
-def run_fleet(topology: str, workers: int, hosts: int,
+def run_fleet(workers: int, hosts: int,
               timeline_path: Optional[str] = None,
               batch_size: int = 10, verbose: bool = True) -> Dict:
     """The multi-host story; returns the summary dict (raises on failure).
 
-    Worker A deadlocks on host 0; every pool endpoint converges; the
+    Worker A deadlocks on host 0; every host's seed converges; the
     remaining ``workers - 1`` processes run immune, spread round-robin
     across ``hosts``; finally a sentinel worker proves a fleet-wide
     ``histctl disable --share`` lands on a *running* worker.
@@ -424,41 +358,42 @@ def run_fleet(topology: str, workers: int, hosts: int,
         record.update(detail)
         events.append(record)
 
-    if topology == "gossip":
-        fabric = _stand_up_gossip(hosts)
-    elif topology == "federation":
-        fabric = _stand_up_federation(hosts)
-    else:
-        raise SystemExit(f"unknown topology {topology!r}")
-    say(f"[fleet] {topology} fabric up: {', '.join(fabric['describe'])}")
-    mark("fabric_up", topology=topology, hosts=hosts)
-    host_specs = fabric["host_specs"]
+    # One fully meshed seed per host; workers peer with their host's seed.
+    ports = [_free_tcp_port() for _ in range(hosts)]
+    seeds: List[subprocess.Popen] = []
+    try:
+        for port in ports:
+            peers = ",".join(f"127.0.0.1:{peer}" for peer in ports
+                             if peer != port)
+            seeds.append(_serve(f"gossip://127.0.0.1:{port}?interval=0.1"
+                                + (f"&peers={peers}" if peers else ""))[0])
+    except BaseException:
+        _stop(seeds)
+        raise
+    host_specs = [f"gossip://127.0.0.1:0?peers=127.0.0.1:{port}&interval=0.2"
+                  for port in ports]
+    say(f"[fleet] gossip seeds up on ports {', '.join(map(str, ports))}")
+    mark("fabric_up", topology="gossip", hosts=hosts)
 
     try:
-        say(f"[fleet] worker A on host 0: empty history, deadlock-prone "
-            f"program")
+        say("[fleet] worker A on host 0: empty history, deadlock-prone "
+            "program")
         result_a = _collect(_spawn_worker(host_specs[0], "A", False), "A",
                             timeout=90.0)
         if not result_a["deadlocked"]:
             raise SystemExit("worker A did not deadlock")
         mark("first_deadlock", worker="A", host=0)
 
-        fingerprint = None
         for index, spec in enumerate(host_specs):
-            _wait_for_pool(spec, minimum=1, timeout=30.0)
-            if fingerprint is None:
-                probe = open_channel(spec, client_name="fleet-probe")
-                try:
-                    fingerprint = probe.snapshot()[0].fingerprint
-                finally:
-                    probe.close()
+            fingerprint = _wait_for_pool(spec, minimum=1, timeout=30.0)
             mark("host_converged", host=index)
             say(f"[fleet] host {index} pool holds the signature")
 
         names = [f"w{index:02d}" for index in range(workers - 1)]
         results = [result_a]
-        for start in range(0, len(names), max(1, batch_size)):
-            batch = names[start:start + max(1, batch_size)]
+        batch_size = max(1, batch_size)
+        for start in range(0, len(names), batch_size):
+            batch = names[start:start + batch_size]
             spawned = []
             for offset, name in enumerate(batch):
                 host = (start + offset) % hosts
@@ -471,7 +406,7 @@ def run_fleet(topology: str, workers: int, hosts: int,
                      deadlocked=result["deadlocked"],
                      synced=result["synced_before_run"])
                 results.append(result)
-            say(f"[fleet] batch {start // max(1, batch_size)}: "
+            say(f"[fleet] batch {start // batch_size}: "
                 f"{len(batch)} worker(s) done "
                 f"({sum(1 for r in results if not r['deadlocked'])} immune "
                 f"so far)")
@@ -492,10 +427,7 @@ def run_fleet(topology: str, workers: int, hosts: int,
 
         # Finale: fleet-wide retraction reaching a live worker.
         say("[fleet] sentinel: proving live disable propagation")
-        sentinel = subprocess.Popen(
-            [sys.executable, "-m", "repro.share.demo", "sentinel",
-             "--share", host_specs[-1], "--id", "sentinel"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        sentinel = _spawn("sentinel", host_specs[-1], "sentinel")
         ready = sentinel.stdout.readline().strip()
         if ready != "SENTINEL_READY":
             sentinel.kill()
@@ -503,8 +435,7 @@ def run_fleet(topology: str, workers: int, hosts: int,
             raise SystemExit(
                 f"sentinel never saw the signature: {ready!r}\n{stderr}")
         mark("sentinel_ready")
-        from ..tools import histctl
-        if histctl.main(["disable", "--share", fabric["control_spec"],
+        if histctl.main(["disable", "--share", host_specs[0],
                          fingerprint]) != 0:
             sentinel.kill()
             raise SystemExit("histctl disable --share failed")
@@ -516,15 +447,9 @@ def run_fleet(topology: str, workers: int, hosts: int,
         mark("sentinel_disabled_live")
         say("[fleet] OK: histctl disable --share reached a running worker")
     finally:
-        for process in fabric["processes"]:
-            process.terminate()
-        for process in fabric["processes"]:
-            try:
-                process.wait(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                process.kill()
+        _stop(seeds)
 
-    summary = {"topology": topology, "workers": workers, "hosts": hosts,
+    summary = {"topology": "gossip", "workers": workers, "hosts": hosts,
                "duration": round(time.monotonic() - started, 3),
                "events": events, "results": results,
                "sentinel": sentinel_result}
@@ -542,84 +467,60 @@ def run_fleet(topology: str, workers: int, hosts: int,
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro.share.demo",
-        description="Cross-deployment immunity demo (paper section 6).")
-    sub = parser.add_subparsers(dest="command", required=True)
+        description="Cross-deployment immunity demo (paper section 6); "
+                    "with no command, runs the 'run' story.")
+    sub = parser.add_subparsers(dest="command")
 
     p_run = sub.add_parser("run", help="orchestrate the N-process story")
     p_run.add_argument("--transport", choices=("unix", "tcp", "file"),
                        default="unix")
-    p_run.add_argument("--workers", type=int, default=4,
+    p_run.add_argument("--workers", type=int, default=3,
                        help="total processes incl. the one that deadlocks")
-    p_run.set_defaults(func=_cmd_run)
 
     p_fleet = sub.add_parser(
-        "fleet", help="multi-host convergence story (gossip or federation)")
-    p_fleet.add_argument("--topology", choices=("gossip", "federation"),
-                         default="gossip")
+        "fleet", help="multi-host convergence story over the gossip mesh")
     p_fleet.add_argument("--workers", type=int, default=12,
                          help="total worker processes incl. the deadlocker")
     p_fleet.add_argument("--hosts", type=int, default=3,
-                         help="simulated hosts (pool endpoints)")
+                         help="simulated hosts (gossip seeds)")
     p_fleet.add_argument("--batch", type=int, default=10,
                          help="worker processes spawned concurrently")
     p_fleet.add_argument("--timeline", metavar="FILE", default=None,
                          help="write the convergence-timeline JSON here")
-    p_fleet.set_defaults(func=_cmd_fleet)
 
-    p_worker = sub.add_parser("worker", help="internal: one worker process")
-    p_worker.add_argument("--share", required=True)
-    p_worker.add_argument("--id", required=True)
-    p_worker.add_argument("--expect-immunity", action="store_true")
-    p_worker.set_defaults(func=_cmd_worker)
-
-    p_sentinel = sub.add_parser(
-        "sentinel", help="internal: long-lived disable-propagation witness")
-    p_sentinel.add_argument("--share", required=True)
-    p_sentinel.add_argument("--id", default="sentinel")
-    p_sentinel.set_defaults(func=_cmd_sentinel)
+    for role in ("worker", "sentinel"):
+        p_role = sub.add_parser(role, help=f"internal: one {role} process")
+        p_role.add_argument("--share", required=True)
+        p_role.add_argument("--id", default=role)
+        p_role.add_argument("--expect-immunity", action="store_true")
     return parser
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.workers < 2:
-        print("need at least 2 workers", file=sys.stderr)
-        return 2
-    with tempfile.TemporaryDirectory(prefix="dimmunix-demo-") as workdir:
-        run_demo(args.transport, args.workers, workdir)
-    return 0
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    if args.workers < 2:
-        print("need at least 2 workers", file=sys.stderr)
-        return 2
-    if args.hosts < 1:
-        print("need at least 1 host", file=sys.stderr)
-        return 2
-    run_fleet(args.topology, args.workers, args.hosts,
-              timeline_path=args.timeline, batch_size=args.batch)
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    result = run_worker(args.share, args.id,
-                        expect_immunity=args.expect_immunity)
-    print(json.dumps(result, sort_keys=True))
-    return 0
-
-
-def _cmd_sentinel(args: argparse.Namespace) -> int:
-    result = run_sentinel(args.share, args.id)
-    print(json.dumps(result, sort_keys=True))
-    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    if args.command in ("worker", "sentinel"):
+        result = (run_worker(args.share, args.id, args.expect_immunity)
+                  if args.command == "worker"
+                  else run_sentinel(args.share, args.id))
+        print(json.dumps(result, sort_keys=True))
+        return 0
+    if args.command == "fleet":
+        if args.workers < 2 or args.hosts < 1:
+            print("need at least 2 workers and 1 host", file=sys.stderr)
+            return 2
+        run_fleet(args.workers, args.hosts, timeline_path=args.timeline,
+                  batch_size=args.batch)
+        return 0
+    transport = getattr(args, "transport", "unix")
+    workers = getattr(args, "workers", 3)
+    if workers < 2:
+        print("need at least 2 workers", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="dimmunix-demo-") as workdir:
+        run_demo(transport, workers, workdir)
+    return 0
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised by CI smoke
+if __name__ == "__main__":
     sys.exit(main())

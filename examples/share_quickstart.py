@@ -12,7 +12,8 @@ The paper's section 6 deployment story, runnable on a laptop:
 
 The pool here is the serverless shared-file transport (an append-only
 signature log with advisory locking); swap ``file`` for ``unix`` or
-``tcp`` to run the same story through the history daemon.  Run it with::
+``tcp`` to run the same story through the history daemon.  The
+orchestration is ``share_demo.py``, beside this file.  Run it with::
 
     PYTHONPATH=src python examples/share_quickstart.py
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.share.demo import run_demo
+from share_demo import run_demo
 
 
 def main() -> None:

@@ -64,7 +64,7 @@ class _ThreadSlot:
     The engine looks a thread's slot up once per entry point and hands it on.
     """
 
-    __slots__ = ("waiting", "yield_cause", "holds", "yield_state", "forced_go")
+    __slots__ = ("waiting", "yield_cause", "holds", "yield_state", "forced_go", "departed")
 
     def __init__(self):
         #: The engine's record of the avoidance decision parking the thread.
@@ -78,6 +78,8 @@ class _ThreadSlot:
         self.yield_cause: frozenset = frozenset()
         #: {lock: [stacks]} currently held (reentrant holds stacked).
         self.holds: Dict[int, List[CallStack]] = {}
+        #: The thread ended holding something: the slot goes with its last hold.
+        self.departed = False
 
 
 class AvoidanceCache:
@@ -195,6 +197,8 @@ class AvoidanceCache:
             del slot.holds[lock_id]
             if self._owners.get(lock_id) == thread_id:
                 self._owners.pop(lock_id, None)
+            if slot.departed and not slot.holds:
+                self.slots.pop(thread_id)
         self._retire(slot, thread_id, lock_id, stack)
         return fully, stack
 
@@ -351,14 +355,20 @@ class AvoidanceCache:
     # -- maintenance ------------------------------------------------------------------------------
 
     def forget_thread(self, thread_id: int) -> None:
-        """Drop all state of a terminated thread."""
+        """Drop the state of a terminated thread, except what it still holds.
+
+        A thread may end holding a resource: a semaphore permit that
+        another thread returns later, say.  Its holds stay, as the
+        monitor's RAG keeps its edges, so that release is still recorded
+        against them; the slot goes with the last one.
+        """
         slot = self.slots.peek(thread_id)
         if slot is not None:
-            self.remove_allow(thread_id)
-            for lock_id in list(slot.holds):
-                while lock_id in slot.holds:
-                    self.release_hold(thread_id, lock_id)
-            self.slots.pop(thread_id)
+            self.remove_allow(thread_id, slot)
+            slot.yield_cause, slot.yield_state = frozenset(), None
+            slot.departed = True
+            if not slot.holds:  # read after the flag: a racing release pops it too
+                self.slots.pop(thread_id)
         with self._yielding_lock:
             self._yielding.pop(thread_id, None)
 

@@ -3,34 +3,30 @@
 The paper's deployment story (section 6) at service scale: once *any*
 process of a service develops an immunity signature, every other process
 avoids that deadlock pattern without ever experiencing it.  This package
-pools signatures live across real OS processes through one protocol and
-a registry of interchangeable transports:
+pools signatures live across real OS processes.  Every piece carries one
+value through one contract:
 
-* :class:`HistoryChannel` — the contract (``publish`` / ``poll`` /
-  ``snapshot`` / ``close`` plus the optional control plane
-  ``publish_control`` / ``poll_controls``), and the
-  :class:`SignatureSink` / :class:`SignatureSource` halves the engine
-  layer plugs into;
-* :func:`register_transport` / :func:`transports` — the scheme registry
-  behind :func:`open_channel`; third-party transports plug in through
-  the same door as the built-ins;
+* :class:`PoolState` — the replicated value (signature records plus the
+  standing control per fingerprint) and the only place its merge rules
+  are written;
+* :class:`HistoryChannel` — the contract: ``send(records, controls)``,
+  ``receive() -> (records, controls)`` and
+  ``snapshot(timeout) -> (records, controls)``, deltas of raw wire dicts
+  that each channel deduplicates with its own :class:`PoolState`;
+  :func:`open_channel` opens one from a spec through a fixed scheme table;
 * :class:`HistoryServer` / :class:`SocketChannel` — a lightweight
   history daemon over a Unix or TCP socket (JSON-lines protocol);
-  daemons *federate* by subscribing to upstream daemons, giving
-  hub-per-host / spine topologies;
 * :class:`GossipChannel` — a daemonless mesh node exchanging state via
-  digest-first anti-entropy rounds (no single point of failure);
+  digest-first anti-entropy rounds (no single point of failure), the
+  multi-host topology;
 * :class:`FileChannel` — serverless pooling through an append-only
   shared signature log with advisory locking and compaction;
 * :class:`MemoryHub` / :class:`MemoryChannel` — the deterministic
   in-process transport used by the simulator and tests;
-* :class:`PoolState` — the replicated value every transport above
-  carries (signature records plus standing controls) and the only
-  place its merge rules are written;
 * :class:`SignaturePool` — binds a channel to a local
-  :class:`~repro.core.history.History` and the monitor's cadence, with
-  publish coalescing, a bounded outbound queue, and the fleet-control
-  plane (disable / enable / remove propagation).
+  :class:`~repro.core.history.History` and the monitor's cadence, parses
+  the records it receives, and carries the fleet controls (disable /
+  enable / remove) both ways.
 
 Typical use is one argument on the runtime entry point::
 
@@ -41,14 +37,14 @@ or, manually::
 
     dimmunix = Dimmunix(config, share="tcp://10.0.0.5:7341")
 
-See ``docs/history-sharing.md`` for the protocol, topologies, and
-trade-offs, and ``python -m repro.share.demo`` for the end-to-end
+Long-lived pool endpoints run as ``histctl serve SPEC`` for a
+``unix://``, ``tcp://`` or ``gossip://`` spec.  See
+``docs/history-sharing.md`` for the protocol, topologies, and
+trade-offs, and ``examples/share_demo.py`` for the end-to-end
 multi-process proof.
 """
 
-from .channel import (HistoryChannel, SignatureSink, SignatureSource,
-                      open_channel, parse_share_spec, register_transport,
-                      transports, unregister_transport)
+from .channel import HistoryChannel, open_channel, parse_share_spec
 from .client import SocketChannel
 from .filechannel import FileChannel
 from .gossip import GossipChannel
@@ -66,15 +62,10 @@ __all__ = [
     "MemoryHub",
     "PoolState",
     "SignaturePool",
-    "SignatureSink",
-    "SignatureSource",
     "SocketChannel",
     "make_control",
     "memory_hub",
     "open_channel",
     "parse_share_spec",
-    "register_transport",
     "reset_memory_hubs",
-    "transports",
-    "unregister_transport",
 ]

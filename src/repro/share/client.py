@@ -3,13 +3,13 @@
 A :class:`SocketChannel` connects to a :mod:`repro.share.server` daemon,
 subscribes to the signature stream, and buffers everything the daemon
 pushes; the :class:`~repro.share.pool.SignaturePool` drains the buffer on
-each monitor pass.  Publishing writes one JSON line and returns — there
+each monitor pass.  A send writes one ``publish`` line and returns — there
 is no acknowledgement to wait for, because losing a publish merely delays
 pool convergence until the next worker learns the same signature.
 
 Failure behaviour: a dead daemon never breaks the application.  Sends
-and polls on a dead connection are no-ops (counted in ``io_errors``),
-and ``poll`` transparently attempts one reconnect per
+and receives on a dead connection are no-ops (counted in ``io_errors``),
+and each of them transparently attempts one reconnect per
 ``reconnect_interval`` seconds, re-subscribing with a fresh snapshot so
 a restarted daemon repopulates the worker.  Explicit questions
 (``snapshot``/``status``) raise :class:`~repro.core.errors.ShareError`
@@ -21,14 +21,11 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.errors import ShareError
-from ..core.signature import Signature
 from . import wire
-from .channel import HistoryChannel
-from .state import parse_signatures
+from .channel import Delta, HistoryChannel
 
 #: Address forms accepted by :class:`SocketChannel`.
 Address = Tuple
@@ -36,8 +33,6 @@ Address = Tuple
 
 class SocketChannel(HistoryChannel):
     """A :class:`HistoryChannel` speaking the daemon's JSON-lines protocol."""
-
-    supports_controls = True
 
     def __init__(self, address: Address, client_name: Optional[str] = None,
                  connect_timeout: float = 5.0,
@@ -52,12 +47,12 @@ class SocketChannel(HistoryChannel):
         self._sock: Optional[socket.socket] = None
         self._reader_thread: Optional[threading.Thread] = None
         self._write_lock = threading.Lock()
-        self._pending: Deque[dict] = deque()
-        self._pending_controls: Deque[dict] = deque()
+        #: What the daemon pushed since the last receive.
+        self._pending: Delta = ([], [])
         self._pending_lock = threading.Lock()
         self._connected = threading.Event()
         self._synced = threading.Event()
-        self._snapshot_payload: Optional[List[dict]] = None
+        self._snapshot_payload: Delta = ([], [])
         self._snapshot_event = threading.Event()
         self._status_payload: Optional[Dict] = None
         self._status_event = threading.Event()
@@ -93,8 +88,8 @@ class SocketChannel(HistoryChannel):
             target=self._reader_loop, args=(sock,),
             name="dimmunix-share-reader", daemon=True)
         self._reader_thread.start()
-        self._send({"op": "hello", "client": self._client_name})
-        self._send({"op": "subscribe", "snapshot": True})
+        self._write({"op": "hello", "client": self._client_name})
+        self._write({"op": "subscribe", "snapshot": True})
 
     def _maybe_reconnect(self) -> None:
         if self._closed or self._connected.is_set():
@@ -130,7 +125,7 @@ class SocketChannel(HistoryChannel):
 
     # -- wire I/O ----------------------------------------------------------------------
 
-    def _send(self, message: Dict) -> bool:
+    def _write(self, message: Dict) -> bool:
         sock = self._sock
         if sock is None or not self._connected.is_set():
             return False
@@ -167,75 +162,43 @@ class SocketChannel(HistoryChannel):
 
     def _handle(self, message: Dict) -> None:
         op = message.get("op")
-        if op == "signature":
-            record = message.get("signature")
-            if isinstance(record, dict):
-                with self._pending_lock:
-                    self._pending.append(record)
-        elif op == "snapshot":
-            records = wire.dicts(message.get("signatures"))
-            controls = wire.dicts(message.get("controls"))
+        if op in ("publish", "snapshot"):
+            delta = (wire.items(message.get("signatures", [])),
+                     wire.items(message.get("controls", [])))
             with self._pending_lock:
-                self._pending.extend(records)
-                self._pending_controls.extend(controls)
-            self._snapshot_payload = records
-            self._snapshot_event.set()
-            self._synced.set()
-        elif op == "control":
-            control = message.get("control")
-            if isinstance(control, dict):
-                with self._pending_lock:
-                    self._pending_controls.append(control)
+                self._pending[0].extend(delta[0])
+                self._pending[1].extend(delta[1])
+            if op == "snapshot":
+                self._snapshot_payload = delta
+                self._snapshot_event.set()
+                self._synced.set()
         elif op == "status":
             self._status_payload = message
             self._status_event.set()
         # welcome / pong / error need no routing
 
-    # -- HistoryChannel protocol -------------------------------------------------------
+    # -- the channel contract ----------------------------------------------------------
 
-    def publish(self, signature: Signature) -> None:
-        if self._closed or not self._fresh([signature]):
-            return
+    def _send(self, records, controls) -> None:
         self._maybe_reconnect()
-        self._send({"op": "publish", "signature": signature.to_dict()})
+        self._write({"op": "publish", "signatures": records,
+                     "controls": controls})
 
-    def poll(self) -> List[Signature]:
-        if self._closed:
-            return []
+    def _receive(self) -> Delta:
         self._maybe_reconnect()
         with self._pending_lock:
-            records = list(self._pending)
-            self._pending.clear()
-        return self._fresh(parse_signatures(records))
+            delta, self._pending = self._pending, ([], [])
+        return delta
 
-    def publish_control(self, control: dict) -> None:
-        if self._closed or not self._fresh_controls([control]):
-            return
-        self._maybe_reconnect()
-        self._send({"op": "control", "control": control})
-
-    def poll_controls(self) -> List[dict]:
-        if self._closed:
-            return []
-        self._maybe_reconnect()
-        with self._pending_lock:
-            controls = list(self._pending_controls)
-            self._pending_controls.clear()
-        return self._fresh_controls(controls)
-
-    def snapshot(self, timeout: float = 5.0) -> List[Signature]:
-        if self._closed:
-            return []
+    def _snapshot(self, timeout: float) -> Delta:
         self._maybe_reconnect()
         self._snapshot_event.clear()
-        if not self._send({"op": "snapshot"}):
+        if not self._write({"op": "snapshot"}):
             raise ShareError(f"history daemon at {self.describe()} is gone")
         if not self._snapshot_event.wait(timeout):
             raise ShareError(
                 f"no snapshot from {self.describe()} within {timeout}s")
-        signatures = parse_signatures(self._snapshot_payload or [])
-        self._fresh(signatures)
-        return signatures
+        return self._snapshot_payload
 
     def status(self, timeout: float = 5.0) -> Dict:
         """Ask the daemon for its pool counters (histctl pool-status)."""
@@ -243,7 +206,7 @@ class SocketChannel(HistoryChannel):
             raise ShareError("channel is closed")
         self._maybe_reconnect()
         self._status_event.clear()
-        if not self._send({"op": "status"}):
+        if not self._write({"op": "status"}):
             raise ShareError(f"history daemon at {self.describe()} is gone")
         if not self._status_event.wait(timeout):
             raise ShareError(
@@ -257,7 +220,7 @@ class SocketChannel(HistoryChannel):
     def close(self) -> None:
         if self._closed:
             return
-        self._send({"op": "bye"})
+        self._write({"op": "bye"})
         super().close()
         self._mark_disconnected()
         thread = self._reader_thread

@@ -22,8 +22,7 @@ rather than the log itself keeps the scheme correct across *compaction*,
 which atomically replaces the log (``os.replace``) with a deduplicated
 copy under a fresh ``generation`` token: a reader whose byte offset was
 minted against the old file notices the generation change and rescans
-from the top, while its per-channel fingerprint set suppresses
-re-delivery.
+from the top, while the channel's carried state suppresses re-delivery.
 
 Platforms without :mod:`fcntl` lose cross-process exclusion but keep the
 append-only discipline (appends of a line are effectively atomic for the
@@ -37,11 +36,10 @@ import tempfile
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import ShareError
-from ..core.signature import Signature
 from ..util.filelock import locked_file
 from . import wire
-from .channel import HistoryChannel
-from .state import PoolState, parse_signatures
+from .channel import Delta, HistoryChannel
+from .state import PoolState
 
 _LOG_MAGIC = "dimmunix-share"
 _FORMAT_VERSION = 2
@@ -51,6 +49,11 @@ def _new_header() -> str:
     """A header line under a fresh generation token."""
     return wire.encode({"log": _LOG_MAGIC, "format_version": _FORMAT_VERSION,
                         "generation": os.urandom(8).hex()})
+
+
+def _open(path: str):
+    """The log for reading: undecodable bytes spoil their line, not the read."""
+    return open(path, "r", encoding="utf-8", errors="replace")
 
 
 def _header(line: str) -> Optional[dict]:
@@ -79,42 +82,38 @@ def _lines(handle) -> Iterator[Tuple[Optional[dict], int]]:
             yield None, handle.tell()
 
 
-def _split(lines: Iterable[Optional[dict]]) -> Tuple[List[dict], List[dict]]:
-    """Decoded log lines sorted into (signature records, control records)."""
+def _split(lines: Iterable[Optional[dict]]) -> Delta:
+    """Decoded log lines sorted into (signature records, control records).
+
+    A line that is neither lands among the records as ``None``, where the
+    reader's :class:`~repro.share.state.PoolState` rejects and counts it.
+    """
     records, controls = [], []
     for line in lines:
-        if line is None:
-            continue
-        if isinstance(line.get("signature"), dict):
-            records.append(line["signature"])
-        elif isinstance(line.get("control"), dict):
+        if isinstance(line, dict) and "control" in line:
             controls.append(line["control"])
+        else:
+            records.append(line.get("signature") if isinstance(line, dict)
+                           else None)
     return records, controls
 
 
 class FileChannel(HistoryChannel):
     """A :class:`HistoryChannel` over an append-only shared signature log."""
 
-    supports_controls = True
-
     def __init__(self, path: str, compact_slack: int = 64,
                  check_interval: int = 32):
         super().__init__()
         self._path = path
-        #: Records read from the log but not yet handed out: ``poll`` and
-        #: ``poll_controls`` both advance the shared offset, so whichever
-        #: runs first buffers the other kind here instead of dropping it.
-        self._pending_records: List[dict] = []
-        self._pending_controls: List[dict] = []
         # Refuse to adopt a foreign file up front: a bare path is a valid
         # share spec, so a user who passes their *history* file here would
         # otherwise get signature lines appended to a JSON document,
         # corrupting their immune memory.  Absent or empty files are fine
-        # (the header is written on first publish).
+        # (the header is written on first send).
         self._check_is_share_log()
         #: Auto-compact once the log carries this many redundant lines.
         self._compact_slack = max(1, compact_slack)
-        #: Appends between redundancy checks (compaction is amortized).
+        #: Appended lines between redundancy checks (compaction is amortized).
         self._check_interval = max(1, check_interval)
         self._appends_since_check = 0
         self._generation: Optional[str] = None
@@ -123,15 +122,10 @@ class FileChannel(HistoryChannel):
         #: the immunized program down); they are counted here instead.
         self.io_errors = 0
 
-    @property
-    def path(self) -> str:
-        """Path of the shared signature log."""
-        return self._path
-
     def _check_is_share_log(self) -> None:
         """Raise :class:`ShareError` when the path holds a non-share file."""
         try:
-            with open(self._path, "r", encoding="utf-8") as handle:
+            with _open(self._path) as handle:
                 first = handle.readline()
         except FileNotFoundError:
             return
@@ -147,79 +141,49 @@ class FileChannel(HistoryChannel):
 
     # -- reading -----------------------------------------------------------------------
 
-    def _read_from_offset(self, handle) -> None:
-        """Advance past the header if needed, then buffer the new lines."""
+    def _read_from_offset(self, handle) -> Delta:
+        """Advance past the header if needed, then split the new lines."""
         header_line = handle.readline()
         if not header_line:
-            return
+            return [], []
         header = _header(header_line)
         if header is None:
             raise ShareError(f"{self._path} is not a dimmunix share log")
         generation = header.get("generation")
         if generation != self._generation:
             # Fresh file or post-compaction replacement: rescan from just
-            # after the header; the seen-set keeps delivery exactly-once.
+            # after the header; the carried state keeps delivery exactly-once.
             self._generation = generation
             self._offset = handle.tell()
         handle.seek(self._offset)
         fresh = list(_lines(handle))
         if fresh:
             self._offset = fresh[-1][1]
-            records, controls = _split(line for line, _ in fresh)
-            self._pending_records.extend(records)
-            self._pending_controls.extend(controls)
+        return _split(line for line, _ in fresh)
 
-    def _refresh(self) -> None:
-        """Pull new lines into the pending buffers (both record kinds)."""
+    def _receive(self) -> Delta:
         try:
             with locked_file(self._path, exclusive=False):
                 try:
-                    with open(self._path, "r", encoding="utf-8") as handle:
-                        self._read_from_offset(handle)
+                    with _open(self._path) as handle:
+                        return self._read_from_offset(handle)
                 except FileNotFoundError:
-                    pass
+                    return [], []
         except OSError:
             self.io_errors += 1
+            return [], []
 
-    def poll(self) -> List[Signature]:
-        if self._closed:
-            return []
-        self._refresh()
-        records, self._pending_records = self._pending_records, []
-        return self._fresh(parse_signatures(records))
-
-    def poll_controls(self) -> List[dict]:
-        if self._closed:
-            return []
-        self._refresh()
-        controls, self._pending_controls = self._pending_controls, []
-        return self._fresh_controls(controls)
-
-    def snapshot(self) -> List[Signature]:
-        if self._closed:
-            return []
+    def _snapshot(self, timeout: float) -> Delta:
         self._generation = None  # force a rescan from the top
-        self._refresh()
-        records, self._pending_records = self._pending_records, []
-        # The controls stay pending for ``poll_controls``; here they only
-        # decide which records are visible.
-        state = PoolState()
-        state.absorb(records, self._pending_controls)
-        signatures = parse_signatures(state.visible())
-        self._fresh(signatures)
-        return signatures
+        return self._receive()
 
     # -- writing -----------------------------------------------------------------------
 
-    def publish(self, signature: Signature) -> None:
-        if not self._closed and self._fresh([signature]):
-            self._append({"signature": signature.to_dict()})
+    def _send(self, records, controls) -> None:
+        self._append([{"signature": record} for record in records]
+                     + [{"control": control} for control in controls])
 
-    def publish_control(self, control: dict) -> None:
-        if not self._closed and self._fresh_controls([control]):
-            self._append({"control": control})
-
-    def _append(self, record: dict) -> None:
+    def _append(self, lines: List[dict]) -> None:
         try:
             with locked_file(self._path, exclusive=True):
                 # Re-validate under the lock: the path may have been
@@ -232,8 +196,8 @@ class FileChannel(HistoryChannel):
                 with open(self._path, "a", encoding="utf-8") as handle:
                     if empty:
                         handle.write(_new_header())
-                    handle.write(wire.encode(record))
-                self._appends_since_check += 1
+                    handle.writelines(map(wire.encode, lines))
+                self._appends_since_check += len(lines)
                 if self._appends_since_check >= self._check_interval:
                     self._appends_since_check = 0
                     self._compact_locked(self._compact_slack)
@@ -246,7 +210,7 @@ class FileChannel(HistoryChannel):
         """(the log merged into one state, how many lines that took)."""
         lines: List[Optional[dict]] = []
         try:
-            with open(self._path, "r", encoding="utf-8") as handle:
+            with _open(self._path) as handle:
                 handle.readline()  # header
                 lines = [line for line, _ in _lines(handle)]
         except OSError:

@@ -15,8 +15,8 @@ plain epidemic gossip converges here without coordination.
 Every ``gossip://BIND?peers=...`` channel is a full mesh node:
 
 * it listens on ``BIND`` (``HOST:PORT``; port ``0`` binds ephemerally),
-* it **pushes** each locally published signature/control to every peer
-  immediately (rumor spreading — latency of one hop per round-trip),
+* it **pushes** each delta sent through it to every peer immediately
+  (rumor spreading — latency of one hop per round-trip),
 * a background thread runs an **anti-entropy round** every ``interval``
   seconds against one peer, repairing whatever pushes missed (partitions,
   peers that were down, lost rumors).
@@ -43,27 +43,24 @@ application; the node simply keeps its local immunity and repairs when
 the mesh heals.
 
 A long-lived *seed node* (a peer that is always there to be gossiped
-with, e.g. one per host) can be run standalone::
+with, e.g. one per host) is run with ``histctl serve``::
 
-    python -m repro.share.gossip --bind 127.0.0.1:7400 \\
-        --peers 127.0.0.1:7401,127.0.0.1:7402
+    python -m repro.tools.histctl serve \\
+        "gossip://127.0.0.1:7400?peers=127.0.0.1:7401,127.0.0.1:7402"
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import socket
-import sys
 import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import ShareError
-from ..core.signature import Signature
 from . import wire
-from .channel import HistoryChannel, split_spec_params
-from .state import PoolState, parse_signatures
+from .channel import Delta, HistoryChannel
+from .state import PoolState
 
 #: Wire protocol identifier (first field of every ``syn``).
 PROTOCOL = "dimmunix-gossip/1"
@@ -75,7 +72,8 @@ def parse_gossip_params(rest: str, spec: str) -> Dict:
     Form: ``BIND?peers=HOST:PORT,HOST:PORT&interval=SECONDS`` where
     ``BIND`` is ``HOST:PORT`` (port ``0`` = ephemeral).
     """
-    address, params = split_spec_params(rest)
+    address, _, query = rest.partition("?")
+    params = dict(item.partition("=")[::2] for item in query.split("&") if item)
     host, sep, port_text = address.rpartition(":")
     if not sep or not host:
         raise ShareError(
@@ -106,8 +104,6 @@ def parse_gossip_params(rest: str, spec: str) -> Dict:
 class GossipChannel(HistoryChannel):
     """One node of a daemonless anti-entropy mesh."""
 
-    supports_controls = True
-
     def __init__(self, host: str, port: int,
                  peers: Sequence[str] = (),
                  interval: float = 0.5,
@@ -119,11 +115,10 @@ class GossipChannel(HistoryChannel):
         self._interval = max(0.01, interval)
         self._connect_timeout = connect_timeout
         self._node_name = node_name or f"gossip-{id(self):x}"
-        #: ``_lock`` guards the replicated state and the inbound pending
-        #: buffers; it is never held across network I/O.
+        #: ``_lock`` guards the replicated state and what arrived from
+        #: peers since the last receive; it is never held across network I/O.
         self._state = PoolState()
-        self._pending_records: List[dict] = []
-        self._pending_controls: List[dict] = []
+        self._pending: Delta = ([], [])
         self._lock = threading.Lock()
         self._stopping = threading.Event()
         self._peer_last_success: Dict[str, float] = {}
@@ -177,55 +172,31 @@ class GossipChannel(HistoryChannel):
             return f"gossip://{self.bind}?peers={','.join(self._peers)}"
         return f"gossip://{self.bind}"
 
-    # -- HistoryChannel protocol -------------------------------------------------------
+    # -- the channel contract ----------------------------------------------------------
 
-    def publish(self, signature: Signature) -> None:
-        if self._closed or not self._fresh([signature]):
-            return
-        record = signature.to_dict()
+    def _send(self, records, controls) -> None:
         with self._lock:
-            new = self._state.admit(record)
-        if new:
-            self._push({"signatures": [record]})
+            fresh, won = self._state.absorb(records, controls)
+        if fresh or won:
+            self._push({"signatures": fresh,
+                        "controls": [control.to_dict() for control in won]})
 
-    def publish_control(self, control: Dict) -> None:
-        if self._closed or not self._fresh_controls([control]):
-            return
+    def _receive(self) -> Delta:
         with self._lock:
-            _, won = self._state.absorb(controls=[control])
-        if won:
-            self._push({"controls": [won[0].to_dict()]})
+            delta, self._pending = self._pending, ([], [])
+        return delta
 
-    def poll(self) -> List[Signature]:
-        if self._closed:
-            return []
-        with self._lock:
-            records, self._pending_records = self._pending_records, []
-        return self._fresh(parse_signatures(records))
-
-    def poll_controls(self) -> List[Dict]:
-        if self._closed:
-            return []
-        with self._lock:
-            controls, self._pending_controls = self._pending_controls, []
-        return self._fresh_controls(controls)
-
-    def snapshot(self) -> List[Signature]:
-        """Pull from every peer synchronously, then return all records.
+    def _snapshot(self, timeout: float) -> Delta:
+        """Pull from every peer synchronously, then return the whole state.
 
         This is what makes a short-lived worker immune from its first
         instant: the pool's initial ``sync`` lands here, and one blocking
         anti-entropy sweep beats waiting for the background round timer.
         """
-        if self._closed:
-            return []
         for peer in list(self._peers):
             self._exchange(peer)
         with self._lock:
-            records = self._state.visible()
-        signatures = parse_signatures(records)
-        self._fresh(signatures)
-        return signatures
+            return self._state.snapshot()
 
     def close(self) -> None:
         if self._closed:
@@ -320,9 +291,8 @@ class GossipChannel(HistoryChannel):
         with self._lock:
             records, controls = self._state.absorb(
                 message.get("signatures", ()), message.get("controls", ()))
-            self._pending_records.extend(records)
-            self._pending_controls.extend(
-                control.to_dict() for control in controls)
+            self._pending[0].extend(records)
+            self._pending[1].extend(control.to_dict() for control in controls)
 
     # -- inbound -----------------------------------------------------------------------
 
@@ -401,50 +371,3 @@ class GossipChannel(HistoryChannel):
                 "round_failures": self.round_failures,
                 "last_round_age": last_age, "peer_lag": peer_lag,
                 "pushes": self.pushes, "io_errors": self.io_errors}
-
-
-# ---------------------------------------------------------------------------
-# Standalone seed node
-# ---------------------------------------------------------------------------
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.share.gossip",
-        description="Long-lived dimmunix gossip seed node (one per host).")
-    parser.add_argument("--bind", metavar="HOST:PORT", required=True,
-                        help="address to listen on (port 0 = ephemeral)")
-    parser.add_argument("--peers", metavar="HOST:PORT,...", default="",
-                        help="comma-separated seed peers to gossip with")
-    parser.add_argument("--interval", type=float, default=0.5,
-                        help="seconds between anti-entropy rounds")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    rest = args.bind
-    if args.peers:
-        rest += f"?peers={args.peers}"
-    try:
-        params = parse_gossip_params(rest, f"gossip://{rest}")
-        node = GossipChannel(node_name="seed", interval=args.interval,
-                             **params)
-    except ShareError as exc:
-        print(f"gossip: {exc}", file=sys.stderr)
-        return 1
-    print(f"dimmunix gossip seed listening on gossip://{node.bind}",
-          flush=True)
-    try:
-        while True:
-            threading.Event().wait(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        node.close()
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -24,9 +24,11 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
-from ..core.signature import Signature
-from .channel import HistoryChannel
-from .state import PoolState, parse_signatures
+from .channel import Delta, HistoryChannel
+from .state import PoolState
+
+#: How far a channel has read: (records, controls) delivered so far.
+Cursor = Tuple[int, int]
 
 
 class MemoryHub:
@@ -41,36 +43,24 @@ class MemoryHub:
         self._controls: List[dict] = []
         self._lock = threading.Lock()
 
-    def append(self, signature: Signature) -> bool:
-        """Add a signature record to the hub; True when it was new."""
-        record = signature.to_dict()
+    def append(self, records, controls) -> None:
+        """Merge a delta into the hub."""
         with self._lock:
-            if not self._state.admit(record):
-                return False
-            self._records.append(record)
-            return True
+            fresh, won = self._state.absorb(records, controls)
+            self._records.extend(fresh)
+            self._controls.extend(control.to_dict() for control in won)
 
-    def append_control(self, control: dict) -> bool:
-        """Merge a control record into the hub; True when it won."""
+    def since(self, cursor: Cursor) -> Tuple[Delta, Cursor]:
+        """What arrived at or after ``cursor``, and the cursor after it."""
         with self._lock:
-            _, won = self._state.absorb(controls=[control])
-            self._controls.extend(winner.to_dict() for winner in won)
-            return bool(won)
+            return ((self._records[cursor[0]:], self._controls[cursor[1]:]),
+                    (len(self._records), len(self._controls)))
 
-    def records_from(self, cursor: int) -> List[dict]:
-        """All records delivered at or after ``cursor`` (a plain index)."""
+    def snapshot(self) -> Tuple[Delta, Cursor]:
+        """The hub's whole value, and the cursor it is current to."""
         with self._lock:
-            return self._records[cursor:]
-
-    def controls_from(self, cursor: int) -> List[dict]:
-        """All control records delivered at or after ``cursor``."""
-        with self._lock:
-            return self._controls[cursor:]
-
-    def snapshot(self) -> Tuple[List[dict], int]:
-        """(the visible records, the record cursor they are current to)."""
-        with self._lock:
-            return self._state.visible(), len(self._records)
+            return (self._state.snapshot(),
+                    (len(self._records), len(self._controls)))
 
     def __len__(self) -> int:
         with self._lock:
@@ -84,56 +74,34 @@ class MemoryHub:
 class MemoryChannel(HistoryChannel):
     """One endpoint of a :class:`MemoryHub`."""
 
-    supports_controls = True
-
     def __init__(self, hub: MemoryHub):
         super().__init__()
         self._hub = hub
-        self._cursor = 0
-        self._control_cursor = 0
+        self._cursor: Cursor = (0, 0)
 
     @property
     def hub(self) -> MemoryHub:
         """The hub this channel is attached to."""
         return self._hub
 
-    def publish(self, signature: Signature) -> None:
-        if not self._closed and self._fresh([signature]):
-            self._hub.append(signature)
+    def _send(self, records, controls) -> None:
+        self._hub.append(records, controls)
 
-    def poll(self) -> List[Signature]:
-        if self._closed:
-            return []
-        records = self._hub.records_from(self._cursor)
-        self._cursor += len(records)
-        return self._fresh(parse_signatures(records))
+    def _receive(self) -> Delta:
+        delta, self._cursor = self._hub.since(self._cursor)
+        return delta
 
-    def snapshot(self) -> List[Signature]:
-        if self._closed:
-            return []
-        # Advance by what was actually read — not by len(hub), which may
+    def _snapshot(self, timeout: float) -> Delta:
+        # Advance to what was actually read — not to len(hub), which may
         # already include records appended after the read and would make
-        # poll() skip them forever.
-        records, cursor = self._hub.snapshot()
-        self._cursor = max(self._cursor, cursor)
-        signatures = parse_signatures(records)
-        self._fresh(signatures)
-        return signatures
-
-    def publish_control(self, control) -> None:
-        if not self._closed and self._fresh_controls([control]):
-            self._hub.append_control(control)
-
-    def poll_controls(self):
-        if self._closed:
-            return []
-        controls = self._hub.controls_from(self._control_cursor)
-        self._control_cursor += len(controls)
-        return self._fresh_controls(controls)
+        # receive() skip them forever.
+        whole, cursor = self._hub.snapshot()
+        self._cursor = (max(self._cursor[0], cursor[0]),
+                        max(self._cursor[1], cursor[1]))
+        return whole
 
     def describe(self) -> str:
-        name = self._hub.name or "<anonymous>"
-        return f"memory://{name}"
+        return f"memory://{self._hub.name or '<anonymous>'}"
 
 
 _hubs: Dict[str, MemoryHub] = {}
@@ -145,8 +113,7 @@ def memory_hub(name: str) -> MemoryHub:
     with _hubs_lock:
         hub = _hubs.get(name)
         if hub is None:
-            hub = MemoryHub(name)
-            _hubs[name] = hub
+            hub = _hubs[name] = MemoryHub(name)
         return hub
 
 

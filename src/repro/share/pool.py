@@ -1,31 +1,21 @@
 """The :class:`SignaturePool`: glue between a local history and a channel.
 
 One pool binds one :class:`~repro.core.history.History` to one
-:class:`~repro.share.channel.HistoryChannel`:
+:class:`~repro.share.channel.HistoryChannel`, and is the one place
+signature records are parsed:
 
-* **outbound** — a history listener publishes every *locally* learned
+* **outbound** — a history listener sends every *locally* learned
   signature the moment the monitor archives it (no polling delay on the
-  publish side);
-* **inbound** — :meth:`pump` drains the channel and merges remote
-  signatures into the history.  Merging triggers the history's observer
-  hooks, which is how a remote signature reaches the engine's striped
-  avoidance state: the incremental
+  send side);
+* **inbound** — :meth:`pump` receives the channel's delta and merges
+  the remote signatures into the history.  Merging triggers the
+  history's observer hooks, which is how a remote signature reaches the
+  engine's striped avoidance state: the incremental
   :class:`~repro.core.sigindex.SignatureIndex` adds its suffix buckets
   and the very next lock request can match it — no restart, no engine
   reset.
 
-**Batching and backpressure.**  By default publishes are immediate
-(``coalesce_window=0``).  Setting a window makes the pool coalesce: new
-signatures queue locally and are flushed together once the window
-elapses (or on the next monitor pump, whichever comes first), so a
-deadlock storm in one worker costs the pool one batched flush, not one
-channel round-trip per signature.  The queue is bounded
-(``max_outbound``); overflow drops the *oldest* queued signature and
-counts it in ``publish_dropped`` — dropping is safe because signatures
-re-offer themselves on the next full :meth:`sync` and immunity is only
-ever delayed, never lost locally.
-
-**The control plane.**  The pool is also a history *observer*: a local
+**The control records.**  The pool is also a history *observer*: a local
 ``disable``/``enable``/``remove`` (e.g. from ``histctl``) originates a
 control record — Lamport-clocked, origin-stamped — onto the channel,
 and :meth:`pump` merges inbound control records into the pool's
@@ -36,8 +26,8 @@ history's observer hooks, the signature index drops its buckets, and a
 fleet-wide retraction of a bad signature (section 5.7 at fleet scale).
 
 Echo suppression is two-layered: the pool flags installs so its own
-listener does not publish a remote signature back, and every channel
-additionally refuses to resend a fingerprint it has already carried.
+listener and observer hooks do not send a remote record back, and every
+channel additionally refuses to carry what it has already carried.
 
 The pool is driven by whoever owns the runtime's cadence:
 :class:`~repro.core.monitor.MonitorCore` pumps it once per monitor pass
@@ -52,14 +42,13 @@ from __future__ import annotations
 import os
 import socket
 import threading
-import time
-from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Dict, Optional
 
 from ..core.history import History
 from ..core.signature import Signature
 from .channel import HistoryChannel
-from .state import Control, PoolState, apply_control, install, parse_control
+from .state import (Control, PoolState, apply_control, install, parse_signatures,
+                    to_record)
 
 
 def _default_origin() -> str:
@@ -74,20 +63,13 @@ class SignaturePool:
     """Bidirectional signature flow between a history and a channel."""
 
     def __init__(self, history: History, channel: HistoryChannel,
-                 coalesce_window: float = 0.0,
-                 max_outbound: int = 256,
                  origin: Optional[str] = None):
         self._history = history
         self._channel = channel
         self._installing = threading.local()
-        self._coalesce_window = max(0.0, coalesce_window)
-        self._max_outbound = max(1, max_outbound)
-        self._outbound: Deque[Signature] = deque()
-        self._outbound_lock = threading.Lock()
-        self._first_queued_at: Optional[float] = None
-        #: Control-plane state: the origin stamp and the standing control
-        #: per fingerprint (whose highest clock is the Lamport clock).
-        #: The records themselves live in the history.
+        #: The origin stamp, and the standing control per fingerprint
+        #: (whose highest clock is the Lamport clock).  The records
+        #: themselves live in the history.
         self._origin = origin or _default_origin()
         self._control_lock = threading.Lock()
         self._state = PoolState()
@@ -95,10 +77,11 @@ class SignaturePool:
         self.published = 0
         self.installed = 0
         self.publish_errors = 0
-        self.publish_dropped = 0
         self.controls_published = 0
         self.controls_applied = 0
         self.control_errors = 0
+        #: Received records no :class:`Signature` could be read from.
+        self.unreadable = 0
         self._detached = False
         history.add_listener(self._publish_local)
         history.add_observer(self)
@@ -115,76 +98,39 @@ class SignaturePool:
 
     # -- outbound ----------------------------------------------------------------------
 
-    def _publish_local(self, signature: Signature) -> None:
-        if self._detached or getattr(self._installing, "active", False):
-            return
-        if self._coalesce_window <= 0.0:
-            self._publish_now(signature)
-            return
-        flush_due = False
-        with self._outbound_lock:
-            self._outbound.append(signature)
-            if len(self._outbound) > self._max_outbound:
-                self._outbound.popleft()
-                self.publish_dropped += 1
-            now = time.monotonic()
-            if self._first_queued_at is None:
-                self._first_queued_at = now
-            elif now - self._first_queued_at >= self._coalesce_window:
-                flush_due = True
-        if flush_due:
-            self.flush()
+    def _local(self) -> bool:
+        """True when a history change is this process's own, to be sent."""
+        return not self._detached and not getattr(self._installing, "active", False)
 
-    def _publish_now(self, signature: Signature) -> None:
+    def _send(self, records=(), controls=()) -> bool:
         try:
-            self._channel.publish(signature)
-            self.published += 1
+            self._channel.send(records, controls)
+            return True
         except Exception:
             # Sharing failures must degrade to single-process immunity,
             # never to an exception inside the monitor's archive path.
+            return False
+
+    def _publish(self, records, controls=()) -> None:
+        if self._send(records, controls):
+            self.published += len(records)
+        else:
             self.publish_errors += 1
 
-    def flush(self) -> int:
-        """Publish everything coalesced so far; returns the batch size."""
-        with self._outbound_lock:
-            batch = list(self._outbound)
-            self._outbound.clear()
-            self._first_queued_at = None
-        for signature in batch:
-            self._publish_now(signature)
-        return len(batch)
-
-    def _flush_if_due(self) -> None:
-        if self._coalesce_window <= 0.0:
-            return
-        with self._outbound_lock:
-            due = (self._first_queued_at is not None
-                   and time.monotonic() - self._first_queued_at
-                   >= self._coalesce_window)
-        if due:
-            self.flush()
-
-    @property
-    def pending_outbound(self) -> int:
-        """Signatures currently coalescing in the outbound queue."""
-        with self._outbound_lock:
-            return len(self._outbound)
-
-    # -- outbound: control origination -------------------------------------------------
+    def _publish_local(self, signature: Signature) -> None:
+        if self._local():
+            self._publish([to_record(signature)])
 
     def _originate_control(self, action: str, fingerprint: str) -> None:
-        if self._detached or getattr(self._installing, "active", False):
-            return
-        if not getattr(self._channel, "supports_controls", False):
+        if not self._local():
             return
         with self._control_lock:
             control = Control(self._state.clock + 1, self._origin,
                               action, fingerprint)
             self._state.merge_control(control)
-        try:
-            self._channel.publish_control(control.to_dict())
+        if self._send(controls=[control.to_dict()]):
             self.controls_published += 1
-        except Exception:
+        else:
             self.control_errors += 1
 
     # History observer hooks: a *local* mutation becomes a fleet-wide
@@ -201,92 +147,69 @@ class SignaturePool:
 
     # -- inbound -----------------------------------------------------------------------
 
-    def _install(self, signatures) -> int:
-        if not signatures:
+    def _take(self, records, controls) -> int:
+        """Install one received delta; returns how many signatures were new.
+
+        The controls are merged first, so the signatures install under
+        the controls standing once the delta is in (a record that arrives
+        with the disable outranking a local remove comes back disabled);
+        then the controls that won are applied to what was already held.
+        """
+        if not records and not controls:
             return 0
+        signatures = parse_signatures(records)
+        self.unreadable += len(records) - len(signatures)
+        with self._control_lock:
+            _, won = self._state.absorb(controls=controls)
         self._installing.active = True
         try:
             added = install(self._history, self._state, signatures)
+            for control in won:
+                apply_control(self._history, control)
         finally:
             self._installing.active = False
         self.installed += added
+        self.controls_applied += len(won)
         return added
-
-    def _apply_controls(self, controls) -> int:
-        applied = 0
-        for raw in controls:
-            control = parse_control(raw)
-            if control is None:
-                self.control_errors += 1
-                continue
-            with self._control_lock:
-                won = self._state.merge_control(control)
-            if not won:
-                continue
-            self._installing.active = True
-            try:
-                apply_control(self._history, control)
-            finally:
-                self._installing.active = False
-            applied += 1
-        self.controls_applied += applied
-        return applied
-
-    def _pump_controls(self) -> int:
-        try:
-            controls = self._channel.poll_controls()
-        except Exception:
-            return 0
-        return self._apply_controls(controls)
 
     def pump(self) -> int:
         """Install newly arrived remote signatures; returns how many were new."""
         if self._detached:
             return 0
-        self._flush_if_due()
         try:
-            signatures = self._channel.poll()
+            delta = self._channel.receive()
         except Exception:
-            signatures = []
-        added = self._install(signatures)
-        self._pump_controls()
-        return added
+            return 0
+        return self._take(*delta)
 
     def sync(self, timeout: float = 5.0) -> int:
         """Full two-way synchronization (used right after attaching).
 
-        Publishes every signature already in the local history (a restarted
-        worker re-seeds the pool from its history file), then installs the
-        pool's full snapshot — signatures and any standing controls.
-        Returns the number of signatures installed.
+        Sends every signature in the local history and every standing
+        control (a restarted worker re-seeds the pool from its history
+        file, and a send the wire lost before the channel is made good;
+        the channel keeps what it already carried off the wire), then
+        installs the pool's whole snapshot — signatures and standing
+        controls.  Returns the number of signatures installed.
         """
-        # Publish directly, not through the coalescing queue: a full sync
-        # is the recovery path for previously dropped signatures, so it
-        # must not re-drop under the same bound.  (The channel's seen-set
-        # keeps already-shared fingerprints off the wire.)
-        with self._outbound_lock:
-            self._outbound.clear()
-            self._first_queued_at = None
-        for signature in self._history.signatures():
-            self._publish_now(signature)
+        with self._control_lock:
+            controls = [control.to_dict()
+                        for control in self._state.controls.values()]
+        records = [to_record(signature) for signature in self._history.signatures()]
+        if records or controls:
+            self._publish(records, controls)
         try:
-            try:
-                remote = self._channel.snapshot(timeout=timeout)
-            except TypeError:
-                remote = self._channel.snapshot()
+            whole = self._channel.snapshot(timeout)
         except Exception:
-            remote = []
-        added = self._install(remote)
-        self._pump_controls()
-        return added
+            return 0
+        return self._take(*whole)
 
     # -- lifecycle ---------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop publishing, pump one last time, and close the channel."""
+        """Pump one last time, stop sending, and close the channel."""
         if self._detached:
             return
-        self.flush()
         self.pump()
         self._detached = True
         self._history.remove_listener(self._publish_local)
@@ -310,10 +233,9 @@ class SignaturePool:
             "published": self.published,
             "installed": self.installed,
             "publish_errors": self.publish_errors,
-            "publish_dropped": self.publish_dropped,
-            "pending_outbound": self.pending_outbound,
             "controls_published": self.controls_published,
             "controls_applied": self.controls_applied,
             "control_errors": self.control_errors,
+            "rejected": self._channel.rejected + self.unreadable,
             "history_size": len(self._history),
         }

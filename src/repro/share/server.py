@@ -10,53 +10,39 @@ op          meaning
 ========== ==========================================================
 hello       identify; server answers ``welcome`` with the pool size
 subscribe   start streaming; server first answers ``snapshot`` (unless
-            ``"snapshot": false``), then pushes ``signature`` messages
-publish     offer one signature record; new ones are merged into the
-            master history and broadcast to every *other* subscriber
-control     fleet management (disable / enable / remove a fingerprint);
-            applied to the master history, broadcast, and federated
+            ``"snapshot": false``), then pushes ``publish`` messages
+publish     offer a delta: ``signatures`` and ``controls`` lists.  What
+            is new (a record) or wins (a control) is applied to the
+            master history and pushed to every *other* subscriber in
+            one ``publish``; malformed entries are answered ``error``
 snapshot    answer with the full pool as one ``snapshot`` message
-            (signatures plus the latest control per fingerprint)
+            (visible signatures plus the standing control per fingerprint)
 status      answer with pool counters (``pool-status`` subcommand)
 ping        answer ``pong`` (liveness probes)
 ========== ==========================================================
-
-**Federation** (``--upstream SPEC``, repeatable): the daemon can itself
-subscribe to upstream daemons — or any other share transport — turning
-N per-host hubs plus one spine daemon into a fleet-wide pool.  A
-federation thread polls each upstream, merges what it learns, and
-broadcasts it downstream; local publishes and controls are forwarded
-upstream.  Upstream links reuse :class:`SocketChannel` semantics
-(snapshot-then-stream, reconnect-with-resnapshot), so a restarted spine
-repopulates every leaf automatically.
 
 Signature payloads are plain ``Signature.to_dict()`` records — the same
 v1/v2 format as history files (``docs/signature-format.md``).  What the
 pool holds and how it merges is a :class:`~repro.share.state.PoolState`;
 the master history is its persistent, queryable mirror.
 
-Run it standalone with either front end::
+Run it with ``histctl serve``::
 
-    python -m repro.share.server --unix /run/app/pool.sock
-    python -m repro.tools.histctl serve --tcp 127.0.0.1:7341 --history pool.json
+    python -m repro.tools.histctl serve unix:///run/app/pool.sock --history pool.json
+    python -m repro.tools.histctl serve tcp://127.0.0.1:7341
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import socket
-import sys
 import threading
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..core.errors import ShareError, SignatureError
+from ..core.errors import ShareError
 from ..core.history import History
-from ..core.signature import Signature
 from . import wire
-from .state import (Control, PoolState, apply_control, install,
-                    parse_control)
+from .state import PoolState, apply_control, install, parse_signatures
 
 #: Protocol identifier sent in ``welcome`` messages.
 PROTOCOL = "dimmunix-share/1"
@@ -108,9 +94,7 @@ class HistoryServer:
     def __init__(self, unix_path: Optional[str] = None,
                  host: Optional[str] = None, port: int = 0,
                  history: Optional[History] = None,
-                 history_path: Optional[str] = None,
-                 upstreams: Optional[Sequence[str]] = None,
-                 federation_interval: float = 0.25):
+                 history_path: Optional[str] = None):
         if (unix_path is None) == (host is None):
             raise ShareError("pass exactly one of unix_path or host")
         if unix_path is not None and not hasattr(socket, "AF_UNIX"):
@@ -135,16 +119,6 @@ class HistoryServer:
         self._state_lock = threading.Lock()
         self._state.absorb([signature.to_dict()
                             for signature in self.history.signatures()])
-        # -- federation state
-        self._upstream_specs: List[str] = list(upstreams or [])
-        self._federation_interval = max(0.01, federation_interval)
-        self._upstream_channels: Dict[str, object] = {}
-        self._upstream_lock = threading.Lock()
-        self._federation_rounds = 0
-        self._federated_in = 0
-        self._federated_out = 0
-        self._federation_errors = 0
-        self._last_round_at: Optional[float] = None
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -168,25 +142,11 @@ class HistoryServer:
                                     name="dimmunix-share-accept", daemon=True)
         acceptor.start()
         self._threads.append(acceptor)
-        if self._upstream_specs:
-            federator = threading.Thread(
-                target=self._federation_loop,
-                name="dimmunix-share-federate", daemon=True)
-            federator.start()
-            self._threads.append(federator)
         return self
 
     def stop(self) -> None:
         """Close the listener and every client connection."""
         self._stopping.set()
-        with self._upstream_lock:
-            upstream_channels = list(self._upstream_channels.values())
-            self._upstream_channels.clear()
-        for channel in upstream_channels:
-            try:
-                channel.close()
-            except Exception:
-                pass
         if self._listener is not None:
             # Not a bare close(): the acceptor thread would keep the port
             # listening, and a reconnecting client could be "served" by a
@@ -294,8 +254,6 @@ class HistoryServer:
                 client.send(self._snapshot_message())
         elif op == "publish":
             self._handle_publish(client, message)
-        elif op == "control":
-            self._handle_control(client, message)
         elif op == "snapshot":
             client.send(self._snapshot_message())
         elif op == "status":
@@ -315,48 +273,24 @@ class HistoryServer:
                 "signatures": records, "controls": controls}
 
     def _handle_publish(self, client: _ClientConnection, message: Dict) -> None:
-        record = message.get("signature")
-        if not isinstance(record, dict):
-            client.send({"op": "error", "error": "publish without signature"})
-            return
-        try:
-            signature = Signature.from_dict(record)
-        except SignatureError as exc:
-            client.send({"op": "error", "error": f"bad signature: {exc}"})
-            return
         self._published += 1
-        if self._admit(signature, exclude=client):
-            self._forward_upstream("publish", signature)
-
-    def _admit(self, signature: Signature,
-               exclude: Optional[_ClientConnection]) -> bool:
-        """Merge one signature; when new and visible, install and broadcast."""
-        record = signature.to_dict()
         with self._state_lock:
-            if not self._state.admit(record):
-                return False
-        install(self.history, self._state, [signature])
-        self._broadcast({"op": "signature", "signature": record}, exclude)
-        return True
-
-    def _handle_control(self, client: _ClientConnection,
-                        message: Dict) -> None:
-        control = parse_control(message.get("control"))
-        if control is None:
-            client.send({"op": "error", "error": "bad control record"})
-        elif self._enact_control(control, exclude=client):
-            self._forward_upstream("publish_control", control.to_dict())
-
-    def _enact_control(self, control: Control,
-                       exclude: Optional[_ClientConnection]) -> bool:
-        """Merge one control; when it wins, apply and broadcast it."""
-        with self._state_lock:
-            if not self._state.merge_control(control):
-                return False
-        apply_control(self.history, control)
-        self._broadcast({"op": "control", "control": control.to_dict()},
-                        exclude)
-        return True
+            refused = self._state.rejected
+            records, won = self._state.absorb(
+                wire.items(message.get("signatures", [])),
+                wire.items(message.get("controls", [])))
+            refused = self._state.rejected - refused
+        if refused:
+            client.send({"op": "error",
+                         "error": f"refused {refused} malformed record(s)"})
+        if not records and not won:
+            return
+        install(self.history, self._state, parse_signatures(records))
+        for control in won:
+            apply_control(self.history, control)
+        self._broadcast({"op": "publish", "signatures": records,
+                         "controls": [control.to_dict() for control in won]},
+                        exclude=client)
 
     def _broadcast(self, message: Dict,
                    exclude: Optional[_ClientConnection]) -> None:
@@ -369,91 +303,6 @@ class HistoryServer:
             else:
                 self._drop_client(target)
 
-    # -- federation --------------------------------------------------------------------
-
-    def _upstream_channel(self, spec: str):
-        """The open channel to ``spec``, (re)opened on demand."""
-        with self._upstream_lock:
-            channel = self._upstream_channels.get(spec)
-        if channel is not None:
-            return channel
-        from .channel import open_channel  # deferred: avoids import cycles
-        try:
-            channel = open_channel(spec, client_name=f"federation:{self.spec}")
-        except ShareError:
-            self._federation_errors += 1
-            return None
-        with self._upstream_lock:
-            if self._stopping.is_set():
-                channel.close()
-                return None
-            self._upstream_channels[spec] = channel
-        return channel
-
-    def _drop_upstream(self, spec: str) -> None:
-        with self._upstream_lock:
-            channel = self._upstream_channels.pop(spec, None)
-        if channel is not None:
-            try:
-                channel.close()
-            except Exception:
-                pass
-
-    def _federation_loop(self) -> None:
-        while not self._stopping.wait(self._federation_interval):
-            self.federation_round()
-
-    def federation_round(self) -> None:
-        """Poll every upstream once, merging and re-broadcasting news."""
-        for spec in self._upstream_specs:
-            channel = self._upstream_channel(spec)
-            if channel is None:
-                continue
-            try:
-                signatures = channel.poll()
-                controls = channel.poll_controls()
-            except Exception:
-                self._federation_errors += 1
-                self._drop_upstream(spec)
-                continue
-            if not getattr(channel, "connected", True):
-                # Socket links degrade silently rather than raising; treat
-                # a lost connection as a failed round so the upstream is
-                # reopened (with a fresh snapshot) once it comes back.
-                self._federation_errors += 1
-                self._drop_upstream(spec)
-                continue
-            for signature in signatures:
-                self._federated_in += 1
-                self._admit(signature, exclude=None)
-            for raw in controls:
-                self._federated_in += 1
-                control = parse_control(raw)
-                if control is not None and self._enact_control(
-                        control, exclude=None):
-                    self._forward_upstream("publish_control",
-                                           control.to_dict(), skip=spec)
-        self._federation_rounds += 1
-        self._last_round_at = time.monotonic()
-
-    def _forward_upstream(self, send: str, payload,
-                          skip: Optional[str] = None) -> None:
-        """Call ``channel.<send>(payload)`` on every upstream but ``skip``."""
-        for spec in self._upstream_specs:
-            if spec == skip:
-                continue
-            channel = self._upstream_channel(spec)
-            if channel is None:
-                continue
-            try:
-                # Per-channel dedup suppresses echo: anything this link
-                # delivered via poll() is already marked as carried.
-                getattr(channel, send)(payload)
-                self._federated_out += 1
-            except Exception:
-                self._federation_errors += 1
-                self._drop_upstream(spec)
-
     # -- introspection -----------------------------------------------------------------
 
     def status(self) -> Dict:
@@ -463,80 +312,8 @@ class HistoryServer:
             subscribed = sum(1 for c in self._clients if c.subscribed)
         with self._state_lock:
             counts = self._state.counts()
-        status = {"op": "status", "transport": "daemon", "spec": self.spec,
-                  **counts, "clients": clients,
-                  "subscribers": subscribed, "publishes": self._published,
-                  "broadcasts": self._broadcast_count,
-                  "history_path": self.history.path}
-        if self._upstream_specs:
-            with self._upstream_lock:
-                connected = len(self._upstream_channels)
-            last_age = (None if self._last_round_at is None
-                        else round(time.monotonic() - self._last_round_at, 3))
-            status.update({
-                "upstreams": list(self._upstream_specs),
-                "upstreams_connected": connected,
-                "federation_rounds": self._federation_rounds,
-                "federated_in": self._federated_in,
-                "federated_out": self._federated_out,
-                "federation_errors": self._federation_errors,
-                "last_federation_round_age": last_age,
-            })
-        return status
-
-
-def serve_forever(server: HistoryServer) -> None:
-    """Run ``server`` until interrupted (the daemon main loop)."""
-    server.start()
-    print(f"dimmunix history daemon listening on {server.spec}", flush=True)
-    try:
-        while True:
-            threading.Event().wait(3600)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.share.server",
-        description="Dimmunix signature-pool daemon.")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--unix", metavar="PATH",
-                       help="listen on a Unix socket at PATH")
-    group.add_argument("--tcp", metavar="HOST:PORT",
-                       help="listen on HOST:PORT")
-    parser.add_argument("--history", metavar="FILE", default=None,
-                        help="persist the pooled history to FILE")
-    parser.add_argument("--upstream", metavar="SPEC", action="append",
-                        default=[], dest="upstreams",
-                        help="federate with an upstream share SPEC "
-                             "(repeatable), e.g. tcp://spine:7341")
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        if not host:
-            print(f"--tcp needs HOST:PORT, got {args.tcp!r}", file=sys.stderr)
-            return 2
-        server = HistoryServer(host=host, port=int(port),
-                               history_path=args.history,
-                               upstreams=args.upstreams)
-    else:
-        server = HistoryServer(unix_path=args.unix, history_path=args.history,
-                               upstreams=args.upstreams)
-    try:
-        serve_forever(server)
-    except ShareError as exc:
-        print(f"server: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+        return {"op": "status", "transport": "daemon", "spec": self.spec,
+                **counts, "clients": clients,
+                "subscribers": subscribed, "publishes": self._published,
+                "broadcasts": self._broadcast_count,
+                "history_path": self.history.path}

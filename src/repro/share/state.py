@@ -4,7 +4,8 @@ Every share transport replicates the same value: a set of signature
 records plus one standing fleet control per fingerprint.  This module
 owns that value and its merge rules; gossip nodes, the daemon, the file
 log, the memory hub and :class:`~repro.share.pool.SignaturePool` each
-hold a :class:`PoolState` and only move bytes.
+hold a :class:`PoolState` and only move bytes, and every channel
+deduplicates what it carries with one of its own.
 
 The merge is a join, so it is commutative, associative and idempotent
 by construction:
@@ -18,9 +19,10 @@ by construction:
   still held and advertised, so arrival order never changes the state;
 * the **digest** covers every held fingerprint and every standing
   control (fingerprint, action, clock, origin);
-* **malformed input** — a record without a fingerprint, a control with
-  an unknown action or an unreadable clock — is rejected and counted in
-  ``rejected``, never raised.
+* **malformed input** — a record that is not a signature of the
+  fingerprint it claims, a control with an unknown action or an
+  unreadable clock — is rejected and counted in ``rejected``, never
+  raised.
 
 A :class:`PoolState` is not thread-safe; its owner serialises access.
 """
@@ -114,6 +116,38 @@ def parse_signatures(records) -> List[Signature]:
     return signatures
 
 
+#: fingerprint -> a record already known to be a signature of that
+#: fingerprint (read once, or made by :func:`to_record`).  A record
+#: crosses several states on its way (the sender's channel, the hub,
+#: daemon or gossip node, the receiver's channel), so an equal copy is
+#: taken as read instead of being parsed again at every hop.
+_READ: Dict[str, dict] = {}
+
+
+def to_record(signature: Signature) -> dict:
+    """``signature``'s wire record, known to be readable without a parse."""
+    record = signature.to_dict()
+    _READ[record["fingerprint"]] = record
+    return record
+
+
+def _readable(record) -> Optional[str]:
+    """The fingerprint ``record`` claims, if it is a signature carrying it."""
+    fingerprint = record.get("fingerprint") if isinstance(
+        record, dict) else None
+    if not fingerprint or not isinstance(fingerprint, str):
+        return None
+    if _READ.get(fingerprint) == record:
+        return fingerprint
+    try:
+        if Signature.from_dict(record).fingerprint != fingerprint:
+            return None
+    except Exception:
+        return None
+    _READ[fingerprint] = record
+    return fingerprint
+
+
 def apply_control(history: History, control: Control) -> None:
     """Apply one control to a history (actions name ``History`` methods)."""
     getattr(history, control.action)(control.fingerprint)
@@ -149,11 +183,12 @@ class PoolState:
         """Add one raw signature record.
 
         True when the record is new *and* visible — that is, when its
-        holder should deliver or forward it.
+        holder should deliver or forward it.  A record that is not a
+        signature carrying the fingerprint it claims is rejected, so a
+        corrupt copy can never stand in for the real one.
         """
-        fingerprint = record.get("fingerprint") if isinstance(
-            record, dict) else None
-        if not fingerprint or not isinstance(fingerprint, str):
+        fingerprint = _readable(record)
+        if fingerprint is None:
             self.rejected += 1
             return False
         if fingerprint in self.records:
@@ -176,10 +211,10 @@ class PoolState:
         """Join raw wire/log input (lists of records and of controls).
 
         Returns the records that became visible and the controls that
-        won; everything unreadable is counted in ``rejected``.
+        won; everything unreadable is counted in ``rejected``.  The
+        controls merge first, so a record is judged visible under the
+        controls that stand once the whole delta is in.
         """
-        fresh = [record for record in self._listed(records)
-                 if self.admit(record)]
         won = []
         for raw in self._listed(controls):
             control = parse_control(raw)
@@ -187,6 +222,8 @@ class PoolState:
                 self.rejected += 1
             elif self.merge_control(control):
                 won.append(control)
+        fresh = [record for record in self._listed(records)
+                 if self.admit(record)]
         return fresh, won
 
     def _listed(self, value):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import socket
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 def encode(message: Dict) -> str:
@@ -18,17 +18,23 @@ def encode(message: Dict) -> str:
 
 def decode(line: str) -> Dict:
     """The message on ``line``; ``ValueError`` unless it is a JSON object."""
-    message = json.loads(line)
+    try:
+        message = json.loads(line)
+    except RecursionError as exc:  # nested deeper than the parser recurses
+        raise ValueError("JSON nested too deep") from exc
     if not isinstance(message, dict):
         raise ValueError("not a JSON object")
     return message
 
 
-def dicts(value) -> List[Dict]:
-    """The objects in a decoded JSON list; anything else is dropped."""
-    if not isinstance(value, list):
-        return []
-    return [item for item in value if isinstance(item, dict)]
+def items(value) -> list:
+    """A decoded JSON list as it is; anything else as a one-item list.
+
+    Nothing is dropped on the way: the receiving
+    :class:`~repro.share.state.PoolState` rejects and counts what it
+    cannot read.
+    """
+    return value if isinstance(value, list) else [value]
 
 
 def send(sock: socket.socket, message: Dict) -> None:
@@ -37,8 +43,12 @@ def send(sock: socket.socket, message: Dict) -> None:
 
 
 def reader(sock: socket.socket):
-    """A line reader over ``sock`` for :func:`recv` (or plain iteration)."""
-    return sock.makefile("r", encoding="utf-8", newline="\n")
+    """A line reader over ``sock`` for :func:`recv` (or plain iteration).
+
+    Undecodable bytes spoil their line (it fails :func:`decode`), not the
+    connection.
+    """
+    return sock.makefile("r", encoding="utf-8", errors="replace", newline="\n")
 
 
 def recv(lines) -> Optional[Dict]:

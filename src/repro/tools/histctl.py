@@ -16,17 +16,20 @@ histories when distributing immunity.  This small CLI covers them::
 With multi-process history sharing (:mod:`repro.share`) come live
 subcommands that operate on a signature *pool* instead of a file::
 
-    python -m repro.tools.histctl serve --unix /run/app/pool.sock --history pool.json
-    python -m repro.tools.histctl serve --tcp 0.0.0.0:7341 --upstream tcp://spine:7341
+    python -m repro.tools.histctl serve unix:///run/app/pool.sock --history pool.json
+    python -m repro.tools.histctl serve tcp://0.0.0.0:7341
+    python -m repro.tools.histctl serve "gossip://0.0.0.0:7400?peers=host2:7400"
     python -m repro.tools.histctl tail unix:///run/app/pool.sock --duration 30
     python -m repro.tools.histctl pool-status file:///shared/pool.sig
     python -m repro.tools.histctl disable --share tcp://pool:7341 <fingerprint>
 
-``serve`` runs the history daemon in the foreground (``--upstream``
-federates it with other daemons); ``tail`` prints signatures as the pool
-learns them (snapshot first, then live for ``--duration`` seconds);
+``serve`` runs a long-lived pool endpoint in the foreground — the
+history daemon for a ``unix://`` or ``tcp://`` spec, a gossip seed node
+for a ``gossip://`` one — and prints the spec it serves once it is
+reachable; ``tail`` prints signatures and controls as the pool learns
+them (snapshot first, then live for ``--duration`` seconds);
 ``pool-status`` asks a daemon, gossip node, or shared log file for its
-counters, including federation / anti-entropy state.
+counters, including anti-entropy state.
 
 ``disable`` / ``enable`` / ``remove`` accept ``--share SPEC`` (with or
 without a history file): the action travels the pool as a Lamport-
@@ -157,8 +160,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 1
 
 
-def _share_control(spec: str, action: str, fingerprint: str) -> bool:
-    """Publish one fleet-control record to a pool; True on success."""
+def _share_control(spec: str, action: str, fingerprint: str) -> None:
+    """Send one fleet-control record to a pool."""
     import os
     import socket
     import time
@@ -176,15 +179,10 @@ def _share_control(spec: str, action: str, fingerprint: str) -> bool:
                            origin=f"histctl@{host}:{os.getpid()}")
     channel = open_channel(spec, client_name="histctl-control")
     try:
-        if not getattr(channel, "supports_controls", False):
-            print(f"share transport {channel.describe()} cannot carry "
-                  "control records", file=sys.stderr)
-            return False
-        channel.publish_control(control)
+        channel.send(controls=[control])
     finally:
         channel.close()
     print(f"sent {action} {fingerprint} to {spec}")
-    return True
 
 
 def _require_target(args: argparse.Namespace) -> bool:
@@ -209,8 +207,7 @@ def _cmd_set_enabled(args: argparse.Namespace, enabled: bool) -> int:
         history.save()
         print(f"{action}d {args.fingerprint}")
     if args.share:
-        if not _share_control(args.share, action, args.fingerprint):
-            return 1
+        _share_control(args.share, action, args.fingerprint)
     return 0
 
 
@@ -226,8 +223,7 @@ def _cmd_remove(args: argparse.Namespace) -> int:
         history.save()
         print(f"removed {args.fingerprint}")
     if args.share:
-        if not _share_control(args.share, "remove", args.fingerprint):
-            return 1
+        _share_control(args.share, "remove", args.fingerprint)
     return 0
 
 
@@ -249,57 +245,63 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..share.server import HistoryServer, serve_forever
+    import threading
 
-    if args.tcp:
-        host, _, port = args.tcp.rpartition(":")
-        if not host:
-            print(f"--tcp needs HOST:PORT, got {args.tcp!r}", file=sys.stderr)
-            return 2
-        server = HistoryServer(host=host, port=int(port),
-                               history_path=args.history,
-                               upstreams=args.upstreams)
+    from ..share import GossipChannel, HistoryServer, parse_share_spec
+
+    scheme, params = parse_share_spec(args.spec)
+    if scheme == "gossip" and args.history is None:
+        endpoint = GossipChannel(node_name="seed", **params)
+        spec, stop = f"gossip://{endpoint.bind}", endpoint.close
+    elif scheme in ("unix", "tcp"):
+        endpoint = HistoryServer(unix_path=params.get("path"),
+                                 host=params.get("host"),
+                                 port=params.get("port", 0),
+                                 history_path=args.history).start()
+        spec, stop = endpoint.spec, endpoint.stop
     else:
-        server = HistoryServer(unix_path=args.unix, history_path=args.history,
-                               upstreams=args.upstreams)
-    serve_forever(server)
+        print("serve takes a unix://, tcp:// or gossip:// spec "
+              "(--history: unix:// and tcp:// only)", file=sys.stderr)
+        return 2
+    print(f"serving {spec}", flush=True)
+    try:
+        threading.Event().wait()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        stop()
     return 0
-
-
-def _print_signature_line(signature: Signature, origin: str) -> None:
-    print(f"{origin:<9} {signature.fingerprint:<18} {signature.kind:<12} "
-          f"{signature.size} thread(s) depth={signature.matching_depth}",
-          flush=True)
 
 
 def _cmd_tail(args: argparse.Namespace) -> int:
     import time
 
     from ..share import open_channel
+    from ..share.state import parse_signatures
 
     channel = open_channel(args.pool, client_name="histctl-tail")
     printed = 0
     try:
-        for signature in sorted(channel.snapshot(),
-                                key=lambda s: s.fingerprint):
-            _print_signature_line(signature, "snapshot")
-            printed += 1
-            if args.count is not None and printed >= args.count:
-                return 0
+        origin, (records, controls) = "snapshot", channel.snapshot()
         deadline = (time.monotonic() + args.duration
                     if args.duration is not None else None)
-        while deadline is None or time.monotonic() < deadline:
-            for signature in channel.poll():
-                _print_signature_line(signature, "live")
+        while True:
+            for signature in sorted(parse_signatures(records),
+                                    key=lambda s: s.fingerprint):
+                print(f"{origin:<9} {signature.fingerprint:<18} "
+                      f"{signature.kind:<12} {signature.size} thread(s) "
+                      f"depth={signature.matching_depth}", flush=True)
                 printed += 1
                 if args.count is not None and printed >= args.count:
                     return 0
-            for control in channel.poll_controls():
-                print(f"{'control':<9} {control.get('fingerprint', '?'):<18} "
-                      f"{control.get('action', '?')} "
-                      f"clock={control.get('clock')} "
-                      f"origin={control.get('origin')}", flush=True)
+            for control in controls:
+                print(f"{'control':<9} {control['fingerprint']:<18} "
+                      f"{control['action']} clock={control['clock']} "
+                      f"origin={control['origin']}", flush=True)
+            if deadline is not None and time.monotonic() >= deadline:
+                return 0
             time.sleep(args.interval)
+            origin, (records, controls) = "live", channel.receive()
     except KeyboardInterrupt:
         pass
     finally:
@@ -319,7 +321,7 @@ def _cmd_pool_status(args: argparse.Namespace) -> int:
             # Transports without native counters (e.g. memory://) still
             # answer the essential question: how many signatures pooled.
             status = {"transport": channel.describe(),
-                      "signatures": len(channel.snapshot())}
+                      "signatures": len(channel.snapshot()[0])}
     finally:
         channel.close()
     status.pop("op", None)
@@ -327,7 +329,7 @@ def _cmd_pool_status(args: argparse.Namespace) -> int:
     for key in sorted(status):
         value = status[key]
         if isinstance(value, (dict, list)):
-            # Peer/federation structure (peer_lag, upstreams) renders as
+            # Peer structure (peer_lag, peers) renders as
             # compact JSON so the output stays one line per counter.
             value = json.dumps(value, sort_keys=True)
         print(f"{key:<{width}}  {value}")
@@ -387,18 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.set_defaults(func=_cmd_merge)
 
     p_serve = sub.add_parser(
-        "serve", help="run the history daemon (multi-process sharing)")
-    group = p_serve.add_mutually_exclusive_group(required=True)
-    group.add_argument("--unix", metavar="PATH",
-                       help="listen on a Unix socket at PATH")
-    group.add_argument("--tcp", metavar="HOST:PORT",
-                       help="listen on HOST:PORT")
+        "serve", help="run a long-lived pool endpoint (daemon or gossip seed)")
+    p_serve.add_argument("spec", help="unix://PATH, tcp://HOST:PORT or "
+                                      "gossip://HOST:PORT?peers=... "
+                                      "(port 0 = ephemeral)")
     p_serve.add_argument("--history", metavar="FILE", default=None,
-                         help="persist the pooled history to FILE")
-    p_serve.add_argument("--upstream", metavar="SPEC", action="append",
-                         default=[], dest="upstreams",
-                         help="federate with an upstream share SPEC "
-                              "(repeatable), e.g. tcp://spine:7341")
+                         help="daemon only: persist the pooled history to FILE")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_tail = sub.add_parser(
@@ -415,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_status = sub.add_parser(
         "pool-status",
-        help="show signature-pool counters (incl. federation/gossip state)")
+        help="show signature-pool counters (incl. gossip state)")
     p_status.add_argument("pool",
                           help="share spec (unix://, tcp://, file://, "
                                "gossip://)")

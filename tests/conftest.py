@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
+
 import pytest
 
 from repro.core.callstack import CallStack
@@ -37,6 +40,17 @@ def started_dimmunix(config, history):
     instance.start()
     yield instance
     instance.stop()
+
+
+@pytest.fixture(scope="session")
+def share_demo():
+    """``examples/share_demo.py`` as a module: examples are scripts, not a package."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "examples", "share_demo.py")
+    spec = importlib.util.spec_from_file_location("share_demo", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)

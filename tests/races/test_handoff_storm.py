@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import queue
 import random
-import threading
 
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
@@ -38,9 +37,6 @@ def test_handoffs_leave_no_owner_and_no_inversion():
     # The permit goes round a ring: each worker returns the one its
     # predecessor took, then takes it for its successor to return.
     turns = [queue.Queue() for _ in range(WORKERS)]
-    # A thread that ends is forgotten with its holds, so nobody leaves
-    # before the last permit is back.
-    finished = threading.Barrier(WORKERS)
 
     def worker(me):
         rng = random.Random(me)
@@ -60,8 +56,7 @@ def test_handoffs_leave_no_owner_and_no_inversion():
             turns[(me + 1) % WORKERS].put(None)
         if me == 0:
             turns[0].get(timeout=30)
-            permit.release()  # the last taker's
-        finished.wait(timeout=30)
+            permit.release()  # the last taker's, who may have ended by now
 
     dimmunix.start()
     try:

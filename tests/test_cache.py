@@ -102,9 +102,13 @@ class TestYieldCauses:
         cache.set_yield_cause(1, [(2, 20, SA)])
         cache.forget_thread(1)
         assert cache.waiting_of(1) is None
-        assert cache.holder_of(11) is None
         assert cache.yield_cause_of(1) == set()
+        # What it still holds stays held until returned; then the slot goes.
+        assert cache.holder_of(11) == 1
+        cache.release_hold(1, 11)
+        assert cache.holder_of(11) is None
         assert cache.candidates_matching(SB, 2, set(), set()) == []
+        assert cache.slots.peek(1) is None
 
 
 class TestCandidates:

@@ -305,7 +305,7 @@ class TestTheMissFilterDecidesOnce:
         elif way == "installed-by-the-pool":
             hub = MemoryHub()
             pool = SignaturePool(history, hub.channel())
-            hub.channel().publish(signature)
+            hub.channel().send([signature.to_dict()])
             assert pool.pump() == 1
         else:
             history.enable(signature.fingerprint)

@@ -177,6 +177,7 @@ class TestDimmunixRWLockBasics:
             # was told anything.
             assert timeout == 1.0
             rwlock._ledger.release(writer)
+            runtime.core.release(writer, rwlock.lock_id)
             clock[0] += timeout
 
         rwlock._cond.wait = wait

@@ -21,17 +21,30 @@ from repro.share import PoolState, make_control
 from repro.share.state import (CONTROL_ACTIONS, Control, apply_control,
                                install, parse_control)
 
-FINGERPRINTS = ["aa", "bb", "cc", "dd"]
+def make_signature(label: str) -> Signature:
+    return Signature([CallStack.from_labels([f"{label}:1", "main:0"]),
+                      CallStack.from_labels([f"{label}:2", "main:0"])])
 
-records = st.builds(lambda fp, body: {"fingerprint": fp, "body": body},
+
+RECORDS = {signature.fingerprint: signature.to_dict()
+           for signature in map(make_signature, ("aa", "bb", "cc", "dd"))}
+FINGERPRINTS = list(RECORDS)
+FP = FINGERPRINTS[0]
+
+# Bodies of one fingerprint differ only in bookkeeping ("body").
+records = st.builds(lambda fp, body: {**RECORDS[fp], "body": body},
                     st.sampled_from(FINGERPRINTS), st.integers(0, 3))
 controls = st.builds(
     lambda action, fp, clock, origin: {"action": action, "fingerprint": fp,
                                        "clock": clock, "origin": origin},
     st.sampled_from(CONTROL_ACTIONS), st.sampled_from(FINGERPRINTS),
     st.integers(0, 3), st.sampled_from(["x", "y"]))
+# The last two claim a real fingerprint: a corrupt body, and another
+# signature's body.
 bad_records = st.sampled_from([{}, {"fingerprint": ""}, {"fingerprint": 7},
-                               None, 5, "aa", ["aa"]])
+                               None, 5, FP, [FP],
+                               {"fingerprint": FP, "stacks": 7},
+                               {**RECORDS[FINGERPRINTS[1]], "fingerprint": FP}])
 bad_controls = st.sampled_from([
     {"action": "disable", "fingerprint": "aa", "clock": "zzz"},
     {"action": "disable", "fingerprint": "aa", "clock": None},
@@ -134,8 +147,12 @@ def test_state_matches_a_naive_fold_and_counts_what_it_rejects(sequence):
     held, standing, malformed = set(), {}, 0
     for kind, value in sequence:
         if kind == "record":
-            if isinstance(value, dict) and isinstance(
-                    value.get("fingerprint"), str) and value["fingerprint"]:
+            try:
+                readable = (Signature.from_dict(value).fingerprint
+                            == value["fingerprint"])
+            except Exception:
+                readable = False
+            if readable:
                 held.add(value["fingerprint"])
             else:
                 malformed += 1
@@ -208,11 +225,36 @@ def test_a_malformed_summary_is_a_value_error(fingerprints, stamps):
 
 
 def test_pick_ignores_what_it_cannot_read():
-    state = build([("record", {"fingerprint": "aa"}),
-                   ("control", make_control("disable", "aa", 1, "o"))])
-    assert state.pick(["aa", 7, None, "zz"], ["aa", [], "zz"]) == (
-        [{"fingerprint": "aa"}], [make_control("disable", "aa", 1, "o")])
-    assert state.pick("aa", None) == ([], [])
+    state = build([("record", RECORDS[FP]),
+                   ("control", make_control("disable", FP, 1, "o"))])
+    assert state.pick([FP, 7, None, "zz"], [FP, [], "zz"]) == (
+        [RECORDS[FP]], [make_control("disable", FP, 1, "o")])
+    assert state.pick(FP, None) == ([], [])
+
+
+def test_a_corrupt_copy_never_stands_in_for_its_fingerprint():
+    """A record claiming FP that is no signature of FP is refused, so the
+    real FP is still admitted and delivered after it."""
+    state = PoolState()
+    for corrupt in ({"fingerprint": FP, "stacks": 7},
+                    {**RECORDS[FINGERPRINTS[1]], "fingerprint": FP}):
+        assert state.absorb([corrupt]) == ([], [])
+    assert state.rejected == 2 and not state.records
+    assert state.absorb([RECORDS[FP]]) == ([RECORDS[FP]], [])
+
+
+def test_a_record_is_judged_under_the_controls_of_its_own_delta():
+    """A disable that outranks a standing remove, arriving with the record
+    it un-hides, delivers the record along with the control."""
+    state = PoolState()
+    state.merge_control(Control(1, "o", "remove", FP))
+    disable = make_control("disable", FP, 2, "o")
+    assert state.absorb([RECORDS[FP]], [disable]) == (
+        [RECORDS[FP]], [parse_control(disable)])
+    removed = PoolState()
+    remove = make_control("remove", FP, 1, "o")
+    assert removed.absorb([RECORDS[FP]], [remove]) == (
+        [], [parse_control(remove)])
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +289,6 @@ class TestControlBoundary:
         for control in reversed(ordered):
             state.merge_control(control)
         assert state.controls["fp"] == ordered[-1]
-
-
-def make_signature(label: str) -> Signature:
-    return Signature([CallStack.from_labels([f"{label}:1", "main:0"]),
-                      CallStack.from_labels([f"{label}:2", "main:0"])])
 
 
 class TestHistoryDispatch:

@@ -1,7 +1,7 @@
 """Unit tests for the history-sharing transports (repro.share).
 
-Covers the :class:`HistoryChannel` contract for all three transports —
-spec parsing, publish/poll/snapshot dedup, the daemon protocol, the
+Covers the :class:`HistoryChannel` contract for the transports — spec
+parsing, send/receive/snapshot dedup, the daemon protocol, the
 shared-file log's locking/compaction/generation handling — without
 spawning worker processes (the end-to-end multi-process story lives in
 ``test_share_multiprocess.py``).
@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import os
 import socket
+import subprocess
+import sys
 import time
 
 import pytest
@@ -21,13 +23,25 @@ from repro.core.errors import ShareError
 from repro.core.signature import Signature
 from repro.share import (FileChannel, GossipChannel, HistoryServer, MemoryHub,
                          SocketChannel, make_control, memory_hub, open_channel,
-                         parse_share_spec, register_transport,
-                         reset_memory_hubs, transports, unregister_transport, wire)
+                         parse_share_spec, reset_memory_hubs, wire)
+from repro.tools import histctl
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+NOTHING = ([], [])
 
 
 def make_signature(label: str) -> Signature:
     return Signature([CallStack.from_labels([f"{label}:1", "main:0"]),
                       CallStack.from_labels([f"{label}:2", "main:0"])])
+
+
+def record(label: str) -> dict:
+    return make_signature(label).to_dict()
+
+
+def fingerprints(delta) -> list:
+    return [record["fingerprint"] for record in delta[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +77,13 @@ class TestSpecParsing:
         with pytest.raises(ShareError):
             parse_share_spec(spec)
 
+    def test_unknown_scheme_names_the_known_set(self):
+        with pytest.raises(ShareError) as err:
+            parse_share_spec("carrier-pigeon://loft")
+        message = str(err.value)
+        for scheme in ("tcp", "unix", "file", "memory", "gossip"):
+            assert scheme in message
+
     def test_open_channel_passes_instances_through(self):
         channel = MemoryHub("passthrough").channel()
         assert open_channel(channel) is channel
@@ -75,8 +96,8 @@ class TestSpecParsing:
         reset_memory_hubs()
         a = open_channel("memory://shared-hub")
         b = open_channel("memory://shared-hub")
-        a.publish(make_signature("global"))
-        assert len(b.poll()) == 1
+        a.send([record("global")])
+        assert len(b.receive()[0]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -88,37 +109,36 @@ class TestMemoryChannel:
     def test_publish_reaches_other_channels_not_self(self):
         hub = MemoryHub()
         a, b = hub.channel(), hub.channel()
-        a.publish(make_signature("m1"))
-        assert [s.fingerprint for s in b.poll()] == \
-            [make_signature("m1").fingerprint]
-        assert a.poll() == []          # own publish is never redelivered
-        assert b.poll() == []          # delivery is exactly-once
+        a.send([record("m1")])
+        assert fingerprints(b.receive()) == [make_signature("m1").fingerprint]
+        assert a.receive() == NOTHING  # own send is never redelivered
+        assert b.receive() == NOTHING  # delivery is exactly-once
 
     def test_hub_deduplicates_by_fingerprint(self):
         hub = MemoryHub()
         a, b, c = hub.channel(), hub.channel(), hub.channel()
-        a.publish(make_signature("dup"))
-        b.publish(make_signature("dup"))
+        a.send([record("dup")])
+        b.send([record("dup")])
         assert len(hub) == 1
-        assert len(c.poll()) == 1
+        assert len(c.receive()[0]) == 1
 
     def test_snapshot_returns_everything_and_stops_redelivery(self):
         hub = MemoryHub()
         a, b = hub.channel(), hub.channel()
-        a.publish(make_signature("s1"))
-        a.publish(make_signature("s2"))
-        assert len(b.snapshot()) == 2
-        assert b.poll() == []
+        a.send([record("s1")])
+        a.send([record("s2")])
+        assert len(b.snapshot()[0]) == 2
+        assert b.receive() == NOTHING
 
     def test_closed_channel_is_inert(self):
         hub = MemoryHub()
         a, b = hub.channel(), hub.channel()
         a.close()
-        a.publish(make_signature("x"))
+        a.send([record("x")])
         assert len(hub) == 0
-        assert a.poll() == [] and a.snapshot() == []
-        b.publish(make_signature("y"))
-        assert b.poll() == []
+        assert a.receive() == a.snapshot() == NOTHING
+        b.send([record("y")])
+        assert b.receive() == NOTHING
 
     def test_named_hubs_are_stable(self):
         reset_memory_hubs()
@@ -135,34 +155,33 @@ class TestFileChannel:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "pool.sig")
         a, b = FileChannel(path), FileChannel(path)
-        a.publish(make_signature("f1"))
-        got = b.poll()
-        assert [s.fingerprint for s in got] == \
-            [make_signature("f1").fingerprint]
-        assert b.poll() == []
-        assert a.poll() == []          # own record filtered by seen-set
+        a.send([record("f1")])
+        assert fingerprints(b.receive()) == [make_signature("f1").fingerprint]
+        assert b.receive() == NOTHING
+        assert a.receive() == NOTHING  # own record filtered by the carried state
 
     def test_poll_before_any_publish(self, tmp_path):
         channel = FileChannel(str(tmp_path / "absent.sig"))
-        assert channel.poll() == []
-        assert channel.snapshot() == []
+        assert channel.receive() == NOTHING
+        assert channel.snapshot() == NOTHING
 
     def test_incremental_offsets(self, tmp_path):
         path = str(tmp_path / "pool.sig")
         a, b = FileChannel(path), FileChannel(path)
         for index in range(5):
-            a.publish(make_signature(f"s{index}"))
-            assert len(b.poll()) == 1
+            a.send([record(f"s{index}")])
+            assert len(b.receive()[0]) == 1
 
     def test_corrupt_lines_are_skipped(self, tmp_path):
         path = str(tmp_path / "pool.sig")
         a, b = FileChannel(path), FileChannel(path)
-        a.publish(make_signature("good"))
+        a.send([record("good")])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
             handle.write(json.dumps({"unrelated": True}) + "\n")
-        a.publish(make_signature("good2"))
-        assert len(b.poll()) == 2
+        a.send([record("good2")])
+        assert len(b.receive()[0]) == 2
+        assert b.rejected == 2
 
     def test_non_share_file_is_refused_outright(self, tmp_path):
         """A foreign file (say, a history file passed as the share spec)
@@ -181,41 +200,36 @@ class TestFileChannel:
         writer = FileChannel(path)
         reader = FileChannel(path)
         for index in range(4):
-            writer.publish(make_signature(f"c{index}"))
-        assert len(reader.poll()) == 4
-        # Duplicate records from "other processes" (fresh seen-sets).
+            writer.send([record(f"c{index}")])
+        assert len(reader.receive()[0]) == 4
+        # Duplicate records from "other processes": a fresh channel has
+        # carried nothing yet, so it appends what the log already holds.
         for _ in range(3):
-            duplicator = FileChannel(path)
-            duplicator.publish(make_signature("c0"))
-            # A fresh channel skips publishing fingerprints it has read;
-            # force the duplicate append the way a restarted process would.
-            duplicator._seen.clear()
-            duplicator.publish(make_signature("c0"))
+            FileChannel(path).send([record("c0")])
         dropped = writer.compact()
         assert dropped >= 1
         status = writer.status()
         assert status["records"] == status["signatures"] == 4
         # The reader's offset was minted against the pre-compaction file:
-        # the generation change forces a rescan, the seen-set stops any
-        # re-delivery.
-        assert reader.poll() == []
-        writer.publish(make_signature("after-compaction"))
-        assert len(reader.poll()) == 1
+        # the generation change forces a rescan, the carried state stops
+        # any re-delivery.
+        assert reader.receive() == NOTHING
+        writer.send([record("after-compaction")])
+        assert len(reader.receive()[0]) == 1
 
     def test_auto_compaction(self, tmp_path):
         path = str(tmp_path / "pool.sig")
         channel = FileChannel(path, compact_slack=2, check_interval=1)
-        channel.publish(make_signature("a"))
+        channel.send([record("a")])
         for _ in range(4):
-            channel._seen.clear()
-            channel.publish(make_signature("a"))
+            FileChannel(path, compact_slack=2, check_interval=1).send([record("a")])
         status = channel.status()
         assert status["records"] == status["signatures"] == 1
 
     def test_status(self, tmp_path):
         path = str(tmp_path / "pool.sig")
         channel = FileChannel(path)
-        channel.publish(make_signature("one"))
+        channel.send([record("one")])
         status = channel.status()
         assert status["transport"] == "file"
         assert status["signatures"] == 1
@@ -252,27 +266,27 @@ class TestSocketChannel:
         a = SocketChannel(("unix", server._unix_path))
         b = SocketChannel(("unix", server._unix_path))
         assert a.wait_synced(5) and b.wait_synced(5)
-        a.publish(make_signature("net"))
-        assert wait_until(lambda: len(b.poll()) == 1 or False)
+        a.send([record("net")])
+        assert wait_until(lambda: len(b.receive()[0]) == 1)
         # The publisher never gets its own signature back.
-        assert a.poll() == []
+        assert a.receive() == NOTHING
         a.close(), b.close()
 
     def test_late_joiner_gets_snapshot(self, server):
         early = SocketChannel(("unix", server._unix_path))
-        early.publish(make_signature("old1"))
-        early.publish(make_signature("old2"))
+        early.send([record("old1")])
+        early.send([record("old2")])
         assert wait_until(lambda: len(server.history) == 2)
         late = SocketChannel(("unix", server._unix_path))
         assert late.wait_synced(5)
-        assert len(late.poll()) == 2
+        assert len(late.receive()[0]) == 2
         early.close(), late.close()
 
     def test_snapshot_and_status_requests(self, server):
         channel = SocketChannel(("unix", server._unix_path))
-        channel.publish(make_signature("q"))
+        channel.send([record("q")])
         assert wait_until(lambda: len(server.history) == 1)
-        assert len(channel.snapshot()) == 1
+        assert len(channel.snapshot()[0]) == 1
         status = channel.status()
         assert status["transport"] == "daemon"
         assert status["signatures"] == 1
@@ -282,22 +296,23 @@ class TestSocketChannel:
     def test_server_deduplicates(self, server):
         a = SocketChannel(("unix", server._unix_path))
         b = SocketChannel(("unix", server._unix_path))
-        a.publish(make_signature("same"))
-        b.publish(make_signature("same"))
+        a.send([record("same")])
+        b.send([record("same")])
         assert wait_until(lambda: server._published == 2)
         assert len(server.history) == 1
         # No broadcast echo of the duplicate back to `a`.
         time.sleep(0.1)
-        assert a.poll() == []
+        assert a.receive() == NOTHING
         a.close(), b.close()
 
     def test_malformed_messages_do_not_kill_the_connection(self, server):
         channel = SocketChannel(("unix", server._unix_path))
-        channel._send({"op": "publish"})               # missing signature
-        channel._send({"op": "no-such-op"})
-        channel._send({"op": "publish", "signature": {"bogus": 1}})
-        channel.publish(make_signature("still-works"))
+        channel._write({"op": "publish"})              # an empty delta
+        channel._write({"op": "no-such-op"})
+        channel._write({"op": "publish", "signatures": [{"bogus": 1}]})
+        channel.send([record("still-works")])
         assert wait_until(lambda: len(server.history) == 1)
+        assert server.status()["rejected"] == 1
         channel.close()
 
     def test_dead_daemon_degrades_without_raising(self, server):
@@ -305,8 +320,8 @@ class TestSocketChannel:
         assert channel.wait_synced(5)
         server.stop()
         assert wait_until(lambda: not channel.connected)
-        channel.publish(make_signature("lost"))        # swallowed
-        assert channel.poll() == []                    # swallowed
+        channel.send([record("lost")])                 # swallowed
+        assert channel.receive() == NOTHING            # swallowed
         with pytest.raises(ShareError):
             channel.status(timeout=0.2)
         channel.close()
@@ -316,8 +331,8 @@ class TestSocketChannel:
         try:
             a = SocketChannel(("tcp", "127.0.0.1", server.port))
             b = SocketChannel(("tcp", "127.0.0.1", server.port))
-            a.publish(make_signature("tcp"))
-            assert wait_until(lambda: len(b.poll()) == 1 or False)
+            a.send([record("tcp")])
+            assert wait_until(lambda: len(b.receive()[0]) == 1)
             a.close(), b.close()
         finally:
             server.stop()
@@ -329,7 +344,7 @@ class TestSocketChannel:
         server.start()
         try:
             channel = SocketChannel(("unix", sock))
-            channel.publish(make_signature("persisted"))
+            channel.send([record("persisted")])
             assert wait_until(lambda: len(server.history) == 1)
             channel.close()
         finally:
@@ -340,10 +355,77 @@ class TestSocketChannel:
         try:
             late = SocketChannel(("unix", sock))
             assert late.wait_synced(5)
-            assert len(late.poll()) == 1
+            assert len(late.receive()[0]) == 1
             late.close()
         finally:
             revived.stop()
+
+
+# ---------------------------------------------------------------------------
+# histctl serve: one front end for the long-lived endpoints
+# ---------------------------------------------------------------------------
+
+
+class TestServe:
+    @pytest.mark.parametrize("kind", ["unix", "tcp", "gossip"])
+    def test_serves_a_pool_at_the_spec_it_prints(self, tmp_path, kind):
+        spec = {"unix": f"unix://{tmp_path}/pool.sock", "tcp": "tcp://127.0.0.1:0",
+                "gossip": "gossip://127.0.0.1:0"}[kind]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [path for path in [os.environ.get("PYTHONPATH")] if path]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.tools.histctl", "serve", spec],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        try:
+            word, served = process.stdout.readline().split()
+            assert word == "serving" and served.startswith(f"{kind}://")
+            assert not served.endswith(":0")           # the bound port
+            if kind == "gossip":                         # workers peer with the seed
+                served = f"gossip://127.0.0.1:0?peers={served[len('gossip://'):]}"
+            writer, reader = open_channel(served), open_channel(served)
+            writer.send([record("served")])
+            assert wait_until(lambda: len(reader.snapshot()[0]) == 1)
+            writer.close(), reader.close()
+        finally:
+            process.terminate()
+            process.wait(timeout=10)
+
+    @pytest.mark.parametrize("argv", [["file:///tmp/pool.sig"], ["memory://x"],
+                                      ["gossip://127.0.0.1:0", "--history", "h.json"]])
+    def test_refuses_what_it_cannot_serve(self, argv, capsys):
+        assert histctl.main(["serve", *argv]) == 2
+        assert "unix://, tcp:// or gossip://" in capsys.readouterr().err
+
+
+def test_histctl_tail_prints_the_snapshot_then_what_arrives(tmp_path, capsys):
+    path = str(tmp_path / "pool.sig")
+    FileChannel(path).send([record("old")], [make_control("disable", "fp-x", 3, "ops")])
+    assert histctl.main(["tail", path, "--duration", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["snapshot", make_signature("old").fingerprint,
+                                "deadlock", "2", "thread(s)", "depth=4"]
+    assert lines[1].split() == ["control", "fp-x", "disable", "clock=3", "origin=ops"]
+    assert len(lines) == 2
+
+
+def test_histctl_tail_stops_at_count_within_the_snapshot(tmp_path, capsys):
+    path = str(tmp_path / "pool.sig")
+    FileChannel(path).send([record("first"), record("second")],
+                           [make_control("disable", "fp-x", 3, "ops")])
+    assert histctl.main(["tail", path, "--count", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("snapshot ")
+
+
+def test_histctl_tail_skips_a_poisoned_record(tmp_path, capsys):
+    path = str(tmp_path / "pool.sig")
+    FileChannel(path).send([record("kept")])
+    with open(path, "a", encoding="utf-8") as log:
+        log.write(json.dumps({"signature": {"fingerprint": "x", "stacks": 7}}) + "\n")
+        log.write(json.dumps({"signature": {"fingerprint": "y", "stacks": True}}) + "\n")
+    assert histctl.main(["tail", path, "--duration", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == [make_signature("kept").fingerprint]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +463,7 @@ class TestNoDelay:
         a = GossipChannel("127.0.0.1", 0, interval=60.0)
         b = GossipChannel("127.0.0.1", 0, peers=[a.bind], interval=60.0)
         try:
-            b.publish(make_signature("rumor"))     # b pushes, a answers "ok"
+            b.send([record("rumor")])              # b pushes, a answers "ok"
             assert seen == {"push": True, "ok": True}
         finally:
             a.close(), b.close()
@@ -390,46 +472,6 @@ class TestNoDelay:
         ours, theirs = socket.socketpair(socket.AF_UNIX)
         with ours, theirs:
             assert wire.no_delay(ours) is ours
-
-
-# ---------------------------------------------------------------------------
-# Transport registry
-# ---------------------------------------------------------------------------
-
-
-class TestTransportRegistry:
-    def test_builtins_are_registered(self):
-        registered = transports()
-        for scheme in ("tcp", "unix", "file", "memory", "gossip"):
-            assert scheme in registered
-
-    def test_unknown_scheme_names_the_known_set(self):
-        with pytest.raises(ShareError) as err:
-            parse_share_spec("carrier-pigeon://loft")
-        message = str(err.value)
-        for scheme in ("tcp", "unix", "file", "memory", "gossip"):
-            assert scheme in message
-
-    def test_custom_transport_round_trip(self):
-        hub = MemoryHub("custom-backing")
-
-        def factory(params, client_name=None):
-            return hub.channel()
-
-        register_transport("loopback", factory,
-                           parse=lambda rest, spec: {"name": rest},
-                           summary="test-only transport")
-        try:
-            assert "loopback" in transports()
-            assert parse_share_spec("loopback://x") == (
-                "loopback", {"name": "x"})
-            channel = open_channel("loopback://x")
-            channel.publish(make_signature("via-custom"))
-            assert len(hub) == 1
-        finally:
-            unregister_transport("loopback")
-        with pytest.raises(ShareError):
-            parse_share_spec("loopback://x")
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +490,19 @@ class TestControlRecords:
     def test_memory_controls_round_trip(self):
         hub = MemoryHub()
         a, b = hub.channel(), hub.channel()
-        assert a.supports_controls
         control = make_control("disable", "fp-mem", clock=1, origin="a")
-        a.publish_control(control)
-        assert b.poll_controls() == [control]
-        assert a.poll_controls() == []     # no echo to the publisher
-        assert b.poll_controls() == []     # exactly-once
+        a.send(controls=[control])
+        assert b.receive() == ([], [control])
+        assert a.receive() == NOTHING      # no echo to the sender
+        assert b.receive() == NOTHING      # exactly-once
 
     def test_file_controls_round_trip(self, tmp_path):
         path = str(tmp_path / "pool.sig")
         a, b = FileChannel(path), FileChannel(path)
-        assert a.supports_controls
-        a.publish(make_signature("target"))
-        a.publish_control(make_control("disable", "fp-file",
-                                       clock=2, origin="a"))
-        assert len(b.poll()) == 1
-        controls = b.poll_controls()
+        a.send([record("target")])
+        a.send(controls=[make_control("disable", "fp-file", clock=2, origin="a")])
+        records, controls = b.receive()
+        assert len(records) == 1
         assert [c["fingerprint"] for c in controls] == ["fp-file"]
         status = a.status()
         assert status["signatures"] == 1
@@ -473,13 +512,10 @@ class TestControlRecords:
     def test_file_compaction_keeps_latest_control(self, tmp_path):
         path = str(tmp_path / "pool.sig")
         writer = FileChannel(path)
-        writer.publish_control(make_control("disable", "fp-x",
-                                            clock=1, origin="w"))
-        writer.publish_control(make_control("enable", "fp-x",
-                                            clock=5, origin="w"))
+        writer.send(controls=[make_control("disable", "fp-x", clock=1, origin="w")])
+        writer.send(controls=[make_control("enable", "fp-x", clock=5, origin="w")])
         writer.compact()
-        late = FileChannel(path)
-        controls = late.poll_controls()
+        controls = FileChannel(path).receive()[1]
         assert len(controls) == 1
         assert controls[0]["action"] == "enable"
         assert controls[0]["clock"] == 5
@@ -488,24 +524,22 @@ class TestControlRecords:
         a = SocketChannel(("unix", server._unix_path))
         b = SocketChannel(("unix", server._unix_path))
         assert a.wait_synced(5) and b.wait_synced(5)
-        assert a.supports_controls
         control = make_control("disable", "fp-net", clock=4, origin="a")
-        a.publish_control(control)
+        a.send(controls=[control])
         got = []
-        assert wait_until(lambda: got.extend(b.poll_controls()) or got)
+        assert wait_until(lambda: got.extend(b.receive()[1]) or got)
         assert got == [control]
-        assert a.poll_controls() == []     # no echo to the publisher
+        assert a.receive() == NOTHING      # no echo to the sender
         assert server.status()["disabled_fingerprints"] == 1
 
     def test_daemon_snapshot_carries_standing_controls(self, server):
         early = SocketChannel(("unix", server._unix_path))
-        early.publish_control(make_control("disable", "fp-held",
-                                           clock=9, origin="early"))
+        early.send(controls=[make_control("disable", "fp-held", clock=9,
+                                          origin="early")])
         assert wait_until(lambda: server.status()["controls"] == 1)
         late = SocketChannel(("unix", server._unix_path))
         assert late.wait_synced(5)
-        controls = late.poll_controls()
-        assert [c["fingerprint"] for c in controls] == ["fp-held"]
+        assert [c["fingerprint"] for c in late.receive()[1]] == ["fp-held"]
         early.close(), late.close()
 
     def test_daemon_refuses_a_poisoned_control(self, server):
@@ -519,20 +553,20 @@ class TestControlRecords:
             sock.settimeout(5)
             sock.connect(server._unix_path)
             replies = sock.makefile("r", encoding="utf-8")
-            for message in ({"op": "control", "control": poisoned},
-                            {"op": "control", "control": good},
+            for message in ({"op": "publish", "controls": [poisoned]},
+                            {"op": "publish", "controls": [good]},
                             {"op": "ping"}):
                 sock.sendall(json.dumps(message).encode() + b"\n")
             assert json.loads(replies.readline())["op"] == "error"
             # The sender was not dropped: its next requests are served.
             assert json.loads(replies.readline())["op"] == "pong"
         got = []
-        assert wait_until(lambda: got.extend(watcher.poll_controls()) or got)
+        assert wait_until(lambda: got.extend(watcher.receive()[1]) or got)
         assert got == [good]
         assert server.status()["controls"] == 1
         late = SocketChannel(("unix", server._unix_path))
         assert late.wait_synced(5)
-        assert late.poll_controls() == [good]
+        assert late.receive()[1] == [good]
         watcher.close(), late.close()
 
     def test_control_dedup_keeps_one_stamp_per_fingerprint(self):
@@ -541,23 +575,22 @@ class TestControlRecords:
         a, b = hub.channel(), hub.channel()
         for clock in range(1, 201):
             action = "disable" if clock % 2 else "enable"
-            a.publish_control(make_control(action, "fp-toggle",
-                                           clock=clock, origin="a"))
-            assert len(b.poll_controls()) == 1
-        assert len(a._carried) == len(b._carried) == 1
+            a.send(controls=[make_control(action, "fp-toggle", clock=clock,
+                                          origin="a")])
+            assert len(b.receive()[1]) == 1
+        assert len(a._carried.controls) == len(b._carried.controls) == 1
         # Older than what already crossed: nothing new to say.
-        a.publish_control(make_control("disable", "fp-toggle",
-                                       clock=7, origin="a"))
-        assert b.poll_controls() == []
+        a.send(controls=[make_control("disable", "fp-toggle", clock=7,
+                                      origin="a")])
+        assert b.receive() == NOTHING
 
     def test_base_channel_refuses_duplicate_controls(self):
         hub = MemoryHub()
         a, b = hub.channel(), hub.channel()
         control = make_control("disable", "fp-dup", clock=1, origin="a")
-        a.publish_control(control)
-        a.publish_control(dict(control))   # identical identity: dropped
-        assert len(b.poll_controls()) == 1
+        a.send(controls=[control])
+        a.send(controls=[dict(control)])   # identical identity: dropped
+        assert len(b.receive()[1]) == 1
         # A *different* stamp for the same fingerprint is new information.
-        a.publish_control(make_control("disable", "fp-dup",
-                                       clock=2, origin="a"))
-        assert len(b.poll_controls()) == 1
+        a.send(controls=[make_control("disable", "fp-dup", clock=2, origin="a")])
+        assert len(b.receive()[1]) == 1

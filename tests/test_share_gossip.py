@@ -105,10 +105,10 @@ class TestGossipSpecParsing:
 class TestGossipConvergence:
     def test_push_reaches_the_peer_immediately(self, mesh):
         a, b = mesh
-        a.publish(make_signature("rumor"))
-        assert wait_until(lambda: len(b.poll()) == 1 or False)
+        a.send([make_signature("rumor").to_dict()])
+        assert wait_until(lambda: len(b.receive()[0]) == 1)
         # No echo back to the publisher.
-        assert a.poll() == []
+        assert a.receive() == ([], [])
 
     def test_round_repairs_a_missed_push(self, mesh):
         a, b = mesh
@@ -116,13 +116,13 @@ class TestGossipConvergence:
         # rumor had been lost to a partition.
         assert a._state.admit(make_signature("lost").to_dict())
         b.run_round()
-        assert wait_until(lambda: len(b.poll()) == 1 or False)
+        assert wait_until(lambda: len(b.receive()[0]) == 1)
         assert b.rounds == 1
 
     def test_digests_match_after_convergence(self, mesh):
         a, b = mesh
-        a.publish(make_signature("one"))
-        b.publish(make_signature("two"))
+        a.send([make_signature("one").to_dict()])
+        b.send([make_signature("two").to_dict()])
         assert wait_until(
             lambda: a._state.digest() == b._state.digest(), timeout=5.0)
         # A synchronized round costs the 2-message fast path and succeeds.
@@ -132,12 +132,12 @@ class TestGossipConvergence:
 
     def test_snapshot_pulls_synchronously(self, mesh):
         a, b = mesh
-        a.publish(make_signature("old"))
+        a.send([make_signature("old").to_dict()])
         # A fresh joiner snapshot sees the mesh state without waiting for
         # any background round.
         c = GossipChannel("127.0.0.1", 0, peers=[a.bind], interval=60.0)
         try:
-            assert len(c.snapshot()) == 1
+            assert len(c.snapshot()[0]) == 1
         finally:
             c.close()
 
@@ -151,15 +151,15 @@ class TestGossipControls:
     def test_controls_propagate(self, mesh):
         a, b = mesh
         fp = make_signature("bad").fingerprint
-        a.publish_control(make_control("disable", fp, clock=1, origin="a"))
+        a.send(controls=[make_control("disable", fp, clock=1, origin="a")])
         assert wait_until(
-            lambda: any(c["fingerprint"] == fp for c in b.poll_controls()))
+            lambda: any(c["fingerprint"] == fp for c in b.receive()[1]))
 
     def test_higher_clock_wins(self, mesh):
         a, b = mesh
         fp = "fp-lww"
         b._state.merge_control(Control(5, "b", "disable", fp))
-        a.publish_control(make_control("enable", fp, clock=9, origin="a"))
+        a.send(controls=[make_control("enable", fp, clock=9, origin="a")])
         assert wait_until(
             lambda: b._state.controls[fp].action == "enable")
 
@@ -167,19 +167,19 @@ class TestGossipControls:
         a, b = mesh
         fp = "fp-stale"
         b._state.merge_control(Control(9, "b", "enable", fp))
-        a.publish_control(make_control("disable", fp, clock=2, origin="a"))
+        a.send(controls=[make_control("disable", fp, clock=2, origin="a")])
         time.sleep(0.2)
         assert b._state.controls[fp].action == "enable"
-        assert b.poll_controls() == []
+        assert b.receive()[1] == []
 
     def test_remove_tombstone_blocks_resurrection(self, mesh):
         a, b = mesh
         signature = make_signature("zombie")
         fp = signature.fingerprint
         b._state.merge_control(Control(3, "ctl", "remove", fp))
-        a.publish(signature)
+        a.send([signature.to_dict()])
         time.sleep(0.2)
-        assert b.poll() == []
+        assert b.receive() == ([], [])
         assert b._state.hidden(fp)
         assert b._state.visible() == []
 
@@ -230,7 +230,7 @@ class TestGossipOrderIndependence:
         push(b, controls=[remove]), push(b, signatures=[signature.to_dict()])
         self.assert_converged(a, b)
         assert a.status()["signatures"] == 0
-        assert a.snapshot() == b.snapshot() == []
+        assert a.snapshot() == b.snapshot() == ([], [remove])
 
     def test_a_tie_held_on_either_side_is_repaired_by_one_round(self, mesh):
         a, b = mesh
@@ -251,11 +251,11 @@ class TestGossipDegradation:
         node = GossipChannel("127.0.0.1", 0, peers=["127.0.0.1:1"],
                              interval=60.0)
         try:
-            node.publish(make_signature("local-only"))   # push fails quietly
+            node.send([make_signature("local-only").to_dict()])   # push fails quietly
             assert node.io_errors >= 1
             node.run_round()
             assert node.round_failures == 1
-            assert len(node.snapshot()) == 1             # local immunity kept
+            assert len(node.snapshot()[0]) == 1             # local immunity kept
         finally:
             node.close()
 
@@ -270,8 +270,8 @@ class TestGossipDegradation:
             sock.sendall(json.dumps([1, 2]).encode() + b"\n")
         assert wait_until(lambda: a.io_errors >= 2)
         # The node still gossips normally afterwards.
-        b.publish(make_signature("after-poison"))
-        assert wait_until(lambda: len(a.poll()) == 1 or False)
+        b.send([make_signature("after-poison").to_dict()])
+        assert wait_until(lambda: len(a.receive()[0]) == 1)
 
     def test_poisoned_ack_is_a_counted_round_failure(self):
         """A peer advertising an unreadable control stamp costs one failed
@@ -295,7 +295,7 @@ class TestGossipDegradation:
         node = GossipChannel("127.0.0.1", 0, peers=[f"127.0.0.1:{port}"],
                              interval=0.02)
         try:
-            node.publish_control(make_control("disable", "ff", 1, "n"))
+            node.send(controls=[make_control("disable", "ff", 1, "n")])
             node.run_round()                       # must not raise
             assert node.round_failures >= 1
             assert wait_until(lambda: node.round_failures >= 3)
@@ -322,11 +322,10 @@ class TestGossipDegradation:
     def test_closed_node_is_inert(self):
         node = GossipChannel("127.0.0.1", 0, interval=60.0)
         node.close()
-        node.publish(make_signature("late"))
-        node.publish_control(make_control("disable", "fp", 1, "x"))
-        assert node.poll() == []
-        assert node.poll_controls() == []
-        assert node.snapshot() == []
+        node.send([make_signature("late").to_dict()])
+        node.send(controls=[make_control("disable", "fp", 1, "x")])
+        assert node.receive() == ([], [])
+        assert node.snapshot() == ([], [])
         node.close()                                     # idempotent
 
     def test_close_hangs_the_listener_up(self):
@@ -357,9 +356,9 @@ class TestGossipDegradation:
 class TestGossipStatus:
     def test_status_fields(self, mesh):
         a, b = mesh
-        a.publish(make_signature("s"))
+        a.send([make_signature("s").to_dict()])
         fp = make_signature("bad").fingerprint
-        a.publish_control(make_control("disable", fp, clock=1, origin="a"))
+        a.send(controls=[make_control("disable", fp, clock=1, origin="a")])
         status = a.status()
         assert status["transport"] == "gossip"
         assert status["bind"] == a.bind

@@ -1,6 +1,6 @@
 """End-to-end cross-deployment immunity with real OS processes.
 
-Runs the :mod:`repro.share.demo` orchestration in miniature: worker A (a
+Runs the ``examples/share_demo.py`` orchestration in miniature: worker A (a
 real subprocess) deadlocks once, the pool learns the signature, and a
 fresh worker process is immune on its *first* run.  The full ≥4-worker
 fan-out over both transports runs in CI's ``history-sharing-smoke`` job;
@@ -16,8 +16,6 @@ import subprocess
 import sys
 
 import pytest
-
-from repro.share.demo import run_demo, run_worker
 
 
 def _src_path() -> str:
@@ -36,9 +34,9 @@ def _ensure_children_find_repro(monkeypatch):
 
 
 class TestMultiProcessImmunity:
-    def test_file_transport_story(self, tmp_path):
-        summary = run_demo("file", workers=3, workdir=str(tmp_path),
-                           verbose=False)
+    def test_file_transport_story(self, tmp_path, share_demo):
+        summary = share_demo.run_demo("file", workers=3, workdir=str(tmp_path),
+                                      verbose=False)
         results = {r["worker"]: r for r in summary["results"]}
         assert results["A"]["deadlocked"]
         assert not results["B"]["deadlocked"]
@@ -46,22 +44,22 @@ class TestMultiProcessImmunity:
         assert results["B"]["signatures"] >= 1
         assert results["C"]["signatures"] >= 1
 
-    def test_daemon_transport_story(self, tmp_path):
+    def test_daemon_transport_story(self, tmp_path, share_demo):
         if not os.path.exists("/tmp") or os.name == "nt":
             pytest.skip("needs unix sockets")
-        summary = run_demo("unix", workers=3, workdir=str(tmp_path),
-                           verbose=False)
+        summary = share_demo.run_demo("unix", workers=3, workdir=str(tmp_path),
+                                      verbose=False)
         results = {r["worker"]: r for r in summary["results"]}
         assert [w for w, r in results.items() if r["deadlocked"]] == ["A"]
         for name in ("B", "C"):
             assert results[name]["completed"] == 2
             assert results[name]["synced_before_run"]
 
-    def test_worker_cli_json_contract(self, tmp_path):
+    def test_worker_cli_json_contract(self, tmp_path, share_demo):
         """The worker subcommand prints exactly one JSON object."""
         share = "file://" + str(tmp_path / "pool.sig")
         process = subprocess.run(
-            [sys.executable, "-m", "repro.share.demo", "worker",
+            [sys.executable, share_demo.SCRIPT, "worker",
              "--share", share, "--id", "solo"],
             capture_output=True, text=True, timeout=60)
         assert process.returncode == 0, process.stderr
@@ -70,26 +68,25 @@ class TestMultiProcessImmunity:
         assert result["deadlocked"]                # nobody immunized it
         assert result["signatures"] >= 1           # and it published
 
-    def test_in_process_worker_pools_through_file(self, tmp_path):
+    def test_in_process_worker_pools_through_file(self, tmp_path, share_demo):
         """run_worker is importable and pools through a plain path spec."""
         share = str(tmp_path / "pool.sig")         # bare path == file://
-        first = run_worker(share, "first")
+        first = share_demo.run_worker(share, "first")
         assert first["deadlocked"]
-        second = run_worker(share, "second", expect_immunity=True)
+        second = share_demo.run_worker(share, "second", expect_immunity=True)
         assert not second["deadlocked"]
         assert second["synced_before_run"]
         assert second["yields"] >= 1
 
-    def test_fleet_gossip_story_in_miniature(self, tmp_path):
+    def test_fleet_gossip_story_in_miniature(self, tmp_path, share_demo):
         """The multi-host fabric, shrunk to tier-1 size: 4 workers across
         2 simulated hosts on a gossip mesh, plus the live-disable
         sentinel finale.  CI's ``fleet-convergence`` job runs the full
-        50x3 version of this over both topologies."""
-        from repro.share.demo import run_fleet
+        50x3 version of this."""
         timeline = str(tmp_path / "timeline.json")
-        summary = run_fleet("gossip", workers=4, hosts=2,
-                            timeline_path=timeline, batch_size=4,
-                            verbose=False)
+        summary = share_demo.run_fleet(workers=4, hosts=2,
+                                       timeline_path=timeline, batch_size=4,
+                                       verbose=False)
         results = {r["worker"]: r for r in summary["results"]}
         deadlocked = [w for w, r in results.items() if r["deadlocked"]]
         assert deadlocked == ["A"]

@@ -42,13 +42,13 @@ def make_signature(label: str, depth: int = 2) -> Signature:
 class FailingChannel(HistoryChannel):
     """A channel whose transport always fails (dead daemon stand-in)."""
 
-    def publish(self, signature):
+    def _send(self, records, controls):
         raise OSError("transport down")
 
-    def poll(self):
+    def _receive(self):
         raise OSError("transport down")
 
-    def snapshot(self):
+    def _snapshot(self, timeout):
         raise OSError("transport down")
 
 
@@ -65,7 +65,7 @@ class TestSignaturePool:
         hub = MemoryHub()
         history = History(path=None, autosave=False)
         pool = SignaturePool(history, hub.channel())
-        hub.channel().publish(make_signature("remote"))
+        hub.channel().send([make_signature("remote").to_dict()])
         assert pool.pump() == 1
         assert len(history) == 1
         assert pool.pump() == 0
@@ -74,7 +74,7 @@ class TestSignaturePool:
         hub = MemoryHub()
         history = History(path=None, autosave=False)
         pool = SignaturePool(history, hub.channel())
-        hub.channel().publish(make_signature("remote"))
+        hub.channel().send([make_signature("remote").to_dict()])
         pool.pump()
         # The install triggered the history listener, but the pool must
         # not publish a remote signature back into the pool.
@@ -86,7 +86,7 @@ class TestSignaturePool:
         history = History(path=None, autosave=False)
         history.add(make_signature("preexisting"))
         pool = SignaturePool(history, hub.channel())
-        hub.channel().publish(make_signature("remote"))
+        hub.channel().send([make_signature("remote").to_dict()])
         installed = pool.sync()
         assert installed == 1
         assert len(history) == 2
@@ -97,7 +97,7 @@ class TestSignaturePool:
         pool = SignaturePool(history, FailingChannel())
         history.add(make_signature("doomed"))       # publish swallowed
         assert pool.publish_errors == 1
-        assert pool.pump() == 0                     # poll swallowed
+        assert pool.pump() == 0                     # receive swallowed
         assert pool.sync() == 0                     # snapshot swallowed
         assert len(history) == 1                    # immunity still local
 
@@ -166,7 +166,7 @@ class TestDimmunixWiring:
         dim = Dimmunix(DimmunixConfig.for_testing(), share=hub.channel())
         pool = dim.share_pool
         other = hub.channel()
-        other.publish(make_signature("late"))
+        other.send([make_signature("late").to_dict()])
         dim.start()
         dim.stop()
         # stop() pumped one final time before closing the channel.
@@ -186,7 +186,7 @@ class TestDimmunixWiring:
         assert engine.request(1, 10, s1).decision is Decision.GO
         engine.acquired(1, 10, s1)
         # Another "process" learns the deadlock and publishes it.
-        hub.channel().publish(make_signature("lock", depth=2))
+        hub.channel().send([make_signature("lock", depth=2).to_dict()])
         dim.process_now()
         # The same pattern is now dangerous: thread 2 must yield.
         outcome = engine.request(2, 20, s2)
@@ -203,9 +203,9 @@ class TestDeterministicCrossRuntimeImmunity:
     explicit ``process_now()`` call, no sockets, files, or sleeps.
     """
 
-    def test_run_twice_across_two_runtimes(self):
+    def test_run_twice_across_two_runtimes(self, share_demo):
         from repro.instrument.runtime import InstrumentationRuntime
-        from repro.share.demo import _deadlock_prone_program
+        _deadlock_prone_program = share_demo._deadlock_prone_program
 
         hub = MemoryHub()
         # Deployment A: empty history, deadlocks once.
@@ -229,82 +229,17 @@ class TestDeterministicCrossRuntimeImmunity:
 
 
 class ControlRejectingChannel(HistoryChannel):
-    """Claims control support but fails every control send."""
+    """Carries records but fails every control send."""
 
-    supports_controls = True
+    def _send(self, records, controls):
+        if controls:
+            raise OSError("control plane down")
 
-    def publish(self, signature):
-        pass
+    def _receive(self):
+        return [], []
 
-    def poll(self):
-        return []
-
-    def snapshot(self):
-        return []
-
-    def publish_control(self, control):
-        raise OSError("control plane down")
-
-
-class TestPoolBatching:
-    def test_window_coalesces_instead_of_publishing(self):
-        hub = MemoryHub()
-        history = History(path=None, autosave=False)
-        pool = SignaturePool(history, hub.channel(), coalesce_window=60.0)
-        history.add(make_signature("queued-1"))
-        history.add(make_signature("queued-2"))
-        assert pool.published == 0
-        assert pool.pending_outbound == 2
-        assert len(hub) == 0
-        assert pool.flush() == 2
-        assert pool.published == 2
-        assert len(hub) == 2
-        assert pool.pending_outbound == 0
-
-    def test_pump_flushes_an_elapsed_window(self):
-        import time as _time
-        hub = MemoryHub()
-        history = History(path=None, autosave=False)
-        pool = SignaturePool(history, hub.channel(), coalesce_window=0.02)
-        history.add(make_signature("due"))
-        assert pool.published == 0
-        _time.sleep(0.03)
-        pool.pump()
-        assert pool.published == 1
-
-    def test_bounded_queue_drops_oldest_and_counts(self):
-        """A slow subscriber (never-flushed window) hits the bound."""
-        hub = MemoryHub()
-        history = History(path=None, autosave=False)
-        pool = SignaturePool(history, hub.channel(), coalesce_window=60.0,
-                             max_outbound=3)
-        for index in range(5):
-            history.add(make_signature(f"burst-{index}"))
-        assert pool.publish_dropped == 2
-        assert pool.pending_outbound == 3
-        assert pool.flush() == 3
-        assert pool.report()["publish_dropped"] == 2
-
-    def test_sync_reoffers_dropped_signatures(self):
-        hub = MemoryHub()
-        history = History(path=None, autosave=False)
-        pool = SignaturePool(history, hub.channel(), coalesce_window=60.0,
-                             max_outbound=2)
-        for index in range(4):
-            history.add(make_signature(f"re-{index}"))
-        assert pool.publish_dropped == 2
-        pool.sync()
-        # Dropping only ever *delays* sharing: the full history reaches
-        # the channel on the next sync.
-        assert len(hub) == 4
-
-    def test_close_flushes_the_queue(self):
-        hub = MemoryHub()
-        history = History(path=None, autosave=False)
-        pool = SignaturePool(history, hub.channel(), coalesce_window=60.0)
-        history.add(make_signature("final"))
-        pool.close()
-        assert len(hub) == 1
+    def _snapshot(self, timeout):
+        return [], []
 
 
 class TestPoolControlPlane:
@@ -342,7 +277,7 @@ class TestPoolControlPlane:
         assert pool_b.controls_published == 0
         # Nothing new after the first: one standing control, delivered once.
         assert hub._state.counts()["controls"] == 1
-        assert len(hub.channel().poll_controls()) == 1
+        assert len(hub.channel().receive()[1]) == 1
 
     def test_stale_controls_lose_last_writer_wins(self):
         hub, (history_a, pool_a), (history_b, pool_b) = self.make_wired_pair()
@@ -360,7 +295,7 @@ class TestPoolControlPlane:
         stale = make_control("disable", signature.fingerprint,
                              clock=1, origin="worker-b")
         applied = pool_b.controls_applied
-        hub.channel().publish_control(stale)
+        hub.channel().send(controls=[stale])
         pool_b.pump()
         assert pool_b.controls_applied == applied
         assert pool_b._state.controls[signature.fingerprint].action == "enable"
@@ -375,9 +310,7 @@ class TestPoolControlPlane:
         assert pool_b.controls_applied == 1
         # The record arrives *after* the remove (late, out of order):
         # the held control keeps it out of the history.
-        probe = hub.channel()
-        probe._seen.clear()
-        probe.publish(make_signature("tombstone"))
+        hub.channel().send([make_signature("tombstone").to_dict()])
         pool_b.pump()
         assert len(history_b) == 0
 
@@ -385,27 +318,27 @@ class TestPoolControlPlane:
     def test_poisoned_control_in_a_share_log_is_counted_not_raised(
             self, tmp_path, clock):
         """A control line nobody can read must not take ``sync`` down, nor
-        the valid controls polled in the same batch."""
+        the valid controls received in the same batch."""
         path = str(tmp_path / "pool.sig")
         writer = FileChannel(path)
         signature = make_signature("poisoned-log")
-        writer.publish(signature)
+        writer.send([signature.to_dict()])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({"control": {
                 "action": "disable", "fingerprint": "ab",
                 "clock": clock}}) + "\n")
-        writer.publish_control(make_control(
-            "disable", signature.fingerprint, clock=1, origin="operator"))
+        writer.send(controls=[make_control(
+            "disable", signature.fingerprint, clock=1, origin="operator")])
         history = History(path=None, autosave=False)
         pool = SignaturePool(history, FileChannel(path))
         assert pool.sync() == 1
         assert pool.pump() == 0
-        assert pool.control_errors == 1
+        assert pool.report()["rejected"] == 1
         assert pool.controls_applied == 1          # the later, valid one
         assert len(history) == 1 and history.enabled_signatures() == []
         # The same log through the front door a program uses.
         dim = Dimmunix(DimmunixConfig.for_testing(), share=path)
-        assert dim.report()["share"]["control_errors"] == 1
+        assert dim.report()["share"]["rejected"] == 1
         assert dim.history.enabled_signatures() == []
         dim.stop()
 
@@ -419,15 +352,6 @@ class TestPoolControlPlane:
         assert pool.controls_published == 0
         assert history.signatures()                 # local state intact
 
-    def test_channels_without_control_support_are_skipped(self):
-        history = History(path=None, autosave=False)
-        pool = SignaturePool(history, FailingChannel())
-        signature = make_signature("plain")
-        history.add(signature)
-        history.disable(signature.fingerprint)
-        assert pool.control_errors == 0
-        assert pool.controls_published == 0
-
     def test_report_counters(self):
         hub, (history_a, pool_a), _ = self.make_wired_pair()
         signature = make_signature("counted")
@@ -437,4 +361,4 @@ class TestPoolControlPlane:
         assert report["controls_published"] == 1
         assert report["controls_applied"] == 0
         assert report["control_errors"] == 0
-        assert report["pending_outbound"] == 0
+        assert report["rejected"] == 0

@@ -13,13 +13,16 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lines once a hold lived in its thread's slot alone and ended threads
-#: left the monitor, the stats shards and the thread registry; 19,155
-#: before (one installer, one patch table, one primitive
-#: skeleton).  19,461 after PR 23 (the explorer is one process), 20,136
-#: after PRs 19 and 20, 20,137 after PR 16, 20,169 after PR 15, 20,352
-#: after PR 14, 20,359 after PR 13, 20,674 after PR 12.
-TOTAL_BUDGET = 19_150
+#: Lines once the share fabric carried one value through one contract:
+#: 19,150 before, of which 625 (``share/demo.py``) moved to
+#: ``examples/share_demo.py`` and 611 went with the second control
+#: plane, the transport registry, the coalescing queue, daemon federation
+#: and two daemon front ends; 40 came back with ``PoolState`` checking
+#: that a record is a signature of the fingerprint it claims and
+#: ``histctl tail`` parsing what it prints.  Earlier
+#: ratchets, newest first: 19,155, 19,461, 20,136, 20,137, 20,169,
+#: 20,352, 20,359, 20,674.
+TOTAL_BUDGET = 17_954
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -27,13 +30,16 @@ TOTAL_BUDGET = 19_150
 #: ``skeleton.py`` the half of each primitive that is not sync-vs-async.
 #: 1,964 before an unused ``SimLock.remove_waiter`` went.
 PRIMITIVES_BUDGET = 1_962
-#: ``share/``: five transports around one ``PoolState`` (``state.py`` and
-#: ``wire.py`` included).  3,469 before PR 13, when each transport carried
-#: its own merge rules; the 3,300 that PR aimed for was not reached.
-#: PR 16 raised it from 3,475: ``wire.no_delay`` (TCP_NODELAY on every
-#: share socket) added 12 lines, and turning three by-hand socket closes
-#: into ``wire.hang_up`` (the ``GossipChannel.close()`` fix) gave back 8.
-SHARE_BUDGET = 3_479
+#: ``share/``: four transports around one ``PoolState`` (``state.py`` and
+#: ``wire.py`` included) and one ``send``/``receive``/``snapshot``
+#: contract.  3,479 before that contract: 625 of the 1,241 lines it
+#: dropped are the demo's move to ``examples/``, the rest the second
+#: control plane, the transport registry, the coalescing queue, daemon
+#: federation and the ``repro.share.server``/``gossip`` front ends; 39
+#: came back so ``PoolState`` refuses a record that is not a signature of
+#: the fingerprint it claims.  3,469 when each transport carried its own
+#: merge rules; ``wire.no_delay`` and ``wire.hang_up`` later added a net 4.
+SHARE_BUDGET = 2_277
 #: ``sim/``: scheduler, primitives and the explorer.  3,854 before PR 15,
 #: when ``explore.py`` + ``parexplore.py`` carried four search loops;
 #: 3,681 until PR 23 deleted ``parexplore.py`` and what only fed it.
