@@ -1,34 +1,24 @@
-"""Experiment harness: one runner per table/figure of the paper's evaluation."""
+"""Experiment harness: one runner per artefact of the paper's evaluation.
 
-from .ablation import (AllowEdgeRow, DetectionLatencyRow, ImmunityModeRow,
-                       run_allow_edge_ablation, run_detection_latency,
+Each runner's defaults are the paper's parameters (``benchmarks/paper.py``).
+"""
+
+from .ablation import (run_allow_edge_ablation, run_detection_latency,
                        run_immunity_mode_ablation)
-from .effectiveness import (Table1Row, Table2Row, run_table1, run_table2)
-from .explore import ExplorationRow, run_exploration_matrix
+from .effectiveness import run_table1, run_table2
+from .explore import run_exploration_matrix
 from .appworkloads import (run_aiobroker_workload, run_broker_workload,
                            run_jdbc_workload)
-from .overhead import Figure4Row, run_figure4
-from .microsweeps import (Figure5Row, Figure6Row, Figure7Row, Figure8Row,
-                          run_figure5, run_figure6, run_figure7, run_figure8)
-from .falsepos import Figure9Row, run_figure9, run_gate_lock_comparison
-from .resources import ResourceRow, run_resource_utilization
-from .report import format_table
+from .overhead import run_figure4
+from .microsweeps import run_figure5, run_figure6, run_figure7, run_figure8
+from .falsepos import run_figure9, run_gate_lock_comparison
+from .resources import run_resource_utilization
+from .report import format_table, overhead_percent
+from .scaling import run_scaling
 
 __all__ = [
-    "AllowEdgeRow",
-    "DetectionLatencyRow",
-    "ExplorationRow",
-    "Figure4Row",
-    "Figure5Row",
-    "Figure6Row",
-    "Figure7Row",
-    "Figure8Row",
-    "Figure9Row",
-    "ImmunityModeRow",
-    "ResourceRow",
-    "Table1Row",
-    "Table2Row",
     "format_table",
+    "overhead_percent",
     "run_aiobroker_workload",
     "run_allow_edge_ablation",
     "run_broker_workload",
@@ -44,6 +34,7 @@ __all__ = [
     "run_immunity_mode_ablation",
     "run_jdbc_workload",
     "run_resource_utilization",
+    "run_scaling",
     "run_table1",
     "run_table2",
 ]

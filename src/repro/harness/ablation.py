@@ -49,8 +49,8 @@ def _stack(*labels: str) -> CallStack:
     return CallStack.from_labels(list(labels))
 
 
-def run_detection_latency(intervals: Sequence[float] = (0.01, 0.05, 0.1, 0.2),
-                          trials: int = 5) -> List[DetectionLatencyRow]:
+def run_detection_latency(intervals: Sequence[float] = (0.01, 0.05, 0.1),
+                          trials: int = 3) -> List[DetectionLatencyRow]:
     """Measure how long a deadlock stays undetected as tau varies."""
     rows: List[DetectionLatencyRow] = []
     s1 = _stack("lock:4", "update:1", "main:0")
@@ -158,7 +158,7 @@ class ImmunityModeRow:
         }
 
 
-def run_immunity_mode_ablation(runs: int = 5) -> List[ImmunityModeRow]:
+def run_immunity_mode_ablation(runs: int = 4) -> List[ImmunityModeRow]:
     """Replay a deadlock-prone workload repeatedly under both immunity levels."""
     from ..sim import DimmunixBackend, SimScheduler, lock_order_program
 

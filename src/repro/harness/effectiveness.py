@@ -9,7 +9,7 @@ For every exploit the paper runs three configurations, 100 trials each:
 The runners here do the same (with a configurable, smaller trial count so
 the whole sweep stays in CI-friendly time) and report the yields observed
 per immune trial, the number of deadlock patterns archived, and the size
-(depth) of the archived signatures.
+(depth) of the archived signatures, the last two beside the paper's.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ class Table1Row:
     yields_avg: float
     yields_max: int
     patterns: int
+    #: The paper's own pattern count and depth for this bug, printed beside ours.
+    paper_patterns: int
+    paper_depth: int
     signature_depths: List[int] = field(default_factory=list)
 
     def as_dict(self) -> Dict:
@@ -58,12 +61,10 @@ class Table1Row:
             "yields avg": round(self.yields_avg, 1),
             "yields max": self.yields_max,
             "# patterns": self.patterns,
+            "paper patterns": self.paper_patterns,
             "depth": ",".join(str(d) for d in self.signature_depths) or "-",
+            "paper depth": self.paper_depth,
         }
-
-
-#: Table 2 rows have the same shape.
-Table2Row = Table1Row
 
 
 def _runtime(history: Optional[History], detection_only: bool = False,
@@ -116,6 +117,8 @@ def run_bug(exploit: Exploit, trials: int = 1,
         yields_avg=statistics.mean(yields),
         yields_max=max(yields),
         patterns=len(signatures),
+        paper_patterns=exploit.patterns,
+        paper_depth=exploit.paper_depth,
         signature_depths=[max(len(stack) for stack in sig.stacks)
                           for sig in signatures],
     )
@@ -129,7 +132,7 @@ def run_table1(trials: int = 1, exploits: Optional[Sequence[Exploit]] = None
 
 
 def run_table2(trials: int = 1, exploits: Optional[Sequence[Exploit]] = None
-               ) -> List[Table2Row]:
+               ) -> List[Table1Row]:
     """Reproduce Table 2: the JDK invitations to deadlock."""
     selected = list(exploits) if exploits is not None else TABLE2_EXPLOITS
     return [run_bug(exploit, trials=trials) for exploit in selected]

@@ -16,7 +16,7 @@ truncated or reduced exploration therefore cannot read as full coverage:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..sim import NullBackend
@@ -26,7 +26,7 @@ from ..sim.explore import (SCENARIOS, Explorer, ImmunityChecker,
 
 @dataclass
 class ExplorationRow:
-    """One scenario's verdict in the exploration matrix."""
+    """One scenario's verdict in the exploration matrix; fields are its columns."""
 
     scenario: str
     #: Concrete reduction strategy the checker ran ("dfs"/"dpor").
@@ -34,10 +34,10 @@ class ExplorationRow:
     interleavings: int
     states: int
     deadlocks: int
-    unique_deadlocks: int
-    minimal_trace_len: Optional[int]
+    unique: int
+    min_trace: Optional[int]
     signatures: int
-    immune_interleavings: Optional[int]
+    immune_runs: Optional[int]
     immune_deadlocks: Optional[int]
     immune: bool
     #: Whether each phase fully enumerated its bounded tree — the
@@ -50,7 +50,7 @@ class ExplorationRow:
     #: interleavings / full_interleavings — e.g. 0.07 means the strategy
     #: covered the full tree's deadlock set with 7% of its runs.
     reduction: Optional[float]
-    states_per_second: float
+    states_per_sec: float
 
     @classmethod
     def from_report(cls, report: ImmunityReport, strategy: str,
@@ -65,11 +65,11 @@ class ExplorationRow:
             interleavings=vulnerable.runs,
             states=states,
             deadlocks=vulnerable.deadlock_count,
-            unique_deadlocks=vulnerable.unique_deadlocks,
-            minimal_trace_len=(len(report.minimal_trace)
-                               if report.minimal_trace is not None else None),
+            unique=vulnerable.unique_deadlocks,
+            min_trace=(len(report.minimal_trace)
+                       if report.minimal_trace is not None else None),
             signatures=report.learned_signatures,
-            immune_interleavings=immune.runs if immune else None,
+            immune_runs=immune.runs if immune else None,
             immune_deadlocks=immune.deadlock_count if immune else None,
             immune=report.holds,
             vulnerable_exhausted=vulnerable.exhausted,
@@ -77,28 +77,11 @@ class ExplorationRow:
             full_interleavings=full_runs,
             reduction=(round(vulnerable.runs / full_runs, 4)
                        if full_runs else None),
-            states_per_second=states / elapsed if elapsed > 0 else 0.0,
+            states_per_sec=round(states / elapsed, 1) if elapsed > 0 else 0.0,
         )
 
     def as_dict(self) -> Dict:
-        return {
-            "scenario": self.scenario,
-            "strategy": self.strategy,
-            "interleavings": self.interleavings,
-            "states": self.states,
-            "deadlocks": self.deadlocks,
-            "unique": self.unique_deadlocks,
-            "min_trace": self.minimal_trace_len,
-            "signatures": self.signatures,
-            "immune_runs": self.immune_interleavings,
-            "immune_deadlocks": self.immune_deadlocks,
-            "immune": self.immune,
-            "vulnerable_exhausted": self.vulnerable_exhausted,
-            "immune_exhausted": self.immune_exhausted,
-            "full_interleavings": self.full_interleavings,
-            "reduction": self.reduction,
-            "states_per_sec": round(self.states_per_second, 1),
-        }
+        return asdict(self)
 
 
 def run_exploration_matrix(scenarios: Optional[Dict[str, Callable]] = None,

@@ -26,6 +26,7 @@ from ..sim.backends import NullBackend
 from ..workloads.microbench import (MicrobenchConfig,
                                     run_simulated_microbench)
 from ..workloads.synth_history import synthesize_microbench_history
+from .report import overhead_percent
 
 
 @dataclass
@@ -38,17 +39,12 @@ class Figure9Row:
     yields: int
     false_positives: int
 
-    @property
-    def overhead_percent(self) -> float:
-        if self.baseline_throughput <= 0:
-            return 0.0
-        return 100.0 * (1.0 - self.throughput / self.baseline_throughput)
-
     def as_dict(self) -> Dict:
         return {
             "depth": self.matching_depth,
             "ops/s": round(self.throughput, 1),
-            "overhead %": round(self.overhead_percent, 2),
+            "overhead %": round(overhead_percent(self.baseline_throughput,
+                                                 self.throughput), 2),
             "yields": self.yields,
             "false positives": self.false_positives,
         }
@@ -63,18 +59,13 @@ class GateLockComparison:
     baseline_throughput: float
     denials: int
 
-    @property
-    def overhead_percent(self) -> float:
-        if self.baseline_throughput <= 0:
-            return 0.0
-        return 100.0 * (1.0 - self.throughput / self.baseline_throughput)
-
     def as_dict(self) -> Dict:
         return {
             "approach": "gate locks [17]",
             "gates": self.gates,
             "ops/s": round(self.throughput, 1),
-            "overhead %": round(self.overhead_percent, 2),
+            "overhead %": round(overhead_percent(self.baseline_throughput,
+                                                 self.throughput), 2),
             "false positives (denials)": self.denials,
         }
 
@@ -99,16 +90,21 @@ def _workload_config(threads: int, locks: int, iterations: int,
                             history=history, mode=mode)
 
 
+def _history_and_baseline(threads: int, locks: int, signatures: int, iterations: int,
+                          depth: int = 10):
+    """The deep signatures both experiments share, and the unimmunized run."""
+    history = synthesize_microbench_history(count=signatures, size=2, matching_depth=depth,
+                                            simulated=True, seed=5, universe=128)
+    return history, run_simulated_microbench(
+        _workload_config(threads, locks, iterations, mode="baseline"), backend=NullBackend())
+
+
 def run_figure9(depths: Sequence[int] = tuple(range(1, 11)), threads: int = 32,
                 locks: int = 8, signatures: int = 64, iterations: int = 60,
                 full_depth: int = 10) -> List[Figure9Row]:
     """Overhead induced by false positives as matching depth varies."""
-    base_history = synthesize_microbench_history(
-        count=signatures, size=2, matching_depth=full_depth, simulated=True,
-        seed=5, universe=128)
-    baseline = run_simulated_microbench(
-        _workload_config(threads, locks, iterations, mode="baseline"),
-        backend=NullBackend())
+    base_history, baseline = _history_and_baseline(threads, locks, signatures,
+                                                   iterations, full_depth)
 
     # Yields at the full depth are the "true" avoidance count: anything above
     # that at a shallower depth is a false positive.
@@ -134,12 +130,7 @@ def run_gate_lock_comparison(threads: int = 32, locks: int = 8,
                              signatures: int = 64, iterations: int = 60
                              ) -> GateLockComparison:
     """Replay the Figure 9 workload under the gate-lock baseline."""
-    history = synthesize_microbench_history(count=signatures, size=2,
-                                            matching_depth=10, simulated=True,
-                                            seed=5, universe=128)
-    baseline = run_simulated_microbench(
-        _workload_config(threads, locks, iterations, mode="baseline"),
-        backend=NullBackend())
+    history, baseline = _history_and_baseline(threads, locks, signatures, iterations)
     backend = GateLockBackend()
     for signature in history.signatures():
         backend.learn_from_signature(signature)

@@ -14,13 +14,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.history import History
-from ..workloads.microbench import (MicrobenchConfig, MicrobenchResult,
-                                    run_simulated_microbench, run_threaded_microbench)
+from ..workloads.microbench import (MicrobenchConfig, run_simulated_microbench,
+                                    run_threaded_microbench)
 from ..workloads.synth_history import synthesize_microbench_history
+from .report import overhead_percent
 
 
 def _history(count: int, depth: int, simulated: bool, size: int = 2) -> History:
@@ -43,46 +44,34 @@ class Figure5Row:
     dimmunix_throughput: float
     yields: int
 
-    @property
-    def overhead_percent(self) -> float:
-        if self.baseline_throughput <= 0:
-            return 0.0
-        return 100.0 * (1.0 - self.dimmunix_throughput / self.baseline_throughput)
-
     def as_dict(self) -> Dict:
         return {
             "threads": self.threads,
             "driver": self.driver,
             "baseline ops/s": round(self.baseline_throughput, 1),
             "dimmunix ops/s": round(self.dimmunix_throughput, 1),
-            "overhead %": round(self.overhead_percent, 2),
+            "overhead %": round(overhead_percent(self.baseline_throughput,
+                                                 self.dimmunix_throughput), 2),
             "yields": self.yields,
         }
 
 
 def run_figure5(thread_counts: Sequence[int] = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-                real_thread_limit: int = 64, locks: int = 8, signatures: int = 64,
-                iterations: int = 100, delta_in: float = 1e-6,
+                real_thread_limit: int = 32, locks: int = 8, signatures: int = 64,
+                iterations: int = 60, delta_in: float = 1e-6,
                 delta_out: float = 1e-3) -> List[Figure5Row]:
     """Throughput vs number of threads, 64 two-thread signatures in history."""
     rows: List[Figure5Row] = []
     for threads in thread_counts:
         use_real = threads <= real_thread_limit
         driver = "threaded" if use_real else "simulated"
-        per_thread_iterations = max(5, iterations // max(1, threads // 16))
-        base_config = MicrobenchConfig(
-            threads=threads, locks=locks, iterations=per_thread_iterations,
+        run = run_threaded_microbench if use_real else run_simulated_microbench
+        config = MicrobenchConfig(
+            threads=threads, locks=locks, iterations=max(5, iterations // max(1, threads // 16)),
             delta_in=delta_in, delta_out=delta_out, mode="baseline", seed=threads)
-        immune_config = MicrobenchConfig(
-            threads=threads, locks=locks, iterations=per_thread_iterations,
-            delta_in=delta_in, delta_out=delta_out, mode="full", seed=threads,
-            history=_history(signatures, depth=2, simulated=not use_real))
-        if use_real:
-            baseline = run_threaded_microbench(base_config)
-            immune = run_threaded_microbench(immune_config)
-        else:
-            baseline = run_simulated_microbench(base_config)
-            immune = run_simulated_microbench(immune_config)
+        baseline = run(config)
+        immune = run(replace(config, mode="full", history=_history(
+            signatures, depth=2, simulated=not use_real)))
         rows.append(Figure5Row(
             threads=threads, driver=driver,
             baseline_throughput=baseline.throughput,
@@ -105,47 +94,37 @@ class Figure6Row:
     baseline_throughput: float
     dimmunix_throughput: float
 
-    @property
-    def overhead_percent(self) -> float:
-        if self.baseline_throughput <= 0:
-            return 0.0
-        return 100.0 * (1.0 - self.dimmunix_throughput / self.baseline_throughput)
-
     def as_dict(self) -> Dict:
         return {
             "delta_in (us)": round(self.delta_in * 1e6, 1),
             "delta_out (us)": round(self.delta_out * 1e6, 1),
             "baseline ops/s": round(self.baseline_throughput, 1),
             "dimmunix ops/s": round(self.dimmunix_throughput, 1),
-            "overhead %": round(self.overhead_percent, 2),
+            "overhead %": round(overhead_percent(self.baseline_throughput,
+                                                 self.dimmunix_throughput), 2),
         }
 
 
-def run_figure6(threads: int = 16, locks: int = 8, signatures: int = 64,
-                iterations: int = 100,
+def run_figure6(threads: int = 8, locks: int = 8, signatures: int = 64,
+                iterations: int = 60,
                 delta_in_values: Sequence[float] = (0.0, 1e-6, 1e-5, 1e-4, 1e-3),
                 delta_out_values: Sequence[float] = (0.0, 1e-6, 1e-5, 1e-4, 1e-3),
                 fixed_delta_out: float = 1e-3,
-                fixed_delta_in: float = 1e-6) -> Dict[str, List[Figure6Row]]:
-    """Two sweeps: vary delta_in at fixed delta_out, and vice versa."""
+                fixed_delta_in: float = 1e-6
+                ) -> Tuple[List[Figure6Row], List[Figure6Row]]:
+    """Two sweeps: (vary delta_in at fixed delta_out, vary delta_out at fixed delta_in)."""
     history = _history(signatures, depth=2, simulated=False)
 
     def measure(delta_in: float, delta_out: float) -> Figure6Row:
-        base = run_threaded_microbench(MicrobenchConfig(
-            threads=threads, locks=locks, iterations=iterations,
-            delta_in=delta_in, delta_out=delta_out, mode="baseline", seed=11))
-        immune = run_threaded_microbench(MicrobenchConfig(
-            threads=threads, locks=locks, iterations=iterations,
-            delta_in=delta_in, delta_out=delta_out, mode="full", seed=11,
-            history=history))
-        return Figure6Row(delta_in=delta_in, delta_out=delta_out,
-                          baseline_throughput=base.throughput,
-                          dimmunix_throughput=immune.throughput)
+        config = MicrobenchConfig(threads=threads, locks=locks, iterations=iterations,
+                                  delta_in=delta_in, delta_out=delta_out, mode="baseline",
+                                  seed=11)
+        return Figure6Row(delta_in, delta_out, run_threaded_microbench(config).throughput,
+                          run_threaded_microbench(replace(config, mode="full",
+                                                          history=history)).throughput)
 
-    return {
-        "vary_delta_in": [measure(d_in, fixed_delta_out) for d_in in delta_in_values],
-        "vary_delta_out": [measure(fixed_delta_in, d_out) for d_out in delta_out_values],
-    }
+    return ([measure(d_in, fixed_delta_out) for d_in in delta_in_values],
+            [measure(fixed_delta_in, d_out) for d_out in delta_out_values])
 
 
 # ---------------------------------------------------------------------------
@@ -161,37 +140,30 @@ class Figure7Row:
     baseline_throughput: float
     dimmunix_throughput: float
 
-    @property
-    def overhead_percent(self) -> float:
-        if self.baseline_throughput <= 0:
-            return 0.0
-        return 100.0 * (1.0 - self.dimmunix_throughput / self.baseline_throughput)
-
     def as_dict(self) -> Dict:
         return {
             "signatures": self.history_size,
             "depth": self.matching_depth,
             "baseline ops/s": round(self.baseline_throughput, 1),
             "dimmunix ops/s": round(self.dimmunix_throughput, 1),
-            "overhead %": round(self.overhead_percent, 2),
+            "overhead %": round(overhead_percent(self.baseline_throughput,
+                                                 self.dimmunix_throughput), 2),
         }
 
 
 def run_figure7(history_sizes: Sequence[int] = (2, 4, 8, 16, 32, 64, 128, 256),
-                depths: Sequence[int] = (4, 8), threads: int = 16, locks: int = 8,
-                iterations: int = 100, delta_in: float = 1e-6,
+                depths: Sequence[int] = (4, 8), threads: int = 8, locks: int = 8,
+                iterations: int = 60, delta_in: float = 1e-6,
                 delta_out: float = 1e-3) -> List[Figure7Row]:
     """Throughput as a function of history size and matching depth."""
-    baseline = run_threaded_microbench(MicrobenchConfig(
-        threads=threads, locks=locks, iterations=iterations,
-        delta_in=delta_in, delta_out=delta_out, mode="baseline", seed=13))
+    config = MicrobenchConfig(threads=threads, locks=locks, iterations=iterations,
+                              delta_in=delta_in, delta_out=delta_out, mode="baseline", seed=13)
+    baseline = run_threaded_microbench(config)
     rows: List[Figure7Row] = []
     for depth in depths:
         for size in history_sizes:
-            immune = run_threaded_microbench(MicrobenchConfig(
-                threads=threads, locks=locks, iterations=iterations,
-                delta_in=delta_in, delta_out=delta_out, mode="full", seed=13,
-                matching_depth=depth,
+            immune = run_threaded_microbench(replace(
+                config, mode="full", matching_depth=depth,
                 history=_history(size, depth=depth, simulated=False)))
             rows.append(Figure7Row(
                 history_size=size, matching_depth=depth,
@@ -214,49 +186,29 @@ class Figure8Row:
     updates_throughput: float
     full_throughput: float
 
-    def _overhead(self, value: float) -> float:
-        if self.baseline_throughput <= 0:
-            return 0.0
-        return 100.0 * (1.0 - value / self.baseline_throughput)
-
-    @property
-    def instrumentation_overhead(self) -> float:
-        return self._overhead(self.instrumentation_throughput)
-
-    @property
-    def updates_overhead(self) -> float:
-        return self._overhead(self.updates_throughput)
-
-    @property
-    def full_overhead(self) -> float:
-        return self._overhead(self.full_throughput)
-
     def as_dict(self) -> Dict:
         return {
             "threads": self.threads,
-            "instrumentation %": round(self.instrumentation_overhead, 2),
-            "+ data structures %": round(self.updates_overhead, 2),
-            "+ avoidance (full) %": round(self.full_overhead, 2),
+            "instrumentation %": round(overhead_percent(
+                self.baseline_throughput, self.instrumentation_throughput), 2),
+            "+ data structures %": round(overhead_percent(
+                self.baseline_throughput, self.updates_throughput), 2),
+            "+ avoidance (full) %": round(overhead_percent(
+                self.baseline_throughput, self.full_throughput), 2),
         }
 
 
-def run_figure8(thread_counts: Sequence[int] = (8, 16, 32, 64),
-                locks: int = 8, signatures: int = 64, iterations: int = 100,
+def run_figure8(thread_counts: Sequence[int] = (8, 16, 32),
+                locks: int = 8, signatures: int = 64, iterations: int = 60,
                 delta_in: float = 1e-6, delta_out: float = 1e-3) -> List[Figure8Row]:
     """Break the overhead into instrumentation / updates / avoidance stages."""
     rows: List[Figure8Row] = []
     for threads in thread_counts:
-        history = _history(signatures, depth=2, simulated=False)
-        results: Dict[str, MicrobenchResult] = {}
-        for mode in ("baseline", "instrumentation_only", "updates_only", "full"):
-            results[mode] = run_threaded_microbench(MicrobenchConfig(
-                threads=threads, locks=locks, iterations=iterations,
-                delta_in=delta_in, delta_out=delta_out, mode=mode, seed=threads,
-                history=history if mode == "full" else None))
-        rows.append(Figure8Row(
-            threads=threads,
-            baseline_throughput=results["baseline"].throughput,
-            instrumentation_throughput=results["instrumentation_only"].throughput,
-            updates_throughput=results["updates_only"].throughput,
-            full_throughput=results["full"].throughput))
+        full = MicrobenchConfig(threads=threads, locks=locks, iterations=iterations,
+                                delta_in=delta_in, delta_out=delta_out, mode="full", seed=threads,
+                                history=_history(signatures, depth=2, simulated=False))
+        rows.append(Figure8Row(threads, *(
+            run_threaded_microbench(replace(full, mode=mode, history=None)).throughput
+            for mode in ("baseline", "instrumentation_only", "updates_only")),
+            run_threaded_microbench(full).throughput))
     return rows

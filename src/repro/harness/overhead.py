@@ -28,6 +28,7 @@ from ..instrument.aio import AsyncioRuntime
 from ..instrument.runtime import InstrumentationRuntime
 from .appworkloads import (WorkloadResult, run_aiobroker_workload,
                            run_broker_workload, run_jdbc_workload)
+from .report import overhead_percent
 
 _FAST = dict(monitor_interval=0.05, yield_timeout=0.05)
 
@@ -42,40 +43,32 @@ class Figure4Row:
     immune_throughput: float
     yields: int
 
-    @property
-    def overhead_percent(self) -> float:
-        """Throughput loss relative to the uninstrumented-engine baseline."""
-        if self.baseline_throughput <= 0:
-            return 0.0
-        loss = 1.0 - (self.immune_throughput / self.baseline_throughput)
-        return 100.0 * loss
-
     def as_dict(self) -> Dict:
         return {
             "application": self.application,
             "signatures": self.history_size,
             "baseline ops/s": round(self.baseline_throughput, 1),
             "dimmunix ops/s": round(self.immune_throughput, 1),
-            "overhead %": round(self.overhead_percent, 2),
+            "overhead %": round(overhead_percent(self.baseline_throughput,
+                                                 self.immune_throughput), 2),
             "yields": self.yields,
         }
 
 
 def _runtime(app_name: str = "broker", history: Optional[History] = None,
-             engine_mode: str = "full"):
-    """A started runtime of the flavour ``app_name`` requires.
+             engine_mode: str = "full", start: bool = True, **config):
+    """A runtime of the flavour ``app_name`` requires, its monitor started.
 
     Threaded applications get an
     :class:`~repro.instrument.runtime.InstrumentationRuntime`, asyncio
     applications an :class:`~repro.instrument.aio.AsyncioRuntime` —
     both drive the same engine through the same core.
     """
-    config = DimmunixConfig(**_FAST)
-    dimmunix = Dimmunix(config=config, history=history, engine_mode=engine_mode)
-    dimmunix.start()
-    if app_name in _ASYNC_APPS:
-        return AsyncioRuntime(dimmunix)
-    return InstrumentationRuntime(dimmunix)
+    dimmunix = Dimmunix(config=DimmunixConfig(**_FAST, **config), history=history,
+                        engine_mode=engine_mode)
+    if start:
+        dimmunix.start()
+    return (AsyncioRuntime if app_name in _ASYNC_APPS else InstrumentationRuntime)(dimmunix)
 
 
 def _collect_app_stacks(app_name: str, threads: int, cycles: int) -> List[CallStack]:
@@ -84,18 +77,15 @@ def _collect_app_stacks(app_name: str, threads: int, cycles: int) -> List[CallSt
     A short instrumented warm-up run is performed with the monitor left
     stopped (so the event queue retains everything) and the distinct
     acquisition stacks are read back from the queued events; this mirrors
-    the paper's "random combinations of real program stacks".
+    the paper's "random combinations of real program stacks".  Capture is
+    eager: a lazy stack read back once its frames have returned is the
+    degraded one-frame form, so every signature would name a bare lock site.
     """
-    config = DimmunixConfig(**_FAST)
-    dimmunix = Dimmunix(config=config)  # monitor intentionally not started
-    if app_name in _ASYNC_APPS:
-        runtime = AsyncioRuntime(dimmunix)
-    else:
-        runtime = InstrumentationRuntime(dimmunix)
+    runtime = _runtime(app_name, start=False, lazy_capture=False)
     _run_app(app_name, runtime, threads=max(2, threads // 2),
              cycles=max(2, cycles // 2))
     stacks = set()
-    for event in dimmunix.engine.events.drain():
+    for event in runtime.dimmunix.engine.events.drain():
         if event.stack and len(event.stack) > 0:
             stacks.add(event.stack)
     return list(stacks)

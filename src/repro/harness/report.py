@@ -1,14 +1,20 @@
 """Plain-text table formatting for experiment results.
 
 Every harness runner returns a list of row objects exposing ``as_dict``;
-:func:`format_table` renders them as an aligned text table so the
-benchmark scripts can print output comparable to the paper's tables and
-figure series.
+:func:`format_table` renders them as an aligned text table so
+``benchmarks/paper.py`` can print output comparable to the paper's tables
+and figure series.  :func:`overhead_percent` is the one overhead figure
+every throughput row reports.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
+
+
+def overhead_percent(baseline: float, measured: float) -> float:
+    """Throughput lost against ``baseline``, in percent (0 without a baseline)."""
+    return 100.0 * (1.0 - measured / baseline) if baseline > 0 else 0.0
 
 
 def format_table(rows: Sequence, title: Optional[str] = None) -> str:
@@ -50,13 +56,3 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.2f}"
     return str(value)
-
-
-def format_key_values(data: Dict, title: Optional[str] = None) -> str:
-    """Render a flat dictionary as ``key: value`` lines."""
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for key, value in data.items():
-        lines.append(f"  {key}: {_cell(value)}")
-    return "\n".join(lines)

@@ -73,7 +73,7 @@ class ResourceRow:
 
 def run_resource_utilization(thread_counts: Sequence[int] = (2, 64, 256, 1024),
                              locks: int = 8, signatures: int = 64,
-                             iterations: int = 20) -> List[ResourceRow]:
+                             iterations: int = 8) -> List[ResourceRow]:
     """Measure history footprint and engine memory across thread counts."""
     rows: List[ResourceRow] = []
     for threads in thread_counts:

@@ -61,14 +61,27 @@ class HistoryChannel:
         #: Everything that crossed this channel, in either direction.
         self._carried = PoolState()
         self._carried_lock = threading.Lock()
+        #: Deltas the transport failed to write: carried, but still owed.
+        self._owed: Delta = ([], [])
         self._closed = False
 
     def send(self, records=(), controls=()) -> None:
-        """Offer records and controls to the pool; what already crossed is dropped."""
-        if not self._closed:
-            records, controls = self._fresh(records, controls)
-            if records or controls:
-                self._send(records, controls)
+        """Offer records and controls to the pool; what already crossed is dropped.
+
+        A delta the transport could not write stays owed and goes out
+        with the next send, so ``SignaturePool.sync`` repairs it.
+        """
+        if self._closed:
+            return
+        records, controls = self._fresh(records, controls)
+        if self._owed[0] or self._owed[1]:
+            with self._carried_lock:
+                owed, self._owed = self._owed, ([], [])
+            records, controls = owed[0] + records, owed[1] + controls
+        if (records or controls) and self._send(records, controls) is False:
+            with self._carried_lock:
+                self._owed[0].extend(records)
+                self._owed[1].extend(controls)
 
     def receive(self) -> Delta:
         """The records and controls that arrived since the previous call."""
@@ -118,7 +131,8 @@ class HistoryChannel:
 
     # -- what a transport implements ---------------------------------------------------
 
-    def _send(self, records: List[dict], controls: List[dict]) -> None:
+    def _send(self, records: List[dict], controls: List[dict]) -> Optional[bool]:
+        """Write one delta; False when the transport could not."""
         raise NotImplementedError
 
     def _receive(self) -> Delta:

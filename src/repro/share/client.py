@@ -8,8 +8,9 @@ is no acknowledgement to wait for, because losing a publish merely delays
 pool convergence until the next worker learns the same signature.
 
 Failure behaviour: a dead daemon never breaks the application.  Sends
-and receives on a dead connection are no-ops (counted in ``io_errors``),
-and each of them transparently attempts one reconnect per
+and receives on a dead connection are no-ops (a failed write counts in
+``io_errors``, and its delta stays owed until a later send gets it
+out), and each of them transparently attempts one reconnect per
 ``reconnect_interval`` seconds, re-subscribing with a fresh snapshot so
 a restarted daemon repopulates the worker.  Explicit questions
 (``snapshot``/``status``) raise :class:`~repro.core.errors.ShareError`
@@ -179,10 +180,10 @@ class SocketChannel(HistoryChannel):
 
     # -- the channel contract ----------------------------------------------------------
 
-    def _send(self, records, controls) -> None:
+    def _send(self, records, controls) -> bool:
         self._maybe_reconnect()
-        self._write({"op": "publish", "signatures": records,
-                     "controls": controls})
+        return self._write({"op": "publish", "signatures": records,
+                            "controls": controls})
 
     def _receive(self) -> Delta:
         self._maybe_reconnect()

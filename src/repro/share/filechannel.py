@@ -179,11 +179,11 @@ class FileChannel(HistoryChannel):
 
     # -- writing -----------------------------------------------------------------------
 
-    def _send(self, records, controls) -> None:
-        self._append([{"signature": record} for record in records]
-                     + [{"control": control} for control in controls])
+    def _send(self, records, controls) -> bool:
+        return self._append([{"signature": record} for record in records]
+                            + [{"control": control} for control in controls])
 
-    def _append(self, lines: List[dict]) -> None:
+    def _append(self, lines: List[dict]) -> bool:
         try:
             with locked_file(self._path, exclusive=True):
                 # Re-validate under the lock: the path may have been
@@ -203,6 +203,8 @@ class FileChannel(HistoryChannel):
                     self._compact_locked(self._compact_slack)
         except OSError:
             self.io_errors += 1
+            return False
+        return True
 
     # -- compaction --------------------------------------------------------------------
 

@@ -187,8 +187,9 @@ class SignaturePool:
 
         Sends every signature in the local history and every standing
         control (a restarted worker re-seeds the pool from its history
-        file, and a send the wire lost before the channel is made good;
-        the channel keeps what it already carried off the wire), then
+        file, and a send lost before the channel is made good; the
+        channel keeps what it already carried off the wire and re-sends
+        what its transport failed to write), then
         installs the pool's whole snapshot — signatures and standing
         controls.  Returns the number of signatures installed.
         """

@@ -29,8 +29,8 @@ testable by exploring the scheduler's choice tree:
   seeded history in none.
 
 Reductions and soundness.  Local steps (``Compute``/``Log``/thread exit)
-commute with everything, so they are executed eagerly without branching
-(``visible_only``).  Sleep sets — per-lock footprints as the
+commute with everything, so they are executed eagerly without branching.
+Sleep sets — per-lock footprints as the
 independence relation — exist only inside source-DPOR, which seeds
 each branch with its explored siblings (:mod:`repro.sim.dpor`).  A
 preemption bound, when set,
@@ -136,12 +136,10 @@ class _DfsPolicy(SchedulePolicy):
     name = "dfs"
 
     def __init__(self, node: FrontierNode, max_depth: Optional[int],
-                 visible_only: bool,
                  observation: Optional[RunObservation] = None):
         self.forced = node.choices
         self.sleep_in = node.sleep_at
         self.max_depth = max_depth
-        self.visible_only = visible_only
         self.observation = observation
         self.sleep: Dict[int, Optional[int]] = {}
         self.taken: List[int] = []
@@ -197,19 +195,15 @@ class _DfsPolicy(SchedulePolicy):
             return self._take(slot, entry[0], slots,
                               visible=entry[1] is not None)
 
-        if self.visible_only:
-            invisible = [s for s in slots if by_slot[s][1] is None]
-            if invisible:
-                # Local moves commute with everything: run one eagerly,
-                # never branch over their order (and never charge the
-                # reduction-imposed switch as a preemption).
-                slot = self.prev_slot if self.prev_slot in invisible else invisible[0]
-                self._step_position = position
-                return self._take(slot, by_slot[slot][0], slots, visible=False)
-            pool = [s for s in slots if by_slot[s][1] is not None]
-        else:
-            pool = slots
-        branchable = [s for s in pool if s not in self.sleep]
+        invisible = [s for s in slots if by_slot[s][1] is None]
+        if invisible:
+            # Local moves commute with everything: run one eagerly, never
+            # branch over their order (and never charge the
+            # reduction-imposed switch as a preemption).
+            slot = self.prev_slot if self.prev_slot in invisible else invisible[0]
+            self._step_position = position
+            return self._take(slot, by_slot[slot][0], slots, visible=False)
+        branchable = [s for s in slots if s not in self.sleep]
         if not branchable:
             raise _CutRun("sleep")
         chosen = self.prev_slot if self.prev_slot in branchable else branchable[0]
@@ -472,14 +466,12 @@ class Explorer:
     def __init__(self, scenario: ScenarioFactory, *, name: str = "scenario",
                  max_runs: int = 10_000, max_depth: Optional[int] = None,
                  preemption_bound: Optional[int] = None,
-                 visible_only: bool = True,
                  strategy: Optional[str] = None):
         self.scenario = scenario
         self.name = name
         self.max_runs = max_runs
         self.max_depth = max_depth
         self.preemption_bound = preemption_bound
-        self.visible_only = visible_only
         if strategy is not None and strategy != "auto" \
                 and strategy not in STRATEGIES:
             raise SimulationError(
@@ -507,7 +499,7 @@ class Explorer:
     def _run_node(self, node: FrontierNode) -> RunRecord:
         """Execute one frontier node to its end (or its cut)."""
         collect = self.resolve_strategy() == "dpor"
-        policy = _DfsPolicy(node, self.max_depth, self.visible_only,
+        policy = _DfsPolicy(node, self.max_depth,
                             RunObservation() if collect else None)
         scheduler = self._build(policy)
         try:

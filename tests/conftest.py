@@ -93,6 +93,28 @@ def hand_over_the_filter():
     return hand_over
 
 
+@pytest.fixture(scope="session")
+def record_requests():
+    """``record_requests(engine, view)``: wrap ``engine.request`` so each
+    request appends ``view(stack, outcome)`` to the returned list.
+
+    ``view`` runs inside the request, while the caller's frames are live:
+    a lazy stack read there shows what the engine saw, not what is left of
+    it once the acquire returned.
+    """
+    def wrap(engine, view) -> list:
+        request, seen = engine.request, []
+
+        def recording_request(thread_id, lock_id, stack, *rest):
+            outcome = request(thread_id, lock_id, stack, *rest)
+            seen.append(view(stack, outcome))
+            return outcome
+
+        engine.request = recording_request
+        return seen
+    return wrap
+
+
 def stack(*labels: str) -> CallStack:
     """Shorthand for building symbolic call stacks in tests."""
     return CallStack.from_labels(list(labels))

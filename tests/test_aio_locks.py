@@ -190,7 +190,7 @@ class TestAioLockBasics:
         assert not second["deadlocked"]
         assert second["completed"] == 2
 
-    def test_wait_for_wrapped_acquire_is_matched_at_full_depth(self):
+    def test_wait_for_wrapped_acquire_is_matched_at_full_depth(self, record_requests):
         """A signature over the caller's path fires through ``wait_for`` as it does without.
 
         On Python ≤ 3.11 the request runs in ``wait_for``'s wrapper task, where the
@@ -216,17 +216,11 @@ class TestAioLockBasics:
         def run(history, outer, through_wait_for, **overrides):
             runtime = _make_runtime(history=history, start=False, **overrides)
             engine = runtime.dimmunix.engine
-            request, requests = engine.request, []
-
-            def recording_request(thread_id, lock_id, stack, *rest):
-                outcome = request(thread_id, lock_id, stack, *rest)
-                requests.append((stack.frames, outcome.decision))
-                return outcome
-
-            engine.request = recording_request
             # Another unit holds a lock it took at the signature's other stack.
-            assert request(999, 12345, foreign).is_go
+            assert engine.request(999, 12345, foreign).is_go
             engine.acquired(999, 12345, foreign)
+            requests = record_requests(
+                engine, lambda stack, outcome: (stack.frames, outcome.decision))
             taken = asyncio.run(outer(AioLock(runtime=runtime), through_wait_for))
             return taken, requests, runtime.dimmunix.stats.yield_decisions
 

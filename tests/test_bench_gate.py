@@ -1,4 +1,4 @@
-"""``benchmarks/gate.py``'s rule, and the CLI helper the paper-artefact scripts share.
+"""``benchmarks/gate.py``'s rule.
 
 The gate is driven end to end: two fake trees whose ``benchmarks/e2e/run.py``
 writes a canned ``--output`` report (so a "run" takes milliseconds), compared
@@ -7,7 +7,6 @@ by the real ``run.py compare`` against the bounds of the real ``BENCHMARK.json``
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import os
 import shutil
@@ -122,31 +121,3 @@ def test_run_leftovers_do_not_count_as_a_different_benchmark(tmp_path):
     done = run_gate(tmp_path, base, head)
     assert "gate: PASS" in done.stdout, done.stdout + done.stderr
 
-
-def test_bench_main_writes_a_self_describing_payload(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "quickbench", os.path.join(ROOT, "benchmarks", "quickbench.py"))
-    quickbench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(quickbench)
-    monkeypatch.chdir(tmp_path)
-    rows = {"full": [{"threads": 4, "ops_per_sec": 2.5}], "quick": [{"threads": 1}]}
-
-    assert quickbench.bench_main("demo", full=lambda: rows["full"],
-                                 quick=lambda: rows["quick"], argv=["--quick"]) == 0
-    with open(tmp_path / "BENCH_demo.json", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    assert set(payload) == {"benchmark", "quick", "elapsed_seconds", "python",
-                            "gil_enabled", "results"}
-    assert (payload["benchmark"], payload["quick"], payload["results"]) == (
-        "demo", True, rows["quick"])
-    assert payload["gil_enabled"] is getattr(sys, "_is_gil_enabled", lambda: True)()
-
-    elsewhere = str(tmp_path / "out.json")
-    assert quickbench.bench_main("demo", full=lambda: rows["full"],
-                                 argv=["--quick", "--output", elsewhere]) == 0
-    with open(elsewhere, encoding="utf-8") as handle:
-        assert json.load(handle)["results"] == rows["full"]     # no quick variant: full runs
-
-    os.remove(tmp_path / "BENCH_demo.json")
-    assert quickbench.bench_main("demo", full=lambda: rows["full"], argv=["--no-json"]) == 0
-    assert not os.path.exists(tmp_path / "BENCH_demo.json")

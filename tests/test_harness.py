@@ -10,7 +10,8 @@ from repro.harness.appworkloads import (run_aiobroker_workload,
                                         run_broker_workload, run_jdbc_workload)
 from repro.harness.effectiveness import run_table1, run_table2
 from repro.harness.falsepos import run_figure9, run_gate_lock_comparison
-from repro.harness.report import format_key_values, format_table
+from repro.harness.overhead import _collect_app_stacks
+from repro.harness.report import format_table, overhead_percent
 from repro.harness.resources import run_resource_utilization
 from repro.instrument.aio import AsyncioRuntime
 from repro.instrument.runtime import InstrumentationRuntime
@@ -36,9 +37,10 @@ class TestReportFormatting:
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([], title="Empty")
 
-    def test_format_key_values(self):
-        text = format_key_values({"a": 1, "b": None}, title="KV")
-        assert "a: 1" in text and "b: -" in text
+    def test_overhead_percent(self):
+        assert overhead_percent(200.0, 150.0) == 25.0
+        assert overhead_percent(100.0, 125.0) == -25.0      # faster than the baseline
+        assert overhead_percent(0.0, 10.0) == 0.0           # no baseline, no figure
 
 
 class TestAppWorkloads:
@@ -73,6 +75,15 @@ class TestAppWorkloads:
         result = run_jdbc_workload(runtime, threads=2, transactions=3, pool_size=2)
         assert result.operations > 0
         assert result.errors == 0
+
+
+class TestFigure4History:
+    @pytest.mark.parametrize("app", ["broker", "aiobroker"])
+    def test_signatures_pair_full_depth_application_stacks(self, app):
+        # Read back after the warm-up, a lazily captured stack has lost its
+        # frames: every signature would then name a bare lock site.
+        stacks = _collect_app_stacks(app, threads=2, cycles=2)
+        assert stacks and all(len(stack) > 1 for stack in stacks)
 
 
 class TestEffectivenessRunners:

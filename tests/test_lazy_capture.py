@@ -95,23 +95,17 @@ class TestRealRuntimeDifferential:
         assert _serialized(lazy_history) == _serialized(eager_history)
 
     @pytest.mark.parametrize("name", BRACKET_EXPLOITS)
-    def test_named_site_captures_archive_the_same_bytes(self, name):
+    def test_named_site_captures_archive_the_same_bytes(self, name, record_requests):
         # The third leg: a seeded signature names every call site the exploit
         # acquires at, so each capture is walked in place (no LazyCallStack).
-        sites, worlds = set(), []
+        tops, worlds = [], []
 
         def record_sites(dimmunix):
-            request = dimmunix.engine.request
-
-            def recording_request(thread_id, lock_id, stack, *rest):
-                sites.add(stack.top())
-                return request(thread_id, lock_id, stack, *rest)
-
-            dimmunix.engine.request = recording_request
+            tops.append(record_requests(dimmunix.engine, lambda stack, _: stack.top()))
 
         _, eager_history = _run_detection_trial(name, lazy=False, prepare=record_sites)
         _, lazy_history = _run_detection_trial(name, lazy=True)
-        seed = Signature([CallStack([site]) for site in sites])
+        seed = Signature([CallStack([site]) for site in set(tops[0])])
 
         def name_every_site(dimmunix):
             dimmunix.history.add(seed)

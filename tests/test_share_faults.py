@@ -212,3 +212,55 @@ def test_a_corrupt_copy_does_not_block_the_real_signature(channels):
         assert sender.daemon.history.get(real.fingerprint) == real
     assert pool_a.publish_errors == 0
     pool_a.close(), pool_b.close()
+
+
+def test_a_send_to_a_dead_daemon_is_repaired_by_sync(tmp_path):
+    """A publish while the daemon is gone is not lost: once a daemon is
+    back on the same socket, ``sync()`` gets it there."""
+    sock = str(tmp_path / "pool.sock")
+    server = HistoryServer(unix_path=sock).start()
+    channel = SocketChannel(("unix", sock), reconnect_interval=0.0)
+    assert channel.wait_synced(5)
+    history = History(path=None, autosave=False)
+    pool = SignaturePool(history, channel)
+    server.stop()                                   # killed mid-publish
+    deadline = time.monotonic() + 5
+    while channel.connected and time.monotonic() < deadline:
+        time.sleep(0.01)
+    learned = make_signature("outage")
+    history.add(learned)                            # published into the outage
+    revived = HistoryServer(unix_path=sock).start()
+    try:
+        pool.sync()
+        deadline = time.monotonic() + 5
+        while revived.history.get(learned.fingerprint) is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert revived.history.get(learned.fingerprint) == learned
+    finally:
+        pool.close()
+        revived.stop()
+
+
+def test_a_failed_append_is_repaired_by_sync(tmp_path, monkeypatch):
+    """An append that raises ``OSError`` is counted, and the next
+    ``sync()`` writes the lost record for the peer to read."""
+    from repro.share import filechannel
+
+    path = str(tmp_path / "pool.sig")
+    sender, receiver = FileChannel(path), FileChannel(path)
+    history_a, history_b = History(path=None, autosave=False), History(path=None, autosave=False)
+    pool_a, pool_b = SignaturePool(history_a, sender), SignaturePool(history_b, receiver)
+    real_lock = filechannel.locked_file
+
+    def failing_lock(path, exclusive=True):
+        monkeypatch.setattr(filechannel, "locked_file", real_lock)   # one failure, then healed
+        raise OSError("injected append failure")
+
+    monkeypatch.setattr(filechannel, "locked_file", failing_lock)
+    learned = make_signature("append")
+    history_a.add(learned)
+    assert sender.io_errors == 1
+    pool_a.sync()
+    pool_b.pump()
+    assert history_b.get(learned.fingerprint) == learned
+    pool_a.close(), pool_b.close()
