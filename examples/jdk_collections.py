@@ -2,10 +2,12 @@
 
 Two threads call ``v1.add_all(v2)`` and ``v2.add_all(v1)`` on synchronized
 vectors — perfectly legal API usage that deadlocks inside the library.
-The example first lets the deadlock happen (detection run), then shows the
-program running to completion once the signature is known, and finally
-demonstrates that the avoidance is fine grained: the same method running
-on an unrelated pair of vectors is not serialized at all.
+The example explores every interleaving of that program (the library's
+own code, run as thread programs on the simulator): unprotected some of
+them deadlock; Dimmunix learns their signature, and with it none does.
+It then installs the learned history in an engine on real threads to show
+that the avoidance is fine grained: the same method running on an
+unrelated pair of vectors is not serialized at all.
 
 Run it with::
 
@@ -16,74 +18,37 @@ from __future__ import annotations
 
 import threading
 
-from repro import Dimmunix, DimmunixConfig, History
+from repro import Dimmunix, DimmunixConfig
 from repro.apps import MiniApp, SyncVector
-from repro.apps.base import AppLockTimeout, interleave_pause
 from repro.instrument import InstrumentationRuntime
-
-
-def cross_add_all(app: MiniApp, verbose_label: str) -> dict:
-    """v1.add_all(v2) and v2.add_all(v1) in parallel; returns what happened."""
-    v1 = SyncVector(app, ["a", "b"])
-    v2 = SyncVector(app, ["c", "d"])
-    e1, e2 = threading.Event(), threading.Event()
-    outcome = {"timeouts": 0, "sizes": []}
-
-    def left():
-        try:
-            outcome["sizes"].append(
-                v1.add_all(v2, _pause=interleave_pause(e1, e2, 0.3)))
-        except AppLockTimeout:
-            outcome["timeouts"] += 1
-
-    def right():
-        try:
-            outcome["sizes"].append(
-                v2.add_all(v1, _pause=interleave_pause(e2, e1, 0.3)))
-        except AppLockTimeout:
-            outcome["timeouts"] += 1
-
-    threads = [threading.Thread(target=left), threading.Thread(target=right)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    print(f"  {verbose_label}: timeouts={outcome['timeouts']}, "
-          f"result sizes={outcome['sizes']}")
-    return outcome
+from repro.sim import ImmunityChecker
+from repro.workloads.exploits import exploit_by_name
 
 
 def main() -> None:
-    history = History()  # in-memory; a real deployment would give it a path
+    exploit = exploit_by_name("jdk-vector")
+    report = ImmunityChecker(exploit.scenario, name=exploit.name).check()
+    vulnerable, immune = report.vulnerable, report.immune
+    print("addAll/addAll on the same pair, every interleaving:")
+    print(f"  deadlocks in {vulnerable.deadlock_count} of {vulnerable.runs} interleavings"
+          f" -> {report.learned_signatures} signature(s)"
+          f" -> {immune.deadlock_count} of {immune.runs}")
+    assert report.holds
 
-    print("Run 1: detection only (the deadlock is allowed to happen)")
-    detection = Dimmunix(DimmunixConfig(monitor_interval=0.02, detection_only=True),
-                         history=history)
-    detection.start()
-    app = MiniApp(runtime=InstrumentationRuntime(detection), acquire_timeout=1.0)
-    cross_add_all(app, "addAll/addAll on the same pair")
-    detection.stop()
-    print(f"  signatures archived: {len(history)}")
-
-    print("\nRun 2: immune (signature in history)")
-    immune = Dimmunix(DimmunixConfig(monitor_interval=0.02), history=history)
-    immune.start()
-    app = MiniApp(runtime=InstrumentationRuntime(immune), acquire_timeout=1.0)
-    cross_add_all(app, "addAll/addAll on the same pair")
-    print(f"  yields performed: {immune.stats.yield_decisions}")
-
-    print("\nStill run 2: unrelated vectors are NOT serialized "
-          "(finer grain than gate locks)")
-    yields_before = immune.stats.yield_decisions
+    print("\nReal threads, learned history installed: unrelated vectors are NOT "
+          "serialized (finer grain than gate locks)")
+    engine = Dimmunix(DimmunixConfig(monitor_interval=0.02), history=report.history)
+    engine.start()
+    app = MiniApp(runtime=InstrumentationRuntime(engine))
     v3 = SyncVector(app, [1])
     v4 = SyncVector(app, [2])
     t = threading.Thread(target=lambda: v3.add_all(v4))
     t.start()
     v4_size = v4.add_all(SyncVector(app, [3]))
     t.join()
-    print(f"  extra yields caused: {immune.stats.yield_decisions - yields_before} "
+    print(f"  extra yields caused: {engine.stats.yield_decisions} "
           f"(v4 now has {v4_size} items)")
-    immune.stop()
+    engine.stop()
 
 
 if __name__ == "__main__":

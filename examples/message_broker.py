@@ -2,12 +2,15 @@
 
 The mini broker reproduces ActiveMQ bug #575: ``Queue.drop_event()`` locks
 the queue and then the subscription while ``PrefetchSubscription.add()``
-locks them in the opposite order.  The example:
+(and its acknowledgement path, ``remove()``) locks them in the opposite
+order.  The example:
 
 1. runs a normal produce/dispatch/acknowledge workload (no deadlock),
-2. triggers the bug once (detection run) and shows the archived signature,
-3. repeats the dangerous operation under immunity and shows that the
-   broker keeps serving its normal workload with negligible impact.
+2. explores every interleaving of the racing operations (the broker's own
+   code, run as thread programs on the simulator): some deadlock, and
+   Dimmunix learns a signature per deadlock pattern until none does,
+3. serves the normal workload again on real threads with the learned
+   history installed, with negligible impact.
 
 Run it with::
 
@@ -19,40 +22,11 @@ from __future__ import annotations
 import threading
 import time
 
-from repro import Dimmunix, DimmunixConfig, History
+from repro import Dimmunix, DimmunixConfig
 from repro.apps import Broker
-from repro.apps.base import AppLockTimeout, interleave_pause
 from repro.instrument import InstrumentationRuntime
-
-
-def trigger_bug_575(broker: Broker) -> int:
-    """Race Queue.drop_event against PrefetchSubscription.add; returns timeouts."""
-    queue = broker.create_queue("orders")
-    subscription = broker.subscribe(queue, "order-processor")
-    queue.enqueue({"id": 1})
-    e1, e2 = threading.Event(), threading.Event()
-    timeouts = [0]
-
-    def adder():
-        try:
-            subscription.add(queue, {"id": 2},
-                             _pause=interleave_pause(e1, e2, 0.3))
-        except AppLockTimeout:
-            timeouts[0] += 1
-
-    def dropper():
-        try:
-            queue.drop_event(subscription,
-                             _pause=interleave_pause(e2, e1, 0.3))
-        except AppLockTimeout:
-            timeouts[0] += 1
-
-    threads = [threading.Thread(target=adder), threading.Thread(target=dropper)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return timeouts[0]
+from repro.sim import ImmunityChecker
+from repro.workloads.exploits import exploit_by_name
 
 
 def serve_workload(broker: Broker, workers: int = 4, cycles: int = 5) -> float:
@@ -76,34 +50,32 @@ def serve_workload(broker: Broker, workers: int = 4, cycles: int = 5) -> float:
 
 
 def main() -> None:
-    history = History()
-
     print("Phase 1: normal operation (no deadlock, nothing to avoid)")
-    dimmunix = Dimmunix(DimmunixConfig(monitor_interval=0.02), history=history)
+    dimmunix = Dimmunix(DimmunixConfig(monitor_interval=0.02))
     dimmunix.start()
-    broker = Broker(runtime=InstrumentationRuntime(dimmunix), acquire_timeout=1.0)
+    broker = Broker(runtime=InstrumentationRuntime(dimmunix))
     print(f"  workload throughput: {serve_workload(broker):.0f} acks/s")
-
-    print("\nPhase 2: the ActiveMQ #575 race fires (first occurrence)")
-    timeouts = trigger_bug_575(broker)
-    dimmunix.process_now()
-    print(f"  stuck operations   : {timeouts}")
-    print(f"  deadlocks detected : {dimmunix.stats.deadlocks_detected}")
-    for signature in dimmunix.signatures():
-        print(f"  archived signature : {signature.fingerprint} "
-              f"({signature.size} threads)")
     dimmunix.stop()
 
-    print("\nPhase 3: same broker code, now immune")
-    immune = Dimmunix(DimmunixConfig(monitor_interval=0.02), history=history)
-    immune.start()
-    broker = Broker(runtime=InstrumentationRuntime(immune), acquire_timeout=1.0)
-    timeouts = trigger_bug_575(broker)
+    print("\nPhase 2: the ActiveMQ #575 race, every interleaving")
+    exploit = exploit_by_name("activemq-575")
+    report = ImmunityChecker(exploit.scenario, name=exploit.name).check()
+    vulnerable, immune = report.vulnerable, report.immune
+    print(f"  deadlocks in {vulnerable.deadlock_count} of {vulnerable.runs} interleavings"
+          f" -> {report.learned_signatures} signature(s)"
+          f" -> {immune.deadlock_count} of {immune.runs}")
+    for signature in report.history.signatures():
+        print(f"  archived signature : {signature.fingerprint} "
+              f"({signature.size} threads)")
+    assert report.holds
+
+    print("\nPhase 3: same broker code on real threads, learned history installed")
+    immune_engine = Dimmunix(DimmunixConfig(monitor_interval=0.02), history=report.history)
+    immune_engine.start()
+    broker = Broker(runtime=InstrumentationRuntime(immune_engine))
     throughput = serve_workload(broker)
-    print(f"  stuck operations   : {timeouts}")
-    print(f"  yields performed   : {immune.stats.yield_decisions}")
     print(f"  workload throughput: {throughput:.0f} acks/s (still serving)")
-    immune.stop()
+    immune_engine.stop()
 
 
 if __name__ == "__main__":

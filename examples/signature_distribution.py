@@ -7,12 +7,13 @@ file immunizes other deployments proactively — the program can even be
 without a restart.
 
 This example plays both roles with the JDBC-style connection pool bug
-(#2147, getWarnings vs close):
+(#2147, getWarnings vs close), whose real code the simulator runs over
+every interleaving:
 
-1. the "vendor" reproduces the deadlock in its test lab and exports the
-   signature file,
-2. the "customer" imports that file into a fresh deployment and never
-   deadlocks, on the very first run.
+1. the "vendor" explores the bug in its test lab, learns its signature and
+   exports the signature file,
+2. the "customer" imports that file into a fresh deployment, and no
+   interleaving deadlocks there, the very first one included.
 
 Run it with::
 
@@ -23,66 +24,32 @@ from __future__ import annotations
 
 import os
 import tempfile
-import threading
 
 from repro import Dimmunix, DimmunixConfig
-from repro.apps import Connection
-from repro.apps.base import AppLockTimeout, interleave_pause
-from repro.instrument import InstrumentationRuntime
+from repro.sim import DimmunixBackend, Explorer, ImmunityChecker
+from repro.workloads.exploits import exploit_by_name
 
-
-def race_warnings_against_close(connection: Connection) -> dict:
-    """Run PreparedStatement.get_warnings() against Connection.close()."""
-    statement = connection.prepare_statement("SELECT * FROM accounts")
-    e1, e2 = threading.Event(), threading.Event()
-    outcome = {"timeouts": 0}
-
-    def warnings():
-        try:
-            statement.get_warnings(_pause=interleave_pause(e1, e2, 0.3))
-        except AppLockTimeout:
-            outcome["timeouts"] += 1
-
-    def closer():
-        try:
-            connection.close(_pause=interleave_pause(e2, e1, 0.3))
-        except AppLockTimeout:
-            outcome["timeouts"] += 1
-
-    threads = [threading.Thread(target=warnings), threading.Thread(target=closer)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return outcome
+EXPLOIT = exploit_by_name("jdbc-2147")
 
 
 def vendor_builds_signature_file(path: str) -> None:
-    print("Vendor lab: reproducing the bug to capture its signature")
-    dimmunix = Dimmunix(DimmunixConfig(monitor_interval=0.02, detection_only=True))
-    dimmunix.start()
-    connection = Connection(runtime=InstrumentationRuntime(dimmunix),
-                            acquire_timeout=1.0)
-    outcome = race_warnings_against_close(connection)
-    dimmunix.stop()
-    exported = dimmunix.export_signatures(path)
-    print(f"  deadlock reproduced (stuck ops: {outcome['timeouts']}), "
-          f"{exported} signature(s) exported to {os.path.basename(path)}")
+    print("Vendor lab: exploring the bug to capture its signature")
+    report = ImmunityChecker(EXPLOIT.scenario, name=EXPLOIT.name).check()
+    vulnerable = report.vulnerable
+    exported = Dimmunix(DimmunixConfig(), history=report.history).export_signatures(path)
+    print(f"  deadlocks in {vulnerable.deadlock_count} of {vulnerable.runs} interleavings"
+          f" -> {exported} signature(s) exported to {os.path.basename(path)}")
 
 
 def customer_runs_with_imported_signatures(path: str) -> None:
     print("\nCustomer site: fresh deployment, signature file installed")
-    dimmunix = Dimmunix(DimmunixConfig(monitor_interval=0.02))
-    imported = dimmunix.import_signatures(path)
-    dimmunix.start()
+    customer = DimmunixBackend()
+    imported = customer.dimmunix.import_signatures(path)
     print(f"  imported signatures: {imported}")
-    connection = Connection(runtime=InstrumentationRuntime(dimmunix),
-                            acquire_timeout=1.0)
-    outcome = race_warnings_against_close(connection)
-    print(f"  stuck operations   : {outcome['timeouts']}  (expected 0)")
-    print(f"  yields performed   : {dimmunix.stats.yield_decisions}")
-    print(f"  deadlocks observed : {dimmunix.stats.deadlocks_detected}")
-    dimmunix.stop()
+    result = Explorer(lambda: EXPLOIT.scenario(customer.fork()), name=EXPLOIT.name).explore()
+    print(f"  deadlocks in {result.deadlock_count} of {result.runs} interleavings"
+          f" (expected 0; every interleaving explored: {result.exhausted})")
+    assert result.exhausted and result.deadlock_count == 0
 
 
 def main() -> None:

@@ -10,14 +10,15 @@ therefore the same deadlock cycle and signature shape).
 
 Every threaded application accepts an
 :class:`~repro.instrument.runtime.InstrumentationRuntime` so the same
-code can run uninstrumented, detection-only, or fully immune; the
-asyncio applications (:mod:`repro.apps.aiobroker`) accept an
+code can run uninstrumented, detection-only, or fully immune, and the
+simulator explores it over every interleaving through its overridden
+lock factories (:mod:`repro.workloads.exploits`); the asyncio
+applications (:mod:`repro.apps.aiobroker`) accept an
 :class:`~repro.instrument.aio.AsyncioRuntime` the same way.
 """
 
-from .base import AppLockTimeout, MiniApp, interleave_pause
-from .aiobroker import (AioApp, AioBroker, AioQueue, AioSession,
-                        AioSubscription, aio_interleave_pause)
+from .base import AppLockTimeout, MiniApp
+from .aiobroker import AioApp, AioBroker, AioQueue, AioSession, AioSubscription
 from .minidb import CustomRecursiveLock, MiniDB
 from .connpool import Connection, PreparedStatement, Statement
 from .minibroker import Broker, PrefetchSubscription, Queue, Session
@@ -53,6 +54,4 @@ __all__ = [
     "SyncVector",
     "Task",
     "TaskQueue",
-    "aio_interleave_pause",
-    "interleave_pause",
 ]

@@ -24,18 +24,14 @@ workloads can run against it (see
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 from collections import deque
 from contextlib import asynccontextmanager
-from typing import Awaitable, Callable, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..instrument.aio import AioLock, AsyncioRuntime
 from ..instrument.patching import default_runtime
 from .base import AppLockTimeout
-
-#: Type of the optional async interleaving hook threaded through methods.
-AsyncPauseHook = Optional[Callable[[], Awaitable[None]]]
 
 
 class AioApp:
@@ -66,40 +62,13 @@ class AioApp:
             raise AppLockTimeout(lock.name, operation)
 
     @asynccontextmanager
-    async def holding(self, lock: AioLock, operation: str,
-                      pause: AsyncPauseHook = None):
-        """Hold ``lock`` for the duration of the block.
-
-        ``pause`` (if given) runs right after the acquisition — exploits
-        use it to force the interleaving that exposes a bug.
-        """
+    async def holding(self, lock: AioLock, operation: str):
+        """Hold ``lock`` for the duration of the block."""
         await self.acquire_nested(lock, operation)
         try:
-            if pause is not None:
-                await pause()
             yield
         finally:
             lock.release()
-
-
-def aio_interleave_pause(my_event: asyncio.Event, other_event: asyncio.Event,
-                         timeout: float = 0.5) -> Callable[[], Awaitable[None]]:
-    """Build the standard async exploit pause hook.
-
-    The returned coroutine function signals that the calling task reached
-    its first lock and then waits (bounded) for the conflicting task to
-    reach its own — the event-loop version of
-    :func:`repro.apps.base.interleave_pause`.
-    """
-
-    async def pause() -> None:
-        my_event.set()
-        try:
-            await asyncio.wait_for(other_event.wait(), timeout)
-        except asyncio.TimeoutError:
-            pass
-
-    return pause
 
 
 class AioSubscription:
@@ -115,21 +84,17 @@ class AioSubscription:
         self.prefetched: Deque[dict] = deque()
         self.delivered: List[dict] = []
 
-    async def add(self, queue: "AioQueue", message: dict,
-                  _pause: AsyncPauseHook = None) -> int:
+    async def add(self, queue: "AioQueue", message: dict) -> int:
         """Add a message: locks the subscription, then the queue (bug #575)."""
-        async with self.broker.holding(self.lock, "AioSubscription.add",
-                                       pause=_pause):
+        async with self.broker.holding(self.lock, "AioSubscription.add"):
             self.prefetched.append(message)
             async with self.broker.holding(queue.lock, "AioSubscription.add"):
                 queue.in_flight += 1
             return len(self.prefetched)
 
-    async def remove(self, queue: "AioQueue",
-                     _pause: AsyncPauseHook = None) -> Optional[dict]:
+    async def remove(self, queue: "AioQueue") -> Optional[dict]:
         """Acknowledge a message: subscription lock, then queue lock."""
-        async with self.broker.holding(self.lock, "AioSubscription.remove",
-                                       pause=_pause):
+        async with self.broker.holding(self.lock, "AioSubscription.remove"):
             if not self.prefetched:
                 return None
             message = self.prefetched.popleft()
@@ -158,12 +123,10 @@ class AioQueue:
             self.messages.append(message)
             return len(self.messages)
 
-    async def drop_event(self, subscription: AioSubscription,
-                         _pause: AsyncPauseHook = None) -> int:
+    async def drop_event(self, subscription: AioSubscription) -> int:
         """Handle a consumer drop: locks the queue, then the subscription
         (bug #575, opposite order to :meth:`AioSubscription.add`)."""
-        async with self.broker.holding(self.lock, "AioQueue.drop_event",
-                                       pause=_pause):
+        async with self.broker.holding(self.lock, "AioQueue.drop_event"):
             async with self.broker.holding(subscription.lock,
                                            "AioQueue.drop_event"):
                 recovered = len(subscription.prefetched)
@@ -173,10 +136,9 @@ class AioQueue:
                     self.subscriptions.remove(subscription)
                 return recovered
 
-    async def dispatch_one(self, _pause: AsyncPauseHook = None) -> bool:
+    async def dispatch_one(self) -> bool:
         """Move one message into a subscription's prefetch buffer."""
-        async with self.broker.holding(self.lock, "AioQueue.dispatch_one",
-                                       pause=_pause):
+        async with self.broker.holding(self.lock, "AioQueue.dispatch_one"):
             if not self.messages or not self.subscriptions:
                 return False
             message = self.messages.popleft()
@@ -199,11 +161,9 @@ class AioSession:
         self.lock = broker.make_lock(f"aio-session-{self.session_id}")
         self.consumers: List[str] = []
 
-    async def create_consumer(self, name: str,
-                              _pause: AsyncPauseHook = None) -> str:
+    async def create_consumer(self, name: str) -> str:
         """Register a listener: locks the session, then the dispatcher."""
-        async with self.broker.holding(self.lock, "AioSession.create_consumer",
-                                       pause=_pause):
+        async with self.broker.holding(self.lock, "AioSession.create_consumer"):
             self.consumers.append(name)
             async with self.broker.holding(self.broker.dispatcher_lock,
                                            "AioSession.create_consumer"):
@@ -246,12 +206,10 @@ class AioBroker(AioApp):
 
     # -- the bug #336 dispatch path ----------------------------------------------------------------
 
-    async def dispatch_to_sessions(self, message: dict,
-                                   _pause: AsyncPauseHook = None) -> int:
+    async def dispatch_to_sessions(self, message: dict) -> int:
         """Active dispatch: locks the dispatcher, then each target session."""
         async with self.holding(self.dispatcher_lock,
-                                "AioBroker.dispatch_to_sessions",
-                                pause=_pause):
+                                "AioBroker.dispatch_to_sessions"):
             delivered = 0
             for session, _consumer in list(self.dispatch_targets):
                 async with self.holding(session.lock,

@@ -1,29 +1,29 @@
 """Shared plumbing for the miniature applications.
 
 Every application method that participates in a known deadlock follows the
-same shape: acquire a first lock, optionally run an *interleave pause*
-(used by the deterministic exploits to make sure the conflicting thread
-has reached its own first lock), then acquire a second lock with a bounded
+same shape: acquire a first lock, then a second one with a bounded
 timeout.  A timeout means the thread was stuck in a deadlock long enough
 for the monitor to have detected it; the application surfaces this as
-:class:`AppLockTimeout`, which the exploit harness interprets as "this
-trial deadlocked" (the stand-in for the external restart the paper relies
-on for recovery).
+:class:`AppLockTimeout` (the stand-in for the external restart the paper
+relies on for recovery).
+
+Locks come from the factories :meth:`MiniApp.make_lock` and
+:meth:`MiniApp.make_rlock`, which a subclass overrides to run the same
+code on other locks: plain ``threading`` ones (the benchmark's native
+twin) or the simulator's thread-program locks
+(:mod:`repro.sim.threads`), under which the Table 1-2 exploits are
+explored over every interleaving (:mod:`repro.workloads.exploits`).
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.errors import DimmunixError
 from ..instrument.locks import DimmunixLock, DimmunixRLock
 from ..instrument.patching import default_runtime
 from ..instrument.runtime import InstrumentationRuntime
-
-#: Type of the optional interleaving hook threaded through app methods.
-PauseHook = Optional[Callable[[], None]]
 
 
 class AppLockTimeout(DimmunixError):
@@ -71,36 +71,10 @@ class MiniApp:
             raise AppLockTimeout(lock.name, operation)
 
     @contextmanager
-    def holding(self, lock: DimmunixLock, operation: str,
-                pause: PauseHook = None):
-        """Hold ``lock`` for the duration of the block.
-
-        ``pause`` (if given) runs right after the acquisition — exploits use
-        it to force the interleaving that exposes a bug.
-        """
+    def holding(self, lock: DimmunixLock, operation: str):
+        """Hold ``lock`` for the duration of the block."""
         self.acquire_nested(lock, operation)
         try:
-            if pause is not None:
-                pause()
             yield
         finally:
             lock.release()
-
-
-def interleave_pause(my_event: threading.Event, other_event: threading.Event,
-                     timeout: float = 0.5) -> Callable[[], None]:
-    """Build the standard exploit pause hook.
-
-    The returned callable signals that the calling thread reached its first
-    lock and then waits (bounded) for the conflicting thread to reach its
-    own.  Without avoidance both threads proceed into the deadlock; with
-    avoidance one of them is parked before signalling, the other times out
-    and completes — exactly the behaviour the paper's timing-loop exploits
-    produce.
-    """
-
-    def pause() -> None:
-        my_event.set()
-        other_event.wait(timeout)
-
-    return pause

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, List, Optional
 
-from .base import MiniApp, PauseHook
+from .base import MiniApp
 
 
 class _SyncBase:
@@ -58,9 +58,9 @@ class SyncVector(_SyncBase):
         with self._app.holding(self.lock, "Vector.items"):
             return list(self._items)
 
-    def add_all(self, other: "SyncVector", _pause: PauseHook = None) -> int:
+    def add_all(self, other: "SyncVector") -> int:
         """Append all of ``other``: locks self, then other (Table 2, Vector row)."""
-        with self._app.holding(self.lock, "Vector.add_all", pause=_pause):
+        with self._app.holding(self.lock, "Vector.add_all"):
             with self._app.holding(other.lock, "Vector.add_all"):
                 self._items.extend(other._items)
                 return len(self._items)
@@ -83,14 +83,14 @@ class SyncHashtable(_SyncBase):
         with self._app.holding(self.lock, "Hashtable.get"):
             return self._data.get(key, default)
 
-    def equals(self, other: "SyncHashtable", _pause: PauseHook = None) -> bool:
+    def equals(self, other: "SyncHashtable") -> bool:
         """Structural comparison: locks self, then the entries' containers.
 
         When ``h1`` is a member of ``h2`` and vice versa, comparing each
         against the other concurrently locks the two tables in opposite
         orders (Table 2, Hashtable row).
         """
-        with self._app.holding(self.lock, "Hashtable.equals", pause=_pause):
+        with self._app.holding(self.lock, "Hashtable.equals"):
             for value in self._data.values():
                 if isinstance(value, SyncHashtable) and value is not self:
                     with self._app.holding(value.lock, "Hashtable.equals"):
@@ -120,10 +120,9 @@ class SyncStringBuffer(_SyncBase):
             self._chunks.append(text)
             return self
 
-    def append(self, other: "SyncStringBuffer",
-               _pause: PauseHook = None) -> "SyncStringBuffer":
+    def append(self, other: "SyncStringBuffer") -> "SyncStringBuffer":
         """Append another buffer: locks self, then other (Table 2, StringBuffer row)."""
-        with self._app.holding(self.lock, "StringBuffer.append", pause=_pause):
+        with self._app.holding(self.lock, "StringBuffer.append"):
             with self._app.holding(other.lock, "StringBuffer.append"):
                 self._chunks.extend(other._chunks)
                 return self
@@ -146,10 +145,10 @@ class CharArrayWriter(_SyncBase):
         with self._app.holding(self.lock, "CharArrayWriter.contents"):
             return "".join(self._buffer)
 
-    def write_to(self, writer: "SyncPrintWriter", _pause: PauseHook = None) -> int:
+    def write_to(self, writer: "SyncPrintWriter") -> int:
         """Flush into a print writer: locks self, then the writer (Table 2,
         PrintWriter row, one direction of the inversion)."""
-        with self._app.holding(self.lock, "CharArrayWriter.write_to", pause=_pause):
+        with self._app.holding(self.lock, "CharArrayWriter.write_to"):
             with self._app.holding(writer.lock, "CharArrayWriter.write_to"):
                 text = "".join(self._buffer)
                 writer._sink.append(text)
@@ -164,10 +163,10 @@ class SyncPrintWriter(_SyncBase):
         self._sink: List[str] = []
         self.backing = backing
 
-    def write(self, text: str, _pause: PauseHook = None) -> None:
+    def write(self, text: str) -> None:
         """Write through to the backing buffer: locks self, then the backing
         CharArrayWriter (Table 2, PrintWriter row, the other direction)."""
-        with self._app.holding(self.lock, "PrintWriter.write", pause=_pause):
+        with self._app.holding(self.lock, "PrintWriter.write"):
             self._sink.append(text)
             if self.backing is not None:
                 with self._app.holding(self.backing.lock, "PrintWriter.write"):
@@ -193,19 +192,19 @@ class BeanContext(_SyncBase):
         with self._app.holding(self.lock, "BeanContext.add_child"):
             self.children.append(child)
 
-    def property_change(self, key: str, value, _pause: PauseHook = None) -> None:
+    def property_change(self, key: str, value) -> None:
         """Propagate a property change: locks self, then every child
         (Table 2, BeanContextSupport row)."""
-        with self._app.holding(self.lock, "BeanContext.property_change", pause=_pause):
+        with self._app.holding(self.lock, "BeanContext.property_change"):
             self.properties[key] = value
             for child in list(self.children):
                 with self._app.holding(child.lock, "BeanContext.property_change"):
                     child.properties[key] = value
 
-    def remove(self, parent: "BeanContext", _pause: PauseHook = None) -> bool:
+    def remove(self, parent: "BeanContext") -> bool:
         """Detach from a parent: locks self, then the parent — the opposite
         nesting of :meth:`property_change`."""
-        with self._app.holding(self.lock, "BeanContext.remove", pause=_pause):
+        with self._app.holding(self.lock, "BeanContext.remove"):
             with self._app.holding(parent.lock, "BeanContext.remove"):
                 if self in parent.children:
                     parent.children.remove(self)

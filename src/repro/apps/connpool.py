@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from .base import MiniApp, PauseHook
+from .base import MiniApp
 
 
 class Statement:
@@ -39,24 +39,24 @@ class Statement:
 
     # -- statement-first, connection-second methods ------------------------------------------
 
-    def execute_query(self, sql: str, _pause: PauseHook = None) -> List[dict]:
+    def execute_query(self, sql: str) -> List[dict]:
         """Run a query: locks the statement, then the connection (bugs #31136/#17709)."""
         app = self.connection.app
-        with app.holding(self.lock, "Statement.execute_query", pause=_pause):
+        with app.holding(self.lock, "Statement.execute_query"):
             with app.holding(self.connection.lock, "Statement.execute_query"):
                 return self.connection._run_query(sql)
 
-    def get_warnings(self, _pause: PauseHook = None) -> List[str]:
+    def get_warnings(self) -> List[str]:
         """Fetch warnings: locks the statement, then the connection (bug #2147)."""
         app = self.connection.app
-        with app.holding(self.lock, "Statement.get_warnings", pause=_pause):
+        with app.holding(self.lock, "Statement.get_warnings"):
             with app.holding(self.connection.lock, "Statement.get_warnings"):
                 return list(self.warnings) + self.connection._driver_warnings()
 
-    def close(self, _pause: PauseHook = None) -> None:
+    def close(self) -> None:
         """Close the statement: locks the statement, then the connection (bug #14972)."""
         app = self.connection.app
-        with app.holding(self.lock, "Statement.close", pause=_pause):
+        with app.holding(self.lock, "Statement.close"):
             with app.holding(self.connection.lock, "Statement.close"):
                 self.closed = True
                 self.connection._forget_statement(self)
@@ -75,11 +75,9 @@ class PreparedStatement(Statement):
         with self.connection.app.holding(self.lock, "PreparedStatement.set_parameter"):
             self.parameters[index] = value
 
-    def execute_query(self, sql: Optional[str] = None,
-                      _pause: PauseHook = None) -> List[dict]:
+    def execute_query(self, sql: Optional[str] = None) -> List[dict]:
         """Run the prepared query (statement lock, then connection lock)."""
-        return super().execute_query(sql if sql is not None else self.sql,
-                                     _pause=_pause)
+        return super().execute_query(sql if sql is not None else self.sql)
 
 
 class Connection(MiniApp):
@@ -102,10 +100,10 @@ class Connection(MiniApp):
 
     # -- connection-first, statement-second methods -----------------------------------------------
 
-    def prepare_statement(self, sql: str, _pause: PauseHook = None) -> PreparedStatement:
+    def prepare_statement(self, sql: str) -> PreparedStatement:
         """Create a prepared statement: locks the connection, then the new
         statement and the already-open statements (bugs #14972/#17709)."""
-        with self.holding(self.lock, "Connection.prepare_statement", pause=_pause):
+        with self.holding(self.lock, "Connection.prepare_statement"):
             statement = PreparedStatement(self, sql)
             # The driver registers the statement while still holding the
             # connection monitor, locking each open statement to update its
@@ -123,10 +121,10 @@ class Connection(MiniApp):
             self.statements.append(statement)
             return statement
 
-    def close(self, _pause: PauseHook = None) -> None:
+    def close(self) -> None:
         """Close the connection: locks the connection, then every statement
         (bugs #2147/#31136)."""
-        with self.holding(self.lock, "Connection.close", pause=_pause):
+        with self.holding(self.lock, "Connection.close"):
             for statement in list(self.statements):
                 with self.holding(statement.lock, "Connection.close"):
                     statement.closed = True

@@ -24,7 +24,7 @@ import itertools
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from .base import MiniApp, PauseHook
+from .base import MiniApp
 
 
 class PrefetchSubscription:
@@ -40,18 +40,18 @@ class PrefetchSubscription:
         self.prefetched: Deque[dict] = deque()
         self.delivered: List[dict] = []
 
-    def add(self, queue: "Queue", message: dict, _pause: PauseHook = None) -> int:
+    def add(self, queue: "Queue", message: dict) -> int:
         """Add a message: locks the subscription, then the queue (bug #575)."""
-        with self.broker.holding(self.lock, "PrefetchSubscription.add", pause=_pause):
+        with self.broker.holding(self.lock, "PrefetchSubscription.add"):
             self.prefetched.append(message)
             with self.broker.holding(queue.lock, "PrefetchSubscription.add"):
                 queue.in_flight += 1
             return len(self.prefetched)
 
-    def remove(self, queue: "Queue", _pause: PauseHook = None) -> Optional[dict]:
+    def remove(self, queue: "Queue") -> Optional[dict]:
         """Acknowledge a message: subscription lock, then queue lock (bug #575,
         second pattern)."""
-        with self.broker.holding(self.lock, "PrefetchSubscription.remove", pause=_pause):
+        with self.broker.holding(self.lock, "PrefetchSubscription.remove"):
             if not self.prefetched:
                 return None
             message = self.prefetched.popleft()
@@ -80,11 +80,10 @@ class Queue:
             self.messages.append(message)
             return len(self.messages)
 
-    def drop_event(self, subscription: PrefetchSubscription,
-                   _pause: PauseHook = None) -> int:
+    def drop_event(self, subscription: PrefetchSubscription) -> int:
         """Handle a consumer drop: locks the queue, then the subscription
         (bug #575, opposite order to :meth:`PrefetchSubscription.add`)."""
-        with self.broker.holding(self.lock, "Queue.drop_event", pause=_pause):
+        with self.broker.holding(self.lock, "Queue.drop_event"):
             with self.broker.holding(subscription.lock, "Queue.drop_event"):
                 recovered = len(subscription.prefetched)
                 while subscription.prefetched:
@@ -93,9 +92,9 @@ class Queue:
                     self.subscriptions.remove(subscription)
                 return recovered
 
-    def dispatch_one(self, _pause: PauseHook = None) -> bool:
+    def dispatch_one(self) -> bool:
         """Move one message into a subscription's prefetch buffer."""
-        with self.broker.holding(self.lock, "Queue.dispatch_one", pause=_pause):
+        with self.broker.holding(self.lock, "Queue.dispatch_one"):
             if not self.messages or not self.subscriptions:
                 return False
             message = self.messages.popleft()
@@ -117,9 +116,9 @@ class Session:
         self.lock = broker.make_rlock(f"session-{self.session_id}")
         self.consumers: List[str] = []
 
-    def create_consumer(self, name: str, _pause: PauseHook = None) -> str:
+    def create_consumer(self, name: str) -> str:
         """Register a listener: locks the session, then the dispatcher (bug #336)."""
-        with self.broker.holding(self.lock, "Session.create_consumer", pause=_pause):
+        with self.broker.holding(self.lock, "Session.create_consumer"):
             self.consumers.append(name)
             with self.broker.holding(self.broker.dispatcher_lock,
                                      "Session.create_consumer"):
@@ -161,10 +160,9 @@ class Broker(MiniApp):
 
     # -- the bug #336 dispatch path ----------------------------------------------------------------
 
-    def dispatch_to_sessions(self, message: dict, _pause: PauseHook = None) -> int:
+    def dispatch_to_sessions(self, message: dict) -> int:
         """Active dispatch: locks the dispatcher, then each target session."""
-        with self.holding(self.dispatcher_lock, "Broker.dispatch_to_sessions",
-                          pause=_pause):
+        with self.holding(self.dispatcher_lock, "Broker.dispatch_to_sessions"):
             delivered = 0
             for session, _consumer in list(self.dispatch_targets):
                 with self.holding(session.lock, "Broker.dispatch_to_sessions"):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional
 
-from .base import AppLockTimeout, MiniApp, PauseHook
+from .base import AppLockTimeout, MiniApp
 
 
 class Table:
@@ -67,19 +67,19 @@ class MiniDB(MiniApp):
 
     # -- the MySQL #37080 pattern --------------------------------------------------------
 
-    def insert(self, table_name: str, row: dict, _pause: PauseHook = None) -> int:
+    def insert(self, table_name: str, row: dict) -> int:
         """Insert ``row``; locks the *table first*, then the transaction log.
 
         Returns the new row count of the table.
         """
         table = self.table(table_name)
-        with self.holding(table.lock, "insert", pause=_pause):
+        with self.holding(table.lock, "insert"):
             table.rows.append(dict(row))
             with self.holding(self._log_lock, "insert"):
                 self._log.append(f"INSERT {table_name} {len(table.rows)}")
             return len(table.rows)
 
-    def truncate(self, table_name: str, _pause: PauseHook = None) -> int:
+    def truncate(self, table_name: str) -> int:
         """Remove all rows; locks the *transaction log first*, then the table.
 
         This is the ordering mistake of bug #37080: run concurrently with
@@ -87,7 +87,7 @@ class MiniDB(MiniApp):
         Returns the number of rows removed.
         """
         table = self.table(table_name)
-        with self.holding(self._log_lock, "truncate", pause=_pause):
+        with self.holding(self._log_lock, "truncate"):
             self._log.append(f"TRUNCATE {table_name}")
             with self.holding(table.lock, "truncate"):
                 removed = len(table.rows)
@@ -137,7 +137,7 @@ class CustomRecursiveLock:
         self._timeout = acquire_timeout
         self.name = name
 
-    def acquire(self, _pause: PauseHook = None) -> None:
+    def acquire(self) -> None:
         """Acquire the recursive lock (guard first, inner second — buggy order)."""
         me = threading.get_ident()
         if not self._guard.acquire(timeout=self._timeout):
@@ -146,8 +146,6 @@ class CustomRecursiveLock:
             if self._owner == me:
                 self._count += 1
                 return
-            if _pause is not None:
-                _pause()
             # BUG (faithful to SQLite #1672): blocking on the inner mutex
             # while still holding the guard.
             if not self._inner.acquire(timeout=self._timeout):
@@ -157,13 +155,11 @@ class CustomRecursiveLock:
         finally:
             self._guard.release()
 
-    def release(self, _pause: PauseHook = None) -> None:
+    def release(self) -> None:
         """Release the recursive lock (inner still held while taking the guard)."""
         me = threading.get_ident()
         if self._owner != me:
             raise RuntimeError(f"{self.name} released by non-owner")
-        if _pause is not None:
-            _pause()
         if not self._guard.acquire(timeout=self._timeout):
             raise AppLockTimeout(self._guard.name, "recursive-release")
         try:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional
 
-from .base import MiniApp, PauseHook
+from .base import MiniApp
 
 
 class NetSocket:
@@ -59,17 +59,17 @@ class NetLibrary(MiniApp):
 
     # -- the deadlock-prone pair ---------------------------------------------------------------
 
-    def nl_close(self, socket: NetSocket, _pause: PauseHook = None) -> bool:
+    def nl_close(self, socket: NetSocket) -> bool:
         """Close one socket: locks the socket, then the library to unregister it."""
-        with self.holding(socket.lock, "nl_close", pause=_pause):
+        with self.holding(socket.lock, "nl_close"):
             socket.open = False
             with self.holding(self.global_lock, "nl_close"):
                 self.sockets.pop(socket.socket_id, None)
                 return True
 
-    def nl_shutdown(self, _pause: PauseHook = None) -> int:
+    def nl_shutdown(self) -> int:
         """Shut the library down: locks the library, then every socket."""
-        with self.holding(self.global_lock, "nl_shutdown", pause=_pause):
+        with self.holding(self.global_lock, "nl_shutdown"):
             closed = 0
             for socket in list(self.sockets.values()):
                 with self.holding(socket.lock, "nl_shutdown"):

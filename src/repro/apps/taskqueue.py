@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional
 
-from .base import MiniApp, PauseHook
+from .base import MiniApp
 
 
 class Task:
@@ -34,17 +34,17 @@ class Task:
         self.cancelled = False
         self.runs = 0
 
-    def cancel(self, _pause: PauseHook = None) -> bool:
+    def cancel(self) -> bool:
         """Cancel the task: locks the task, then the queue (pattern 1)."""
-        with self.queue.holding(self.lock, "Task.cancel", pause=_pause):
+        with self.queue.holding(self.lock, "Task.cancel"):
             self.cancelled = True
             with self.queue.holding(self.queue.lock, "Task.cancel"):
                 return self.queue._unschedule(self)
 
-    def run_once(self, _pause: PauseHook = None) -> bool:
+    def run_once(self) -> bool:
         """Execute the task; a non-periodic task unschedules itself afterwards
         while still holding its own lock (pattern 2)."""
-        with self.queue.holding(self.lock, "Task.run_once", pause=_pause):
+        with self.queue.holding(self.lock, "Task.run_once"):
             if self.cancelled:
                 return False
             if self.action is not None:
@@ -88,10 +88,10 @@ class TaskQueue(MiniApp):
 
     # -- the deadlock-prone shutdown -----------------------------------------------------------
 
-    def shutdown(self, _pause: PauseHook = None) -> int:
+    def shutdown(self) -> int:
         """Stop the queue: locks the queue, then every task to interrupt it —
         the opposite nesting of :meth:`Task.cancel` / :meth:`Task.run_once`."""
-        with self.holding(self.lock, "TaskQueue.shutdown", pause=_pause):
+        with self.holding(self.lock, "TaskQueue.shutdown"):
             stopped = 0
             for task in list(self.tasks.values()):
                 with self.holding(task.lock, "TaskQueue.shutdown"):

@@ -45,7 +45,7 @@ from .events import (EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE,
                      EV_REQUEST, EV_YIELD, EventBus)
 from .history import History
 from .sigindex import SignatureIndex
-from .signature import EXCLUSIVE, SHARED, Signature
+from .signature import EXCLUSIVE, SHARED, STARVATION, Signature
 from .stats import EngineStats
 from ..util.clock import Clock, WallClock
 
@@ -327,7 +327,10 @@ class AvoidanceEngine:
         must be distinct too — except multi-holder resources (semaphores,
         rwlocks), where several bindings on one resource are distinct
         permits of the same pool, exactly the shape of a permit-exhaustion
-        cycle.
+        cycle, and in a starvation signature, where a blocked thread's
+        allowed request and the hold it waits for are on one lock by
+        construction (with distinct locks such a signature never fires, and
+        the starvation it was archived for recurs).
 
         Pruned by vacancy before anything is allocated: only the request
         can cover a stack at whose call site no binding stands, so two
@@ -346,25 +349,27 @@ class AvoidanceEngine:
             coverable = signature.matching_stacks(stack, depth)
         else:
             coverable = [forced] if stacks[forced].matches(stack, depth) else []
-        used_locks = set() if lock_id in self._multiholder else {lock_id}
+        distinct = signature.kind != STARVATION
+        used_locks = {lock_id} if distinct and lock_id not in self._multiholder else set()
         for chosen in coverable:
             rest = self._cover(stacks[:chosen] + stacks[chosen + 1:], depth,
-                               {thread_id}, used_locks)
+                               {thread_id}, used_locks, distinct)
             if rest is not None:
                 return [(thread_id, lock_id, stack)] + rest
         return None
 
     def _cover(self, sig_stacks: Tuple[CallStack, ...], depth: int,
-               used_threads: Set[int], used_locks: Set[int]) -> Optional[List[Binding]]:
+               used_threads: Set[int], used_locks: Set[int],
+               distinct: bool) -> Optional[List[Binding]]:
         """Bindings standing at ``sig_stacks``, one each, in order; ``None`` if none do."""
         if not sig_stacks:
             return []
         for thread_id, lock_id, stack in self.cache.candidates_matching(
                 sig_stacks[0], depth, used_threads, used_locks):
-            next_locks = (used_locks if lock_id in self._multiholder
-                          else used_locks | {lock_id})
+            next_locks = (used_locks | {lock_id}
+                          if distinct and lock_id not in self._multiholder else used_locks)
             rest = self._cover(sig_stacks[1:], depth, used_threads | {thread_id},
-                               next_locks)
+                               next_locks, distinct)
             if rest is not None:
                 return [(thread_id, lock_id, stack)] + rest
         return None

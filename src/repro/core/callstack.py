@@ -25,12 +25,14 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 #: ``contextlib`` and the app helper layer are filtered for the same reason:
 #: they sit between the lock call and the application code on every
 #: acquisition, so keeping them would waste most of the matching depth on
-#: frames that never differ.
+#: frames that never differ.  The simulator's thread-program adapter
+#: stands where the instrumentation stands for a thread it runs.
 _INTERNAL_FRAGMENTS = (
     "repro/core/",
     "repro/instrument/",
     "repro/util/",
     "repro/apps/base.py",
+    "repro/sim/threads.py",
     "contextlib.py",
 )
 

@@ -1,32 +1,33 @@
 """Tables 1 and 2: effectiveness against real deadlock bugs.
 
-For every exploit the paper runs three configurations, 100 trials each:
+For every exploit the paper runs three configurations, 100 timed trials each:
 
 1. the unmodified program                        → always deadlocks,
 2. instrumented but ignoring all yield decisions → still always deadlocks,
 3. full Dimmunix with the signature in history   → never deadlocks.
 
-The runners here do the same (with a configurable, smaller trial count so
-the whole sweep stays in CI-friendly time) and report the yields observed
-per immune trial, the number of deadlock patterns archived, and the size
-(depth) of the archived signatures, the last two beside the paper's.
+Here each configuration is an exploration of *every* interleaving of the
+exploit's threads (:mod:`repro.workloads.exploits`), not a trial of one:
+the ImmunityChecker explores the program under
+:class:`~repro.sim.backends.NullBackend`, learns from its deadlocks until
+no interleaving deadlocks under Dimmunix with the learned history, and the
+instrumented-only configuration is explored under
+:class:`~repro.baselines.detection.DetectionOnlyBackend` with that same
+history.  A row reports the deadlocking interleavings of each
+configuration, the yields per interleaving of the immune one, the number
+of signatures learned (``# patterns``) and their depth, the last two
+beside the paper's.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
-from ..core.config import DimmunixConfig
-from ..core.dimmunix import Dimmunix
-from ..core.history import History
-from ..instrument.runtime import InstrumentationRuntime
-from ..workloads.exploits import (Exploit, ExploitOutcome, TABLE1_EXPLOITS,
-                                  TABLE2_EXPLOITS, run_exploit)
-
-_FAST = dict(monitor_interval=0.02, yield_timeout=None,
-             auto_disable_abort_threshold=None)
+from ..baselines.detection import DetectionOnlyBackend
+from ..sim.explore import Explorer, ImmunityChecker
+from ..workloads.exploits import TABLE1_EXPLOITS, TABLE2_EXPLOITS, Exploit
 
 
 @dataclass
@@ -37,10 +38,16 @@ class Table1Row:
     system: str
     bug_id: str
     description: str
+    #: Interleavings explored without avoidance, and how many deadlocked.
+    interleavings: int
     baseline_deadlocks: int
     detection_deadlocks: int
+    #: Interleavings explored under full Dimmunix, and how many deadlocked.
+    immune_interleavings: int
     immune_deadlocks: int
-    immune_trials: int
+    #: Whether the immune exploration covered its whole tree.
+    immune_exhausted: bool
+    #: Yields per immune interleaving.
     yields_min: int
     yields_avg: float
     yields_max: int
@@ -54,9 +61,12 @@ class Table1Row:
         return {
             "bug": f"{self.system} {self.bug_id}",
             "description": self.description,
+            "interleavings": self.interleavings,
             "baseline deadlocks": self.baseline_deadlocks,
             "instrumented-no-avoid deadlocks": self.detection_deadlocks,
+            "immune interleavings": self.immune_interleavings,
             "immune deadlocks": self.immune_deadlocks,
+            "exhausted": self.immune_exhausted,
             "yields min": self.yields_min,
             "yields avg": round(self.yields_avg, 1),
             "yields max": self.yields_max,
@@ -67,52 +77,27 @@ class Table1Row:
         }
 
 
-def _runtime(history: Optional[History], detection_only: bool = False,
-             engine_mode: str = "full") -> InstrumentationRuntime:
-    config = DimmunixConfig(detection_only=detection_only, **_FAST)
-    dimmunix = Dimmunix(config=config, history=history, engine_mode=engine_mode)
-    dimmunix.start()
-    return InstrumentationRuntime(dimmunix)
-
-
-def _run_trials(exploit: Exploit, history: Optional[History], trials: int,
-                detection_only: bool = False,
-                engine_mode: str = "full") -> List[ExploitOutcome]:
-    outcomes = []
-    for _ in range(trials):
-        runtime = _runtime(history, detection_only=detection_only,
-                           engine_mode=engine_mode)
-        try:
-            outcomes.append(run_exploit(exploit, runtime))
-        finally:
-            runtime.dimmunix.stop()
-    return outcomes
-
-
-def run_bug(exploit: Exploit, trials: int = 1,
-            baseline_trials: int = 1) -> Table1Row:
-    """Run the three configurations for one bug and summarize them."""
-    # Configuration 1: the "unmodified" program (locks pass straight through).
-    baseline = _run_trials(exploit, history=None, trials=baseline_trials,
-                           engine_mode="instrumentation_only")
-    # Configuration 2: instrumented, yields ignored; signatures get archived.
-    shared_history = History(path=None, autosave=False)
-    detection = _run_trials(exploit, history=shared_history,
-                            trials=baseline_trials, detection_only=True)
-    # Configuration 3: full Dimmunix with the archived signatures.
-    immune = _run_trials(exploit, history=shared_history, trials=trials)
-
-    yields = [outcome.yields for outcome in immune] or [0]
-    signatures = shared_history.signatures()
+def run_bug(exploit: Exploit) -> Table1Row:
+    """Explore one bug in the three configurations and summarize them."""
+    report = ImmunityChecker(exploit.scenario, name=exploit.name).check()
+    history = report.history
+    detection = DetectionOnlyBackend(history=history)
+    instrumented = Explorer(lambda: exploit.scenario(detection.fork()),
+                            name=exploit.name).explore()
+    immune = report.immune
+    yields = immune.run_yields if immune and immune.run_yields else [0]
+    signatures = history.signatures() if history is not None else []
     return Table1Row(
         name=exploit.name,
         system=exploit.system,
         bug_id=exploit.bug_id,
         description=exploit.description,
-        baseline_deadlocks=sum(1 for o in baseline if o.deadlocked),
-        detection_deadlocks=sum(1 for o in detection if o.deadlocked),
-        immune_deadlocks=sum(1 for o in immune if o.deadlocked),
-        immune_trials=len(immune),
+        interleavings=report.vulnerable.runs,
+        baseline_deadlocks=report.vulnerable.deadlock_count,
+        detection_deadlocks=instrumented.deadlock_count,
+        immune_interleavings=immune.runs if immune else 0,
+        immune_deadlocks=immune.deadlock_count if immune else 0,
+        immune_exhausted=immune.exhausted if immune else False,
         yields_min=min(yields),
         yields_avg=statistics.mean(yields),
         yields_max=max(yields),
@@ -124,15 +109,11 @@ def run_bug(exploit: Exploit, trials: int = 1,
     )
 
 
-def run_table1(trials: int = 1, exploits: Optional[Sequence[Exploit]] = None
-               ) -> List[Table1Row]:
+def run_table1() -> List[Table1Row]:
     """Reproduce Table 1: the ten real deadlock bugs."""
-    selected = list(exploits) if exploits is not None else TABLE1_EXPLOITS
-    return [run_bug(exploit, trials=trials) for exploit in selected]
+    return [run_bug(exploit) for exploit in TABLE1_EXPLOITS]
 
 
-def run_table2(trials: int = 1, exploits: Optional[Sequence[Exploit]] = None
-               ) -> List[Table1Row]:
+def run_table2() -> List[Table1Row]:
     """Reproduce Table 2: the JDK invitations to deadlock."""
-    selected = list(exploits) if exploits is not None else TABLE2_EXPLOITS
-    return [run_bug(exploit, trials=trials) for exploit in selected]
+    return [run_bug(exploit) for exploit in TABLE2_EXPLOITS]

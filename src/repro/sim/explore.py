@@ -48,6 +48,7 @@ from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Tuple)
 
 from ..core.errors import ReplayDivergenceError, SimulationError
+from ..core.history import History
 from .actions import Acquire, TryAcquire, action_footprint
 from .aio import build_aio_philosophers, build_aio_two_lock_inversion
 from .backends import NullBackend, SchedulerBackend
@@ -121,6 +122,8 @@ class RunRecord:
     #: Slot taken at every choice point, i.e. the trace that replays the run.
     schedule: List[int]
     backend: str
+    #: Avoidance yields the run took (up to its cut, if any).
+    yields: int = field(default=0, init=False)
     #: Sorted (slot, lock slot) wait pairs of the stall; ``None`` = no deadlock.
     footprint: Optional[Tuple[Tuple[int, int], ...]] = None
     #: What the strategy's admission rule reads: free choice points for
@@ -313,6 +316,7 @@ def _record(scheduler: SimScheduler, result: SimResult,
                        completed=cut is None and result.completed,
                        schedule=result.schedule,
                        backend=scheduler.backend.name)
+    record.yields = result.yields
     if cut is None:
         record.result = result
         if result.deadlocked and result.stall is not None:
@@ -366,6 +370,8 @@ class ExplorationResult:
     #: counted against exhaustiveness of the *bounded* space).
     exhausted: bool = False
     elapsed: float = 0.0
+    #: Avoidance yields of each run, in the order the runs were folded.
+    run_yields: List[int] = field(default_factory=list, init=False, repr=False)
     _footprints: set = field(default_factory=set, repr=False, compare=False)
 
     def fold(self, record: RunRecord, scenario: str) -> None:
@@ -373,6 +379,7 @@ class ExplorationResult:
         counters and a :class:`DeadlockFinding`."""
         self.runs += 1
         self.steps += record.steps
+        self.run_yields.append(record.yields)
         if record.cut == "depth":
             self.cut_depth += 1
             self.exhausted = False
@@ -666,8 +673,14 @@ class ImmunityReport:
     scenario: str
     vulnerable: ExplorationResult
     minimal_trace: Optional[ScheduleTrace]
-    learned_signatures: int
     immune: Optional[ExplorationResult]
+    #: The learned history, when an engine-backed learner kept one.
+    history: Optional[History] = None
+
+    @property
+    def learned_signatures(self) -> int:
+        """Signatures learned before the immune phase held (or gave up)."""
+        return len(self.history) if self.history is not None else 0
 
     @property
     def vacuous(self) -> bool:
@@ -721,7 +734,11 @@ class ImmunityChecker:
        archive the deadlock's signature;
     3. **immune** — with that history seeded, *no* bounded interleaving
        deadlocks; each run receives its own forked backend so learned
-       state never leaks between interleavings.
+       state never leaks between interleavings.  A bug with several
+       patterns deadlocks here until each is learned: the first deadlock
+       found is replayed under a fork of the seeded backend, what it
+       archives joins the history, and the phase is explored again — until
+       it finds none, or a replay diverges or archives nothing new.
     """
 
     def __init__(self, scenario: Callable[[SchedulerBackend], SimScheduler],
@@ -774,8 +791,7 @@ class ImmunityChecker:
         vulnerable = vulnerable_explorer.explore()
         if not vulnerable.deadlocks:
             return ImmunityReport(scenario=self.name, vulnerable=vulnerable,
-                                  minimal_trace=None, learned_signatures=0,
-                                  immune=None)
+                                  minimal_trace=None, immune=None)
 
         trace = vulnerable.deadlocks[0].trace
         minimal = (vulnerable_explorer.shrink(trace) if self.do_shrink
@@ -799,8 +815,7 @@ class ImmunityChecker:
             found = fallback.explore(stop_on_first_deadlock=True)
             if not found.deadlocks:
                 return ImmunityReport(scenario=self.name, vulnerable=vulnerable,
-                                      minimal_trace=minimal,
-                                      learned_signatures=0, immune=None)
+                                      minimal_trace=minimal, immune=None)
             learner = self._fresh_prototype()
             learn_scheduler = self.scenario(learner)
             learn_scheduler.policy = ReplayPolicy(found.deadlocks[0].trace,
@@ -820,21 +835,33 @@ class ImmunityChecker:
             # exploring against an unseeded backend and misreporting the
             # claim itself as broken.
             return ImmunityReport(scenario=self.name, vulnerable=vulnerable,
-                                  minimal_trace=minimal,
-                                  learned_signatures=0, immune=None)
-        if history is not None:
+                                  minimal_trace=minimal, immune=None)
+        immune_prototype = (self._fresh_prototype(history=history)
+                            if history is not None else learner)
+        immune = self._explore_under(immune_prototype)
+        while immune.deadlocks and history is not None:
+            # Learn until immune: the first interleaving the history does
+            # not cover yet is replayed under a fork of the prototype, and
+            # what that run archives joins the history.
+            replay = immune_prototype.fork()
+            replay_scheduler = self.scenario(replay)
+            replay_scheduler.policy = ReplayPolicy(immune.deadlocks[0].trace,
+                                                   strict=True)
+            try:
+                replay_scheduler.run()
+            except ReplayDivergenceError:
+                break
+            if not history.merge(replay.history.signatures()):
+                break
             immune_prototype = self._fresh_prototype(history=history)
-        else:
-            immune_prototype = learner
-        immune_explorer = self._explorer(lambda: self.scenario(
-            immune_prototype.fork()))
-        immune = immune_explorer.explore()
+            immune = self._explore_under(immune_prototype)
         return ImmunityReport(scenario=self.name, vulnerable=vulnerable,
-                              minimal_trace=minimal,
-                              learned_signatures=(len(history)
-                                                  if history is not None
-                                                  else 0),
-                              immune=immune)
+                              minimal_trace=minimal, immune=immune,
+                              history=history)
+
+    def _explore_under(self, prototype: SchedulerBackend) -> ExplorationResult:
+        """Every interleaving, each run under its own fork of ``prototype``."""
+        return self._explorer(lambda: self.scenario(prototype.fork())).explore()
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,11 @@ class SimThread:
         self.lock_ops = 0
         self.yields = 0
         self.blocks = 0
+        #: Close the program when a run ends with it unfinished.  Set for
+        #: thread programs (:mod:`repro.sim.threads`), whose OS thread must
+        #: not outlive the run; a coroutine stalled inside ``async with``
+        #: cannot be closed, as its ``__aexit__`` would yield a Release.
+        self.close_at_end = False
 
     def start(self) -> None:
         """Instantiate the generator (called by the scheduler)."""
@@ -206,20 +211,36 @@ class SimScheduler:
     # -- main loop -------------------------------------------------------------------------------
 
     def run(self, raise_on_deadlock: bool = False) -> SimResult:
-        """Execute until every thread finishes, a stall occurs, or limits hit."""
+        """Execute until every thread finishes, a stall occurs, or limits hit.
+
+        However it ends, every unfinished program marked
+        :attr:`SimThread.close_at_end` is closed: a thread program's OS
+        thread never outlives its run.
+        """
         if not self._attached:
             self.backend.attach(self)
             self._attached = True
-        for thread in self.threads.values():
-            if thread._generator is None:
-                thread.start()
-            self._prefetch(thread)
-        self.result.total_threads = len(self.threads)
+        try:
+            for thread in self.threads.values():
+                if thread._generator is None:
+                    thread.start()
+                self._prefetch(thread)
+            self.result.total_threads = len(self.threads)
+            self._loop(raise_on_deadlock)
+        finally:
+            for thread in self.threads.values():
+                if thread.close_at_end and thread._generator is not None:
+                    thread._generator.close()
+        # Final monitor pass so late events (e.g. releases) are processed.
+        self.backend.poll(self)
+        self._finalize()
+        return self.result
 
+    def _loop(self, raise_on_deadlock: bool) -> None:
         steps = 0
         while True:
             if all(thread.finished for thread in self.threads.values()):
-                break
+                return
             runnable = [t for t in self.threads.values()
                         if t.state is ThreadState.READY]
             if not runnable:
@@ -229,7 +250,7 @@ class SimScheduler:
                 if raise_on_deadlock:
                     raise SimDeadlockError("simulation stalled in a deadlock",
                                            cycle=self.result.stall)
-                break
+                return
             thread = self._pick(runnable)
             self._advance_clock(thread.ready_at)
             self._step(thread)
@@ -241,11 +262,6 @@ class SimScheduler:
             if steps >= self.max_steps:
                 raise SimulationError(
                     f"simulation exceeded {self.max_steps} steps without finishing")
-
-        # Final monitor pass so late events (e.g. releases) are processed.
-        self.backend.poll(self)
-        self._finalize()
-        return self.result
 
     # -- internals ------------------------------------------------------------------------------
 

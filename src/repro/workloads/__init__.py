@@ -1,21 +1,19 @@
-"""Workloads: deterministic exploits, the microbenchmark, synthetic histories."""
+"""Workloads: the Table 1-2 exploits, the microbenchmark, synthetic histories."""
 
-from .exploits import (Exploit, ExploitOutcome, TABLE1_EXPLOITS, TABLE2_EXPLOITS,
-                       all_exploits, exploit_by_name, run_exploit)
+from .exploits import (Exploit, TABLE1_EXPLOITS, TABLE2_EXPLOITS, all_exploits,
+                       exploit_by_name)
 from .microbench import (MicrobenchConfig, MicrobenchResult, run_threaded_microbench,
                          run_simulated_microbench)
 from .synth_history import synthesize_history, synthesize_microbench_history
 
 __all__ = [
     "Exploit",
-    "ExploitOutcome",
     "MicrobenchConfig",
     "MicrobenchResult",
     "TABLE1_EXPLOITS",
     "TABLE2_EXPLOITS",
     "all_exploits",
     "exploit_by_name",
-    "run_exploit",
     "run_simulated_microbench",
     "run_threaded_microbench",
     "synthesize_history",

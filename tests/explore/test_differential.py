@@ -11,7 +11,8 @@ criteria of the "Explorer at scale" change:
 * On every registered scenario, source-DPOR's deadlock-*signature* set
   (stall footprints — who waits on what) equals full DFS's, with both
   trees fully enumerated.  Registry parameterization means a new
-  scenario is covered the moment it is registered.
+  scenario is covered the moment it is registered.  The same holds on
+  every Table 1-2 exploit, whose threads run application code.
 * On the philosophers-3 full (eat-time-zero) tree DPOR runs strictly
   fewer than the 107-of-1239 the retired stand-alone sleep-set strategy
   needed — the reduction is real, not a relabeling.
@@ -34,10 +35,12 @@ import pytest
 
 from repro.sim import Explorer, ImmunityChecker, NullBackend
 from repro.sim.explore import SCENARIOS
+from repro.workloads.exploits import all_exploits, exploit_by_name
 
 
-def explore(name: str, strategy: str, max_runs: int = 20_000):
-    return Explorer(lambda: SCENARIOS[name](NullBackend()), name=name,
+def explore(name: str, strategy: str, max_runs: int = 20_000, scenario=None):
+    scenario = scenario or SCENARIOS[name]
+    return Explorer(lambda: scenario(NullBackend()), name=name,
                     strategy=strategy, max_runs=max_runs).explore()
 
 
@@ -90,13 +93,22 @@ class TestDporEqualsDfs:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_deadlock_signature_sets_equal(self, scenario):
         """DPOR finds exactly the deadlock signatures full DFS finds."""
-        dfs = explore(scenario, "dfs")
-        dpor = explore(scenario, "dpor")
-        assert dfs.exhausted, scenario
-        assert dpor.exhausted, scenario
-        assert signature_set(dpor) == signature_set(dfs), scenario
-        assert dpor.unique_deadlocks == dfs.unique_deadlocks, scenario
-        assert dpor.runs <= dfs.runs, scenario
+        self.check(scenario)
+
+    @pytest.mark.parametrize("exploit", [exploit.name for exploit in all_exploits()])
+    def test_exploit_deadlock_signature_sets_equal(self, exploit):
+        """The same on the Table 1-2 exploits: app code run as thread programs."""
+        self.check(exploit, exploit_by_name(exploit).scenario)
+
+    @staticmethod
+    def check(name, scenario=None):
+        dfs = explore(name, "dfs", scenario=scenario)
+        dpor = explore(name, "dpor", scenario=scenario)
+        assert dfs.exhausted, name
+        assert dpor.exhausted, name
+        assert signature_set(dpor) == signature_set(dfs), name
+        assert dpor.unique_deadlocks == dfs.unique_deadlocks, name
+        assert dpor.runs <= dfs.runs, name
 
 
 class TestPhilosophersFullTree:

@@ -328,33 +328,51 @@ class TestAioBroker:
         bounded timeout surfaces AppLockTimeout and the monitor archives
         the cycle's signature."""
         import asyncio
-        from repro.apps import AioBroker, AppLockTimeout, aio_interleave_pause
+        from contextlib import asynccontextmanager
+        from repro.apps import AioBroker, AppLockTimeout
+
+        class PairedBroker(AioBroker):
+            """Forces the race: a task that has taken the first lock of its
+            operation waits (bounded) until the other has taken its own."""
+
+            firsts = {}  # (operation, lock name) -> (mine, the other's) events
+
+            @asynccontextmanager
+            async def holding(self, lock, operation):
+                async with super().holding(lock, operation):
+                    events = self.firsts.get((operation, lock.name))
+                    if events is not None:
+                        events[0].set()
+                        try:
+                            await asyncio.wait_for(events[1].wait(), 0.3)
+                        except asyncio.TimeoutError:
+                            pass
+                    yield
 
         dimmunix = aio_runtime.dimmunix
         dimmunix.start()
         try:
             async def scenario():
-                broker = AioBroker(runtime=aio_runtime, acquire_timeout=0.8)
+                broker = PairedBroker(runtime=aio_runtime, acquire_timeout=0.8)
                 session = broker.create_session()
                 # Bootstrap consumer so dispatch has a session to lock.
                 await session.create_consumer("bootstrap")
-                reached = [asyncio.Event(), asyncio.Event()]
+                reached = asyncio.Event(), asyncio.Event()
+                broker.firsts = {
+                    ("AioSession.create_consumer", session.lock.name): reached,
+                    ("AioBroker.dispatch_to_sessions", broker.dispatcher_lock.name):
+                        reached[::-1]}
                 timeouts = []
 
                 async def register():
                     try:
-                        await session.create_consumer(
-                            "c", _pause=aio_interleave_pause(reached[0],
-                                                             reached[1], 0.3))
+                        await session.create_consumer("c")
                     except AppLockTimeout:
                         timeouts.append("register")
 
                 async def dispatch():
                     try:
-                        await broker.dispatch_to_sessions(
-                            {"m": 1}, _pause=aio_interleave_pause(reached[1],
-                                                                  reached[0],
-                                                                  0.3))
+                        await broker.dispatch_to_sessions({"m": 1})
                     except AppLockTimeout:
                         timeouts.append("dispatch")
 

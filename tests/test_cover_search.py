@@ -36,7 +36,7 @@ from repro.core.callstack import CallStack, Frame, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.history import History
-from repro.core.signature import EXCLUSIVE, SHARED, Signature
+from repro.core.signature import DEADLOCK, EXCLUSIVE, SHARED, STARVATION, Signature
 from repro.instrument.locks import DimmunixRLock
 from repro.instrument.runtime import InstrumentationRuntime
 
@@ -64,24 +64,29 @@ def oracle_instances(engine, signature, thread_id, lock_id, stack, depth):
     candidate_indices = [index for index, sig_stack in enumerate(signature.stacks)
                          if sig_stack.matches(stack, depth)]
     indices = list(range(len(signature.stacks)))
-    used_locks = set() if lock_id in engine._multiholder else {lock_id}
+
+    def shared(lock):
+        """May one instance bind ``lock`` twice?  A semaphore or rwlock, or any
+        lock of a starvation signature (a blocked request and its holder)."""
+        return lock in engine._multiholder or signature.kind == STARVATION
+
+    used_locks = set() if shared(lock_id) else {lock_id}
     for chosen in candidate_indices:
         remaining = [index for index in indices if index != chosen]
         for assignment in _oracle_cover(engine, signature, remaining, depth,
-                                        {thread_id}, used_locks):
+                                        {thread_id}, used_locks, shared):
             yield [(thread_id, lock_id, stack)] + assignment
 
 
-def _oracle_cover(engine, signature, remaining, depth, used_threads, used_locks):
+def _oracle_cover(engine, signature, remaining, depth, used_threads, used_locks, shared):
     if not remaining:
         yield []
         return
     for thread_id, lock_id, stack in oracle_candidates(
             engine.cache, signature.stacks[remaining[0]], depth, used_threads, used_locks):
-        next_locks = (used_locks if lock_id in engine._multiholder
-                      else used_locks | {lock_id})
+        next_locks = used_locks if shared(lock_id) else used_locks | {lock_id}
         for rest in _oracle_cover(engine, signature, remaining[1:], depth,
-                                  used_threads | {thread_id}, next_locks):
+                                  used_threads | {thread_id}, next_locks, shared):
             yield [(thread_id, lock_id, stack)] + rest
 
 
@@ -295,7 +300,9 @@ class TestDifferential:
             position = st.builds(lambda frames, keep: CallStack(frames[:keep]),
                                  st.sampled_from(known),
                                  st.sampled_from((10, 10, depth, 1, 2, 3)))
-            signature = Signature(data.draw(st.lists(position, min_size=2, max_size=3)))
+            signature = Signature(data.draw(st.lists(position, min_size=2, max_size=3)),
+                                  kind=data.draw(st.sampled_from((DEADLOCK, DEADLOCK,
+                                                                  STARVATION))))
             stack = data.draw(st.one_of(st.sampled_from(signature.stacks), position,
                                         st.just(CallStack(()))))
             thread_id = data.draw(st.sampled_from((9, 9, 9) + THREADS))

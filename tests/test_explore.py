@@ -469,6 +469,38 @@ class TestImmunityChecker:
         report.immune.exhausted = False
         assert not report.holds
 
+    def test_immune_exploration_keeps_the_yields_of_each_run(self):
+        report = ImmunityChecker(build_two_lock_inversion,
+                                 max_runs=1_000).check()
+        assert len(report.immune.run_yields) == report.immune.runs
+        assert max(report.immune.run_yields) >= 1
+
+    def test_a_diverging_replay_while_learning_until_immune_is_reported(self):
+        """Detection-only never becomes immune, so the checker replays an
+        immune-phase deadlock; that replay diverging ends learning with the
+        deadlocks still found, as a divergence in the learn phase does."""
+        from repro.baselines.detection import DetectionOnlyBackend
+        replays = []
+
+        def scenario(backend):
+            scheduler = build_two_lock_inversion(backend)
+            run = scheduler.run
+
+            def diverging_after_learning(*args, **kwargs):
+                if isinstance(scheduler.policy, ReplayPolicy):
+                    replays.append(scheduler)
+                    if len(replays) > 1:
+                        raise ReplayDivergenceError("the program changed")
+                return run(*args, **kwargs)
+            scheduler.run = diverging_after_learning
+            return scheduler
+
+        report = ImmunityChecker(scenario, max_runs=1_000, shrink=False,
+                                 backend_prototype=DetectionOnlyBackend()).check()
+        assert len(replays) == 2
+        assert report.learned_signatures == 1
+        assert report.immune.deadlock_count > 0 and not report.holds
+
 
 class TestHarnessMatrix:
     def test_exploration_matrix_rows(self):

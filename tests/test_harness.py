@@ -88,19 +88,19 @@ class TestFigure4History:
 
 class TestEffectivenessRunners:
     def test_single_bug_row_shape(self):
-        rows = run_table1(trials=1, exploits=[TABLE1_EXPLOITS[0]])
-        assert len(rows) == 1
+        rows = run_table1()
+        assert [row.name for row in rows] == [e.name for e in TABLE1_EXPLOITS]
         row = rows[0]
         assert row.baseline_deadlocks >= 1
         assert row.immune_deadlocks == 0
-        assert row.yields_min >= 1
+        assert row.yields_max >= 1
         assert row.patterns >= 1
         assert "bug" in row.as_dict()
 
     def test_table2_runner_uses_table2_exploits(self):
-        rows = run_table2(trials=1, exploits=[TABLE2_EXPLOITS[0]])
-        assert len(rows) == 1
-        assert rows[0].immune_deadlocks == 0
+        rows = run_table2()
+        assert [row.name for row in rows] == [e.name for e in TABLE2_EXPLOITS]
+        assert all(row.immune_deadlocks == 0 for row in rows)
 
 
 class TestSimulationRunners:

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from typing import NamedTuple
 
 import pytest
 
 from races.harness import preemption_pressure
+from repro.apps import AppLockTimeout, Connection, CustomRecursiveLock, MiniApp, MiniDB, SyncVector
 from repro.core.callstack import CallStack, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
@@ -31,10 +34,107 @@ from repro.core.signature import Signature
 from repro.instrument.runtime import InstrumentationRuntime
 from repro.sim import DimmunixBackend, ReplayPolicy, ScheduleTrace
 from repro.sim.explore import SCENARIOS
-from repro.workloads.exploits import exploit_by_name, run_exploit
 
 FAST_CONFIG = dict(monitor_interval=0.02, yield_timeout=None,
                    auto_disable_abort_threshold=None)
+#: Bound on the apps' nested acquisitions: long enough for the monitor
+#: (tau = 20 ms) to see the cycle, short enough to keep a deadlocking trial
+#: under a second.
+ACQUIRE_TIMEOUT = 0.8
+#: How long a thread waits for the other to reach the deadlock-prone point.
+PAIR_TIMEOUT = 0.4
+
+
+class Paired:
+    """Forces a bug's interleaving on real threads, from the test side.
+
+    Once :meth:`pair` is called, a thread about to take a nested lock first
+    waits (bounded) until the other thread is about to take its own.
+    ``holding`` only hands the app's context manager on, so the app method
+    stays the innermost application frame of every capture, as it is in an
+    unmodified app.
+    """
+
+    def __init__(self, **kwargs):
+        self.locks = []
+        self.barrier = None
+        super().__init__(acquire_timeout=ACQUIRE_TIMEOUT, **kwargs)
+
+    def make_rlock(self, name):
+        self.locks.append(super().make_rlock(name))
+        return self.locks[-1]
+
+    def holding(self, lock, operation):
+        if self.barrier is not None and any(held._is_owned() for held in self.locks):
+            try:
+                self.barrier.wait(PAIR_TIMEOUT)
+            except threading.BrokenBarrierError:
+                pass  # the other thread was parked by avoidance
+        return super().holding(lock, operation)
+
+    def pair(self):
+        self.barrier = threading.Barrier(2)
+
+
+class PairedDB(Paired, MiniDB):
+    pass
+
+
+class PairedConnection(Paired, Connection):
+    pass
+
+
+class PairedApp(Paired, MiniApp):
+    pass
+
+
+def _within_pause(predicate):
+    deadline = time.monotonic() + PAIR_TIMEOUT
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _mysql_37080(runtime):
+    db = PairedDB(runtime=runtime)
+    db.create_table("accounts")
+    db.insert("accounts", {"id": 0})
+    db.pair()
+    return [lambda: db.insert("accounts", {"id": 1}), lambda: db.truncate("accounts")]
+
+
+def _jdbc_2147(runtime):
+    connection = PairedConnection(runtime=runtime)
+    statement = connection.prepare_statement("SELECT * FROM t")
+    connection.pair()
+    return [statement.get_warnings, connection.close]
+
+
+def _jdk_vector(runtime):
+    app = PairedApp(runtime=runtime)
+    v1, v2 = SyncVector(app, [1, 2]), SyncVector(app, [3, 4])
+    app.pair()
+    return [lambda: v1.add_all(v2), lambda: v2.add_all(v1)]
+
+
+def _sqlite_1672(runtime):
+    """The owner releases once the contender holds the guard on its way in."""
+    rlock = CustomRecursiveLock(MiniApp(runtime=runtime), acquire_timeout=ACQUIRE_TIMEOUT)
+
+    def owner():
+        rlock.acquire()
+        _within_pause(rlock._guard.locked)
+        rlock.release()
+
+    def contender():
+        _within_pause(lambda: rlock.held)
+        rlock.acquire()
+        rlock.release()
+
+    return [owner, contender]
+
+
+BODIES = {"mysql-37080": _mysql_37080, "jdbc-2147": _jdbc_2147, "jdk-vector": _jdk_vector,
+          "sqlite-1672": _sqlite_1672}
 
 #: Bracket-style exploits: every frame that can enter a signature is
 #: still live on its thread's stack when the thread blocks, so the lazy
@@ -42,8 +142,39 @@ FAST_CONFIG = dict(monitor_interval=0.02, yield_timeout=None,
 BRACKET_EXPLOITS = ["mysql-37080", "jdbc-2147", "jdk-vector"]
 
 
+class Trial(NamedTuple):
+    deadlocked: bool
+    completed: bool
+    yields: int
+
+
+def _race(name: str, dimmunix: Dimmunix) -> Trial:
+    """One real-thread trial of bug ``name``; a timed-out acquisition unwinds its thread."""
+    timeouts = []
+
+    def guarded(body):
+        def run():
+            try:
+                body()
+            except AppLockTimeout:
+                timeouts.append(body)
+        return run
+
+    threads = [threading.Thread(target=guarded(body), daemon=True)
+               for body in BODIES[name](InstrumentationRuntime(dimmunix))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10.0)
+    dimmunix.process_now()
+    stuck = any(thread.is_alive() for thread in threads)
+    return Trial(deadlocked=bool(timeouts) or stuck or dimmunix.stats.deadlocks_detected > 0,
+                 completed=not timeouts and not stuck,
+                 yields=dimmunix.stats.yield_decisions)
+
+
 def _run_detection_trial(name: str, lazy: bool, prepare=None):
-    """One deterministic deadlock-detection trial; returns its history.
+    """One deadlock-detection trial; returns its outcome and history.
 
     ``prepare``, when given, is handed the Dimmunix instance before it starts.
     """
@@ -54,9 +185,8 @@ def _run_detection_trial(name: str, lazy: bool, prepare=None):
     if prepare is not None:
         prepare(dimmunix)
     dimmunix.start()
-    runtime = InstrumentationRuntime(dimmunix)
     try:
-        outcome = run_exploit(exploit_by_name(name), runtime)
+        outcome = _race(name, dimmunix)
     finally:
         dimmunix.stop()
     return outcome, history
@@ -68,9 +198,8 @@ def _immunity_cycle(name: str, lazy: bool):
     config = DimmunixConfig(lazy_capture=lazy, **FAST_CONFIG)
     dimmunix = Dimmunix(config=config, history=history)
     dimmunix.start()
-    runtime = InstrumentationRuntime(dimmunix)
     try:
-        second = run_exploit(exploit_by_name(name), runtime)
+        second = _race(name, dimmunix)
     finally:
         dimmunix.stop()
     return outcome, second, history
