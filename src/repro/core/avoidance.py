@@ -120,6 +120,7 @@ class AvoidanceEngine:
                            gap_timeout=self.config.event_gap_timeout))
         self.clock = clock or WallClock()
         self.stats = stats or EngineStats()
+        self.stats.register(self.events)  # the operation counters: this bus's records, counted
         self.calibrator = calibrator
         self.mode = mode
         self._external_names = set(self.config.external_synchronization)
@@ -179,7 +180,6 @@ class AvoidanceEngine:
         if self.mode == MODE_INSTRUMENTATION_ONLY:
             return GO_OUTCOME
         now = self.clock.now()
-        self.stats.bump("requests")
         if capacity > 1 or mode == SHARED:
             self._learn_spec(lock_id, mode, capacity)
         cache = self.cache
@@ -245,7 +245,6 @@ class AvoidanceEngine:
                     causes=causes, since=now)
                 self._last_avoided_fp = signature.fingerprint
                 signature.record_avoidance()
-                self.stats.bump("yield_decisions")
                 self.events.emit(EV_YIELD, thread_id, lock_id, stack, causes,
                                  now, mode, capacity)
                 if self.calibrator is not None:
@@ -288,9 +287,6 @@ class AvoidanceEngine:
         if slot.yield_cause:
             self.cache.clear_yield_cause(thread_id)
         slot.yield_state = None
-        # No go_decisions bump: every request ends in a grant or a YIELD,
-        # so EngineStats derives go_decisions = requests - yield_decisions
-        # and the hot path saves a sharded counter write.
         self.events.emit(EV_ALLOW, thread_id, lock_id, stack, (), now,
                          mode, capacity)
         return GO_OUTCOME
@@ -438,7 +434,6 @@ class AvoidanceEngine:
         held_before = tuple(slot.holds) if watching else ()
         self.cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
         slot.yield_state = None
-        self.stats.bump("acquisitions")
         self.events.emit(EV_ACQUIRED, thread_id, lock_id, stack, (), now,
                          mode, capacity)
         if watching:
@@ -452,7 +447,6 @@ class AvoidanceEngine:
             return []
         now = self.clock.now()
         fully, stack = self.cache.release_hold(thread_id, lock_id)
-        self.stats.bump("releases")
         self.events.emit(EV_RELEASE, thread_id, lock_id, stack, (), now)
         calibrator = self.calibrator
         if calibrator is not None and calibrator.watching():
@@ -485,7 +479,6 @@ class AvoidanceEngine:
         if slot.yield_cause:
             self.cache.clear_yield_cause(thread_id)
         slot.yield_state = None
-        self.stats.bump("cancels")
         self.events.emit(EV_CANCEL, thread_id, lock_id, timestamp=now)
         if previous is not None:
             # The allow edge is gone; the request stack can no longer be

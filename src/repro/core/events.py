@@ -23,9 +23,12 @@ contending with other producers (which matters on free-threaded builds,
 where a shared deque serializes on its per-object lock), and the monitor
 merges the rings by the bus's ``seq`` so the paper's section 5.2 partial
 ordering — a release precedes the next acquire of the same lock — is
-preserved across rings.  The ordering contract and the publication-order
-assumptions the lock-free paths rely on are spelled out in
-``docs/architecture.md`` ("The memory model").
+preserved across rings.  Each ring counts its records per event code,
+drops included (:meth:`EventBus.counts`): the engine's operation
+counters, which :class:`~repro.core.stats.EngineStats` reads.  The
+ordering contract and the publication-order assumptions the lock-free
+paths rely on are spelled out in ``docs/architecture.md`` ("The memory
+model").
 """
 
 from __future__ import annotations
@@ -235,7 +238,7 @@ class _Ring:
     and never keyed by ident).
     """
 
-    __slots__ = ("items", "capacity", "dropped", "high_water", "total",
+    __slots__ = ("items", "capacity", "dropped", "high_water", "counts",
                  "owner")
 
     def __init__(self, capacity: int, owner=None):
@@ -243,7 +246,8 @@ class _Ring:
         self.capacity = capacity
         self.dropped = 0
         self.high_water = 0
-        self.total = 0
+        #: Records emitted per event code, dropped ones included.
+        self.counts = [0] * len(CODE_TO_TYPE)
         self.owner = owner
 
     def owner_alive(self) -> bool:
@@ -329,7 +333,7 @@ class EventBus:
         # -- lifetime counters ------------------------------------------
         self._retired_dropped = 0
         self._retired_high_water = 0
-        self._retired_total = 0
+        self._retired_counts = [0] * len(CODE_TO_TYPE)
         self._total_drained = 0
         self._stragglers = 0
         self._seq_gaps_skipped = 0
@@ -359,14 +363,14 @@ class EventBus:
             ring = self._local.ring
         except AttributeError:  # the thread's first emit
             ring = self._new_ring()
+        # Counted first: a dropped record is still an operation made (the
+        # engine's counters are these counts), and a reader can see a count
+        # whose record is not appended yet, never a record not yet counted.
+        ring.counts[code] += 1
         items = ring.items
         if len(items) >= ring.capacity:
             ring.dropped += 1
             return False
-        # total is bumped before the append so a racing reader can see a
-        # record not yet counted, never a count without its record:
-        # peek_size() <= total_enqueued - total_drained at all times.
-        ring.total += 1
         items.append((self._next_seq(), code, thread_id, lock_id, stack,
                       causes, timestamp, mode, capacity))
         size = len(items)
@@ -411,7 +415,7 @@ class EventBus:
         # final burst of records while the producer races to exit, and
         # deleting it then orphans those records.
         # Lifetime counters are folded into the retired aggregates,
-        # keeping dropped / total_enqueued / high_water_mark monotone.
+        # keeping dropped / counts() / high_water_mark monotone.
         with self._mutex:
             for ring_id, ring in list(self._rings.items()):
                 if ring.owner_alive() or ring.items:
@@ -419,7 +423,7 @@ class EventBus:
                 del self._rings[ring_id]
                 self._retired_dropped += ring.dropped
                 self._retired_high_water += ring.high_water
-                self._retired_total += ring.total
+                self._retired_counts = list(map(operator.add, self._retired_counts, ring.counts))
         return merged
 
     def _eligible(self, merged: List[Tuple]) -> int:
@@ -506,7 +510,7 @@ class EventBus:
         guaranteed envelope — asserted by the test suite — is
         ``peek_size() <= total_enqueued - total_drained`` when the
         consumer thread reads ``peek_size()`` *before* ``total_enqueued``
-        (each ring bumps ``total`` before appending, so a later
+        (each ring counts a record before appending it, so a later
         ``total_enqueued`` read covers every record an earlier peek could
         have counted), with equality once producers are quiescent.
         Reading ``total_enqueued`` first admits transient violations:
@@ -552,12 +556,17 @@ class EventBus:
             return self._retired_high_water + sum(
                 ring.high_water for ring in self._rings.values())
 
+    def counts(self) -> List[int]:
+        """Records emitted per event code over the bus's lifetime, dropped ones included."""
+        with self._mutex:  # each ring is counted once: live, or retired
+            rings = [self._retired_counts] + [ring.counts for ring in self._rings.values()]
+        return [sum(column) for column in zip(*rings)]
+
     @property
     def total_enqueued(self) -> int:
-        """Records accepted over the bus's lifetime (monotone)."""
-        with self._mutex:
-            return self._retired_total + sum(
-                ring.total for ring in self._rings.values())
+        """Records accepted over the bus's lifetime: emitted minus dropped."""
+        dropped = self.dropped  # first: a drop is counted as emitted before it is dropped
+        return sum(self.counts()) - dropped
 
     @property
     def held_back(self) -> int:

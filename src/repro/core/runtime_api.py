@@ -260,7 +260,7 @@ _TRY_NATIVE_STEP = (TRY_NATIVE, None)
 
 def acquisition(core: RuntimeCore, thread_id: int, lock_id: int,
                 stack: CallStack, mode: str, capacity: int, blocking: bool,
-                deadline: Optional[float], now: Callable[[], float]):
+                deadline: Optional[float], now: Optional[Callable[[], float]]):
     """The avoidance protocol of one acquisition, as a sans-IO generator.
 
     Makes every engine call itself and yields to its driver only what a

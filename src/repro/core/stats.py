@@ -4,28 +4,29 @@ The engine, monitor, and calibrator update these counters so experiments
 and end users can observe what Dimmunix is doing (number of yields, GO
 decisions, detected deadlocks, starvation breaks, false positives, ...).
 
-Counters are sharded per thread: :meth:`EngineStats.bump` writes into a
-dictionary owned by the calling thread, so the hot path (three bumps per
-request/acquire/release triple; ``go_decisions`` is derived at read time
-rather than bumped per grant) never takes a lock and never contends
-with other threads — which matters both under the GIL (the old global
-lock showed up in hot-path profiles) and on free-threaded builds (where
-a shared lock serializes every core).  Reads aggregate the shards:
-``stats.requests`` and :meth:`snapshot` sum over all per-thread
-dictionaries, which is O(threads) but off the hot path.
+Six are never written: ``requests``, ``go_decisions``,
+``yield_decisions``, ``acquisitions``, ``releases`` and ``cancels`` are
+what the engine's ALLOW + YIELD, ALLOW, YIELD, ACQUIRED, RELEASE and
+CANCEL records count, so they are read off the per-code counts of the
+buses engines register (:meth:`~repro.core.events.EventBus.counts`): a
+miss-path acquire/release writes no counter but its ring's.  Only
+reading these walks the buses.
 
-:meth:`EngineStats.reset` is *epoch-based*.  Clearing the shard dicts in
-place would race lock-free bumpers — a writer that read ``shard.get(name)``
-before the clear and stored after it resurrects the pre-reset total, and
-one that stored just before the clear loses its increment ambiguously.
-Instead, reset bumps a generation number; each writer lazily replaces its
-counts dict the next time it bumps, and readers ignore shards whose
-generation is stale.  An in-flight bump therefore lands wholly in the old
-epoch (and is discarded with it) or wholly in the new one — never half-
-counted, never resurrected.  The publication order writers must follow is
-*counts dict before epoch* (see ``docs/architecture.md``, "The memory
-model"): a reader that sees the new epoch then always sees the fresh
-dict, so no post-reset increment can be missed.
+The rest are sharded per thread: :meth:`EngineStats.bump` writes a dict
+owned by the calling thread, taking no lock and contending with no other
+thread (a shared lock would serialize every core of a free-threaded
+build); reads aggregate the shards, O(threads) but off the hot path.
+
+:meth:`EngineStats.reset` is *epoch-based*: clearing the shard dicts in
+place would race lock-free bumpers (a writer that read before the clear
+and stored after it resurrects the pre-reset total), so it bumps a
+generation number instead.  Each writer replaces its counts dict on its
+next bump — *counts dict before epoch*, so a reader that sees the new
+epoch sees the fresh dict — and readers skip stale generations: an
+in-flight bump lands wholly in the old epoch or wholly in the new one.
+The same step re-takes every bus's counts as the baseline the derived
+counters are read against, so an emission racing it is counted exactly
+once too (``docs/architecture.md``, "The memory model").
 
 A shard whose thread has ended is *retired* the way :class:`EventBus`
 rings are: its counts are folded into per-epoch retired totals, so a
@@ -37,7 +38,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict
+from typing import Dict, Iterable
+
+from .events import EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE, EV_YIELD
 
 #: Names of all counters, used by snapshot()/reset() and attribute reads.
 _COUNTER_NAMES = (
@@ -55,6 +58,11 @@ _COUNTER_NAMES = (
 )
 
 _COUNTER_SET = frozenset(_COUNTER_NAMES)
+
+#: Event code -> the counters each record of it counts (the others are bumped).
+_COUNTED_BY = {EV_ALLOW: ("requests", "go_decisions"), EV_YIELD: ("requests", "yield_decisions"),
+               EV_ACQUIRED: ("acquisitions",), EV_RELEASE: ("releases",), EV_CANCEL: ("cancels",)}
+_DERIVED = frozenset(name for names in _COUNTED_BY.values() for name in names)
 
 
 class _StatShard:
@@ -79,12 +87,12 @@ class EngineStats:
     """Counters maintained by the avoidance engine and monitor.
 
     Each counter is readable as a plain attribute (``stats.requests``);
-    the value is aggregated across all thread shards at read time, so it
-    is exact once the bumping threads are quiescent (joined), and at
-    worst a few increments stale while they are still running.
+    the value is aggregated across all thread shards and buses at read
+    time, so it is exact once the counting threads are quiescent (joined),
+    and at worst a few increments stale while they are still running.
     """
 
-    __slots__ = ("_lock", "_local", "_shards", "_epoch", "_retired", "_retire_at")
+    __slots__ = ("_lock", "_local", "_shards", "_epoch", "_retired", "_retire_at", "_buses")
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -102,6 +110,13 @@ class EngineStats:
         #: Shard count at which a new shard first retires dead ones: twice
         #: the survivors of the last retirement, so a thread start costs O(1).
         self._retire_at = 8
+        #: (bus, its counts at registration or the last reset); replaced under _lock.
+        self._buses = ()
+
+    def register(self, bus) -> None:
+        """Derive the operation counters from ``bus``'s records too, from now on."""
+        with self._lock:
+            self._buses += ((bus, bus.counts()),)
 
     def _new_shard(self) -> _StatShard:
         shard = _StatShard(self._epoch)
@@ -146,54 +161,50 @@ class EngineStats:
         counts = shard.counts
         counts[name] = counts.get(name, 0) + amount
 
-    def value_of(self, name: str) -> int:
-        """The aggregated value of one counter across all thread shards."""
-        if name not in _COUNTER_SET:
-            raise KeyError(name)
-        return self.snapshot()[name]
+    def _totals(self, names: Iterable[str]) -> Dict[str, int]:
+        """The values of ``names``: bumped, plus what the buses count of the derived ones."""
+        with self._lock:  # one consistent view: each shard live or retired
+            epoch, shards, retired, buses = self._epoch, self._shards, self._retired, self._buses
+        totals = dict.fromkeys(names, 0)
+        for counts in [retired] + [shard.counts for shard in shards if shard.epoch == epoch]:
+            for name, value in list(counts.items()):
+                if name in totals:
+                    totals[name] += value
+        for bus, baseline in buses if not _DERIVED.isdisjoint(totals) else ():
+            emitted = bus.counts()
+            for code, counted in _COUNTED_BY.items():
+                for name in counted:
+                    if name in totals:
+                        totals[name] += emitted[code] - baseline[code]
+        return totals
 
     def __getattr__(self, name: str) -> int:
         # Only fires for names not found via __slots__, i.e. the counters.
         if name in _COUNTER_SET:
-            return self.value_of(name)
+            return self._totals((name,))[name]
         raise AttributeError(
             f"{type(self).__name__!s} object has no attribute {name!r}")
 
     def snapshot(self) -> Dict[str, int]:
-        """A plain-dict copy of all counters (aggregated over shards)."""
-        with self._lock:  # one consistent view: each shard live or retired
-            epoch, shards, retired = self._epoch, self._shards, self._retired
-        totals = {name: retired.get(name, 0) for name in _COUNTER_NAMES}
-        for shard in shards:
-            if shard.epoch != epoch:
-                continue
-            for name, value in list(shard.counts.items()):
-                totals[name] += value
-        # Derived, not bumped: every request ends in a grant or a YIELD, so
-        # the engine skips a per-grant shard write on the hot path.  The
-        # max() only matters mid-flight, when the two counters are read a
-        # few increments apart.
-        totals["go_decisions"] = max(
-            0, totals["requests"] - totals["yield_decisions"])
-        return totals
+        """A plain-dict copy of all counters (aggregated over shards and buses)."""
+        return self._totals(_COUNTER_NAMES)
 
     def reset(self) -> None:
-        """Zero every counter, atomically with respect to concurrent bumps.
+        """Zero every counter, atomically with respect to concurrent bumps and emits.
 
-        Starts a new epoch rather than clearing shard dicts in place (a
-        clear would race lock-free writers; see the module docstring).
-        A bump racing the reset lands entirely in the old epoch — and is
-        discarded with it — or entirely in the new one; it is never
-        half-counted and old totals can never resurface.
+        A new epoch, not cleared dicts, and every bus's baseline re-taken
+        (see the module docstring): a bump or emission racing the reset
+        counts wholly in the old epoch or wholly in the new one.
         """
         with self._lock:
             self._epoch += 1
             self._retired = {}
+            self._buses = tuple((bus, bus.counts()) for bus, _ in self._buses)
 
     @property
     def yield_rate(self) -> float:
         """Fraction of requests answered with YIELD."""
-        requests = self.value_of("requests")
-        if requests == 0:
+        totals = self._totals(("requests", "yield_decisions"))
+        if totals["requests"] == 0:
             return 0.0
-        return self.value_of("yield_decisions") / requests
+        return totals["yield_decisions"] / totals["requests"]

@@ -92,12 +92,12 @@ class TaskRegistry:
         self._mutex = threading.Lock()
         self._on_task_done = on_task_done
 
-    def current_task_id(self) -> int:
-        """The stable id of the running task (allocated on first use)."""
+    def current_task_id(self, task=None) -> int:
+        """The stable id of ``task``, by default the running one (allocated on first use)."""
         try:
-            task = asyncio.current_task()
+            task = task or asyncio.current_task()
         except RuntimeError:  # no running event loop
-            task = None
+            pass
         if task is None:
             raise InstrumentationError(
                 "Dimmunix asyncio primitives must be used from within a task")
@@ -111,10 +111,6 @@ class TaskRegistry:
             self._names[ident] = task.get_name()
         task.add_done_callback(self._task_done)
         return ident
-
-    def name_of(self, task_id: int) -> Optional[str]:
-        """The asyncio task name recorded for ``task_id`` (while it lives)."""
-        return self._names.get(task_id)
 
     def known_tasks(self) -> Dict[int, str]:
         """Mapping of the ids of live tasks to their task names."""
@@ -163,21 +159,21 @@ class AsyncioParker(ThreadParker):
         after every wake.
 
         Audited for free-threaded builds: the lock-free fast path reads
-        one published ``(loop, future)`` tuple — dict reads are atomic
-        per-object, tuples are immutable, and replacements only ever
-        happen under ``_mutex``.  A racing :meth:`forget` or replacement
-        at worst leaves this round armed against a tuple that is no
-        longer current, which the next ``park_async`` (re-reading the
-        dict under ``_mutex``) resolves to a spurious-wake, never a
-        lost one.
+        one published ``(loop, future)`` tuple and no running loop (a task
+        id names one task, and a task never changes loops).  Dict reads
+        are atomic, tuples immutable, replacements made under ``_mutex``
+        only.  A racing :meth:`forget` or replacement at worst leaves this
+        round armed against a tuple no longer current, which the next
+        ``park_async`` (re-reading the dict under ``_mutex``) resolves to
+        a spurious wake, never a lost one.
         """
-        loop = asyncio.get_running_loop()
         entry = self._futures.get(task_id)
-        if entry is not None and entry[0] is loop and not entry[1].done():
+        if entry is not None and not entry[1].done():
             return
+        loop = asyncio.get_running_loop()
         with self._mutex:
             entry = self._futures.get(task_id)
-            if entry is None or entry[0] is not loop or entry[1].done():
+            if entry is None or entry[1].done():
                 self._futures[task_id] = (loop, loop.create_future())
             register = task_id not in self._registered
             if register:
@@ -344,12 +340,13 @@ def _caller_identity(runtime: AsyncioRuntime) -> Tuple[Optional[int], CallStack]
     whose ``wait_for`` runs the coroutine in a throwaway wrapper task
     (≤ 3.11) — engine events always carry the logical caller's identity,
     never the wrapper's.  The id is None outside a task and resolved at
-    await time.
+    await time.  The running loop is looked up once, here, to find the task.
     """
     try:
-        task_id: Optional[int] = runtime.current_task_id()
-    except InstrumentationError:
-        task_id = None
+        task = asyncio.current_task(asyncio.get_running_loop())
+    except RuntimeError:  # no running event loop
+        task = None
+    task_id = None if task is None else runtime.tasks.current_task_id(task)
     return task_id, runtime.capture_stack()
 
 
@@ -367,8 +364,9 @@ async def _acquire(lock, task_id: Optional[int], stack: CallStack,
     core = runtime.core
     if task_id is None:
         task_id = runtime.current_task_id()
-    now = asyncio.get_running_loop().time
-    deadline = None if timeout is None else now() + timeout
+    # The loop's clock, not time.monotonic: a virtual-time loop expires too.
+    now = None if timeout is None else asyncio.get_running_loop().time
+    deadline = None if now is None else now() + timeout
     steps = acquisition(core, task_id, lock._lock_id, stack, mode, capacity,
                         True, deadline, now)
     reply = None
@@ -388,7 +386,18 @@ async def _acquire(lock, task_id: Optional[int], stack: CallStack,
         raise
 
 
-class AioLock(MutexSkeleton):
+class _AsyncWith:
+    """``async with``: ``acquire()`` on the way in, ``release()`` on the way out."""
+
+    async def __aenter__(self) -> None:
+        await self.acquire()
+
+    async def __aexit__(self, exc_type, exc, tb) -> bool:
+        self.release()
+        return False
+
+
+class AioLock(_AsyncWith, MutexSkeleton):
     """A drop-in ``asyncio.Lock`` protected by deadlock immunity.
 
     Every acquisition runs the avoidance protocol
@@ -448,17 +457,8 @@ class AioLock(MutexSkeleton):
         """Whether the lock is currently held."""
         return self._native.locked()
 
-    # -- context manager ------------------------------------------------------------------
 
-    async def __aenter__(self) -> None:
-        await self.acquire()
-
-    async def __aexit__(self, exc_type, exc, tb) -> bool:
-        self.release()
-        return False
-
-
-class AioSemaphore(SemaphoreSkeleton):
+class AioSemaphore(_AsyncWith, SemaphoreSkeleton):
     """A drop-in ``asyncio.Semaphore`` with engine-tracked permits.
 
     Since the engine's resource model became capacity aware, *every*
@@ -502,13 +502,6 @@ class AioSemaphore(SemaphoreSkeleton):
     def locked(self) -> bool:
         """Whether no permits are currently available."""
         return self._native.locked()
-
-    async def __aenter__(self) -> None:
-        await self.acquire()
-
-    async def __aexit__(self, exc_type, exc, tb) -> bool:
-        self.release()
-        return False
 
 
 class AioRWLock(RWLockSkeleton):
@@ -597,7 +590,7 @@ class AioRWLock(RWLockSkeleton):
             self.release_write()
 
 
-class AioCondition:
+class AioCondition(_AsyncWith):
     """A drop-in ``asyncio.Condition`` backed by an :class:`AioLock`.
 
     Waits release the instrumented lock and reacquire it through the
@@ -631,13 +624,6 @@ class AioCondition:
     def locked(self) -> bool:
         """Whether the underlying lock is held."""
         return self._lock.locked()
-
-    async def __aenter__(self) -> None:
-        await self.acquire()
-
-    async def __aexit__(self, exc_type, exc, tb) -> bool:
-        self.release()
-        return False
 
     # -- condition protocol ---------------------------------------------------------------
 
