@@ -23,8 +23,8 @@ is lock-striped; and the signature history is consulted through a
 read-mostly incremental :class:`~repro.core.sigindex.SignatureIndex`.  A
 request whose call site no signature names — the common case — is decided
 by one probe of the index's ``sites``, the capture's, whose verdict holds
-for that filter object: no engine-wide lock, and no Allowed-set entry in
-the cache, which is handed the same set.  Only requests that could
+for that very object: no engine-wide lock, and no Allowed-set entry in
+the cache, which is handed the same object.  Only requests that could
 instantiate a signature serialize on a single match mutex, which keeps the
 exact-cover search and the publication of the resulting yield state atomic
 with respect to other potential matches.
@@ -124,15 +124,13 @@ class AvoidanceEngine:
         self.calibrator = calibrator
         self.mode = mode
         self._external_names = set(self.config.external_synchronization)
-        #: Section 5.6: the suffix-keyed signature index.  It maintains
-        #: itself incrementally from history observer notifications and
-        #: calibrator depth-listener callbacks, so the request path never
-        #: scans the history for staleness and never triggers a rebuild.
+        #: Section 5.6: the site-keyed signature index.  It maintains
+        #: itself incrementally from history observer notifications, so the
+        #: request path never scans the history and never triggers a
+        #: rebuild; a lookup after a depth change re-keys it.
         self.index = SignatureIndex(history)
-        if calibrator is not None:
-            calibrator.add_depth_listener(self.index.refresh)
         #: Serializes only the matching slow path: requests whose stack
-        #: suffix hits at least one index bucket.
+        #: matches a stack of some signature.
         self._match_mutex = threading.Lock()
         #: Fingerprint of the most recently avoided signature (section 5.7
         #: "disable the last avoided signature" semantics).
@@ -194,13 +192,15 @@ class AvoidanceEngine:
             cache.sites = sites
             cache.rebuild_allowed()
 
-        # Fast path: no signature has a stack whose depth-d suffix equals
-        # this request's suffix, so no instance can involve this binding —
-        # grant without any engine-wide synchronization, or index entry.
         if self._should_bypass(slot, lock_id, stack, sites):
             return self._grant(slot, thread_id, lock_id, stack, now, mode, capacity)
-        candidates = self.index.candidates(stack)
-        if not candidates:
+        candidates = self.index.candidates(stack, sites)
+        if not candidates or stack.top().function in self._external_names:
+            # The paper's 99.99% case: no signature has a stack that this one
+            # matches (none has any while the history is empty), so no
+            # instance can involve this binding — grant without any
+            # engine-wide synchronization, or index entry.  A foreign
+            # synchronization routine's avoidance decision is ignored (5.7).
             return self._grant(slot, thread_id, lock_id, stack, now, mode, capacity)
 
         # The request is entering the cover search and may park, so now —
@@ -247,17 +247,18 @@ class AvoidanceEngine:
                 signature.record_avoidance()
                 self.events.emit(EV_YIELD, thread_id, lock_id, stack, causes,
                                  now, mode, capacity)
-                if self.calibrator is not None:
+                calibrator = self.calibrator
+                if calibrator is not None and calibrator.config.calibration_enabled:
                     deeper = self._depths_matching(signature, thread_id, lock_id,
                                                    stack)
-                    self.calibrator.on_avoidance(signature, thread_id, lock_id,
-                                                 stack, causes, deeper)
+                    calibrator.on_avoidance(signature, thread_id, lock_id,
+                                            stack, causes, deeper)
                 return RequestOutcome(Decision.YIELD, signature=signature,
                                       causes=causes)
 
     def _should_bypass(self, slot, lock_id: int, stack: CallStack,
-                       sites: frozenset) -> bool:
-        """Cases in which no history matching is performed."""
+                       sites: dict) -> bool:
+        """Cases in which no history matching is performed, decided before ``sites`` is probed."""
         if self.config.detection_only:
             return True
         if slot.forced_go:
@@ -270,16 +271,8 @@ class AvoidanceEngine:
             # taking a second semaphore permit, or upgrading a read hold
             # to a write hold, can absolutely complete a cycle.
             return True
-        if stack.absent_from is sites:
-            return True  # the capture probed this very object, and a frozenset never changes
-        top = stack.top()
-        if top not in sites:
-            # The miss filter, the paper's 99.99% case: no signature names
-            # this call site (none names any while the history is empty).
-            return True
-        # Foreign synchronization routine: ignore the avoidance decision
-        # (section 5.7).
-        return top is not None and top.function in self._external_names
+        # The capture probed this very object, and a published index never changes.
+        return stack.absent_from is sites
 
     def _grant(self, slot, thread_id: int, lock_id: int, stack: CallStack,
                now: float, mode: str, capacity: int) -> RequestOutcome:
@@ -298,11 +291,10 @@ class AvoidanceEngine:
                           ) -> Optional[Tuple[Signature, List[Binding]]]:
         """Find a signature whose instantiation includes the tentative request.
 
-        ``candidates`` come from the incremental suffix index: only
-        signatures having a stack whose depth-d suffix equals the request
-        stack's suffix can possibly be covered by the tentative binding, so
-        everything else was already discarded in O(1) (the paper's section
-        5.6 fast path).
+        ``candidates`` are the signatures with a stack the request matches
+        (:meth:`SignatureIndex.candidates`): only those can be covered by
+        the tentative binding, so everything else was already discarded
+        lock-free (the paper's section 5.6 fast path).
         """
         for signature in candidates:
             if signature.disabled:

@@ -91,7 +91,7 @@ class AvoidanceCache:
         #: The call sites Allowed sets are kept at; ``None`` is every site.
         #: State, not a setting: the engine stores its index's republished
         #: ``sites`` here *before* it calls :meth:`rebuild_allowed`.
-        self.sites: Optional[frozenset] = None
+        self.sites: Optional[dict] = None
         self._stripes: List[_Stripe] = [_Stripe() for _ in range(STRIPES)]
         self.slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
         #: Slots of currently yielding threads only, so release-side wake

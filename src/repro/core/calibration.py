@@ -109,20 +109,6 @@ class Calibrator:
         self._mutex = threading.RLock()
         #: Verdict log: (fingerprint, depth, was_false_positive) per episode.
         self.verdicts: List[Tuple[str, int, bool]] = []
-        #: Callbacks invoked with a signature after its matching depth was
-        #: changed; the incremental signature index re-buckets through this.
-        self._depth_listeners: List = []
-
-    def add_depth_listener(self, listener) -> None:
-        """Register ``listener(signature)``, called after depth changes."""
-        self._depth_listeners.append(listener)
-
-    def _set_depth(self, signature: Signature, depth: int) -> None:
-        if signature.matching_depth == depth:
-            return
-        signature.matching_depth = depth
-        for listener in list(self._depth_listeners):
-            listener(signature)
 
     # -- engine hooks ------------------------------------------------------------------
 
@@ -132,10 +118,8 @@ class Calibrator:
 
     def on_avoidance(self, signature: Signature, thread_id: int, lock_id: int,
                      stack: CallStack, causes: Sequence, deeper_depths: Sequence[int]
-                     ) -> Optional[int]:
-        """Called by the engine whenever it answers YIELD."""
-        if not self.config.calibration_enabled:
-            return None
+                     ) -> int:
+        """Called by the engine whenever it answers YIELD, while ``calibration_enabled``."""
         with self._mutex:
             state = self._state_of(signature)
             participants = {thread_id} | {binding[0] for binding in causes}
@@ -220,11 +204,11 @@ class Calibrator:
         max_depth = self.config.max_stack_depth
         current = state.current_depth
         if state.avoidances_at_depth.get(current, 0) < na:
-            self._set_depth(signature, current)
+            signature.matching_depth = current
             return
         if current < max_depth:
             state.current_depth = current + 1
-            self._set_depth(signature, state.current_depth)
+            signature.matching_depth = state.current_depth
             return
         # Every depth has been sampled: pick the smallest depth with the
         # lowest FP rate (the most general pattern among the best).
@@ -239,7 +223,7 @@ class Calibrator:
                 best_rate = rate
                 best_depth = depth
         if best_depth is not None:
-            self._set_depth(signature, best_depth)
+            signature.matching_depth = best_depth
         state.completed = True
         state.avoidances_since_completion = 0
 
@@ -250,7 +234,7 @@ class Calibrator:
         state.avoidances_at_depth.clear()
         state.fps_at_depth.clear()
         state.avoidances_since_completion = 0
-        self._set_depth(signature, 1)
+        signature.matching_depth = 1
 
     # -- public API ---------------------------------------------------------------------
 
@@ -261,7 +245,7 @@ class Calibrator:
                                       if not self.config.calibration_enabled else 1)
             if self.config.calibration_enabled:
                 state.current_depth = 1
-                self._set_depth(signature, 1)
+                signature.matching_depth = 1
             self._states[signature.fingerprint] = state
         return state
 

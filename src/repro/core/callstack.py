@@ -41,8 +41,8 @@ class Frame(NamedTuple):
     """One stack frame: function name, file name, and line number.
 
     A tuple, so hashing and equality run in C: a frame is a dict key on
-    every request (the index's top-frame filter and bucket keys, the
-    Allowed sets' call sites).
+    every request (the signature index's and the Allowed sets' call
+    sites).
     """
 
     function: str
@@ -87,9 +87,9 @@ class CallStack:
     """Immutable, hashable call stack (innermost frame first)."""
 
     __slots__ = ("_frames", "_hash")
-    #: The published ``sites`` filter a deferred capture found its call site
+    #: The published ``sites`` index a deferred capture found its call site
     #: absent from (:meth:`capture_lazy`); eager stacks carry no verdict.
-    absent_from: Optional[frozenset] = None
+    absent_from: Optional[dict] = None
 
     def __init__(self, frames: Iterable[Frame]):
         self._frames: Tuple[Frame, ...] = tuple(frames)
@@ -163,7 +163,7 @@ class CallStack:
 
     @classmethod
     def capture_lazy(cls, skip: int = 1, limit: int = 10, stats=None,
-                     sites: Optional[frozenset] = None) -> "CallStack":
+                     sites: Optional[dict] = None) -> "CallStack":
         """Capture the caller's top application frame; walk on only where it pays.
 
         The hot path of both lock runtimes throws away almost every stack
@@ -348,8 +348,7 @@ class LazyCallStack(CallStack):
     in-thread *before* the thread blocks or parks (see
     ``AvoidanceEngine.note_blocked`` and the YIELD branch of ``request``),
     so the fallback only ever appears where a shorter stack merely makes a
-    match *fail* (a benign false negative, same contract as the top-frame
-    miss filter's publication order).
+    match *fail* (a benign false negative).
 
     Hashing is by object identity (``object.__hash__``, in C) and never
     revisited by :meth:`materialize`: the engine's caches key holds and
@@ -367,7 +366,7 @@ class LazyCallStack(CallStack):
     absent_from = CallStack._hash  # in the slot identity hashing leaves unused: a ninth is 16 B each
 
     def __init__(self, top: Frame, origin, lasti: int, thread_ident: int,
-                 limit: int, stats=None, absent_from: Optional[frozenset] = None):
+                 limit: int, stats=None, absent_from: Optional[dict] = None):
         # No super().__init__: the _frames slot stays unset until
         # materialize(); any read of it routes through __getattr__.
         self._top = top

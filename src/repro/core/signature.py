@@ -52,7 +52,7 @@ class Signature:
         "stacks",
         "modes",
         "kind",
-        "matching_depth",
+        "_matching_depth",
         "disabled",
         "avoidance_count",
         "abort_count",
@@ -60,6 +60,9 @@ class Signature:
         "created_at",
         "_fingerprint",
     )
+    #: Changes made to any signature's ``matching_depth`` since import: the
+    #: signature index keys stacks by depth and re-keys itself when this moves.
+    depth_changes = 0
 
     def __init__(self, stacks: Iterable[CallStack], kind: str = DEADLOCK,
                  matching_depth: int = 4, disabled: bool = False,
@@ -92,13 +95,24 @@ class Signature:
         self.stacks: Tuple[CallStack, ...] = tuple(stack for stack, _ in pairs)
         self.modes: Tuple[str, ...] = tuple(mode for _, mode in pairs)
         self.kind = kind
-        self.matching_depth = matching_depth
+        self._matching_depth = matching_depth
         self.disabled = disabled
         self.avoidance_count = avoidance_count
         self.abort_count = abort_count
         self.occurrence_count = occurrence_count
         self.created_at = created_at
         self._fingerprint: Optional[str] = None
+
+    @property
+    def matching_depth(self) -> int:
+        """How many innermost frames a runtime stack must share with a stack of this one."""
+        return self._matching_depth
+
+    @matching_depth.setter
+    def matching_depth(self, depth: int) -> None:
+        if depth != self._matching_depth:
+            self._matching_depth = depth  # stored before it is counted: see SignatureIndex
+            Signature.depth_changes += 1
 
     # -- identity ------------------------------------------------------------------
 

@@ -11,7 +11,7 @@ signature records are parsed:
   the remote signatures into the history.  Merging triggers the
   history's observer hooks, which is how a remote signature reaches the
   engine's striped avoidance state: the incremental
-  :class:`~repro.core.sigindex.SignatureIndex` adds its suffix buckets
+  :class:`~repro.core.sigindex.SignatureIndex` adds it at its call sites
   and the very next lock request can match it — no restart, no engine
   reset.
 
@@ -21,7 +21,7 @@ control record — Lamport-clocked, origin-stamped — onto the channel,
 and :meth:`pump` merges inbound control records into the pool's
 :class:`~repro.share.state.PoolState` and applies the ones that win to
 the local history.  Applying a remote "disable" fires the
-history's observer hooks, the signature index drops its buckets, and a
+history's observer hooks, the signature index drops the signature, and a
 *live* worker stops avoiding the fingerprint without restarting —
 fleet-wide retraction of a bad signature (section 5.7 at fleet scale).
 

@@ -8,9 +8,9 @@ one invariant that a publication race would break:
   dead-ring retirement (zero loss under thread churn);
 * ``test_stats_races`` — epoch-based reset never resurrects or
   half-counts an in-flight bump;
-* ``test_sigindex_races`` — the COW top-filter/bucket publication order
-  only ever produces benign false negatives, never false positives or
-  torn reads;
+* ``test_sigindex_races`` — the index's one-assignment publication only
+  ever produces benign false negatives, never false positives or torn
+  reads;
 * ``test_allowed_sites_races`` — the Allowed sets kept only at named
   sites: a filter republished while holds stand, a request or a release
   racing the rebuild, never leave a live binding at a named site

@@ -1,12 +1,12 @@
 """SignatureIndex COW publication races: benign false negatives only.
 
-``candidates()`` reads the top-frame filter and the buckets lock-free
-while a writer churns signatures in and out.  The publication contract
-(filter before buckets on insert, buckets before filter on remove) makes
-every interleaving a *false negative* at worst; a publication-order bug
-shows up here as a reader crash (torn structure), a false positive
-(matching a signature that was never indexed), or a filter that drifts
-out of lock-step with the buckets.
+``candidates()`` reads the published ``sites`` dict lock-free while a
+writer churns signatures in and out.  The publication contract (one
+reference assignment of a dict nobody mutates afterwards) makes every
+interleaving a *false negative* at worst; a publication bug shows up here
+as a reader crash (torn structure), a false positive (matching a
+signature that was never indexed), or an index that drifts from a
+rebuild.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class TestReaderWriterStorm:
                                      for off in range(3)])
 
         assert not failures, failures[:5]
-        # Quiescent: the refcounted filter must exactly cover the buckets.
-        assert index.filter_consistent()
+        # Quiescent: the incremental index must equal a rebuild.
+        assert index.equivalent_to_rebuild()
         # And the index converged to the anchor alone.
         assert index.candidates(
             stack("lock:9999", "caller:9999", "main:0")) == [anchor]

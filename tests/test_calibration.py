@@ -56,10 +56,22 @@ class TestLockInversionHeuristic:
 
 class TestCalibratorLifecycle:
     def test_disabled_calibration_is_noop(self):
-        calibrator = Calibrator(DimmunixConfig.for_testing(calibration_enabled=False))
-        signature = make_signature(depth=4)
-        assert calibrator.on_avoidance(signature, 1, 10, stack("a:1"), [], []) is None
-        assert signature.matching_depth == 4
+        """With calibration off the engine never reports a yield: no episode, the depth kept."""
+        from repro.core.avoidance import AvoidanceEngine
+        from repro.core.history import History
+
+        config = DimmunixConfig.for_testing(calibration_enabled=False)
+        signature = Signature([stack("lock:1", "f:1", "main:0"), stack("lock:2", "g:1", "main:0")],
+                              matching_depth=3)
+        history = History()
+        history.add(signature)
+        calibrator = Calibrator(config)
+        engine = AvoidanceEngine(history, config, calibrator=calibrator)
+        engine.request(1, 10, signature.stacks[1])
+        engine.acquired(1, 10, signature.stacks[1])
+        assert engine.request(2, 11, signature.stacks[0]).is_yield
+        assert calibrator.open_episodes() == 0 and calibrator.verdicts == []
+        assert signature.matching_depth == 3
 
     def test_new_signature_starts_at_depth_one(self):
         calibrator = make_calibrator()
@@ -177,6 +189,25 @@ class TestCalibrationWithEngine:
         outcome = engine.request(2, 11, stack("lock:1", "f:1", "main:0"))
         assert outcome.is_yield
         assert calibrator.open_episodes() == 1
+
+    def test_a_yield_with_calibration_off_runs_one_cover_search(self, monkeypatch):
+        """The searches at deeper depths feed calibration alone: off (the default), none runs."""
+        from repro.core.avoidance import AvoidanceEngine
+        from repro.core.history import History
+
+        config = DimmunixConfig()
+        held = stack("lock:2", "g:1", "h:1", "main:0")
+        wants = stack("lock:1", "f:1", "h:2", "main:0")
+        history = History()
+        history.add(Signature([held, wants]))
+        engine = AvoidanceEngine(history, config, calibrator=Calibrator(config))
+        engine.request(1, 10, held)
+        engine.acquired(1, 10, held)
+        depths, find_instance = [], engine._find_instance
+        monkeypatch.setattr(engine, "_find_instance",
+                            lambda *args: depths.append(args[-1]) or find_instance(*args))
+        assert engine.request(2, 11, wants).is_yield
+        assert depths == [config.matching_depth]
 
     def test_an_open_episode_still_sees_every_acquisition_and_release(self):
         """The engine consults the calibrator only while it is ``watching()``: then, always."""

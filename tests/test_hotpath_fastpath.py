@@ -152,14 +152,14 @@ class TestTopFrameMissFilter:
                       for i in range(6)]
         for signature in signatures:
             history.add(signature)
-            assert index.filter_consistent()
+            assert index.equivalent_to_rebuild()
         history.remove(signatures[0].fingerprint)
-        assert index.filter_consistent()
+        assert index.equivalent_to_rebuild()
         signatures[1].matching_depth = 1
-        index.refresh(signatures[1])
-        assert index.filter_consistent()
+        assert index.candidates(stack(("a1:1", "other:0"))) == [signatures[1]]  # re-keys
+        assert index.equivalent_to_rebuild()
         history.clear()
-        assert index.filter_consistent()
+        assert index.equivalent_to_rebuild()
         assert index.candidates(stack(("a2:1", "m:0"))) == []
 
     def test_engine_miss_path_returns_go(self):
@@ -314,14 +314,18 @@ class TestTheMissFilterDecidesOnce:
         assert engine.cache.allowed_set_sizes() == {held: 1}
 
 
-class _CountingSites(frozenset):
-    """Stands in for the index's published filter and counts the probes made of it."""
+class _CountingSites(dict):
+    """Stands in for the index's published sites and counts the probes made of it."""
 
     probes = 0
 
     def __contains__(self, site):
         self.probes += 1
         return super().__contains__(site)
+
+    def get(self, site, default=None):
+        self.probes += 1
+        return super().get(site, default)
 
 
 class TestTheCaptureAsksTheFilterOnce:

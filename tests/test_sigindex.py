@@ -1,4 +1,4 @@
-"""Tests for the incremental suffix-keyed signature index."""
+"""Tests for the incremental site-keyed signature index."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.avoidance import AvoidanceEngine
 from repro.core.callstack import CallStack
 from repro.core.config import DimmunixConfig
-from repro.core.dimmunix import Dimmunix
+from repro.core.events import EV_ALLOW
 from repro.core.history import History
 from repro.core.sigindex import SignatureIndex
 from repro.core.signature import Signature
@@ -52,6 +52,15 @@ class TestIncrementalMaintenance:
         assert index.candidates(probe) == []
         assert len(index) == 0
 
+    def test_a_signature_removed_before_its_new_depth_was_keyed_leaves(self, history):
+        index = SignatureIndex(history)
+        sig = make_signature(1, depth=2)
+        history.add(sig)
+        sig.matching_depth = 3  # no lookup yet: still keyed at depth 2
+        history.remove(sig.fingerprint)
+        assert index.sites == {}
+        assert index.candidates(stack("lock:1", "callerA:1", "main:0")) == []
+
     def test_clear_empties_index(self, history):
         index = SignatureIndex(history)
         history.add(make_signature(1))
@@ -67,7 +76,6 @@ class TestIncrementalMaintenance:
         rebuilds_after_init = index.full_rebuilds
         history.add(make_signature(50))
         history.disable(make_signature(1).fingerprint)
-        index.refresh(history.signatures()[0])
         for _ in range(100):
             index.candidates(stack("lock:0", "callerA:0", "main:0"))
         assert index.full_rebuilds == rebuilds_after_init
@@ -75,45 +83,6 @@ class TestIncrementalMaintenance:
 
 
 class TestDepthRecalibration:
-    def test_refresh_moves_only_affected_signature(self, history):
-        index = SignatureIndex(history)
-        moved = make_signature(1, depth=2)
-        untouched = make_signature(2, depth=2)
-        history.add(moved)
-        history.add(untouched)
-        untouched_keys = set(index.keys_of(untouched.fingerprint))
-        old_moved_keys = set(index.keys_of(moved.fingerprint))
-
-        moved.matching_depth = 3
-        index.refresh(moved)
-
-        assert set(index.keys_of(untouched.fingerprint)) == untouched_keys
-        new_moved_keys = set(index.keys_of(moved.fingerprint))
-        assert new_moved_keys.isdisjoint(old_moved_keys)
-        assert all(depth == 3 for depth, _key in new_moved_keys)
-        assert index.equivalent_to_rebuild()
-
-    def test_calibrator_recalibration_invalidates_exactly_affected(self):
-        """Regression: a depth recalibration must re-bucket the affected
-        signature — and only it — without a full rebuild or staleness scan."""
-        config = DimmunixConfig.for_testing(calibration_enabled=True)
-        dimmunix = Dimmunix(config=config)
-        engine = dimmunix.engine
-        recalibrated = make_signature(1, depth=4)
-        bystander = make_signature(2, depth=4)
-        dimmunix.history.add(recalibrated)
-        dimmunix.history.add(bystander)
-        # Calibration resets a signature's depth to 1 the first time the
-        # calibrator sees it; recalibrate_all goes through the same path.
-        bystander_keys = set(engine.index.keys_of(bystander.fingerprint))
-        rebuilds = engine.index.full_rebuilds
-        dimmunix.calibrator.recalibrate_all([recalibrated])
-        assert recalibrated.matching_depth == 1
-        assert engine.index.indexed_depth_of(recalibrated.fingerprint) == 1
-        assert set(engine.index.keys_of(bystander.fingerprint)) == bystander_keys
-        assert engine.index.full_rebuilds == rebuilds
-        assert engine.index.equivalent_to_rebuild()
-
     def test_engine_matches_at_recalibrated_depth(self):
         history = History(path=None, autosave=False)
         sig = Signature([stack("lock:4", "update:1"), stack("lock:4", "update:2")],
@@ -129,12 +98,35 @@ class TestDepthRecalibration:
         assert engine.request(2, 1, s1).is_go
         engine.acquired(2, 1, s1)
         engine.release(2, 1)
-        # Deepen the depth so the "update" frames must also match; the
-        # index must re-bucket, making previously yielding paths pass.
+        # Deepen the depth so the "update" frames must also match.  Nothing
+        # tells the index: the next request at the site re-keys it, once.
+        updates = engine.index.updates
         sig.matching_depth = 3
-        engine.index.refresh(sig)
         different = stack("lock:4", "update:1", "elsewhere:9")
         assert engine.request(2, 1, different).is_go
+        assert engine.index.updates == updates + 1
+        assert engine.request(3, 1, different).is_go
+        assert engine.index.updates == updates + 1
+
+
+class TestOneFrameRequests:
+    @pytest.mark.parametrize("form", ["deep", "one-frame"])
+    def test_a_request_at_a_named_site_yields_however_many_frames_it_kept(self, form):
+        """A one-frame stack (a degraded lazy capture) matches on its top frame.
+
+        So a request that kept only its call site must reach the signatures
+        with a stack there, as the deep stack of the same position does.
+        """
+        held = stack("lock:1", "callerA:1", "work:1", "main:0")
+        wanted = stack("lock:2", "callerB:1", "work:2", "main:0")
+        history = History(path=None, autosave=False)
+        history.add(Signature([held, wanted]))
+        engine = AvoidanceEngine(history, DimmunixConfig.for_testing())
+        assert engine.request(1, 10, held).is_go
+        engine.acquired(1, 10, held)
+        request = wanted if form == "deep" else CallStack(wanted.frames[:1])
+        outcome = engine.request(2, 20, request)
+        assert outcome.is_yield and outcome.causes == ((1, 10, held),)
 
 
 class TestNoStalenessScanOnRequestPath:
@@ -190,7 +182,55 @@ class TestRandomizedEquivalence:
                 pool = [s for s in pool
                         if s.fingerprint != victim.fingerprint]
             else:
-                sig = rng.choice(pool)
-                sig.matching_depth = rng.randrange(1, 6)
-                index.refresh(sig)
+                # A recalibration: the index is not told, the next lookup re-keys.
+                changed = rng.choice(pool)
+                changed.matching_depth = rng.randrange(1, 6)
+                index.candidates(changed.stacks[0])
             assert index.equivalent_to_rebuild(), f"diverged at step {step}"
+
+
+_labels = st.sampled_from(["lock:1", "lock:2", "f:1", "g:2", "main:0"])
+_stacks = st.lists(_labels, min_size=1, max_size=6).map(lambda labels: stack(*labels))
+
+
+class TestCandidatesCoverEveryMatch:
+    @given(specs=st.lists(st.tuples(st.lists(_stacks, min_size=1, max_size=3),
+                                    st.integers(1, 6), st.booleans()), max_size=6),
+           depths=st.lists(st.integers(1, 6), max_size=6),
+           request=_stacks)
+    @settings(max_examples=200, deadline=None)
+    def test_every_signature_the_request_matches_is_a_candidate(self, specs, depths, request):
+        """The candidates are the signatures the request ``matches`` at their depth, once each.
+
+        One-frame requests and stacks included, and depths changed after
+        indexing (a recalibration the index is never told of).
+        """
+        history = History(path=None, autosave=False)
+        index = SignatureIndex(history)
+        for sig_stacks, depth, disabled in specs:
+            signature = Signature(sig_stacks, matching_depth=depth)
+            if history.add(signature) and disabled:
+                history.disable(signature.fingerprint)
+        for signature, depth in zip(history.signatures(), depths):
+            signature.matching_depth = depth
+        found = [signature.fingerprint for signature in index.candidates(request)]
+        assert len(found) == len(set(found))
+        assert set(found) == {signature.fingerprint for signature in history.enabled_signatures()
+                              if signature.matching_stacks(request)}
+
+
+class TestSharedCallSites:
+    def test_a_request_matching_no_stack_at_a_named_site_is_granted_lock_free(self, monkeypatch):
+        """Many signatures name one call site; a request there whose deeper
+        frames match none of their stacks gets GO with no cover search and no
+        REQUEST record, as a request at an unnamed site does."""
+        history = History(path=None, autosave=False)
+        for seed in range(32):
+            history.add(Signature([stack("lock:0", f"caller:{seed}", "main:0"),
+                                   stack("lock:0", f"other:{seed}", "main:0")]))
+        engine = AvoidanceEngine(history, DimmunixConfig.for_testing())
+        searched = []
+        monkeypatch.setattr(engine, "_match_candidates", lambda *args: searched.append(args))
+        assert engine.request(1, 10, stack("lock:0", "unrelated:1", "main:0")).is_go
+        assert searched == []
+        assert [record[1] for record in engine.events.drain_raw()] == [EV_ALLOW]

@@ -13,15 +13,14 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lines once Tables 1-2 became explorations of every interleaving:
-#: 17,944 before.  ``sim/threads.py`` (165 lines), the checker's learning
-#: loop and the scheduler closing unfinished thread programs were paid for
-#: by the pause hooks of every app method, ``interleave_pause`` and its
-#: asyncio twin, ``run_exploit`` and the trial plumbing of the harness.
-#: Earlier ratchets, newest first: 17,944 (the paper's evaluation as one
-#: checked table), 17,954 (the share fabric's one contract), 19,155,
-#: 19,461, 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_913
+#: Lines once the signature index became one site-keyed dict (17,913
+#: before): the suffix buckets beside the site filter, their refcount and
+#: the calibrator's re-index hook are gone.
+#: Earlier ratchets, newest first: 17,913 (Tables 1-2 as explorations of
+#: every interleaving), 17,944 (the paper's evaluation as one checked
+#: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
+#: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
+TOTAL_BUDGET = 17_724
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
