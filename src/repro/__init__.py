@@ -10,8 +10,8 @@ similar deadlocks.  This package provides:
   monkey-patching (``repro.immunize()``),
 * :mod:`repro.sim` — a deterministic simulator for reproducible deadlock
   and starvation scenarios,
-* :mod:`repro.baselines` — gate-lock / ghost-lock / detection-only
-  comparators used by the evaluation,
+* :mod:`repro.baselines` — gate-lock / detection-only comparators used
+  by the evaluation,
 * :mod:`repro.apps`, :mod:`repro.workloads`, :mod:`repro.harness` — the
   miniature target systems, workloads and experiment harness that
   regenerate the paper's tables and figures.

@@ -23,9 +23,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..core.avoidance import GO_OUTCOME, RequestOutcome
 from ..core.callstack import CallStack
 from ..core.signature import EXCLUSIVE
-from ..sim.backends import SchedulerBackend
+from ..sim.backends import YIELD_OUTCOME, SchedulerBackend
 from ..sim.result import StallRecord
 
 
@@ -101,17 +102,17 @@ class GateLockBackend(SchedulerBackend):
     # -- lock protocol ------------------------------------------------------------------------
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> bool:
+                mode: str = EXCLUSIVE, capacity: int = 1) -> RequestOutcome:
         site = _site_of(stack)
         needed = [gate for gate in self._gates if gate.covers(site)]
         if not needed:
-            return True
+            return GO_OUTCOME
         for gate in needed:
             if gate.owner is not None and gate.owner != thread_id:
                 self.denials += 1
                 if thread_id not in gate.waiters:
                     gate.waiters.append(thread_id)
-                return False
+                return YIELD_OUTCOME
         # All needed gates are free (or already ours): take them.
         for gate in needed:
             if gate.owner is None:
@@ -124,12 +125,7 @@ class GateLockBackend(SchedulerBackend):
             self._entries.setdefault((thread_id, lock_id), []).append(gate)
             if thread_id in gate.waiters:
                 gate.waiters.remove(thread_id)
-        return True
-
-    def acquired(self, thread_id: int, lock_id: int, stack: CallStack,
-                 mode: str = EXCLUSIVE, capacity: int = 1) -> None:
-        # Gates were taken at request time; nothing further to record.
-        return
+        return GO_OUTCOME
 
     def release(self, thread_id: int, lock_id: int) -> List[int]:
         gates = self._entries.pop((thread_id, lock_id), [])

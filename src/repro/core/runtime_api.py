@@ -1,11 +1,11 @@
 """The unified runtime-core API shared by every runtime adapter.
 
-Dimmunix has two runtimes: the real-thread instrumentation
-(:mod:`repro.instrument`) and the deterministic simulator
-(:mod:`repro.sim`).  Both used to carry their own copy of the
+Dimmunix has three runtimes: real threads (:mod:`repro.instrument`),
+asyncio tasks (:mod:`repro.instrument.aio`) and the deterministic
+simulator (:mod:`repro.sim`).  Each used to carry its own copy of the
 engine-driving glue — forwarding request/acquired/release/cancel to the
-engine and hand-rolling the release-side wakeups.  This module extracts
-that glue into one place:
+engine and hand-rolling the release-side wakeups.  This module holds that
+glue once:
 
 * :class:`RuntimeCore` — the six-operation protocol
   (``request`` / ``acquired`` / ``release`` / ``cancel`` / ``park`` /
@@ -15,12 +15,12 @@ that glue into one place:
 * :class:`ThreadParker` — the runtime-specific parking primitive a
   runtime plugs into the core.  The instrumentation parks real threads on
   per-thread events; the asyncio runtime parks *tasks* on loop-bound
-  futures; the simulator "parks" by flipping a thread's scheduler state,
-  registering a waker that marks it runnable again.
+  futures; the simulator needs none: it answers a PARK step by flipping
+  the thread's scheduler state, with a waker that marks it runnable again.
 
 * :func:`acquisition` — the avoidance protocol of one acquisition,
-  written once as a sans-IO generator that the thread and asyncio
-  runtimes drive; :class:`HoldLedger` — the who-holds-what bookkeeping
+  written once as a sans-IO generator that all three runtimes drive (the
+  simulator's backend is a :class:`RuntimeCore`); :class:`HoldLedger` — the who-holds-what bookkeeping
   and grant rules of their multi-holder primitives; and
   :class:`LockRuntime` — the stack capture and id allocation they share.
 
@@ -52,9 +52,9 @@ class ThreadParker:
     ``prepare`` is called *before* the request so a wake triggered between
     the decision and the park is not lost; ``park`` blocks (or suspends)
     the thread until woken or until the timeout expires, returning whether
-    it was woken.  The default implementation never parks — suitable for
-    runtimes that manage blocking themselves (the simulator flips thread
-    states instead of blocking).
+    it was woken.  The default implementation never parks — the simulator
+    keeps it, as it answers :func:`acquisition`'s PARK step with a thread
+    state instead of blocking.
     """
 
     def prepare(self, thread_id: int) -> None:
@@ -84,9 +84,10 @@ class RuntimeCore:
     """Drives the avoidance engine on behalf of a runtime adapter.
 
     One :class:`RuntimeCore` wraps one :class:`~repro.core.dimmunix.Dimmunix`
-    instance.  All engine access from lock wrappers, simulator backends,
-    and monkey-patched call sites goes through these methods — runtimes
-    never reach into ``dimmunix.engine`` directly.
+    instance.  All engine access from lock wrappers, monkey-patched call
+    sites and the simulator (whose ``DimmunixBackend`` is a core) goes
+    through these methods — runtimes never reach into ``dimmunix.engine``
+    directly.
     """
 
     def __init__(self, dimmunix: "Dimmunix",
@@ -118,8 +119,9 @@ class RuntimeCore:
         The fork gets the default (non-blocking) parker: parkers are
         runtime-specific and bound to their runtime's wake machinery, so
         a runtime that parks for real must install its own parker against
-        the forked core — which is exactly what the simulator's backends
-        do (they manage thread states themselves and never park).
+        the forked core.  The simulator parks nothing: ``DimmunixBackend.fork``
+        wraps the forked instance in a fresh backend, whose PARK steps the
+        scheduler answers with thread states.
         """
         from .dimmunix import Dimmunix  # runtime import: cycle guard
         from .history import History

@@ -1,21 +1,30 @@
 """Avoidance backends pluggable into the simulation scheduler.
 
-A backend answers the scheduler's lock-protocol questions the same way the
-avoidance instrumentation answers them for real threads.  Three families
-exist:
+The scheduler drives the shipped avoidance protocol,
+:func:`~repro.core.runtime_api.acquisition`, against its backend, so a
+backend is what that protocol calls: a
+:class:`~repro.core.runtime_api.RuntimeCore`, plus the scheduler's hooks
+(attach, the monitor's tick and quiescence pass, learning from a stall,
+statistics, fork).  Three families exist:
 
 * :class:`NullBackend` — no avoidance at all (the "baseline" configuration
   of the paper's experiments); deadlocks simply happen.
-* :class:`DimmunixBackend` — the full Dimmunix runtime driven with a
-  virtual clock; the monitor is invoked synchronously by the scheduler.
-* The comparison baselines (gate locks, ghost locks) in
-  :mod:`repro.baselines` implement the same interface.
+* :class:`DimmunixBackend` — a ``RuntimeCore`` around the full Dimmunix
+  runtime on a virtual clock; the monitor is invoked synchronously by the
+  scheduler.
+* The gate-lock comparison baseline in :mod:`repro.baselines`.
+
+The engine-less ones (null, gate lock) answer through
+:class:`SchedulerBackend`, the core-shaped adapter: ``request`` returns a
+GO or YIELD :class:`~repro.core.avoidance.RequestOutcome`, and it has no
+parker, nothing to materialize and no yield bound.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..core.avoidance import GO_OUTCOME, Decision, RequestOutcome
 from ..core.callstack import CallStack
 from ..core.config import DimmunixConfig
 from ..core.dimmunix import Dimmunix
@@ -25,17 +34,25 @@ from ..core.signature import EXCLUSIVE
 from ..util.clock import VirtualClock
 from .result import StallRecord
 
+#: The answer an engine-less backend gives a request it denies.
+YIELD_OUTCOME = RequestOutcome(Decision.YIELD)
+
 
 class SchedulerBackend:
     """Interface between the scheduler and an avoidance policy.
 
-    ``request``/``acquired`` carry the resource semantics of the operation
-    (acquisition ``mode`` and the resource's permit ``capacity``) so
-    engine-backed backends can model semaphores and rwlocks; backends that
-    only understand mutexes may simply ignore both keywords.
+    The lock-protocol half has :class:`RuntimeCore`'s shape, because
+    :func:`~repro.core.runtime_api.acquisition` is what calls it:
+    ``request``/``acquired`` carry the resource semantics of the
+    operation (acquisition ``mode`` and the resource's permit
+    ``capacity``), which backends that only understand mutexes may
+    ignore.  The defaults are an engine-less core's: no yield bound in
+    :attr:`config`, and nothing to arm, materialize or abort.
     """
 
     name = "abstract"
+    #: No ``yield_timeout``: an engine-less backend's yields are unbounded.
+    config = DimmunixConfig()
 
     def attach(self, scheduler) -> None:
         """Called once by the scheduler before the run starts."""
@@ -43,9 +60,12 @@ class SchedulerBackend:
     def on_thread_added(self, thread_id: int) -> None:
         """Called when a simulated thread is registered."""
 
+    def prepare_wait(self, thread_id: int) -> None:
+        """Arm a parker before the request (the scheduler needs none)."""
+
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> bool:
-        """Return True for GO, False for YIELD."""
+                mode: str = EXCLUSIVE, capacity: int = 1) -> RequestOutcome:
+        """Return ``GO_OUTCOME`` or a YIELD outcome."""
         raise NotImplementedError
 
     def acquired(self, thread_id: int, lock_id: int, stack: CallStack,
@@ -57,7 +77,13 @@ class SchedulerBackend:
         return []
 
     def cancel(self, thread_id: int, lock_id: int) -> None:
-        """Roll back a request (failed trylock)."""
+        """Roll back a request (failed trylock, run ended before the grant)."""
+
+    def note_blocked(self, thread_id: int) -> None:
+        """The thread is about to wait on the resource (no lazy stacks here)."""
+
+    def abort_yield(self, thread_id: int) -> None:
+        """Give up a yield whose bound passed (unreachable: there is none)."""
 
     def poll(self, scheduler) -> None:
         """Periodic hook (the monitor's tau tick)."""
@@ -96,21 +122,21 @@ class NullBackend(SchedulerBackend):
     name = "none"
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> bool:
-        return True
+                mode: str = EXCLUSIVE, capacity: int = 1) -> RequestOutcome:
+        return GO_OUTCOME
 
 
-class DimmunixBackend(SchedulerBackend):
-    """Drives the full Dimmunix runtime from the simulator.
+class DimmunixBackend(RuntimeCore, SchedulerBackend):
+    """The full Dimmunix runtime as a simulator backend.
 
-    The Dimmunix instance uses the scheduler's virtual clock and its
-    monitor is executed synchronously from :meth:`poll` and
-    :meth:`on_quiescence` rather than from a background thread.  All
-    engine access goes through the same
-    :class:`~repro.core.runtime_api.RuntimeCore` layer as the real-thread
-    instrumentation: the simulator registers a waker per thread that flips
-    it back to READY, and the core's release path wakes dissolved yielders
-    through that registry.
+    It *is* the :class:`~repro.core.runtime_api.RuntimeCore` the
+    real-thread instrumentation drives (first in the bases, so the engine
+    answers the lock protocol), plus the scheduler's hooks.  The Dimmunix
+    instance uses the scheduler's virtual clock and its monitor is
+    executed synchronously from :meth:`poll` and :meth:`on_quiescence`
+    rather than from a background thread.  The simulator registers a
+    waker per thread that flips it back to READY, and the core's release
+    path wakes dissolved yielders through that registry.
     """
 
     name = "dimmunix"
@@ -123,9 +149,7 @@ class DimmunixBackend(SchedulerBackend):
         if dimmunix is None:
             config = config or DimmunixConfig.for_testing()
             dimmunix = Dimmunix(config=config, history=history, clock=self.clock)
-        self.dimmunix = dimmunix
-        #: Unified engine-driving layer (shared with repro.instrument).
-        self.core = RuntimeCore(dimmunix)
+        super().__init__(dimmunix)
         self._scheduler = None
 
     # -- scheduler wiring --------------------------------------------------------------
@@ -141,26 +165,8 @@ class DimmunixBackend(SchedulerBackend):
         if self._scheduler is None:
             return
         scheduler = self._scheduler
-        self.core.register_waker(
+        self.register_waker(
             thread_id, lambda tid=thread_id: scheduler.wake_thread(tid))
-
-    # -- lock protocol ------------------------------------------------------------------
-
-    def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> bool:
-        return self.core.request(thread_id, lock_id, stack,
-                                 mode=mode, capacity=capacity).is_go
-
-    def acquired(self, thread_id: int, lock_id: int, stack: CallStack,
-                 mode: str = EXCLUSIVE, capacity: int = 1) -> None:
-        self.core.acquired(thread_id, lock_id, stack,
-                           mode=mode, capacity=capacity)
-
-    def release(self, thread_id: int, lock_id: int) -> List[int]:
-        return self.core.release(thread_id, lock_id)
-
-    def cancel(self, thread_id: int, lock_id: int) -> None:
-        self.core.cancel(thread_id, lock_id)
 
     # -- monitor hooks --------------------------------------------------------------------
 
@@ -189,10 +195,9 @@ class DimmunixBackend(SchedulerBackend):
         Dimmunix instance via ``type(self)``-independent wiring, so the
         exploration engine can fork any engine-backed backend.
         """
-        core = self.core.fork()
+        dimmunix = super().fork().dimmunix
         fork = DimmunixBackend.__new__(type(self))
-        DimmunixBackend.__init__(fork, dimmunix=core.dimmunix,
-                                 clock=core.dimmunix.clock)
+        DimmunixBackend.__init__(fork, dimmunix=dimmunix, clock=dimmunix.clock)
         return fork
 
     # -- convenience ----------------------------------------------------------------------

@@ -826,7 +826,7 @@ class ImmunityChecker:
                 learned = False
 
         # Engine-backed learners carry their immunity in a History; other
-        # backends (gate/ghost locks) learned inside the backend itself
+        # backends (gate locks) learned inside the backend itself
         # during the deadlocking replay, so the learner becomes the
         # prototype and fork() carries the protection into each run.
         history = getattr(learner, "history", None)

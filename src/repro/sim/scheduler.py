@@ -2,10 +2,12 @@
 
 Simulated threads are generators yielding :mod:`repro.sim.actions`
 objects.  The scheduler executes them cooperatively, advances a virtual
-clock, manages simulated locks, consults an avoidance backend on every
-lock operation, and invokes the backend's monitor hook periodically and at
-quiescence — mirroring how the real instrumentation, locks, and monitor
-thread interact.
+clock, manages simulated locks, and invokes the backend's monitor hook
+periodically and at quiescence — mirroring how the real instrumentation,
+locks, and monitor thread interact.  Each ``Acquire``/``TryAcquire`` runs
+the shipped protocol, :func:`~repro.core.runtime_api.acquisition`, against
+the backend (a :class:`~repro.core.runtime_api.RuntimeCore`): the
+scheduler is its third driver (see :meth:`SimScheduler._advance`).
 
 Scheduling choices — which runnable thread goes next when several are
 ready at the earliest virtual time — are delegated to a pluggable
@@ -23,7 +25,7 @@ from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..core.errors import SimDeadlockError, SimulationError
-from ..core.signature import EXCLUSIVE
+from ..core.runtime_api import PARK, TRY_NATIVE, acquisition
 from ..util.clock import VirtualClock
 from .actions import Acquire, Compute, Log, Release, TryAcquire
 from .backends import NullBackend, SchedulerBackend
@@ -55,7 +57,9 @@ class SimThread:
         self._generator = None
         self.state = ThreadState.READY
         self.ready_at = 0.0
-        self.pending = None            # action being retried (Acquire/TryAcquire)
+        self.pending = None            # Acquire/TryAcquire not yet settled
+        self.acquisition = None        # its acquisition() generator
+        self.park_until = None         # virtual end of a bounded PARK
         self.last_result = None        # value sent into the generator
         self._peeked = None            # action fetched by peek_action, not yet run
         self._peeked_valid = False
@@ -206,16 +210,18 @@ class SimScheduler:
         thread = self.threads.get(thread_id)
         if thread is not None and thread.state is ThreadState.YIELDING:
             thread.state = ThreadState.READY
-            thread.ready_at = max(thread.ready_at, self.clock.now())
+            thread.park_until = None
+            thread.ready_at = self.clock.now()
 
     # -- main loop -------------------------------------------------------------------------------
 
     def run(self, raise_on_deadlock: bool = False) -> SimResult:
         """Execute until every thread finishes, a stall occurs, or limits hit.
 
-        However it ends, every unfinished program marked
-        :attr:`SimThread.close_at_end` is closed: a thread program's OS
-        thread never outlives its run.
+        However it ends, every unsettled acquisition is closed, which
+        cancels its request here rather than in the garbage collector, and
+        so is every unfinished program marked :attr:`SimThread.close_at_end`:
+        a thread program's OS thread never outlives its run.
         """
         if not self._attached:
             self.backend.attach(self)
@@ -229,6 +235,9 @@ class SimScheduler:
             self._loop(raise_on_deadlock)
         finally:
             for thread in self.threads.values():
+                if thread.acquisition is not None:
+                    thread.acquisition.close()
+                    thread.acquisition = None
                 if thread.close_at_end and thread._generator is not None:
                     thread._generator.close()
         # Final monitor pass so late events (e.g. releases) are processed.
@@ -241,8 +250,9 @@ class SimScheduler:
         while True:
             if all(thread.finished for thread in self.threads.values()):
                 return
+            # A bounded PARK is runnable at its bound: it resumes unwoken.
             runnable = [t for t in self.threads.values()
-                        if t.state is ThreadState.READY]
+                        if t.state is ThreadState.READY or t.park_until is not None]
             if not runnable:
                 if self.backend.on_quiescence(self):
                     continue
@@ -306,11 +316,19 @@ class SimScheduler:
         elif isinstance(action, Log):
             self.result.log.append(f"[{self.clock.now():.6f}] {thread.name}: "
                                    f"{action.message}")
-        elif isinstance(action, Acquire):
-            self._do_acquire(thread, action)
-            return
-        elif isinstance(action, TryAcquire):
-            self._do_try_acquire(thread, action)
+        elif isinstance(action, (Acquire, TryAcquire)):
+            # Start the acquisition, or resume it from a PARK with whether
+            # it was woken (unwoken: its virtual bound passed).
+            woken = None
+            if thread.acquisition is None:
+                thread.pending, lock = action, action.lock
+                thread.acquisition = acquisition(
+                    self.backend, thread.thread_id, lock.lock_id, action.stack(),
+                    action.mode, lock.capacity, isinstance(action, Acquire), None, None)
+            else:
+                woken = thread.park_until is None
+                thread.state, thread.park_until = ThreadState.READY, None
+            self._advance(thread, woken)
             return
         elif isinstance(action, Release):
             self._do_release(thread, action)
@@ -318,57 +336,49 @@ class SimScheduler:
             raise SimulationError(f"{thread.name} yielded unknown action {action!r}")
         thread.pending = None
 
-    def _do_acquire(self, thread: SimThread, action: Acquire) -> None:
-        lock = action.lock
-        stack = action.stack()
-        mode = action.mode
-        go = self.backend.request(thread.thread_id, lock.lock_id, stack,
-                                  mode=mode, capacity=lock.capacity)
-        if not go:
-            if thread.pending is None:
+    def _advance(self, thread: SimThread, sent) -> None:
+        """Send ``sent`` into the thread's acquisition and answer its steps
+        until it settles or waits: a PARK is YIELDING until woken or until
+        its virtual-time bound, a TRY_NATIVE a grant if the resource allows
+        one, a WAIT_NATIVE BLOCKED on its FIFO queue until ``_hand_over``."""
+        action = thread.pending
+        lock, mode = action.lock, action.mode
+        steps = thread.acquisition
+        step = None
+        try:
+            step, timeout = steps.send(sent)
+            while step is TRY_NATIVE:
+                taken = lock.can_grant(thread.thread_id, mode)
+                if taken:
+                    self._grant(thread, lock, mode)
+                step, timeout = steps.send(taken)
+        except StopIteration as settled:
+            thread.pending = thread.acquisition = None
+            thread.last_result = settled.value
+            if not settled.value:
+                if step is None:  # the engine refused the trylock
+                    self.policy.observe_yield(self, thread, lock)
+                self.result.failed_trylocks += 1
+            return
+        if step is PARK:
+            if sent is None:  # the acquisition's first yield
                 thread.yields += 1
                 self.result.yields += 1
-            thread.pending = action
             thread.state = ThreadState.YIELDING
+            if timeout is not None:
+                thread.park_until = thread.ready_at = self.clock.now() + timeout
             self.policy.observe_yield(self, thread, lock)
             return
-        if lock.can_grant(thread.thread_id, mode):
-            self._grant(thread, lock, stack, mode)
-            thread.pending = None
-            return
-        # GO but the resource is busy: block on its FIFO queue.
-        if thread.pending is None or thread.state is not ThreadState.BLOCKED:
-            thread.blocks += 1
-            self.result.blocks += 1
-        thread.pending = action
+        thread.blocks += 1
+        self.result.blocks += 1
         thread.state = ThreadState.BLOCKED
         lock.enqueue_waiter(thread.thread_id)
 
-    def _do_try_acquire(self, thread: SimThread, action: TryAcquire) -> None:
-        lock = action.lock
-        stack = action.stack()
-        mode = action.mode
-        go = self.backend.request(thread.thread_id, lock.lock_id, stack,
-                                  mode=mode, capacity=lock.capacity)
-        if go and lock.can_grant(thread.thread_id, mode):
-            self._grant(thread, lock, stack, mode)
-            thread.last_result = True
-        else:
-            if not go:
-                self.policy.observe_yield(self, thread, lock)
-            self.backend.cancel(thread.thread_id, lock.lock_id)
-            thread.last_result = False
-            self.result.failed_trylocks += 1
-        thread.pending = None
-
-    def _grant(self, thread: SimThread, lock: SimLock, stack,
-               mode: str = EXCLUSIVE) -> None:
+    def _grant(self, thread: SimThread, lock: SimLock, mode: str) -> None:
         lock.grant(thread.thread_id, mode)
         thread.held[lock.lock_id] = thread.held.get(lock.lock_id, 0) + 1
         thread.lock_ops += 1
         self.result.lock_ops += 1
-        self.backend.acquired(thread.thread_id, lock.lock_id, stack,
-                              mode=mode, capacity=lock.capacity)
 
     def _do_release(self, thread: SimThread, action: Release) -> None:
         lock = action.lock
@@ -386,8 +396,8 @@ class SimScheduler:
             self._hand_over(lock)
         # Engine-backed cores (DimmunixBackend) already wake dissolved
         # yielders through the waker registry — waking them again here is
-        # an idempotent no-op.  Baseline backends (gate locks, ghost locks)
-        # have no waker registry and rely on this loop.
+        # an idempotent no-op.  Engine-less backends (gate locks) have no
+        # waker registry and rely on this loop.
         for thread_id in woken:
             self.wake_thread(thread_id)
 
@@ -405,22 +415,20 @@ class SimScheduler:
             if waiter_id is None:
                 return
             waiter = self.threads.get(waiter_id)
-            if waiter is None or waiter.state is not ThreadState.BLOCKED:
+            if (waiter is None or waiter.state is not ThreadState.BLOCKED
+                    or waiter.pending.lock is not lock):
                 continue
-            action = waiter.pending
-            if not isinstance(action, (Acquire, TryAcquire)) or action.lock is not lock:
-                continue
-            mode = action.mode
+            mode = waiter.pending.mode
             if not lock.can_grant(waiter_id, mode):
                 # Capacity exhausted again: put the waiter back at the
                 # front so FIFO order is preserved, and stop scanning.
                 lock.waiters.appendleft(waiter_id)
                 return
-            self._grant(waiter, lock, action.stack(), mode)
+            self._grant(waiter, lock, mode)
             self.policy.observe_grant(self, waiter, lock, mode)
-            waiter.pending = None
             waiter.state = ThreadState.READY
             waiter.ready_at = max(waiter.ready_at, self.clock.now())
+            self._advance(waiter, True)  # WAIT_NATIVE answered: ``acquired``
             self._prefetch(waiter)
 
     def _declare_stall(self) -> None:

@@ -1,18 +1,17 @@
-"""One acquisition protocol, three runtimes.
+"""One acquisition protocol, three drivers.
 
 ``repro.core.runtime_api.acquisition`` is the only place the
 request / park / abort / try / note_blocked / wait / cancel / acquired
 sequence is written.  These tests script the engine's answers with a
 recording :class:`RuntimeCore`, run the same *shape* of acquisition
-through the thread driver, the asyncio driver and the simulator's
-independent ``SimScheduler`` model, and require the same engine-call
-sequence from each — for a mutex, a two-permit semaphore, and both sides
-of a reader-writer lock.
+through the thread driver, the asyncio driver and ``SimScheduler``, and
+require the same engine-call sequence from each — for a mutex, a
+two-permit semaphore, and both sides of a reader-writer lock.
 
-The simulator has no parker, no yield bound and no deadlines, so it never
-calls ``prepare_wait`` / ``park`` / ``abort_yield`` / ``note_blocked``;
-it is compared on the calls every runtime makes (``request``,
-``acquired``, ``cancel``, ``release``).
+The simulator parks by flipping the thread to YIELDING rather than
+calling ``park``, so its harness records ``"park"`` at that point; its
+yield bound is a virtual-time event.  It has no deadlines, so the
+timed-acquisition shapes run on the thread and asyncio drivers only.
 """
 
 from __future__ import annotations
@@ -26,25 +25,24 @@ import pytest
 from repro.core.avoidance import GO_OUTCOME, Decision, RequestOutcome
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
-from repro.core.runtime_api import RuntimeCore
 from repro.core.signature import EXCLUSIVE, SHARED
 from repro.instrument import (AioLock, AioRWLock, AioSemaphore, AsyncioRuntime,
                               DimmunixLock, DimmunixRWLock, DimmunixSemaphore,
                               InstrumentationRuntime)
-from repro.sim import (Acquire, Compute, DimmunixBackend, Release, SimLock,
-                       SimRWLock, SimScheduler, SimSemaphore, TryAcquire)
+from repro.sim import (Acquire, Compute, DimmunixBackend, RandomPolicy, Release,
+                       SimLock, SimRWLock, SimScheduler, SimSemaphore, TryAcquire)
+from repro.sim.scheduler import ThreadState
 
 YIELD_OUTCOME = RequestOutcome(Decision.YIELD)
 
-#: Calls the simulator's model makes too.
-COMMON = ("request", "acquired", "cancel", "release")
 
-
-class ScriptedCore(RuntimeCore):
+class ScriptedCore(DimmunixBackend):
     """Records the subject's engine calls and answers them from a script.
 
     Nothing reaches the real engine.  Threads other than ``subject`` (the
     ones that make the resource busy) always get GO and are not recorded.
+    A simulator backend is a :class:`RuntimeCore`, so one class serves
+    all three drivers.
     """
 
     def __init__(self, decisions=("go",), park="woken", yield_timeout=None):
@@ -286,11 +284,21 @@ def run_aio(kind, core, busy=None, timeout=None, cancel=False):
     return asyncio.run(main()), core.calls
 
 
+class RecordingParks(RandomPolicy):
+    """Records ``"park"`` where the simulator parks: a YIELDING thread."""
+
+    def __init__(self, core):
+        super().__init__()
+        self.core = core
+
+    def observe_yield(self, scheduler, thread, lock):
+        if thread.state is ThreadState.YIELDING:
+            self.core.calls.append("park")
+
+
 def run_sim(kind, core, busy=None, trylock=False, wake=False):
     mode, _capacity = KINDS[kind]
-    backend = DimmunixBackend(dimmunix=core.dimmunix)
-    backend.core = core
-    scheduler = SimScheduler(backend=backend)
+    scheduler = SimScheduler(backend=core, policy=RecordingParks(core))
     lock = scheduler.register_lock(
         SimLock() if kind == "mutex"
         else SimSemaphore(2) if kind == "semaphore2" else SimRWLock())
@@ -337,11 +345,6 @@ def run_sim(kind, core, busy=None, trylock=False, wake=False):
     return outcome["got"], core.calls
 
 
-def common(calls):
-    return [call for call in calls
-            if (call if isinstance(call, str) else call[0]) in COMMON]
-
-
 # -- the shapes --------------------------------------------------------------------------
 
 
@@ -352,7 +355,7 @@ class TestSameSequenceOnEveryRuntime:
         expected = ["prepare_wait", ("request", *m), ("acquired", *m), "release"]
         assert run_threads(kind, ScriptedCore()) == (True, expected)
         assert run_aio(kind, ScriptedCore()) == (True, expected)
-        assert run_sim(kind, ScriptedCore()) == (True, common(expected))
+        assert run_sim(kind, ScriptedCore()) == (True, expected)
 
     def test_yield_then_woken_then_go(self, kind):
         m = KINDS[kind]
@@ -361,8 +364,7 @@ class TestSameSequenceOnEveryRuntime:
                     "prepare_wait", ("request", *m), ("acquired", *m), "release"]
         assert run_threads(kind, ScriptedCore(**script)) == (True, expected)
         assert run_aio(kind, ScriptedCore(**script)) == (True, expected)
-        assert run_sim(kind, ScriptedCore(**script), wake=True) == (
-            True, common(expected))
+        assert run_sim(kind, ScriptedCore(**script), wake=True) == (True, expected)
 
     def test_yield_bound_expires_and_the_yield_is_aborted(self, kind):
         m = KINDS[kind]
@@ -372,6 +374,7 @@ class TestSameSequenceOnEveryRuntime:
                     "prepare_wait", ("request", *m), ("acquired", *m), "release"]
         assert run_threads(kind, ScriptedCore(**script)) == (True, expected)
         assert run_aio(kind, ScriptedCore(**script)) == (True, expected)
+        assert run_sim(kind, ScriptedCore(**script)) == (True, expected)
 
     def test_unwoken_park_without_a_bound_just_retries(self, kind):
         m = KINDS[kind]
@@ -388,7 +391,7 @@ class TestSameSequenceOnEveryRuntime:
         assert run_threads(kind, ScriptedCore(), busy="freed") == (True, expected)
         assert run_aio(kind, ScriptedCore(), busy="freed") == (True, expected)
         assert run_sim(kind, ScriptedCore(), busy="freed") == (
-            True, common(expected))
+            True, expected)
 
     def test_deadline_expires_during_park(self, kind):
         m = KINDS[kind]
@@ -415,7 +418,7 @@ class TestSameSequenceOnEveryRuntime:
             assert run_threads(kind, ScriptedCore(decisions=("yield",)),
                                blocking=False) == (False, expected)
         assert run_sim(kind, ScriptedCore(decisions=("yield",)),
-                       trylock=True) == (False, common(expected))
+                       trylock=True) == (False, expected)
 
     def test_trylock_refused_by_the_native_primitive(self, kind):
         m = KINDS[kind]
@@ -424,7 +427,7 @@ class TestSameSequenceOnEveryRuntime:
             assert run_threads(kind, ScriptedCore(), busy="held",
                                blocking=False) == (False, expected)
         assert run_sim(kind, ScriptedCore(), busy="held", trylock=True) == (
-            False, common(expected))
+            False, expected)
 
     def test_task_cancelled_while_parked(self, kind):
         m = KINDS[kind]

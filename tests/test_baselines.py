@@ -1,10 +1,9 @@
-"""Tests for the baseline avoidance approaches (gate locks, ghost locks, Rx)."""
+"""Tests for the baseline avoidance approaches (gate locks, detection only, Rx)."""
 
 from __future__ import annotations
 
 
-from repro.baselines import (DetectionOnlyBackend, GateLockBackend,
-                             GhostLockBackend, rx_retry)
+from repro.baselines import DetectionOnlyBackend, GateLockBackend, rx_retry
 from repro.core.config import DimmunixConfig
 from repro.core.signature import Signature
 from repro.sim import (DimmunixBackend, NullBackend, SimScheduler, call_site,
@@ -83,53 +82,6 @@ class TestGateLockBackend:
         result = scheduler.run()
         assert result.completed
         assert result.yields == 0
-
-
-class TestGhostLockBackend:
-    def test_learns_ghost_from_deadlock(self):
-        backend = GhostLockBackend()
-        result = run_lock_order_workload(backend)
-        assert result.deadlocked
-        assert len(backend.ghosts) == 1
-        covered = backend.ghosts[0].lock_ids
-        assert len(covered) == 2
-
-    def test_ghost_prevents_reoccurrence_on_same_locks(self):
-        backend = GhostLockBackend()
-        scheduler = SimScheduler(backend=backend, seed=0)
-        lock_a = scheduler.new_lock("A")
-        lock_b = scheduler.new_lock("B")
-        scheduler.add_thread(lock_order_program(lock_a, lock_b, "s1", hold_time=0.01))
-        scheduler.add_thread(lock_order_program(lock_b, lock_a, "s2", hold_time=0.01))
-        assert scheduler.run().deadlocked
-
-        # Same locks (same identities), second run: the ghost lock serializes
-        # access and prevents the reoccurrence.
-        lock_a.reset()
-        lock_b.reset()
-        scheduler2 = SimScheduler(backend=backend, seed=0)
-        scheduler2.register_lock(lock_a)
-        scheduler2.register_lock(lock_b)
-        scheduler2.add_thread(lock_order_program(lock_a, lock_b, "s1", hold_time=0.01))
-        scheduler2.add_thread(lock_order_program(lock_b, lock_a, "s2", hold_time=0.01))
-        result = scheduler2.run()
-        assert result.completed
-        assert backend.denials >= 1
-
-    def test_ghost_does_not_transfer_to_other_locks(self):
-        # Identity-based: a fresh pair of locks with the same buggy code is
-        # NOT protected (this is the weakness Dimmunix's portable signatures
-        # do not have).
-        backend = GhostLockBackend()
-        run_lock_order_workload(backend)
-        result = run_lock_order_workload(backend, seed=1)
-        assert result.deadlocked
-
-    def test_stats_shape(self):
-        backend = GhostLockBackend()
-        run_lock_order_workload(backend)
-        stats = backend.stats()
-        assert set(stats) == {"ghosts", "ghost_denials", "deadlocks_learned"}
 
 
 class TestDetectionOnlyBackend:

@@ -370,17 +370,6 @@ class TestBackendForking:
         assert fork.gates[0].owner is None and not fork.gates[0].waiters
         assert fork.denials == 0
 
-    def test_ghost_lock_fork_keeps_ghosts_drops_runtime_state(self):
-        from repro.baselines.ghostlock import GhostLockBackend
-        backend = GhostLockBackend()
-        scheduler = build_two_lock_inversion(backend, hold_time=0.01)
-        scheduler.run()
-        assert backend.deadlocks_learned == 1
-        fork = backend.fork()
-        assert len(fork.ghosts) == 1
-        assert fork.ghosts[0].lock_ids == backend.ghosts[0].lock_ids
-        assert fork.ghosts[0].owner is None and not fork.ghosts[0].waiters
-
     def test_runtime_core_fork_uses_default_parker(self):
         from repro.core.dimmunix import Dimmunix
         from repro.core.runtime_api import RuntimeCore, ThreadParker

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.core.config import DimmunixConfig
 from repro.core.errors import SimDeadlockError, SimulationError
-from repro.sim import (Acquire, Compute, DimmunixBackend, Log, NullBackend,
-                       Release, SimScheduler, TryAcquire, call_site,
-                       lock_order_program, philosopher_program,
+from repro.core.signature import Signature
+from repro.sim import (Acquire, Compute, DimmunixBackend, Explorer, Log,
+                       NullBackend, Release, SimScheduler, TryAcquire,
+                       call_site, lock_order_program, philosopher_program,
                        random_workload_program)
 
 
@@ -221,3 +224,98 @@ class TestDimmunixBackendInSim:
         result = scheduler.run()
         assert result.completed
         assert result.lock_ops == 16 * 20
+
+    def test_a_stalled_run_cancels_its_requests_at_run_end_not_in_gc(self):
+        backend = DimmunixBackend(config=DimmunixConfig.for_testing())
+        scheduler = make_scheduler(backend=backend)
+        a, b = scheduler.new_lock("A"), scheduler.new_lock("B")
+        scheduler.add_thread(lock_order_program(a, b, "s1", hold_time=0.01))
+        scheduler.add_thread(lock_order_program(b, a, "s2", hold_time=0.01))
+        assert scheduler.run().deadlocked
+        stats = backend.dimmunix.stats
+        # Both blocked requests were rolled back when the run ended ...
+        assert stats.cancels == 2
+        # ... and nothing is left for the garbage collector to cancel.
+        del scheduler, backend
+        gc.collect()
+        assert stats.cancels == 2
+
+
+HOLD_A = call_site("hold_a:1", "holder:0")
+TAKE_B = call_site("take_b:1", "requester:0")
+
+
+def build_bounded_yield(backend, acquired_at, delay=0.001):
+    """The holder keeps A (taken at HOLD_A) for a virtual second; the
+    requester asks for B at TAKE_B after ``delay``, which the seeded
+    signature denies while A is held."""
+    scheduler = make_scheduler(backend=backend)
+    a, b = scheduler.new_lock("A"), scheduler.new_lock("B")
+
+    def holder():
+        yield Acquire(a, HOLD_A)
+        yield Compute(1.0)
+        yield Release(a)
+
+    def requester():
+        yield Compute(delay)
+        yield Acquire(b, TAKE_B)
+        acquired_at.append(scheduler.clock.now())
+        yield Release(b)
+
+    scheduler.add_thread(holder, name="holder")
+    scheduler.add_thread(requester, name="requester")
+    return scheduler
+
+
+def seeded_backend(yield_timeout):
+    backend = DimmunixBackend(
+        config=DimmunixConfig.for_testing(yield_timeout=yield_timeout))
+    backend.history.add(Signature([HOLD_A, TAKE_B], matching_depth=2))
+    return backend
+
+
+class TestVirtualYieldBound:
+    """Section 5.7 in virtual time: a yield ends at its bound, unwoken."""
+
+    def test_the_bound_aborts_the_yield_at_virtual_time(self):
+        backend, acquired_at = seeded_backend(0.01), []
+        result = build_bounded_yield(backend, acquired_at).run()
+        assert result.completed and result.yields == 1
+        assert acquired_at == [pytest.approx(0.011)]
+        assert backend.dimmunix.stats.aborted_yields == 1
+
+    def test_without_a_bound_the_yield_lasts_until_the_release(self):
+        backend, acquired_at = seeded_backend(None), []
+        result = build_bounded_yield(backend, acquired_at).run()
+        assert result.completed and result.yields == 1
+        assert acquired_at == [pytest.approx(1.0)]
+        assert backend.dimmunix.stats.aborted_yields == 0
+
+    def test_exploring_bounded_yields_is_exhaustive_and_deterministic(self):
+        """With both requests at t = 0 either thread may be the one denied:
+        the requester's yield runs out at its bound, the holder's dissolves
+        when B is released."""
+        prototype = seeded_backend(0.01)
+
+        def explore():
+            runs = []
+
+            def scenario():
+                acquired_at = []
+                scheduler = build_bounded_yield(prototype.fork(), acquired_at,
+                                                delay=0.0)
+                runs.append((scheduler, acquired_at))
+                return scheduler
+
+            result = Explorer(scenario, name="bounded-yield",
+                              strategy="dfs").explore()
+            return result, [(s.result.schedule, s.result.virtual_time,
+                             s.backend.dimmunix.stats.aborted_yields, at)
+                            for s, at in runs]
+
+        result, runs = explore()
+        assert result.exhausted and result.runs > 1
+        assert result.completed == result.runs
+        assert {aborted for _, _, aborted, _ in runs} == {0, 1}
+        assert explore()[1] == runs

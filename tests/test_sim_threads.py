@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.core.avoidance import GO_OUTCOME
 from repro.core.errors import SimulationError
 from repro.sim import Explorer, NullBackend, ReplayPolicy, SimScheduler
 from repro.sim.aio import async_program, new_aio_lock
@@ -90,9 +91,9 @@ def test_stacks_are_the_application_frames():
     class Recording(NullBackend):
         stacks = []
 
-        def request(self, thread_id, lock_id, stack, **resource):
+        def request(self, thread_id, lock_id, stack, *resource):
             self.stacks.append(stack)
-            return True
+            return GO_OUTCOME
 
     def app_method(lock):
         lock.acquire()

@@ -193,7 +193,7 @@ class TestRuntimeApiUnification:
         from repro.sim.backends import DimmunixBackend
 
         backend = DimmunixBackend()
-        assert isinstance(backend.core, RuntimeCore)
+        assert isinstance(backend, RuntimeCore)
         runtime = InstrumentationRuntime(Dimmunix(DimmunixConfig.for_testing()))
         assert isinstance(runtime.core, RuntimeCore)
 
