@@ -4,6 +4,7 @@ from __future__ import annotations
 
 
 from repro.baselines import DetectionOnlyBackend, GateLockBackend, rx_retry
+from repro.core.avoidance import GO_OUTCOME, Decision
 from repro.core.config import DimmunixConfig
 from repro.core.signature import Signature
 from repro.sim import (DimmunixBackend, NullBackend, SimScheduler, call_site,
@@ -63,6 +64,29 @@ class TestGateLockBackend:
         gate = backend.learn_from_signature(signature)
         assert len(gate.sites) >= 1
         assert backend.stats()["gates"] == 1
+
+    def test_request_answers_go_or_a_yield_outcome(self):
+        # acquisition() reads a RequestOutcome: GO while the gate is free
+        # or ours, YIELD while another thread owns it, GO again once the
+        # owner's release names the yielder.
+        backend = GateLockBackend()
+        site = call_site("lock:3", "update:s1")
+        backend.add_gate([site])
+        assert backend.request(1, 10, site) is GO_OUTCOME
+        assert backend.request(2, 11, site).decision is Decision.YIELD
+        assert backend.release(1, 10) == [2]
+        assert backend.request(2, 11, site) is GO_OUTCOME
+
+    def test_cancel_gives_back_the_gates_a_request_took(self):
+        # A request that never becomes an acquisition (failed trylock, run
+        # ended before the grant) must not leave its gate owned.
+        backend = GateLockBackend()
+        site = call_site("lock:3", "update:s1")
+        gate = backend.add_gate([site])
+        assert backend.request(1, 10, site) is GO_OUTCOME
+        backend.cancel(1, 10)
+        assert gate.owner is None and gate.depth == 0
+        assert backend.request(2, 11, site) is GO_OUTCOME
 
     def test_dimmunix_avoids_what_gates_serialize(self):
         # Contrast: Dimmunix does not serialize the same-path executions.
