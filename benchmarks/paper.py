@@ -53,9 +53,17 @@ def check_fig4(rows):
         # and 32 -> 128 signatures does not blow the overhead up.
         assert overhead < 95.0, row.as_dict()
         assert row.immune_throughput > 0, row.as_dict()
-        by_app.setdefault(row.application, []).append(overhead)
+        by_app.setdefault(row.application, {})[row.history_size] = overhead
     for application, overheads in by_app.items():
-        assert max(overheads) - min(overheads) < 35.0, (application, overheads)
+        assert max(overheads.values()) - min(overheads.values()) < 35.0, \
+            (application, overheads)
+        # Section 5.6: a matched request costs the same whatever the history's
+        # size.  It probes the call sites its candidates need, not each
+        # candidate.  While it tried each one, 128 signatures read 5-10 pp
+        # above 32 (6 runs, 2 vCPUs, CPython 3.11, these medians of 5); now
+        # 25 runs read -5 to +6, bar one +14.8 (broker's 32 names 8 of its 9
+        # stacks, so a fifth of its requests miss the index there).
+        assert overheads[128] - overheads[32] <= 10.0, (application, overheads)
 
 
 def check_fig5(rows):

@@ -27,7 +27,9 @@ for that very object: no engine-wide lock, and no Allowed-set entry in
 the cache, which is handed the same object.  Only requests that could
 instantiate a signature serialize on a single match mutex, which keeps the
 exact-cover search and the publication of the resulting yield state atomic
-with respect to other potential matches.
+with respect to other potential matches.  There a candidate is searched
+only if every call site it needs holds a binding, which each index group
+asks of the cache's one site map, not once per candidate.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import AvoidanceError
 from .events import (EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE,
                      EV_REQUEST, EV_YIELD, EventBus)
 from .history import History
-from .sigindex import SignatureIndex
+from .sigindex import Group, SignatureIndex
 from .signature import EXCLUSIVE, SHARED, STARVATION, Signature
 from .stats import EngineStats
 from ..util.clock import Clock, WallClock
@@ -194,8 +196,8 @@ class AvoidanceEngine:
 
         if self._should_bypass(slot, lock_id, stack, sites):
             return self._grant(slot, thread_id, lock_id, stack, now, mode, capacity)
-        candidates = self.index.candidates(stack, sites)
-        if not candidates or stack.top().function in self._external_names:
+        groups = self.index.lookup(stack, sites)
+        if not groups or stack.top().function in self._external_names:
             # The paper's 99.99% case: no signature has a stack that this one
             # matches (none has any while the history is empty), so no
             # instance can involve this binding — grant without any
@@ -213,7 +215,7 @@ class AvoidanceEngine:
 
         with self._match_mutex:
             while True:
-                match = self._match_candidates(candidates, thread_id, lock_id, stack)
+                match = self._match_candidates(groups, thread_id, lock_id, stack)
                 if match is None:
                     return self._grant(slot, thread_id, lock_id, stack, now,
                                        mode, capacity)
@@ -286,16 +288,25 @@ class AvoidanceEngine:
 
     # ------------------------------------------------------------- history match --
 
-    def _match_candidates(self, candidates: Sequence[Signature], thread_id: int,
+    def _match_candidates(self, groups: Sequence[Group], thread_id: int,
                           lock_id: int, stack: CallStack
                           ) -> Optional[Tuple[Signature, List[Binding]]]:
         """Find a signature whose instantiation includes the tentative request.
 
-        ``candidates`` are the signatures with a stack the request matches
-        (:meth:`SignatureIndex.candidates`): only those can be covered by
-        the tentative binding, so everything else was already discarded
-        lock-free (the paper's section 5.6 fast path).
+        ``groups`` hold the signatures with a stack the request matches
+        (:meth:`SignatureIndex.lookup`): only those can be covered by the
+        tentative binding, so everything else was already discarded
+        lock-free (the paper's section 5.6 fast path).  Only those whose
+        needed call sites are all occupied (:meth:`Group.admitted`) reach
+        the exact-cover search, in the index's order.  All groups share
+        the request's site: a signature in two is admitted by both or neither.
         """
+        occupied = self.cache.allowed
+        if len(groups) == 1:
+            candidates = groups[0].admitted(occupied)
+        else:
+            candidates = {id(signature): signature for group in groups
+                          for signature in group.admitted(occupied)}.values()
         for signature in candidates:
             if signature.disabled:
                 continue
@@ -319,27 +330,11 @@ class AvoidanceEngine:
         allowed request and the hold it waits for are on one lock by
         construction (with distinct locks such a signature never fires, and
         the starvation it was archived for recurs).
-
-        Pruned by vacancy before anything is allocated: only the request
-        can cover a stack at whose call site no binding stands, so two
-        vacant positions rule the signature out and one is the only
-        position the request may take.
         """
         stacks = signature.stacks
-        vacant = self.cache.vacant
-        forced = None
-        for index, sig_stack in enumerate(stacks):
-            if vacant(sig_stack):
-                if forced is not None:
-                    return None
-                forced = index
-        if forced is None:
-            coverable = signature.matching_stacks(stack, depth)
-        else:
-            coverable = [forced] if stacks[forced].matches(stack, depth) else []
         distinct = signature.kind != STARVATION
         used_locks = {lock_id} if distinct and lock_id not in self._multiholder else set()
-        for chosen in coverable:
+        for chosen in signature.matching_stacks(stack, depth):
             rest = self._cover(stacks[:chosen] + stacks[chosen + 1:], depth,
                                {thread_id}, used_locks, distinct)
             if rest is not None:

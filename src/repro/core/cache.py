@@ -5,22 +5,25 @@ avoidance code, however, needs an always-current view of who holds what
 and who is allowed to wait for what in order to make correct GO/YIELD
 decisions (paper section 5.1).  This module provides that cache:
 
-* *Allowed sets*: for every acquisition *call site* (the innermost frame
-  of the acquisition stack) that a signature names, the (thread, lock,
-  stack) bindings that currently hold — or are allowed to wait for — a
-  lock acquired there (section 5.6).  Stacks that match at any depth share
-  their innermost frame, so one hash probe of a signature stack's site
-  reaches every binding that could cover it; a site without bindings is
-  *vacant*.  Only signature stacks are ever probed with, so a binding at
-  any other site could not be found and is not indexed (``sites``).
+* *Allowed sets*: one map, ``allowed``, from every acquisition *call
+  site* (the innermost frame of the acquisition stack) that a signature
+  names to the (thread, lock, stack) bindings that currently hold — or
+  are allowed to wait for — a lock acquired there (section 5.6).  Stacks
+  that match at any depth share their innermost frame, so one hash probe
+  of a signature stack's site reaches every binding that could cover it,
+  and a site is a key exactly while a binding stands there: whether the
+  sites a signature needs are occupied is one dict read each.  Only
+  signature stacks are ever probed with, so a binding at any other site
+  could not be found and is not indexed (``sites``).
 * per-thread state: the holds multiset, the allowed-wait edge, the yield
   causes and the engine's yield / forced-GO state, in the thread's one slot.
   The slots are the only hold ledger; beside them one owner map names the
   thread holding each single-holder resource, for the double-acquire check.
 
 Nothing here is memoized; all of it is current state.  The cache is
-striped the way the paper's generalized-Peterson design intends: Allowed
-sets are sharded by site hash, and per-thread state lives in per-thread
+striped the way the paper's generalized-Peterson design intends: an
+Allowed set is written under the mutex of its site's stripe (by site
+hash), read without one, and per-thread state lives in per-thread
 slots that are written almost exclusively by their owning thread — so
 unrelated lock operations never contend, and a hold at a site no
 signature names takes no mutex at all.
@@ -42,19 +45,8 @@ from ..util.slots import SlotRegistry
 #: A (thread_id, lock_id, stack) binding, as used in signature instances.
 Binding = Tuple[int, int, CallStack]
 
-#: Number of Allowed-set stripes (sharded by call-site hash).
+#: Number of stripe mutexes guarding the Allowed sets (sharded by call-site hash).
 STRIPES = 16
-
-
-class _Stripe:
-    """One shard: a mutex plus the Allowed sets it guards."""
-
-    __slots__ = ("mutex", "allowed")
-
-    def __init__(self):
-        self.mutex = threading.Lock()
-        #: call site (``None``: empty stack) -> bindings holding / allowed to wait there.
-        self.allowed: Dict[Optional[Frame], Set[Binding]] = {}
 
 
 class _ThreadSlot:
@@ -92,7 +84,11 @@ class AvoidanceCache:
         #: State, not a setting: the engine stores its index's republished
         #: ``sites`` here *before* it calls :meth:`rebuild_allowed`.
         self.sites: Optional[dict] = None
-        self._stripes: List[_Stripe] = [_Stripe() for _ in range(STRIPES)]
+        #: call site (``None``: empty stack) -> bindings holding / allowed to
+        #: wait there; a key only while its set is non-empty.  Read lock-free,
+        #: a site's entry written under ``_stripes[hash(site) % STRIPES]``.
+        self.allowed: Dict[Optional[Frame], Set[Binding]] = {}
+        self._stripes: List[threading.Lock] = [threading.Lock() for _ in range(STRIPES)]
         self.slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
         #: Slots of currently yielding threads only, so release-side wake
         #: scans stay O(yielders) instead of O(threads ever seen).
@@ -309,34 +305,23 @@ class AvoidanceCache:
 
     # -- candidate enumeration for signature matching ----------------------------------------
 
-    def vacant(self, signature_stack: CallStack) -> bool:
-        """True when no binding stands at ``signature_stack``'s call site.
-
-        Nothing can then cover it: ``matches`` at any depth >= 1 needs
-        equal innermost frames.  One lock-free probe; a racing add may be
-        missed, a missed match (docs/architecture.md, "The memory model").
-        """
-        site = signature_stack.top()
-        return not self._stripes[hash(site) % STRIPES].allowed.get(site)
-
     def candidates_matching(self, signature_stack: CallStack, depth: int,
                             exclude_threads: Set[int],
                             exclude_locks: Set[int]) -> List[Binding]:
         """All current bindings whose stack matches ``signature_stack`` at ``depth``.
 
-        Only the bindings at its call site are examined: a vacant site
-        takes no mutex, otherwise the site's set is copied under its
+        Only the bindings at its call site are examined: a site without
+        any takes no mutex, otherwise the site's set is copied under its
         stripe's mutex and matched outside it (matching may materialize
         another thread's lazy stack).  Bindings for excluded threads/locks
         are omitted so the exact-cover search can enforce the "distinct
         threads and locks" requirement.
         """
         site = signature_stack.top()
-        stripe = self._stripes[hash(site) % STRIPES]
-        if not stripe.allowed.get(site):
+        if site not in self.allowed:
             return []
-        with stripe.mutex:
-            bindings = tuple(stripe.allowed.get(site, ()))
+        with self._stripes[hash(site) % STRIPES]:
+            bindings = tuple(self.allowed.get(site, ()))
         return [binding for binding in bindings
                 if binding[0] not in exclude_threads
                 and binding[1] not in exclude_locks
@@ -345,11 +330,10 @@ class AvoidanceCache:
     def allowed_set_sizes(self) -> Dict[CallStack, int]:
         """Indexed bindings per distinct stack; sums to the live bindings at named sites."""
         sizes: Dict[CallStack, int] = {}
-        for stripe in self._stripes:
-            with stripe.mutex:
-                for bindings in stripe.allowed.values():
-                    for _thread_id, _lock_id, stack in bindings:
-                        sizes[stack] = sizes.get(stack, 0) + 1
+        for site in list(self.allowed):
+            with self._stripes[hash(site) % STRIPES]:
+                for _thread_id, _lock_id, stack in self.allowed.get(site, ()):
+                    sizes[stack] = sizes.get(stack, 0) + 1
         return sizes
 
     # -- maintenance ------------------------------------------------------------------------------
@@ -374,9 +358,7 @@ class AvoidanceCache:
 
     def clear(self) -> None:
         """Reset the cache entirely (used between experiment trials)."""
-        for stripe in self._stripes:
-            with stripe.mutex:
-                stripe.allowed.clear()
+        self.allowed.clear()
         self.slots.clear()
         self._owners.clear()
         with self._yielding_lock:
@@ -410,9 +392,8 @@ class AvoidanceCache:
             return  # the capture's verdict, on this very filter object
         site = stack.top()
         if sites is None or site in sites:
-            stripe = self._stripes[hash(site) % STRIPES]
-            with stripe.mutex:
-                stripe.allowed.setdefault(site, set()).add((thread_id, lock_id, stack))
+            with self._stripes[hash(site) % STRIPES]:
+                self.allowed.setdefault(site, set()).add((thread_id, lock_id, stack))
 
     def _retire(self, slot: _ThreadSlot, thread_id: int, lock_id: int,
                 stack: CallStack) -> None:
@@ -424,8 +405,7 @@ class AvoidanceCache:
         same hash then ``==``, so lazy captures are not compared by content.
         """
         site = stack.top()
-        stripe = self._stripes[hash(site) % STRIPES]
-        if site not in stripe.allowed:
+        if site not in self.allowed:
             # Nothing is indexed here (the common case: no signature names
             # the site).  One lock-free probe; no scan and no mutex.
             return
@@ -436,12 +416,12 @@ class AvoidanceCache:
         for other in slot.holds.get(lock_id, ()):
             if hash(other) == hash(stack) and other == stack:
                 return
-        with stripe.mutex:
-            bindings = stripe.allowed.get(site)
+        with self._stripes[hash(site) % STRIPES]:
+            bindings = self.allowed.get(site)
             if bindings is not None:
                 bindings.discard((thread_id, lock_id, stack))
                 if not bindings:
-                    del stripe.allowed[site]
+                    del self.allowed[site]
 
     # -- introspection ----------------------------------------------------------------------------
 

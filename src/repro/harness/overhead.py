@@ -140,7 +140,7 @@ def _run_app(app_name: str, runtime, threads: int,
 
 
 def run_figure4(history_sizes: Sequence[int] = (32, 64, 128), threads: int = 6,
-                cycles: int = 8, repeats: int = 2,
+                cycles: int = 8, repeats: int = 5,
                 applications: Sequence[str] = ("broker", "jdbc", "aiobroker")
                 ) -> List[Figure4Row]:
     """Measure end-to-end overhead as the history grows.
@@ -163,24 +163,23 @@ def run_figure4(history_sizes: Sequence[int] = (32, 64, 128), threads: int = 6,
                 runtime.dimmunix.stop()
         baseline = statistics.mean(baseline_samples)
 
-        for size in history_sizes:
-            history = _synthesize_app_history(stacks, count=size, seed=size)
-            samples = []
-            yields = 0
-            for _ in range(repeats):
-                runtime = _runtime(app_name, history=history,
-                                   engine_mode="full")
+        # The sizes take turns, so a slow spell of the machine is shared by all,
+        # and each reads the median of its runs.
+        histories = {size: _synthesize_app_history(stacks, count=size, seed=size)
+                     for size in history_sizes}
+        samples: Dict[int, List[float]] = {size: [] for size in history_sizes}
+        yields = dict.fromkeys(history_sizes, 0)
+        for _ in range(repeats):
+            for size in history_sizes:
+                runtime = _runtime(app_name, history=histories[size], engine_mode="full")
                 try:
-                    samples.append(
+                    samples[size].append(
                         _run_app(app_name, runtime, threads, cycles).throughput)
-                    yields += runtime.dimmunix.stats.yield_decisions
+                    yields[size] += runtime.dimmunix.stats.yield_decisions
                 finally:
                     runtime.dimmunix.stop()
-            rows.append(Figure4Row(
-                application=app_name,
-                history_size=size,
-                baseline_throughput=baseline,
-                immune_throughput=statistics.mean(samples),
-                yields=yields,
-            ))
+        rows.extend(Figure4Row(application=app_name, history_size=size,
+                               baseline_throughput=baseline,
+                               immune_throughput=statistics.median(samples[size]),
+                               yields=yields[size]) for size in history_sizes)
     return rows

@@ -226,8 +226,8 @@ class TestReleaseRacesTheRebuild:
             engine.release(1, 10)
         # The rebuild's first stripe mutex is the one it inserts the scanned hold under.
         trap = Trap("trapped")
-        for stripe in engine.cache._stripes:
-            stripe.mutex = GatedMutex(stripe.mutex, trap)
+        stripes = engine.cache._stripes
+        stripes[:] = [GatedMutex(mutex, trap) for mutex in stripes]
         rebuilder = threading.Thread(target=lambda: hand_over_the_filter(engine),
                                      name="trapped-rebuilder")
         rebuilder.start()

@@ -6,10 +6,10 @@ answer: for any cache state, the same decision and an instantiation the
 exhaustive search would also have produced.  The reference below is the
 search as it stood while the Allowed sets were keyed by whole stack and
 every probe scanned all of them — copied, with two adaptations: it reads
-the index through :func:`indexed_bindings`, which understands either
-keying (so this file also runs against the cache it was copied from),
-and it yields every instantiation instead of returning at the first
-(which one came first was an accident of dict order).
+the index through :func:`indexed_bindings`, every binding of the cache's
+one ``site -> bindings`` map, and it yields every instantiation instead
+of returning at the first (which one came first was an accident of dict
+order).
 
 The states are built from real interpreter frames so that lazy stacks —
 unmaterialized with their frame still live, and degraded to one frame
@@ -44,13 +44,8 @@ from repro.instrument.runtime import InstrumentationRuntime
 
 
 def indexed_bindings(cache) -> List[Tuple[int, int, CallStack]]:
-    """Every (thread, lock, stack) in the Allowed index, however it is keyed."""
-    found = []
-    for stripe in cache._stripes:
-        for key, members in stripe.allowed.items():
-            for member in members:
-                found.append(member if len(member) == 3 else member + (key,))
-    return found
+    """Every (thread, lock, stack) in the Allowed index."""
+    return [binding for bindings in cache.allowed.values() for binding in bindings]
 
 
 def oracle_candidates(cache, signature_stack, depth, exclude_threads, exclude_locks):
@@ -352,6 +347,77 @@ class TestDifferential:
                 assert len(got) == len(want) and set(got) == set(want)
 
         build(engines, ops, pool, check)
+
+
+def occupied_site_reference(engine, signature, stack) -> bool:
+    """Can the request take a position of ``signature`` whose others all stand at occupied sites?"""
+    stacks = signature.stacks
+    return any(all(other.top() in engine.cache.allowed
+                   for index, other in enumerate(stacks) if index != chosen)
+               for chosen in signature.matching_stacks(stack))
+
+
+def search_every_candidate(engine, thread_id, lock_id, stack):
+    """The hit path before the occupied-site plan: every candidate searched, in the index's order."""
+    for signature in engine.index.candidates(stack):
+        if signature.disabled:
+            continue
+        instance = engine._find_instance(signature, thread_id, lock_id, stack,
+                                         signature.matching_depth)
+        if instance is not None:
+            return signature, instance
+    return None
+
+
+class TestOccupiedSitePlan:
+    """Only a candidate whose other stacks all stand at occupied sites is searched.
+
+    ``_match_candidates`` asks each index group which of its signatures the
+    occupied call sites admit; what must not change is the answer the
+    search over every candidate gave — the same signature, the same
+    instance — over 1- to 3-stack signatures of either kind, one-frame and
+    short stacks, stacks sharing a site, and semaphores and reader locks.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=ops_strategy, data=st.data())
+    def test_match_candidates_agrees_with_searching_every_candidate(
+            self, hand_over_the_filter, ops, data):
+        engine = make_engine()
+        pool: List[Tuple[Frame, ...]] = []
+
+        def check():
+            known = [frames for frames in pool if frames] + [FOREIGN.frames]
+            position = st.builds(lambda frames, keep: CallStack(frames[:keep]),
+                                 st.sampled_from(known), st.sampled_from((10, 10, 1, 2, 3)))
+            signatures = data.draw(st.lists(st.builds(
+                lambda stacks, kind, depth: Signature(stacks, kind=kind, matching_depth=depth),
+                st.lists(position, min_size=1, max_size=3),
+                st.sampled_from((DEADLOCK, DEADLOCK, STARVATION)), st.integers(1, 4)),
+                min_size=1, max_size=4))
+            for signature in signatures:
+                engine.history.add(signature)
+                engine.history.enable(signature.fingerprint)
+            hand_over_the_filter(engine)
+            stack = data.draw(st.one_of(
+                st.sampled_from([sig_stack for signature in signatures
+                                 for sig_stack in signature.stacks]), position))
+            thread_id = data.draw(st.sampled_from((9, 9, 9) + THREADS))
+            lock_id = data.draw(st.sampled_from([14, 14, 14] + sorted(LOCKS)))
+            engine._learn_spec(lock_id, *LOCKS.get(lock_id, (EXCLUSIVE, 1)))
+
+            groups = engine.index.lookup(stack)
+            for group in groups:
+                assert list(group.admitted(engine.cache.allowed)) == [
+                    signature for signature in group.signatures
+                    if occupied_site_reference(engine, signature, stack)]
+            want = search_every_candidate(engine, thread_id, lock_id, stack)
+            got = engine._match_candidates(groups, thread_id, lock_id, stack)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] is want[0] and got[1] == want[1]
+
+        build([engine], ops, pool, check)
 
 
 class TestLaziness:

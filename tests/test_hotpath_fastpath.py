@@ -189,9 +189,9 @@ class TestVacantSitesOnTheHitPath:
     def test_candidates_with_vacant_other_sites_cost_no_mutex_and_no_foreign_stack(self):
         """Fig. 4's case: k signatures hit, nobody stands at their other stacks.
 
-        The search must learn that from k lock-free probes — no stripe
-        mutex, and no look at (let alone deep walk of) the stacks other
-        threads hold elsewhere.
+        The search must learn that from lock-free probes of the sites they
+        need, at most one per occupied site — no stripe mutex, and no look at
+        (let alone deep walk of) the stacks other threads hold elsewhere.
         """
         k = 5
         wanted = stack(("take:1", "m:0"))
@@ -205,12 +205,12 @@ class TestVacantSitesOnTheHitPath:
         assert engine.request(2, 20, bystander) is GO_OUTCOME
         engine.acquired(2, 20, bystander)
         entries = []
-        for stripe in engine.cache._stripes:
-            stripe.mutex = _CountingMutex(stripe.mutex, entries)
+        stripes = engine.cache._stripes
+        stripes[:] = [_CountingMutex(mutex, entries) for mutex in stripes]
 
-        candidates = engine.index.candidates(wanted)
-        assert len(candidates) == k
-        assert engine._match_candidates(candidates, 1, 10, wanted) is None
+        assert len(engine.index.candidates(wanted)) == k
+        groups = engine.index.lookup(wanted)
+        assert engine._match_candidates(groups, 1, 10, wanted) is None
         assert entries == []
         assert not bystander.materialized()
         assert stats.capture_materialized == 0
@@ -264,8 +264,8 @@ class TestTheMissFilterDecidesOnce:
         engine = AvoidanceEngine(history, config, event_queue=bus, calibrator=calibrator)
         elsewhere = stack(("elsewhere:5", "m:0"))
         entries, lookups = [], []
-        for stripe in engine.cache._stripes:
-            stripe.mutex = _CountingMutex(stripe.mutex, entries)
+        stripes = engine.cache._stripes
+        stripes[:] = [_CountingMutex(mutex, entries) for mutex in stripes]
         engine.cache.slots = _CountingSlots(engine.cache.slots, lookups)
 
         assert engine.request(1, 10, elsewhere) is GO_OUTCOME

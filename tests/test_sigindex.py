@@ -234,3 +234,53 @@ class TestSharedCallSites:
         assert engine.request(1, 10, stack("lock:0", "unrelated:1", "main:0")).is_go
         assert searched == []
         assert [record[1] for record in engine.events.drain_raw()] == [EV_ALLOW]
+
+
+class _CountingOccupied(dict):
+    """Stands in for the cache's ``allowed`` map and counts what is read of it."""
+
+    def __init__(self, sites):
+        super().__init__((site, {"binding"}) for site in sites)
+        self.probes = self.iterations = 0
+
+    def __contains__(self, site):
+        self.probes += 1
+        return super().__contains__(site)
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+class TestOccupiedSitePlan:
+    """A group admits the signatures whose stacks elsewhere all stand at occupied sites."""
+
+    def test_each_signature_needs_the_sites_of_its_other_stacks(self, history):
+        here, twin = stack("a:1", "x:1", "main:0"), stack("a:1", "y:2", "main:0")
+        b, c = stack("b:2", "x:1", "main:0"), stack("c:3", "x:1", "main:0")
+        alone = Signature([here], matching_depth=1)
+        pair = Signature([here, b], matching_depth=1)
+        twice = Signature([here, twin], matching_depth=1)  # a second stack at its own site
+        triple = Signature([here, b, c], matching_depth=1)
+        index = SignatureIndex(history)
+        for signature in (alone, pair, twice, triple):
+            history.add(signature)
+        group, = index.lookup(here)
+        assert group.signatures == (alone, pair, twice, triple)
+        for occupied, admitted in [((), [alone]), ((b,), [alone, pair]),
+                                   ((b, c), [alone, pair, triple]), ((here,), [alone, twice]),
+                                   ((here, b, c), [alone, pair, twice, triple])]:
+            got = group.admitted({sig_stack.top(): {"binding"} for sig_stack in occupied})
+            assert list(got) == admitted, occupied
+
+    @pytest.mark.parametrize("needed, occupied, probes, iterations",
+                             [(5, 100, 5, 0), (5, 1, 0, 1), (5, 0, 0, 1)])
+    def test_probes_the_fewer_of_its_needed_and_the_occupied_sites(
+            self, history, needed, occupied, probes, iterations):
+        here = stack("take:1", "m:0")
+        for seed in range(needed):
+            history.add(Signature([here, stack(f"never{seed}:1", "m:0")]))
+        group, = SignatureIndex(history).lookup(here)
+        sites = _CountingOccupied(stack(f"elsewhere{seed}:1").top() for seed in range(occupied))
+        assert list(group.admitted(sites)) == []
+        assert (sites.probes, sites.iterations) == (probes, iterations)

@@ -13,15 +13,19 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lines once the simulator drove the shipped ``acquisition()`` (17,724
-#: before): its copy of the protocol, the backend's forwarding methods and
-#: the ghost-lock baseline are gone.
-#: Earlier ratchets, newest first: 17,724 (the signature index as one
+#: Raised by 35 (17,588 before) for the hit path's occupied-site plan: the
+#: signature index files each key's signatures in a ``Group`` that knows the
+#: call sites they need (+61 in ``sigindex.py``), net of the per-candidate
+#: vacancy pre-pass, ``AvoidanceCache.vacant`` and the per-stripe Allowed
+#: dicts it replaces (one ``site -> bindings`` map instead).
+#: Earlier ratchets, newest first: 17,588 (the simulator driving the shipped
+#: ``acquisition()``: its copy of the protocol, the backend's forwarding
+#: methods and the ghost-lock baseline went), 17,724 (the signature index as one
 #: site-keyed dict), 17,913 (Tables 1-2 as explorations of
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_588
+TOTAL_BUDGET = 17_623
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
