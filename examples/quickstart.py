@@ -1,6 +1,8 @@
 """Quickstart: make a deadlock-prone program immune in two runs.
 
-This example reproduces the paper's section 4 scenario with real threads:
+This example reproduces the paper's section 4 scenario with real threads
+and plain ``threading.Lock`` objects, through the README's front door,
+``repro.immunize()`` / ``handle.stop()``:
 
 * Run 1 — the program deadlocks (two threads lock A and B in opposite
   order); Dimmunix detects the cycle, archives its signature in a history
@@ -18,17 +20,16 @@ Run it with::
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 import threading
 
-from repro import Dimmunix, DimmunixConfig
-from repro.instrument import DimmunixLock, InstrumentationRuntime
+import repro
 
 
-def buggy_program(runtime: InstrumentationRuntime) -> dict:
+def buggy_program() -> dict:
     """Two threads calling update(A, B) and update(B, A) concurrently."""
-    lock_a = DimmunixLock(runtime=runtime, name="A")
-    lock_b = DimmunixLock(runtime=runtime, name="B")
+    lock_a, lock_b = threading.Lock(), threading.Lock()
     shared = {"A": 0, "B": 0}
     outcome = {"deadlocked": False, "completed": 0}
     ready = [threading.Event(), threading.Event()]
@@ -67,34 +68,38 @@ def buggy_program(runtime: InstrumentationRuntime) -> dict:
     return outcome
 
 
-def run_once(history_path: str, run_number: int) -> None:
-    config = DimmunixConfig(history_path=history_path, monitor_interval=0.02)
-    dimmunix = Dimmunix(config=config)
-    dimmunix.start()
-    runtime = InstrumentationRuntime(dimmunix)
-    outcome = buggy_program(runtime)
-    dimmunix.stop()
+def run_once(history_path: str, run_number: int) -> dict:
+    handle = repro.immunize(history_path=history_path)
+    try:
+        outcome = buggy_program()
+    finally:
+        handle.stop()
 
-    report = dimmunix.report()
+    report = handle.report()
     print(f"--- run {run_number} ---")
     print(f"  deadlocked        : {outcome['deadlocked']}")
     print(f"  threads completed : {outcome['completed']} / 2")
     print(f"  yields (avoidance): {report['stats']['yield_decisions']}")
     print(f"  signatures known  : {report['history_size']}")
-    for signature in dimmunix.signatures():
+    for signature in handle.dimmunix.signatures():
         print(f"  signature {signature.fingerprint}: {signature.kind}, "
               f"{signature.size} threads")
+    return outcome
 
 
-def main() -> None:
+def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         history_path = os.path.join(workdir, "quickstart.history")
         print("Dimmunix quickstart: the same program, run twice.\n")
-        run_once(history_path, run_number=1)
+        first = run_once(history_path, run_number=1)
         print()
-        run_once(history_path, run_number=2)
+        second = run_once(history_path, run_number=2)
+        assert first["deadlocked"], "run 1 should deadlock and learn"
+        assert not second["deadlocked"], "run 2 should be immune"
+        assert second["completed"] == 2, "both threads should complete in run 2"
         print("\nRun 1 deadlocked and produced a signature; run 2 was immune.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -23,7 +23,6 @@ from .events import (Event, EventType, acquired_event, allow_event, cancel_event
                      release_event, request_event, yield_event)
 from .history import History
 from .monitor import MonitorCore, MonitorThread
-from .porting import CodeMapping, PortingReport, port_history, port_signature
 from .rag import ResourceAllocationGraph, ResourceState, ThreadState
 from .runtime_api import RuntimeCore, ThreadParker
 from .sigindex import SignatureIndex
@@ -36,7 +35,6 @@ __all__ = [
     "AvoidanceError",
     "Calibrator",
     "CallStack",
-    "CodeMapping",
     "ConfigError",
     "DEADLOCK",
     "Decision",
@@ -59,7 +57,6 @@ __all__ = [
     "MonitorCore",
     "MonitorError",
     "MonitorThread",
-    "PortingReport",
     "RAGError",
     "RequestOutcome",
     "ResourceAllocationGraph",
@@ -85,8 +82,6 @@ __all__ = [
     "find_lock_inversion",
     "find_starvation",
     "pick_starvation_victim",
-    "port_history",
-    "port_signature",
     "release_event",
     "request_event",
     "yield_event",

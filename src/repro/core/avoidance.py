@@ -104,7 +104,6 @@ class AvoidanceEngine:
     """Makes GO/YIELD decisions and keeps the avoidance cache up to date."""
 
     def __init__(self, history: History, config: Optional[DimmunixConfig] = None,
-                 event_queue: Optional[EventBus] = None,
                  clock: Optional[Clock] = None,
                  stats: Optional[EngineStats] = None,
                  calibrator=None,
@@ -114,15 +113,13 @@ class AvoidanceEngine:
         self.config = (config or DimmunixConfig()).validate()
         self.history = history
         self.cache = AvoidanceCache()
-        #: The monitor-facing event channel: the per-thread ring-buffer
-        #: bus (tests and benchmarks inject one to read it themselves).
-        self.events = (event_queue if event_queue is not None
-                       else EventBus(
-                           ring_capacity=self.config.event_ring_size,
-                           gap_timeout=self.config.event_gap_timeout))
+        self.stats = stats if stats is not None else EngineStats(EventBus(
+            ring_capacity=self.config.event_ring_size,
+            gap_timeout=self.config.event_gap_timeout))
+        #: The monitor-facing event channel: the per-thread ring-buffer bus
+        #: whose rings also hold the counters ``stats`` reads.
+        self.events = self.stats.bus
         self.clock = clock or WallClock()
-        self.stats = stats or EngineStats()
-        self.stats.register(self.events)  # the operation counters: this bus's records, counted
         self.calibrator = calibrator
         self.mode = mode
         self._external_names = set(self.config.external_synchronization)
@@ -533,8 +530,3 @@ class AvoidanceEngine:
     def forget_thread(self, thread_id: int) -> None:
         """Drop all engine state about a terminated thread."""
         self.cache.forget_thread(thread_id)
-
-    def reset(self) -> None:
-        """Clear all runtime state (cache, yields, queue) but keep the history."""
-        self.cache.clear()
-        self.events.clear()

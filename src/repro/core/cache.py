@@ -356,14 +356,6 @@ class AvoidanceCache:
         with self._yielding_lock:
             self._yielding.pop(thread_id, None)
 
-    def clear(self) -> None:
-        """Reset the cache entirely (used between experiment trials)."""
-        self.allowed.clear()
-        self.slots.clear()
-        self._owners.clear()
-        with self._yielding_lock:
-            self._yielding.clear()
-
     def rebuild_allowed(self) -> None:
         """Index every live waiting/hold binding whose site :attr:`sites` names.
 

@@ -26,6 +26,7 @@ from .avoidance import AvoidanceEngine, Decision, RequestOutcome
 from .calibration import Calibrator
 from .config import DimmunixConfig
 from .errors import MonitorError
+from .events import EventBus
 from .history import History
 from .monitor import MonitorCore, MonitorThread
 from .runtime_api import RuntimeCore
@@ -45,7 +46,9 @@ class Dimmunix:
         self.config = (config or DimmunixConfig()).validate()
         self.history = history if history is not None else History(
             path=self.config.history_path)
-        self.stats = EngineStats()
+        #: The counters, a view over the engine's event bus: its rings hold them.
+        self.stats = EngineStats(EventBus(ring_capacity=self.config.event_ring_size,
+                                          gap_timeout=self.config.event_gap_timeout))
         self.clock = clock or WallClock()
         self.calibrator = Calibrator(self.config, self.stats)
         self.engine = AvoidanceEngine(

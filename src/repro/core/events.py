@@ -23,12 +23,13 @@ contending with other producers (which matters on free-threaded builds,
 where a shared deque serializes on its per-object lock), and the monitor
 merges the rings by the bus's ``seq`` so the paper's section 5.2 partial
 ordering — a release precedes the next acquire of the same lock — is
-preserved across rings.  Each ring counts its records per event code,
-drops included (:meth:`EventBus.counts`): the engine's operation
-counters, which :class:`~repro.core.stats.EngineStats` reads.  The
-ordering contract and the publication-order assumptions the lock-free
-paths rely on are spelled out in ``docs/architecture.md`` ("The memory
-model").
+preserved across rings.  The rings are also the engine's only
+per-thread counter store: each counts its records per event code, drops
+included (:meth:`EventBus.counts`), and keeps one count column per
+engine counter (:data:`COUNTER_NAMES`, :meth:`EventBus.bump`), all of
+which :class:`~repro.core.stats.EngineStats` reads.  The ordering
+contract and the publication-order assumptions the lock-free paths rely
+on are spelled out in ``docs/architecture.md`` ("The memory model").
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .callstack import CallStack, EMPTY_STACK
 from .signature import EXCLUSIVE
@@ -84,6 +85,30 @@ CODE_TO_TYPE = (EventType.REQUEST, EventType.ALLOW, EventType.YIELD,
                 EventType.ACQUIRED, EventType.RELEASE, EventType.CANCEL)
 TYPE_TO_CODE = {event_type: code
                 for code, event_type in enumerate(CODE_TO_TYPE)}
+
+#: The engine's counters (:class:`~repro.core.stats.EngineStats` reads
+#: them).  Every ring keeps a count column for each, after its six
+#: per-code record columns; :meth:`EventBus.bump` adds to one.
+COUNTER_NAMES = (
+    "requests", "go_decisions", "yield_decisions", "acquisitions", "releases",
+    "cancels", "aborted_yields", "forced_go", "deadlocks_detected",
+    "starvations_detected", "starvations_broken", "signatures_added",
+    "restarts_requested", "false_positives", "true_positives",
+    "monitor_wakeups", "events_processed",
+    # Lazy capture observability: how many acquire-path captures deferred
+    # the deep stack walk, and how many of those were later forced to
+    # materialize (filter hit, YIELD, block, archive).  The ratio
+    # 1 - materialized/deferred is the capture deferral ratio the
+    # overhead benchmarks report.
+    "capture_deferred", "capture_materialized",
+)
+
+#: Counter name -> its ring column.
+COUNTER_COLUMNS = {name: column
+                   for column, name in enumerate(COUNTER_NAMES, len(CODE_TO_TYPE))}
+
+#: Count columns of a ring: the records per event code, then the counters.
+RING_COLUMNS = len(CODE_TO_TYPE) + len(COUNTER_NAMES)
 
 #: Sequence source for directly constructed :class:`Event` objects.  This
 #: domain is independent from any :class:`EventBus`'s — each bus owns its
@@ -228,7 +253,9 @@ class _Ring:
     the monitor — single producer, single consumer, opposite ends — so
     both operations are safe without a ring-level lock on GIL and
     free-threaded builds alike.  The bound is enforced by the producer
-    (drop-newest with a counter).
+    (drop-newest with a counter).  ``counts`` is written by the owner
+    alone too: its records per event code, then one column per engine
+    counter (:data:`COUNTER_NAMES`).
 
     ``owner`` is a weak reference to the producing :class:`threading.Thread`;
     the drain uses it to retire rings whose thread has terminated, so a
@@ -241,23 +268,18 @@ class _Ring:
     __slots__ = ("items", "capacity", "dropped", "high_water", "counts",
                  "owner")
 
-    def __init__(self, capacity: int, owner=None):
+    def __init__(self, capacity: int):
         self.items: deque = deque()
         self.capacity = capacity
         self.dropped = 0
         self.high_water = 0
-        #: Records emitted per event code, dropped ones included.
-        self.counts = [0] * len(CODE_TO_TYPE)
-        self.owner = owner
+        #: Records emitted per event code, dropped ones included, then the
+        #: counters bumped on this thread.
+        self.counts = [0] * RING_COLUMNS
+        self.owner = weakref.ref(threading.current_thread())
 
     def owner_alive(self) -> bool:
-        """Can this ring's producer still append?
-
-        False once the owning thread object is gone or no longer alive.
-        Rings without a recorded owner are conservatively kept forever.
-        """
-        if self.owner is None:
-            return True
+        """Can this ring's producer still append?  Not once its thread is gone or has ended."""
         thread = self.owner()
         return thread is not None and thread.is_alive()
 
@@ -294,10 +316,11 @@ class EventBus:
     counted in :attr:`stragglers` — under normal operation both counters
     stay 0 and the order is total.
 
-    **Single consumer.**  :meth:`drain_raw`, :meth:`drain`, and
-    :meth:`clear` must only ever be called by one thread at a time (the
-    monitor serializes on its own mutex); ``_pending`` and the release
-    cursor are consumer-owned state.
+    **Single consumer.**  :meth:`drain_raw` and :meth:`drain` must only
+    ever be called by one thread at a time (the monitor serializes on its
+    own mutex); ``_pending`` and the release cursor are consumer-owned
+    state.  Nothing empties a bus in place: a trial that wants clean
+    state builds a new engine (:meth:`~repro.core.runtime_api.RuntimeCore.fork`).
     """
 
     def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY,
@@ -327,20 +350,16 @@ class EventBus:
         #: Gap watchdog: (missing seq, monotonic time it was first seen).
         self._gap_expected: Optional[int] = None
         self._gap_since = 0.0
-        #: When True (after clear()), the cursor resyncs to the first
-        #: record seen instead of stalling on seqs clear() discarded.
-        self._resync = False
         # -- lifetime counters ------------------------------------------
         self._retired_dropped = 0
         self._retired_high_water = 0
-        self._retired_counts = [0] * len(CODE_TO_TYPE)
+        self._retired_counts = [0] * RING_COLUMNS
         self._total_drained = 0
         self._stragglers = 0
         self._seq_gaps_skipped = 0
 
     def _new_ring(self) -> _Ring:
-        ring = _Ring(self._capacity,
-                     owner=weakref.ref(threading.current_thread()))
+        ring = _Ring(self._capacity)
         with self._mutex:
             self._rings[next(self._ring_ids)] = ring
         self._local.ring = ring
@@ -361,7 +380,7 @@ class EventBus:
         """
         try:
             ring = self._local.ring
-        except AttributeError:  # the thread's first emit
+        except AttributeError:  # the thread's first emit or bump
             ring = self._new_ring()
         # Counted first: a dropped record is still an operation made (the
         # engine's counters are these counts), and a reader can see a count
@@ -377,6 +396,14 @@ class EventBus:
         if size > ring.high_water:
             ring.high_water = size
         return True
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to counter ``name`` (:data:`COUNTER_NAMES`) on the calling thread's ring."""
+        try:
+            ring = self._local.ring
+        except AttributeError:  # the thread's first emit or bump
+            ring = self._new_ring()
+        ring.counts[COUNTER_COLUMNS[name]] += amount
 
     def put(self, event: Event) -> bool:
         """Enqueue a prebuilt :class:`Event`.
@@ -414,8 +441,9 @@ class EventBus:
         # "empty" ring observed before the aliveness check can receive a
         # final burst of records while the producer races to exit, and
         # deleting it then orphans those records.
-        # Lifetime counters are folded into the retired aggregates,
-        # keeping dropped / counts() / high_water_mark monotone.
+        # Lifetime counters, the count columns among them, are folded into
+        # the retired aggregates, keeping dropped / totals() /
+        # high_water_mark monotone.
         with self._mutex:
             for ring_id, ring in list(self._rings.items()):
                 if ring.owner_alive() or ring.items:
@@ -430,14 +458,11 @@ class EventBus:
         """Length of the sorted-``merged`` prefix safe to release now.
 
         Walks the contiguity cursor: stragglers (seq below the cursor;
-        only possible after a gap skip or a clear) release immediately,
+        only possible after a gap skip) release immediately,
         consecutive seqs advance the cursor, and the first *young* gap
         stops the walk — the missing seq belongs to an emit that is
         mid-flight and the records behind it must wait for it.
         """
-        if self._resync and merged:
-            self._next_release = merged[0][0]
-            self._resync = False
         eligible = 0
         expected = self._next_release
         now = None
@@ -556,11 +581,15 @@ class EventBus:
             return self._retired_high_water + sum(
                 ring.high_water for ring in self._rings.values())
 
-    def counts(self) -> List[int]:
-        """Records emitted per event code over the bus's lifetime, dropped ones included."""
+    def totals(self, columns: Iterable[int]) -> List[int]:
+        """The lifetime count of each of ``columns``, summed over every ring."""
         with self._mutex:  # each ring is counted once: live, or retired
             rings = [self._retired_counts] + [ring.counts for ring in self._rings.values()]
-        return [sum(column) for column in zip(*rings)]
+        return [sum(counts[column] for counts in rings) for column in columns]
+
+    def counts(self) -> List[int]:
+        """Records emitted per event code over the bus's lifetime, dropped ones included."""
+        return self.totals(range(len(CODE_TO_TYPE)))
 
     @property
     def total_enqueued(self) -> int:
@@ -582,8 +611,8 @@ class EventBus:
     def stragglers(self) -> int:
         """Records released out of order after their seq slot was skipped.
 
-        Nonzero only after a :attr:`seq_gaps_skipped` event or a
-        :meth:`clear` raced an in-flight emission; 0 in normal operation.
+        Nonzero only after a :attr:`seq_gaps_skipped` event; 0 in normal
+        operation.
         """
         return self._stragglers
 
@@ -591,20 +620,3 @@ class EventBus:
     def seq_gaps_skipped(self) -> int:
         """Allocated seqs given up for lost after ``gap_timeout``."""
         return self._seq_gaps_skipped
-
-    def clear(self) -> None:
-        """Discard all buffered records (used when resetting an engine).
-
-        Consumer-side, like drain: must not race another drain.  The
-        release cursor resyncs on the next drain, so seqs allocated by
-        discarded (or concurrently in-flight) records do not register as
-        gaps; an emission racing the clear may survive it and be counted
-        as a straggler rather than lost.
-        """
-        self._pending = []
-        with self._mutex:
-            rings = list(self._rings.values())
-        for ring in rings:
-            ring.items.clear()
-        self._gap_expected = None
-        self._resync = True

@@ -16,7 +16,6 @@ from typing import Dict, List
 from ..core.avoidance import AvoidanceEngine
 from ..core.callstack import CallStack
 from ..core.config import DimmunixConfig
-from ..core.events import EventBus
 from ..core.history import History
 from ..workloads.synth_history import synthesize_history
 
@@ -44,8 +43,7 @@ class ScalingRow:
 def _measure(threads: int) -> float:
     history = History(path=None, autosave=False)
     synthesize_history(_UNIVERSE, count=HISTORY_SIZE, matching_depth=4, seed=7, history=history)
-    engine = AvoidanceEngine(history, DimmunixConfig.for_testing(),
-                             event_queue=EventBus(ring_capacity=4096))
+    engine = AvoidanceEngine(history, DimmunixConfig.for_testing(event_ring_size=4096))
     barrier = threading.Barrier(threads + 1)
 
     def work(worker: int) -> None:

@@ -70,12 +70,6 @@ class SimLock:
             return self.waiters.popleft()
         return None
 
-    def reset(self) -> None:
-        """Clear all runtime state (used when replaying a lock across runs)."""
-        self.owner = None
-        self.count = 0
-        self.waiters.clear()
-
     @property
     def available(self) -> bool:
         """True when no thread currently owns the lock."""
@@ -126,10 +120,6 @@ class SimSemaphore(SimLock):
             self.permits[thread_id] = held - 1
         # A permit came free: a hand-over check is always warranted.
         return True
-
-    def reset(self) -> None:
-        super().reset()
-        self.permits.clear()
 
     @property
     def available(self) -> bool:
@@ -182,10 +172,6 @@ class SimRWLock(SimLock):
             del self.holds[thread_id]
         # Readers leaving or a writer unwinding can unblock waiters.
         return True
-
-    def reset(self) -> None:
-        super().reset()
-        self.holds.clear()
 
     @property
     def available(self) -> bool:

@@ -6,8 +6,8 @@ one invariant that a publication race would break:
 * ``test_event_bus_races`` — the event bus's cross-drain total order,
   hold-back of in-flight emissions, gap-timeout safety valve, and
   dead-ring retirement (zero loss under thread churn);
-* ``test_stats_races`` — epoch-based reset never resurrects or
-  half-counts an in-flight bump;
+* ``test_stats_races`` — the asyncio parker's reused wake future, fired
+  from another loop's thread or from the monitor, still wakes its task;
 * ``test_sigindex_races`` — the index's one-assignment publication only
   ever produces benign false negatives, never false positives or torn
   reads;

@@ -4,9 +4,8 @@ Two styles of test live on top of these helpers:
 
 *Deterministic interleavings* — a ``Gated*`` proxy parks a chosen thread
 *inside* a known race window (between a sequence allocation and the ring
-append, between a counter read and its write-back) while the test drives
-the other side of the race to completion, then releases the parked
-thread and asserts the invariant.  These fail on the pre-fix code every
+append) while the test drives the other side of the race to completion,
+then releases the parked thread and asserts the invariant.  These fail on the pre-fix code every
 single run, on any build.
 
 *Seeded stress* — many threads hammer the structure with the interpreter
@@ -133,27 +132,6 @@ class GatedSeq:
         seq = self._inner()
         self._trap.here()
         return seq
-
-
-class GatedDict(dict):
-    """Counter-dict proxy that parks one chosen ``get`` mid-bump.
-
-    Installed as a stats shard's counts storage.  ``bump`` reads the old
-    value with ``get`` and stores ``old + amount`` afterwards; parking
-    inside ``get`` (the first one, whichever thread makes it) holds the
-    bump in exactly the read-modify-write window a concurrent ``reset``
-    races with.
-    """
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self._trap = Trap("")  # the empty name is part of every thread's
-        self.entered, self.release = self._trap.reached, self._trap.release
-
-    def get(self, key, default=None):
-        value = super().get(key, default)
-        self._trap.here()
-        return value
 
 
 def assert_seq_order(batches: Sequence[Sequence[Tuple]],

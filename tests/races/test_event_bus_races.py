@@ -83,19 +83,6 @@ class TestHoldBack:
         assert [record[0] for record in late] == [1]
         assert bus.stragglers == 1
 
-    def test_clear_resyncs_past_discarded_seqs(self):
-        bus = EventBus(gap_timeout=30.0)
-        for lock_id in range(5):
-            bus.emit(EV_REQUEST, 1, lock_id, STACK)
-        bus.clear()
-        # Seqs 1-5 are gone for good; the next drain must re-anchor on the
-        # first record it sees instead of stalling on the discarded seqs
-        # until the gap timeout.
-        bus.emit(EV_ACQUIRED, 1, 99, STACK)
-        records = bus.drain_raw()
-        assert [record[3] for record in records] == [99]
-        assert bus.seq_gaps_skipped == 0
-
 
 class TestRetirementChurn:
     """Stress: short-lived producer threads must never lose records.

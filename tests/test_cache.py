@@ -155,8 +155,3 @@ class TestCandidates:
         assert cache.candidates_matching(SA, 2, set(), set()) == [(1, 10, SA)]
         cache.release_hold(1, 10)
         assert cache.candidates_matching(SA, 2, set(), set()) == []
-
-    def test_clear(self, cache):
-        cache.add_hold(1, 10, SA)
-        cache.clear()
-        assert cache.holder_of(10) is None

@@ -185,10 +185,9 @@ class TestFilterAtCapture:
         return [site(capture) for capture in captures]
 
     def test_a_named_site_is_walked_in_place_through_the_shared_memo(self):
-        stats = EngineStats()
-        lazy, = self._from_one_call_path(lambda: CallStack.capture_lazy(1, 10, stats))
+        lazy, = self._from_one_call_path(lambda: CallStack.capture_lazy(1, 10, EngineStats()))
         sites = frozenset({lazy.top()})
-        stats.reset()
+        stats = EngineStats()
         named, eager, lazy, reference = self._from_one_call_path(
             lambda: CallStack.capture_lazy(1, 10, stats, sites),
             lambda: CallStack.capture_cached(1, 10),

@@ -99,7 +99,7 @@ class TestEventBus:
         assert [r[3] for r in first] == [0, 1, 2, 3]
         assert [r[3] for r in second] == [4, 5, 6, 7, 8, 9]
 
-    def test_watermarks_and_clear(self):
+    def test_watermarks(self):
         bus = EventBus()
         s = stack()
         for i in range(5):
@@ -107,9 +107,6 @@ class TestEventBus:
         assert bus.total_enqueued == 5
         assert bus.high_water_mark == 5
         assert bus.peek_size() == 5
-        bus.clear()
-        assert len(bus) == 0
-        assert bus.drain() == []
 
     def test_rejects_silly_capacity(self):
         try:

@@ -1,4 +1,4 @@
-"""Tests for signature porting across upgrades and the histctl CLI."""
+"""Tests for the histctl CLI."""
 
 from __future__ import annotations
 
@@ -8,81 +8,15 @@ import pytest
 
 from repro.core.callstack import CallStack, Frame
 from repro.core.history import History
-from repro.core.porting import CodeMapping, port_history, port_signature
 from repro.core.signature import Signature
 from repro.tools.histctl import main as histctl
 
 
-def make_signature(lineno=10):
+def make_signature():
     return Signature([
-        CallStack([Frame("insert", "db.py", lineno), Frame("handle", "srv.py", 40)]),
-        CallStack([Frame("truncate", "db.py", lineno + 5), Frame("admin", "srv.py", 80)]),
+        CallStack([Frame("insert", "db.py", 10), Frame("handle", "srv.py", 40)]),
+        CallStack([Frame("truncate", "db.py", 15), Frame("admin", "srv.py", 80)]),
     ], matching_depth=4)
-
-
-class TestPorting:
-    def test_line_offsets_applied(self):
-        signature = make_signature()
-        mapping = CodeMapping(line_offsets={"db.py": 7})
-        ported = port_signature(signature, mapping)
-        assert ported is not signature
-        frames = [frame for stack in ported.stacks for frame in stack]
-        db_lines = sorted(f.lineno for f in frames if f.filename == "db.py")
-        assert db_lines == [17, 22]
-        # Counters survive; depth resets for recalibration.
-        assert ported.matching_depth == 1
-
-    def test_rename_applied(self):
-        signature = make_signature()
-        mapping = CodeMapping(renamed_functions={("db.py", "insert"): ("db.py", "insert_row")})
-        ported = port_signature(signature, mapping, reset_depth=False)
-        functions = {frame.function for stack in ported.stacks for frame in stack}
-        assert "insert_row" in functions and "insert" not in functions
-        assert ported.matching_depth == 4
-
-    def test_moved_location_takes_precedence(self):
-        signature = make_signature()
-        mapping = CodeMapping(
-            line_offsets={"db.py": 100},
-            moved_locations={("db.py", "insert", 10): ("storage.py", "insert", 3)})
-        ported = port_signature(signature, mapping)
-        frames = [frame for stack in ported.stacks for frame in stack]
-        assert any(f.filename == "storage.py" and f.lineno == 3 for f in frames)
-
-    def test_deleted_function_makes_signature_unportable(self):
-        signature = make_signature()
-        mapping = CodeMapping(deleted_functions=[("db.py", "truncate")])
-        assert port_signature(signature, mapping) is None
-
-    def test_identity_mapping_returns_same_object(self):
-        signature = make_signature()
-        assert port_signature(signature, CodeMapping()) is signature
-
-    def test_port_history_replaces_and_disables(self):
-        history = History()
-        movable = make_signature()
-        obsolete = Signature([CallStack([Frame("gone", "old.py", 1)]),
-                              CallStack([Frame("kept", "new.py", 2)])])
-        history.add(movable)
-        history.add(obsolete)
-        mapping = CodeMapping(line_offsets={"db.py": 3},
-                              deleted_functions=[("old.py", "gone")])
-        report = port_history(history, mapping)
-        assert report.summary() == {"ported": 1, "unportable": 1, "unchanged": 0}
-        assert report.total == 2
-        # The obsolete signature is disabled, not silently kept active.
-        assert not history.get(obsolete.fingerprint).enabled
-        # The ported one replaced the original.
-        assert history.get(movable.fingerprint) is None
-        assert len(history.enabled_signatures()) == 1
-
-    def test_port_history_can_drop_unportable(self):
-        history = History()
-        obsolete = Signature([CallStack([Frame("gone", "old.py", 1)])])
-        history.add(obsolete)
-        mapping = CodeMapping(deleted_functions=[("old.py", "gone")])
-        port_history(history, mapping, drop_unportable=True)
-        assert len(history) == 0
 
 
 class TestHistctl:

@@ -13,11 +13,18 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Raised by 35 (17,588 before) for the hit path's occupied-site plan: the
-#: signature index files each key's signatures in a ``Group`` that knows the
-#: call sites they need (+61 in ``sigindex.py``), net of the per-candidate
-#: vacancy pre-pass, ``AvoidanceCache.vacant`` and the per-stripe Allowed
-#: dicts it replaces (one ``site -> bindings`` map instead).
+#: Counters live in the event rings: ``EngineStats`` became a view over
+#: the engine's ``EventBus`` (its per-thread shard store, epoch reset and
+#: bus baselines went), every reset-in-place path (``EventBus.clear`` and
+#: its resync cursor, ``AvoidanceEngine.reset``, ``AvoidanceCache.clear``,
+#: the sim locks' ``reset``) went with it, as did the engine's
+#: ``event_queue`` argument (its bus is its stats' bus) and
+#: ``core/porting.py`` (section 8 signature porting), which nothing called.
+#: 17,623 before, raised by 35 from 17,588 for the hit path's occupied-site
+#: plan: the signature index files each key's signatures in a ``Group`` that
+#: knows the call sites they need (+61 in ``sigindex.py``), net of the
+#: per-candidate vacancy pre-pass, ``AvoidanceCache.vacant`` and the
+#: per-stripe Allowed dicts it replaces (one ``site -> bindings`` map instead).
 #: Earlier ratchets, newest first: 17,588 (the simulator driving the shipped
 #: ``acquisition()``: its copy of the protocol, the backend's forwarding
 #: methods and the ghost-lock baseline went), 17,724 (the signature index as one
@@ -25,15 +32,16 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_623
+TOTAL_BUDGET = 17_339
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
 #: until PR 24 made ``patching.py`` the only installer and registry and
 #: ``skeleton.py`` the half of each primitive that is not sync-vs-async.
 #: 1,964 before an unused ``SimLock.remove_waiter`` went; 1,962 until the
-#: miss path stopped bumping the counters its event records already count.
-PRIMITIVES_BUDGET = 1_948
+#: miss path stopped bumping the counters its event records already count;
+#: 1,948 until the sim locks' ``reset()``, which only replays used, went.
+PRIMITIVES_BUDGET = 1_934
 #: ``share/``: four transports around one ``PoolState`` (``state.py`` and
 #: ``wire.py`` included) and one ``send``/``receive``/``snapshot``
 #: contract.  3,479 before that contract: 625 of the 1,241 lines it
@@ -57,7 +65,8 @@ SHARE_BUDGET = 2_295
 #: unfinished thread programs (16) let the simulator run app code.
 #: 3,191 until the scheduler drove ``acquisition()``: the virtual-time
 #: yield bound (section 5.7) is new, its copy of the protocol went.
-SIM_BUDGET = 3_204
+#: 3,204 until the sim locks' ``reset()`` went: every run builds its locks.
+SIM_BUDGET = 3_190
 
 
 def count_lines(*roots: str) -> int:

@@ -3,7 +3,8 @@
 A server that runs each request on a short-lived thread or task must not
 grow per-unit state without bound: not in the monitor's RAG (whose
 starvation search walks every thread state on every pass, in time taken
-from the application), not in the stats shards, not in the id registries.
+from the application), not in the event rings that hold the counters,
+not in the id registries.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def assert_churn_left_nothing(dimmunix: Dimmunix, fresh_pass: float) -> None:
     assert idle_pass_seconds(dimmunix) <= 2 * fresh_pass + 20e-6
     totals = dimmunix.stats.snapshot()
     assert totals["requests"] == totals["acquisitions"] == totals["releases"] == UNITS
-    assert len(dimmunix.stats._shards) <= 2 * AT_ONCE + 8
+    assert dimmunix.engine.events.ring_count <= 2 * AT_ONCE + 8
 
 
 class TestChurn:

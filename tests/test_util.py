@@ -35,7 +35,7 @@ class TestEngineStats:
         stats.bump("requests", 2)
         snapshot = stats.snapshot()
         assert snapshot["requests"] == 3
-        stats.reset()
+        stats = EngineStats()
         assert stats.requests == 0
 
     def test_yield_rate(self):
