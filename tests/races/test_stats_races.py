@@ -1,8 +1,13 @@
-"""The asyncio parker's loop-free fast path, woken from other threads.
+"""The engine's counters under concurrency.
 
-The parker reuses a task's armed wake future without asking for the
-running loop; these tests wake such a task from another loop's thread
-and from the monitor, and read the outcome off the engine's counters.
+The counters are count columns of the event bus's per-thread rings, and
+a ring whose thread has ended retires into the bus totals: a read racing
+that retirement must see every ring once, live or retired, so a counter
+never goes backwards and no bump is lost.  Then the asyncio parker's
+loop-free fast path, which reuses a task's armed wake future without
+asking for the running loop: these tests wake such a task from another
+loop's thread and from the monitor, and read the outcome off the
+engine's counters.
 """
 
 from __future__ import annotations
@@ -14,11 +19,13 @@ import time
 from repro.core.callstack import CallStack, Frame
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
+from repro.core.events import EV_ALLOW, EventBus
 from repro.core.history import History
 from repro.core.signature import Signature
+from repro.core.stats import EngineStats
 from repro.instrument.aio import AioLock, AsyncioRuntime
 
-from .harness import run_threads
+from .harness import preemption_pressure, run_threads
 
 
 async def _hold_at(lock, **options):
@@ -65,6 +72,76 @@ async def _armed_then_yield(runtime: AsyncioRuntime, lock: AioLock) -> None:
     warm.release()
     assert await _yield_at(lock, timeout=10.0)
     lock.release()
+
+
+def _churn(stats: EngineStats, threads: int, per_thread: int) -> None:
+    """Run ``threads`` short-lived threads in turn, each bumping and emitting ``per_thread`` times."""
+    def work():
+        for _ in range(per_thread):
+            stats.bump("capture_deferred")
+            stats.bus.emit(EV_ALLOW, 1, 10)
+
+    for _ in range(threads):
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join()
+
+
+class TestColumnsAcrossRetirement:
+    def test_reads_never_go_backwards_while_rings_retire(self):
+        stats = EngineStats(EventBus(ring_capacity=4))
+        churned, done, reads = threading.Event(), threading.Event(), []
+
+        def churner():
+            _churn(stats, threads=60, per_thread=50)
+            churned.set()
+
+        def drainer():  # the consumer: every drain retires the ended threads' rings
+            while not churned.is_set():
+                stats.bus.drain_raw()
+            stats.bus.drain_raw()
+            done.set()
+
+        def reader():
+            while not done.is_set():
+                reads.append((stats.capture_deferred, stats.requests))
+
+        with preemption_pressure():
+            run_threads([churner, drainer, reader])
+        for column in (0, 1):
+            values = [read[column] for read in reads]
+            assert values == sorted(values)
+        assert stats.bus.ring_count == 0
+        assert (stats.capture_deferred, stats.requests) == (3000, 3000)
+
+    def test_every_bump_is_counted_once(self):
+        stats = EngineStats(EventBus(ring_capacity=4))
+        stop = threading.Event()
+
+        def churner():
+            _churn(stats, threads=20, per_thread=100)
+
+        def bumper():
+            for _ in range(2000):
+                stats.bump("capture_deferred")
+                stats.bus.emit(EV_ALLOW, 2, 20)
+
+        def drainer():
+            while not stop.is_set():
+                stats.bus.drain_raw()
+
+        consumer = threading.Thread(target=drainer)
+        consumer.start()
+        try:
+            with preemption_pressure():
+                run_threads([churner, churner, bumper, bumper])
+        finally:
+            stop.set()
+            consumer.join(10.0)
+        stats.bus.drain_raw()
+        snapshot = stats.snapshot()
+        assert snapshot["capture_deferred"] == snapshot["requests"] == 8000
+        assert snapshot["go_decisions"] == 8000 and snapshot["yield_decisions"] == 0
 
 
 class TestTheParkersLoopFreeFastPath:
