@@ -2,12 +2,12 @@
 
 Walks the full exploration workflow on the paper's section 4 deadlock:
 
-1. enumerate every bounded interleaving of update(A, B) vs update(B, A)
+1. enumerate every interleaving of update(A, B) vs update(B, A)
    under ``NullBackend`` and find the deadlocking schedules;
 2. shrink the first counterexample to a minimal schedule trace;
 3. save the trace to JSON, reload it, and replay it byte-identically;
 4. run the :class:`ImmunityChecker`: seed a Dimmunix history from the
-   minimal counterexample and verify that *zero* bounded interleavings
+   minimal counterexample and verify that *zero* interleavings
    deadlock once the signature is known.
 
 Run::
@@ -30,7 +30,7 @@ from repro.sim import (Explorer, ImmunityChecker, NullBackend, ScheduleTrace,
 def main(quick: bool = False) -> int:
     max_runs = 200 if quick else 5_000
 
-    print("== 1. Bounded exhaustive exploration under NullBackend ==")
+    print("== 1. Exhaustive exploration under NullBackend ==")
     explorer = Explorer(lambda: build_two_lock_inversion(NullBackend()),
                         name="two-lock-inversion", max_runs=max_runs)
     found = explorer.explore()
@@ -56,7 +56,7 @@ def main(quick: bool = False) -> int:
     print(f"   replayed {len(reloaded)} choices byte-identically; "
           f"deadlock reproduced at t={replayed.virtual_time:.6f}")
 
-    print("== 4. Immunity over the whole bounded schedule space ==")
+    print("== 4. Immunity over the whole schedule space ==")
     checker = ImmunityChecker(build_two_lock_inversion,
                               name="two-lock-inversion", max_runs=max_runs)
     report = checker.check()

@@ -114,8 +114,7 @@ class AvoidanceEngine:
         self.history = history
         self.cache = AvoidanceCache()
         self.stats = stats if stats is not None else EngineStats(EventBus(
-            ring_capacity=self.config.event_ring_size,
-            gap_timeout=self.config.event_gap_timeout))
+            ring_capacity=self.config.event_ring_size))
         #: The monitor-facing event channel: the per-thread ring-buffer bus
         #: whose rings also hold the counters ``stats`` reads.
         self.events = self.stats.bus

@@ -78,13 +78,6 @@ class DimmunixConfig:
         emitting thread owns one bounded ring; when a ring fills (the
         monitor is stopped or badly behind), further events from that
         thread are dropped and counted rather than blocking the hot path.
-    event_gap_timeout:
-        Seconds the event-bus drain waits for a sequence number that was
-        allocated but whose record has not been appended yet before
-        giving it up for lost.  In-flight emissions close that window in
-        microseconds; the timeout only fires when an emitting thread was
-        killed mid-emission, so the monitor cannot wedge on it.  See
-        ``docs/architecture.md`` ("The memory model").
     lazy_capture:
         When True (the default), the lock runtimes capture only the
         caller's top frame on the acquire path and defer the full stack
@@ -108,7 +101,6 @@ class DimmunixConfig:
     external_synchronization: Sequence[str] = field(default_factory=tuple)
     fp_window: int = 64
     event_ring_size: int = 65536
-    event_gap_timeout: float = 0.05
     lazy_capture: bool = True
 
     def validate(self) -> "DimmunixConfig":
@@ -139,8 +131,6 @@ class DimmunixConfig:
             raise ConfigError("fp_window must be >= 1")
         if self.event_ring_size < 1:
             raise ConfigError("event_ring_size must be >= 1")
-        if self.event_gap_timeout <= 0:
-            raise ConfigError("event_gap_timeout must be positive")
         if self.history_path is not None:
             parent = os.path.dirname(os.path.abspath(self.history_path))
             if parent and not os.path.isdir(parent):

@@ -47,8 +47,7 @@ class Dimmunix:
         self.history = history if history is not None else History(
             path=self.config.history_path)
         #: The counters, a view over the engine's event bus: its rings hold them.
-        self.stats = EngineStats(EventBus(ring_capacity=self.config.event_ring_size,
-                                          gap_timeout=self.config.event_gap_timeout))
+        self.stats = EngineStats(EventBus(ring_capacity=self.config.event_ring_size))
         self.clock = clock or WallClock()
         self.calibrator = Calibrator(self.config, self.stats)
         self.engine = AvoidanceEngine(

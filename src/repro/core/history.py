@@ -18,7 +18,7 @@ import os
 import tempfile
 import threading
 import weakref
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from .errors import HistoryError, HistoryFormatError, SignatureError
 from .signature import Signature
@@ -47,7 +47,6 @@ class History:
         #: (path, mtime_ns, size) of our own last write; when the backing
         #: file still matches, merge-on-save skips re-parsing it.
         self._written_stamp: Optional[tuple] = None
-        self._listeners: List[Callable[[Signature], None]] = []
         #: Observers notified of every mutation kind (add/remove/enable/
         #: disable/clear); the incremental signature index maintains itself
         #: through these hooks instead of rescanning the history.
@@ -115,8 +114,6 @@ class History:
             self._bump_version()
             if self._autosave:
                 self.save()
-        for listener in list(self._listeners):
-            listener(signature)
         self._notify("on_signature_added", signature)
         return True
 
@@ -204,19 +201,6 @@ class History:
             # lose its save either.
             self.save()
         return added
-
-    def add_listener(self, listener: Callable[[Signature], None]) -> None:
-        """Register a callback invoked whenever a new signature is added."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: Callable[[Signature], None]) -> None:
-        """Unregister a previously added listener (no-op when absent).
-
-        Comparison uses equality, not identity: callers typically pass a
-        bound method, and every ``obj.method`` access creates a *new*
-        bound-method object (identity never matches the stored one).
-        """
-        self._listeners = [cb for cb in self._listeners if cb != listener]
 
     # -- observers (incremental index maintenance) -----------------------------------------
 

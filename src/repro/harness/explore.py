@@ -2,13 +2,13 @@
 
 Where the other harness runners regenerate the paper's tables and figures
 from *sampled* runs, this one quantifies over schedules: for every
-registered scenario it enumerates all interleavings within the configured
-bounds, confirms the scenario deadlocks without avoidance, seeds the
-history from the minimal counterexample, and confirms that no bounded
-interleaving deadlocks with the history in place.
+registered scenario it enumerates all interleavings, confirms the
+scenario deadlocks without avoidance, seeds the history from the minimal
+counterexample, and confirms that no interleaving deadlocks with the
+history in place.
 
 Every row states *how* its coverage was obtained: the reduction strategy
-that ran, whether each phase's bounded tree was fully enumerated, and —
+that ran, whether each phase's tree was fully enumerated, and —
 when the unreduced tree size is measured — the reduction ratio.  A
 truncated or reduced exploration therefore cannot read as full coverage:
 ``exhausted=False`` or a reduction ratio is right there in the row.
@@ -29,7 +29,7 @@ class ExplorationRow:
     """One scenario's verdict in the exploration matrix; fields are its columns."""
 
     scenario: str
-    #: Concrete reduction strategy the checker ran ("dfs"/"dpor").
+    #: Reduction strategy the checker ran ("dfs"/"dpor").
     strategy: str
     interleavings: int
     states: int
@@ -40,7 +40,7 @@ class ExplorationRow:
     immune_runs: Optional[int]
     immune_deadlocks: Optional[int]
     immune: bool
-    #: Whether each phase fully enumerated its bounded tree — the
+    #: Whether each phase fully enumerated its tree — the
     #: difference between "no deadlock exists" and "none found so far".
     vulnerable_exhausted: bool
     immune_exhausted: Optional[bool]
@@ -85,16 +85,13 @@ class ExplorationRow:
 
 
 def run_exploration_matrix(scenarios: Optional[Dict[str, Callable]] = None,
-                           max_runs: int = 5_000,
-                           max_depth: Optional[int] = None,
-                           preemption_bound: Optional[int] = None,
-                           strategy: Optional[str] = None,
+                           max_runs: int = 5_000, strategy: str = "dpor",
                            measure_reduction: bool = True,
                            ) -> List[ExplorationRow]:
     """Run the :class:`ImmunityChecker` over every registered scenario.
 
     ``strategy`` selects the reduction for both exploration phases
-    (default: the explorer's default, source-DPOR).  With
+    (default: source-DPOR).  With
     ``measure_reduction`` the unreduced vulnerable tree is also sized
     (one extra plain-DFS search per scenario, same bounds) so each row
     carries its reduction ratio; a ratio of ``None`` with
@@ -105,18 +102,13 @@ def run_exploration_matrix(scenarios: Optional[Dict[str, Callable]] = None,
     rows: List[ExplorationRow] = []
     for name, scenario in selected.items():
         checker = ImmunityChecker(scenario, name=name, max_runs=max_runs,
-                                  max_depth=max_depth,
-                                  preemption_bound=preemption_bound,
                                   strategy=strategy)
-        resolved = checker._explorer(
-            lambda: scenario(NullBackend())).resolve_strategy()
         full_runs: Optional[int] = None
-        if measure_reduction and resolved != "dfs":
+        if measure_reduction and strategy != "dfs":
             full = Explorer(lambda: scenario(NullBackend()), name=name,
-                            max_runs=max_runs, max_depth=max_depth,
-                            strategy="dfs").explore()
+                            max_runs=max_runs, strategy="dfs").explore()
             if full.exhausted:
                 full_runs = full.runs
-        rows.append(ExplorationRow.from_report(checker.check(), resolved,
+        rows.append(ExplorationRow.from_report(checker.check(), strategy,
                                                full_runs))
     return rows

@@ -4,9 +4,9 @@ One pool binds one :class:`~repro.core.history.History` to one
 :class:`~repro.share.channel.HistoryChannel`, and is the one place
 signature records are parsed:
 
-* **outbound** — a history listener sends every *locally* learned
-  signature the moment the monitor archives it (no polling delay on the
-  send side);
+* **outbound** — the pool's ``on_signature_added`` observer hook sends
+  every *locally* learned signature the moment the monitor archives it
+  (no polling delay on the send side);
 * **inbound** — :meth:`pump` receives the channel's delta and merges
   the remote signatures into the history.  Merging triggers the
   history's observer hooks, which is how a remote signature reaches the
@@ -15,7 +15,7 @@ signature records are parsed:
   and the very next lock request can match it — no restart, no engine
   reset.
 
-**The control records.**  The pool is also a history *observer*: a local
+**The control records.**  Through the same observer hooks, a local
 ``disable``/``enable``/``remove`` (e.g. from ``histctl``) originates a
 control record — Lamport-clocked, origin-stamped — onto the channel,
 and :meth:`pump` merges inbound control records into the pool's
@@ -26,7 +26,7 @@ history's observer hooks, the signature index drops the signature, and a
 fleet-wide retraction of a bad signature (section 5.7 at fleet scale).
 
 Echo suppression is two-layered: the pool flags installs so its own
-listener and observer hooks do not send a remote record back, and every
+observer hooks do not send a remote record back, and every
 channel additionally refuses to carry what it has already carried.
 
 The pool is driven by whoever owns the runtime's cadence:
@@ -83,7 +83,6 @@ class SignaturePool:
         #: Received records no :class:`Signature` could be read from.
         self.unreadable = 0
         self._detached = False
-        history.add_listener(self._publish_local)
         history.add_observer(self)
 
     @property
@@ -117,10 +116,6 @@ class SignaturePool:
         else:
             self.publish_errors += 1
 
-    def _publish_local(self, signature: Signature) -> None:
-        if self._local():
-            self._publish([to_record(signature)])
-
     def _originate_control(self, action: str, fingerprint: str) -> None:
         if not self._local():
             return
@@ -133,9 +128,14 @@ class SignaturePool:
         else:
             self.control_errors += 1
 
-    # History observer hooks: a *local* mutation becomes a fleet-wide
-    # control record.  Remote applications are suppressed by the same
-    # ``_installing`` flag that suppresses signature echo.
+    # History observer hooks: a *local* addition is published, any other
+    # local mutation becomes a fleet-wide control record.  Remote
+    # installs are suppressed by the ``_installing`` flag, so nothing
+    # received is echoed back.
+    def on_signature_added(self, signature: Signature) -> None:
+        if self._local():
+            self._publish([to_record(signature)])
+
     def on_signature_disabled(self, signature: Signature) -> None:
         self._originate_control("disable", signature.fingerprint)
 
@@ -213,7 +213,6 @@ class SignaturePool:
             return
         self.pump()
         self._detached = True
-        self._history.remove_listener(self._publish_local)
         self._history.remove_observer(self)
         try:
             self._channel.close()

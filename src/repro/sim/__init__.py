@@ -14,10 +14,10 @@ Scheduling decisions go through a pluggable
 :class:`~repro.sim.schedule.SchedulePolicy` and are recorded as
 serializable :class:`~repro.sim.schedule.ScheduleTrace` objects, which
 turns the simulator into a model checker: :mod:`repro.sim.explore`
-enumerates all bounded interleavings (unreduced or with source-DPOR, and
-with preemption bounding), replays recorded schedules step-for-step, shrinks
-deadlock counterexamples, and checks the paper's immunity claim over the
-whole bounded schedule space instead of one lucky seed.
+enumerates all interleavings (unreduced or with source-DPOR), replays
+recorded schedules step-for-step, shrinks deadlock counterexamples, and
+checks the paper's immunity claim over the whole schedule space instead
+of one lucky seed.
 """
 
 from .actions import (Acquire, AcquireRead, Compute, Log, Release,

@@ -23,11 +23,11 @@ and, through it, onto the PR 2 exploration engine:
   :class:`~repro.sim.explore.ImmunityChecker`, the replay fixtures, and
   the harness matrix cover asyncio programs exactly like threaded ones.
 
-Because the scheduler is shared, everything from PR 2 applies verbatim:
-bounded exhaustive DFS, sleep sets under ``NullBackend``, preemption
-bounding, record/replay of :class:`~repro.sim.schedule.ScheduleTrace`
-(slots are task registration indices), greedy shrinking, and the
-immunity claim checked over *all* bounded task interleavings.
+Because the scheduler is shared, the explorer applies verbatim:
+exhaustive DFS and source-DPOR, record/replay of
+:class:`~repro.sim.schedule.ScheduleTrace` (slots are task registration
+indices), greedy shrinking, and the immunity claim checked over *all*
+task interleavings.
 """
 
 from __future__ import annotations

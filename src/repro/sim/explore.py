@@ -5,8 +5,7 @@ One seeded run samples a single interleaving; the paper's immunity claim
 it") quantifies over *all* interleavings.  This module makes that claim
 testable by exploring the scheduler's choice tree:
 
-* :class:`Explorer` — bounded exhaustive search over scheduling choices,
-  plus a swarm/random-walk mode for programs too large to enumerate.
+* :class:`Explorer` — exhaustive search over scheduling choices.
   Each run re-drives a forced prefix of choices through a fresh scheduler
   built by a *scenario factory*, then takes default choices — stateless
   model checking in the style of VeriSoft/CHESS.  There is one search
@@ -25,18 +24,14 @@ testable by exploring the scheduler's choice tree:
   deadlock counterexamples suitable for fixture check-in.
 * :class:`ImmunityChecker` — the paper's claim as an executable check:
   the scenario deadlocks under :class:`~repro.sim.backends.NullBackend`
-  in at least one bounded interleaving, and under Dimmunix with the
-  seeded history in none.
+  in at least one interleaving, and under Dimmunix with the seeded
+  history in none.
 
 Reductions and soundness.  Local steps (``Compute``/``Log``/thread exit)
 commute with everything, so they are executed eagerly without branching.
 Sleep sets — per-lock footprints as the
 independence relation — exist only inside source-DPOR, which seeds
-each branch with its explored siblings (:mod:`repro.sim.dpor`).  A
-preemption bound, when set,
-restricts the search to schedules with at most that many preemptive
-context switches (CHESS-style iterative context bounding) and is reported
-as such — the search is then complete only w.r.t. the bound.
+each branch with its explored siblings (:mod:`repro.sim.dpor`).
 """
 
 from __future__ import annotations
@@ -58,8 +53,8 @@ from .locks import SimRWLock, SimSemaphore
 from .programs import (lock_order_program, philosopher_program,
                        rwlock_upgrade_program, sem_pool_program)
 from .result import SimResult
-from .schedule import (RandomPolicy, ReplayPolicy, SchedulePolicy,
-                       ScheduleTrace, lock_footprint)
+from .schedule import (ReplayPolicy, SchedulePolicy, ScheduleTrace,
+                       lock_footprint)
 from .scheduler import SimScheduler
 
 #: A scenario factory: builds a fresh, fully configured scheduler
@@ -68,16 +63,9 @@ ScenarioFactory = Callable[[], SimScheduler]
 
 
 class _CutRun(Exception):
-    """Internal control flow: abandon the current run.
-
-    ``reason`` is ``"sleep"`` when every branchable candidate is in the
-    sleep set (the continuation is covered by a sibling branch) or
-    ``"depth"`` when the per-run choice-point bound was hit.
-    """
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Internal control flow: abandon the current run, because every
+    branchable candidate is in the sleep set (the continuation is covered
+    by a sibling branch)."""
 
 
 @dataclass
@@ -104,11 +92,8 @@ class Branch(NamedTuple):
     """
 
     position: int
-    #: Untaken alternatives (slot, lock footprint), ascending slot order.
-    alternatives: Tuple[Tuple[int, Optional[int]], ...]
-    prev_slot: Optional[int]
-    prev_runnable: bool
-    preemptions: int
+    #: Untaken alternative slots, ascending.
+    alternatives: Tuple[int, ...]
 
 
 @dataclass
@@ -116,8 +101,8 @@ class RunRecord:
     """One finished run — all the search loop ever sees of it."""
 
     steps: int
-    #: ``None``, or why the run was abandoned (see :class:`_CutRun`).
-    cut: Optional[str]
+    #: True when the run was abandoned (see :class:`_CutRun`).
+    cut: bool
     completed: bool
     #: Slot taken at every choice point, i.e. the trace that replays the run.
     schedule: List[int]
@@ -138,11 +123,10 @@ class _DfsPolicy(SchedulePolicy):
 
     name = "dfs"
 
-    def __init__(self, node: FrontierNode, max_depth: Optional[int],
+    def __init__(self, node: FrontierNode,
                  observation: Optional[RunObservation] = None):
         self.forced = node.choices
         self.sleep_in = node.sleep_at
-        self.max_depth = max_depth
         self.observation = observation
         self.sleep: Dict[int, Optional[int]] = {}
         self.taken: List[int] = []
@@ -150,8 +134,9 @@ class _DfsPolicy(SchedulePolicy):
             observation.taken = self.taken  # shared: grows with the run
         self.branches: List[Branch] = []
         self.position = 0
+        #: The thread of the last visible (lock) step: the default
+        #: continuation while it can still run.
         self.prev_slot: Optional[int] = None
-        self.preemptions = 0
         #: Choice position of the step about to execute (handed from
         #: ``choose`` to the immediately following ``observe``).
         self._step_position: Optional[int] = None
@@ -171,8 +156,6 @@ class _DfsPolicy(SchedulePolicy):
     def choose(self, candidates, scheduler):
         position = self.position
         self.position += 1
-        if self.max_depth is not None and position >= self.max_depth:
-            raise _CutRun("depth")
         for slot, lock in self.sleep_in.get(position, ()):
             self.sleep[slot] = lock
         by_slot = {}
@@ -195,42 +178,27 @@ class _DfsPolicy(SchedulePolicy):
                     f"{slot} is not runnable (candidates: {slots})",
                     position=position)
             self._note_choice(position, slot, by_slot, slots)
-            return self._take(slot, entry[0], slots,
-                              visible=entry[1] is not None)
+            return self._take(slot, entry[0])
 
         invisible = [s for s in slots if by_slot[s][1] is None]
         if invisible:
             # Local moves commute with everything: run one eagerly, never
-            # branch over their order (and never charge the
-            # reduction-imposed switch as a preemption).
+            # branch over their order.
             slot = self.prev_slot if self.prev_slot in invisible else invisible[0]
             self._step_position = position
-            return self._take(slot, by_slot[slot][0], slots, visible=False)
+            return self._take(slot, by_slot[slot][0])
         branchable = [s for s in slots if s not in self.sleep]
         if not branchable:
-            raise _CutRun("sleep")
+            raise _CutRun()
         chosen = self.prev_slot if self.prev_slot in branchable else branchable[0]
         self._note_choice(position, chosen, by_slot, slots)
         if self.observation is None and len(branchable) > 1:
             self.branches.append(Branch(
                 position=position,
-                alternatives=tuple((s, by_slot[s][1])
-                                   for s in branchable if s != chosen),
-                prev_slot=self.prev_slot,
-                prev_runnable=self.prev_slot in by_slot,
-                preemptions=self.preemptions))
-        return self._take(chosen, by_slot[chosen][0], slots,
-                          visible=by_slot[chosen][1] is not None)
+                alternatives=tuple(s for s in branchable if s != chosen)))
+        return self._take(chosen, by_slot[chosen][0])
 
-    def _take(self, slot: int, thread, candidate_slots: List[int],
-              visible: bool):
-        # A preemption is a switch away from the thread that performed
-        # the last *visible* (lock) operation while it could still run.
-        # Invisible moves are glue: they neither count as preemptions nor
-        # change whose turn it conceptually is.
-        if (visible and self.prev_slot is not None and self.prev_slot != slot
-                and self.prev_slot in candidate_slots):
-            self.preemptions += 1
+    def _take(self, slot: int, thread):
         self.taken.append(slot)
         return thread
 
@@ -304,28 +272,26 @@ class _DfsPolicy(SchedulePolicy):
                                            last[4])
 
 
-def _record(scheduler: SimScheduler, result: SimResult,
-            cut: Optional[str] = None,
-            policy: Optional[_DfsPolicy] = None) -> RunRecord:
+def _record(scheduler: SimScheduler, result: SimResult, cut: bool,
+            policy: _DfsPolicy) -> RunRecord:
     """The plain-data record of a run that just ended on ``scheduler``.
 
     ``result`` is the scheduler's result; with ``cut`` set the run was
     abandoned mid-way and only its steps and schedule count.
     """
     record = RunRecord(steps=result.steps, cut=cut,
-                       completed=cut is None and result.completed,
+                       completed=not cut and result.completed,
                        schedule=result.schedule,
                        backend=scheduler.backend.name)
     record.yields = result.yields
-    if cut is None:
+    if not cut:
         record.result = result
         if result.deadlocked and result.stall is not None:
             record.footprint = tuple(sorted(
                 (scheduler.slot_of(thread_id), scheduler.lock_slot_of(lock_id))
                 for thread_id, lock_id in result.stall.waiting.items()))
-    if policy is not None:
-        record.branches = policy.branches
-        record.observation = policy.observation
+    record.branches = policy.branches
+    record.observation = policy.observation
     return record
 
 
@@ -343,15 +309,10 @@ class DeadlockFinding:
 
 @dataclass
 class ExplorationResult:
-    """Aggregate outcome of one exploration.
+    """Aggregate outcome of one exploration."""
 
-    ``mode`` is ``"dfs"`` for a systematic search (either strategy) and
-    ``"random"`` for a random walk.
-    """
-
-    mode: str
     #: Reduction strategy that produced this result ("dfs" = unreduced,
-    #: "dpor", "random").
+    #: "dpor").
     strategy: str = "dfs"
     runs: int = 0
     steps: int = 0
@@ -361,13 +322,8 @@ class ExplorationResult:
     unique_deadlocks: int = 0
     #: Runs abandoned because every branchable move was in the sleep set.
     pruned_sleep: int = 0
-    #: Runs truncated by the per-run choice-point depth bound.
-    cut_depth: int = 0
-    #: Branches not pushed because they exceeded the preemption bound.
-    skipped_preemption: int = 0
-    #: True when the bounded choice tree was fully enumerated (no depth
-    #: cuts, no run-budget exhaustion; preemption skips are reported, not
-    #: counted against exhaustiveness of the *bounded* space).
+    #: True when the choice tree was fully enumerated (the run budget was
+    #: not exhausted and the search did not stop at its first deadlock).
     exhausted: bool = False
     elapsed: float = 0.0
     #: Avoidance yields of each run, in the order the runs were folded.
@@ -380,10 +336,7 @@ class ExplorationResult:
         self.runs += 1
         self.steps += record.steps
         self.run_yields.append(record.yields)
-        if record.cut == "depth":
-            self.cut_depth += 1
-            self.exhausted = False
-        elif record.cut == "sleep":
+        if record.cut:
             self.pruned_sleep += 1
         if record.footprint is not None:
             trace = ScheduleTrace(record.schedule, meta={
@@ -414,7 +367,6 @@ class ExplorationResult:
     def summary(self) -> Dict:
         """Flat dictionary of all counters (for printing and reports)."""
         return {
-            "mode": self.mode,
             "strategy": self.strategy,
             "runs": self.runs,
             "steps": self.steps,
@@ -422,26 +374,22 @@ class ExplorationResult:
             "deadlocks": self.deadlock_count,
             "unique_deadlocks": self.unique_deadlocks,
             "pruned_sleep": self.pruned_sleep,
-            "cut_depth": self.cut_depth,
-            "skipped_preemption": self.skipped_preemption,
             "exhausted": self.exhausted,
             "elapsed": round(self.elapsed, 6),
             "states_per_second": round(self.states_per_second, 1),
         }
 
 
-#: Recognized exploration strategies (see :meth:`Explorer.resolve_strategy`).
+#: Recognized exploration strategies (see :class:`Explorer`).
 STRATEGIES = ("dfs", "dpor")
 
 #: The search loop's argument: an admission rule turns the records of one
-#: whole wave (and the result so far, for its skip counters) into the
-#: next wave.
-AdmissionRule = Callable[[List[RunRecord], ExplorationResult],
-                         Iterable[FrontierNode]]
+#: whole wave into the next wave.
+AdmissionRule = Callable[[List[RunRecord]], Iterable[FrontierNode]]
 
 
 class Explorer:
-    """Bounded systematic exploration of a scenario's schedule tree.
+    """Systematic exploration of a scenario's schedule tree.
 
     ``scenario`` is a zero-argument factory returning a fresh, fully
     configured :class:`SimScheduler`; each run gets its own scheduler (and
@@ -455,35 +403,21 @@ class Explorer:
     * ``"dpor"`` — source-DPOR race reversal (:mod:`repro.sim.dpor`),
       the default: applied to *engine-backed* exploration too, with the
       equivalence of its deadlock coverage re-proven per scenario by the
-      differential suite (``tests/explore/``);
-    * ``None``/``"auto"`` — ``"dpor"``, unless a ``preemption_bound`` is
-      set, which forces ``"dfs"``: reductions prune an ordering because
-      an equivalent branch covers it, but preemption counts are not
-      invariant across equivalent orderings, so with a bound the covering
-      branch may be skipped while the pruned one was within it (CHESS
-      likewise bounds without reduction).
+      differential suite (``tests/explore/``).
 
-    Other bounds: ``max_runs`` caps the number of
-    executions, ``max_depth`` the choice points per run,
-    ``preemption_bound`` the preemptive context switches per schedule
-    (``None`` = unbounded; switches counted at visible lock operations
-    only).
+    ``max_runs`` caps the number of executions; a search it truncates
+    reports ``exhausted=False``.
     """
 
     def __init__(self, scenario: ScenarioFactory, *, name: str = "scenario",
-                 max_runs: int = 10_000, max_depth: Optional[int] = None,
-                 preemption_bound: Optional[int] = None,
-                 strategy: Optional[str] = None):
+                 max_runs: int = 10_000, strategy: str = "dpor"):
+        if strategy not in STRATEGIES:
+            raise SimulationError(
+                f"unknown exploration strategy {strategy!r} "
+                f"(expected one of {STRATEGIES})")
         self.scenario = scenario
         self.name = name
         self.max_runs = max_runs
-        self.max_depth = max_depth
-        self.preemption_bound = preemption_bound
-        if strategy is not None and strategy != "auto" \
-                and strategy not in STRATEGIES:
-            raise SimulationError(
-                f"unknown exploration strategy {strategy!r} "
-                f"(expected one of {STRATEGIES} or 'auto')")
         self.strategy = strategy
 
     # -- run plumbing ----------------------------------------------------------------------
@@ -493,32 +427,20 @@ class Explorer:
         scheduler.policy = policy
         return scheduler
 
-    def resolve_strategy(self) -> str:
-        """The concrete strategy this explorer will run (never "auto")."""
-        if self.preemption_bound is not None:
-            # No reduction composes with preemption bounding (see class
-            # docstring); bounded search always enumerates unreduced.
-            return "dfs"
-        if self.strategy is None or self.strategy == "auto":
-            return "dpor"
-        return self.strategy
-
     def _run_node(self, node: FrontierNode) -> RunRecord:
         """Execute one frontier node to its end (or its cut)."""
-        collect = self.resolve_strategy() == "dpor"
-        policy = _DfsPolicy(node, self.max_depth,
-                            RunObservation() if collect else None)
+        policy = _DfsPolicy(node, RunObservation()
+                            if self.strategy == "dpor" else None)
         scheduler = self._build(policy)
         try:
-            return _record(scheduler, scheduler.run(), policy=policy)
-        except _CutRun as cut_run:
-            return _record(scheduler, scheduler.result, cut=cut_run.reason,
-                           policy=policy)
+            return _record(scheduler, scheduler.run(), False, policy)
+        except _CutRun:
+            return _record(scheduler, scheduler.result, True, policy)
 
     # -- the search loop -------------------------------------------------------------------
 
     def explore(self, stop_on_first_deadlock: bool = False) -> ExplorationResult:
-        """Systematic enumeration of the bounded schedule tree."""
+        """Systematic enumeration of the schedule tree."""
         return self._search(self._admission(), stop_on_first_deadlock)
 
     def _search(self, admit: AdmissionRule,
@@ -530,8 +452,7 @@ class Explorer:
         records of the *whole* wave into the next wave's nodes.  A wave
         never holds more nodes than the run budget still allows.
         """
-        res = ExplorationResult(mode="dfs", strategy=self.resolve_strategy(),
-                                exhausted=True)
+        res = ExplorationResult(strategy=self.strategy, exhausted=True)
         started = time.perf_counter()
 
         def within_budget(admitted: Iterable[FrontierNode]) -> List[FrontierNode]:
@@ -551,23 +472,23 @@ class Explorer:
                         res.exhausted = False
                         return res
                     records.append(record)
-                wave = within_budget(admit(records, res))
+                wave = within_budget(admit(records))
             return res
         finally:
             res.elapsed = time.perf_counter() - started
 
     def _admission(self) -> AdmissionRule:
-        """The resolved strategy's admission rule (fresh state per search)."""
-        if self.resolve_strategy() == "dfs":
+        """The strategy's admission rule (fresh state per search)."""
+        if self.strategy == "dfs":
             return self._admit_siblings
         book = BacktrackBook()
-        return lambda records, _res: (
+        return lambda records: (
             FrontierNode(choices=choices, sleep_at=sleep_at)
             for choices, sleep_at in admit_wave(
                 book, [record.observation for record in records]))
 
-    def _admit_siblings(self, records: List[RunRecord],
-                        res: ExplorationResult) -> Iterable[FrontierNode]:
+    @staticmethod
+    def _admit_siblings(records: List[RunRecord]) -> Iterable[FrontierNode]:
         """``"dfs"``: every untaken sibling of every free choice point.
 
         A generator, so the loop's budget check stops it from building
@@ -576,36 +497,9 @@ class Explorer:
         for record in records:
             for branch in record.branches:
                 prefix = tuple(record.schedule[:branch.position])
-                for alt_slot, alt_lock in branch.alternatives:
-                    if self.preemption_bound is not None:
-                        # Mirror _DfsPolicy._take: only a visible (lock)
-                        # move away from a still-runnable previous thread
-                        # counts against the bound.
-                        preemptive = (alt_lock is not None
-                                      and branch.prev_runnable
-                                      and branch.prev_slot is not None
-                                      and alt_slot != branch.prev_slot)
-                        if branch.preemptions + preemptive \
-                                > self.preemption_bound:
-                            res.skipped_preemption += 1
-                            continue
+                for alt_slot in branch.alternatives:
                     yield FrontierNode(choices=prefix + (alt_slot,),
                                        sleep_at={})
-
-    # -- swarm / random walk ------------------------------------------------------------------
-
-    def random_walk(self, runs: int = 100, seed: int = 0,
-                    stop_on_first_deadlock: bool = False) -> ExplorationResult:
-        """Sample ``runs`` random schedules (for trees too large to enumerate)."""
-        res = ExplorationResult(mode="random")
-        started = time.perf_counter()
-        for index in range(runs):
-            scheduler = self._build(RandomPolicy(seed=seed * 1_000_003 + index))
-            res.fold(_record(scheduler, scheduler.run()), self.name)
-            if stop_on_first_deadlock and res.deadlocks:
-                break
-        res.elapsed = time.perf_counter() - started
-        return res
 
     # -- record / replay -------------------------------------------------------------------------
 
@@ -684,7 +578,7 @@ class ImmunityReport:
 
     @property
     def vacuous(self) -> bool:
-        """True when no bounded interleaving deadlocked even without avoidance."""
+        """True when no interleaving deadlocked even without avoidance."""
         return self.vulnerable.deadlock_count == 0
 
     @property
@@ -692,7 +586,7 @@ class ImmunityReport:
         """The paper's claim: vulnerable baseline, zero deadlocks with history.
 
         The immune phase is a universal claim, so it only counts when its
-        bounded tree was fully enumerated (``immune.exhausted``) — a
+        tree was fully enumerated (``immune.exhausted``) — a
         truncated search with zero deadlocks proves nothing.  The
         vulnerable phase is existential and needs no exhaustiveness.
         """
@@ -724,7 +618,7 @@ class ImmunityChecker:
 
     ``scenario`` is a callable taking a backend and returning a fresh,
     fully configured scheduler.  :meth:`check` then asserts, over all
-    interleavings within the configured bounds:
+    interleavings (up to ``max_runs`` per exploration):
 
     1. **vulnerable** — under :class:`NullBackend` the scenario deadlocks
        in at least one interleaving (otherwise the claim is vacuous);
@@ -732,7 +626,7 @@ class ImmunityChecker:
        fresh Dimmunix backend with an empty history (an empty history
        makes every request GO, so the schedule re-drives exactly) to
        archive the deadlock's signature;
-    3. **immune** — with that history seeded, *no* bounded interleaving
+    3. **immune** — with that history seeded, *no* interleaving
        deadlocks; each run receives its own forked backend so learned
        state never leaks between interleavings.  A bug with several
        patterns deadlocks here until each is learned: the first deadlock
@@ -743,24 +637,18 @@ class ImmunityChecker:
 
     def __init__(self, scenario: Callable[[SchedulerBackend], SimScheduler],
                  *, name: str = "scenario", max_runs: int = 5_000,
-                 max_depth: Optional[int] = None,
-                 preemption_bound: Optional[int] = None,
                  backend_prototype: Optional[SchedulerBackend] = None,
                  shrink: bool = True,
-                 strategy: Optional[str] = None):
+                 strategy: str = "dpor"):
         self.scenario = scenario
         self.name = name
         self.max_runs = max_runs
-        self.max_depth = max_depth
-        self.preemption_bound = preemption_bound
         self.backend_prototype = backend_prototype
         self.do_shrink = shrink
         self.strategy = strategy
 
     def _explorer(self, factory: ScenarioFactory) -> Explorer:
         return Explorer(factory, name=self.name, max_runs=self.max_runs,
-                        max_depth=self.max_depth,
-                        preemption_bound=self.preemption_bound,
                         strategy=self.strategy)
 
     def _fresh_prototype(self, history=None) -> SchedulerBackend:
@@ -872,7 +760,7 @@ def build_two_lock_inversion(backend: SchedulerBackend,
                              hold_time: float = 0.0) -> SimScheduler:
     """The paper's section 4 example: update(A, B) racing update(B, A).
 
-    With zero hold time the bounded schedule space contains both
+    With zero hold time the schedule space contains both
     completing and deadlocking interleavings (a positive hold time forces
     the two critical sections to overlap in virtual time, which makes the
     deadlock inevitable under ``NullBackend``).

@@ -33,6 +33,11 @@ from .locks import SimLock
 from .result import SimResult, StallRecord
 from .schedule import RandomPolicy, SchedulePolicy, ScheduleTrace
 
+#: Steps between two calls of the backend's monitor hook (``poll``).
+POLL_INTERVAL = 25
+#: Steps after which a run that has not finished raises ``SimulationError``.
+MAX_STEPS = 2_000_000
+
 
 class ThreadState(Enum):
     """Lifecycle states of a simulated thread."""
@@ -139,16 +144,13 @@ class SimScheduler:
     """Cooperative virtual-time scheduler with pluggable backend and policy."""
 
     def __init__(self, backend: Optional[SchedulerBackend] = None,
-                 seed: int = 0, poll_interval: int = 25,
-                 max_steps: int = 2_000_000,
+                 seed: int = 0,
                  policy: Optional[SchedulePolicy] = None):
         self.backend = backend if backend is not None else NullBackend()
         self.clock = VirtualClock()
         self.clock_listeners: List[Callable[[float], None]] = []
         #: Scheduling strategy; defaults to the historical seeded-random pick.
         self.policy = policy if policy is not None else RandomPolicy(seed)
-        self.poll_interval = poll_interval
-        self.max_steps = max_steps
         self.threads: Dict[int, SimThread] = {}
         self.locks: Dict[int, SimLock] = {}
         #: thread id -> slot (registration index); slots are what schedule
@@ -267,11 +269,11 @@ class SimScheduler:
             self._prefetch(thread)
             steps += 1
             self.result.steps = steps
-            if self.poll_interval and steps % self.poll_interval == 0:
+            if steps % POLL_INTERVAL == 0:
                 self.backend.poll(self)
-            if steps >= self.max_steps:
+            if steps >= MAX_STEPS:
                 raise SimulationError(
-                    f"simulation exceeded {self.max_steps} steps without finishing")
+                    f"simulation exceeded {MAX_STEPS} steps without finishing")
 
     # -- internals ------------------------------------------------------------------------------
 

@@ -49,44 +49,35 @@ def signature_set(result):
     return {finding.footprint for finding in result.deadlocks}
 
 
-#: (scenario, preemption_bound) -> (runs, steps, completed, deadlocks,
-#: skipped_preemption, digest of the sorted deadlock schedules), under
-#: ``NullBackend``, as enumerated by the stack DFS of commit 79c1269.
+#: scenario -> (runs, steps, completed, deadlocks, digest of the sorted
+#: deadlock schedules), under ``NullBackend``, as enumerated by the stack
+#: DFS of commit 79c1269.
 UNREDUCED = {
-    ("two-lock-inversion", None): (14, 184, 10, 4, 0, "4cb833e28028"),
-    ("two-lock-inversion", 1): (8, 108, 6, 2, 6, "610df807efbf"),
-    ("aio-two-lock-inversion", None): (14, 184, 10, 4, 0, "4cb833e28028"),
-    ("aio-two-lock-inversion", 1): (8, 108, 6, 2, 6, "610df807efbf"),
-    ("philosophers-3", None): (36, 432, 0, 36, 0, "8b7adbee2c98"),
-    ("philosophers-3", 1): (36, 432, 0, 36, 0, "8b7adbee2c98"),
-    ("aio-philosophers-3", None): (36, 324, 0, 36, 0, "fe581d549429"),
-    ("aio-philosophers-3", 1): (36, 324, 0, 36, 0, "fe581d549429"),
-    ("philosophers-3-eat0", None): (1239, 29160, 1191, 48, 0, "361cf3d9fb4e"),
-    ("philosophers-3-eat0", 1): (78, 1836, 75, 3, 165, "5cb1ec718ece"),
-    ("sem-exhaustion-cycle", None): (14, 136, 10, 4, 0, "42b311cbfdeb"),
-    ("sem-exhaustion-cycle", 1): (8, 80, 6, 2, 6, "f0a5064a74e6"),
-    ("rwlock-upgrade-inversion", None): (14, 136, 10, 4, 0, "42b311cbfdeb"),
-    ("rwlock-upgrade-inversion", 1): (8, 80, 6, 2, 6, "f0a5064a74e6"),
+    "two-lock-inversion": (14, 184, 10, 4, "4cb833e28028"),
+    "aio-two-lock-inversion": (14, 184, 10, 4, "4cb833e28028"),
+    "philosophers-3": (36, 432, 0, 36, "8b7adbee2c98"),
+    "aio-philosophers-3": (36, 324, 0, 36, "fe581d549429"),
+    "philosophers-3-eat0": (1239, 29160, 1191, 48, "361cf3d9fb4e"),
+    "sem-exhaustion-cycle": (14, 136, 10, 4, "42b311cbfdeb"),
+    "rwlock-upgrade-inversion": (14, 136, 10, 4, "42b311cbfdeb"),
 }
 
 
 class TestUnreducedEnumerationIsOrderIndependent:
     def test_table_covers_the_registry(self):
-        assert {name for name, _bound in UNREDUCED} == set(SCENARIOS)
+        assert set(UNREDUCED) == set(SCENARIOS)
 
-    @pytest.mark.parametrize("scenario,bound", sorted(
-        UNREDUCED, key=lambda key: (key[0], key[1] or 0)))
-    def test_dfs_visits_the_pinned_multiset_of_runs(self, scenario, bound):
+    @pytest.mark.parametrize("scenario", sorted(UNREDUCED))
+    def test_dfs_visits_the_pinned_multiset_of_runs(self, scenario):
         result = Explorer(lambda: SCENARIOS[scenario](NullBackend()),
-                          name=scenario, strategy="dfs", max_runs=20_000,
-                          preemption_bound=bound).explore()
+                          name=scenario, strategy="dfs",
+                          max_runs=20_000).explore()
         assert result.exhausted
         digest = hashlib.sha256(json.dumps(sorted(
             list(finding.trace.choices) for finding in result.deadlocks
         )).encode()).hexdigest()[:12]
         assert (result.runs, result.steps, result.completed,
-                result.deadlock_count, result.skipped_preemption,
-                digest) == UNREDUCED[scenario, bound]
+                result.deadlock_count, digest) == UNREDUCED[scenario]
 
 
 class TestDporEqualsDfs:

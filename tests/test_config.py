@@ -71,3 +71,15 @@ class TestHelpers:
     def test_from_dict_ignores_unknown_keys(self):
         config = DimmunixConfig.from_dict({"matching_depth": 3, "bogus": 1})
         assert config.matching_depth == 3
+
+    def test_a_dict_with_the_retired_gap_timeout_still_loads(self):
+        """``event_gap_timeout`` is no longer a field: an old config dict
+        carrying it loads, and the engine's bus keeps the default."""
+        from repro.core.dimmunix import Dimmunix
+        from repro.core.events import DEFAULT_GAP_TIMEOUT
+        data = dict(DimmunixConfig.for_testing().to_dict(),
+                    event_gap_timeout=7.0)
+        config = DimmunixConfig.from_dict(data)
+        assert not hasattr(config, "event_gap_timeout")
+        dimmunix = Dimmunix(config)
+        assert dimmunix.engine.events.gap_timeout == DEFAULT_GAP_TIMEOUT

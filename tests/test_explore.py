@@ -157,32 +157,11 @@ class TestDfsExploration:
         assert pruned.unique_deadlocks == full.unique_deadlocks == 1
         assert pruned.completed >= 1 and full.completed >= 1
 
-    def test_preemption_bound_zero_restricts_search(self):
+    @pytest.mark.parametrize("strategy", [None, "auto", "sleep"])
+    def test_only_dfs_and_dpor_are_strategies(self, strategy):
         factory = lambda: build_two_lock_inversion(NullBackend())  # noqa: E731
-        bounded = Explorer(factory, preemption_bound=0).explore()
-        unbounded = Explorer(factory).explore()
-        assert bounded.runs <= unbounded.runs
-        assert bounded.skipped_preemption >= 1
-
-    def test_preemption_bound_counts_visible_switches_only(self):
-        """The two-lock deadlock needs exactly one real preemption:
-        bound 0 must exclude it (but still cover non-preemptive runs,
-        which interleave Compute glue), bound 1 must find it."""
-        factory = lambda: build_two_lock_inversion(NullBackend())  # noqa: E731
-        bound0 = Explorer(factory, preemption_bound=0).explore()
-        assert bound0.deadlock_count == 0
-        assert bound0.completed >= 1
-        bound1 = Explorer(factory, preemption_bound=1).explore()
-        assert bound1.deadlock_count >= 1
-
-    def test_preemption_bound_disables_sleep_sets(self):
-        factory = lambda: build_philosophers(NullBackend(), seats=3,  # noqa: E731
-                                             eat_time=0.0)
-        bounded = Explorer(factory, preemption_bound=10,
-                           max_runs=50_000).explore()
-        assert bounded.pruned_sleep == 0
-        unbounded = Explorer(factory, max_runs=50_000).explore()
-        assert bounded.unique_deadlocks == unbounded.unique_deadlocks == 1
+        with pytest.raises(SimulationError, match="strategy"):
+            Explorer(factory, strategy=strategy)
 
     def test_max_runs_budget_is_respected(self):
         factory = lambda: build_philosophers(NullBackend(), seats=3,  # noqa: E731
@@ -219,12 +198,6 @@ class TestDfsExploration:
             stop_on_first_deadlock=True)
         assert result.deadlock_count == 1
         assert len(built) == result.runs < full.runs
-        assert not result.exhausted
-
-    def test_max_depth_cuts_runs(self):
-        factory = lambda: build_philosophers(NullBackend(), seats=3)  # noqa: E731
-        result = Explorer(factory, max_depth=4).explore()
-        assert result.cut_depth >= 1
         assert not result.exhausted
 
     def test_stop_on_first_deadlock(self):
@@ -287,23 +260,6 @@ class TestDfsExploration:
             replayed = explorer.replay(finding.trace)
             assert replayed.deadlocked
             assert list(replayed.schedule) == finding.trace.choices
-
-
-class TestRandomWalk:
-    def test_swarm_finds_the_deadlock(self):
-        explorer = Explorer(lambda: build_two_lock_inversion(NullBackend()))
-        result = explorer.random_walk(runs=50, seed=5)
-        assert result.runs == 50
-        assert result.deadlock_count >= 1
-        assert result.unique_deadlocks == 1
-
-    def test_swarm_runs_are_diverse(self):
-        explorer = Explorer(lambda: build_philosophers(NullBackend(), seats=3,
-                                                       eat_time=0.0))
-        result = explorer.random_walk(runs=40, seed=1)
-        schedules = {tuple(f.trace.choices) for f in result.deadlocks}
-        assert result.completed + result.deadlock_count == result.runs
-        assert len(schedules) > 1
 
 
 class TestShrinking:

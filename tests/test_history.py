@@ -69,12 +69,19 @@ class TestInMemory:
         assert len(history) == 2
 
     def test_listener_invoked_on_new_signature(self):
+        class Observer:
+            def __init__(self):
+                self.seen = []
+
+            def on_signature_added(self, signature):
+                self.seen.append(signature)
+
         history = History()
-        seen = []
-        history.add_listener(seen.append)
+        observer = Observer()
+        history.add_observer(observer)
         history.add(make_signature("a"))
         history.add(make_signature("a"))
-        assert len(seen) == 1
+        assert len(observer.seen) == 1
 
     def test_iteration(self):
         history = History()

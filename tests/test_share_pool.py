@@ -107,10 +107,9 @@ class TestSignaturePool:
         pool = SignaturePool(history, hub.channel())
         pool.close()
         assert pool.closed
-        # The listener must actually be gone (bound-method equality, not
-        # identity): repeated attach/detach cycles must not accumulate
-        # dead listeners on a long-lived history.
-        assert pool._publish_local not in history._listeners
+        # The observer must actually be gone: repeated attach/detach
+        # cycles must not accumulate dead observers on a long-lived history.
+        assert all(ref() is not pool for ref in history._observers)
         history.add(make_signature("after-close"))
         assert len(hub) == 0
         pool.close()  # idempotent

@@ -111,6 +111,19 @@ class TestBasicExecution:
         with pytest.raises(SimulationError):
             scheduler.run()
 
+    def test_a_run_over_the_step_budget_raises(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.scheduler.MAX_STEPS", 10)
+        scheduler = make_scheduler()
+
+        def program():
+            while True:
+                yield Compute(0.001)
+
+        scheduler.add_thread(program)
+        with pytest.raises(SimulationError, match="exceeded 10 steps"):
+            scheduler.run()
+        assert scheduler.result.steps == 10
+
     def test_determinism_same_seed_same_result(self):
         def build(seed):
             scheduler = make_scheduler(seed=seed)

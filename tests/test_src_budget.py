@@ -20,6 +20,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: the sim locks' ``reset``) went with it, as did the engine's
 #: ``event_queue`` argument (its bus is its stats' bus) and
 #: ``core/porting.py`` (section 8 signature porting), which nothing called.
+#: 17,339 before the explorer's preemption bound, depth cut and random walk
+#: went (every registered tree is exhausted unbounded), with the
+#: scheduler's ``poll_interval``/``max_steps`` knobs (now module
+#: constants), ``DimmunixConfig.event_gap_timeout`` and ``History``'s
+#: listener list (the share pool is an observer like every other).
 #: 17,623 before, raised by 35 from 17,588 for the hit path's occupied-site
 #: plan: the signature index files each key's signatures in a ``Group`` that
 #: knows the call sites they need (+61 in ``sigindex.py``), net of the
@@ -32,7 +37,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_339
+TOTAL_BUDGET = 17_192
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -66,7 +71,10 @@ SHARE_BUDGET = 2_295
 #: 3,191 until the scheduler drove ``acquisition()``: the virtual-time
 #: yield bound (section 5.7) is new, its copy of the protocol went.
 #: 3,204 until the sim locks' ``reset()`` went: every run builds its locks.
-SIM_BUDGET = 3_190
+#: 3,190 until ``Explorer(preemption_bound=, max_depth=)``, its random walk
+#: and the ``"auto"`` strategy went, and ``SimScheduler``'s poll interval
+#: and step budget became module constants.
+SIM_BUDGET = 3_080
 
 
 def count_lines(*roots: str) -> int:
