@@ -83,3 +83,12 @@ class TestHelpers:
         assert not hasattr(config, "event_gap_timeout")
         dimmunix = Dimmunix(config)
         assert dimmunix.engine.events.gap_timeout == DEFAULT_GAP_TIMEOUT
+
+    def test_a_standalone_engine_bus_keeps_the_default_gap_timeout(self):
+        from repro.core.avoidance import AvoidanceEngine
+        from repro.core.events import DEFAULT_GAP_TIMEOUT
+        from repro.core.history import History
+        assert "event_gap_timeout" not in DimmunixConfig().to_dict()
+        engine = AvoidanceEngine(History(), DimmunixConfig.for_testing())
+        assert engine.events.gap_timeout == DEFAULT_GAP_TIMEOUT
+        assert engine.events is engine.stats.bus

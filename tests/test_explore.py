@@ -163,6 +163,52 @@ class TestDfsExploration:
         with pytest.raises(SimulationError, match="strategy"):
             Explorer(factory, strategy=strategy)
 
+    def test_strategy_defaults_to_dpor(self):
+        factory = lambda: build_two_lock_inversion(NullBackend())  # noqa: E731
+        explorer = Explorer(factory)
+        assert explorer.strategy == "dpor"
+        assert explorer.explore().strategy == "dpor"
+        checker = ImmunityChecker(build_two_lock_inversion)
+        assert checker.strategy == "dpor"
+        assert checker._explorer(factory).strategy == "dpor"
+
+    def test_a_branch_lists_the_untaken_slots_in_ascending_order(self):
+        records = []
+        explorer = Explorer(counter_scenario, strategy="dfs")
+        run_node = explorer._run_node
+        explorer._run_node = lambda node: records.append(
+            run_node(node)) or records[-1]
+        explorer.explore()
+        branches = [(record, branch) for record in records
+                    for branch in record.branches]
+        assert branches
+        for record, branch in branches:
+            chosen = record.schedule[branch.position]
+            assert all(type(slot) is int for slot in branch.alternatives)
+            assert list(branch.alternatives) == sorted(set(branch.alternatives))
+            assert chosen not in branch.alternatives
+
+    @pytest.mark.parametrize("strategy", ["dfs", "dpor"])
+    def test_every_run_completes_deadlocks_or_is_a_sleep_cut(self, strategy):
+        records = []
+        explorer = Explorer(lambda: build_philosophers(NullBackend(), seats=3),
+                            strategy=strategy)
+        run_node = explorer._run_node
+        explorer._run_node = lambda node: records.append(
+            run_node(node)) or records[-1]
+        result = explorer.explore()
+        assert result.exhausted and len(records) == result.runs
+        assert all(type(record.cut) is bool for record in records)
+        cut = [record for record in records if record.cut]
+        for record in cut:
+            assert not record.completed
+            assert record.result is None and record.footprint is None
+        assert len(cut) == result.pruned_sleep
+        assert (result.completed + result.deadlock_count
+                + result.pruned_sleep == result.runs)
+        # Sleep sets live only inside source-DPOR: plain DFS never cuts.
+        assert result.pruned_sleep == (1 if strategy == "dpor" else 0)
+
     def test_max_runs_budget_is_respected(self):
         factory = lambda: build_philosophers(NullBackend(), seats=3,  # noqa: E731
                                              eat_time=0.0)
@@ -387,6 +433,11 @@ class TestImmunityChecker:
         assert report.vacuous
         assert not report.holds
 
+    def test_an_unknown_strategy_is_refused_when_checked(self):
+        checker = ImmunityChecker(build_two_lock_inversion, strategy="auto")
+        with pytest.raises(SimulationError, match="strategy"):
+            checker.check()
+
     def test_report_as_dict_shape(self):
         report = ImmunityChecker(build_two_lock_inversion,
                                  max_runs=1_000).check()
@@ -447,6 +498,25 @@ class TestImmunityChecker:
         assert report.immune.deadlock_count > 0 and not report.holds
 
 
+class TestSettableOptions:
+    """The explorer's entry points take no bound: every registered tree is
+    exhausted unbounded, so only the run budget and the strategy remain."""
+
+    @pytest.mark.parametrize("entry,options", [
+        ("Explorer", ["scenario", "name", "max_runs", "strategy"]),
+        ("ImmunityChecker", ["scenario", "name", "max_runs",
+                             "backend_prototype", "shrink", "strategy"]),
+        ("run_exploration_matrix", ["scenarios", "max_runs", "strategy",
+                                    "measure_reduction"]),
+    ])
+    def test_options(self, entry, options):
+        import inspect
+
+        from repro import harness, sim
+        target = getattr(sim, entry, None) or getattr(harness, entry)
+        assert list(inspect.signature(target).parameters) == options
+
+
 class TestHarnessMatrix:
     def test_exploration_matrix_rows(self):
         from repro.harness import run_exploration_matrix
@@ -478,3 +548,12 @@ class TestHarnessMatrix:
         # An unreduced run measures nothing extra: the ratio is moot.
         assert row["full_interleavings"] is None
         assert row["reduction"] is None
+
+    def test_matrix_refuses_an_unknown_strategy(self):
+        from repro.harness import run_exploration_matrix
+        from repro.sim.explore import SCENARIOS
+        with pytest.raises(SimulationError, match="strategy"):
+            run_exploration_matrix(
+                scenarios={"two-lock-inversion":
+                           SCENARIOS["two-lock-inversion"]},
+                max_runs=1_000, strategy="auto", measure_reduction=False)

@@ -114,6 +114,32 @@ class TestSignaturePool:
         assert len(hub) == 0
         pool.close()  # idempotent
 
+    def test_a_signature_merged_from_the_backing_file_is_published(
+            self, tmp_path):
+        """The pool hears every signature the history gains, including
+        one another writer saved to the shared file and a reload merged."""
+        path = str(tmp_path / "shared.history")
+        hub = MemoryHub()
+        history = History(path=path)
+        pool = SignaturePool(history, hub.channel())
+        History(path=path).add(make_signature("external"))
+        assert len(hub) == 0
+        assert history.reload() == 1
+        assert len(hub) == 1
+        assert pool.published == 1
+
+    def test_the_history_does_not_keep_a_dropped_pool_alive(self):
+        import gc
+        import weakref
+        hub = MemoryHub()
+        history = History(path=None, autosave=False)
+        pool = weakref.ref(SignaturePool(history, hub.channel()))
+        gc.collect()
+        assert pool() is None
+        history.add(make_signature("after-drop"))
+        assert len(history) == 1
+        assert len(hub) == 0
+
     def test_report(self):
         hub = MemoryHub()
         history = History(path=None, autosave=False)

@@ -124,6 +124,36 @@ class TestBasicExecution:
             scheduler.run()
         assert scheduler.result.steps == 10
 
+    @pytest.mark.parametrize("interval", [1, 3, 25])
+    def test_the_backend_is_polled_every_poll_interval_steps(
+            self, monkeypatch, interval):
+        from repro.sim import scheduler as scheduler_module
+        monkeypatch.setattr(scheduler_module, "POLL_INTERVAL", interval)
+
+        class CountingBackend(NullBackend):
+            polls = 0
+
+            def poll(self, scheduler):
+                self.polls += 1
+
+        backend = CountingBackend()
+        scheduler = make_scheduler(backend=backend)
+
+        def program():
+            for _ in range(40):
+                yield Compute(0.001)
+
+        scheduler.add_thread(program)
+        result = scheduler.run()
+        assert result.completed and result.steps >= 40
+        # One poll per full interval, plus the final pass after the loop.
+        assert backend.polls == result.steps // interval + 1
+
+    def test_the_scheduler_takes_a_backend_a_seed_and_a_policy(self):
+        import inspect
+        assert list(inspect.signature(SimScheduler).parameters) == [
+            "backend", "seed", "policy"]
+
     def test_determinism_same_seed_same_result(self):
         def build(seed):
             scheduler = make_scheduler(seed=seed)
