@@ -10,6 +10,10 @@ simulator — funnel every lock operation through the four entry points of
 * :meth:`AvoidanceEngine.release`  — just before the lock is released,
 * :meth:`AvoidanceEngine.cancel`   — when a trylock / timed lock gives up.
 
+The thread and asyncio drivers first offer each acquisition to
+:meth:`AvoidanceEngine.settle_miss`, which stands in for ``request`` and
+``acquired`` where those could only grant and record an uncontended hold.
+
 The engine keeps the avoidance cache current, emits events for the
 asynchronous monitor, matches the current state against the signature
 history (exact-cover search over the Allowed sets), and manages yield
@@ -271,6 +275,40 @@ class AvoidanceEngine:
             return True
         # The capture probed this very object, and a published index never changes.
         return stack.absent_from is sites
+
+    def settle_miss(self, thread_id: int, lock_id: int, stack: CallStack,
+                    mode: str, capacity: int, try_native) -> bool:
+        """A whole uncontended acquisition at a site no signature names, or nothing.
+
+        Where :meth:`request` could only grant and :meth:`acquired` only
+        record the hold — the capture's verdict holds for the filter the
+        index and the cache share, the thread has no forced GO, yield or
+        allow edge pending, no calibrator watches, the mode is full —
+        ``try_native(thread_id, mode)`` takes the primitive without
+        blocking; taken, it is recorded as those two record it: the hold,
+        then ALLOW and ACQUIRED under one timestamp.  Anywhere else, False
+        with nothing taken or recorded.
+        """
+        cache, sites = self.cache, self.index.sites
+        if (stack.absent_from is not sites or cache.sites is not sites
+                or self.mode != MODE_FULL or self.config.detection_only):
+            return False
+        slot = cache.slots.get(thread_id)
+        calibrator = self.calibrator
+        if (slot.forced_go or slot.yield_cause or slot.yield_state is not None
+                or slot.waiting is not None
+                or calibrator is not None and calibrator.watching()):
+            return False
+        if not try_native(thread_id, mode):
+            return False
+        if capacity > 1 or mode == SHARED:
+            self._learn_spec(lock_id, mode, capacity)
+        now = self.clock.now()
+        cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
+        emit = self.events.emit
+        emit(EV_ALLOW, thread_id, lock_id, stack, (), now, mode, capacity)
+        emit(EV_ACQUIRED, thread_id, lock_id, stack, (), now, mode, capacity)
+        return True
 
     def _grant(self, slot, thread_id: int, lock_id: int, stack: CallStack,
                now: float, mode: str, capacity: int) -> RequestOutcome:

@@ -168,6 +168,16 @@ class RuntimeCore:
         """
         return self.dimmunix.engine.request(thread_id, lock_id, stack, mode, capacity)
 
+    def settle_miss(self, thread_id: int, lock_id: int, stack: CallStack, mode: str,
+                    capacity: int, try_native: Callable[[int, str], bool]) -> bool:
+        """Settle an uncontended acquisition at an unnamed site in one engine call.
+
+        True: ``try_native(thread_id, mode)`` took the primitive and it is
+        recorded; False: nothing was taken or recorded, run :func:`acquisition`.
+        """
+        return self.dimmunix.engine.settle_miss(thread_id, lock_id, stack, mode,
+                                                capacity, try_native)
+
     def acquired(self, thread_id: int, lock_id: int,
                  stack: Optional[CallStack] = None, mode: str = EXCLUSIVE,
                  capacity: int = 1) -> None:
@@ -265,8 +275,11 @@ def acquisition(core: RuntimeCore, thread_id: int, lock_id: int,
                 deadline: Optional[float], now: Optional[Callable[[], float]]):
     """The avoidance protocol of one acquisition, as a sans-IO generator.
 
-    Makes every engine call itself and yields to its driver only what a
-    runtime alone can do:
+    The thread and asyncio drivers run it once :meth:`RuntimeCore.settle_miss`
+    has declined (a named site, a yield or allow edge pending, a contended
+    primitive); the simulator always does, as its symbolic stacks carry no
+    capture verdict.  It makes every engine call itself and yields to its
+    driver only what a runtime alone can do:
 
     * ``(PARK, t)`` — the engine answered YIELD: park the thread for at
       most ``t`` seconds (``None``: until woken); send back whether it was

@@ -149,27 +149,14 @@ class AsyncioParker(ThreadParker):
     def prepare(self, task_id: int) -> None:
         """Arm the wake future for ``task_id`` (call *before* request).
 
-        Futures are pooled: the task's pending future is reused across
+        Runs only on the acquisitions the engine's miss round declined (a
+        yield, a contended primitive, a named site), never on an uncontended
+        one at an unnamed site.  The task's pending future is reused across
         requests and a fresh one is created only when the previous round
-        actually resolved it (a yield that was woken).  On the GO fast
-        path — where the future is armed but never awaited — every request
-        after the first is a dict read with no allocation.  Reusing an
-        unresolved future is safe: a stale wake scheduled against it can
-        only cause a spurious wakeup, and the acquisition protocol re-requests
-        after every wake.
-
-        Audited for free-threaded builds: the lock-free fast path reads
-        one published ``(loop, future)`` tuple and no running loop (a task
-        id names one task, and a task never changes loops).  Dict reads
-        are atomic, tuples immutable, replacements made under ``_mutex``
-        only.  A racing :meth:`forget` or replacement at worst leaves this
-        round armed against a tuple no longer current, which the next
-        ``park_async`` (re-reading the dict under ``_mutex``) resolves to
-        a spurious wake, never a lost one.
+        resolved it (a yield that was woken).  Reusing an unresolved future
+        is safe: a stale wake scheduled against it can only cause a spurious
+        wakeup, and the acquisition protocol re-requests after every wake.
         """
-        entry = self._futures.get(task_id)
-        if entry is not None and not entry[1].done():
-            return
         loop = asyncio.get_running_loop()
         with self._mutex:
             entry = self._futures.get(task_id)
@@ -352,7 +339,7 @@ def _caller_identity(runtime: AsyncioRuntime) -> Tuple[Optional[int], CallStack]
 
 async def _acquire(lock, task_id: Optional[int], stack: CallStack,
                    mode: str, capacity: int, timeout: Optional[float]) -> bool:
-    """Drive the acquisition protocol for the running task.
+    """Settle in the engine's miss round, or drive the protocol, for the running task.
 
     ``lock`` supplies the native half: ``_try_native(task_id, mode)`` and
     the coroutine ``_wait_native(task_id, mode, timeout)``.  ``timeout``
@@ -364,6 +351,8 @@ async def _acquire(lock, task_id: Optional[int], stack: CallStack,
     core = runtime.core
     if task_id is None:
         task_id = runtime.current_task_id()
+    if core.settle_miss(task_id, lock._lock_id, stack, mode, capacity, lock._try_native):
+        return True
     # The loop's clock, not time.monotonic: a virtual-time loop expires too.
     now = None if timeout is None else asyncio.get_running_loop().time
     deadline = None if now is None else now() + timeout

@@ -144,56 +144,74 @@ class TestRequestRacesThePublication:
         assert outcome.is_yield and outcome.causes == ((1, 10, held),)
 
 
+def acquire_parked(dimmunix, meanwhile=None, at="capture", while_held=None):
+    """Acquire + release a real lock on a fresh thread; returns what it saw while it held it.
+
+    With ``meanwhile`` the thread is parked until that has run: ``at="capture"``
+    after its capture, before the engine's miss round or any other engine call;
+    ``at="take"`` after the native take, before the hold is recorded.  The
+    holder runs ``while_held`` too, if given (its frames stay live meanwhile).
+    """
+    runtime = InstrumentationRuntime(dimmunix)
+    lock = DimmunixLock(runtime=runtime)
+    trap = Trap("trapped")
+    if at == "capture":
+        settle_miss = runtime.core.settle_miss
+        runtime.core.settle_miss = lambda *args: (trap.here(), settle_miss(*args))[1]
+    else:
+        try_native = lock._try_native
+        lock._try_native = lambda *args: (try_native(*args), trap.here())[0]
+    seen = {}
+
+    def body():
+        lock.acquire()
+        seen["thread"], seen["lock"] = runtime.current_thread_id(), lock.lock_id
+        seen["held"], = dimmunix.engine.cache.held_stacks(seen["thread"])
+        seen["frames"] = seen["held"].frames
+        seen["indexed"] = indexed(dimmunix.engine)
+        if while_held is not None:
+            seen["while_held"] = while_held(seen["lock"])
+        lock.release()
+
+    thread = threading.Thread(target=body, name="trapped-acquirer" if meanwhile else "learner")
+    thread.start()
+    if meanwhile:
+        assert trap.reached.wait(10.0)
+        meanwhile()
+        trap.release.set()
+    thread.join(10.0)
+    assert not thread.is_alive()
+    seen["kinds"] = [record[1] for record in dimmunix.engine.events.drain_raw()
+                     if record[2] == seen["thread"]]
+    return seen
+
+
+def world_that_learned_its_own_site():
+    """An engine that saw one acquisition, and a signature naming the site it was made at."""
+    dimmunix = Dimmunix(config=DimmunixConfig.for_testing())
+    learned = acquire_parked(dimmunix)
+    assert len(learned["frames"]) > 1
+    return dimmunix, Signature([CallStack(learned["frames"]), ELSEWHERE])
+
+
 class TestTheFilterMovesBetweenCaptureAndRequest:
     """The capture's verdict holds for the filter object it probed, and for no other.
 
-    A real lock's acquisition is parked between ``capture_stack`` and the engine's
-    ``request`` while the history republishes the filter; the engine and the cache must
-    then probe for themselves, whichever way the verdict went stale.
+    A real lock's acquisition is parked between ``capture_stack`` and its first engine
+    call, the miss round, while the history republishes the filter; the round must then
+    decline, and the engine and the cache probe for themselves, whichever way the verdict
+    went stale.
     """
 
-    def _acquire_parked_after_capture(self, dimmunix, meanwhile=None):
-        """Acquire + release on a fresh thread; returns what it saw while it held the lock.
-
-        With ``meanwhile`` the thread is parked after its capture until that has run.
-        """
-        runtime = InstrumentationRuntime(dimmunix)
-        lock = DimmunixLock(runtime=runtime)
-        trap = Trap("trapped")
-        prepare_wait = runtime.core.prepare_wait
-        runtime.core.prepare_wait = lambda thread_id: (trap.here(), prepare_wait(thread_id))
-        seen = {}
-
-        def body():
-            lock.acquire()
-            seen["held"], = dimmunix.engine.cache.held_stacks(runtime.current_thread_id())
-            seen["frames"] = seen["held"].frames
-            seen["indexed"] = indexed(dimmunix.engine)
-            lock.release()
-
-        thread = threading.Thread(target=body, name="trapped-acquirer" if meanwhile else "learner")
-        thread.start()
-        if meanwhile:
-            assert trap.reached.wait(10.0)
-            # Captured, not yet requested.
-            assert all(slot.waiting is None for _id, slot in dimmunix.engine.cache.slots.items())
-            meanwhile()
-            trap.release.set()
-        thread.join(10.0)
-        assert not thread.is_alive()
-        seen["kinds"] = [record[1] for record in dimmunix.engine.events.drain_raw()]
-        return seen
-
-    def _world_that_learned_its_own_site(self):
-        dimmunix = Dimmunix(config=DimmunixConfig.for_testing())
-        learned = self._acquire_parked_after_capture(dimmunix)
-        assert len(learned["frames"]) > 1
-        return dimmunix, Signature([CallStack(learned["frames"]), ELSEWHERE])
+    @staticmethod
+    def _nothing_requested_yet(dimmunix):
+        assert all(slot.waiting is None and not slot.holds
+                   for _id, slot in dimmunix.engine.cache.slots.items())
 
     def test_a_site_named_after_the_capture_is_still_matched_deep_and_indexed(self):
-        dimmunix, signature = self._world_that_learned_its_own_site()
-        seen = self._acquire_parked_after_capture(
-            dimmunix, lambda: dimmunix.history.add(signature))
+        dimmunix, signature = world_that_learned_its_own_site()
+        seen = acquire_parked(dimmunix, lambda: (self._nothing_requested_yet(dimmunix),
+                                                 dimmunix.history.add(signature)))
         held = seen["held"]
         assert isinstance(held, LazyCallStack)
         assert held.absent_from is not None and held.absent_from is not dimmunix.engine.index.sites
@@ -202,14 +220,53 @@ class TestTheFilterMovesBetweenCaptureAndRequest:
         assert seen["indexed"] == 1 and indexed(dimmunix.engine) == 0
 
     def test_a_site_unnamed_after_the_capture_is_granted_and_not_indexed(self):
-        dimmunix, signature = self._world_that_learned_its_own_site()
+        dimmunix, signature = world_that_learned_its_own_site()
         dimmunix.history.add(signature)
-        seen = self._acquire_parked_after_capture(
-            dimmunix, lambda: dimmunix.history.remove(signature.fingerprint))
+        seen = acquire_parked(dimmunix, lambda: (self._nothing_requested_yet(dimmunix),
+                                                 dimmunix.history.remove(signature.fingerprint)))
         assert type(seen["held"]) is CallStack and seen["held"].absent_from is None
         assert seen["frames"] in [stack.frames for stack in signature.stacks]
         assert seen["kinds"] == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
         assert seen["indexed"] == 0 and indexed(dimmunix.engine) == 0
+
+
+class TestTheFilterNamesTheSiteDuringTheRound:
+    """The miss round took the primitive on the capture's verdict; the site is named before its hold.
+
+    The round records the hold after its native take, and the history may
+    republish the filter in between.  The hold is then indexed by the round
+    itself, when the cache already has the new filter, or by the rebuild
+    that hands it over: either way a conflicting request must find it.
+    """
+
+    @pytest.mark.parametrize("handed_over, indexed_at_hold", [(True, 1), (False, 0)])
+    def test_the_hold_ends_indexed_and_a_conflicting_request_yields(
+            self, hand_over_the_filter, handed_over, indexed_at_hold):
+        dimmunix, signature = world_that_learned_its_own_site()
+        engine = dimmunix.engine
+
+        def meanwhile():
+            # Taken natively, nothing recorded yet, not even an allow edge: the round's take.
+            assert all(slot.waiting is None and not slot.holds
+                       for _id, slot in engine.cache.slots.items())
+            dimmunix.history.add(signature)
+            if handed_over:
+                hand_over_the_filter(engine)
+
+        def conflict(lock_id):
+            hand_over_the_filter(engine)
+            counts = (indexed(engine), live_at_named_sites(engine))
+            return counts, engine.request(98, lock_id + 1, ELSEWHERE)
+
+        seen = acquire_parked(dimmunix, meanwhile, at="take", while_held=conflict)
+        assert isinstance(seen["held"], LazyCallStack)
+        assert seen["held"].absent_from is not engine.index.sites
+        assert seen["kinds"] == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]  # the round's records
+        assert seen["indexed"] == indexed_at_hold
+        counts, outcome = seen["while_held"]
+        assert counts == (1, 1)
+        assert outcome.is_yield and outcome.signature is signature
+        assert outcome.causes == ((seen["thread"], seen["lock"], seen["held"]),)
 
 
 class TestReleaseRacesTheRebuild:

@@ -6,7 +6,10 @@ sequence is written.  These tests script the engine's answers with a
 recording :class:`RuntimeCore`, run the same *shape* of acquisition
 through the thread driver, the asyncio driver and ``SimScheduler``, and
 require the same engine-call sequence from each — for a mutex, a
-two-permit semaphore, and both sides of a reader-writer lock.
+two-permit semaphore, and both sides of a reader-writer lock.  The thread
+and asyncio drivers first offer the engine the miss round
+(``RuntimeCore.settle_miss``), recorded as ``("round", mode, capacity,
+what came of it)``; the simulator never does.
 
 The simulator parks by flipping the thread to YIELDING rather than
 calling ``park``, so its harness records ``"park"`` at that point; its
@@ -45,13 +48,21 @@ class ScriptedCore(DimmunixBackend):
     all three drivers.
     """
 
-    def __init__(self, decisions=("go",), park="woken", yield_timeout=None):
+    def __init__(self, decisions=("go",), park="woken", yield_timeout=None,
+                 miss_round="declines"):
         super().__init__(Dimmunix(config=DimmunixConfig.for_testing(
             yield_timeout=yield_timeout)))
         self.subject = None
         self.calls = []
         self._decisions = list(decisions)
         self._park = park
+        #: "declines" (the site is named, a yield is pending, ...) or
+        #: "accepts" the subject's miss round; accepted, the native take decides.
+        self._miss_round = miss_round
+        #: Miss rounds asked for, by any thread.
+        self.rounds = 0
+        #: The subject's non-blocking native takes, the round's included.
+        self.native_tries = 0
         #: Set when the subject is about to block on the native primitive.
         self.on_blocked = None
         #: Thread ids the next release by a non-subject reports as woken.
@@ -63,6 +74,17 @@ class ScriptedCore(DimmunixBackend):
     def prepare_wait(self, thread_id):
         if self._mine(thread_id):
             self.calls.append("prepare_wait")
+
+    def settle_miss(self, thread_id, lock_id, stack, mode, capacity, try_native):
+        self.rounds += 1
+        if not self._mine(thread_id):
+            return False
+        if self._miss_round == "declines":
+            self.calls.append(("round", mode, capacity, "declined"))
+            return False
+        taken = try_native(thread_id, mode)
+        self.calls.append(("round", mode, capacity, "taken" if taken else "contended"))
+        return taken
 
     def request(self, thread_id, lock_id, stack, mode=EXCLUSIVE, capacity=1):
         if not self._mine(thread_id):
@@ -203,12 +225,25 @@ class AioPrimitive:
 # -- one shape, one runtime -> the subject's call sequence --------------------------------
 
 
+def count_native_tries(lock, core):
+    """Count the subject's calls of ``lock._try_native`` in ``core.native_tries``."""
+    try_native = lock._try_native
+
+    def counted(thread_id, mode):
+        if thread_id == core.subject:
+            core.native_tries += 1
+        return try_native(thread_id, mode)
+
+    lock._try_native = counted
+
+
 def run_threads(kind, core, busy=None, blocking=True, timeout=None):
     """``busy``: None (free), "held" (stays busy) or "freed" (released once
     the subject is about to block)."""
     runtime = InstrumentationRuntime(core.dimmunix)
     runtime.core = core
     primitive = ThreadPrimitive(kind, runtime)
+    count_native_tries(primitive.lock, core)
     holding, let_go = threading.Event(), threading.Event()
 
     def holder():
@@ -242,6 +277,7 @@ def run_aio(kind, core, busy=None, timeout=None, cancel=False):
         runtime = AsyncioRuntime(core.dimmunix)
         runtime.core = core
         primitive = AioPrimitive(kind, runtime)
+        count_native_tries(primitive.lock, core)
         holding, let_go = asyncio.Event(), asyncio.Event()
         suspended = asyncio.Event()
 
@@ -348,13 +384,18 @@ def run_sim(kind, core, busy=None, trylock=False, wake=False):
 # -- the shapes --------------------------------------------------------------------------
 
 
+def declined(m, expected):
+    """The thread and asyncio drivers' sequence when the engine declines the miss round."""
+    return [("round", *m, "declined")] + expected
+
+
 @pytest.mark.parametrize("kind", KINDS)
 class TestSameSequenceOnEveryRuntime:
     def test_go(self, kind):
         m = KINDS[kind]
         expected = ["prepare_wait", ("request", *m), ("acquired", *m), "release"]
-        assert run_threads(kind, ScriptedCore()) == (True, expected)
-        assert run_aio(kind, ScriptedCore()) == (True, expected)
+        assert run_threads(kind, ScriptedCore()) == (True, declined(m, expected))
+        assert run_aio(kind, ScriptedCore()) == (True, declined(m, expected))
         assert run_sim(kind, ScriptedCore()) == (True, expected)
 
     def test_yield_then_woken_then_go(self, kind):
@@ -362,8 +403,8 @@ class TestSameSequenceOnEveryRuntime:
         script = dict(decisions=("yield", "go"), park="woken")
         expected = ["prepare_wait", ("request", *m), "park",
                     "prepare_wait", ("request", *m), ("acquired", *m), "release"]
-        assert run_threads(kind, ScriptedCore(**script)) == (True, expected)
-        assert run_aio(kind, ScriptedCore(**script)) == (True, expected)
+        assert run_threads(kind, ScriptedCore(**script)) == (True, declined(m, expected))
+        assert run_aio(kind, ScriptedCore(**script)) == (True, declined(m, expected))
         assert run_sim(kind, ScriptedCore(**script), wake=True) == (True, expected)
 
     def test_yield_bound_expires_and_the_yield_is_aborted(self, kind):
@@ -372,15 +413,15 @@ class TestSameSequenceOnEveryRuntime:
                       yield_timeout=0.01)
         expected = ["prepare_wait", ("request", *m), "park", "abort_yield",
                     "prepare_wait", ("request", *m), ("acquired", *m), "release"]
-        assert run_threads(kind, ScriptedCore(**script)) == (True, expected)
-        assert run_aio(kind, ScriptedCore(**script)) == (True, expected)
+        assert run_threads(kind, ScriptedCore(**script)) == (True, declined(m, expected))
+        assert run_aio(kind, ScriptedCore(**script)) == (True, declined(m, expected))
         assert run_sim(kind, ScriptedCore(**script)) == (True, expected)
 
     def test_unwoken_park_without_a_bound_just_retries(self, kind):
         m = KINDS[kind]
         script = dict(decisions=("yield", "go"), park="unwoken")
-        expected = ["prepare_wait", ("request", *m), "park",
-                    "prepare_wait", ("request", *m), ("acquired", *m), "release"]
+        expected = declined(m, ["prepare_wait", ("request", *m), "park",
+                                "prepare_wait", ("request", *m), ("acquired", *m), "release"])
         assert run_threads(kind, ScriptedCore(**script)) == (True, expected)
         assert run_aio(kind, ScriptedCore(**script)) == (True, expected)
 
@@ -388,16 +429,16 @@ class TestSameSequenceOnEveryRuntime:
         m = KINDS[kind]
         expected = ["prepare_wait", ("request", *m), "note_blocked",
                     ("acquired", *m), "release"]
-        assert run_threads(kind, ScriptedCore(), busy="freed") == (True, expected)
-        assert run_aio(kind, ScriptedCore(), busy="freed") == (True, expected)
+        assert run_threads(kind, ScriptedCore(), busy="freed") == (True, declined(m, expected))
+        assert run_aio(kind, ScriptedCore(), busy="freed") == (True, declined(m, expected))
         assert run_sim(kind, ScriptedCore(), busy="freed") == (
             True, expected)
 
     def test_deadline_expires_during_park(self, kind):
         m = KINDS[kind]
         script = dict(decisions=("yield", "yield"), park="expire")
-        expected = ["prepare_wait", ("request", *m), "park",
-                    "prepare_wait", ("request", *m), "cancel"]
+        expected = declined(m, ["prepare_wait", ("request", *m), "park",
+                                "prepare_wait", ("request", *m), "cancel"])
         assert run_threads(kind, ScriptedCore(**script), timeout=0.01) == (
             False, expected)
         assert run_aio(kind, ScriptedCore(**script), timeout=0.01) == (
@@ -405,7 +446,7 @@ class TestSameSequenceOnEveryRuntime:
 
     def test_deadline_expires_during_native_wait(self, kind):
         m = KINDS[kind]
-        expected = ["prepare_wait", ("request", *m), "note_blocked", "cancel"]
+        expected = declined(m, ["prepare_wait", ("request", *m), "note_blocked", "cancel"])
         assert run_threads(kind, ScriptedCore(), busy="held", timeout=0.01) == (
             False, expected)
         assert run_aio(kind, ScriptedCore(), busy="held", timeout=0.01) == (
@@ -416,7 +457,7 @@ class TestSameSequenceOnEveryRuntime:
         expected = ["prepare_wait", ("request", *m), "cancel"]
         if not kind.startswith("rw"):  # DimmunixRWLock has no trylock
             assert run_threads(kind, ScriptedCore(decisions=("yield",)),
-                               blocking=False) == (False, expected)
+                               blocking=False) == (False, declined(m, expected))
         assert run_sim(kind, ScriptedCore(decisions=("yield",)),
                        trylock=True) == (False, expected)
 
@@ -425,7 +466,7 @@ class TestSameSequenceOnEveryRuntime:
         expected = ["prepare_wait", ("request", *m), "cancel"]
         if not kind.startswith("rw"):
             assert run_threads(kind, ScriptedCore(), busy="held",
-                               blocking=False) == (False, expected)
+                               blocking=False) == (False, declined(m, expected))
         assert run_sim(kind, ScriptedCore(), busy="held", trylock=True) == (
             False, expected)
 
@@ -433,12 +474,69 @@ class TestSameSequenceOnEveryRuntime:
         m = KINDS[kind]
         core = ScriptedCore(decisions=("yield",), park="forever")
         assert run_aio(kind, core, cancel=True) == (
-            "cancelled", ["prepare_wait", ("request", *m), "park", "cancel"])
+            "cancelled", declined(m, ["prepare_wait", ("request", *m), "park", "cancel"]))
 
     def test_task_cancelled_while_queued_on_the_native_primitive(self, kind):
         m = KINDS[kind]
         assert run_aio(kind, ScriptedCore(), busy="held", cancel=True) == (
-            "cancelled", ["prepare_wait", ("request", *m), "note_blocked", "cancel"])
+            "cancelled", declined(m, ["prepare_wait", ("request", *m), "note_blocked",
+                                      "cancel"]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestTheMissRound:
+    """The thread and asyncio drivers offer the engine the whole acquisition first.
+
+    Accepted on a free primitive, the round is the acquisition: one call.
+    Accepted on a busy one, the take fails and the protocol runs as it
+    would have, after one more non-blocking native try; declined, exactly
+    as it would have (the shapes above).  The simulator never asks.
+    """
+
+    def test_an_accepted_round_on_a_free_primitive_is_one_call(self, kind):
+        m = KINDS[kind]
+        for run in (run_threads, run_aio):
+            core = ScriptedCore(miss_round="accepts")
+            assert run(kind, core) == (True, [("round", *m, "taken"), "release"])
+            assert core.native_tries == 1
+
+    def test_a_declined_round_takes_nothing_natively(self, kind):
+        for run in (run_threads, run_aio):
+            core = ScriptedCore()
+            assert run(kind, core)[0] is True
+            assert core.native_tries == 1  # the protocol's TRY_NATIVE step
+
+    def test_a_contended_round_costs_one_more_native_try(self, kind):
+        m = KINDS[kind]
+        expected = ["prepare_wait", ("request", *m), "note_blocked",
+                    ("acquired", *m), "release"]
+        for run in (run_threads, run_aio):
+            declining, accepting = ScriptedCore(), ScriptedCore(miss_round="accepts")
+            assert run(kind, declining, busy="freed") == (True, declined(m, expected))
+            assert run(kind, accepting, busy="freed") == (
+                True, [("round", *m, "contended")] + expected)
+            assert accepting.native_tries == declining.native_tries + 1
+
+    def test_a_contended_round_then_a_deadline_or_a_refused_trylock_cancels(self, kind):
+        m = KINDS[kind]
+        contended = [("round", *m, "contended"), "prepare_wait", ("request", *m)]
+        assert run_threads(kind, ScriptedCore(miss_round="accepts"), busy="held",
+                           timeout=0.01) == (False, contended + ["note_blocked", "cancel"])
+        assert run_aio(kind, ScriptedCore(miss_round="accepts"), busy="held",
+                       timeout=0.01) == (False, contended + ["note_blocked", "cancel"])
+        if not kind.startswith("rw"):
+            assert run_threads(kind, ScriptedCore(miss_round="accepts"), busy="held",
+                               blocking=False) == (False, contended + ["cancel"])
+
+    def test_the_simulator_never_asks_for_the_round(self, kind):
+        m = KINDS[kind]
+        contended, free = ScriptedCore(miss_round="accepts"), ScriptedCore(miss_round="accepts")
+        assert run_sim(kind, contended, busy="freed") == (
+            True, ["prepare_wait", ("request", *m), "note_blocked", ("acquired", *m),
+                   "release"])
+        assert run_sim(kind, free, trylock=True) == (
+            True, ["prepare_wait", ("request", *m), ("acquired", *m), "release"])
+        assert contended.rounds == free.rounds == 0
 
 
 class TestRollBackLivesInTheProtocol:
@@ -456,4 +554,5 @@ class TestRollBackLivesInTheProtocol:
         lock._try_native = broken
         with pytest.raises(OSError):
             lock.acquire()
-        assert core.calls == ["prepare_wait", ("request", EXCLUSIVE, 1), "cancel"]
+        assert core.calls == [("round", EXCLUSIVE, 1, "declined"),
+                              "prepare_wait", ("request", EXCLUSIVE, 1), "cancel"]
