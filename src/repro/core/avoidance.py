@@ -273,25 +273,31 @@ class AvoidanceEngine:
             # taking a second semaphore permit, or upgrading a read hold
             # to a write hold, can absolutely complete a cycle.
             return True
-        # The capture probed this very object, and a published index never changes.
-        return stack.absent_from is sites
+        return self._capture_answers(stack, sites)
+
+    def _capture_answers(self, stack: CallStack, sites: dict) -> bool:
+        """The engine matches, and the capture's verdict answers it without a probe.
+
+        The capture probed this very object, and a published index never changes.
+        """
+        return (self.mode == MODE_FULL and not self.config.detection_only
+                and stack.absent_from is sites)
 
     def settle_miss(self, thread_id: int, lock_id: int, stack: CallStack,
                     mode: str, capacity: int, try_native) -> bool:
         """A whole uncontended acquisition at a site no signature names, or nothing.
 
         Where :meth:`request` could only grant and :meth:`acquired` only
-        record the hold — the capture's verdict holds for the filter the
-        index and the cache share, the thread has no forced GO, yield or
-        allow edge pending, no calibrator watches, the mode is full —
+        record the hold — the capture answers (:meth:`_capture_answers`)
+        for the filter the index and the cache share, the thread has no
+        forced GO, yield or allow edge pending, no calibrator watches —
         ``try_native(thread_id, mode)`` takes the primitive without
         blocking; taken, it is recorded as those two record it: the hold,
         then ALLOW and ACQUIRED under one timestamp.  Anywhere else, False
         with nothing taken or recorded.
         """
         cache, sites = self.cache, self.index.sites
-        if (stack.absent_from is not sites or cache.sites is not sites
-                or self.mode != MODE_FULL or self.config.detection_only):
+        if cache.sites is not sites or not self._capture_answers(stack, sites):
             return False
         slot = cache.slots.get(thread_id)
         calibrator = self.calibrator

@@ -149,14 +149,26 @@ class AsyncioParker(ThreadParker):
     def prepare(self, task_id: int) -> None:
         """Arm the wake future for ``task_id`` (call *before* request).
 
-        Runs only on the acquisitions the engine's miss round declined (a
-        yield, a contended primitive, a named site), never on an uncontended
-        one at an unnamed site.  The task's pending future is reused across
-        requests and a fresh one is created only when the previous round
-        resolved it (a yield that was woken).  Reusing an unresolved future
-        is safe: a stale wake scheduled against it can only cause a spurious
-        wakeup, and the acquisition protocol re-requests after every wake.
+        Runs on every acquisition the engine's miss round declines: a GO at
+        a named site or a forced one, a contended primitive, a yield.  The
+        task's pending future is reused across requests and a fresh one is
+        created only when the previous round resolved it (a yield that was
+        woken), so each GO after the first is a dict read, no allocation.
+        Reusing an unresolved future is safe: a stale wake scheduled against
+        it can only cause a spurious wakeup, and the protocol re-requests
+        after every wake.
+
+        Audited for free-threaded builds: the lock-free path reads one
+        published ``(loop, future)`` tuple and no running loop (a task id
+        names one task, which never changes loops).  Dict reads are atomic,
+        tuples immutable, replacements made under ``_mutex`` only.  A racing
+        :meth:`forget` or replacement at worst leaves this round armed
+        against a stale tuple, which the next ``park_async`` (re-reading the
+        dict under ``_mutex``) resolves to a spurious wake, never a lost one.
         """
+        entry = self._futures.get(task_id)
+        if entry is not None and not entry[1].done():
+            return
         loop = asyncio.get_running_loop()
         with self._mutex:
             entry = self._futures.get(task_id)
@@ -216,10 +228,8 @@ class AsyncioParker(ThreadParker):
         if running is loop:
             _resolve()
         else:
-            try:
+            with contextlib.suppress(RuntimeError):  # the loop already closed
                 loop.call_soon_threadsafe(_resolve)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
 
 
 class AsyncioRuntime(LockRuntime):

@@ -87,7 +87,6 @@ class DimmunixLock(MutexSkeleton):
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         """Acquire the lock, running the Dimmunix avoidance protocol first."""
         runtime = self._runtime
-        core = runtime.core
         thread_id = runtime.current_thread_id()
 
         if self._reentrant and self._owner == thread_id:
@@ -95,7 +94,7 @@ class DimmunixLock(MutexSkeleton):
             # multiset accurate.
             self._native.acquire()
             self._count += 1
-            core.acquired(thread_id, self._lock_id, runtime.capture_stack())
+            runtime.core.acquired(thread_id, self._lock_id, runtime.capture_stack())
             return True
 
         # threading spells "no timeout" -1; the protocol spells it None.
@@ -118,13 +117,12 @@ class DimmunixLock(MutexSkeleton):
     def release(self) -> None:
         """Release the lock and wake any threads whose yield causes dissolved."""
         runtime = self._runtime
-        core = runtime.core
         thread_id = runtime.current_thread_id()
         if self._owner != thread_id or self._count == 0:
             raise InstrumentationError(
                 f"{self._name} released by thread {thread_id} which does not hold it")
         # The core wakes dissolved yielders through the waker registry.
-        core.release(thread_id, self._lock_id)
+        runtime.core.release(thread_id, self._lock_id)
         self._count -= 1
         if self._count == 0:
             self._owner = None

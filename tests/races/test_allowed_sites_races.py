@@ -22,7 +22,8 @@ from repro.core.avoidance import AvoidanceEngine
 from repro.core.callstack import CallStack, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
-from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_RELEASE, EV_REQUEST
+from repro.core.events import (EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE, EV_REQUEST,
+                               EV_YIELD)
 from repro.core.history import History
 from repro.core.signature import Signature
 from repro.instrument.locks import DimmunixLock
@@ -181,8 +182,8 @@ def acquire_parked(dimmunix, meanwhile=None, at="capture", while_held=None):
         trap.release.set()
     thread.join(10.0)
     assert not thread.is_alive()
-    seen["kinds"] = [record[1] for record in dimmunix.engine.events.drain_raw()
-                     if record[2] == seen["thread"]]
+    seen["records"] = [record[1:3] for record in dimmunix.engine.events.drain_raw()]
+    seen["kinds"] = [code for code, _thread in seen["records"]]
     return seen
 
 
@@ -261,7 +262,11 @@ class TestTheFilterNamesTheSiteDuringTheRound:
         seen = acquire_parked(dimmunix, meanwhile, at="take", while_held=conflict)
         assert isinstance(seen["held"], LazyCallStack)
         assert seen["held"].absent_from is not engine.index.sites
-        assert seen["kinds"] == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]  # the round's records
+        holder, hand_over = seen["thread"], [(EV_ALLOW, 99), (EV_CANCEL, 99)]
+        # The round's records, each hand-over's, and the conflicting request's.
+        assert seen["records"] == (hand_over * handed_over
+                                   + [(EV_ALLOW, holder), (EV_ACQUIRED, holder)] + hand_over
+                                   + [(EV_REQUEST, 98), (EV_YIELD, 98), (EV_RELEASE, holder)])
         assert seen["indexed"] == indexed_at_hold
         counts, outcome = seen["while_held"]
         assert counts == (1, 1)

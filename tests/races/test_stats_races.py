@@ -4,10 +4,10 @@ The counters are count columns of the event bus's per-thread rings, and
 a ring whose thread has ended retires into the bus totals: a read racing
 that retirement must see every ring once, live or retired, so a counter
 never goes backwards and no bump is lost.  Then the asyncio parker's
-armed wake future, which a task's later rounds reuse until a wake
-resolves it: these tests park a task on such a future, wake it from
-another loop's thread and from the monitor, and read the outcome off
-the engine's counters.
+loop-free fast path, which reuses a task's armed wake future without
+asking for the running loop: these tests wake such a task from another
+loop's thread and from the monitor, and read the outcome off the
+engine's counters.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ def _release_once_parked(runtime: AsyncioRuntime, release_now: threading.Event) 
 async def _armed_then_yield(runtime: AsyncioRuntime, lock: AioLock) -> None:
     """A granted round at a named site arms the task's wake future; the yield then parks on it.
 
-    Named, so the engine's miss round declines it and the protocol arms the parker.
+    Named, so the engine's miss round declines it and the protocol arms the
+    parker; the yield's ``prepare`` then takes the loop-free fast path.
     """
     warm = AioLock(runtime=runtime)
     assert await _hold_at(warm)
@@ -147,7 +148,7 @@ class TestColumnsAcrossRetirement:
         assert snapshot["go_decisions"] == 8000 and snapshot["yield_decisions"] == 0
 
 
-class TestTheParkersArmedFuture:
+class TestTheParkersLoopFreeFastPath:
     def test_a_task_is_woken_by_a_release_on_another_loop(self):
         runtime = _runtime()
         held, wanted = AioLock(runtime=runtime), AioLock(runtime=runtime)

@@ -13,13 +13,14 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Raised by 42 from 17,192 for the engine's miss round: an uncontended
+#: Raised by 56 from 17,192 for the engine's miss round: an uncontended
 #: acquisition at a site no signature names settles in one engine call,
-#: ``AvoidanceEngine.settle_miss`` (+38 in ``avoidance.py``, its docstring
-#: and the module's note on it included) reached through
+#: ``AvoidanceEngine.settle_miss`` (+44 in ``avoidance.py``, its docstring,
+#: the module's note on it and ``_capture_answers``, the preconditions it
+#: shares with ``request``'s bypass, included) reached through
 #: ``RuntimeCore.settle_miss`` (+13 in ``runtime_api.py``, with the
 #: ``acquisition()`` docstring saying who runs the generator now), net of
-#: the 9 lines ``instrument/`` gave back (see ``PRIMITIVES_BUDGET``).
+#: the line ``instrument/`` gave back (see ``PRIMITIVES_BUDGET``).
 #: Counters live in the event rings: ``EngineStats`` became a view over
 #: the engine's ``EventBus`` (its per-thread shard store, epoch reset and
 #: bus baselines went), every reset-in-place path (``EventBus.clear`` and
@@ -44,7 +45,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_234
+TOTAL_BUDGET = 17_248
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -53,10 +54,11 @@ TOTAL_BUDGET = 17_234
 #: 1,964 before an unused ``SimLock.remove_waiter`` went; 1,962 until the
 #: miss path stopped bumping the counters its event records already count;
 #: 1,948 until the sim locks' ``reset()``, which only replays used, went.
-#: 1,934 until both drivers called the engine's miss round first (+4) and
-#: ``AsyncioParker.prepare`` lost its lock-free armed-future shortcut (-13),
-#: which only served the uncontended path the round now takes.
-PRIMITIVES_BUDGET = 1_925
+#: 1,934 until both drivers called the engine's miss round first (+4), paid
+#: for by ``AsyncioParker._wake`` suppressing a closed loop's error (-2) and
+#: ``DimmunixLock`` dropping two single-use ``core`` locals (-2); the parker's
+#: docstring now says which acquisitions still run ``prepare`` (-1).
+PRIMITIVES_BUDGET = 1_933
 #: ``share/``: four transports around one ``PoolState`` (``state.py`` and
 #: ``wire.py`` included) and one ``send``/``receive``/``snapshot``
 #: contract.  3,479 before that contract: 625 of the 1,241 lines it
