@@ -32,8 +32,9 @@ from typing import Callable, Dict, NamedTuple, Tuple
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 from repro.harness import (format_table, overhead_percent, run_allow_edge_ablation,
-                           run_detection_latency, run_exploration_matrix, run_figure4,
-                           run_figure5, run_figure6, run_figure7, run_figure8, run_figure9,
+                           run_calibration, run_detection_latency, run_exploration_matrix,
+                           run_figure4, run_figure5, run_figure6, run_figure7, run_figure8,
+                           run_figure9,
                            run_gate_lock_comparison, run_immunity_mode_ablation,
                            run_resource_utilization, run_scaling, run_table1, run_table2)
 
@@ -126,6 +127,14 @@ def check_fig9(rows, gates):
     assert overhead_percent(gate.baseline_throughput, gate.throughput) \
         >= overhead[deepest.matching_depth]
     assert gate.denials > deepest.false_positives
+
+
+def check_calibration(depths, run):
+    """Section 5.5 on Figure 9's workload, every signature from depth 1.
+    Calibration leaves every signature at depth >= 5, the shallowest at
+    which Figure 9 reads < 1% overhead, and a run there reads < 1%."""
+    assert all(row["depth"] >= 5 for row in depths if row["signatures left here"]), depths
+    assert run[0]["overhead %"] < 1, run
 
 
 def check_exploits(rows):
@@ -224,6 +233,10 @@ ARTEFACTS: Dict[str, Artefact] = {
     "fig9": Artefact(lambda: (run_figure9(), [run_gate_lock_comparison()]),
                      ("Figure 9: overhead induced by false positives",
                       "Gate-lock baseline on the same workload"), check_fig9),
+    "calibration": Artefact(run_calibration,
+                            ("Section 5.5: calibrated depths on Figure 9's workload",
+                             "The same workload at the calibrated depths, calibration off"),
+                            check_calibration),
     "table1": Artefact(run_table1, ("Table 1: real deadlock bugs avoided by Dimmunix",),
                        check_table1),
     "table2": Artefact(run_table2, ("Table 2: JDK invitations to deadlock",), check_table2),

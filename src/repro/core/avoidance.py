@@ -110,7 +110,6 @@ class AvoidanceEngine:
     def __init__(self, history: History, config: Optional[DimmunixConfig] = None,
                  clock: Optional[Clock] = None,
                  stats: Optional[EngineStats] = None,
-                 calibrator=None,
                  mode: str = MODE_FULL):
         if mode not in _VALID_MODES:
             raise AvoidanceError(f"unknown engine mode {mode!r}")
@@ -123,13 +122,12 @@ class AvoidanceEngine:
         #: whose rings also hold the counters ``stats`` reads.
         self.events = self.stats.bus
         self.clock = clock or WallClock()
-        self.calibrator = calibrator
         self.mode = mode
         self._external_names = set(self.config.external_synchronization)
         #: Section 5.6: the site-keyed signature index.  It maintains
         #: itself incrementally from history observer notifications, so the
         #: request path never scans the history and never triggers a
-        #: rebuild; a lookup after a depth change re-keys it.
+        #: rebuild; a depth change re-keys the one signature it moved.
         self.index = SignatureIndex(history)
         #: Serializes only the matching slow path: requests whose stack
         #: matches a stack of some signature.
@@ -249,12 +247,6 @@ class AvoidanceEngine:
                 signature.record_avoidance()
                 self.events.emit(EV_YIELD, thread_id, lock_id, stack, causes,
                                  now, mode, capacity)
-                calibrator = self.calibrator
-                if calibrator is not None and calibrator.config.calibration_enabled:
-                    deeper = self._depths_matching(signature, thread_id, lock_id,
-                                                   stack)
-                    calibrator.on_avoidance(signature, thread_id, lock_id,
-                                            stack, causes, deeper)
                 return RequestOutcome(Decision.YIELD, signature=signature,
                                       causes=causes)
 
@@ -290,20 +282,17 @@ class AvoidanceEngine:
         Where :meth:`request` could only grant and :meth:`acquired` only
         record the hold — the capture answers (:meth:`_capture_answers`)
         for the filter the index and the cache share, the thread has no
-        forced GO, yield or allow edge pending, no calibrator watches —
-        ``try_native(thread_id, mode)`` takes the primitive without
-        blocking; taken, it is recorded as those two record it: the hold,
-        then ALLOW and ACQUIRED under one timestamp.  Anywhere else, False
-        with nothing taken or recorded.
+        forced GO, yield or allow edge pending — ``try_native(thread_id,
+        mode)`` takes the primitive without blocking; taken, it is recorded
+        as those two record it: the hold, then ALLOW and ACQUIRED under one
+        timestamp.  Anywhere else, False with nothing taken or recorded.
         """
         cache, sites = self.cache, self.index.sites
         if cache.sites is not sites or not self._capture_answers(stack, sites):
             return False
         slot = cache.slots.get(thread_id)
-        calibrator = self.calibrator
         if (slot.forced_go or slot.yield_cause or slot.yield_state is not None
-                or slot.waiting is not None
-                or calibrator is not None and calibrator.watching()):
+                or slot.waiting is not None):
             return False
         if not try_native(thread_id, mode):
             return False
@@ -397,20 +386,6 @@ class AvoidanceEngine:
                 return [(thread_id, lock_id, stack)] + rest
         return None
 
-    def _depths_matching(self, signature: Signature, thread_id: int, lock_id: int,
-                         stack: CallStack) -> List[int]:
-        """All depths >= the current one at which the instance still exists.
-
-        Used by the calibration speed-up of section 5.5: a false positive at
-        depth k also counts as a false positive at every deeper depth that
-        would have triggered the same avoidance.
-        """
-        depths = []
-        for depth in range(signature.matching_depth, self.config.max_stack_depth + 1):
-            if self._find_instance(signature, thread_id, lock_id, stack, depth) is not None:
-                depths.append(depth)
-        return depths
-
     # ------------------------------------------------------------------ blocking --
 
     def note_blocked(self, thread_id: int) -> None:
@@ -455,16 +430,10 @@ class AvoidanceEngine:
         if stack is None:
             waiting = slot.waiting
             stack = waiting[1] if waiting is not None else CallStack(())
-        # Episodes open only after a YIELD; without one nothing is reported.
-        calibrator = self.calibrator
-        watching = calibrator is not None and calibrator.watching()
-        held_before = tuple(slot.holds) if watching else ()
         self.cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
         slot.yield_state = None
         self.events.emit(EV_ACQUIRED, thread_id, lock_id, stack, (), now,
                          mode, capacity)
-        if watching:
-            calibrator.on_lock_acquired(thread_id, lock_id, held_before, stack)
 
     # ---------------------------------------------------------------------- release --
 
@@ -475,9 +444,6 @@ class AvoidanceEngine:
         now = self.clock.now()
         fully, stack = self.cache.release_hold(thread_id, lock_id)
         self.events.emit(EV_RELEASE, thread_id, lock_id, stack, (), now)
-        calibrator = self.calibrator
-        if calibrator is not None and calibrator.watching():
-            calibrator.on_lock_released(thread_id, lock_id)
         if not fully and lock_id not in self._multiholder:
             # A reentrant partial release of a mutex frees nothing.  A
             # multi-holder resource, however, frees a permit on *every*

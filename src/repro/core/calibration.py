@@ -5,9 +5,11 @@ is compared against runtime stacks.  Too deep a suffix misses other
 manifestations of the same bug (false negatives); too shallow a suffix
 avoids executions that would not have deadlocked (false positives).
 
-Dimmunix calibrates the depth at runtime:
+Dimmunix calibrates the depth at runtime, from the records the monitor
+drains (:meth:`Calibrator.observe` sees each one before the RAG applies
+it, so a thread's holds are read from the RAG):
 
-1. After every avoidance (yield) it opens a *retrospective episode* that
+1. Every avoidance (a YIELD record) opens a *retrospective episode* that
    logs the subsequent lock operations of the threads involved, plus the
    operations of the yielded thread after it is released.
 2. When the episode closes, the log is scanned for *lock inversions*
@@ -18,7 +20,9 @@ Dimmunix calibrates the depth at runtime:
    1 and is incremented every ``NA`` avoidances until the maximum depth is
    reached; then the smallest depth with the lowest FP rate is selected.
    As a speed-up, a FP observed at depth k is also charged to every deeper
-   depth that would have performed the same avoidance.
+   depth at which the YIELD's own instance (its request and its causes)
+   still instantiates the signature.  A depth moves through
+   :meth:`History.set_depth`, which re-keys that signature in every index.
 4. After ``NT`` further avoidances the signature is recalibrated (program
    conditions may have changed), and recalibration is also re-enabled
    after an upgrade (section 8) via :meth:`Calibrator.recalibrate_all`.
@@ -28,11 +32,14 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .callstack import CallStack
 from .config import DimmunixConfig
+from .events import EV_ACQUIRED, EV_RELEASE, EV_YIELD
+from .history import History
+from .rag import ResourceAllocationGraph
+from .sigindex import SignatureIndex
 from .signature import Signature
 from .stats import EngineStats
 
@@ -50,18 +57,14 @@ class LockOp:
 class Episode:
     """A retrospective-analysis window opened after one avoidance."""
 
-    episode_id: int
     signature: Signature
     yielded_thread: int
     participants: Set[int]
-    depth: int
-    deeper_depths: Tuple[int, ...]
+    #: The signature's depth at the yield, then every deeper one the instance reaches.
+    depths: Tuple[int, ...]
     ops: List[LockOp] = field(default_factory=list)
     yielded_thread_resumed: bool = False
     closed: bool = False
-
-    def involves(self, thread_id: int) -> bool:
-        return thread_id in self.participants
 
 
 @dataclass
@@ -73,6 +76,19 @@ class _CalibrationState:
     fps_at_depth: Dict[int, int] = field(default_factory=dict)
     completed: bool = False
     avoidances_since_completion: int = 0
+    #: Episodes judged, and how many of them were false positives.
+    judged: int = 0
+    false_positives: int = 0
+
+
+def _instantiates(stacks: Sequence, instance: Sequence, depth: int) -> bool:
+    """Do the bindings of ``instance`` stand at ``stacks``, one each, at ``depth``?"""
+    if not instance:
+        return not stacks
+    stack = instance[0][2]
+    return any(sig_stack.matches(stack, depth)
+               and _instantiates(stacks[:i] + stacks[i + 1:], instance[1:], depth)
+               for i, sig_stack in enumerate(stacks))
 
 
 def find_lock_inversion(ops: Sequence[LockOp]) -> Optional[Tuple[int, int]]:
@@ -88,8 +104,7 @@ def find_lock_inversion(ops: Sequence[LockOp]) -> Optional[Tuple[int, int]]:
         for held in op.held_before:
             if held != op.lock_id:
                 pairs.add((held, op.lock_id))
-    threads = list(nesting)
-    for a, b in itertools.combinations(threads, 2):
+    for a, b in itertools.combinations(nesting, 2):
         for held, acquired in nesting[a]:
             if (acquired, held) in nesting[b]:
                 return held, acquired
@@ -97,168 +112,128 @@ def find_lock_inversion(ops: Sequence[LockOp]) -> Optional[Tuple[int, int]]:
 
 
 class Calibrator:
-    """Runs the FP heuristic and adjusts per-signature matching depths."""
+    """Runs the FP heuristic over the monitor's records and moves depths through ``history``."""
 
-    def __init__(self, config: Optional[DimmunixConfig] = None,
+    def __init__(self, history: History, index: SignatureIndex,
+                 config: Optional[DimmunixConfig] = None,
                  stats: Optional[EngineStats] = None):
+        self.history = history
+        self.index = index
         self.config = config or DimmunixConfig()
         self.stats = stats or EngineStats()
         self._states: Dict[str, _CalibrationState] = {}
         self._episodes: List[Episode] = []
-        self._episode_counter = itertools.count(1)
         self._mutex = threading.RLock()
-        #: Verdict log: (fingerprint, depth, was_false_positive) per episode.
-        self.verdicts: List[Tuple[str, int, bool]] = []
 
-    # -- engine hooks ------------------------------------------------------------------
+    # -- the monitor's record stream ------------------------------------------------------
 
-    def watching(self) -> bool:
-        """Is an episode open?  Only then does the engine report acquisitions and releases."""
-        return bool(self._episodes)
-
-    def on_avoidance(self, signature: Signature, thread_id: int, lock_id: int,
-                     stack: CallStack, causes: Sequence, deeper_depths: Sequence[int]
-                     ) -> int:
-        """Called by the engine whenever it answers YIELD, while ``calibration_enabled``."""
+    def observe(self, record: Tuple, rag: ResourceAllocationGraph) -> None:
+        """One drained record, just before ``rag`` applies it."""
+        _seq, code, thread_id, lock_id, stack, causes = record[:6]
         with self._mutex:
-            state = self._state_of(signature)
-            participants = {thread_id} | {binding[0] for binding in causes}
-            episode = Episode(
-                episode_id=next(self._episode_counter),
-                signature=signature,
-                yielded_thread=thread_id,
-                participants=participants,
-                depth=signature.matching_depth,
-                deeper_depths=tuple(deeper_depths),
-            )
-            self._episodes.append(episode)
-            if not state.completed:
-                state.avoidances_at_depth[episode.depth] = \
-                    state.avoidances_at_depth.get(episode.depth, 0) + 1
-                for depth in episode.deeper_depths:
-                    if depth != episode.depth:
-                        state.avoidances_at_depth[depth] = \
-                            state.avoidances_at_depth.get(depth, 0) + 1
-            else:
-                state.avoidances_since_completion += 1
-                if state.avoidances_since_completion >= self.config.calibration_nt:
-                    self._restart_calibration(signature, state)
-            return episode.episode_id
+            if code == EV_YIELD:
+                self._on_yield(thread_id, lock_id, stack, causes)
+            elif code == EV_ACQUIRED and self._episodes:
+                op = LockOp(thread_id, lock_id, tuple(rag.thread(thread_id).holds))
+                for episode in self._episodes:
+                    if not episode.closed and thread_id in episode.participants:
+                        episode.ops.append(op)
+                        episode.yielded_thread_resumed |= thread_id == episode.yielded_thread
+                        if len(episode.ops) >= self.config.fp_window:
+                            self._close_episode(episode)
+            elif code == EV_RELEASE and self._episodes:
+                # The yielded thread resumed, acquired and released: its critical
+                # section completed, and a danger (a lock inversion) showed or not.
+                for episode in self._episodes:
+                    if (not episode.closed and episode.yielded_thread_resumed
+                            and thread_id == episode.yielded_thread):
+                        self._close_episode(episode)
+                self._episodes = [ep for ep in self._episodes if not ep.closed]
 
-    def on_lock_acquired(self, thread_id: int, lock_id: int,
-                         held_before: Tuple[int, ...], stack: CallStack) -> None:
-        """Called by the engine after a successful acquisition, while :meth:`watching`."""
-        with self._mutex:
-            op = LockOp(thread_id=thread_id, lock_id=lock_id, held_before=held_before)
-            for episode in self._episodes:
-                if episode.closed or not episode.involves(thread_id):
-                    continue
-                episode.ops.append(op)
-                if thread_id == episode.yielded_thread:
-                    episode.yielded_thread_resumed = True
-                if len(episode.ops) >= self.config.fp_window:
-                    self._close_episode(episode)
+    def _on_yield(self, thread_id: int, lock_id: int, stack, causes: Sequence) -> None:
+        """Open an episode on the signature the YIELD's instance instantiates.
 
-    def on_lock_released(self, thread_id: int, lock_id: int) -> None:
-        """Called by the engine after a release, while :meth:`watching`.
-
-        An episode closes once the yielded thread has resumed, acquired and
-        then released a lock — by then its critical section completed and
-        we know whether a deadlock danger (lock inversion) materialized.
+        None does if calibration deepened its depth since: the yield is not counted.
         """
-        with self._mutex:
-            for episode in self._episodes:
-                if episode.closed:
-                    continue
-                if episode.yielded_thread_resumed and thread_id == episode.yielded_thread:
-                    self._close_episode(episode)
-            self._episodes = [ep for ep in self._episodes if not ep.closed]
+        instance = ((thread_id, lock_id, stack),) + tuple(causes)
+        signature = next((sig for sig in self.index.candidates(stack)
+                          if _instantiates(sig.stacks, instance, sig.matching_depth)), None)
+        if signature is None:
+            return
+        state = self._state_of(signature)
+        depths = tuple(depth for depth in range(signature.matching_depth,
+                                                self.config.max_stack_depth + 1)
+                       if _instantiates(signature.stacks, instance, depth))
+        self._episodes.append(Episode(
+            signature=signature, yielded_thread=thread_id,
+            participants={thread_id} | {binding[0] for binding in causes}, depths=depths))
+        if not state.completed:
+            for depth in depths:
+                state.avoidances_at_depth[depth] = state.avoidances_at_depth.get(depth, 0) + 1
+        else:
+            state.avoidances_since_completion += 1
+            if state.avoidances_since_completion >= self.config.calibration_nt:
+                self._restart_calibration(signature, state)
 
     # -- episode analysis ----------------------------------------------------------------
 
     def _close_episode(self, episode: Episode) -> None:
         episode.closed = True
-        inversion = find_lock_inversion(episode.ops)
-        false_positive = inversion is None
-        self.verdicts.append((episode.signature.fingerprint, episode.depth,
-                              false_positive))
-        if false_positive:
-            self.stats.bump("false_positives")
-        else:
-            self.stats.bump("true_positives")
+        false_positive = find_lock_inversion(episode.ops) is None
+        self.stats.bump("false_positives" if false_positive else "true_positives")
         state = self._state_of(episode.signature)
+        state.judged += 1
+        state.false_positives += false_positive
         if state.completed:
             return
         if false_positive:
-            state.fps_at_depth[episode.depth] = \
-                state.fps_at_depth.get(episode.depth, 0) + 1
-            for depth in episode.deeper_depths:
-                if depth != episode.depth:
-                    state.fps_at_depth[depth] = state.fps_at_depth.get(depth, 0) + 1
+            for depth in episode.depths:
+                state.fps_at_depth[depth] = state.fps_at_depth.get(depth, 0) + 1
         self._advance_calibration(episode.signature, state)
 
-    def _advance_calibration(self, signature: Signature,
-                             state: _CalibrationState) -> None:
+    def _advance_calibration(self, signature: Signature, state: _CalibrationState) -> None:
         """Move to the next candidate depth / finish calibration if due."""
-        na = self.config.calibration_na
-        max_depth = self.config.max_stack_depth
         current = state.current_depth
-        if state.avoidances_at_depth.get(current, 0) < na:
-            signature.matching_depth = current
+        if state.avoidances_at_depth.get(current, 0) < self.config.calibration_na:
+            self.history.set_depth(signature.fingerprint, current)
             return
-        if current < max_depth:
+        if current < self.config.max_stack_depth:
             state.current_depth = current + 1
-            signature.matching_depth = state.current_depth
+            self.history.set_depth(signature.fingerprint, state.current_depth)
             return
         # Every depth has been sampled: pick the smallest depth with the
         # lowest FP rate (the most general pattern among the best).
-        best_depth = None
-        best_rate = None
-        for depth in range(1, max_depth + 1):
-            avoidances = state.avoidances_at_depth.get(depth, 0)
-            if avoidances == 0:
-                continue
-            rate = state.fps_at_depth.get(depth, 0) / avoidances
-            if best_rate is None or rate < best_rate:
-                best_rate = rate
-                best_depth = depth
-        if best_depth is not None:
-            signature.matching_depth = best_depth
+        rates = {depth: state.fps_at_depth.get(depth, 0) / avoided
+                 for depth, avoided in state.avoidances_at_depth.items()}
+        if rates:
+            self.history.set_depth(signature.fingerprint,
+                                   min(rates, key=lambda depth: (rates[depth], depth)))
         state.completed = True
         state.avoidances_since_completion = 0
 
-    def _restart_calibration(self, signature: Signature,
-                             state: _CalibrationState) -> None:
+    def _restart_calibration(self, signature: Signature, state: _CalibrationState) -> None:
         state.completed = False
         state.current_depth = 1
         state.avoidances_at_depth.clear()
         state.fps_at_depth.clear()
         state.avoidances_since_completion = 0
-        signature.matching_depth = 1
+        self.history.set_depth(signature.fingerprint, 1)
 
     # -- public API ---------------------------------------------------------------------
 
     def _state_of(self, signature: Signature) -> _CalibrationState:
+        """The signature's progress; first contact starts it at depth 1."""
         state = self._states.get(signature.fingerprint)
         if state is None:
-            state = _CalibrationState(current_depth=signature.matching_depth
-                                      if not self.config.calibration_enabled else 1)
-            if self.config.calibration_enabled:
-                state.current_depth = 1
-                signature.matching_depth = 1
-            self._states[signature.fingerprint] = state
+            state = self._states[signature.fingerprint] = _CalibrationState()
+            self.history.set_depth(signature.fingerprint, 1)
         return state
 
-    def state_of(self, signature: Signature) -> Dict:
-        """Introspection: the calibration progress of a signature."""
+    def state_of(self, signature: Signature) -> Optional[Dict]:
+        """The calibration progress of a signature (``None`` before its first yield)."""
         with self._mutex:
-            state = self._state_of(signature)
-            return {
-                "current_depth": state.current_depth,
-                "completed": state.completed,
-                "avoidances_at_depth": dict(state.avoidances_at_depth),
-                "fps_at_depth": dict(state.fps_at_depth),
-            }
+            state = self._states.get(signature.fingerprint)
+            return None if state is None else asdict(state)
 
     def recalibrate_all(self, signatures: Sequence[Signature]) -> None:
         """Restart calibration for every signature (e.g. after an upgrade).
@@ -270,17 +245,13 @@ class Calibrator:
         """
         with self._mutex:
             for signature in signatures:
-                state = self._state_of(signature)
-                self._restart_calibration(signature, state)
+                self._restart_calibration(signature, self._state_of(signature))
 
     def false_positive_rate(self, signature: Signature) -> Optional[float]:
         """Overall FP rate observed for a signature, or ``None`` if unknown."""
         with self._mutex:
-            relevant = [fp for fp_sig, _depth, fp in self.verdicts
-                        if fp_sig == signature.fingerprint]
-            if not relevant:
-                return None
-            return sum(1 for fp in relevant if fp) / len(relevant)
+            state = self._states.get(signature.fingerprint)
+            return state.false_positives / state.judged if state and state.judged else None
 
     def open_episodes(self) -> int:
         """Number of episodes still collecting lock operations."""

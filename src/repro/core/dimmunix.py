@@ -49,14 +49,17 @@ class Dimmunix:
         #: The counters, a view over the engine's event bus: its rings hold them.
         self.stats = EngineStats(EventBus(ring_capacity=self.config.event_ring_size))
         self.clock = clock or WallClock()
-        self.calibrator = Calibrator(self.config, self.stats)
         self.engine = AvoidanceEngine(
             history=self.history, config=self.config, clock=self.clock,
-            stats=self.stats, calibrator=self.calibrator, mode=engine_mode)
+            stats=self.stats, mode=engine_mode)
+        #: Calibrates matching depths from the monitor's records, when enabled.
+        self.calibrator = (Calibrator(self.history, self.engine.index, self.config, self.stats)
+                           if self.config.calibration_enabled else None)
         self.monitor = MonitorCore(
             engine=self.engine, history=self.history, config=self.config,
             stats=self.stats, deadlock_handler=deadlock_handler,
-            restart_handler=restart_handler, wake_callback=self._wake_threads)
+            restart_handler=restart_handler, wake_callback=self._wake_threads,
+            calibrator=self.calibrator)
         self._monitor_thread: Optional[MonitorThread] = None
         self._wakers: Dict[int, Callable[[], None]] = {}
         self._wakers_lock = threading.Lock()

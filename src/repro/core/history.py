@@ -48,7 +48,7 @@ class History:
         #: file still matches, merge-on-save skips re-parsing it.
         self._written_stamp: Optional[tuple] = None
         #: Observers notified of every mutation kind (add/remove/enable/
-        #: disable/clear); the incremental signature index maintains itself
+        #: disable/depth/clear); the incremental signature index maintains itself
         #: through these hooks instead of rescanning the history.
         self._observers: List = []
         #: Bumped on every mutation; kept as a cheap staleness oracle for
@@ -157,6 +157,17 @@ class History:
         self._notify("on_signature_enabled", signature)
         return True
 
+    def set_depth(self, fingerprint: str, depth: int) -> bool:
+        """Set a signature's matching depth (section 5.5), saved by the next save; True if changed."""
+        with self._lock:
+            signature = self._signatures.get(fingerprint)
+            if signature is None or signature.matching_depth == depth:
+                return False
+            signature._matching_depth = depth
+            self._bump_version()
+        self._notify("on_depth_changed", signature)
+        return True
+
     def clear(self) -> None:
         """Remove every signature (used between experiment trials).
 
@@ -209,9 +220,9 @@ class History:
 
         An observer may implement any of ``on_signature_added``,
         ``on_signature_removed``, ``on_signature_enabled``,
-        ``on_signature_disabled`` and ``on_history_cleared``; missing hooks
-        are simply skipped.  Notifications are dispatched outside the
-        history's internal lock.
+        ``on_signature_disabled``, ``on_depth_changed`` and
+        ``on_history_cleared``; missing hooks are simply skipped.
+        Notifications are dispatched outside the history's internal lock.
 
         Observers are held through weak references: a history routinely
         outlives the engines attached to it (experiment harnesses create

@@ -29,6 +29,7 @@ from collections import deque
 from typing import Callable, List, Optional, Set, Tuple
 
 from .avoidance import AvoidanceEngine
+from .calibration import Calibrator
 from .config import DimmunixConfig
 from .cycles import (DetectedCycle, find_deadlock_cycles, find_starvation,
                      pick_starvation_victim)
@@ -56,7 +57,8 @@ class MonitorCore:
                  stats: Optional[EngineStats] = None,
                  deadlock_handler: Optional[DeadlockHandler] = None,
                  restart_handler: Optional[RestartHandler] = None,
-                 wake_callback: Optional[WakeCallback] = None):
+                 wake_callback: Optional[WakeCallback] = None,
+                 calibrator: Optional[Calibrator] = None):
         self.engine = engine
         self.history = history
         self.config = config or engine.config
@@ -65,6 +67,8 @@ class MonitorCore:
         self.deadlock_handler = deadlock_handler
         self.restart_handler = restart_handler
         self.wake_callback = wake_callback
+        #: Sees every drained record before the RAG applies it (section 5.5).
+        self.calibrator = calibrator
         self._mutex = threading.RLock()
         #: Callables run at the start of every :meth:`process` pass, before
         #: detection.  The history-sharing pool registers its pump here so
@@ -130,7 +134,12 @@ class MonitorCore:
             # only ever touched under it.
             records = self.engine.events.drain_raw()
             if records:
-                self.rag.apply_encoded(records)
+                if self.calibrator is None:
+                    self.rag.apply_encoded(records)
+                else:
+                    for record in records:
+                        self.calibrator.observe(record, self.rag)
+                        self.rag.apply_encoded((record,))
                 self.stats.bump("events_processed", len(records))
             if departed and not self.engine.events.held_back:
                 for _ in range(departed):

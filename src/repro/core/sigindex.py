@@ -10,17 +10,16 @@ on its site alone, at depth 1).  A site absent from it is the miss verdict
 finds exactly the signatures the request matches, whatever the history's
 size.  A group also knows the call sites its signatures need occupied
 (:meth:`Group.admitted`), so a matched request asks the Allowed sets about
-those sites, not about each signature.  Every depth change is counted
-(``Signature.depth_changes``): the next lookup at a named site re-keys the
-whole index, with no call from the calibrator into it.  Reads are
-lock-free: a writer copies each nested dict it changes and publishes the
-new map with one reference assignment, under ``_mutex``.
+those sites, not about each signature.  A depth change reaches it through
+the history (``on_depth_changed``), which re-keys that one signature.
+Reads are lock-free: a writer copies each nested dict it changes and
+publishes the new map with one reference assignment, under ``_mutex``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from .callstack import CallStack, Frame
 from .signature import Signature
@@ -88,8 +87,6 @@ class SignatureIndex:
         self.sites: Sites = {}
         #: fingerprint -> signature, for enabled indexed signatures (writers only).
         self._entries: Dict[str, Signature] = {}
-        #: ``Signature.depth_changes`` when every stack was last keyed.
-        self._keyed_at = Signature.depth_changes
         #: Diagnostics: publications vs rebuilds from the history (none while serving).
         self.updates = self.full_rebuilds = 0
         self._history = history
@@ -100,17 +97,13 @@ class SignatureIndex:
     def lookup(self, stack: CallStack, sites: Optional[Sites] = None) -> List[Group]:
         """The groups filing a signature with a stack that ``stack`` matches at its depth.
 
-        Looked up in ``sites`` (by default the published index), lock-free
-        but for a re-key after a depth change.  At an unnamed site
-        only ``stack.top()`` is read: a lazy capture stays unwalked.
+        Looked up in ``sites`` (by default the published index), lock-free.
+        At an unnamed site only ``stack.top()`` is read: a lazy capture
+        stays unwalked.
         """
         entry = (self.sites if sites is None else sites).get(stack.top())
         if entry is None:
             return []
-        if self._keyed_at != Signature.depth_changes:
-            with self._mutex:
-                self._publish(self._entries.values(), self._entries)
-            entry = self.sites.get(stack.top(), {})
         frames = stack.frames
         if len(frames) == 1:  # a one-frame request matches every stack at its site
             return [group for by_prefix in entry.values() for group in by_prefix.values()]
@@ -131,7 +124,7 @@ class SignatureIndex:
     # -- incremental mutation ------------------------------------------------------------
 
     def add(self, signature: Signature) -> None:
-        """Index an enabled signature (no-op for disabled ones)."""
+        """Index an enabled signature at its depth now (no-op for disabled ones)."""
         if signature.disabled:
             return
         with self._mutex:
@@ -153,26 +146,24 @@ class SignatureIndex:
         if self._history is None:
             return
         with self._mutex:
-            signatures = self._history.enabled_signatures()
-            self._publish(signatures, {sig.fingerprint: sig for sig in signatures})
+            self._publish(self._history.enabled_signatures())
             self.full_rebuilds += 1
 
-    on_signature_added = on_signature_enabled = add
+    on_signature_added = on_signature_enabled = on_depth_changed = add
     on_signature_removed = on_signature_disabled = discard
 
     def on_history_cleared(self) -> None:
         with self._mutex:
-            self._publish((), {})
+            self._publish([])
 
     # -- internals (callers hold self._mutex) ---------------------------------------------
 
-    def _publish(self, signatures: Iterable[Signature], entries: Dict[str, Signature]) -> None:
+    def _publish(self, signatures: List[Signature]) -> None:
         """Key ``signatures`` afresh at their depths now and publish them."""
-        self._keyed_at = Signature.depth_changes  # read before any depth is
         sites: Sites = {}
-        for signature in list(signatures):
+        for signature in signatures:
             self._insert(sites, signature)
-        self._entries = entries
+        self._entries = {signature.fingerprint: signature for signature in signatures}
         self.sites = sites
         self.updates += 1
 

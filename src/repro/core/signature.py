@@ -60,9 +60,6 @@ class Signature:
         "created_at",
         "_fingerprint",
     )
-    #: Changes made to any signature's ``matching_depth`` since import: the
-    #: signature index keys stacks by depth and re-keys itself when this moves.
-    depth_changes = 0
 
     def __init__(self, stacks: Iterable[CallStack], kind: str = DEADLOCK,
                  matching_depth: int = 4, disabled: bool = False,
@@ -105,14 +102,11 @@ class Signature:
 
     @property
     def matching_depth(self) -> int:
-        """How many innermost frames a runtime stack must share with a stack of this one."""
-        return self._matching_depth
+        """How many innermost frames a runtime stack must share with a stack of this one.
 
-    @matching_depth.setter
-    def matching_depth(self, depth: int) -> None:
-        if depth != self._matching_depth:
-            self._matching_depth = depth  # stored before it is counted: see SignatureIndex
-            Signature.depth_changes += 1
+        Changed only through :meth:`History.set_depth`, which tells the indexes.
+        """
+        return self._matching_depth
 
     # -- identity ------------------------------------------------------------------
 
@@ -164,12 +158,6 @@ class Signature:
         return not self.disabled
 
     # -- matching --------------------------------------------------------------------
-
-    def stack_matches(self, signature_stack: CallStack, runtime_stack: CallStack,
-                      depth: Optional[int] = None) -> bool:
-        """Does ``runtime_stack`` match ``signature_stack`` at this signature's depth?"""
-        effective = self.matching_depth if depth is None else depth
-        return signature_stack.matches(runtime_stack, effective)
 
     def matching_stacks(self, runtime_stack: CallStack,
                         depth: Optional[int] = None) -> List[int]:

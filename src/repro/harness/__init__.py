@@ -11,7 +11,7 @@ from .appworkloads import (run_aiobroker_workload, run_broker_workload,
                            run_jdbc_workload)
 from .overhead import run_figure4
 from .microsweeps import run_figure5, run_figure6, run_figure7, run_figure8
-from .falsepos import run_figure9, run_gate_lock_comparison
+from .falsepos import run_calibration, run_figure9, run_gate_lock_comparison
 from .resources import run_resource_utilization
 from .report import format_table, overhead_percent
 from .scaling import run_scaling
@@ -22,6 +22,7 @@ __all__ = [
     "run_aiobroker_workload",
     "run_allow_edge_ablation",
     "run_broker_workload",
+    "run_calibration",
     "run_detection_latency",
     "run_exploration_matrix",
     "run_figure4",

@@ -15,7 +15,6 @@ import pytest
 
 from repro.core.avoidance import (AvoidanceEngine, Decision, GO_OUTCOME,
                                   MODE_INSTRUMENTATION_ONLY)
-from repro.core.calibration import Calibrator
 from repro.core.callstack import CallStack, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
@@ -155,8 +154,8 @@ class TestTopFrameMissFilter:
             assert index.equivalent_to_rebuild()
         history.remove(signatures[0].fingerprint)
         assert index.equivalent_to_rebuild()
-        signatures[1].matching_depth = 1
-        assert index.candidates(stack(("a1:1", "other:0"))) == [signatures[1]]  # re-keys
+        history.set_depth(signatures[1].fingerprint, 1)  # re-keys that one signature
+        assert index.candidates(stack(("a1:1", "other:0"))) == [signatures[1]]
         assert index.equivalent_to_rebuild()
         history.clear()
         assert index.equivalent_to_rebuild()
@@ -235,22 +234,6 @@ class _CountingSlots:
         return getattr(self._slots, name)
 
 
-class _CountingCalibrator(Calibrator):
-    """Records the acquisitions and releases the engine reports."""
-
-    def __init__(self, config):
-        super().__init__(config)
-        self.reported = []
-
-    def on_lock_acquired(self, thread_id, lock_id, held_before, stack):
-        self.reported.append(("acquired", thread_id, lock_id, held_before))
-        super().on_lock_acquired(thread_id, lock_id, held_before, stack)
-
-    def on_lock_released(self, thread_id, lock_id):
-        self.reported.append(("released", thread_id, lock_id))
-        super().on_lock_released(thread_id, lock_id)
-
-
 class TestTheMissFilterDecidesOnce:
     """A request at a call site no signature names pays for nothing it cannot need."""
 
@@ -259,9 +242,8 @@ class TestTheMissFilterDecidesOnce:
         history.add(Signature([stack(("a:1", "m:0")), stack(("b:2", "m:0"))],
                               matching_depth=2))
         config = DimmunixConfig.for_testing()
-        calibrator = _CountingCalibrator(config)
         bus = EventBus()
-        engine = AvoidanceEngine(history, config, stats=EngineStats(bus), calibrator=calibrator)
+        engine = AvoidanceEngine(history, config, stats=EngineStats(bus))
         elsewhere = stack(("elsewhere:5", "m:0"))
         entries, lookups = [], []
         stripes = engine.cache._stripes
@@ -278,7 +260,6 @@ class TestTheMissFilterDecidesOnce:
         assert engine.cache._owners == {}
         assert engine.cache.allowed_set_sizes() == {}
         assert lookups == [1, 1, 1]  # one per engine entry
-        assert calibrator.reported == []  # no episode is open
         assert [record[1] for record in bus.drain_raw()] == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
 
     @pytest.mark.parametrize("way", ["added", "installed-by-the-pool", "re-enabled"])

@@ -335,13 +335,6 @@ def state_of(dimmunix, thread_id):
             engine.is_multiholder(5), fields)
 
 
-class Watching:
-    """A calibrator with an episode open."""
-
-    def watching(self):
-        return True
-
-
 def late_signature():
     return Signature([stack("late:1", "x:2"), stack("late:3", "x:4")])
 
@@ -384,11 +377,6 @@ def allow_edge_pending(dimmunix, runtime, tid):
     return runtime.capture_stack()
 
 
-def watching_calibrator(dimmunix, runtime, tid):
-    dimmunix.engine.calibrator = Watching()
-    return runtime.capture_stack()
-
-
 def instrumentation_only(dimmunix, runtime, tid):
     dimmunix.engine.mode = MODE_INSTRUMENTATION_ONLY
     return runtime.capture_stack()
@@ -397,8 +385,7 @@ def instrumentation_only(dimmunix, runtime, tid):
 class TestTheRoundDeclines:
     @pytest.mark.parametrize("condition", [
         named_site, republished_since_the_capture, not_handed_to_the_cache, forced_go,
-        yield_cause, yield_state, allow_edge_pending, watching_calibrator,
-        instrumentation_only])
+        yield_cause, yield_state, allow_edge_pending, instrumentation_only])
     def test_nothing_is_recorded_and_nothing_taken(self, condition):
         dimmunix = foreign_world()
         runtime = InstrumentationRuntime(dimmunix)

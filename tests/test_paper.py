@@ -30,7 +30,7 @@ def paper():
 
 def test_every_artefact_of_the_paper_has_one_row(paper):
     assert list(paper.ARTEFACTS) == [
-        "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "table1", "table2",
+        "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "calibration", "table1", "table2",
         "resources", "ablation", "explore", "scaling"]
 
 

@@ -14,6 +14,7 @@ from repro.core.events import EV_ALLOW
 from repro.core.history import History
 from repro.core.sigindex import SignatureIndex
 from repro.core.signature import Signature
+from repro.share import SignaturePool, open_channel
 
 
 def stack(*labels):
@@ -56,7 +57,7 @@ class TestIncrementalMaintenance:
         index = SignatureIndex(history)
         sig = make_signature(1, depth=2)
         history.add(sig)
-        sig.matching_depth = 3  # no lookup yet: still keyed at depth 2
+        sig._matching_depth = 3  # moved, the index not told yet: as inside History.set_depth
         history.remove(sig.fingerprint)
         assert index.sites == {}
         assert index.candidates(stack("lock:1", "callerA:1", "main:0")) == []
@@ -98,15 +99,44 @@ class TestDepthRecalibration:
         assert engine.request(2, 1, s1).is_go
         engine.acquired(2, 1, s1)
         engine.release(2, 1)
-        # Deepen the depth so the "update" frames must also match.  Nothing
-        # tells the index: the next request at the site re-keys it, once.
+        # Deepen the depth so the "update" frames must also match.  The
+        # history tells the index, which re-keys the signature once, at once.
         updates = engine.index.updates
-        sig.matching_depth = 3
+        history.set_depth(sig.fingerprint, 3)
+        assert engine.index.updates == updates + 1
         different = stack("lock:4", "update:1", "elsewhere:9")
         assert engine.request(2, 1, different).is_go
         assert engine.index.updates == updates + 1
         assert engine.request(3, 1, different).is_go
         assert engine.index.updates == updates + 1
+
+
+class TestOneDepthChange:
+    def test_re_keys_the_indexes_sharing_its_history_and_nothing_else(self):
+        shared, other = History(path=None, autosave=False), History(path=None, autosave=False)
+        for seed in range(4):
+            shared.add(make_signature(seed))
+            other.add(make_signature(seed))
+        pool = SignaturePool(shared, open_channel("memory://one-depth-change"))
+        first, second, bystander = (AvoidanceEngine(history, DimmunixConfig.for_testing())
+                                    for history in (shared, shared, other))
+        indexes = (first.index, second.index, bystander.index)
+        counts = [(index.updates, index.full_rebuilds) for index in indexes]
+        sites = [index.sites for index in indexes]
+        sent = (pool.published, pool.controls_published)
+        changed = make_signature(0)
+        assert shared.set_depth(changed.fingerprint, 3)
+        for index, (updates, rebuilds), before in zip(indexes[:2], counts, sites):
+            assert (index.updates, index.full_rebuilds) == (updates + 1, rebuilds)
+            assert index.equivalent_to_rebuild()
+            named = {sig_stack.top() for sig_stack in changed.stacks}
+            assert {site for site in before if index.sites[site] is not before[site]} == named
+            assert index.candidates(stack("lock:0", "callerA:0", "zz:9")) == []
+            assert index.candidates(stack("lock:0", "callerA:0", "main:0")) == [changed]
+        assert bystander.index.sites is sites[2]
+        assert (bystander.index.updates, bystander.index.full_rebuilds) == counts[2]
+        assert (pool.published, pool.controls_published) == sent  # the pool ignores it
+        pool.close()
 
 
 class TestOneFrameRequests:
@@ -182,10 +212,8 @@ class TestRandomizedEquivalence:
                 pool = [s for s in pool
                         if s.fingerprint != victim.fingerprint]
             else:
-                # A recalibration: the index is not told, the next lookup re-keys.
-                changed = rng.choice(pool)
-                changed.matching_depth = rng.randrange(1, 6)
-                index.candidates(changed.stacks[0])
+                # A recalibration, told to the index through the history.
+                history.set_depth(rng.choice(pool).fingerprint, rng.randrange(1, 6))
             assert index.equivalent_to_rebuild(), f"diverged at step {step}"
 
 
@@ -203,7 +231,7 @@ class TestCandidatesCoverEveryMatch:
         """The candidates are the signatures the request ``matches`` at their depth, once each.
 
         One-frame requests and stacks included, and depths changed after
-        indexing (a recalibration the index is never told of).
+        indexing (a recalibration, told through the history).
         """
         history = History(path=None, autosave=False)
         index = SignatureIndex(history)
@@ -212,7 +240,7 @@ class TestCandidatesCoverEveryMatch:
             if history.add(signature) and disabled:
                 history.disable(signature.fingerprint)
         for signature, depth in zip(history.signatures(), depths):
-            signature.matching_depth = depth
+            history.set_depth(signature.fingerprint, depth)
         found = [signature.fingerprint for signature in index.candidates(request)]
         assert len(found) == len(set(found))
         assert set(found) == {signature.fingerprint for signature in history.enabled_signatures()

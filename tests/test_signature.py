@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.callstack import CallStack
 from repro.core.errors import SignatureError
+from repro.core.history import History
 from repro.core.signature import DEADLOCK, STARVATION, Signature
 
 
@@ -48,8 +49,17 @@ class TestSignatureIdentity:
         fp = sig.fingerprint
         sig.record_avoidance()
         sig.record_abort()
-        sig.matching_depth = 7
+        history = History(path=None, autosave=False)
+        history.add(sig)
+        assert history.set_depth(fp, 7) and sig.matching_depth == 7
         assert sig.fingerprint == fp
+
+    def test_the_depth_is_set_through_the_history_alone(self):
+        sig = make_signature()
+        with pytest.raises(AttributeError):
+            sig.matching_depth = 7
+        assert not History(path=None, autosave=False).set_depth(sig.fingerprint, 7)
+        assert sig.matching_depth == 4
 
     def test_kind_changes_fingerprint(self):
         deadlock = make_signature(kind=DEADLOCK)
@@ -68,14 +78,16 @@ class TestSignatureMatching:
         sig = make_signature(matching_depth=1)
         runtime = CallStack.from_labels(["lock:3", "somewhere:9"])
         assert sig.matching_stacks(runtime) == [0, 1]
-        sig.matching_depth = 2
+        history = History(path=None, autosave=False)
+        history.add(sig)
+        history.set_depth(sig.fingerprint, 2)
         assert sig.matching_stacks(runtime) == []
 
     def test_stack_matches_explicit_depth(self):
         sig = make_signature(matching_depth=2)
         runtime = CallStack.from_labels(["lock:3", "elsewhere:7"])
-        assert sig.stack_matches(sig.stacks[0], runtime, depth=1)
-        assert not sig.stack_matches(sig.stacks[0], runtime, depth=2)
+        assert sig.stacks[0].matches(runtime, 1)
+        assert not sig.stacks[0].matches(runtime, 2)
 
 
 class TestSignatureCounters:

@@ -13,7 +13,17 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Raised by 56 from 17,192 for the engine's miss round: an uncontended
+#: Lowered by 16 from 17,248: calibration reads the monitor's records
+#: (``MonitorCore.process`` hands the calibrator each one before the RAG
+#: applies it), so the engine lost its calibrator, the YIELD report,
+#: ``_depths_matching`` and the ``held_before`` snapshot; ``Signature``
+#: lost ``depth_changes`` and the ``matching_depth`` setter (and the unused
+#: ``stack_matches``); the index lost ``_keyed_at`` and its whole-index
+#: re-key, as ``History.set_depth`` tells it which signature moved.  The
+#: calibrator keeps per-signature verdict counts, not a list per yield.
+#: ``core/`` is 61 lines shorter, net of ``harness.falsepos.run_calibration``
+#: (+45 with its pooled check runs), the new ``paper.py calibration`` row.
+#: 17,248 before, raised by 56 from 17,192 for the engine's miss round: an uncontended
 #: acquisition at a site no signature names settles in one engine call,
 #: ``AvoidanceEngine.settle_miss`` (+44 in ``avoidance.py``, its docstring,
 #: the module's note on it and ``_capture_answers``, the preconditions it
@@ -45,7 +55,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_248
+TOTAL_BUDGET = 17_232
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
