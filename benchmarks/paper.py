@@ -131,8 +131,8 @@ def check_fig9(rows, gates):
 
 def check_calibration(depths, run):
     """Section 5.5 on Figure 9's workload, every signature from depth 1.
-    Calibration leaves every signature at depth >= 5, the shallowest at
-    which Figure 9 reads < 1% overhead, and a run there reads < 1%."""
+    Calibration leaves every signature at depth >= 5, where Figure 9's
+    overhead falls to about 1%, and a run there reads < 1%."""
     assert all(row["depth"] >= 5 for row in depths if row["signatures left here"]), depths
     assert run[0]["overhead %"] < 1, run
 

@@ -84,10 +84,10 @@ class AvoidanceCache:
         #: State, not a setting: the engine stores its index's republished
         #: ``sites`` here *before* it calls :meth:`rebuild_allowed`.
         self.sites: Optional[dict] = None
-        #: call site (``None``: empty stack) -> bindings holding / allowed to
-        #: wait there; a key only while its set is non-empty.  Read lock-free,
-        #: a site's entry written under ``_stripes[hash(site) % STRIPES]``.
-        self.allowed: Dict[Optional[Frame], Set[Binding]] = {}
+        #: call site (``None``: empty stack) -> bindings holding / allowed to wait
+        #: there, as dict keys (the search meets them in insertion, not hash, order); a
+        #: key only while non-empty.  Read lock-free, written under its site's stripe.
+        self.allowed: Dict[Optional[Frame], Dict[Binding, None]] = {}
         self._stripes: List[threading.Lock] = [threading.Lock() for _ in range(STRIPES)]
         self.slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
         #: Slots of currently yielding threads only, so release-side wake
@@ -385,7 +385,7 @@ class AvoidanceCache:
         site = stack.top()
         if sites is None or site in sites:
             with self._stripes[hash(site) % STRIPES]:
-                self.allowed.setdefault(site, set()).add((thread_id, lock_id, stack))
+                self.allowed.setdefault(site, {})[thread_id, lock_id, stack] = None
 
     def _retire(self, slot: _ThreadSlot, thread_id: int, lock_id: int,
                 stack: CallStack) -> None:
@@ -411,7 +411,7 @@ class AvoidanceCache:
         with self._stripes[hash(site) % STRIPES]:
             bindings = self.allowed.get(site)
             if bindings is not None:
-                bindings.discard((thread_id, lock_id, stack))
+                bindings.pop((thread_id, lock_id, stack), None)
                 if not bindings:
                     del self.allowed[site]
 

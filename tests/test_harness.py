@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.dimmunix import Dimmunix
@@ -9,7 +13,7 @@ from repro.harness.ablation import run_allow_edge_ablation
 from repro.harness.appworkloads import (run_aiobroker_workload,
                                         run_broker_workload, run_jdbc_workload)
 from repro.harness.effectiveness import run_table1, run_table2
-from repro.harness.falsepos import run_figure9, run_gate_lock_comparison
+from repro.harness.falsepos import run_calibration, run_figure9, run_gate_lock_comparison
 from repro.harness.overhead import _collect_app_stacks
 from repro.harness.report import format_table, overhead_percent
 from repro.harness.resources import run_resource_utilization
@@ -109,6 +113,35 @@ class TestSimulationRunners:
                            iterations=10, full_depth=3)
         assert len(rows) == 2
         assert rows[0].false_positives >= rows[1].false_positives
+
+    def test_calibration_small(self):
+        depths, run = run_calibration(threads=8, locks=4, signatures=8, iterations=20,
+                                      full_depth=6)
+        assert [row["depth"] for row in depths] == sorted(row["depth"] for row in depths)
+        assert sum(row["signatures left here"] for row in depths) == 8
+        assert all(0 <= row["false positives"] <= row["avoidances"] for row in depths)
+        # Every signature starts at depth 1, yields there, and moves deeper.
+        assert depths[0]["depth"] == 1 and depths[0]["avoidances"] > 0
+        assert depths[0]["signatures left here"] == 0
+        [row] = run
+        assert set(row) == {"depths", "seeds", "ops/s", "yields", "overhead %"}
+        assert row["seeds"] == 10 and row["ops/s"] > 0
+
+    def test_a_simulated_row_does_not_depend_on_the_hash_seed(self):
+        """Depth 1 matches every request, so which binding the cover search
+        meets first decides each yield's cause: a set iterated in hash
+        order there made the row differ from process to process."""
+        script = ("from repro.harness.falsepos import run_figure9\n"
+                  "print(run_figure9(depths=(1,), threads=8, locks=4, signatures=8,"
+                  " iterations=10, full_depth=3)[0].as_dict())\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        rows = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            rows.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True, timeout=120).stdout)
+        assert rows[0] == rows[1] != ""
 
     def test_gate_comparison_small(self):
         comparison = run_gate_lock_comparison(threads=8, locks=4, signatures=8,
