@@ -11,8 +11,8 @@ simulator — funnel every lock operation through the four entry points of
 * :meth:`AvoidanceEngine.cancel`   — when a trylock / timed lock gives up.
 
 The thread and asyncio drivers first offer each acquisition to
-:meth:`AvoidanceEngine.settle_miss`, which stands in for ``request`` and
-``acquired`` where those could only grant and record an uncontended hold.
+:meth:`AvoidanceEngine.settle`, which stands in for ``request`` and
+``acquired`` wherever those would grant and record an uncontended hold.
 
 The engine keeps the avoidance cache current, emits events for the
 asynchronous monitor, matches the current state against the signature
@@ -192,7 +192,7 @@ class AvoidanceEngine:
             cache.sites = sites
             cache.rebuild_allowed()
 
-        if self._should_bypass(slot, lock_id, stack, sites):
+        if self._should_bypass(slot, lock_id):
             return self._grant(slot, thread_id, lock_id, stack, now, mode, capacity)
         groups = self.index.lookup(stack, sites)
         if not groups or stack.top().function in self._external_names:
@@ -250,57 +250,68 @@ class AvoidanceEngine:
                 return RequestOutcome(Decision.YIELD, signature=signature,
                                       causes=causes)
 
-    def _should_bypass(self, slot, lock_id: int, stack: CallStack,
-                       sites: dict) -> bool:
-        """Cases in which no history matching is performed, decided before ``sites`` is probed."""
+    def _should_bypass(self, slot, lock_id: int) -> bool:
+        """Cases in which no history matching is performed."""
         if self.config.detection_only:
             return True
         if slot.forced_go:
             slot.forced_go = False
             self.stats.bump("forced_go")
             return True
-        if lock_id in slot.holds and lock_id not in self._multiholder:
-            # Reentrant re-acquisition of a plain mutex can never deadlock
-            # on its own.  Multi-holder resources do NOT get this bypass:
-            # taking a second semaphore permit, or upgrading a read hold
-            # to a write hold, can absolutely complete a cycle.
-            return True
-        return self._capture_answers(stack, sites)
+        # Reentrant re-acquisition of a plain mutex can never deadlock
+        # on its own.  Multi-holder resources do NOT get this bypass:
+        # taking a second semaphore permit, or upgrading a read hold
+        # to a write hold, can absolutely complete a cycle.
+        return lock_id in slot.holds and lock_id not in self._multiholder
 
-    def _capture_answers(self, stack: CallStack, sites: dict) -> bool:
-        """The engine matches, and the capture's verdict answers it without a probe.
+    def settle(self, thread_id: int, lock_id: int, stack: CallStack,
+               mode: str, capacity: int, try_native) -> bool:
+        """A whole uncontended acquisition that :meth:`request` would grant, or nothing.
 
-        The capture probed this very object, and a published index never changes.
-        """
-        return (self.mode == MODE_FULL and not self.config.detection_only
-                and stack.absent_from is sites)
-
-    def settle_miss(self, thread_id: int, lock_id: int, stack: CallStack,
-                    mode: str, capacity: int, try_native) -> bool:
-        """A whole uncontended acquisition at a site no signature names, or nothing.
-
-        Where :meth:`request` could only grant and :meth:`acquired` only
-        record the hold — the capture answers (:meth:`_capture_answers`)
-        for the filter the index and the cache share, the thread has no
-        forced GO, yield or allow edge pending — ``try_native(thread_id,
+        Under the filter the index and the cache share, in full mode, with
+        no forced GO, yield or allow edge pending, ``try_native(thread_id,
         mode)`` takes the primitive without blocking; taken, it is recorded
-        as those two record it: the hold, then ALLOW and ACQUIRED under one
-        timestamp.  Anywhere else, False with nothing taken or recorded.
+        as :meth:`request` and :meth:`acquired` record it: the hold, then
+        ALLOW and ACQUIRED under one timestamp.  A stack that matches a
+        signature's (no capture verdict, no foreign routine, no reentrant
+        mutex hold) is searched first, under the match mutex, kept across
+        the take and the hold, which the next search then sees as it sees
+        :meth:`_grant`'s allow edge; REQUEST leads its records.  Where an
+        instance stands, or the take fails: False, nothing taken or recorded.
         """
         cache, sites = self.cache, self.index.sites
-        if cache.sites is not sites or not self._capture_answers(stack, sites):
+        if (cache.sites is not sites or self.mode != MODE_FULL
+                or self.config.detection_only):
             return False
         slot = cache.slots.get(thread_id)
         if (slot.forced_go or slot.yield_cause or slot.yield_state is not None
                 or slot.waiting is not None):
             return False
+        if stack.absent_from is not sites and (
+                lock_id not in slot.holds or capacity > 1 or mode == SHARED
+                or lock_id in self._multiholder):
+            groups = self.index.lookup(stack, sites)
+            if groups and stack.top().function not in self._external_names:
+                if capacity > 1 or mode == SHARED:
+                    self._learn_spec(lock_id, mode, capacity)  # the search reads it
+                with self._match_mutex:
+                    return (self._match_candidates(groups, thread_id, lock_id, stack) is None
+                            and self._take(slot, thread_id, lock_id, stack, mode,
+                                           capacity, try_native, True))
+        return self._take(slot, thread_id, lock_id, stack, mode, capacity, try_native, False)
+
+    def _take(self, slot, thread_id: int, lock_id: int, stack: CallStack, mode: str,
+              capacity: int, try_native, searched: bool) -> bool:
+        """The round's native take and, when it took, its hold and records."""
         if not try_native(thread_id, mode):
             return False
         if capacity > 1 or mode == SHARED:
             self._learn_spec(lock_id, mode, capacity)
         now = self.clock.now()
-        cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
+        self.cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
         emit = self.events.emit
+        if searched:
+            emit(EV_REQUEST, thread_id, lock_id, stack, (), now, mode, capacity)
         emit(EV_ALLOW, thread_id, lock_id, stack, (), now, mode, capacity)
         emit(EV_ACQUIRED, thread_id, lock_id, stack, (), now, mode, capacity)
         return True

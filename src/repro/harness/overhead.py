@@ -88,7 +88,7 @@ def _collect_app_stacks(app_name: str, threads: int, cycles: int) -> List[CallSt
     for event in runtime.dimmunix.engine.events.drain():
         if event.stack and len(event.stack) > 0:
             stacks.add(event.stack)
-    return list(stacks)
+    return sorted(stacks)  # not hash order: the same histories in every process
 
 
 def _synthesize_app_history(stacks: List[CallStack], count: int,
@@ -107,6 +107,8 @@ def _synthesize_app_history(stacks: List[CallStack], count: int,
     call site keeps the matching work identical — the request-side suffix
     still hits the index and the cover search still runs — while keeping
     the instantiation probability comparable to the paper's setting.
+    Every stack is named once before the rest are drawn at random, so no
+    size leaves one of the application's sites out of the index.
     """
     rng = random.Random(seed)
     history = History(path=None, autosave=False)
@@ -115,7 +117,7 @@ def _synthesize_app_history(stacks: List[CallStack], count: int,
     attempts = 0
     while len(history) < count and attempts < count * 50 + 100:
         attempts += 1
-        real = stacks[rng.randrange(len(stacks))]
+        real = stacks[attempts - 1 if attempts <= len(stacks) else rng.randrange(len(stacks))]
         foreign = CallStack.from_labels([
             f"vendor_hook_{rng.randrange(10_000)}:{rng.randrange(500)}",
             f"vendor_module_{rng.randrange(100)}:{rng.randrange(500)}",

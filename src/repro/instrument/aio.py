@@ -149,8 +149,8 @@ class AsyncioParker(ThreadParker):
     def prepare(self, task_id: int) -> None:
         """Arm the wake future for ``task_id`` (call *before* request).
 
-        Runs on every acquisition the engine's miss round declines: a GO at
-        a named site or a forced one, a contended primitive, a yield.  The
+        Runs on every acquisition the engine's round declines: a forced GO,
+        a contended primitive, a yield (a standing instance).  The
         task's pending future is reused across requests and a fresh one is
         created only when the previous round resolved it (a yield that was
         woken), so each GO after the first is a dict read, no allocation.
@@ -349,7 +349,7 @@ def _caller_identity(runtime: AsyncioRuntime) -> Tuple[Optional[int], CallStack]
 
 async def _acquire(lock, task_id: Optional[int], stack: CallStack,
                    mode: str, capacity: int, timeout: Optional[float]) -> bool:
-    """Settle in the engine's miss round, or drive the protocol, for the running task.
+    """Settle in the engine's one-call round, or drive the protocol, for the running task.
 
     ``lock`` supplies the native half: ``_try_native(task_id, mode)`` and
     the coroutine ``_wait_native(task_id, mode, timeout)``.  ``timeout``
@@ -361,7 +361,7 @@ async def _acquire(lock, task_id: Optional[int], stack: CallStack,
     core = runtime.core
     if task_id is None:
         task_id = runtime.current_task_id()
-    if core.settle_miss(task_id, lock._lock_id, stack, mode, capacity, lock._try_native):
+    if core.settle(task_id, lock._lock_id, stack, mode, capacity, lock._try_native):
         return True
     # The loop's clock, not time.monotonic: a virtual-time loop expires too.
     now = None if timeout is None else asyncio.get_running_loop().time

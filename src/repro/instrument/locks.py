@@ -37,7 +37,7 @@ from .skeleton import MutexSkeleton, RWLockSkeleton, SemaphoreSkeleton
 
 def _acquire(lock, thread_id: int, stack, mode: str, capacity: int,
              blocking: bool, timeout: Optional[float]) -> bool:
-    """Settle in the engine's miss round, or drive the protocol, for the calling thread.
+    """Settle in the engine's one-call round, or drive the protocol, for the calling thread.
 
     ``lock`` supplies the native half: ``_try_native(thread_id, mode)``
     and ``_wait_native(thread_id, mode, timeout)``, both answering
@@ -46,7 +46,7 @@ def _acquire(lock, thread_id: int, stack, mode: str, capacity: int,
     if timeout is not None and not blocking:
         raise ValueError("can't specify a timeout for a non-blocking call")
     core = lock._runtime.core
-    if core.settle_miss(thread_id, lock._lock_id, stack, mode, capacity, lock._try_native):
+    if core.settle(thread_id, lock._lock_id, stack, mode, capacity, lock._try_native):
         return True
     deadline = None if timeout is None else time.monotonic() + timeout
     steps = acquisition(core, thread_id, lock._lock_id, stack, mode, capacity,

@@ -149,7 +149,7 @@ def acquire_parked(dimmunix, meanwhile=None, at="capture", while_held=None):
     """Acquire + release a real lock on a fresh thread; returns what it saw while it held it.
 
     With ``meanwhile`` the thread is parked until that has run: ``at="capture"``
-    after its capture, before the engine's miss round or any other engine call;
+    after its capture, before the engine's round or any other engine call;
     ``at="take"`` after the native take, before the hold is recorded.  The
     holder runs ``while_held`` too, if given (its frames stay live meanwhile).
     """
@@ -157,8 +157,8 @@ def acquire_parked(dimmunix, meanwhile=None, at="capture", while_held=None):
     lock = DimmunixLock(runtime=runtime)
     trap = Trap("trapped")
     if at == "capture":
-        settle_miss = runtime.core.settle_miss
-        runtime.core.settle_miss = lambda *args: (trap.here(), settle_miss(*args))[1]
+        settle = runtime.core.settle
+        runtime.core.settle = lambda *args: (trap.here(), settle(*args))[1]
     else:
         try_native = lock._try_native
         lock._try_native = lambda *args: (try_native(*args), trap.here())[0]
@@ -199,7 +199,7 @@ class TestTheFilterMovesBetweenCaptureAndRequest:
     """The capture's verdict holds for the filter object it probed, and for no other.
 
     A real lock's acquisition is parked between ``capture_stack`` and its first engine
-    call, the miss round, while the history republishes the filter; the round must then
+    call, the round, while the history republishes the filter; the round must then
     decline, and the engine and the cache probe for themselves, whichever way the verdict
     went stale.
     """
@@ -232,7 +232,7 @@ class TestTheFilterMovesBetweenCaptureAndRequest:
 
 
 class TestTheFilterNamesTheSiteDuringTheRound:
-    """The miss round took the primitive on the capture's verdict; the site is named before its hold.
+    """The round took the primitive on the capture's verdict; the site is named before its hold.
 
     The round records the hold after its native take, and the history may
     republish the filter in between.  The hold is then indexed by the round

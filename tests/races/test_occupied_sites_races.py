@@ -10,6 +10,13 @@ not found by the search, so nobody yields on it.  Here the requester is
 parked between the two while another thread adds and removes a binding at
 a needed site.  That thread takes a forced GO, the bypass the monitor
 grants, because the parked requester holds the match mutex.
+
+The engine's one-call round (``AvoidanceEngine.settle``) searches under
+the same mutex and keeps it across its native take and the hold it
+records.  Two rounds at the two sites of one signature are serialized
+there, so the second sees the first's hold and declines; and a release of
+the primitive the round is taking takes no match mutex, so the two finish
+in either order.
 """
 
 from __future__ import annotations
@@ -20,10 +27,13 @@ import time
 import pytest
 
 from repro.core.avoidance import AvoidanceEngine
-from repro.core.callstack import CallStack
+from repro.core.callstack import CallStack, Frame
 from repro.core.config import DimmunixConfig
+from repro.core.dimmunix import Dimmunix
+from repro.core.events import EV_REQUEST, EV_YIELD
 from repro.core.history import History
-from repro.core.signature import Signature
+from repro.core.signature import EXCLUSIVE, Signature
+from repro.instrument import DimmunixRWLock, InstrumentationRuntime
 
 from .harness import Trap, preemption_pressure, run_threads
 
@@ -168,3 +178,124 @@ class TestChurnAtNeededSites:
             assert (signature, thread_id, at) in ((first, 3, ANCHOR), (second, 4, NEEDED))
             assert lock_id // 100 == thread_id
         assert engine.cache.allowed == {}
+
+
+# -- the one-call round at a named site ------------------------------------------------------
+
+LEFT = stack("left:2", "caller:6", "main:0")
+RIGHT = stack("right:3", "caller:7", "main:0")
+
+
+def take_parked(trap):
+    """A native take that parks its thread (by name) first: between the search and the hold."""
+    return lambda thread_id, mode: (trap.here(), True)[1]
+
+
+class TestTwoRoundsAtOneSignature:
+    """Two threads offer the engine's round an acquisition at each site of one signature.
+
+    The first searches, finds no instance (nothing stands at the other
+    site) and is parked in its native take, still holding the match
+    mutex.  The second must wait for the mutex, then see the first's hold:
+    it declines the round, and its request YIELDs on that hold.
+    """
+
+    @pytest.mark.parametrize("first_at, second_at", [(LEFT, RIGHT), (RIGHT, LEFT)])
+    def test_the_second_waits_for_the_first_hold_then_yields_on_it(self, first_at, second_at):
+        history = History(path=None, autosave=False)
+        history.add(Signature([LEFT, RIGHT], matching_depth=2))
+        engine = AvoidanceEngine(history, DimmunixConfig.for_testing())
+        assert engine.request(99, 99, stack("syncer:1")).is_go  # hand the filter over
+        engine.cancel(99, 99)
+        trap, settled = Trap("trapped"), {}
+
+        def offer(name, thread_id, lock_id, at, take):
+            settled[name] = engine.settle(thread_id, lock_id, at, EXCLUSIVE, 1, take)
+
+        first = threading.Thread(target=offer, args=("first", 1, 10, first_at, take_parked(trap)),
+                                 name="trapped-first", daemon=True)
+        first.start()
+        assert trap.reached.wait(10.0)
+        second = threading.Thread(target=offer, name="second", daemon=True,
+                                  args=("second", 2, 20, second_at, lambda *_: True))
+        second.start()
+        second.join(0.1)
+        assert second.is_alive() and "second" not in settled  # waiting for the mutex
+        resume(trap, first)
+        second.join(10.0)
+        assert not second.is_alive()
+        assert settled == {"first": True, "second": False}
+        assert not engine.cache.binding_live(2, 20)  # declined: nothing taken or recorded
+        outcome = engine.request(2, 20, second_at)
+        assert outcome.is_yield and outcome.causes == ((1, 10, first_at),)
+
+
+def read_at_named_site(rwlock):
+    return rwlock.acquire_read()  # the call site the rwlock race's signature names
+
+
+class TestRoundAgainstARelease:
+    """A hit-round read acquisition of a ``DimmunixRWLock`` races a release of it.
+
+    The round holds the match mutex across its native take, which takes the
+    rwlock's own mutex; a release holds that mutex while it tells the
+    engine, which takes no match mutex.  Whichever is parked inside, the
+    other finishes, and then both do: the lock order is match mutex, then
+    the primitive's mutex, never the reverse.
+    """
+
+    @pytest.mark.parametrize("parked", ["round", "release"])
+    def test_both_finish_in_either_order(self, parked):
+        filename = CallStack.capture(skip=0).top().filename  # this file, as a capture names it
+        site = CallStack([Frame("read_at_named_site", filename,
+                                read_at_named_site.__code__.co_firstlineno + 1)])
+        history = History(path=None, autosave=False)
+        history.add(Signature([site, stack("foreign:5", "far:6")], matching_depth=1))
+        runtime = InstrumentationRuntime(Dimmunix(DimmunixConfig.for_testing(), history=history))
+        rwlock, trap, settled = DimmunixRWLock(runtime=runtime), Trap("trapped"), []
+        settle, release = runtime.core.settle, runtime.core.release
+        runtime.core.settle = lambda *args: (settled.append(settle(*args)), settled[-1])[1]
+        if parked == "round":
+            try_native = rwlock._try_native
+            rwlock._try_native = lambda *args: (trap.here(), try_native(*args))[1]
+        else:
+            runtime.core.release = lambda *args: (trap.here(), release(*args))[1]
+        holding, let_go = threading.Event(), threading.Event()
+
+        def holder():
+            assert rwlock.acquire_read()
+            holding.set()
+            assert let_go.wait(10.0)
+            rwlock.release_read()
+
+        def reader():
+            assert read_at_named_site(rwlock)
+            rwlock.release_read()
+
+        # Daemons: a lock-order inversion wedges both for good, and must fail, not hang.
+        holder_thread = threading.Thread(
+            target=holder, name="trapped-releaser" if parked == "release" else "holder",
+            daemon=True)
+        holder_thread.start()
+        assert holding.wait(10.0)
+        reader_thread = threading.Thread(
+            target=reader, name="trapped-reader" if parked == "round" else "reader", daemon=True)
+        if parked == "round":
+            reader_thread.start()
+            assert trap.reached.wait(10.0)  # in the round, the match mutex held
+            let_go.set()
+            holder_thread.join(10.0)
+            assert not holder_thread.is_alive()  # the release took no match mutex
+        else:
+            let_go.set()
+            assert trap.reached.wait(10.0)  # in the release, the rwlock's mutex held
+            reader_thread.start()
+            reader_thread.join(0.1)
+            assert reader_thread.is_alive()  # its native take waits for that mutex
+        resume(trap, reader_thread if parked == "round" else holder_thread)
+        for thread in (holder_thread, reader_thread):
+            thread.join(10.0)
+            assert not thread.is_alive()
+        assert settled[-1] is True and rwlock.reader_count() == 0
+        kinds = [record[1] for record in runtime.dimmunix.engine.events.drain_raw()]
+        assert EV_REQUEST in kinds and EV_YIELD not in kinds

@@ -66,12 +66,13 @@ def _release_once_parked(runtime: AsyncioRuntime, release_now: threading.Event) 
 
 
 async def _armed_then_yield(runtime: AsyncioRuntime, lock: AioLock) -> None:
-    """A granted round at a named site arms the task's wake future; the yield then parks on it.
+    """A forced GO arms the task's wake future; the yield then parks on it.
 
-    Named, so the engine's miss round declines it and the protocol arms the
-    parker; the yield's ``prepare`` then takes the loop-free fast path.
+    Forced, so the engine's one-call round declines it and the protocol arms
+    the parker; the yield's ``prepare`` then takes the loop-free fast path.
     """
     warm = AioLock(runtime=runtime)
+    runtime.engine.force_go(runtime.current_task_id())
     assert await _hold_at(warm)
     warm.release()
     assert await _yield_at(lock, timeout=10.0)

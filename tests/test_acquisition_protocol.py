@@ -7,8 +7,8 @@ recording :class:`RuntimeCore`, run the same *shape* of acquisition
 through the thread driver, the asyncio driver and ``SimScheduler``, and
 require the same engine-call sequence from each — for a mutex, a
 two-permit semaphore, and both sides of a reader-writer lock.  The thread
-and asyncio drivers first offer the engine the miss round
-(``RuntimeCore.settle_miss``), recorded as ``("round", mode, capacity,
+and asyncio drivers first offer the engine the one-call round
+(``RuntimeCore.settle``), recorded as ``("round", mode, capacity,
 what came of it)``; the simulator never does.
 
 The simulator parks by flipping the thread to YIELDING rather than
@@ -49,17 +49,17 @@ class ScriptedCore(DimmunixBackend):
     """
 
     def __init__(self, decisions=("go",), park="woken", yield_timeout=None,
-                 miss_round="declines"):
+                 the_round="declines"):
         super().__init__(Dimmunix(config=DimmunixConfig.for_testing(
             yield_timeout=yield_timeout)))
         self.subject = None
         self.calls = []
         self._decisions = list(decisions)
         self._park = park
-        #: "declines" (the site is named, a yield is pending, ...) or
-        #: "accepts" the subject's miss round; accepted, the native take decides.
-        self._miss_round = miss_round
-        #: Miss rounds asked for, by any thread.
+        #: "declines" (an instance stands, a yield is pending, ...) or
+        #: "accepts" the subject's round; accepted, the native take decides.
+        self._round = the_round
+        #: Rounds asked for, by any thread.
         self.rounds = 0
         #: The subject's non-blocking native takes, the round's included.
         self.native_tries = 0
@@ -75,11 +75,11 @@ class ScriptedCore(DimmunixBackend):
         if self._mine(thread_id):
             self.calls.append("prepare_wait")
 
-    def settle_miss(self, thread_id, lock_id, stack, mode, capacity, try_native):
+    def settle(self, thread_id, lock_id, stack, mode, capacity, try_native):
         self.rounds += 1
         if not self._mine(thread_id):
             return False
-        if self._miss_round == "declines":
+        if self._round == "declines":
             self.calls.append(("round", mode, capacity, "declined"))
             return False
         taken = try_native(thread_id, mode)
@@ -385,7 +385,7 @@ def run_sim(kind, core, busy=None, trylock=False, wake=False):
 
 
 def declined(m, expected):
-    """The thread and asyncio drivers' sequence when the engine declines the miss round."""
+    """The thread and asyncio drivers' sequence when the engine declines the round."""
     return [("round", *m, "declined")] + expected
 
 
@@ -496,7 +496,7 @@ class TestTheMissRound:
     def test_an_accepted_round_on_a_free_primitive_is_one_call(self, kind):
         m = KINDS[kind]
         for run in (run_threads, run_aio):
-            core = ScriptedCore(miss_round="accepts")
+            core = ScriptedCore(the_round="accepts")
             assert run(kind, core) == (True, [("round", *m, "taken"), "release"])
             assert core.native_tries == 1
 
@@ -511,7 +511,7 @@ class TestTheMissRound:
         expected = ["prepare_wait", ("request", *m), "note_blocked",
                     ("acquired", *m), "release"]
         for run in (run_threads, run_aio):
-            declining, accepting = ScriptedCore(), ScriptedCore(miss_round="accepts")
+            declining, accepting = ScriptedCore(), ScriptedCore(the_round="accepts")
             assert run(kind, declining, busy="freed") == (True, declined(m, expected))
             assert run(kind, accepting, busy="freed") == (
                 True, [("round", *m, "contended")] + expected)
@@ -520,17 +520,17 @@ class TestTheMissRound:
     def test_a_contended_round_then_a_deadline_or_a_refused_trylock_cancels(self, kind):
         m = KINDS[kind]
         contended = [("round", *m, "contended"), "prepare_wait", ("request", *m)]
-        assert run_threads(kind, ScriptedCore(miss_round="accepts"), busy="held",
+        assert run_threads(kind, ScriptedCore(the_round="accepts"), busy="held",
                            timeout=0.01) == (False, contended + ["note_blocked", "cancel"])
-        assert run_aio(kind, ScriptedCore(miss_round="accepts"), busy="held",
+        assert run_aio(kind, ScriptedCore(the_round="accepts"), busy="held",
                        timeout=0.01) == (False, contended + ["note_blocked", "cancel"])
         if not kind.startswith("rw"):
-            assert run_threads(kind, ScriptedCore(miss_round="accepts"), busy="held",
+            assert run_threads(kind, ScriptedCore(the_round="accepts"), busy="held",
                                blocking=False) == (False, contended + ["cancel"])
 
     def test_the_simulator_never_asks_for_the_round(self, kind):
         m = KINDS[kind]
-        contended, free = ScriptedCore(miss_round="accepts"), ScriptedCore(miss_round="accepts")
+        contended, free = ScriptedCore(the_round="accepts"), ScriptedCore(the_round="accepts")
         assert run_sim(kind, contended, busy="freed") == (
             True, ["prepare_wait", ("request", *m), "note_blocked", ("acquired", *m),
                    "release"])

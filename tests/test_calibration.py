@@ -348,7 +348,7 @@ class TestCalibrationWithEngine:
         assert state["fps_at_depth"] == {1: 1, 2: 1}
 
     def test_an_uncontended_acquisition_settles_in_one_call_and_is_still_logged(self, monkeypatch):
-        """An open episode no longer turns the miss round away: the monitor sees its records."""
+        """An open episode no longer turns the round away: the monitor sees its records."""
         dimmunix, _signature = calibrating_world()
         engine, runtime = dimmunix.engine, InstrumentationRuntime(dimmunix)
         tid = runtime.current_thread_id()
@@ -361,9 +361,9 @@ class TestCalibrationWithEngine:
         # The first-contact depth change republished the filter: hand it to the cache.
         assert engine.request(3, 99, stack("syncer:1", "m:0")).is_go
         engine.cancel(3, 99)
-        settled, settle_miss = [], engine.settle_miss
-        monkeypatch.setattr(engine, "settle_miss",
-                            lambda *args: settled.append(settle_miss(*args)) or settled[-1])
+        settled, settle = [], engine.settle
+        monkeypatch.setattr(engine, "settle",
+                            lambda *args: settled.append(settle(*args)) or settled[-1])
         lock = DimmunixLock(runtime=runtime)
         lock.acquire()
         lock.release()

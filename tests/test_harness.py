@@ -14,7 +14,7 @@ from repro.harness.appworkloads import (run_aiobroker_workload,
                                         run_broker_workload, run_jdbc_workload)
 from repro.harness.effectiveness import run_table1, run_table2
 from repro.harness.falsepos import run_calibration, run_figure9, run_gate_lock_comparison
-from repro.harness.overhead import _collect_app_stacks
+from repro.harness.overhead import _collect_app_stacks, _synthesize_app_history
 from repro.harness.report import format_table, overhead_percent
 from repro.harness.resources import run_resource_utilization
 from repro.instrument.aio import AsyncioRuntime
@@ -88,6 +88,31 @@ class TestFigure4History:
         # frames: every signature would then name a bare lock site.
         stacks = _collect_app_stacks(app, threads=2, cycles=2)
         assert stacks and all(len(stack) > 1 for stack in stacks)
+
+    @pytest.mark.parametrize("app", ["broker", "jdbc", "aiobroker"])
+    def test_every_size_names_every_collected_stack(self, app):
+        stacks = _collect_app_stacks(app, threads=2, cycles=2)
+        assert stacks == sorted(stacks)
+        for size in (32, 64, 128):
+            history = _synthesize_app_history(stacks, count=size, seed=size)
+            assert len(history) == size
+            assert {stack for signature in history for stack in signature.stacks} >= set(stacks)
+
+    def test_the_histories_do_not_depend_on_the_hash_seed(self):
+        """The collected stacks came back in set order, so each process drew other ones."""
+        script = ("from repro.harness.overhead import _collect_app_stacks, _synthesize_app_history\n"
+                  "stacks = _collect_app_stacks('broker', threads=2, cycles=2)\n"
+                  "print([signature.fingerprint for signature in"
+                  " _synthesize_app_history(stacks, count=32, seed=32)])\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        fingerprints = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+            fingerprints.append(subprocess.run([sys.executable, "-c", script], env=env,
+                                               check=True, capture_output=True, text=True,
+                                               timeout=120).stdout)
+        assert fingerprints[0] == fingerprints[1] != ""
 
 
 class TestEffectivenessRunners:

@@ -324,13 +324,16 @@ class TestTheCaptureAsksTheFilterOnce:
     def _kinds(dimmunix):
         return [record[1] for record in dimmunix.engine.events.drain_raw()]
 
-    def test_a_miss_path_acquisition_probes_the_filter_once(self):
+    def test_a_miss_path_acquisition_probes_the_filter_once(self, hand_over_the_filter):
         dimmunix, _runtime, lock = self._world()
         index = dimmunix.engine.index
         index.sites = _CountingSites(index.sites)
+        hand_over_the_filter(dimmunix.engine)  # else the round declines, and request probes
+        index.sites.probes = 0
+        dimmunix.engine.events.drain_raw()
         lock.acquire()
         lock.release()
-        # The capture's probe; the engine's and the cache's were the second and third.
+        # The capture's probe; the round's and the cache's were the second and third.
         assert index.sites.probes == 1
         assert self._kinds(dimmunix) == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
         assert dimmunix.engine.cache.allowed_set_sizes() == {}

@@ -1,17 +1,22 @@
-"""The miss round settles an acquisition exactly as the protocol generator would.
+"""The one-call round settles an acquisition exactly as the protocol generator would.
 
 The thread and asyncio drivers offer every acquisition to
-``RuntimeCore.settle_miss`` first; where the engine accepts it, one call
+``RuntimeCore.settle`` first; where the engine accepts it, one call
 stands in for ``request`` + the native take + ``acquired``.  Here
 hypothesis drives sequences of acquisitions, trylocks, releases and
-forced GOs at call sites no signature names, over every engine-tracked
-primitive of both runtimes, twice: once with the round on and once with
-it forced to decline, so every acquisition goes through
-``acquisition()``.  The two runs must leave the same records (code,
-thread, lock, mode, capacity), counters, cache and monitor graph.
+forced GOs over every engine-tracked primitive of both runtimes, at call
+sites no signature names and at one a signature names (its other stack
+at a foreign site, so the cover search runs and finds no instance),
+twice: once with the round on and once with it forced to decline, so
+every acquisition goes through ``acquisition()``.  The two runs must
+leave the same records (code, thread, lock, mode, capacity; REQUEST
+included), counters, cache (the Allowed bindings at named sites and the
+owner map too) and monitor graph.
 
 Below them, each condition under which the engine declines the round,
-and a contended native take, is pinned as "nothing recorded, nothing taken".
+and a contended native take, is pinned as "nothing recorded, nothing
+taken"; at a named site the round settles with REQUEST, unless an
+instance stands, when it declines and the generator then YIELDs.
 """
 
 from __future__ import annotations
@@ -23,12 +28,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.avoidance import MODE_INSTRUMENTATION_ONLY
-from repro.core.callstack import CallStack
+from repro.core.avoidance import MODE_INSTRUMENTATION_ONLY, Decision
+from repro.core.callstack import CallStack, Frame
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
-from repro.core.events import EV_ACQUIRED, EV_ALLOW
+from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_REQUEST, EV_YIELD
 from repro.core.history import History
+from repro.core.runtime_api import PARK, acquisition
 from repro.core.signature import EXCLUSIVE, SHARED, Signature
 from repro.instrument import (AioCondition, AioLock, AioRWLock, AioSemaphore,
                               AsyncioRuntime, DimmunixBoundedSemaphore, DimmunixLock,
@@ -42,11 +48,31 @@ def stack(*labels):
     return CallStack.from_labels(list(labels))
 
 
+def at_named_site(take, *args):
+    return take(*args)  # the call site NAMED names
+
+
+async def at_named_site_aio(take, *args):
+    return await take(*args)  # the call site NAMED names
+
+
+def _site(function) -> CallStack:
+    filename = CallStack.capture(skip=0).top().filename  # this file, as a capture names it
+    return CallStack([Frame(function.__name__, filename, function.__code__.co_firstlineno + 1)])
+
+
+#: A signature over the named helpers' call sites and a foreign one: a request there hits
+#: the index and runs the cover search, which never finds the foreign site occupied.
+NAMED = Signature([_site(at_named_site), _site(at_named_site_aio), stack("foreign:5", "far:6")],
+                  matching_depth=1)
+
+
 def foreign_world(detection_only=False) -> Dimmunix:
-    """An engine whose history names sites no test acquisition is made at."""
+    """An engine whose history names sites no test acquisition is made at, and NAMED."""
     history = History(path=None, autosave=False)
     history.add(Signature([stack("foreign:1", "far:2"), stack("foreign:3", "far:4")],
                           matching_depth=2))
+    history.add(NAMED)
     dimmunix = Dimmunix(config=DimmunixConfig.for_testing(detection_only=detection_only),
                         history=history)
     hand_over_the_filter(dimmunix.engine)
@@ -63,15 +89,15 @@ def hand_over_the_filter(engine) -> None:
 def switch(core, on: bool) -> list:
     """Leave the round on, counting acceptances, or force it to decline."""
     accepted = []
-    settle_miss = core.settle_miss
+    settle = core.settle
     if on:
         def counted(*args):
-            taken = settle_miss(*args)
+            taken = settle(*args)
             accepted.append(taken)
             return taken
-        core.settle_miss = counted
+        core.settle = counted
     else:
-        core.settle_miss = lambda *args: False
+        core.settle = lambda *args: False
     return accepted
 
 
@@ -93,19 +119,23 @@ def spy_on_the_monitor(dimmunix) -> list:
 
 def what_is_left(dimmunix, drained) -> dict:
     dimmunix.process_now()
-    rag = dimmunix.monitor.rag
+    rag, cache = dimmunix.monitor.rag, dimmunix.engine.cache
     assert rag.order_violations == 0
+    allowed = {site: [binding[:2] for binding in bindings]
+               for site, bindings in cache.allowed.items()}
     return {"records": list(drained), "stats": dimmunix.stats.snapshot(),
-            "cache": dimmunix.engine.cache.snapshot(), "rag": rag.snapshot()}
+            "cache": cache.snapshot(), "allowed": allowed, "owners": dict(cache._owners),
+            "rag": rag.snapshot()}
 
 
 # -- the sequences ------------------------------------------------------------------------
 
-#: (op, actor, primitive, shared): op is "acquire", "release" (the actor's
-#: n-th standing hold, n = primitive) or "force_go"; shared asks a reader
-#: lock's read side.
+#: (op, actor, primitive, shared, named): op is "acquire", "release" (the
+#: actor's n-th standing hold, n = primitive) or "force_go"; shared asks a
+#: reader lock's read side, named an acquisition at NAMED's call site.
 OPS = st.lists(st.tuples(st.sampled_from(["acquire", "acquire", "release", "force_go"]),
-                         st.integers(0, ACTORS - 1), st.integers(0, 4), st.booleans()),
+                         st.integers(0, ACTORS - 1), st.integers(0, 4), st.booleans(),
+                         st.booleans()),
                max_size=24)
 
 
@@ -146,11 +176,13 @@ def thread_primitives(runtime):
             DimmunixBoundedSemaphore(1, runtime=runtime), DimmunixRWLock(runtime=runtime)]
 
 
-def thread_acquire(primitive, shared, free):
+def thread_acquire(primitive, shared, free, named):
     if isinstance(primitive, DimmunixRWLock):
         take = primitive.acquire_read if shared else primitive.acquire_write
-        return take(None if free else 0)
-    return primitive.acquire() if free else primitive.acquire(False)
+        args = (None if free else 0,)
+    else:
+        take, args = primitive.acquire, (() if free else (False,))
+    return at_named_site(take, *args) if named else take(*args)
 
 
 def thread_release(primitive, shared):
@@ -170,12 +202,13 @@ def run_threads(ops, on: bool):
     ids = [actor.submit(runtime.current_thread_id).result(10) for actor in actors]
     model, outcomes = Model(), []
     try:
-        for op, actor, index, shared in ops:
+        for op, actor, index, shared, named in ops:
             primitive = primitives[index]
             shared = shared and isinstance(primitive, DimmunixRWLock)
             if op == "acquire":
                 free = model.attempt(actor, index, isinstance(primitive, DimmunixRLock))
-                got = actors[actor].submit(thread_acquire, primitive, shared, free).result(10)
+                got = actors[actor].submit(thread_acquire, primitive, shared, free,
+                                           named).result(10)
                 if got:
                     model.holds.append((actor, index, shared))
                 outcomes.append(got)
@@ -207,12 +240,13 @@ def aio_primitives(runtime):
             AioRWLock(runtime=runtime), AioCondition(runtime=runtime)]
 
 
-async def aio_acquire(primitive, shared, free):
+async def aio_acquire(primitive, shared, free, named):
     timeout = None if free else 0
     if isinstance(primitive, AioRWLock):
         take = primitive.acquire_read if shared else primitive.acquire_write
-        return await take(timeout)
-    return await primitive.acquire(timeout)
+    else:
+        take = primitive.acquire
+    return await (at_named_site_aio(take, timeout) if named else take(timeout))
 
 
 async def aio_release(primitive, shared):
@@ -268,7 +302,7 @@ def run_aio(ops, on: bool):
         ids = [await on_actor(actor)(runtime.current_task_id) for actor in range(ACTORS)]
         model, outcomes = Model(), []
         try:
-            for op, actor, index, shared in ops:
+            for op, actor, index, shared, named in ops:
                 index %= len(primitives)
                 primitive = primitives[index]
                 cycle = shared and isinstance(primitive, AioCondition) and model.free(index)
@@ -282,7 +316,7 @@ def run_aio(ops, on: bool):
                     await aio_cycle(primitive, on_actor(actor), on_actor(other))
                 elif op == "acquire":
                     free = model.attempt(actor, index)
-                    got = await on_actor(actor)(aio_acquire, primitive, shared, free)
+                    got = await on_actor(actor)(aio_acquire, primitive, shared, free, named)
                     if got:
                         model.holds.append((actor, index, shared))
                     outcomes.append(got)
@@ -342,10 +376,6 @@ def late_signature():
 # Each sets one decline condition up for thread ``tid`` and returns the stack to offer;
 # the rest take the capture of the calling test, at a site no signature names.
 
-def named_site(dimmunix, runtime, tid):
-    return stack("named:1", "caller:2")  # eager: no capture verdict
-
-
 def republished_since_the_capture(dimmunix, runtime, tid):
     offered = runtime.capture_stack()
     dimmunix.history.add(late_signature())
@@ -384,7 +414,7 @@ def instrumentation_only(dimmunix, runtime, tid):
 
 class TestTheRoundDeclines:
     @pytest.mark.parametrize("condition", [
-        named_site, republished_since_the_capture, not_handed_to_the_cache, forced_go,
+        republished_since_the_capture, not_handed_to_the_cache, forced_go,
         yield_cause, yield_state, allow_edge_pending, instrumentation_only])
     def test_nothing_is_recorded_and_nothing_taken(self, condition):
         dimmunix = foreign_world()
@@ -394,7 +424,7 @@ class TestTheRoundDeclines:
         before = state_of(dimmunix, tid)
         native = Native()
         for mode, capacity in ((EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)):
-            assert runtime.core.settle_miss(tid, 5, offered, mode, capacity, native) is False
+            assert runtime.core.settle(tid, 5, offered, mode, capacity, native) is False
         assert native.calls == 0
         assert state_of(dimmunix, tid) == ([],) + before[1:]
 
@@ -404,7 +434,7 @@ class TestTheRoundDeclines:
         tid = runtime.current_thread_id()
         offered, native = runtime.capture_stack(), Native()
         before = state_of(dimmunix, tid)
-        assert runtime.core.settle_miss(tid, 5, offered, EXCLUSIVE, 1, native) is False
+        assert runtime.core.settle(tid, 5, offered, EXCLUSIVE, 1, native) is False
         assert native.calls == 0 and state_of(dimmunix, tid) == ([],) + before[1:]
 
     @pytest.mark.parametrize("mode, capacity", [(EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)])
@@ -414,7 +444,7 @@ class TestTheRoundDeclines:
         tid = runtime.current_thread_id()
         offered, native = runtime.capture_stack(), Native(free=False)
         before = state_of(dimmunix, tid)
-        assert runtime.core.settle_miss(tid, 5, offered, mode, capacity, native) is False
+        assert runtime.core.settle(tid, 5, offered, mode, capacity, native) is False
         assert native.calls == 1 and state_of(dimmunix, tid) == ([],) + before[1:]
 
     def test_where_it_applies_one_call_records_the_hold(self):
@@ -423,7 +453,7 @@ class TestTheRoundDeclines:
         tid = runtime.current_thread_id()
         offered, native = runtime.capture_stack(), Native()
         state_of(dimmunix, tid)  # drain the hand-over's records
-        assert runtime.core.settle_miss(tid, 5, offered, SHARED, 1, native) is True
+        assert runtime.core.settle(tid, 5, offered, SHARED, 1, native) is True
         records, _stats, cache, multiholder, fields = state_of(dimmunix, tid)
         assert native.calls == 1 and multiholder
         assert [(r[1], r[2], r[3], r[4], r[7]) for r in records] == [
@@ -431,3 +461,56 @@ class TestTheRoundDeclines:
         assert records[0][6] == records[1][6]  # one timestamp
         assert cache["holders"] == {5: (tid, 1)}
         assert fields == (False, frozenset(), None, None, {5: [offered]})
+
+    @pytest.mark.parametrize("mode, capacity", [(EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)])
+    def test_at_a_named_site_with_no_instance_one_call_records_the_request_too(
+            self, mode, capacity):
+        dimmunix = foreign_world()
+        runtime = InstrumentationRuntime(dimmunix)
+        tid = runtime.current_thread_id()
+        offered, native = stack("foreign:1", "far:2"), Native()  # foreign:3 stands empty
+        state_of(dimmunix, tid)
+        assert runtime.core.settle(tid, 5, offered, mode, capacity, native) is True
+        records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
+        assert native.calls == 1
+        assert [(r[1], r[2], r[3], r[4], r[7]) for r in records] == [
+            (code, tid, 5, offered, mode) for code in (EV_REQUEST, EV_ALLOW, EV_ACQUIRED)]
+        assert len({record[6] for record in records}) == 1  # one timestamp
+        assert cache["holders"] == {5: (tid, 1)}
+        assert [binding[:2] for binding in dimmunix.engine.cache.allowed[offered.top()]] == [
+            (tid, 5)]
+        assert fields == (False, frozenset(), None, None, {5: [offered]})
+
+    def test_at_a_named_site_where_an_instance_stands_it_declines_and_the_protocol_yields(self):
+        dimmunix = foreign_world()
+        runtime = InstrumentationRuntime(dimmunix)
+        tid, engine = runtime.current_thread_id(), dimmunix.engine
+        assert engine.request(tid + 1, 6, stack("foreign:3", "far:4")).is_go
+        engine.acquired(tid + 1, 6, stack("foreign:3", "far:4"))
+        offered = stack("foreign:1", "far:2")
+        before = state_of(dimmunix, tid)
+        native = Native()
+        for mode, capacity in ((EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)):
+            assert runtime.core.settle(tid, 5, offered, mode, capacity, native) is False
+        assert native.calls == 0
+        after = state_of(dimmunix, tid)  # lock 5's spec is learned, as request learns it
+        assert after[:3] + after[4:] == ([],) + before[1:3] + before[4:]
+        steps = acquisition(runtime.core, tid, 5, offered, EXCLUSIVE, 1, True, None, None)
+        assert next(steps) == (PARK, dimmunix.config.yield_timeout)
+        steps.close()
+        assert dimmunix.stats.yield_decisions == 1
+        assert [record[1] for record in engine.events.drain_raw()] == [
+            EV_REQUEST, EV_YIELD, EV_CANCEL]
+
+
+@pytest.mark.parametrize("on", [True, False])
+def test_record_requests_sees_an_accepted_round_as_the_request_it_stands_for(record_requests, on):
+    dimmunix = foreign_world()
+    runtime = InstrumentationRuntime(dimmunix)
+    accepted = switch(runtime.core, on)
+    seen = record_requests(dimmunix.engine, lambda stack, outcome: (stack.top(), outcome.decision))
+    lock = DimmunixLock(runtime=runtime)
+    assert at_named_site(lock.acquire)
+    lock.release()
+    assert seen == [(_site(at_named_site).top(), Decision.GO)]
+    assert accepted == [True] * on

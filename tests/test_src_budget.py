@@ -13,7 +13,15 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lowered by 16 from 17,248: calibration reads the monitor's records
+#: Raised by 13 from 17,232 for the one-call round at named sites too:
+#: ``AvoidanceEngine.settle`` (was ``settle_miss``) also settles an
+#: uncontended acquisition whose stack matches a signature's, searching
+#: under the match mutex and keeping it across the native take and the
+#: hold (+11 in ``avoidance.py``: the lookup, the search, ``_take``, shared
+#: by both kinds of round, and their docstrings, net of ``_capture_answers``
+#: and ``_should_bypass``'s verdict check, which went); the Figure 4
+#: history fix's docstring is +2 in ``harness/overhead.py``.
+#: 17,232 before, lowered by 16 from 17,248: calibration reads the monitor's records
 #: (``MonitorCore.process`` hands the calibrator each one before the RAG
 #: applies it), so the engine lost its calibrator, the YIELD report,
 #: ``_depths_matching`` and the ``held_before`` snapshot; ``Signature``
@@ -55,7 +63,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_232
+TOTAL_BUDGET = 17_245
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
