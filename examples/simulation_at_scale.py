@@ -6,9 +6,7 @@ flaky scenarios exactly reproducible.  This example:
 
 1. lets 512 philosophers deadlock (a cycle involving many threads),
 2. shows the archived signature,
-3. re-runs the same scenario immune, counting how many yields were needed,
-4. compares with the Rx-style rollback/retry baseline, which has to
-   re-execute until it gets lucky and learns nothing along the way.
+3. re-runs the same scenario immune, counting how many yields were needed.
 
 Run it with::
 
@@ -17,10 +15,8 @@ Run it with::
 
 from __future__ import annotations
 
-from repro.baselines import rx_retry
 from repro.core.config import DimmunixConfig
-from repro.sim import (DimmunixBackend, NullBackend, SimScheduler,
-                       philosopher_program)
+from repro.sim import DimmunixBackend, SimScheduler, philosopher_program
 
 
 PHILOSOPHERS = 512
@@ -61,15 +57,6 @@ def main() -> None:
     print(f"  yields performed  : {stats.get('yield_decisions')}")
     print(f"  starvations broken: {stats.get('starvations_broken')}")
     print(f"  lock operations   : {result.lock_ops}")
-
-    print("\nBaseline: Rx-style rollback & retry (new timing each attempt)")
-    outcome = rx_retry(lambda seed: build_table(NullBackend(), seed=seed),
-                       max_retries=6)
-    print(f"  attempts needed   : {outcome.attempts} "
-          f"(deadlocks on the way: {outcome.deadlocks_encountered})")
-    print(f"  final run complete: {outcome.succeeded}")
-    print("  ...and the program is no better prepared for the next run, "
-          "unlike with deadlock immunity.")
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ class GateLockBackend(SchedulerBackend):
     # -- lock protocol ------------------------------------------------------------------------
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> RequestOutcome:
+                mode: str = EXCLUSIVE, capacity: int = 1, take=None) -> RequestOutcome:
         site = _site_of(stack)
         needed = [gate for gate in self._gates if gate.covers(site)]
         if not needed:

@@ -10,9 +10,9 @@ simulator — funnel every lock operation through the four entry points of
 * :meth:`AvoidanceEngine.release`  — just before the lock is released,
 * :meth:`AvoidanceEngine.cancel`   — when a trylock / timed lock gives up.
 
-The thread and asyncio drivers first offer each acquisition to
-:meth:`AvoidanceEngine.settle`, which stands in for ``request`` and
-``acquired`` wherever those would grant and record an uncontended hold.
+A driver's first request hands the engine its non-blocking take as well:
+where the engine grants and the take succeeds, that one call records the
+hold too, so an uncontended acquisition is a single engine call.
 
 The engine keeps the avoidance cache current, emits events for the
 asynchronous monitor, matches the current state against the signature
@@ -41,7 +41,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .cache import AvoidanceCache, Binding
 from .callstack import CallStack
@@ -77,6 +77,8 @@ class RequestOutcome:
     decision: Decision
     signature: Optional[Signature] = None
     causes: Tuple[Binding, ...] = ()
+    #: A GO whose request also took the primitive and recorded the hold.
+    taken: bool = False
 
     @property
     def is_go(self) -> bool:
@@ -91,6 +93,10 @@ class RequestOutcome:
 #: every grant — the 99.99% production case — returns this frozen
 #: singleton instead of allocating a fresh dataclass per acquisition.
 GO_OUTCOME = RequestOutcome(Decision.GO)
+
+#: The one GO that also took the primitive (a request given ``take``):
+#: the acquisition is recorded and over, nothing is left to call.
+TAKEN_OUTCOME = RequestOutcome(Decision.GO, taken=True)
 
 
 @dataclass
@@ -165,7 +171,9 @@ class AvoidanceEngine:
     # ------------------------------------------------------------------ request --
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> RequestOutcome:
+                mode: str = EXCLUSIVE, capacity: int = 1,
+                take: Optional[Callable[[int, str], bool]] = None,
+                parker=None) -> RequestOutcome:
         """Decide whether ``thread_id`` may block waiting for ``lock_id``.
 
         ``mode`` is the acquisition mode (exclusive permit vs shared
@@ -174,10 +182,18 @@ class AvoidanceEngine:
         YIELD the caller must park the thread and call :meth:`request`
         again once it is woken (or once the yield timeout expires, after
         calling :meth:`abort_yield`).
+
+        ``take(thread_id, mode)``, if given, takes the primitive without
+        blocking.  Where the request is granted and the take succeeds, the
+        hold is recorded as :meth:`acquired` records it and
+        :data:`TAKEN_OUTCOME` returned: the acquisition is over, in one call.
+        Otherwise the GO leaves an allow edge for the caller's own take or
+        wait, then :meth:`acquired` or :meth:`cancel`.  ``parker.prepare(thread_id)``
+        arms the caller's parker; it runs only before a YIELD is published,
+        so a wake its causes trigger from then on reaches the park.
         """
         if self.mode == MODE_INSTRUMENTATION_ONLY:
             return GO_OUTCOME
-        now = self.clock.now()
         if capacity > 1 or mode == SHARED:
             self._learn_spec(lock_id, mode, capacity)
         cache = self.cache
@@ -192,42 +208,59 @@ class AvoidanceEngine:
             cache.sites = sites
             cache.rebuild_allowed()
 
-        if self._should_bypass(slot, lock_id):
-            return self._grant(slot, thread_id, lock_id, stack, now, mode, capacity)
+        if slot.forced_go:
+            slot.forced_go = False
+            self.stats.bump("forced_go")
+            return self._grant(slot, thread_id, lock_id, stack, mode, capacity, take, False)
+        # No history matching: the capture already asked this very filter and
+        # no signature names the call site (the paper's 99.99% case), or
+        # detection only, or the reentrant re-acquisition of a plain mutex,
+        # which can never deadlock on its own.  Multi-holder resources get no
+        # such bypass: a second semaphore permit, or a read hold upgraded to a
+        # write hold, can absolutely complete a cycle.
+        if (stack.absent_from is sites or self.config.detection_only
+                or (lock_id in slot.holds and lock_id not in self._multiholder)):
+            return self._grant(slot, thread_id, lock_id, stack, mode, capacity, take, False)
         groups = self.index.lookup(stack, sites)
         if not groups or stack.top().function in self._external_names:
-            # The paper's 99.99% case: no signature has a stack that this one
-            # matches (none has any while the history is empty), so no
-            # instance can involve this binding — grant without any
-            # engine-wide synchronization, or index entry.  A foreign
-            # synchronization routine's avoidance decision is ignored (5.7).
-            return self._grant(slot, thread_id, lock_id, stack, now, mode, capacity)
+            # No signature has a stack that this one matches (none has any
+            # while the history is empty), so no instance can involve this
+            # binding — grant without any engine-wide synchronization.  A
+            # foreign synchronization routine's avoidance decision is
+            # ignored (5.7).
+            return self._grant(slot, thread_id, lock_id, stack, mode, capacity, take, False)
 
-        # The request is entering the cover search and may park, so now —
-        # and only now — publish the REQUEST edge.  On the granted fast
-        # path the edge would be dissolved by the ALLOW that follows in
-        # the same call (the RAG's ALLOW handler fully supersedes it), so
-        # emitting it would only tax the ring and the monitor.
-        self.events.emit(EV_REQUEST, thread_id, lock_id, stack, (), now,
-                         mode, capacity)
-
+        # The request enters the cover search and may park, so it publishes
+        # its REQUEST edge; on the unsearched grants above the edge would be
+        # dissolved by the ALLOW that follows in the same call (the RAG's
+        # ALLOW handler fully supersedes it), so emitting it would only tax
+        # the ring and the monitor.  The mutex is held across the take and
+        # the hold, which the next search then sees as it sees an allow edge.
         with self._match_mutex:
             while True:
                 match = self._match_candidates(groups, thread_id, lock_id, stack)
                 if match is None:
-                    return self._grant(slot, thread_id, lock_id, stack, now,
-                                       mode, capacity)
+                    return self._grant(slot, thread_id, lock_id, stack, mode, capacity,
+                                       take, True)
                 signature, instance = match
                 causes = tuple(binding for binding in instance
                                if binding[0] != thread_id)
                 cache.remove_allow(thread_id, slot)
+                if parker is not None:
+                    parker.prepare(thread_id)
+                if slot.forced_go:
+                    # The monitor forced a GO since the bypass check, and the
+                    # arming just cleared its wake: honour it here.
+                    slot.forced_go = False
+                    self.stats.bump("forced_go")
+                    return self._grant(slot, thread_id, lock_id, stack, mode, capacity,
+                                       take, True)
                 cache.set_yield_cause(thread_id, causes)
-                if not all(self.cache.binding_live(tid, lid)
-                           for tid, lid, _stack in causes):
+                if not all(cache.binding_live(tid, lid) for tid, lid, _stack in causes):
                     # A concurrent release or cancel dissolved the instance
                     # between the cover search and the cause publication;
                     # re-match so the thread is not parked on a dead cause.
-                    self.cache.clear_yield_cause(thread_id)
+                    cache.clear_yield_cause(thread_id)
                     continue
                 # The thread is about to park: its request stack and every
                 # hold stack it contributes to the danger group must be
@@ -238,93 +271,47 @@ class AvoidanceEngine:
                 # stack is typically already deep (the cover search read
                 # its frames); held stacks may still be deferred.
                 stack.materialize()
-                for held_stack in self.cache.held_stacks(thread_id):
+                for held_stack in cache.held_stacks(thread_id):
                     held_stack.materialize()
+                now = self.clock.now()
                 slot.yield_state = _YieldState(
                     signature=signature, lock_id=lock_id, stack=stack,
                     causes=causes, since=now)
                 self._last_avoided_fp = signature.fingerprint
                 signature.record_avoidance()
-                self.events.emit(EV_YIELD, thread_id, lock_id, stack, causes,
-                                 now, mode, capacity)
+                emit = self.events.emit
+                emit(EV_REQUEST, thread_id, lock_id, stack, (), now, mode, capacity)
+                emit(EV_YIELD, thread_id, lock_id, stack, causes, now, mode, capacity)
                 return RequestOutcome(Decision.YIELD, signature=signature,
                                       causes=causes)
 
-    def _should_bypass(self, slot, lock_id: int) -> bool:
-        """Cases in which no history matching is performed."""
-        if self.config.detection_only:
-            return True
-        if slot.forced_go:
-            slot.forced_go = False
-            self.stats.bump("forced_go")
-            return True
-        # Reentrant re-acquisition of a plain mutex can never deadlock
-        # on its own.  Multi-holder resources do NOT get this bypass:
-        # taking a second semaphore permit, or upgrading a read hold
-        # to a write hold, can absolutely complete a cycle.
-        return lock_id in slot.holds and lock_id not in self._multiholder
+    def _grant(self, slot, thread_id: int, lock_id: int, stack: CallStack, mode: str,
+               capacity: int, take, searched: bool) -> RequestOutcome:
+        """GO: the hold if ``take`` took the primitive, else an allow edge; then the records.
 
-    def settle(self, thread_id: int, lock_id: int, stack: CallStack,
-               mode: str, capacity: int, try_native) -> bool:
-        """A whole uncontended acquisition that :meth:`request` would grant, or nothing.
-
-        Under the filter the index and the cache share, in full mode, with
-        no forced GO, yield or allow edge pending, ``try_native(thread_id,
-        mode)`` takes the primitive without blocking; taken, it is recorded
-        as :meth:`request` and :meth:`acquired` record it: the hold, then
-        ALLOW and ACQUIRED under one timestamp.  A stack that matches a
-        signature's (no capture verdict, no foreign routine, no reentrant
-        mutex hold) is searched first, under the match mutex, kept across
-        the take and the hold, which the next search then sees as it sees
-        :meth:`_grant`'s allow edge; REQUEST leads its records.  Where an
-        instance stands, or the take fails: False, nothing taken or recorded.
+        A searched request's REQUEST leads them, and all share one timestamp,
+        read after the take.
         """
-        cache, sites = self.cache, self.index.sites
-        if (cache.sites is not sites or self.mode != MODE_FULL
-                or self.config.detection_only):
-            return False
-        slot = cache.slots.get(thread_id)
-        if (slot.forced_go or slot.yield_cause or slot.yield_state is not None
-                or slot.waiting is not None):
-            return False
-        if stack.absent_from is not sites and (
-                lock_id not in slot.holds or capacity > 1 or mode == SHARED
-                or lock_id in self._multiholder):
-            groups = self.index.lookup(stack, sites)
-            if groups and stack.top().function not in self._external_names:
-                if capacity > 1 or mode == SHARED:
-                    self._learn_spec(lock_id, mode, capacity)  # the search reads it
-                with self._match_mutex:
-                    return (self._match_candidates(groups, thread_id, lock_id, stack) is None
-                            and self._take(slot, thread_id, lock_id, stack, mode,
-                                           capacity, try_native, True))
-        return self._take(slot, thread_id, lock_id, stack, mode, capacity, try_native, False)
-
-    def _take(self, slot, thread_id: int, lock_id: int, stack: CallStack, mode: str,
-              capacity: int, try_native, searched: bool) -> bool:
-        """The round's native take and, when it took, its hold and records."""
-        if not try_native(thread_id, mode):
-            return False
-        if capacity > 1 or mode == SHARED:
-            self._learn_spec(lock_id, mode, capacity)
+        cache = self.cache
+        if slot.yield_cause:
+            cache.clear_yield_cause(thread_id)
+        slot.yield_state = None
+        if take is not None and take(thread_id, mode):
+            if slot.waiting is not None:
+                cache.remove_allow(thread_id, slot)  # as a new allow edge retires it
+            cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
+            outcome = TAKEN_OUTCOME
+        else:
+            cache.add_allow(thread_id, lock_id, stack, slot)
+            outcome = GO_OUTCOME
         now = self.clock.now()
-        self.cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
         emit = self.events.emit
         if searched:
             emit(EV_REQUEST, thread_id, lock_id, stack, (), now, mode, capacity)
         emit(EV_ALLOW, thread_id, lock_id, stack, (), now, mode, capacity)
-        emit(EV_ACQUIRED, thread_id, lock_id, stack, (), now, mode, capacity)
-        return True
-
-    def _grant(self, slot, thread_id: int, lock_id: int, stack: CallStack,
-               now: float, mode: str, capacity: int) -> RequestOutcome:
-        self.cache.add_allow(thread_id, lock_id, stack, slot)
-        if slot.yield_cause:
-            self.cache.clear_yield_cause(thread_id)
-        slot.yield_state = None
-        self.events.emit(EV_ALLOW, thread_id, lock_id, stack, (), now,
-                         mode, capacity)
-        return GO_OUTCOME
+        if outcome is TAKEN_OUTCOME:
+            emit(EV_ACQUIRED, thread_id, lock_id, stack, (), now, mode, capacity)
+        return outcome
 
     # ------------------------------------------------------------- history match --
 

@@ -49,16 +49,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ThreadParker:
     """Runtime-specific parking primitive plugged into :class:`RuntimeCore`.
 
-    ``prepare`` is called *before* the request so a wake triggered between
-    the decision and the park is not lost; ``park`` blocks (or suspends)
-    the thread until woken or until the timeout expires, returning whether
-    it was woken.  The default implementation never parks — the simulator
-    keeps it, as it answers :func:`acquisition`'s PARK step with a thread
-    state instead of blocking.
+    ``prepare`` arms the wake primitive; the engine calls it under its
+    match mutex just before it publishes a yield's causes, so no wake they
+    trigger is lost.  ``park`` blocks (or suspends) the thread until woken
+    or until the timeout expires, returning whether it was woken.  The
+    default never parks — the simulator keeps it, as it answers
+    :func:`acquisition`'s PARK step with a thread state instead.
     """
 
     def prepare(self, thread_id: int) -> None:
-        """Arm the wake primitive for ``thread_id`` (pre-request)."""
+        """Arm the wake primitive for ``thread_id`` (before a yield is published)."""
 
     def park(self, thread_id: int, timeout: Optional[float]) -> bool:
         """Suspend ``thread_id``; return True when woken before ``timeout``."""
@@ -159,24 +159,19 @@ class RuntimeCore:
     # -- the six-operation protocol -------------------------------------------------------
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> RequestOutcome:
+                mode: str = EXCLUSIVE, capacity: int = 1,
+                take: Optional[Callable[[int, str], bool]] = None) -> RequestOutcome:
         """Ask for a GO/YIELD decision before blocking on ``lock_id``.
 
         ``mode``/``capacity`` carry the resource semantics: exclusive
         permits (mutexes, semaphore permits) vs shared reader holds, and
         the resource's permit count.  Defaults are plain mutex semantics.
+        With ``take`` (the primitive's non-blocking take) a granted request
+        takes it too, and returns :data:`~repro.core.avoidance.TAKEN_OUTCOME`
+        once the hold is recorded.  A YIELD arms the parker first.
         """
-        return self.dimmunix.engine.request(thread_id, lock_id, stack, mode, capacity)
-
-    def settle(self, thread_id: int, lock_id: int, stack: CallStack, mode: str,
-               capacity: int, try_native: Callable[[int, str], bool]) -> bool:
-        """Settle an uncontended acquisition the engine would grant in one engine call.
-
-        True: ``try_native(thread_id, mode)`` took the primitive and it is
-        recorded; False: nothing was taken or recorded, run :func:`acquisition`.
-        """
-        return self.dimmunix.engine.settle(thread_id, lock_id, stack, mode,
-                                           capacity, try_native)
+        return self.dimmunix.engine.request(thread_id, lock_id, stack, mode, capacity,
+                                            take, self.parker)
 
     def acquired(self, thread_id: int, lock_id: int,
                  stack: Optional[CallStack] = None, mode: str = EXCLUSIVE,
@@ -232,7 +227,7 @@ class RuntimeCore:
     # -- yield lifecycle helpers ------------------------------------------------------------
 
     def prepare_wait(self, thread_id: int) -> None:
-        """Arm the parker before a request (closes the lost-wakeup window)."""
+        """Arm the parker, as :meth:`request` does before it publishes a yield."""
         self.parker.prepare(thread_id)
 
     def abort_yield(self, thread_id: int) -> Optional[Signature]:
@@ -261,36 +256,33 @@ class RuntimeCore:
 # The acquisition protocol
 # ---------------------------------------------------------------------------
 
-#: The three things only a runtime can do; :func:`acquisition` yields
+#: The two things only a runtime can do; :func:`acquisition` yields
 #: ``(step, timeout)`` and is sent back whether the step succeeded.
 PARK = "park"
-TRY_NATIVE = "try-native"
 WAIT_NATIVE = "wait-native"
-
-_TRY_NATIVE_STEP = (TRY_NATIVE, None)
 
 
 def acquisition(core: RuntimeCore, thread_id: int, lock_id: int,
                 stack: CallStack, mode: str, capacity: int, blocking: bool,
-                deadline: Optional[float], now: Optional[Callable[[], float]]):
+                deadline: Optional[float], now: Optional[Callable[[], float]],
+                outcome: RequestOutcome, take: Callable[[int, str], bool]):
     """The avoidance protocol of one acquisition, as a sans-IO generator.
 
-    The thread and asyncio drivers run it once :meth:`RuntimeCore.settle`
-    has declined (an instance stands, a forced GO, a yield or allow edge
-    pending, a contended primitive); the simulator always does, as the
-    explorer interleaves its steps.  It makes every engine call itself and
+    Every driver first asks ``core.request(..., take)`` itself; the
+    generator runs only when that did not take the primitive, and starts
+    from its ``outcome``.  ``take(thread_id, mode)`` is the primitive's
+    non-blocking take.  It makes every further engine call itself and
     yields to its driver only what a runtime alone can do:
 
     * ``(PARK, t)`` — the engine answered YIELD: park the thread for at
       most ``t`` seconds (``None``: until woken); send back whether it was
       woken.  An unwoken park under a configured yield bound aborts the
       yield (section 5.7), and the request is retried either way.
-    * ``(TRY_NATIVE, None)`` — the engine answered GO: try to take the
-      native primitive without blocking; send back whether that worked.
-    * ``(WAIT_NATIVE, t)`` — it did not: wait on the native primitive for
-      at most ``t`` seconds; send back whether it was taken.  Repeated
-      until taken or until ``deadline`` (a reading of ``now``) has passed,
-      so a wait that ends early is re-checked, never reported as failure.
+    * ``(WAIT_NATIVE, t)`` — the engine answered GO and ``take`` failed:
+      wait on the native primitive for at most ``t`` seconds; send back
+      whether it was taken.  Repeated until taken or until ``deadline``
+      (a reading of ``now``) has passed, so a wait that ends early is
+      re-checked, never reported as failure.
 
     Returns True after ``acquired``, False for a refused trylock or an
     expired deadline.  Every exit without ``acquired`` — those two, an
@@ -301,11 +293,7 @@ def acquisition(core: RuntimeCore, thread_id: int, lock_id: int,
     """
     settled = False
     try:
-        while True:
-            core.prepare_wait(thread_id)
-            outcome = core.request(thread_id, lock_id, stack, mode, capacity)
-            if outcome.decision is Decision.GO:
-                break
+        while outcome.decision is Decision.YIELD:
             if not blocking:
                 return False
             bound = wait_for = core.config.yield_timeout
@@ -317,7 +305,8 @@ def acquisition(core: RuntimeCore, thread_id: int, lock_id: int,
             woken = yield PARK, wait_for
             if not woken and bound is not None:
                 core.abort_yield(thread_id)
-        taken = yield _TRY_NATIVE_STEP
+            outcome = core.request(thread_id, lock_id, stack, mode, capacity)
+        taken = take(thread_id, mode)
         if not taken and blocking:
             # Only now, off the uncontended path: materialize the lazily
             # captured stacks a blocked thread may contribute to a signature.

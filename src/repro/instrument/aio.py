@@ -50,8 +50,8 @@ from typing import Coroutine, Deque, Dict, Optional, Set, Tuple
 from ..core.callstack import CallStack
 from ..core.dimmunix import Dimmunix
 from ..core.errors import InstrumentationError
-from ..core.runtime_api import (PARK, TRY_NATIVE, LockRuntime, ThreadParker,
-                                acquisition)
+from ..core.avoidance import TAKEN_OUTCOME
+from ..core.runtime_api import PARK, LockRuntime, ThreadParker, acquisition
 from ..core.signature import EXCLUSIVE, SHARED
 from .skeleton import MutexSkeleton, RWLockSkeleton, SemaphoreSkeleton
 
@@ -130,8 +130,8 @@ class AsyncioParker(ThreadParker):
     """Parks and wakes asyncio tasks that received a YIELD decision.
 
     Implements the :class:`~repro.core.runtime_api.ThreadParker` protocol
-    on per-task futures.  :meth:`prepare` creates a *fresh* future bound
-    to the task's running loop before the request is issued, closing the
+    on per-task futures.  :meth:`prepare` arms a future bound to the
+    task's running loop before a yield is published, closing the
     lost-wakeup window; the waker registered with the Dimmunix facade
     resolves that future, hopping onto the owning loop with
     ``call_soon_threadsafe`` when invoked from another thread (the
@@ -147,28 +147,15 @@ class AsyncioParker(ThreadParker):
         self._registered: Set[int] = set()
 
     def prepare(self, task_id: int) -> None:
-        """Arm the wake future for ``task_id`` (call *before* request).
+        """Arm the wake future for ``task_id``.
 
-        Runs on every acquisition the engine's round declines: a forced GO,
-        a contended primitive, a yield (a standing instance).  The
-        task's pending future is reused across requests and a fresh one is
-        created only when the previous round resolved it (a yield that was
-        woken), so each GO after the first is a dict read, no allocation.
-        Reusing an unresolved future is safe: a stale wake scheduled against
-        it can only cause a spurious wakeup, and the protocol re-requests
-        after every wake.
-
-        Audited for free-threaded builds: the lock-free path reads one
-        published ``(loop, future)`` tuple and no running loop (a task id
-        names one task, which never changes loops).  Dict reads are atomic,
-        tuples immutable, replacements made under ``_mutex`` only.  A racing
-        :meth:`forget` or replacement at worst leaves this round armed
-        against a stale tuple, which the next ``park_async`` (re-reading the
-        dict under ``_mutex``) resolves to a spurious wake, never a lost one.
+        The engine calls it, under its match mutex, while it decides a
+        YIELD for the task, just before it publishes the yield's causes.
+        The task's pending future is reused and a fresh one is created only
+        when the previous yield resolved it.  Reusing an unresolved future
+        is safe: a stale wake scheduled against it can only cause a
+        spurious wakeup, and the protocol re-requests after every wake.
         """
-        entry = self._futures.get(task_id)
-        if entry is not None and not entry[1].done():
-            return
         loop = asyncio.get_running_loop()
         with self._mutex:
             entry = self._futures.get(task_id)
@@ -349,10 +336,11 @@ def _caller_identity(runtime: AsyncioRuntime) -> Tuple[Optional[int], CallStack]
 
 async def _acquire(lock, task_id: Optional[int], stack: CallStack,
                    mode: str, capacity: int, timeout: Optional[float]) -> bool:
-    """Settle in the engine's one-call round, or drive the protocol, for the running task.
+    """Acquire in one engine request, or drive the protocol from its outcome, for the running task.
 
-    ``lock`` supplies the native half: ``_try_native(task_id, mode)`` and
-    the coroutine ``_wait_native(task_id, mode, timeout)``.  ``timeout``
+    ``lock`` supplies the native half: ``_try_native(task_id, mode)``,
+    which the request takes with when it grants, and the coroutine
+    ``_wait_native(task_id, mode, timeout)``.  ``timeout``
     bounds the whole acquisition (avoidance parking plus native wait).
     Task cancellation surfaces at one of the awaits; closing the protocol
     on the way out rolls the pending request back.
@@ -361,20 +349,20 @@ async def _acquire(lock, task_id: Optional[int], stack: CallStack,
     core = runtime.core
     if task_id is None:
         task_id = runtime.current_task_id()
-    if core.settle(task_id, lock._lock_id, stack, mode, capacity, lock._try_native):
+    take = lock._try_native
+    outcome = core.request(task_id, lock._lock_id, stack, mode, capacity, take)
+    if outcome is TAKEN_OUTCOME:
         return True
     # The loop's clock, not time.monotonic: a virtual-time loop expires too.
     now = None if timeout is None else asyncio.get_running_loop().time
     deadline = None if now is None else now() + timeout
     steps = acquisition(core, task_id, lock._lock_id, stack, mode, capacity,
-                        True, deadline, now)
+                        True, deadline, now, outcome, take)
     reply = None
     try:
         while True:
             step, wait = steps.send(reply)
-            if step is TRY_NATIVE:
-                reply = lock._try_native(task_id, mode)
-            elif step is PARK:
+            if step is PARK:
                 reply = await core.park_async(task_id, wait)
             else:
                 reply = await lock._wait_native(task_id, mode, wait)

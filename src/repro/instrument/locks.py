@@ -29,7 +29,8 @@ import time
 from typing import Optional
 
 from ..core.errors import InstrumentationError
-from ..core.runtime_api import PARK, TRY_NATIVE, acquisition
+from ..core.avoidance import TAKEN_OUTCOME
+from ..core.runtime_api import PARK, acquisition
 from ..core.signature import EXCLUSIVE, SHARED
 from .runtime import InstrumentationRuntime
 from .skeleton import MutexSkeleton, RWLockSkeleton, SemaphoreSkeleton
@@ -37,27 +38,27 @@ from .skeleton import MutexSkeleton, RWLockSkeleton, SemaphoreSkeleton
 
 def _acquire(lock, thread_id: int, stack, mode: str, capacity: int,
              blocking: bool, timeout: Optional[float]) -> bool:
-    """Settle in the engine's one-call round, or drive the protocol, for the calling thread.
+    """Acquire in one engine request, or drive the protocol from its outcome, for the calling thread.
 
-    ``lock`` supplies the native half: ``_try_native(thread_id, mode)``
-    and ``_wait_native(thread_id, mode, timeout)``, both answering
-    whether the primitive was taken.
+    ``lock`` supplies the native half: ``_try_native(thread_id, mode)``,
+    which the request takes with when it grants, and
+    ``_wait_native(thread_id, mode, timeout)``, both answering whether
+    the primitive was taken.
     """
     if timeout is not None and not blocking:
         raise ValueError("can't specify a timeout for a non-blocking call")
-    core = lock._runtime.core
-    if core.settle(thread_id, lock._lock_id, stack, mode, capacity, lock._try_native):
+    core, take = lock._runtime.core, lock._try_native
+    outcome = core.request(thread_id, lock._lock_id, stack, mode, capacity, take)
+    if outcome is TAKEN_OUTCOME:
         return True
     deadline = None if timeout is None else time.monotonic() + timeout
     steps = acquisition(core, thread_id, lock._lock_id, stack, mode, capacity,
-                        blocking, deadline, time.monotonic)
+                        blocking, deadline, time.monotonic, outcome, take)
     reply = None
     try:
         while True:
             step, wait = steps.send(reply)
-            if step is TRY_NATIVE:
-                reply = lock._try_native(thread_id, mode)
-            elif step is PARK:
+            if step is PARK:
                 reply = core.park(thread_id, wait)
             else:
                 reply = lock._wait_native(thread_id, mode, wait)

@@ -117,24 +117,20 @@ class YieldManager(ThreadParker):
         return event
 
     def prepare(self, thread_id: int) -> threading.Event:
-        """Reset and return the wake event, to be called *before* ``request``.
+        """Reset and return the wake event: the engine arms it before a yield.
 
-        Clearing before the request closes the classic lost-wakeup window:
-        any wake triggered by state changes after the request will set the
-        event even if the thread has not started waiting yet.  The event is
-        pooled — one per thread slot for the thread's lifetime — and on the
-        GO fast path it was never set, so the usual call is a flag check
-        with no lock taken (``Event.clear`` acquires the event's internal
-        condition lock; ``is_set`` does not).
+        The engine calls it, under its match mutex, while it decides a
+        YIELD for the thread, just before it publishes the yield's causes:
+        a release that dissolves them sets the event even if the thread has
+        not started waiting yet.  The event is pooled — one per thread slot
+        for the thread's lifetime.
         """
         event = self.event_for(thread_id)
         # Audited for free-threaded builds: the is_set/clear pair is not
         # atomic, so a wake arriving between the two calls is eaten by the
-        # clear.  That wake is necessarily *stale* — prepare() runs before
-        # the request is published, so nothing can be legitimately waking
-        # this thread yet; wakes for the upcoming park are only triggered
-        # by state changes after the request, and those set() calls land
-        # after this clear.  No lost-wakeup is possible.
+        # clear.  That wake is necessarily *stale*: the causes that could
+        # wake this park are published after this clear, and a forced GO
+        # that lands before it is re-checked by the engine once it returns.
         if event.is_set():
             event.clear()
         return event

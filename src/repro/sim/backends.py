@@ -47,7 +47,7 @@ class SchedulerBackend:
     operation (acquisition ``mode`` and the resource's permit
     ``capacity``), which backends that only understand mutexes may
     ignore.  The defaults are an engine-less core's: no yield bound in
-    :attr:`config`, and nothing to arm, materialize or abort.
+    :attr:`config`, and nothing to take, arm, materialize or abort.
     """
 
     name = "abstract"
@@ -60,12 +60,9 @@ class SchedulerBackend:
     def on_thread_added(self, thread_id: int) -> None:
         """Called when a simulated thread is registered."""
 
-    def prepare_wait(self, thread_id: int) -> None:
-        """Arm a parker before the request (the scheduler needs none)."""
-
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> RequestOutcome:
-        """Return ``GO_OUTCOME`` or a YIELD outcome."""
+                mode: str = EXCLUSIVE, capacity: int = 1, take=None) -> RequestOutcome:
+        """``GO_OUTCOME`` or a YIELD outcome; the protocol takes after a GO."""
         raise NotImplementedError
 
     def acquired(self, thread_id: int, lock_id: int, stack: CallStack,
@@ -122,7 +119,7 @@ class NullBackend(SchedulerBackend):
     name = "none"
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
-                mode: str = EXCLUSIVE, capacity: int = 1) -> RequestOutcome:
+                mode: str = EXCLUSIVE, capacity: int = 1, take=None) -> RequestOutcome:
         return GO_OUTCOME
 
 

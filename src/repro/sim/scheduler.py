@@ -25,7 +25,8 @@ from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..core.errors import SimDeadlockError, SimulationError
-from ..core.runtime_api import PARK, TRY_NATIVE, acquisition
+from ..core.avoidance import TAKEN_OUTCOME
+from ..core.runtime_api import PARK, acquisition
 from ..util.clock import VirtualClock
 from .actions import Acquire, Compute, Log, Release, TryAcquire
 from .backends import NullBackend, SchedulerBackend
@@ -319,18 +320,26 @@ class SimScheduler:
             self.result.log.append(f"[{self.clock.now():.6f}] {thread.name}: "
                                    f"{action.message}")
         elif isinstance(action, (Acquire, TryAcquire)):
-            # Start the acquisition, or resume it from a PARK with whether
-            # it was woken (unwoken: its virtual bound passed).
-            woken = None
+            # Request, taking the resource if granted and free, and run the
+            # protocol from the outcome if not; or resume it from a PARK with
+            # whether it was woken (unwoken: its virtual bound passed).
+            woken, refused = None, False
             if thread.acquisition is None:
-                thread.pending, lock = action, action.lock
+                lock, stack = action.lock, action.stack()
+                take = lambda tid, mode: lock.can_grant(tid, mode) and self._grant(thread, lock, mode)
+                outcome = self.backend.request(thread.thread_id, lock.lock_id, stack,
+                                               action.mode, lock.capacity, take)
+                if outcome is TAKEN_OUTCOME:
+                    thread.last_result = True
+                    return
+                thread.pending, refused = action, outcome.is_yield
                 thread.acquisition = acquisition(
-                    self.backend, thread.thread_id, lock.lock_id, action.stack(),
-                    action.mode, lock.capacity, isinstance(action, Acquire), None, None)
+                    self.backend, thread.thread_id, lock.lock_id, stack, action.mode,
+                    lock.capacity, isinstance(action, Acquire), None, None, outcome, take)
             else:
                 woken = thread.park_until is None
                 thread.state, thread.park_until = ThreadState.READY, None
-            self._advance(thread, woken)
+            self._advance(thread, woken, refused)
             return
         elif isinstance(action, Release):
             self._do_release(thread, action)
@@ -338,27 +347,19 @@ class SimScheduler:
             raise SimulationError(f"{thread.name} yielded unknown action {action!r}")
         thread.pending = None
 
-    def _advance(self, thread: SimThread, sent) -> None:
-        """Send ``sent`` into the thread's acquisition and answer its steps
-        until it settles or waits: a PARK is YIELDING until woken or until
-        its virtual-time bound, a TRY_NATIVE a grant if the resource allows
-        one, a WAIT_NATIVE BLOCKED on its FIFO queue until ``_hand_over``."""
+    def _advance(self, thread: SimThread, sent, refused: bool = False) -> None:
+        """Send ``sent`` into the thread's acquisition and answer its step, unless it
+        settles (``refused``: its request YIELDed): a PARK is YIELDING until woken or its
+        virtual-time bound, a WAIT_NATIVE BLOCKED on its FIFO queue until ``_hand_over``."""
         action = thread.pending
-        lock, mode = action.lock, action.mode
-        steps = thread.acquisition
-        step = None
+        lock = action.lock
         try:
-            step, timeout = steps.send(sent)
-            while step is TRY_NATIVE:
-                taken = lock.can_grant(thread.thread_id, mode)
-                if taken:
-                    self._grant(thread, lock, mode)
-                step, timeout = steps.send(taken)
+            step, timeout = thread.acquisition.send(sent)
         except StopIteration as settled:
             thread.pending = thread.acquisition = None
             thread.last_result = settled.value
             if not settled.value:
-                if step is None:  # the engine refused the trylock
+                if refused:  # the engine refused the trylock
                     self.policy.observe_yield(self, thread, lock)
                 self.result.failed_trylocks += 1
             return
@@ -376,11 +377,13 @@ class SimScheduler:
         thread.state = ThreadState.BLOCKED
         lock.enqueue_waiter(thread.thread_id)
 
-    def _grant(self, thread: SimThread, lock: SimLock, mode: str) -> None:
+    def _grant(self, thread: SimThread, lock: SimLock, mode: str) -> bool:
+        """Hand ``lock`` to ``thread``; True, so a take is ``can_grant(...) and _grant(...)``."""
         lock.grant(thread.thread_id, mode)
         thread.held[lock.lock_id] = thread.held.get(lock.lock_id, 0) + 1
         thread.lock_ops += 1
         self.result.lock_ops += 1
+        return True
 
     def _do_release(self, thread: SimThread, action: Release) -> None:
         lock = action.lock

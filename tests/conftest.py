@@ -7,7 +7,6 @@ import os
 
 import pytest
 
-from repro.core.avoidance import GO_OUTCOME
 from repro.core.callstack import CallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
@@ -97,29 +96,22 @@ def hand_over_the_filter():
 @pytest.fixture(scope="session")
 def record_requests():
     """``record_requests(engine, view)``: wrap ``engine.request`` so each
-    request appends ``view(stack, outcome)`` to the returned list, and
-    ``engine.settle`` so each acquisition its round accepts appends
-    ``view(stack, GO_OUTCOME)``: a GO decided without ``request``.
+    request, the one that takes the primitive too, appends
+    ``view(stack, outcome)`` to the returned list.
 
     ``view`` runs inside the engine call, while the caller's frames are
     live: a lazy stack read there shows what the engine saw, not what is
     left of it once the acquire returned.
     """
     def wrap(engine, view) -> list:
-        request, settle, seen = engine.request, engine.settle, []
+        request, seen = engine.request, []
 
         def recording_request(thread_id, lock_id, stack, *rest):
             outcome = request(thread_id, lock_id, stack, *rest)
             seen.append(view(stack, outcome))
             return outcome
 
-        def recording_settle(thread_id, lock_id, stack, *rest):
-            settled = settle(thread_id, lock_id, stack, *rest)
-            if settled:
-                seen.append(view(stack, GO_OUTCOME))
-            return settled
-
-        engine.request, engine.settle = recording_request, recording_settle
+        engine.request = recording_request
         return seen
     return wrap
 

@@ -149,16 +149,16 @@ def acquire_parked(dimmunix, meanwhile=None, at="capture", while_held=None):
     """Acquire + release a real lock on a fresh thread; returns what it saw while it held it.
 
     With ``meanwhile`` the thread is parked until that has run: ``at="capture"``
-    after its capture, before the engine's round or any other engine call;
-    ``at="take"`` after the native take, before the hold is recorded.  The
+    after its capture, before its request or any other engine call;
+    ``at="take"`` after the request's native take, before the hold is recorded.  The
     holder runs ``while_held`` too, if given (its frames stay live meanwhile).
     """
     runtime = InstrumentationRuntime(dimmunix)
     lock = DimmunixLock(runtime=runtime)
     trap = Trap("trapped")
     if at == "capture":
-        settle = runtime.core.settle
-        runtime.core.settle = lambda *args: (trap.here(), settle(*args))[1]
+        request = runtime.core.request
+        runtime.core.request = lambda *args: (trap.here(), request(*args))[1]
     else:
         try_native = lock._try_native
         lock._try_native = lambda *args: (try_native(*args), trap.here())[0]
@@ -199,9 +199,8 @@ class TestTheFilterMovesBetweenCaptureAndRequest:
     """The capture's verdict holds for the filter object it probed, and for no other.
 
     A real lock's acquisition is parked between ``capture_stack`` and its first engine
-    call, the round, while the history republishes the filter; the round must then
-    decline, and the engine and the cache probe for themselves, whichever way the verdict
-    went stale.
+    call, the request, while the history republishes the filter; the engine and the cache
+    must then probe for themselves, whichever way the verdict went stale.
     """
 
     @staticmethod
@@ -231,11 +230,11 @@ class TestTheFilterMovesBetweenCaptureAndRequest:
         assert seen["indexed"] == 0 and indexed(dimmunix.engine) == 0
 
 
-class TestTheFilterNamesTheSiteDuringTheRound:
-    """The round took the primitive on the capture's verdict; the site is named before its hold.
+class TestTheFilterNamesTheSiteDuringTheTake:
+    """The request took the primitive on the capture's verdict; the site is named before its hold.
 
-    The round records the hold after its native take, and the history may
-    republish the filter in between.  The hold is then indexed by the round
+    The request records the hold after its native take, and the history may
+    republish the filter in between.  The hold is then indexed by the request
     itself, when the cache already has the new filter, or by the rebuild
     that hands it over: either way a conflicting request must find it.
     """
@@ -247,7 +246,7 @@ class TestTheFilterNamesTheSiteDuringTheRound:
         engine = dimmunix.engine
 
         def meanwhile():
-            # Taken natively, nothing recorded yet, not even an allow edge: the round's take.
+            # Taken natively, nothing recorded yet, not even an allow edge: the request's take.
             assert all(slot.waiting is None and not slot.holds
                        for _id, slot in engine.cache.slots.items())
             dimmunix.history.add(signature)
@@ -263,7 +262,7 @@ class TestTheFilterNamesTheSiteDuringTheRound:
         assert isinstance(seen["held"], LazyCallStack)
         assert seen["held"].absent_from is not engine.index.sites
         holder, hand_over = seen["thread"], [(EV_ALLOW, 99), (EV_CANCEL, 99)]
-        # The round's records, each hand-over's, and the conflicting request's.
+        # The request's records, each hand-over's, and the conflicting request's.
         assert seen["records"] == (hand_over * handed_over
                                    + [(EV_ALLOW, holder), (EV_ACQUIRED, holder)] + hand_over
                                    + [(EV_REQUEST, 98), (EV_YIELD, 98), (EV_RELEASE, holder)])

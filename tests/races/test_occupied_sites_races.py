@@ -11,12 +11,11 @@ parked between the two while another thread adds and removes a binding at
 a needed site.  That thread takes a forced GO, the bypass the monitor
 grants, because the parked requester holds the match mutex.
 
-The engine's one-call round (``AvoidanceEngine.settle``) searches under
-the same mutex and keeps it across its native take and the hold it
-records.  Two rounds at the two sites of one signature are serialized
-there, so the second sees the first's hold and declines; and a release of
-the primitive the round is taking takes no match mutex, so the two finish
-in either order.
+A request handed the primitive's native take (``take=``) keeps the same
+mutex across that take and the hold it records.  Two such requests at the
+two sites of one signature are serialized there, so the second sees the
+first's hold and YIELDs; and a release of the primitive the request is
+taking takes no match mutex, so the two finish in either order.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import time
 
 import pytest
 
-from repro.core.avoidance import AvoidanceEngine
+from repro.core.avoidance import TAKEN_OUTCOME, AvoidanceEngine
 from repro.core.callstack import CallStack, Frame
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
@@ -180,7 +179,7 @@ class TestChurnAtNeededSites:
         assert engine.cache.allowed == {}
 
 
-# -- the one-call round at a named site ------------------------------------------------------
+# -- a request that takes, at a named site -------------------------------------------------
 
 LEFT = stack("left:2", "caller:6", "main:0")
 RIGHT = stack("right:3", "caller:7", "main:0")
@@ -191,13 +190,13 @@ def take_parked(trap):
     return lambda thread_id, mode: (trap.here(), True)[1]
 
 
-class TestTwoRoundsAtOneSignature:
-    """Two threads offer the engine's round an acquisition at each site of one signature.
+class TestTwoTakingRequestsAtOneSignature:
+    """Two threads request, with a native take, at each site of one signature.
 
     The first searches, finds no instance (nothing stands at the other
     site) and is parked in its native take, still holding the match
     mutex.  The second must wait for the mutex, then see the first's hold:
-    it declines the round, and its request YIELDs on that hold.
+    it takes nothing and YIELDs on that hold.
     """
 
     @pytest.mark.parametrize("first_at, second_at", [(LEFT, RIGHT), (RIGHT, LEFT)])
@@ -207,44 +206,44 @@ class TestTwoRoundsAtOneSignature:
         engine = AvoidanceEngine(history, DimmunixConfig.for_testing())
         assert engine.request(99, 99, stack("syncer:1")).is_go  # hand the filter over
         engine.cancel(99, 99)
-        trap, settled = Trap("trapped"), {}
+        trap, outcomes, taken = Trap("trapped"), {}, []
 
         def offer(name, thread_id, lock_id, at, take):
-            settled[name] = engine.settle(thread_id, lock_id, at, EXCLUSIVE, 1, take)
+            outcomes[name] = engine.request(thread_id, lock_id, at, EXCLUSIVE, 1, take)
 
         first = threading.Thread(target=offer, args=("first", 1, 10, first_at, take_parked(trap)),
                                  name="trapped-first", daemon=True)
         first.start()
         assert trap.reached.wait(10.0)
         second = threading.Thread(target=offer, name="second", daemon=True,
-                                  args=("second", 2, 20, second_at, lambda *_: True))
+                                  args=("second", 2, 20, second_at, lambda *_: taken.append(2)))
         second.start()
         second.join(0.1)
-        assert second.is_alive() and "second" not in settled  # waiting for the mutex
+        assert second.is_alive() and "second" not in outcomes  # waiting for the mutex
         resume(trap, first)
         second.join(10.0)
         assert not second.is_alive()
-        assert settled == {"first": True, "second": False}
-        assert not engine.cache.binding_live(2, 20)  # declined: nothing taken or recorded
-        outcome = engine.request(2, 20, second_at)
-        assert outcome.is_yield and outcome.causes == ((1, 10, first_at),)
+        assert outcomes["first"] is TAKEN_OUTCOME
+        assert outcomes["second"].is_yield
+        assert outcomes["second"].causes == ((1, 10, first_at),)
+        assert taken == [] and not engine.cache.binding_live(2, 20)  # nothing taken or held
 
 
 def read_at_named_site(rwlock):
     return rwlock.acquire_read()  # the call site the rwlock race's signature names
 
 
-class TestRoundAgainstARelease:
-    """A hit-round read acquisition of a ``DimmunixRWLock`` races a release of it.
+class TestATakingRequestAgainstARelease:
+    """A searched read acquisition of a ``DimmunixRWLock`` races a release of it.
 
-    The round holds the match mutex across its native take, which takes the
+    The request holds the match mutex across its native take, which takes the
     rwlock's own mutex; a release holds that mutex while it tells the
     engine, which takes no match mutex.  Whichever is parked inside, the
     other finishes, and then both do: the lock order is match mutex, then
     the primitive's mutex, never the reverse.
     """
 
-    @pytest.mark.parametrize("parked", ["round", "release"])
+    @pytest.mark.parametrize("parked", ["request", "release"])
     def test_both_finish_in_either_order(self, parked):
         filename = CallStack.capture(skip=0).top().filename  # this file, as a capture names it
         site = CallStack([Frame("read_at_named_site", filename,
@@ -252,10 +251,10 @@ class TestRoundAgainstARelease:
         history = History(path=None, autosave=False)
         history.add(Signature([site, stack("foreign:5", "far:6")], matching_depth=1))
         runtime = InstrumentationRuntime(Dimmunix(DimmunixConfig.for_testing(), history=history))
-        rwlock, trap, settled = DimmunixRWLock(runtime=runtime), Trap("trapped"), []
-        settle, release = runtime.core.settle, runtime.core.release
-        runtime.core.settle = lambda *args: (settled.append(settle(*args)), settled[-1])[1]
-        if parked == "round":
+        rwlock, trap, outcomes = DimmunixRWLock(runtime=runtime), Trap("trapped"), []
+        request, release = runtime.core.request, runtime.core.release
+        runtime.core.request = lambda *args: (outcomes.append(request(*args)), outcomes[-1])[1]
+        if parked == "request":
             try_native = rwlock._try_native
             rwlock._try_native = lambda *args: (trap.here(), try_native(*args))[1]
         else:
@@ -279,10 +278,10 @@ class TestRoundAgainstARelease:
         holder_thread.start()
         assert holding.wait(10.0)
         reader_thread = threading.Thread(
-            target=reader, name="trapped-reader" if parked == "round" else "reader", daemon=True)
-        if parked == "round":
+            target=reader, name="trapped-reader" if parked == "request" else "reader", daemon=True)
+        if parked == "request":
             reader_thread.start()
-            assert trap.reached.wait(10.0)  # in the round, the match mutex held
+            assert trap.reached.wait(10.0)  # in the request, the match mutex held
             let_go.set()
             holder_thread.join(10.0)
             assert not holder_thread.is_alive()  # the release took no match mutex
@@ -292,10 +291,10 @@ class TestRoundAgainstARelease:
             reader_thread.start()
             reader_thread.join(0.1)
             assert reader_thread.is_alive()  # its native take waits for that mutex
-        resume(trap, reader_thread if parked == "round" else holder_thread)
+        resume(trap, reader_thread if parked == "request" else holder_thread)
         for thread in (holder_thread, reader_thread):
             thread.join(10.0)
             assert not thread.is_alive()
-        assert settled[-1] is True and rwlock.reader_count() == 0
+        assert outcomes[-1] is TAKEN_OUTCOME and rwlock.reader_count() == 0
         kinds = [record[1] for record in runtime.dimmunix.engine.events.drain_raw()]
         assert EV_REQUEST in kinds and EV_YIELD not in kinds

@@ -3,11 +3,10 @@
 The counters are count columns of the event bus's per-thread rings, and
 a ring whose thread has ended retires into the bus totals: a read racing
 that retirement must see every ring once, live or retired, so a counter
-never goes backwards and no bump is lost.  Then the asyncio parker's
-loop-free fast path, which reuses a task's armed wake future without
-asking for the running loop: these tests wake such a task from another
-loop's thread and from the monitor, and read the outcome off the
-engine's counters.
+never goes backwards and no bump is lost.  Then the asyncio parker, which
+the engine arms while it decides a task's yield: these tests wake such a
+task from another loop's thread and from the monitor, and read the outcome
+off the engine's counters.
 """
 
 from __future__ import annotations
@@ -66,15 +65,7 @@ def _release_once_parked(runtime: AsyncioRuntime, release_now: threading.Event) 
 
 
 async def _armed_then_yield(runtime: AsyncioRuntime, lock: AioLock) -> None:
-    """A forced GO arms the task's wake future; the yield then parks on it.
-
-    Forced, so the engine's one-call round declines it and the protocol arms
-    the parker; the yield's ``prepare`` then takes the loop-free fast path.
-    """
-    warm = AioLock(runtime=runtime)
-    runtime.engine.force_go(runtime.current_task_id())
-    assert await _hold_at(warm)
-    warm.release()
+    """The engine arms the task's wake future as it decides the yield; the task parks on it."""
     assert await _yield_at(lock, timeout=10.0)
     lock.release()
 
@@ -149,7 +140,7 @@ class TestColumnsAcrossRetirement:
         assert snapshot["go_decisions"] == 8000 and snapshot["yield_decisions"] == 0
 
 
-class TestTheParkersLoopFreeFastPath:
+class TestAYieldingTaskWokenFromAnotherThread:
     def test_a_task_is_woken_by_a_release_on_another_loop(self):
         runtime = _runtime()
         held, wanted = AioLock(runtime=runtime), AioLock(runtime=runtime)

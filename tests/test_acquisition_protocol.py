@@ -1,15 +1,16 @@
 """One acquisition protocol, three drivers.
 
-``repro.core.runtime_api.acquisition`` is the only place the
-request / park / abort / try / note_blocked / wait / cancel / acquired
-sequence is written.  These tests script the engine's answers with a
-recording :class:`RuntimeCore`, run the same *shape* of acquisition
-through the thread driver, the asyncio driver and ``SimScheduler``, and
-require the same engine-call sequence from each — for a mutex, a
-two-permit semaphore, and both sides of a reader-writer lock.  The thread
-and asyncio drivers first offer the engine the one-call round
-(``RuntimeCore.settle``), recorded as ``("round", mode, capacity,
-what came of it)``; the simulator never does.
+Every driver makes one request first, handing it the primitive's
+non-blocking take; ``repro.core.runtime_api.acquisition`` is the only
+place the rest — park / abort / re-request / take / note_blocked / wait /
+cancel / acquired — is written, and it runs only when that request did
+not take.  These tests script the engine's answers with a recording
+:class:`RuntimeCore`, run the same *shape* of acquisition through the
+thread driver, the asyncio driver and ``SimScheduler``, and require the
+same engine-call sequence from each — for a mutex, a two-permit
+semaphore, and both sides of a reader-writer lock.  A request is recorded
+as ``("request", mode, capacity, what came of it)``: "taken" or
+"contended" for a GO handed a take, "go" for one that was not, "yield".
 
 The simulator parks by flipping the thread to YIELDING rather than
 calling ``park``, so its harness records ``"park"`` at that point; its
@@ -25,9 +26,10 @@ import time
 
 import pytest
 
-from repro.core.avoidance import GO_OUTCOME, Decision, RequestOutcome
+from repro.core.avoidance import GO_OUTCOME, TAKEN_OUTCOME, Decision, RequestOutcome
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
+from repro.core.runtime_api import ThreadParker
 from repro.core.signature import EXCLUSIVE, SHARED
 from repro.instrument import (AioLock, AioRWLock, AioSemaphore, AsyncioRuntime,
                               DimmunixLock, DimmunixRWLock, DimmunixSemaphore,
@@ -39,29 +41,35 @@ from repro.sim.scheduler import ThreadState
 YIELD_OUTCOME = RequestOutcome(Decision.YIELD)
 
 
+class CountingParker(ThreadParker):
+    """Counts how often the parker is armed."""
+
+    def __init__(self):
+        self.armed = 0
+
+    def prepare(self, thread_id):
+        self.armed += 1
+
+
 class ScriptedCore(DimmunixBackend):
     """Records the subject's engine calls and answers them from a script.
 
     Nothing reaches the real engine.  Threads other than ``subject`` (the
     ones that make the resource busy) always get GO and are not recorded.
-    A simulator backend is a :class:`RuntimeCore`, so one class serves
-    all three drivers.
+    A scripted GO handed a take takes, as the engine's does; a scripted
+    YIELD arms the parker first, as the engine's does.  A simulator
+    backend is a :class:`RuntimeCore`, so one class serves all three drivers.
     """
 
-    def __init__(self, decisions=("go",), park="woken", yield_timeout=None,
-                 the_round="declines"):
+    def __init__(self, decisions=("go",), park="woken", yield_timeout=None):
         super().__init__(Dimmunix(config=DimmunixConfig.for_testing(
             yield_timeout=yield_timeout)))
+        self.parker = CountingParker()
         self.subject = None
         self.calls = []
         self._decisions = list(decisions)
         self._park = park
-        #: "declines" (an instance stands, a yield is pending, ...) or
-        #: "accepts" the subject's round; accepted, the native take decides.
-        self._round = the_round
-        #: Rounds asked for, by any thread.
-        self.rounds = 0
-        #: The subject's non-blocking native takes, the round's included.
+        #: The subject's non-blocking native takes, its requests' included.
         self.native_tries = 0
         #: Set when the subject is about to block on the native primitive.
         self.on_blocked = None
@@ -71,26 +79,19 @@ class ScriptedCore(DimmunixBackend):
     def _mine(self, thread_id):
         return thread_id == self.subject
 
-    def prepare_wait(self, thread_id):
-        if self._mine(thread_id):
-            self.calls.append("prepare_wait")
-
-    def settle(self, thread_id, lock_id, stack, mode, capacity, try_native):
-        self.rounds += 1
-        if not self._mine(thread_id):
-            return False
-        if self._round == "declines":
-            self.calls.append(("round", mode, capacity, "declined"))
-            return False
-        taken = try_native(thread_id, mode)
-        self.calls.append(("round", mode, capacity, "taken" if taken else "contended"))
-        return taken
-
-    def request(self, thread_id, lock_id, stack, mode=EXCLUSIVE, capacity=1):
+    def request(self, thread_id, lock_id, stack, mode=EXCLUSIVE, capacity=1, take=None):
         if not self._mine(thread_id):
             return GO_OUTCOME
-        self.calls.append(("request", mode, capacity))
-        return GO_OUTCOME if self._decisions.pop(0) == "go" else YIELD_OUTCOME
+        if self._decisions.pop(0) != "go":
+            self.parker.prepare(thread_id)
+            self.calls.append(("request", mode, capacity, "yield"))
+            return YIELD_OUTCOME
+        if take is None:
+            self.calls.append(("request", mode, capacity, "go"))
+            return GO_OUTCOME
+        taken = take(thread_id, mode)
+        self.calls.append(("request", mode, capacity, "taken" if taken else "contended"))
+        return TAKEN_OUTCOME if taken else GO_OUTCOME
 
     def acquired(self, thread_id, lock_id, stack=None, mode=EXCLUSIVE,
                  capacity=1):
@@ -384,175 +385,154 @@ def run_sim(kind, core, busy=None, trylock=False, wake=False):
 # -- the shapes --------------------------------------------------------------------------
 
 
-def declined(m, expected):
-    """The thread and asyncio drivers' sequence when the engine declines the round."""
-    return [("round", *m, "declined")] + expected
+def request(m, came_of_it):
+    return ("request", *m, came_of_it)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 class TestSameSequenceOnEveryRuntime:
     def test_go(self, kind):
         m = KINDS[kind]
-        expected = ["prepare_wait", ("request", *m), ("acquired", *m), "release"]
-        assert run_threads(kind, ScriptedCore()) == (True, declined(m, expected))
-        assert run_aio(kind, ScriptedCore()) == (True, declined(m, expected))
-        assert run_sim(kind, ScriptedCore()) == (True, expected)
+        expected = (True, [request(m, "taken"), "release"])
+        assert run_threads(kind, ScriptedCore()) == expected
+        assert run_aio(kind, ScriptedCore()) == expected
+        assert run_sim(kind, ScriptedCore()) == expected
 
     def test_yield_then_woken_then_go(self, kind):
         m = KINDS[kind]
         script = dict(decisions=("yield", "go"), park="woken")
-        expected = ["prepare_wait", ("request", *m), "park",
-                    "prepare_wait", ("request", *m), ("acquired", *m), "release"]
-        assert run_threads(kind, ScriptedCore(**script)) == (True, declined(m, expected))
-        assert run_aio(kind, ScriptedCore(**script)) == (True, declined(m, expected))
-        assert run_sim(kind, ScriptedCore(**script), wake=True) == (True, expected)
+        expected = (True, [request(m, "yield"), "park", request(m, "go"),
+                           ("acquired", *m), "release"])
+        assert run_threads(kind, ScriptedCore(**script)) == expected
+        assert run_aio(kind, ScriptedCore(**script)) == expected
+        assert run_sim(kind, ScriptedCore(**script), wake=True) == expected
 
     def test_yield_bound_expires_and_the_yield_is_aborted(self, kind):
         m = KINDS[kind]
         script = dict(decisions=("yield", "go"), park="unwoken",
                       yield_timeout=0.01)
-        expected = ["prepare_wait", ("request", *m), "park", "abort_yield",
-                    "prepare_wait", ("request", *m), ("acquired", *m), "release"]
-        assert run_threads(kind, ScriptedCore(**script)) == (True, declined(m, expected))
-        assert run_aio(kind, ScriptedCore(**script)) == (True, declined(m, expected))
-        assert run_sim(kind, ScriptedCore(**script)) == (True, expected)
+        expected = (True, [request(m, "yield"), "park", "abort_yield", request(m, "go"),
+                           ("acquired", *m), "release"])
+        assert run_threads(kind, ScriptedCore(**script)) == expected
+        assert run_aio(kind, ScriptedCore(**script)) == expected
+        assert run_sim(kind, ScriptedCore(**script)) == expected
 
     def test_unwoken_park_without_a_bound_just_retries(self, kind):
         m = KINDS[kind]
         script = dict(decisions=("yield", "go"), park="unwoken")
-        expected = declined(m, ["prepare_wait", ("request", *m), "park",
-                                "prepare_wait", ("request", *m), ("acquired", *m), "release"])
-        assert run_threads(kind, ScriptedCore(**script)) == (True, expected)
-        assert run_aio(kind, ScriptedCore(**script)) == (True, expected)
+        expected = (True, [request(m, "yield"), "park", request(m, "go"),
+                           ("acquired", *m), "release"])
+        assert run_threads(kind, ScriptedCore(**script)) == expected
+        assert run_aio(kind, ScriptedCore(**script)) == expected
 
     def test_contended_then_granted(self, kind):
         m = KINDS[kind]
-        expected = ["prepare_wait", ("request", *m), "note_blocked",
-                    ("acquired", *m), "release"]
-        assert run_threads(kind, ScriptedCore(), busy="freed") == (True, declined(m, expected))
-        assert run_aio(kind, ScriptedCore(), busy="freed") == (True, declined(m, expected))
-        assert run_sim(kind, ScriptedCore(), busy="freed") == (
-            True, expected)
+        expected = (True, [request(m, "contended"), "note_blocked", ("acquired", *m),
+                           "release"])
+        assert run_threads(kind, ScriptedCore(), busy="freed") == expected
+        assert run_aio(kind, ScriptedCore(), busy="freed") == expected
+        assert run_sim(kind, ScriptedCore(), busy="freed") == expected
 
     def test_deadline_expires_during_park(self, kind):
         m = KINDS[kind]
         script = dict(decisions=("yield", "yield"), park="expire")
-        expected = declined(m, ["prepare_wait", ("request", *m), "park",
-                                "prepare_wait", ("request", *m), "cancel"])
-        assert run_threads(kind, ScriptedCore(**script), timeout=0.01) == (
-            False, expected)
-        assert run_aio(kind, ScriptedCore(**script), timeout=0.01) == (
-            False, expected)
+        expected = (False, [request(m, "yield"), "park", request(m, "yield"), "cancel"])
+        assert run_threads(kind, ScriptedCore(**script), timeout=0.01) == expected
+        assert run_aio(kind, ScriptedCore(**script), timeout=0.01) == expected
 
     def test_deadline_expires_during_native_wait(self, kind):
         m = KINDS[kind]
-        expected = declined(m, ["prepare_wait", ("request", *m), "note_blocked", "cancel"])
-        assert run_threads(kind, ScriptedCore(), busy="held", timeout=0.01) == (
-            False, expected)
-        assert run_aio(kind, ScriptedCore(), busy="held", timeout=0.01) == (
-            False, expected)
+        expected = (False, [request(m, "contended"), "note_blocked", "cancel"])
+        assert run_threads(kind, ScriptedCore(), busy="held", timeout=0.01) == expected
+        assert run_aio(kind, ScriptedCore(), busy="held", timeout=0.01) == expected
 
     def test_trylock_refused_by_the_engine(self, kind):
         m = KINDS[kind]
-        expected = ["prepare_wait", ("request", *m), "cancel"]
+        expected = (False, [request(m, "yield"), "cancel"])
         if not kind.startswith("rw"):  # DimmunixRWLock has no trylock
             assert run_threads(kind, ScriptedCore(decisions=("yield",)),
-                               blocking=False) == (False, declined(m, expected))
-        assert run_sim(kind, ScriptedCore(decisions=("yield",)),
-                       trylock=True) == (False, expected)
+                               blocking=False) == expected
+        assert run_sim(kind, ScriptedCore(decisions=("yield",)), trylock=True) == expected
 
     def test_trylock_refused_by_the_native_primitive(self, kind):
         m = KINDS[kind]
-        expected = ["prepare_wait", ("request", *m), "cancel"]
+        expected = (False, [request(m, "contended"), "cancel"])
         if not kind.startswith("rw"):
-            assert run_threads(kind, ScriptedCore(), busy="held",
-                               blocking=False) == (False, declined(m, expected))
-        assert run_sim(kind, ScriptedCore(), busy="held", trylock=True) == (
-            False, expected)
+            assert run_threads(kind, ScriptedCore(), busy="held", blocking=False) == expected
+        assert run_sim(kind, ScriptedCore(), busy="held", trylock=True) == expected
 
     def test_task_cancelled_while_parked(self, kind):
         m = KINDS[kind]
         core = ScriptedCore(decisions=("yield",), park="forever")
         assert run_aio(kind, core, cancel=True) == (
-            "cancelled", declined(m, ["prepare_wait", ("request", *m), "park", "cancel"]))
+            "cancelled", [request(m, "yield"), "park", "cancel"])
 
     def test_task_cancelled_while_queued_on_the_native_primitive(self, kind):
         m = KINDS[kind]
         assert run_aio(kind, ScriptedCore(), busy="held", cancel=True) == (
-            "cancelled", declined(m, ["prepare_wait", ("request", *m), "note_blocked",
-                                      "cancel"]))
+            "cancelled", [request(m, "contended"), "note_blocked", "cancel"])
 
 
 @pytest.mark.parametrize("kind", KINDS)
-class TestTheMissRound:
-    """The thread and asyncio drivers offer the engine the whole acquisition first.
+class TestTheRequestTakes:
+    """The first request is handed the native take; the protocol starts from its outcome.
 
-    Accepted on a free primitive, the round is the acquisition: one call.
-    Accepted on a busy one, the take fails and the protocol runs as it
-    would have, after one more non-blocking native try; declined, exactly
-    as it would have (the shapes above).  The simulator never asks.
+    Granted on a free primitive, the request is the acquisition: one call.
+    Granted on a busy one, the take fails and the protocol takes once more
+    before it waits.  A YIELD takes nothing and arms the parker; after it,
+    the protocol's own re-request is not handed the take, and its GO is
+    followed by the protocol's take.
     """
 
-    def test_an_accepted_round_on_a_free_primitive_is_one_call(self, kind):
-        m = KINDS[kind]
-        for run in (run_threads, run_aio):
-            core = ScriptedCore(the_round="accepts")
-            assert run(kind, core) == (True, [("round", *m, "taken"), "release"])
-            assert core.native_tries == 1
-
-    def test_a_declined_round_takes_nothing_natively(self, kind):
+    def test_a_granted_request_on_a_free_primitive_is_one_call(self, kind):
         for run in (run_threads, run_aio):
             core = ScriptedCore()
-            assert run(kind, core)[0] is True
-            assert core.native_tries == 1  # the protocol's TRY_NATIVE step
+            assert run(kind, core)[1] == [request(KINDS[kind], "taken"), "release"]
+            assert core.native_tries == 1 and core.parker.armed == 0
 
-    def test_a_contended_round_costs_one_more_native_try(self, kind):
-        m = KINDS[kind]
-        expected = ["prepare_wait", ("request", *m), "note_blocked",
-                    ("acquired", *m), "release"]
+    def test_a_busy_primitive_is_tried_once_more_before_the_wait(self, kind):
         for run in (run_threads, run_aio):
-            declining, accepting = ScriptedCore(), ScriptedCore(the_round="accepts")
-            assert run(kind, declining, busy="freed") == (True, declined(m, expected))
-            assert run(kind, accepting, busy="freed") == (
-                True, [("round", *m, "contended")] + expected)
-            assert accepting.native_tries == declining.native_tries + 1
+            core = ScriptedCore()
+            assert run(kind, core, busy="freed")[0] is True
+            assert core.native_tries == 2 and core.parker.armed == 0
 
-    def test_a_contended_round_then_a_deadline_or_a_refused_trylock_cancels(self, kind):
-        m = KINDS[kind]
-        contended = [("round", *m, "contended"), "prepare_wait", ("request", *m)]
-        assert run_threads(kind, ScriptedCore(the_round="accepts"), busy="held",
-                           timeout=0.01) == (False, contended + ["note_blocked", "cancel"])
-        assert run_aio(kind, ScriptedCore(the_round="accepts"), busy="held",
-                       timeout=0.01) == (False, contended + ["note_blocked", "cancel"])
-        if not kind.startswith("rw"):
-            assert run_threads(kind, ScriptedCore(the_round="accepts"), busy="held",
-                               blocking=False) == (False, contended + ["cancel"])
-
-    def test_the_simulator_never_asks_for_the_round(self, kind):
-        m = KINDS[kind]
-        contended, free = ScriptedCore(the_round="accepts"), ScriptedCore(the_round="accepts")
-        assert run_sim(kind, contended, busy="freed") == (
-            True, ["prepare_wait", ("request", *m), "note_blocked", ("acquired", *m),
-                   "release"])
-        assert run_sim(kind, free, trylock=True) == (
-            True, ["prepare_wait", ("request", *m), ("acquired", *m), "release"])
-        assert contended.rounds == free.rounds == 0
+    def test_a_yield_takes_nothing_and_arms_the_parker(self, kind):
+        for run in (run_threads, run_aio):
+            core = ScriptedCore(decisions=("yield", "go"))
+            assert run(kind, core)[0] is True
+            assert core.native_tries == 1  # the protocol's, after the re-request's GO
+            assert core.parker.armed == 1  # by the (scripted) engine only: no driver arms
+        core = ScriptedCore(decisions=("yield", "yield"), park="expire")
+        assert run_threads(kind, core, timeout=0.01)[0] is False
+        assert core.native_tries == 0 and core.parker.armed == 2
 
 
 class TestRollBackLivesInTheProtocol:
-    def test_a_driver_side_failure_cancels_the_request(self):
-        """Whatever the native half raises, ``close()`` rolls back."""
-        core = ScriptedCore()
+    @staticmethod
+    def _broken(thread_id, mode):
+        raise OSError("native primitive failed")
+
+    def test_a_failing_take_in_the_request_leaves_nothing_to_roll_back(self):
+        """The engine records the grant only once the take returned."""
+        dimmunix = Dimmunix(config=DimmunixConfig.for_testing())
+        runtime = InstrumentationRuntime(dimmunix)
+        lock = DimmunixLock(runtime=runtime)
+        lock._try_native = self._broken
+        with pytest.raises(OSError):
+            lock.acquire()
+        slot = dimmunix.engine.cache.slots.get(runtime.current_thread_id())
+        assert slot.waiting is None and not slot.holds
+        assert dimmunix.engine.events.drain_raw() == []
+
+    def test_a_driver_side_failure_after_the_request_cancels_it(self):
+        """Whatever the native half raises inside the protocol, it rolls back."""
+        core = ScriptedCore(decisions=("yield", "go"))
         runtime = InstrumentationRuntime(core.dimmunix)
         runtime.core = core
         lock = DimmunixLock(runtime=runtime)
         core.subject = runtime.current_thread_id()
-
-        def broken(thread_id, mode):
-            raise OSError("native primitive failed")
-
-        lock._try_native = broken
+        lock._try_native = self._broken
         with pytest.raises(OSError):
             lock.acquire()
-        assert core.calls == [("round", EXCLUSIVE, 1, "declined"),
-                              "prepare_wait", ("request", EXCLUSIVE, 1), "cancel"]
+        m = (EXCLUSIVE, 1)
+        assert core.calls == [request(m, "yield"), "park", request(m, "go"), "cancel"]

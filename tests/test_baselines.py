@@ -1,14 +1,13 @@
-"""Tests for the baseline avoidance approaches (gate locks, detection only, Rx)."""
+"""Tests for the baseline avoidance approaches (gate locks, detection only)."""
 
 from __future__ import annotations
 
 
-from repro.baselines import DetectionOnlyBackend, GateLockBackend, rx_retry
+from repro.baselines import DetectionOnlyBackend, GateLockBackend
 from repro.core.avoidance import GO_OUTCOME, Decision
 from repro.core.config import DimmunixConfig
 from repro.core.signature import Signature
-from repro.sim import (DimmunixBackend, NullBackend, SimScheduler, call_site,
-                       lock_order_program)
+from repro.sim import DimmunixBackend, SimScheduler, call_site, lock_order_program
 
 
 def run_lock_order_workload(backend, labels=("s1", "s2"), seed=0, iterations=1):
@@ -118,38 +117,3 @@ class TestDetectionOnlyBackend:
         result2 = run_lock_order_workload(backend)
         assert result2.deadlocked
         assert backend.dimmunix.stats.yield_decisions == 0
-
-
-class TestRxRetry:
-    def test_retries_until_timing_avoids_deadlock(self):
-        def factory(seed):
-            scheduler = SimScheduler(backend=NullBackend(), seed=seed)
-            lock_a = scheduler.new_lock("A")
-            lock_b = scheduler.new_lock("B")
-            # Thread 2 starts late enough that some schedules do not deadlock.
-            scheduler.add_thread(lock_order_program(lock_a, lock_b, "s1",
-                                                    hold_time=0.001))
-            scheduler.add_thread(lock_order_program(lock_b, lock_a, "s2",
-                                                    hold_time=0.001,
-                                                    outside_time=0.001 * (seed % 3)))
-            return scheduler
-
-        outcome = rx_retry(factory, max_retries=5)
-        assert outcome.attempts >= 1
-        assert outcome.attempts == len(outcome.results)
-
-    def test_deterministic_deadlock_defeats_rx(self):
-        def factory(seed):
-            scheduler = SimScheduler(backend=NullBackend(), seed=seed)
-            lock_a = scheduler.new_lock("A")
-            lock_b = scheduler.new_lock("B")
-            scheduler.add_thread(lock_order_program(lock_a, lock_b, "s1",
-                                                    hold_time=0.01))
-            scheduler.add_thread(lock_order_program(lock_b, lock_a, "s2",
-                                                    hold_time=0.01))
-            return scheduler
-
-        outcome = rx_retry(factory, max_retries=3)
-        assert not outcome.succeeded
-        assert outcome.attempts == 4
-        assert outcome.deadlocks_encountered == 4

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.avoidance import TAKEN_OUTCOME
 from repro.core.calibration import Calibrator, LockOp, find_lock_inversion
 from repro.core.callstack import CallStack
 from repro.core.config import DimmunixConfig
@@ -347,8 +348,8 @@ class TestCalibrationWithEngine:
         assert state["judged"] == 1 and calibrator.false_positive_rate(signature) == 1.0
         assert state["fps_at_depth"] == {1: 1, 2: 1}
 
-    def test_an_uncontended_acquisition_settles_in_one_call_and_is_still_logged(self, monkeypatch):
-        """An open episode no longer turns the round away: the monitor sees its records."""
+    def test_an_uncontended_acquisition_taken_by_its_request_is_still_logged(self, monkeypatch):
+        """An open episode does not keep a request from taking: the monitor sees its records."""
         dimmunix, _signature = calibrating_world()
         engine, runtime = dimmunix.engine, InstrumentationRuntime(dimmunix)
         tid = runtime.current_thread_id()
@@ -361,14 +362,14 @@ class TestCalibrationWithEngine:
         # The first-contact depth change republished the filter: hand it to the cache.
         assert engine.request(3, 99, stack("syncer:1", "m:0")).is_go
         engine.cancel(3, 99)
-        settled, settle = [], engine.settle
-        monkeypatch.setattr(engine, "settle",
-                            lambda *args: settled.append(settle(*args)) or settled[-1])
+        outcomes, request = [], engine.request
+        monkeypatch.setattr(engine, "request",
+                            lambda *args: outcomes.append(request(*args)) or outcomes[-1])
         lock = DimmunixLock(runtime=runtime)
         lock.acquire()
         lock.release()
         dimmunix.process_now()
-        assert settled == [True]
+        assert outcomes == [TAKEN_OUTCOME] and outcomes[0] is TAKEN_OUTCOME
         assert [(op.thread_id, op.held_before) for op in episode.ops] == [(tid, (10,))]
 
     def test_with_calibration_off_the_monitor_applies_each_drain_in_one_batch(self, monkeypatch):

@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro.core.avoidance import (AvoidanceEngine, Decision, GO_OUTCOME,
-                                  MODE_INSTRUMENTATION_ONLY)
+                                  MODE_INSTRUMENTATION_ONLY, TAKEN_OUTCOME)
 from repro.core.callstack import CallStack, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
@@ -55,6 +55,22 @@ class TestGoOutcomeSingleton:
         engine = make_engine()
         engine.mode = MODE_INSTRUMENTATION_ONLY
         assert engine.request(1, 10, stack()) is GO_OUTCOME
+
+    def test_a_grant_that_took_returns_the_one_taken_outcome(self):
+        engine = make_engine()
+        s = stack()
+        first = engine.request(1, 10, s, take=lambda *_: True)
+        engine.release(1, 10)
+        second = engine.request(2, 20, s, take=lambda *_: True)
+        assert first is second is TAKEN_OUTCOME
+        assert TAKEN_OUTCOME.is_go and TAKEN_OUTCOME != GO_OUTCOME
+
+    def test_instrumentation_only_mode_leaves_the_take_to_the_caller(self):
+        engine = make_engine()
+        engine.mode = MODE_INSTRUMENTATION_ONLY
+        taken = []
+        assert engine.request(1, 10, stack(), take=lambda *args: taken.append(args)) is GO_OUTCOME
+        assert taken == []
 
     def test_outcome_is_immutable(self):
         try:
@@ -113,7 +129,7 @@ class TestPooledTaskParker:
             first = parker._futures[1][1]
             parker.prepare(1)
             assert parker._futures[1][1] is first, "pending future re-made"
-            # A wake resolves the round; the next prepare must re-arm.
+            # A wake resolves the yield's future; the next prepare must re-arm.
             parker._wake(1)
             assert first.done()
             parker.prepare(1)
@@ -328,12 +344,12 @@ class TestTheCaptureAsksTheFilterOnce:
         dimmunix, _runtime, lock = self._world()
         index = dimmunix.engine.index
         index.sites = _CountingSites(index.sites)
-        hand_over_the_filter(dimmunix.engine)  # else the round declines, and request probes
+        hand_over_the_filter(dimmunix.engine)  # else the request hands it over and rebuilds
         index.sites.probes = 0
         dimmunix.engine.events.drain_raw()
         lock.acquire()
         lock.release()
-        # The capture's probe; the round's and the cache's were the second and third.
+        # The capture's probe; a lookup by the request or the cache would be a second.
         assert index.sites.probes == 1
         assert self._kinds(dimmunix) == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
         assert dimmunix.engine.cache.allowed_set_sizes() == {}

@@ -1,22 +1,23 @@
-"""The one-call round settles an acquisition exactly as the protocol generator would.
+"""A request that takes the primitive leaves what request, take and ``acquired`` leave.
 
-The thread and asyncio drivers offer every acquisition to
-``RuntimeCore.settle`` first; where the engine accepts it, one call
-stands in for ``request`` + the native take + ``acquired``.  Here
-hypothesis drives sequences of acquisitions, trylocks, releases and
-forced GOs over every engine-tracked primitive of both runtimes, at call
-sites no signature names and at one a signature names (its other stack
-at a foreign site, so the cover search runs and finds no instance),
-twice: once with the round on and once with it forced to decline, so
-every acquisition goes through ``acquisition()``.  The two runs must
-leave the same records (code, thread, lock, mode, capacity; REQUEST
-included), counters, cache (the Allowed bindings at named sites and the
-owner map too) and monitor graph.
+Every driver hands its first request the primitive's non-blocking take
+(``request(..., take)``); where the engine grants and the take succeeds,
+that one call stands in for ``request()`` + the native take +
+``acquired()``.  Here hypothesis drives sequences of acquisitions,
+trylocks, releases and forced GOs over every engine-tracked primitive of
+both runtimes, at call sites no signature names and at one a signature
+names (its other stack at a foreign site, so the cover search runs and
+finds no instance), twice: once as the drivers make them and once with
+the take withheld from the request, so every acquisition goes through
+``acquisition()``.  The two runs must leave the same records (code,
+thread, lock, mode, capacity; REQUEST included), counters, cache (the
+Allowed bindings at named sites and the owner map too) and monitor graph.
 
-Below them, each condition under which the engine declines the round,
-and a contended native take, is pinned as "nothing recorded, nothing
-taken"; at a named site the round settles with REQUEST, unless an
-instance stands, when it declines and the generator then YIELDs.
+Below them, the same comparison is made for one acquisition under each
+pending condition a thread's slot or the filter can be in; and the three
+ways a request does not take: the take fails (an allow edge, then the
+protocol waits), detection-only mode (it takes, but without a search),
+and an instance stands (YIELD, the parker armed, nothing taken).
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.avoidance import MODE_INSTRUMENTATION_ONLY, Decision
+from repro.core.avoidance import (GO_OUTCOME, MODE_INSTRUMENTATION_ONLY, TAKEN_OUTCOME,
+                                  Decision)
 from repro.core.callstack import CallStack, Frame
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
-from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_REQUEST, EV_YIELD
+from repro.core.events import (EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE, EV_REQUEST,
+                               EV_YIELD)
 from repro.core.history import History
-from repro.core.runtime_api import PARK, acquisition
+from repro.core.runtime_api import PARK, WAIT_NATIVE, acquisition
 from repro.core.signature import EXCLUSIVE, SHARED, Signature
 from repro.instrument import (AioCondition, AioLock, AioRWLock, AioSemaphore,
                               AsyncioRuntime, DimmunixBoundedSemaphore, DimmunixLock,
@@ -87,18 +90,17 @@ def hand_over_the_filter(engine) -> None:
 
 
 def switch(core, on: bool) -> list:
-    """Leave the round on, counting acceptances, or force it to decline."""
-    accepted = []
-    settle = core.settle
-    if on:
-        def counted(*args):
-            taken = settle(*args)
-            accepted.append(taken)
-            return taken
-        core.settle = counted
-    else:
-        core.settle = lambda *args: False
-    return accepted
+    """Leave the drivers' take in their request, noting what took, or withhold it."""
+    taken = []
+    request = core.request
+
+    def counted(thread_id, lock_id, stack, mode=EXCLUSIVE, capacity=1, take=None):
+        outcome = request(thread_id, lock_id, stack, mode, capacity, take if on else None)
+        taken.append(outcome is TAKEN_OUTCOME)
+        return outcome
+
+    core.request = counted
+    return taken
 
 
 def spy_on_the_monitor(dimmunix) -> list:
@@ -145,19 +147,18 @@ class Model:
     def __init__(self):
         self.holds = []  # (actor, primitive index, shared)
         self.forced = set()
-        #: Acquisitions the round must have accepted: a free primitive, nothing forced.
-        self.sure_rounds = 0
+        #: Acquisitions whose request must have taken: a free primitive.
+        self.sure_takes = 0
 
     def free(self, index) -> bool:
         return all(held != index for _actor, held, _shared in self.holds)
 
     def attempt(self, actor, index, reentrant=False) -> bool:
-        """Note an attempt; True when it must take a free primitive through the round."""
+        """Note an attempt; True when its request must take a free primitive."""
         free = self.free(index)
         if reentrant and any(held == (actor, index, False) for held in self.holds):
             return free  # reentrant re-acquisition: no request, nothing consumed
-        if free and actor not in self.forced:
-            self.sure_rounds += 1
+        self.sure_takes += free  # a forced GO takes too
         self.forced.discard(actor)
         return free
 
@@ -195,7 +196,7 @@ def thread_release(primitive, shared):
 def run_threads(ops, on: bool):
     dimmunix = foreign_world()
     runtime = InstrumentationRuntime(dimmunix)
-    accepted = switch(runtime.core, on)
+    taken = switch(runtime.core, on)
     drained = spy_on_the_monitor(dimmunix)
     primitives = thread_primitives(runtime)
     actors = [ThreadPoolExecutor(1) for _ in range(ACTORS)]
@@ -224,15 +225,15 @@ def run_threads(ops, on: bool):
     finally:
         for actor in actors:
             actor.shutdown()
-    return outcomes, left, accepted, model
+    return outcomes, left, taken, model
 
 
 @settings(max_examples=60, deadline=None)
 @given(OPS)
-def test_thread_primitives_leave_the_same_world_with_the_round_on_or_off(ops):
-    outcomes, left, accepted, model = run_threads(ops, on=True)
+def test_thread_primitives_leave_the_same_world_whether_the_request_takes_or_not(ops):
+    outcomes, left, taken, model = run_threads(ops, on=True)
     assert (outcomes, left) == run_threads(ops, on=False)[:2]
-    assert sum(accepted) >= model.sure_rounds
+    assert sum(taken) >= model.sure_takes
 
 
 def aio_primitives(runtime):
@@ -272,7 +273,7 @@ async def aio_cycle(condition, waiter, notifier):
 def run_aio(ops, on: bool):
     dimmunix = foreign_world()
     runtime = AsyncioRuntime(dimmunix)
-    accepted = switch(runtime.core, on)
+    taken = switch(runtime.core, on)
     drained = spy_on_the_monitor(dimmunix)
 
     async def main():
@@ -333,18 +334,18 @@ def run_aio(ops, on: bool):
                 server.cancel()
 
     outcomes, left, model = asyncio.run(main())
-    return outcomes, left, accepted, model
+    return outcomes, left, taken, model
 
 
 @settings(max_examples=60, deadline=None)
 @given(OPS)
-def test_aio_primitives_leave_the_same_world_with_the_round_on_or_off(ops):
-    outcomes, left, accepted, model = run_aio(ops, on=True)
+def test_aio_primitives_leave_the_same_world_whether_the_request_takes_or_not(ops):
+    outcomes, left, taken, model = run_aio(ops, on=True)
     assert (outcomes, left) == run_aio(ops, on=False)[:2]
-    assert sum(accepted) >= model.sure_rounds
+    assert sum(taken) >= model.sure_takes
 
 
-# -- where the round declines --------------------------------------------------------------
+# -- one acquisition, under each pending condition ------------------------------------------
 
 
 class Native:
@@ -373,8 +374,8 @@ def late_signature():
     return Signature([stack("late:1", "x:2"), stack("late:3", "x:4")])
 
 
-# Each sets one decline condition up for thread ``tid`` and returns the stack to offer;
-# the rest take the capture of the calling test, at a site no signature names.
+# Each sets one condition up for thread ``tid`` and returns the stack to offer; the
+# rest take the capture of the calling test, at a site no signature names.
 
 def republished_since_the_capture(dimmunix, runtime, tid):
     offered = runtime.capture_stack()
@@ -412,48 +413,50 @@ def instrumentation_only(dimmunix, runtime, tid):
     return runtime.capture_stack()
 
 
-class TestTheRoundDeclines:
+def named_site(dimmunix, runtime, tid):
+    return stack("foreign:1", "far:2")  # foreign:3 stands empty: searched, no instance
+
+
+def comparable(state):
+    """``state_of`` without the records' sequence numbers and timestamps."""
+    records = [record[1:6] + record[7:] for record in state[0]]
+    return (records,) + state[1:]
+
+
+class TestUnderEachCondition:
+    """One acquisition, made both ways from the same engine state, leaves the same state."""
+
     @pytest.mark.parametrize("condition", [
         republished_since_the_capture, not_handed_to_the_cache, forced_go,
-        yield_cause, yield_state, allow_edge_pending, instrumentation_only])
-    def test_nothing_is_recorded_and_nothing_taken(self, condition):
-        dimmunix = foreign_world()
-        runtime = InstrumentationRuntime(dimmunix)
-        tid = runtime.current_thread_id()
-        offered = condition(dimmunix, runtime, tid)
-        before = state_of(dimmunix, tid)
-        native = Native()
+        yield_cause, yield_state, allow_edge_pending, instrumentation_only, named_site])
+    def test_one_request_leaves_what_request_take_and_acquired_leave(self, condition):
         for mode, capacity in ((EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)):
-            assert runtime.core.settle(tid, 5, offered, mode, capacity, native) is False
-        assert native.calls == 0
-        assert state_of(dimmunix, tid) == ([],) + before[1:]
+            left = []
+            for one_call in (True, False):
+                dimmunix = foreign_world()
+                runtime = InstrumentationRuntime(dimmunix)
+                tid, core = runtime.current_thread_id(), runtime.core
+                offered = condition(dimmunix, runtime, tid)
+                state_of(dimmunix, tid)  # drain the set-up's records
+                native = Native()
+                outcome = core.request(tid, 5, offered, mode, capacity,
+                                       native if one_call else None)
+                if outcome is not TAKEN_OUTCOME:  # what the protocol does after a GO
+                    assert outcome.is_go and native(tid, mode)
+                    core.acquired(tid, 5, offered, mode, capacity)
+                assert native.calls == 1
+                left.append(comparable(state_of(dimmunix, tid)))
+            assert left[0] == left[1]
 
-    def test_in_detection_only_mode(self):
-        dimmunix = foreign_world(detection_only=True)
-        runtime = InstrumentationRuntime(dimmunix)
-        tid = runtime.current_thread_id()
-        offered, native = runtime.capture_stack(), Native()
-        before = state_of(dimmunix, tid)
-        assert runtime.core.settle(tid, 5, offered, EXCLUSIVE, 1, native) is False
-        assert native.calls == 0 and state_of(dimmunix, tid) == ([],) + before[1:]
 
-    @pytest.mark.parametrize("mode, capacity", [(EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)])
-    def test_a_contended_native_take_is_tried_once_and_nothing_recorded(self, mode, capacity):
-        dimmunix = foreign_world()
-        runtime = InstrumentationRuntime(dimmunix)
-        tid = runtime.current_thread_id()
-        offered, native = runtime.capture_stack(), Native(free=False)
-        before = state_of(dimmunix, tid)
-        assert runtime.core.settle(tid, 5, offered, mode, capacity, native) is False
-        assert native.calls == 1 and state_of(dimmunix, tid) == ([],) + before[1:]
-
-    def test_where_it_applies_one_call_records_the_hold(self):
+class TestOneRequestTakes:
+    def test_at_an_unnamed_site_it_records_the_hold(self):
         dimmunix = foreign_world()
         runtime = InstrumentationRuntime(dimmunix)
         tid = runtime.current_thread_id()
         offered, native = runtime.capture_stack(), Native()
         state_of(dimmunix, tid)  # drain the hand-over's records
-        assert runtime.core.settle(tid, 5, offered, SHARED, 1, native) is True
+        assert runtime.core.request(tid, 5, offered, SHARED, 1, native) is TAKEN_OUTCOME
         records, _stats, cache, multiholder, fields = state_of(dimmunix, tid)
         assert native.calls == 1 and multiholder
         assert [(r[1], r[2], r[3], r[4], r[7]) for r in records] == [
@@ -463,14 +466,13 @@ class TestTheRoundDeclines:
         assert fields == (False, frozenset(), None, None, {5: [offered]})
 
     @pytest.mark.parametrize("mode, capacity", [(EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)])
-    def test_at_a_named_site_with_no_instance_one_call_records_the_request_too(
-            self, mode, capacity):
+    def test_at_a_named_site_with_no_instance_it_records_the_request_too(self, mode, capacity):
         dimmunix = foreign_world()
         runtime = InstrumentationRuntime(dimmunix)
         tid = runtime.current_thread_id()
         offered, native = stack("foreign:1", "far:2"), Native()  # foreign:3 stands empty
         state_of(dimmunix, tid)
-        assert runtime.core.settle(tid, 5, offered, mode, capacity, native) is True
+        assert runtime.core.request(tid, 5, offered, mode, capacity, native) is TAKEN_OUTCOME
         records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
         assert native.calls == 1
         assert [(r[1], r[2], r[3], r[4], r[7]) for r in records] == [
@@ -481,36 +483,85 @@ class TestTheRoundDeclines:
             (tid, 5)]
         assert fields == (False, frozenset(), None, None, {5: [offered]})
 
-    def test_at_a_named_site_where_an_instance_stands_it_declines_and_the_protocol_yields(self):
+
+def hold_the_other_site(dimmunix, thread_id):
+    """Stand at foreign:3, so a request at foreign:1 instantiates NAMED's sibling."""
+    engine = dimmunix.engine
+    assert engine.request(thread_id, 6, stack("foreign:3", "far:4")).is_go
+    engine.acquired(thread_id, 6, stack("foreign:3", "far:4"))
+
+
+class TestTheRequestDoesNotTake:
+    @pytest.mark.parametrize("mode, capacity", [(EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)])
+    def test_a_failed_take_leaves_the_allow_edge_and_the_protocol_waits(self, mode, capacity):
+        dimmunix = foreign_world()
+        runtime = InstrumentationRuntime(dimmunix)
+        tid = runtime.current_thread_id()
+        offered, native = runtime.capture_stack(), Native(free=False)
+        state_of(dimmunix, tid)
+        outcome = runtime.core.request(tid, 5, offered, mode, capacity, native)
+        assert outcome is GO_OUTCOME and native.calls == 1
+        records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
+        assert [(r[1], r[2], r[3]) for r in records] == [(EV_ALLOW, tid, 5)]
+        assert cache["holders"] == {} and fields[3] == (5, offered)
+        steps = acquisition(runtime.core, tid, 5, offered, mode, capacity, True, None, None,
+                            outcome, native)
+        assert next(steps) == (WAIT_NATIVE, None)  # after the protocol's own take
+        assert native.calls == 2
+        with pytest.raises(StopIteration):
+            steps.send(True)
+        records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
+        assert [(r[1], r[2], r[3]) for r in records] == [(EV_ACQUIRED, tid, 5)]
+        assert fields[3:] == (None, {5: [offered]})
+
+    def test_in_detection_only_mode_it_takes_without_a_search(self):
+        """No search, so no REQUEST and no YIELD: not even where an instance stands."""
+        dimmunix = foreign_world(detection_only=True)
+        runtime = InstrumentationRuntime(dimmunix)
+        tid = runtime.current_thread_id()
+        hold_the_other_site(dimmunix, tid + 1)
+        offered, native = stack("foreign:1", "far:2"), Native()
+        state_of(dimmunix, tid)
+        assert runtime.core.request(tid, 5, offered, EXCLUSIVE, 1, native) is TAKEN_OUTCOME
+        records, _stats, cache, _multiholder, _fields = state_of(dimmunix, tid)
+        assert native.calls == 1
+        assert [(r[1], r[2]) for r in records] == [(EV_ALLOW, tid), (EV_ACQUIRED, tid)]
+        assert cache["holders"] == {5: (tid, 1), 6: (tid + 1, 1)}
+        assert dimmunix.stats.yield_decisions == 0
+
+    def test_where_an_instance_stands_it_yields_with_the_parker_armed(self):
         dimmunix = foreign_world()
         runtime = InstrumentationRuntime(dimmunix)
         tid, engine = runtime.current_thread_id(), dimmunix.engine
-        assert engine.request(tid + 1, 6, stack("foreign:3", "far:4")).is_go
-        engine.acquired(tid + 1, 6, stack("foreign:3", "far:4"))
-        offered = stack("foreign:1", "far:2")
-        before = state_of(dimmunix, tid)
-        native = Native()
-        for mode, capacity in ((EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)):
-            assert runtime.core.settle(tid, 5, offered, mode, capacity, native) is False
-        assert native.calls == 0
-        after = state_of(dimmunix, tid)  # lock 5's spec is learned, as request learns it
-        assert after[:3] + after[4:] == ([],) + before[1:3] + before[4:]
-        steps = acquisition(runtime.core, tid, 5, offered, EXCLUSIVE, 1, True, None, None)
+        hold_the_other_site(dimmunix, tid + 1)
+        armed, prepare = [], runtime.yields.prepare
+        runtime.yields.prepare = lambda thread_id: armed.append(thread_id) or prepare(thread_id)
+        offered, native = stack("foreign:1", "far:2"), Native()
+        state_of(dimmunix, tid)
+        outcome = runtime.core.request(tid, 5, offered, EXCLUSIVE, 1, native)
+        assert outcome.is_yield and outcome.causes == ((tid + 1, 6, stack("foreign:3", "far:4")),)
+        assert native.calls == 0 and armed == [tid]
+        assert engine.cache.waiting_of(tid) is None
+        steps = acquisition(runtime.core, tid, 5, offered, EXCLUSIVE, 1, True, None, None,
+                            outcome, native)
         assert next(steps) == (PARK, dimmunix.config.yield_timeout)
+        assert not runtime.yields.event_for(tid).is_set()
+        runtime.core.release(tid + 1, 6)  # the cause dissolves: the armed event is set
+        assert runtime.yields.event_for(tid).is_set()
         steps.close()
         assert dimmunix.stats.yield_decisions == 1
         assert [record[1] for record in engine.events.drain_raw()] == [
-            EV_REQUEST, EV_YIELD, EV_CANCEL]
+            EV_REQUEST, EV_YIELD, EV_RELEASE, EV_CANCEL]
 
 
-@pytest.mark.parametrize("on", [True, False])
-def test_record_requests_sees_an_accepted_round_as_the_request_it_stands_for(record_requests, on):
+@pytest.mark.parametrize("takes", [True, False])
+def test_record_requests_sees_the_request_that_takes(record_requests, takes):
     dimmunix = foreign_world()
     runtime = InstrumentationRuntime(dimmunix)
-    accepted = switch(runtime.core, on)
+    taken = switch(runtime.core, takes)
     seen = record_requests(dimmunix.engine, lambda stack, outcome: (stack.top(), outcome.decision))
     lock = DimmunixLock(runtime=runtime)
     assert at_named_site(lock.acquire)
     lock.release()
     assert seen == [(_site(at_named_site).top(), Decision.GO)]
-    assert accepted == [True] * on
+    assert taken == [takes]

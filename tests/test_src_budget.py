@@ -13,7 +13,15 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Raised by 13 from 17,232 for the one-call round at named sites too:
+#: Lowered by 113 from 17,245: one engine call decides every acquisition.
+#: ``AvoidanceEngine.request`` takes the primitive itself when a driver
+#: hands it ``take``, so ``settle``, ``_take``, ``RuntimeCore.settle``, the
+#: ``TRY_NATIVE`` step and its branches in the three drivers, and
+#: ``SchedulerBackend.prepare_wait`` went (-39 across ``core/``,
+#: ``instrument/`` and ``sim/``, net of the yield's arming and the forced-GO
+#: re-check in ``request``); ``baselines/rx.py``, which only its tests and an
+#: example reached, went with its exports (-74).
+#: 17,245 before, raised by 13 from 17,232 for the one-call round at named sites too:
 #: ``AvoidanceEngine.settle`` (was ``settle_miss``) also settles an
 #: uncontended acquisition whose stack matches a signature's, searching
 #: under the match mutex and keeping it across the native take and the
@@ -63,7 +71,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_245
+TOTAL_BUDGET = 17_132
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -76,7 +84,10 @@ TOTAL_BUDGET = 17_245
 #: for by ``AsyncioParker._wake`` suppressing a closed loop's error (-2) and
 #: ``DimmunixLock`` dropping two single-use ``core`` locals (-2); the parker's
 #: docstring now says which acquisitions still run ``prepare`` (-1).
-PRIMITIVES_BUDGET = 1_933
+#: 1,933 until the drivers' first ``request`` carried the take: the round,
+#: the TRY_NATIVE branches and the asyncio parker's lock-free ``prepare``
+#: path (now run only before a yield) went.
+PRIMITIVES_BUDGET = 1_918
 #: ``share/``: four transports around one ``PoolState`` (``state.py`` and
 #: ``wire.py`` included) and one ``send``/``receive``/``snapshot``
 #: contract.  3,479 before that contract: 625 of the 1,241 lines it
