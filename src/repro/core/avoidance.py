@@ -189,8 +189,9 @@ class AvoidanceEngine:
         :data:`TAKEN_OUTCOME` returned: the acquisition is over, in one call.
         Otherwise the GO leaves an allow edge for the caller's own take or
         wait, then :meth:`acquired` or :meth:`cancel`.  ``parker.prepare(thread_id)``
-        arms the caller's parker; it runs only before a YIELD is published,
-        so a wake its causes trigger from then on reaches the park.
+        arms the caller's parker and returns the waker of that park; it runs
+        only before a YIELD is published, and the waker is stored first, so
+        :meth:`release` and :meth:`force_go` wake the park it armed.
         """
         if self.mode == MODE_INSTRUMENTATION_ONLY:
             return GO_OUTCOME
@@ -247,7 +248,7 @@ class AvoidanceEngine:
                                if binding[0] != thread_id)
                 cache.remove_allow(thread_id, slot)
                 if parker is not None:
-                    parker.prepare(thread_id)
+                    slot.waker = parker.prepare(thread_id)
                 if slot.forced_go:
                     # The monitor forced a GO since the bypass check, and the
                     # arming just cleared its wake: honour it here.
@@ -436,7 +437,11 @@ class AvoidanceEngine:
     # ---------------------------------------------------------------------- release --
 
     def release(self, thread_id: int, lock_id: int) -> List[int]:
-        """Record a release; returns the ids of threads that should be woken."""
+        """Record a release and wake the threads whose yield cause it dissolves.
+
+        Each is woken through the waker its parker returned when the engine
+        armed its yield; their ids are returned for the caller's bookkeeping.
+        """
         if self.mode == MODE_INSTRUMENTATION_ONLY:
             return []
         now = self.clock.now()
@@ -449,6 +454,10 @@ class AvoidanceEngine:
             stack.discard_origin()
             return []
         woken = self.cache.threads_to_wake(thread_id, lock_id, stack)
+        for yielder in woken:
+            slot = self.cache.slots.peek(yielder)
+            if slot is not None and slot.waker is not None:
+                slot.waker()
         # The hold is gone; this stack can no longer enter a signature
         # (archives only read stacks of *current* holds and waits), so stop
         # pinning the interpreter frame it was captured from.  A late
@@ -501,11 +510,13 @@ class AvoidanceEngine:
         return signature
 
     def force_go(self, thread_id: int) -> None:
-        """Force the thread's next request to be granted (starvation breaking)."""
+        """Force the thread's next request to be granted and wake its park (starvation breaking)."""
         slot = self.cache.slots.get(thread_id)
         slot.yield_state = None
         self.cache.clear_yield_cause(thread_id)
         slot.forced_go = True
+        if slot.waker is not None:
+            slot.waker()
 
     def yielding_threads(self) -> List[int]:
         """Threads currently parked by an avoidance decision."""

@@ -35,7 +35,7 @@ detection pass as the safety net, exactly as the paper does.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .callstack import CallStack, Frame
 from .errors import AvoidanceError
@@ -56,11 +56,14 @@ class _ThreadSlot:
     The engine looks a thread's slot up once per entry point and hands it on.
     """
 
-    __slots__ = ("waiting", "yield_cause", "holds", "yield_state", "forced_go", "departed")
+    __slots__ = ("waiting", "yield_cause", "holds", "yield_state", "forced_go", "departed", "waker")
 
     def __init__(self):
         #: The engine's record of the avoidance decision parking the thread.
         self.yield_state = None
+        #: Wakes the park of its latest yield, stored before the causes are
+        #: published; a stale one only wakes a later park spuriously.
+        self.waker: Optional[Callable[[], None]] = None
         #: Set by an aborted yield or the monitor: the next request gets GO.
         self.forced_go = False
         #: (lock, stack) the thread is allowed to wait for, or None.

@@ -12,15 +12,14 @@ module-level helpers in :mod:`repro`), e.g.::
 
 The facade is runtime agnostic: the real-thread instrumentation
 (:mod:`repro.instrument`) and the deterministic simulator
-(:mod:`repro.sim`) both attach to a :class:`Dimmunix` instance, register a
-waker for parked threads, and drive the engine's request/acquired/release
-entry points.
+(:mod:`repro.sim`) both attach to a :class:`Dimmunix` instance and drive
+the engine's request/acquired/release entry points, each with the parker
+whose wakers the engine calls.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .avoidance import AvoidanceEngine, Decision, RequestOutcome
 from .calibration import Calibrator
@@ -32,6 +31,7 @@ from .monitor import MonitorCore, MonitorThread
 from .runtime_api import RuntimeCore
 from .signature import Signature
 from .stats import EngineStats
+from ..util.atomics import atomic_counter
 from ..util.clock import Clock, WallClock
 
 
@@ -58,12 +58,13 @@ class Dimmunix:
         self.monitor = MonitorCore(
             engine=self.engine, history=self.history, config=self.config,
             stats=self.stats, deadlock_handler=deadlock_handler,
-            restart_handler=restart_handler, wake_callback=self._wake_threads,
-            calibrator=self.calibrator)
+            restart_handler=restart_handler, calibrator=self.calibrator)
         self._monitor_thread: Optional[MonitorThread] = None
-        self._wakers: Dict[int, Callable[[], None]] = {}
-        self._wakers_lock = threading.Lock()
         self._started = False
+        #: Ids of units (threads, tasks) and of locks: one space per engine,
+        #: whichever runtimes drive it, each numbered from 1.
+        self.new_unit_id = atomic_counter(1).next
+        self.new_lock_id = atomic_counter(1).next
         #: Default engine-driving layer for adapters that do not supply
         #: their own parker (see :mod:`repro.core.runtime_api`).
         self.runtime_core = RuntimeCore(self)
@@ -115,29 +116,6 @@ class Dimmunix:
     def process_now(self):
         """Run one synchronous monitor pass (used by the simulator and tests)."""
         return self.monitor.process()
-
-    # -- waker registry (runtime adapters) -------------------------------------------------
-
-    def register_waker(self, thread_id: int, waker: Callable[[], None]) -> None:
-        """Register a callable that un-parks ``thread_id`` when invoked."""
-        with self._wakers_lock:
-            self._wakers[thread_id] = waker
-
-    def unregister_waker(self, thread_id: int) -> None:
-        """Remove a previously registered waker."""
-        with self._wakers_lock:
-            self._wakers.pop(thread_id, None)
-
-    def _wake_threads(self, thread_ids: List[int]) -> None:
-        for thread_id in thread_ids:
-            with self._wakers_lock:
-                waker = self._wakers.get(thread_id)
-            if waker is not None:
-                waker()
-
-    def wake(self, thread_ids: List[int]) -> None:
-        """Public wrapper around the waker registry (used by lock wrappers)."""
-        self._wake_threads(thread_ids)
 
     # -- history sharing (multi-process immunity) --------------------------------------------
 

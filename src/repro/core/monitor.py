@@ -45,8 +45,6 @@ from .stats import EngineStats
 DeadlockHandler = Callable[[Signature, DetectedCycle], None]
 #: Hook invoked when strong immunity requires a restart.
 RestartHandler = Callable[[Signature, DetectedCycle], None]
-#: Hook used to wake threads parked by the runtime (starvation breaking).
-WakeCallback = Callable[[List[int]], None]
 
 
 class MonitorCore:
@@ -57,7 +55,6 @@ class MonitorCore:
                  stats: Optional[EngineStats] = None,
                  deadlock_handler: Optional[DeadlockHandler] = None,
                  restart_handler: Optional[RestartHandler] = None,
-                 wake_callback: Optional[WakeCallback] = None,
                  calibrator: Optional[Calibrator] = None):
         self.engine = engine
         self.history = history
@@ -66,7 +63,6 @@ class MonitorCore:
         self.rag = ResourceAllocationGraph()
         self.deadlock_handler = deadlock_handler
         self.restart_handler = restart_handler
-        self.wake_callback = wake_callback
         #: Sees every drained record before the RAG applies it (section 5.5).
         self.calibrator = calibrator
         self._mutex = threading.RLock()
@@ -216,10 +212,8 @@ class MonitorCore:
         if victim is None:
             victim = self._victim_from_engine(cycle)
         if victim is not None:
-            self.engine.force_go(victim)
+            self.engine.force_go(victim)  # wakes the park its yield armed
             self.stats.bump("starvations_broken")
-            if self.wake_callback is not None:
-                self.wake_callback([victim])
 
     def _victim_from_engine(self, cycle: DetectedCycle) -> Optional[int]:
         """Fallback victim choice using the engine cache (RAG may lag)."""

@@ -7,16 +7,16 @@ engine-driving glue — forwarding request/acquired/release/cancel to the
 engine and hand-rolling the release-side wakeups.  This module holds that
 glue once:
 
-* :class:`RuntimeCore` — the six-operation protocol
-  (``request`` / ``acquired`` / ``release`` / ``cancel`` / ``park`` /
-  ``wake``) through which runtimes drive the avoidance engine.  Releases
-  wake dissolved yielders through the waker registry uniformly, so no
-  runtime needs its own wake plumbing.
+* :class:`RuntimeCore` — the protocol (``request`` / ``acquired`` /
+  ``release`` / ``cancel`` / ``park``) through which runtimes drive the
+  avoidance engine.  The engine wakes a dissolved yielder itself, through
+  the waker its parker returned when the yield was armed, so no runtime
+  needs its own wake plumbing.
 * :class:`ThreadParker` — the runtime-specific parking primitive a
   runtime plugs into the core.  The instrumentation parks real threads on
   per-thread events; the asyncio runtime parks *tasks* on loop-bound
-  futures; the simulator needs none: it answers a PARK step by flipping
-  the thread's scheduler state, with a waker that marks it runnable again.
+  futures; the simulator parks nothing: it answers a PARK step by flipping
+  the thread's scheduler state, and its parker's waker marks it runnable again.
 
 * :func:`acquisition` — the avoidance protocol of one acquisition,
   written once as a sans-IO generator that all three runtimes drive (the
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from ..util.atomics import atomic_counter
 from .avoidance import Decision, RequestOutcome
 from .callstack import CallStack
 from .signature import EXCLUSIVE, SHARED, Signature
@@ -49,16 +48,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ThreadParker:
     """Runtime-specific parking primitive plugged into :class:`RuntimeCore`.
 
-    ``prepare`` arms the wake primitive; the engine calls it under its
-    match mutex just before it publishes a yield's causes, so no wake they
-    trigger is lost.  ``park`` blocks (or suspends) the thread until woken
-    or until the timeout expires, returning whether it was woken.  The
-    default never parks — the simulator keeps it, as it answers
-    :func:`acquisition`'s PARK step with a thread state instead.
+    ``prepare`` arms the wake primitive and returns its waker, a callable
+    that ends the armed park; the engine calls it under its match mutex
+    just before it publishes a yield's causes, and calls the waker when a
+    release dissolves them or the monitor forces a GO, so no wake is lost.
+    ``park`` blocks (or suspends) the thread until woken or until the
+    timeout expires, returning whether it was woken.  The default never
+    parks and returns no waker.
     """
 
-    def prepare(self, thread_id: int) -> None:
-        """Arm the wake primitive for ``thread_id`` (before a yield is published)."""
+    def prepare(self, thread_id: int) -> Optional[Callable[[], None]]:
+        """Arm the wake primitive for ``thread_id``; return the waker of that park."""
 
     def park(self, thread_id: int, timeout: Optional[float]) -> bool:
         """Suspend ``thread_id``; return True when woken before ``timeout``."""
@@ -137,26 +137,7 @@ class RuntimeCore:
                          engine_mode=source.engine.mode)
         return clone.runtime_core
 
-    # -- history sharing ---------------------------------------------------------------
-
-    def attach_share(self, share, sync: bool = True):
-        """Join a cross-process signature pool (forwards to the facade).
-
-        Runtimes expose this so adapters configured only with a core —
-        lock wrappers, simulator backends — can still plug a
-        :class:`~repro.share.channel.HistoryChannel` (or spec string) into
-        the engine they drive.  New local signatures then publish as soon
-        as the monitor archives them, and remote ones install into the
-        striped cache index on every monitor pass.
-        """
-        return self.dimmunix.attach_share(share, sync=sync)
-
-    @property
-    def share_pool(self):
-        """The attached :class:`~repro.share.pool.SignaturePool`, if any."""
-        return self.dimmunix.share_pool
-
-    # -- the six-operation protocol -------------------------------------------------------
+    # -- the protocol ----------------------------------------------------------------------
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
                 mode: str = EXCLUSIVE, capacity: int = 1,
@@ -168,7 +149,8 @@ class RuntimeCore:
         the resource's permit count.  Defaults are plain mutex semantics.
         With ``take`` (the primitive's non-blocking take) a granted request
         takes it too, and returns :data:`~repro.core.avoidance.TAKEN_OUTCOME`
-        once the hold is recorded.  A YIELD arms the parker first.
+        once the hold is recorded.  A YIELD arms the parker first, and the
+        engine keeps the waker it returned.
         """
         return self.dimmunix.engine.request(thread_id, lock_id, stack, mode, capacity,
                                             take, self.parker)
@@ -180,16 +162,13 @@ class RuntimeCore:
         self.dimmunix.engine.acquired(thread_id, lock_id, stack, mode, capacity)
 
     def release(self, thread_id: int, lock_id: int) -> List[int]:
-        """Record a release and wake every thread whose yield cause dissolved.
+        """Record a release; the engine wakes every thread whose yield cause dissolved.
 
-        Waking goes through the waker registry, so the caller does not need
-        its own wake plumbing; the woken ids are still returned for
-        introspection and scheduler bookkeeping.
+        Each wakes through the waker its own parker armed, so the caller
+        needs no wake plumbing; the woken ids are returned for introspection
+        and scheduler bookkeeping.
         """
-        woken = self.dimmunix.engine.release(thread_id, lock_id)
-        if woken:
-            self.dimmunix.wake(woken)
-        return woken
+        return self.dimmunix.engine.release(thread_id, lock_id)
 
     def cancel(self, thread_id: int, lock_id: int) -> None:
         """Roll back a previously allowed request (trylock / timed lock)."""
@@ -220,10 +199,6 @@ class RuntimeCore:
         """
         return await self.parker.park_async(thread_id, timeout)
 
-    def wake(self, thread_ids: List[int]) -> None:
-        """Un-park the given threads through the waker registry."""
-        self.dimmunix.wake(thread_ids)
-
     # -- yield lifecycle helpers ------------------------------------------------------------
 
     def prepare_wait(self, thread_id: int) -> None:
@@ -234,21 +209,10 @@ class RuntimeCore:
         """Abort the thread's current yield after the yield bound expired."""
         return self.dimmunix.engine.abort_yield(thread_id)
 
-    # -- waker registry pass-throughs --------------------------------------------------------
-
-    def register_waker(self, thread_id: int, waker: Callable[[], None]) -> None:
-        """Register the callable that un-parks ``thread_id``."""
-        self.dimmunix.register_waker(thread_id, waker)
-
-    def unregister_waker(self, thread_id: int) -> None:
-        """Remove a previously registered waker."""
-        self.dimmunix.unregister_waker(thread_id)
-
     def forget_thread(self, thread_id: int) -> None:
-        """Drop engine, parker, waker and (at a later pass) RAG state of a terminated thread."""
+        """Drop engine (waker included), parker and (at a later pass) RAG state of an ended thread."""
         self.dimmunix.engine.forget_thread(thread_id)
         self.parker.forget(thread_id)
-        self.dimmunix.unregister_waker(thread_id)
         self.dimmunix.monitor.forget_thread(thread_id)
 
 
@@ -422,11 +386,8 @@ class LockRuntime:
         self.dimmunix = dimmunix
         #: The unified engine-driving layer; lock wrappers go through this.
         self.core = RuntimeCore(dimmunix, parker=parker)
-        self._next_lock_id = atomic_counter(1).next
-
-    def new_lock_id(self) -> int:
-        """Allocate an id for a newly created lock wrapper."""
-        return self._next_lock_id()
+        #: Allocates a new lock wrapper's id, from the engine's one id space.
+        self.new_lock_id = dimmunix.new_lock_id
 
     def capture_stack(self) -> CallStack:
         """Capture the caller's stack, bounded by the configured depth.

@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import itertools
+import functools
 import threading
 from collections import deque
-from typing import Coroutine, Deque, Dict, Optional, Set, Tuple
+from typing import Callable, Coroutine, Deque, Dict, Optional, Tuple
 
 from ..core.callstack import CallStack
 from ..core.dimmunix import Dimmunix
@@ -79,16 +79,17 @@ async def _wait_future(future: "asyncio.Future[bool]",
 class TaskRegistry:
     """Assigns stable small integer ids to live asyncio tasks.
 
-    Ids are allocated on first use by any task — including tasks of
-    *different* event loops in the same process — and recycled state is
-    dropped through the task's done callback, so servers spawning
-    short-lived tasks do not accumulate per-task engine state.
+    Ids are allocated by ``new_id`` (the engine's, shared with its
+    threads) on first use by any task — including tasks of *different*
+    event loops in the same process — and recycled state is dropped
+    through the task's done callback, so servers spawning short-lived
+    tasks do not accumulate per-task engine state.
     """
 
-    def __init__(self, on_task_done=None):
+    def __init__(self, new_id, on_task_done=None):
         self._ids: Dict[int, int] = {}
         self._names: Dict[int, str] = {}
-        self._counter = itertools.count(1)
+        self._new_id = new_id
         self._mutex = threading.Lock()
         self._on_task_done = on_task_done
 
@@ -106,7 +107,7 @@ class TaskRegistry:
         if ident is not None:
             return ident
         with self._mutex:  # only the task itself asks, so this is its first use
-            ident = next(self._counter)
+            ident = self._new_id()
             self._ids[key] = ident
             self._names[ident] = task.get_name()
         task.add_done_callback(self._task_done)
@@ -132,22 +133,19 @@ class AsyncioParker(ThreadParker):
     Implements the :class:`~repro.core.runtime_api.ThreadParker` protocol
     on per-task futures.  :meth:`prepare` arms a future bound to the
     task's running loop before a yield is published, closing the
-    lost-wakeup window; the waker registered with the Dimmunix facade
-    resolves that future, hopping onto the owning loop with
-    ``call_soon_threadsafe`` when invoked from another thread (the
-    monitor breaks starvation from its own background thread).
+    lost-wakeup window, and returns the waker that resolves it, hopping
+    onto the owning loop with ``call_soon_threadsafe`` when invoked from
+    another thread (the monitor breaks starvation from its own background
+    thread).  A task's entry is touched only on its own loop's thread.
     """
 
-    def __init__(self, dimmunix: Dimmunix):
-        self._dimmunix = dimmunix
-        self._mutex = threading.Lock()
+    def __init__(self):
         #: task id -> (owning loop, wake future of the current round)
         self._futures: Dict[int, Tuple[asyncio.AbstractEventLoop,
                                        "asyncio.Future[bool]"]] = {}
-        self._registered: Set[int] = set()
 
-    def prepare(self, task_id: int) -> None:
-        """Arm the wake future for ``task_id``.
+    def prepare(self, task_id: int) -> Callable[[], None]:
+        """Arm the wake future for ``task_id``; return the waker that resolves it.
 
         The engine calls it, under its match mutex, while it decides a
         YIELD for the task, just before it publishes the yield's causes.
@@ -156,17 +154,11 @@ class AsyncioParker(ThreadParker):
         is safe: a stale wake scheduled against it can only cause a
         spurious wakeup, and the protocol re-requests after every wake.
         """
-        loop = asyncio.get_running_loop()
-        with self._mutex:
-            entry = self._futures.get(task_id)
-            if entry is None or entry[1].done():
-                self._futures[task_id] = (loop, loop.create_future())
-            register = task_id not in self._registered
-            if register:
-                self._registered.add(task_id)
-        if register:
-            self._dimmunix.register_waker(
-                task_id, lambda tid=task_id: self._wake(tid))
+        entry = self._futures.get(task_id)
+        if entry is None or entry[1].done():
+            loop = asyncio.get_running_loop()
+            entry = self._futures[task_id] = (loop, loop.create_future())
+        return functools.partial(_resolve, *entry)
 
     def park(self, thread_id: int, timeout: Optional[float]) -> bool:
         """Blocking park is meaningless for tasks; always use :meth:`park_async`."""
@@ -182,41 +174,32 @@ class AsyncioParker(ThreadParker):
         keep making progress.  Cancellation propagates to the caller,
         which must roll back the pending request.
         """
-        with self._mutex:
-            entry = self._futures.get(task_id)
+        entry = self._futures.get(task_id)
         if entry is None:  # no prepare (defensive): treat as woken
             return True
         return await _wait_future(entry[1], timeout)
 
     def forget(self, task_id: int) -> None:
         """Drop parking state of a finished task."""
-        with self._mutex:
-            self._futures.pop(task_id, None)
-            self._registered.discard(task_id)
-        self._dimmunix.unregister_waker(task_id)
+        self._futures.pop(task_id, None)
 
-    # -- waker ------------------------------------------------------------------------
 
-    def _wake(self, task_id: int) -> None:
-        with self._mutex:
-            entry = self._futures.get(task_id)
-        if entry is None:
-            return
-        loop, future = entry
+def _resolve(loop: asyncio.AbstractEventLoop, future: "asyncio.Future[bool]") -> None:
+    """The waker of one armed park: resolve its future, on its own loop."""
+    try:
+        running = asyncio.get_running_loop()
+    except RuntimeError:
+        running = None
+    if running is loop:
+        _set_woken(future)
+    else:
+        with contextlib.suppress(RuntimeError):  # the loop already closed
+            loop.call_soon_threadsafe(_set_woken, future)
 
-        def _resolve() -> None:
-            if not future.done():
-                future.set_result(True)
 
-        try:
-            running = asyncio.get_running_loop()
-        except RuntimeError:
-            running = None
-        if running is loop:
-            _resolve()
-        else:
-            with contextlib.suppress(RuntimeError):  # the loop already closed
-                loop.call_soon_threadsafe(_resolve)
+def _set_woken(future: "asyncio.Future[bool]") -> None:
+    if not future.done():
+        future.set_result(True)
 
 
 class AsyncioRuntime(LockRuntime):
@@ -229,11 +212,12 @@ class AsyncioRuntime(LockRuntime):
     """
 
     def __init__(self, dimmunix: Dimmunix):
-        self.parker = AsyncioParker(dimmunix)
+        self.parker = AsyncioParker()
         super().__init__(dimmunix, self.parker)
-        # Finished tasks drop their engine slots, wake futures, and wakers
-        # automatically through the task's done callback.
-        self.tasks = TaskRegistry(on_task_done=self.core.forget_thread)
+        # Finished tasks drop their engine slots (wakers included) and wake
+        # futures automatically through the task's done callback.
+        self.tasks = TaskRegistry(dimmunix.new_unit_id,
+                                  on_task_done=self.core.forget_thread)
         #: Stable id of the running task (raises outside one): the
         #: registry's own method, not a forwarding frame.
         self.current_id = self.current_task_id = self.tasks.current_task_id

@@ -122,7 +122,7 @@ class DimmunixLock(MutexSkeleton):
         if self._owner != thread_id or self._count == 0:
             raise InstrumentationError(
                 f"{self._name} released by thread {thread_id} which does not hold it")
-        # The core wakes dissolved yielders through the waker registry.
+        # The engine wakes dissolved yielders through the wakers their yields armed.
         runtime.core.release(thread_id, self._lock_id)
         self._count -= 1
         if self._count == 0:

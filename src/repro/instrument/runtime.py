@@ -2,11 +2,13 @@
 
 Responsibilities:
 
-* assign stable small integer ids to Python threads and lock objects,
+* assign stable small integer ids to Python threads (lock objects get
+  theirs from the same engine-wide allocator as the asyncio runtime's),
 * park and wake threads that received a YIELD decision (the paper uses a
   per-thread ``yieldLock[T]`` object and ``wait``/``notifyAll``; we use a
   per-thread :class:`threading.Event` plugged into the shared
-  :class:`~repro.core.runtime_api.RuntimeCore` as its parker).
+  :class:`~repro.core.runtime_api.RuntimeCore` as its parker, whose
+  ``set`` is the waker the engine calls).
 
 The process-wide default runtime that ``DimmunixLock()`` without a
 ``runtime=`` binds to lives in :mod:`.patching`, beside its asyncio twin.
@@ -19,9 +21,8 @@ engine-driving glue.
 
 from __future__ import annotations
 
-import itertools
 import threading
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.dimmunix import Dimmunix
 from ..core.runtime_api import LockRuntime, ThreadParker
@@ -50,11 +51,15 @@ class _DeathToken:
 
 
 class ThreadRegistry:
-    """Stable small integer ids for live Python threads; with ``on_thread_death``, names go too."""
+    """Stable small integer ids for live Python threads; with ``on_thread_death``, names go too.
 
-    def __init__(self, on_thread_death=None):
+    ``new_id`` allocates them: the engine's, so threads and tasks driving
+    one engine never share an id.
+    """
+
+    def __init__(self, new_id, on_thread_death=None):
         self._local = threading.local()
-        self._counter = itertools.count(1)
+        self._new_id = new_id
         self._lock = threading.Lock()
         self._names: Dict[int, str] = {}
         self._on_thread_death = on_thread_death
@@ -65,7 +70,7 @@ class ThreadRegistry:
             return self._local.thread_id
         except AttributeError:  # the thread's first lock operation
             with self._lock:
-                ident = next(self._counter)
+                ident = self._new_id()
                 self._names[ident] = threading.current_thread().name
             self._local.thread_id = ident
             if self._on_thread_death is not None:
@@ -94,36 +99,28 @@ class YieldManager(ThreadParker):
     on top of per-thread :class:`threading.Event` objects.
     """
 
-    def __init__(self, dimmunix: Dimmunix):
-        self._dimmunix = dimmunix
+    def __init__(self):
         self._events: Dict[int, threading.Event] = {}
-        self._lock = threading.Lock()
 
     def event_for(self, thread_id: int) -> threading.Event:
         """The (lazily created) wake event for ``thread_id``.
 
-        The event's ``set`` method is registered as the thread's waker with
-        the Dimmunix facade, so both lock releases and the monitor's
-        starvation breaking can un-park the thread.
+        Only the thread itself creates it, so no lock guards the creation.
         """
         event = self._events.get(thread_id)
         if event is None:
-            with self._lock:
-                event = self._events.get(thread_id)
-                if event is None:
-                    event = threading.Event()
-                    self._events[thread_id] = event
-                    self._dimmunix.register_waker(thread_id, event.set)
+            event = self._events[thread_id] = threading.Event()
         return event
 
-    def prepare(self, thread_id: int) -> threading.Event:
-        """Reset and return the wake event: the engine arms it before a yield.
+    def prepare(self, thread_id: int) -> Callable[[], None]:
+        """Reset the wake event and return its ``set``: the engine arms it before a yield.
 
         The engine calls it, under its match mutex, while it decides a
-        YIELD for the thread, just before it publishes the yield's causes:
-        a release that dissolves them sets the event even if the thread has
-        not started waiting yet.  The event is pooled — one per thread slot
-        for the thread's lifetime.
+        YIELD for the thread, just before it publishes the yield's causes,
+        and keeps the waker: a release that dissolves them, or the monitor
+        forcing a GO, sets the event even if the thread has not started
+        waiting yet.  The event is pooled — one per thread for the thread's
+        lifetime.
         """
         event = self.event_for(thread_id)
         # Audited for free-threaded builds: the is_set/clear pair is not
@@ -133,7 +130,7 @@ class YieldManager(ThreadParker):
         # that lands before it is re-checked by the engine once it returns.
         if event.is_set():
             event.clear()
-        return event
+        return event.set
 
     def park(self, thread_id: int, timeout: Optional[float]) -> bool:
         """Park the calling thread until woken or until ``timeout`` expires."""
@@ -141,21 +138,20 @@ class YieldManager(ThreadParker):
 
     def forget(self, thread_id: int) -> None:
         """Drop the wake event of a terminated thread."""
-        with self._lock:
-            self._events.pop(thread_id, None)
-        self._dimmunix.unregister_waker(thread_id)
+        self._events.pop(thread_id, None)
 
 
 class InstrumentationRuntime(LockRuntime):
     """Bundles a Dimmunix instance with the thread registry and runtime core."""
 
     def __init__(self, dimmunix: Dimmunix):
-        self.yields = YieldManager(dimmunix)
+        self.yields = YieldManager()
         super().__init__(dimmunix, self.yields)
-        # Terminated threads drop their engine slots, wake events, and
-        # wakers automatically (see _DeathToken), so servers with
+        # Terminated threads drop their engine slots (wakers included) and
+        # wake events automatically (see _DeathToken), so servers with
         # short-lived threads do not accumulate per-thread state.
-        self.threads = ThreadRegistry(on_thread_death=self.core.forget_thread)
+        self.threads = ThreadRegistry(dimmunix.new_unit_id,
+                                      on_thread_death=self.core.forget_thread)
         #: Stable id of the calling thread: asked twice per lock operation,
         #: so the registry's own method, not a forwarding frame.
         self.current_id = self.current_thread_id = self.threads.current_thread_id

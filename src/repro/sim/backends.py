@@ -11,7 +11,8 @@ statistics, fork).  Three families exist:
   of the paper's experiments); deadlocks simply happen.
 * :class:`DimmunixBackend` — a ``RuntimeCore`` around the full Dimmunix
   runtime on a virtual clock; the monitor is invoked synchronously by the
-  scheduler.
+  scheduler, and the engine wakes a yielder through the waker its parker
+  armed, which marks the simulated thread READY.
 * The gate-lock comparison baseline in :mod:`repro.baselines`.
 
 The engine-less ones (null, gate lock) answer through
@@ -22,14 +23,15 @@ parker, nothing to materialize and no yield bound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import functools
+from typing import Callable, Dict, List, Optional
 
 from ..core.avoidance import GO_OUTCOME, Decision, RequestOutcome
 from ..core.callstack import CallStack
 from ..core.config import DimmunixConfig
 from ..core.dimmunix import Dimmunix
 from ..core.history import History
-from ..core.runtime_api import RuntimeCore
+from ..core.runtime_api import RuntimeCore, ThreadParker
 from ..core.signature import EXCLUSIVE
 from ..util.clock import VirtualClock
 from .result import StallRecord
@@ -56,9 +58,6 @@ class SchedulerBackend:
 
     def attach(self, scheduler) -> None:
         """Called once by the scheduler before the run starts."""
-
-    def on_thread_added(self, thread_id: int) -> None:
-        """Called when a simulated thread is registered."""
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
                 mode: str = EXCLUSIVE, capacity: int = 1, take=None) -> RequestOutcome:
@@ -123,6 +122,16 @@ class NullBackend(SchedulerBackend):
         return GO_OUTCOME
 
 
+class _SchedulerParker(ThreadParker):
+    """Arms nothing (the scheduler answers PARK with a thread state); its waker readies the thread."""
+
+    def __init__(self, wake_thread: Callable[[int], None]):
+        self.wake_thread = wake_thread
+
+    def prepare(self, thread_id: int) -> Callable[[], None]:
+        return functools.partial(self.wake_thread, thread_id)
+
+
 class DimmunixBackend(RuntimeCore, SchedulerBackend):
     """The full Dimmunix runtime as a simulator backend.
 
@@ -131,9 +140,10 @@ class DimmunixBackend(RuntimeCore, SchedulerBackend):
     answers the lock protocol), plus the scheduler's hooks.  The Dimmunix
     instance uses the scheduler's virtual clock and its monitor is
     executed synchronously from :meth:`poll` and :meth:`on_quiescence`
-    rather than from a background thread.  The simulator registers a
-    waker per thread that flips it back to READY, and the core's release
-    path wakes dissolved yielders through that registry.
+    rather than from a background thread.  :meth:`attach` installs a
+    parker that arms nothing: the waker it returns flips the thread back
+    to READY, and the engine calls it when a release dissolves the yield
+    or the monitor forces a GO.
     """
 
     name = "dimmunix"
@@ -147,23 +157,13 @@ class DimmunixBackend(RuntimeCore, SchedulerBackend):
             config = config or DimmunixConfig.for_testing()
             dimmunix = Dimmunix(config=config, history=history, clock=self.clock)
         super().__init__(dimmunix)
-        self._scheduler = None
 
     # -- scheduler wiring --------------------------------------------------------------
 
     def attach(self, scheduler) -> None:
-        self._scheduler = scheduler
         # Keep the engine clock in lockstep with the scheduler's clock.
         scheduler.clock_listeners.append(self.clock.advance_to)
-        for thread_id in scheduler.thread_ids():
-            self.on_thread_added(thread_id)
-
-    def on_thread_added(self, thread_id: int) -> None:
-        if self._scheduler is None:
-            return
-        scheduler = self._scheduler
-        self.register_waker(
-            thread_id, lambda tid=thread_id: scheduler.wake_thread(tid))
+        self.parker = _SchedulerParker(scheduler.wake_thread)
 
     # -- monitor hooks --------------------------------------------------------------------
 
@@ -174,8 +174,8 @@ class DimmunixBackend(RuntimeCore, SchedulerBackend):
         before_broken = self.dimmunix.stats.starvations_broken
         before_ready = scheduler.runnable_count()
         self.dimmunix.process_now()
-        # Breaking a starvation wakes a thread through the waker registry,
-        # which marks it READY; report whether anything became runnable.
+        # Breaking a starvation wakes the victim through the waker its yield
+        # armed, which marks it READY; report whether anything became runnable.
         return (self.dimmunix.stats.starvations_broken > before_broken
                 or scheduler.runnable_count() > before_ready)
 

@@ -171,8 +171,6 @@ class SimScheduler:
         thread = SimThread(program, name=name)
         self._slots[thread.thread_id] = len(self.threads)
         self.threads[thread.thread_id] = thread
-        if self._attached:
-            self.backend.on_thread_added(thread.thread_id)
         return thread
 
     def new_lock(self, name: Optional[str] = None) -> SimLock:
@@ -399,10 +397,10 @@ class SimScheduler:
             thread.held[lock.lock_id] = count
         if fully:
             self._hand_over(lock)
-        # Engine-backed cores (DimmunixBackend) already wake dissolved
-        # yielders through the waker registry — waking them again here is
-        # an idempotent no-op.  Engine-less backends (gate locks) have no
-        # waker registry and rely on this loop.
+        # Engine-backed cores (DimmunixBackend) already woke dissolved
+        # yielders through the wakers their yields armed — waking them again
+        # here is an idempotent no-op.  Engine-less backends (gate locks)
+        # arm no waker and rely on this loop.
         for thread_id in woken:
             self.wake_thread(thread_id)
 

@@ -65,9 +65,8 @@ def _dimmunix(first, second, **config) -> Dimmunix:
 
 
 def force_go_as_the_monitor_does(dimmunix: Dimmunix, thread_id: int) -> None:
-    """What the monitor's starvation handler does to its victim."""
+    """What the monitor's starvation handler does to its victim: the engine wakes its park."""
     dimmunix.engine.force_go(thread_id)
-    dimmunix.monitor.wake_callback([thread_id])
 
 
 def _join(thread: threading.Thread) -> None:

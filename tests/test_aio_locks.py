@@ -533,8 +533,7 @@ class TestCancellation:
 
             async def sleeper():
                 task_id = runtime.current_task_id()
-                task_id_box["id"] = task_id
-                parker.prepare(task_id)
+                task_id_box["waker"] = parker.prepare(task_id)
                 await parker.park_async(task_id, None)
 
             task = asyncio.ensure_future(sleeper())
@@ -542,14 +541,14 @@ class TestCancellation:
             task.cancel()
             with pytest.raises(asyncio.CancelledError):
                 await task
-            # A later wake for the dead task must be a harmless no-op.
-            parker._wake(task_id_box["id"])
+            # A later wake of the dead task's park must be a harmless no-op.
+            task_id_box["waker"]()
             await asyncio.sleep(0)
 
         asyncio.run(main())
 
     def test_parked_task_woken_by_release_from_other_task(self):
-        """The wake path through the waker registry un-parks a live task."""
+        """The waker its prepare returned, called from another task, un-parks a live task."""
         runtime = _make_runtime(start=False)
         parker = runtime.parker
 
@@ -558,14 +557,14 @@ class TestCancellation:
 
             async def sleeper():
                 task_id = runtime.current_task_id()
-                parker.prepare(task_id)
+                woken["waker"] = parker.prepare(task_id)
                 woken["result"] = await parker.park_async(task_id, 1.0)
                 return task_id
 
             task = asyncio.ensure_future(sleeper())
             await asyncio.sleep(0.01)
-            # Wake through the registry, as RuntimeCore.release would.
-            runtime.dimmunix.wake([1])
+            # Wake as the engine's release would: through the armed park's waker.
+            woken["waker"]()
             await task
             assert woken["result"] is True
 

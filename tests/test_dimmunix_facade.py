@@ -9,7 +9,9 @@ from repro.core.callstack import CallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.history import History
+from repro.core.runtime_api import RuntimeCore, ThreadParker
 from repro.core.signature import Signature
+from repro.instrument.runtime import YieldManager
 
 
 def stack(*labels):
@@ -62,26 +64,54 @@ class TestLifecycle:
         assert dimmunix.report()["deadlocks_seen"] == 1
 
 
-class TestWakers:
-    def test_wake_invokes_registered_callable(self, dimmunix):
-        woken = []
-        dimmunix.register_waker(7, lambda: woken.append(7))
-        dimmunix.wake([7, 8])
-        assert woken == [7]
-        dimmunix.unregister_waker(7)
-        dimmunix.wake([7])
-        assert woken == [7]
+class RecordingParker(ThreadParker):
+    """Arms nothing; its waker records the id of the thread it wakes."""
 
+    def __init__(self):
+        self.woken = []
+
+    def prepare(self, thread_id):
+        return lambda: self.woken.append(thread_id)
+
+
+class TestWakers:
     def test_release_wakes_yielded_thread(self, dimmunix):
         dimmunix.history.add(paper_signature())
-        woken = []
-        dimmunix.register_waker(2, lambda: woken.append(2))
+        parker = RecordingParker()
         dimmunix.request(1, 2, S2)
         dimmunix.acquired(1, 2, S2)
-        assert dimmunix.request(2, 1, S1).is_yield
-        to_wake = dimmunix.release(1, 2)
-        dimmunix.wake(to_wake)
-        assert woken == [2]
+        assert dimmunix.engine.request(2, 1, S1, parker=parker).is_yield
+        assert parker.woken == []
+        assert dimmunix.release(1, 2) == [2]
+        assert parker.woken == [2]
+
+    def test_a_stale_waker_only_wakes_spuriously(self, dimmunix):
+        """The waker of an earlier yield may fire late: the park returns, the
+        re-request yields again, and nothing is granted."""
+        dimmunix.history.add(paper_signature())
+        wakers = []
+
+        class Recording(YieldManager):
+            def prepare(self, thread_id):
+                wakers.append(super().prepare(thread_id))
+                return wakers[-1]
+
+        core = RuntimeCore(dimmunix, parker=Recording())
+        for attempt in range(2):
+            assert core.request(1, 2, S2).is_go
+            core.acquired(1, 2, S2)
+            assert core.request(2, 1, S1).is_yield
+            assert not core.park(2, 0)  # armed, not yet woken
+            if attempt == 0:
+                assert core.release(1, 2) == [2]
+                assert core.park(2, 0)
+                assert core.request(2, 1, S1).is_go
+                core.acquired(2, 1, S1)
+                core.release(2, 1)
+        wakers[0]()  # the first yield's waker, long after its park ended
+        assert core.park(2, 0)
+        assert core.request(2, 1, S1).is_yield
+        assert dimmunix.engine.yielding_threads() == [2]
 
 
 class TestSignatureManagement:

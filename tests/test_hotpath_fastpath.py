@@ -83,27 +83,28 @@ class TestGoOutcomeSingleton:
 
 class TestPooledThreadParker:
     def test_same_event_object_across_rounds(self):
-        yields = YieldManager(Dimmunix(config=DimmunixConfig.for_testing()))
+        yields = YieldManager()
         first = yields.prepare(1)
         second = yields.prepare(1)
-        assert first is second
+        assert first == second == yields.event_for(1).set
 
     def test_event_is_reset_after_a_wake(self):
-        dimmunix = Dimmunix(config=DimmunixConfig.for_testing())
-        yields = YieldManager(dimmunix)
-        event = yields.prepare(1)
-        dimmunix.wake([1])
+        yields = YieldManager()
+        waker = yields.prepare(1)
+        event = yields.event_for(1)
+        waker()
         assert event.is_set()
-        again = yields.prepare(1)
-        assert again is event
-        assert not again.is_set()
+        yields.prepare(1)
+        assert yields.event_for(1) is event
+        assert not event.is_set()
 
     def test_never_shared_between_threads(self):
-        yields = YieldManager(Dimmunix(config=DimmunixConfig.for_testing()))
+        yields = YieldManager()
         events = {}
 
         def grab(thread_id: int) -> None:
-            events[thread_id] = yields.prepare(thread_id)
+            yields.prepare(thread_id)
+            events[thread_id] = yields.event_for(thread_id)
 
         pool = [threading.Thread(target=grab, args=(tid,))
                 for tid in range(1, 9)]
@@ -114,23 +115,25 @@ class TestPooledThreadParker:
         assert len({id(event) for event in events.values()}) == 8
 
     def test_forget_releases_the_pooled_event(self):
-        yields = YieldManager(Dimmunix(config=DimmunixConfig.for_testing()))
-        event = yields.prepare(1)
+        yields = YieldManager()
+        yields.prepare(1)
+        event = yields.event_for(1)
         yields.forget(1)
-        assert yields.prepare(1) is not event
+        yields.prepare(1)
+        assert yields.event_for(1) is not event
 
 
 class TestPooledTaskParker:
     def test_pending_future_is_reused_until_resolved(self):
-        parker = AsyncioParker(Dimmunix(config=DimmunixConfig.for_testing()))
+        parker = AsyncioParker()
 
         async def scenario():
             parker.prepare(1)
             first = parker._futures[1][1]
-            parker.prepare(1)
+            waker = parker.prepare(1)
             assert parker._futures[1][1] is first, "pending future re-made"
-            # A wake resolves the yield's future; the next prepare must re-arm.
-            parker._wake(1)
+            # The waker resolves the yield's future; the next prepare must re-arm.
+            waker()
             assert first.done()
             parker.prepare(1)
             assert parker._futures[1][1] is not first
@@ -138,7 +141,7 @@ class TestPooledTaskParker:
         asyncio.run(scenario())
 
     def test_distinct_tasks_get_distinct_futures(self):
-        parker = AsyncioParker(Dimmunix(config=DimmunixConfig.for_testing()))
+        parker = AsyncioParker()
 
         async def scenario():
             parker.prepare(1)

@@ -131,6 +131,57 @@ class TestImmunizeBoth:
         assert not patching._installed
         assert threading.Lock().__class__.__module__ == "_thread"
 
+    def test_threads_and_tasks_draw_ids_from_one_space(self, config):
+        """A task never takes a thread's id, nor an asyncio lock a thread lock's.
+
+        The second thread holds the second thread lock while the first task
+        takes the second asyncio lock: with an id space per runtime the
+        engine saw thread 1 take lock 2 from thread 2's hold, and raised.
+        """
+        units, locks = {"threads": set(), "tasks": set()}, {"threads": set(), "tasks": set()}
+        with repro.immunize(runtime="both", config=config) as handle:
+            first, second = threading.Lock(), threading.Lock()
+            locks["threads"] |= {first.lock_id, second.lock_id}
+            holding, done = threading.Event(), threading.Event()
+
+            def take_first():
+                with first:
+                    units["threads"].add(handle.threads.current_thread_id())
+
+            def hold_second():
+                with second:
+                    units["threads"].add(handle.threads.current_thread_id())
+                    holding.set()
+                    assert done.wait(10.0)
+
+            first_thread = threading.Thread(target=take_first)
+            first_thread.start()
+            first_thread.join(10.0)
+            holder = threading.Thread(target=hold_second)
+            holder.start()
+            assert holding.wait(10.0)
+
+            async def main():
+                one, two = asyncio.Lock(), asyncio.Lock()
+                locks["tasks"] |= {one.lock_id, two.lock_id}
+
+                async def take(lock):
+                    async with lock:
+                        units["tasks"].add(handle.aio.current_task_id())
+
+                await asyncio.create_task(take(two))
+                await asyncio.create_task(take(one))
+
+            try:
+                asyncio.run(main())
+            finally:
+                done.set()
+                holder.join(10.0)
+        assert len(units["threads"]) == len(units["tasks"]) == 2
+        assert not units["threads"] & units["tasks"]
+        assert len(locks["threads"]) == len(locks["tasks"]) == 2
+        assert not locks["threads"] & locks["tasks"]
+
     def test_repr_names_the_runtimes(self):
         handle = repro.immunize(runtime="both")
         try:

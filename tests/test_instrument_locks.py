@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import pytest
@@ -207,7 +208,7 @@ class TestFactoriesAndPatching:
 
 class TestRuntimeHelpers:
     def test_thread_registry_assigns_stable_ids(self):
-        registry = ThreadRegistry()
+        registry = ThreadRegistry(itertools.count(1).__next__)
         first = registry.current_thread_id()
         assert registry.current_thread_id() == first
         ids = []
@@ -218,14 +219,15 @@ class TestRuntimeHelpers:
         assert registry.name_of(first) is not None
         assert len(registry.known_threads()) == 2
 
-    def test_yield_manager_wake(self, config):
-        dimmunix = Dimmunix(config=config)
-        manager = YieldManager(dimmunix)
-        event = manager.prepare(5)
+    def test_yield_manager_wake(self):
+        manager = YieldManager()
+        waker = manager.prepare(5)
+        event = manager.event_for(5)
         assert not event.is_set()
-        # Wakes arrive through the waker the manager registered with the facade.
-        dimmunix.wake([5])
+        # Wakes arrive through the waker the prepare returned to the engine.
+        waker()
         assert event.is_set()
+        assert manager.park(5, 0)
         manager.forget(5)
 
     def test_capture_stack_never_empty(self, runtime):

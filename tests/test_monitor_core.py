@@ -10,6 +10,7 @@ from repro.core.config import DimmunixConfig, STRONG_IMMUNITY
 from repro.core.errors import RestartRequired
 from repro.core.history import History
 from repro.core.monitor import MonitorCore
+from repro.core.runtime_api import ThreadParker
 from repro.core.signature import Signature
 
 
@@ -99,7 +100,7 @@ class TestStarvationHandling:
     SC = stack("acquire:3", "producer:0")
     SD = stack("acquire:4", "consumer:0")
 
-    def _drive_starvation(self, engine):
+    def _drive_starvation(self, engine, parker=None):
         """Two threads yielding on each other's holds (no real deadlock)."""
         engine.history.add(Signature([self.SC.suffix(2), self.SB.suffix(2)],
                                      matching_depth=2))
@@ -110,19 +111,24 @@ class TestStarvationHandling:
         engine.request(2, 2, self.SB)
         engine.acquired(2, 2, self.SB)
         # Thread 1 asks for lock 3: matches {SC, SB} via thread 2's hold.
-        assert engine.request(1, 3, self.SC).is_yield
+        assert engine.request(1, 3, self.SC, parker=parker).is_yield
         # Thread 2 asks for lock 4: matches {SD, SA} via thread 1's hold.
-        assert engine.request(2, 4, self.SD).is_yield
+        assert engine.request(2, 4, self.SD, parker=parker).is_yield
 
     def test_weak_immunity_breaks_starvation(self):
         woken = []
-        engine, monitor, history = build(wake_callback=woken.extend)
-        self._drive_starvation(engine)
+
+        class RecordingParker(ThreadParker):
+            def prepare(self, thread_id):
+                return lambda: woken.append(thread_id)
+
+        engine, monitor, history = build()
+        self._drive_starvation(engine, RecordingParker())
         new = monitor.process()
         kinds = [c.kind for c in new]
         assert "starvation" in kinds
         assert engine.stats.starvations_broken == 1
-        assert len(woken) == 1
+        assert len(woken) == 1  # the victim's armed park, and no other
         victim = woken[0]
         # The victim's next request is forced to GO.
         retry_lock = 3 if victim == 1 else 4

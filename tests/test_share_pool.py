@@ -179,13 +179,6 @@ class TestDimmunixWiring:
         assert len(b.history) == 1
         assert len(memory_hub("spec-test")) == 1
 
-    def test_runtime_core_passthrough(self):
-        hub = MemoryHub()
-        dim = Dimmunix(DimmunixConfig.for_testing())
-        pool = dim.runtime_core.attach_share(hub.channel())
-        assert dim.runtime_core.share_pool is pool
-        assert dim.share_pool is pool
-
     def test_stop_flushes_and_closes_the_pool(self):
         hub = MemoryHub()
         dim = Dimmunix(DimmunixConfig.for_testing(), share=hub.channel())

@@ -13,7 +13,15 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lowered by 113 from 17,245: one engine call decides every acquisition.
+#: Lowered by 75 from 17,132: a yield carries its own waker.  The parker's
+#: ``prepare`` returns the waker of the park it arms, the engine keeps it in
+#: the yielder's slot and calls it from ``release`` and ``force_go``, so the
+#: facade's waker registry (``register_waker``/``unregister_waker``/``wake``
+#: on ``Dimmunix`` and ``RuntimeCore``), ``MonitorCore(wake_callback=)``, the
+#: parkers' registration and mutexes, ``SchedulerBackend.on_thread_added``
+#: and ``RuntimeCore.attach_share``/``share_pool`` went, net of the
+#: engine-owned unit and lock id counters that keep threads and tasks apart.
+#: 17,132 before, lowered by 113 from 17,245: one engine call decides every acquisition.
 #: ``AvoidanceEngine.request`` takes the primitive itself when a driver
 #: hands it ``take``, so ``settle``, ``_take``, ``RuntimeCore.settle``, the
 #: ``TRY_NATIVE`` step and its branches in the three drivers, and
@@ -71,7 +79,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_132
+TOTAL_BUDGET = 17_057
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -87,7 +95,10 @@ TOTAL_BUDGET = 17_132
 #: 1,933 until the drivers' first ``request`` carried the take: the round,
 #: the TRY_NATIVE branches and the asyncio parker's lock-free ``prepare``
 #: path (now run only before a yield) went.
-PRIMITIVES_BUDGET = 1_918
+#: 1,918 until the parkers returned their wakers: their registration with
+#: the facade, ``AsyncioParker._wake`` by id and both parkers' mutexes went
+#: (-20, net of the registries taking the engine's id allocator).
+PRIMITIVES_BUDGET = 1_898
 #: ``share/``: four transports around one ``PoolState`` (``state.py`` and
 #: ``wire.py`` included) and one ``send``/``receive``/``snapshot``
 #: contract.  3,479 before that contract: 625 of the 1,241 lines it
@@ -115,7 +126,9 @@ SHARE_BUDGET = 2_295
 #: 3,190 until ``Explorer(preemption_bound=, max_depth=)``, its random walk
 #: and the ``"auto"`` strategy went, and ``SimScheduler``'s poll interval
 #: and step budget became module constants.
-SIM_BUDGET = 3_080
+#: 3,080 until ``on_thread_added`` and the per-thread waker registration went:
+#: ``DimmunixBackend.attach`` installs a parker whose waker readies the thread.
+SIM_BUDGET = 3_078
 
 
 def count_lines(*roots: str) -> int:

@@ -21,7 +21,7 @@ from repro.core.dimmunix import Dimmunix
 from repro.core.events import EventType
 from repro.core.history import History
 from repro.core.rag import ResourceAllocationGraph
-from repro.core.runtime_api import RuntimeCore
+from repro.core.runtime_api import RuntimeCore, ThreadParker
 from repro.core.signature import Signature
 from repro.instrument.locks import DimmunixLock
 from repro.instrument.runtime import InstrumentationRuntime
@@ -197,14 +197,18 @@ class TestRuntimeApiUnification:
         runtime = InstrumentationRuntime(Dimmunix(DimmunixConfig.for_testing()))
         assert isinstance(runtime.core, RuntimeCore)
 
-    def test_core_release_wakes_through_registry(self):
+    def test_core_release_wakes_the_park_its_yield_armed(self):
         history = History(path=None, autosave=False)
         history.add(Signature([stack("lock:4", "update:1"),
                                stack("lock:4", "update:2")], matching_depth=2))
         dimmunix = Dimmunix(DimmunixConfig.for_testing(), history=history)
-        core = dimmunix.runtime_core
         woken_ids = []
-        dimmunix.register_waker(2, lambda: woken_ids.append(2))
+
+        class RecordingParker(ThreadParker):
+            def prepare(self, thread_id):
+                return lambda: woken_ids.append(thread_id)
+
+        core = RuntimeCore(dimmunix, parker=RecordingParker())
         s1 = stack("lock:4", "update:1", "main:0")
         s2 = stack("lock:4", "update:2", "main:0")
         assert core.request(1, 2, s2).is_go
