@@ -20,11 +20,12 @@ history (exact-cover search over the Allowed sets), and manages yield
 causes, aborted yields and forced-GO overrides used to break starvation.
 
 Concurrency design (the paper's section 5.6 fast path): engine state is
-striped rather than guarded by one global mutex.  Per-thread yield and
-forced-GO state lives in the thread's one slot, the cache's, which each
-entry point fetches once; the :class:`~repro.core.cache.AvoidanceCache`
-is lock-striped; and the signature history is consulted through a
-read-mostly incremental :class:`~repro.core.sigindex.SignatureIndex`.  A
+striped rather than guarded by one global mutex.  A thread's standing
+yield (one :class:`~repro.core.cache.Yield` record) and its forced-GO flag
+live in the thread's one slot, the cache's, which each entry point fetches
+once; the :class:`~repro.core.cache.AvoidanceCache` is lock-striped; and
+the signature history is consulted through a read-mostly incremental
+:class:`~repro.core.sigindex.SignatureIndex`.  A
 request whose call site no signature names — the common case — is decided
 by one probe of the index's ``sites``, the capture's, whose verdict holds
 for that very object: no engine-wide lock, and no Allowed-set entry in
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .cache import AvoidanceCache, Binding
+from .cache import AvoidanceCache, Binding, Yield
 from .callstack import CallStack
 from .config import DimmunixConfig
 from .errors import AvoidanceError
@@ -97,17 +98,6 @@ GO_OUTCOME = RequestOutcome(Decision.GO)
 #: The one GO that also took the primitive (a request given ``take``):
 #: the acquisition is recorded and over, nothing is left to call.
 TAKEN_OUTCOME = RequestOutcome(Decision.GO, taken=True)
-
-
-@dataclass
-class _YieldState:
-    """Book-keeping about a thread currently parked by an avoidance decision."""
-
-    signature: Signature
-    lock_id: int
-    stack: CallStack
-    causes: Tuple[Binding, ...]
-    since: float = 0.0
 
 
 class AvoidanceEngine:
@@ -190,8 +180,9 @@ class AvoidanceEngine:
         Otherwise the GO leaves an allow edge for the caller's own take or
         wait, then :meth:`acquired` or :meth:`cancel`.  ``parker.prepare(thread_id)``
         arms the caller's parker and returns the waker of that park; it runs
-        only before a YIELD is published, and the waker is stored first, so
-        :meth:`release` and :meth:`force_go` wake the park it armed.
+        only before a YIELD is published, and the waker is published inside
+        the yield's record, so :meth:`release` and :meth:`force_go` wake the
+        park it armed.
         """
         if self.mode == MODE_INSTRUMENTATION_ONLY:
             return GO_OUTCOME
@@ -247,21 +238,23 @@ class AvoidanceEngine:
                 causes = tuple(binding for binding in instance
                                if binding[0] != thread_id)
                 cache.remove_allow(thread_id, slot)
-                if parker is not None:
-                    slot.waker = parker.prepare(thread_id)
+                now = self.clock.now()
+                cache.begin_yield(thread_id, slot, Yield(
+                    signature, lock_id, stack, causes, now,
+                    parker.prepare(thread_id) if parker is not None else None))
                 if slot.forced_go:
                     # The monitor forced a GO since the bypass check, and the
-                    # arming just cleared its wake: honour it here.
+                    # arming may have cleared its wake: honour it here (the
+                    # grant withdraws the record just published).
                     slot.forced_go = False
                     self.stats.bump("forced_go")
                     return self._grant(slot, thread_id, lock_id, stack, mode, capacity,
                                        take, True)
-                cache.set_yield_cause(thread_id, causes)
                 if not all(cache.binding_live(tid, lid) for tid, lid, _stack in causes):
                     # A concurrent release or cancel dissolved the instance
-                    # between the cover search and the cause publication;
+                    # between the cover search and the publication;
                     # re-match so the thread is not parked on a dead cause.
-                    cache.clear_yield_cause(thread_id)
+                    cache.end_yield(thread_id, slot)
                     continue
                 # The thread is about to park: its request stack and every
                 # hold stack it contributes to the danger group must be
@@ -274,10 +267,6 @@ class AvoidanceEngine:
                 stack.materialize()
                 for held_stack in cache.held_stacks(thread_id):
                     held_stack.materialize()
-                now = self.clock.now()
-                slot.yield_state = _YieldState(
-                    signature=signature, lock_id=lock_id, stack=stack,
-                    causes=causes, since=now)
                 self._last_avoided_fp = signature.fingerprint
                 signature.record_avoidance()
                 emit = self.events.emit
@@ -294,9 +283,8 @@ class AvoidanceEngine:
         read after the take.
         """
         cache = self.cache
-        if slot.yield_cause:
-            cache.clear_yield_cause(thread_id)
-        slot.yield_state = None
+        if slot.yielding is not None:  # only this thread begins its yields
+            cache.end_yield(thread_id, slot)
         if take is not None and take(thread_id, mode):
             if slot.waiting is not None:
                 cache.remove_allow(thread_id, slot)  # as a new allow edge retires it
@@ -336,8 +324,8 @@ class AvoidanceEngine:
             candidates = {id(signature): signature for group in groups
                           for signature in group.admitted(occupied)}.values()
         for signature in candidates:
-            if signature.disabled:
-                continue
+            if signature.disabled or len(signature.stacks) < 2:
+                continue  # one stack is its own whole instance: nothing could wake it
             instance = self._find_instance(signature, thread_id, lock_id, stack,
                                            signature.matching_depth)
             if instance is not None:
@@ -430,7 +418,8 @@ class AvoidanceEngine:
             waiting = slot.waiting
             stack = waiting[1] if waiting is not None else CallStack(())
         self.cache.add_hold(thread_id, lock_id, stack, mode, capacity, slot)
-        slot.yield_state = None
+        if slot.yielding is not None:
+            self.cache.end_yield(thread_id, slot)
         self.events.emit(EV_ACQUIRED, thread_id, lock_id, stack, (), now,
                          mode, capacity)
 
@@ -453,11 +442,11 @@ class AvoidanceEngine:
             # release, so its wake scan runs regardless.
             stack.discard_origin()
             return []
-        woken = self.cache.threads_to_wake(thread_id, lock_id, stack)
-        for yielder in woken:
-            slot = self.cache.slots.peek(yielder)
-            if slot is not None and slot.waker is not None:
-                slot.waker()
+        woken = []
+        for yielder, record in self.cache.threads_to_wake(thread_id, lock_id, stack):
+            woken.append(yielder)
+            if record.waker is not None:
+                record.waker()
         # The hold is gone; this stack can no longer enter a signature
         # (archives only read stacks of *current* holds and waits), so stop
         # pinning the interpreter frame it was captured from.  A late
@@ -476,9 +465,8 @@ class AvoidanceEngine:
         now = self.clock.now()
         slot = self.cache.slots.get(thread_id)
         previous = self.cache.remove_allow(thread_id, slot)
-        if slot.yield_cause:
-            self.cache.clear_yield_cause(thread_id)
-        slot.yield_state = None
+        if slot.yielding is not None:
+            self.cache.end_yield(thread_id, slot)
         self.events.emit(EV_CANCEL, thread_id, lock_id, timestamp=now)
         if previous is not None:
             # The allow edge is gone; the request stack can no longer be
@@ -495,14 +483,12 @@ class AvoidanceEngine:
         with GO, and returns the signature involved.
         """
         slot = self.cache.slots.get(thread_id)
-        state = slot.yield_state
-        slot.yield_state = None
-        self.cache.clear_yield_cause(thread_id)
+        record = self.cache.end_yield(thread_id, slot)
         slot.forced_go = True
         self.stats.bump("aborted_yields")
-        if state is None:
+        if record is None:
             return None
-        signature = state.signature
+        signature = record.signature
         aborts = signature.record_abort()
         threshold = self.config.auto_disable_abort_threshold
         if threshold is not None and aborts >= threshold and not signature.disabled:
@@ -510,18 +496,19 @@ class AvoidanceEngine:
         return signature
 
     def force_go(self, thread_id: int) -> None:
-        """Force the thread's next request to be granted and wake its park (starvation breaking)."""
-        slot = self.cache.slots.get(thread_id)
-        slot.yield_state = None
-        self.cache.clear_yield_cause(thread_id)
-        slot.forced_go = True
-        if slot.waker is not None:
-            slot.waker()
+        """Force the thread's next request to be granted and wake its park (starvation breaking).
 
-    def yielding_threads(self) -> List[int]:
-        """Threads currently parked by an avoidance decision."""
-        return [tid for tid, slot in self.cache.slots.items()
-                if slot.yield_state is not None]
+        ``forced_go`` is written before the yield is withdrawn, and
+        :meth:`request` reads it after it publishes one: either that request
+        sees the flag and grants, or the withdrawal here finds its record
+        and calls that park's waker.  A thread with no standing yield is not
+        woken; its next request is granted.
+        """
+        slot = self.cache.slots.get(thread_id)
+        slot.forced_go = True
+        record = self.cache.end_yield(thread_id, slot)
+        if record is not None and record.waker is not None:
+            record.waker()
 
     def last_avoided_signature(self) -> Optional[Signature]:
         """The signature involved in the most recent yield, if any.
@@ -532,11 +519,11 @@ class AvoidanceEngine:
         fingerprint of the most *recently* avoided signature (not the most
         *often* avoided one).
         """
-        latest: Optional[_YieldState] = None
+        latest: Optional[Yield] = None
         for _thread_id, slot in self.cache.slots.items():
-            state = slot.yield_state
-            if state is not None and (latest is None or state.since > latest.since):
-                latest = state
+            record = slot.yielding
+            if record is not None and (latest is None or record.since > latest.since):
+                latest = record
         if latest is not None:
             return latest.signature
         if self._last_avoided_fp is not None:

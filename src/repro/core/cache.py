@@ -15,10 +15,14 @@ decisions (paper section 5.1).  This module provides that cache:
   sites a signature needs are occupied is one dict read each.  Only
   signature stacks are ever probed with, so a binding at any other site
   could not be found and is not indexed (``sites``).
-* per-thread state: the holds multiset, the allowed-wait edge, the yield
-  causes and the engine's yield / forced-GO state, in the thread's one slot.
+* per-thread state: the holds multiset, the allowed-wait edge, the
+  standing :class:`Yield` and the forced-GO flag, in the thread's one slot.
   The slots are the only hold ledger; beside them one owner map names the
   thread holding each single-holder resource, for the double-acquire check.
+  A yield is one immutable record, published by :meth:`AvoidanceCache.begin_yield`
+  and withdrawn by :meth:`AvoidanceCache.end_yield`, both under one mutex
+  that also guards the wake index: whoever withdraws a yield holds the
+  record it removed, and so the waker of that park and of no later one.
 
 Nothing here is memoized; all of it is current state.  The cache is
 striped the way the paper's generalized-Peterson design intends: an
@@ -35,11 +39,11 @@ detection pass as the safety net, exactly as the paper does.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from .callstack import CallStack, Frame
 from .errors import AvoidanceError
-from .signature import EXCLUSIVE, SHARED
+from .signature import EXCLUSIVE, SHARED, Signature
 from ..util.slots import SlotRegistry
 
 #: A (thread_id, lock_id, stack) binding, as used in signature instances.
@@ -49,28 +53,39 @@ Binding = Tuple[int, int, CallStack]
 STRIPES = 16
 
 
+class Yield(NamedTuple):
+    """One standing yield: the signature instance that parked a thread, and its wake.
+
+    ``causes`` are the other threads' bindings of the instance; a release
+    that dissolves one calls ``waker``, the waker of the park the yield
+    armed (``None`` when no parker armed one).
+    """
+
+    signature: Signature
+    lock_id: int
+    stack: CallStack
+    causes: Tuple[Binding, ...]
+    since: float
+    waker: Optional[Callable[[], None]]
+
+
 class _ThreadSlot:
     """Per-thread cache and engine state, written (almost) only by its owning thread:
-    without locking, and the monitor only flips ``forced_go`` and clears ``yield_state``.
+    without locking, and the monitor only flips ``forced_go`` and withdraws ``yielding``.
 
     The engine looks a thread's slot up once per entry point and hands it on.
     """
 
-    __slots__ = ("waiting", "yield_cause", "holds", "yield_state", "forced_go", "departed", "waker")
+    __slots__ = ("waiting", "holds", "yielding", "forced_go", "departed")
 
     def __init__(self):
-        #: The engine's record of the avoidance decision parking the thread.
-        self.yield_state = None
-        #: Wakes the park of its latest yield, stored before the causes are
-        #: published; a stale one only wakes a later park spuriously.
-        self.waker: Optional[Callable[[], None]] = None
+        #: The thread's standing yield, or None; replaced whole, under the
+        #: cache's yielding mutex, so a reader never sees a partial one.
+        self.yielding: Optional[Yield] = None
         #: Set by an aborted yield or the monitor: the next request gets GO.
         self.forced_go = False
         #: (lock, stack) the thread is allowed to wait for, or None.
         self.waiting: Optional[Tuple[int, CallStack]] = None
-        #: Immutable snapshot of the cause bindings it is yielding on;
-        #: replaced wholesale so concurrent readers never see a partial set.
-        self.yield_cause: frozenset = frozenset()
         #: {lock: [stacks]} currently held (reentrant holds stacked).
         self.holds: Dict[int, List[CallStack]] = {}
         #: The thread ended holding something: the slot goes with its last hold.
@@ -93,9 +108,10 @@ class AvoidanceCache:
         self.allowed: Dict[Optional[Frame], Dict[Binding, None]] = {}
         self._stripes: List[threading.Lock] = [threading.Lock() for _ in range(STRIPES)]
         self.slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
-        #: Slots of currently yielding threads only, so release-side wake
-        #: scans stay O(yielders) instead of O(threads ever seen).
-        self._yielding: Dict[int, _ThreadSlot] = {}
+        #: The standing yield of every yielding thread, the same record as
+        #: its slot's, so release-side wake scans stay O(yielders) instead of
+        #: O(threads ever seen).  Written with the slots under ``_yielding_lock``.
+        self._yielding: Dict[int, Yield] = {}
         self._yielding_lock = threading.Lock()
         #: lock -> the thread holding it, for single-holder holds only (one
         #: EXCLUSIVE permit): the double-acquire check.  No mutex; see
@@ -234,11 +250,6 @@ class AvoidanceCache:
         return [stack for stacks in list(slot.holds.values())
                 for stack in list(stacks)] if slot is not None else []
 
-    def total_holds(self, thread_id: int) -> int:
-        """Number of hold edges of ``thread_id`` (reentrant holds counted)."""
-        slot = self.slots.peek(thread_id)
-        return sum(map(len, list(slot.holds.values()))) if slot is not None else 0
-
     def binding_live(self, thread_id: int, lock_id: int) -> bool:
         """Is the (thread, lock) binding still backed by a hold or allow edge?
 
@@ -251,39 +262,35 @@ class AvoidanceCache:
         waiting = self.waiting_of(thread_id)
         return waiting is not None and waiting[0] == lock_id
 
-    # -- yield causes -----------------------------------------------------------------------
+    # -- yields ---------------------------------------------------------------------------------
 
-    def set_yield_cause(self, thread_id: int, causes: Iterable[Binding]) -> None:
-        """Record why ``thread_id`` is yielding."""
-        slot = self.slots.get(thread_id)
-        slot.yield_cause = frozenset(causes)
+    def begin_yield(self, thread_id: int, slot: _ThreadSlot, record: Yield) -> None:
+        """Publish ``record`` as the thread's standing yield, replacing any earlier one."""
         with self._yielding_lock:
-            if slot.yield_cause:
-                self._yielding[thread_id] = slot
-            else:
-                self._yielding.pop(thread_id, None)
+            slot.yielding = record
+            self._yielding[thread_id] = record
 
-    def clear_yield_cause(self, thread_id: int) -> None:
-        """Forget the thread's yield causes (it got GO, aborted, or was forced)."""
-        slot = self.slots.peek(thread_id)
-        if slot is not None and slot.yield_cause:
-            slot.yield_cause = frozenset()
-            with self._yielding_lock:
-                self._yielding.pop(thread_id, None)
+    def end_yield(self, thread_id: int, slot: _ThreadSlot) -> Optional[Yield]:
+        """Withdraw the thread's standing yield; returns the record it removed, or None.
 
-    def yield_cause_of(self, thread_id: int) -> Set[Binding]:
-        """The thread's current yield causes (empty set when not yielding)."""
-        slot = self.slots.peek(thread_id)
-        return set(slot.yield_cause) if slot is not None else set()
+        The read and the clear are one step under the mutex, so two callers
+        racing to withdraw one yield (the thread granted, the monitor forcing
+        a GO) never both get it.
+        """
+        with self._yielding_lock:
+            record = slot.yielding
+            if record is not None:
+                slot.yielding = None
+                del self._yielding[thread_id]
+        return record
 
     def yielding_threads(self) -> List[int]:
-        """Threads currently parked by an avoidance decision."""
-        return [tid for tid, slot in list(self._yielding.items())
-                if slot.yield_cause]
+        """Threads with a standing yield."""
+        return list(self._yielding)
 
     def threads_to_wake(self, thread_id: int, lock_id: int,
-                        stack: CallStack) -> List[int]:
-        """Threads whose yield cause dissolves when ``thread_id`` releases ``lock_id``.
+                        stack: CallStack) -> List[Tuple[int, Yield]]:
+        """(yielder, yield) pairs whose cause dissolves when ``thread_id`` releases ``lock_id``.
 
         A cause matches when its thread and lock agree; the stack is
         compared only when both sides carry one, because a release may
@@ -292,9 +299,9 @@ class AvoidanceCache:
         """
         if not self._yielding:
             return []  # the same lock-free read as the copy below
-        woken: List[int] = []
-        for tid, slot in list(self._yielding.items()):
-            for cause_thread, cause_lock, cause_stack in slot.yield_cause:
+        woken: List[Tuple[int, Yield]] = []
+        for tid, record in list(self._yielding.items()):
+            for cause_thread, cause_lock, cause_stack in record.causes:
                 if cause_thread != thread_id or cause_lock != lock_id:
                     continue
                 if cause_stack and stack != cause_stack \
@@ -302,7 +309,7 @@ class AvoidanceCache:
                     # The released hold edge is not the one named by the
                     # cause and the causing hold is still in place.
                     continue
-                woken.append(tid)
+                woken.append((tid, record))
                 break
         return woken
 
@@ -352,12 +359,10 @@ class AvoidanceCache:
         slot = self.slots.peek(thread_id)
         if slot is not None:
             self.remove_allow(thread_id, slot)
-            slot.yield_cause, slot.yield_state = frozenset(), None
+            self.end_yield(thread_id, slot)
             slot.departed = True
             if not slot.holds:  # read after the flag: a racing release pops it too
                 self.slots.pop(thread_id)
-        with self._yielding_lock:
-            self._yielding.pop(thread_id, None)
 
     def rebuild_allowed(self) -> None:
         """Index every live waiting/hold binding whose site :attr:`sites` names.
@@ -428,13 +433,10 @@ class AvoidanceCache:
                 held.setdefault(lock, {})[tid] = len(stacks)
         holders = {lock: (next(iter(counts)) if len(counts) == 1 else tuple(counts),
                           sum(counts.values())) for lock, counts in held.items()}
-        waiting = {}
-        yielding = {}
-        for tid, slot in self.slots.items():
-            if slot.waiting is not None:
-                waiting[tid] = slot.waiting[0]
-            if slot.yield_cause:
-                yielding[tid] = len(slot.yield_cause)
+        waiting = {tid: slot.waiting[0] for tid, slot in self.slots.items()
+                   if slot.waiting is not None}
+        yielding = {tid: len(record.causes)
+                    for tid, record in list(self._yielding.items())}
         return {
             "holders": holders,
             "waiting": waiting,

@@ -28,7 +28,6 @@ from .errors import MonitorError
 from .events import EventBus
 from .history import History
 from .monitor import MonitorCore, MonitorThread
-from .runtime_api import RuntimeCore
 from .signature import Signature
 from .stats import EngineStats
 from ..util.atomics import atomic_counter
@@ -65,14 +64,28 @@ class Dimmunix:
         #: whichever runtimes drive it, each numbered from 1.
         self.new_unit_id = atomic_counter(1).next
         self.new_lock_id = atomic_counter(1).next
-        #: Default engine-driving layer for adapters that do not supply
-        #: their own parker (see :mod:`repro.core.runtime_api`).
-        self.runtime_core = RuntimeCore(self)
         #: Cross-process signature pool (see :mod:`repro.share`), attached
         #: via the ``share`` argument or :meth:`attach_share`.
         self.share_pool = None
         if share is not None:
             self.attach_share(share)
+
+    def fork(self) -> "Dimmunix":
+        """A fresh instance: same config, handlers and engine mode, a new clock, a copied history.
+
+        Systematic exploration runs the same scenario under many
+        interleavings; each run must start from identical engine state and
+        must not leak learned signatures (or mutated signature counters)
+        into its siblings, so each gets its own instance seeded with a
+        deep copy of the current history.
+        """
+        history = History(path=None, autosave=False)
+        history.merge(Signature.from_dict(signature.to_dict())
+                      for signature in self.history.signatures())
+        return Dimmunix(config=self.config, history=history, clock=type(self.clock)(),
+                        deadlock_handler=self.monitor.deadlock_handler,
+                        restart_handler=self.monitor.restart_handler,
+                        engine_mode=self.engine.mode)
 
     # -- lifecycle ---------------------------------------------------------------------
 

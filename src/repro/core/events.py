@@ -320,7 +320,7 @@ class EventBus:
     ever be called by one thread at a time (the monitor serializes on its
     own mutex); ``_pending`` and the release cursor are consumer-owned
     state.  Nothing empties a bus in place: a trial that wants clean
-    state builds a new engine (:meth:`~repro.core.runtime_api.RuntimeCore.fork`).
+    state builds a new engine (:meth:`~repro.core.dimmunix.Dimmunix.fork`).
     """
 
     def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY,

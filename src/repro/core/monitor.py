@@ -207,26 +207,12 @@ class MonitorCore:
                 return
             raise RestartRequired(signature_fingerprint=signature.fingerprint)
         # Weak immunity: break the starvation by releasing the starved
-        # yielding thread that holds the most locks (section 3).
+        # yielding thread that holds the most locks (section 3).  The group
+        # has one: find_starvation reports no group without a thread the RAG
+        # sees yielding, and nothing applied a record since, under _mutex.
         victim = pick_starvation_victim(self.rag, cycle)
-        if victim is None:
-            victim = self._victim_from_engine(cycle)
-        if victim is not None:
-            self.engine.force_go(victim)  # wakes the park its yield armed
-            self.stats.bump("starvations_broken")
-
-    def _victim_from_engine(self, cycle: DetectedCycle) -> Optional[int]:
-        """Fallback victim choice using the engine cache (RAG may lag)."""
-        best = None
-        best_holds = -1
-        for thread_id in self.engine.yielding_threads():
-            if thread_id not in cycle.threads:
-                continue
-            holds = self.engine.cache.total_holds(thread_id)
-            if holds > best_holds:
-                best = thread_id
-                best_holds = holds
-        return best
+        self.engine.force_go(victim)  # wakes the park its yield armed
+        self.stats.bump("starvations_broken")
 
     def _archive(self, cycle: DetectedCycle) -> Signature:
         signature = cycle.to_signature(self.config.matching_depth,

@@ -99,8 +99,6 @@ class ResourceState:
     shared_capable: bool = False
     #: Hold edges in acquisition order: (thread, stack, mode).
     edges: List[Tuple[int, CallStack, str]] = field(default_factory=list)
-    #: Threads with an allow edge on this resource.
-    waiters: Set[int] = field(default_factory=set)
 
     def holder_ids(self) -> List[int]:
         """Distinct holder thread ids, in first-acquisition order."""
@@ -329,16 +327,13 @@ class ResourceAllocationGraph:
         thread.allow_mode = mode
         if thread.yields:
             thread.yields.clear()
-        resource = (self._learn_spec_fields(lock_id, mode, capacity)
-                    if capacity > 1 or mode == SHARED
-                    else self._locks.get(lock_id) or self.lock(lock_id))
-        resource.waiters.add(thread_id)
+        if capacity > 1 or mode == SHARED:
+            self._learn_spec_fields(lock_id, mode, capacity)
 
     def _on_yield(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
         thread = self.thread(thread_id)
         # The tentative allow edge is flipped back into a request edge.
         if thread.allow is not None and thread.allow[0] == lock_id:
-            self.lock(lock_id).waiters.discard(thread_id)
             thread.allow = None
         thread.request = (lock_id, stack)
         thread.request_mode = mode
@@ -354,7 +349,6 @@ class ResourceAllocationGraph:
             thread.allow = None
         if thread.request is not None and thread.request[0] == lock_id:
             thread.request = None
-        resource.waiters.discard(thread_id)
         if thread.yields:
             thread.yields.clear()
         edges = resource.edges
@@ -406,7 +400,6 @@ class ResourceAllocationGraph:
             thread.allow = None
         if thread.request is not None and thread.request[0] == lock_id:
             thread.request = None
-        self.lock(lock_id).waiters.discard(thread_id)
         thread.yields.clear()
 
     # -- statistics / introspection ---------------------------------------------------------------
@@ -436,7 +429,8 @@ class ResourceAllocationGraph:
                     "holders": state.holder_ids(),
                     "capacity": state.capacity,
                     "shared": state.shared_capable,
-                    "waiters": sorted(state.waiters),
+                    "waiters": sorted(tid for tid, thread in self._threads.items()
+                                      if thread.allow is not None and thread.allow[0] == lid),
                 }
                 for lid, state in self._locks.items()
             },

@@ -50,11 +50,12 @@ class ThreadParker:
 
     ``prepare`` arms the wake primitive and returns its waker, a callable
     that ends the armed park; the engine calls it under its match mutex
-    just before it publishes a yield's causes, and calls the waker when a
-    release dissolves them or the monitor forces a GO, so no wake is lost.
-    ``park`` blocks (or suspends) the thread until woken or until the
-    timeout expires, returning whether it was woken.  The default never
-    parks and returns no waker.
+    and publishes the waker in the yield's one record, and calls the waker
+    when a release dissolves a cause of that record or the monitor forces
+    a GO by withdrawing it, so no wake is lost.  ``park`` blocks (or
+    suspends) the thread until woken or until the timeout expires,
+    returning whether it was woken.  The default never parks and returns
+    no waker.
     """
 
     def prepare(self, thread_id: int) -> Optional[Callable[[], None]]:
@@ -107,36 +108,6 @@ class RuntimeCore:
         """The configuration of the attached Dimmunix instance."""
         return self.dimmunix.config
 
-    def fork(self) -> "RuntimeCore":
-        """A fresh core: new engine, same config, deep-copied history.
-
-        Systematic exploration runs the same scenario under many
-        interleavings; each run must start from identical engine state and
-        must not leak learned signatures (or mutated signature counters)
-        into its siblings.  ``fork`` gives every run its own Dimmunix
-        instance seeded with an isolated copy of the current history.
-
-        The fork gets the default (non-blocking) parker: parkers are
-        runtime-specific and bound to their runtime's wake machinery, so
-        a runtime that parks for real must install its own parker against
-        the forked core.  The simulator parks nothing: ``DimmunixBackend.fork``
-        wraps the forked instance in a fresh backend, whose PARK steps the
-        scheduler answers with thread states.
-        """
-        from .dimmunix import Dimmunix  # runtime import: cycle guard
-        from .history import History
-
-        source = self.dimmunix
-        history = History(path=None, autosave=False)
-        history.merge(Signature.from_dict(sig.to_dict())
-                      for sig in source.history.signatures())
-        clone = Dimmunix(config=source.config, history=history,
-                         clock=type(source.clock)(),
-                         deadlock_handler=source.monitor.deadlock_handler,
-                         restart_handler=source.monitor.restart_handler,
-                         engine_mode=source.engine.mode)
-        return clone.runtime_core
-
     # -- the protocol ----------------------------------------------------------------------
 
     def request(self, thread_id: int, lock_id: int, stack: CallStack,
@@ -150,7 +121,7 @@ class RuntimeCore:
         With ``take`` (the primitive's non-blocking take) a granted request
         takes it too, and returns :data:`~repro.core.avoidance.TAKEN_OUTCOME`
         once the hold is recorded.  A YIELD arms the parker first, and the
-        engine keeps the waker it returned.
+        waker it returned is published in the yield's record.
         """
         return self.dimmunix.engine.request(thread_id, lock_id, stack, mode, capacity,
                                             take, self.parker)
@@ -210,7 +181,10 @@ class RuntimeCore:
         return self.dimmunix.engine.abort_yield(thread_id)
 
     def forget_thread(self, thread_id: int) -> None:
-        """Drop engine (waker included), parker and (at a later pass) RAG state of an ended thread."""
+        """Drop an ended thread's state: engine (its standing yield too), parker and RAG.
+
+        The RAG's goes at a later monitor pass.
+        """
         self.dimmunix.engine.forget_thread(thread_id)
         self.parker.forget(thread_id)
         self.dimmunix.monitor.forget_thread(thread_id)

@@ -185,14 +185,14 @@ class DimmunixBackend(RuntimeCore, SchedulerBackend):
         return data
 
     def fork(self) -> "DimmunixBackend":
-        """A fresh backend around a forked core (copied history, new engine).
+        """A fresh backend around a forked Dimmunix (copied history, new engine).
 
         Subclasses that only adjust configuration (e.g. the detection-only
         baseline) are preserved: the fork is constructed from the cloned
         Dimmunix instance via ``type(self)``-independent wiring, so the
         exploration engine can fork any engine-backed backend.
         """
-        dimmunix = super().fork().dimmunix
+        dimmunix = self.dimmunix.fork()
         fork = DimmunixBackend.__new__(type(self))
         DimmunixBackend.__init__(fork, dimmunix=dimmunix, clock=dimmunix.clock)
         return fork

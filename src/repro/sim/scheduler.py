@@ -70,9 +70,6 @@ class SimThread:
         self._peeked = None            # action fetched by peek_action, not yet run
         self._peeked_valid = False
         self.held: Dict[int, int] = {}  # lock_id -> reentrancy count
-        self.lock_ops = 0
-        self.yields = 0
-        self.blocks = 0
         #: Close the program when a run ends with it unfinished.  Set for
         #: thread programs (:mod:`repro.sim.threads`), whose OS thread must
         #: not outlive the run; a coroutine stalled inside ``async with``
@@ -117,20 +114,12 @@ class SimThread:
         return action
 
     def next_action(self):
-        """Advance the generator and return its next action (or None when done)."""
-        if self._peeked_valid:
-            action = self._peeked
-            self._peeked = None
-            self._peeked_valid = False
-            if action is None:
-                self.state = ThreadState.FINISHED
-            return action
-        try:
-            action = self._generator.send(self.last_result)
-        except StopIteration:
+        """Consume the action :meth:`peek_action` returns (None when done: the thread finishes)."""
+        action = self.peek_action()
+        self._peeked = None
+        self._peeked_valid = False
+        if action is None:
             self.state = ThreadState.FINISHED
-            return None
-        self.last_result = None
         return action
 
     @property
@@ -363,14 +352,12 @@ class SimScheduler:
             return
         if step is PARK:
             if sent is None:  # the acquisition's first yield
-                thread.yields += 1
                 self.result.yields += 1
             thread.state = ThreadState.YIELDING
             if timeout is not None:
                 thread.park_until = thread.ready_at = self.clock.now() + timeout
             self.policy.observe_yield(self, thread, lock)
             return
-        thread.blocks += 1
         self.result.blocks += 1
         thread.state = ThreadState.BLOCKED
         lock.enqueue_waiter(thread.thread_id)
@@ -379,7 +366,6 @@ class SimScheduler:
         """Hand ``lock`` to ``thread``; True, so a take is ``can_grant(...) and _grant(...)``."""
         lock.grant(thread.thread_id, mode)
         thread.held[lock.lock_id] = thread.held.get(lock.lock_id, 0) + 1
-        thread.lock_ops += 1
         self.result.lock_ops += 1
         return True
 

@@ -168,7 +168,4 @@ def rag_quiescent_consistent(rag) -> List[str]:
         if resource.edges:
             problems.append(
                 f"resource {resource.lock_id} still has hold edges")
-        if resource.waiters:
-            problems.append(
-                f"resource {resource.lock_id} still has waiters")
     return problems

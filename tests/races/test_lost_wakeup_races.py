@@ -1,7 +1,7 @@
 """A yield's wake is never lost between the engine's decision and the driver's park.
 
 The engine arms the requester's parker itself, under its match mutex,
-just before it publishes the yield's causes; the driver parks only after
+just before it publishes the yield's record; the driver parks only after
 the request returned.  A release of a cause, or a forced GO from the
 monitor, may land anywhere in between.  Here the yielder is parked at a
 gate in front of its park (``core.park`` / ``core.park_async``) while
@@ -10,7 +10,9 @@ release made once the park has begun: either way the park must return
 woken, on the thread driver and on the asyncio driver.  A forced GO may
 also land while the engine is still searching, before it arms: the gate
 is then the parker's ``prepare``, and the request must grant rather than
-publish a yield whose wake the arming just cleared.
+publish a yield whose wake the arming just cleared.  And the monitor may
+stop between writing ``forced_go`` and withdrawing the yield while the
+yielder requests: that request must end in a GO, never in an unwoken park.
 
 Lost wakeups would hang, so every yielder runs in a daemon thread with no
 yield bound and is joined with a timeout: a lost wake fails, it never hangs.
@@ -124,7 +126,7 @@ class TestTheThreadDriver:
         world.gate_the_park(trap)
         yielder = world.start_yielder()
         assert trap.reached.wait(10.0)  # armed and published, not yet parked
-        assert world.dimmunix.engine.yielding_threads() == [world.yielder_id]
+        assert world.dimmunix.engine.cache.yielding_threads() == [world.yielder_id]
         if release == "at-the-gate":
             world.let_go.set()
             assert world.done.wait(10.0)
@@ -163,6 +165,54 @@ class TestTheThreadDriver:
         assert trap.reached.wait(10.0)  # searched, the instance found, not yet armed
         force_go_as_the_monitor_does(world.dimmunix, world.yielder_id)
         trap.release.set()
+        _join(yielder)
+        world.let_go.set()
+        world.holder.join(10.0)
+        stats = world.dimmunix.stats
+        assert world.parks == [] and stats.yield_decisions == 0
+        assert stats.forced_go == 1
+
+    def test_a_forced_go_held_between_its_steps_ends_in_a_go(self):
+        """The monitor stops between writing ``forced_go`` and withdrawing the yield
+        while the yielder requests: the request sees the flag, or the withdrawal
+        finds its yield and wakes it; it is never parked with nobody to wake it."""
+        world, park_gate, between = ThreadWorld(), Trap("trapped"), Trap("forcing")
+        world.gate_the_park(park_gate)
+        cache = world.dimmunix.engine.cache
+        end_yield = cache.end_yield
+
+        def held_between_the_steps(thread_id, slot):
+            if slot.forced_go:
+                between.here()  # the flag is written, the yield not yet withdrawn
+            record = end_yield(thread_id, slot)
+            if not slot.forced_go:
+                between.here()  # the yield is withdrawn, the flag not yet written
+            return record
+
+        cache.end_yield = held_between_the_steps
+        ready, go = threading.Event(), threading.Event()
+
+        def body():
+            world.yielder_id = world.runtime.current_thread_id()
+            ready.set()
+            assert go.wait(10.0)
+            assert yield_at(world.wanted.acquire)
+            world.wanted.release()
+
+        yielder = threading.Thread(target=body, name="trapped-yielder", daemon=True)
+        yielder.start()
+        assert ready.wait(10.0)
+        monitor = threading.Thread(
+            target=lambda: force_go_as_the_monitor_does(world.dimmunix, world.yielder_id),
+            name="forcing-monitor", daemon=True)
+        monitor.start()
+        assert between.reached.wait(10.0)
+        go.set()
+        while yielder.is_alive() and not park_gate.reached.is_set():
+            time.sleep(0.001)  # until granted, or parked
+        between.release.set()
+        monitor.join(10.0)
+        park_gate.release.set()
         _join(yielder)
         world.let_go.set()
         world.holder.join(10.0)
@@ -230,7 +280,7 @@ class TestTheAsyncioDriver:
         world.gate_the_park(trap)
         loop_a = world.start_yielder()
         assert trap.reached.wait(10.0)  # armed and published, not yet parked
-        assert world.dimmunix.engine.yielding_threads() == [world.yielder_id]
+        assert world.dimmunix.engine.cache.yielding_threads() == [world.yielder_id]
         if release == "at-the-gate":
             world.let_go.set()
             assert world.done.wait(10.0)
@@ -297,4 +347,4 @@ class TestAWakeStorm:
                         + [lambda: worker(yield_at, wanted)] * 3, timeout=60.0)
         stats = dimmunix.stats
         assert stats.yield_decisions > 0 and stats.aborted_yields == 0
-        assert dimmunix.engine.yielding_threads() == []
+        assert dimmunix.engine.cache.yielding_threads() == []

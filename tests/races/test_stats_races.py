@@ -58,7 +58,7 @@ def _record_hops(loop, hops) -> None:
 
 def _release_once_parked(runtime: AsyncioRuntime, release_now: threading.Event) -> None:
     deadline = time.monotonic() + 10.0
-    while not runtime.engine.yielding_threads():
+    while not runtime.engine.cache.yielding_threads():
         assert time.monotonic() < deadline, "the task never yielded"
         time.sleep(0.001)
     release_now.set()
@@ -180,7 +180,7 @@ class TestAYieldingTaskWokenFromAnotherThread:
 
             async def cause():
                 assert await _hold_at(held)
-                while not runtime.engine.yielding_threads():
+                while not runtime.engine.cache.yielding_threads():
                     await asyncio.sleep(0.001)
                 # Blocks on the yielder's lock: the yield starves both.
                 assert await mine.acquire(timeout=10.0)

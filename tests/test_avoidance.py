@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.avoidance import AvoidanceEngine, Decision, MODE_INSTRUMENTATION_ONLY
+from repro.core.avoidance import (AvoidanceEngine, Decision, MODE_INSTRUMENTATION_ONLY,
+                                  TAKEN_OUTCOME)
 from repro.core.callstack import CallStack
 from repro.core.config import DimmunixConfig
 from repro.core.errors import AvoidanceError
@@ -30,6 +31,18 @@ def paper_signature() -> Signature:
 
 #: Immutable reference copy used only for equality assertions.
 PAPER_SIGNATURE = paper_signature()
+
+
+class RecordingParker:
+    """Returns a distinct waker from each ``prepare``; ``woken`` lists the ones called."""
+
+    def __init__(self):
+        self.wakers, self.woken = [], []
+
+    def prepare(self, thread_id):
+        index = len(self.wakers)
+        self.wakers.append(lambda: self.woken.append(index))
+        return self.wakers[-1]
 
 
 @pytest.fixture
@@ -110,7 +123,7 @@ class TestSignatureAvoidance:
         engine.request(1, 2, S2)
         engine.acquired(1, 2, S2)
         assert engine.request(2, 1, S1).is_yield
-        assert engine.yielding_threads() == [2]
+        assert engine.cache.yielding_threads() == [2]
         woken = engine.release(1, 2)
         assert woken == [2]
         # After the cause dissolved, the retry is granted.
@@ -192,6 +205,33 @@ class TestYieldManagement:
         engine.force_go(2)
         assert engine.request(2, 1, S1).is_go
 
+    def test_a_yield_is_one_record_carrying_its_waker(self, immune_engine):
+        engine, parker = immune_engine, RecordingParker()
+        engine.request(1, 2, S2)
+        engine.acquired(1, 2, S2)
+        outcome = engine.request(2, 1, S1, parker=parker)
+        record = engine.cache.slots.get(2).yielding
+        assert (record.signature, record.lock_id, record.stack, record.causes) == (
+            outcome.signature, 1, S1, outcome.causes)
+        assert record.waker is parker.wakers[0]
+        engine.force_go(2)  # withdraws the record and wakes the park it armed
+        assert parker.woken == [0] and engine.cache.slots.get(2).yielding is None
+        assert engine.cache.yielding_threads() == []
+
+    def test_a_forced_go_after_the_yield_ended_calls_no_waker(self, immune_engine):
+        engine, parker = immune_engine, RecordingParker()
+        engine.request(1, 2, S2)
+        engine.acquired(1, 2, S2)
+        assert engine.request(2, 1, S1, parker=parker).is_yield
+        assert engine.release(1, 2) == [2] and parker.woken == [0]
+        assert engine.request(2, 1, S1, parker=parker).is_go  # the yield ends
+        engine.force_go(2)
+        assert parker.woken == [0]  # the ended park is not woken again
+        engine.acquired(2, 1, S1)
+        engine.release(2, 1)
+        assert engine.request(2, 1, S1, parker=parker).is_go  # the forced GO stands
+        assert engine.stats.forced_go == 1
+
     def test_last_avoided_signature(self, immune_engine):
         engine = immune_engine
         assert engine.last_avoided_signature() is None
@@ -202,6 +242,16 @@ class TestYieldManagement:
 
 
 class TestBypasses:
+    def test_a_one_stack_signature_parks_nobody(self):
+        """A signature with one stack is its own whole instance: no other thread
+        could end it, so a yield on it would wait for nothing."""
+        history = History(path=None, autosave=False)
+        history.add(Signature([S1], matching_depth=1))
+        engine = AvoidanceEngine(history, DimmunixConfig.for_testing())
+        assert engine.request(1, 10, S1, take=lambda tid, mode: True) is TAKEN_OUTCOME
+        assert EventType.YIELD not in [event.type for event in engine.events.drain()]
+        assert engine.cache.yielding_threads() == [] and len(history) == 1
+
     def test_detection_only_never_yields(self):
         history = History(path=None, autosave=False)
         history.add(paper_signature())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cache import AvoidanceCache
+from repro.core.cache import AvoidanceCache, Yield
 from repro.core.callstack import CallStack
 from repro.core.errors import AvoidanceError
 
@@ -78,31 +78,39 @@ class TestHoldEdges:
         cache.add_hold(1, 11, SB)
         cache.add_hold(1, 11, SB)
         assert sorted(cache.locks_held_by(1)) == [10, 11]
-        assert cache.total_holds(1) == 3
+        assert len(cache.held_stacks(1)) == 3
+
+
+def begin_yield(cache, thread_id, causes):
+    record = Yield(None, 0, SA, tuple(causes), 0.0, None)
+    cache.begin_yield(thread_id, cache.slots.get(thread_id), record)
+    return record
 
 
 class TestYieldCauses:
-    def test_set_and_clear(self, cache):
-        cache.set_yield_cause(1, [(2, 20, SA)])
-        assert cache.yield_cause_of(1) == {(2, 20, SA)}
+    def test_begin_and_end(self, cache):
+        record = begin_yield(cache, 1, [(2, 20, SA)])
+        assert cache.slots.get(1).yielding is record
         assert cache.yielding_threads() == [1]
-        cache.clear_yield_cause(1)
-        assert cache.yield_cause_of(1) == set()
+        assert cache.end_yield(1, cache.slots.get(1)) is record
+        assert cache.slots.get(1).yielding is None
+        assert cache.yielding_threads() == []
+        assert cache.end_yield(1, cache.slots.get(1)) is None  # withdrawn once
 
     def test_threads_to_wake_matches_thread_and_lock(self, cache):
         cache.add_hold(2, 20, SA)
-        cache.set_yield_cause(1, [(2, 20, SA)])
-        cache.set_yield_cause(3, [(2, 21, SA)])
+        record = begin_yield(cache, 1, [(2, 20, SA)])
+        begin_yield(cache, 3, [(2, 21, SA)])
         cache.release_hold(2, 20)
-        assert cache.threads_to_wake(2, 20, SA) == [1]
+        assert cache.threads_to_wake(2, 20, SA) == [(1, record)]
 
     def test_forget_thread_cleans_everything(self, cache):
         cache.add_allow(1, 10, SA)
         cache.add_hold(1, 11, SB)
-        cache.set_yield_cause(1, [(2, 20, SA)])
+        begin_yield(cache, 1, [(2, 20, SA)])
         cache.forget_thread(1)
         assert cache.waiting_of(1) is None
-        assert cache.yield_cause_of(1) == set()
+        assert cache.yielding_threads() == []
         # What it still holds stays held until returned; then the slot goes.
         assert cache.holder_of(11) == 1
         cache.release_hold(1, 11)

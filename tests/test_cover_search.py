@@ -358,9 +358,12 @@ def occupied_site_reference(engine, signature, stack) -> bool:
 
 
 def search_every_candidate(engine, thread_id, lock_id, stack):
-    """The hit path before the occupied-site plan: every candidate searched, in the index's order."""
+    """The hit path before the occupied-site plan: every candidate searched, in the index's order.
+
+    As on the hit path, a signature with one stack is never searched: it parks nobody.
+    """
     for signature in engine.index.candidates(stack):
-        if signature.disabled:
+        if signature.disabled or len(signature.stacks) < 2:
             continue
         instance = engine._find_instance(signature, thread_id, lock_id, stack,
                                          signature.matching_depth)

@@ -111,7 +111,7 @@ class TestWakers:
         wakers[0]()  # the first yield's waker, long after its park ended
         assert core.park(2, 0)
         assert core.request(2, 1, S1).is_yield
-        assert dimmunix.engine.yielding_threads() == [2]
+        assert dimmunix.engine.cache.yielding_threads() == [2]
 
 
 class TestSignatureManagement:

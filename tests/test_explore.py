@@ -372,31 +372,35 @@ class TestBackendForking:
         assert fork.gates[0].owner is None and not fork.gates[0].waiters
         assert fork.denials == 0
 
-    def test_runtime_core_fork_uses_default_parker(self):
+    def test_dimmunix_fork_copies_signatures(self):
+        from repro.core.callstack import CallStack
         from repro.core.dimmunix import Dimmunix
-        from repro.core.runtime_api import RuntimeCore, ThreadParker
-
-        class BoundParker(ThreadParker):
-            def __init__(self, dimmunix):  # no zero-arg constructor
-                self.dimmunix = dimmunix
+        from repro.core.signature import Signature
 
         dimmunix = Dimmunix(config=DimmunixConfig.for_testing())
-        core = RuntimeCore(dimmunix, parker=BoundParker(dimmunix))
-        fork = core.fork()  # must not try to rebuild the bound parker
-        assert type(fork.parker) is ThreadParker
-        assert fork.dimmunix is not dimmunix
+        dimmunix.history.add(Signature([CallStack.from_labels(["a:1", "m:0"]),
+                                        CallStack.from_labels(["b:2", "m:0"])]))
+        fork = dimmunix.fork()
+        [original], [copy] = dimmunix.history.signatures(), fork.history.signatures()
+        assert copy == original and copy.to_dict() == original.to_dict()
+        assert copy is not original and fork.history is not dimmunix.history
+        copy.record_avoidance()  # a run's counters stay in its own copy
+        assert (original.avoidance_count, copy.avoidance_count) == (0, 1)
 
-    def test_runtime_core_fork_preserves_mode_and_handlers(self):
+    def test_dimmunix_fork_preserves_mode_and_handlers(self):
         from repro.core.avoidance import MODE_INSTRUMENTATION_ONLY
         from repro.core.dimmunix import Dimmunix
+        from repro.util.clock import VirtualClock
 
         handler = lambda signature, cycle: None  # noqa: E731
-        dimmunix = Dimmunix(config=DimmunixConfig.for_testing(),
+        dimmunix = Dimmunix(config=DimmunixConfig.for_testing(), clock=VirtualClock(),
                             restart_handler=handler,
                             engine_mode=MODE_INSTRUMENTATION_ONLY)
-        fork = dimmunix.runtime_core.fork()
-        assert fork.dimmunix.engine.mode == MODE_INSTRUMENTATION_ONLY
-        assert fork.dimmunix.monitor.restart_handler is handler
+        fork = dimmunix.fork()
+        assert fork.engine.mode == MODE_INSTRUMENTATION_ONLY
+        assert fork.monitor.restart_handler is handler
+        assert fork.config is dimmunix.config
+        assert type(fork.clock) is VirtualClock and fork.clock is not dimmunix.clock
 
 
 class TestImmunityChecker:

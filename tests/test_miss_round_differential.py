@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.core.avoidance import (GO_OUTCOME, MODE_INSTRUMENTATION_ONLY, TAKEN_OUTCOME,
                                   Decision)
+from repro.core.cache import Yield
 from repro.core.callstack import CallStack, Frame
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
@@ -364,7 +365,7 @@ def state_of(dimmunix, thread_id):
     """Records since the last call, counters, cache, lock 5's learned spec and the thread's slot."""
     engine = dimmunix.engine
     slot = engine.cache.slots.get(thread_id)  # a fresh slot is no state: made if missing
-    fields = (slot.forced_go, slot.yield_cause, slot.yield_state, slot.waiting,
+    fields = (slot.forced_go, slot.yielding, slot.waiting,
               {lock: list(stacks) for lock, stacks in slot.holds.items()})
     return (engine.events.drain_raw(), dimmunix.stats.snapshot(), engine.cache.snapshot(),
             engine.is_multiholder(5), fields)
@@ -393,13 +394,10 @@ def forced_go(dimmunix, runtime, tid):
     return runtime.capture_stack()
 
 
-def yield_cause(dimmunix, runtime, tid):
-    dimmunix.engine.cache.set_yield_cause(tid, [(tid + 1, 77, stack("cause:1"))])
-    return runtime.capture_stack()
-
-
-def yield_state(dimmunix, runtime, tid):
-    dimmunix.engine.cache.slots.get(tid).yield_state = object()
+def standing_yield(dimmunix, runtime, tid):
+    cache = dimmunix.engine.cache
+    cache.begin_yield(tid, cache.slots.get(tid), Yield(
+        late_signature(), 77, stack("yield:1"), ((tid + 1, 77, stack("cause:1")),), 0.0, None))
     return runtime.capture_stack()
 
 
@@ -428,7 +426,7 @@ class TestUnderEachCondition:
 
     @pytest.mark.parametrize("condition", [
         republished_since_the_capture, not_handed_to_the_cache, forced_go,
-        yield_cause, yield_state, allow_edge_pending, instrumentation_only, named_site])
+        standing_yield, allow_edge_pending, instrumentation_only, named_site])
     def test_one_request_leaves_what_request_take_and_acquired_leave(self, condition):
         for mode, capacity in ((EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)):
             left = []
@@ -463,7 +461,7 @@ class TestOneRequestTakes:
             (EV_ALLOW, tid, 5, offered, SHARED), (EV_ACQUIRED, tid, 5, offered, SHARED)]
         assert records[0][6] == records[1][6]  # one timestamp
         assert cache["holders"] == {5: (tid, 1)}
-        assert fields == (False, frozenset(), None, None, {5: [offered]})
+        assert fields == (False, None, None, {5: [offered]})
 
     @pytest.mark.parametrize("mode, capacity", [(EXCLUSIVE, 1), (EXCLUSIVE, 3), (SHARED, 1)])
     def test_at_a_named_site_with_no_instance_it_records_the_request_too(self, mode, capacity):
@@ -481,7 +479,7 @@ class TestOneRequestTakes:
         assert cache["holders"] == {5: (tid, 1)}
         assert [binding[:2] for binding in dimmunix.engine.cache.allowed[offered.top()]] == [
             (tid, 5)]
-        assert fields == (False, frozenset(), None, None, {5: [offered]})
+        assert fields == (False, None, None, {5: [offered]})
 
 
 def hold_the_other_site(dimmunix, thread_id):
@@ -503,7 +501,7 @@ class TestTheRequestDoesNotTake:
         assert outcome is GO_OUTCOME and native.calls == 1
         records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
         assert [(r[1], r[2], r[3]) for r in records] == [(EV_ALLOW, tid, 5)]
-        assert cache["holders"] == {} and fields[3] == (5, offered)
+        assert cache["holders"] == {} and fields[2] == (5, offered)
         steps = acquisition(runtime.core, tid, 5, offered, mode, capacity, True, None, None,
                             outcome, native)
         assert next(steps) == (WAIT_NATIVE, None)  # after the protocol's own take
@@ -512,7 +510,7 @@ class TestTheRequestDoesNotTake:
             steps.send(True)
         records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
         assert [(r[1], r[2], r[3]) for r in records] == [(EV_ACQUIRED, tid, 5)]
-        assert fields[3:] == (None, {5: [offered]})
+        assert fields[2:] == (None, {5: [offered]})
 
     def test_in_detection_only_mode_it_takes_without_a_search(self):
         """No search, so no REQUEST and no YIELD: not even where an instance stands."""

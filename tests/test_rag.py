@@ -36,7 +36,7 @@ class TestEdges:
         state = rag.thread(1)
         assert state.request is None
         assert state.allow == (10, S)
-        assert 1 in rag.lock(10).waiters
+        assert rag.thread(1).allow[0] == 10
 
     def test_yield_flips_allow_back_to_request(self, rag):
         rag.apply(allow_event(1, 10, S))
@@ -45,7 +45,7 @@ class TestEdges:
         assert state.allow is None
         assert state.request == (10, S)
         assert state.is_yielding
-        assert 1 not in rag.lock(10).waiters
+        assert rag.thread(1).allow is None
 
     def test_acquired_creates_hold_edge(self, rag):
         rag.apply(allow_event(1, 10, S))
@@ -78,7 +78,7 @@ class TestEdges:
         rag.apply(allow_event(1, 10, S))
         rag.apply(cancel_event(1, 10))
         assert rag.thread(1).waiting_lock is None
-        assert 1 not in rag.lock(10).waiters
+        assert rag.thread(1).allow is None
 
     def test_acquire_while_owned_nonstrict_recovers(self, rag):
         rag.apply(acquired_event(1, 10, S))

@@ -13,7 +13,18 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lowered by 75 from 17,132: a yield carries its own waker.  The parker's
+#: Lowered by 58 from 17,057: a yield is one record.  ``cache.Yield`` (its
+#: signature, lock, stack, causes, start time and waker) lives whole in the
+#: yielder's slot, published by ``begin_yield`` and withdrawn by ``end_yield``,
+#: so the engine's ``_YieldState`` and ``yielding_threads``, the slot's
+#: ``yield_state``/``yield_cause``/``waker`` and the cache's three cause
+#: methods went; so did the monitor's ``_victim_from_engine`` (unreachable:
+#: a reported starvation always holds a yielder the RAG sees) with
+#: ``AvoidanceCache.total_holds``, ``ResourceState.waiters`` (a second copy
+#: of every allow edge), the simulator's unreachable step path and write-only
+#: per-thread counters (see ``SIM_BUDGET``), and ``RuntimeCore.fork`` with
+#: ``Dimmunix.runtime_core``, as ``Dimmunix.fork`` clones the instance.
+#: 17,057 before, lowered by 75 from 17,132: a yield carries its own waker.  The parker's
 #: ``prepare`` returns the waker of the park it arms, the engine keeps it in
 #: the yielder's slot and calls it from ``release`` and ``force_go``, so the
 #: facade's waker registry (``register_waker``/``unregister_waker``/``wake``
@@ -79,7 +90,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 17_057
+TOTAL_BUDGET = 16_999
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -128,7 +139,11 @@ SHARE_BUDGET = 2_295
 #: and step budget became module constants.
 #: 3,080 until ``on_thread_added`` and the per-thread waker registration went:
 #: ``DimmunixBackend.attach`` installs a parker whose waker readies the thread.
-SIM_BUDGET = 3_078
+#: 3,078 until ``SimThread.next_action`` consumed what ``peek_action`` fetched
+#: (its own generator advance never ran: every step is prefetched) and the
+#: write-only ``SimThread.lock_ops``/``yields``/``blocks`` went (the run's
+#: totals are ``SimResult``'s).
+SIM_BUDGET = 3_064
 
 
 def count_lines(*roots: str) -> int:

@@ -116,7 +116,7 @@ class TestEveryRuntimeCountsItsRecords:
         assert at_a(first)  # a grant
         yielder = threading.Thread(target=lambda: at_b(second) and second.release())
         yielder.start()
-        wait_until(dimmunix.engine.yielding_threads)  # a yield ...
+        wait_until(dimmunix.engine.cache.yielding_threads)  # a yield ...
         first.release()
         yielder.join()  # ... then a grant
         assert busy.acquire()
@@ -152,7 +152,7 @@ class TestEveryRuntimeCountsItsRecords:
                 second.release()
 
             task = asyncio.create_task(yielder())
-            while not dimmunix.engine.yielding_threads():  # a yield ...
+            while not dimmunix.engine.cache.yielding_threads():  # a yield ...
                 await asyncio.sleep(0)
             first.release()
             await task  # ... then a grant
