@@ -443,10 +443,11 @@ class AvoidanceEngine:
             stack.discard_origin()
             return []
         woken = []
-        for yielder, record in self.cache.threads_to_wake(thread_id, lock_id, stack):
-            woken.append(yielder)
-            if record.waker is not None:
-                record.waker()
+        if self.cache.yielders:  # read lock-free, like the scan's copy (docs: "The wake scan")
+            for yielder, record in self.cache.threads_to_wake(thread_id, lock_id, stack):
+                woken.append(yielder)
+                if record.waker is not None:
+                    record.waker()
         # The hold is gone; this stack can no longer enter a signature
         # (archives only read stacks of *current* holds and waits), so stop
         # pinning the interpreter frame it was captured from.  A late
@@ -496,17 +497,17 @@ class AvoidanceEngine:
         return signature
 
     def force_go(self, thread_id: int) -> None:
-        """Force the thread's next request to be granted and wake its park (starvation breaking).
+        """Withdraw the standing yield, grant the retry and wake the park (starvation breaking).
 
-        ``forced_go`` is written before the yield is withdrawn, and
-        :meth:`request` reads it after it publishes one: either that request
-        sees the flag and grants, or the withdrawal here finds its record
-        and calls that park's waker.  A thread with no standing yield is not
-        woken; its next request is granted.
+        ``forced_go`` is written under the cache's yielding mutex, before the
+        withdrawal and only if a yield stands, and :meth:`request` reads it
+        after it publishes one: either that request sees the flag and grants,
+        or the withdrawal here finds its record and calls that park's waker.
+        A thread with no standing yield is left alone: its next request is
+        decided by the cover search, however much later it comes.
         """
         slot = self.cache.slots.get(thread_id)
-        slot.forced_go = True
-        record = self.cache.end_yield(thread_id, slot)
+        record = self.cache.end_yield(thread_id, slot, force_go=True)
         if record is not None and record.waker is not None:
             record.waker()
 

@@ -108,10 +108,11 @@ class AvoidanceCache:
         self.allowed: Dict[Optional[Frame], Dict[Binding, None]] = {}
         self._stripes: List[threading.Lock] = [threading.Lock() for _ in range(STRIPES)]
         self.slots: SlotRegistry[_ThreadSlot] = SlotRegistry(_ThreadSlot)
-        #: The standing yield of every yielding thread, the same record as
-        #: its slot's, so release-side wake scans stay O(yielders) instead of
-        #: O(threads ever seen).  Written with the slots under ``_yielding_lock``.
-        self._yielding: Dict[int, Yield] = {}
+        #: The wake index: the standing yield of every yielding thread, the
+        #: same record as its slot's, so release-side wake scans stay
+        #: O(yielders) instead of O(threads ever seen).  Written with the slots
+        #: under ``_yielding_lock``; a release reads it empty without one.
+        self.yielders: Dict[int, Yield] = {}
         self._yielding_lock = threading.Lock()
         #: lock -> the thread holding it, for single-holder holds only (one
         #: EXCLUSIVE permit): the double-acquire check.  No mutex; see
@@ -268,25 +269,29 @@ class AvoidanceCache:
         """Publish ``record`` as the thread's standing yield, replacing any earlier one."""
         with self._yielding_lock:
             slot.yielding = record
-            self._yielding[thread_id] = record
+            self.yielders[thread_id] = record
 
-    def end_yield(self, thread_id: int, slot: _ThreadSlot) -> Optional[Yield]:
+    def end_yield(self, thread_id: int, slot: _ThreadSlot,
+                  force_go: bool = False) -> Optional[Yield]:
         """Withdraw the thread's standing yield; returns the record it removed, or None.
 
         The read and the clear are one step under the mutex, so two callers
         racing to withdraw one yield (the thread granted, the monitor forcing
-        a GO) never both get it.
+        a GO) never both get it.  ``force_go`` sets the slot's flag in that
+        step, before the withdrawal, and only if a yield stands.
         """
         with self._yielding_lock:
             record = slot.yielding
             if record is not None:
+                if force_go:
+                    slot.forced_go = True
                 slot.yielding = None
-                del self._yielding[thread_id]
+                del self.yielders[thread_id]
         return record
 
     def yielding_threads(self) -> List[int]:
         """Threads with a standing yield."""
-        return list(self._yielding)
+        return list(self.yielders)
 
     def threads_to_wake(self, thread_id: int, lock_id: int,
                         stack: CallStack) -> List[Tuple[int, Yield]]:
@@ -297,10 +302,8 @@ class AvoidanceCache:
         remove a different reentrant hold edge than the one recorded in the
         cause.
         """
-        if not self._yielding:
-            return []  # the same lock-free read as the copy below
         woken: List[Tuple[int, Yield]] = []
-        for tid, record in list(self._yielding.items()):
+        for tid, record in list(self.yielders.items()):
             for cause_thread, cause_lock, cause_stack in record.causes:
                 if cause_thread != thread_id or cause_lock != lock_id:
                     continue
@@ -392,6 +395,8 @@ class AvoidanceCache:
             return  # the capture's verdict, on this very filter object
         site = stack.top()
         if sites is None or site in sites:
+            if stack.absent_from is not None:
+                stack.absent_from = None  # indexed now: _retire must not trust the verdict
             with self._stripes[hash(site) % STRIPES]:
                 self.allowed.setdefault(site, {})[thread_id, lock_id, stack] = None
 
@@ -403,7 +408,13 @@ class AvoidanceCache:
         that lock (a reentrant hold, a second permit requested where the
         first was): the set holds the binding once.  "Equal" as in the set,
         same hash then ``==``, so lazy captures are not compared by content.
+        A capture whose verdict is the current ``sites`` was never indexed:
+        :meth:`_add_allowed` skips it, and drops the verdict of any stack it
+        indexes first (see docs/architecture.md, "The memory model").
         """
+        sites = self.sites
+        if sites is not None and stack.absent_from is sites:
+            return
         site = stack.top()
         if site not in self.allowed:
             # Nothing is indexed here (the common case: no signature names
@@ -436,7 +447,7 @@ class AvoidanceCache:
         waiting = {tid: slot.waiting[0] for tid, slot in self.slots.items()
                    if slot.waiting is not None}
         yielding = {tid: len(record.causes)
-                    for tid, record in list(self._yielding.items())}
+                    for tid, record in list(self.yielders.items())}
         return {
             "holders": holders,
             "waiting": waiting,

@@ -182,9 +182,10 @@ class CallStack:
         remembers in ``absent_from`` which filter object said no.
 
         No application frame on the stack gives the eager empty stack,
-        mirroring :meth:`capture`.  ``stats``, when given, counts every
-        capture taken here (``capture_deferred``) and every deep walk, here
-        or later (``capture_materialized``): the deferral ratio.
+        mirroring :meth:`capture`.  ``stats`` (whatever has ``bump``: the bus
+        itself, on the lock path), when given, counts every capture taken here
+        (``capture_deferred``) and every deep walk, here or later
+        (``capture_materialized``): the deferral ratio.
         """
         try:
             frame = sys._getframe(skip + 1)

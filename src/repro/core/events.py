@@ -426,12 +426,10 @@ class EventBus:
         with self._mutex:
             rings = list(self._rings.values())
         for ring in rings:
+            # Exactly the records appended by now, each popped by one C call:
+            # the owner appends at the other end meanwhile.
             items = ring.items
-            for _ in range(len(items)):
-                try:
-                    merged.append(items.popleft())
-                except IndexError:  # pragma: no cover - defensive
-                    break
+            merged.extend(itertools.starmap(items.popleft, itertools.repeat((), len(items))))
         # Retire rings whose producer is gone.  The checks MUST run in
         # this order: observe the owner dead *first*, only then check
         # emptiness.  Dead means run() returned, so every append the
@@ -457,14 +455,19 @@ class EventBus:
     def _eligible(self, merged: List[Tuple]) -> int:
         """Length of the sorted-``merged`` prefix safe to release now.
 
-        Walks the contiguity cursor: stragglers (seq below the cursor;
-        only possible after a gap skip) release immediately,
+        The common batch starts at the cursor and ends ``len - 1`` past it:
+        its seqs are distinct, so it has no hole, and all of it goes at once.
+        Any other walks the contiguity cursor: stragglers (seq below the
+        cursor; only possible after a gap skip) release immediately,
         consecutive seqs advance the cursor, and the first *young* gap
         stops the walk — the missing seq belongs to an emit that is
         mid-flight and the records behind it must wait for it.
         """
-        eligible = 0
         expected = self._next_release
+        if merged and merged[0][0] == expected and merged[-1][0] == expected + len(merged) - 1:
+            self._gap_expected = None
+            return len(merged)
+        eligible = 0
         now = None
         for record in merged:
             seq = record[0]

@@ -34,11 +34,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .callstack import CallStack
 from .errors import RAGError
-from .events import Event, TYPE_TO_CODE
+from .events import (EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE, EV_REQUEST, EV_YIELD,
+                     Event, encode_event)
 from .signature import EXCLUSIVE, SHARED
 
 
-@dataclass
+@dataclass(slots=True)
 class ThreadState:
     """Per-thread view of the RAG."""
 
@@ -82,7 +83,7 @@ class ThreadState:
         return sum(len(stacks) for stacks in self.holds.values())
 
 
-@dataclass
+@dataclass(slots=True)
 class ResourceState:
     """Per-resource view of the RAG (capacity-aware, multi-holder).
 
@@ -258,28 +259,23 @@ class ResourceAllocationGraph:
 
     def apply(self, event: Event) -> None:
         """Apply one synchronization event to the graph."""
-        code = TYPE_TO_CODE.get(event.type)
-        if code is None:  # pragma: no cover - defensive
-            raise RAGError(f"unknown event type {event.type}")
-        _HANDLERS[code](self, event.thread_id, event.lock_id, event.stack,
-                        event.causes, event.mode, event.capacity)
-        self._dirty_threads.add(event.thread_id)
-        self._events_applied += 1
+        self.apply_encoded((encode_event(event),))
 
     def apply_batch(self, events) -> int:
         """Apply a sequence of events; returns how many were applied."""
-        count = 0
-        for event in events:
-            self.apply(event)
-            count += 1
-        return count
+        return self.apply_encoded([encode_event(event) for event in events])
 
     def apply_encoded(self, records) -> int:
-        """Apply encoded records (see :mod:`repro.core.events`) directly.
+        """Apply encoded records (see :mod:`repro.core.events`): the one apply loop.
 
         This is the monitor's standard path: the records drained from the
         ring-buffer bus are consumed field by field, so the per-event
-        dataclass is never materialized.
+        dataclass is never materialized.  A record's thread and resource are
+        looked up once; ALLOW, ACQUIRED and RELEASE, each once per lock
+        operation in GIL time taken from the clients, call nothing on a
+        one-permit resource whose states exist.  An ALLOW of one permit and
+        a CANCEL name no resource, so neither creates one; every other
+        record does, and all but RELEASE learn its spec fields.
 
         The RAG itself is not thread-safe — it relies on its caller being
         a single consumer (the monitor applies batches under its own
@@ -287,120 +283,102 @@ class ResourceAllocationGraph:
         guarantees; :attr:`order_violations` counts the times that
         contract was broken.
         """
-        handlers = _HANDLERS
-        dirty = self._dirty_threads
+        threads, locks, dirty = self._threads, self._locks, self._dirty_threads
         count = 0
-        for record in records:
-            _seq, code, thread_id, lock_id, stack, causes, _ts, mode, capacity = record
-            handlers[code](self, thread_id, lock_id, stack, causes, mode,
-                           capacity)
-            dirty.add(thread_id)
+        for _seq, code, thread_id, lock_id, stack, causes, _ts, mode, capacity in records:
             count += 1
+            dirty.add(thread_id)
+            thread = threads.get(thread_id)
+            if thread is None:
+                thread = threads[thread_id] = ThreadState(thread_id)
+            if code == EV_ALLOW:
+                thread.request = None
+                thread.allow = (lock_id, stack)
+                thread.allow_mode = mode
+                if thread.yields:
+                    thread.yields.clear()
+                if capacity == 1 and mode != SHARED:
+                    continue
+            elif code == EV_CANCEL:
+                if thread.allow is not None and thread.allow[0] == lock_id:
+                    thread.allow = None
+                if thread.request is not None and thread.request[0] == lock_id:
+                    thread.request = None
+                thread.yields.clear()
+                continue
+            resource = locks.get(lock_id)
+            if resource is None:
+                resource = locks[lock_id] = ResourceState(lock_id)
+            if code == EV_RELEASE:
+                stacks = thread.holds.get(lock_id)
+                if not stacks:
+                    if self._strict:
+                        raise RAGError(f"thread {thread_id} released lock {lock_id} "
+                                       "it does not hold")
+                    continue
+                stacks.pop()
+                if not stacks:
+                    del thread.holds[lock_id]
+                edges = resource.edges  # the thread's most recent edge goes
+                index = len(edges) - 1
+                while index >= 0 and edges[index][0] != thread_id:
+                    index -= 1
+                if index >= 0:
+                    del edges[index]
+                continue
+            if capacity > resource.capacity:
+                resource.capacity = capacity
+            if mode == SHARED:
+                resource.shared_capable = True
+            if code == EV_ACQUIRED:
+                if thread.allow is not None and thread.allow[0] == lock_id:
+                    thread.allow = None
+                if thread.request is not None and thread.request[0] == lock_id:
+                    thread.request = None
+                if thread.yields:
+                    thread.yields.clear()
+                edges = resource.edges
+                if edges and resource.capacity == 1 and not resource.shared_capable \
+                        and mode == EXCLUSIVE and (len(edges) > 1 or edges[0][0] != thread_id) \
+                        and any(tid != thread_id for tid, _s, _m in edges):
+                    self._drop_stale_owners(thread_id, resource)
+                edges.append((thread_id, stack, mode))
+                held = thread.holds.get(lock_id)
+                if held is None:
+                    thread.holds[lock_id] = [stack]
+                else:
+                    held.append(stack)
+            elif code == EV_REQUEST:
+                thread.request = (lock_id, stack)
+                thread.request_mode = mode
+            elif code == EV_YIELD:
+                # The tentative allow edge is flipped back into a request edge.
+                if thread.allow is not None and thread.allow[0] == lock_id:
+                    thread.allow = None
+                thread.request = (lock_id, stack)
+                thread.request_mode = mode
+                thread.yields = set(causes)
         self._events_applied += count
         return count
 
-    def _learn_spec_fields(self, lock_id: int, mode: str,
-                           capacity: int) -> ResourceState:
-        """Update (and return) the resource record from an event's spec fields."""
-        resource = self.lock(lock_id)
-        if capacity > resource.capacity:
-            resource.capacity = capacity
-        if mode == SHARED:
-            resource.shared_capable = True
-        return resource
+    def _drop_stale_owners(self, thread_id: int, resource: ResourceState) -> None:
+        """An ACQUIRED of a single-holder resource that another thread still holds.
 
-    # -- individual handlers (field-level, shared by both event forms) --------------------------
-
-    def _on_request(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self.thread(thread_id)
-        thread.request = (lock_id, stack)
-        thread.request_mode = mode
-        self._learn_spec_fields(lock_id, mode, capacity)
-
-    # ALLOW, ACQUIRED and RELEASE run once per lock operation each, in GIL time taken from
-    # the clients: no helper call once their two states exist, no spec or yield set to update.
-
-    def _on_allow(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self._threads.get(thread_id) or self.thread(thread_id)
-        thread.request = None
-        thread.allow = (lock_id, stack)
-        thread.allow_mode = mode
-        if thread.yields:
-            thread.yields.clear()
-        if capacity > 1 or mode == SHARED:
-            self._learn_spec_fields(lock_id, mode, capacity)
-
-    def _on_yield(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self.thread(thread_id)
-        # The tentative allow edge is flipped back into a request edge.
-        if thread.allow is not None and thread.allow[0] == lock_id:
-            thread.allow = None
-        thread.request = (lock_id, stack)
-        thread.request_mode = mode
-        thread.yields = set(causes)
-        self._learn_spec_fields(lock_id, mode, capacity)
-
-    def _on_acquired(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self._threads.get(thread_id) or self.thread(thread_id)
-        resource = (self._learn_spec_fields(lock_id, mode, capacity)
-                    if capacity > 1 or mode == SHARED
-                    else self._locks.get(lock_id) or self.lock(lock_id))
-        if thread.allow is not None and thread.allow[0] == lock_id:
-            thread.allow = None
-        if thread.request is not None and thread.request[0] == lock_id:
-            thread.request = None
-        if thread.yields:
-            thread.yields.clear()
-        edges = resource.edges
-        single_holder = (resource.capacity == 1
-                         and not resource.shared_capable
-                         and mode == EXCLUSIVE)
-        if single_holder and edges \
-                and (len(edges) > 1 or edges[0][0] != thread_id) \
-                and any(tid != thread_id for tid, _s, _m in edges):
-            # A release event from the previous owner has not been processed
-            # yet.  The partial-ordering argument of section 5.2 guarantees
-            # the release precedes this acquired in the queue, so reaching
-            # this point means the caller violated that ordering.
-            self._order_violations += 1
-            if self._strict:
-                raise RAGError(
-                    f"lock {lock_id} acquired by {thread_id} while "
-                    f"owned by {resource.holder_ids()}")
-            # Be forgiving outside strict mode: drop the stale hold edges.
-            for tid in resource.holder_ids():
-                previous = self._threads.get(tid)
-                if previous is not None:
-                    previous.holds.pop(lock_id, None)
-            edges.clear()
-        edges.append((thread_id, stack, mode))
-        thread.holds.setdefault(lock_id, []).append(stack)
-
-    def _on_release(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self._threads.get(thread_id) or self.thread(thread_id)
-        resource = self._locks.get(lock_id) or self.lock(lock_id)
-        stacks = thread.holds.get(lock_id)
-        if not stacks:
-            if self._strict:
-                raise RAGError(
-                    f"thread {thread_id} released lock {lock_id} "
-                    "it does not hold")
-            return
-        stacks.pop()
-        if not stacks:
-            del thread.holds[lock_id]
-        for index in range(len(resource.edges) - 1, -1, -1):
-            if resource.edges[index][0] == thread_id:
-                del resource.edges[index]
-                break
-
-    def _on_cancel(self, thread_id, lock_id, stack, causes, mode, capacity) -> None:
-        thread = self.thread(thread_id)
-        if thread.allow is not None and thread.allow[0] == lock_id:
-            thread.allow = None
-        if thread.request is not None and thread.request[0] == lock_id:
-            thread.request = None
-        thread.yields.clear()
+        A release event from the previous owner has not been processed yet.
+        The partial-ordering argument of section 5.2 guarantees the release
+        precedes this acquired in the queue, so reaching this point means the
+        caller violated that ordering.
+        """
+        self._order_violations += 1
+        if self._strict:
+            raise RAGError(f"lock {resource.lock_id} acquired by {thread_id} while "
+                           f"owned by {resource.holder_ids()}")
+        # Be forgiving outside strict mode: drop the stale hold edges.
+        for tid in resource.holder_ids():
+            previous = self._threads.get(tid)
+            if previous is not None:
+                previous.holds.pop(resource.lock_id, None)
+        resource.edges.clear()
 
     # -- statistics / introspection ---------------------------------------------------------------
 
@@ -446,13 +424,3 @@ class ResourceAllocationGraph:
         del self._threads[thread_id]
         self._dirty_threads.discard(thread_id)
 
-
-#: Dispatch table indexed by the integer event code (EV_REQUEST..EV_CANCEL).
-_HANDLERS = (
-    ResourceAllocationGraph._on_request,
-    ResourceAllocationGraph._on_allow,
-    ResourceAllocationGraph._on_yield,
-    ResourceAllocationGraph._on_acquired,
-    ResourceAllocationGraph._on_release,
-    ResourceAllocationGraph._on_cancel,
-)

@@ -35,11 +35,11 @@ inspects the identity — any stable integer works.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from .avoidance import Decision, RequestOutcome
-from .callstack import CallStack
-from .signature import EXCLUSIVE, SHARED, Signature
+from .callstack import EMPTY_STACK, CallStack
+from .signature import EXCLUSIVE, SHARED
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .dimmunix import Dimmunix
@@ -95,6 +95,17 @@ class RuntimeCore:
                  parker: Optional[ThreadParker] = None):
         self.dimmunix = dimmunix
         self.parker = parker if parker is not None else ThreadParker()
+        # The engine's own methods, bound here as no frame forwards them:
+        # ``acquired`` records the hold; ``release`` records a release, and
+        # the engine wakes each thread whose yield cause it dissolved through
+        # the waker its own parker armed (their ids are returned); ``cancel``
+        # rolls back an allowed request (trylock, timed lock); ``note_blocked``,
+        # just before a thread blocks natively, materializes the lazy stacks it
+        # could contribute to a signature while it can still walk its own
+        # frames; ``abort_yield`` gives up a yield whose bound expired.
+        engine = dimmunix.engine
+        self.acquired, self.release, self.cancel = engine.acquired, engine.release, engine.cancel
+        self.note_blocked, self.abort_yield = engine.note_blocked, engine.abort_yield
 
     # -- engine access -----------------------------------------------------------------
 
@@ -126,36 +137,6 @@ class RuntimeCore:
         return self.dimmunix.engine.request(thread_id, lock_id, stack, mode, capacity,
                                             take, self.parker)
 
-    def acquired(self, thread_id: int, lock_id: int,
-                 stack: Optional[CallStack] = None, mode: str = EXCLUSIVE,
-                 capacity: int = 1) -> None:
-        """Record that the thread actually obtained the lock."""
-        self.dimmunix.engine.acquired(thread_id, lock_id, stack, mode, capacity)
-
-    def release(self, thread_id: int, lock_id: int) -> List[int]:
-        """Record a release; the engine wakes every thread whose yield cause dissolved.
-
-        Each wakes through the waker its own parker armed, so the caller
-        needs no wake plumbing; the woken ids are returned for introspection
-        and scheduler bookkeeping.
-        """
-        return self.dimmunix.engine.release(thread_id, lock_id)
-
-    def cancel(self, thread_id: int, lock_id: int) -> None:
-        """Roll back a previously allowed request (trylock / timed lock)."""
-        self.dimmunix.engine.cancel(thread_id, lock_id)
-
-    def note_blocked(self, thread_id: int) -> None:
-        """The thread is about to block natively on its requested resource.
-
-        Lock wrappers call this after a failed non-blocking attempt, just
-        before the real park/await, so the engine can materialize any
-        lazily captured stacks the blocked thread might contribute to a
-        deadlock signature while the thread can still walk its own
-        frames.  Cheap no-op when nothing is deferred.
-        """
-        self.dimmunix.engine.note_blocked(thread_id)
-
     def park(self, thread_id: int, timeout: Optional[float]) -> bool:
         """Park a thread that received YIELD; True when woken in time."""
         return self.parker.park(thread_id, timeout)
@@ -175,10 +156,6 @@ class RuntimeCore:
     def prepare_wait(self, thread_id: int) -> None:
         """Arm the parker, as :meth:`request` does before it publishes a yield."""
         self.parker.prepare(thread_id)
-
-    def abort_yield(self, thread_id: int) -> Optional[Signature]:
-        """Abort the thread's current yield after the yield bound expired."""
-        return self.dimmunix.engine.abort_yield(thread_id)
 
     def forget_thread(self, thread_id: int) -> None:
         """Drop an ended thread's state: engine (its standing yield too), parker and RAG.
@@ -381,11 +358,12 @@ class LockRuntime:
         dimmunix = self.dimmunix
         config = dimmunix.config
         if config.lazy_capture:
-            stack = CallStack.capture_lazy(1, config.max_stack_depth, dimmunix.stats,
+            # The bus counts the capture itself: no stats frame forwards the bump.
+            stack = CallStack.capture_lazy(1, config.max_stack_depth, dimmunix.stats.bus,
                                            dimmunix.engine.index.sites)
         else:
             stack = CallStack.capture_cached(skip=1, limit=config.max_stack_depth)
-        if not stack:
+        if stack is EMPTY_STACK:  # every empty capture is this one object
             # Degenerate case (interactive shell, C callback): synthesize a
             # one-frame stack so signatures remain well formed.
             stack = CallStack.from_labels([f"<toplevel-{self._unit_name()}>:0"])

@@ -135,8 +135,7 @@ class DimmunixLock(MutexSkeleton):
 
     # -- context manager ------------------------------------------------------------------
 
-    def __enter__(self) -> bool:
-        return self.acquire()
+    __enter__ = acquire
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.release()
@@ -219,8 +218,7 @@ class DimmunixSemaphore(SemaphoreSkeleton):
             self._ledger.grant(thread_id)
         return True
 
-    def _try_native(self, thread_id: int, mode: str) -> bool:
-        return self._native.acquire(False)
+    _try_native = DimmunixLock._try_native  # the native's non-blocking acquire
 
     def _wait_native(self, thread_id: int, mode: str,
                      timeout: Optional[float]) -> bool:
@@ -239,11 +237,10 @@ class DimmunixSemaphore(SemaphoreSkeleton):
     # -- context manager -------------------------------------------------------------------
 
     def __enter__(self) -> bool:
+        # Not ``__enter__ = acquire``: that skips the bounded subclass's count.
         return self.acquire()
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.release()
-        return False
+    __exit__ = DimmunixLock.__exit__
 
 
 class DimmunixBoundedSemaphore(DimmunixSemaphore):
@@ -272,6 +269,8 @@ class DimmunixBoundedSemaphore(DimmunixSemaphore):
             with self._bound_mutex:
                 self._outstanding += 1
         return got
+
+    __enter__ = acquire
 
     def _release_one(self) -> None:
         with self._bound_mutex:

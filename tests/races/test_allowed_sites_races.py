@@ -19,14 +19,14 @@ import threading
 import pytest
 
 from repro.core.avoidance import AvoidanceEngine
-from repro.core.callstack import CallStack, LazyCallStack
+from repro.core.callstack import CallStack, Frame, LazyCallStack
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.events import (EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE, EV_REQUEST,
                                EV_YIELD)
 from repro.core.history import History
 from repro.core.signature import Signature
-from repro.instrument.locks import DimmunixLock
+from repro.instrument.locks import DimmunixLock, DimmunixRLock
 from repro.instrument.runtime import InstrumentationRuntime
 
 from .harness import Trap, preemption_pressure, run_threads
@@ -214,7 +214,7 @@ class TestTheFilterMovesBetweenCaptureAndRequest:
                                                  dimmunix.history.add(signature)))
         held = seen["held"]
         assert isinstance(held, LazyCallStack)
-        assert held.absent_from is not None and held.absent_from is not dimmunix.engine.index.sites
+        assert held.absent_from is None  # the stale verdict went as the new filter indexed it
         assert seen["frames"] in [stack.frames for stack in signature.stacks]
         assert seen["kinds"] == [EV_REQUEST, EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
         assert seen["indexed"] == 1 and indexed(dimmunix.engine) == 0
@@ -271,6 +271,34 @@ class TestTheFilterNamesTheSiteDuringTheTake:
         assert counts == (1, 1)
         assert outcome.is_yield and outcome.signature is signature
         assert outcome.causes == ((seen["thread"], seen["lock"], seen["held"]),)
+
+
+def reacquire_at_p(acquire):
+    return acquire()  # the call site the signature below names, P
+
+
+class TestAHoldIndexedUnderAFilterItsVerdictPostdates:
+    """A reentrant hold makes no request, so the cache may still have a filter older than
+    its capture's verdict: indexed under that one, it must leave the index with its release,
+    even once the cache has the verdict's own filter."""
+
+    def test_the_release_un_indexes_it(self, hand_over_the_filter):
+        site_p = CallStack([Frame("reacquire_at_p", CallStack.capture(skip=0).top().filename,
+                                  reacquire_at_p.__code__.co_firstlineno + 1)])
+        history = History(path=None, autosave=False)
+        signature = Signature([site_p, ELSEWHERE], matching_depth=1)
+        history.add(signature)
+        dimmunix = Dimmunix(config=DimmunixConfig.for_testing(), history=history)
+        engine, lock = dimmunix.engine, DimmunixRLock(runtime=InstrumentationRuntime(dimmunix))
+        assert lock.acquire()  # the request hands the cache the filter naming P
+        history.disable(signature.fingerprint)  # republished: P is no longer named
+        assert reacquire_at_p(lock.acquire)  # no request: the cache keeps the old filter
+        reentrant = engine.cache.slots.get(lock.owner).holds[lock.lock_id][-1]
+        assert reentrant.top() == site_p.top() and indexed(engine) == 1
+        hand_over_the_filter(engine)  # the cache now has the filter that said "not P"
+        lock.release()
+        assert indexed(engine) == 0, "a dead binding a later cover search could yield on"
+        lock.release()
 
 
 class TestReleaseRacesTheRebuild:

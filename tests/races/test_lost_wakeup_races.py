@@ -8,11 +8,11 @@ gate in front of its park (``core.park`` / ``core.park_async``) while
 another thread releases the cause or forces a GO, and again with the
 release made once the park has begun: either way the park must return
 woken, on the thread driver and on the asyncio driver.  A forced GO may
-also land while the engine is still searching, before it arms: the gate
-is then the parker's ``prepare``, and the request must grant rather than
-publish a yield whose wake the arming just cleared.  And the monitor may
-stop between writing ``forced_go`` and withdrawing the yield while the
-yielder requests: that request must end in a GO, never in an unwoken park.
+also land while a woken yielder's retry is still searching, before it
+arms: the gate is then the parker's ``prepare``, and the retry must grant
+rather than publish a yield whose wake the arming just cleared.  And the monitor may
+stop between choosing its victim and withdrawing the victim's yield while
+it requests and yields: that yield must end in a GO, never in an unwoken park.
 
 Lost wakeups would hang, so every yielder runs in a daemon thread with no
 yield bound and is joined with a timeout: a lost wake fails, it never hangs.
@@ -69,6 +69,21 @@ def _dimmunix(first, second, **config) -> Dimmunix:
 def force_go_as_the_monitor_does(dimmunix: Dimmunix, thread_id: int) -> None:
     """What the monitor's starvation handler does to its victim: the engine wakes its park."""
     dimmunix.engine.force_go(thread_id)
+
+
+def wake_while_the_instance_stands(dimmunix: Dimmunix) -> None:
+    """Wake the one yielder, once its yield stands, with nothing dissolved: it retries.
+
+    A forced GO is for a standing yield, and the monitor picks its victim from
+    the yields it saw; a retry's earlier yield stands until the retry ends.
+    """
+    cache = dimmunix.engine.cache
+    deadline = time.monotonic() + 10.0
+    while not cache.yielding_threads():
+        assert time.monotonic() < deadline, "nobody yielded"
+        time.sleep(0.001)
+    thread_id, = cache.yielding_threads()
+    cache.slots.get(thread_id).yielding.waker()
 
 
 def _join(thread: threading.Thread) -> None:
@@ -157,11 +172,12 @@ class TestTheThreadDriver:
 
     def test_a_forced_go_before_the_arming_is_granted_at_once(self):
         """The arming clears the forced GO's wake; the engine sees the flag instead."""
-        world, trap = ThreadWorld(), Trap("trapped")
+        world, trap = ThreadWorld(), Trap("trapped", skip=1)  # the retry's arming
         world.gate_the_park(Trap("nobody"))
         prepare = world.runtime.yields.prepare
         world.runtime.yields.prepare = lambda thread_id: trap.here() or prepare(thread_id)
         yielder = world.start_yielder()
+        wake_while_the_instance_stands(world.dimmunix)
         assert trap.reached.wait(10.0)  # searched, the instance found, not yet armed
         force_go_as_the_monitor_does(world.dimmunix, world.yielder_id)
         trap.release.set()
@@ -169,25 +185,23 @@ class TestTheThreadDriver:
         world.let_go.set()
         world.holder.join(10.0)
         stats = world.dimmunix.stats
-        assert world.parks == [] and stats.yield_decisions == 0
+        assert world.parks == [True] and stats.yield_decisions == 1
         assert stats.forced_go == 1
 
     def test_a_forced_go_held_between_its_steps_ends_in_a_go(self):
-        """The monitor stops between writing ``forced_go`` and withdrawing the yield
-        while the yielder requests: the request sees the flag, or the withdrawal
-        finds its yield and wakes it; it is never parked with nobody to wake it."""
+        """The monitor stops between choosing its victim and the step that writes
+        ``forced_go`` and withdraws the yield, while the victim requests and yields:
+        that step finds the yield, and wakes it, so the park ends at once and the
+        retry is granted; it is never parked with nobody to wake it."""
         world, park_gate, between = ThreadWorld(), Trap("trapped"), Trap("forcing")
         world.gate_the_park(park_gate)
         cache = world.dimmunix.engine.cache
         end_yield = cache.end_yield
 
-        def held_between_the_steps(thread_id, slot):
-            if slot.forced_go:
-                between.here()  # the flag is written, the yield not yet withdrawn
-            record = end_yield(thread_id, slot)
-            if not slot.forced_go:
-                between.here()  # the yield is withdrawn, the flag not yet written
-            return record
+        def held_between_the_steps(thread_id, slot, force_go=False):
+            if force_go:
+                between.here()  # the victim is chosen, its yield not yet withdrawn
+            return end_yield(thread_id, slot, force_go)
 
         cache.end_yield = held_between_the_steps
         ready, go = threading.Event(), threading.Event()
@@ -217,7 +231,7 @@ class TestTheThreadDriver:
         world.let_go.set()
         world.holder.join(10.0)
         stats = world.dimmunix.stats
-        assert world.parks == [] and stats.yield_decisions == 0
+        assert world.parks == [True] and stats.yield_decisions == 1
         assert stats.forced_go == 1
 
 
@@ -310,12 +324,13 @@ class TestTheAsyncioDriver:
         assert stats.forced_go == 1 and stats.aborted_yields == 0
 
     def test_a_forced_go_before_the_arming_is_granted_at_once(self):
-        world, trap = AioWorld(), Trap("trapped")
+        world, trap = AioWorld(), Trap("trapped", skip=1)  # the retry's arming
         world.gate_the_park(Trap("nobody"))
         parker = world.runtime.core.parker
         prepare = parker.prepare
         parker.prepare = lambda task_id: trap.here() or prepare(task_id)
         loop_a = world.start_yielder()
+        wake_while_the_instance_stands(world.dimmunix)
         assert trap.reached.wait(10.0)
         force_go_as_the_monitor_does(world.dimmunix, world.yielder_id)
         trap.release.set()
@@ -323,7 +338,7 @@ class TestTheAsyncioDriver:
         world.let_go.set()
         world.loop_b.join(10.0)
         stats = world.dimmunix.stats
-        assert world.parks == [] and stats.yield_decisions == 0
+        assert world.parks == [True] and stats.yield_decisions == 1
         assert stats.forced_go == 1
 
 

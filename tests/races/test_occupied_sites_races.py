@@ -8,8 +8,8 @@ was not admitted is missed: a false negative, the documented direction,
 left to the monitor's detection pass.  A binding removed after the probe is
 not found by the search, so nobody yields on it.  Here the requester is
 parked between the two while another thread adds and removes a binding at
-a needed site.  That thread takes a forced GO, the bypass the monitor
-grants, because the parked requester holds the match mutex.
+a needed site.  That thread takes a forced GO, the bypass an aborted
+yield grants, because the parked requester holds the match mutex.
 
 A request handed the primitive's native take (``take=``) keeps the same
 mutex across that take and the hold it records.  Two such requests at the
@@ -58,7 +58,7 @@ def make_engine():
 
 def hold(engine, thread_id, lock_id, at, forced=False):
     if forced:
-        engine.force_go(thread_id)
+        engine.abort_yield(thread_id)  # the next request of a thread whose yield bound passed
     assert engine.request(thread_id, lock_id, at).is_go
     engine.acquired(thread_id, lock_id, at)
 

@@ -64,6 +64,9 @@ class ScriptedCore(DimmunixBackend):
     def __init__(self, decisions=("go",), park="woken", yield_timeout=None):
         super().__init__(Dimmunix(config=DimmunixConfig.for_testing(
             yield_timeout=yield_timeout)))
+        # The core binds the engine's methods on itself; the script's answer instead.
+        for name in ("acquired", "release", "cancel", "note_blocked", "abort_yield"):
+            delattr(self, name)
         self.parker = CountingParker()
         self.subject = None
         self.calls = []

@@ -219,6 +219,8 @@ class TestYieldManagement:
         assert engine.cache.yielding_threads() == []
 
     def test_a_forced_go_after_the_yield_ended_calls_no_waker(self, immune_engine):
+        """A forced GO that lands after the yield ended is void: the ended park is not
+        woken again, and the thread's later request is decided by the cover search."""
         engine, parker = immune_engine, RecordingParker()
         engine.request(1, 2, S2)
         engine.acquired(1, 2, S2)
@@ -227,10 +229,14 @@ class TestYieldManagement:
         assert engine.request(2, 1, S1, parker=parker).is_go  # the yield ends
         engine.force_go(2)
         assert parker.woken == [0]  # the ended park is not woken again
+        assert not engine.cache.slots.get(2).forced_go
         engine.acquired(2, 1, S1)
         engine.release(2, 1)
-        assert engine.request(2, 1, S1, parker=parker).is_go  # the forced GO stands
-        assert engine.stats.forced_go == 1
+        engine.request(1, 2, S2)
+        engine.acquired(1, 2, S2)  # the instance can stand again
+        later = engine.request(2, 1, S1, parker=parker)
+        assert later.is_yield and later.signature == PAPER_SIGNATURE  # the cover search's
+        assert engine.stats.forced_go == 0
 
     def test_last_avoided_signature(self, immune_engine):
         engine = immune_engine

@@ -99,6 +99,25 @@ class TestEventBus:
         assert [r[3] for r in first] == [0, 1, 2, 3]
         assert [r[3] for r in second] == [4, 5, 6, 7, 8, 9]
 
+    def test_a_batch_with_an_interior_hole_is_released_up_to_the_hole(self):
+        """A batch that starts at the cursor but misses a seq inside is released
+        up to the hole; the rest follows, in order, once the missing record lands."""
+        bus = EventBus()
+        s = stack()
+        handed_out = iter([1, 2, 4, 5, 3, 6])  # seq 3 is allocated last: in flight
+        bus._next_seq = handed_out.__next__
+        for lock_id in (1, 2, 4, 5):
+            bus.emit(EV_REQUEST, 1, lock_id, s)
+        assert [r[0] for r in bus.drain_raw()] == [1, 2]
+        assert bus.held_back == 2
+        assert bus.drain_raw() == [] and bus.held_back == 2  # a young gap waits
+        bus.emit(EV_REQUEST, 1, 3, s)  # the missing record lands
+        bus.emit(EV_REQUEST, 1, 6, s)
+        assert [r[0] for r in bus.drain_raw()] == [3, 4, 5, 6]
+        assert bus.held_back == 0
+        assert bus.seq_gaps_skipped == bus.stragglers == 0
+        assert bus.total_drained == 6
+
     def test_watermarks(self):
         bus = EventBus()
         s = stack()

@@ -3,16 +3,20 @@
 Covers the three pooling/fast-path mechanisms: the singleton GO outcome,
 the pooled per-thread/per-task parkers, the signature index's top-frame
 miss filter, the per-thread statistics counters, and the simulator's use of
-the same ring-buffered event path as the real runtimes.
+the same ring-buffered event path as the real runtimes.  Last, the number
+of Python frames one uncontended acquire/release pair enters is pinned.
 """
 
 from __future__ import annotations
 
 import asyncio
+import os
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro.core.avoidance import (AvoidanceEngine, Decision, GO_OUTCOME,
                                   MODE_INSTRUMENTATION_ONLY, TAKEN_OUTCOME)
 from repro.core.callstack import CallStack, LazyCallStack
@@ -23,8 +27,8 @@ from repro.core.history import History
 from repro.core.sigindex import SignatureIndex
 from repro.core.signature import Signature
 from repro.core.stats import EngineStats
-from repro.instrument.aio import AsyncioParker
-from repro.instrument.locks import DimmunixLock
+from repro.instrument.aio import AioLock, AsyncioParker, AsyncioRuntime
+from repro.instrument.locks import DimmunixLock, DimmunixRWLock, DimmunixSemaphore
 from repro.instrument.runtime import InstrumentationRuntime, YieldManager
 from repro.share import MemoryHub, SignaturePool
 from repro.sim.backends import DimmunixBackend
@@ -423,3 +427,72 @@ class TestSimulatorRingPath:
         assert isinstance(backend.dimmunix.engine.events, EventBus)
         fork = backend.fork()
         assert isinstance(fork.dimmunix.engine.events, EventBus)
+
+
+def _frames_of(pair) -> list:
+    """The package's Python frames that one run of ``pair`` enters, in order."""
+    root = os.path.dirname(repro.__file__)
+    entered = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            entered.append(f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_code.co_name}")
+
+    sys.setprofile(profile)
+    try:
+        pair()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+class TestTheUncontendedPairsFrames:
+    """One uncontended acquire/release at a site no signature names enters a pinned
+    number of the package's Python frames: a forwarding frame added back fails here."""
+
+    @staticmethod
+    def _dimmunix():
+        history = History(path=None, autosave=False)
+        history.add(Signature([stack(("a:1", "m:0")), stack(("b:2", "m:0"))]))
+        return Dimmunix(DimmunixConfig.for_testing(), history=history)
+
+    @pytest.mark.parametrize("kind, frames", [("lock", 23), ("semaphore", 28),
+                                              ("rwlock-read", 27)])
+    def test_a_thread_primitive(self, kind, frames):
+        runtime = InstrumentationRuntime(self._dimmunix())
+        if kind == "rwlock-read":
+            rwlock = DimmunixRWLock(runtime=runtime)
+
+            def pair():
+                rwlock.acquire_read()
+                rwlock.release_read()
+        else:
+            primitive = (DimmunixLock(runtime=runtime) if kind == "lock"
+                         else DimmunixSemaphore(2, runtime=runtime))
+
+            def pair():
+                with primitive:
+                    pass
+        pair()  # the thread's first operation allocates its id, ring and slot
+        assert len(_frames_of(pair)) == frames, _frames_of(pair)
+
+    def test_the_asyncio_lock(self):
+        runtime = AsyncioRuntime(self._dimmunix())
+        counted = []
+
+        def unsuspended(coroutine) -> None:
+            with pytest.raises(StopIteration):  # an uncontended pair never suspends
+                coroutine.send(None)
+
+        async def main():
+            lock = AioLock(runtime=runtime)
+
+            async def pair():
+                await lock.acquire()
+                lock.release()
+
+            await pair()  # the task's first operation allocates its id and slot
+            counted.extend(_frames_of(lambda: unsuspended(pair())))
+
+        asyncio.run(main())
+        assert len(counted) == 26, counted

@@ -12,8 +12,9 @@ from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
 from repro.core.errors import InstrumentationError
 from repro.instrument import patching
-from repro.instrument.locks import (Condition, DimmunixCondition, DimmunixLock,
-                                    DimmunixRLock, Lock, RLock)
+from repro.instrument.locks import (Condition, DimmunixBoundedSemaphore, DimmunixCondition,
+                                    DimmunixLock, DimmunixRLock, DimmunixSemaphore, Lock,
+                                    RLock)
 from repro.instrument.patching import default_runtime, reset_default_runtimes
 from repro.instrument.runtime import (InstrumentationRuntime, ThreadRegistry,
                                       YieldManager)
@@ -118,6 +119,34 @@ class TestDimmunixLock:
     def test_repr_mentions_state(self, runtime):
         lock = DimmunixLock(runtime=runtime, name="mylock")
         assert "mylock" in repr(lock)
+
+
+class TestWithOnEveryThreadPrimitive:
+    """``with`` takes one hold and returns it on every thread primitive, through the
+    primitive's own ``acquire``: the bounded semaphore's override included."""
+
+    @pytest.mark.parametrize("make", [
+        DimmunixLock, DimmunixRLock,
+        lambda runtime: DimmunixSemaphore(2, runtime=runtime),
+        lambda runtime: DimmunixBoundedSemaphore(1, runtime=runtime),
+    ], ids=["lock", "rlock", "semaphore", "bounded-semaphore"])
+    def test_with_holds_once_and_releases(self, runtime, make):
+        primitive = make(runtime=runtime)
+        cache, me = runtime.engine.cache, runtime.current_thread_id()
+        with primitive as entered:
+            assert entered is True
+            assert cache.hold_count(me, primitive.lock_id) == 1
+        assert cache.hold_count(me, primitive.lock_id) == 0
+        assert runtime.engine.stats.acquisitions == runtime.engine.stats.releases == 1
+
+    def test_a_bounded_semaphore_entered_by_with_counts_its_permits(self, runtime):
+        bounded = DimmunixBoundedSemaphore(1, runtime=runtime)
+        for _ in range(2):
+            with bounded:
+                assert bounded.permits_held() == 1
+        with pytest.raises(ValueError):
+            bounded.release()
+        assert bounded.permits_held() == 0
 
 
 class TestDimmunixRLock:

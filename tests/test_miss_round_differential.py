@@ -220,7 +220,7 @@ def run_threads(ops, on: bool):
                     actors[actor].submit(thread_release, primitives[held[1]],
                                          held[2]).result(10)
             else:
-                dimmunix.engine.force_go(ids[actor])
+                dimmunix.engine.abort_yield(ids[actor])  # its next request: a forced GO
                 model.forced.add(actor)
         left = what_is_left(dimmunix, drained)
     finally:
@@ -327,7 +327,7 @@ def run_aio(ops, on: bool):
                     if held is not None:
                         await on_actor(actor)(aio_release, primitives[held[1]], held[2])
                 else:
-                    dimmunix.engine.force_go(ids[actor])
+                    dimmunix.engine.abort_yield(ids[actor])  # its next request: a forced GO
                     model.forced.add(actor)
             return outcomes, what_is_left(dimmunix, drained), model
         finally:
@@ -390,7 +390,7 @@ def not_handed_to_the_cache(dimmunix, runtime, tid):
 
 
 def forced_go(dimmunix, runtime, tid):
-    dimmunix.engine.force_go(tid)
+    dimmunix.engine.abort_yield(tid)  # a yield bound passed: the retry is a forced GO
     return runtime.capture_stack()
 
 

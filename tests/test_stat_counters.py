@@ -20,10 +20,9 @@ from collections import Counter
 from repro.core.callstack import CallStack, Frame
 from repro.core.config import DimmunixConfig
 from repro.core.dimmunix import Dimmunix
-from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE, EV_YIELD
+from repro.core.events import EV_ACQUIRED, EV_ALLOW, EV_CANCEL, EV_RELEASE, EV_YIELD, EventBus
 from repro.core.history import History
 from repro.core.signature import Signature
-from repro.core.stats import EngineStats
 from repro.instrument.aio import AioLock, AioRWLock, AioSemaphore, AsyncioRuntime
 from repro.instrument.locks import (DimmunixLock, DimmunixRLock, DimmunixRWLock,
                                     DimmunixSemaphore)
@@ -255,8 +254,8 @@ class TestTheMissPathBumpsOnce:
     @staticmethod
     def _dimmunix(monkeypatch):
         bumped = []
-        bump = EngineStats.bump
-        monkeypatch.setattr(EngineStats, "bump", lambda self, name, amount=1: (
+        bump = EventBus.bump  # the capture bumps the bus itself, not through EngineStats
+        monkeypatch.setattr(EventBus, "bump", lambda self, name, amount=1: (
             bumped.append(name), bump(self, name, amount))[1])
         foreign = naming(call_site("never:1", "m:0"), call_site("nowhere:2", "m:0"))
         return Dimmunix(DimmunixConfig.for_testing(), history=foreign), bumped
