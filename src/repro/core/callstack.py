@@ -142,12 +142,12 @@ class CallStack:
         reference the lazy captures are tested against.  Two captures from
         the same sequence of bytecode positions produce the same
         :class:`CallStack`, so the result is memoized under a key of
-        ``(code object, f_lasti)`` pairs — identity of the code objects
+        ``(id(code), f_lasti)`` pairs — identity of the code objects
         plus the exact call site inside each; on a hit only the raw frame
         walk (unavoidable — the key *is* the stack) remains.
 
         Semantics are identical to ``capture(skip, limit)`` with
-        ``skip_internal=True`` (internality is per code object and cached
+        ``skip_internal=True`` (internality is per file name and cached
         too).  Cache growth is bounded: the oldest half is evicted past
         ``_CAPTURE_CACHE_LIMIT`` distinct call paths.
         """
@@ -155,7 +155,7 @@ class CallStack:
             frame = sys._getframe(skip + 1)
         except ValueError:  # not enough frames
             return EMPTY_STACK
-        while frame is not None and _internal_code[frame.f_code]:
+        while frame is not None and _internal_file[frame.f_code.co_filename]:
             frame = frame.f_back
         if frame is None or limit < 1:
             return EMPTY_STACK
@@ -171,7 +171,7 @@ class CallStack:
         misses the signature index's top-frame filter and the engine
         decides GO without ever reading ``frames[1:]``.  This constructor
         therefore records just the innermost non-internal frame — one
-        interned :class:`Frame` keyed by ``(code object, f_lasti)`` — and,
+        interned :class:`Frame` keyed by ``(id(code), f_lasti)`` — and,
         handed the index's published ``sites``, probes the filter here,
         once, while the frame in hand is live by construction.  A named
         site is walked on at once (:func:`_walk`) and comes back as the
@@ -191,16 +191,13 @@ class CallStack:
             frame = sys._getframe(skip + 1)
         except ValueError:  # not enough frames
             return EMPTY_STACK
-        while frame is not None and _internal_code[frame.f_code]:
+        while frame is not None and _internal_file[frame.f_code.co_filename]:
             frame = frame.f_back
         if frame is None:
             return EMPTY_STACK
         lasti = frame.f_lasti
-        top_key = (frame.f_code, lasti)
-        top = _top_frame_cache.get(top_key)
-        if top is None:
-            top = _frame_of(frame)
-            _remember(_top_frame_cache, top_key, top)
+        top_key = (id(frame.f_code), lasti)
+        top, _ = _top_frame_cache.get(top_key) or _intern_top(frame, top_key)
         if stats is not None:
             stats.bump("capture_deferred")
         if sites is not None and top in sites:
@@ -451,18 +448,18 @@ def _walk(origin, lasti: int, top: Optional[Frame], limit: int) -> CallStack:
     lazy stack materializing later — so they share one memo entry and
     come out byte-identical.  ``origin`` stands at ``lasti`` with interned
     frame ``top`` (``None``: the capture's own caller, read here); up to
-    ``limit`` application frames are taken.  Building the key reads only
-    ``f_code``, ``f_lasti`` and ``f_back``: line numbers (a linear decode
-    of the line table), names and short paths are paid on a miss alone.
+    ``limit`` application frames are taken.  The key reads only ``f_code``
+    (id, file), ``f_lasti`` and ``f_back``: line numbers (a linear decode of
+    the line table), names and short paths are paid on a miss alone.
     """
-    key = [origin.f_code, lasti]
+    key = [id(origin.f_code), lasti]
     parents = []
     collected = 1
     frame = origin.f_back
     while frame is not None and collected < limit:
         code = frame.f_code
-        if not _internal_code[code]:
-            key.append(code)
+        if not _internal_file[code.co_filename]:
+            key.append(id(code))
             key.append(frame.f_lasti)
             parents.append(frame)
             collected += 1
@@ -470,32 +467,42 @@ def _walk(origin, lasti: int, top: Optional[Frame], limit: int) -> CallStack:
     cache_key = tuple(key)
     hit = _capture_cache.get(cache_key)
     if hit is not None:
-        return hit
+        return hit[0]
     stack = CallStack([top or _frame_of(origin)] + [_frame_of(frame) for frame in parents])
     # A cross-thread materialization does not stop the thread it walks: memoize
     # only if its parents still stand where the key says the line numbers belong.
     if [frame.f_lasti for frame in parents] == key[3::2]:
-        _remember(_capture_cache, cache_key, stack)
+        codes = [origin.f_code] + [frame.f_code for frame in parents]
+        _remember(_capture_cache, cache_key, (stack, codes))
     return stack
 
 
 def _frame_of(frame) -> Frame:
     code = frame.f_code
-    return Frame(code.co_name, _short_name_of(code), frame.f_lineno)
+    return Frame(code.co_name, _short_name[code.co_filename], frame.f_lineno)
+
+
+def _intern_top(frame, key) -> Tuple[Frame, object]:
+    """Intern ``frame``'s :class:`Frame` under ``key``, with the code object its id names."""
+    entry = (_frame_of(frame), frame.f_code)
+    _remember(_top_frame_cache, key, entry)
+    return entry
 
 
 EMPTY_STACK = CallStack(())
 
-#: Per-call-site capture cache: key is a tuple of interleaved (code
-#: object, f_lasti) for the non-internal frames — holding the code
-#: objects themselves (not their ids) both keys by identity and prevents
-#: id reuse after garbage collection.  Guarded by the GIL: dict get/set
-#: are atomic, and a rare duplicate build on a race is harmless (the two
-#: CallStacks are equal).
+#: Per-call-site capture cache: key is a tuple of interleaved (id(code),
+#: f_lasti) for the non-internal frames, value ``(stack, code objects)``.
+#: No key holds a code object: on CPython 3.11 a code object's hash is
+#: recomputed over its constants and names on every lookup, and code
+#: equality ignores ``co_filename``, so twin functions in two files would
+#: share entries.  The entry holds its code objects, so no id it names is
+#: reused while it stands.  Guarded by the GIL: dict get/set are atomic,
+#: and a rare duplicate build on a race is harmless (equal CallStacks).
 _capture_cache: dict = {}
-_short_name_cache: dict = {}
-#: Interned top frames for lazy capture, keyed by (code object, f_lasti).
-#: f_lineno is a pure function of f_lasti, so the cached Frame is exact.
+#: Interned top frames for lazy capture, keyed by (id(code), f_lasti), value
+#: ``(Frame, code object)``.  f_lineno is a pure function of f_lasti, so the
+#: cached Frame is exact.
 _top_frame_cache: dict = {}
 _CAPTURE_CACHE_LIMIT = 8192
 
@@ -536,31 +543,22 @@ def _remember(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-class _InternalCodeMemo(dict):
-    """``code object -> is it implementation-internal``, filled on first ask.
+class _FileMemo(dict):
+    """``file name -> of(file name)``, filled on first ask.
 
-    The stack walks subscript this once per frame.  A hit stays a
-    plain C dict lookup; only a code object seen for the first time pays
-    the filename match.  Bounded like the other capture caches, so
-    dynamically generated code (exec, reloads) is not pinned forever.
+    The stack walks subscript it with ``co_filename``, whose hash the
+    string caches, so a hit is a plain C dict lookup; only a file seen
+    for the first time pays ``of``.  Bounded like the other capture
+    caches, so generated file names (exec) are not pinned forever.
     """
 
-    def __missing__(self, code) -> bool:
-        internal = _is_internal(code.co_filename)
-        _remember(self, code, internal)
-        return internal
+    def __init__(self, of) -> None:
+        self._of = of
 
-
-_internal_code = _InternalCodeMemo()
-
-
-def _short_name_of(code) -> str:
-    """The shortened filename for a code object, memoized per code object."""
-    short = _short_name_cache.get(code)
-    if short is None:
-        short = _shorten(code.co_filename)
-        _remember(_short_name_cache, code, short)
-    return short
+    def __missing__(self, filename: str):
+        value = self._of(filename)
+        _remember(self, filename, value)
+        return value
 
 
 def _is_int(text: str) -> bool:
@@ -602,3 +600,7 @@ def _shorten(filename: str) -> str:
     if len(parts) >= 2:
         return "/".join(parts[-2:])
     return normalized
+
+
+_internal_file = _FileMemo(_is_internal)
+_short_name = _FileMemo(_shorten)

@@ -417,12 +417,14 @@ class AioLock(_AsyncWith, MutexSkeleton):
         the hold bookkeeping stays consistent.  Releasing an unheld lock
         raises.
         """
-        owner = self._owner
-        if owner is None or not self._native.locked():
+        owner, native = self._owner, self._native
+        if owner is None or native._value:
             raise InstrumentationError(f"{self._name} is not acquired")
         self._owner = None
         self._runtime.core.release(owner, self._lock_id)
-        self._native.release()
+        native._value += 1  # the permit queue's release, inlined
+        if native._waiters:
+            native.wake_next()
 
     def locked(self) -> bool:
         """Whether the lock is currently held."""

@@ -224,16 +224,6 @@ class DimmunixSemaphore(SemaphoreSkeleton):
                      timeout: Optional[float]) -> bool:
         return self._native.acquire(True, timeout)
 
-    #: One permit, in the skeleton's order; ``release`` returns ``n`` of them.
-    _release_one = SemaphoreSkeleton.release
-
-    def release(self, n: int = 1) -> None:
-        """Return ``n`` permits and wake threads whose yield causes dissolved."""
-        if n < 1:
-            raise ValueError("n must be one or more")
-        for _ in range(n):
-            self._release_one()
-
     # -- context manager -------------------------------------------------------------------
 
     def __enter__(self) -> bool:
@@ -272,12 +262,13 @@ class DimmunixBoundedSemaphore(DimmunixSemaphore):
 
     __enter__ = acquire
 
-    def _release_one(self) -> None:
+    def release(self, n: int = 1) -> None:
+        """Return ``n`` permits, or none and raise if that is more than are out."""
         with self._bound_mutex:
-            if self._outstanding <= 0:
+            if n > self._outstanding:
                 raise ValueError("semaphore released too many times")
-            self._outstanding -= 1
-        super()._release_one()
+            self._outstanding -= max(n, 0)
+        super().release(n)  # raises for n < 1
 
 
 class DimmunixRWLock(RWLockSkeleton):

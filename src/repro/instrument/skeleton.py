@@ -112,20 +112,24 @@ class SemaphoreSkeleton(Primitive):
         # is never contended and costs one C call each way.
         self._ledger_mutex = threading.Lock()
 
-    def release(self) -> None:
-        """Return one permit and wake the units whose yield causes dissolved."""
-        if self._engine_tracked:
-            try:
-                caller = self._runtime.current_id()
-            except InstrumentationError:  # asyncio: released outside any task
-                caller = None
-            with self._ledger_mutex:
-                owner = self._ledger.release(caller)
-            if owner is not None:
-                # Engine release first: the event must precede the permit
-                # becoming available (the paper's partial ordering).
-                self._runtime.core.release(owner, self._lock_id)
-        self._native.release()
+    def release(self, n: int = 1) -> None:
+        """Return ``n`` permits (as ``threading``'s; asyncio callers pass none) and
+        wake the units whose yield causes dissolved."""
+        if n < 1:
+            raise ValueError("n must be one or more")
+        for _ in range(n):
+            if self._engine_tracked:
+                try:
+                    caller = self._runtime.current_id()
+                except InstrumentationError:  # asyncio: released outside any task
+                    caller = None
+                with self._ledger_mutex:
+                    owner = self._ledger.release(caller)
+                if owner is not None:
+                    # Engine release first: the event must precede the permit
+                    # becoming available (the paper's partial ordering).
+                    self._runtime.core.release(owner, self._lock_id)
+            self._native.release()
 
     @property
     def capacity(self) -> int:

@@ -165,13 +165,62 @@ class TestInternalFrames:
     ])
     def test_a_frame_is_dropped_for_its_files_components_only(self, evaluate_at, capture,
                                                               path, kept):
-        # The path rides in the code's constants: code objects compare without their
-        # file name, and internality is remembered per code object.
-        stack = evaluate_at(path, f"({capture}, {path!r})[0]", CallStack=CallStack,
-                            stats=EngineStats())
+        stack = evaluate_at(path, capture, CallStack=CallStack, stats=EngineStats())
         functions = [frame.function for frame in CallStack(stack)]
         assert ("make" in functions) == kept
         assert functions[0] == ("make" if kept else "evaluate")
+
+
+UNHASHABLE_TOP = Frame("top", "app/unhashable.py", 2)
+
+
+class TestTheMemosHashNoCodeObject:
+    """Code equality ignores ``co_filename`` and a code object may hold unhashable
+    constants: the capture memos key on file names and code ids, never on code."""
+
+    CAPTURES = [
+        "CallStack.capture_cached(skip=0)",
+        "CallStack.capture_lazy(0, 10, stats).frames",
+        "CallStack.capture_lazy(0, 10, stats, named).frames",
+    ]
+
+    @pytest.mark.parametrize("capture", CAPTURES)
+    def test_twin_functions_in_two_files_each_name_their_own(self, evaluate_at, capture):
+        named = frozenset({Frame("make", "twins/one.py", 3), Frame("make", "twins/two.py", 3)})
+        for path in ("/srv/twins/one.py", "/srv/twins/two.py"):
+            stack = evaluate_at(path, capture, CallStack=CallStack, stats=EngineStats(),
+                                named=named)
+            reference = evaluate_at(path, "CallStack.capture(skip=0)", CallStack=CallStack)
+            assert stack[0] == Frame("make", path[5:], 3)
+            assert tuple(stack)[:2] == tuple(reference)[:2]
+
+    @pytest.mark.parametrize("capture", CAPTURES)
+    def test_an_application_twin_of_internal_code_keeps_its_frame(self, evaluate_at, capture):
+        names = dict(CallStack=CallStack, stats=EngineStats(), named=frozenset())
+        internal = evaluate_at("/opt/venv/site-packages/repro/core/twin.py", capture, **names)
+        application = evaluate_at("/srv/app/twin.py", capture, **names)
+        assert internal[0].function == "evaluate"
+        assert application[0] == Frame("make", "app/twin.py", 3)
+
+    @pytest.mark.parametrize("capture", [
+        lambda: CallStack.capture_cached(1),
+        lambda: CallStack.capture_lazy(1, 10, EngineStats()).materialize(),
+        lambda: CallStack.capture_lazy(1, 10, EngineStats(), frozenset({UNHASHABLE_TOP})),
+    ], ids=["cached", "lazy-materialized", "lazy-named"])
+    def test_code_with_an_unhashable_constant_is_captured(self, capture):
+        namespace: dict = {}
+        exec(compile("def top(capture):\n    return capture()\n\n"
+                     "def parent(capture):\n    return top(capture)\n",
+                     "/srv/app/unhashable.py", "exec"), namespace)
+        for function in (namespace["top"], namespace["parent"]):
+            function.__code__ = function.__code__.replace(
+                co_consts=function.__code__.co_consts + ([],))
+            with pytest.raises(TypeError):
+                hash(function.__code__)
+        on_top = [namespace["top"](capture) for _ in range(2)]  # the second one hits
+        assert on_top[0].top() == on_top[1].top() == UNHASHABLE_TOP
+        walked = namespace["parent"](capture)
+        assert [frame.function for frame in walked][:2] == ["top", "parent"]
 
 
 class TestFilterAtCapture:

@@ -456,7 +456,7 @@ class TestTheUncontendedPairsFrames:
         history.add(Signature([stack(("a:1", "m:0")), stack(("b:2", "m:0"))]))
         return Dimmunix(DimmunixConfig.for_testing(), history=history)
 
-    @pytest.mark.parametrize("kind, frames", [("lock", 23), ("semaphore", 28),
+    @pytest.mark.parametrize("kind, frames", [("lock", 23), ("semaphore", 27),
                                               ("rwlock-read", 27)])
     def test_a_thread_primitive(self, kind, frames):
         runtime = InstrumentationRuntime(self._dimmunix())
@@ -495,4 +495,4 @@ class TestTheUncontendedPairsFrames:
             counted.extend(_frames_of(lambda: unsuspended(pair())))
 
         asyncio.run(main())
-        assert len(counted) == 26, counted
+        assert len(counted) == 23, counted

@@ -102,6 +102,17 @@ class TestDimmunixSemaphoreBasics:
         assert sem.acquire()
         sem.release()
 
+    def test_a_bounded_overrelease_of_several_permits_returns_none(self, runtime):
+        # As threading.BoundedSemaphore.release(n): all n permits or none.
+        sem = DimmunixBoundedSemaphore(2, runtime=runtime)
+        sem.acquire()
+        for n in (0, 2):
+            with pytest.raises(ValueError):
+                sem.release(n)
+            assert sem.permits_held() == 1
+        sem.release(1)
+        assert sem.permits_held() == 0 and runtime.engine.stats.releases == 1
+
 
 class TestDimmunixRWLockBasics:
     def test_readers_coexist(self, runtime):

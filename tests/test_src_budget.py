@@ -13,7 +13,12 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lowered by 49 from 16,999: an uncontended lock operation loses its forwarding
+#: Lowered by 1 from 16,950: the capture memos key on file names and code ids.
+#: ``_InternalCodeMemo`` and ``_short_name_of`` fold into one ``_FileMemo``,
+#: net of ``_intern_top`` (a top-frame entry holds its code object) and the
+#: memo comment's reasons; a semaphore's ``release(n)`` loops in the skeleton
+#: (``_release_one`` went), net of ``AioLock.release`` inlining its queue's.
+#: 16,950 before, lowered by 49 from 16,999: an uncontended lock operation loses its forwarding
 #: frames, and the monitor applies a batch in one loop.  ``RuntimeCore``'s five
 #: forwarders are the engine's bound methods, ``SlotRegistry`` is a ``dict``
 #: (its ``clear`` and ``__len__`` went), ``WallClock.now`` is ``time.monotonic``,
@@ -99,7 +104,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 16_950
+TOTAL_BUDGET = 16_949
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -121,7 +126,10 @@ TOTAL_BUDGET = 16_950
 #: 1,898 until ``with`` entered ``DimmunixLock`` and ``DimmunixBoundedSemaphore``
 #: through ``acquire`` itself and ``DimmunixSemaphore`` took ``DimmunixLock``'s
 #: identical ``_try_native`` and ``__exit__``.
-PRIMITIVES_BUDGET = 1_897
+#: 1,897 until the skeleton's semaphore release took ``n`` and looped itself,
+#: so ``DimmunixSemaphore.release`` and ``_release_one`` went (net of the
+#: bounded check for all ``n`` at once and ``AioLock.release``'s inlined queue).
+PRIMITIVES_BUDGET = 1_894
 #: ``share/``: four transports around one ``PoolState`` (``state.py`` and
 #: ``wire.py`` included) and one ``send``/``receive``/``snapshot``
 #: contract.  3,479 before that contract: 625 of the 1,241 lines it
