@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .cache import AvoidanceCache, Binding, Yield
 from .callstack import CallStack
@@ -114,8 +114,8 @@ class AvoidanceEngine:
         self.cache = AvoidanceCache()
         self.stats = stats if stats is not None else EngineStats(EventBus(
             ring_capacity=self.config.event_ring_size))
-        #: The monitor-facing event channel: the per-thread ring-buffer bus
-        #: whose rings also hold the counters ``stats`` reads.
+        #: The monitor-facing event queue, whose per-thread rings hold the
+        #: counters ``stats`` reads.
         self.events = self.stats.bus
         self.clock = clock or WallClock()
         self.mode = mode
@@ -131,9 +131,6 @@ class AvoidanceEngine:
         #: Fingerprint of the most recently avoided signature (section 5.7
         #: "disable the last avoided signature" semantics).
         self._last_avoided_fp: Optional[str] = None
-        #: Lazily learned per-resource capacities (permits); resources not
-        #: in the map are plain one-permit mutexes.
-        self._capacities: Dict[int, int] = {}
         #: Resources that may legitimately have several concurrent holders
         #: (capacity above one, or any SHARED acquisition seen).  These
         #: are exempt from the reentrancy bypass and from the exact-cover
@@ -142,17 +139,9 @@ class AvoidanceEngine:
         self._multiholder: Set[int] = set()
 
     def _learn_spec(self, lock_id: int, mode: str, capacity: int) -> None:
-        """Record a multi-holder resource's permit semantics (lazily, from call sites)."""
-        if capacity > 1:
-            if self._capacities.get(lock_id, 1) < capacity:
-                self._capacities[lock_id] = capacity
+        """Record a multi-holder resource (lazily, from call sites)."""
+        if capacity > 1 or mode == SHARED:
             self._multiholder.add(lock_id)
-        if mode == SHARED:
-            self._multiholder.add(lock_id)
-
-    def capacity_of(self, lock_id: int) -> int:
-        """The learned permit count of a resource (1 unless told otherwise)."""
-        return self._capacities.get(lock_id, 1)
 
     def is_multiholder(self, lock_id: int) -> bool:
         """True for resources that may have several concurrent holders."""
@@ -226,7 +215,7 @@ class AvoidanceEngine:
         # its REQUEST edge; on the unsearched grants above the edge would be
         # dissolved by the ALLOW that follows in the same call (the RAG's
         # ALLOW handler fully supersedes it), so emitting it would only tax
-        # the ring and the monitor.  The mutex is held across the take and
+        # the queue and the monitor.  The mutex is held across the take and
         # the hold, which the next search then sees as it sees an allow edge.
         with self._match_mutex:
             while True:
@@ -451,7 +440,7 @@ class AvoidanceEngine:
         # The hold is gone; this stack can no longer enter a signature
         # (archives only read stacks of *current* holds and waits), so stop
         # pinning the interpreter frame it was captured from.  A late
-        # materialization — e.g. the monitor decoding old ring records —
+        # materialization — e.g. the monitor decoding old queued records —
         # falls back to the one-frame stack, which is benign by the
         # matching contract.
         stack.discard_origin()

@@ -129,7 +129,7 @@ class Calibrator:
 
     def observe(self, record: Tuple, rag: ResourceAllocationGraph) -> None:
         """One drained record, just before ``rag`` applies it."""
-        _seq, code, thread_id, lock_id, stack, causes = record[:6]
+        code, thread_id, lock_id, stack, causes = record[:5]
         with self._mutex:
             if code == EV_YIELD:
                 self._on_yield(thread_id, lock_id, stack, causes)

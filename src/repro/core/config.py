@@ -74,10 +74,10 @@ class DimmunixConfig:
         Number of lock operations logged per avoidance episode for the
         false-positive heuristic of the calibrator.
     event_ring_size:
-        Per-thread capacity of the monitor event bus's ring buffers.  Each
-        emitting thread owns one bounded ring; when a ring fills (the
-        monitor is stopped or badly behind), further events from that
-        thread are dropped and counted rather than blocking the hot path.
+        Each emitting thread's share of the monitor event queue's bound:
+        the queue holds at most this many records per producing thread.
+        When it fills (the monitor is stopped or badly behind), further
+        events are dropped and counted rather than blocking the hot path.
     lazy_capture:
         When True (the default), the lock runtimes capture only the
         caller's top frame on the acquire path and defer the full stack

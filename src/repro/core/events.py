@@ -10,26 +10,25 @@ Two representations exist:
 
 * :class:`Event` — the frozen dataclass, used by tests, reports, and any
   consumer that wants named fields;
-* *encoded records* — plain tuples ``(seq, code, thread_id, lock_id,
-  stack, causes, timestamp, mode, capacity)`` produced by the hot path
-  through :class:`EventBus` and consumed directly by the monitor's RAG.
-  The tuple form exists because building a dataclass per lock operation
+* *encoded records* — plain tuples ``(code, thread_id, lock_id, stack,
+  causes, timestamp, mode, capacity)`` produced by the hot path through
+  :class:`EventBus` and consumed directly by the monitor's RAG.  The
+  tuple form exists because building a dataclass per lock operation
   dominated the per-acquire cost; the monitor decodes to :class:`Event`
   only when a consumer actually needs one (:meth:`EventBus.drain`).
 
-:class:`EventBus` is per-OS-thread bounded ring buffers, not one shared
-MPSC queue: each emitting thread appends to its own ring without
-contending with other producers (which matters on free-threaded builds,
-where a shared deque serializes on its per-object lock), and the monitor
-merges the rings by the bus's ``seq`` so the paper's section 5.2 partial
-ordering — a release precedes the next acquire of the same lock — is
-preserved across rings.  The rings are also the engine's only
-per-thread counter store: each counts its records per event code, drops
-included (:meth:`EventBus.counts`), and keeps one count column per
-engine counter (:data:`COUNTER_NAMES`, :meth:`EventBus.bump`), all of
-which :class:`~repro.core.stats.EngineStats` reads.  The ordering
-contract and the publication-order assumptions the lock-free paths rely
-on are spelled out in ``docs/architecture.md`` ("The memory model").
+:class:`EventBus` is Figure 1's event queue: one bounded ``deque`` that
+every emitting thread appends to and the monitor pops in append order.
+One FIFO gives the paper's section 5.2 partial ordering by construction:
+a release is appended before the native unlock and the next acquisition
+after the native lock, so the release drains first.  Next to the queue,
+each emitting thread keeps a ring of count columns, the engine's only
+per-thread counter store: its records per event code, drops included
+(:meth:`EventBus.counts`), and one column per engine counter
+(:data:`COUNTER_NAMES`, :meth:`EventBus.bump`), all of which
+:class:`~repro.core.stats.EngineStats` reads.  The publication-order
+assumptions the lock-free paths rely on are spelled out in
+``docs/architecture.md`` ("The memory model").
 """
 
 from __future__ import annotations
@@ -37,16 +36,14 @@ from __future__ import annotations
 import itertools
 import operator
 import threading
-import time
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, List, Optional, Tuple
 
 from .callstack import CallStack, EMPTY_STACK
 from .signature import EXCLUSIVE
-from ..util.atomics import atomic_counter
 
 
 class EventType(Enum):
@@ -110,12 +107,6 @@ COUNTER_COLUMNS = {name: column
 #: Count columns of a ring: the records per event code, then the counters.
 RING_COLUMNS = len(CODE_TO_TYPE) + len(COUNTER_NAMES)
 
-#: Sequence source for directly constructed :class:`Event` objects.  This
-#: domain is independent from any :class:`EventBus`'s — each bus owns its
-#: sequence space so its drain can reason about contiguity (see
-#: :meth:`EventBus.drain_raw`).  Atomic on free-threaded builds too: a
-#: bare ``itertools.count`` can hand two threads the same value there.
-_SEQUENCE = atomic_counter(1)
 
 
 @dataclass(frozen=True)
@@ -136,9 +127,6 @@ class Event:
         For ``YIELD`` events: the ``(thread_id, lock_id, stack)`` tuples that
         caused the yield, i.e. the other participants of the matched
         signature instance.
-    seq:
-        Monotonic sequence number; preserves the per-thread ordering
-        guarantees discussed in section 5.2.
     timestamp:
         Engine clock value at emission time (wall clock or virtual time).
     mode:
@@ -157,14 +145,13 @@ class Event:
     lock_id: Optional[int]
     stack: CallStack = EMPTY_STACK
     causes: Tuple[Tuple[int, int, CallStack], ...] = ()
-    seq: int = field(default_factory=_SEQUENCE.next)
     timestamp: float = 0.0
     mode: str = EXCLUSIVE
     capacity: int = 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Event({self.type.value}, thread={self.thread_id}, "
-                f"lock={self.lock_id}, seq={self.seq})")
+                f"lock={self.lock_id})")
 
 
 def request_event(thread_id: int, lock_id: int, stack: CallStack,
@@ -212,156 +199,109 @@ def cancel_event(thread_id: int, lock_id: int, stack: CallStack = EMPTY_STACK,
     return Event(EventType.CANCEL, thread_id, lock_id, stack, timestamp=timestamp)
 
 
+
+
 # ---------------------------------------------------------------------------
-# Encoded records and the ring-buffer event bus
+# Encoded records and the event queue
 # ---------------------------------------------------------------------------
 
 def encode_event(event: Event) -> Tuple:
-    """The encoded-record form of an :class:`Event` (same ``seq``)."""
-    return (event.seq, TYPE_TO_CODE[event.type], event.thread_id,
-            event.lock_id, event.stack, event.causes, event.timestamp,
-            event.mode, event.capacity)
+    """The encoded-record form of an :class:`Event`."""
+    return (TYPE_TO_CODE[event.type], event.thread_id, event.lock_id,
+            event.stack, event.causes, event.timestamp, event.mode,
+            event.capacity)
 
 
 def decode_event(record: Tuple) -> Event:
     """Rebuild the :class:`Event` dataclass from an encoded record."""
-    seq, code, thread_id, lock_id, stack, causes, timestamp, mode, capacity = record
+    code, thread_id, lock_id, stack, causes, timestamp, mode, capacity = record
     return Event(CODE_TO_TYPE[code], thread_id, lock_id, stack, causes,
-                 seq, timestamp, mode, capacity)
+                 timestamp, mode, capacity)
 
 
-#: Default per-thread ring capacity.  Generous on purpose: with a running
-#: monitor the per-pass backlog is tiny, and the bound only matters when
-#: nothing drains the bus (overhead harnesses, engines without monitors).
+#: Default share of the queue's bound per producing thread.  Generous on
+#: purpose: with a running monitor the per-pass backlog is tiny, and the
+#: bound only matters when nothing drains the bus (overhead harnesses,
+#: engines without monitors).
 DEFAULT_RING_CAPACITY = 65536
-
-#: How long (seconds) the drain waits for an allocated-but-unappended
-#: sequence number before giving the slot up for lost.  An in-flight emit
-#: closes its window within microseconds; a gap that persists this long
-#: means the emitting thread died (or was interrupted) between allocating
-#: its seq and appending the record — wait forever and the bus wedges.
-DEFAULT_GAP_TIMEOUT = 0.05
-
-#: Sort key of encoded records: the bus's emission sequence number.
-_RECORD_SEQ = operator.itemgetter(0)
 
 
 class _Ring:
-    """One producer thread's bounded event ring.
+    """One producing thread's count columns.
 
-    A ``deque`` appended only by the owning thread and drained only by
-    the monitor — single producer, single consumer, opposite ends — so
-    both operations are safe without a ring-level lock on GIL and
-    free-threaded builds alike.  The bound is enforced by the producer
-    (drop-newest with a counter).  ``counts`` is written by the owner
-    alone too: its records per event code, then one column per engine
-    counter (:data:`COUNTER_NAMES`).
+    ``counts`` holds the thread's records per event code, dropped ones
+    included, then one column per engine counter (:data:`COUNTER_NAMES`);
+    ``dropped`` the records the full queue refused it.  Both are written
+    by the owning thread alone, so neither needs a lock.
 
-    ``owner`` is a weak reference to the producing :class:`threading.Thread`;
-    the drain uses it to retire rings whose thread has terminated, so a
-    server churning short-lived threads does not accumulate empty rings
-    (and a recycled ``threading.get_ident`` can never adopt a dead
-    thread's ring, because rings are reached through ``threading.local``
-    and never keyed by ident).
+    ``owner`` is a weak reference to the producing
+    :class:`threading.Thread`; a drain retires the ring once its thread
+    has ended and its records are popped, so a server churning short-lived
+    threads does not pile up rings (and a recycled ``threading.get_ident``
+    can never adopt a dead thread's ring, because rings are reached
+    through ``threading.local`` and never keyed by ident).
     """
 
-    __slots__ = ("items", "capacity", "dropped", "high_water", "counts",
-                 "owner")
+    __slots__ = ("counts", "dropped", "owner")
 
-    def __init__(self, capacity: int):
-        self.items: deque = deque()
-        self.capacity = capacity
-        self.dropped = 0
-        self.high_water = 0
-        #: Records emitted per event code, dropped ones included, then the
-        #: counters bumped on this thread.
+    def __init__(self):
         self.counts = [0] * RING_COLUMNS
+        self.dropped = 0
         self.owner = weakref.ref(threading.current_thread())
 
     def owner_alive(self) -> bool:
-        """Can this ring's producer still append?  Not once its thread is gone or has ended."""
+        """Can this ring's thread still write?  Not once its thread is gone or has ended."""
         thread = self.owner()
         return thread is not None and thread.is_alive()
 
 
 class EventBus:
-    """Per-thread-slot ring buffers of encoded events, merged on drain.
+    """One bounded queue of encoded events, drained in append order.
 
     Producers call :meth:`emit` (or :meth:`put` with a prebuilt
     :class:`Event`); the single consumer — the monitor — calls
     :meth:`drain_raw` for encoded records or :meth:`drain` for decoded
-    :class:`Event` objects.  Every thread gets its own ring, reached
-    through ``threading.local`` (never keyed by the event's ``thread_id``:
-    a semaphore release may be recorded on behalf of another holder), so
-    each ring stays single-producer.
+    :class:`Event` objects.  Every record goes to one ``deque``: producers
+    append at its right end, the consumer pops at its left, each one
+    atomic on GIL and free-threaded builds alike, so the records drain
+    exactly in the order they were appended.
 
-    **Sequence domain.**  The bus allocates its own contiguous sequence
-    numbers (1, 2, 3, ...) with an atomic counter at emission time; it
-    never uses an :class:`Event`'s own ``seq`` (:meth:`put` re-stamps).
-    Contiguity is what makes the ordering guarantee below checkable: a
-    missing seq is always an emission that allocated its number but has
-    not appended its record yet.
-
-    **Ordering guarantee.**  The concatenation of all records ever
-    returned by :meth:`drain_raw` is in strictly increasing seq order —
-    *across* drain boundaries, not just within one batch.  Allocation and
-    append are two steps, so a drain can observe a later-seq record while
-    an earlier-seq one is still in flight in another thread; the drain
-    holds back everything past the first missing seq (the in-flight emit
-    completes within microseconds) rather than releasing records that a
-    straggler would have to precede.  The safety valve: a gap older than
-    ``gap_timeout`` (an emitter killed between allocate and append) is
-    skipped and counted in :attr:`seq_gaps_skipped`; should its record
-    still arrive later it is released immediately, out of order, and
-    counted in :attr:`stragglers` — under normal operation both counters
-    stay 0 and the order is total.
+    The queue holds at most ``ring_capacity`` records per producing thread
+    (a thread that has emitted or bumped and not yet retired); past that
+    :meth:`emit` drops the newest record and counts the drop.  Each thread
+    counts on its own ring of columns, reached through ``threading.local``
+    (never keyed by the event's ``thread_id``: a semaphore release may be
+    recorded on behalf of another holder).
 
     **Single consumer.**  :meth:`drain_raw` and :meth:`drain` must only
     ever be called by one thread at a time (the monitor serializes on its
-    own mutex); ``_pending`` and the release cursor are consumer-owned
-    state.  Nothing empties a bus in place: a trial that wants clean
+    own mutex).  Nothing empties a bus in place: a trial that wants clean
     state builds a new engine (:meth:`~repro.core.dimmunix.Dimmunix.fork`).
     """
 
-    def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY,
-                 gap_timeout: float = DEFAULT_GAP_TIMEOUT):
+    def __init__(self, ring_capacity: int = DEFAULT_RING_CAPACITY):
         if ring_capacity < 1:
             raise ValueError("ring_capacity must be >= 1")
-        if gap_timeout < 0:
-            raise ValueError("gap_timeout must be >= 0")
         self._capacity = ring_capacity
-        self._gap_timeout = gap_timeout
-        #: ring id -> ring, for all live producer rings.  Values are only
-        #: ever *added* by producers (under ``_mutex``) and *removed* by
-        #: the consumer once the owning thread is dead (under ``_mutex``).
-        self._rings: dict = {}
-        self._ring_ids = itertools.count(1)  # only advanced under _mutex
-        self._mutex = threading.Lock()  # guards _rings membership only
+        #: The records, oldest first.
+        self._queue: deque = deque()
+        #: Records the queue may hold: ``ring_capacity`` per live ring.
+        self._bound = 0
+        #: The live rings.  Added by their threads, retired by the consumer
+        #: once their thread has ended, both under ``_mutex``.
+        self._rings: set = set()
+        self._mutex = threading.Lock()  # guards _rings, _bound and _high_water
         self._local = threading.local()
-        #: Bound method allocating this bus's sequence numbers; atomic on
-        #: free-threaded builds (see repro.util.atomics).
-        self._next_seq = atomic_counter(1).next
-        # -- consumer-owned state (single consumer; see class docstring) --
-        #: Records held back by a ``limit`` cut or by the ordering gate,
-        #: consumed first by the next drain.
-        self._pending: List[Tuple] = []
-        #: The next seq the consumer expects to release (contiguity cursor).
-        self._next_release = 1
-        #: Gap watchdog: (missing seq, monotonic time it was first seen).
-        self._gap_expected: Optional[int] = None
-        self._gap_since = 0.0
-        # -- lifetime counters ------------------------------------------
+        self._high_water = 0
         self._retired_dropped = 0
-        self._retired_high_water = 0
         self._retired_counts = [0] * RING_COLUMNS
         self._total_drained = 0
-        self._stragglers = 0
-        self._seq_gaps_skipped = 0
 
     def _new_ring(self) -> _Ring:
-        ring = _Ring(self._capacity)
+        ring = _Ring()
         with self._mutex:
-            self._rings[next(self._ring_ids)] = ring
+            self._rings.add(ring)
+            self._bound += self._capacity
         self._local.ring = ring
         return ring
 
@@ -371,12 +311,10 @@ class EventBus:
              stack: CallStack = EMPTY_STACK, causes: Tuple = (),
              timestamp: float = 0.0, mode: str = EXCLUSIVE,
              capacity: int = 1) -> bool:
-        """Append one encoded record to the calling thread's ring.
+        """Append one encoded record to the queue.
 
-        Returns ``False`` (and counts a drop) when the ring is full; the
+        Returns ``False`` (and counts a drop) when the queue is full; the
         caller never blocks, mirroring the paper's lock-free enqueue.
-        Drops are decided *before* a seq is allocated, so a rejected emit
-        never leaves a hole in the bus's sequence space.
         """
         try:
             ring = self._local.ring
@@ -386,15 +324,12 @@ class EventBus:
         # engine's counters are these counts), and a reader can see a count
         # whose record is not appended yet, never a record not yet counted.
         ring.counts[code] += 1
-        items = ring.items
-        if len(items) >= ring.capacity:
+        queue = self._queue
+        if len(queue) >= self._bound:
             ring.dropped += 1
             return False
-        items.append((self._next_seq(), code, thread_id, lock_id, stack,
-                      causes, timestamp, mode, capacity))
-        size = len(items)
-        if size > ring.high_water:
-            ring.high_water = size
+        queue.append((code, thread_id, lock_id, stack, causes, timestamp,
+                      mode, capacity))
         return True
 
     def bump(self, name: str, amount: int = 1) -> None:
@@ -406,124 +341,48 @@ class EventBus:
         ring.counts[COUNTER_COLUMNS[name]] += amount
 
     def put(self, event: Event) -> bool:
-        """Enqueue a prebuilt :class:`Event`.
-
-        The record is re-stamped with a fresh bus seq — the bus owns its
-        sequence domain; the event's own ``seq`` (allocated at whatever
-        earlier time the object was built) cannot participate in the
-        contiguity-checked merge and is discarded.
-        """
+        """Enqueue a prebuilt :class:`Event`."""
         return self.emit(TYPE_TO_CODE[event.type], event.thread_id,
                          event.lock_id, event.stack, event.causes,
                          event.timestamp, event.mode, event.capacity)
 
     # -- consumer side ------------------------------------------------------------------
 
-    def _collect(self) -> List[Tuple]:
-        """Pop every appended record from every ring; retire dead rings."""
-        merged = self._pending
-        self._pending = []
-        with self._mutex:
-            rings = list(self._rings.values())
-        for ring in rings:
-            # Exactly the records appended by now, each popped by one C call:
-            # the owner appends at the other end meanwhile.
-            items = ring.items
-            merged.extend(itertools.starmap(items.popleft, itertools.repeat((), len(items))))
-        # Retire rings whose producer is gone.  The checks MUST run in
-        # this order: observe the owner dead *first*, only then check
-        # emptiness.  Dead means run() returned, so every append the
-        # owner will ever do has already happened and a subsequent empty
-        # read is final.  The reverse order is a TOCTOU hole — is_alive()
-        # can release the GIL (it acquires the tstate lock), so an
-        # "empty" ring observed before the aliveness check can receive a
-        # final burst of records while the producer races to exit, and
-        # deleting it then orphans those records.
-        # Lifetime counters, the count columns among them, are folded into
-        # the retired aggregates, keeping dropped / totals() /
-        # high_water_mark monotone.
-        with self._mutex:
-            for ring_id, ring in list(self._rings.items()):
-                if ring.owner_alive() or ring.items:
-                    continue
-                del self._rings[ring_id]
-                self._retired_dropped += ring.dropped
-                self._retired_high_water += ring.high_water
-                self._retired_counts = list(map(operator.add, self._retired_counts, ring.counts))
-        return merged
-
-    def _eligible(self, merged: List[Tuple]) -> int:
-        """Length of the sorted-``merged`` prefix safe to release now.
-
-        The common batch starts at the cursor and ends ``len - 1`` past it:
-        its seqs are distinct, so it has no hole, and all of it goes at once.
-        Any other walks the contiguity cursor: stragglers (seq below the
-        cursor; only possible after a gap skip) release immediately,
-        consecutive seqs advance the cursor, and the first *young* gap
-        stops the walk — the missing seq belongs to an emit that is
-        mid-flight and the records behind it must wait for it.
-        """
-        expected = self._next_release
-        if merged and merged[0][0] == expected and merged[-1][0] == expected + len(merged) - 1:
-            self._gap_expected = None
-            return len(merged)
-        eligible = 0
-        now = None
-        for record in merged:
-            seq = record[0]
-            if seq < expected:
-                self._stragglers += 1
-                eligible += 1
-                continue
-            if seq == expected:
-                expected += 1
-                eligible += 1
-                continue
-            # Gap: `expected` was allocated (seqs are contiguous and this
-            # bus saw `seq` > expected) but its record has not landed.
-            if now is None:
-                now = time.monotonic()
-            if self._gap_expected != expected:
-                self._gap_expected = expected
-                self._gap_since = now
-                break
-            if now - self._gap_since < self._gap_timeout:
-                break
-            # The gap outlived the timeout: give the missing seq(s) up
-            # for lost so the bus cannot wedge on a killed emitter.
-            self._seq_gaps_skipped += seq - expected
-            self._gap_expected = None
-            expected = seq + 1
-            eligible += 1
-        else:
-            self._gap_expected = None
-        return eligible
-
     def drain_raw(self, limit: Optional[int] = None) -> List[Tuple]:
-        """Remove and return encoded records, merged in ``seq`` order.
+        """Remove and return up to ``limit`` encoded records, oldest first.
 
-        See the class docstring for the cross-drain ordering guarantee;
-        records an in-flight emission must precede are held back for the
-        next call rather than returned out of order.
+        Exactly the records appended by now (or the oldest ``limit`` of
+        them), each popped by one C call: producers append at the other
+        end meanwhile, and what they append after the backlog is read
+        waits for the next call.  A drain that pops the whole backlog then
+        retires the rings of the threads it saw ended, folding their
+        columns into the bus's retired totals so ``dropped`` and
+        :meth:`totals` stay monotone.
         """
-        merged = self._collect()
-        merged.sort(key=_RECORD_SEQ)
-        eligible = self._eligible(merged)
-        released = merged[:eligible]
-        leftover = merged[eligible:]
-        if limit is not None and len(released) > limit:
-            leftover = released[limit:] + leftover
-            released = released[:limit]
-        self._pending = leftover
-        if released:
-            cursor = released[-1][0] + 1
-            if cursor > self._next_release:
-                self._next_release = cursor
-            self._total_drained += len(released)
-        return released
+        queue = self._queue
+        with self._mutex:
+            # Ended first, backlog second: an ended thread has appended all
+            # it ever will, so the backlog read after holds its every record,
+            # and its share of the bound stays until they are popped.
+            ended = [ring for ring in self._rings if not ring.owner_alive()]
+            backlog = len(queue)
+            if backlog > self._high_water:
+                self._high_water = backlog
+        count = backlog if limit is None else min(limit, backlog)
+        records = list(itertools.starmap(queue.popleft, itertools.repeat((), count)))
+        self._total_drained += count
+        if ended and count == backlog:
+            with self._mutex:
+                for ring in ended:
+                    self._rings.discard(ring)
+                    self._bound -= self._capacity
+                    self._retired_dropped += ring.dropped
+                    self._retired_counts = list(map(operator.add, self._retired_counts,
+                                                    ring.counts))
+        return records
 
     def drain(self, limit: Optional[int] = None) -> List[Event]:
-        """Remove and return decoded :class:`Event` objects in ``seq`` order."""
+        """Remove and return decoded :class:`Event` objects, oldest first."""
         return [decode_event(record) for record in self.drain_raw(limit)]
 
     # -- introspection -----------------------------------------------------------------
@@ -531,22 +390,13 @@ class EventBus:
     def peek_size(self) -> int:
         """Number of appended-but-undrained records.
 
-        The approximation, precisely: an emission whose seq is allocated
-        but whose append has not completed is *not* counted (it is a few
-        bytecodes from appearing), and the per-ring sums are read without
-        stopping producers, so the value can lag individual appends.  The
-        guaranteed envelope — asserted by the test suite — is
-        ``peek_size() <= total_enqueued - total_drained`` when the
-        consumer thread reads ``peek_size()`` *before* ``total_enqueued``
-        (each ring counts a record before appending it, so a later
-        ``total_enqueued`` read covers every record an earlier peek could
-        have counted), with equality once producers are quiescent.
-        Reading ``total_enqueued`` first admits transient violations:
-        producers can append between the two reads.
+        Read without stopping producers, so the value can lag appends.
+        The envelope ``peek_size() <= total_enqueued - total_drained``
+        holds when the consumer thread reads ``peek_size()`` *before*
+        ``total_enqueued`` (each record is counted before it is appended),
+        with equality once producers are quiescent.
         """
-        with self._mutex:
-            rings = list(self._rings.values())
-        return len(self._pending) + sum(len(ring.items) for ring in rings)
+        return len(self._queue)
 
     def __len__(self) -> int:
         return self.peek_size()
@@ -556,13 +406,8 @@ class EventBus:
 
     @property
     def ring_capacity(self) -> int:
-        """The per-thread ring bound this bus was built with."""
+        """Each producing thread's share of the queue's bound."""
         return self._capacity
-
-    @property
-    def gap_timeout(self) -> float:
-        """Seconds the drain waits on a missing seq before skipping it."""
-        return self._gap_timeout
 
     @property
     def ring_count(self) -> int:
@@ -572,22 +417,21 @@ class EventBus:
 
     @property
     def dropped(self) -> int:
-        """Records rejected because a ring was full (monotone, lifetime)."""
+        """Records rejected because the queue was full (monotone, lifetime)."""
         with self._mutex:
-            return self._retired_dropped + sum(
-                ring.dropped for ring in self._rings.values())
+            return self._retired_dropped + sum(ring.dropped for ring in self._rings)
 
     @property
     def high_water_mark(self) -> int:
-        """Sum of the per-ring high-water marks (upper bound on backlog)."""
+        """The largest backlog seen, read at each drain and at each read of this mark."""
         with self._mutex:
-            return self._retired_high_water + sum(
-                ring.high_water for ring in self._rings.values())
+            self._high_water = max(self._high_water, len(self._queue))
+            return self._high_water
 
     def totals(self, columns: Iterable[int]) -> List[int]:
         """The lifetime count of each of ``columns``, summed over every ring."""
         with self._mutex:  # each ring is counted once: live, or retired
-            rings = [self._retired_counts] + [ring.counts for ring in self._rings.values()]
+            rings = [self._retired_counts] + [ring.counts for ring in self._rings]
         return [sum(counts[column] for counts in rings) for column in columns]
 
     def counts(self) -> List[int]:
@@ -601,25 +445,6 @@ class EventBus:
         return sum(self.counts()) - dropped
 
     @property
-    def held_back(self) -> int:
-        """Records the last drain kept for later, behind a missing seq (consumer-side)."""
-        return len(self._pending)
-
-    @property
     def total_drained(self) -> int:
         """Records handed to the consumer over the bus's lifetime."""
         return self._total_drained
-
-    @property
-    def stragglers(self) -> int:
-        """Records released out of order after their seq slot was skipped.
-
-        Nonzero only after a :attr:`seq_gaps_skipped` event; 0 in normal
-        operation.
-        """
-        return self._stragglers
-
-    @property
-    def seq_gaps_skipped(self) -> int:
-        """Allocated seqs given up for lost after ``gap_timeout``."""
-        return self._seq_gaps_skipped

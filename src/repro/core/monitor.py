@@ -5,7 +5,10 @@ code, applies the events to the resource allocation graph, searches for
 deadlock cycles and induced-starvation conditions, archives their
 signatures into the persistent history, and — depending on the immunity
 level — breaks starvation or requests a restart (paper sections 3, 5.2,
-5.4).
+5.4).  The queue is one FIFO (:class:`~repro.core.events.EventBus`), so
+records reach the RAG in the order they were appended, which is all
+section 5.2 asks: a release is appended before the native unlock and the
+next acquisition after the native lock.
 
 The detection logic lives in :class:`MonitorCore`, which is runtime
 agnostic and can be driven synchronously (the simulator calls
@@ -121,7 +124,7 @@ class MonitorCore:
         with self._mutex:
             self.stats.bump("monitor_wakeups")
             # Every record of a thread queued as departed by now is in the
-            # rings the drain below collects; one held back may be its own.
+            # queue the drain below empties.
             departed = len(self._departed)
             # The bus hands over encoded records that the RAG consumes
             # field by field — no per-event decode.  _mutex also enforces
@@ -137,13 +140,12 @@ class MonitorCore:
                         self.calibrator.observe(record, self.rag)
                         self.rag.apply_encoded((record,))
                 self.stats.bump("events_processed", len(records))
-            if departed and not self.engine.events.held_back:
-                for _ in range(departed):
-                    thread_id = self._departed.popleft()
-                    try:
-                        self.rag.forget_thread(thread_id)
-                    except RAGError:  # it ended holding, or waiting for, a resource
-                        self._departed.append(thread_id)
+            for _ in range(departed):
+                thread_id = self._departed.popleft()
+                try:
+                    self.rag.forget_thread(thread_id)
+                except RAGError:  # it ended holding, or waiting for, a resource
+                    self._departed.append(thread_id)
             new_conditions: List[DetectedCycle] = []
 
             roots = self.rag.dirty_threads or None

@@ -116,43 +116,37 @@ class ResourceState:
                 return stack
         return None
 
-    def exclusive_edge_count(self) -> int:
-        """Number of EXCLUSIVE hold edges (permits in use)."""
-        return sum(1 for _tid, _stack, mode in self.edges if mode == EXCLUSIVE)
-
     def blocking_holders(self, thread_id: int,
                          mode: str) -> List[Tuple[int, CallStack, str]]:
         """The holders a ``mode`` request by ``thread_id`` waits on.
 
-        Returns ``(holder, stack, holder_mode)`` triples — empty when the
-        request would be grantable right now (so no wait edge exists):
+        Returns ``(holder, stack, holder_mode)`` triples, one per other
+        holder and mode in first-hold order, each with the holder's latest
+        stack — empty when the request would be grantable right now (so no
+        wait edge exists):
 
         * SHARED requests wait on other threads' EXCLUSIVE holds only;
         * EXCLUSIVE requests wait on every other holder while another
           thread holds SHARED, and on the other EXCLUSIVE holders while
           the permit count is exhausted.
         """
-        if not self.edges:
-            return []
-        others: List[Tuple[int, CallStack, str]] = []
+        latest: Dict[int, CallStack] = {}
+        held: Dict[Tuple[int, str], None] = {}  # (holder, mode), first hold first
+        exclusive = 0
         other_shared = False
-        for tid, _stack, edge_mode in self.edges:
-            if tid == thread_id:
-                continue
-            stack = self.hold_stack_of(tid)
-            entry = (tid, stack, edge_mode)
-            if entry not in others:
-                others.append(entry)
-            if edge_mode == SHARED:
-                other_shared = True
-        if mode == SHARED:
-            return [(tid, stack, m) for tid, stack, m in others
-                    if m == EXCLUSIVE]
-        if other_shared:
-            return others
-        if self.exclusive_edge_count() >= self.capacity:
-            return [(tid, stack, m) for tid, stack, m in others
-                    if m == EXCLUSIVE]
+        for tid, stack, edge_mode in self.edges:
+            if edge_mode == EXCLUSIVE:
+                exclusive += 1
+            if tid != thread_id:
+                latest[tid] = stack
+                held[tid, edge_mode] = None
+                if edge_mode == SHARED:
+                    other_shared = True
+        if mode != SHARED and other_shared:
+            return [(tid, latest[tid], edge_mode) for tid, edge_mode in held]
+        if mode == SHARED or exclusive >= self.capacity:
+            return [(tid, latest[tid], edge_mode) for tid, edge_mode in held
+                    if edge_mode == EXCLUSIVE]
         return []
 
 
@@ -269,7 +263,7 @@ class ResourceAllocationGraph:
         """Apply encoded records (see :mod:`repro.core.events`): the one apply loop.
 
         This is the monitor's standard path: the records drained from the
-        ring-buffer bus are consumed field by field, so the per-event
+        event queue are consumed field by field, so the per-event
         dataclass is never materialized.  A record's thread and resource are
         looked up once; ALLOW, ACQUIRED and RELEASE, each once per lock
         operation in GIL time taken from the clients, call nothing on a
@@ -279,13 +273,12 @@ class ResourceAllocationGraph:
 
         The RAG itself is not thread-safe — it relies on its caller being
         a single consumer (the monitor applies batches under its own
-        mutex) and on ``records`` arriving in the emission order the bus
-        guarantees; :attr:`order_violations` counts the times that
-        contract was broken.
+        mutex) and on ``records`` arriving in the bus's append order;
+        :attr:`order_violations` counts the times that contract was broken.
         """
         threads, locks, dirty = self._threads, self._locks, self._dirty_threads
         count = 0
-        for _seq, code, thread_id, lock_id, stack, causes, _ts, mode, capacity in records:
+        for code, thread_id, lock_id, stack, causes, _ts, mode, capacity in records:
             count += 1
             dirty.add(thread_id)
             thread = threads.get(thread_id)

@@ -10,7 +10,7 @@ counter next to its six per-code record columns.  :meth:`EngineStats.bump`
 adds to a column of the calling thread's ring, taking no lock and
 contending with no other thread (a shared lock would serialize every
 core of a free-threaded build); a ring whose thread has ended retires
-into the bus's totals with its records.  :class:`EngineStats` is a view:
+into the bus's totals.  :class:`EngineStats` is a view:
 a read sums a column over the bus's rings, O(threads) but off the hot
 path.
 

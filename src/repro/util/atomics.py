@@ -1,13 +1,12 @@
 """Build-aware atomic primitives for the lock-free hot path.
 
-The engine's lock-free structures need one genuinely atomic operation: a
-monotone fetch-and-increment for global sequence numbers.  Under the GIL
-``next(itertools.count())`` is atomic — the increment happens inside one
-C call that never releases the GIL — and PR 6 leaned on exactly that.
-On free-threaded builds (PEP 703) ``itertools.count`` is *not*
-thread-safe: two threads calling ``__next__`` concurrently can observe
-duplicate or skipped values, which breaks every consumer that treats the
-sequence as a total order (the event-bus drain merge, most importantly).
+The engine needs one genuinely atomic operation: a monotone
+fetch-and-increment for the lock and unit ids ``Dimmunix`` hands out.
+Under the GIL ``next(itertools.count())`` is atomic — the increment
+happens inside one C call that never releases the GIL.  On free-threaded
+builds (PEP 703) ``itertools.count`` is *not* thread-safe: two threads
+calling ``__next__`` concurrently can observe duplicate or skipped
+values, and two locks sharing an id would share their engine state.
 
 :func:`atomic_counter` picks the right implementation at import time
 from the build flag, not the runtime GIL state: a free-threaded build
@@ -44,10 +43,7 @@ class _LockedCounter:
     """Free-threaded implementation: fetch-and-increment under a lock.
 
     The lock also acts as a full fence: everything the allocating thread
-    wrote before calling :meth:`next` is visible to the next allocator,
-    which is what lets consumers treat allocation order as a total order
-    consistent with cross-thread happens-before (release-before-unlock
-    implies release-seq < acquire-seq).
+    wrote before calling :meth:`next` is visible to the next allocator.
     """
 
     __slots__ = ("_lock", "_value")

@@ -3,9 +3,10 @@
 Each module in this package targets one lock-free structure and checks
 one invariant that a publication race would break:
 
-* ``test_event_bus_races`` — the event bus's cross-drain total order,
-  hold-back of in-flight emissions, gap-timeout safety valve, and
-  dead-ring retirement (zero loss under thread churn);
+* ``test_event_bus_races`` — the event queue's append order across
+  limit-cut drains (each producer's own order, and records handed over
+  through a real lock), and dead-ring retirement (zero loss under thread
+  churn);
 * ``test_stats_races`` — the asyncio parker's reused wake future, fired
   from another loop's thread or from the monitor, still wakes its task;
 * ``test_sigindex_races`` — the index's one-assignment publication only

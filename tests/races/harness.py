@@ -2,19 +2,19 @@
 
 Two styles of test live on top of these helpers:
 
-*Deterministic interleavings* — a ``Gated*`` proxy parks a chosen thread
-*inside* a known race window (between a sequence allocation and the ring
-append) while the test drives the other side of the race to completion,
-then releases the parked thread and asserts the invariant.  These fail on the pre-fix code every
+*Deterministic interleavings* — a :class:`Trap` parks a chosen thread
+*inside* a known race window while the test drives the other side of the
+race to completion, then releases the parked thread and asserts the
+invariant.  These fail on the pre-fix code every
 single run, on any build.
 
 *Seeded stress* — many threads hammer the structure with the interpreter
 switch interval cranked to its minimum so the scheduler preempts at
 bytecode granularity, and an oracle checks a global invariant
-afterwards.  These catch whole *classes* of interleaving bugs (they are
-how the ring-retirement TOCTOU in this PR's own first draft was found)
-at the price of being probabilistic per run; the fixed seeds keep the
-schedule pressure reproducible.
+afterwards.  These catch whole *classes* of interleaving bugs (a
+ring-retirement race that lost records was found this way) at the price
+of being probabilistic per run; the fixed seeds keep the schedule
+pressure reproducible.
 """
 
 from __future__ import annotations
@@ -111,39 +111,19 @@ class Trap:
             raise AssertionError("Trap never released")
 
 
-class GatedSeq:
-    """Seq-allocator proxy that parks one chosen allocation mid-window.
-
-    Installed in place of ``EventBus._next_seq``.  The first allocation
-    made by a thread whose name contains ``trap`` returns its number but
-    blocks *before* returning control to ``emit`` — i.e. after the seq
-    exists, before the record is appended — which is exactly the
-    publication window the drain's hold-back must tolerate.  The test
-    observes ``allocated`` to know the window is open and sets
-    ``release`` to let the emit complete.
-    """
-
-    def __init__(self, inner: Callable[[], int], trap: str):
-        self._inner = inner
-        self._trap = Trap(trap)
-        self.allocated, self.release = self._trap.reached, self._trap.release
-
-    def __call__(self) -> int:
-        seq = self._inner()
-        self._trap.here()
-        return seq
-
-
-def assert_seq_order(batches: Sequence[Sequence[Tuple]],
-                     expect_total: int = None) -> None:
-    """Seq-gap detector: drained batches form one strictly increasing,
-    duplicate-free seq stream across every drain boundary."""
-    seqs = [record[0] for batch in batches for record in batch]
-    assert seqs == sorted(seqs), "seq order violated across drains"
-    assert len(set(seqs)) == len(seqs), "duplicate seq released"
-    if expect_total is not None:
-        assert len(seqs) == expect_total, (
-            f"lost records: released {len(seqs)} of {expect_total}")
+def assert_producer_order(batches: Sequence[Sequence[Tuple]], producers: int,
+                          per_thread: int) -> None:
+    """Loss and order detector: producer ``1..producers`` emitted its running
+    index ``0..per_thread-1`` as ``lock_id``; across every drain boundary
+    each producer's indexes come out once each, in order."""
+    indexes = {thread_id: [] for thread_id in range(1, producers + 1)}
+    for batch in batches:
+        for record in batch:
+            indexes[record[1]].append(record[2])
+    for thread_id, seen in indexes.items():
+        assert seen == list(range(per_thread)), (
+            f"producer {thread_id}: {len(seen)} records, first out of order at "
+            f"{next((i for i, v in enumerate(seen) if v != i), None)}")
 
 
 def rag_quiescent_consistent(rag) -> List[str]:

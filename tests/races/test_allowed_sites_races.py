@@ -182,7 +182,7 @@ def acquire_parked(dimmunix, meanwhile=None, at="capture", while_held=None):
         trap.release.set()
     thread.join(10.0)
     assert not thread.is_alive()
-    seen["records"] = [record[1:3] for record in dimmunix.engine.events.drain_raw()]
+    seen["records"] = [record[:2] for record in dimmunix.engine.events.drain_raw()]
     seen["kinds"] = [code for code, _thread in seen["records"]]
     return seen
 

@@ -1,98 +1,62 @@
-"""Event-bus publication races: hold-back, gap skip, retirement, order.
+"""Event-bus races: append order across drains, hand-over order, retirement.
 
-The bus allocates a sequence number and appends the record as two
-separate steps; everything here attacks that window and the ring
-life-cycle around it.
+Every record goes to one queue, so a drain must hand records over in the
+order they were appended; everything here checks that order against
+what the producers know of it, under limit-cut drains and constant
+preemption, and the ring life-cycle around it.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-import time
 
 from repro.core.callstack import CallStack
 from repro.core.events import EV_ACQUIRED, EV_RELEASE, EV_REQUEST, EventBus
 
-from .harness import (GatedSeq, assert_seq_order, preemption_pressure,
-                      run_threads)
+from .harness import assert_producer_order, preemption_pressure, run_threads
 
 STACK = CallStack.from_labels(["f:1", "g:2"])
 
 
-class TestHoldBack:
-    """Deterministic: a later-seq record must wait for an earlier in-flight one."""
+class TestHandOverOrder:
+    """A record emitted before a hand-over through a real lock drains before one emitted after it."""
 
-    def test_drain_holds_back_record_behind_inflight_emit(self):
-        bus = EventBus(gap_timeout=30.0)
-        gate = GatedSeq(bus._next_seq, trap="trapped")
-        bus._next_seq = gate
+    def test_a_token_passed_through_a_lock_drains_in_hand_over_order(self):
+        workers, passes = 4, 1500
+        bus = EventBus()
+        lock = threading.Lock()
+        token = iter(range(passes))
+        rng = random.Random(0x70CE)
+        done = threading.Event()
+        batches = []
 
-        trapped = threading.Thread(
-            target=lambda: bus.emit(EV_REQUEST, 1, 10, STACK),
-            name="trapped-emitter")
-        trapped.start()
-        assert gate.allocated.wait(10.0)
-        # Seq 1 is allocated but its record has NOT been appended.  Now a
-        # second thread completes a full emit with seq 2.
-        second = threading.Thread(
-            target=lambda: bus.emit(EV_ACQUIRED, 2, 10, STACK),
-            name="second-emitter")
-        second.start()
-        second.join(10.0)
+        def worker(thread_id):
+            while True:
+                with lock:  # the token changes hands here
+                    value = next(token, None)
+                    if value is None:
+                        return
+                    bus.emit(EV_ACQUIRED, thread_id, value, STACK)
 
-        # Pre-fix code returned seq 2 here, breaking the cross-drain total
-        # order; the fixed drain must hold it back behind the gap at seq 1.
-        assert bus.drain_raw() == []
-        assert bus.drain_raw() == []
+        def consume():
+            while not done.is_set() or bus:
+                batches.append(bus.drain_raw(limit=rng.randrange(1, 64)))
+            batches.append(bus.drain_raw())
 
-        gate.release.set()
-        trapped.join(10.0)
-        records = bus.drain_raw()
-        assert [record[0] for record in records] == [1, 2]
-        assert [record[1] for record in records] == [EV_REQUEST, EV_ACQUIRED]
-        assert bus.seq_gaps_skipped == 0
-        assert bus.stragglers == 0
+        with preemption_pressure():
+            consumer = threading.Thread(target=consume)
+            consumer.start()
+            run_threads([lambda tid=tid: worker(tid) for tid in range(1, workers + 1)])
+            done.set()
+            consumer.join(30.0)
 
-    def test_gap_timeout_skips_dead_emitter_then_counts_straggler(self):
-        bus = EventBus(gap_timeout=0.02)
-        gate = GatedSeq(bus._next_seq, trap="trapped")
-        bus._next_seq = gate
-
-        trapped = threading.Thread(
-            target=lambda: bus.emit(EV_REQUEST, 1, 10, STACK),
-            name="trapped-emitter")
-        trapped.start()
-        assert gate.allocated.wait(10.0)
-        bus.emit(EV_ACQUIRED, 2, 10, STACK)  # seq 2, complete
-
-        # Young gap: held back.
-        assert bus.drain_raw() == []
-        # Let the gap outlive the timeout: the drain gives seq 1 up for
-        # lost instead of wedging the monitor forever.
-        time.sleep(0.04)
-        records = bus.drain_raw()
-        assert [record[0] for record in records] == [2]
-        assert bus.seq_gaps_skipped == 1
-
-        # The not-so-dead emitter completes after all: its record is
-        # released immediately, out of order, and counted as a straggler.
-        gate.release.set()
-        trapped.join(10.0)
-        late = bus.drain_raw()
-        assert [record[0] for record in late] == [1]
-        assert bus.stragglers == 1
+        assert not consumer.is_alive()
+        assert [record[2] for batch in batches for record in batch] == list(range(passes))
 
 
 class TestRetirementChurn:
-    """Stress: short-lived producer threads must never lose records.
-
-    This schedule found the ring-retirement TOCTOU in this PR's own
-    first draft: checking a ring's emptiness *before* its owner's
-    liveness let a producer append a final burst and exit inside the
-    liveness check's suspension window, after which the consumer
-    deleted the ring with the burst still inside.
-    """
+    """Stress: short-lived producer threads must never lose records or counts."""
 
     def test_no_loss_under_producer_churn(self):
         producers, per_thread, rounds = 4, 250, 6
@@ -127,9 +91,8 @@ class TestRetirementChurn:
                 done.set()
                 consumer.join()
 
-            assert_seq_order(batches, expect_total=producers * per_thread)
+            assert_producer_order(batches, producers, per_thread)
             assert bus.dropped == 0, f"seed {seed}"
-            assert bus.seq_gaps_skipped == 0, f"seed {seed}"
             # Producers are dead and drained: their rings must retire,
             # with the lifetime counters surviving the retirement.
             bus.drain_raw()
@@ -139,9 +102,9 @@ class TestRetirementChurn:
 
 
 class TestEmitStorm:
-    """Stress: concurrent emitters + limit-cut drains keep the total order."""
+    """Each producer puts its running index in ``lock_id``; limit-cut drains must keep it."""
 
-    def test_total_order_across_drains_under_pressure(self):
+    def test_each_producer_keeps_its_order_under_pressure(self):
         producers, per_thread = 4, 800
         bus = EventBus(ring_capacity=per_thread + 16)
         rng = random.Random(0xD1A6)
@@ -151,7 +114,7 @@ class TestEmitStorm:
         def produce(thread_id):
             for index in range(per_thread):
                 code = EV_ACQUIRED if index % 2 else EV_RELEASE
-                bus.emit(code, thread_id, index % 7, STACK)
+                bus.emit(code, thread_id, index, STACK)
 
         def consume():
             while not done.is_set() or bus:
@@ -167,6 +130,9 @@ class TestEmitStorm:
             consumer.join(30.0)
 
         assert not consumer.is_alive()
-        assert_seq_order(batches, expect_total=producers * per_thread)
-        assert bus.seq_gaps_skipped == 0
-        assert bus.stragglers == 0
+        assert_producer_order(batches, producers, per_thread)
+        assert bus.dropped == 0
+        assert bus.total_drained == producers * per_thread
+        records = [record for batch in batches for record in batch]
+        assert all(code == (EV_ACQUIRED if index % 2 else EV_RELEASE)
+                   for code, _tid, index, *_rest in records)

@@ -296,5 +296,5 @@ class TestATakingRequestAgainstARelease:
             thread.join(10.0)
             assert not thread.is_alive()
         assert outcomes[-1] is TAKEN_OUTCOME and rwlock.reader_count() == 0
-        kinds = [record[1] for record in runtime.dimmunix.engine.events.drain_raw()]
+        kinds = [record[0] for record in runtime.dimmunix.engine.events.drain_raw()]
         assert EV_REQUEST in kinds and EV_YIELD not in kinds

@@ -52,11 +52,9 @@ class Feed:
         self.index = SignatureIndex(self.history)
         self.calibrator = Calibrator(self.history, self.index, config)
         self.rag = ResourceAllocationGraph()
-        self.seq = 0
 
     def record(self, code, thread_id, lock_id, stack=None, causes=()):
-        self.seq += 1
-        record = (self.seq, code, thread_id, lock_id, stack, tuple(causes), 0.0, EXCLUSIVE, 1)
+        record = (code, thread_id, lock_id, stack, tuple(causes), 0.0, EXCLUSIVE, 1)
         self.calibrator.observe(record, self.rag)
         self.rag.apply_encoded((record,))
 

@@ -73,22 +73,21 @@ class TestHelpers:
         assert config.matching_depth == 3
 
     def test_a_dict_with_the_retired_gap_timeout_still_loads(self):
-        """``event_gap_timeout`` is no longer a field: an old config dict
-        carrying it loads, and the engine's bus keeps the default."""
+        """``event_gap_timeout`` is no longer a field, and the bus has no gap
+        timer: an old config dict carrying it loads and builds an engine."""
         from repro.core.dimmunix import Dimmunix
-        from repro.core.events import DEFAULT_GAP_TIMEOUT
-        data = dict(DimmunixConfig.for_testing().to_dict(),
+        data = dict(DimmunixConfig.for_testing(event_ring_size=32).to_dict(),
                     event_gap_timeout=7.0)
         config = DimmunixConfig.from_dict(data)
         assert not hasattr(config, "event_gap_timeout")
         dimmunix = Dimmunix(config)
-        assert dimmunix.engine.events.gap_timeout == DEFAULT_GAP_TIMEOUT
+        assert dimmunix.engine.events.ring_capacity == 32
+        assert not hasattr(dimmunix.engine.events, "gap_timeout")
 
-    def test_a_standalone_engine_bus_keeps_the_default_gap_timeout(self):
+    def test_a_standalone_engine_bus_takes_the_configured_ring_size(self):
         from repro.core.avoidance import AvoidanceEngine
-        from repro.core.events import DEFAULT_GAP_TIMEOUT
         from repro.core.history import History
         assert "event_gap_timeout" not in DimmunixConfig().to_dict()
-        engine = AvoidanceEngine(History(), DimmunixConfig.for_testing())
-        assert engine.events.gap_timeout == DEFAULT_GAP_TIMEOUT
+        engine = AvoidanceEngine(History(), DimmunixConfig.for_testing(event_ring_size=32))
+        assert engine.events.ring_capacity == 32
         assert engine.events is engine.stats.bus

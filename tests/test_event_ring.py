@@ -1,15 +1,18 @@
-"""Tests for the ring-buffered event bus (the hot-path event path).
+"""Tests for the event bus (the hot-path event path).
 
-The engine's six emission points write tuple-encoded records into
-per-thread bounded rings (:class:`~repro.core.events.EventBus`); the
-monitor drains all rings in one batch, merged by global sequence number,
-which preserves the paper's section 5.2 partial order (every event a
-thread emitted before another of its own events is applied first).
+The engine's six emission points append tuple-encoded records to one
+bounded queue (:class:`~repro.core.events.EventBus`); the monitor drains
+it in append order, which preserves the paper's section 5.2 partial
+order (a record appended before another is applied first).
 """
 
 from __future__ import annotations
 
+import itertools
+import random
+import sys
 import threading
+from collections import deque
 
 from repro.core.avoidance import AvoidanceEngine
 from repro.core.callstack import CallStack
@@ -35,9 +38,7 @@ class TestEncoding:
                       acquired_event(1, 2, s),
                       release_event(1, 2),
                       cancel_event(1, 2)):
-            decoded = decode_event(encode_event(event))
-            assert decoded == event
-            assert decoded.seq == event.seq
+            assert decode_event(encode_event(event)) == event
 
     def test_code_tables_are_inverse(self):
         for code, event_type in enumerate(CODE_TO_TYPE):
@@ -61,23 +62,14 @@ class TestEventBus:
         assert [e.type for e in events] == [EventType.REQUEST,
                                             EventType.ALLOW,
                                             EventType.ACQUIRED]
-        assert events[0].seq < events[1].seq < events[2].seq
         assert not bus
 
     def test_put_event_compat(self):
-        # put() re-stamps with a bus-owned seq (the bus needs a contiguous
-        # sequence space for its ordering guarantee); every other field of
-        # the Event round-trips.
         bus = EventBus()
-        event = request_event(3, 4, stack())
+        event = yield_event(3, 4, stack(), causes=((5, 6, stack()),),
+                            timestamp=2.5, mode="shared", capacity=2)
         assert bus.put(event)
-        (drained,) = bus.drain()
-        assert drained.seq == 1
-        assert (drained.type, drained.thread_id, drained.lock_id,
-                drained.stack, drained.causes, drained.timestamp,
-                drained.mode, drained.capacity) == (
-            event.type, event.thread_id, event.lock_id, event.stack,
-            event.causes, event.timestamp, event.mode, event.capacity)
+        assert bus.drain() == [event]
 
     def test_bounded_ring_drops_newest_and_counts(self):
         bus = EventBus(ring_capacity=4)
@@ -89,6 +81,30 @@ class TestEventBus:
         # The accepted prefix survives, in order.
         assert [e.lock_id for e in bus.drain()] == [0, 1, 2, 3]
 
+    def test_two_threads_each_fill_their_share_and_the_next_record_drops(self):
+        """The queue holds ``ring_capacity`` records per producing thread."""
+        bus = EventBus(ring_capacity=8)
+        s = stack()
+        filled = threading.Barrier(2)
+        accepted = {}
+
+        def produce(thread_id):
+            accepted[thread_id] = [bus.emit(EV_REQUEST, thread_id, i, s) for i in range(8)]
+            filled.wait(10.0)
+            if thread_id == 1:
+                accepted[thread_id].append(bus.emit(EV_REQUEST, thread_id, 8, s))
+
+        threads = [threading.Thread(target=produce, args=(tid,)) for tid in (1, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert accepted == {1: [True] * 8 + [False], 2: [True] * 8}
+        assert bus.dropped == 1
+        assert bus.counts()[EV_REQUEST] == 17  # the dropped record is counted too
+        assert len(bus.drain_raw()) == 16
+
     def test_drain_limit_keeps_leftovers_in_order(self):
         bus = EventBus()
         s = stack()
@@ -96,27 +112,39 @@ class TestEventBus:
             bus.emit(EV_REQUEST, 1, i, s)
         first = bus.drain_raw(limit=4)
         second = bus.drain_raw()
-        assert [r[3] for r in first] == [0, 1, 2, 3]
-        assert [r[3] for r in second] == [4, 5, 6, 7, 8, 9]
+        assert [r[2] for r in first] == [0, 1, 2, 3]
+        assert [r[2] for r in second] == [4, 5, 6, 7, 8, 9]
 
-    def test_a_batch_with_an_interior_hole_is_released_up_to_the_hole(self):
-        """A batch that starts at the cursor but misses a seq inside is released
-        up to the hole; the rest follows, in order, once the missing record lands."""
+    def test_a_failed_append_holds_back_nothing_after_it(self):
+        """An emit whose append raises leaves no hole for later records to wait behind."""
+        class FailsOnce(deque):
+            failed = False
+
+            def append(self, record):
+                if not self.failed:
+                    self.failed = True
+                    raise MemoryError("append failed")
+                super().append(record)
+
         bus = EventBus()
+        bus._queue = FailsOnce()
         s = stack()
-        handed_out = iter([1, 2, 4, 5, 3, 6])  # seq 3 is allocated last: in flight
-        bus._next_seq = handed_out.__next__
-        for lock_id in (1, 2, 4, 5):
-            bus.emit(EV_REQUEST, 1, lock_id, s)
-        assert [r[0] for r in bus.drain_raw()] == [1, 2]
-        assert bus.held_back == 2
-        assert bus.drain_raw() == [] and bus.held_back == 2  # a young gap waits
-        bus.emit(EV_REQUEST, 1, 3, s)  # the missing record lands
-        bus.emit(EV_REQUEST, 1, 6, s)
-        assert [r[0] for r in bus.drain_raw()] == [3, 4, 5, 6]
-        assert bus.held_back == 0
-        assert bus.seq_gaps_skipped == bus.stragglers == 0
-        assert bus.total_drained == 6
+        raised = []
+
+        def doomed():
+            try:
+                bus.emit(EV_REQUEST, 1, 0, s)
+            except MemoryError as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=doomed)
+        thread.start()
+        thread.join(10.0)
+        assert not thread.is_alive() and len(raised) == 1
+        for lock_id in (1, 2, 3):
+            assert bus.emit(EV_REQUEST, 2, lock_id, s)
+        assert [r[2] for r in bus.drain_raw()] == [1, 2, 3]
+        assert not bus
 
     def test_watermarks(self):
         bus = EventBus()
@@ -126,6 +154,20 @@ class TestEventBus:
         assert bus.total_enqueued == 5
         assert bus.high_water_mark == 5
         assert bus.peek_size() == 5
+
+    def test_the_high_water_mark_read_without_a_drain_is_the_backlog(self):
+        bus = EventBus()
+        s = stack()
+        for count in (3, 5):
+            for i in range(count):
+                bus.emit(EV_REQUEST, 1, i, s)
+            assert bus.high_water_mark == len(bus)
+        assert len(bus) == 8
+        bus.drain_raw(limit=6)
+        assert bus.high_water_mark == 8  # the largest backlog seen, not the current one
+        for i in range(10):
+            bus.emit(EV_REQUEST, 1, i, s)
+        assert bus.high_water_mark == len(bus) == 12
 
     def test_rejects_silly_capacity(self):
         try:
@@ -172,37 +214,31 @@ class TestEventBus:
         assert len(collected) == producers * per_thread
         by_thread = {tid: [] for tid in range(1, producers + 1)}
         for record in collected:
-            by_thread[record[2]].append(record[3])
+            by_thread[record[1]].append(record[2])
         for tid, payloads in by_thread.items():
             assert payloads == list(range(per_thread)), f"thread {tid}"
-        # Each producer's seq numbers are strictly increasing too.
-        seqs = {tid: [] for tid in by_thread}
-        for record in collected:
-            seqs[record[2]].append(record[0])
-        for tid, values in seqs.items():
-            assert values == sorted(values), f"thread {tid}"
 
     def test_cross_drain_global_seq_order_property(self):
         """Property (the §5.2 total order, across drain boundaries): with
         concurrent emitters and arbitrary ``drain_raw(limit=...)`` cut
-        points, the concatenation of all drained batches is in strictly
-        increasing global seq order, nothing is lost, and no seq slot is
-        ever given up for lost.  Fails on pre-PR-7 code, where a record
-        could be drained before an earlier-seq record had landed."""
-        import random
-        import sys
-
+        points, the concatenation of all drained batches is in the order
+        the records were appended, none lost and none twice.  Each emit
+        takes the next global stamp and appends under one lock, so stamp
+        order is append order; the stamp rides in ``timestamp`` and the
+        producer's own index in ``lock_id``."""
         producers, per_thread = 4, 1500
         bus = EventBus(ring_capacity=per_thread + 16)
         s = stack()
         start = threading.Barrier(producers + 1)
         done = threading.Event()
         rng = random.Random(0x5152)
+        stamps, appending = itertools.count(), threading.Lock()
 
         def produce(thread_id: int) -> None:
             start.wait()
             for i in range(per_thread):
-                bus.emit(EV_REQUEST, thread_id, i, s)
+                with appending:
+                    bus.emit(EV_REQUEST, thread_id, i, s, (), next(stamps))
 
         batches = []
 
@@ -229,14 +265,10 @@ class TestEventBus:
             sys.setswitchinterval(old_interval)
 
         collected = [record for batch in batches for record in batch]
-        assert len(collected) == producers * per_thread
-        seqs = [record[0] for record in collected]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(seqs)
-        # Seq space is contiguous: drops never allocate, so none skipped.
-        assert seqs == list(range(1, len(seqs) + 1))
-        assert bus.seq_gaps_skipped == 0
-        assert bus.stragglers == 0
+        assert [record[5] for record in collected] == list(range(producers * per_thread))
+        for tid in range(1, producers + 1):
+            assert [r[2] for r in collected if r[1] == tid] == list(range(per_thread))
+        assert bus.dropped == 0
         assert bus.total_drained == len(collected)
 
     def test_peek_size_consistent_with_enqueued_minus_drained(self):
@@ -317,7 +349,7 @@ class TestEventBus:
         assert bus.total_enqueued == 20
         assert bus.dropped == 10
         assert bus.total_drained == 20
-        assert bus.high_water_mark == 20  # 5 rings x high-water 4
+        assert bus.high_water_mark == 4  # the largest backlog: one thread's four
 
 
 class TestEngineRingPath:
@@ -335,6 +367,6 @@ class TestEngineRingPath:
         engine.acquired(1, 10, s)
         engine.release(1, 10)
         records = engine.events.drain_raw()
-        assert [r[1] for r in records] == [EV_ALLOW,
+        assert [r[0] for r in records] == [EV_ALLOW,
                                            EV_ACQUIRED, EV_RELEASE]
-        assert all(r[2] == 1 and r[3] == 10 for r in records)
+        assert all(r[1] == 1 and r[2] == 10 for r in records)

@@ -283,7 +283,7 @@ class TestTheMissFilterDecidesOnce:
         assert engine.cache._owners == {}
         assert engine.cache.allowed_set_sizes() == {}
         assert lookups == [1, 1, 1]  # one per engine entry
-        assert [record[1] for record in bus.drain_raw()] == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
+        assert [record[0] for record in bus.drain_raw()] == [EV_ALLOW, EV_ACQUIRED, EV_RELEASE]
 
     @pytest.mark.parametrize("way", ["added", "installed-by-the-pool", "re-enabled"])
     def test_a_hold_taken_at_an_unnamed_site_is_found_once_a_signature_names_it(self, way):
@@ -345,7 +345,7 @@ class TestTheCaptureAsksTheFilterOnce:
 
     @staticmethod
     def _kinds(dimmunix):
-        return [record[1] for record in dimmunix.engine.events.drain_raw()]
+        return [record[0] for record in dimmunix.engine.events.drain_raw()]
 
     def test_a_miss_path_acquisition_probes_the_filter_once(self, hand_over_the_filter):
         dimmunix, _runtime, lock = self._world()

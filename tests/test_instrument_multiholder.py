@@ -395,7 +395,8 @@ class TestAioBasics:
             assert await sem.acquire()
             assert await sem.acquire()
             assert len(runtime.engine.cache.holders_of(sem.lock_id)) == 1
-            assert runtime.engine.capacity_of(sem.lock_id) == 3
+            dimmunix.process_now()
+            assert dimmunix.monitor.rag.lock(sem.lock_id).capacity == 3
             sem.release()
             sem.release()
 

@@ -112,7 +112,7 @@ def spy_on_the_monitor(dimmunix) -> list:
     def copy(*args, **kwargs):
         records = drain_raw(*args, **kwargs)
         drained.extend((code, thread, lock, mode, capacity)
-                       for _seq, code, thread, lock, _stack, _causes, _ts, mode, capacity
+                       for code, thread, lock, _stack, _causes, _ts, mode, capacity
                        in records)
         return records
 
@@ -416,8 +416,8 @@ def named_site(dimmunix, runtime, tid):
 
 
 def comparable(state):
-    """``state_of`` without the records' sequence numbers and timestamps."""
-    records = [record[1:6] + record[7:] for record in state[0]]
+    """``state_of`` without the records' timestamps."""
+    records = [record[:5] + record[6:] for record in state[0]]
     return (records,) + state[1:]
 
 
@@ -457,9 +457,9 @@ class TestOneRequestTakes:
         assert runtime.core.request(tid, 5, offered, SHARED, 1, native) is TAKEN_OUTCOME
         records, _stats, cache, multiholder, fields = state_of(dimmunix, tid)
         assert native.calls == 1 and multiholder
-        assert [(r[1], r[2], r[3], r[4], r[7]) for r in records] == [
+        assert [(r[0], r[1], r[2], r[3], r[6]) for r in records] == [
             (EV_ALLOW, tid, 5, offered, SHARED), (EV_ACQUIRED, tid, 5, offered, SHARED)]
-        assert records[0][6] == records[1][6]  # one timestamp
+        assert records[0][5] == records[1][5]  # one timestamp
         assert cache["holders"] == {5: (tid, 1)}
         assert fields == (False, None, None, {5: [offered]})
 
@@ -473,9 +473,9 @@ class TestOneRequestTakes:
         assert runtime.core.request(tid, 5, offered, mode, capacity, native) is TAKEN_OUTCOME
         records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
         assert native.calls == 1
-        assert [(r[1], r[2], r[3], r[4], r[7]) for r in records] == [
+        assert [(r[0], r[1], r[2], r[3], r[6]) for r in records] == [
             (code, tid, 5, offered, mode) for code in (EV_REQUEST, EV_ALLOW, EV_ACQUIRED)]
-        assert len({record[6] for record in records}) == 1  # one timestamp
+        assert len({record[5] for record in records}) == 1  # one timestamp
         assert cache["holders"] == {5: (tid, 1)}
         assert [binding[:2] for binding in dimmunix.engine.cache.allowed[offered.top()]] == [
             (tid, 5)]
@@ -500,7 +500,7 @@ class TestTheRequestDoesNotTake:
         outcome = runtime.core.request(tid, 5, offered, mode, capacity, native)
         assert outcome is GO_OUTCOME and native.calls == 1
         records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
-        assert [(r[1], r[2], r[3]) for r in records] == [(EV_ALLOW, tid, 5)]
+        assert [(r[0], r[1], r[2]) for r in records] == [(EV_ALLOW, tid, 5)]
         assert cache["holders"] == {} and fields[2] == (5, offered)
         steps = acquisition(runtime.core, tid, 5, offered, mode, capacity, True, None, None,
                             outcome, native)
@@ -509,7 +509,7 @@ class TestTheRequestDoesNotTake:
         with pytest.raises(StopIteration):
             steps.send(True)
         records, _stats, cache, _multiholder, fields = state_of(dimmunix, tid)
-        assert [(r[1], r[2], r[3]) for r in records] == [(EV_ACQUIRED, tid, 5)]
+        assert [(r[0], r[1], r[2]) for r in records] == [(EV_ACQUIRED, tid, 5)]
         assert fields[2:] == (None, {5: [offered]})
 
     def test_in_detection_only_mode_it_takes_without_a_search(self):
@@ -523,7 +523,7 @@ class TestTheRequestDoesNotTake:
         assert runtime.core.request(tid, 5, offered, EXCLUSIVE, 1, native) is TAKEN_OUTCOME
         records, _stats, cache, _multiholder, _fields = state_of(dimmunix, tid)
         assert native.calls == 1
-        assert [(r[1], r[2]) for r in records] == [(EV_ALLOW, tid), (EV_ACQUIRED, tid)]
+        assert [(r[0], r[1]) for r in records] == [(EV_ALLOW, tid), (EV_ACQUIRED, tid)]
         assert cache["holders"] == {5: (tid, 1), 6: (tid + 1, 1)}
         assert dimmunix.stats.yield_decisions == 0
 
@@ -548,7 +548,7 @@ class TestTheRequestDoesNotTake:
         assert runtime.yields.event_for(tid).is_set()
         steps.close()
         assert dimmunix.stats.yield_decisions == 1
-        assert [record[1] for record in engine.events.drain_raw()] == [
+        assert [record[0] for record in engine.events.drain_raw()] == [
             EV_REQUEST, EV_YIELD, EV_RELEASE, EV_CANCEL]
 
 

@@ -10,6 +10,7 @@ scenarios under the model checker.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.avoidance import AvoidanceEngine, Decision
 from repro.core.cache import AvoidanceCache
@@ -19,7 +20,8 @@ from repro.core.cycles import find_deadlock_cycles
 from repro.core.errors import AvoidanceError
 from repro.core.events import acquired_event, allow_event, release_event
 from repro.core.history import History
-from repro.core.rag import ResourceAllocationGraph
+from repro.core.monitor import MonitorCore
+from repro.core.rag import ResourceAllocationGraph, ResourceState
 from repro.core.signature import DEADLOCK, EXCLUSIVE, SHARED, Signature
 from repro.sim.backends import DimmunixBackend, NullBackend
 from repro.sim.explore import (ImmunityChecker, build_rwlock_upgrade_inversion,
@@ -94,6 +96,51 @@ class TestRagMultiHolder:
         rag.apply(acquired_event(2, 30, S2))  # stale-owner recovery
         assert rag.holder_of(30) == 2
 
+
+
+def quadratic_blocking_holders(resource, thread_id, mode):
+    """The reverse-scan-per-edge version ``blocking_holders`` replaced: the reference."""
+    if not resource.edges:
+        return []
+    others = []
+    other_shared = False
+    for tid, _stack, edge_mode in resource.edges:
+        if tid == thread_id:
+            continue
+        stack = resource.hold_stack_of(tid)
+        entry = (tid, stack, edge_mode)
+        if entry not in others:
+            others.append(entry)
+        if edge_mode == SHARED:
+            other_shared = True
+    if mode == SHARED:
+        return [(tid, stack, m) for tid, stack, m in others if m == EXCLUSIVE]
+    if other_shared:
+        return others
+    exclusive = sum(1 for _tid, _stack, m in resource.edges if m == EXCLUSIVE)
+    if exclusive >= resource.capacity:
+        return [(tid, stack, m) for tid, stack, m in others if m == EXCLUSIVE]
+    return []
+
+
+EDGES = st.lists(st.tuples(st.integers(1, 4), st.sampled_from(["a:1", "b:2", "c:3"]),
+                           st.sampled_from([EXCLUSIVE, SHARED])), max_size=12)
+
+
+class TestBlockingHoldersOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(edges=EDGES, capacity=st.integers(1, 4), thread_id=st.integers(1, 5),
+           mode=st.sampled_from([EXCLUSIVE, SHARED]))
+    def test_it_returns_what_the_quadratic_version_returned(self, edges, capacity,
+                                                           thread_id, mode):
+        # A fresh stack object per edge: equal stacks of one holder are still told apart.
+        resource = ResourceState(lock_id=10, capacity=capacity,
+                                 edges=[(tid, stack(label), edge_mode)
+                                        for tid, label, edge_mode in edges])
+        got = resource.blocking_holders(thread_id, mode)
+        want = quadratic_blocking_holders(resource, thread_id, mode)
+        assert got == want
+        assert all(a[1] is b[1] for a, b in zip(got, want))  # the latest stack itself
 
 class TestMultiHolderCycles:
     def test_permit_exhaustion_cycle_detected(self):
@@ -238,8 +285,10 @@ class TestEngineSemantics:
 
     def test_capacity_learned_lazily(self):
         engine = self._engine()
+        monitor = MonitorCore(engine, engine.history)
         engine.request(1, 10, S1, capacity=3)
-        assert engine.capacity_of(10) == 3
+        monitor.process()
+        assert monitor.rag.lock(10).capacity == 3
         assert engine.is_multiholder(10)
         engine.request(1, 20, S1, mode=SHARED)
         assert engine.is_multiholder(20)

@@ -261,7 +261,7 @@ class TestSharedCallSites:
         monkeypatch.setattr(engine, "_match_candidates", lambda *args: searched.append(args))
         assert engine.request(1, 10, stack("lock:0", "unrelated:1", "main:0")).is_go
         assert searched == []
-        assert [record[1] for record in engine.events.drain_raw()] == [EV_ALLOW]
+        assert [record[0] for record in engine.events.drain_raw()] == [EV_ALLOW]
 
 
 class _CountingOccupied(dict):

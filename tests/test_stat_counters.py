@@ -84,7 +84,7 @@ class Tally:
 
     def by_kind(self):
         self.drain()
-        kinds = Counter(record[1] for record in self.records)
+        kinds = Counter(record[0] for record in self.records)
         return counted(kinds[EV_ALLOW], kinds[EV_YIELD], kinds[EV_ACQUIRED],
                        kinds[EV_RELEASE], kinds[EV_CANCEL])
 
