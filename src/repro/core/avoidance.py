@@ -138,11 +138,6 @@ class AvoidanceEngine:
         #: are distinct permits, not one lock counted twice.
         self._multiholder: Set[int] = set()
 
-    def _learn_spec(self, lock_id: int, mode: str, capacity: int) -> None:
-        """Record a multi-holder resource (lazily, from call sites)."""
-        if capacity > 1 or mode == SHARED:
-            self._multiholder.add(lock_id)
-
     def is_multiholder(self, lock_id: int) -> bool:
         """True for resources that may have several concurrent holders."""
         return lock_id in self._multiholder
@@ -176,7 +171,7 @@ class AvoidanceEngine:
         if self.mode == MODE_INSTRUMENTATION_ONLY:
             return GO_OUTCOME
         if capacity > 1 or mode == SHARED:
-            self._learn_spec(lock_id, mode, capacity)
+            self._multiholder.add(lock_id)
         cache = self.cache
         slot = cache.slots.get(thread_id)
         sites = self.index.sites
@@ -401,7 +396,7 @@ class AvoidanceEngine:
             return
         now = self.clock.now()
         if capacity > 1 or mode == SHARED:
-            self._learn_spec(lock_id, mode, capacity)
+            self._multiholder.add(lock_id)
         slot = self.cache.slots.get(thread_id)
         if stack is None:
             waiting = slot.waiting

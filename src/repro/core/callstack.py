@@ -57,15 +57,14 @@ class Frame(NamedTuple):
         """Serialize to the compact ``function|filename|lineno`` form."""
         return f"{self.function}|{self.filename}|{self.lineno}"
 
-    @classmethod
-    def decode(cls, text: str) -> "Frame":
-        """Parse a frame encoded by :meth:`encode`."""
-        function, filename, lineno = text.rsplit("|", 2)
-        return cls(function=function, filename=filename, lineno=int(lineno))
+    @staticmethod
+    def decode(text: str) -> "Frame":
+        """Parse a frame encoded by :meth:`encode` (one shared frame per text)."""
+        return _decoded_frame[text]
 
-    @classmethod
-    def symbolic(cls, label: str) -> "Frame":
-        """Build a frame from a symbolic site label.
+    @staticmethod
+    def symbolic(label: str) -> "Frame":
+        """Build a frame from a symbolic site label (one shared frame per label).
 
         Accepts ``"function"``, ``"function:lineno"`` or
         ``"function:filename:lineno"``.  Used by the simulator DSL and by
@@ -73,14 +72,7 @@ class Frame(NamedTuple):
         trailing component is not an integer (e.g. ``"update:s1"``) are kept
         verbatim as the function name.
         """
-        parts = label.split(":")
-        if len(parts) >= 2 and _is_int(parts[-1]):
-            lineno = int(parts[-1])
-            if len(parts) >= 3:
-                return cls(function=":".join(parts[:-2]), filename=parts[-2],
-                           lineno=lineno)
-            return cls(function=parts[0], filename="<sim>", lineno=lineno)
-        return cls(function=label, filename="<sim>", lineno=0)
+        return _symbolic_frame[label]
 
 
 class CallStack:
@@ -100,7 +92,7 @@ class CallStack:
     @classmethod
     def from_labels(cls, labels: Sequence[str]) -> "CallStack":
         """Build a stack from symbolic labels, innermost first."""
-        return cls(Frame.symbolic(label) for label in labels)
+        return cls(map(_symbolic_frame.__getitem__, labels))
 
     @classmethod
     def capture(cls, skip: int = 1, limit: int = 10,
@@ -310,7 +302,7 @@ class CallStack:
     @classmethod
     def decode(cls, data: Sequence[str]) -> "CallStack":
         """Inverse of :meth:`encode`."""
-        return cls(Frame.decode(text) for text in data)
+        return cls(map(_decoded_frame.__getitem__, data))
 
     def labels(self) -> list:
         """Human readable frame labels, innermost first."""
@@ -543,13 +535,13 @@ def _remember(cache: dict, key, value) -> None:
     cache[key] = value
 
 
-class _FileMemo(dict):
-    """``file name -> of(file name)``, filled on first ask.
+class _TextMemo(dict):
+    """``text -> of(text)``, filled on first ask.
 
-    The stack walks subscript it with ``co_filename``, whose hash the
-    string caches, so a hit is a plain C dict lookup; only a file seen
-    for the first time pays ``of``.  Bounded like the other capture
-    caches, so generated file names (exec) are not pinned forever.
+    Keyed by a ``co_filename``, a frame's label or its encoded text, whose
+    hash the string caches, so a hit is one C dict lookup.  Sharing a value
+    is safe: the text is the whole key, and every ``of`` returns an immutable
+    value.  Bounded like the capture caches, so generated texts are not pinned.
     """
 
     def __init__(self, of) -> None:
@@ -561,12 +553,21 @@ class _FileMemo(dict):
         return value
 
 
-def _is_int(text: str) -> bool:
+def _parse_encoded(text: str) -> Frame:
+    function, filename, lineno = text.rsplit("|", 2)
+    return Frame(function, filename, int(lineno))
+
+
+def _parse_label(label: str) -> Frame:
+    head, colon, tail = label.rpartition(":")
     try:
-        int(text)
+        lineno = int(tail) if colon else None
     except ValueError:
-        return False
-    return True
+        lineno = None
+    if lineno is None:
+        return Frame(label, "<sim>", 0)
+    function, colon, filename = head.rpartition(":")
+    return Frame(function, filename, lineno) if colon else Frame(head, "<sim>", lineno)
 
 
 def path_has_component(filename: str, fragments: Tuple[str, ...]) -> bool:
@@ -602,5 +603,7 @@ def _shorten(filename: str) -> str:
     return normalized
 
 
-_internal_file = _FileMemo(_is_internal)
-_short_name = _FileMemo(_shorten)
+_internal_file = _TextMemo(_is_internal)
+_short_name = _TextMemo(_shorten)
+_symbolic_frame = _TextMemo(_parse_label)
+_decoded_frame = _TextMemo(_parse_encoded)

@@ -19,6 +19,7 @@ whose wakers the engine calls.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, List, Optional
 
 from .avoidance import AvoidanceEngine, Decision, RequestOutcome
@@ -76,12 +77,11 @@ class Dimmunix:
         Systematic exploration runs the same scenario under many
         interleavings; each run must start from identical engine state and
         must not leak learned signatures (or mutated signature counters)
-        into its siblings, so each gets its own instance seeded with a
-        deep copy of the current history.
+        into its siblings, so each gets its own instance seeded with a shallow
+        copy of each signature: shared stacks, its own counters, flag and depth.
         """
         history = History(path=None, autosave=False)
-        history.merge(Signature.from_dict(signature.to_dict())
-                      for signature in self.history.signatures())
+        history.merge(copy.copy(signature) for signature in self.history.signatures())
         return Dimmunix(config=self.config, history=history, clock=type(self.clock)(),
                         deadlock_handler=self.monitor.deadlock_handler,
                         restart_handler=self.monitor.restart_handler,

@@ -32,6 +32,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from ..core.callstack import _remember
 from ..core.errors import ShareError
 from ..core.history import History
 from ..core.signature import Signature
@@ -117,17 +118,17 @@ def parse_signatures(records) -> List[Signature]:
 
 
 #: fingerprint -> a record already known to be a signature of that
-#: fingerprint (read once, or made by :func:`to_record`).  A record
-#: crosses several states on its way (the sender's channel, the hub,
-#: daemon or gossip node, the receiver's channel), so an equal copy is
-#: taken as read instead of being parsed again at every hop.
+#: fingerprint (read once, or made by :func:`to_record`), bounded like the
+#: capture memos.  A record crosses several states on its way (the sender's
+#: channel, the hub, daemon or gossip node, the receiver's channel), so an
+#: equal copy is taken as read; an evicted one is only read again.
 _READ: Dict[str, dict] = {}
 
 
 def to_record(signature: Signature) -> dict:
     """``signature``'s wire record, known to be readable without a parse."""
     record = signature.to_dict()
-    _READ[record["fingerprint"]] = record
+    _remember(_READ, record["fingerprint"], record)
     return record
 
 
@@ -144,7 +145,7 @@ def _readable(record) -> Optional[str]:
             return None
     except Exception:
         return None
-    _READ[fingerprint] = record
+    _remember(_READ, fingerprint, record)
     return fingerprint
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.callstack import (CallStack, EMPTY_STACK, Frame, LazyCallStack,
                                   _is_internal)
@@ -32,6 +33,78 @@ class TestFrame:
     def test_label(self):
         frame = Frame(function="f", filename="mod.py", lineno=7)
         assert frame.label() == "f (mod.py:7)"
+
+
+def reference_symbolic(label: str) -> Frame:
+    """The label parser before the memos, kept as the reference."""
+    def is_int(text):
+        try:
+            int(text)
+        except ValueError:
+            return False
+        return True
+
+    parts = label.split(":")
+    if len(parts) >= 2 and is_int(parts[-1]):
+        lineno = int(parts[-1])
+        if len(parts) >= 3:
+            return Frame(function=":".join(parts[:-2]), filename=parts[-2], lineno=lineno)
+        return Frame(function=parts[0], filename="<sim>", lineno=lineno)
+    return Frame(function=label, filename="<sim>", lineno=0)
+
+
+def reference_decode(text: str) -> Frame:
+    """The encoded-frame parser before the memos, kept as the reference."""
+    function, filename, lineno = text.rsplit("|", 2)
+    return Frame(function, filename, int(lineno))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the exception's type is part of the answer
+        return type(exc)
+
+
+#: Short texts over the separators, digits, signs and spaces each parser splits on.
+texts = st.text(alphabet=":|ab1 -+_", max_size=12)
+
+
+class TestParsedFrameMemos:
+    """``Frame.symbolic`` and ``Frame.decode`` answer from bounded memos."""
+
+    def test_equal_text_gives_the_same_frame(self):
+        label, encoded = "".join(["upd", "ate:3"]), "".join(["f|pkg/", "mod.py|7"])
+        assert Frame.symbolic(label) is Frame.symbolic("update:3")
+        assert Frame.decode(encoded) is Frame.decode("f|pkg/mod.py|7")
+        assert CallStack.from_labels([label])[0] is Frame.symbolic("update:3")
+        assert CallStack.decode([encoded])[0] is Frame.decode("f|pkg/mod.py|7")
+
+    @pytest.mark.parametrize("label", ["fn", "fn:3", "fn:file:3", "fn:s1", "a:b:file.py:12",
+                                       "fn:", ":3", "::3", "3", "fn: 3", "fn:-2", ""])
+    def test_every_label_form_parses_as_before(self, label):
+        assert Frame.symbolic(label) == reference_symbolic(label)
+
+    @given(texts)
+    def test_any_label_parses_as_before(self, label):
+        assert outcome(Frame.symbolic, label) == outcome(reference_symbolic, label)
+
+    @given(st.builds(Frame, texts, texts, st.integers(-5, 10**6)).map(Frame.encode) | texts)
+    def test_any_encoded_frame_parses_as_before(self, text):
+        assert outcome(Frame.decode, text) == outcome(reference_decode, text)
+
+    @pytest.mark.parametrize("memo, parse, reference, make", [
+        ("_symbolic_frame", Frame.symbolic, reference_symbolic, "label{}:1".format),
+        ("_decoded_frame", Frame.decode, reference_decode, "f{}|m.py|1".format)])
+    def test_the_memo_stays_within_its_bound(self, memo, parse, reference, make):
+        from repro.core import callstack as cs
+
+        memo = getattr(cs, memo)
+        for i in range(cs._CAPTURE_CACHE_LIMIT + 100):
+            parse(make(i))
+            assert len(memo) <= cs._CAPTURE_CACHE_LIMIT
+        # The oldest half went; an evicted text parses again, as before.
+        assert make(0) not in memo and parse(make(0)) == reference(make(0))
 
 
 class TestCallStack:

@@ -113,6 +113,8 @@ def via_y(site, lazy, then):
 
 #: lock id -> (mode, capacity): two mutexes, a 2-permit semaphore, a reader lock.
 LOCKS = {10: (EXCLUSIVE, 1), 11: (EXCLUSIVE, 1), 12: (EXCLUSIVE, 2), 13: (SHARED, 1)}
+#: The locks of ``LOCKS`` that may have several holders, as the engine learns them.
+MULTIHOLDER = {lock for lock, (mode, capacity) in LOCKS.items() if capacity > 1 or mode == SHARED}
 THREADS = (1, 2, 3, 4)
 FORMS = ("eager", "lazy", "degraded", "one-frame", "empty")
 FOREIGN = CallStack.from_labels(["elsewhere:1", "nobody:2"])
@@ -307,7 +309,8 @@ class TestDifferential:
             gated.history.add(signature)
             gated.history.enable(signature.fingerprint)
             for engine in engines:
-                engine._learn_spec(lock_id, *LOCKS.get(lock_id, (EXCLUSIVE, 1)))
+                if lock_id in MULTIHOLDER:
+                    engine._multiholder.add(lock_id)
                 hand_over_the_filter(engine)
             assert gated.cache.sites is gated.index.sites
             assert_same_index(gated, reference)
@@ -407,7 +410,8 @@ class TestOccupiedSitePlan:
                                  for sig_stack in signature.stacks]), position))
             thread_id = data.draw(st.sampled_from((9, 9, 9) + THREADS))
             lock_id = data.draw(st.sampled_from([14, 14, 14] + sorted(LOCKS)))
-            engine._learn_spec(lock_id, *LOCKS.get(lock_id, (EXCLUSIVE, 1)))
+            if lock_id in MULTIHOLDER:
+                engine._multiholder.add(lock_id)
 
             groups = engine.index.lookup(stack)
             for group in groups:

@@ -383,9 +383,19 @@ class TestBackendForking:
         fork = dimmunix.fork()
         [original], [copy] = dimmunix.history.signatures(), fork.history.signatures()
         assert copy == original and copy.to_dict() == original.to_dict()
+        assert all(getattr(copy, slot) == getattr(original, slot) for slot in Signature.__slots__)
         assert copy is not original and fork.history is not dimmunix.history
-        copy.record_avoidance()  # a run's counters stay in its own copy
-        assert (original.avoidance_count, copy.avoidance_count) == (0, 1)
+        # A run's counters, flag and depth stay in its own copy, and the prototype's in its own.
+        for moved, still, history in ((copy, original, fork.history),
+                                      (original, copy, dimmunix.history)):
+            kept, was = still.to_dict(), moved.to_dict()
+            moved.record_avoidance(), moved.record_abort(), moved.record_occurrence()
+            assert history.disable(moved.fingerprint)
+            assert history.set_depth(moved.fingerprint, moved.matching_depth + 1)
+            assert still.to_dict() == kept and moved.to_dict() != was
+            assert moved.fingerprint == still.fingerprint
+        assert copy.to_dict() == original.to_dict()  # each moved once, the same way
+        assert (copy.avoidance_count, copy.abort_count, copy.occurrence_count) == (1, 1, 2)
 
     def test_dimmunix_fork_preserves_mode_and_handlers(self):
         from repro.core.avoidance import MODE_INSTRUMENTATION_ONLY

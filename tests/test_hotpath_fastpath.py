@@ -456,8 +456,8 @@ class TestTheUncontendedPairsFrames:
         history.add(Signature([stack(("a:1", "m:0")), stack(("b:2", "m:0"))]))
         return Dimmunix(DimmunixConfig.for_testing(), history=history)
 
-    @pytest.mark.parametrize("kind, frames", [("lock", 23), ("semaphore", 27),
-                                              ("rwlock-read", 27)])
+    @pytest.mark.parametrize("kind, frames", [("lock", 23), ("semaphore", 26),
+                                              ("rwlock-read", 26)])
     def test_a_thread_primitive(self, kind, frames):
         runtime = InstrumentationRuntime(self._dimmunix())
         if kind == "rwlock-read":

@@ -243,6 +243,27 @@ def test_a_corrupt_copy_never_stands_in_for_its_fingerprint():
     assert state.absorb([RECORDS[FP]]) == ([RECORDS[FP]], [])
 
 
+def test_the_read_memo_stays_bounded_and_reads_an_evicted_record_again():
+    """Past its bound the fingerprint -> read-record memo sheds its oldest
+    half; an evicted record is read again: admitted when it is a signature
+    of its fingerprint, refused when it is not."""
+    from repro.core.callstack import _CAPTURE_CACHE_LIMIT
+    from repro.share import state as share_state
+
+    other = FINGERPRINTS[1]
+    assert share_state._readable(RECORDS[FP]) == FP
+    assert share_state._readable(RECORDS[other]) == other
+    for remember in (share_state.to_record, lambda filler: PoolState().admit(filler.to_dict())):
+        for index in range(_CAPTURE_CACHE_LIMIT):  # made here, or read at admission
+            remember(make_signature(f"filler{index}-{remember.__name__}"))
+            assert len(share_state._READ) <= _CAPTURE_CACHE_LIMIT
+    assert FP not in share_state._READ and other not in share_state._READ
+    state = PoolState()
+    assert state.admit(RECORDS[FP]) and FP in share_state._READ
+    assert not state.admit({**RECORDS[FINGERPRINTS[2]], "fingerprint": other})
+    assert state.rejected == 1 and other not in state.records
+
+
 def test_a_record_is_judged_under_the_controls_of_its_own_delta():
     """A disable that outranks a standing remove, arriving with the record
     it un-hides, delivers the record along with the control."""
