@@ -68,8 +68,6 @@ class GateLockBackend(SchedulerBackend):
         self._gate_ids = itertools.count(1)
         #: (thread, lock) -> gates entered when acquiring that lock.
         self._entries: Dict[Tuple[int, int], List[Gate]] = {}
-        #: per-thread count of gate ownerships (for reentrancy across locks).
-        self._owned: Dict[int, Dict[int, int]] = {}
         self.denials = 0
         self.gate_acquisitions = 0
         self.deadlocks_learned = 0
@@ -119,9 +117,6 @@ class GateLockBackend(SchedulerBackend):
                 gate.owner = thread_id
                 self.gate_acquisitions += 1
             gate.depth += 1
-            self._owned.setdefault(thread_id, {})
-            self._owned[thread_id][gate.gate_id] = \
-                self._owned[thread_id].get(gate.gate_id, 0) + 1
             self._entries.setdefault((thread_id, lock_id), []).append(gate)
             if thread_id in gate.waiters:
                 gate.waiters.remove(thread_id)
@@ -132,10 +127,6 @@ class GateLockBackend(SchedulerBackend):
         woken: Set[int] = set()
         for gate in gates:
             gate.depth -= 1
-            owned = self._owned.get(thread_id, {})
-            owned[gate.gate_id] = owned.get(gate.gate_id, 1) - 1
-            if owned.get(gate.gate_id, 0) <= 0:
-                owned.pop(gate.gate_id, None)
             if gate.depth <= 0:
                 gate.depth = 0
                 gate.owner = None

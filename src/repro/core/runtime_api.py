@@ -250,10 +250,11 @@ class HoldLedger:
     Without one it is a reader-writer resource: SHARED holds coexist, an
     EXCLUSIVE hold needs every other thread gone (a sole reader may
     upgrade), and both are reentrant — the writer's depth is its
-    EXCLUSIVE count.  The same rules as ``SimSemaphore``/``SimRWLock``,
-    which stay separate as the model the explorer proves; tests pin the
-    two together.  Not synchronized: thread primitives guard it with the
-    lock they already own.
+    EXCLUSIVE count.  A capacity-less ledger that only ever sees EXCLUSIVE
+    holds is a reentrant mutex.  The one grant rule of every runtime: the
+    simulator's resources (``sim/locks.py``) take with it too, so the
+    explorer proves the rule users run.  Not synchronized: thread
+    primitives guard it with the lock they already own.
     """
 
     __slots__ = ("capacity", "_holders", "_readers")
@@ -265,7 +266,8 @@ class HoldLedger:
         #: thread id -> reentrant SHARED holds.
         self._readers: Dict[int, int] = {}
 
-    def _grantable(self, thread_id: int, mode: str) -> bool:
+    def grantable(self, thread_id: int, mode: str) -> bool:
+        """Would :meth:`take` grant ``thread_id`` a ``mode`` hold right now?"""
         holders = self._holders
         if self.capacity is not None:
             return sum(holders.values()) < self.capacity
@@ -284,7 +286,7 @@ class HoldLedger:
 
     def take(self, thread_id: int, mode: str = EXCLUSIVE) -> bool:
         """Grant one more hold if the rules allow it right now."""
-        if not self._grantable(thread_id, mode):
+        if not self.grantable(thread_id, mode):
             return False
         # grant(), inlined: this runs once per reader-writer acquisition.
         table = self._readers if mode == SHARED else self._holders
@@ -310,6 +312,10 @@ class HoldLedger:
         else:
             table[thread_id] -= 1
         return thread_id
+
+    def held_by(self, thread_id: int) -> bool:
+        """True when ``thread_id`` holds anything."""
+        return thread_id in self._holders or thread_id in self._readers
 
     def permits_held(self) -> int:
         """Total EXCLUSIVE holds currently recorded."""

@@ -220,7 +220,7 @@ class _DfsPolicy(SchedulePolicy):
                     # attempts commute with releases, so race analysis
                     # must know which one is about to execute.
                     kind = (ACQUIRE
-                            if action.lock.can_grant(thread.thread_id, mode)
+                            if action.lock.ledger.grantable(thread.thread_id, mode)
                             else BLOCK)
                 else:
                     kind = RELEASE

@@ -69,7 +69,7 @@ class SimThread:
         self.last_result = None        # value sent into the generator
         self._peeked = None            # action fetched by peek_action, not yet run
         self._peeked_valid = False
-        self.held: Dict[int, int] = {}  # lock_id -> reentrancy count
+        self.held: Dict[int, List[str]] = {}  # lock_id -> modes held, LIFO
         #: Close the program when a run ends with it unfinished.  Set for
         #: thread programs (:mod:`repro.sim.threads`), whose OS thread must
         #: not outlive the run; a coroutine stalled inside ``async with``
@@ -313,7 +313,7 @@ class SimScheduler:
             woken, refused = None, False
             if thread.acquisition is None:
                 lock, stack = action.lock, action.stack()
-                take = lambda tid, mode: lock.can_grant(tid, mode) and self._grant(thread, lock, mode)
+                take = lambda tid, mode: self._grant(thread, lock, mode)
                 outcome = self.backend.request(thread.thread_id, lock.lock_id, stack,
                                                action.mode, lock.capacity, take)
                 if outcome is TAKEN_OUTCOME:
@@ -360,29 +360,28 @@ class SimScheduler:
             return
         self.result.blocks += 1
         thread.state = ThreadState.BLOCKED
-        lock.enqueue_waiter(thread.thread_id)
+        lock.waiters.append(thread.thread_id)
 
     def _grant(self, thread: SimThread, lock: SimLock, mode: str) -> bool:
-        """Hand ``lock`` to ``thread``; True, so a take is ``can_grant(...) and _grant(...)``."""
-        lock.grant(thread.thread_id, mode)
-        thread.held[lock.lock_id] = thread.held.get(lock.lock_id, 0) + 1
+        """Take ``lock`` for ``thread`` if its ledger grants ``mode`` right now."""
+        if not lock.ledger.take(thread.thread_id, mode):
+            return False
+        thread.held.setdefault(lock.lock_id, []).append(mode)
         self.result.lock_ops += 1
         return True
 
     def _do_release(self, thread: SimThread, action: Release) -> None:
         lock = action.lock
-        if not lock.held_by(thread.thread_id):
+        if not lock.ledger.held_by(thread.thread_id):
             raise SimulationError(
                 f"{thread.name} released {lock.name} which it does not hold")
         woken = self.backend.release(thread.thread_id, lock.lock_id)
-        fully = lock.release(thread.thread_id)
-        count = thread.held.get(lock.lock_id, 0) - 1
-        if count <= 0:
-            thread.held.pop(lock.lock_id, None)
-        else:
-            thread.held[lock.lock_id] = count
-        if fully:
-            self._hand_over(lock)
+        # Holds unwind LIFO: an upgrade releases its write hold, then its read.
+        modes = thread.held[lock.lock_id]
+        lock.ledger.release(thread.thread_id, modes.pop())
+        if not modes:
+            del thread.held[lock.lock_id]
+        self._hand_over(lock)
         # Engine-backed cores (DimmunixBackend) already woke dissolved
         # yielders through the wakers their yields armed — waking them again
         # here is an idempotent no-op.  Engine-less backends (gate locks)
@@ -393,27 +392,22 @@ class SimScheduler:
     def _hand_over(self, lock: SimLock) -> None:
         """Grant freed capacity to blocked waiters, FIFO.
 
-        Mutexes hand over to at most one waiter per release; capacity-aware
-        resources keep granting from the queue front while grants remain
-        possible (e.g. several readers unblock when a writer leaves).  The
-        scan stops at the first waiter whose grant is not possible, which
-        preserves FIFO fairness.
+        Runs after every release.  It keeps granting from the queue front
+        while the ledger allows (several readers unblock when a writer
+        leaves) and stops at the first waiter it refuses, which goes back
+        to the front: FIFO fairness.  After a partial reentrant release
+        that is the front waiter, refused at once.
         """
-        while True:
-            waiter_id = lock.pop_waiter()
-            if waiter_id is None:
-                return
+        while lock.waiters:
+            waiter_id = lock.waiters.popleft()
             waiter = self.threads.get(waiter_id)
             if (waiter is None or waiter.state is not ThreadState.BLOCKED
                     or waiter.pending.lock is not lock):
                 continue
             mode = waiter.pending.mode
-            if not lock.can_grant(waiter_id, mode):
-                # Capacity exhausted again: put the waiter back at the
-                # front so FIFO order is preserved, and stop scanning.
+            if not self._grant(waiter, lock, mode):
                 lock.waiters.appendleft(waiter_id)
                 return
-            self._grant(waiter, lock, mode)
             self.policy.observe_grant(self, waiter, lock, mode)
             waiter.state = ThreadState.READY
             waiter.ready_at = max(waiter.ready_at, self.clock.now())

@@ -32,9 +32,8 @@ from typing import Callable, Dict, Optional
 from ..core.callstack import CallStack
 from ..core.config import DimmunixConfig
 from ..core.errors import SimulationError
-from ..core.signature import EXCLUSIVE
 from .actions import Acquire, Release, TryAcquire
-from .locks import SimLock
+from .locks import SimLock, SimSemaphore
 from .scheduler import SimScheduler, SimThread
 
 
@@ -42,14 +41,6 @@ class ProgramAborted(BaseException):
     """Raised from the pending lock operation of a program whose run ended:
     a ``BaseException``, so the application's ``except Exception`` lets it
     through and the thread unwinds to its end."""
-
-
-class _Mutex(SimLock):
-    """A non-reentrant lock, as ``threading.Lock`` is: an owner acquiring
-    it again waits on itself."""
-
-    def can_grant(self, thread_id: int, mode: str = EXCLUSIVE) -> bool:
-        return self.owner is None
 
 
 class _Baton:
@@ -115,8 +106,9 @@ class ThreadPrograms:
         self.running: Dict[int, _Baton] = {}
 
     def lock(self, name: Optional[str] = None) -> ThreadLock:
-        """A non-reentrant lock (``threading.Lock``)."""
-        return ThreadLock(self, self.scheduler.register_lock(_Mutex(name)))
+        """A non-reentrant lock (``threading.Lock``): one permit, so an owner
+        acquiring it again waits on itself."""
+        return ThreadLock(self, self.scheduler.register_lock(SimSemaphore(1, name)))
 
     def rlock(self, name: Optional[str] = None) -> ThreadLock:
         """A reentrant lock (``threading.RLock``)."""

@@ -314,14 +314,14 @@ def _cmd_pool_status(args: argparse.Namespace) -> int:
 
     channel = open_channel(args.pool, client_name="histctl-status")
     try:
+        # Pull first: a gossip:// spec opens a new node, whose own counters
+        # read empty until it has exchanged with its peers.
+        pooled = channel.snapshot()[0]
         status_call = getattr(channel, "status", None)
-        if status_call is not None:
-            status = status_call()
-        else:
-            # Transports without native counters (e.g. memory://) still
-            # answer the essential question: how many signatures pooled.
-            status = {"transport": channel.describe(),
-                      "signatures": len(channel.snapshot()[0])}
+        # Transports without native counters (e.g. memory://) still answer
+        # the essential question: how many signatures pooled.
+        status = (status_call() if status_call is not None
+                  else {"transport": channel.describe(), "signatures": len(pooled)})
     finally:
         channel.close()
     status.pop("op", None)

@@ -26,7 +26,9 @@ from repro.core.signature import DEADLOCK, EXCLUSIVE, SHARED, Signature
 from repro.sim.backends import DimmunixBackend, NullBackend
 from repro.sim.explore import (ImmunityChecker, build_rwlock_upgrade_inversion,
                                build_sem_exhaustion_cycle, SCENARIOS)
+from repro.sim.actions import Acquire, Compute, Release
 from repro.sim.locks import SimRWLock, SimSemaphore
+from repro.sim.scheduler import SimScheduler
 
 
 def stack(*labels):
@@ -344,25 +346,80 @@ class TestSignatureModes:
 
 class TestSimResources:
     def test_semaphore_grant_rules(self):
-        pool = SimSemaphore(2)
-        pool.grant(1)
-        assert pool.can_grant(2)
-        pool.grant(2)
-        assert not pool.can_grant(1)  # a holder cannot exceed capacity
-        assert pool.release(1) is True
-        assert pool.can_grant(3)
+        pool = SimSemaphore(2).ledger
+        assert pool.take(1)
+        assert pool.grantable(2, EXCLUSIVE)
+        assert pool.take(2)
+        assert not pool.grantable(1, EXCLUSIVE)  # a holder cannot exceed capacity
+        assert pool.release(1, EXCLUSIVE) == 1
+        assert pool.grantable(3, EXCLUSIVE)
 
     def test_rwlock_grant_rules(self):
-        rwlock = SimRWLock()
+        rwlock = SimRWLock().ledger
         pool_reader, other_reader, writer = 1, 2, 3
-        rwlock.grant(pool_reader, SHARED)
-        assert rwlock.can_grant(other_reader, SHARED)
-        rwlock.grant(other_reader, SHARED)
-        assert not rwlock.can_grant(writer, EXCLUSIVE)
-        rwlock.release(other_reader)
+        assert rwlock.take(pool_reader, SHARED)
+        assert rwlock.grantable(other_reader, SHARED)
+        assert rwlock.take(other_reader, SHARED)
+        assert not rwlock.grantable(writer, EXCLUSIVE)
+        assert rwlock.release(other_reader, SHARED) == other_reader
         # Sole reader may upgrade; others may not.
-        assert rwlock.can_grant(pool_reader, EXCLUSIVE)
-        assert not rwlock.can_grant(writer, EXCLUSIVE)
+        assert rwlock.grantable(pool_reader, EXCLUSIVE)
+        assert not rwlock.grantable(writer, EXCLUSIVE)
+
+    def test_upgrade_unwinds_write_then_read(self):
+        scheduler = SimScheduler(backend=NullBackend())
+        rwlock = scheduler.register_lock(SimRWLock(name="rw"))
+        seen = {}
+
+        def upgrader():
+            yield Acquire(rwlock, mode=SHARED)
+            yield Acquire(rwlock, mode=EXCLUSIVE)
+            yield Compute(1.0)
+            yield Release(rwlock)  # the write hold goes first ...
+            seen["after write"] = (rwlock.ledger.writer, rwlock.ledger.reader_count())
+            yield Compute(1.0)
+            yield Release(rwlock)  # ... then the read hold
+
+        def reader():
+            yield Compute(0.5)
+            yield Acquire(rwlock, mode=SHARED)
+            seen["reader in at"] = scheduler.clock.now()
+            yield Release(rwlock)
+
+        upgrader_thread = scheduler.add_thread(upgrader)
+        scheduler.add_thread(reader)
+        result = scheduler.run()
+        assert result.completed_threads == 2 and not result.deadlocked
+        # The reader waited out the write hold only: it shares the read hold.
+        assert seen == {"after write": (None, 2), "reader in at": 1.0}
+        assert not upgrader_thread.held and not rwlock.ledger.held_by(upgrader_thread.thread_id)
+
+    def test_partial_reentrant_release_keeps_the_waiter_queued(self):
+        scheduler = SimScheduler(backend=NullBackend())
+        lock = scheduler.new_lock("L")
+        seen = {}
+
+        def owner():
+            yield Acquire(lock)
+            yield Acquire(lock)
+            yield Compute(1.0)
+            yield Release(lock)
+            # The hand-over ran and refused the front waiter: it is back in front.
+            seen["queued"] = list(lock.waiters)
+            yield Compute(1.0)
+            yield Release(lock)
+
+        def waiter():
+            yield Compute(0.5)
+            yield Acquire(lock)
+            seen["in at"] = scheduler.clock.now()
+            yield Release(lock)
+
+        scheduler.add_thread(owner)
+        waiting = scheduler.add_thread(waiter)
+        result = scheduler.run()
+        assert result.completed_threads == 2 and not result.deadlocked
+        assert seen == {"queued": [waiting.thread_id], "in at": 2.0}
 
 
 class TestScenarioImmunity:

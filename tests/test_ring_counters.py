@@ -22,8 +22,9 @@ from repro.core.events import (CODE_TO_TYPE, COUNTER_COLUMNS, COUNTER_NAMES, EV_
                                EV_ALLOW, EV_CANCEL, EV_RELEASE, EV_REQUEST, EV_YIELD,
                                RING_COLUMNS, EventBus)
 from repro.core.history import History
+from repro.core.runtime_api import HoldLedger
 from repro.core.stats import EngineStats
-from repro.sim.locks import SimLock, SimRWLock, SimSemaphore
+from repro.sim.locks import SimLock, SimSemaphore
 
 #: The keys ``snapshot()`` has always returned, in order.
 SNAPSHOT_KEYS = [
@@ -181,7 +182,7 @@ class TestDimmunixWiring:
 
 class TestNoResetInPlace:
     @pytest.mark.parametrize("cls", [EngineStats, EventBus, AvoidanceEngine, AvoidanceCache,
-                                     SimLock, SimSemaphore, SimRWLock],
+                                     SimLock, SimSemaphore, HoldLedger],
                              ids=lambda cls: cls.__name__)
     def test_fresh_state_is_a_new_object(self, cls):
         assert not hasattr(cls, "reset")

@@ -397,6 +397,47 @@ class TestServe:
         assert "unix://, tcp:// or gossip://" in capsys.readouterr().err
 
 
+class TestPoolStatus:
+    """``histctl pool-status SPEC`` over every kind of pool: exit 0 and the
+    number of signatures the pool holds."""
+
+    @staticmethod
+    def status_of(spec, capsys) -> dict:
+        capsys.readouterr()
+        assert histctl.main(["pool-status", spec]) == 0
+        return dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+
+    def test_memory_hub(self, capsys):
+        reset_memory_hubs()
+        open_channel("memory://status").send([record("m1"), record("m2")])
+        status = self.status_of("memory://status", capsys)
+        assert status["signatures"] == "2" and status["transport"] == "memory://status"
+
+    def test_file_log(self, tmp_path, capsys):
+        path = str(tmp_path / "pool.sig")
+        FileChannel(path).send([record("f1")], [make_control("disable", "fp-x", 3, "ops")])
+        status = self.status_of(f"file://{path}", capsys)
+        assert status["signatures"] == "1" and status["transport"] == "file"
+        assert status["controls"] == "1" and status["disabled_fingerprints"] == "1"
+
+    def test_daemon(self, server, capsys):
+        channel = open_channel(server.spec)
+        channel.send([record("d1"), record("d2")])
+        assert wait_until(lambda: server.status()["signatures"] == 2)
+        status = self.status_of(server.spec, capsys)
+        assert status["signatures"] == "2" and status["transport"] == "daemon"
+        channel.close()
+
+    def test_gossip_node(self, capsys):
+        seed = GossipChannel("127.0.0.1", 0, interval=60.0)
+        try:
+            seed.send([record("g1"), record("g2"), record("g3")])
+            status = self.status_of(f"gossip://127.0.0.1:0?peers={seed.bind}", capsys)
+            assert status["signatures"] == "3" and status["transport"] == "gossip"
+        finally:
+            seed.close()
+
+
 def test_histctl_tail_prints_the_snapshot_then_what_arrives(tmp_path, capsys):
     path = str(tmp_path / "pool.sig")
     FileChannel(path).send([record("old")], [make_control("disable", "fp-x", 3, "ops")])

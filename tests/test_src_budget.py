@@ -13,7 +13,13 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lowered by 1 from 16,754: parsed frames are interned.  ``Frame.symbolic`` and
+#: Lowered by 148 from 16,753: every simulated resource grants with the shipped
+#: ``HoldLedger``.  ``sim/locks.py`` keeps an id, a name and the FIFO queue
+#: (its three grant rules, their state and ``__repr__``s went, -131; see
+#: ``SIM_BUDGET``); ``HoldLedger`` gained the public ``grantable`` and
+#: ``held_by`` (+6 with the docstring); ``GateLockBackend._owned``, written and
+#: never read, went (-9).
+#: 16,753 before, lowered by 1 from 16,754: parsed frames are interned.  ``Frame.symbolic`` and
 #: ``Frame.decode`` answer from two more ``_TextMemo``s (was ``_FileMemo``), whose
 #: label parser folds ``_is_int`` in; ``Dimmunix.fork`` copies each signature with
 #: ``copy.copy`` in place of a ``to_dict``/``from_dict`` round trip; the engine's
@@ -119,7 +125,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 16_753
+TOTAL_BUDGET = 16_605
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -144,7 +150,9 @@ TOTAL_BUDGET = 16_753
 #: 1,897 until the skeleton's semaphore release took ``n`` and looped itself,
 #: so ``DimmunixSemaphore.release`` and ``_release_one`` went (net of the
 #: bounded check for all ``n`` at once and ``AioLock.release``'s inlined queue).
-PRIMITIVES_BUDGET = 1_894
+#: 1,894 until the simulator's resources granted with ``HoldLedger``:
+#: ``sim/locks.py`` went 185 -> 54 lines (no second grant rule remains).
+PRIMITIVES_BUDGET = 1_763
 #: ``share/``: four transports around one ``PoolState`` (``state.py`` and
 #: ``wire.py`` included) and one ``send``/``receive``/``snapshot``
 #: contract.  3,479 before that contract: 625 of the 1,241 lines it
@@ -178,7 +186,10 @@ SHARE_BUDGET = 2_295
 #: (its own generator advance never ran: every step is prefetched) and the
 #: write-only ``SimThread.lock_ops``/``yields``/``blocks`` went (the run's
 #: totals are ``SimResult``'s).
-SIM_BUDGET = 3_064
+#: 3,064 until ``SimLock``/``SimSemaphore``/``SimRWLock`` and ``threads._Mutex``
+#: took with one ``HoldLedger`` each (``SimRWLock`` is ``SimLock``, ``_Mutex`` is
+#: ``SimSemaphore(1)``) and ``SimScheduler._grant`` became the take itself.
+SIM_BUDGET = 2_919
 
 
 def count_lines(*roots: str) -> int:
