@@ -53,8 +53,7 @@ from .locks import SimRWLock, SimSemaphore
 from .programs import (lock_order_program, philosopher_program,
                        rwlock_upgrade_program, sem_pool_program)
 from .result import SimResult
-from .schedule import (ReplayPolicy, SchedulePolicy, ScheduleTrace,
-                       lock_footprint)
+from .schedule import ReplayPolicy, SchedulePolicy, ScheduleTrace
 from .scheduler import SimScheduler
 
 #: A scenario factory: builds a fresh, fully configured scheduler
@@ -160,13 +159,12 @@ class _DfsPolicy(SchedulePolicy):
             self.sleep[slot] = lock
         by_slot = {}
         for thread in candidates:
-            slot = scheduler.slot_of(thread.thread_id)
-            lock = lock_footprint(thread.peek_action())
+            footprint = action_footprint(thread.peek_action())
             # Footprints are lock *slots*, not lock ids: sleep entries
             # travel between runs, and each run has fresh lock ids.
-            if lock is not None:
-                lock = scheduler.lock_slot_of(lock)
-            by_slot[slot] = (thread, lock)
+            by_slot[scheduler.slot_of(thread.thread_id)] = (
+                thread, None if footprint is None
+                else scheduler.lock_slot_of(footprint[0]))
         slots = sorted(by_slot)
 
         if position < len(self.forced):
@@ -622,17 +620,21 @@ class ImmunityChecker:
 
     1. **vulnerable** — under :class:`NullBackend` the scenario deadlocks
        in at least one interleaving (otherwise the claim is vacuous);
-    2. **learn** — the minimal deadlocking schedule is replayed under a
-       fresh Dimmunix backend with an empty history (an empty history
-       makes every request GO, so the schedule re-drives exactly) to
-       archive the deadlock's signature;
+    2. **learn** — a deadlocking schedule is re-driven with
+       :meth:`Explorer.replay` under a fork of the backend prototype, and
+       what that run archived joins the report's history.  The first
+       schedule is the shrunk counterexample, replayed under an empty
+       history (which makes every request GO, so it re-drives exactly);
     3. **immune** — with that history seeded, *no* interleaving
        deadlocks; each run receives its own forked backend so learned
-       state never leaks between interleavings.  A bug with several
-       patterns deadlocks here until each is learned: the first deadlock
-       found is replayed under a fork of the seeded backend, what it
-       archives joins the history, and the phase is explored again — until
-       it finds none, or a replay diverges or archives nothing new.
+       state never leaks between interleavings.
+
+    Learn and immune are one loop: a bug with several patterns deadlocks
+    in the immune phase until each is learned, so its first deadlock is
+    learned next and the phase explored again, until no interleaving
+    deadlocks, a replay diverges, or a replay archives nothing new.  A
+    backend without a history (a gate lock) learns inside itself: its
+    learner becomes the immune prototype, once.
     """
 
     def __init__(self, scenario: Callable[[SchedulerBackend], SimScheduler],
@@ -666,7 +668,7 @@ class ImmunityChecker:
                                history=history)
 
     def check(self) -> ImmunityReport:
-        """Run the three phases (vulnerable → learn → immune) and report.
+        """Run the vulnerable phase, then learn until immune, and report.
 
         Every exploration run receives its own scheduler and — in the
         immune phase — its own *forked* backend
@@ -681,71 +683,39 @@ class ImmunityChecker:
             return ImmunityReport(scenario=self.name, vulnerable=vulnerable,
                                   minimal_trace=None, immune=None)
 
-        trace = vulnerable.deadlocks[0].trace
-        minimal = (vulnerable_explorer.shrink(trace) if self.do_shrink
-                   else trace)
+        found = vulnerable.deadlocks[0].trace
+        trace = minimal = (vulnerable_explorer.shrink(found) if self.do_shrink
+                           else found)
 
-        # Learn: archive the signature by re-driving the minimal schedule
-        # under an engine-backed backend with an empty history.
-        learner = self._fresh_prototype()
-        learn_scheduler = self.scenario(learner)
-        learn_scheduler.policy = ReplayPolicy(minimal, strict=True)
-        try:
-            learn_result = learn_scheduler.run()
-            learned = learn_result.deadlocked
-        except ReplayDivergenceError:
-            learned = False
-        if not learned:
-            # The backend perturbed the schedule; find a deadlock under it
-            # directly instead of replaying the NullBackend counterexample.
-            fallback = self._explorer(
-                lambda: self.scenario(self._fresh_prototype()))
-            found = fallback.explore(stop_on_first_deadlock=True)
-            if not found.deadlocks:
-                return ImmunityReport(scenario=self.name, vulnerable=vulnerable,
-                                      minimal_trace=minimal, immune=None)
-            learner = self._fresh_prototype()
-            learn_scheduler = self.scenario(learner)
-            learn_scheduler.policy = ReplayPolicy(found.deadlocks[0].trace,
-                                                  strict=True)
+        # Learn until immune: replay the deadlock under a fork of the
+        # prototype, merge what that run archived into the history, explore
+        # every interleaving under the grown history, and go round again
+        # with the first deadlock still found.
+        prototype, history, immune = self._fresh_prototype(), History(), None
+        while trace is not None:
+            learner = prototype.fork()
             try:
-                learned = learn_scheduler.run().deadlocked
-            except ReplayDivergenceError:
-                learned = False
-
-        # Engine-backed learners carry their immunity in a History; other
-        # backends (gate locks) learned inside the backend itself
-        # during the deadlocking replay, so the learner becomes the
-        # prototype and fork() carries the protection into each run.
-        history = getattr(learner, "history", None)
-        if not learned or (history is not None and len(history) == 0):
-            # Learning failed: report it as such (immune=None) rather than
-            # exploring against an unseeded backend and misreporting the
-            # claim itself as broken.
-            return ImmunityReport(scenario=self.name, vulnerable=vulnerable,
-                                  minimal_trace=minimal, immune=None)
-        immune_prototype = (self._fresh_prototype(history=history)
-                            if history is not None else learner)
-        immune = self._explore_under(immune_prototype)
-        while immune.deadlocks and history is not None:
-            # Learn until immune: the first interleaving the history does
-            # not cover yet is replayed under a fork of the prototype, and
-            # what that run archives joins the history.
-            replay = immune_prototype.fork()
-            replay_scheduler = self.scenario(replay)
-            replay_scheduler.policy = ReplayPolicy(immune.deadlocks[0].trace,
-                                                   strict=True)
-            try:
-                replay_scheduler.run()
+                deadlocked = self._explorer(
+                    lambda: self.scenario(learner)).replay(trace).deadlocked
             except ReplayDivergenceError:
                 break
-            if not history.merge(replay.history.signatures()):
+            if not deadlocked:
                 break
-            immune_prototype = self._fresh_prototype(history=history)
-            immune = self._explore_under(immune_prototype)
+            archived = getattr(learner, "history", None)
+            if archived is None:
+                # A gate lock has no History: it learned inside itself during
+                # the replay, so it becomes the prototype, once, and fork()
+                # carries its protection into each run.
+                immune = self._explore_under(learner)
+                break
+            if not history.merge(archived.signatures()):
+                break
+            prototype = self._fresh_prototype(history=history)
+            immune = self._explore_under(prototype)
+            trace = immune.deadlocks[0].trace if immune.deadlocks else None
         return ImmunityReport(scenario=self.name, vulnerable=vulnerable,
                               minimal_trace=minimal, immune=immune,
-                              history=history)
+                              history=history if len(history) else None)
 
     def _explore_under(self, prototype: SchedulerBackend) -> ExplorationResult:
         """Every interleaving, each run under its own fork of ``prototype``."""

@@ -212,16 +212,3 @@ class ReplayPolicy(SchedulePolicy):
     def observe(self, scheduler, thread, action) -> None:
         """Track the previously running thread for the tolerant fallback."""
         self._prev_slot = scheduler.slot_of(thread.thread_id)
-
-
-def lock_footprint(action) -> Optional[int]:
-    """The lock id an action operates on, or ``None`` for local actions.
-
-    Local (``Compute``/``Log``/thread-exit) steps commute with every other
-    step under pure mutex semantics; the exploration engine uses this to
-    execute them eagerly without branching.
-    """
-    lock = getattr(action, "lock", None)
-    if lock is None:
-        return None
-    return lock.lock_id

@@ -30,7 +30,6 @@ import threading
 from typing import Callable, Dict, Optional
 
 from ..core.callstack import CallStack
-from ..core.config import DimmunixConfig
 from ..core.errors import SimulationError
 from .actions import Acquire, Release, TryAcquire
 from .locks import SimLock, SimSemaphore
@@ -85,7 +84,8 @@ class ThreadLock:
         baton = self._programs.running.get(threading.get_ident())
         if baton is None:
             return True
-        stack = CallStack.capture_cached(skip=0, limit=DimmunixConfig.max_stack_depth)
+        stack = CallStack.capture_cached(
+            skip=0, limit=self._programs.scheduler.backend.config.max_stack_depth)
         if not blocking:
             return baton.perform(TryAcquire(self.lock, stack))
         baton.perform(Acquire(self.lock, stack))

@@ -1,5 +1,1 @@
 """Command-line tools for operating a Dimmunix deployment."""
-
-from .histctl import main as histctl_main
-
-__all__ = ["histctl_main"]

@@ -325,6 +325,11 @@ def _cmd_pool_status(args: argparse.Namespace) -> int:
     finally:
         channel.close()
     status.pop("op", None)
+    if status["transport"] == "gossip":
+        # The spec opened this command's own node on a fresh port, whose bind, name
+        # and round counters describe it, not the mesh: keep what its pull established.
+        status = {key: status[key] for key in ("transport", "peers", "peer_lag", "signatures",
+                                                "controls", "disabled_fingerprints", "rejected")}
     width = max(len(key) for key in status)
     for key in sorted(status):
         value = status[key]

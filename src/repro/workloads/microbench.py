@@ -33,6 +33,7 @@ from ..instrument.runtime import InstrumentationRuntime
 from ..sim.backends import DimmunixBackend, NullBackend, SchedulerBackend
 from ..sim.programs import random_workload_program
 from ..sim.scheduler import SimScheduler
+from ..util.clock import VirtualClock
 
 #: Number of distinct callee functions per call-path level.
 PATH_FANOUT = 4
@@ -140,30 +141,35 @@ def _busy_wait(duration: float) -> None:
         pass
 
 
+#: Each mode's engine as ``(engine mode, detection_only)``; ``"baseline"`` has
+#: none, and Figure 8's ``"updates_only"`` stage is the engine that never yields.
+_MODES = {"baseline": None, "full": ("full", False),
+          "instrumentation_only": ("instrumentation_only", False),
+          "updates_only": ("full", True), "detection_only": ("full", True)}
+
+
+def _dimmunix(config: MicrobenchConfig, base: DimmunixConfig,
+              clock=None) -> Optional[Dimmunix]:
+    """The engine ``config.mode`` names, on ``base``: both drivers build it here."""
+    if config.mode not in _MODES:
+        raise ValueError(f"unknown microbenchmark mode {config.mode!r}")
+    if _MODES[config.mode] is None:
+        return None
+    engine_mode, detection_only = _MODES[config.mode]
+    return Dimmunix(config=base.with_overrides(matching_depth=config.matching_depth,
+                                               detection_only=detection_only),
+                    history=config.history, clock=clock, engine_mode=engine_mode)
+
+
 # ---------------------------------------------------------------------------
 # Real-thread driver
 # ---------------------------------------------------------------------------
 
 def _build_runtime(config: MicrobenchConfig) -> Optional[InstrumentationRuntime]:
-    if config.mode == "baseline":
+    dimmunix = _dimmunix(config, DimmunixConfig(monitor_interval=config.monitor_interval,
+                                                yield_timeout=0.05))
+    if dimmunix is None:
         return None
-    engine_mode = "full"
-    detection_only = False
-    if config.mode == "instrumentation_only":
-        engine_mode = "instrumentation_only"
-    elif config.mode in ("updates_only", "detection_only"):
-        # Figure 8's "updates_only" stage is the engine that never yields.
-        detection_only = True
-    elif config.mode != "full":
-        raise ValueError(f"unknown microbenchmark mode {config.mode!r}")
-    dimmunix_config = DimmunixConfig(
-        monitor_interval=config.monitor_interval,
-        matching_depth=config.matching_depth,
-        detection_only=detection_only,
-        yield_timeout=0.05,
-    )
-    dimmunix = Dimmunix(config=dimmunix_config, history=config.history,
-                        engine_mode=engine_mode)
     dimmunix.start()
     return InstrumentationRuntime(dimmunix)
 
@@ -235,15 +241,9 @@ def run_simulated_microbench(config: MicrobenchConfig,
                              ) -> MicrobenchResult:
     """Run the same workload on the deterministic simulator."""
     if backend is None:
-        if config.mode == "baseline":
-            backend = NullBackend()
-        else:
-            dimmunix_config = DimmunixConfig.for_testing(
-                matching_depth=config.matching_depth,
-                detection_only=(config.mode == "detection_only"),
-            )
-            backend = DimmunixBackend(config=dimmunix_config,
-                                      history=config.history)
+        dimmunix = _dimmunix(config, DimmunixConfig.for_testing(), VirtualClock())
+        backend = (NullBackend() if dimmunix is None
+                   else DimmunixBackend(dimmunix=dimmunix, clock=dimmunix.clock))
     scheduler = SimScheduler(backend=backend, seed=config.seed)
     locks = [scheduler.new_lock(f"ubench-{i}") for i in range(config.locks)]
     for index in range(config.threads):

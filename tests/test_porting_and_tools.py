@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -133,3 +136,16 @@ class TestHistctl:
         # Merging again adds nothing new.
         assert histctl(["merge", other_path, export_path]) == 0
         assert len(History(path=other_path)) == 1
+
+
+def test_running_histctl_as_a_module_warns_nothing():
+    """``python -m repro.tools.histctl``, the form the docstrings show: the
+    package must not import the module before ``runpy`` runs it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                          "repro.tools.histctl", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == "" and "pool-status" in run.stdout

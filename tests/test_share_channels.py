@@ -434,6 +434,11 @@ class TestPoolStatus:
             seed.send([record("g1"), record("g2"), record("g3")])
             status = self.status_of(f"gossip://127.0.0.1:0?peers={seed.bind}", capsys)
             assert status["signatures"] == "3" and status["transport"] == "gossip"
+            # Only what the pull established: none of the throwaway node's
+            # own counters (its bind is a fresh port, not the seed's).
+            assert set(status) == {"transport", "peers", "peer_lag", "signatures",
+                                   "controls", "disabled_fingerprints", "rejected"}
+            assert json.loads(status["peers"]) == [seed.bind]
         finally:
             seed.close()
 

@@ -7,8 +7,10 @@ import threading
 import pytest
 
 from repro.core.avoidance import GO_OUTCOME
+from repro.core.config import DimmunixConfig
 from repro.core.errors import SimulationError
-from repro.sim import Explorer, NullBackend, ReplayPolicy, SimScheduler
+from repro.sim import (DimmunixBackend, Explorer, NullBackend, ReplayPolicy,
+                       SimScheduler)
 from repro.sim.aio import async_program, new_aio_lock
 from repro.sim.threads import ThreadPrograms
 
@@ -105,6 +107,28 @@ def test_stacks_are_the_application_frames():
     [stack] = Recording.stacks
     assert stack.top().function == "app_method"
     assert not any(frame.filename.endswith("sim/threads.py") for frame in stack)
+
+
+def test_stacks_are_captured_at_the_backend_depth():
+    """A program 8 calls deep requests with the backend's configured depth,
+    as the shipped runtimes capture, not the configuration default of 10."""
+    class Recording(DimmunixBackend):
+        depths = []
+
+        def request(self, thread_id, lock_id, stack, *resource):
+            self.depths.append(len(stack))
+            return super().request(thread_id, lock_id, stack, *resource)
+
+    def nested(lock, calls):
+        if calls:
+            return nested(lock, calls - 1)
+        lock.acquire()
+        lock.release()
+
+    scheduler = world(lambda programs: [lambda: nested(programs.lock("L"), 8)])
+    scheduler.backend = Recording(config=DimmunixConfig.for_testing(max_stack_depth=4))
+    assert scheduler.run().completed
+    assert Recording.depths == [4]
 
 
 def test_an_ended_run_unwinds_its_threads_past_except_exception():

@@ -13,7 +13,14 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lowered by 148 from 16,753: every simulated resource grants with the shipped
+#: Lowered by 42 from 16,605: ``ImmunityChecker.check`` learns in one loop through
+#: ``Explorer.replay`` (its unreached fallback exploration, second replay and
+#: three hand-built ``ReplayPolicy`` runs went; see ``SIM_BUDGET``), and
+#: ``schedule.lock_footprint`` went for ``action_footprint``; ``repro.tools`` no
+#: longer re-exports ``histctl_main``; both microbenchmark drivers build the
+#: engine each mode names through one decoder (net 0), and ``histctl
+#: pool-status`` keeps, for a gossip spec, only what its pull established (+5).
+#: 16,605 before, lowered by 148 from 16,753: every simulated resource grants with the shipped
 #: ``HoldLedger``.  ``sim/locks.py`` keeps an id, a name and the FIFO queue
 #: (its three grant rules, their state and ``__repr__``s went, -131; see
 #: ``SIM_BUDGET``); ``HoldLedger`` gained the public ``grantable`` and
@@ -125,7 +132,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 16_605
+TOTAL_BUDGET = 16_563
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -189,7 +196,10 @@ SHARE_BUDGET = 2_295
 #: 3,064 until ``SimLock``/``SimSemaphore``/``SimRWLock`` and ``threads._Mutex``
 #: took with one ``HoldLedger`` each (``SimRWLock`` is ``SimLock``, ``_Mutex`` is
 #: ``SimSemaphore(1)``) and ``SimScheduler._grant`` became the take itself.
-SIM_BUDGET = 2_919
+#: 2,919 until ``ImmunityChecker.check`` became one learn loop through
+#: ``Explorer.replay`` (-30) and ``_DfsPolicy.choose`` read ``action_footprint``,
+#: so ``schedule.lock_footprint`` went (-13).
+SIM_BUDGET = 2_876
 
 
 def count_lines(*roots: str) -> int:

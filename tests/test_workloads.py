@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.callstack import CallStack
 from repro.core.history import History
+from repro.workloads import microbench
 from repro.workloads.microbench import (MicrobenchConfig, PATH_DEPTH,
                                         call_through_path, capture_path_stack,
                                         random_path, run_simulated_microbench,
@@ -79,6 +80,55 @@ class TestSimulatedMicrobench:
             threads=4, locks=4, iterations=10, mode="detection_only"))
         assert result.lock_ops == 40
         assert result.yields == 0
+
+
+#: Each mode's engine as ``(engine mode, detection_only)``; ``None``: no Dimmunix.
+MODE_ENGINES = {
+    "baseline": None,
+    "full": ("full", False),
+    "instrumentation_only": ("instrumentation_only", False),
+    "updates_only": ("full", True),
+    "detection_only": ("full", True),
+}
+DRIVERS = {"threaded": run_threaded_microbench, "simulated": run_simulated_microbench}
+
+
+class TestModes:
+    """Both drivers build the engine each mode names and refuse a misspelt one."""
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    @pytest.mark.parametrize("mode", sorted(MODE_ENGINES))
+    def test_each_mode_builds_its_engine(self, driver, mode, monkeypatch):
+        built, construct = [], microbench.Dimmunix
+
+        def spy(*args, **kwargs):
+            dimmunix = construct(*args, **kwargs)
+            built.append((dimmunix.engine.mode, dimmunix.config.detection_only))
+            return dimmunix
+        monkeypatch.setattr(microbench, "Dimmunix", spy)
+        result = DRIVERS[driver](MicrobenchConfig(
+            threads=2, locks=2, iterations=5, delta_out=0.0, mode=mode))
+        assert result.lock_ops == 10
+        assert built == ([] if MODE_ENGINES[mode] is None else [MODE_ENGINES[mode]])
+
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_a_misspelt_mode_is_refused(self, driver):
+        with pytest.raises(ValueError, match="'ful'"):
+            DRIVERS[driver](MicrobenchConfig(threads=2, locks=2, iterations=5,
+                                             delta_out=0.0, mode="ful"))
+
+    @pytest.mark.parametrize("mode", sorted(MODE_ENGINES))
+    def test_only_full_avoidance_yields_on_the_simulator(self, mode):
+        history = synthesize_microbench_history(count=64, size=2, matching_depth=2,
+                                                simulated=True, seed=1)
+        result = run_simulated_microbench(MicrobenchConfig(
+            threads=8, locks=4, iterations=20, mode=mode, history=history,
+            matching_depth=2))
+        assert result.lock_ops == 160
+        assert (result.yields > 0) == (mode == "full")
+        # Neither no engine nor an instrumentation-only one answers a request.
+        answered = mode not in ("baseline", "instrumentation_only")
+        assert result.stats.get("requests", 0) == answered * (160 + result.yields)
 
 
 class TestSyntheticHistory:
