@@ -9,27 +9,94 @@ persists it to disk (paper sections 3 and 5.4).
 Signatures can also be distributed proactively — a vendor can ship
 signatures for known deadlocks — which is supported here through
 :meth:`History.merge` and the import/export helpers.
+
+It is one replica of the signature set :mod:`repro.core.replica` merges:
+a disable, enable or removal is a stamped control, and what another
+replica holds (a file, a pool's delta) comes in by :meth:`History.join`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
+import socket
 import tempfile
 import threading
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .errors import HistoryError, HistoryFormatError, SignatureError
+from .replica import Control, PoolState
 from .signature import Signature
 from ..util.filelock import locked_file
 
-#: Current on-disk format.  Version 2 added the per-stack acquisition
-#: ``modes`` introduced by the multi-holder resource model (semaphores,
-#: rwlocks); version 1 files — no ``modes`` key — load as all-exclusive
-#: and keep their fingerprints, so old histories still match.
-_FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = (1, 2)
+#: On-disk formats.  Version 2 added the per-stack acquisition ``modes``
+#: introduced by the multi-holder resource model (semaphores, rwlocks);
+#: version 1 files — no ``modes`` key — load as all-exclusive and keep
+#: their fingerprints, so old histories still match.  Version 3 adds the
+#: standing ``controls``; a document without any is written as version 2.
+_SUPPORTED_VERSIONS = (1, 2, 3)
+
+#: Numbers the histories of one process, so no two stamp one origin.
+_HISTORIES = itertools.count()
+
+
+def _identity(path: str) -> Optional[tuple]:
+    """``(path, mtime_ns, size)`` of the file at ``path``; None when there is none."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return None
+    return path, stat.st_mtime_ns, stat.st_size
+
+
+def _payload(signatures: Iterable[Signature], controls=()) -> Dict:
+    """A history document: version 3 when it carries controls, else version 2."""
+    payload = {"format_version": 2,
+               "signatures": [signature.to_dict() for signature in signatures]}
+    if controls:
+        payload.update(format_version=3,
+                       controls=[control.to_dict() for control in controls])
+    return payload
+
+
+def _read(path: str) -> Tuple[List[Signature], list]:
+    """The signatures and raw controls of the history document at ``path``.
+
+    Raises ``FileNotFoundError`` as itself, :class:`HistoryError` for a
+    file that cannot be read, and :class:`HistoryFormatError` for one that
+    holds no history document or a record no :class:`Signature` reads.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise HistoryError(f"cannot read history from {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise HistoryFormatError(f"history file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or "signatures" not in payload:
+        raise HistoryFormatError("history payload lacks a 'signatures' list")
+    version = payload.get("format_version", 2)
+    if version not in _SUPPORTED_VERSIONS:
+        raise HistoryFormatError(f"unsupported history format version {version}")
+    records = payload["signatures"]
+    if not isinstance(records, list):
+        raise HistoryFormatError("'signatures' must be a list")
+    signatures = []
+    for index, record in enumerate(records):
+        try:
+            signatures.append(Signature.from_dict(record))
+        except SignatureError as exc:
+            # Surface malformed / future-kind records as a format problem
+            # with their position, instead of leaking a raw SignatureError
+            # to tools like histctl.
+            raise HistoryFormatError(
+                f"signature record {index} is not loadable: {exc}") from exc
+    return signatures, payload.get("controls", [])
 
 
 class History:
@@ -40,30 +107,20 @@ class History:
         self._autosave = autosave and path is not None
         self._signatures: Dict[str, Signature] = {}
         self._lock = threading.RLock()
-        #: Fingerprints explicitly removed in this process.  Merge-on-save
-        #: and merge-on-load skip them, so a concurrent writer of the same
-        #: file cannot resurrect a signature the user deleted here.
-        self._removed: Set[str] = set()
-        #: (path, mtime_ns, size) of our own last write; when the backing
-        #: file still matches, merge-on-save skips re-parsing it.
+        #: The standing control per fingerprint (its records are
+        #: ``_signatures``), and the origin this history stamps its own
+        #: with, named at its first stamp.
+        self._state = PoolState()
+        self._origin: Optional[str] = None
+        #: :func:`_identity` of our own last write; while the backing file
+        #: still matches it (the single-writer case), a save skips the join.
         self._written_stamp: Optional[tuple] = None
         #: Observers notified of every mutation kind (add/remove/enable/
         #: disable/depth/clear); the incremental signature index maintains itself
         #: through these hooks instead of rescanning the history.
         self._observers: List = []
-        #: Bumped on every mutation; kept as a cheap staleness oracle for
-        #: diagnostics and external tooling.
-        self._version = 0
         if path is not None and os.path.exists(path):
             self.load(path)
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter incremented on every mutation."""
-        return self._version
-
-    def _bump_version(self) -> None:
-        self._version += 1
 
     # -- basic container behaviour ------------------------------------------------------
 
@@ -93,6 +150,15 @@ class History:
         """A snapshot list of the signatures the avoidance code should match."""
         return [sig for sig in self._signatures.values() if sig.enabled]
 
+    def control(self, fingerprint: str) -> Optional[Control]:
+        """The standing control for ``fingerprint``, or ``None``."""
+        return self._state.controls.get(fingerprint)
+
+    def controls(self) -> List[Control]:
+        """A snapshot list of the standing controls."""
+        with self._lock:
+            return list(self._state.controls.values())
+
     # -- mutation (monitor-side) -----------------------------------------------------------
 
     def add(self, signature: Signature) -> bool:
@@ -100,62 +166,72 @@ class History:
 
         Returns ``True`` when the signature was new.  When it is a
         duplicate, the existing signature's occurrence counter is bumped
-        instead — the history never stores duplicates (section 5.3).
+        instead — the history never stores duplicates (section 5.3).  One
+        learned again after its removal stamps an ``enable``, which undoes
+        the removal on every replica.
         """
-        with self._lock:
-            existing = self._signatures.get(signature.fingerprint)
-            if existing is not None:
-                existing.record_occurrence()
-                if self._autosave:
-                    self.save()
-                return False
-            self._signatures[signature.fingerprint] = signature
-            self._removed.discard(signature.fingerprint)
-            self._bump_version()
-            if self._autosave:
-                self.save()
-        self._notify("on_signature_added", signature)
+        with self._edit():
+            added = self._add(signature)
+        if added:
+            self._notify("on_signature_added", signature)
+        return added
+
+    def _add(self, signature: Signature) -> bool:
+        """:meth:`add` under the held lock, without its autosave and notification."""
+        fingerprint = signature.fingerprint
+        existing = self._signatures.get(fingerprint)
+        if existing is not None:
+            existing.record_occurrence()
+            return False
+        if self._state.hidden(fingerprint):
+            self._stamp("enable", fingerprint)
+        self._hold(signature)
         return True
+
+    def _hold(self, signature: Signature) -> None:
+        """Hold a new signature, flagged by its fingerprint's standing control if any."""
+        control = self._state.controls.get(signature.fingerprint)
+        if control is not None:
+            signature.disabled = control.action == "disable"
+        self._signatures[signature.fingerprint] = signature
 
     def remove(self, fingerprint: str) -> bool:
         """Delete a signature; returns ``True`` if it existed."""
-        with self._lock:
-            signature = self._signatures.pop(fingerprint, None)
-            removed = signature is not None
-            if removed:
-                self._removed.add(fingerprint)
-                self._bump_version()
-            if removed and self._autosave:
-                self.save()
-        if removed:
-            self._notify("on_signature_removed", signature)
-        return removed
+        return self._control("remove", fingerprint)
 
     def disable(self, fingerprint: str) -> bool:
         """Disable a signature so it is never avoided again (section 5.7)."""
-        with self._lock:
-            signature = self._signatures.get(fingerprint)
-            if signature is None:
-                return False
-            signature.disabled = True
-            self._bump_version()
-            if self._autosave:
-                self.save()
-        self._notify("on_signature_disabled", signature)
-        return True
+        return self._control("disable", fingerprint)
 
     def enable(self, fingerprint: str) -> bool:
         """Re-enable a previously disabled signature."""
-        with self._lock:
-            signature = self._signatures.get(fingerprint)
-            if signature is None:
+        return self._control("enable", fingerprint)
+
+    def _stamp(self, action: str, fingerprint: str) -> Control:
+        """A local control, one tick above every clock this history has seen."""
+        if self._origin is None:
+            self._origin = f"{socket.gethostname()}:{os.getpid()}:{next(_HISTORIES)}"
+        control = Control(self._state.clock + 1, self._origin, action, fingerprint)
+        self._state.merge_control(control)
+        return control
+
+    def _control(self, action: str, fingerprint: str) -> bool:
+        """Stamp ``action`` on a held signature and apply it; False when not held."""
+        with self._edit():
+            if fingerprint not in self._signatures:
                 return False
-            signature.disabled = False
-            self._bump_version()
-            if self._autosave:
-                self.save()
-        self._notify("on_signature_enabled", signature)
+            signature = self._apply(self._stamp(action, fingerprint))
+        self._notify(f"on_signature_{action}d", signature)
         return True
+
+    def _apply(self, control: Control) -> Optional[Signature]:
+        """Apply a standing control to its held signature (returned), if any."""
+        if control.action == "remove":
+            return self._signatures.pop(control.fingerprint, None)
+        signature = self._signatures.get(control.fingerprint)
+        if signature is not None:
+            signature.disabled = control.action == "disable"
+        return signature
 
     def set_depth(self, fingerprint: str, depth: int) -> bool:
         """Set a signature's matching depth (section 5.5), saved by the next save; True if changed."""
@@ -164,21 +240,19 @@ class History:
             if signature is None or signature.matching_depth == depth:
                 return False
             signature._matching_depth = depth
-            self._bump_version()
         self._notify("on_depth_changed", signature)
         return True
 
     def clear(self) -> None:
         """Remove every signature (used between experiment trials).
 
-        Clearing is an explicit wipe: the autosave that follows does *not*
-        merge concurrent additions back from disk — the backing file is
-        rewritten empty.
+        Clearing is an explicit wipe of the signatures and their controls:
+        the autosave that follows does *not* merge concurrent additions back
+        from disk — the backing file is rewritten empty.
         """
         with self._lock:
             self._signatures.clear()
-            self._removed.clear()
-            self._bump_version()
+            self._state.controls.clear()
             if self._autosave:
                 self.save(merge_on_disk=False)
         self._notify("on_history_cleared")
@@ -188,30 +262,50 @@ class History:
 
         Returns the number of signatures that were new.  This supports the
         paper's "signature distribution" use case: immunizing users who
-        have not yet encountered a deadlock.
-
-        Autosave is batched: one save at the end instead of one per added
-        signature, so installing K pooled signatures into a file-backed
-        history costs one disk write, not K re-reads and rewrites.
+        have not yet encountered a deadlock.  The import is one edit: one
+        disk write for K signatures.
         """
-        added = 0
-        with self._lock:
-            autosave = self._autosave
-            self._autosave = False
-            version_before = self._version
-        try:
-            for signature in other:
-                if self.add(signature):
-                    added += 1
-        finally:
-            with self._lock:
-                self._autosave = autosave
-        if autosave and self._version != version_before:
-            # Version check rather than `added`: a concurrent mutation on
-            # another thread during the suspended-autosave window must not
-            # lose its save either.
+        with self._edit():
+            added = [signature for signature in other if self._add(signature)]
+        for signature in added:
+            self._notify("on_signature_added", signature)
+        return len(added)
+
+    def join(self, signatures: Iterable[Signature] = (), controls=()
+             ) -> Tuple[int, int]:
+        """Join what another replica holds; returns (signatures added, controls won).
+
+        The raw ``controls`` join first (a malformed one is refused, never
+        raised), then each signature under the controls that stand: a
+        removed one is not added, a standing disable or enable sets the
+        flag of a new or held one, a standing remove drops a held one.  A
+        held signature keeps its body.  What changed autosaves.
+        """
+        added, won = self._join(signatures, controls)
+        if (added or won) and self._autosave:
             self.save()
-        return added
+        return added, won
+
+    def _join(self, signatures: Iterable[Signature], controls) -> Tuple[int, int]:
+        """:meth:`join` without the autosave (load and the merge inside save)."""
+        changed = []
+        with self._lock:
+            _, won = self._state.absorb(controls=controls)
+            for control in won:
+                signature = self._apply(control)
+                if signature is not None:
+                    changed.append((f"on_signature_{control.action}d", signature))
+            added = 0
+            for signature in signatures:
+                fingerprint = signature.fingerprint
+                if fingerprint in self._signatures or self._state.hidden(fingerprint):
+                    continue
+                self._hold(signature)
+                changed.append(("on_signature_added", signature))
+                added += 1
+        for hook, signature in changed:
+            self._notify(hook, signature)
+        return added, len(won)
 
     # -- observers (incremental index maintenance) -----------------------------------------
 
@@ -259,96 +353,56 @@ class History:
         """Write the history to ``path`` (or the configured path) atomically.
 
         Saving is *merge-then-replace*: under a cross-process advisory
-        lock, signatures another process wrote to the file since our last
-        read are first merged into memory (minus the ones explicitly
-        removed here), then the union is written to a temporary file and
-        atomically renamed over the target.  Two processes autosaving the
-        same path therefore never truncate each other's signatures —
-        the file converges to the union of what both learned.  Pass
-        ``merge_on_disk=False`` for an explicit overwrite (used by
-        :meth:`clear`).
+        lock, what another process wrote to the file since our last read
+        is first joined into memory by :meth:`join`'s rule, then the result
+        is written to a temporary file and atomically renamed over the
+        target, so concurrent writers never undo each other's edits.  Pass
+        ``merge_on_disk=False`` for an explicit overwrite (:meth:`clear`).
         """
         target = path or self._path
         if target is None:
             return None
-        directory = os.path.dirname(os.path.abspath(target)) or "."
-        try:
-            # Lock order is always History._lock -> flock: mutators call
-            # save() while holding self._lock (RLock, so re-entry below is
-            # fine), and a direct save() taking the flock first while a
-            # mutator holds self._lock would be a classic ABBA deadlock
-            # with _merge_from_disk's own need for self._lock.
-            with self._lock:
-                with locked_file(target, exclusive=True):
-                    if merge_on_disk and not self._disk_unchanged(target):
-                        self._merge_from_disk(target)
-                    payload = self.to_dict()
-                    fd, temp_name = tempfile.mkstemp(
-                        prefix=".dimmunix-history-", dir=directory)
-                    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                        json.dump(payload, handle, indent=2, sort_keys=True)
-                    os.replace(temp_name, target)
-                    self._stamp_disk(target)
-        except OSError as exc:
-            raise HistoryError(f"cannot save history to {target}: {exc}") from exc
+        with self._saving(target, merge_on_disk):
+            pass
         return target
 
-    def _stamp_disk(self, target: str) -> None:
-        """Remember the file identity this process last wrote."""
+    @contextlib.contextmanager
+    def _saving(self, target: str, merge_on_disk: bool = True):
+        """Hold the history and ``target``'s lock: join the disk, run the block, write."""
+        directory = os.path.dirname(os.path.abspath(target)) or "."
         try:
-            stat = os.stat(target)
-            self._written_stamp = (target, stat.st_mtime_ns, stat.st_size)
-        except OSError:
-            self._written_stamp = None
+            # Lock order is always History._lock -> flock: a save taking
+            # the flock first while a mutator holds self._lock would be a
+            # classic ABBA deadlock with the mutator's own save.
+            with self._lock, locked_file(target, exclusive=True):
+                if merge_on_disk and _identity(target) != self._written_stamp:
+                    # A file nobody can read is repaired by the write below.
+                    with contextlib.suppress(OSError, HistoryError):
+                        self._join(*_read(target))
+                yield
+                payload = self.to_dict()
+                fd, temp_name = tempfile.mkstemp(
+                    prefix=".dimmunix-history-", dir=directory)
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, indent=2, sort_keys=True)
+                os.replace(temp_name, target)
+                self._written_stamp = _identity(target)
+        except OSError as exc:
+            raise HistoryError(f"cannot save history to {target}: {exc}") from exc
 
-    def _disk_unchanged(self, target: str) -> bool:
-        """True when the file still matches our own last write.
-
-        In the common single-writer case this skips re-parsing the whole
-        file on every autosave; any concurrent writer changes mtime/size
-        and forces a real merge.
-        """
-        stamp = self._written_stamp
-        if stamp is None or stamp[0] != target:
-            return False
-        try:
-            stat = os.stat(target)
-        except OSError:
-            return False
-        return (stat.st_mtime_ns, stat.st_size) == stamp[1:]
-
-    def _merge_from_disk(self, target: str) -> None:
-        """Fold signatures a concurrent writer saved to ``target`` into memory.
-
-        Unreadable or corrupt content is ignored: the save that follows
-        rewrites the file with this process's (valid) state, which is the
-        best available repair.
-        """
-        try:
-            with open(target, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return
-        try:
-            self._merge_payload(payload)
-        except HistoryFormatError:
-            return
+    def _edit(self):
+        """The context of one local edit: with autosave on, inside a save,
+        after the join of the file, so a later edit through the file always
+        wins over an earlier one, whichever process made them."""
+        return self._saving(self._path) if self._autosave else self._lock
 
     def load(self, path: Optional[str] = None) -> int:
         """Load (and merge) signatures from ``path``; returns the new total count."""
         source = path or self._path
         if source is None:
             raise HistoryError("no history path configured")
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return len(self._signatures)
-        except OSError as exc:
-            raise HistoryError(f"cannot read history from {source}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise HistoryFormatError(f"history file {source} is not valid JSON: {exc}") from exc
-        self._merge_payload(payload)
+        with contextlib.suppress(FileNotFoundError):
+            self._join(*_read(source))
         return len(self._signatures)
 
     def reload(self) -> int:
@@ -363,39 +417,7 @@ class History:
     def to_dict(self) -> Dict:
         """Serialize to a JSON-friendly dictionary."""
         with self._lock:
-            return {
-                "format_version": _FORMAT_VERSION,
-                "signatures": [sig.to_dict() for sig in self._signatures.values()],
-            }
-
-    def _merge_payload(self, payload: Dict) -> None:
-        if not isinstance(payload, dict) or "signatures" not in payload:
-            raise HistoryFormatError("history payload lacks a 'signatures' list")
-        version = payload.get("format_version", _FORMAT_VERSION)
-        if version not in _SUPPORTED_VERSIONS:
-            raise HistoryFormatError(f"unsupported history format version {version}")
-        records = payload["signatures"]
-        if not isinstance(records, list):
-            raise HistoryFormatError("'signatures' must be a list")
-        merged = []
-        with self._lock:
-            for index, record in enumerate(records):
-                try:
-                    signature = Signature.from_dict(record)
-                except SignatureError as exc:
-                    # Surface malformed / future-kind records as a format
-                    # problem with their position, instead of leaking a raw
-                    # SignatureError to tools like histctl.
-                    raise HistoryFormatError(
-                        f"signature record {index} is not loadable: {exc}"
-                    ) from exc
-                if (signature.fingerprint not in self._signatures
-                        and signature.fingerprint not in self._removed):
-                    self._signatures[signature.fingerprint] = signature
-                    self._bump_version()
-                    merged.append(signature)
-        for signature in merged:
-            self._notify("on_signature_added", signature)
+            return _payload(self._signatures.values(), list(self._state.controls.values()))
 
     # -- import/export helpers (signature distribution) ----------------------------------------
 
@@ -408,10 +430,7 @@ class History:
             else:
                 selected = [self._signatures[fp] for fp in fingerprints
                             if fp in self._signatures]
-        payload = {
-            "format_version": _FORMAT_VERSION,
-            "signatures": [sig.to_dict() for sig in selected],
-        }
+        payload = _payload(selected)
         try:
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, indent=2, sort_keys=True)
@@ -424,13 +443,9 @@ class History:
         """Read signatures from an export file without attaching to it."""
         temp = cls(path=None, autosave=False)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError as exc:
+            temp._join(*_read(path))
+        except FileNotFoundError as exc:
             raise HistoryError(f"cannot import signatures from {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise HistoryFormatError(f"{path} is not valid JSON: {exc}") from exc
-        temp._merge_payload(payload)
         return temp.signatures()
 
     def disk_footprint(self) -> int:

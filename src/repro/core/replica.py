@@ -1,11 +1,13 @@
-"""The replicated pool state — the one place that knows how a pool merges.
+"""The replicated signature set — the one place that knows how it merges.
 
-Every share transport replicates the same value: a set of signature
-records plus one standing fleet control per fingerprint.  This module
-owns that value and its merge rules; gossip nodes, the daemon, the file
-log, the memory hub and :class:`~repro.share.pool.SignaturePool` each
-hold a :class:`PoolState` and only move bytes, and every channel
-deduplicates what it carries with one of its own.
+Every holder of signatures replicates the same value: a set of signature
+records plus one standing control per fingerprint.  This module owns
+that value and its merge rules.  The gossip nodes, the daemon, the file
+log and the memory hub each hold a :class:`PoolState`, every share
+channel deduplicates what it carries with one of its own, and a
+:class:`~repro.core.history.History` keeps its controls in one (its
+records are its live signatures), so the history file is one more
+replica.
 
 The merge is a join, so it is commutative, associative and idempotent
 by construction:
@@ -32,13 +34,12 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..core.callstack import _remember
-from ..core.errors import ShareError
-from ..core.history import History
-from ..core.signature import Signature
+from .callstack import _remember
+from .errors import ShareError
+from .signature import Signature
 
-#: Actions a control record may carry across the pool (each is also the
-#: name of the :class:`History` method that applies it).
+#: Actions a control record may carry (each is also the name of the
+#: :class:`~repro.core.history.History` method that stamps it).
 CONTROL_ACTIONS = ("disable", "enable", "remove")
 
 
@@ -147,11 +148,6 @@ def _readable(record) -> Optional[str]:
         return None
     _remember(_READ, fingerprint, record)
     return fingerprint
-
-
-def apply_control(history: History, control: Control) -> None:
-    """Apply one control to a history (actions name ``History`` methods)."""
-    getattr(history, control.action)(control.fingerprint)
 
 
 class PoolState:
@@ -326,17 +322,3 @@ class PoolState:
                  if isinstance(fingerprint, str)
                  and fingerprint in self.controls])
 
-
-def install(history: History, state: PoolState, signatures) -> int:
-    """Merge ``signatures`` into ``history`` under ``state``'s controls.
-
-    Controls beat signatures: a fingerprint the fleet disabled or
-    removed stays that way even when its record arrives late.  Returns
-    how many signatures were new to the history.
-    """
-    added = history.merge(signatures)
-    for signature in signatures:
-        control = state.controls.get(signature.fingerprint)
-        if control is not None and control.action != "enable":
-            apply_control(history, control)
-    return added

@@ -7,8 +7,9 @@ pools signatures live across real OS processes.  Every piece carries one
 value through one contract:
 
 * :class:`PoolState` — the replicated value (signature records plus the
-  standing control per fingerprint) and the only place its merge rules
-  are written;
+  standing control per fingerprint), whose merge rules
+  :mod:`repro.core.replica` writes once for the pool and the history
+  file alike;
 * :class:`HistoryChannel` — the contract: ``send(records, controls)``,
   ``receive() -> (records, controls)`` and
   ``snapshot(timeout) -> (records, controls)``, deltas of raw wire dicts
@@ -25,8 +26,8 @@ value through one contract:
   in-process transport used by the simulator and tests;
 * :class:`SignaturePool` — binds a channel to a local
   :class:`~repro.core.history.History` and the monitor's cadence, parses
-  the records it receives, and carries the fleet controls (disable /
-  enable / remove) both ways.
+  the records it receives, and carries the history's stamped controls
+  (disable / enable / remove) both ways.
 
 Typical use is one argument on the runtime entry point::
 
@@ -44,6 +45,7 @@ trade-offs, and ``examples/share_demo.py`` for the end-to-end
 multi-process proof.
 """
 
+from ..core.replica import PoolState, make_control
 from .channel import HistoryChannel, open_channel, parse_share_spec
 from .client import SocketChannel
 from .filechannel import FileChannel
@@ -51,7 +53,6 @@ from .gossip import GossipChannel
 from .memory import MemoryChannel, MemoryHub, memory_hub, reset_memory_hubs
 from .pool import SignaturePool
 from .server import HistoryServer
-from .state import PoolState, make_control
 
 __all__ = [
     "FileChannel",

@@ -4,7 +4,7 @@ The paper's deployment story (section 6) is that immunity *compounds
 across instances*: once any process of a service develops an immunity
 signature, every other process should avoid that deadlock without ever
 experiencing it.  Every ``repro.share`` transport replicates one value,
-a :class:`~repro.share.state.PoolState` (signature records plus one
+a :class:`~repro.core.replica.PoolState` (signature records plus one
 standing control per fingerprint), so a channel only moves *deltas* of
 it, as raw wire dicts:
 
@@ -42,7 +42,7 @@ import threading
 from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ShareError
-from .state import PoolState
+from ..core.replica import PoolState
 
 #: ``(records, controls)``: raw signature records and raw control records.
 Delta = Tuple[List[dict], List[dict]]

@@ -11,7 +11,7 @@ through a single file.  The format is a JSON-lines log::
 
 ``control`` lines are the fleet-management plane (disable / enable /
 remove a fingerprint on every attached worker).  The log is a journal of
-one :class:`~repro.share.state.PoolState`: compaction merges every line
+one :class:`~repro.core.replica.PoolState`: compaction merges every line
 into that state and writes the state back, so a long-lived log keeps
 one line per fingerprint and one per standing control instead of
 replaying an entire enable/disable history to late joiners.
@@ -36,10 +36,10 @@ import tempfile
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.errors import ShareError
+from ..core.replica import PoolState
 from ..util.filelock import locked_file
 from . import wire
 from .channel import Delta, HistoryChannel
-from .state import PoolState
 
 _LOG_MAGIC = "dimmunix-share"
 _FORMAT_VERSION = 2
@@ -86,7 +86,7 @@ def _split(lines: Iterable[Optional[dict]]) -> Delta:
     """Decoded log lines sorted into (signature records, control records).
 
     A line that is neither lands among the records as ``None``, where the
-    reader's :class:`~repro.share.state.PoolState` rejects and counts it.
+    reader's :class:`~repro.core.replica.PoolState` rejects and counts it.
     """
     records, controls = [], []
     for line in lines:

@@ -4,7 +4,7 @@ Daemons and shared files both centralize: one socket, one volume, one
 thing to keep alive.  At multi-host scale the ROADMAP wants immunity
 with *no single point of failure* — which is exactly what the immune
 memory's shape already affords.  A node's state is one
-:class:`~repro.share.state.PoolState`: a grow-only set of records keyed
+:class:`~repro.core.replica.PoolState`: a grow-only set of records keyed
 by fingerprint, plus per fingerprint the greatest control under the
 total order ``(clock, origin, action)``, with ``remove`` hiding a record
 rather than deleting it.  That merge is a join, so any two nodes that
@@ -58,9 +58,9 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import ShareError
+from ..core.replica import PoolState
 from . import wire
 from .channel import Delta, HistoryChannel
-from .state import PoolState
 
 #: Wire protocol identifier (first field of every ``syn``).
 PROTOCOL = "dimmunix-gossip/1"

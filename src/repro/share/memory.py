@@ -1,7 +1,7 @@
 """In-process signature hub — the deterministic sharing transport.
 
 A :class:`MemoryHub` is the pool reduced to its essence: one
-:class:`~repro.share.state.PoolState` plus the order in which its
+:class:`~repro.core.replica.PoolState` plus the order in which its
 records and controls arrived, shared by N :class:`MemoryChannel`
 endpoints in one process.  It exists for two consumers:
 
@@ -24,8 +24,8 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
+from ..core.replica import PoolState
 from .channel import Delta, HistoryChannel
-from .state import PoolState
 
 #: How far a channel has read: (records, controls) delivered so far.
 Cursor = Tuple[int, int]

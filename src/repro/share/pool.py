@@ -15,14 +15,16 @@ signature records are parsed:
   and the very next lock request can match it — no restart, no engine
   reset.
 
-**The control records.**  Through the same observer hooks, a local
-``disable``/``enable``/``remove`` (e.g. from ``histctl``) originates a
-control record — Lamport-clocked, origin-stamped — onto the channel,
-and :meth:`pump` merges inbound control records into the pool's
-:class:`~repro.share.state.PoolState` and applies the ones that win to
-the local history.  Applying a remote "disable" fires the
-history's observer hooks, the signature index drops the signature, and a
-*live* worker stops avoiding the fingerprint without restarting —
+**The control records.**  A local ``disable``/``enable``/``remove``
+(e.g. from ``histctl``) is a control the history stamps itself —
+Lamport-clocked, origin-stamped — and through the same observer hooks
+the pool sends the history's standing control for that fingerprint onto
+the channel; a signature learned again after a removal goes out with
+the ``enable`` it stamped.  :meth:`pump` hands inbound records and
+controls to :meth:`~repro.core.history.History.join`, the one rule by
+which the history merges anything.  A remote "disable" that wins fires
+the history's observer hooks, the signature index drops the signature,
+and a *live* worker stops avoiding the fingerprint without restarting —
 fleet-wide retraction of a bad signature (section 5.7 at fleet scale).
 
 Echo suppression is two-layered: the pool flags installs so its own
@@ -39,40 +41,22 @@ point their schedule requires.
 
 from __future__ import annotations
 
-import os
-import socket
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.history import History
+from ..core.replica import parse_signatures, to_record
 from ..core.signature import Signature
 from .channel import HistoryChannel
-from .state import (Control, PoolState, apply_control, install, parse_signatures,
-                    to_record)
-
-
-def _default_origin() -> str:
-    try:
-        host = socket.gethostname()
-    except OSError:
-        host = "unknown-host"
-    return f"{host}:{os.getpid()}"
 
 
 class SignaturePool:
     """Bidirectional signature flow between a history and a channel."""
 
-    def __init__(self, history: History, channel: HistoryChannel,
-                 origin: Optional[str] = None):
+    def __init__(self, history: History, channel: HistoryChannel):
         self._history = history
         self._channel = channel
         self._installing = threading.local()
-        #: The origin stamp, and the standing control per fingerprint
-        #: (whose highest clock is the Lamport clock).  The records
-        #: themselves live in the history.
-        self._origin = origin or _default_origin()
-        self._control_lock = threading.Lock()
-        self._state = PoolState()
         #: Counters surfaced in reports and ``pool-status``.
         self.published = 0
         self.installed = 0
@@ -116,60 +100,43 @@ class SignaturePool:
         else:
             self.publish_errors += 1
 
-    def _originate_control(self, action: str, fingerprint: str) -> None:
+    # History observer hooks: a *local* addition is published with its
+    # fingerprint's standing control, any other local mutation sends the
+    # control the history stamped for it.  Remote installs are
+    # suppressed by the ``_installing`` flag, so nothing received is
+    # echoed back.
+    def on_signature_added(self, signature: Signature) -> None:
+        if self._local():
+            control = self._history.control(signature.fingerprint)
+            self._publish([to_record(signature)],
+                          [control.to_dict()] if control is not None else [])
+
+    def _send_control(self, signature: Signature) -> None:
         if not self._local():
             return
-        with self._control_lock:
-            control = Control(self._state.clock + 1, self._origin,
-                              action, fingerprint)
-            self._state.merge_control(control)
+        control = self._history.control(signature.fingerprint)
         if self._send(controls=[control.to_dict()]):
             self.controls_published += 1
         else:
             self.control_errors += 1
 
-    # History observer hooks: a *local* addition is published, any other
-    # local mutation becomes a fleet-wide control record.  Remote
-    # installs are suppressed by the ``_installing`` flag, so nothing
-    # received is echoed back.
-    def on_signature_added(self, signature: Signature) -> None:
-        if self._local():
-            self._publish([to_record(signature)])
-
-    def on_signature_disabled(self, signature: Signature) -> None:
-        self._originate_control("disable", signature.fingerprint)
-
-    def on_signature_enabled(self, signature: Signature) -> None:
-        self._originate_control("enable", signature.fingerprint)
-
-    def on_signature_removed(self, signature: Signature) -> None:
-        self._originate_control("remove", signature.fingerprint)
+    on_signature_disabled = on_signature_enabled = on_signature_removed = _send_control
 
     # -- inbound -----------------------------------------------------------------------
 
     def _take(self, records, controls) -> int:
-        """Install one received delta; returns how many signatures were new.
-
-        The controls are merged first, so the signatures install under
-        the controls standing once the delta is in (a record that arrives
-        with the disable outranking a local remove comes back disabled);
-        then the controls that won are applied to what was already held.
-        """
+        """Join one received delta into the history; returns how many signatures were new."""
         if not records and not controls:
             return 0
         signatures = parse_signatures(records)
         self.unreadable += len(records) - len(signatures)
-        with self._control_lock:
-            _, won = self._state.absorb(controls=controls)
         self._installing.active = True
         try:
-            added = install(self._history, self._state, signatures)
-            for control in won:
-                apply_control(self._history, control)
+            added, won = self._history.join(signatures, controls)
         finally:
             self._installing.active = False
         self.installed += added
-        self.controls_applied += len(won)
+        self.controls_applied += won
         return added
 
     def pump(self) -> int:
@@ -193,9 +160,7 @@ class SignaturePool:
         installs the pool's whole snapshot — signatures and standing
         controls.  Returns the number of signatures installed.
         """
-        with self._control_lock:
-            controls = [control.to_dict()
-                        for control in self._state.controls.values()]
+        controls = [control.to_dict() for control in self._history.controls()]
         records = [to_record(signature) for signature in self._history.signatures()]
         if records or controls:
             self._publish(records, controls)

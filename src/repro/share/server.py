@@ -23,8 +23,9 @@ ping        answer ``pong`` (liveness probes)
 
 Signature payloads are plain ``Signature.to_dict()`` records — the same
 v1/v2 format as history files (``docs/signature-format.md``).  What the
-pool holds and how it merges is a :class:`~repro.share.state.PoolState`;
-the master history is its persistent, queryable mirror.
+pool holds and how it merges is a :class:`~repro.core.replica.PoolState`;
+the master history is its persistent, queryable mirror, and takes each
+accepted delta through :meth:`~repro.core.history.History.join`.
 
 Run it with ``histctl serve``::
 
@@ -41,8 +42,8 @@ from typing import Dict, List, Optional
 
 from ..core.errors import ShareError
 from ..core.history import History
+from ..core.replica import PoolState, parse_signatures
 from . import wire
-from .state import PoolState, apply_control, install, parse_signatures
 
 #: Protocol identifier sent in ``welcome`` messages.
 PROTOCOL = "dimmunix-share/1"
@@ -117,8 +118,8 @@ class HistoryServer:
         # snapshot instead of replaying history.
         self._state = PoolState()
         self._state_lock = threading.Lock()
-        self._state.absorb([signature.to_dict()
-                            for signature in self.history.signatures()])
+        self._state.absorb([signature.to_dict() for signature in self.history.signatures()],
+                           [control.to_dict() for control in self.history.controls()])
 
     # -- lifecycle ---------------------------------------------------------------------
 
@@ -285,11 +286,9 @@ class HistoryServer:
                          "error": f"refused {refused} malformed record(s)"})
         if not records and not won:
             return
-        install(self.history, self._state, parse_signatures(records))
-        for control in won:
-            apply_control(self.history, control)
-        self._broadcast({"op": "publish", "signatures": records,
-                         "controls": [control.to_dict() for control in won]},
+        controls = [control.to_dict() for control in won]
+        self.history.join(parse_signatures(records), controls)
+        self._broadcast({"op": "publish", "signatures": records, "controls": controls},
                         exclude=client)
 
     def _broadcast(self, message: Dict,

@@ -31,7 +31,7 @@ def items(value) -> list:
     """A decoded JSON list as it is; anything else as a one-item list.
 
     Nothing is dropped on the way: the receiving
-    :class:`~repro.share.state.PoolState` rejects and counts what it
+    :class:`~repro.core.replica.PoolState` rejects and counts what it
     cannot read.
     """
     return value if isinstance(value, list) else [value]

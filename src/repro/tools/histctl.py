@@ -31,7 +31,9 @@ them (snapshot first, then live for ``--duration`` seconds);
 ``pool-status`` asks a daemon, gossip node, or shared log file for its
 counters, including anti-entropy state.
 
-``disable`` / ``enable`` / ``remove`` accept ``--share SPEC`` (with or
+On a file, ``disable`` / ``enable`` / ``remove`` save a stamped control
+with it, so a running program that autosaves the same file keeps the
+edit.  They also accept ``--share SPEC`` (with or
 without a history file): the action travels the pool as a Lamport-
 clocked control record and takes effect on every *running* worker — no
 restarts — because each worker's pool applies controls live through the
@@ -204,7 +206,6 @@ def _cmd_set_enabled(args: argparse.Namespace, enabled: bool) -> int:
             print(f"no signature with fingerprint {args.fingerprint}",
                   file=sys.stderr)
             return 1
-        history.save()
         print(f"{action}d {args.fingerprint}")
     if args.share:
         _share_control(args.share, action, args.fingerprint)
@@ -220,7 +221,6 @@ def _cmd_remove(args: argparse.Namespace) -> int:
             print(f"no signature with fingerprint {args.fingerprint}",
                   file=sys.stderr)
             return 1
-        history.save()
         print(f"removed {args.fingerprint}")
     if args.share:
         _share_control(args.share, "remove", args.fingerprint)
@@ -238,7 +238,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     history = _load(args.history)
     imported = History.import_signatures(args.source)
     added = history.merge(imported)
-    history.save()
     print(f"merged {added} new signature(s) from {args.source} "
           f"({len(imported) - added} duplicates)")
     return 0
@@ -276,8 +275,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_tail(args: argparse.Namespace) -> int:
     import time
 
+    from ..core.replica import parse_signatures
     from ..share import open_channel
-    from ..share.state import parse_signatures
 
     channel = open_channel(args.pool, client_name="histctl-tail")
     printed = 0

@@ -400,3 +400,40 @@ class TestThreeThreadSignature:
         engine.acquired(2, 102, stack("b:2", "y:0"))
         # Now the third binding would complete the cover -> yield.
         assert engine.request(3, 103, stack("c:3", "z:0")).is_yield
+
+
+class TestWakeScan:
+    def test_the_outer_release_wakes_a_yield_caused_by_an_inner_reentrant_hold(
+            self, immune_engine):
+        """The cause names the inner hold's stack; the release that frees the
+        lock removes the outer one, whose stack differs.  With no hold left,
+        the yielder is woken all the same."""
+        engine = immune_engine
+        outer = stack("enter:9", "main:0")
+        for held in (outer, S2):            # S2 is the signature's stack, taken reentrantly
+            assert engine.request(1, 2, held).is_go
+            engine.acquired(1, 2, held)
+        outcome = engine.request(2, 1, S1)
+        assert outcome.is_yield and outcome.causes == ((1, 2, S2),)
+        assert engine.release(1, 2) == []    # the inner release frees nothing
+        assert engine.cache.hold_count(1, 2) == 1
+        assert engine.release(1, 2) == [2]   # the outer one frees the lock
+        assert engine.request(2, 1, S1).is_go
+
+
+class TestPermitExhaustion:
+    def test_the_third_thread_of_a_two_permit_one_lock_signature_yields(self):
+        """Two permits of one semaphore are two bindings on one resource: the
+        lock-distinctness rule must not refuse the second permit's holder."""
+        signature = Signature([stack("permit:1"), stack("permit:2"), stack("lock:3")],
+                              matching_depth=1)
+        history = History(path=None, autosave=False)
+        history.add(signature)
+        engine = AvoidanceEngine(history, DimmunixConfig.for_testing())
+        for thread_id, label in ((1, "permit:1"), (2, "permit:2")):
+            held = stack(label, f"worker{thread_id}:0")
+            assert engine.request(thread_id, 50, held, capacity=2).is_go
+            engine.acquired(thread_id, 50, held, capacity=2)
+        outcome = engine.request(3, 60, stack("lock:3", "worker3:0"))
+        assert outcome.is_yield
+        assert sorted(cause[:2] for cause in outcome.causes) == [(1, 50), (2, 50)]

@@ -206,12 +206,16 @@ def _immunity_cycle(name: str, lazy: bool):
 
 
 def _serialized(history: History) -> str:
-    """Canonical byte form of a history: volatile timestamps zeroed."""
-    payload = history.to_dict()
-    for record in payload["signatures"]:
+    """Canonical byte form of a history's signatures: volatile timestamps zeroed.
+
+    The standing controls are left out: a removal (the named-site leg's
+    cleanup) stands as a control, and only what the runs archived is compared.
+    """
+    records = history.to_dict()["signatures"]
+    for record in records:
         record["created_at"] = 0.0
-    payload["signatures"].sort(key=lambda record: record["fingerprint"])
-    return json.dumps(payload, sort_keys=True)
+    records.sort(key=lambda record: record["fingerprint"])
+    return json.dumps(records, sort_keys=True)
 
 
 class TestRealRuntimeDifferential:

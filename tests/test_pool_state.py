@@ -1,4 +1,4 @@
-"""Properties of the replicated pool state (repro.share.state).
+"""Properties of the replicated pool state (repro.core.replica).
 
 Every transport holds a :class:`PoolState` and only moves bytes, so the
 convergence of the whole share fabric rests on this one merge being a
@@ -17,9 +17,8 @@ from repro.core.errors import ShareError
 from repro.core.history import History
 from repro.core.callstack import CallStack
 from repro.core.signature import Signature
+from repro.core.replica import CONTROL_ACTIONS, Control, parse_control
 from repro.share import PoolState, make_control
-from repro.share.state import (CONTROL_ACTIONS, Control, apply_control,
-                               install, parse_control)
 
 def make_signature(label: str) -> Signature:
     return Signature([CallStack.from_labels([f"{label}:1", "main:0"]),
@@ -248,18 +247,18 @@ def test_the_read_memo_stays_bounded_and_reads_an_evicted_record_again():
     half; an evicted record is read again: admitted when it is a signature
     of its fingerprint, refused when it is not."""
     from repro.core.callstack import _CAPTURE_CACHE_LIMIT
-    from repro.share import state as share_state
+    from repro.core import replica
 
     other = FINGERPRINTS[1]
-    assert share_state._readable(RECORDS[FP]) == FP
-    assert share_state._readable(RECORDS[other]) == other
-    for remember in (share_state.to_record, lambda filler: PoolState().admit(filler.to_dict())):
+    assert replica._readable(RECORDS[FP]) == FP
+    assert replica._readable(RECORDS[other]) == other
+    for remember in (replica.to_record, lambda filler: PoolState().admit(filler.to_dict())):
         for index in range(_CAPTURE_CACHE_LIMIT):  # made here, or read at admission
             remember(make_signature(f"filler{index}-{remember.__name__}"))
-            assert len(share_state._READ) <= _CAPTURE_CACHE_LIMIT
-    assert FP not in share_state._READ and other not in share_state._READ
+            assert len(replica._READ) <= _CAPTURE_CACHE_LIMIT
+    assert FP not in replica._READ and other not in replica._READ
     state = PoolState()
-    assert state.admit(RECORDS[FP]) and FP in share_state._READ
+    assert state.admit(RECORDS[FP]) and FP in replica._READ
     assert not state.admit({**RECORDS[FINGERPRINTS[2]], "fingerprint": other})
     assert state.rejected == 1 and other not in state.records
 
@@ -312,28 +311,32 @@ class TestControlBoundary:
         assert state.controls["fp"] == ordered[-1]
 
 
-class TestHistoryDispatch:
-    def test_each_action_reaches_its_history_method(self):
+class TestHistoryJoin:
+    def test_each_winning_action_reaches_the_held_signature(self):
         history = History(path=None, autosave=False)
         signature = make_signature("dispatch")
         history.add(signature)
         fp = signature.fingerprint
-        apply_control(history, Control(1, "o", "disable", fp))
+        assert history.join(controls=[make_control("disable", fp, 1, "o")]) == (0, 1)
         assert history.enabled_signatures() == []
-        apply_control(history, Control(2, "o", "enable", fp))
+        assert history.join(controls=[make_control("enable", fp, 2, "o")]) == (0, 1)
         assert len(history.enabled_signatures()) == 1
-        apply_control(history, Control(3, "o", "remove", fp))
+        assert history.join(controls=[make_control("remove", fp, 3, "o")]) == (0, 1)
+        assert len(history) == 0
+        # A stale control loses, and a late copy of the record stays out.
+        assert history.join([make_signature("dispatch")],
+                            [make_control("enable", fp, 2, "o")]) == (0, 0)
         assert len(history) == 0
 
-    def test_install_reapplies_standing_controls_to_late_records(self):
+    def test_standing_controls_beat_late_records(self):
         history = History(path=None, autosave=False)
         disabled, removed, plain = (make_signature(name)
                                     for name in ("late-d", "late-r", "late-p"))
-        state = PoolState()
-        state.merge_control(Control(1, "o", "disable", disabled.fingerprint))
-        state.merge_control(Control(1, "o", "remove", removed.fingerprint))
-        state.merge_control(Control(1, "o", "enable", plain.fingerprint))
-        assert install(history, state, [disabled, removed, plain]) == 3
+        plain.disabled = True                    # the record's flag loses too
+        controls = [make_control("disable", disabled.fingerprint, 1, "o"),
+                    make_control("remove", removed.fingerprint, 1, "o"),
+                    make_control("enable", plain.fingerprint, 1, "o")]
+        assert history.join([disabled, removed, plain], controls) == (2, 3)
         assert [s.fingerprint for s in history.signatures()] == [
             disabled.fingerprint, plain.fingerprint]
         assert [s.fingerprint for s in history.enabled_signatures()] == [

@@ -63,6 +63,27 @@ class TestHistctl:
         assert histctl(["remove", path, fingerprint]) == 0
         assert len(History(path=path)) == 0
 
+    def test_file_edits_survive_a_live_program_saving_the_same_file(self, tmp_path):
+        """A running program's history autosaves the file histctl edits: its
+        next save joins the operator's stamped disable and removal."""
+        path = str(tmp_path / "live.history")
+        disabled, removed = make_signature(), Signature([
+            CallStack([Frame("grab", "pool.py", 3)]),
+            CallStack([Frame("drop", "pool.py", 9)])])
+        live = History(path=path)
+        live.add(disabled)
+        live.add(removed)
+        assert histctl(["disable", path, disabled.fingerprint]) == 0
+        assert histctl(["remove", path, removed.fingerprint]) == 0
+        learned = Signature([CallStack([Frame("late", "app.py", 1)]),
+                             CallStack([Frame("later", "app.py", 2)])])
+        live.add(learned)                        # autosaves over the edits
+        fresh = History(path=path, autosave=False)
+        assert {s.fingerprint: s.disabled for s in fresh.signatures()} == {
+            disabled.fingerprint: True, learned.fingerprint: False}
+        assert not live.get(disabled.fingerprint).enabled
+        assert live.get(removed.fingerprint) is None
+
     @pytest.fixture
     def v2_file_with_unknown_kind(self, tmp_path):
         """A v2 history mixing a loadable shared-mode record with one of a

@@ -144,26 +144,22 @@ def state_of(history: History) -> dict:
 
 
 def run_workload(rng: random.Random, workers, steps: int = 60) -> None:
-    """Learn, disable, enable, remove and pump at random; never re-learn a removed one.
+    """Learn, disable, enable, remove and pump at random, re-learning included.
 
-    Re-learning a fingerprint the fleet removed is kept out on purpose: a
-    standing ``remove`` blocks its record everywhere, by design, while the
-    worker that learned it again keeps its local copy.
+    A worker that learns a fingerprint the fleet removed stamps an
+    ``enable``, which outranks the removal everywhere it reaches.
     """
-    removed = set()
     for _ in range(steps):
         history, pool = rng.choice(workers)
         label = rng.choice(LABELS)
         fingerprint = make_signature(label).fingerprint
         action = rng.choice(("learn", "learn", "disable", "enable", "remove", "pump", "pump"))
-        if action == "learn" and fingerprint not in removed:
+        if action == "learn":
             history.add(make_signature(label))
         elif action == "pump":
             pool.pump()
-        elif action != "learn" and history.get(fingerprint) is not None:
+        elif history.get(fingerprint) is not None:
             getattr(history, action)(fingerprint)
-            if action == "remove":
-                removed.add(fingerprint)
 
 
 @pytest.mark.parametrize("channels", TRANSPORTS, indirect=True)
@@ -173,8 +169,8 @@ def test_a_healed_fault_syncs_to_equal_histories(channels, seed):
     chaos = [ChaosChannel(channel, seed * 10 + index)
              for index, channel in enumerate(channels)]
     histories = [History(path=None, autosave=False) for _ in chaos]
-    workers = [(history, SignaturePool(history, wrapped, origin=f"w{index}"))
-               for index, (history, wrapped) in enumerate(zip(histories, chaos))]
+    workers = [(history, SignaturePool(history, wrapped))
+               for history, wrapped in zip(histories, chaos)]
     run_workload(rng, workers)                      # nothing raised into it
     assert all(wrapped.mangled for wrapped in chaos)
     for wrapped in chaos:

@@ -23,9 +23,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.callstack import CallStack
 from repro.core.history import History
 from repro.core.signature import Signature
+from repro.core.replica import CONTROL_ACTIONS, Control, parse_control
 from repro.share import (FileChannel, GossipChannel, HistoryServer, MemoryHub, PoolState,
                          SignaturePool, SocketChannel, make_control, wire)
-from repro.share.state import CONTROL_ACTIONS, Control, parse_control
 
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                     st.text(max_size=6))

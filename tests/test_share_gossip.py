@@ -17,10 +17,10 @@ import pytest
 
 from repro.core.callstack import CallStack
 from repro.core.errors import ShareError
+from repro.core.replica import Control
 from repro.core.signature import Signature
 from repro.share import GossipChannel, make_control, open_channel, parse_share_spec
 from repro.share.gossip import parse_gossip_params
-from repro.share.state import Control
 
 
 def make_signature(label: str) -> Signature:

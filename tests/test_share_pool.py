@@ -266,8 +266,8 @@ class TestPoolControlPlane:
         hub = MemoryHub()
         history_a = History(path=None, autosave=False)
         history_b = History(path=None, autosave=False)
-        pool_a = SignaturePool(history_a, hub.channel(), origin="worker-a")
-        pool_b = SignaturePool(history_b, hub.channel(), origin="worker-b")
+        pool_a = SignaturePool(history_a, hub.channel())
+        pool_b = SignaturePool(history_b, hub.channel())
         return hub, (history_a, pool_a), (history_b, pool_b)
 
     def test_local_disable_originates_a_control(self):
@@ -302,21 +302,20 @@ class TestPoolControlPlane:
         signature = make_signature("lww")
         history_a.add(signature)
         pool_b.pump()
-        history_b.disable(signature.fingerprint)     # clock 1 @ worker-b
+        history_b.disable(signature.fingerprint)     # clock 1 @ history_b
+        stale = history_b.control(signature.fingerprint).to_dict()
         pool_a.pump()
-        history_a.enable(signature.fingerprint)      # clock 2 @ worker-a
+        history_a.enable(signature.fingerprint)      # clock 2 @ history_a
         pool_b.pump()
         assert [s.fingerprint for s in history_b.enabled_signatures()] == \
             [signature.fingerprint]
         # Replay the stale disable from a fresh endpoint: it must not win,
-        # neither in the pool's state nor in the history.
-        stale = make_control("disable", signature.fingerprint,
-                             clock=1, origin="worker-b")
+        # neither as the history's standing control nor in its flags.
         applied = pool_b.controls_applied
         hub.channel().send(controls=[stale])
         pool_b.pump()
         assert pool_b.controls_applied == applied
-        assert pool_b._state.controls[signature.fingerprint].action == "enable"
+        assert history_b.control(signature.fingerprint).action == "enable"
         assert history_b.enabled_signatures() != []
 
     def test_remove_control_blocks_late_arrivals(self):

@@ -13,7 +13,15 @@ import os
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src", "repro")
 
-#: Lowered by 42 from 16,605: ``ImmunityChecker.check`` learns in one loop through
+#: Lowered by 39 from 16,563: the history file is one more replica of the pool.
+#: ``History`` keeps its controls in a ``PoolState`` and merges everything that
+#: arrives (load, reload, the merge inside save, a pool's or the daemon's delta)
+#: through ``History.join``, so ``_removed``, ``_merge_payload``'s add-only loop,
+#: ``_merge_from_disk``, the unread ``version`` counter, ``share.state.install`` and
+#: ``apply_control``, and ``SignaturePool``'s own ``PoolState``, control lock, clock
+#: arithmetic and ``origin`` went; ``share/state.py`` moved to ``core/replica.py``
+#: (-18 with the bridge gone; see ``SHARE_BUDGET``).
+#: 16,563 before, lowered by 42 from 16,605: ``ImmunityChecker.check`` learns in one loop through
 #: ``Explorer.replay`` (its unreached fallback exploration, second replay and
 #: three hand-built ``ReplayPolicy`` runs went; see ``SIM_BUDGET``), and
 #: ``schedule.lock_footprint`` went for ``action_footprint``; ``repro.tools`` no
@@ -132,7 +140,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 #: every interleaving), 17,944 (the paper's evaluation as one checked
 #: table), 17,954 (the share fabric's one contract), 19,155, 19,461,
 #: 20,136, 20,137, 20,169, 20,352, 20,359, 20,674.
-TOTAL_BUDGET = 16_563
+TOTAL_BUDGET = 16_524
 #: ``instrument/`` + ``sim/locks.py``: the primitives that used to be
 #: written once per runtime (2,691 before PR 12; PR 15 folded the second
 #: copy of ``_caller_needs_native_lock`` into ``patching.py``).  2,276
@@ -171,7 +179,10 @@ PRIMITIVES_BUDGET = 1_763
 #: merge rules; ``wire.no_delay`` and ``wire.hang_up`` later added a net 4.
 #: 2,277 until a delta the transport failed to write stayed owed by the
 #: channel (re-sent by the next send) instead of being lost to its dedup.
-SHARE_BUDGET = 2_295
+#: 2,295 until ``state.py`` (342 lines) moved to ``core/replica.py``, beside the
+#: history that now holds one replica of it, and the pool's own control state
+#: and the ``install``/``apply_control`` bridge went (``pool.py`` -35).
+SHARE_BUDGET = 1_918
 #: ``sim/``: scheduler, primitives and the explorer.  3,854 before PR 15,
 #: when ``explore.py`` + ``parexplore.py`` carried four search loops;
 #: 3,681 until PR 23 deleted ``parexplore.py`` and what only fed it.
